@@ -1,0 +1,421 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"llmq/internal/wal"
+)
+
+// checkpointShapes builds the models the binary-checkpoint tests share: for
+// one dimensionality and solver, an unbounded model, a bounded one that has
+// just been through an eviction burst (tombstones in the slot space), and
+// one re-capped at runtime with SetCapacity (compacted slot space).
+func checkpointShapes(t testing.TB, dim int, solver Solver) map[string]*Model {
+	t.Helper()
+	bx := make([]float64, dim)
+	for i := range bx {
+		bx[i] = 0.5 - 0.3*float64(i)
+	}
+	pairs := planeStream(1500, dim, 0.3, bx, 1.0, int64(100*dim)+int64(solver))
+	build := func(max int) *Model {
+		cfg := DefaultConfig(dim)
+		cfg.Vigilance = 0.04 * (math.Sqrt(float64(dim)) + 1)
+		cfg.Gamma = 1e-12
+		cfg.MinGammaSteps = 1 << 30
+		cfg.CoefficientSolver = solver
+		cfg.MaxPrototypes = max
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.TrainBatch(pairs); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	unbounded := build(0)
+	k := unbounded.K()
+	if k < 8 {
+		t.Fatalf("d=%d fixture grew only %d prototypes", dim, k)
+	}
+	bounded := build(k / 2)
+	if bounded.store.rows == bounded.store.live && len(bounded.store.free) == 0 && bounded.K() == k {
+		t.Fatalf("d=%d bounded fixture never evicted", dim)
+	}
+	recapped := build(0)
+	if err := recapped.SetCapacity(k/3, Recency{}, false); err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Model{"unbounded": unbounded, "bounded": bounded, "setcapacity": recapped}
+}
+
+func stateHash(t testing.TB, m *Model) string {
+	t.Helper()
+	h, err := m.StateHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestCheckpointRoundTripTable: a binary checkpoint reloads to the same
+// canonical state, and the reloaded model stays identical to the original
+// — same hash, same Q1 and Q2 answers — under 2 000 further pairs.
+func TestCheckpointRoundTripTable(t *testing.T) {
+	for _, dim := range []int{1, 2, 8} {
+		for _, solver := range []Solver{SolverRLS, SolverSGD} {
+			for name, m := range checkpointShapes(t, dim, solver) {
+				t.Run(fmt.Sprintf("d=%d/%s/%s", dim, solver, name), func(t *testing.T) {
+					cp := checkpointBytes(t, m)
+					loaded, err := Load(bytes.NewReader(cp))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := stateHash(t, loaded), stateHash(t, m); got != want {
+						t.Fatalf("StateHash(Load(Checkpoint(m))) = %s, want %s", got, want)
+					}
+					if canonicalState(t, loaded) != canonicalState(t, m) {
+						t.Fatal("reloaded writer state differs from the original")
+					}
+					bx := make([]float64, dim)
+					more := planeStream(2000, dim, -0.2, bx, 0.4, 7)
+					for _, mm := range []*Model{m, loaded} {
+						if _, err := mm.TrainBatch(more); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if got, want := stateHash(t, loaded), stateHash(t, m); got != want {
+						t.Fatalf("hashes diverged after identical continuation: %s vs %s", got, want)
+					}
+					// Answers accumulate per-prototype terms in slot order. A
+					// reload keeps that order unless the checkpointed model held
+					// tombstones, which Load compacts away (StateHash is
+					// canonical over exactly that renumbering) — then the sums
+					// may differ in the last place, and only then.
+					sameSlots := name != "bounded"
+					for _, p := range planeStream(50, dim, 0, bx, 0, 9) {
+						a, err1 := m.PredictMean(p.Query)
+						b, err2 := loaded.PredictMean(p.Query)
+						if err1 != nil || err2 != nil || (sameSlots && math.Float64bits(a) != math.Float64bits(b)) ||
+							math.Abs(a-b) > 1e-12*math.Max(1, math.Abs(a)) {
+							t.Fatalf("PredictMean differs: %v vs %v (%v, %v)", a, b, err1, err2)
+						}
+						ra, err1 := m.Regression(p.Query)
+						rb, err2 := loaded.Regression(p.Query)
+						if err1 != nil || err2 != nil || len(ra) != len(rb) {
+							t.Fatalf("Regression differs: %d vs %d models (%v, %v)", len(ra), len(rb), err1, err2)
+						}
+						if sameSlots && fmt.Sprintf("%x", ra) != fmt.Sprintf("%x", rb) {
+							t.Fatalf("Regression differs:\n%v\n%v", ra, rb)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// splitFrames returns a copy of every frame payload of a checkpoint.
+func splitFrames(t testing.TB, b []byte) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for len(b) > 0 {
+		p, rest, err := wal.ReadFrame(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, append([]byte(nil), p...))
+		b = rest
+	}
+	return out
+}
+
+// joinFrames re-frames payloads with fresh lengths and checksums, so a test
+// can corrupt a field and still present a CRC-clean file.
+func joinFrames(payloads [][]byte) []byte {
+	var b []byte
+	for _, p := range payloads {
+		start := len(b)
+		b = append(wal.OpenFrame(b), p...)
+		wal.SealFrame(b, start)
+	}
+	return b
+}
+
+// TestLoadCheckpointRejects corrupts a real checkpoint one field at a time.
+// Every case must fail with ErrBadModelFile and say where.
+func TestLoadCheckpointRejects(t *testing.T) {
+	m := checkpointShapes(t, 2, SolverRLS)["bounded"]
+	cp := checkpointBytes(t, m)
+	const d = 2
+	// Header payload offsets: the twelve uint64 fields follow magic+version+flags.
+	field := func(i int) int { return len(checkpointMagic) + 2 + 8*i }
+	// Row payload offsets.
+	const (
+		rowTheta   = 8 * d
+		rowCoef    = 8 * (d + 1)
+		rowWins    = 8 * (2*d + 3)
+		rowLastWin = rowWins + 8
+		rowFlag    = rowWins + 16
+		rowRLS     = rowFlag + 1
+	)
+	putF := func(p []byte, off int, v float64) { binary.LittleEndian.PutUint64(p[off:], math.Float64bits(v)) }
+	putU := func(p []byte, off int, v uint64) { binary.LittleEndian.PutUint64(p[off:], v) }
+	header := func(mut func(h []byte)) func([][]byte) [][]byte {
+		return func(f [][]byte) [][]byte { mut(f[0]); return f }
+	}
+	row := func(mut func(r []byte)) func([][]byte) [][]byte {
+		return func(f [][]byte) [][]byte { mut(f[3]); return f }
+	}
+	cases := []struct {
+		name, want string
+		mutate     func(frames [][]byte) [][]byte // nil: raw is used instead
+		raw        func(b []byte) []byte
+	}{
+		{name: "bad magic", want: "byte offset", raw: func(b []byte) []byte { b[wal.FrameHeaderLen] ^= 0xff; return b }},
+		{name: "unsupported version", want: "header frame", mutate: header(func(h []byte) { h[len(checkpointMagic)]++ })},
+		{name: "unknown flag bit", want: "header frame", mutate: header(func(h []byte) { h[len(checkpointMagic)+1] |= 0x80 })},
+		{name: "short header", want: "header frame", mutate: func(f [][]byte) [][]byte { f[0] = f[0][:20]; return f }},
+		{name: "header CRC", want: "header frame: checksum mismatch", raw: func(b []byte) []byte { b[wal.FrameHeaderLen+30] ^= 1; return b }},
+		{name: "row CRC", want: "row frame", raw: func(b []byte) []byte { b[len(b)-5] ^= 1; return b }},
+		{name: "zero dim", want: "dim/vigilance/gamma", mutate: header(func(h []byte) { putU(h, field(0), 0) })},
+		{name: "huge dim", want: "dim/vigilance/gamma", mutate: header(func(h []byte) { putU(h, field(0), 1<<40) })},
+		{name: "negative vigilance", want: "dim/vigilance/gamma", mutate: header(func(h []byte) { putF(h, field(1), -1) })},
+		{name: "NaN vigilance", want: "dim/vigilance/gamma", mutate: header(func(h []byte) { putF(h, field(1), math.NaN()) })},
+		{name: "zero gamma", want: "dim/vigilance/gamma", mutate: header(func(h []byte) { putF(h, field(2), 0) })},
+		{name: "negative steps", want: "step counters", mutate: header(func(h []byte) { putU(h, field(3), 1<<63) })},
+		{name: "negative quiet steps", want: "step counters", mutate: header(func(h []byte) { putU(h, field(4), math.MaxUint64) })},
+		{name: "unknown eviction policy", want: "eviction policy", mutate: header(func(h []byte) { h[len(h)-1] = 'X' })},
+		{name: "forged row count", want: "header frame claims", mutate: header(func(h []byte) { putU(h, field(10), 1<<50) })},
+		{name: "row count off by one", want: "header frame claims", mutate: header(func(h []byte) { putU(h, field(10), uint64(m.K()+1)) })},
+		{name: "wrong row width", want: "header frame claims", mutate: header(func(h []byte) { putU(h, field(11), 8) })},
+		{name: "trailing bytes", want: "header frame claims", raw: func(b []byte) []byte { return append(b, 0) }},
+		{name: "trailing frame", want: "header frame claims", mutate: func(f [][]byte) [][]byte { return append(f, f[1]) }},
+		{name: "missing row", want: "header frame claims", mutate: func(f [][]byte) [][]byte { return f[:len(f)-1] }},
+		{name: "truncated", want: "header frame claims", raw: func(b []byte) []byte { return b[:len(b)-9] }},
+		{name: "forged frame length", want: "row frame 1", raw: func(b []byte) []byte {
+			stride := (len(b) - wal.FrameHeaderLen - len(splitFrames(t, b)[0])) / m.K()
+			binary.LittleEndian.PutUint32(b[len(b)-(m.K()-1)*stride:], 1<<31)
+			return b
+		}},
+		{name: "negative radius", want: "LLM 2 has negative radius", mutate: row(func(r []byte) { putF(r, rowTheta, -0.5) })},
+		{name: "non-finite centre", want: "LLM 2 contains non-finite", mutate: row(func(r []byte) { putF(r, 0, math.Inf(1)) })},
+		{name: "non-finite coefficient", want: "LLM 2 contains non-finite", mutate: row(func(r []byte) { putF(r, rowCoef+8, math.NaN()) })},
+		{name: "negative wins", want: "LLM 2 has win count", mutate: row(func(r []byte) { putU(r, rowWins, 1<<63) })},
+		{name: "last-win past steps", want: "LLM 2 has win count", mutate: row(func(r []byte) { putU(r, rowLastWin, uint64(m.Steps()+1)) })},
+		{name: "bad RLS-present byte", want: "LLM 2 has a bad RLS-present byte", mutate: row(func(r []byte) { r[rowFlag] = 2 })},
+		{name: "non-finite RLS", want: "LLM 2 RLS state contains non-finite", mutate: row(func(r []byte) { putF(r, rowRLS+16, math.Inf(-1)) })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := append([]byte(nil), cp...)
+			if tc.mutate != nil {
+				b = joinFrames(tc.mutate(splitFrames(t, b)))
+			} else {
+				b = tc.raw(b)
+			}
+			_, err := Load(bytes.NewReader(b))
+			if !errors.Is(err, ErrBadModelFile) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want ErrBadModelFile mentioning %q", err, tc.want)
+			}
+		})
+	}
+
+	t.Run("over-cap K is evicted before first publish", func(t *testing.T) {
+		f := splitFrames(t, cp)
+		putU(f[0], field(8), uint64(m.K()/2)) // halve the cap under the same rows
+		loaded, err := Load(bytes.NewReader(joinFrames(f)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.K() > m.K()/2 {
+			t.Fatalf("loaded K=%d over the file's cap %d", loaded.K(), m.K()/2)
+		}
+	})
+	t.Run("SGD file carries no solver state", func(t *testing.T) {
+		sgd := checkpointBytes(t, checkpointShapes(t, 2, SolverSGD)["unbounded"])
+		f := splitFrames(t, sgd)
+		f[1][len(f[1])-1] = 1
+		if _, err := Load(bytes.NewReader(joinFrames(f))); !errors.Is(err, ErrBadModelFile) {
+			t.Fatalf("RLS-present byte in an SGD checkpoint: err = %v", err)
+		}
+	})
+}
+
+// TestRecoverLegacyDirectory boots the data directory checked in under
+// testdata/legacy — written by the commit before the binary checkpoint
+// format: one JSON snapshot (K=20, with RLS state) and a 100-record tail —
+// and requires the upgrade to be invisible: the recovered model has the
+// recorded step count and answers the recorded queries bit for bit, keeps
+// training equal to a never-crashed in-memory model, and its rotations
+// replace the .json snapshot with .bin ones and garbage-collect it.
+// (testdata/legacy/README.md says how the directory was produced.)
+func TestRecoverLegacyDirectory(t *testing.T) {
+	var exp struct {
+		Steps   int `json:"steps"`
+		K       int `json:"k"`
+		Queries []struct {
+			Center []float64 `json:"center"`
+			Theta  float64   `json:"theta"`
+			Mean   string    `json:"mean_bits"`
+		} `json:"queries"`
+	}
+	raw, err := os.ReadFile("testdata/legacy/expect.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &exp); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"snap-000001.json", "wal-000001.log"} {
+		b, err := os.ReadFile(filepath.Join("testdata/legacy/dir", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	man, err := wal.List(dir)
+	if err != nil || len(man.Snapshots) != 1 || man.Snapshots[0] != 1 {
+		t.Fatalf("wal.List must see the legacy snapshot: %+v, %v", man, err)
+	}
+
+	opts := DurableOptions{SnapshotEvery: 400, WAL: wal.Options{Mode: wal.SyncNone}, Logf: t.Logf}
+	d, err := Recover(dir, Config{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Model().Steps() != exp.Steps || d.Model().K() != exp.K {
+		t.Fatalf("recovered steps=%d K=%d, the writing commit recorded steps=%d K=%d", d.Model().Steps(), d.Model().K(), exp.Steps, exp.K)
+	}
+	for i, q := range exp.Queries {
+		y, err := d.Model().PredictMean(Query{Center: q.Center, Theta: q.Theta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strconv.FormatUint(math.Float64bits(y), 16); got != q.Mean {
+			t.Errorf("query %d: PredictMean bits %s, the writing commit answered %s", i, got, q.Mean)
+		}
+	}
+
+	// The stream the directory was written under, continued: the reference
+	// consumes all of it in memory and never crashes.
+	cfg := DefaultConfig(2)
+	cfg.Vigilance = 0.17
+	cfg.MaxPrototypes = 20
+	cfg.Gamma = 1e-12
+	cfg.MinGammaSteps = 1 << 30
+	surface := func(x []float64, theta float64) float64 { return math.Sin(3*x[0]) + x[1]*x[1] + theta }
+	pairs := surfaceStream(1000, 2, surface, 131)
+	ref, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.TrainBatch(pairs); err != nil {
+		t.Fatal(err)
+	}
+	// 100 replayed + 300 new pairs reach the 400-pair cadence: one rotation.
+	for _, batch := range [][]TrainingPair{pairs[exp.Steps:800], pairs[800:]} {
+		if _, err := d.TrainBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := stateHash(t, d.Model()), stateHash(t, ref); got != want {
+		t.Fatalf("legacy directory + continuation hashes %s, never-crashed reference %s", got, want)
+	}
+	if d.Gen() != 2 {
+		t.Fatalf("generation %d after the continuation, want one rotation (2)", d.Gen())
+	}
+	if _, err := os.Stat(wal.SnapshotPath(dir, 2)); err != nil || filepath.Ext(wal.SnapshotPath(dir, 2)) != ".bin" {
+		t.Fatalf("the rotation must have written a .bin snapshot: %v", err)
+	}
+	// Close rotates once more (the pairs since the boundary), which puts the
+	// legacy generation two behind: it must be gone, under its own name.
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if got, want := strings.Join(names, " "), "snap-000002.bin snap-000003.bin wal-000002.log wal-000003.log"; got != want {
+		t.Fatalf("directory holds %q, want %q", got, want)
+	}
+	d2, err := Recover(dir, Config{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if got, want := stateHash(t, d2.Model()), stateHash(t, ref); got != want {
+		t.Fatalf("re-recovery from the .bin snapshot hashes %s, want %s", got, want)
+	}
+}
+
+// FuzzLoadSnapshot feeds Load arbitrary bytes, seeded with real checkpoints
+// of every shape the format has. Any input either fails cleanly or loads to
+// a model whose own Checkpoint reloads to the same StateHash; nothing
+// panics, and nothing is sized by a number the input merely claims. The
+// seeds are d=1 models of a dozen prototypes: the engine minimizes every
+// interesting input, and spends its whole budget there on a 100 KB one.
+func FuzzLoadSnapshot(f *testing.F) {
+	for _, solver := range []Solver{SolverRLS, SolverSGD} {
+		for _, m := range checkpointShapes(f, 1, solver) {
+			f.Add(checkpointBytes(f, m))
+		}
+	}
+	// Γ = +Inf: the step after a spawn.
+	fresh, err := NewModel(DefaultConfig(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := fresh.Observe(Query{Center: []float64{0.5}, Theta: 0.1}, 1); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(checkpointBytes(f, fresh))
+	// Converged, with the quiet window counting.
+	conv, err := NewModel(DefaultConfig(2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if res, err := conv.Train(planeStream(8000, 2, 0.3, []float64{0.5, -0.2}, 1.0, 3)); err != nil || !res.Converged {
+		f.Fatalf("converged seed: %+v, %v", res, err)
+	}
+	f.Add(checkpointBytes(f, conv))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := Load(bytes.NewReader(b))
+		if err != nil {
+			if !errors.Is(err, ErrBadModelFile) && !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("Load failed outside its error contract: %v", err)
+			}
+			return
+		}
+		var cp bytes.Buffer
+		if err := m.Checkpoint(&cp); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(&cp)
+		if err != nil {
+			t.Fatalf("a loaded model's own checkpoint does not load: %v", err)
+		}
+		if stateHash(t, again) != stateHash(t, m) {
+			t.Fatal("Checkpoint→Load changed the StateHash of a loaded model")
+		}
+	})
+}

@@ -2,8 +2,8 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -34,7 +34,7 @@ func durableConfig() Config {
 }
 
 // checkpointBytes snapshots the full training state.
-func checkpointBytes(t *testing.T, m *Model) []byte {
+func checkpointBytes(t testing.TB, m *Model) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := m.Checkpoint(&buf); err != nil {
@@ -43,32 +43,28 @@ func checkpointBytes(t *testing.T, m *Model) []byte {
 	return buf.Bytes()
 }
 
-// canonicalState is checkpointBytes made slot-order independent: recovery
+// canonicalState renders the full training state slot-order independently,
+// reading the writer's own objects rather than any serialized form: recovery
 // compacts tombstoned slots away, so two models can hold identical prototypes
-// under permuted slot ids. Sorting the llms array by their encoding compares
-// the state, not the numbering.
-func canonicalState(t *testing.T, m *Model) string {
+// under permuted slot ids. Sorting the per-prototype lines compares the
+// state, not the numbering. Floats print as exact hex.
+func canonicalState(t testing.TB, m *Model) string {
 	t.Helper()
-	var doc map[string]any
-	if err := json.Unmarshal(checkpointBytes(t, m), &doc); err != nil {
-		t.Fatal(err)
-	}
-	llms, _ := doc["llms"].([]any)
-	enc := make([]string, len(llms))
-	for i, l := range llms {
-		b, err := json.Marshal(l)
-		if err != nil {
-			t.Fatal(err)
+	cfg := m.Config()
+	cfg.ResolutionA = 0 // only ever an input to Vigilance; not part of the state
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var rows []string
+	for k, l := range m.llms {
+		if l == nil {
+			continue
 		}
-		enc[i] = string(b)
+		rows = append(rows, fmt.Sprintf("%x %x %x %x %x wins=%d stamp=%d rls=%x", []float64(l.CenterPrototype),
+			l.ThetaPrototype, l.Intercept, []float64(l.SlopeX), l.SlopeTheta, l.Wins, m.store.stamp(k), l.p))
 	}
-	sort.Strings(enc)
-	doc["llms"] = enc
-	out, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
+	sort.Strings(rows)
+	return fmt.Sprintf("%+v steps=%d converged=%v quiet=%d gamma=%x\n%s",
+		cfg, m.steps, m.converged, m.quietSteps, m.lastGamma, strings.Join(rows, "\n"))
 }
 
 // TestLoadTornPrefix cuts a saved model at arbitrary byte offsets — the torn

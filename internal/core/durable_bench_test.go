@@ -19,7 +19,49 @@ func durableOver(tb testing.TB, m *Model, dir string, mode wal.SyncMode) *Durabl
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &Durable{m: m, opts: DurableOptions{SnapshotEvery: 1 << 30}.withDefaults(), log: l}
+	return &Durable{m: m, opts: DurableOptions{SnapshotEvery: 1 << 30}.withDefaults(), log: l,
+		hashes: make(map[uint64]BoundaryHash)}
+}
+
+// rotationBenchModel is the K=2000, d=2 fixture of the rotation and
+// checkpoint-load benchmarks — train_durable's shape in the repository's
+// benchmark — with every prototype carrying RLS solver state, as a trained
+// one does.
+func rotationBenchModel(tb testing.TB) *Model {
+	m := buildPublishBenchModel(tb, 2, 2_000, 0.03, 0.05, 0.15)
+	for _, l := range m.llms {
+		l.initRLS(1e-3)
+	}
+	return m
+}
+
+// BenchmarkRotation measures one snapshot rotation through Durable — what a
+// /train ack that crosses the SnapshotEvery boundary pays on top of its
+// batch: capture the model into the reused checkpoint buffer, fsync the
+// tail, write the snapshot atomically, open the next segment, GC, and hash
+// the captured rows for the boundary record. Steady-state rotation must
+// allocate O(1) objects whatever K is; the benchmark fails above 32
+// allocs/op. scripts/bench.sh records it in BENCH_13.json.
+func BenchmarkRotation(b *testing.B) {
+	b.Run("K=2000", func(b *testing.B) {
+		d := durableOver(b, rotationBenchModel(b), b.TempDir(), wal.SyncGroup)
+		defer d.log.Close()
+		if err := d.Snapshot(); err != nil { // size the buffers once
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := d.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(len(d.ckpt.b)), "snap_bytes")
+		if allocs := testing.AllocsPerRun(5, func() { _ = d.Snapshot() }); allocs > 32 {
+			b.Fatalf("steady-state rotation allocates %.0f objects, want ≤ 32", allocs)
+		}
+	})
 }
 
 // BenchmarkWALAppend measures the durable per-pair write path — WAL append
@@ -58,8 +100,34 @@ func BenchmarkWALAppend(b *testing.B) {
 // newest snapshot is missing its tail, so every op re-reads and re-applies
 // the whole tail through TrainBatch. ns/pair is the per-record replay cost;
 // SnapshotEvery bounds the tail length, so boot time is this number times
-// the configured cadence (plus one snapshot load).
+// the configured cadence (plus one snapshot load, which load=checkpoint
+// measures alone: Recover over a K=2000 binary snapshot with an empty tail).
 func BenchmarkRecovery(b *testing.B) {
+	b.Run("load=checkpoint", func(b *testing.B) {
+		dir := b.TempDir()
+		d := durableOver(b, rotationBenchModel(b), dir, wal.SyncNone)
+		if err := d.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
+		opts := DurableOptions{WAL: wal.Options{Mode: wal.SyncNone}, SnapshotEvery: 1 << 30}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r, err := Recover(dir, d.m.Config(), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if r.Model().K() != 2_000 {
+				b.Fatalf("recovered K=%d, want 2000", r.Model().K())
+			}
+			if err := r.log.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, tail := range []int{4_096, 16_384} {
 		b.Run(fmt.Sprintf("tail=%d", tail), func(b *testing.B) {
 			dir := b.TempDir()

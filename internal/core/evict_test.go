@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -595,10 +596,10 @@ func TestSaveConfigRaceWithSetCapacity(t *testing.T) {
 // θ ≥ 0) and the tombstone sentinel — a file carrying one must be rejected,
 // not half-loaded as a slot the indexed and linear paths disagree about.
 func TestLoadRejectsNegativeRadius(t *testing.T) {
-	doc := `{"version":1,"dim":1,"vigilance":0.1,"gamma":0.01,"steps":1,
-		"llms":[{"center":[0.5],"theta":-0.5,"intercept":1,"slope_x":[0],"slope_theta":0,"wins":1}]}`
-	if _, err := Load(bytes.NewReader([]byte(doc))); err == nil {
-		t.Fatal("negative-radius prototype should be rejected")
+	doc := `{"version":2,"dim":1,"vigilance":0.1,"gamma":0.01,"steps":1,
+		"llms":[{"center":[0.5],"theta":-0.5,"intercept":1,"slope_x":[0],"slope_theta":0,"wins":1,"last_win":1}]}`
+	if _, err := Load(bytes.NewReader([]byte(doc))); err == nil || !strings.Contains(err.Error(), "negative radius") {
+		t.Fatalf("negative-radius prototype should be rejected as such, got %v", err)
 	}
 }
 

@@ -579,9 +579,10 @@ func TestLoadRejectsInvalidDocuments(t *testing.T) {
 	cases := map[string]string{
 		"not json":        "hello",
 		"wrong version":   `{"version": 99, "dim": 2, "vigilance": 0.5, "gamma": 0.01}`,
-		"bad dims":        `{"version": 1, "dim": 0, "vigilance": 0.5, "gamma": 0.01}`,
-		"bad llm dim":     `{"version": 1, "dim": 2, "vigilance": 0.5, "gamma": 0.01, "llms": [{"center": [1], "slope_x": [1, 2]}]}`,
-		"non-finite vals": `{"version": 1, "dim": 1, "vigilance": 0.5, "gamma": 0.01, "llms": [{"center": [1], "theta": 1e999, "slope_x": [0]}]}`,
+		"version 1":       `{"version": 1, "dim": 2, "vigilance": 0.5, "gamma": 0.01}`,
+		"bad dims":        `{"version": 2, "dim": 0, "vigilance": 0.5, "gamma": 0.01}`,
+		"bad llm dim":     `{"version": 2, "dim": 2, "vigilance": 0.5, "gamma": 0.01, "llms": [{"center": [1], "slope_x": [1, 2]}]}`,
+		"non-finite vals": `{"version": 2, "dim": 1, "vigilance": 0.5, "gamma": 0.01, "llms": [{"center": [1], "theta": 1e999, "slope_x": [0]}]}`,
 	}
 	for name, doc := range cases {
 		if _, err := Load(strings.NewReader(doc)); !errors.Is(err, ErrBadModelFile) {

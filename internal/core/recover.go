@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -85,7 +86,8 @@ type Durable struct {
 	sinceSnap int   // pairs appended since the last snapshot
 	failure   error // first WAL failure; non-nil flips the store read-only
 	hashes    map[uint64]BoundaryHash
-	hasSnap   bool // a snapshot for the current generation exists on disk
+	hasSnap   bool          // a snapshot for the current generation exists on disk
+	ckpt      checkpointBuf // the last captured state, reused by every rotation
 }
 
 // BoundaryHash records the model's canonical state at one snapshot
@@ -143,10 +145,9 @@ func Recover(dir string, cfg Config, opts DurableOptions) (*Durable, error) {
 	)
 	for i := len(man.Snapshots) - 1; i >= 0; i-- {
 		gen := man.Snapshots[i]
-		path := wal.SnapshotPath(dir, gen)
-		lm, lerr := loadSnapshotFile(path)
+		lm, lerr := loadSnapshot(dir, gen)
 		if lerr != nil {
-			opts.Logf("core: recovery: snapshot %s unreadable (%v); falling back to previous generation", path, lerr)
+			opts.Logf("core: recovery: snapshot %s unreadable (%v); falling back to previous generation", wal.SnapshotPath(dir, gen), lerr)
 			continue
 		}
 		m, baseGen = lm, gen
@@ -206,6 +207,7 @@ func Recover(dir string, cfg Config, opts DurableOptions) (*Durable, error) {
 	if replayed == 0 && d.hasSnap && l.Gen() == baseGen {
 		// The model sits exactly at a snapshot boundary; record its hash so
 		// a follower bootstrapping from this snapshot can verify its copy.
+		d.m.capture(&d.ckpt)
 		d.recordBoundaryLocked(l.Gen())
 	}
 	return d, nil
@@ -229,6 +231,7 @@ func Resume(m *Model, dir string, sinceSnap int, opts DurableOptions) (*Durable,
 		hashes: make(map[uint64]BoundaryHash)}
 	d.hasSnap = fileExists(wal.SnapshotPath(dir, l.Gen()))
 	if sinceSnap == 0 && d.hasSnap {
+		d.m.capture(&d.ckpt)
 		d.recordBoundaryLocked(l.Gen())
 	}
 	return d, nil
@@ -240,9 +243,9 @@ func fileExists(path string) bool {
 	return err == nil
 }
 
-// loadSnapshotFile loads one snapshot from disk through the hardened Load.
-func loadSnapshotFile(path string) (*Model, error) {
-	f, err := os.Open(path)
+// loadSnapshot loads one snapshot from disk through the hardened Load.
+func loadSnapshot(dir string, gen uint64) (*Model, error) {
+	f, err := wal.OpenSnapshot(dir, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -394,8 +397,15 @@ func (d *Durable) maybeRotateLocked() error {
 	return d.rotateLocked()
 }
 
+// rotateLocked captures the model once and uses those bytes twice: as the
+// snapshot file the log rotates onto, and for the boundary hash.
 func (d *Durable) rotateLocked() error {
-	if err := d.log.Rotate(d.m.Checkpoint); err != nil {
+	d.m.capture(&d.ckpt)
+	err := d.log.Rotate(func(w io.Writer) error {
+		_, err := w.Write(d.ckpt.b)
+		return err
+	})
+	if err != nil {
 		return err
 	}
 	d.sinceSnap = 0
@@ -404,17 +414,11 @@ func (d *Durable) rotateLocked() error {
 	return nil
 }
 
-// recordBoundaryLocked stores the model's canonical hash for the boundary
-// opening gen, pruning the oldest entries past boundaryHashKeep. A hash
-// failure is logged, not fatal — the boundary check it feeds is an
-// opportunistic divergence detector, not a durability invariant.
+// recordBoundaryLocked stores the canonical hash of the state the caller
+// just captured into d.ckpt for the boundary opening gen, pruning the
+// oldest entries past boundaryHashKeep.
 func (d *Durable) recordBoundaryLocked(gen uint64) {
-	h, err := d.m.StateHash()
-	if err != nil {
-		d.opts.Logf("core: boundary hash at generation %d failed: %v", gen, err)
-		return
-	}
-	d.hashes[gen] = BoundaryHash{Gen: gen, Steps: d.m.Steps(), Hash: h}
+	d.hashes[gen] = BoundaryHash{Gen: gen, Steps: d.m.Steps(), Hash: d.ckpt.hash()}
 	for len(d.hashes) > boundaryHashKeep {
 		oldest := gen
 		for g := range d.hashes {
@@ -442,8 +446,8 @@ func (d *Durable) BoundaryHash(gen uint64) (BoundaryHash, bool) {
 func (d *Durable) StateHash() (steps int, hash string, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	hash, err = d.m.StateHash()
-	return d.m.Steps(), hash, err
+	d.m.capture(&d.ckpt)
+	return d.m.Steps(), d.ckpt.hash(), nil
 }
 
 // BootID returns the random token minted when this Durable opened the

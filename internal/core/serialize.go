@@ -1,29 +1,52 @@
 package core
 
 import (
+	"bufio"
+	"bytes"
+	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
-	"llmq/internal/vector"
+	"llmq/internal/wal"
 )
 
-// The serialized form of a model: a stable JSON document so trained models
-// can be persisted next to the DBMS and reloaded by query-processing nodes
-// without retraining. Version 2 carries, beyond the prototypes and their
-// coefficients, the full training clock — the step counter, per-prototype
-// win counts AND last-win step stamps (so a bounded model's eviction clock
-// survives a restart instead of resetting every boot), the convergence
-// window state, and (Checkpoint only) the per-prototype RLS solver state —
-// which is what makes "load a snapshot, replay the WAL tail" bit-identical
-// to a training run that never stopped. Version-1 files still load, with
-// the historical semantics (eviction clock restarted at the load step,
-// fresh solver state).
+// A model has two serialized forms, and Load reads both.
+//
+// Save writes a stable JSON document (version 2), so a trained model can be
+// persisted next to the DBMS, inspected, and reloaded by query-processing
+// nodes without retraining. Beyond the prototypes and their coefficients it
+// carries the full training clock — the step counter, per-prototype win
+// counts and last-win step stamps (so a bounded model's eviction clock
+// survives a restart), and the convergence window state.
+//
+// Checkpoint writes the binary form the durability layer's snapshots and
+// the replication bootstrap use: the same header fields plus every
+// prototype's RLS solver state, which is what makes "load a snapshot,
+// replay the WAL tail" bit-identical to a training run that never stopped.
+// It is a sequence of internal/wal frames (uint32 length, uint32 CRC-32C,
+// payload), built in one pass from the store's flat rows:
+//
+//	header frame   "LLMQ", format version, flag bits (converged, the two
+//	               update-rule switches, merge-on-evict, SGD solver), then
+//	               twelve little-endian uint64: dim, vigilance bits, γ bits,
+//	               steps, quiet steps, last-Γ bits, min-γ steps, convergence
+//	               window, capacity, eviction half-life, live K, row width;
+//	               the eviction policy name fills the rest
+//	K row frames   centre (d) and θ, intercept, slopes (d) and θ-slope as
+//	               IEEE-754 bits, wins and last-win as uint64, one
+//	               RLS-present byte and — for the RLS solver — the (d+2)²
+//	               inverse-covariance floats (zero when absent)
+//
+// Every row frame of one file has the same width, so the header's K is
+// checked against the bytes actually present before anything is sized by it.
+// StateHash digests the same bytes with the row frames sorted.
 
 type modelJSON struct {
 	Version   int     `json:"version"`
@@ -32,24 +55,21 @@ type modelJSON struct {
 	Gamma     float64 `json:"gamma"`
 	Steps     int     `json:"steps"`
 	Converged bool    `json:"converged"`
-	// The training-relevant configuration (version ≥ 2): the coefficient
-	// solver and update-rule switches, and the termination-criterion
-	// windows. Version-1 files lack them and load with the historical
-	// defaults (RLS, both switches on, standard windows).
+	// The training-relevant configuration: the coefficient solver and
+	// update-rule switches, and the termination-criterion windows.
 	Solver                  string `json:"solver,omitempty"`
 	InitInterceptWithAnswer bool   `json:"init_intercept_with_answer,omitempty"`
 	RateByPrototype         bool   `json:"rate_by_prototype,omitempty"`
 	MinGammaSteps           int    `json:"min_gamma_steps,omitempty"`
 	ConvergenceWindow       int    `json:"convergence_window,omitempty"`
-	// The convergence-criterion state (version ≥ 2), so a reloaded model
-	// mid-quiet-window needs exactly as many further quiet steps as the
-	// original would have. Γ can be +Inf (the step after a spawn), which
-	// JSON cannot encode — the _inf flag carries that case.
+	// The convergence-criterion state, so a reloaded model mid-quiet-window
+	// needs exactly as many further quiet steps as the original would have.
+	// Γ can be +Inf (the step after a spawn), which JSON cannot encode — the
+	// _inf flag carries that case.
 	QuietSteps   int     `json:"quiet_steps,omitempty"`
 	LastGamma    float64 `json:"last_gamma,omitempty"`
 	LastGammaInf bool    `json:"last_gamma_inf,omitempty"`
-	// Bounded-capacity configuration (absent for unbounded models, and in
-	// files written before it existed — both load as unbounded).
+	// Bounded-capacity configuration (absent for unbounded models).
 	MaxPrototypes    int       `json:"max_prototypes,omitempty"`
 	Eviction         string    `json:"eviction,omitempty"`
 	EvictionHalfLife int       `json:"eviction_half_life,omitempty"`
@@ -65,24 +85,41 @@ type llmJSON struct {
 	SlopeTheta float64   `json:"slope_theta"`
 	Wins       int       `json:"wins"`
 	// LastWin is the training step at which the prototype last absorbed a
-	// pair — the eviction policies' recency input (version ≥ 2; absent in
-	// version-1 files, which restart the eviction clock at the load step).
+	// pair — the eviction policies' recency input.
 	LastWin int `json:"last_win,omitempty"`
 	// RLS is the row-major (d+2)² inverse-covariance state of the
-	// recursive-least-squares solver, written by Checkpoint only; a model
-	// loaded without it re-initializes the solver on the prototype's next
-	// win.
+	// recursive-least-squares solver. Nothing writes it any more — the
+	// snapshots that carried it are binary now — but Load still reads it, so
+	// a data directory with a JSON snapshot keeps recovering bit-identically.
 	RLS []float64 `json:"rls,omitempty"`
 }
 
-const serializationVersion = 2
+const (
+	serializationVersion = 2
+
+	checkpointMagic   = "LLMQ"
+	checkpointVersion = 1
+	// checkpointHeaderLen is the fixed part of the header payload: magic,
+	// version byte, flag byte and twelve uint64 fields.
+	checkpointHeaderLen = len(checkpointMagic) + 2 + 12*8
+)
+
+// The header's flag bits.
+const (
+	flagConverged = 1 << iota
+	flagInitIntercept
+	flagRateByPrototype
+	flagMergeOnEvict
+	flagSGD
+	flagsEnd
+)
 
 // ErrBadModelFile is returned when a serialized model cannot be decoded or
 // fails validation.
 var ErrBadModelFile = errors.New("core: invalid model file")
 
 // parseSolver resolves the persisted solver name; the empty string is the
-// default (RLS), matching version-1 files that predate the field.
+// default (RLS).
 func parseSolver(name string) (Solver, error) {
 	switch name {
 	case "", SolverRLS.String():
@@ -94,31 +131,27 @@ func parseSolver(name string) (Solver, error) {
 	}
 }
 
-// snapDoc builds the serialized document from one published snapshot and
-// one capacity mirror. When solver is non-nil it is called per live slot to
-// fetch the authoritative LLM whose RLS state rides along (Checkpoint's
-// writer-locked path); a nil solver omits solver state (Save's lock-free
-// path, where the LLM objects cannot be read racelessly).
-func (m *Model) snapDoc(s *storeSnapshot, cc *capacityConfig, quietSteps int, solver func(slot int) *LLM) modelJSON {
+// header builds the serialized document, minus the prototypes, from the
+// given training clock and one capacity mirror.
+func (m *Model) header(steps int, converged bool, lastGamma float64, quietSteps int, cc *capacityConfig) modelJSON {
 	doc := modelJSON{
 		Version:                 serializationVersion,
 		Dim:                     m.cfg.Dim,
 		Vigilance:               m.cfg.Vigilance,
 		Gamma:                   m.cfg.Gamma,
-		Steps:                   s.steps,
-		Converged:               s.converged,
+		Steps:                   steps,
+		Converged:               converged,
 		Solver:                  m.cfg.CoefficientSolver.String(),
 		InitInterceptWithAnswer: m.cfg.InitInterceptWithAnswer,
 		RateByPrototype:         m.cfg.RateByPrototype,
 		MinGammaSteps:           m.cfg.MinGammaSteps,
 		ConvergenceWindow:       m.cfg.ConvergenceWindow,
 		QuietSteps:              quietSteps,
-		LLMs:                    make([]llmJSON, 0, s.live),
 	}
-	if math.IsInf(s.lastGamma, 1) {
+	if math.IsInf(lastGamma, 1) {
 		doc.LastGammaInf = true
 	} else {
-		doc.LastGamma = s.lastGamma
+		doc.LastGamma = lastGamma
 	}
 	// The capacity fields are runtime-mutable (SetCapacity); read them
 	// through the lock-free mirror, never from m.cfg directly.
@@ -137,50 +170,19 @@ func (m *Model) snapDoc(s *storeSnapshot, cc *capacityConfig, quietSteps int, so
 			}
 		}
 	}
-	for i := 0; i < s.k; i++ {
-		row := s.row(i)
-		if row[s.dim] < 0 {
-			continue // tombstoned slot
-		}
-		c := s.coefRow(i)
-		lj := llmJSON{
-			Center:     append([]float64(nil), row[:s.dim]...),
-			Theta:      row[s.dim],
-			Intercept:  c[0],
-			SlopeX:     append([]float64(nil), c[1:1+s.dim]...),
-			SlopeTheta: c[s.coefW-1],
-			Wins:       s.win(i),
-			LastWin:    s.stamp(i),
-		}
-		if solver != nil {
-			if l := solver(i); l != nil && l.p != nil {
-				lj.RLS = append([]float64(nil), l.p...)
-			}
-		}
-		doc.LLMs = append(doc.LLMs, lj)
-	}
 	return doc
-}
-
-func encodeDoc(w io.Writer, doc modelJSON) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("core: encode model: %w", err)
-	}
-	return nil
 }
 
 // Save writes the model as JSON. It serializes one published snapshot —
 // obtained with a single atomic load, no locking — so a model can be
-// checkpointed at a consistent version while serving queries and absorbing
-// a training stream. Tombstoned slots of a bounded model are compacted
-// away: the file holds the live prototypes in slot order, with their win
-// counts and last-win stamps, so a Save/Load round trip preserves the
-// eviction clock (only the tombstone slot numbering is rebuilt). The RLS
-// solver state is NOT included — it lives in the writer-locked training
-// objects, which a lock-free reader cannot serialize consistently; use
-// Checkpoint when the file must support bit-identical training resumption.
+// saved at a consistent version while serving queries and absorbing a
+// training stream. Tombstoned slots of a bounded model are compacted away:
+// the file holds the live prototypes in slot order, with their win counts
+// and last-win stamps, so a Save/Load round trip preserves the eviction
+// clock (only the tombstone slot numbering is rebuilt). The RLS solver state
+// is NOT included — it lives in the writer-locked training objects, which a
+// lock-free reader cannot serialize consistently; use Checkpoint when the
+// file must support bit-identical training resumption.
 func (m *Model) Save(w io.Writer) error {
 	// Pair the capacity mirror with the snapshot consistently: read the
 	// mirror on both sides of the snapshot load and retry until it was
@@ -201,131 +203,324 @@ func (m *Model) Save(w io.Writer) error {
 		cc = cc2
 		s = m.snap.Load()
 	}
-	return encodeDoc(w, m.snapDoc(s, cc, s.quietSteps, nil))
+	doc := m.header(s.steps, s.converged, s.lastGamma, s.quietSteps, cc)
+	doc.LLMs = make([]llmJSON, 0, s.live)
+	for i := 0; i < s.k; i++ {
+		row := s.row(i)
+		if row[s.dim] < 0 {
+			continue // tombstoned slot
+		}
+		c := s.coefRow(i)
+		doc.LLMs = append(doc.LLMs, llmJSON{
+			Center:     row[:s.dim],
+			Theta:      row[s.dim],
+			Intercept:  c[0],
+			SlopeX:     c[1 : 1+s.dim],
+			SlopeTheta: c[s.coefW-1],
+			Wins:       s.win(i),
+			LastWin:    s.stamp(i),
+		})
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		return fmt.Errorf("core: encode model: %w", err)
+	}
+	return nil
 }
 
-// Checkpoint writes the model as JSON like Save, but serializes the
-// authoritative writer state under the writer lock, including each
+// checkpointBuf holds one binary checkpoint — the header frame, then one
+// frame per live prototype — and the scratch its canonical hash sorts in.
+// Capturing into the same buffer again reuses its memory, which is how
+// Durable rotates without allocating per prototype.
+type checkpointBuf struct {
+	b      []byte
+	head   int      // length of the header frame
+	stride int      // length of one row frame
+	order  []rowKey // hash scratch: the rows, sorted by frame bytes
+}
+
+// rowKey orders row idx by its frame bytes: key holds the eight bytes after
+// the length field (which every row shares) big-endian, so comparing keys
+// is comparing bytes and the frames themselves only break ties.
+type rowKey struct {
+	key uint64
+	idx int
+}
+
+// rowLen is the payload length of one checkpoint row: centre and θ, the d+2
+// coefficients, wins and last-win, the RLS-present byte and (RLS solver
+// only) the (d+2)² solver state.
+func rowLen(dim int, solver Solver) int {
+	n := 8*(2*dim+5) + 1
+	if solver == SolverRLS {
+		n += 8 * (dim + 2) * (dim + 2)
+	}
+	return n
+}
+
+func appendFloats(b []byte, vs []float64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// capture encodes the authoritative writer state into c under the writer
+// lock — everything training touches, including each prototype's RLS
+// inverse-covariance — straight from the store's flat rows.
+func (m *Model) capture(c *checkpointBuf) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	h := m.header(m.steps, m.converged, m.lastGamma, m.quietSteps, m.capCfg.Load())
+	s, solver := m.store, m.cfg.CoefficientSolver
+	rowW := rowLen(h.Dim, solver)
+	c.stride = wal.FrameHeaderLen + rowW
+	b := slices.Grow(c.b[:0], wal.FrameHeaderLen+checkpointHeaderLen+len(h.Eviction)+s.live*c.stride)
+
+	b = wal.OpenFrame(b)
+	b = append(b, checkpointMagic...)
+	var flags byte
+	set := func(on bool, bit byte) {
+		if on {
+			flags |= bit
+		}
+	}
+	set(h.Converged, flagConverged)
+	set(h.InitInterceptWithAnswer, flagInitIntercept)
+	set(h.RateByPrototype, flagRateByPrototype)
+	set(h.MergeOnEvict, flagMergeOnEvict)
+	set(solver == SolverSGD, flagSGD)
+	b = append(b, checkpointVersion, flags)
+	for _, v := range [12]uint64{uint64(h.Dim), math.Float64bits(h.Vigilance), math.Float64bits(h.Gamma),
+		uint64(h.Steps), uint64(h.QuietSteps), math.Float64bits(m.lastGamma), uint64(h.MinGammaSteps),
+		uint64(h.ConvergenceWindow), uint64(h.MaxPrototypes), uint64(h.EvictionHalfLife), uint64(s.live), uint64(rowW)} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	b = append(b, h.Eviction...)
+	wal.SealFrame(b, 0)
+	c.head = len(b)
+
+	for i := 0; i < s.rows; i++ {
+		if s.isTombstone(i) {
+			continue
+		}
+		start := len(b)
+		b = wal.OpenFrame(b)
+		b = appendFloats(b, s.row(i))
+		b = appendFloats(b, s.coefRow(i))
+		b = binary.LittleEndian.AppendUint64(b, uint64(s.win(i)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(s.stamp(i)))
+		if p := m.llms[i].p; p != nil && solver == SolverRLS {
+			b = appendFloats(append(b, 1), p)
+		} else {
+			b = append(b, make([]byte, start+c.stride-len(b))...)
+		}
+		wal.SealFrame(b, start)
+	}
+	c.b = b
+}
+
+// hash digests the captured checkpoint canonically over slot numbering: the
+// header frame, then the row frames in sorted byte order.
+func (c *checkpointBuf) hash() string {
+	rows := c.b[c.head:]
+	frame := func(i int) []byte { return rows[i*c.stride:][:c.stride] }
+	c.order = c.order[:0]
+	for i := 0; i < len(rows)/c.stride; i++ {
+		c.order = append(c.order, rowKey{binary.BigEndian.Uint64(frame(i)[4:]), i})
+	}
+	slices.SortFunc(c.order, func(a, b rowKey) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		return bytes.Compare(frame(a.idx), frame(b.idx))
+	})
+	h := sha256.New()
+	h.Write(c.b[:c.head])
+	for _, r := range c.order {
+		h.Write(frame(r.idx))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Checkpoint writes the model in the binary checkpoint format, serializing
+// the authoritative writer state under the writer lock, including each
 // prototype's RLS inverse-covariance — everything training touches. A model
 // loaded from a Checkpoint and fed the remainder of a training stream is
 // bit-identical to one that consumed the whole stream without stopping,
 // which is the property the durability layer's snapshots are built on
 // (core.Recover replays the WAL tail on top of the newest checkpoint).
-// Checkpoint briefly serializes with training writers; readers stay
-// lock-free throughout.
+// Checkpoint briefly serializes with training writers — the lock covers the
+// encoding, not the I/O behind w; readers stay lock-free throughout.
 func (m *Model) Checkpoint(w io.Writer) error {
-	m.mu.Lock()
-	// Publish first so the snapshot IS the current writer state; under the
-	// lock no training step can intervene.
-	m.publishLocked()
-	s := m.snap.Load()
-	cc := m.capCfg.Load()
-	doc := m.snapDoc(s, cc, m.quietSteps, func(slot int) *LLM {
-		if slot >= len(m.llms) {
-			return nil
-		}
-		return m.llms[slot]
-	})
-	m.mu.Unlock()
-	// The document owns deep copies of everything; encoding (and the I/O
-	// behind w) proceeds without stalling training.
-	return encodeDoc(w, doc)
+	var c checkpointBuf
+	m.capture(&c)
+	if _, err := w.Write(c.b); err != nil {
+		return fmt.Errorf("core: write checkpoint: %w", err)
+	}
+	return nil
 }
 
 // StateHash returns a SHA-256 hex digest of the model's canonical
 // serialized state — everything Checkpoint persists, including the solver
 // state and the eviction clock. It is canonical over slot numbering: the
-// prototype entries are hashed in sorted order of their serialized form, so
-// a model and its Checkpoint→Load round trip (which compacts tombstones and
+// prototype rows are hashed in sorted order of their encoding, so a model
+// and its Checkpoint→Load round trip (which compacts tombstones and
 // permutes slots) hash identically. Two models with equal hashes are
 // behaviorally identical — same answers, same future under the same
 // training stream — which is what replication's divergence checks and the
-// crash harness's bit-identity assertions compare.
+// crash harness's bit-identity assertions compare. The error is always nil.
 func (m *Model) StateHash() (string, error) {
-	m.mu.Lock()
-	// Publish first so the document IS the current writer state, exactly as
-	// Checkpoint does.
-	m.publishLocked()
-	s := m.snap.Load()
-	cc := m.capCfg.Load()
-	doc := m.snapDoc(s, cc, m.quietSteps, func(slot int) *LLM {
-		if slot >= len(m.llms) {
-			return nil
-		}
-		return m.llms[slot]
-	})
-	m.mu.Unlock()
-	return canonicalHash(doc)
+	var c checkpointBuf
+	m.capture(&c)
+	return c.hash(), nil
 }
 
-// canonicalHash digests a serialized document with the prototype entries in
-// a slot-order-independent canonical order.
-func canonicalHash(doc modelJSON) (string, error) {
-	llms := make([]string, len(doc.LLMs))
-	for i := range doc.LLMs {
-		b, err := json.Marshal(doc.LLMs[i])
-		if err != nil {
-			return "", fmt.Errorf("core: hash model: %w", err)
-		}
-		llms[i] = string(b)
-	}
-	sort.Strings(llms)
-	doc.LLMs = nil
-	head, err := json.Marshal(doc)
-	if err != nil {
-		return "", fmt.Errorf("core: hash model: %w", err)
-	}
-	h := sha256.New()
-	h.Write(head)
-	for _, e := range llms {
-		h.Write([]byte{'\n'})
-		h.Write([]byte(e))
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// Load reads a model previously written by Save or Checkpoint. The loaded
-// model can answer queries; it can also continue training with the embedded
-// configuration, resuming the eviction clock (and, for checkpoints, the
-// exact solver state) where the file left off. Decode and validation
-// failures return a descriptive ErrBadModelFile naming the byte offset or
-// prototype that failed, so a truncated or corrupt file diagnoses itself.
+// Load reads a model previously written by Save or Checkpoint, telling the
+// two formats apart by the checkpoint magic. The loaded model can answer
+// queries; it can also continue training with the embedded configuration,
+// resuming the eviction clock (and, for checkpoints, the exact solver
+// state) where the file left off. Decode and validation failures return a
+// descriptive ErrBadModelFile naming the byte offset, frame or prototype
+// that failed, so a truncated or corrupt file diagnoses itself.
 func Load(r io.Reader) (*Model, error) {
+	br := bufio.NewReader(r)
+	if head, _ := br.Peek(wal.FrameHeaderLen + len(checkpointMagic)); string(head[min(len(head), wal.FrameHeaderLen):]) == checkpointMagic {
+		b, err := io.ReadAll(br)
+		if err != nil {
+			return nil, fmt.Errorf("%w: read checkpoint: %v", ErrBadModelFile, err)
+		}
+		return loadCheckpoint(b)
+	}
 	var doc modelJSON
-	dec := json.NewDecoder(r)
+	dec := json.NewDecoder(br)
 	if err := dec.Decode(&doc); err != nil {
 		// InputOffset points at where decoding stopped — for the torn
 		// prefix a crashed non-atomic write leaves behind, that is the
 		// truncation point.
 		return nil, fmt.Errorf("%w: decode failed at byte offset %d: %v", ErrBadModelFile, dec.InputOffset(), err)
 	}
-	if doc.Version < 1 || doc.Version > serializationVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d (this build reads 1..%d)", ErrBadModelFile, doc.Version, serializationVersion)
+	if doc.Version != serializationVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d (this build reads %d)", ErrBadModelFile, doc.Version, serializationVersion)
 	}
-	if doc.Dim <= 0 || doc.Vigilance <= 0 || doc.Gamma <= 0 {
-		return nil, fmt.Errorf("%w: non-positive dim/vigilance/gamma", ErrBadModelFile)
+	m, err := newLoading(&doc)
+	if err != nil {
+		return nil, err
 	}
-	if doc.Steps < 0 || doc.QuietSteps < 0 {
+	for i := range doc.LLMs {
+		lj := &doc.LLMs[i]
+		l := &LLM{CenterPrototype: lj.Center, ThetaPrototype: lj.Theta, Intercept: lj.Intercept,
+			SlopeX: lj.SlopeX, SlopeTheta: lj.SlopeTheta, Wins: lj.Wins, p: lj.RLS}
+		if err := m.addLoaded(l, lj.LastWin); err != nil {
+			return nil, err
+		}
+	}
+	m.finishLoad()
+	return m, nil
+}
+
+// loadCheckpoint decodes the binary checkpoint format. Nothing is sized by
+// a number the file merely claims: frames are subslices of b, and the
+// header's K and row width must account for exactly the bytes present.
+func loadCheckpoint(b []byte) (*Model, error) {
+	p, rows, err := wal.ReadFrame(b)
+	if err != nil {
+		return nil, fmt.Errorf("%w: header frame: %v", ErrBadModelFile, err)
+	}
+	if len(p) < checkpointHeaderLen || p[len(checkpointMagic)] != checkpointVersion || p[len(checkpointMagic)+1] >= flagsEnd {
+		return nil, fmt.Errorf("%w: header frame: unsupported version, unknown flags or short header", ErrBadModelFile)
+	}
+	flags := p[len(checkpointMagic)+1]
+	var f [12]uint64
+	for i := range f {
+		f[i] = binary.LittleEndian.Uint64(p[len(checkpointMagic)+2+8*i:])
+	}
+	doc := modelJSON{
+		Dim: int(f[0]), Vigilance: math.Float64frombits(f[1]), Gamma: math.Float64frombits(f[2]),
+		Steps: int(f[3]), QuietSteps: int(f[4]), LastGamma: math.Float64frombits(f[5]),
+		MinGammaSteps: int(f[6]), ConvergenceWindow: int(f[7]), MaxPrototypes: int(f[8]), EvictionHalfLife: int(f[9]),
+		Converged: flags&flagConverged != 0, InitInterceptWithAnswer: flags&flagInitIntercept != 0,
+		RateByPrototype: flags&flagRateByPrototype != 0, MergeOnEvict: flags&flagMergeOnEvict != 0,
+		Solver: SolverRLS.String(), Eviction: string(p[checkpointHeaderLen:]),
+	}
+	if flags&flagSGD != 0 {
+		doc.Solver = SolverSGD.String()
+	}
+	m, err := newLoading(&doc)
+	if err != nil {
+		return nil, err
+	}
+	d, solver := doc.Dim, m.cfg.CoefficientSolver
+	rowW := rowLen(d, solver)
+	stride := wal.FrameHeaderLen + rowW
+	if f[11] != uint64(rowW) || len(rows)%stride != 0 || uint64(len(rows)/stride) != f[10] {
+		return nil, fmt.Errorf("%w: header frame claims %d rows of %d bytes (want %d for dim %d), %d bytes follow it",
+			ErrBadModelFile, f[10], f[11], rowW, d, len(rows))
+	}
+	for i := 0; len(rows) > 0; i++ {
+		if p, rows, err = wal.ReadFrame(rows); err == nil && len(p) != rowW {
+			err = fmt.Errorf("%d-byte payload, want %d", len(p), rowW)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: row frame %d: %v", ErrBadModelFile, i, err)
+		}
+		// The floats of one prototype share an allocation: the 2d+3 centre,
+		// θ and coefficient values, then the solver state when present.
+		wins, rls := p[8*(2*d+3):], p[8*(2*d+5)+1:]
+		present := p[8*(2*d+5)]
+		if present > 1 || (present == 1 && solver != SolverRLS) {
+			return nil, fmt.Errorf("%w: LLM %d has a bad RLS-present byte %d", ErrBadModelFile, i, present)
+		}
+		vals := make([]float64, 2*d+3+int(present)*len(rls)/8)
+		for j := range vals[:2*d+3] {
+			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*j:]))
+		}
+		for j := range vals[2*d+3:] {
+			vals[2*d+3+j] = math.Float64frombits(binary.LittleEndian.Uint64(rls[8*j:]))
+		}
+		l := &LLM{CenterPrototype: vals[:d:d], ThetaPrototype: vals[d], Intercept: vals[d+1],
+			SlopeX: vals[d+2 : 2*d+2 : 2*d+2], SlopeTheta: vals[2*d+2], Wins: int(binary.LittleEndian.Uint64(wins)), p: vals[2*d+3:]}
+		if err := m.addLoaded(l, int(binary.LittleEndian.Uint64(wins[8:]))); err != nil {
+			return nil, err
+		}
+	}
+	m.finishLoad()
+	return m, nil
+}
+
+// maxLoadDim bounds the dimensionality a file may claim, keeping the row
+// width arithmetic far from overflow.
+const maxLoadDim = 1 << 20
+
+// exactInt reports whether a counter is non-negative and survives the
+// store's float64 columns unchanged.
+func exactInt(v int) bool { return v >= 0 && int(float64(v)) == v }
+
+// newLoading validates a decoded header and returns the empty model the
+// file's prototypes are then added to.
+func newLoading(doc *modelJSON) (*Model, error) {
+	if doc.Dim <= 0 || doc.Dim > maxLoadDim || !(doc.Vigilance > 0) || !(doc.Gamma > 0) ||
+		math.IsInf(doc.Vigilance, 0) || math.IsInf(doc.Gamma, 0) || math.IsNaN(doc.LastGamma) {
+		return nil, fmt.Errorf("%w: non-positive or non-finite dim/vigilance/gamma", ErrBadModelFile)
+	}
+	if !exactInt(doc.Steps) || !exactInt(doc.QuietSteps) {
 		return nil, fmt.Errorf("%w: negative step counters (steps %d, quiet %d)", ErrBadModelFile, doc.Steps, doc.QuietSteps)
+	}
+	solver, err := parseSolver(doc.Solver)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
 	}
 	cfg := Config{
 		Dim:                     doc.Dim,
 		Vigilance:               doc.Vigilance,
 		Gamma:                   doc.Gamma,
 		Schedule:                Hyperbolic{},
-		InitInterceptWithAnswer: true,
-		RateByPrototype:         true,
-	}
-	if doc.Version >= 2 {
-		solver, err := parseSolver(doc.Solver)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
-		}
-		cfg.CoefficientSolver = solver
-		cfg.InitInterceptWithAnswer = doc.InitInterceptWithAnswer
-		cfg.RateByPrototype = doc.RateByPrototype
-		cfg.MinGammaSteps = doc.MinGammaSteps
-		cfg.ConvergenceWindow = doc.ConvergenceWindow
+		CoefficientSolver:       solver,
+		InitInterceptWithAnswer: doc.InitInterceptWithAnswer,
+		RateByPrototype:         doc.RateByPrototype,
+		MinGammaSteps:           doc.MinGammaSteps,
+		ConvergenceWindow:       doc.ConvergenceWindow,
 	}
 	if doc.MaxPrototypes > 0 {
 		cfg.MaxPrototypes = doc.MaxPrototypes
@@ -347,82 +542,71 @@ func Load(r io.Reader) (*Model, error) {
 	m.steps = doc.Steps
 	m.converged = doc.Converged
 	m.quietSteps = doc.QuietSteps
+	m.lastGamma = doc.LastGamma
 	if doc.LastGammaInf {
 		m.lastGamma = math.Inf(1)
-	} else {
-		m.lastGamma = doc.LastGamma
 	}
-	solverW := m.cfg.Dim + 2
-	for i, lj := range doc.LLMs {
-		if len(lj.Center) != doc.Dim || len(lj.SlopeX) != doc.Dim {
-			return nil, fmt.Errorf("%w: LLM %d has wrong dimensionality", ErrBadModelFile, i)
-		}
-		// A negative radius is invalid (NewQuery enforces θ ≥ 0) and would
-		// collide with the store's tombstone sentinel (θ < 0 marks an
-		// evicted slot), splitting the prototype's liveness between the
-		// indexed and linear search paths.
-		if lj.Theta < 0 {
-			return nil, fmt.Errorf("%w: LLM %d has negative radius %v", ErrBadModelFile, i, lj.Theta)
-		}
-		for _, v := range append(append([]float64{lj.Theta, lj.Intercept, lj.SlopeTheta}, lj.Center...), lj.SlopeX...) {
+	return m, nil
+}
+
+// addLoaded validates one decoded prototype — taking ownership of its
+// slices — and appends it to the model under construction.
+func (m *Model) addLoaded(l *LLM, lastWin int) error {
+	i, d := len(m.llms), m.cfg.Dim
+	if len(l.CenterPrototype) != d || len(l.SlopeX) != d {
+		return fmt.Errorf("%w: LLM %d has wrong dimensionality", ErrBadModelFile, i)
+	}
+	// A negative radius is invalid (NewQuery enforces θ ≥ 0) and would
+	// collide with the store's tombstone sentinel (θ < 0 marks an evicted
+	// slot), splitting the prototype's liveness between the indexed and
+	// linear search paths.
+	if l.ThetaPrototype < 0 {
+		return fmt.Errorf("%w: LLM %d has negative radius %v", ErrBadModelFile, i, l.ThetaPrototype)
+	}
+	finite := func(vs ...float64) bool {
+		for _, v := range vs {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("%w: LLM %d contains non-finite values", ErrBadModelFile, i)
+				return false
 			}
 		}
-		if lj.LastWin < 0 || lj.LastWin > doc.Steps {
-			return nil, fmt.Errorf("%w: LLM %d last-win stamp %d outside [0, %d]", ErrBadModelFile, i, lj.LastWin, doc.Steps)
-		}
-		if lj.RLS != nil {
-			if len(lj.RLS) != solverW*solverW {
-				return nil, fmt.Errorf("%w: LLM %d RLS state has %d values, want %d", ErrBadModelFile, i, len(lj.RLS), solverW*solverW)
-			}
-			for _, v := range lj.RLS {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("%w: LLM %d RLS state contains non-finite values", ErrBadModelFile, i)
-				}
-			}
-		}
-		l := &LLM{
-			CenterPrototype: vector.Of(lj.Center...),
-			ThetaPrototype:  lj.Theta,
-			Intercept:       lj.Intercept,
-			SlopeX:          vector.Of(lj.SlopeX...),
-			SlopeTheta:      lj.SlopeTheta,
-			Wins:            lj.Wins,
-			p:               append([]float64(nil), lj.RLS...),
-		}
-		if len(l.p) == 0 {
-			l.p = nil // re-initialized lazily on the next RLS update
-		}
-		m.llms = append(m.llms, l)
-		// addRow, not add: one explicit epoch build after the loop replaces
-		// the O(log K) intermediate builds the per-append trigger would
-		// construct and discard during a bulk load.
-		m.store.addRow(l.CenterPrototype, l.ThetaPrototype)
-		m.store.syncCoef(i, l)
-		if lj.LastWin > 0 {
-			m.store.setStamp(i, lj.LastWin)
-		} else {
-			// Version-1 files carry no stamps; restart the eviction clock at
-			// the load step so decayed scores don't all underflow to zero
-			// (which would erase the win-count ordering the policies rely
-			// on).
-			m.store.setStamp(i, doc.Steps)
-		}
+		return true
 	}
+	if !finite(l.ThetaPrototype, l.Intercept, l.SlopeTheta) || !finite(l.CenterPrototype...) || !finite(l.SlopeX...) {
+		return fmt.Errorf("%w: LLM %d contains non-finite values", ErrBadModelFile, i)
+	}
+	if !exactInt(l.Wins) || lastWin < 0 || lastWin > m.steps {
+		return fmt.Errorf("%w: LLM %d has win count %d, last-win stamp %d outside [0, %d]", ErrBadModelFile, i, l.Wins, lastWin, m.steps)
+	}
+	if len(l.p) == 0 {
+		l.p = nil // re-initialized lazily on the next RLS update
+	} else if n := (d + 2) * (d + 2); len(l.p) != n {
+		return fmt.Errorf("%w: LLM %d RLS state has %d values, want %d", ErrBadModelFile, i, len(l.p), n)
+	} else if !finite(l.p...) {
+		return fmt.Errorf("%w: LLM %d RLS state contains non-finite values", ErrBadModelFile, i)
+	}
+	m.llms = append(m.llms, l)
+	// addRow, not add: one explicit epoch build in finishLoad replaces the
+	// O(log K) intermediate builds the per-append trigger would construct
+	// and discard during a bulk load.
+	m.store.addRow(l.CenterPrototype, l.ThetaPrototype)
+	m.store.syncCoef(i, l)
+	m.store.setStamp(i, lastWin)
+	return nil
+}
+
+// finishLoad turns the loaded prototypes into the first serving version.
+func (m *Model) finishLoad() {
 	// Enforce the file's capacity before the first publication: a file can
 	// carry more prototypes than its cap (a checkpoint racing a SetCapacity
 	// shrink, or a hand-edited document), and a pure-serving process would
 	// otherwise stay over-cap forever — no spawn ever runs to trigger the
 	// eviction pass.
-	if cfg.MaxPrototypes > 0 && m.store.live > cfg.MaxPrototypes {
+	if cc := m.capCfg.Load(); cc.max > 0 && m.store.live > cc.max {
 		m.evictLocked(-1)
 	}
 	// The bulk load deferred the per-append epoch checks; build the one
 	// epoch the loaded set needs (a no-op drop below the size gates, and a
 	// cheap redundant build in the rare compacted-on-load case).
 	m.store.rebuildEpoch()
-	// Publish the loaded model as its first serving version.
 	m.publishLocked()
-	return m, nil
 }

@@ -47,7 +47,7 @@ func (r *Replica) openLocal() error {
 	// limp along on a fallback generation when a fresh snapshot is one
 	// request away.
 	base := man.Snapshots[len(man.Snapshots)-1]
-	f, err := os.Open(wal.SnapshotPath(dir, base))
+	f, err := wal.OpenSnapshot(dir, base)
 	if err != nil {
 		return err
 	}
@@ -379,22 +379,8 @@ func (r *Replica) verifyBoundary(ctx context.Context, gen uint64) error {
 // gc removes mirror generations at least two behind, matching the
 // primary's retention.
 func (r *Replica) gc(newGen uint64) {
-	if newGen < 2 {
-		return
-	}
-	man, err := wal.List(r.opts.Dir)
-	if err != nil {
-		return
-	}
-	for _, g := range man.Snapshots {
-		if g <= newGen-2 {
-			_ = os.Remove(wal.SnapshotPath(r.opts.Dir, g))
-		}
-	}
-	for _, g := range man.Segments {
-		if g <= newGen-2 {
-			_ = os.Remove(wal.SegmentPath(r.opts.Dir, g))
-		}
+	if newGen >= 2 {
+		wal.RemoveThrough(r.opts.Dir, newGen-2)
 	}
 }
 

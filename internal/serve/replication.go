@@ -97,7 +97,7 @@ func (s *Server) handleReplicateSnapshot(w http.ResponseWriter, r *http.Request)
 	}
 	stampReplication(w, d)
 	w.Header().Set(replica.HeaderGen, strconv.FormatUint(gen, 10))
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
 	w.WriteHeader(http.StatusOK)
 	_, _ = io.Copy(w, f)

@@ -52,8 +52,8 @@ func FuzzWALRecord(f *testing.F) {
 		// Single-bit corruption in the payload region must fail the CRC.
 		// (Header flips are covered by the prefix sweep and unit tests; a
 		// length-field flip can legally present as a torn frame instead.)
-		payloadLen := len(enc) - frameHeaderLen
-		pos := frameHeaderLen + int(flip)%payloadLen
+		payloadLen := len(enc) - FrameHeaderLen
+		pos := FrameHeaderLen + int(flip)%payloadLen
 		bad := append([]byte(nil), enc...)
 		bad[pos] ^= 1 << (flip % 8)
 		sc = NewScanner(bytes.NewReader(bad))

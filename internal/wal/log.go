@@ -6,13 +6,21 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // Directory layout. One data directory holds generation-numbered files:
 //
-//	snap-000003.json   model snapshot generation 3 (covers segments < 3)
+//	snap-000003.bin    model snapshot generation 3 (covers segments < 3)
 //	wal-000003.log     records appended after snapshot 3 was taken
+//
+// A snapshot's bytes are the caller's (internal/core writes its binary
+// checkpoint: frames of the same kind the segments hold). Directories
+// written before the binary format hold snap-NNNNNN.json instead; List and
+// OpenSnapshot still read those, nothing writes them, and rotation retires
+// them like any other old generation.
 //
 // Generation g of the snapshot captures the model state after every record
 // in segments 0..g-1; segment g holds the records observed since. Rotation
@@ -23,19 +31,53 @@ import (
 // no snapshot at all recovers from scratch iff segment 0 is still present.
 
 const (
-	snapPattern = "snap-%06d.json"
-	segPattern  = "wal-%06d.log"
-	tmpSuffix   = ".tmp"
+	snapPrefix, snapSuffix = "snap-", ".bin"
+	legacySnapSuffix       = ".json"
+	segPrefix, segSuffix   = "wal-", ".log"
+	tmpSuffix              = ".tmp"
 )
+
+func genPath(dir, prefix string, gen uint64, suffix string) string {
+	var buf [20]byte
+	digits := strconv.AppendUint(buf[:0], gen, 10)
+	pad := "000000"[min(len(digits), 6):]
+	return filepath.Join(dir, prefix+pad+string(digits)+suffix)
+}
+
+// parseGen extracts the generation from a file name of the form
+// prefix + %06d + suffix, accepting only the canonical spelling.
+func parseGen(name, prefix, suffix string) (uint64, bool) {
+	digits, ok := strings.CutPrefix(name, prefix)
+	if !ok {
+		return 0, false
+	}
+	if digits, ok = strings.CutSuffix(digits, suffix); !ok || len(digits) < 6 || (len(digits) > 6 && digits[0] == '0') {
+		return 0, false
+	}
+	gen, err := strconv.ParseUint(digits, 10, 64)
+	return gen, err == nil
+}
 
 // SnapshotPath returns the path of the generation-gen snapshot file.
 func SnapshotPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf(snapPattern, gen))
+	return genPath(dir, snapPrefix, gen, snapSuffix)
 }
 
 // SegmentPath returns the path of the generation-gen log segment.
 func SegmentPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf(segPattern, gen))
+	return genPath(dir, segPrefix, gen, segSuffix)
+}
+
+// OpenSnapshot opens the generation-gen snapshot for reading, falling back
+// to the legacy .json name a pre-binary-format directory holds.
+func OpenSnapshot(dir string, gen uint64) (*os.File, error) {
+	f, err := os.Open(SnapshotPath(dir, gen))
+	if errors.Is(err, os.ErrNotExist) {
+		if lf, lerr := os.Open(genPath(dir, snapPrefix, gen, legacySnapSuffix)); lerr == nil {
+			return lf, nil
+		}
+	}
+	return f, err
 }
 
 // Manifest lists what a data directory holds, as generation numbers.
@@ -46,6 +88,38 @@ type Manifest struct {
 	Segments []uint64
 }
 
+// genFile is one generation-numbered file of a data directory.
+type genFile struct {
+	gen  uint64
+	path string
+	snap bool // a snapshot (under either name), else a segment
+}
+
+// scan lists the generation-numbered files of a data directory, creating it
+// if absent. Temporary files from snapshot writes are skipped.
+func scan(dir string) ([]genFile, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("wal: create data dir: %w", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("wal: read data dir: %w", err)
+	}
+	var files []genFile
+	for _, e := range entries {
+		for _, kind := range [...]struct {
+			prefix, suffix string
+			snap           bool
+		}{{snapPrefix, snapSuffix, true}, {snapPrefix, legacySnapSuffix, true}, {segPrefix, segSuffix, false}} {
+			if gen, ok := parseGen(e.Name(), kind.prefix, kind.suffix); ok {
+				files = append(files, genFile{gen, filepath.Join(dir, e.Name()), kind.snap})
+				break
+			}
+		}
+	}
+	return files, nil
+}
+
 // List scans a data directory (creating it if absent) and returns its
 // manifest. Temporary files from snapshot writes are skipped, never touched
 // — List must be safe concurrently with a rotation in flight (the
@@ -54,29 +128,35 @@ type Manifest struct {
 // crash litter. Boot paths that own the directory exclusively call
 // RemoveTemp for the cleanup.
 func List(dir string) (Manifest, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return Manifest{}, fmt.Errorf("wal: create data dir: %w", err)
-	}
-	entries, err := os.ReadDir(dir)
+	files, err := scan(dir)
 	if err != nil {
-		return Manifest{}, fmt.Errorf("wal: read data dir: %w", err)
+		return Manifest{}, err
 	}
 	var m Manifest
-	for _, e := range entries {
-		name := e.Name()
-		if filepath.Ext(name) == tmpSuffix {
-			continue
-		}
-		var gen uint64
-		if n, err := fmt.Sscanf(name, snapPattern, &gen); err == nil && n == 1 && name == fmt.Sprintf(snapPattern, gen) {
-			m.Snapshots = append(m.Snapshots, gen)
-		} else if n, err := fmt.Sscanf(name, segPattern, &gen); err == nil && n == 1 && name == fmt.Sprintf(segPattern, gen) {
-			m.Segments = append(m.Segments, gen)
+	for _, f := range files {
+		if f.snap {
+			m.Snapshots = append(m.Snapshots, f.gen)
+		} else {
+			m.Segments = append(m.Segments, f.gen)
 		}
 	}
-	sort.Slice(m.Snapshots, func(i, j int) bool { return m.Snapshots[i] < m.Snapshots[j] })
-	sort.Slice(m.Segments, func(i, j int) bool { return m.Segments[i] < m.Segments[j] })
+	slices.Sort(m.Snapshots)
+	m.Snapshots = slices.Compact(m.Snapshots) // a generation present under both names
+	slices.Sort(m.Segments)
 	return m, nil
+}
+
+// RemoveThrough deletes every snapshot (under either name) and segment of
+// generation ≤ cutoff — the retention rule for a directory no Log manages
+// (a replication follower's mirror). It is best-effort: the files are only
+// garbage.
+func RemoveThrough(dir string, cutoff uint64) {
+	files, _ := scan(dir)
+	for _, f := range files {
+		if f.gen <= cutoff {
+			_ = os.Remove(f.path)
+		}
+	}
 }
 
 // RemoveTemp deletes leftover temporary files from snapshot writes a crash
@@ -204,6 +284,10 @@ type Log struct {
 	opts Options
 	gen  uint64 // generation of the open tail segment
 	w    *writer
+	// files lists the generation-numbered files the directory holds: what
+	// Continue found plus what each Rotate created. Rotation deletes from
+	// it, so retiring old generations costs no directory scan.
+	files []genFile
 }
 
 // Continue opens the data directory's newest segment for appending,
@@ -214,7 +298,7 @@ type Log struct {
 // a torn record would bury it mid-segment where recovery refuses to
 // truncate.
 func Continue(dir string, opts Options) (*Log, error) {
-	m, err := List(dir)
+	files, err := scan(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -223,21 +307,23 @@ func Continue(dir string, opts Options) (*Log, error) {
 	if err := RemoveTemp(dir); err != nil {
 		return nil, err
 	}
+	// The newest generation of either kind. A snapshot newer than every
+	// segment means a crash between the snapshot rename and the new segment
+	// creation: the snapshot supersedes every existing segment, so the tail
+	// segment it expects is simply empty. Create it.
 	var gen uint64
-	if n := len(m.Segments); n > 0 {
-		gen = m.Segments[n-1]
+	for _, f := range files {
+		gen = max(gen, f.gen)
 	}
-	if n := len(m.Snapshots); n > 0 && m.Snapshots[n-1] > gen {
-		// Crash between the snapshot rename and the new segment creation:
-		// the snapshot supersedes every existing segment, so the tail
-		// segment it expects is simply empty. Create it.
-		gen = m.Snapshots[n-1]
-	}
-	f, err := os.OpenFile(SegmentPath(dir, gen), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	seg := SegmentPath(dir, gen)
+	f, err := os.OpenFile(seg, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open segment: %w", err)
 	}
-	return &Log{dir: dir, opts: opts.withDefaults(), gen: gen, w: newWriter(f, opts)}, nil
+	if !slices.Contains(files, genFile{gen, seg, false}) {
+		files = append(files, genFile{gen, seg, false})
+	}
+	return &Log{dir: dir, opts: opts.withDefaults(), gen: gen, w: newWriter(f, opts), files: files}, nil
 }
 
 // Dir returns the data directory.
@@ -274,10 +360,11 @@ func (l *Log) Rotate(writeSnapshot func(io.Writer) error) error {
 		return err
 	}
 	next := l.gen + 1
-	if err := WriteFileAtomic(SnapshotPath(l.dir, next), writeSnapshot); err != nil {
+	snap, seg := SnapshotPath(l.dir, next), SegmentPath(l.dir, next)
+	if err := WriteFileAtomic(snap, writeSnapshot); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(SegmentPath(l.dir, next), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(seg, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: open next segment: %w", err)
 	}
@@ -289,24 +376,18 @@ func (l *Log) Rotate(writeSnapshot func(io.Writer) error) error {
 	l.gen = next
 	// Only after the new generation is fully in place are the old ones
 	// expendable; a crash anywhere above leaves extra files, never missing
-	// ones, and List/recovery tolerate extras.
-	if next >= 2 {
-		cutoff := next - 2
-		m, err := List(l.dir)
-		if err != nil {
-			return nil // best-effort cleanup; the files are only garbage
-		}
-		for _, g := range m.Snapshots {
-			if g <= cutoff {
-				_ = os.Remove(SnapshotPath(l.dir, g))
-			}
-		}
-		for _, g := range m.Segments {
-			if g <= cutoff {
-				_ = os.Remove(SegmentPath(l.dir, g))
-			}
+	// ones, and List/recovery tolerate extras (the next boot's Continue
+	// finds them, and its first rotation retires them). Best-effort: the
+	// files are only garbage.
+	keep := l.files[:0]
+	for _, f := range l.files {
+		if f.gen+2 <= next {
+			_ = os.Remove(f.path)
+		} else {
+			keep = append(keep, f)
 		}
 	}
+	l.files = append(keep, genFile{next, snap, true}, genFile{next, seg, false})
 	return nil
 }
 

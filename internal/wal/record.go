@@ -35,6 +35,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Record is one logged event. Most records are training pairs (the query
@@ -93,9 +94,9 @@ func (k Kind) effective() Kind {
 // this is certainly corruption and must not drive a giant allocation.
 const maxRecordLen = 1 << 20
 
-// frameHeaderLen is the fixed framing overhead per record: the payload
+// FrameHeaderLen is the fixed framing overhead per frame: the payload
 // length and its CRC-32C.
-const frameHeaderLen = 8
+const FrameHeaderLen = 8
 
 // castagnoli is the CRC-32C table; hardware-accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -124,11 +125,46 @@ func (e *CorruptError) Error() string {
 // Unwrap makes errors.Is(err, ErrCorruptRecord) work.
 func (e *CorruptError) Unwrap() error { return ErrCorruptRecord }
 
+// OpenFrame appends a frame header placeholder to dst. The caller appends
+// the payload behind it and calls SealFrame with the offset OpenFrame was
+// called at, so a frame is built in place, in one pass. Log records and
+// internal/core's checkpoint rows share this framing.
+func OpenFrame(dst []byte) []byte {
+	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// SealFrame patches the header of the frame opened at dst[start:] with the
+// length and CRC-32C of the payload, which runs to the end of dst.
+func SealFrame(dst []byte, start int) {
+	payload := dst[start+FrameHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+}
+
+// ReadFrame splits the first frame off b, returning its checksum-verified
+// payload (a subslice of b — nothing is allocated, so a forged length
+// cannot size anything) and the bytes after it.
+func ReadFrame(b []byte) (payload, rest []byte, err error) {
+	if len(b) < FrameHeaderLen {
+		return nil, nil, fmt.Errorf("torn frame header (%d of %d bytes)", len(b), FrameHeaderLen)
+	}
+	length := binary.LittleEndian.Uint32(b)
+	sum := binary.LittleEndian.Uint32(b[4:])
+	b = b[FrameHeaderLen:]
+	if uint64(length) > uint64(len(b)) {
+		return nil, nil, fmt.Errorf("torn payload (%d of %d bytes)", len(b), length)
+	}
+	if got := crc32.Checksum(b[:length], castagnoli); got != sum {
+		return nil, nil, fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", sum, got)
+	}
+	return b[:length], b[length:], nil
+}
+
 // appendRecord appends the framed encoding of r to dst and returns the
 // extended slice.
 func appendRecord(dst []byte, r Record) []byte {
-	payload := len(dst) + frameHeaderLen
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header, patched below
+	start := len(dst)
+	dst = OpenFrame(dst)
 	switch r.Kind.effective() {
 	case KindCapacity:
 		dst = append(dst, byte(KindCapacity))
@@ -149,8 +185,7 @@ func appendRecord(dst []byte, r Record) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Theta))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Answer))
 	}
-	binary.LittleEndian.PutUint32(dst[payload-frameHeaderLen:], uint32(len(dst)-payload))
-	binary.LittleEndian.PutUint32(dst[payload-4:], crc32.Checksum(dst[payload:], castagnoli))
+	SealFrame(dst, start)
 	return dst
 }
 
@@ -158,10 +193,10 @@ func appendRecord(dst []byte, r Record) []byte {
 // payload.
 func (r Record) EncodedLen() int {
 	if r.Kind.effective() == KindCapacity {
-		return frameHeaderLen + 1 + uvarintLen(uint64(r.MaxPrototypes)) +
+		return FrameHeaderLen + 1 + uvarintLen(uint64(r.MaxPrototypes)) +
 			uvarintLen(uint64(r.EvictionHalfLife)) + 1 + len(r.Eviction)
 	}
-	return frameHeaderLen + 1 + uvarintLen(uint64(len(r.Center))) + 8*(len(r.Center)+2)
+	return FrameHeaderLen + 1 + uvarintLen(uint64(len(r.Center))) + 8*(len(r.Center)+2)
 }
 
 func uvarintLen(v uint64) int {
@@ -247,10 +282,9 @@ func decodeCapacity(p []byte) (Record, error) {
 // truncated precisely.
 type Scanner struct {
 	r      io.Reader
-	off    int64 // offset of the next unread byte
-	valid  int64 // offset just past the last cleanly decoded record
-	head   [frameHeaderLen]byte
-	buf    []byte
+	off    int64  // offset of the next unread byte
+	valid  int64  // offset just past the last cleanly decoded record
+	buf    []byte // the current frame: header, then payload
 	err    error
 	record Record
 }
@@ -258,7 +292,7 @@ type Scanner struct {
 // NewScanner returns a scanner over r, which should read from the start of
 // a log segment.
 func NewScanner(r io.Reader) *Scanner {
-	return &Scanner{r: r}
+	return &Scanner{r: r, buf: make([]byte, FrameHeaderLen)}
 }
 
 // Next advances to the next record, returning false at the end of the
@@ -269,33 +303,27 @@ func (s *Scanner) Next() bool {
 		return false
 	}
 	start := s.off
-	n, err := io.ReadFull(s.r, s.head[:])
+	n, err := io.ReadFull(s.r, s.buf[:FrameHeaderLen])
 	s.off += int64(n)
 	if err == io.EOF {
 		return false // clean end exactly at a record boundary
 	}
 	if err != nil {
-		s.err = &CorruptError{Offset: start, Reason: fmt.Sprintf("torn frame header (%d of %d bytes)", n, frameHeaderLen)}
+		s.err = &CorruptError{Offset: start, Reason: fmt.Sprintf("torn frame header (%d of %d bytes)", n, FrameHeaderLen)}
 		return false
 	}
-	length := binary.LittleEndian.Uint32(s.head[:4])
-	sum := binary.LittleEndian.Uint32(s.head[4:])
+	length := binary.LittleEndian.Uint32(s.buf)
 	if length > maxRecordLen {
 		s.err = &CorruptError{Offset: start, Reason: fmt.Sprintf("implausible payload length %d", length)}
 		return false
 	}
-	if cap(s.buf) < int(length) {
-		s.buf = make([]byte, length)
-	}
-	payload := s.buf[:length]
-	n, err = io.ReadFull(s.r, payload)
+	s.buf = slices.Grow(s.buf[:FrameHeaderLen], int(length))
+	// A short read shows up as ReadFrame's torn payload.
+	n, _ = io.ReadFull(s.r, s.buf[FrameHeaderLen:FrameHeaderLen+int(length)])
 	s.off += int64(n)
+	payload, _, err := ReadFrame(s.buf[:FrameHeaderLen+n])
 	if err != nil {
-		s.err = &CorruptError{Offset: start, Reason: fmt.Sprintf("torn payload (%d of %d bytes)", n, length)}
-		return false
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != sum {
-		s.err = &CorruptError{Offset: start, Reason: fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", sum, got)}
+		s.err = &CorruptError{Offset: start, Reason: err.Error()}
 		return false
 	}
 	rec, err := decodePayload(payload)

@@ -169,9 +169,9 @@ func readValid(f *os.File, off, size int64, max int) ([]byte, error) {
 			// segment, corruption — the caller decides which).
 			return nil, nil
 		}
-		if n == size-off || n >= int64(maxRecordLen+frameHeaderLen) {
+		if n == size-off || n >= int64(maxRecordLen+FrameHeaderLen) {
 			return nil, nil
 		}
-		max = maxRecordLen + frameHeaderLen
+		max = maxRecordLen + FrameHeaderLen
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -107,7 +108,7 @@ func TestScannerCorruption(t *testing.T) {
 			return b
 		}, 1},
 		"first record corrupt": {func(b []byte) []byte {
-			b[frameHeaderLen] ^= 0x01 // kind byte of record 0
+			b[FrameHeaderLen] ^= 0x01 // kind byte of record 0
 			return b
 		}, 0},
 	}
@@ -413,5 +414,67 @@ func TestGroupSyncFlushBatch(t *testing.T) {
 	l.w.mu.Unlock()
 	if pending != 0 {
 		t.Fatalf("%d records pending after hitting the flush batch twice", pending)
+	}
+}
+
+// TestLegacySnapshotNames: a directory written before the binary snapshot
+// format holds snap-NNNNNN.json. List reports it as a snapshot generation
+// (once, even beside a .bin of the same generation), OpenSnapshot prefers
+// the .bin and falls back to the .json, non-canonical spellings are not
+// generations at all, and rotation retires the legacy file like any other.
+func TestLegacySnapshotNames(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("snap-000001.json", "legacy 1")
+	write("snap-000002.json", "legacy 2")
+	write("snap-000002.bin", "binary 2")
+	write("wal-000002.log", "")
+	for _, stray := range []string{"snap-2.bin", "snap-0000003.bin", "snap-000003.bin.tmp", "snap-000003.txt", "wal-+00003.log"} {
+		write(stray, "x")
+	}
+	m, err := List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, Manifest{Snapshots: []uint64{1, 2}, Segments: []uint64{2}}) {
+		t.Fatalf("manifest %+v", m)
+	}
+	for gen, want := range map[uint64]string{1: "legacy 1", 2: "binary 2"} {
+		f, err := OpenSnapshot(dir, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(f)
+		f.Close()
+		if string(b) != want {
+			t.Errorf("OpenSnapshot(%d) read %q, want %q", gen, b, want)
+		}
+	}
+	if _, err := OpenSnapshot(dir, 3); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("OpenSnapshot of a missing generation: %v", err)
+	}
+
+	l, err := Continue(dir, Options{Mode: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < 2; i++ {
+		if err := l.Rotate(func(w io.Writer) error { _, err := io.WriteString(w, "snap"); return err }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m, err = List(dir); err != nil || !reflect.DeepEqual(m, Manifest{Snapshots: []uint64{3, 4}, Segments: []uint64{3, 4}}) {
+		t.Fatalf("after two rotations: %+v, %v", m, err)
+	}
+	for _, gone := range []string{"snap-000001.json", "snap-000002.json", "snap-000002.bin"} {
+		if _, err := os.Stat(filepath.Join(dir, gone)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s survived rotation GC", gone)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -79,6 +80,8 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+var errClosed = errors.New("wal: writer is closed")
 
 // writer appends framed records to one segment file. Append errors are
 // sticky: after any write or fsync failure every further call returns the
@@ -206,6 +209,6 @@ func (w *writer) close() error {
 	if err := w.f.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	w.err = fmt.Errorf("wal: writer is closed")
+	w.err = errClosed
 	return firstErr
 }

@@ -128,6 +128,12 @@ go test -run '^$' -bench 'BenchmarkWALAppend' \
 # of iterations is already milliseconds of measured work per op.
 go test -run '^$' -bench 'BenchmarkRecovery' \
     -benchtime "${RECOVER_BENCHTIME:-20x}" ./internal/core/ >>"$tmp"
+# One snapshot rotation through Durable at K=2000 (capture, tail fsync,
+# atomic snapshot write, boundary hash): what the one /train ack in sixteen
+# that crosses the SnapshotEvery boundary pays. snap_bytes and allocs/op ride
+# along; the benchmark itself fails above 32 allocs/op.
+go test -run '^$' -bench 'BenchmarkRotation' \
+    -benchtime "${ROTATE_BENCHTIME:-200x}" ./internal/core/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkPredictBatch|BenchmarkServeThroughput' \
     -benchtime "${BATCH_BENCHTIME:-100x}" . >>"$tmp"
 # Overload cost model of the admission layer: exact sheets at 1x/4x/10x the
