@@ -1,6 +1,7 @@
 package llmq_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -93,7 +94,7 @@ func BenchmarkQ1ExactExecution20k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Harness.Exec.Mean(rq); err != nil && err != exec.ErrEmptySubspace {
+		if _, err := env.Harness.Exec.MeanCtx(context.Background(), rq); err != nil && err != exec.ErrEmptySubspace {
 			b.Fatal(err)
 		}
 	}
@@ -118,7 +119,7 @@ func BenchmarkQ2ExactRegression20k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Harness.Exec.Regression(rq); err != nil && err != exec.ErrEmptySubspace {
+		if _, err := env.Harness.Exec.RegressionCtx(context.Background(), rq); err != nil && err != exec.ErrEmptySubspace {
 			b.Fatal(err)
 		}
 	}

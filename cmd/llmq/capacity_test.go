@@ -70,7 +70,7 @@ func TestServeCapacityRecap(t *testing.T) {
 	if err := run([]string{"train", "-data", data, "-a", "0.05", "-pairs", "2000", "-o", model}, &out); err != nil {
 		t.Fatalf("train: %v", err)
 	}
-	_, info, err := buildServer(data, model, 0, capacity{maxProto: 25, maxSet: true, evict: "windecay"})
+	_, info, err := openServe(t, "-data", data, "-model", model, "-max-prototypes", "25", "-evict", "windecay")
 	if err != nil {
 		t.Fatalf("buildServer with recap: %v", err)
 	}
@@ -81,11 +81,11 @@ func TestServeCapacityRecap(t *testing.T) {
 	if k, _ := strconv.Atoi(m[1]); k == 0 || k > 25 {
 		t.Fatalf("served model has K=%d after re-capping to 25 (info %q)", k, info)
 	}
-	if _, _, err := buildServer(data, model, 0, capacity{maxProto: 10, maxSet: true, evict: "bogus"}); err == nil {
+	if _, _, err := openServe(t, "-data", data, "-model", model, "-max-prototypes", "10", "-evict", "bogus"); err == nil {
 		t.Fatal("unknown eviction policy should fail server construction")
 	}
 	// Capacity flags without a model would silently arm nothing: reject.
-	if _, _, err := buildServer(data, "", 0, capacity{maxProto: 10, maxSet: true}); err == nil {
+	if _, _, err := openServe(t, "-data", data, "-max-prototypes", "10"); err == nil {
 		t.Fatal("capacity flags without -model should fail server construction")
 	}
 	stmts := filepath.Join(dir, "s.txt")

@@ -27,7 +27,7 @@ func TestRemoteBatchAndTrain(t *testing.T) {
 	if err := run([]string{"train", "-data", data, "-a", "0.2", "-pairs", "300", "-o", model}, &out); err != nil {
 		t.Fatalf("train: %v", err)
 	}
-	s, _, err := buildServer(data, model, 0, capacity{})
+	s, _, err := openServe(t, "-data", data, "-model", model)
 	if err != nil {
 		t.Fatalf("buildServer: %v", err)
 	}

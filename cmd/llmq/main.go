@@ -443,7 +443,7 @@ func cmdQuery(args []string, out io.Writer) error {
 			return fmt.Errorf("query: %w", err)
 		}
 	}
-	return executeStatement(out, stmt, e, model)
+	return executeStatement(context.Background(), out, stmt, e, model)
 }
 
 // loadModel loads a trained model and validates it against the relation's
@@ -588,15 +588,16 @@ func cmdBatch(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "[%d] approx AVG(%s) = %.6g\n", i+1, stmts[i].Output, y)
 		}
 	} else {
-		// An interrupt (Ctrl-C) cancels the pool: already-claimed statements
-		// finish and print, the rest are reported as skipped.
+		// An interrupt (Ctrl-C) cancels the pool and the EXACT scans in
+		// flight: statements that already finished print, the rest are
+		// reported as interrupted or skipped.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 		bufs := make([]bytes.Buffer, len(stmts))
 		errs := make([]error, len(stmts))
 		ran := make([]bool, len(stmts))
 		if err := exec.ForEachParallelCtx(ctx, len(stmts), func(i int) {
-			errs[i] = executeStatement(&bufs[i], stmts[i], e, model)
+			errs[i] = executeStatement(ctx, &bufs[i], stmts[i], e, model)
 			ran[i] = true
 		}); err != nil {
 			fmt.Fprintf(out, "batch interrupted: %v\n", err)
@@ -618,7 +619,7 @@ func cmdBatch(args []string, out io.Writer) error {
 	return nil
 }
 
-func executeStatement(out io.Writer, stmt *sqlfront.Statement, e *exec.Executor, model *core.Model) error {
+func executeStatement(ctx context.Context, out io.Writer, stmt *sqlfront.Statement, e *exec.Executor, model *core.Model) error {
 	rq := exec.RadiusQuery{Center: stmt.Center, Theta: stmt.Theta, P: stmt.Norm}
 	switch stmt.Kind {
 	case sqlfront.StmtMean:
@@ -636,7 +637,7 @@ func executeStatement(out io.Writer, stmt *sqlfront.Statement, e *exec.Executor,
 				stmt.Output, yhat, time.Since(start).Round(time.Microsecond))
 			return nil
 		}
-		res, err := e.Mean(rq)
+		res, err := e.MeanCtx(ctx, rq)
 		if err != nil {
 			return err
 		}
@@ -660,7 +661,7 @@ func executeStatement(out io.Writer, stmt *sqlfront.Statement, e *exec.Executor,
 			}
 			return nil
 		}
-		res, err := e.Regression(rq)
+		res, err := e.RegressionCtx(ctx, rq)
 		if err != nil {
 			return err
 		}
@@ -683,7 +684,7 @@ func executeStatement(out io.Writer, stmt *sqlfront.Statement, e *exec.Executor,
 			fmt.Fprintf(out, "approx VALUE(%s) at %v = %.6g   [model, no data access]\n", stmt.Output, stmt.At, uhat)
 			return nil
 		}
-		res, err := e.Regression(rq)
+		res, err := e.RegressionCtx(ctx, rq)
 		if err != nil {
 			return err
 		}

@@ -18,12 +18,112 @@ import (
 
 	"llmq/internal/core"
 	"llmq/internal/dataset"
+	"llmq/internal/exec"
+	"llmq/internal/index"
 	"llmq/internal/replica"
 	"llmq/internal/resilience"
 	"llmq/internal/serve"
 	"llmq/internal/shard"
 	"llmq/internal/wal"
 )
+
+// serveConfig is the parsed flag set of the serve subcommand.
+type serveConfig struct {
+	data, model, addr string
+	cell              float64
+	dataDir, walSync  string
+	walMode           wal.SyncMode // walSync, parsed
+	snapEvery         int
+	follow            string
+	promoteAfter      time.Duration
+	shards            int
+	route, partition  string
+	pprof             string
+	capacity          capacity
+	limits            serve.Limits
+}
+
+// parseServeFlags parses and validates the serve subcommand's arguments.
+func parseServeFlags(args []string) (*serveConfig, error) {
+	c := &serveConfig{}
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	fs.StringVar(&c.data, "data", "", "dataset CSV backing the relation (required)")
+	fs.StringVar(&c.model, "model", "", "trained model JSON (optional; required for APPROX statements)")
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address, host:port")
+	fs.Float64Var(&c.cell, "cell", 0, "spatial-index cell size (default: auto from the data bounds)")
+	fs.StringVar(&c.dataDir, "data-dir", "", "durable model directory: recover the model from its snapshots+WAL on boot and WAL-log /train traffic (mutually exclusive with -model)")
+	fs.StringVar(&c.walSync, "wal-sync", "group", "WAL fsync policy under -data-dir: group, always or none")
+	fs.IntVar(&c.snapEvery, "snapshot-every", 4096, "training pairs between WAL snapshot rotations under -data-dir")
+	fs.StringVar(&c.follow, "follow", "", "replicate a primary `llmq serve` instance at this base URL into -data-dir and serve read-only from it (POST /promote, or -promote-after, turns this instance into the primary)")
+	fs.DurationVar(&c.promoteAfter, "promote-after", 0, "with -follow: auto-promote to primary after this long without primary contact; 0 requires an explicit POST /promote")
+	fs.IntVar(&c.shards, "shards", 0, "partition the query space across this many in-process model shards (/train fans out across their writer locks; with -data-dir each shard keeps its own WAL subdirectory)")
+	fs.StringVar(&c.route, "route", "", "router mode: front remote shard servers, `shard0=URL[|followerURL...],shard1=...` (scans spread across a shard's followers; training goes to its primary)")
+	fs.StringVar(&c.partition, "partition", "", "with -route: shards.json manifest pinning the partition the shards were trained under (default: rebuild it from -data, sound when this router is the sole trainer)")
+	fs.StringVar(&c.pprof, "pprof", "", "also serve net/http/pprof profiling endpoints on this host:port (side listener, never on the public address)")
+	l := &c.limits
+	fs.DurationVar(&l.QueryTimeout, "query-timeout", 30*time.Second, "per-request deadline on /query and /query/batch; 0 disables")
+	fs.IntVar(&l.QueryConcurrency, "admit-queries", 0, "admission capacity of the query class in statements (default: 4×GOMAXPROCS)")
+	fs.IntVar(&l.TrainConcurrency, "admit-train", 0, "admission capacity of the train class in pairs (default: 8192)")
+	fs.DurationVar(&l.AdmitWait, "admit-wait", 100*time.Millisecond, "how long a request may wait for admission before a 429 shed")
+	fs.BoolVar(&l.DegradeExact, "degrade-exact", false, "during overload, answer EXACT-eligible statements from the model (marked \"degraded\": true) instead of shedding them")
+	fs.IntVar(&l.MaxReplicationLag, "max-replication-lag", 0, "with -follow: records of replication lag past which /readyz reports not-ready (default 4096; negative disables)")
+	fs.DurationVar(&l.BatchWindow, "batch-window", 0, "coalesce concurrent /query requests arriving within this window into one batch sheet (0.5ms-2ms is the useful range; 0 disables)")
+	fs.IntVar(&l.BatchMaxSheet, "batch-max-sheet", 0, "statements per coalesced sheet before an overflow cut (default 64; only with -batch-window)")
+	getCap := capacityFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	c.capacity = getCap()
+	var err error
+	if c.walMode, err = wal.ParseSyncMode(c.walSync); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	// Limits semantics: 0 means default, negative disables.
+	if l.QueryTimeout <= 0 {
+		l.QueryTimeout = -1
+	}
+	if l.AdmitWait <= 0 {
+		l.AdmitWait = -1
+	}
+	return c, c.validate()
+}
+
+// validate refuses flag combinations that name no coherent deployment.
+func (c *serveConfig) validate() error {
+	switch {
+	case c.data == "":
+		return errors.New("serve: -data is required")
+	case c.follow != "" && c.dataDir == "":
+		// The mirror must live somewhere durable: a follower without a
+		// data dir could neither resume after a restart nor be promoted.
+		return errors.New("serve: -follow needs -data-dir for the local mirror")
+	case c.follow != "" && c.model != "":
+		return errors.New("serve: -follow and -model are mutually exclusive (the model ships from the primary)")
+	case c.follow != "" && c.capacity.any():
+		// A follower's state is exactly what the primary ships; local
+		// capacity flags would fork it. Re-cap on the primary instead —
+		// its SetCapacity is a WAL record and replicates.
+		return errors.New("serve: capacity flags belong to the primary; its SetCapacity replicates to followers")
+	case c.dataDir != "" && c.model != "":
+		// The data dir is the durable source of truth; loading a second
+		// model beside it would leave /train traffic split between two
+		// states. `llmq train -data-dir` seeds a directory from scratch.
+		return errors.New("serve: -model and -data-dir are mutually exclusive")
+	case c.dataDir == "" && (c.walSync != "group" || c.snapEvery != 4096):
+		return errors.New("serve: -wal-sync/-snapshot-every need -data-dir")
+	case c.promoteAfter != 0 && c.follow == "":
+		return errors.New("serve: -promote-after needs -follow")
+	case c.shards < 0:
+		return errors.New("serve: -shards must be positive")
+	case c.shards > 0 && (c.route != "" || c.follow != ""):
+		return errors.New("serve: -shards is exclusive with -route and -follow")
+	case c.route != "" && (c.model != "" || c.dataDir != "" || c.follow != ""):
+		return errors.New("serve: -route is exclusive with -model, -data-dir and -follow (the shards own the models)")
+	case c.partition != "" && c.route == "":
+		return errors.New("serve: -partition needs -route")
+	}
+	return nil
+}
 
 // cmdServe stands up the HTTP analytics service of internal/serve over one
 // CSV-backed relation: the exact executor answers plain statements, and a
@@ -35,68 +135,11 @@ import (
 // /readyz flip from "recovering" to "ready" when replay finishes, instead
 // of connection refusals it cannot tell apart from a dead host.
 func cmdServe(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	data := fs.String("data", "", "dataset CSV backing the relation (required)")
-	modelPath := fs.String("model", "", "trained model JSON (optional; required for APPROX statements)")
-	addr := fs.String("addr", ":8080", "listen address, host:port")
-	cell := fs.Float64("cell", 0, "spatial-index cell size (default: auto from the data bounds)")
-	dataDir := fs.String("data-dir", "", "durable model directory: recover the model from its snapshots+WAL on boot and WAL-log /train traffic (mutually exclusive with -model)")
-	walSync := fs.String("wal-sync", "group", "WAL fsync policy under -data-dir: group, always or none")
-	snapEvery := fs.Int("snapshot-every", 4096, "training pairs between WAL snapshot rotations under -data-dir")
-	follow := fs.String("follow", "", "replicate a primary `llmq serve` instance at this base URL into -data-dir and serve read-only from it (POST /promote, or -promote-after, turns this instance into the primary)")
-	promoteAfter := fs.Duration("promote-after", 0, "with -follow: auto-promote to primary after this long without primary contact; 0 requires an explicit POST /promote")
-	shards := fs.Int("shards", 0, "partition the query space across this many in-process model shards (/train fans out across their writer locks; with -data-dir each shard keeps its own WAL subdirectory)")
-	route := fs.String("route", "", "router mode: front remote shard servers, `shard0=URL[|followerURL...],shard1=...` (scans spread across a shard's followers; training goes to its primary)")
-	partitionPath := fs.String("partition", "", "with -route: shards.json manifest pinning the partition the shards were trained under (default: rebuild it from -data, sound when this router is the sole trainer)")
-	pprofAddr := fs.String("pprof", "", "also serve net/http/pprof profiling endpoints on this host:port (side listener, never on the public address)")
-	getCap := capacityFlags(fs)
-	getLimits := limitFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	c, err := parseServeFlags(args)
+	if err != nil {
 		return err
 	}
-	if *data == "" {
-		return errors.New("serve: -data is required")
-	}
-	if *dataDir != "" && *modelPath != "" {
-		// The data dir is the durable source of truth; loading a second
-		// model beside it would leave /train traffic split between two
-		// states. `llmq train -data-dir` seeds a directory from scratch.
-		return errors.New("serve: -model and -data-dir are mutually exclusive")
-	}
-	if *dataDir == "" && (*walSync != "group" || *snapEvery != 4096) {
-		return errors.New("serve: -wal-sync/-snapshot-every need -data-dir")
-	}
-	if *follow != "" {
-		switch {
-		case *dataDir == "":
-			// The mirror must live somewhere durable: a follower without a
-			// data dir could neither resume after a restart nor be promoted.
-			return errors.New("serve: -follow needs -data-dir for the local mirror")
-		case *modelPath != "":
-			return errors.New("serve: -follow and -model are mutually exclusive (the model ships from the primary)")
-		case getCap().any():
-			// A follower's state is exactly what the primary ships; local
-			// capacity flags would fork it. Re-cap on the primary instead —
-			// its SetCapacity is a WAL record and replicates.
-			return errors.New("serve: capacity flags belong to the primary; its SetCapacity replicates to followers")
-		}
-	}
-	if *promoteAfter != 0 && *follow == "" {
-		return errors.New("serve: -promote-after needs -follow")
-	}
-	if *shards < 0 {
-		return errors.New("serve: -shards must be positive")
-	}
-	if *shards > 0 && (*route != "" || *follow != "") {
-		return errors.New("serve: -shards is exclusive with -route and -follow")
-	}
-	if *route != "" && (*modelPath != "" || *dataDir != "" || *follow != "") {
-		return errors.New("serve: -route is exclusive with -model, -data-dir and -follow (the shards own the models)")
-	}
-	if *partitionPath != "" && *route == "" {
-		return errors.New("serve: -partition needs -route")
-	}
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
@@ -109,69 +152,232 @@ func cmdServe(args []string, out io.Writer) error {
 	root.Store(serve.Recovering())
 	errc := make(chan error, 1)
 	go func() { errc <- serveUntil(ctx, &root, ln, out, "(recovering)") }()
-	var (
-		s        *serve.Server
-		d        *core.Durable
-		durables []*core.Durable
-		rep      *replica.Replica
-		info     string
-	)
-	switch {
-	case *route != "":
-		s, info, err = buildRouterServer(ctx, *data, *cell, *route, *partitionPath, serve.WithLimits(getLimits()))
-	case *follow != "":
-		s, rep, info, err = buildFollowerServer(ctx, *data, *dataDir, *follow, *walSync, *snapEvery, *promoteAfter, *cell, serve.WithLimits(getLimits()))
-	case *dataDir != "" && (*shards > 0 || hasShardManifest(*dataDir)):
-		// An existing shards.json makes the directory sharded regardless of
-		// flags; -shards only decides the layout of a fresh directory.
-		s, durables, info, err = buildDurableShardedServer(*data, *dataDir, *walSync, *snapEvery, *cell, *shards, getCap(), serve.WithLimits(getLimits()))
-	case *dataDir != "":
-		s, d, info, err = buildDurableServer(*data, *dataDir, *walSync, *snapEvery, *cell, getCap(), serve.WithLimits(getLimits()))
-	case *shards > 0:
-		s, info, err = buildShardedServer(*data, *modelPath, *cell, *shards, getCap(), serve.WithLimits(getLimits()))
-	default:
-		s, info, err = buildServer(*data, *modelPath, *cell, getCap(), serve.WithLimits(getLimits()))
+	s, closer, info, err := c.open(ctx)
+	if err == nil && c.pprof != "" {
+		var stopPprof func()
+		if stopPprof, err = startPprof(c.pprof, out); err == nil {
+			defer stopPprof()
+		}
 	}
 	if err != nil {
 		stop()
 		<-errc
-		return fmt.Errorf("serve: %w", err)
-	}
-	if *pprofAddr != "" {
-		stopPprof, perr := startPprof(*pprofAddr, out)
-		if perr != nil {
-			stop()
-			<-errc
-			return fmt.Errorf("serve: %w", perr)
+		if closer != nil {
+			_ = closer.Close()
 		}
-		defer stopPprof()
+		return fmt.Errorf("serve: %w", err)
 	}
 	root.Store(s)
 	fmt.Fprintf(out, "llmq: ready, serving %s\n", info)
 	serr := <-errc
-	if rep != nil {
-		// A promoted follower owns a real durable store by now; a plain
-		// follower just seals its mirror so the next boot resumes it.
-		if d = rep.Durable(); d == nil {
-			if cerr := rep.Close(); cerr != nil && serr == nil {
-				serr = fmt.Errorf("serve: close replica: %w", cerr)
+	// The final checkpoint: pairs ingested since the last rotation are
+	// folded into a fresh snapshot so the next boot replays nothing.
+	if cerr := closer.Close(); cerr != nil && serr == nil {
+		serr = fmt.Errorf("serve: close: %w", cerr)
+	}
+	return serr
+}
+
+// closerFunc adapts a function to io.Closer.
+type closerFunc func() error
+
+func (f closerFunc) Close() error { return f() }
+
+// open loads the relation once and stands the server up over whichever
+// backend the flags name — a loaded or absent model, a recovered durable
+// store, in-process shards (in memory or one store each), a replica of a
+// remote primary, or remote shards behind a router. The returned closer
+// takes the final checkpoint of every durable store the server trains
+// into; info describes what is being served. Split from cmdServe so tests
+// drive every construction path without binding a port.
+func (c *serveConfig) open(ctx context.Context) (*serve.Server, io.Closer, string, error) {
+	e, ds, err := loadExecutor(c.data, c.cell)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	var (
+		s      *serve.Server
+		closer io.Closer = closerFunc(func() error { return nil })
+		shape  string
+	)
+	opt := serve.WithLimits(c.limits)
+	switch {
+	case c.route != "":
+		s, shape, err = c.openRouter(ctx, e, ds, opt)
+	case c.follow != "":
+		s, closer, shape, err = c.openFollower(ctx, e, opt)
+	case c.dataDir != "":
+		s, closer, shape, err = c.openDurable(e, ds, opt)
+	default:
+		s, shape, err = c.openMemory(e, ds, opt)
+	}
+	if err != nil {
+		return nil, nil, "", err
+	}
+	return s, closer, fmt.Sprintf("%q (%d tuples, %d input attributes) %s", ds.Name, ds.Len(), ds.Dim(), shape), nil
+}
+
+// openMemory serves in-memory models: the -model file (or none, for exact
+// statements only), or with -shards that model split along the partition —
+// fresh empty shards when there is no file. Capacity flags re-cap each
+// model immediately and arm bounded eviction for further online training.
+func (c *serveConfig) openMemory(e *exec.Executor, ds *dataset.Dataset, opt serve.Option) (*serve.Server, string, error) {
+	var models []*core.Model
+	if c.model != "" {
+		m, err := loadModel(c.model, ds.Dim())
+		if err != nil {
+			return nil, "", err
+		}
+		models = []*core.Model{m}
+	}
+	if c.shards == 0 {
+		if models == nil {
+			if c.capacity.any() {
+				// Silently ignoring the flags would let an operator believe
+				// a serving budget is armed when nothing is bounded.
+				return nil, "", errors.New("-max-prototypes/-evict/-merge need -model")
+			}
+			s, err := serve.New(e, nil, opt)
+			return s, "without a model (exact statements only)", err
+		}
+		if err := applyCapacity(models[0], c.capacity); err != nil {
+			return nil, "", err
+		}
+		s, err := serve.New(e, models[0], opt)
+		return s, fmt.Sprintf("with a K=%d model", models[0].K()), err
+	}
+	part, err := buildPartition(ds, c.shards)
+	if err != nil {
+		return nil, "", err
+	}
+	if models != nil {
+		models, err = core.Split(models[0], c.shards, func(center []float64, _ float64) int {
+			return part.Locate(center)
+		})
+		if err != nil {
+			return nil, "", err
+		}
+	} else {
+		cfg, err := defaultModelConfig(ds)
+		if err != nil {
+			return nil, "", err
+		}
+		models = make([]*core.Model, c.shards)
+		for i := range models {
+			if models[i], err = core.NewModel(cfg); err != nil {
+				return nil, "", err
 			}
 		}
 	}
-	if d != nil {
-		// The final checkpoint: pairs ingested since the last rotation are
-		// folded into a fresh snapshot so the next boot replays nothing.
-		if cerr := d.Close(); cerr != nil && serr == nil {
-			serr = fmt.Errorf("serve: close durable store: %w", cerr)
+	backends := make([]shard.Backend, len(models))
+	total := 0
+	for i, m := range models {
+		if err := applyCapacity(m, c.capacity); err != nil {
+			return nil, "", err
+		}
+		total += m.K()
+		backends[i] = shard.NewLocal(m)
+	}
+	s, err := newShardedServer(e, part, backends, opt)
+	return s, fmt.Sprintf("across %d in-process shards (K=%d total)", c.shards, total), err
+}
+
+// newShardedServer assembles the scatter/gather front-end over backends.
+func newShardedServer(e *exec.Executor, part *index.Partition, backends []shard.Backend, opt serve.Option) (*serve.Server, error) {
+	sh, err := shard.New(part, backends)
+	if err != nil {
+		return nil, err
+	}
+	return serve.NewSharded(e, sh, opt)
+}
+
+// openDurable recovers (or freshly creates) the durable model in -data-dir
+// and serves it: statements answer from the recovered state, and /train
+// traffic is write-ahead logged. With -shards — or a shards.json already in
+// the directory, which makes it sharded regardless of flags — there is one
+// store per shard in its own subdirectory, fsyncing in parallel, and the
+// manifest pins the partition so every boot routes exactly as the one that
+// placed the prototypes. A fresh store starts an empty model with the
+// paper's default configuration derived from the dataset; a recovered one
+// keeps the configuration embedded in its snapshot. Capacity flags apply
+// either way, through the store's WAL-logged SetCapacity: the re-cap is an
+// admin record in the training order, so a crash replays it at exactly
+// this point — and a follower replica re-caps at the same point of the
+// stream.
+func (c *serveConfig) openDurable(e *exec.Executor, ds *dataset.Dataset, opt serve.Option) (*serve.Server, io.Closer, string, error) {
+	cfg, err := defaultModelConfig(ds)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	if c.capacity.maxProto > 0 {
+		// Bake the capacity into the fresh-directory config too, so the very
+		// first checkpoint already carries it.
+		if cfg.Eviction, err = core.ParseEvictionPolicy(c.capacity.evict); err != nil {
+			return nil, nil, "", err
+		}
+		cfg.MaxPrototypes, cfg.MergeOnEvict = c.capacity.maxProto, c.capacity.merge
+	}
+	dirs := []string{c.dataDir}
+	var part *index.Partition
+	if c.shards > 0 || hasShardManifest(c.dataDir) {
+		if part, err = c.shardLayout(ds); err != nil {
+			return nil, nil, "", err
+		}
+		dirs = make([]string, part.Leaves())
+		for i := range dirs {
+			dirs[i] = filepath.Join(c.dataDir, fmt.Sprintf("shard-%d", i))
 		}
 	}
-	for i, sd := range durables {
-		// Same final checkpoint, once per shard store.
-		if cerr := sd.Close(); cerr != nil && serr == nil {
-			serr = fmt.Errorf("serve: close shard %d store: %w", i, cerr)
+	var stores []*core.Durable
+	closer := closerFunc(func() error {
+		errs := make([]error, len(stores))
+		for i, d := range stores {
+			errs[i] = d.Close()
 		}
+		return errors.Join(errs...)
+	})
+	fail := func(err error) (*serve.Server, io.Closer, string, error) {
+		_ = closer.Close()
+		return nil, nil, "", err
 	}
-	return serr
+	k, steps := 0, 0
+	for _, dir := range dirs {
+		d, err := core.Recover(dir, cfg, core.DurableOptions{WAL: wal.Options{Mode: c.walMode}, SnapshotEvery: c.snapEvery})
+		if err != nil {
+			return fail(fmt.Errorf("%s: %w", dir, err))
+		}
+		stores = append(stores, d)
+		if c.capacity.any() {
+			max, policy, merge, err := resolveCapacity(d.Model().Config(), c.capacity)
+			if err == nil {
+				err = d.SetCapacity(max, policy, merge)
+			}
+			if err != nil {
+				return fail(fmt.Errorf("%s: %w", dir, err))
+			}
+		}
+		k += d.Model().K()
+		steps += d.Model().Steps()
+	}
+	var (
+		s     *serve.Server
+		shape string
+	)
+	if part == nil {
+		s, err = serve.NewDurable(e, stores[0], opt)
+		shape = fmt.Sprintf("with a durable K=%d model (%d steps, %s sync) in %s", k, steps, c.walMode, c.dataDir)
+	} else {
+		backends := make([]shard.Backend, len(stores))
+		for i, d := range stores {
+			backends[i] = shard.NewLocalDurable(d)
+		}
+		s, err = newShardedServer(e, part, backends, opt)
+		shape = fmt.Sprintf("across %d durable shards (K=%d total, %d steps, %s sync) in %s", len(stores), k, steps, c.walMode, c.dataDir)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	return s, closer, shape, nil
 }
 
 // hasShardManifest reports whether dataDir is a sharded durable directory.
@@ -201,40 +407,38 @@ func startPprof(addr string, out io.Writer) (func(), error) {
 	return func() { _ = srv.Close() }, nil
 }
 
-// buildFollowerServer wires a read-only follower: a replica mirroring the
-// primary's WAL into dataDir (started on ctx — it stops with the serve
+// openFollower wires a read-only follower: a replica mirroring the
+// primary's WAL into -data-dir (started on ctx — it stops with the serve
 // loop) and the HTTP handler reading from it. The follower serves APPROX
 // and EXACT statements from its own replicated model throughout, refuses
 // /train with a redirect to the primary, and becomes a writable primary on
-// POST /promote or, with promoteAfter, on its own once the primary has
+// POST /promote or, with -promote-after, on its own once the primary has
 // been unreachable that long.
-func buildFollowerServer(ctx context.Context, dataPath, dataDir, primary, walSync string, snapEvery int, promoteAfter time.Duration, cell float64, opts ...serve.Option) (*serve.Server, *replica.Replica, string, error) {
-	e, ds, err := loadExecutor(dataPath, cell)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	mode, err := wal.ParseSyncMode(walSync)
-	if err != nil {
-		return nil, nil, "", err
-	}
+func (c *serveConfig) openFollower(ctx context.Context, e *exec.Executor, opt serve.Option) (*serve.Server, io.Closer, string, error) {
 	rep, err := replica.Open(replica.Options{
-		Dir:           dataDir,
-		Primary:       primary,
-		PromoteAfter:  promoteAfter,
-		WAL:           wal.Options{Mode: mode},
-		SnapshotEvery: snapEvery,
+		Dir:           c.dataDir,
+		Primary:       c.follow,
+		PromoteAfter:  c.promoteAfter,
+		WAL:           wal.Options{Mode: c.walMode},
+		SnapshotEvery: c.snapEvery,
 	})
 	if err != nil {
 		return nil, nil, "", err
 	}
-	s, err := serve.NewFollower(e, rep, opts...)
+	s, err := serve.NewFollower(e, rep, opt)
 	if err != nil {
 		return nil, nil, "", err
 	}
 	go func() { _ = rep.Run(ctx) }()
-	info := fmt.Sprintf("%q (%d tuples, %d input attributes) as a follower of %s (mirror in %s, %s sync)",
-		ds.Name, ds.Len(), ds.Dim(), primary, dataDir, mode)
-	return s, rep, info, nil
+	closer := closerFunc(func() error {
+		// A promoted follower owns a real durable store by now; a plain
+		// follower just seals its mirror so the next boot resumes it.
+		if d := rep.Durable(); d != nil {
+			return d.Close()
+		}
+		return rep.Close()
+	})
+	return s, closer, fmt.Sprintf("as a follower of %s (mirror in %s, %s sync)", c.follow, c.dataDir, c.walMode), nil
 }
 
 // handlerSwitch is an atomically swappable http.Handler: the listener
@@ -250,38 +454,6 @@ func (hs *handlerSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	(*hs.h.Load()).ServeHTTP(w, r)
 }
 
-// limitFlags registers the overload-limit flags of the serve subcommand;
-// call the returned function after fs.Parse to collect the serve.Limits.
-func limitFlags(fs *flag.FlagSet) func() serve.Limits {
-	queryTimeout := fs.Duration("query-timeout", 30*time.Second, "per-request deadline on /query and /query/batch; 0 disables")
-	admitQueries := fs.Int("admit-queries", 0, "admission capacity of the query class in statements (default: 4×GOMAXPROCS)")
-	admitTrain := fs.Int("admit-train", 0, "admission capacity of the train class in pairs (default: 8192)")
-	admitWait := fs.Duration("admit-wait", 100*time.Millisecond, "how long a request may wait for admission before a 429 shed")
-	degradeExact := fs.Bool("degrade-exact", false, "during overload, answer EXACT-eligible statements from the model (marked \"degraded\": true) instead of shedding them")
-	maxLag := fs.Int("max-replication-lag", 0, "with -follow: records of replication lag past which /readyz reports not-ready (default 4096; negative disables)")
-	batchWindow := fs.Duration("batch-window", 0, "coalesce concurrent /query requests arriving within this window into one batch sheet (0.5ms-2ms is the useful range; 0 disables)")
-	batchMaxSheet := fs.Int("batch-max-sheet", 0, "statements per coalesced sheet before an overflow cut (default 64; only with -batch-window)")
-	return func() serve.Limits {
-		l := serve.Limits{
-			QueryConcurrency:  *admitQueries,
-			TrainConcurrency:  *admitTrain,
-			AdmitWait:         *admitWait,
-			QueryTimeout:      *queryTimeout,
-			DegradeExact:      *degradeExact,
-			MaxReplicationLag: *maxLag,
-			BatchWindow:       *batchWindow,
-			BatchMaxSheet:     *batchMaxSheet,
-		}
-		if *queryTimeout <= 0 {
-			l.QueryTimeout = -1 // Limits semantics: 0 means default, negative disables
-		}
-		if *admitWait <= 0 {
-			l.AdmitWait = -1
-		}
-		return l
-	}
-}
-
 // shutdownTimeout bounds the graceful drain: in-flight handlers get this
 // long to finish after the stop signal before Shutdown gives up.
 const shutdownTimeout = 10 * time.Second
@@ -291,8 +463,8 @@ const shutdownTimeout = 10 * time.Second
 // test cancels directly — and then shuts down gracefully. ctx doubles as
 // the server's base context, so the request context of every in-flight
 // statement sheet observes the cancellation: the /query/batch worker pools
-// stop claiming statements mid-sheet (the MeanBatchCtx/ForEachParallelCtx
-// plumbing), while http.Server.Shutdown stops the listener and drains the
+// stop claiming statements mid-sheet (exec.ForEachParallelStream observes
+// it), while http.Server.Shutdown stops the listener and drains the
 // handlers that are finishing up. The server carries the full set of
 // connection-phase timeouts (resilience.ServerTimeouts), so a slow-loris
 // client cannot pin goroutines through a stalled header, body or read.
@@ -318,110 +490,6 @@ func serveUntil(ctx context.Context, h http.Handler, ln net.Listener, out io.Wri
 		return err
 	}
 	return nil
-}
-
-// buildServer loads the relation (and the model, when given), validates the
-// two against each other, applies any serving-time capacity cap, and wires
-// the HTTP handler. Split from cmdServe so the smoke test can drive the
-// full construction path without binding a port.
-func buildServer(dataPath, modelPath string, cell float64, cp capacity, opts ...serve.Option) (*serve.Server, string, error) {
-	e, ds, err := loadExecutor(dataPath, cell)
-	if err != nil {
-		return nil, "", err
-	}
-	var model *core.Model
-	if modelPath == "" {
-		if cp.any() {
-			// Silently ignoring the flags would let an operator believe a
-			// serving budget is armed when nothing is bounded.
-			return nil, "", errors.New("-max-prototypes/-evict/-merge need -model")
-		}
-	} else {
-		model, err = loadModel(modelPath, ds.Dim())
-		if err != nil {
-			return nil, "", err
-		}
-		if err := applyCapacity(model, cp); err != nil {
-			return nil, "", err
-		}
-	}
-	s, err := serve.New(e, model, opts...)
-	if err != nil {
-		return nil, "", err
-	}
-	info := fmt.Sprintf("%q (%d tuples, %d input attributes)", ds.Name, ds.Len(), ds.Dim())
-	if model != nil {
-		info += fmt.Sprintf(" with a K=%d model", model.K())
-	} else {
-		info += " without a model (exact statements only)"
-	}
-	return s, info, nil
-}
-
-// buildDurableServer recovers (or freshly creates) the durable model in
-// dataDir and wires the HTTP handler around it: statements answer from the
-// recovered state, and /train traffic is write-ahead logged. A fresh
-// directory starts an empty model with the paper's default configuration
-// derived from the dataset (the same vigilance formula the train subcommand
-// uses, at its default resolution); a recovered one keeps the configuration
-// embedded in its snapshot. Capacity flags apply either way, through the
-// durable store's WAL-logged SetCapacity: the re-cap is an admin record in
-// the training order, so a crash replays it at exactly this point — and a
-// follower replica re-caps at the same point of the stream.
-func buildDurableServer(dataPath, dataDir, walSync string, snapEvery int, cell float64, cp capacity, opts ...serve.Option) (*serve.Server, *core.Durable, string, error) {
-	e, ds, err := loadExecutor(dataPath, cell)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	mode, err := wal.ParseSyncMode(walSync)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	cfg, err := defaultModelConfig(ds)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	if cp.maxProto > 0 {
-		// Bake the capacity into the fresh-directory config too, so the very
-		// first checkpoint already carries it.
-		policy, perr := core.ParseEvictionPolicy(cp.evict)
-		if perr != nil {
-			return nil, nil, "", perr
-		}
-		cfg.MaxPrototypes = cp.maxProto
-		cfg.Eviction = policy
-		cfg.MergeOnEvict = cp.merge
-	}
-	d, err := core.Recover(dataDir, cfg, core.DurableOptions{
-		WAL:           wal.Options{Mode: mode},
-		SnapshotEvery: snapEvery,
-	})
-	if err != nil {
-		return nil, nil, "", err
-	}
-	fail := func(err error) (*serve.Server, *core.Durable, string, error) {
-		_ = d.Close()
-		return nil, nil, "", err
-	}
-	if cp.any() {
-		max, policy, merge, err := resolveCapacity(d.Model().Config(), cp)
-		if err != nil {
-			return fail(err)
-		}
-		if err := d.SetCapacity(max, policy, merge); err != nil {
-			return fail(err)
-		}
-	}
-	if k := d.Model().Config().Dim; k != ds.Dim() {
-		return fail(fmt.Errorf("recovered model dim %d does not match the relation's %d input attributes", k, ds.Dim()))
-	}
-	s, err := serve.NewDurable(e, d, opts...)
-	if err != nil {
-		return fail(err)
-	}
-	info := fmt.Sprintf("%q (%d tuples, %d input attributes) with a durable K=%d model (%d steps, %s sync) in %s",
-		ds.Name, ds.Len(), ds.Dim(), d.Model().K(), d.Model().Steps(), mode, dataDir)
-	return s, d, info, nil
 }
 
 // defaultModelConfig derives the fresh-directory training configuration from

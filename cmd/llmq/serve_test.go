@@ -11,7 +11,30 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"llmq/internal/serve"
 )
+
+// openServe drives the serve subcommand's construction path — the same
+// flag parsing, validation and open() cmdServe uses — without binding a
+// port. The stores it opened are closed with the test.
+func openServe(t *testing.T, args ...string) (*serve.Server, string, error) {
+	t.Helper()
+	c, err := parseServeFlags(args)
+	if err != nil {
+		return nil, "", err
+	}
+	s, closer, info, err := c.open(context.Background())
+	if err != nil {
+		return nil, "", err
+	}
+	t.Cleanup(func() {
+		if err := closer.Close(); err != nil {
+			t.Errorf("closing the server's stores: %v", err)
+		}
+	})
+	return s, info, nil
+}
 
 // TestServeSmoke drives the serve subcommand's construction path end to end
 // — generate a dataset, train a model, build the HTTP server from the same
@@ -28,7 +51,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("train: %v", err)
 	}
 
-	s, info, err := buildServer(data, model, 0, capacity{})
+	s, info, err := openServe(t, "-data", data, "-model", model)
 	if err != nil {
 		t.Fatalf("buildServer: %v", err)
 	}
@@ -64,7 +87,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// Without a model, APPROX statements are rejected but the server stands.
-	s2, info2, err := buildServer(data, "", 0, capacity{})
+	s2, info2, err := openServe(t, "-data", data)
 	if err != nil {
 		t.Fatalf("buildServer without model: %v", err)
 	}
@@ -94,7 +117,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if err := run([]string{"generate", "-dataset", "R1", "-n", "2000", "-dim", "2", "-seed", "5", "-o", data}, &out); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	s, info, err := buildServer(data, "", 0, capacity{})
+	s, info, err := openServe(t, "-data", data)
 	if err != nil {
 		t.Fatalf("buildServer: %v", err)
 	}
@@ -163,6 +186,146 @@ func TestServeFlagValidation(t *testing.T) {
 	if err := run([]string{"serve", "-bogusflag"}, &out); err == nil {
 		t.Error("unknown flag should error")
 	}
+	// Every refusal of serveConfig.validate, each recognised by its own
+	// message so a combination cannot pass by tripping a different check.
+	for _, tc := range []struct {
+		want string
+		args []string
+	}{
+		{"-data is required", []string{"-model", "m.json"}},
+		{"-model and -data-dir are mutually exclusive", []string{"-data", "r.csv", "-model", "m.json", "-data-dir", "d"}},
+		{"-wal-sync/-snapshot-every need -data-dir", []string{"-data", "r.csv", "-wal-sync", "always"}},
+		{"-wal-sync/-snapshot-every need -data-dir", []string{"-data", "r.csv", "-snapshot-every", "64"}},
+		{"-follow needs -data-dir", []string{"-data", "r.csv", "-follow", "http://localhost:1"}},
+		{"-follow and -model are mutually exclusive", []string{"-data", "r.csv", "-follow", "http://localhost:1", "-data-dir", "d", "-model", "m.json"}},
+		{"capacity flags belong to the primary", []string{"-data", "r.csv", "-follow", "http://localhost:1", "-data-dir", "d", "-merge"}},
+		{"-promote-after needs -follow", []string{"-data", "r.csv", "-data-dir", "d", "-promote-after", "5s"}},
+		{"-shards must be positive", []string{"-data", "r.csv", "-shards", "-1"}},
+		{"-shards is exclusive with -route and -follow", []string{"-data", "r.csv", "-shards", "2", "-route", "shard0=http://localhost:1"}},
+		{"-shards is exclusive with -route and -follow", []string{"-data", "r.csv", "-shards", "2", "-follow", "http://localhost:1", "-data-dir", "d"}},
+		{"-route is exclusive with -model, -data-dir and -follow", []string{"-data", "r.csv", "-route", "shard0=http://localhost:1", "-model", "m.json"}},
+		{"-route is exclusive with -model, -data-dir and -follow", []string{"-data", "r.csv", "-route", "shard0=http://localhost:1", "-data-dir", "d"}},
+		{"-route is exclusive with -model, -data-dir and -follow", []string{"-data", "r.csv", "-route", "shard0=http://localhost:1", "-follow", "http://localhost:1", "-data-dir", "d"}},
+		{"-partition needs -route", []string{"-data", "r.csv", "-partition", "shards.json"}},
+	} {
+		if _, err := parseServeFlags(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("serve %v: error %v, want one naming %q", tc.args, err, tc.want)
+		}
+	}
+	if _, err := parseServeFlags([]string{"-data", "r.csv", "-data-dir", "d", "-shards", "2", "-wal-sync", "none", "-max-prototypes", "8"}); err != nil {
+		t.Errorf("a coherent flag set was refused: %v", err)
+	}
+}
+
+// TestServeOpenShapes boots every in-process deployment shape through the
+// one builder and drives the surface they share: /train absorbs a batch, an
+// APPROX statement answers from what was trained, /model and /readyz
+// describe it, and the returned closer checkpoints cleanly. A sharded
+// durable directory must come back sharded without -shards, with its steps,
+// and refuse a conflicting -shards.
+func TestServeOpenShapes(t *testing.T) {
+	csv := writeTestCSV(t)
+	model := filepath.Join(t.TempDir(), "model.json")
+	var out bytes.Buffer
+	if err := run([]string{"train", "-data", csv, "-pairs", "300", "-o", model}, &out); err != nil {
+		t.Fatalf("train: %v", err)
+	}
+	var pairs []serve.TrainPair
+	for i := 0; i < 64; i++ {
+		f := float64(i) / 64
+		pairs = append(pairs, serve.TrainPair{Center: []float64{f, 1 - f}, Theta: 0.1, Answer: 2 * f})
+	}
+	trainBody, err := json.Marshal(serve.TrainRequest{Pairs: pairs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func(t *testing.T, s *serve.Server, method, path string, body []byte, into any) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), into); err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+	}
+	// drive exercises one opened server and returns its /model body.
+	drive := func(t *testing.T, c *serveConfig, wantDurable bool) serve.ModelInfo {
+		t.Helper()
+		s, closer, _, err := c.open(context.Background())
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		var ack serve.TrainResponse
+		call(t, s, http.MethodPost, "/train", trainBody, &ack)
+		if ack.Durable != wantDurable {
+			t.Errorf("/train ack durable=%v, want %v", ack.Durable, wantDurable)
+		}
+		var ans serve.QueryResponse
+		call(t, s, http.MethodPost, "/query", []byte(`{"sql": "SELECT APPROX AVG(u) FROM r1 WITHIN 0.15 OF (0.5, 0.5)"}`), &ans)
+		if ans.Mean == nil || !ans.Approx {
+			t.Errorf("APPROX statement answered %+v", ans)
+		}
+		var info serve.ModelInfo
+		call(t, s, http.MethodGet, "/model", nil, &info)
+		if !info.Loaded || info.Prototypes == 0 || info.Durable != wantDurable {
+			t.Errorf("/model %+v, want a loaded model with durable=%v", info, wantDurable)
+		}
+		var ready serve.ReadyResponse
+		call(t, s, http.MethodGet, "/readyz", nil, &ready)
+		if ready.Status != "ready" {
+			t.Errorf("/readyz %+v", ready)
+		}
+		if err := closer.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		return info
+	}
+	parse := func(t *testing.T, args ...string) *serveConfig {
+		t.Helper()
+		c, err := parseServeFlags(append([]string{"-data", csv}, args...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	t.Run("plain", func(t *testing.T) {
+		if info := drive(t, parse(t, "-model", model), false); info.Shards != 0 {
+			t.Errorf("/model %+v reports shards", info)
+		}
+	})
+	t.Run("durable", func(t *testing.T) {
+		dir := t.TempDir()
+		first := drive(t, parse(t, "-data-dir", dir), true)
+		if again := drive(t, parse(t, "-data-dir", dir), true); again.Steps != first.Steps+64 {
+			t.Errorf("reopened store has %d steps, want the %d it closed with plus 64", again.Steps, first.Steps)
+		}
+	})
+	t.Run("sharded", func(t *testing.T) {
+		if info := drive(t, parse(t, "-shards", "2"), false); info.Shards != 2 {
+			t.Errorf("/model %+v, want 2 shards", info)
+		}
+		if info := drive(t, parse(t, "-shards", "2", "-model", model), false); info.Shards != 2 {
+			t.Errorf("/model %+v, want the model file split across 2 shards", info)
+		}
+	})
+	t.Run("durable sharded", func(t *testing.T) {
+		dir := t.TempDir()
+		first := drive(t, parse(t, "-shards", "2", "-data-dir", dir), true)
+		if first.Shards != 2 {
+			t.Errorf("/model %+v, want 2 shards", first)
+		}
+		// shards.json makes the directory sharded whatever the flags say.
+		again := drive(t, parse(t, "-data-dir", dir), true)
+		if again.Shards != 2 || again.Steps != first.Steps+64 {
+			t.Errorf("reopened without -shards: /model %+v, want 2 shards and %d steps", again, first.Steps+64)
+		}
+		_, _, _, err := parse(t, "-shards", "3", "-data-dir", dir).open(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "conflicts") {
+			t.Errorf("-shards 3 over a 2-shard directory: error %v, want a conflict", err)
+		}
+	})
 }
 
 // writeTestCSV generates a small real dataset, so a flag combination that

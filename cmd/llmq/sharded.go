@@ -13,10 +13,10 @@ import (
 
 	"llmq/internal/core"
 	"llmq/internal/dataset"
+	"llmq/internal/exec"
 	"llmq/internal/index"
 	"llmq/internal/serve"
 	"llmq/internal/shard"
-	"llmq/internal/wal"
 )
 
 // Sharded serving modes of `llmq serve`:
@@ -57,154 +57,34 @@ func buildPartition(ds *dataset.Dataset, shards int) (*index.Partition, error) {
 	return index.NewPartition(ds.Dim(), shards, flat, cell)
 }
 
-// buildShardedServer wires in-process sharded serving over in-memory
-// models: N fresh shards (or, with a model file, the model split along the
-// partition), behind the scatter/gather front-end. Capacity flags apply
-// per shard.
-func buildShardedServer(dataPath, modelPath string, cell float64, shards int, cp capacity, opts ...serve.Option) (*serve.Server, string, error) {
-	e, ds, err := loadExecutor(dataPath, cell)
+// shardLayout returns the partition of a sharded durable directory. An
+// existing shards.json wins (and must agree with -shards, when given); a
+// fresh directory builds the partition from the dataset and writes the
+// manifest before any shard store exists, so a crash between shard
+// creations recovers cleanly.
+func (c *serveConfig) shardLayout(ds *dataset.Dataset) (*index.Partition, error) {
+	manifestPath := filepath.Join(c.dataDir, shard.ManifestName)
+	if hasShardManifest(c.dataDir) {
+		man, err := shard.ReadManifest(manifestPath)
+		switch {
+		case err != nil:
+			return nil, err
+		case man.Dim != ds.Dim():
+			return nil, fmt.Errorf("sharded directory %s has dim %d, relation has %d", c.dataDir, man.Dim, ds.Dim())
+		case c.shards != 0 && c.shards != man.Shards:
+			return nil, fmt.Errorf("-shards %d conflicts with the %d shards recorded in %s (re-sharding a durable directory is an offline operation)",
+				c.shards, man.Shards, manifestPath)
+		}
+		return man.Part, nil
+	}
+	part, err := buildPartition(ds, c.shards)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	part, err := buildPartition(ds, shards)
-	if err != nil {
-		return nil, "", err
+	if err := os.MkdirAll(c.dataDir, 0o755); err != nil {
+		return nil, err
 	}
-	var models []*core.Model
-	if modelPath != "" {
-		parent, err := loadModel(modelPath, ds.Dim())
-		if err != nil {
-			return nil, "", err
-		}
-		models, err = core.Split(parent, shards, func(center []float64, _ float64) int {
-			return part.Locate(center)
-		})
-		if err != nil {
-			return nil, "", err
-		}
-	} else {
-		cfg, err := defaultModelConfig(ds)
-		if err != nil {
-			return nil, "", err
-		}
-		models = make([]*core.Model, shards)
-		for i := range models {
-			if models[i], err = core.NewModel(cfg); err != nil {
-				return nil, "", err
-			}
-		}
-	}
-	backends := make([]shard.Backend, shards)
-	total := 0
-	for i, m := range models {
-		if cp.any() {
-			if err := applyCapacity(m, cp); err != nil {
-				return nil, "", err
-			}
-		}
-		total += m.K()
-		backends[i] = shard.NewLocal(m)
-	}
-	sh, err := shard.New(part, backends)
-	if err != nil {
-		return nil, "", err
-	}
-	s, err := serve.NewSharded(e, sh, opts...)
-	if err != nil {
-		return nil, "", err
-	}
-	info := fmt.Sprintf("%q (%d tuples, %d input attributes) across %d in-process shards (K=%d total)",
-		ds.Name, ds.Len(), ds.Dim(), shards, total)
-	return s, info, nil
-}
-
-// buildDurableShardedServer wires durable sharded serving: each shard
-// recovers from its own WAL subdirectory of dataDir, and shards.json pins
-// the partition so every boot routes exactly as the one that placed the
-// prototypes. A fresh directory builds the partition from the dataset and
-// writes the manifest first, so a crash between shard creations recovers
-// cleanly. Training fans out to per-shard WALs, fsyncing in parallel.
-func buildDurableShardedServer(dataPath, dataDir, walSync string, snapEvery int, cell float64, shards int, cp capacity, opts ...serve.Option) (*serve.Server, []*core.Durable, string, error) {
-	e, ds, err := loadExecutor(dataPath, cell)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	mode, err := wal.ParseSyncMode(walSync)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	manifestPath := filepath.Join(dataDir, shard.ManifestName)
-	var man shard.Manifest
-	if _, serr := os.Stat(manifestPath); serr == nil {
-		if man, err = shard.ReadManifest(manifestPath); err != nil {
-			return nil, nil, "", err
-		}
-		if man.Dim != ds.Dim() {
-			return nil, nil, "", fmt.Errorf("sharded directory %s has dim %d, relation has %d", dataDir, man.Dim, ds.Dim())
-		}
-		if shards != 0 && shards != man.Shards {
-			return nil, nil, "", fmt.Errorf("-shards %d conflicts with the %d shards recorded in %s (re-sharding a durable directory is an offline operation)",
-				shards, man.Shards, manifestPath)
-		}
-	} else {
-		part, perr := buildPartition(ds, shards)
-		if perr != nil {
-			return nil, nil, "", perr
-		}
-		if err := os.MkdirAll(dataDir, 0o755); err != nil {
-			return nil, nil, "", err
-		}
-		man = shard.Manifest{Dim: ds.Dim(), Shards: shards, Part: part}
-		if err := shard.WriteManifest(manifestPath, man); err != nil {
-			return nil, nil, "", err
-		}
-	}
-	cfg, err := defaultModelConfig(ds)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	durables := make([]*core.Durable, 0, man.Shards)
-	fail := func(err error) (*serve.Server, []*core.Durable, string, error) {
-		for _, d := range durables {
-			_ = d.Close()
-		}
-		return nil, nil, "", err
-	}
-	backends := make([]shard.Backend, man.Shards)
-	totalK, totalSteps := 0, 0
-	for i := 0; i < man.Shards; i++ {
-		d, derr := core.Recover(filepath.Join(dataDir, fmt.Sprintf("shard-%d", i)), cfg, core.DurableOptions{
-			WAL:           wal.Options{Mode: mode},
-			SnapshotEvery: snapEvery,
-		})
-		if derr != nil {
-			return fail(fmt.Errorf("shard %d: %w", i, derr))
-		}
-		durables = append(durables, d)
-		if cp.any() {
-			max, policy, merge, cerr := resolveCapacity(d.Model().Config(), cp)
-			if cerr != nil {
-				return fail(cerr)
-			}
-			if err := d.SetCapacity(max, policy, merge); err != nil {
-				return fail(fmt.Errorf("shard %d: %w", i, err))
-			}
-		}
-		totalK += d.Model().K()
-		totalSteps += d.Model().Steps()
-		backends[i] = shard.NewLocalDurable(d)
-	}
-	sh, err := shard.New(man.Part, backends)
-	if err != nil {
-		return fail(err)
-	}
-	s, err := serve.NewSharded(e, sh, opts...)
-	if err != nil {
-		return fail(err)
-	}
-	info := fmt.Sprintf("%q (%d tuples, %d input attributes) across %d durable shards (K=%d total, %d steps, %s sync) in %s",
-		ds.Name, ds.Len(), ds.Dim(), man.Shards, totalK, totalSteps, mode, dataDir)
-	return s, durables, info, nil
+	return part, shard.WriteManifest(manifestPath, shard.Manifest{Dim: ds.Dim(), Shards: c.shards, Part: part})
 }
 
 // parseRouteSpec parses `-route shard0=URL[|followerURL...],shard1=...`:
@@ -242,31 +122,26 @@ func parseRouteSpec(spec string) ([][]string, error) {
 	return urls, nil
 }
 
-// buildRouterServer wires router mode: remote shard backends over HTTP,
-// routed by the manifest's partition when -partition is given, or by a
-// partition rebuilt from the local relation (sound when this router is the
-// shards' sole trainer — the prototypes were then placed by this very
-// partitioning of /train traffic). EXACT statements answer from this
-// process's relation copy; the relation itself is not sharded.
-func buildRouterServer(ctx context.Context, dataPath string, cell float64, routeSpec, partitionPath string, opts ...serve.Option) (*serve.Server, string, error) {
-	e, ds, err := loadExecutor(dataPath, cell)
-	if err != nil {
-		return nil, "", err
-	}
-	urls, err := parseRouteSpec(routeSpec)
+// openRouter wires router mode: remote shard backends over HTTP, routed by
+// the manifest's partition when -partition is given, or by a partition
+// rebuilt from the local relation (sound when this router is the shards'
+// sole trainer — the prototypes were then placed by this very partitioning
+// of /train traffic). EXACT statements answer from this process's relation
+// copy; the relation itself is not sharded.
+func (c *serveConfig) openRouter(ctx context.Context, e *exec.Executor, ds *dataset.Dataset, opt serve.Option) (*serve.Server, string, error) {
+	urls, err := parseRouteSpec(c.route)
 	if err != nil {
 		return nil, "", fmt.Errorf("-route: %w", err)
 	}
 	var part *index.Partition
-	if partitionPath != "" {
-		man, merr := shard.ReadManifest(partitionPath)
-		if merr != nil {
-			return nil, "", merr
-		}
-		if man.Shards != len(urls) {
+	if c.partition != "" {
+		man, err := shard.ReadManifest(c.partition)
+		switch {
+		case err != nil:
+			return nil, "", err
+		case man.Shards != len(urls):
 			return nil, "", fmt.Errorf("-partition records %d shards, -route names %d", man.Shards, len(urls))
-		}
-		if man.Dim != ds.Dim() {
+		case man.Dim != ds.Dim():
 			return nil, "", fmt.Errorf("-partition has dim %d, relation has %d", man.Dim, ds.Dim())
 		}
 		part = man.Part
@@ -283,17 +158,8 @@ func buildRouterServer(ctx context.Context, dataPath string, cell float64, route
 		backends[i] = r
 		followers += len(reps) - 1
 	}
-	sh, err := shard.New(part, backends)
-	if err != nil {
-		return nil, "", err
-	}
-	s, err := serve.NewSharded(e, sh, opts...)
-	if err != nil {
-		return nil, "", err
-	}
-	info := fmt.Sprintf("%q (%d tuples, %d input attributes) routing %d remote shards (+%d followers)",
-		ds.Name, ds.Len(), ds.Dim(), len(urls), followers)
-	return s, info, nil
+	s, err := newShardedServer(e, part, backends, opt)
+	return s, fmt.Sprintf("routing %d remote shards (+%d followers)", len(urls), followers), err
 }
 
 // primeRemote fetches a remote shard's meta with a short retry loop, so a

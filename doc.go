@@ -32,7 +32,7 @@
 // it dirties, so publishing after one training pair costs O(touched rows)
 // rather than O(K) — a live stream publishes every pair even at K=100k
 // while concurrent reads stay at idle latency. PredictBatch and TrainBatch, the
-// executor's MeanBatch/RegressionBatch, the streaming NDJSON /query/batch
+// executor's MeanBatchCtx, the streaming NDJSON /query/batch
 // endpoint and the llmq batch subcommand fan work out over bounded worker
 // pools; the llmq serve subcommand stands the HTTP service up directly,
 // and its -batch-window flag arms a micro-batcher that coalesces

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -85,7 +86,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	exact, err := executor.Mean(exec.RadiusQuery{Center: q.Center, Theta: q.Theta})
+	exact, err := executor.MeanCtx(context.Background(), exec.RadiusQuery{Center: q.Center, Theta: q.Theta})
 	if err != nil {
 		return err
 	}
@@ -101,7 +102,7 @@ func run() error {
 	for i, lm := range locals {
 		fmt.Printf("  S[%d] weight %.3f: %s\n", i, lm.Weight, lm)
 	}
-	reg, err := executor.Regression(exec.RadiusQuery{Center: q.Center, Theta: q.Theta})
+	reg, err := executor.RegressionCtx(context.Background(), exec.RadiusQuery{Center: q.Center, Theta: q.Theta})
 	if err != nil {
 		return err
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -129,7 +130,7 @@ func answer(stmt *sqlfront.Statement, executor *exec.Executor, model *core.Model
 			fmt.Printf("  ≈ %.4f km/s (model, no data access)\n", yhat)
 			return nil
 		}
-		res, err := executor.Mean(rq)
+		res, err := executor.MeanCtx(context.Background(), rq)
 		if err != nil {
 			return err
 		}
@@ -150,7 +151,7 @@ func answer(stmt *sqlfront.Statement, executor *exec.Executor, model *core.Model
 			}
 			return nil
 		}
-		res, err := executor.Regression(rq)
+		res, err := executor.RegressionCtx(context.Background(), rq)
 		if err != nil {
 			return err
 		}

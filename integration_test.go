@@ -2,6 +2,7 @@ package llmq_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -72,7 +73,7 @@ func TestEndToEndSQLPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", text, err)
 		}
-		exact, err := ex.Mean(exec.RadiusQuery{Center: stmt.Center, Theta: stmt.Theta, P: stmt.Norm})
+		exact, err := ex.MeanCtx(context.Background(), exec.RadiusQuery{Center: stmt.Center, Theta: stmt.Theta, P: stmt.Norm})
 		if err != nil {
 			t.Fatalf("exact %q: %v", text, err)
 		}

@@ -494,6 +494,11 @@ func (m *Model) Winner(q Query) (int, float64, error) {
 type TrainingResult struct {
 	// Steps is the number of pairs consumed.
 	Steps int
+	// Accepted is how many pairs of one TrainBatch call advanced the model:
+	// Steps after minus Steps before, both read under the batch's writer
+	// lock, so it is exact under concurrent trainers (Train, which yields
+	// the lock per step, leaves it 0). A converged model accepts none.
+	Accepted int
 	// K is the final number of prototypes.
 	K int
 	// Converged is true when the termination criterion fired before the
@@ -551,6 +556,7 @@ func (m *Model) TrainBatch(pairs []TrainingPair) (TrainingResult, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	before := m.steps
 	for _, p := range pairs {
 		info := m.observeLocked(p.Query, p.Answer)
 		res.GammaTrace = append(res.GammaTrace, info.Gamma)
@@ -560,6 +566,7 @@ func (m *Model) TrainBatch(pairs []TrainingPair) (TrainingResult, error) {
 	}
 	m.publishLocked()
 	res.Steps = m.steps
+	res.Accepted = m.steps - before
 	res.K = m.store.live
 	res.Converged = m.converged
 	res.FinalGamma = m.lastGamma

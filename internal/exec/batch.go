@@ -14,15 +14,10 @@ import (
 // are positional: errs[i] is non-nil (typically ErrEmptySubspace) exactly
 // when the i-th query produced no result.
 
-// ForEachParallel runs fn(0..n-1) over min(GOMAXPROCS, n) workers. Work is
-// handed out by an atomic cursor, so long-running queries do not stall the
-// rest of the batch. It is exported because the serve and cmd layers drain
-// their per-statement batches with the same pool shape.
-func ForEachParallel(n int, fn func(i int)) {
-	_ = ForEachParallelCtx(context.Background(), n, fn)
-}
-
-// ForEachParallelCtx is ForEachParallel bound to a context: once ctx is
+// ForEachParallelCtx runs fn(0..n-1) over min(GOMAXPROCS, n) workers. Work
+// is handed out by an atomic cursor, so long-running queries do not stall
+// the rest of the batch. It is exported because the serve and cmd layers
+// drain their per-statement batches with the same pool shape. Once ctx is
 // cancelled, workers stop claiming new indices and the call returns
 // ctx.Err() after the in-flight fn calls finish — an abandoned HTTP batch
 // request stops burning the pool mid-sheet instead of completing the whole
@@ -93,13 +88,8 @@ func ForEachParallelStream(ctx context.Context, n int, fn func(i int), completed
 	})
 }
 
-// MeanBatch executes many exact Q1 queries concurrently.
-func (e *Executor) MeanBatch(qs []RadiusQuery) ([]MeanResult, []error) {
-	return e.MeanBatchCtx(context.Background(), qs)
-}
-
-// MeanBatchCtx is MeanBatch bound to a context; queries the cancelled pool
-// never reached carry the context error in their errs slot.
+// MeanBatchCtx executes many exact Q1 queries concurrently; queries the
+// cancelled pool never reached carry the context error in their errs slot.
 func (e *Executor) MeanBatchCtx(ctx context.Context, qs []RadiusQuery) ([]MeanResult, []error) {
 	results := make([]MeanResult, len(qs))
 	errs := make([]error, len(qs))
@@ -108,40 +98,16 @@ func (e *Executor) MeanBatchCtx(ctx context.Context, qs []RadiusQuery) ([]MeanRe
 		results[i], errs[i] = e.MeanCtx(ctx, qs[i])
 		ran[i] = true
 	}); err != nil {
-		markSkipped(errs, ran, err)
-	}
-	return results, errs
-}
-
-// RegressionBatch executes many exact Q2 queries concurrently.
-func (e *Executor) RegressionBatch(qs []RadiusQuery) ([]RegressionResult, []error) {
-	return e.RegressionBatchCtx(context.Background(), qs)
-}
-
-// RegressionBatchCtx is RegressionBatch bound to a context; queries the
-// cancelled pool never reached carry the context error in their errs slot.
-func (e *Executor) RegressionBatchCtx(ctx context.Context, qs []RadiusQuery) ([]RegressionResult, []error) {
-	results := make([]RegressionResult, len(qs))
-	errs := make([]error, len(qs))
-	ran := make([]bool, len(qs))
-	if err := ForEachParallelCtx(ctx, len(qs), func(i int) {
-		results[i], errs[i] = e.RegressionCtx(ctx, qs[i])
-		ran[i] = true
-	}); err != nil {
-		markSkipped(errs, ran, err)
-	}
-	return results, errs
-}
-
-// markSkipped writes the cancellation error into the slot of every query the
-// pool never claimed, so callers can tell "skipped by cancellation" apart
-// from "executed successfully" — both would otherwise read as a nil error.
-// Each ran flag is written only by the worker that claimed that index, and
-// the pool's WaitGroup orders those writes before this read.
-func markSkipped(errs []error, ran []bool, err error) {
-	for i := range errs {
-		if !ran[i] {
-			errs[i] = err
+		// Mark the queries the pool never claimed, so callers can tell
+		// "skipped by cancellation" apart from "executed successfully" —
+		// both would otherwise read as a nil error. Each ran flag is written
+		// only by the worker that claimed that index, and the pool's
+		// WaitGroup orders those writes before this read.
+		for i := range errs {
+			if !ran[i] {
+				errs[i] = err
+			}
 		}
 	}
+	return results, errs
 }

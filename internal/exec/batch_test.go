@@ -27,13 +27,13 @@ func TestMeanBatchMatchesSequential(t *testing.T) {
 			Theta:  0.002 + 0.15*rng.Float64(),
 		}
 	}
-	results, errs := e.MeanBatch(qs)
+	results, errs := e.MeanBatchCtx(context.Background(), qs)
 	if len(results) != len(qs) || len(errs) != len(qs) {
 		t.Fatalf("batch sizes: %d results, %d errs", len(results), len(errs))
 	}
 	sawEmpty, sawAnswer := false, false
 	for i, q := range qs {
-		want, wantErr := e.Mean(q)
+		want, wantErr := e.MeanCtx(context.Background(), q)
 		if (errs[i] == nil) != (wantErr == nil) {
 			t.Fatalf("query %d: batch err %v, sequential err %v", i, errs[i], wantErr)
 		}
@@ -55,37 +55,8 @@ func TestMeanBatchMatchesSequential(t *testing.T) {
 	}
 	_ = sawEmpty // empty subspaces are fine either way; answers must match
 
-	if res, errs := e.MeanBatch(nil); len(res) != 0 || len(errs) != 0 {
+	if res, errs := e.MeanBatchCtx(context.Background(), nil); len(res) != 0 || len(errs) != 0 {
 		t.Errorf("empty batch: %d results, %d errs", len(res), len(errs))
-	}
-}
-
-func TestRegressionBatchMatchesSequential(t *testing.T) {
-	tab, _ := loadTable(t, 5000, 2, synth.Paraboloid, 0.01, 22)
-	e, err := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	qs := make([]RadiusQuery, 40)
-	for i := range qs {
-		qs[i] = RadiusQuery{
-			Center: []float64{rng.Float64(), rng.Float64()},
-			Theta:  0.1 + 0.1*rng.Float64(),
-		}
-	}
-	results, errs := e.RegressionBatch(qs)
-	for i, q := range qs {
-		want, wantErr := e.Regression(q)
-		if (errs[i] == nil) != (wantErr == nil) {
-			t.Fatalf("query %d: batch err %v, sequential err %v", i, errs[i], wantErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if results[i].Intercept != want.Intercept || results[i].Count != want.Count {
-			t.Fatalf("query %d: batch intercept %v, sequential %v", i, results[i].Intercept, want.Intercept)
-		}
 	}
 }
 

@@ -175,22 +175,18 @@ func (e *Executor) Select(q RadiusQuery) ([]int, error) {
 	return e.idx.Radius(q.Center, q.Theta, q.norm())
 }
 
-// Mean executes the exact Q1 query: the average of the output attribute over
-// D(x, θ). It returns ErrEmptySubspace when no tuple qualifies.
-func (e *Executor) Mean(q RadiusQuery) (MeanResult, error) {
-	return e.MeanCtx(context.Background(), q)
-}
-
 // ctxCheckRows is how many reduction rows run between cancellation checks
 // in the context-aware executors: frequent enough that an abandoned scan
 // over a large subspace stops within microseconds, rare enough that the
 // atomic load is invisible in the per-row cost.
 const ctxCheckRows = 4096
 
-// MeanCtx is Mean bound to a context: the selection, the reduction loop
-// (checked every ctxCheckRows rows) and the stage boundaries all observe
-// cancellation, so a disconnected client or an expired deadline stops the
-// relation scan instead of leaving it running for nobody.
+// MeanCtx executes the exact Q1 query: the average of the output attribute
+// over D(x, θ). It returns ErrEmptySubspace when no tuple qualifies. The
+// selection, the reduction loop (checked every ctxCheckRows rows) and the
+// stage boundaries all observe ctx, so a disconnected client or an expired
+// deadline stops the relation scan instead of leaving it running for
+// nobody.
 func (e *Executor) MeanCtx(ctx context.Context, q RadiusQuery) (MeanResult, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -223,15 +219,11 @@ func (e *Executor) MeanCtx(ctx context.Context, q RadiusQuery) (MeanResult, erro
 	}, nil
 }
 
-// Regression executes the exact Q2 query: a single multivariate OLS fit of
-// the output on the input attributes over D(x, θ) — the REG baseline.
-func (e *Executor) Regression(q RadiusQuery) (RegressionResult, error) {
-	return e.RegressionCtx(context.Background(), q)
-}
-
-// RegressionCtx is Regression bound to a context: cancellation is observed
-// before the selection, between the selection and the gather, and before
-// the OLS fit — the three cost cliffs of the exact Q2 path.
+// RegressionCtx executes the exact Q2 query: a single multivariate OLS fit
+// of the output on the input attributes over D(x, θ) — the REG baseline.
+// Cancellation is observed before the selection, between the selection and
+// the gather, and before the OLS fit — the three cost cliffs of the exact
+// Q2 path.
 func (e *Executor) RegressionCtx(ctx context.Context, q RadiusQuery) (RegressionResult, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -73,7 +74,7 @@ func TestMeanMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		q := RadiusQuery{Center: []float64{rng.Float64(), rng.Float64()}, Theta: 0.15 + 0.1*rng.Float64()}
-		res, err := e.Mean(q)
+		res, err := e.MeanCtx(context.Background(), q)
 		if err != nil {
 			if errors.Is(err, ErrEmptySubspace) {
 				continue
@@ -106,11 +107,11 @@ func TestMeanMatchesBruteForce(t *testing.T) {
 func TestMeanEmptySubspace(t *testing.T) {
 	tab, _ := loadTable(t, 100, 2, synth.Paraboloid, 0, 4)
 	e, _ := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
-	_, err := e.Mean(RadiusQuery{Center: []float64{50, 50}, Theta: 0.1})
+	_, err := e.MeanCtx(context.Background(), RadiusQuery{Center: []float64{50, 50}, Theta: 0.1})
 	if !errors.Is(err, ErrEmptySubspace) {
 		t.Errorf("err = %v, want ErrEmptySubspace", err)
 	}
-	_, err = e.Regression(RadiusQuery{Center: []float64{50, 50}, Theta: 0.1})
+	_, err = e.RegressionCtx(context.Background(), RadiusQuery{Center: []float64{50, 50}, Theta: 0.1})
 	if !errors.Is(err, ErrEmptySubspace) {
 		t.Errorf("regression err = %v, want ErrEmptySubspace", err)
 	}
@@ -128,7 +129,7 @@ func TestRegressionRecoversLinearFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Regression(RadiusQuery{Center: []float64{0.5, 0.5}, Theta: 0.3})
+	res, err := e.RegressionCtx(context.Background(), RadiusQuery{Center: []float64{0.5, 0.5}, Theta: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestRegressionOnNonLinearDataHasHighFVU(t *testing.T) {
 	// linear fit should leave substantial unexplained variance.
 	tab, _ := loadTable(t, 5000, 2, synth.SensorSurrogate, 0, 6)
 	e, _ := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
-	res, err := e.Regression(RadiusQuery{Center: []float64{0.5, 0.5}, Theta: 0.7})
+	res, err := e.RegressionCtx(context.Background(), RadiusQuery{Center: []float64{0.5, 0.5}, Theta: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +200,8 @@ func TestGridExecutorAgreesWithLinear(t *testing.T) {
 			Center: []float64{rng.Float64(), rng.Float64(), rng.Float64()},
 			Theta:  0.1 + 0.1*rng.Float64(),
 		}
-		a, errA := linE.Mean(q)
-		b, errB := gridE.Mean(q)
+		a, errA := linE.MeanCtx(context.Background(), q)
+		b, errB := gridE.MeanCtx(context.Background(), q)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("trial %d: error mismatch %v vs %v", trial, errA, errB)
 		}
@@ -242,7 +243,7 @@ func TestRegressionErrorOnTinySubspace(t *testing.T) {
 	e, _ := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
 	// Radius large enough to select exactly the 3 points is fine (3 = d+1);
 	// shrink until fewer than 3 are selected to trigger the error.
-	_, err := e.Regression(RadiusQuery{Center: []float64{0, 0}, Theta: 1e-9})
+	_, err := e.RegressionCtx(context.Background(), RadiusQuery{Center: []float64{0, 0}, Theta: 1e-9})
 	if err == nil {
 		t.Error("expected an error for an under-determined regression")
 	}
@@ -258,7 +259,7 @@ func BenchmarkExactMean10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Mean(q); err != nil {
+		if _, err := e.MeanCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,7 +275,7 @@ func BenchmarkExactRegression10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Regression(q); err != nil {
+		if _, err := e.RegressionCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -176,7 +176,7 @@ func (b *batcher) run(sheet []*pendingStmt) {
 		ctx, cancel = context.WithTimeout(ctx, t)
 	}
 	defer cancel()
-	reader := b.s.pinnedReader(ctx)
+	reader := b.s.backend.reader(ctx)
 
 	groups := make(map[string][]*pendingStmt, len(sheet))
 	order := make([]string, 0, len(sheet))

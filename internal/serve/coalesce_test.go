@@ -129,7 +129,7 @@ func TestCoalescedAnswersBitIdenticalUnderLiveTraining(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := s.model.Observe(q, rng.NormFloat64()); err != nil {
+			if _, err := s.backend.pair().Model().Observe(q, rng.NormFloat64()); err != nil {
 				t.Error(err)
 				return
 			}

@@ -52,7 +52,7 @@ const (
 // replicationSource returns the durable store whose log this instance can
 // ship, writing a 409 and returning nil when there is none.
 func (s *Server) replicationSource(w http.ResponseWriter) *core.Durable {
-	d := s.durableNow()
+	d := s.backend.pair().durable()
 	if d == nil {
 		writeError(w, http.StatusConflict,
 			errors.New("replication requires a durable store (serve -data-dir); this instance has none"))
@@ -68,10 +68,6 @@ func stampReplication(w http.ResponseWriter, d *core.Durable) {
 }
 
 func (s *Server) handleReplicateSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
 	d := s.replicationSource(w)
 	if d == nil {
 		return
@@ -112,10 +108,6 @@ func (s *Server) handleReplicateSnapshot(w http.ResponseWriter, r *http.Request)
 // nothing new; 410 means the cursor's generation was GCed and the follower
 // must re-bootstrap.
 func (s *Server) handleReplicateWAL(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
 	d := s.replicationSource(w)
 	if d == nil {
 		return
@@ -189,10 +181,6 @@ func (s *Server) handleReplicateWAL(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReplicateHash(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
 	d := s.replicationSource(w)
 	if d == nil {
 		return
@@ -226,16 +214,8 @@ func (s *Server) handleReplicateHash(w http.ResponseWriter, r *http.Request) {
 // instance's durable store. Idempotent once promoted. A primary that was
 // never a follower answers 409; a diverged or not-yet-bootstrapped
 // follower refuses with the replica's descriptive error.
-func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	if s.replica == nil {
-		writeError(w, http.StatusConflict, errors.New("this instance is already a primary, not a follower"))
-		return
-	}
-	if _, err := s.replica.Promote(); err != nil {
+func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
+	if err := s.backend.promote(); err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
 	}

@@ -20,10 +20,7 @@
 //	                    cancels the rest of the sheet and frees its admission
 //	                    weight immediately (see BatchFrame / ReadBatchStream)
 //	POST /train       {"pairs": [{"center": [0.5, 0.5], "theta": 0.1, "answer": 1.2}]}
-//	                  → ingest training pairs into the served model; with a
-//	                    durable store (serve -data-dir) each pair is WAL-logged
-//	                    before it is applied, so ingested traffic survives a
-//	                    crash — without one, training is volatile
+//	                  → ingest training pairs into the backend (see Backends)
 //	GET  /model       → model metadata (K, steps, convergence, vigilance)
 //	GET  /healthz     → liveness probe (is the process up at all)
 //	GET  /readyz      → readiness probe: ready / overloaded / read-only /
@@ -39,6 +36,28 @@
 // one sheet over a single pinned model version, and identical statements
 // collapse to one evaluation — the micro-batcher that keeps hot-spot
 // traffic from paying per-request execution (see batcher).
+//
+// # Backends
+//
+// What APPROX statements are answered from, and /train pairs are trained
+// into, is one backend chosen by the constructor; the handlers are the same
+// for all three:
+//
+//   - local (New, NewDurable): one model in this process. With a durable
+//     store each pair is WAL-logged before it is applied, so ingested
+//     traffic survives a crash; without one, training is volatile.
+//   - follower (NewFollower): a replica of a remote primary. Reads answer
+//     from the replicated model, /train is refused with 421 naming the
+//     primary, and POST /promote turns it into a durable local backend.
+//   - sharded (NewSharded): a shard.Sharded set. Queries scatter to the
+//     shards owning the query's region and gather the union model's answer;
+//     /train partitions the pairs across the shards.
+//
+// A backend with a model in this process additionally speaks the shard wire
+// protocol (/shard/scan, /shard/train, /shard/meta), so it can be a shard
+// behind a remote router, and — when durable — the replication protocol
+// (/replicate/*), so followers can mirror it. docs/ARCHITECTURE.md tabulates
+// which backend answers which endpoint, and with what status when it cannot.
 //
 // # Overload behaviour
 //
@@ -84,18 +103,11 @@ import (
 	"llmq/internal/sqlfront"
 )
 
-// Server answers analytics statements over one relation.
+// Server answers analytics statements over one relation: EXACT ones from
+// the executor, APPROX ones from its backend.
 type Server struct {
 	exec    *exec.Executor
-	model   *core.Model
-	durable *core.Durable // non-nil when /train must WAL-log before applying
-	// replica is non-nil on a follower (NewFollower): the model and, after
-	// promotion, the durable store are read from it per request, because a
-	// re-bootstrap or a promotion swaps them at runtime.
-	replica *replica.Replica
-	// sharded is non-nil on a scatter/gather front-end (NewSharded): the
-	// APPROX surface is the union of the set's shards instead of one model.
-	sharded *shard.Sharded
+	backend backend
 	mux     *http.ServeMux
 
 	limits     Limits
@@ -105,28 +117,6 @@ type Server struct {
 	// coalescer micro-batches single /query statements; nil unless
 	// Limits.BatchWindow is set.
 	coalescer *batcher
-}
-
-// modelNow returns the model serving this request. On a primary it is
-// fixed; on a follower it changes across re-bootstraps and promotion, so
-// handlers must not cache it beyond one request.
-func (s *Server) modelNow() *core.Model {
-	if s.replica != nil {
-		if d := s.replica.Durable(); d != nil {
-			return d.Model()
-		}
-		return s.replica.Model()
-	}
-	return s.model
-}
-
-// durableNow returns the durable store accepting writes, or nil — always
-// nil on a follower until it is promoted.
-func (s *Server) durableNow() *core.Durable {
-	if s.replica != nil {
-		return s.replica.Durable()
-	}
-	return s.durable
 }
 
 const (
@@ -243,17 +233,14 @@ func WithLimits(l Limits) Option {
 	return func(s *Server) { s.limits = l.withDefaults() }
 }
 
-// New creates a server. The executor is required; the model may be nil, in
-// which case APPROX statements are rejected with 409.
-func New(e *exec.Executor, m *core.Model, opts ...Option) (*Server, error) {
+// build is the one constructor behind New, NewDurable, NewFollower and
+// NewSharded: it resolves the limits, arms admission and the micro-batcher,
+// and mounts the route table.
+func build(e *exec.Executor, b backend, opts ...Option) (*Server, error) {
 	if e == nil {
 		return nil, errors.New("serve: executor is required")
 	}
-	if m != nil && m.K() > 0 && m.Config().Dim != len(e.InputNames()) {
-		return nil, fmt.Errorf("serve: model dim %d does not match the relation's %d input attributes",
-			m.Config().Dim, len(e.InputNames()))
-	}
-	s := &Server{exec: e, model: m, mux: http.NewServeMux(), limits: DefaultLimits()}
+	s := &Server{exec: e, backend: b, mux: http.NewServeMux(), limits: DefaultLimits()}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -262,20 +249,58 @@ func New(e *exec.Executor, m *core.Model, opts ...Option) (*Server, error) {
 	if s.limits.BatchWindow > 0 {
 		s.coalescer = newBatcher(s)
 	}
-	s.mux.Handle("/query", resilience.WithTimeout(http.HandlerFunc(s.handleQuery), s.limits.QueryTimeout))
-	s.mux.Handle("/query/batch", resilience.WithTimeout(http.HandlerFunc(s.handleBatch), s.limits.QueryTimeout))
-	s.mux.HandleFunc("/train", s.handleTrain)
-	s.mux.HandleFunc("/model", s.handleModel)
-	s.mux.HandleFunc("/healthz", s.handleHealth)
-	s.mux.HandleFunc("/readyz", s.handleReady)
-	s.mux.HandleFunc(shard.PathScan, s.handleShardScan)
-	s.mux.HandleFunc(shard.PathMeta, s.handleShardMeta)
-	s.mux.HandleFunc(shard.PathTrain, s.handleShardTrain)
-	s.mux.HandleFunc(replica.PathSnapshot, s.handleReplicateSnapshot)
-	s.mux.HandleFunc(replica.PathWAL, s.handleReplicateWAL)
-	s.mux.HandleFunc(replica.PathHash, s.handleReplicateHash)
-	s.mux.HandleFunc(replica.PathPromote, s.handlePromote)
+	// Every route declares its method once; the two query routes also carry
+	// the per-request deadline.
+	deadline := func(h http.HandlerFunc) http.HandlerFunc {
+		return resilience.WithTimeout(h, s.limits.QueryTimeout).ServeHTTP
+	}
+	for _, rt := range []struct {
+		path, method string
+		handler      http.HandlerFunc
+	}{
+		{"/query", http.MethodPost, deadline(s.handleQuery)},
+		{"/query/batch", http.MethodPost, deadline(s.handleBatch)},
+		{"/train", http.MethodPost, s.handleTrain},
+		{"/model", http.MethodGet, s.handleModel},
+		{"/healthz", http.MethodGet, handleHealth},
+		{"/readyz", http.MethodGet, s.handleReady},
+		{shard.PathScan, http.MethodPost, s.handleShardScan},
+		{shard.PathMeta, http.MethodGet, s.handleShardMeta},
+		{shard.PathTrain, http.MethodPost, s.handleShardTrain},
+		{replica.PathSnapshot, http.MethodGet, s.handleReplicateSnapshot},
+		{replica.PathWAL, http.MethodGet, s.handleReplicateWAL},
+		{replica.PathHash, http.MethodGet, s.handleReplicateHash},
+		{replica.PathPromote, http.MethodPost, s.handlePromote},
+	} {
+		s.mux.HandleFunc(rt.path, only(rt.method, rt.handler))
+	}
 	return s, nil
+}
+
+// only refuses every method but the route's own with a JSON 405.
+func only(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			writeError(w, http.StatusMethodNotAllowed, errors.New(method+" only"))
+			return
+		}
+		h(w, r)
+	}
+}
+
+// New creates a server over an in-memory model. The executor is required;
+// the model may be nil, in which case APPROX statements are rejected with
+// 409.
+func New(e *exec.Executor, m *core.Model, opts ...Option) (*Server, error) {
+	var l local
+	if m != nil {
+		if e != nil && m.K() > 0 && m.Config().Dim != len(e.InputNames()) {
+			return nil, fmt.Errorf("serve: model dim %d does not match the relation's %d input attributes",
+				m.Config().Dim, len(e.InputNames()))
+		}
+		l.Local = shard.NewLocal(m)
+	}
+	return build(e, l, opts...)
 }
 
 // NewDurable creates a server whose model is backed by a durable store:
@@ -295,12 +320,7 @@ func NewDurable(e *exec.Executor, d *core.Durable, opts ...Option) (*Server, err
 		return nil, fmt.Errorf("serve: durable model dim %d does not match the relation's %d input attributes",
 			d.Model().Config().Dim, len(e.InputNames()))
 	}
-	s, err := New(e, d.Model(), opts...)
-	if err != nil {
-		return nil, err
-	}
-	s.durable = d
-	return s, nil
+	return build(e, local{Local: shard.NewLocalDurable(d)}, opts...)
 }
 
 // NewFollower creates a server backed by a replica of a remote primary:
@@ -315,12 +335,28 @@ func NewFollower(e *exec.Executor, rep *replica.Replica, opts ...Option) (*Serve
 	if rep == nil {
 		return nil, errors.New("serve: replica is required")
 	}
-	s, err := New(e, nil, opts...)
+	f := &follower{rep: rep}
+	s, err := build(e, f, opts...)
 	if err != nil {
 		return nil, err
 	}
-	s.replica = rep
+	f.maxLag = s.limits.MaxReplicationLag
 	return s, nil
+}
+
+// NewSharded creates a server whose APPROX surface is a sharded model set.
+// The executor is required and answers EXACT statements from this
+// process's relation copy — the relation itself is not sharded, only the
+// model's query space.
+func NewSharded(e *exec.Executor, sh *shard.Sharded, opts ...Option) (*Server, error) {
+	if sh == nil {
+		return nil, errors.New("serve: sharded set is required")
+	}
+	if e != nil && sh.Dim() != len(e.InputNames()) {
+		return nil, fmt.Errorf("serve: sharded set dim %d does not match the relation's %d input attributes",
+			sh.Dim(), len(e.InputNames()))
+	}
+	return build(e, sharded{sh}, opts...)
 }
 
 // ServeHTTP implements http.Handler.
@@ -419,11 +455,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	return http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err)
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
+func handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
@@ -453,51 +485,16 @@ type ReadyResponse struct {
 // orchestrator can stop routing new traffic to an overloaded or read-only
 // instance without restarting a process that is still serving queries.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
 	resp := ReadyResponse{Role: "primary"}
-	if s.replica != nil {
-		st := s.replica.Status()
-		resp.Role = st.Role
-		if st.Role != "primary" {
-			lag := st.Lag
-			resp.ReplicationLag = &lag
-			switch {
-			case st.Diverged != nil:
-				resp.Status, resp.Cause = "diverged", st.Diverged.Error()
-				writeJSON(w, http.StatusServiceUnavailable, resp)
-				return
-			case !st.Bootstrapped:
-				resp.Status = "bootstrapping"
-				writeJSON(w, http.StatusServiceUnavailable, resp)
-				return
-			case lag > s.limits.MaxReplicationLag:
-				resp.Status = "lagging"
-				writeJSON(w, http.StatusServiceUnavailable, resp)
-				return
-			}
-		}
-	}
-	if d := s.durableNow(); d != nil {
-		if cause := d.Failure(); cause != nil {
-			resp.Status, resp.Cause = "read-only", cause.Error()
-			writeJSON(w, http.StatusServiceUnavailable, resp)
-			return
-		}
-	}
-	if s.sharded != nil && s.shardedReady(r, &resp) {
-		writeJSON(w, http.StatusServiceUnavailable, resp)
-		return
-	}
-	if s.brownout() {
+	status := http.StatusServiceUnavailable
+	switch {
+	case s.backend.ready(r.Context(), &resp):
+	case s.brownout():
 		resp.Status = "overloaded"
-		writeJSON(w, http.StatusServiceUnavailable, resp)
-		return
+	default:
+		resp.Status, status = "ready", http.StatusOK
 	}
-	resp.Status = "ready"
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, status, resp)
 }
 
 // Recovering returns the stub handler a listener serves while boot-time
@@ -508,12 +505,10 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // handler in once recovery finishes.
 func Recovering() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/healthz", only(http.MethodGet, handleHealth))
+	mux.HandleFunc("/readyz", only(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, ReadyResponse{Status: "recovering"})
-	})
+	}))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		shed(w, http.StatusServiceUnavailable, 2*time.Second, errors.New("recovering: the server is replaying its write-ahead log"))
 	})
@@ -533,68 +528,24 @@ func (s *Server) brownout() bool {
 	return last != 0 && time.Since(time.Unix(0, last)) < s.limits.BrownoutHold
 }
 
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	info := ModelInfo{}
-	if s.sharded != nil {
-		st := s.sharded.Stats()
-		writeJSON(w, http.StatusOK, ModelInfo{
-			Loaded:     st.Live > 0,
-			Prototypes: st.Live,
-			Steps:      st.Steps,
-			Converged:  st.Converged,
-			Dim:        st.Dim,
-			Durable:    st.Durable,
-			Shards:     s.sharded.Shards(),
-		})
-		return
-	}
-	if m := s.modelNow(); m != nil {
-		// One pinned View, so K/Steps/Converged describe the same version
-		// even while training publishes concurrently.
-		v := m.View()
-		cfg := m.Config()
-		info = ModelInfo{
-			Loaded:     true,
-			Prototypes: v.K(),
-			Steps:      v.Steps(),
-			Converged:  v.Converged(),
-			Vigilance:  cfg.Vigilance,
-			Dim:        cfg.Dim,
-			Durable:    s.durableNow() != nil,
-		}
-	}
-	writeJSON(w, http.StatusOK, info)
+func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, s.backend.describe())
 }
 
-// modelReader is the prediction surface the statement evaluator needs. Both
-// *core.Model (always answering from the latest published version) and
-// core.View (pinned to one version) satisfy it; the batch endpoint pins a
-// View so every statement of one request is answered by the same model
-// version even while training or a model swap runs concurrently.
+// modelReader is the prediction surface the statement evaluator needs: a
+// core.View (one published model version) or a shard.Reader (one routing
+// epoch — every statement routes through the same partition and backend
+// set even across a concurrent shard split or merge, while per-shard
+// versions still advance). backend.reader pins one per request, sheet or
+// coalesced sheet, so all of its statements are answered consistently even
+// while training or a model swap runs concurrently.
 type modelReader interface {
 	PredictMean(core.Query) (float64, error)
 	Regression(core.Query) ([]core.LocalLinear, error)
 	PredictValue(core.Query, []float64) (float64, error)
 }
 
-// degradable reports whether a statement that asked for EXACT execution
-// could instead be answered by the model: every statement kind has an
-// APPROX twin, so the only requirement is a trained model (or sharded set)
-// of the right dimensionality (parseStatement already validated the
-// dimensions).
-func (s *Server) degradable() bool {
-	return s.limits.DegradeExact && s.trained()
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
 	var req QueryRequest
 	if status, err := decodeBody(w, r, &req); status != 0 {
 		writeError(w, status, err)
@@ -604,7 +555,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("missing sql"))
 		return
 	}
-	stmt, status, err := s.parseStatement(req.SQL)
+	reader := s.backend.reader(r.Context())
+	stmt, status, err := s.parseStatement(req.SQL, reader)
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -614,7 +566,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// ride through on the lock-free read path.
 	degraded := false
 	if !stmt.Approx && s.brownout() {
-		if !s.degradable() {
+		if !s.degradable(reader) {
 			shed(w, http.StatusServiceUnavailable, s.admitQuery.RetryAfter(),
 				errors.New("overloaded: exact statements are browned out, retry later or use APPROX"))
 			return
@@ -634,7 +586,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.coalescer != nil {
 		resp, err = s.coalescer.do(r.Context(), stmt, degraded)
 	} else {
-		resp, err = s.answer(r.Context(), stmt, s.readerFor(r), degraded)
+		resp, err = s.answer(r.Context(), stmt, reader, degraded)
 	}
 	if err != nil {
 		s.writeAnswerError(w, r, err)
@@ -672,9 +624,19 @@ func (s *Server) writeAnswerError(w http.ResponseWriter, r *http.Request, err er
 	}
 }
 
+// degradable reports whether a statement that asked for EXACT execution
+// could instead be answered by the model: every statement kind has an
+// APPROX twin, so the only requirement is a reader — prototypes of the
+// right dimensionality to answer from (parseStatement already validated the
+// dimensions).
+func (s *Server) degradable(reader modelReader) bool {
+	return s.limits.DegradeExact && reader != nil
+}
+
 // parseStatement parses and validates one SQL statement against the served
-// relation and model, returning the HTTP status to use on error.
-func (s *Server) parseStatement(sql string) (*sqlfront.Statement, int, error) {
+// relation and the pinned reader (nil when the backend has no prototypes),
+// returning the HTTP status to use on error.
+func (s *Server) parseStatement(sql string, reader modelReader) (*sqlfront.Statement, int, error) {
 	stmt, err := sqlfront.Parse(sql)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
@@ -684,7 +646,7 @@ func (s *Server) parseStatement(sql string) (*sqlfront.Statement, int, error) {
 			fmt.Errorf("query centre has %d coordinates, relation has %d input attributes",
 				len(stmt.Center), len(s.exec.InputNames()))
 	}
-	if stmt.Approx && !s.trained() {
+	if stmt.Approx && reader == nil {
 		return nil, http.StatusConflict, errors.New("no trained model loaded for APPROX statements")
 	}
 	return stmt, http.StatusOK, nil
@@ -715,88 +677,96 @@ type TrainResponse struct {
 	Elapsed    string `json:"elapsed"`
 }
 
-// handleTrain ingests training pairs into the served model. With a durable
-// store every pair is appended to the write-ahead log before it is applied
-// (and periodic checkpoints rotate the log); without one the pairs train the
-// in-memory model only and die with the process. Either way the batch is
-// applied under one writer-lock acquisition while queries keep answering
-// lock-free from the previous published version. Admission is weighted by
-// the pair count; a read-only durable store (WAL failure) answers 503 with
-// the root cause.
-func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	if s.sharded != nil {
-		s.handleShardedTrain(w, r)
-		return
-	}
-	model, durable := s.modelNow(), s.durableNow()
-	if s.replica != nil && durable == nil {
-		// A follower's state is defined as "exactly what the primary
-		// shipped"; local writes would silently fork it. 421 tells the
-		// client it talked to the wrong instance, and where the right one is.
+// ingest is the one path training pairs take into the server, shared by
+// /train and /shard/train: the backend's own refusals first (so an instance
+// that cannot train never decodes the body), then decode, validate and
+// admission weighted by the pair count, then the backend's train — one
+// writer-lock acquisition per model while queries keep answering lock-free
+// from the previous published version. On failure the response has been
+// written and ok is false.
+func (s *Server) ingest(w http.ResponseWriter, r *http.Request, b backend) (st shard.TrainStats, durable bool, elapsed time.Duration, ok bool) {
+	var (
+		weight int64 // the admitted pair count; 0 until admission succeeds
+		start  time.Time
+	)
+	defer func() {
+		if weight > 0 {
+			s.admitTrain.Release(weight)
+		}
+	}()
+	st, durable, err := b.train(r.Context(), func() ([]core.TrainingPair, error) {
+		var req TrainRequest
+		if status, err := decodeBody(w, r, &req); status != 0 {
+			return nil, statusError{status, err}
+		}
+		pairs, err := convertPairs(req.Pairs)
+		if err != nil {
+			return nil, statusError{http.StatusBadRequest, err}
+		}
+		if err := s.admitTrain.Acquire(r.Context(), int64(len(pairs))); err != nil {
+			return nil, err
+		}
+		weight, start = int64(len(pairs)), time.Now()
+		return pairs, nil
+	})
+	var (
+		refused     statusError
+		misdirected notPrimaryError
+	)
+	switch cerr := r.Context().Err(); {
+	case err == nil:
+		return st, durable, time.Since(start), true
+	case errors.As(err, &refused):
+		writeError(w, refused.status, refused.err)
+	case errors.As(err, &misdirected):
 		writeError(w, http.StatusMisdirectedRequest,
-			fmt.Errorf("this instance is a read-only follower; POST /train to the primary at %s", s.replica.Primary()))
-		return
-	}
-	if model == nil {
-		writeError(w, http.StatusConflict, errors.New("no model loaded to train"))
-		return
-	}
-	if durable != nil {
-		if cause := durable.Failure(); cause != nil {
-			// Fail fast before decoding: the store cannot take the pairs.
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("store is read-only after a WAL failure: %v", cause))
-			return
-		}
-	}
-	var req TrainRequest
-	if status, err := decodeBody(w, r, &req); status != 0 {
-		writeError(w, status, err)
-		return
-	}
-	pairs, status, err := convertPairs(req.Pairs)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	weight := int64(len(pairs))
-	if err := s.admitTrain.Acquire(r.Context(), weight); err != nil {
-		if errors.Is(err, resilience.ErrOverloaded) {
-			shed(w, http.StatusTooManyRequests, s.admitTrain.RetryAfter(),
-				errors.New("overloaded: training admission queue is full, retry later"))
-			return
-		}
+			fmt.Errorf("this instance is a read-only follower; POST %s to the primary at %s", r.URL.Path, misdirected.primary))
+	case errors.Is(err, resilience.ErrOverloaded):
+		shed(w, http.StatusTooManyRequests, s.admitTrain.RetryAfter(),
+			errors.New("overloaded: training admission queue is full, retry later"))
+	case errors.Is(err, core.ErrReadOnly):
+		// A WAL failure flipped the store read-only under this very batch.
+		writeError(w, http.StatusServiceUnavailable, err)
+	case cerr != nil && errors.Is(err, cerr):
 		s.writeAnswerError(w, r, err)
-		return
-	}
-	defer s.admitTrain.Release(weight)
-	start := time.Now()
-	before := model.Steps()
-	var res core.TrainingResult
-	if durable != nil {
-		res, err = durable.TrainBatch(pairs)
-	} else {
-		res, err = model.TrainBatch(pairs)
-	}
-	if err != nil {
-		if errors.Is(err, core.ErrReadOnly) {
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
+	default:
 		writeError(w, http.StatusBadRequest, err)
+	}
+	return st, false, 0, false
+}
+
+// convertPairs validates a /train body's pairs into core training pairs.
+func convertPairs(in []TrainPair) ([]core.TrainingPair, error) {
+	if len(in) == 0 {
+		return nil, errors.New("missing pairs")
+	}
+	if len(in) > maxTrainPairs {
+		return nil, fmt.Errorf("request has %d pairs, limit is %d", len(in), maxTrainPairs)
+	}
+	pairs := make([]core.TrainingPair, len(in))
+	for i, p := range in {
+		q, err := core.NewQuery(p.Center, p.Theta)
+		if err != nil {
+			return nil, fmt.Errorf("pair %d: %w", i, err)
+		}
+		pairs[i] = core.TrainingPair{Query: q, Answer: p.Answer}
+	}
+	return pairs, nil
+}
+
+// handleTrain ingests training pairs into the backend.
+func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
+	st, durable, elapsed, ok := s.ingest(w, r, s.backend)
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, TrainResponse{
-		Accepted:   res.Steps - before,
-		Steps:      res.Steps,
-		Prototypes: res.K,
-		Converged:  res.Converged,
-		Durable:    durable != nil,
-		Elapsed:    time.Since(start).String(),
+		Accepted:   st.Accepted,
+		Steps:      st.Steps,
+		Prototypes: st.K,
+		Converged:  st.Converged,
+		Durable:    durable,
+		Elapsed:    elapsed.String(),
 	})
 }
 
@@ -820,24 +790,6 @@ func (s *Server) batchWeight(n int) int64 {
 	return half
 }
 
-// pinnedReader returns a prediction surface pinned for one whole sheet: a
-// single published model version (core.View), so the answers are mutually
-// consistent even while a training stream or a zero-downtime model swap
-// publishes newer versions mid-sheet. A sharded front-end pins the routing
-// epoch instead — every statement of the sheet routes through the same
-// partition and backend set even across a concurrent shard split or merge
-// (per-shard versions still advance between statements). Nil when there is
-// no model; EXACT statements never touch the reader.
-func (s *Server) pinnedReader(ctx context.Context) modelReader {
-	if s.sharded != nil {
-		return s.sharded.Reader(ctx)
-	}
-	if m := s.modelNow(); m != nil {
-		return m.View()
-	}
-	return nil
-}
-
 // handleBatch streams a statement sheet's answers as NDJSON: admission and
 // validation first (refusals are plain status-coded JSON — nothing has
 // streamed yet), then a 200 whose body is one result frame per statement
@@ -848,10 +800,6 @@ func (s *Server) pinnedReader(ctx context.Context) modelReader {
 // admission weight immediately — an abandoned stream must not hold
 // capacity for work that no longer has an audience.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
 	var req BatchRequest
 	if status, err := decodeBody(w, r, &req); status != 0 {
 		writeError(w, status, err)
@@ -882,14 +830,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// EXACT statement of the sheet is then either degraded or refused
 	// per-item, while the APPROX statements always run.
 	brown := s.brownout()
-	degradable := s.degradable()
 	start := time.Now()
 	n := len(req.SQL)
 	// ctx cancels with the request (disconnect, deadline, shutdown) and on
 	// the first write error, so a dead stream stops claiming statements.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	reader := s.pinnedReader(ctx)
+	reader := s.backend.reader(ctx)
+	degradable := s.degradable(reader)
 	frames := make([]BatchFrame, n)
 	ran := make([]bool, n)
 	completed := make(chan int, n) // buffered: the pool never blocks on a slow writer
@@ -943,7 +891,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // batchFrame evaluates one statement of a sheet into its result frame,
 // applying the sheet's brownout decision per statement.
 func (s *Server) batchFrame(ctx context.Context, i int, sql string, reader modelReader, brown, degradable bool) BatchFrame {
-	stmt, _, err := s.parseStatement(sql)
+	stmt, _, err := s.parseStatement(sql, reader)
 	if err != nil {
 		return errorFrame(i, err.Error())
 	}

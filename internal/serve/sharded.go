@@ -2,79 +2,23 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
-	"time"
 
 	"llmq/internal/core"
-	"llmq/internal/exec"
-	"llmq/internal/resilience"
 	"llmq/internal/shard"
 )
 
-// Sharded serving: a server can be backed by a shard.Sharded set instead of
-// one model — queries scatter to the shards owning the query's region and
-// gather the union model's answer; /train partitions pairs across the
-// shards. Every model-backed server additionally speaks the shard wire
-// protocol (/shard/scan, /shard/train, /shard/meta), so any instance can be
-// a shard behind a remote router.
-
-// NewSharded creates a server whose APPROX surface is a sharded model set.
-// The executor is required and answers EXACT statements from this
-// process's relation copy — the relation itself is not sharded, only the
-// model's query space.
-func NewSharded(e *exec.Executor, sh *shard.Sharded, opts ...Option) (*Server, error) {
-	if sh == nil {
-		return nil, errors.New("serve: sharded set is required")
-	}
-	s, err := New(e, nil, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if sh.Dim() != len(e.InputNames()) {
-		return nil, fmt.Errorf("serve: sharded set dim %d does not match the relation's %d input attributes",
-			sh.Dim(), len(e.InputNames()))
-	}
-	s.sharded = sh
-	return s, nil
-}
-
-// Sharded returns the sharded set backing this server, or nil.
-func (s *Server) Sharded() *shard.Sharded { return s.sharded }
-
-// readerFor returns the per-request prediction surface: the sharded
-// scatter/gather reader pinned to the current routing epoch, the follower
-// or primary model, or nil when neither exists.
-func (s *Server) readerFor(r *http.Request) modelReader {
-	if s.sharded != nil {
-		return s.sharded.Reader(r.Context())
-	}
-	if m := s.modelNow(); m != nil {
-		return m
-	}
-	return nil
-}
-
-// trained reports whether the APPROX surface has any prototypes to answer
-// from (the 409 gate of parseStatement).
-func (s *Server) trained() bool {
-	if s.sharded != nil {
-		return s.sharded.Stats().Live > 0
-	}
-	m := s.modelNow()
-	return m != nil && m.K() > 0
-}
+// The shard wire protocol (/shard/scan, /shard/train, /shard/meta): every
+// server whose backend has a model in this process speaks it, so any such
+// instance can be a shard behind a remote router. The handlers are HTTP
+// shaping around the backend's shard.Local.
 
 // handleShardScan answers POST /shard/scan: one shard's raw fusion terms
 // for a query, from the model's current published version. Scans are
 // query-class work and admit against the query semaphore.
 func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	m := s.modelNow()
-	if m == nil {
+	l := s.backend.pair()
+	if l.Local == nil {
 		writeError(w, http.StatusConflict, errors.New("no model loaded to scan"))
 		return
 	}
@@ -93,7 +37,7 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.admitQuery.Release(1)
-	res, err := m.View().ScatterScan(q, req.At, req.Models)
+	res, err := l.Scan(r.Context(), q, req.At, req.Models)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, core.ErrDimension) {
@@ -108,170 +52,26 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 // handleShardMeta answers GET /shard/meta: the shard's state and routing
 // bound. A follower that has not bootstrapped yet answers 503 so a priming
 // router retries.
-func (s *Server) handleShardMeta(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	m := s.modelNow()
-	if m == nil {
+func (s *Server) handleShardMeta(w http.ResponseWriter, _ *http.Request) {
+	l := s.backend.pair()
+	if l.Local == nil {
 		writeError(w, http.StatusServiceUnavailable, errors.New("no model loaded yet"))
 		return
 	}
-	v := m.View()
-	writeJSON(w, http.StatusOK, shard.Meta{
-		Dim:       m.Config().Dim,
-		Live:      v.K(),
-		Steps:     v.Steps(),
-		Converged: v.Converged(),
-		MaxTheta:  v.MaxTheta(),
-		Durable:   s.durableNow() != nil,
-	})
+	writeJSON(w, http.StatusOK, l.Stats())
 }
 
 // handleShardTrain answers POST /shard/train: the shard-protocol twin of
-// /train, returning the routing bound alongside the train outcome so the
-// router's cached bound follows the prototypes it just created.
+// /train (the wire pair shape is the same), training the local model and
+// returning the routing bound alongside the outcome so the router's cached
+// bound follows the prototypes it just created.
 func (s *Server) handleShardTrain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
+	l := s.backend.pair()
+	st, _, _, ok := s.ingest(w, r, l)
+	if !ok {
 		return
 	}
-	model, durable := s.modelNow(), s.durableNow()
-	if s.replica != nil && durable == nil {
-		writeError(w, http.StatusMisdirectedRequest,
-			fmt.Errorf("this instance is a read-only follower; POST %s to the primary at %s", shard.PathTrain, s.replica.Primary()))
-		return
-	}
-	if model == nil {
-		writeError(w, http.StatusConflict, errors.New("no model loaded to train"))
-		return
-	}
-	if durable != nil {
-		if cause := durable.Failure(); cause != nil {
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("store is read-only after a WAL failure: %v", cause))
-			return
-		}
-	}
-	// The wire pair shape matches /train's, so the public request type
-	// decodes both.
-	var req TrainRequest
-	if status, err := decodeBody(w, r, &req); status != 0 {
-		writeError(w, status, err)
-		return
-	}
-	pairs, status, err := convertPairs(req.Pairs)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	weight := int64(len(pairs))
-	if err := s.admitTrain.Acquire(r.Context(), weight); err != nil {
-		if errors.Is(err, resilience.ErrOverloaded) {
-			shed(w, http.StatusTooManyRequests, s.admitTrain.RetryAfter(),
-				errors.New("overloaded: training admission queue is full, retry later"))
-			return
-		}
-		s.writeAnswerError(w, r, err)
-		return
-	}
-	defer s.admitTrain.Release(weight)
-	before := model.Steps()
-	var res core.TrainingResult
-	if durable != nil {
-		res, err = durable.TrainBatch(pairs)
-	} else {
-		res, err = model.TrainBatch(pairs)
-	}
-	if err != nil {
-		if errors.Is(err, core.ErrReadOnly) {
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, shard.TrainShardResponse{
-		TrainStats: shard.TrainStats{
-			Accepted:  res.Steps - before,
-			Steps:     res.Steps,
-			K:         res.K,
-			Converged: res.Converged,
-		},
-		MaxTheta: model.View().MaxTheta(),
-	})
-}
-
-// convertPairs validates a /train body's pairs into core training pairs,
-// returning the HTTP status to use on error.
-func convertPairs(in []TrainPair) ([]core.TrainingPair, int, error) {
-	if len(in) == 0 {
-		return nil, http.StatusBadRequest, errors.New("missing pairs")
-	}
-	if len(in) > maxTrainPairs {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("request has %d pairs, limit is %d", len(in), maxTrainPairs)
-	}
-	pairs := make([]core.TrainingPair, len(in))
-	for i, p := range in {
-		q, err := core.NewQuery(p.Center, p.Theta)
-		if err != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("pair %d: %w", i, err)
-		}
-		pairs[i] = core.TrainingPair{Query: q, Answer: p.Answer}
-	}
-	return pairs, 0, nil
-}
-
-// handleShardedTrain is the sharded branch of POST /train: the pairs are
-// partitioned by their query centre's region and trained into the owning
-// shards concurrently, each shard under its own writer lock (and WAL, when
-// durable).
-func (s *Server) handleShardedTrain(w http.ResponseWriter, r *http.Request) {
-	var req TrainRequest
-	if status, err := decodeBody(w, r, &req); status != 0 {
-		writeError(w, status, err)
-		return
-	}
-	pairs, status, err := convertPairs(req.Pairs)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	weight := int64(len(pairs))
-	if err := s.admitTrain.Acquire(r.Context(), weight); err != nil {
-		if errors.Is(err, resilience.ErrOverloaded) {
-			shed(w, http.StatusTooManyRequests, s.admitTrain.RetryAfter(),
-				errors.New("overloaded: training admission queue is full, retry later"))
-			return
-		}
-		s.writeAnswerError(w, r, err)
-		return
-	}
-	defer s.admitTrain.Release(weight)
-	start := time.Now()
-	st, err := s.sharded.TrainBatch(r.Context(), pairs)
-	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, core.ErrReadOnly):
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, r.Context().Err()):
-			s.writeAnswerError(w, r, err)
-			return
-		}
-		writeError(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, TrainResponse{
-		Accepted:   st.Accepted,
-		Steps:      st.Steps,
-		Prototypes: st.K,
-		Converged:  st.Converged,
-		Durable:    s.sharded.Stats().Durable,
-		Elapsed:    time.Since(start).String(),
-	})
+	writeJSON(w, http.StatusOK, shard.TrainShardResponse{TrainStats: st, MaxTheta: l.MaxTheta()})
 }
 
 // ShardReady is one shard's readiness inside a sharded /readyz body.
@@ -279,31 +79,4 @@ type ShardReady struct {
 	ID     int    `json:"id"`
 	Status string `json:"status"`
 	Cause  string `json:"cause,omitempty"`
-}
-
-// shardedReady aggregates per-shard health into the /readyz response: one
-// degraded shard degrades the whole set, with the response naming every
-// shard that is not ready (a router cannot answer boundary-straddling
-// queries without all of a query's shards).
-func (s *Server) shardedReady(r *http.Request, resp *ReadyResponse) bool {
-	hs := s.sharded.Health(r.Context())
-	degraded := false
-	for id, h := range hs {
-		resp.Shards = append(resp.Shards, ShardReady{ID: id, Status: h.Status, Cause: h.Cause})
-		if h.Status != "ready" {
-			degraded = true
-			cause := fmt.Sprintf("shard %d %s", id, h.Status)
-			if h.Cause != "" {
-				cause += ": " + h.Cause
-			}
-			if resp.Cause != "" {
-				resp.Cause += "; "
-			}
-			resp.Cause += cause
-		}
-	}
-	if degraded {
-		resp.Status = "degraded"
-	}
-	return degraded
 }

@@ -89,7 +89,6 @@ func (l *Local) Scan(_ context.Context, q core.Query, at []float64, needModels b
 // Train implements Backend; with a durable store every pair is WAL-logged
 // before it is applied.
 func (l *Local) Train(_ context.Context, pairs []core.TrainingPair) (TrainStats, error) {
-	before := l.m.Steps()
 	var (
 		res core.TrainingResult
 		err error
@@ -102,7 +101,7 @@ func (l *Local) Train(_ context.Context, pairs []core.TrainingPair) (TrainStats,
 	if err != nil {
 		return TrainStats{}, err
 	}
-	return TrainStats{Accepted: res.Steps - before, Steps: res.Steps, K: res.K, Converged: res.Converged}, nil
+	return TrainStats{Accepted: res.Accepted, Steps: res.Steps, K: res.K, Converged: res.Converged}, nil
 }
 
 // MaxTheta implements Backend from the current published version.

@@ -7,6 +7,7 @@
 package workload
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -251,7 +252,7 @@ func (h *Harness) TrainingPairs(n int) ([]core.TrainingPair, error) {
 		for i, q := range queries {
 			rqs[i] = toRadius(q)
 		}
-		results, errs := h.Exec.MeanBatch(rqs)
+		results, errs := h.Exec.MeanBatchCtx(context.Background(), rqs)
 		for i := range queries {
 			if len(pairs) == n {
 				break
@@ -312,7 +313,7 @@ func (h *Harness) EvaluateQ1(m *core.Model, queries []core.Query) (Q1Eval, error
 	var actual, predicted []float64
 	var modelTime, exactTime time.Duration
 	for _, q := range queries {
-		res, err := h.Exec.Mean(toRadius(q))
+		res, err := h.Exec.MeanCtx(context.Background(), toRadius(q))
 		if errors.Is(err, exec.ErrEmptySubspace) {
 			continue
 		}
@@ -413,7 +414,7 @@ func (h *Harness) EvaluateQ2(m *core.Model, queries []core.Query, opts Q2Options
 		}
 		// REG: exact global OLS over the subspace.
 		regStart := time.Now()
-		reg, err := h.Exec.Regression(rq)
+		reg, err := h.Exec.RegressionCtx(context.Background(), rq)
 		if err != nil {
 			continue
 		}
@@ -583,7 +584,7 @@ func (h *Harness) EvaluateDataValue(m *core.Model, queries []core.Query, opts Q2
 		if len(xs) < minSub {
 			continue
 		}
-		reg, err := h.Exec.Regression(rq)
+		reg, err := h.Exec.RegressionCtx(context.Background(), rq)
 		if err != nil {
 			continue
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -127,7 +128,7 @@ func TestTrainingPairsMatchExactExecution(t *testing.T) {
 		t.Fatalf("got %d pairs", len(pairs))
 	}
 	for i, p := range pairs[:10] {
-		res, err := h.Exec.Mean(exec.RadiusQuery{Center: p.Query.Center, Theta: p.Query.Theta})
+		res, err := h.Exec.MeanCtx(context.Background(), exec.RadiusQuery{Center: p.Query.Center, Theta: p.Query.Theta})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +202,7 @@ func TestEvaluateQ1AccuracyBeatsGlobalMean(t *testing.T) {
 	var se float64
 	var n int
 	for _, q := range h.Gen.Queries(400) {
-		res, err := h.Exec.Mean(exec.RadiusQuery{Center: q.Center, Theta: q.Theta})
+		res, err := h.Exec.MeanCtx(context.Background(), exec.RadiusQuery{Center: q.Center, Theta: q.Theta})
 		if err != nil {
 			continue
 		}
