@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Errors returned by dataset operations.
@@ -319,6 +320,7 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 // plus one output name, followed by numeric rows.
 func ReadCSV(name string, r io.Reader) (*Dataset, error) {
 	cr := csv.NewReader(r)
+	cr.ReuseRecord = true // every field is parsed or copied before the next Read
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: read header: %w", err)
@@ -330,6 +332,10 @@ func ReadCSV(name string, r io.Reader) (*Dataset, error) {
 	ds := New(name, dim)
 	ds.InputNames = append([]string(nil), header[:dim]...)
 	ds.OutputName = strings.TrimSpace(header[dim])
+	// Rows are parsed into slabs of slabRows rows, not allocated one by one,
+	// and Xs and Us are sized once at the end instead of grown by append.
+	var xSlabs, uSlabs [][]float64
+	n := 0
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if errors.Is(err, io.EOF) {
@@ -341,23 +347,49 @@ func ReadCSV(name string, r io.Reader) (*Dataset, error) {
 		if len(rec) != dim+1 {
 			return nil, fmt.Errorf("dataset: line %d has %d fields, want %d", line, len(rec), dim+1)
 		}
-		x := make([]float64, dim)
+		k := n % slabRows
+		if k == 0 {
+			xSlabs = append(xSlabs, make([]float64, slabRows*dim))
+			uSlabs = append(uSlabs, make([]float64, slabRows))
+		}
+		x := xSlabs[len(xSlabs)-1][k*dim : (k+1)*dim]
 		for j := 0; j < dim; j++ {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rec[j]), 64)
+			v, err := parseField(rec[j])
 			if err != nil {
 				return nil, fmt.Errorf("dataset: line %d field %d: %w", line, j+1, err)
 			}
 			x[j] = v
 		}
-		u, err := strconv.ParseFloat(strings.TrimSpace(rec[dim]), 64)
+		u, err := parseField(rec[dim])
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d output: %w", line, err)
 		}
-		ds.Xs = append(ds.Xs, x)
-		ds.Us = append(ds.Us, u)
+		uSlabs[len(uSlabs)-1][k] = u
+		n++
 	}
-	if ds.Len() == 0 {
+	if n == 0 {
 		return nil, ErrEmpty
 	}
+	ds.Xs = make([][]float64, n)
+	ds.Us = make([]float64, 0, n)
+	for i := range ds.Xs {
+		k := i % slabRows
+		ds.Xs[i] = xSlabs[i/slabRows][k*dim : (k+1)*dim : (k+1)*dim]
+	}
+	for _, us := range uSlabs {
+		ds.Us = append(ds.Us, us[:min(slabRows, n-len(ds.Us))]...)
+	}
 	return ds, nil
+}
+
+const slabRows = 4096
+
+// parseField parses one CSV field as a float64, ignoring surrounding white
+// space; a field that starts and ends with a printable ASCII byte — every
+// field WriteCSV emits — has none and skips the trim.
+func parseField(s string) (float64, error) {
+	if n := len(s); n == 0 || s[0] <= ' ' || s[0] >= utf8.RuneSelf || s[n-1] <= ' ' || s[n-1] >= utf8.RuneSelf {
+		s = strings.TrimSpace(s)
+	}
+	return strconv.ParseFloat(s, 64)
 }

@@ -273,13 +273,15 @@ func (c *Catalog) LoadDataset(name string, ds *dataset.Dataset) (*Table, error) 
 	if err != nil {
 		return nil, err
 	}
-	row := make([]float64, len(cols))
-	for i := range ds.Xs {
-		copy(row, ds.Xs[i])
-		row[len(cols)-1] = ds.Us[i]
-		if err := t.Insert(row...); err != nil {
-			return nil, err
+	// Validate has checked every row's arity, so the columns can be sized
+	// once and filled one at a time.
+	for j := range ds.InputNames {
+		col := make([]float64, len(ds.Xs))
+		for i, x := range ds.Xs {
+			col[i] = x[j]
 		}
+		t.cols[j] = col
 	}
+	t.cols[len(cols)-1] = append([]float64(nil), ds.Us...)
 	return t, nil
 }

@@ -11,6 +11,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"llmq/internal/engine"
@@ -70,10 +73,18 @@ type RegressionResult struct {
 
 // Executor evaluates exact Q1/Q2 queries against one relation. The relation's
 // input attributes and output attribute are fixed at construction; the
-// spatial index accelerates the selection.
+// spatial index accelerates the selection. A selection is a list of
+// positions into pts and out: over an index.Grid these are the grid's own
+// clustered coordinates and a clustered copy of the output column, so the
+// grid's scan, the mean and the regression read the same few runs of memory
+// and no row id is ever materialized; any other index hands back row ids,
+// which are positions into row-ordered copies.
 type Executor struct {
 	table   *engine.Table
 	idx     index.SpatialIndex
+	grid    *index.Grid // idx, when it is a Grid
+	pts     []float64   // input attributes, row-major: grid.Points(), or in row order
+	out     []float64   // output attribute in the same order
 	inCols  []int
 	outCol  int
 	inNames []string
@@ -84,6 +95,43 @@ type Executor struct {
 // and output attribute. If idx is nil a linear-scan index is built over the
 // input attributes.
 func NewExecutor(table *engine.Table, inputs []string, output string, idx index.SpatialIndex) (*Executor, error) {
+	e, err := resolve(table, inputs, output)
+	if err != nil {
+		return nil, err
+	}
+	if idx == nil {
+		// The linear index scans views into the executor's own flat copy.
+		e.pts = e.flatInputs()
+		d := len(e.inCols)
+		rows := make([][]float64, table.Len())
+		for i := range rows {
+			rows[i] = e.pts[i*d : (i+1)*d : (i+1)*d]
+		}
+		if idx, err = index.NewLinear(rows); err != nil {
+			return nil, err
+		}
+	}
+	return e.attach(idx)
+}
+
+// NewExecutorWithGrid is a convenience constructor that builds a grid index
+// with the given cell size over the input attributes, straight from the
+// table's columns.
+func NewExecutorWithGrid(table *engine.Table, inputs []string, output string, cellSize float64) (*Executor, error) {
+	e, err := resolve(table, inputs, output)
+	if err != nil {
+		return nil, err
+	}
+	grid, err := index.NewGridFlat(e.flatInputs(), len(e.inCols), cellSize)
+	if err != nil {
+		return nil, err
+	}
+	return e.attach(grid)
+}
+
+// resolve looks the attribute names up in the schema of table, which must
+// hold at least one row.
+func resolve(table *engine.Table, inputs []string, output string) (*Executor, error) {
 	if len(inputs) == 0 {
 		return nil, ErrNoInputs
 	}
@@ -100,46 +148,39 @@ func NewExecutor(table *engine.Table, inputs []string, output string, idx index.
 	if err != nil {
 		return nil, err
 	}
-	e := &Executor{
+	if table.Len() == 0 {
+		return nil, fmt.Errorf("exec: table %q is empty", table.Name())
+	}
+	return &Executor{
 		table:   table,
 		inCols:  inCols,
 		outCol:  outCol,
 		inNames: append([]string(nil), inputs...),
 		outName: output,
-	}
-	if idx == nil {
-		pts := e.materializeInputs()
-		if len(pts) == 0 {
-			return nil, fmt.Errorf("exec: table %q is empty", table.Name())
-		}
-		lin, err := index.NewLinear(pts)
-		if err != nil {
-			return nil, err
-		}
-		idx = lin
-	}
-	if idx.Dim() != len(inputs) {
-		return nil, fmt.Errorf("exec: index dimension %d does not match %d input attributes", idx.Dim(), len(inputs))
-	}
-	if idx.Len() != table.Len() {
-		return nil, fmt.Errorf("exec: index covers %d points but table has %d rows", idx.Len(), table.Len())
-	}
-	e.idx = idx
-	return e, nil
+	}, nil
 }
 
-// NewExecutorWithGrid is a convenience constructor that builds a grid index
-// with the given cell size over the input attributes.
-func NewExecutorWithGrid(table *engine.Table, inputs []string, output string, cellSize float64) (*Executor, error) {
-	tmp, err := NewExecutor(table, inputs, output, nil)
-	if err != nil {
-		return nil, err
+// attach checks idx against the relation and makes it the executor's index.
+func (e *Executor) attach(idx index.SpatialIndex) (*Executor, error) {
+	if idx.Dim() != len(e.inCols) {
+		return nil, fmt.Errorf("exec: index dimension %d does not match %d input attributes", idx.Dim(), len(e.inCols))
 	}
-	grid, err := index.NewGrid(tmp.materializeInputs(), cellSize)
-	if err != nil {
-		return nil, err
+	if idx.Len() != e.table.Len() {
+		return nil, fmt.Errorf("exec: index covers %d points but table has %d rows", idx.Len(), e.table.Len())
 	}
-	return NewExecutor(table, inputs, output, grid)
+	if idx.Len() > math.MaxInt32 {
+		return nil, fmt.Errorf("exec: %d rows exceed the executor's 2^31-1 positions", idx.Len())
+	}
+	e.idx = idx
+	if g, ok := idx.(*index.Grid); ok {
+		e.grid, e.pts, e.out = g, g.Points(), g.Cluster(e.table.ColumnAt(e.outCol))
+		return e, nil
+	}
+	if e.pts == nil {
+		e.pts = e.flatInputs()
+	}
+	e.out = e.table.ColumnAt(e.outCol)
+	return e, nil
 }
 
 // InputNames returns the input attribute names.
@@ -151,21 +192,23 @@ func (e *Executor) OutputName() string { return e.outName }
 // Table returns the underlying relation.
 func (e *Executor) Table() *engine.Table { return e.table }
 
-// materializeInputs builds the row-major input point set for index
-// construction.
-func (e *Executor) materializeInputs() [][]float64 {
-	n := e.table.Len()
-	pts := make([][]float64, n)
+// inputColumns returns the table's backing slices of the input attributes.
+func (e *Executor) inputColumns() [][]float64 {
 	cols := make([][]float64, len(e.inCols))
 	for j, c := range e.inCols {
 		cols[j] = e.table.ColumnAt(c)
 	}
-	for i := 0; i < n; i++ {
-		p := make([]float64, len(cols))
-		for j := range cols {
-			p[j] = cols[j][i]
+	return cols
+}
+
+// flatInputs copies the input attributes row-major, in row order.
+func (e *Executor) flatInputs() []float64 {
+	cols := e.inputColumns()
+	pts := make([]float64, e.table.Len()*len(cols))
+	for j, col := range cols {
+		for i, v := range col {
+			pts[i*len(cols)+j] = v
 		}
-		pts[i] = p
 	}
 	return pts
 }
@@ -175,82 +218,118 @@ func (e *Executor) Select(q RadiusQuery) ([]int, error) {
 	return e.idx.Radius(q.Center, q.Theta, q.norm())
 }
 
-// ctxCheckRows is how many reduction rows run between cancellation checks
-// in the context-aware executors: frequent enough that an abandoned scan
-// over a large subspace stops within microseconds, rare enough that the
-// atomic load is invisible in the per-row cost.
-const ctxCheckRows = 4096
+// ctxCheckRows is how many rows the context-aware executors scan or reduce
+// between cancellation checks.
+const ctxCheckRows = index.ScanCheckRows
+
+// scratch is the per-call working memory of the exact executors: the
+// selection and the regression's gathered observations. Recycled, so a
+// steady stream of queries allocates nothing for them.
+type scratch struct {
+	pos []int32   // the selection, as positions into Executor.pts and out
+	xs  []float64 // row-major, one row per selected position
+	us  []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// selectInto runs q's selection into sc.pos. A Grid scans straight into it
+// and observes ctx as it goes; any other index returns its id list in one
+// uninterrupted call, bracketed only by the callers' checks.
+func (e *Executor) selectInto(ctx context.Context, sc *scratch, q RadiusQuery) (err error) {
+	if e.grid != nil {
+		sc.pos, err = e.grid.Scan(ctx, sc.pos[:0], q.Center, q.Theta, q.norm())
+		return err
+	}
+	ids, err := e.Select(q)
+	sc.pos = sc.pos[:0]
+	for _, id := range ids {
+		sc.pos = append(sc.pos, int32(id))
+	}
+	return err
+}
 
 // MeanCtx executes the exact Q1 query: the average of the output attribute
-// over D(x, θ). It returns ErrEmptySubspace when no tuple qualifies. The
-// selection, the reduction loop (checked every ctxCheckRows rows) and the
-// stage boundaries all observe ctx, so a disconnected client or an expired
-// deadline stops the relation scan instead of leaving it running for
-// nobody.
+// over D(x, θ). It returns ErrEmptySubspace when no tuple qualifies. ctx is
+// observed before the scan, at least once per ctxCheckRows candidate rows
+// during it (over a Grid; see selectInto), after it, and every ctxCheckRows
+// rows of the reduction — so a disconnected client or an expired deadline
+// stops the relation scan instead of leaving it running for nobody.
 func (e *Executor) MeanCtx(ctx context.Context, q RadiusQuery) (MeanResult, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return MeanResult{}, err
 	}
-	ids, err := e.Select(q)
-	if err != nil {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	if err := e.selectInto(ctx, sc, q); err != nil {
 		return MeanResult{}, err
 	}
-	if len(ids) == 0 {
+	if len(sc.pos) == 0 {
 		return MeanResult{}, ErrEmptySubspace
 	}
 	if err := ctx.Err(); err != nil {
 		return MeanResult{}, err
 	}
-	out := e.table.ColumnAt(e.outCol)
 	var sum float64
-	for i, id := range ids {
-		if i%ctxCheckRows == ctxCheckRows-1 {
+	for k, at := range sc.pos {
+		if k%ctxCheckRows == ctxCheckRows-1 {
 			if err := ctx.Err(); err != nil {
 				return MeanResult{}, err
 			}
 		}
-		sum += out[id]
+		sum += e.out[at]
 	}
 	return MeanResult{
-		Mean:    sum / float64(len(ids)),
-		Count:   len(ids),
+		Mean:    sum / float64(len(sc.pos)),
+		Count:   len(sc.pos),
 		Elapsed: time.Since(start),
 	}, nil
 }
 
 // RegressionCtx executes the exact Q2 query: a single multivariate OLS fit
 // of the output on the input attributes over D(x, θ) — the REG baseline.
-// Cancellation is observed before the selection, between the selection and
-// the gather, and before the OLS fit — the three cost cliffs of the exact
-// Q2 path.
+// Cancellation is observed before the selection, during it as in MeanCtx,
+// between the selection and the gather, and before the OLS fit — the three
+// cost cliffs of the exact Q2 path.
 func (e *Executor) RegressionCtx(ctx context.Context, q RadiusQuery) (RegressionResult, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return RegressionResult{}, err
 	}
-	ids, err := e.Select(q)
-	if err != nil {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	if err := e.selectInto(ctx, sc, q); err != nil {
 		return RegressionResult{}, err
 	}
-	if len(ids) == 0 {
+	n, d := len(sc.pos), len(e.inCols)
+	if n == 0 {
 		return RegressionResult{}, ErrEmptySubspace
 	}
 	if err := ctx.Err(); err != nil {
 		return RegressionResult{}, err
 	}
-	xs, us := e.gather(ids)
+	// Gather the observations, in selection order, into one flat buffer.
+	sc.xs = slices.Grow(sc.xs[:0], n*d)[:n*d]
+	sc.us = slices.Grow(sc.us[:0], n)[:n]
+	for k, at := range sc.pos {
+		x := sc.xs[k*d : (k+1)*d]
+		for j, v := range e.pts[int(at)*d : (int(at)+1)*d] { // d is small: cheaper than a copy call
+			x[j] = v
+		}
+		sc.us[k] = e.out[at]
+	}
 	if err := ctx.Err(); err != nil {
 		return RegressionResult{}, err
 	}
-	model, err := linalg.FitOLS(xs, us)
+	model, err := linalg.FitOLSFlat(sc.xs, d, sc.us)
 	if err != nil {
-		return RegressionResult{}, fmt.Errorf("exec: regression over %d tuples: %w", len(ids), err)
+		return RegressionResult{}, fmt.Errorf("exec: regression over %d tuples: %w", n, err)
 	}
 	return RegressionResult{
 		Intercept: model.Intercept,
 		Slope:     model.Slope,
-		Count:     len(ids),
+		Count:     n,
 		FVU:       model.FVU(),
 		CoD:       model.R2(),
 		Elapsed:   time.Since(start),
@@ -330,11 +409,7 @@ func (e *Executor) GoodnessOverSubspace(q RadiusQuery, predict func(x []float64)
 }
 
 func (e *Executor) gather(ids []int) ([][]float64, []float64) {
-	cols := make([][]float64, len(e.inCols))
-	for j, c := range e.inCols {
-		cols[j] = e.table.ColumnAt(c)
-	}
-	out := e.table.ColumnAt(e.outCol)
+	cols, out := e.inputColumns(), e.table.ColumnAt(e.outCol)
 	xs := make([][]float64, len(ids))
 	us := make([]float64, len(ids))
 	for k, id := range ids {

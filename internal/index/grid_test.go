@@ -1,0 +1,433 @@
+package index
+
+import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// referenceRadius is Grid's contract written the slow, obvious way: the ids
+// Linear selects, in row order when the query's unclamped box covers more
+// cells than there are points, otherwise sorted by (odometer rank of the
+// point's cell — dimension 0 turning fastest — then id). It assumes a grid
+// that keeps a directory (finite points, cell numbers within 63 bits).
+func referenceRadius(t testing.TB, pts [][]float64, cell float64, center []float64, radius, p float64) []int {
+	t.Helper()
+	lin, err := NewLinear(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := lin.Radius(center, radius, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim := len(center)
+	origin := slices.Clone(pts[0])
+	for _, pt := range pts {
+		for j, v := range pt {
+			origin[j] = math.Min(origin[j], v)
+		}
+	}
+	boxCells := 1.0
+	for j, c := range center {
+		boxCells *= math.Floor((c+radius-origin[j])/cell) - math.Floor((c-radius-origin[j])/cell) + 1
+	}
+	if !(boxCells <= float64(len(pts))) {
+		return ids
+	}
+	coord := func(id, j int) int { return int(math.Floor((pts[id][j] - origin[j]) / cell)) }
+	sort.SliceStable(ids, func(a, b int) bool {
+		for j := dim - 1; j >= 0; j-- {
+			if ca, cb := coord(ids[a], j), coord(ids[b], j); ca != cb {
+				return ca < cb
+			}
+		}
+		return false
+	})
+	return ids
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkGrid compares one query's Radius and Scan against the reference.
+func checkGrid(t testing.TB, g *Grid, pts [][]float64, cell float64, center []float64, radius, p float64) {
+	t.Helper()
+	var want []int
+	if len(g.cells) > 0 {
+		want = referenceRadius(t, pts, cell, center, radius, p)
+	} else {
+		// A scan-only grid is Linear.
+		lin, _ := NewLinear(pts)
+		want, _ = lin.Radius(center, radius, p)
+	}
+	got, err := g.Radius(center, radius, p)
+	if err != nil {
+		t.Fatalf("Radius(%v, %v, %v): %v", center, radius, p, err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("cell=%v center=%v radius=%v p=%v:\n got %v\nwant %v", cell, center, radius, p, got, want)
+	}
+	// Scan reports the same points as positions, after whatever dst held.
+	pos, err := g.Scan(context.Background(), []int32{-7}, center, radius, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pos) != len(want)+1 || pos[0] != -7 {
+		t.Fatalf("Scan appended %d positions to a 1-element dst, want %d", len(pos)-1, len(want))
+	}
+	for k, at := range pos[1:] {
+		if int(g.ids[at]) != want[k] || g.rank[want[k]] != at {
+			t.Fatalf("position %d is row %d, want %d", at, g.ids[at], want[k])
+		}
+		if !slices.EqualFunc(g.Points()[int(at)*g.dim:(int(at)+1)*g.dim], pts[want[k]], sameBits) {
+			t.Fatalf("Points() at position %d is not row %d", at, want[k])
+		}
+	}
+}
+
+// TestGridVisitOrder is the property test of the clustered grid: over
+// dimensions, norms, radii from zero to enormous, and point sets chosen to
+// sit on every awkward spot of a uniform grid, Radius returns Linear's id set
+// in exactly the contract's order.
+func TestGridVisitOrder(t *testing.T) {
+	inf := math.Inf(1)
+	type shape struct {
+		name string
+		cell float64
+		gen  func(rng *rand.Rand, dim int) [][]float64
+	}
+	uniform := func(n int, lo, hi float64) func(*rand.Rand, int) [][]float64 {
+		return func(rng *rand.Rand, dim int) [][]float64 {
+			pts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = make([]float64, dim)
+				for j := range pts[i] {
+					pts[i][j] = lo + (hi-lo)*rng.Float64()
+				}
+			}
+			return pts
+		}
+	}
+	lattice := func(n int, step float64, levels int) func(*rand.Rand, int) [][]float64 {
+		return func(rng *rand.Rand, dim int) [][]float64 {
+			pts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = make([]float64, dim)
+				for j := range pts[i] {
+					pts[i][j] = step * float64(rng.Intn(levels)-levels/2)
+				}
+			}
+			return pts
+		}
+	}
+	shapes := []shape{
+		{"uniform", 0.25, uniform(300, -1, 1)},
+		{"negative", 0.7, uniform(200, -50, -40)},
+		{"boundaries", 0.25, lattice(200, 0.25, 9)},  // every point on a cell corner
+		{"duplicates", 0.5, lattice(150, 1, 3)},      // a few distinct points, many copies
+		{"single-cell", 100, uniform(120, -1, 1)},    // the whole relation in one cell
+		{"point-per-cell", 0.02, uniform(60, -1, 1)}, // more cells than points
+	}
+	for _, dim := range []int{1, 2, 3, 5, 8} {
+		for _, sh := range shapes {
+			rng := rand.New(rand.NewSource(int64(1000*dim + len(sh.name))))
+			pts := sh.gen(rng, dim)
+			g, err := NewGrid(pts, sh.cell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(g.cells) == 0 {
+				t.Fatalf("dim=%d %s: grid kept no directory", dim, sh.name)
+			}
+			span := 0.0
+			for _, pt := range pts {
+				span = math.Max(span, math.Abs(pt[0]-pts[0][0]))
+			}
+			radii := []float64{0, 1e-9, sh.cell, 1.5 * sh.cell, 0.3 * span, 10 * span, 1e6 * span, 1e18, 1e300, inf}
+			for _, p := range []float64{1, 2, 3, inf} {
+				for _, radius := range radii {
+					for trial := 0; trial < 4; trial++ {
+						center := slices.Clone(pts[rng.Intn(len(pts))])
+						if trial > 0 { // trial 0 queries an indexed point itself
+							for j := range center {
+								center[j] += (rng.Float64() - 0.5) * span * float64(trial) / 2
+							}
+						}
+						checkGrid(t, g, pts, sh.cell, center, radius, p)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGridHugeRadius is the regression test of the overflowing query box: a
+// radius (or a centre) of 10¹⁸ cells and beyond used to wrap the box's
+// integer coordinates, and the grid answered "no points" where Linear
+// returns every row.
+func TestGridHugeRadius(t *testing.T) {
+	pts := randomPoints(500, 2, 21)
+	g, err := NewGrid(pts, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, len(pts))
+	for i := range all {
+		all[i] = i
+	}
+	inf := math.Inf(1)
+	for _, q := range []struct {
+		center []float64
+		radius float64
+	}{
+		{[]float64{0.5, 0.5}, 1e17},
+		{[]float64{0.5, 0.5}, 1e18},
+		{[]float64{0.5, 0.5}, 1e300},
+		{[]float64{0.5, 0.5}, inf},
+		{[]float64{1e19, -1e19}, 3e19}, // far outside the data, ball still covers it
+		{[]float64{1e19, 0}, inf},
+	} {
+		for _, p := range []float64{1, 2, 3, inf} {
+			got, err := g.Radius(q.center, q.radius, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, all) {
+				t.Errorf("center=%v radius=%v p=%v: %d of %d points, want all in row order", q.center, q.radius, p, len(got), len(pts))
+			}
+		}
+	}
+	// A far centre with a radius that does not reach the data selects nothing.
+	if got, err := g.Radius([]float64{1e19, 1e19}, 1e18, 2); err != nil || len(got) != 0 {
+		t.Errorf("unreachable ball returned %d points, err %v", len(got), err)
+	}
+}
+
+// TestGridScanOnly covers the grids that cannot number their cells — a
+// non-finite coordinate, or a cell so small that the cell numbers leave 63
+// bits — which must still answer exactly as Linear does.
+func TestGridScanOnly(t *testing.T) {
+	base := randomPoints(40, 3, 5)
+	withNaN := append(slices.Clone(base), []float64{math.NaN(), 0, 0})
+	withInf := append(slices.Clone(base), []float64{0, math.Inf(-1), 0}, []float64{math.Inf(1), 0, 0})
+	for name, tc := range map[string]struct {
+		pts  [][]float64
+		cell float64
+	}{
+		"nan":       {withNaN, 0.5},
+		"inf":       {withInf, 0.5},
+		"tiny-cell": {base, 1e-300},
+		"2^63":      {randomPoints(40, 8, 6), 1e-8}, // (2·10⁸)⁸ cells
+	} {
+		g, err := NewGrid(tc.pts, tc.cell)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(g.cells) != 0 {
+			t.Fatalf("%s: expected a scan-only grid", name)
+		}
+		rng := rand.New(rand.NewSource(1))
+		for _, radius := range []float64{0, 0.3, 5, math.Inf(1)} {
+			for _, p := range []float64{1, 2, math.Inf(1)} {
+				center := slices.Clone(tc.pts[rng.Intn(len(base))])
+				checkGrid(t, g, tc.pts, tc.cell, center, radius, p)
+			}
+		}
+	}
+}
+
+// TestGridFlat checks the row-major constructor builds the same grid as
+// NewGrid, that Cluster follows the grid's permutation, and what it rejects.
+func TestGridFlat(t *testing.T) {
+	pts := randomPoints(400, 3, 33)
+	var rows []float64
+	for _, pt := range pts {
+		rows = append(rows, pt...)
+	}
+	a, err := NewGrid(pts, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewGridFlat(rows, 3, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a.pts, b.pts) || !slices.Equal(a.ids, b.ids) || !slices.Equal(a.rank, b.rank) || !slices.Equal(a.cells, b.cells) {
+		t.Fatal("NewGridFlat and NewGrid built different grids")
+	}
+	u := make([]float64, len(pts))
+	for i := range u {
+		u[i] = float64(i)
+	}
+	for k, v := range b.Cluster(u) {
+		if int(v) != int(b.ids[k]) {
+			t.Fatalf("Cluster put row %v at position %d, want row %d", v, k, b.ids[k])
+		}
+	}
+	if _, err := NewGridFlat(nil, 2, 1); !errors.Is(err, ErrEmpty) {
+		t.Errorf("no values: err = %v", err)
+	}
+	if _, err := NewGridFlat(rows[:7], 3, 1); !errors.Is(err, ErrDimension) {
+		t.Errorf("7 values at dim 3: err = %v", err)
+	}
+	if _, err := NewGridFlat(rows, 0, 1); !errors.Is(err, ErrDimension) {
+		t.Errorf("dim 0: err = %v", err)
+	}
+	if _, err := NewGrid([][]float64{{}, {}}, 1); !errors.Is(err, ErrEmpty) {
+		t.Errorf("points without coordinates: err = %v", err)
+	}
+	if _, err := NewGridFlat(rows, 3, 0); err == nil {
+		t.Error("zero cell size accepted")
+	}
+}
+
+// countdownCtx reports cancellation from its n-th Err call on, so a test can
+// tell that a scan polls its context while it runs and not only up front.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left--; c.left < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestGridScanObservesContext checks both traversals stop on a context
+// cancelled mid-scan: they must poll at least every ScanCheckRows
+// candidates, not only before the first point.
+func TestGridScanObservesContext(t *testing.T) {
+	pts := randomPoints(5*ScanCheckRows, 2, 8)
+	g, err := NewGrid(pts, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, radius := range map[string]float64{"cell walk": 3, "row scan": 1e6} {
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if pos, err := g.Scan(cancelled, nil, []float64{0, 0}, radius, 2); !errors.Is(err, context.Canceled) || len(pos) != 0 {
+			t.Errorf("%s: cancelled before the scan: %d positions, err %v", name, len(pos), err)
+		}
+		ctx := &countdownCtx{Context: context.Background(), left: 2}
+		pos, err := g.Scan(ctx, nil, []float64{0, 0}, radius, 2)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled mid-scan: err = %v", name, err)
+		}
+		if len(pos) == 0 || len(pos) > 2*ScanCheckRows {
+			t.Errorf("%s: the scan tested %d points before noticing, want (0, %d]", name, len(pos), 2*ScanCheckRows)
+		}
+	}
+}
+
+// FuzzGridRadius decodes arbitrary bytes into a point set, a cell size and a
+// query — coordinates on a coarse lattice (duplicates, cell boundaries) or,
+// when the input asks, raw float64 bit patterns (NaN, ±Inf, 1e300) — and
+// requires that the grid never panics and answers as the contract says:
+// Linear's ids, in the reference order. Magnitudes below 1e-60 are flushed to
+// zero: the grid prunes by the ball's bounding box, which presumes a computed
+// distance is no smaller than the distance along one axis, and that fails
+// once |d|ᵖ underflows to zero (Linear then "finds" points outside the ball).
+func FuzzGridRadius(f *testing.F) {
+	header := func(dim, raw, p byte, cell, radius float64) []byte {
+		b := []byte{dim, raw, p}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(cell))
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(radius))
+	}
+	lattice := func(b []byte, coords ...int16) []byte {
+		for _, c := range coords {
+			b = binary.LittleEndian.AppendUint16(b, uint16(c))
+		}
+		return b
+	}
+	raw := func(b []byte, vals ...float64) []byte {
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(lattice(header(0, 0, 1, 0.5, 1), 0, 10, 20, 30, -40, 64, 64, 128))
+	f.Add(lattice(header(1, 0, 0, 0.25, 1e18), 5, 5, 16, 16, 32, -32, 48, 48, 16, 16))
+	f.Add(lattice(header(2, 0, 3, 1e-300, 2), 1, 2, 3, 4, 5, 6, 7, 8, 9))
+	f.Add(lattice(header(1, 0, 2, 1e300, math.Inf(1)), 1, 2, 3, 4, 5, 6))
+	f.Add(raw(header(0, 1, 1, 1, 3), 0, math.NaN(), 2, math.Inf(1), -1e300))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 19 {
+			return
+		}
+		dim, raw := int(data[0]%4)+1, data[1]%4 == 1
+		p := []float64{2, 1, math.Inf(1), 3}[data[2]%4]
+		cell := math.Float64frombits(binary.LittleEndian.Uint64(data[3:]))
+		radius := math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(data[11:])))
+		data = data[19:]
+		var vals []float64
+		for len(vals) < 65*dim {
+			if raw && len(data) >= 8 {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(data))
+				if math.Abs(v) < 1e-60 {
+					v = 0 // keep coordinate differences where their powers cannot underflow
+				}
+				vals = append(vals, v)
+				data = data[8:]
+			} else if !raw && len(data) >= 2 {
+				vals = append(vals, float64(int16(binary.LittleEndian.Uint16(data)))/64)
+				data = data[2:]
+			} else {
+				break
+			}
+		}
+		if len(vals) < 2*dim {
+			return
+		}
+		center, vals := vals[:dim], vals[dim:]
+		pts := make([][]float64, len(vals)/dim)
+		for i := range pts {
+			pts[i] = vals[i*dim : (i+1)*dim]
+		}
+		g, err := NewGrid(pts, cell)
+		if err != nil {
+			if cell > 0 && !math.IsInf(cell, 0) {
+				t.Fatalf("NewGrid(%d points, cell %v): %v", len(pts), cell, err)
+			}
+			return
+		}
+		if math.IsNaN(radius) {
+			if _, err := g.Radius(center, radius, p); !errors.Is(err, ErrRadius) {
+				t.Fatalf("NaN radius: err = %v", err)
+			}
+			return
+		}
+		checkGrid(t, g, pts, cell, center, radius, p)
+	})
+}
+
+func BenchmarkGridBuild200k(b *testing.B) {
+	pts := randomPoints(200000, 2, 42)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewGrid(pts, 0.2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func ExampleGrid_Scan() {
+	pts := [][]float64{{0, 0}, {3, 3}, {0.5, 0}, {0, 0.4}}
+	g, _ := NewGrid(pts, 1)
+	u := g.Cluster([]float64{10, 20, 30, 40}) // one value per point, by row id
+	pos, _ := g.Scan(context.Background(), nil, []float64{0, 0}, 1, 2)
+	sum := 0.0
+	for _, at := range pos {
+		sum += u[at]
+	}
+	fmt.Println(len(pos), sum)
+	// Output: 3 80
+}

@@ -3,10 +3,18 @@
 //
 // For the exact query executor it evaluates the dNN (radius) selection
 // operator — given a centre x and radius θ, return every indexed point
-// within Lp distance θ — with three implementations: a linear scan (the
-// baseline the others are validated against), a uniform grid, and a
-// kd-tree, mirroring the indexed selection the paper's PostgreSQL
-// substrate performs with a B-tree.
+// within Lp distance θ — mirroring the indexed selection the paper's
+// PostgreSQL substrate performs with a B-tree. Linear is the brute-force
+// scan every other structure is validated against; KDTree prunes by split
+// planes; Grid is the one the executor serves from. Grid keeps its own copy
+// of the points clustered by cell in flat arrays, so a query walks a few
+// contiguous runs of memory, and besides row ids (Radius) it reports
+// positions in that clustered order (Scan), which the executor's mean and
+// regression use to reduce straight over clustered columns without an id
+// list. Grid's visit order — cells as an odometer, ascending row id inside a
+// cell, row order for queries wider than the grid — is part of its contract:
+// every EXACT answer, and so every training label, is a floating-point sum
+// taken in it.
 //
 // For the model's serving path it provides the read-epoch structures the
 // prototype store builds over frozen row copies: DynamicGrid (incremental
@@ -94,141 +102,6 @@ func (l *Linear) Radius(center []float64, radius float64, p float64) ([]int, err
 	for i, pt := range l.pts {
 		if vector.DistanceLp(pt, center, p) <= radius {
 			ids = append(ids, i)
-		}
-	}
-	return ids, nil
-}
-
-// Grid is a uniform grid (cell) index. Points are hashed into cells of side
-// cellSize; a radius query only inspects the cells overlapping the query
-// ball's bounding box. It is most effective when the query radius is of the
-// same order as the cell size, which is the regime of the paper's workloads
-// (θ covers ~20% of each attribute range).
-type Grid struct {
-	pts      [][]float64
-	dim      int
-	cellSize float64
-	origin   []float64
-	cells    map[string][]int
-}
-
-// NewGrid builds a grid index with the given cell size (> 0).
-func NewGrid(pts [][]float64, cellSize float64) (*Grid, error) {
-	if len(pts) == 0 {
-		return nil, ErrEmpty
-	}
-	if cellSize <= 0 || math.IsNaN(cellSize) || math.IsInf(cellSize, 0) {
-		return nil, fmt.Errorf("index: invalid cell size %v", cellSize)
-	}
-	dim := len(pts[0])
-	origin := append([]float64(nil), pts[0]...)
-	for i, p := range pts {
-		if len(p) != dim {
-			return nil, fmt.Errorf("%w: point %d has dim %d, want %d", ErrDimension, i, len(p), dim)
-		}
-		for j, v := range p {
-			if v < origin[j] {
-				origin[j] = v
-			}
-		}
-	}
-	g := &Grid{pts: pts, dim: dim, cellSize: cellSize, origin: origin, cells: make(map[string][]int)}
-	coord := make([]int, dim)
-	for i, p := range pts {
-		g.cellCoord(p, coord)
-		key := cellKey(coord)
-		g.cells[key] = append(g.cells[key], i)
-	}
-	return g, nil
-}
-
-// Len implements SpatialIndex.
-func (g *Grid) Len() int { return len(g.pts) }
-
-// Dim implements SpatialIndex.
-func (g *Grid) Dim() int { return g.dim }
-
-func (g *Grid) cellCoord(p []float64, out []int) {
-	for j, v := range p {
-		out[j] = int(math.Floor((v - g.origin[j]) / g.cellSize))
-	}
-}
-
-func cellKey(coord []int) string {
-	// Compact textual key; dimensionality is small (<= a few tens).
-	b := make([]byte, 0, len(coord)*4)
-	for _, c := range coord {
-		b = appendInt(b, c)
-		b = append(b, ';')
-	}
-	return string(b)
-}
-
-func appendInt(b []byte, v int) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(b, tmp[i:]...)
-}
-
-// Radius implements SpatialIndex.
-func (g *Grid) Radius(center []float64, radius float64, p float64) ([]int, error) {
-	if err := checkQuery(g.dim, center, radius); err != nil {
-		return nil, err
-	}
-	// The L2/L1 ball of radius r is contained in the L∞ box of radius r, so
-	// scanning the cells overlapping that box is always sufficient.
-	lo := make([]int, g.dim)
-	hi := make([]int, g.dim)
-	boxCells := 1.0
-	for j := 0; j < g.dim; j++ {
-		lo[j] = int(math.Floor((center[j] - radius - g.origin[j]) / g.cellSize))
-		hi[j] = int(math.Floor((center[j] + radius - g.origin[j]) / g.cellSize))
-		boxCells *= float64(hi[j] - lo[j] + 1)
-	}
-	var ids []int
-	// When the query ball covers more candidate cells than there are points
-	// (e.g. a radius spanning the whole space) a plain scan is cheaper than
-	// enumerating empty cells.
-	if boxCells > float64(len(g.pts)) {
-		for i, pt := range g.pts {
-			if vector.DistanceLp(pt, center, p) <= radius {
-				ids = append(ids, i)
-			}
-		}
-		return ids, nil
-	}
-	coord := make([]int, g.dim)
-	copy(coord, lo)
-	for {
-		key := cellKey(coord)
-		for _, i := range g.cells[key] {
-			if vector.DistanceLp(g.pts[i], center, p) <= radius {
-				ids = append(ids, i)
-			}
-		}
-		// Advance the multi-dimensional counter.
-		j := 0
-		for ; j < g.dim; j++ {
-			coord[j]++
-			if coord[j] <= hi[j] {
-				break
-			}
-			coord[j] = lo[j]
-		}
-		if j == g.dim {
-			break
 		}
 	}
 	return ids, nil

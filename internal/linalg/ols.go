@@ -41,32 +41,76 @@ func FitOLS(xs [][]float64, us []float64) (*OLSModel, error) {
 	if n < d+1 {
 		return nil, fmt.Errorf("%w: n=%d, need at least %d", ErrTooFewObservations, n, d+1)
 	}
-	// Design matrix with a leading column of ones for the intercept.
-	a := NewMatrix(n, d+1)
+	flat := make([]float64, 0, n*d)
 	for i, x := range xs {
 		if len(x) != d {
 			return nil, fmt.Errorf("%w: observation %d has dimension %d, want %d", ErrShape, i, len(x), d)
 		}
-		a.Set(i, 0, 1)
-		for j, v := range x {
-			a.Set(i, j+1, v)
+		flat = append(flat, x...)
+	}
+	return FitOLSFlat(flat, d, us)
+}
+
+// FitOLSFlat is FitOLS over row-major input: observation i is
+// xs[i*d:(i+1)*d]. It accumulates the normal equations AᵀA and Aᵀu of the
+// design matrix A = [1 | xs] in one pass over the rows — every entry the
+// same top-to-bottom sum Gram and MulTVec take, so the fit equals FitOLS to
+// the last bit — and materializes A only if the solver falls back to QR.
+func FitOLSFlat(xs []float64, d int, us []float64) (*OLSModel, error) {
+	n := len(us)
+	if d < 0 || len(xs) != n*d {
+		return nil, fmt.Errorf("%w: %d values are not %d observations of dimension %d", ErrShape, len(xs), n, d)
+	}
+	if n == 0 {
+		return nil, ErrTooFewObservations
+	}
+	if n < d+1 {
+		return nil, fmt.Errorf("%w: n=%d, need at least %d", ErrTooFewObservations, n, d+1)
+	}
+	k := d + 1
+	g := NewMatrix(k, k)
+	buf := make([]float64, 2*k)
+	atu, row := buf[:k:k], buf[k:]
+	row[0] = 1 // the intercept column
+	for i, u := range us {
+		for j, v := range xs[i*d : (i+1)*d] { // d is small: cheaper than a copy call
+			row[j+1] = v
+		}
+		for a, va := range row {
+			ga := g.data[a*k : (a+1)*k]
+			for b := a; b < k; b++ {
+				ga[b] += va * row[b]
+			}
+			atu[a] += va * u
 		}
 	}
-	coef, err := SolveLeastSquares(a, us)
+	for a := 0; a < k; a++ {
+		for b := a + 1; b < k; b++ {
+			g.data[b*k+a] = g.data[a*k+b]
+		}
+	}
+	coef, err := solveNormal(g, atu, us, func() *Matrix {
+		a := NewMatrix(n, k)
+		for i := 0; i < n; i++ {
+			a.data[i*k] = 1
+			copy(a.data[i*k+1:(i+1)*k], xs[i*d:(i+1)*d])
+		}
+		return a
+	})
 	if err != nil {
 		return nil, err
 	}
-	m := &OLSModel{Intercept: coef[0], Slope: append([]float64(nil), coef[1:]...), N: n}
+	m := &OLSModel{Intercept: coef[0], Slope: coef[1:], N: n}
 	// Diagnostics.
 	mean := 0.0
 	for _, u := range us {
 		mean += u
 	}
 	mean /= float64(n)
-	for i, x := range xs {
-		r := us[i] - m.Predict(x)
+	for i, u := range us {
+		r := u - m.Predict(xs[i*d:(i+1)*d])
 		m.RSS += r * r
-		t := us[i] - mean
+		t := u - mean
 		m.TSS += t * t
 	}
 	return m, nil

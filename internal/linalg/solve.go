@@ -51,18 +51,18 @@ func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 		return nil, fmt.Errorf("%w: system is %dx%d, rhs has length %d", ErrShape, c.n, c.n, len(b))
 	}
 	// Forward substitution: L·y = b.
-	y := make([]float64, c.n)
+	x := make([]float64, c.n)
 	for i := 0; i < c.n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= c.l.At(i, k) * y[k]
+			s -= c.l.At(i, k) * x[k]
 		}
-		y[i] = s / c.l.At(i, i)
+		x[i] = s / c.l.At(i, i)
 	}
-	// Back substitution: Lᵀ·x = y.
-	x := make([]float64, c.n)
+	// Back substitution: Lᵀ·x = y, in place — x[i] still holds y[i] when
+	// row i is solved.
 	for i := c.n - 1; i >= 0; i-- {
-		s := y[i]
+		s := x[i]
 		for k := i + 1; k < c.n; k++ {
 			s -= c.l.At(k, i) * x[k]
 		}
@@ -166,11 +166,17 @@ func SolveLeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	if a.Rows() < a.Cols() {
 		return nil, fmt.Errorf("%w: underdetermined system %dx%d", ErrRankDeficient, a.Rows(), a.Cols())
 	}
-	g := Gram(a)
 	aty, err := MulTVec(a, b)
 	if err != nil {
 		return nil, err
 	}
+	return solveNormal(Gram(a), aty, b, func() *Matrix { return a })
+}
+
+// solveNormal is SolveLeastSquares given the normal equations g = AᵀA and
+// aty = Aᵀb; design supplies A itself, and is called only if both Cholesky
+// attempts fail.
+func solveNormal(g *Matrix, aty, b []float64, design func() *Matrix) ([]float64, error) {
 	if chol, err := NewCholesky(g); err == nil {
 		if x, err := chol.Solve(aty); err == nil && allFinite(x) {
 			return x, nil
@@ -192,7 +198,7 @@ func SolveLeastSquares(a *Matrix, b []float64) ([]float64, error) {
 			return x, nil
 		}
 	}
-	qr, err := NewQR(a)
+	qr, err := NewQR(design())
 	if err != nil {
 		return nil, err
 	}
