@@ -100,7 +100,7 @@ func TestChunkedPublicationMatchesFullCopy(t *testing.T) {
 			case 5: // Observe a near-duplicate of an existing prototype: a
 				// guaranteed in-place winner update in an already-published chunk
 				if k := m.K(); k > 0 {
-					q := m.View().s.protoQuery(rng.Intn(k))
+					q := m.View().s.proto(rng.Intn(k)).query()
 					if _, err := m.Observe(q, rng.NormFloat64()); err != nil {
 						t.Fatal(err)
 					}
@@ -207,7 +207,7 @@ func FuzzChunkBoundaryTransitions(f *testing.F) {
 				}
 			case b < 250: // in-place update of an existing row (COW path)
 				k := int(b) % m.K()
-				q := m.View().s.protoQuery(k)
+				q := m.View().s.proto(k).query()
 				if _, err := m.Observe(q, float64(b)-225); err != nil {
 					t.Fatal(err)
 				}

@@ -255,6 +255,7 @@ func (m *Model) evictLocked(protect int) int {
 func (m *Model) compactLocked() {
 	s := m.store
 	ns := newProtoStore(m.cfg.Dim, m.cfg.Vigilance)
+	ns.step = s.step
 	nllms := make([]*LLM, 0, s.live)
 	for k := 0; k < s.rows; k++ {
 		if s.isTombstone(k) {

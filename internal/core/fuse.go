@@ -32,7 +32,7 @@ func assembleModel(cfg Config, steps int, entries []fuseEntry) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.steps = steps
+	m.steps, m.store.step = steps, steps
 	m.lastGamma = math.Inf(1)
 	for i, e := range entries {
 		m.llms = append(m.llms, e.l)

@@ -343,6 +343,7 @@ func (m *Model) observeLocked(q Query, answer float64) StepInfo {
 		}
 	}
 	m.steps++
+	m.store.step = m.steps // every row this step writes is stamped with it
 	info := StepInfo{Step: m.steps, K: m.store.live}
 
 	// Cold start: the first pair becomes prototype w_1.

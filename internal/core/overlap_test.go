@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -34,6 +36,169 @@ func checkOverlapAgainstLinear(t *testing.T, m *Model, q Query, stage string) {
 		if gotW[i] != wantW[i] {
 			t.Fatalf("%s K=%d: overlap weight[%d] = %v, linear %v (idx %d)",
 				stage, s.k, i, gotW[i], wantW[i], gotIdx[i])
+		}
+	}
+	checkAnswersAgainstLinear(t, View{s}, q, stage)
+}
+
+// checkAnswersAgainstLinear fails the test when diffAnswersFromLinear finds
+// a difference, after running the block invariant once per version.
+func checkAnswersAgainstLinear(t *testing.T, v View, q Query, stage string) {
+	t.Helper()
+	if invariantChecked.Swap(v.s) != v.s {
+		checkBlockInvariant(t, v.s, stage) // O(K): once per published version
+	}
+	if err := diffAnswersFromLinear(v, q); err != nil {
+		t.Fatalf("%s K=%d: %v", stage, v.s.k, err)
+	}
+}
+
+// diffAnswersFromLinear compares everything a View answers about q — ŷ, û,
+// the local models, the neighbourhood and the raw scatter terms — against a
+// reference fused from overlapLinearRaw's set and the live chunk rows, bit
+// for bit, and describes the first difference. Comparing sets alone would
+// pass a stale coefficient in the epoch's block; comparing answers does
+// not.
+func diffAnswersFromLinear(v View, q Query) (err error) {
+	s := v.s
+	at := make([]float64, s.dim)
+	for j := range at {
+		at[j] = q.Center[j] + 0.003*float64(j+1)
+	}
+	var sc predictScratch
+	idx, deg, total := s.overlapLinearRaw(q, &sc)
+	idx, deg = append([]int(nil), idx...), append([]float64(nil), deg...)
+	weights := append([]float64(nil), deg...)
+	if total > 0 {
+		for i := range weights {
+			weights[i] /= total
+		}
+	}
+	members := idx
+	if len(idx) == 0 {
+		// Case 3: everything comes from the closest prototype, weight 0.
+		w, _ := s.winnerQuery(q, &sc)
+		members, weights = []int{w}, []float64{0}
+	}
+	var yhat, uhat float64
+	models := make([]LocalLinear, len(members))
+	for i, k := range members {
+		p := s.proto(k)
+		if len(idx) == 0 {
+			yhat, uhat = p.eval(q.Center, q.Theta), p.evalAtPrototypeRadius(at)
+		} else {
+			yhat += weights[i] * p.eval(q.Center, q.Theta)
+			uhat += weights[i] * p.evalAtPrototypeRadius(at)
+		}
+		models[i] = p.dataModel()
+		models[i].Weight = weights[i]
+	}
+	same := func(what string, got, want float64) {
+		if err == nil && math.Float64bits(got) != math.Float64bits(want) {
+			err = fmt.Errorf("|W|=%d: %s = %v (%016x), linear reference %v (%016x)", len(idx), what,
+				got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	sameLen := func(what string, got, want int) bool {
+		if err == nil && got != want {
+			err = fmt.Errorf("%s has %d entries, linear reference %d", what, got, want)
+		}
+		return got == want
+	}
+	sameModel := func(what string, got, want LocalLinear) {
+		same(what+" intercept", got.Intercept, want.Intercept)
+		same(what+" theta", got.Theta, want.Theta)
+		same(what+" weight", got.Weight, want.Weight)
+		for j := range want.Slope {
+			same(what+" slope", got.Slope[j], want.Slope[j])
+			same(what+" centre", got.Center[j], want.Center[j])
+		}
+	}
+	got, e := v.PredictMean(q)
+	if e != nil {
+		return e
+	}
+	same("PredictMean", got, yhat)
+	if got, e = v.PredictValue(q, at); e != nil {
+		return e
+	}
+	same("PredictValue", got, uhat)
+	gotModels, e := v.Regression(q)
+	if e != nil {
+		return e
+	}
+	if sameLen("Regression", len(gotModels), len(models)) {
+		for i := range models {
+			sameModel("Regression", gotModels[i], models[i])
+		}
+	}
+	hood, hoodW, e := v.Neighborhood(q)
+	if e != nil {
+		return e
+	}
+	if sameLen("Neighborhood", len(hood), len(idx)) {
+		for i, k := range idx {
+			want := s.proto(k).query()
+			same("Neighborhood weight", hoodW[i], weights[i])
+			same("Neighborhood theta", hood[i].Theta, want.Theta)
+			for j := range want.Center {
+				same("Neighborhood centre", hood[i].Center[j], want.Center[j])
+			}
+		}
+	}
+	res, e := v.ScatterScan(q, at, true)
+	if e != nil {
+		return e
+	}
+	if sameLen("ScatterScan", len(res.Contribs), len(idx)) {
+		for i, k := range idx {
+			p, c := s.proto(k), res.Contribs[i]
+			same("ScatterScan degree", c.Degree, deg[i])
+			same("ScatterScan mean", c.Mean, p.eval(q.Center, q.Theta))
+			same("ScatterScan value", c.Value, p.evalAtPrototypeRadius(at))
+			sameModel("ScatterScan", *c.Model, p.dataModel())
+		}
+	}
+	if len(idx) == 0 {
+		same("ScatterScan winner mean", res.WinnerMean, yhat)
+		same("ScatterScan winner value", res.WinnerValue, uhat)
+	}
+	return err
+}
+
+// invariantChecked is the snapshot checkAnswersAgainstLinear last ran the
+// block invariant on.
+var invariantChecked atomic.Pointer[storeSnapshot]
+
+// checkBlockInvariant asserts the contract the tree epoch's block is read
+// under: for every indexed slot the snapshot treats as unwritten since the
+// capture — all of them on a clean snapshot, the ones whose stamp is older
+// than the epoch's step otherwise — the block's prototype row and
+// coefficient row are the live rows, bit for bit.
+func checkBlockInvariant(t *testing.T, s *storeSnapshot, stage string) {
+	t.Helper()
+	e := s.epoch
+	if e == nil || e.tree == nil {
+		return
+	}
+	rows := e.tree.Rows()
+	for p, id := range e.tree.IDs() {
+		k := int(id)
+		if !s.clean && s.stamp(k) >= e.step {
+			continue
+		}
+		blockRow, blockCoef := rows[p*s.width:(p+1)*s.width], e.coefs[p*s.coefW:(p+1)*s.coefW]
+		for j, v := range s.row(k) {
+			if math.Float64bits(v) != math.Float64bits(blockRow[j]) {
+				t.Fatalf("%s: slot %d (stamp %d, epoch step %d, clean %v): block row[%d] = %v, live %v",
+					stage, k, s.stamp(k), e.step, s.clean, j, blockRow[j], v)
+			}
+		}
+		for j, v := range s.coefRow(k) {
+			if math.Float64bits(v) != math.Float64bits(blockCoef[j]) {
+				t.Fatalf("%s: slot %d (stamp %d, epoch step %d, clean %v): block coef[%d] = %v, live %v",
+					stage, k, s.stamp(k), e.step, s.clean, j, blockCoef[j], v)
+			}
 		}
 	}
 }

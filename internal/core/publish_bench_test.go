@@ -60,7 +60,7 @@ func buildPublishBenchModel(tb testing.TB, dim, protos int, vigilance, thetaLo, 
 // always) that prototype and Observe takes the update path.
 func perturbedQuery(rng *rand.Rand, v View, vigilance float64) Query {
 	s := v.s
-	src := s.protoQuery(rng.Intn(s.k))
+	src := s.proto(rng.Intn(s.k)).query()
 	step := 0.2 * vigilance / float64(s.width)
 	for j := range src.Center {
 		src.Center[j] += step * (2*rng.Float64() - 1)
@@ -80,21 +80,25 @@ func perturbedQuery(rng *rand.Rand, v View, vigilance float64) Query {
 // to K=100k, where the old full-matrix copy grew it linearly.
 // scripts/bench.sh records it in BENCH_3.json.
 func BenchmarkObservePublish(b *testing.B) {
-	const dim = 2
 	// The vigilance scales as 1/√K, as a real training stream's would have to
 	// for the workload to pack that many prototypes: constant prototype
 	// density per grid cell, so the benchmark isolates the publication cost's
-	// K-dependence rather than an unrealistic candidate-density growth.
+	// K-dependence rather than an unrealistic candidate-density growth. The
+	// d=8 case is the tree epoch, whose rebuilds also gather the block's
+	// coefficient rows and whose publications must not notice.
 	for _, tc := range []struct {
 		name string
+		dim  int
 		K    int
 		vig  float64
 	}{
-		{"K=1k", 1_000, 0.03},
-		{"K=10k", 10_000, 0.01},
-		{"K=100k", 100_000, 0.003},
+		{"K=1k", 2, 1_000, 0.03},
+		{"K=10k", 2, 10_000, 0.01},
+		{"K=100k", 2, 100_000, 0.003},
+		{"d=8/K=10k", 8, 10_000, 0.1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
+			dim := tc.dim
 			m := buildPublishBenchModel(b, dim, tc.K, tc.vig, 0.05, 0.15)
 			rng := rand.New(rand.NewSource(9))
 			queries := make([]Query, 4096)

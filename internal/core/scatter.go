@@ -155,25 +155,27 @@ func (v View) ScatterScan(q Query, at []float64, needModels bool) (ScatterResult
 	idx, degrees, _ := s.overlapRaw(q, sc)
 	if len(idx) == 0 {
 		w, dist := s.winnerQuery(q, sc)
+		p := s.proto(w)
 		res.WinnerDist = dist
-		res.WinnerMean = s.eval(w, q.Center, q.Theta)
+		res.WinnerMean = p.eval(q.Center, q.Theta)
 		if at != nil {
-			res.WinnerValue = s.evalAtPrototypeRadius(w, vector.Vec(at))
+			res.WinnerValue = p.evalAtPrototypeRadius(vector.Vec(at))
 		}
 		if needModels {
-			m := s.dataModel(w)
+			m := p.dataModel()
 			res.WinnerModel = &m
 		}
 		return res, nil
 	}
 	res.Contribs = make([]ScatterContribution, len(idx))
-	for i, k := range idx {
-		c := ScatterContribution{Degree: degrees[i], Mean: s.eval(k, q.Center, q.Theta)}
+	for i := range idx {
+		p := s.member(sc, i)
+		c := ScatterContribution{Degree: degrees[i], Mean: p.eval(q.Center, q.Theta)}
 		if at != nil {
-			c.Value = s.evalAtPrototypeRadius(k, vector.Vec(at))
+			c.Value = p.evalAtPrototypeRadius(vector.Vec(at))
 		}
 		if needModels {
-			m := s.dataModel(k)
+			m := p.dataModel()
 			c.Model = &m
 		}
 		res.Contribs[i] = c

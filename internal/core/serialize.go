@@ -539,7 +539,7 @@ func newLoading(doc *modelJSON) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.steps = doc.Steps
+	m.steps, m.store.step = doc.Steps, doc.Steps
 	m.converged = doc.Converged
 	m.quietSteps = doc.QuietSteps
 	m.lastGamma = doc.LastGamma

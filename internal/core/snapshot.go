@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
+	"llmq/internal/index"
 	"llmq/internal/vector"
 )
 
@@ -38,9 +40,13 @@ type storeSnapshot struct {
 	// row scans skip them without a branch.
 	revived []int32
 
-	epoch    *readEpoch // shared immutable index (nil below the size gates)
-	slack    float64    // max prototype displacement vs the epoch's stale rows
-	maxTheta float64    // upper bound on every θ_k (see store.go)
+	epoch *readEpoch // shared immutable index (nil below the size gates)
+	// clean: no slot below the epoch's builtK was written between the
+	// epoch's build and this publication, so every row of the epoch's block
+	// is this version's row (see readEpoch for what an unclean reader checks).
+	clean    bool
+	slack    float64 // max prototype displacement vs the epoch's stale rows
+	maxTheta float64 // upper bound on every θ_k (see store.go)
 
 	steps      int
 	converged  bool
@@ -55,67 +61,79 @@ func (s *storeSnapshot) chunked() vector.Chunked {
 	return vector.NewChunked(s.width, s.k, s.dataC)
 }
 
+// proto is one prototype as the fusion reads it — row [x_k, θ_k] and
+// coefficient row [y_k, b_Xk, b_Θk] — from the snapshot's live chunks
+// (storeSnapshot.proto) or from the epoch's block (storeSnapshot.member).
+type proto struct{ row, coef []float64 }
+
+// proto returns slot k's live rows.
+func (s *storeSnapshot) proto(k int) proto { return proto{s.row(k), s.coefRow(k)} }
+
 // eval evaluates f_k(x, θ) (Eq. 5 / Eq. 12) from the flat rows, with the
 // same operation order as LLM.Eval so the two paths are bit-identical.
-func (s *storeSnapshot) eval(k int, center vector.Vec, theta float64) float64 {
-	row := s.row(k)
-	c := s.coefRow(k)
-	v := c[0] + c[s.coefW-1]*(theta-row[s.dim])
-	for i := 0; i < s.dim; i++ {
-		v += c[1+i] * (center[i] - row[i])
+func (p proto) eval(center vector.Vec, theta float64) float64 {
+	d := len(p.row) - 1
+	c := p.coef
+	v := c[0] + c[d+1]*(theta-p.row[d])
+	for i := 0; i < d; i++ {
+		v += c[1+i] * (center[i] - p.row[i])
 	}
 	return v
 }
 
 // evalAtPrototypeRadius evaluates f_k(x, θ_k) — the LLM restricted to its
 // own radius (Theorem 3), mirroring LLM.EvalAtPrototypeRadius.
-func (s *storeSnapshot) evalAtPrototypeRadius(k int, x vector.Vec) float64 {
-	row := s.row(k)
-	c := s.coefRow(k)
-	v := c[0]
-	for i := 0; i < s.dim; i++ {
-		v += c[1+i] * (x[i] - row[i])
+func (p proto) evalAtPrototypeRadius(x vector.Vec) float64 {
+	d := len(p.row) - 1
+	v := p.coef[0]
+	for i := 0; i < d; i++ {
+		v += p.coef[1+i] * (x[i] - p.row[i])
 	}
 	return v
 }
 
-// dataModel converts the k-th LLM into the explicit local linear regression
-// of the data function g over D_k (Theorem 3), mirroring LLM.DataModel.
-func (s *storeSnapshot) dataModel(k int) LocalLinear {
-	row := s.row(k)
-	c := s.coefRow(k)
+// dataModel converts the LLM into the explicit local linear regression of
+// the data function g over D_k (Theorem 3), mirroring LLM.DataModel.
+func (p proto) dataModel() LocalLinear {
+	d := len(p.row) - 1
 	var dot float64
-	for i := 0; i < s.dim; i++ {
-		dot += c[1+i] * row[i]
+	for i := 0; i < d; i++ {
+		dot += p.coef[1+i] * p.row[i]
 	}
 	return LocalLinear{
-		Intercept: c[0] - dot,
-		Slope:     vector.Of(c[1 : 1+s.dim]...),
-		Center:    vector.Of(row[:s.dim]...),
-		Theta:     row[s.dim],
+		Intercept: p.coef[0] - dot,
+		Slope:     vector.Of(p.coef[1 : 1+d]...),
+		Center:    vector.Of(p.row[:d]...),
+		Theta:     p.row[d],
 	}
 }
 
-// protoQuery returns the k-th prototype as a Query value w_k = [x_k, θ_k].
-func (s *storeSnapshot) protoQuery(k int) Query {
-	row := s.row(k)
-	return Query{Center: vector.Of(row[:s.dim]...), Theta: row[s.dim]}
+// query returns the prototype as a Query value w_k = [x_k, θ_k].
+func (p proto) query() Query {
+	d := len(p.row) - 1
+	return Query{Center: vector.Of(p.row[:d]...), Theta: p.row[d]}
 }
 
 // predictScratch carries the per-call scratch buffers of the prediction hot
-// path: the assembled query-space point, the radius-query candidate list,
-// the k-d tree traversal stack and the overlap set's index/weight result
-// slices. Instances are pooled so a steady-state prediction performs no
-// heap allocation at all; the buffers only grow, and the pool survives
-// snapshot publication, so a training stream does not cool the serving
-// path down.
+// path: the assembled query-space point, the grid's candidate list, the k-d
+// tree's traversal stack and leaf runs, the block pass's hits, the
+// slot-ordered reduction, and the overlap set's result slices — idx and
+// weights per member, and pos, the block position of each member read from
+// the epoch's block (−1, or past the end of pos, for the live rows).
+// Instances are pooled so a steady-state prediction performs no heap
+// allocation at all; the buffers only grow, and the pool survives snapshot
+// publication, so a training stream does not cool the serving path down.
 type predictScratch struct {
 	qflat   []float64
 	cand    []int
 	kdstack []int32
-	mask    []bool
+	runs    []index.Span
+	hits    []int32
+	sqs     []float64
+	order   slotOrder
 	idx     []int
 	weights []float64
+	pos     []int32
 }
 
 func (sc *predictScratch) qvec(w int) []float64 {
@@ -123,6 +141,83 @@ func (sc *predictScratch) qvec(w int) []float64 {
 		sc.qflat = make([]float64, w)
 	}
 	return sc.qflat[:w]
+}
+
+// slotOrder puts verified overlap members back into ascending slot order —
+// the order overlapLinearRaw accumulates in, which every float of an answer
+// depends on — whatever order the index produced them in. Members park in
+// arrival order while a bitset over the epoch's slots (with a one-bit-per-
+// word summary above it) records which slots they are; a member's place in
+// the output is the number of marked slots below its own — the rank of its
+// word plus a popcount inside it — so drain is a scatter, not a sort: O(1)
+// per mark, O(members + slots/4096) per drain, nothing per slot larger
+// than a bit. This is the one place the accumulation order is decided: a
+// canonical order that is a function of model state (ROADMAP item 1) swaps
+// the key and nothing else.
+type slotOrder struct {
+	words   []uint64 // bit k&63 of words[k>>6]: slot k is a member
+	summary []uint64 // bit w&63 of summary[w>>6]: words[w] is non-zero
+	rank    []int32  // per non-zero word: members in lower words (drain)
+	members []slotMember
+}
+
+// slotMember is one marked member: slot, raw overlap degree, and where its
+// rows are (a block position, or −1 for the live rows).
+type slotMember struct {
+	deg  float64
+	slot int32
+	pos  int32
+}
+
+// grow sizes the bitsets for slots [0, n); they are all-clear between
+// statements, so growing needs no copy.
+func (o *slotOrder) grow(n int) {
+	if words := (n + 63) >> 6; len(o.words) < words {
+		o.words = make([]uint64, words)
+		o.rank = make([]int32, words)
+		o.summary = make([]uint64, (words+63)>>6)
+	}
+}
+
+// mark records slot as a member. A slot marked twice (a colliding grid
+// bucket reports an id twice) parks equal entries that drain to one place.
+func (o *slotOrder) mark(slot int, pos int32, deg float64) {
+	o.members = append(o.members, slotMember{deg: deg, slot: int32(slot), pos: pos})
+	w := slot >> 6
+	o.words[w] |= 1 << (slot & 63)
+	o.summary[w>>6] |= 1 << (w & 63)
+}
+
+// drain appends the marked members in ascending slot order, adding their
+// degrees into total in that order, and clears the marks.
+func (o *slotOrder) drain(idx []int, weights []float64, pos []int32) ([]int, []float64, []int32, float64) {
+	n := 0
+	for si, sw := range o.summary {
+		for ; sw != 0; sw &= sw - 1 {
+			w := si<<6 + bits.TrailingZeros64(sw)
+			o.rank[w] = int32(n)
+			n += bits.OnesCount64(o.words[w])
+		}
+		o.summary[si] = 0
+	}
+	base := len(idx)
+	idx = slices.Grow(idx, n)[:base+n]
+	weights = slices.Grow(weights, n)[:base+n]
+	pos = slices.Grow(pos, n)[:base+n]
+	for _, m := range o.members {
+		w, bit := int(m.slot)>>6, uint64(1)<<(m.slot&63)
+		at := base + int(o.rank[w]) + bits.OnesCount64(o.words[w]&(bit-1))
+		idx[at], weights[at], pos[at] = int(m.slot), m.deg, m.pos
+	}
+	for _, m := range o.members {
+		o.words[m.slot>>6] = 0
+	}
+	o.members = o.members[:0]
+	var total float64
+	for _, deg := range weights[base:] {
+		total += deg
+	}
+	return idx, weights, pos, total
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(predictScratch) }}
@@ -137,10 +232,10 @@ func (s *storeSnapshot) winnerQuery(q Query, sc *predictScratch) (int, float64) 
 	return k, math.Sqrt(sq)
 }
 
-// overlapAccumulate verifies one prototype against q — the single copy of
-// the Eq. (9)/(10) membership-and-weight arithmetic, shared by the linear
-// scan and every radius-query sweep so the paths cannot diverge — and
-// appends it to the running overlap set when its degree is positive.
+// rowOverlapDegree verifies one prototype row [x_k, θ_k] against q — the
+// single copy of the Eq. (9)/(10) membership-and-weight arithmetic, shared
+// by the linear scan, the block pass and the grid sweep so the paths cannot
+// diverge — and returns its raw overlap degree, zero for a non-member.
 //
 // The membership test ‖x − x_k‖ ≤ θ + θ_k is evaluated with the partial-
 // distance kernel: the radii are known before the distance, so a row whose
@@ -149,15 +244,20 @@ func (s *storeSnapshot) winnerQuery(q Query, sc *predictScratch) (int, float64) 
 // and a row exactly on the boundary has overlap degree 0 either way, so the
 // cutoff never changes the resulting set — it only skips arithmetic (and
 // the square root) for rows that cannot be members.
-func (s *storeSnapshot) overlapAccumulate(q Query, id int, idx []int, weights []float64, total float64) ([]int, []float64, float64) {
-	row := s.row(id)
-	r := q.Theta + row[s.dim]
-	sq, within := vector.SqDistanceWithin(q.Center, row[:s.dim], r*r)
+func rowOverlapDegree(q Query, row []float64) float64 {
+	d := len(row) - 1
+	r := q.Theta + row[d]
+	sq, within := vector.SqDistanceWithin(q.Center, row[:d], r*r)
 	if !within {
-		return idx, weights, total
+		return 0
 	}
-	deg := overlapDegree(math.Sqrt(sq), q.Theta, row[s.dim])
-	if deg > 0 {
+	return overlapDegree(math.Sqrt(sq), q.Theta, row[d])
+}
+
+// overlapAccumulate verifies slot id on its live row and appends it to the
+// running overlap set when its degree is positive.
+func (s *storeSnapshot) overlapAccumulate(q Query, id int, idx []int, weights []float64, total float64) ([]int, []float64, float64) {
+	if deg := rowOverlapDegree(q, s.row(id)); deg > 0 {
 		idx = append(idx, id)
 		weights = append(weights, deg)
 		total += deg
@@ -179,16 +279,17 @@ func (s *storeSnapshot) overlapLinearRaw(q Query, sc *predictScratch) (idx []int
 	for k := 0; k < s.k; k++ {
 		idx, weights, total = s.overlapAccumulate(q, k, idx, weights, total)
 	}
-	sc.idx, sc.weights = idx, weights
+	sc.idx, sc.weights, sc.pos = idx, weights, sc.pos[:0]
 	return idx, weights, total
 }
 
 // overlapEps widens the radius-query bound by a relative margin so the
 // float rounding of the bound arithmetic (one hypot and one multiply) can
-// never exclude a prototype exactly on the overlap boundary. Candidates are
-// verified with the same overlapDegree arithmetic as the linear scan, so
-// the widening only ever adds candidates — the resulting set and weights
-// are bit-identical to overlapLinear's.
+// never exclude a prototype exactly on the overlap boundary. Rows that
+// survive a widened bound are verified with the same rowOverlapDegree
+// arithmetic as the linear scan, so the widening only ever adds rows to
+// test — the resulting set and weights are bit-identical to
+// overlapLinearRaw's.
 const overlapEps = 1e-12
 
 // overlapSet builds W(q) and normalizes the weights to sum to one — the
@@ -206,18 +307,19 @@ func (s *storeSnapshot) overlapSet(q Query, sc *predictScratch) (idx []int, weig
 	return idx, weights
 }
 
-// overlapRaw builds W(q) through the epoch's radius query instead of a full
-// scan, returning raw (pre-normalization) degrees like overlapLinearRaw.
-// The overlap test ‖x − x_k‖ ≤ θ + θ_k becomes a query-space ball
-// once θ_k is bounded by maxTheta: every overlapping prototype lies within
-// R = θ + maxTheta of x, hence within rq = √(R² + max(θ, maxTheta)²) of
-// [x, θ] in the query space, and within rq + slack of its own stale epoch
-// position. The grid enumerates the cells covering that ball; the k-d tree
-// collects every leaf whose bounding box the ball touches. Every candidate
-// is then verified on the snapshot's live rows with exactly the linear
-// scan's arithmetic, in ascending prototype order, so indices, weights and
-// the running total match overlapLinearRaw bit for bit. Rows appended after
-// the epoch build (the tail) are scanned directly.
+// overlapRaw builds W(q) through the epoch instead of a full scan, returning
+// raw (pre-normalization) degrees like overlapLinearRaw. The overlap test
+// ‖x − x_k‖ ≤ θ + θ_k becomes a query-space ball once θ_k is bounded by
+// maxTheta: every overlapping prototype lies within R = θ + maxTheta of x,
+// hence within rq = √(R² + max(θ, maxTheta)²) of [x, θ] in the query space,
+// and within rq + slack of its own stale epoch position. A tree epoch
+// prunes its nodes with that ball and tests the surviving leaf runs of its
+// block in one pass (blockPass); a grid epoch enumerates the cells covering
+// the ball and verifies each candidate on its live row. Either way the
+// members — with the revived slots, which no epoch covers — go through the
+// one slot-ordered reduction, so indices, weights and the running total
+// match overlapLinearRaw bit for bit. Rows appended after the epoch build
+// (the tail) sit above every epoch slot and are scanned last.
 func (s *storeSnapshot) overlapRaw(q Query, sc *predictScratch) (idx []int, weights []float64, total float64) {
 	e := s.epoch
 	if e == nil {
@@ -230,72 +332,88 @@ func (s *storeSnapshot) overlapRaw(q Query, sc *predictScratch) (idx []int, weig
 	}
 	rq := math.Sqrt(R*R + T*T)
 	rq += rq*overlapEps + s.slack
-	cand := sc.cand[:0]
 	qflat := sc.qvec(s.width)
 	copy(qflat, q.Center)
 	qflat[s.width-1] = q.Theta
+	order := &sc.order
+	order.grow(e.builtK)
 	if e.grid != nil {
-		cand = e.grid.Range(qflat, rq, cand)
+		sc.cand = e.grid.Range(qflat, rq, sc.cand[:0])
+		if len(sc.cand)+len(s.revived)+s.k-e.builtK >= s.k/2 {
+			// The ball covers most of the prototype set (a broad query, or
+			// cell boxes much wider than the ball): the straight scan is
+			// cheaper than chasing the candidates row by row and returns
+			// the identical result.
+			return s.overlapLinearRaw(q, sc)
+		}
+		for _, id := range sc.cand {
+			s.markLive(q, id, order)
+		}
 	} else {
-		// Cap the enumeration at the router's own bail threshold: once the
-		// candidates reach K/2 the code below answers with the straight scan
-		// anyway, so a space-covering query must not pay a full verified
-		// traversal whose output is discarded.
-		cand, sc.kdstack = e.tree.Range(qflat, rq, cand, sc.kdstack, s.k/2)
+		sc.runs, sc.kdstack = e.tree.LeafRuns(qflat, rq, sc.runs[:0], sc.kdstack)
+		s.blockPass(q, sc)
 	}
-	// Revived slots are live but absent from the epoch: add them to the
-	// candidate set unconditionally (they sort into slot order below, so the
-	// accumulation order — and hence the float weights — match the linear
-	// scan exactly; the membership verification discards non-members).
 	for _, id := range s.revived {
-		cand = append(cand, int(id))
+		s.markLive(q, int(id), order)
 	}
-	sc.cand = cand
-	tail := s.k - e.builtK
-	if len(cand)+tail >= s.k/2 {
-		// The ball covers most of the prototype set (a broad query, or a
-		// workload without locality): the straight scan is cheaper than
-		// gather-and-sort and returns the identical result.
-		return s.overlapLinearRaw(q, sc)
-	}
-	idx, weights = sc.idx[:0], sc.weights[:0]
-	if len(cand) >= e.builtK/16 {
-		// Too many candidates for a sort to beat a sweep (a broad radius, or
-		// grid cell boxes much wider than the ball): mark them in a mask and
-		// sweep the built rows in id order — same verification arithmetic,
-		// same accumulation order, a fraction of the cost.
-		if cap(sc.mask) < e.builtK {
-			sc.mask = make([]bool, e.builtK)
-		}
-		mask := sc.mask[:e.builtK]
-		for _, id := range cand {
-			mask[id] = true
-		}
-		for id := 0; id < e.builtK; id++ {
-			if !mask[id] {
-				continue
-			}
-			idx, weights, total = s.overlapAccumulate(q, id, idx, weights, total)
-		}
-		for _, id := range cand {
-			mask[id] = false
-		}
-	} else {
-		slices.Sort(cand)
-		prev := -1
-		for _, id := range cand {
-			if id == prev {
-				continue // duplicate from a colliding grid bucket
-			}
-			prev = id
-			idx, weights, total = s.overlapAccumulate(q, id, idx, weights, total)
-		}
-	}
+	idx, weights, sc.pos, total = order.drain(sc.idx[:0], sc.weights[:0], sc.pos[:0])
 	for id := e.builtK; id < s.k; id++ {
 		idx, weights, total = s.overlapAccumulate(q, id, idx, weights, total)
 	}
 	sc.idx, sc.weights = idx, weights
 	return idx, weights, total
+}
+
+// markLive verifies slot id on its live row and marks it when it overlaps q.
+func (s *storeSnapshot) markLive(q Query, id int, order *slotOrder) {
+	if deg := rowOverlapDegree(q, s.row(id)); deg > 0 {
+		order.mark(id, -1, deg)
+	}
+}
+
+// blockPass tests every row of the leaf runs in sc.runs against q and marks
+// the members, reading the tree epoch's block — contiguous [x_k, θ_k] rows
+// in leaf order — instead of the chunked live rows. On a clean snapshot the
+// block rows are the live rows and the kernel's test is the exact one.
+// Otherwise a row may have moved since its capture, by at most slack in x
+// and in θ: the kernel tests against the radius widened by 2·slack (a
+// superset of the live members, as the node bound is) and each survivor is
+// verified exactly — on its live row when its stamp says it was written
+// since the capture, on the block row (which then is the live row) when not.
+func (s *storeSnapshot) blockPass(q Query, sc *predictScratch) {
+	e := s.epoch
+	d, w := s.dim, s.width
+	rows, ids := e.tree.Rows(), e.tree.IDs()
+	r := q.Theta
+	if !s.clean {
+		r += 2 * s.slack
+		r += (r + s.maxTheta) * overlapEps
+	}
+	for _, run := range sc.runs {
+		sc.hits, sc.sqs = vector.AppendBallsTouching(rows[int(run.Start)*w:int(run.End)*w], q.Center, r, run.Start, sc.hits[:0], sc.sqs[:0])
+		for i, p := range sc.hits {
+			k, thetaK := int(ids[p]), rows[int(p)*w+d]
+			var deg float64
+			if !s.clean && s.stamp(k) >= e.step {
+				deg, p = rowOverlapDegree(q, s.row(k)), -1
+			} else if rk := q.Theta + thetaK; sc.sqs[i] <= rk*rk {
+				deg = overlapDegree(math.Sqrt(sc.sqs[i]), q.Theta, thetaK)
+			}
+			if deg > 0 {
+				sc.order.mark(k, p, deg)
+			}
+		}
+	}
+}
+
+// member returns the i-th member of the overlap set the scratch holds: from
+// the epoch's block when the pass proved its copy current, else live.
+func (s *storeSnapshot) member(sc *predictScratch, i int) proto {
+	if i < len(sc.pos) && sc.pos[i] >= 0 {
+		p, e := int(sc.pos[i]), s.epoch
+		return proto{e.tree.Rows()[p*s.width : (p+1)*s.width], e.coefs[p*s.coefW : (p+1)*s.coefW]}
+	}
+	return s.proto(sc.idx[i])
 }
 
 // View is an immutable, lock-free view of the model at one published
@@ -358,11 +476,11 @@ func (v View) PredictMean(q Query) (float64, error) {
 	if len(idx) == 0 {
 		// Extrapolate from the closest prototype.
 		w, _ := s.winnerQuery(q, sc)
-		return s.eval(w, q.Center, q.Theta), nil
+		return s.proto(w).eval(q.Center, q.Theta), nil
 	}
 	var yhat float64
-	for i, k := range idx {
-		yhat += weights[i] * s.eval(k, q.Center, q.Theta)
+	for i := range idx {
+		yhat += weights[i] * s.member(sc, i).eval(q.Center, q.Theta)
 	}
 	return yhat, nil
 }
@@ -382,13 +500,13 @@ func (v View) Regression(q Query) ([]LocalLinear, error) {
 	idx, weights := s.overlapSet(q, sc)
 	if len(idx) == 0 {
 		w, _ := s.winnerQuery(q, sc)
-		model := s.dataModel(w)
+		model := s.proto(w).dataModel()
 		model.Weight = 0
 		return []LocalLinear{model}, nil
 	}
 	out := make([]LocalLinear, 0, len(idx))
-	for i, k := range idx {
-		model := s.dataModel(k)
+	for i := range idx {
+		model := s.member(sc, i).dataModel()
 		model.Weight = weights[i]
 		out = append(out, model)
 	}
@@ -412,11 +530,11 @@ func (v View) PredictValue(q Query, x []float64) (float64, error) {
 	idx, weights := s.overlapSet(q, sc)
 	if len(idx) == 0 {
 		w, _ := s.winnerQuery(q, sc)
-		return s.evalAtPrototypeRadius(w, xv), nil
+		return s.proto(w).evalAtPrototypeRadius(xv), nil
 	}
 	var uhat float64
-	for i, k := range idx {
-		uhat += weights[i] * s.evalAtPrototypeRadius(k, xv)
+	for i := range idx {
+		uhat += weights[i] * s.member(sc, i).evalAtPrototypeRadius(xv)
 	}
 	return uhat, nil
 }
@@ -432,8 +550,8 @@ func (v View) Neighborhood(q Query) ([]Query, []float64, error) {
 	defer scratchPool.Put(sc)
 	idx, weights := s.overlapSet(q, sc)
 	qs := make([]Query, len(idx))
-	for i, k := range idx {
-		qs[i] = s.protoQuery(k)
+	for i := range idx {
+		qs[i] = s.member(sc, i).query()
 	}
 	return qs, append([]float64(nil), weights...), nil
 }

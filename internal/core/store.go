@@ -68,11 +68,13 @@ const (
 // pruning bound is widened by the worst per-prototype displacement since the
 // epoch was built (maxDrift): a row's live distance is at least its stale
 // distance minus its drift, so a row pruned under the widened bound cannot
-// have won, and surviving candidates are verified against the live rows.
-// Rebuilds happen on the write path once the tail or the drift grows past
-// its threshold, amortizing to O(log K) per step. Because an epoch is never
-// mutated after it is built, snapshots share it without copying, exactly as
-// they share unchanged row chunks.
+// have won, and what survives is verified against the live rows — or, on the
+// overlap path of a tree epoch, against the epoch's own copy when the
+// reader can prove the copy current (see readEpoch). Rebuilds happen on the
+// write path once the tail or the drift grows past its threshold, amortizing
+// to O(log K) per step. Because an epoch is never mutated after it is built,
+// snapshots share it without copying, exactly as they share unchanged row
+// chunks.
 //
 // # The max-θ invariant
 //
@@ -131,6 +133,13 @@ type protoStore struct {
 	drift    []float64  // per-built-row displacement since the epoch build
 	maxDrift float64    // max over drift
 	maxTheta float64    // monotone upper bound on θ_k, tightened per rebuild
+
+	// step is the training step in progress (the last completed one between
+	// steps), set by the model: the smallest stamp a row write from now on
+	// can carry, and so the epoch's capture step. dirty records that a slot
+	// below the epoch's builtK was written after the epoch captured it.
+	step  int
+	dirty bool
 
 	qbuf     []float64 // winnerQuery scratch (single writer)
 	kdstack  []int32   // k-d tree traversal scratch (single writer)
@@ -215,9 +224,27 @@ func (t *chunkTable) isTombstone(k int) bool {
 // so the store and any number of published snapshots reference it
 // concurrently without synchronization; each referencer pairs it with its
 // own live chunk table and its own drift slack.
+//
+// A tree epoch is also the prototype block the fusion loop reads: the
+// tree's leaf-ordered rows [x_k, θ_k] with the coefficient rows gathered
+// beside them in the same position order (coefs), so a leaf run is
+// contiguous memory holding everything Eq. 9/10 and Eq. 5/12/14 need. The
+// block is a copy, so a reader may use position p for slot k only when its
+// snapshot can prove slot k has not been written since the capture: either
+// the snapshot is clean (no slot below builtK was written between the build
+// and the publication), or the slot's copy-on-write stamp is older than
+// step — the training step in progress at the capture. Every training
+// write stamps its row with the step it belongs to, so a row written after
+// the capture carries a stamp ≥ step. The comparison is ≥, not >: a
+// winner's row sync can trigger the rebuild in the middle of its own step,
+// before the same step's coefficient sync, and the block then holds that
+// winner's pre-update coefficients under a stamp that is about to become
+// step itself. (The eviction pass writes rows without raising their stamp,
+// and always installs a fresh epoch before it returns.)
 type readEpoch struct {
 	builtK int
 	width  int
+	step   int // the store's step at the build; see above
 
 	// inEpoch marks which slots below builtK the epoch indexes; nil means
 	// all of them (no tombstones existed at build time). Only indexed
@@ -236,6 +263,10 @@ type readEpoch struct {
 	// grows (the 1-D projection spine that used to live here concentrated
 	// at d=8 and pruned weakly — see PERFORMANCE.md).
 	tree *index.BulkKDTree
+
+	// coefs holds the coefficient row of the slot at each position of
+	// tree.Rows(), coefW values each (tree epochs only).
+	coefs []float64
 }
 
 const (
@@ -274,8 +305,13 @@ func (s *protoStore) liveView() vector.Chunked {
 // row k is visible to it (k < pubK), the chunk — prototype rows, coefficient
 // rows and win counts, one buffer — is first copied afresh. Rows appended
 // since the last publication are invisible to every reader and are written
-// in place even inside a shared chunk.
+// in place even inside a shared chunk. Every write to a stored row comes
+// through here first, which makes it the one place that notices an epoch's
+// copy of a row going stale (dirty).
 func (s *protoStore) writableChunk(k int) {
+	if e := s.epoch; e != nil && k < e.builtK {
+		s.dirty = true
+	}
 	ci := k >> chunkShift
 	if !s.shared[ci] || k >= s.pubK {
 		return
@@ -445,19 +481,21 @@ func (s *protoStore) maybeRebuildEpoch() {
 }
 
 // rebuildEpoch snapshots the current live prototype rows into a fresh
-// immutable index (grid or k-d tree by width), resets the drift budget and
-// the revived list, and re-tightens the max-θ bound exactly. It reads the
-// live chunks row by row; the epoch's own storage is contiguous (grid rows
-// / leaf-ordered tree matrix), so searches against the stale copy keep
-// their flat-scan cache behaviour. While tombstones exist only the live
-// slots are indexed, with the grid/tree id-indirection carrying the true
-// slot ids; if the live count has fallen below the index size gate (a deep
-// capacity shrink) the epoch is dropped and searches fall back to the exact
-// flat scan, for which tombstones are transparent.
+// immutable index (grid or k-d tree by width; a tree epoch also captures
+// the coefficient rows — see readEpoch), resets the drift budget, the dirty
+// mark and the revived list, and re-tightens the max-θ bound exactly. It
+// reads the live chunks row by row; the epoch's own storage is contiguous
+// (grid rows / leaf-ordered tree matrix), so searches against the stale
+// copy keep their flat-scan cache behaviour. While tombstones exist only the
+// live slots are indexed, with the grid/tree id-indirection carrying the
+// true slot ids; if the live count has fallen below the index size gate (a
+// deep capacity shrink) the epoch is dropped and searches fall back to the
+// exact flat scan, for which tombstones are transparent.
 func (s *protoStore) rebuildEpoch() {
 	k := s.rows
 	w := s.width
 	s.revived = s.revived[:0]
+	s.dirty = false
 	if s.live < s.minEpochK() {
 		s.epoch = nil
 		s.drift = s.drift[:0]
@@ -465,7 +503,7 @@ func (s *protoStore) rebuildEpoch() {
 		s.retightenMaxTheta()
 		return
 	}
-	e := &readEpoch{builtK: k, width: w}
+	e := &readEpoch{builtK: k, width: w, step: s.step}
 	if s.live != k {
 		e.inEpoch = make([]bool, k)
 		for i := 0; i < k; i++ {
@@ -529,6 +567,13 @@ func (s *protoStore) rebuildEpoch() {
 			panic(fmt.Sprintf("core: epoch tree build invariant broken: %v", err))
 		}
 		e.tree = t
+		// The block's other half: each position's coefficient row, beside
+		// the tree's leaf-ordered prototype rows.
+		cw := s.coefW
+		e.coefs = make([]float64, s.live*cw)
+		for p, id := range t.IDs() {
+			copy(e.coefs[p*cw:(p+1)*cw], s.coefRow(int(id)))
+		}
 	}
 	s.epoch = e
 	if cap(s.drift) < k {
@@ -611,9 +656,9 @@ func (s *protoStore) winnerQuery(q Query) (int, float64) {
 // pointer table is copied (⌈K/chunkRows⌉ slice headers — not the rows),
 // every chunk is marked shared so the next write to a published row copies
 // its chunk first, the current epoch is shared by pointer, and the
-// drift/max-θ budgets are captured as scalars. The returned snapshot never
-// changes, so readers use it without any synchronization beyond the atomic
-// pointer load that handed it out.
+// drift/max-θ budgets and the clean mark are captured as scalars. The
+// returned snapshot never changes, so readers use it without any
+// synchronization beyond the atomic pointer load that handed it out.
 func (s *protoStore) publish(dim, steps int, converged bool, lastGamma float64, quietSteps int) *storeSnapshot {
 	dataC := make([]*vector.Chunk, len(s.dataC))
 	copy(dataC, s.dataC)
@@ -633,6 +678,7 @@ func (s *protoStore) publish(dim, steps int, converged bool, lastGamma float64, 
 		live:       s.live,
 		revived:    revived,
 		epoch:      s.epoch,
+		clean:      !s.dirty,
 		slack:      s.maxDrift,
 		maxTheta:   s.maxTheta,
 		steps:      steps,

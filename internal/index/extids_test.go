@@ -121,8 +121,8 @@ func TestDynamicGridExternalIDs(t *testing.T) {
 }
 
 // TestBulkKDTreeExternalIDs verifies NewBulkKDTreeIDs: NearestStale and
-// Range report slot ids and verify against the slot-indexed live view, with
-// and without drift slack, matching the linear-scan reference.
+// LeafRuns report slot ids and verify against the slot-indexed live view,
+// with and without drift slack, matching the linear-scan reference.
 func TestBulkKDTreeExternalIDs(t *testing.T) {
 	for _, dim := range []int{5, 8} {
 		rng := rand.New(rand.NewSource(int64(950 + dim)))
@@ -151,18 +151,20 @@ func TestBulkKDTreeExternalIDs(t *testing.T) {
 				}
 			}
 			r := 0.2 + 0.4*rng.Float64()
-			var got []int
-			got, stack = tr.Range(q, r, nil, stack, 0)
+			var runs []Span
+			runs, stack = tr.LeafRuns(q, r, nil, stack)
 			seen := map[int]bool{}
-			for _, id := range got {
-				if seen[id] {
-					t.Fatalf("dim %d: duplicate id %d from tree Range", dim, id)
+			for _, run := range runs {
+				for _, id := range tr.IDs()[run.Start:run.End] {
+					if seen[int(id)] {
+						t.Fatalf("dim %d: duplicate id %d from tree LeafRuns", dim, id)
+					}
+					seen[int(id)] = true
 				}
-				seen[id] = true
 			}
 			for _, id := range ids {
 				if vector.SqDistanceFlat(live.Row(int(id)), q) <= r*r && !seen[int(id)] {
-					t.Fatalf("dim %d: tree Range missing live slot %d", dim, id)
+					t.Fatalf("dim %d: tree LeafRuns missing live slot %d", dim, id)
 				}
 			}
 		}

@@ -20,10 +20,11 @@
 // prototype store builds over frozen row copies: DynamicGrid (incremental
 // uniform grid, low-dimensional query spaces) and BulkKDTree (bulk-built
 // implicit-layout k-d tree, wide query spaces). Both answer NearestStale
-// and Range queries that stay exact while the live rows drift from the
-// indexed copy — every pruning bound is widened by the caller's drift
-// slack and surviving candidates are verified against live rows — and both
-// can index a sparse slot space through external ids (InsertWithID /
+// and radius queries (DynamicGrid.Range reports candidate ids,
+// BulkKDTree.LeafRuns the leaf spans for the caller to test) that stay
+// exact while the live rows drift from the indexed copy — every pruning
+// bound is widened by the caller's drift slack and what survives is
+// verified by the caller — and both can index a sparse slot space through external ids (InsertWithID /
 // NewBulkKDTreeIDs), which is how the bounded prototype store indexes only
 // the live slots of a tombstoned row space. See docs/ARCHITECTURE.md for
 // where each structure sits in the read path.

@@ -29,13 +29,15 @@ import (
 // around their median along the axis of maximum spread (quickselect — no
 // full sort), giving an O(n log n) bulk build and leaves balanced to ±1 row.
 //
-// Both epoch operations mirror DynamicGrid's: NearestStale (winner seeding,
-// Eq. 5) and Range (overlap radius query, Eq. 10). The tree's rows are a
-// stale snapshot; callers that let the live rows drift pass a slack bound
-// and the traversal widens every pruning bound by it, verifying each
-// surviving candidate against the live row — exactness is never a function
-// of staleness. Traversal state is an explicit stack owned by the caller
-// (the prediction scratch pool), so the hot path performs no allocation.
+// The epoch operations are NearestStale (winner seeding, Eq. 5), mirroring
+// DynamicGrid's, and LeafRuns (overlap radius query, Eq. 10), which only
+// prunes: it reports the leaf-order spans the query ball touches, and the
+// caller tests their rows itself through Rows/IDs — the prototype store
+// keeps its coefficient rows in the same position order, so one pass over a
+// span has everything the fusion needs. The rows are a stale snapshot;
+// callers that let the live rows drift widen every bound by a slack, so
+// exactness is never a function of staleness. The traversal stack is the
+// caller's (the prediction scratch pool): the hot path allocates nothing.
 type BulkKDTree struct {
 	dim   int
 	n     int
@@ -57,6 +59,10 @@ type BulkKDTree struct {
 
 // kdSpan is one node's row range [start, end) in the reordered matrix.
 type kdSpan struct{ start, end int32 }
+
+// Span is a run of positions [Start, End) of the leaf-ordered matrix, as
+// LeafRuns reports them: one leaf's rows, or several neighbouring leaves'.
+type Span struct{ Start, End int32 }
 
 const (
 	// kdLeafRowsMax bounds the rows per leaf; the leaf count is the smallest
@@ -342,31 +348,30 @@ func (t *BulkKDTree) NearestStale(q []float64, slack float64, live vector.Chunke
 	return best, bestSq, stack
 }
 
-// Range appends to out the ids of every indexed point whose stored (stale)
-// position lies within L2 distance r of q, mirroring DynamicGrid.Range: the
-// cutoff is widened one-sidedly by rangeBoxEps so boundary rounding can
-// only ever add candidates, and callers searching a drifted snapshot widen
-// r by their slack and re-verify candidates against live rows. Unlike the
-// grid, the tree never reports an id twice. stack follows the NearestStale
-// contract.
-//
-// maxOut (> 0) caps the enumeration: the traversal stops early once out has
-// grown to maxOut entries, so the result may be incomplete — for callers
-// that abandon the candidate list past a size threshold anyway (the overlap
-// router falls back to a straight scan once candidates cover half the
-// prototype set), the cap keeps a space-covering query from paying a full
-// distance-verified traversal whose output is then discarded. maxOut <= 0
-// enumerates everything.
-func (t *BulkKDTree) Range(q []float64, r float64, out []int, stack []int32, maxOut int) ([]int, []int32) {
+// Rows returns the point matrix in leaf order (Len() rows of Dim() values,
+// each leaf's rows contiguous): the tree's own storage, read-only.
+func (t *BulkKDTree) Rows() []float64 { return t.flat }
+
+// IDs returns the id of the point stored at each position of Rows.
+func (t *BulkKDTree) IDs() []int32 { return t.ids }
+
+// LeafRuns appends to runs the spans of every leaf whose bounding box lies
+// within L2 distance r of q — every point whose stored (stale) position is
+// within r of q is in one of them — for the caller to test in one pass over
+// contiguous rows. The cutoff is widened one-sidedly by rangeBoxEps so
+// boundary rounding can only ever add a leaf; callers searching a drifted
+// snapshot widen r by their slack. Spans come out in ascending position
+// order, neighbouring leaves coalesced, no position twice; a negative or
+// NaN r reports nothing. stack follows the NearestStale contract.
+func (t *BulkKDTree) LeafRuns(q []float64, r float64, runs []Span, stack []int32) ([]Span, []int32) {
 	if len(q) != t.dim {
-		panic(fmt.Sprintf("index: Range query dim %d, index dim %d", len(q), t.dim))
+		panic(fmt.Sprintf("index: LeafRuns query dim %d, index dim %d", len(q), t.dim))
 	}
 	if r < 0 || math.IsNaN(r) {
-		return out, stack
+		return runs, stack
 	}
 	cutoffSq := r * r
 	cutoffSq += cutoffSq * rangeBoxEps
-	d := t.dim
 	stack = append(stack[:0], 0)
 	for len(stack) > 0 {
 		node := int(stack[len(stack)-1])
@@ -375,14 +380,16 @@ func (t *BulkKDTree) Range(q []float64, r float64, out []int, stack []int32, max
 			continue
 		}
 		if node < t.leaf1 {
-			stack = append(stack, int32(2*node+1), int32(2*node+2))
+			// Right child first: the left pops first, spans stay in order.
+			stack = append(stack, int32(2*node+2), int32(2*node+1))
 			continue
 		}
 		sp := t.nodes[node]
-		out = vector.AppendWithinIDs(t.flat[int(sp.start)*d:int(sp.end)*d], d, q, cutoffSq, t.ids[sp.start:sp.end], out)
-		if maxOut > 0 && len(out) >= maxOut {
-			return out, stack
+		if n := len(runs); n > 0 && runs[n-1].End == sp.start {
+			runs[n-1].End = sp.end
+		} else {
+			runs = append(runs, Span{Start: sp.start, End: sp.end})
 		}
 	}
-	return out, stack
+	return runs, stack
 }

@@ -3,7 +3,6 @@ package index
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"llmq/internal/vector"
@@ -110,9 +109,29 @@ func bruteRange(flat []float64, dim int, q []float64, r float64) []int {
 	return ids
 }
 
-// TestBulkKDTreeRangeMatchesLinear is the Range exactness property test:
-// every id within r must be reported, and nothing farther than the
-// documented one-sided rounding widening.
+// runIDs returns the ids stored in the spans, checking on the way that the
+// spans are non-empty, ascending and disjoint, with touching leaves
+// coalesced.
+func runIDs(t *testing.T, tree *BulkKDTree, runs []Span) map[int]bool {
+	t.Helper()
+	ids := map[int]bool{}
+	prevEnd := int32(-1)
+	for _, run := range runs {
+		if run.Start >= run.End || run.Start <= prevEnd || int(run.End) > tree.Len() {
+			t.Fatalf("runs %v: span [%d,%d) after end %d of %d rows", runs, run.Start, run.End, prevEnd, tree.Len())
+		}
+		prevEnd = run.End
+		for _, id := range tree.IDs()[run.Start:run.End] {
+			ids[int(id)] = true
+		}
+	}
+	return ids
+}
+
+// TestBulkKDTreeRangeMatchesLinear is the exactness property test of the
+// tree's range query, LeafRuns: every id within r lies in a reported span,
+// and the spans are exactly the leaves whose box is within the documented
+// one-sided widening of r — nothing farther is scanned.
 func TestBulkKDTreeRangeMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, tc := range []struct {
@@ -128,36 +147,44 @@ func TestBulkKDTreeRangeMatchesLinear(t *testing.T) {
 			t.Fatal(err)
 		}
 		var stack []int32
-		var got []int
+		var runs []Span
 		for trial := 0; trial < 200; trial++ {
 			q := randRows(rng, 1, tc.dim)
 			r := 0.4 * rng.Float64()
-			got, stack = tree.Range(q, r, got[:0], stack, 0)
-			// The capped variant may stop early but must report a prefix-
-			// complete set: at least min(cap, full) ids, never more than full.
-			var capped []int
-			capped, stack = tree.Range(q, r, nil, stack, 5)
-			if wantLen := min(5, len(got)); len(capped) < wantLen || len(capped) > len(got) {
-				t.Fatalf("n=%d trial %d: capped Range returned %d ids, full %d", tc.n, trial, len(capped), len(got))
-			}
-			sort.Ints(got)
-			want := bruteRange(tc.rows, tc.dim, q, r)
-			i := 0
-			for _, id := range want {
-				for i < len(got) && got[i] < id {
-					// An extra candidate is permitted only within the eps
-					// widening of the boundary.
-					sq := vector.SqDistanceFlat(tc.rows[got[i]*tc.dim:(got[i]+1)*tc.dim], q)
-					if sq > r*r*(1+2*rangeBoxEps) {
-						t.Fatalf("n=%d trial %d: Range reported id %d at sq %v, r²=%v", tc.n, trial, got[i], sq, r*r)
-					}
-					i++
+			runs, stack = tree.LeafRuns(q, r, runs[:0], stack)
+			got := runIDs(t, tree, runs)
+			for _, id := range bruteRange(tc.rows, tc.dim, q, r) {
+				if !got[id] {
+					t.Fatalf("n=%d trial %d: LeafRuns missed id %d within r=%v", tc.n, trial, id, r)
 				}
-				if i >= len(got) || got[i] != id {
-					t.Fatalf("n=%d trial %d: Range missed id %d within r=%v", tc.n, trial, id, r)
-				}
-				i++
 			}
+			cutoffSq := r * r
+			cutoffSq += cutoffSq * rangeBoxEps
+			covered := 0
+			for node := tree.leaf1; node < len(tree.nodes); node++ {
+				sp := tree.nodes[node]
+				// A leaf is reported iff its box is within the eps widening
+				// of the ball.
+				want := tree.boxSqDist(node, q) <= cutoffSq
+				if in := got[int(tree.ids[sp.start])]; in != want {
+					t.Fatalf("n=%d trial %d: leaf %d at box sq %v reported=%v, r²=%v", tc.n, trial, node, tree.boxSqDist(node, q), in, r*r)
+				}
+				if want {
+					covered += int(sp.end - sp.start)
+				}
+			}
+			if len(got) != covered {
+				t.Fatalf("n=%d trial %d: spans hold %d ids, touched leaves %d rows", tc.n, trial, len(got), covered)
+			}
+		}
+		if runs, _ = tree.LeafRuns(randRows(rng, 1, tc.dim), math.NaN(), runs[:0], stack); len(runs) != 0 {
+			t.Fatalf("NaN radius reported %v", runs)
+		}
+		if runs, _ = tree.LeafRuns(randRows(rng, 1, tc.dim), -1, runs[:0], stack); len(runs) != 0 {
+			t.Fatalf("negative radius reported %v", runs)
+		}
+		if runs, _ = tree.LeafRuns(randRows(rng, 1, tc.dim), 1e9, runs[:0], stack); len(runs) != 1 || runs[0] != (Span{0, int32(tc.n)}) {
+			t.Fatalf("space-covering radius reported %v, want one span of %d rows", runs, tc.n)
 		}
 	}
 }
@@ -304,7 +331,7 @@ func TestBulkKDTreeBailMatchesLinear(t *testing.T) {
 
 // FuzzBulkKDTree fuzzes the build/traverse invariants: arbitrary point
 // sets (derived from the fuzz bytes) must build a structurally sound tree
-// whose Range and NearestStale agree with the linear scan.
+// whose LeafRuns and NearestStale agree with the linear scan.
 func FuzzBulkKDTree(f *testing.F) {
 	f.Add(int64(1), 10, 3, 0.2)
 	f.Add(int64(2), 200, 9, 0.05)
@@ -338,19 +365,12 @@ func FuzzBulkKDTree(f *testing.F) {
 		checkTreeInvariants(t, tree, src)
 		q := randRows(rng, 1, dim)
 		var stack []int32
-		var got []int
-		got, stack = tree.Range(q, r, got, stack, 0)
-		want := bruteRange(src, dim, q, r)
-		if len(got) < len(want) {
-			t.Fatalf("Range returned %d ids, linear scan %d", len(got), len(want))
-		}
-		member := make(map[int]bool, len(got))
-		for _, id := range got {
-			member[id] = true
-		}
-		for _, id := range want {
+		var runs []Span
+		runs, stack = tree.LeafRuns(q, r, runs, stack)
+		member := runIDs(t, tree, runs)
+		for _, id := range bruteRange(src, dim, q, r) {
 			if !member[id] {
-				t.Fatalf("Range missed id %d", id)
+				t.Fatalf("LeafRuns missed id %d", id)
 			}
 		}
 		wantIdx, wantSq := bruteNearest(src, dim, q)

@@ -1,5 +1,7 @@
 package vector
 
+import "slices"
+
 // Flat (struct-of-arrays) kernels over row-major matrices. The prototype
 // store in internal/core packs all K prototypes into one contiguous
 // []float64 of K rows × d columns; the kernels below scan it without
@@ -67,8 +69,8 @@ func SqDistanceWithin(a, b []float64, cutoffSq float64) (float64, bool) {
 // AppendWithin appends base+k to out for every row k of the flat row-major
 // matrix whose squared L2 distance to q is at most cutoffSq, and returns the
 // extended slice. It is the range-scan primitive of the grid's budget
-// fallback; AppendWithinIDs is its reordered-matrix variant for the k-d
-// tree's leaf scans. Each row runs through the unrolled partial-distance
+// fallback; AppendWithinIDs is its variant for a grid over external ids.
+// Each row runs through the unrolled partial-distance
 // kernel (SqDistanceWithin), so a row whose leading components already
 // exceed the cutoff is abandoned mid-row.
 func AppendWithin(flat []float64, d int, q []float64, cutoffSq float64, base int, out []int) []int {
@@ -87,10 +89,10 @@ func AppendWithin(flat []float64, d int, q []float64, cutoffSq float64, base int
 	return out
 }
 
-// AppendWithinIDs is AppendWithin for reordered matrices: row k's reported
-// index is ids[k] instead of base+k. The k-d tree epoch stores its stale rows
-// leaf-contiguously in build order, so a leaf scan maps its hits back to
-// prototype ids through this variant.
+// AppendWithinIDs is AppendWithin for matrices whose rows live in a
+// caller-defined id space: row k's reported index is ids[k] instead of
+// base+k. The grid over a tombstoned slot space maps its hits back to
+// prototype slots through this variant.
 func AppendWithinIDs(flat []float64, d int, q []float64, cutoffSq float64, ids []int32, out []int) []int {
 	if d <= 0 {
 		panic("vector: AppendWithinIDs requires positive dimension")
@@ -110,6 +112,53 @@ func AppendWithinIDs(flat []float64, d int, q []float64, cutoffSq float64, ids [
 	return out
 }
 
+// AppendBallsTouching scans a row-major matrix of balls — rows [x_k..., r_k]
+// of len(c)+1 values, centre then radius — and reports the ones that touch
+// the ball (c, r): ‖c − x_k‖ ≤ r + r_k. For each such row it appends base+k
+// to pos and the squared centre distance to sqs (the two grow in step). The
+// distance is accumulated exactly as SqDistanceWithin accumulates it, and a
+// row passes exactly when SqDistanceWithin(c, x_k, (r+r_k)²) reports within
+// — partial sums of squares only grow, so abandoning a row mid-way and
+// comparing its full sum reject the same rows — so a caller may mix the two
+// freely. Unlike the per-row kernel there is no early exit to mispredict:
+// every row's position and sum are stored and the length advances past the
+// ones that qualify.
+func AppendBallsTouching(balls, c []float64, r float64, base int32, pos []int32, sqs []float64) ([]int32, []float64) {
+	d := len(c)
+	w := d + 1
+	if len(balls)%w != 0 {
+		panic("vector: AppendBallsTouching matrix is not rows of len(c)+1")
+	}
+	if len(pos) != len(sqs) {
+		panic("vector: AppendBallsTouching pos and sqs differ in length")
+	}
+	n, k := len(balls)/w, len(pos)
+	pos = slices.Grow(pos, n)[:k+n]
+	sqs = slices.Grow(sqs, n)[:k+n]
+	for i := 0; i < n; i++ {
+		row := balls[i*w : i*w+w]
+		var s float64
+		j := 0
+		for ; j+4 <= d; j += 4 {
+			d0 := c[j] - row[j]
+			d1 := c[j+1] - row[j+1]
+			d2 := c[j+2] - row[j+2]
+			d3 := c[j+3] - row[j+3]
+			s += (d0*d0 + d1*d1) + (d2*d2 + d3*d3)
+		}
+		for ; j < d; j++ {
+			dj := c[j] - row[j]
+			s += dj * dj
+		}
+		rr := r + row[d]
+		pos[k], sqs[k] = base+int32(i), s
+		if s <= rr*rr {
+			k++
+		}
+	}
+	return pos[:k], sqs[:k]
+}
+
 // SqDistanceToBox returns the squared L2 distance from q to the axis-aligned
 // box [lo, hi] — zero when q lies inside. It is the subtree lower bound of
 // the k-d tree traversal: no point inside the box can be closer to q.
@@ -119,11 +168,12 @@ func SqDistanceToBox(q, lo, hi []float64) float64 {
 	}
 	var s float64
 	for i, v := range q {
-		if d := lo[i] - v; d > 0 {
-			s += d * d
-		} else if d := v - hi[i]; d > 0 {
-			s += d * d
-		}
+		// At most one of the two gaps is positive (lo ≤ hi), and adding an
+		// exact zero changes nothing, so this is the sum over the violated
+		// sides — without a data-dependent branch per coordinate, which a
+		// tree traversal's box tests mispredict about half the time.
+		d := max(lo[i]-v, v-hi[i], 0)
+		s += d * d
 	}
 	return s
 }

@@ -100,6 +100,63 @@ func TestAppendWithinMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestAppendBallsTouchingMatchesSqDistanceWithin pins the run kernel to the
+// per-row kernel it stands in for: the same rows pass, and a passing row's
+// sum of squares has the same bits — on random rows, rows exactly on the
+// boundary (r + r_k equal to the distance), masked rows and every width
+// around the 4-way unroll.
+func TestAppendBallsTouchingMatchesSqDistanceWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, d := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12} {
+		for _, rows := range []int{0, 1, 7, 200} {
+			w := d + 1
+			balls := make([]float64, rows*w)
+			c := make([]float64, d)
+			for i := range c {
+				c[i] = rng.Float64()
+			}
+			r := 0.1 + 0.3*rng.Float64()
+			for k := 0; k < rows; k++ {
+				row := balls[k*w : (k+1)*w]
+				for j := 0; j < d; j++ {
+					row[j] = rng.Float64()
+				}
+				row[d] = 0.5 * rng.Float64()
+				switch k % 5 {
+				case 3: // exactly on the boundary, or an ulp either side
+					row[d] = math.Sqrt(SqDistanceFlat(c, row[:d])) - r
+					if k%2 == 0 {
+						row[d] = math.Nextafter(row[d], row[d]+float64(k%3-1))
+					}
+				case 4:
+					MaskRow(row[:d])
+					row[d] = -1
+				}
+			}
+			pos, sqs := AppendBallsTouching(balls, c, r, 100, []int32{-7}, []float64{-7})
+			if pos[0] != -7 || sqs[0] != -7 || len(pos) != len(sqs) {
+				t.Fatalf("d=%d rows=%d: the kernel must extend pos and sqs in step, got %v %v", d, rows, pos[:1], sqs[:1])
+			}
+			at := 1
+			for k := 0; k < rows; k++ {
+				row := balls[k*w : (k+1)*w]
+				rr := r + row[d]
+				sq, within := SqDistanceWithin(c, row[:d], rr*rr)
+				if !within {
+					continue
+				}
+				if at >= len(pos) || pos[at] != int32(100+k) || math.Float64bits(sqs[at]) != math.Float64bits(sq) {
+					t.Fatalf("d=%d rows=%d: row %d within at sq %v, kernel reported %v / %v", d, rows, k, sq, pos[at:], sqs[at:])
+				}
+				at++
+			}
+			if at != len(pos) {
+				t.Fatalf("d=%d rows=%d: kernel reported rows %v the per-row kernel rejects", d, rows, pos[at:])
+			}
+		}
+	}
+}
+
 func TestSqDistanceToBox(t *testing.T) {
 	lo := []float64{0, 0, 0}
 	hi := []float64{1, 2, 3}
