@@ -9,9 +9,8 @@ import (
 )
 
 // refVersion is a full deep copy of one published model version, taken from
-// the authoritative LLM training objects — the reference the chunked
-// copy-on-write publication is compared against. The store mirrors the LLM
-// parameters by plain copies, so a published snapshot must reproduce these
+// the writer's rows (as LLM values) — the reference the chunked copy-on-write
+// publication is compared against: a published snapshot must reproduce these
 // values bit for bit, at the moment of publication and forever after.
 type refVersion struct {
 	k     int
@@ -22,8 +21,8 @@ type refVersion struct {
 }
 
 func captureRef(m *Model) refVersion {
-	ref := refVersion{k: len(m.llms), steps: m.steps}
-	for _, l := range m.llms {
+	ref := refVersion{k: m.store.rows, steps: m.steps}
+	for _, l := range slotLLMs(m) {
 		row := append(append([]float64(nil), l.CenterPrototype...), l.ThetaPrototype)
 		coef := append([]float64{l.Intercept}, l.SlopeX...)
 		coef = append(coef, l.SlopeTheta)

@@ -55,7 +55,7 @@ func canonicalState(t testing.TB, m *Model) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var rows []string
-	for k, l := range m.llms {
+	for k, l := range slotLLMs(m) {
 		if l == nil {
 			continue
 		}

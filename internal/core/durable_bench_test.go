@@ -29,8 +29,8 @@ func durableOver(tb testing.TB, m *Model, dir string, mode wal.SyncMode) *Durabl
 // one does.
 func rotationBenchModel(tb testing.TB) *Model {
 	m := buildPublishBenchModel(tb, 2, 2_000, 0.03, 0.05, 0.15)
-	for _, l := range m.llms {
-		l.initRLS(1e-3)
+	for k := range m.store.rls {
+		m.store.rls[k] = newRLS(m.cfg.Dim+2, 1e-3)
 	}
 	return m
 }

@@ -200,21 +200,16 @@ func (m *Model) evictLocked(protect int) int {
 	// rows · d) — quadratic on a deep shrink of a large model — while this
 	// order pays one rebuild (or compaction) and routes every merge query
 	// through the epoch index over the survivors.
-	type savedVictim struct {
-		l     *LLM
-		stamp int
-	}
-	var victims []savedVictim
+	var victims []slotState
 	if cc.merge {
-		victims = make([]savedVictim, 0, n)
+		victims = make([]slotState, 0, n)
 	}
 	for i := 0; i < n; i++ {
 		v := cands[i].slot
 		if cc.merge {
-			victims = append(victims, savedVictim{m.llms[v], s.stamp(v)})
+			victims = append(victims, s.at(v).clone())
 		}
 		s.evictSlot(v)
-		m.llms[v] = nil
 	}
 	// Steady-state eviction keeps tombstones bounded by the hysteresis
 	// band, but a deep shrink (SetCapacity, or loading an over-cap file)
@@ -235,7 +230,7 @@ func (m *Model) evictLocked(protect int) int {
 		s.rebuildEpoch()
 	}
 	for _, v := range victims {
-		m.mergeVictim(v.l, v.stamp)
+		m.mergeVictim(v)
 	}
 	if len(victims) > 0 && m.store.epoch != nil {
 		// The merges moved survivors; re-tighten the epoch they drifted
@@ -256,23 +251,13 @@ func (m *Model) compactLocked() {
 	s := m.store
 	ns := newProtoStore(m.cfg.Dim, m.cfg.Vigilance)
 	ns.step = s.step
-	nllms := make([]*LLM, 0, s.live)
 	for k := 0; k < s.rows; k++ {
-		if s.isTombstone(k) {
-			continue
+		if !s.isTombstone(k) {
+			ns.insert(s.at(k))
 		}
-		l := m.llms[k]
-		// addRow, not add: one explicit epoch build below replaces the
-		// O(log K) intermediate builds the per-append trigger would pay
-		// for and discard.
-		ns.addRow(l.CenterPrototype, l.ThetaPrototype)
-		ns.syncCoef(len(nllms), l)
-		ns.setStamp(len(nllms), s.stamp(k))
-		nllms = append(nllms, l)
 	}
 	ns.rebuildEpoch() // drops to the flat scan below the size gate
 	m.store = ns
-	m.llms = nllms
 }
 
 // mergeVictim folds an already-tombstoned victim into its nearest
@@ -286,42 +271,33 @@ func (m *Model) compactLocked() {
 // store's epoch-accelerated winner search over the live rows — exact
 // through the drift slack as earlier merges move survivors, with masked
 // tombstones transparent to every path.
-func (m *Model) mergeVictim(lv *LLM, stampV int) {
+func (m *Model) mergeVictim(v slotState) {
 	s := m.store
-	if cap(s.qbuf) < s.width {
-		s.qbuf = make([]float64, s.width)
-	}
-	qflat := s.qbuf[:s.width]
-	copy(qflat, lv.CenterPrototype)
-	qflat[s.width-1] = lv.ThetaPrototype
-	n, _ := s.winner(qflat)
-	if n < 0 || m.llms[n] == nil {
+	n, _ := s.winner(v.row)
+	if n < 0 || s.isTombstone(n) {
 		// No survivor (cannot happen while the hysteresis target is ≥ 1);
 		// degrade to a plain eviction.
 		return
 	}
-	ln := m.llms[n]
-	wv, wn := float64(lv.Wins), float64(ln.Wins)
+	wv, wn := float64(v.wins), float64(s.win(n))
 	tot := wv + wn
 	if tot <= 0 {
 		return
 	}
-	for i := range ln.CenterPrototype {
-		ln.CenterPrototype[i] = (wn*ln.CenterPrototype[i] + wv*lv.CenterPrototype[i]) / tot
+	blend := func(dst, survivor, victim []float64) {
+		for i := range dst {
+			dst[i] = (wn*survivor[i] + wv*victim[i]) / tot
+		}
 	}
-	ln.ThetaPrototype = (wn*ln.ThetaPrototype + wv*lv.ThetaPrototype) / tot
-	ln.Intercept = (wn*ln.Intercept + wv*lv.Intercept) / tot
-	for i := range ln.SlopeX {
-		ln.SlopeX[i] = (wn*ln.SlopeX[i] + wv*lv.SlopeX[i]) / tot
-	}
-	ln.SlopeTheta = (wn*ln.SlopeTheta + wv*lv.SlopeTheta) / tot
-	ln.Wins += lv.Wins
 	// updateRow, not update: the survivor's move is accounted against the
 	// drift budget but must not trigger a rebuild per victim — evictLocked
 	// installs the pass's single fresh epoch when all victims are done.
-	s.updateRow(n, ln.CenterPrototype, ln.ThetaPrototype)
-	s.syncCoef(n, ln)
-	if stampV > s.stamp(n) {
-		s.setStamp(n, stampV)
+	blend(m.moved, s.row(n), v.row)
+	s.updateRow(n, m.moved)
+	coef := s.coefForWrite(n)
+	blend(coef, coef, v.coef)
+	s.setWin(n, s.win(n)+v.wins)
+	if v.stamp > s.stamp(n) {
+		s.setStamp(n, v.stamp)
 	}
 }

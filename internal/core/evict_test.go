@@ -76,16 +76,12 @@ func compactReference(tb testing.TB, m *Model) *Model {
 		tb.Fatal(err)
 	}
 	m.mu.Lock()
-	i := 0
 	for k := 0; k < m.store.rows; k++ {
 		if m.store.isTombstone(k) {
 			continue
 		}
-		l := m.llms[k].clone()
-		ref.llms = append(ref.llms, l)
-		ref.store.add(l.CenterPrototype, l.ThetaPrototype)
-		ref.store.syncCoef(i, l)
-		i++
+		ref.store.insert(m.store.at(k).clone())
+		ref.store.maybeRebuildEpoch()
 	}
 	ref.steps = m.steps
 	m.mu.Unlock()

@@ -17,34 +17,21 @@ import (
 // region split induces a clean prototype split, and a region merge is a
 // concatenation.
 
-// fuseEntry is one prototype's full writer state in transit.
-type fuseEntry struct {
-	l     *LLM
-	stamp int
-}
-
-// assembleModel builds a model that starts from a prepared prototype set:
-// the Load insertion loop, applied to in-memory entries. The result is
-// unconverged (its criterion state resets like a post-spawn step — the
-// parameter-set cardinality just changed) and enforces cfg's capacity.
-func assembleModel(cfg Config, steps int, entries []fuseEntry) (*Model, error) {
+// assembleModel builds a model that starts from a prepared prototype set,
+// finishing the way Load does. The result is unconverged (its criterion
+// state resets like a post-spawn step — the parameter-set cardinality just
+// changed) and enforces cfg's capacity.
+func assembleModel(cfg Config, steps int, entries []slotState) (*Model, error) {
 	m, err := NewModel(cfg)
 	if err != nil {
 		return nil, err
 	}
 	m.steps, m.store.step = steps, steps
 	m.lastGamma = math.Inf(1)
-	for i, e := range entries {
-		m.llms = append(m.llms, e.l)
-		m.store.addRow(e.l.CenterPrototype, e.l.ThetaPrototype)
-		m.store.syncCoef(i, e.l)
-		m.store.setStamp(i, e.stamp)
+	for _, e := range entries {
+		m.store.insert(e)
 	}
-	if cc := m.capCfg.Load(); cc.max > 0 && m.store.live > cc.max {
-		m.evictLocked(-1)
-	}
-	m.store.rebuildEpoch()
-	m.publishLocked()
+	m.finishLoad()
 	return m, nil
 }
 
@@ -67,7 +54,7 @@ func Fuse(cfg Config, ms ...*Model) (*Model, error) {
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("%w: Fuse needs at least one model", ErrBadConfig)
 	}
-	var entries []fuseEntry
+	var entries []slotState
 	steps := 0
 	for i, src := range ms {
 		if src.cfg.Dim != cfg.Dim {
@@ -75,11 +62,10 @@ func Fuse(cfg Config, ms ...*Model) (*Model, error) {
 		}
 		src.mu.Lock()
 		steps += src.steps
-		for slot, l := range src.llms {
-			if l == nil { // tombstoned by eviction
-				continue
+		for slot := 0; slot < src.store.rows; slot++ {
+			if !src.store.isTombstone(slot) {
+				entries = append(entries, src.store.at(slot).clone())
 			}
-			entries = append(entries, fuseEntry{l: l.clone(), stamp: src.store.stamp(slot)})
 		}
 		src.mu.Unlock()
 	}
@@ -108,26 +94,29 @@ func Fuse(cfg Config, ms ...*Model) (*Model, error) {
 // — coefficients, win counts, stamps, RLS matrices — in the parent's slot
 // order, inherits the parent's step clock (so stamps stay valid), and
 // starts unconverged so it keeps absorbing its region's stream. The parent
-// is read under its writer lock and left untouched; cfg comes from the
-// parent's current configuration.
+// is read under its writer lock and left untouched — assign sees a scratch
+// copy of each prototype, so nothing it does to its argument reaches the
+// parent or the children; cfg comes from the parent's current configuration.
 func Split(m *Model, n int, assign func(center []float64, theta float64) int) ([]*Model, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: Split needs a positive group count, got %d", ErrBadConfig, n)
 	}
 	cfg := m.Config()
-	groups := make([][]fuseEntry, n)
+	groups := make([][]slotState, n)
+	arg := make([]float64, cfg.Dim+1)
 	m.mu.Lock()
 	steps := m.steps
-	for slot, l := range m.llms {
-		if l == nil {
+	for slot := 0; slot < m.store.rows; slot++ {
+		if m.store.isTombstone(slot) {
 			continue
 		}
-		g := assign(l.CenterPrototype, l.ThetaPrototype)
+		copy(arg, m.store.row(slot))
+		g := assign(arg[:cfg.Dim], arg[cfg.Dim])
 		if g < 0 || g >= n {
 			m.mu.Unlock()
 			return nil, fmt.Errorf("core: Split assign sent prototype %d to group %d of %d", slot, g, n)
 		}
-		groups[g] = append(groups[g], fuseEntry{l: l.clone(), stamp: m.store.stamp(slot)})
+		groups[g] = append(groups[g], m.store.at(slot).clone())
 	}
 	m.mu.Unlock()
 	out := make([]*Model, n)

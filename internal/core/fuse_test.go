@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"llmq/internal/index"
@@ -267,7 +268,7 @@ func TestSplitByPartitionRegions(t *testing.T) {
 			t.Fatal(err)
 		}
 		child.mu.Lock()
-		for slot, l := range child.llms {
+		for slot, l := range slotLLMs(child) {
 			if l == nil {
 				continue
 			}
@@ -348,7 +349,7 @@ func TestFuseStampsAndValidation(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	fused.mu.Lock()
-	for slot, l := range fused.llms {
+	for slot, l := range slotLLMs(fused) {
 		if l == nil {
 			continue
 		}
@@ -387,5 +388,64 @@ func TestFuseStampsAndValidation(t *testing.T) {
 	}
 	if _, err := Split(a, 2, func([]float64, float64) int { return 5 }); err == nil {
 		t.Fatal("out-of-range assign accepted")
+	}
+}
+
+// TestSplitAssignCannotMutateParent: Split's assign sees each prototype,
+// and what it does to its argument must stay with it — the parent's rows
+// are shared with published snapshots, and hashed, trained on and served
+// from one copy.
+func TestSplitAssignCannotMutateParent(t *testing.T) {
+	parent, err := NewModel(scatterConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parent.TrainBatch(surfaceStream(600, 2, bumpySurface, 41)); err != nil {
+		t.Fatal(err)
+	}
+	probe := Query{Center: vector.Of(0.4, 0.6), Theta: 0.3}
+	llms := parent.LLMs()
+	hash, _ := parent.StateHash()
+	mean, err := parent.PredictMean(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kids, err := Split(parent, 2, func(center []float64, _ float64) int {
+		g := 0
+		if center[0] >= 0.5 {
+			g = 1
+		}
+		clear(center)
+		return g
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := 0
+	for i, l := range parent.LLMs() {
+		if !reflect.DeepEqual(l, llms[i]) {
+			changed++
+		}
+	}
+	if changed > 0 {
+		t.Errorf("assign changed %d of %d parent prototypes", changed, len(llms))
+	}
+	if h, _ := parent.StateHash(); h != hash {
+		t.Errorf("parent StateHash changed: %s, was %s", h, hash)
+	}
+	if got, err := parent.PredictMean(probe); err != nil || got != mean {
+		t.Errorf("parent PredictMean = %v, %v; was %v", got, err, mean)
+	}
+	// The children hold the parent's prototypes, not what assign left behind.
+	held := 0
+	for _, kid := range kids {
+		for _, l := range kid.LLMs() {
+			if slices.ContainsFunc(llms, func(p *LLM) bool { return reflect.DeepEqual(p, l) }) {
+				held++
+			}
+		}
+	}
+	if held != len(llms) {
+		t.Errorf("children hold %d of the parent's %d prototypes unchanged", held, len(llms))
 	}
 }

@@ -12,6 +12,9 @@ import (
 // w_k = [x_k, θ_k] of the query subspace Q_k (Section III-A):
 //
 //	f_k(x, θ) ≈ y_k + b_{X,k}(x − x_k)ᵀ + b_{Θ,k}(θ − θ_k).
+//
+// It is a value: Model.LLM and Model.LLMs build one per prototype from the
+// model's flat rows, and nothing in the model refers to it afterwards.
 type LLM struct {
 	// CenterPrototype is x_k, the input-space part of the prototype.
 	CenterPrototype vector.Vec
@@ -28,24 +31,22 @@ type LLM struct {
 
 	// p is the inverse-covariance state of the recursive-least-squares
 	// solver, laid out row-major over the (d+2) local parameters
-	// [y, b_X, b_Θ]. It is nil when the SGD solver is used.
+	// [y, b_X, b_Θ]. It is nil before the prototype's first RLS step and
+	// when the SGD solver is used.
 	p []float64
-}
-
-// newLLM creates an LLM positioned at the query q with the given initial
-// intercept and zero slope.
-func newLLM(q Query, intercept float64) *LLM {
-	return &LLM{
-		CenterPrototype: q.Center.Clone(),
-		ThetaPrototype:  q.Theta,
-		Intercept:       intercept,
-		SlopeX:          vector.New(q.Dim()),
-		Wins:            1,
-	}
 }
 
 // Dim returns the input dimensionality d of the LLM.
 func (l *LLM) Dim() int { return len(l.CenterPrototype) }
+
+// proto lays the LLM out as the flat rows [x_k, θ_k] and [y_k, b_X, b_Θ]
+// the model stores and every evaluator reads.
+func (l *LLM) proto() proto {
+	w := l.Dim() + 1
+	vals := append(append(make([]float64, 0, 2*w+1), l.CenterPrototype...), l.ThetaPrototype, l.Intercept)
+	vals = append(append(vals, l.SlopeX...), l.SlopeTheta)
+	return proto{row: vals[:w], coef: vals[w:]}
+}
 
 // PrototypeQuery returns the prototype as a Query value w_k = [x_k, θ_k].
 func (l *LLM) PrototypeQuery() Query {
@@ -54,22 +55,14 @@ func (l *LLM) PrototypeQuery() Query {
 
 // Eval evaluates f_k(x, θ) (Eq. 5 / Eq. 12).
 func (l *LLM) Eval(center vector.Vec, theta float64) float64 {
-	s := l.Intercept + l.SlopeTheta*(theta-l.ThetaPrototype)
-	for i := range l.SlopeX {
-		s += l.SlopeX[i] * (center[i] - l.CenterPrototype[i])
-	}
-	return s
+	return l.proto().eval(center, theta)
 }
 
 // EvalAtPrototypeRadius evaluates f_k(x, θ_k), i.e. the LLM restricted to its
 // own radius. By Theorem 3 this is the local linear approximation of the data
 // function g over the data subspace D_k.
 func (l *LLM) EvalAtPrototypeRadius(x vector.Vec) float64 {
-	s := l.Intercept
-	for i := range l.SlopeX {
-		s += l.SlopeX[i] * (x[i] - l.CenterPrototype[i])
-	}
-	return s
+	return l.proto().evalAtPrototypeRadius(x)
 }
 
 // Residual returns the prediction error y − f_k(x, θ) for a training pair;
@@ -81,52 +74,30 @@ func (l *LLM) Residual(center vector.Vec, theta, y float64) float64 {
 // DataModel converts the LLM into the explicit local linear regression of
 // the data function g over D_k (Theorem 3): u ≈ intercept + slope·x with
 // slope b_{X,k} and intercept y_k − b_{X,k}·x_kᵀ.
-func (l *LLM) DataModel() LocalLinear {
-	return LocalLinear{
-		Intercept: l.Intercept - l.SlopeX.Dot(l.CenterPrototype),
-		Slope:     l.SlopeX.Clone(),
-		Center:    l.CenterPrototype.Clone(),
-		Theta:     l.ThetaPrototype,
-	}
-}
+func (l *LLM) DataModel() LocalLinear { return l.proto().dataModel() }
 
-// clone returns a deep copy.
-func (l *LLM) clone() *LLM {
-	return &LLM{
-		CenterPrototype: l.CenterPrototype.Clone(),
-		ThetaPrototype:  l.ThetaPrototype,
-		Intercept:       l.Intercept,
-		SlopeX:          l.SlopeX.Clone(),
-		SlopeTheta:      l.SlopeTheta,
-		Wins:            l.Wins,
-		p:               append([]float64(nil), l.p...),
-	}
-}
-
-// initRLS (re)initializes the RLS state P = (1/delta)·I over the d+2 local
+// newRLS returns the initial RLS state P = (1/delta)·I over n = d+2 local
 // parameters.
-func (l *LLM) initRLS(delta float64) {
-	n := l.Dim() + 2
-	l.p = make([]float64, n*n)
+func newRLS(n int, delta float64) []float64 {
+	p := make([]float64, n*n)
 	for i := 0; i < n; i++ {
-		l.p[i*n+i] = 1 / delta
+		p[i*n+i] = 1 / delta
 	}
+	return p
 }
 
-// rlsUpdate applies one recursive-least-squares step for the regressor
-// z = [1, x − x_k, θ − θ_k] and residual res = y − f_k(x, θ), using pz as
-// len(z)-sized scratch (the writer's, so the training hot path does not
-// allocate). It returns the Γ^H contribution of the step (the norm of the
-// slope change plus the absolute intercept change). The prototype itself is
-// not moved here.
-func (l *LLM) rlsUpdate(z, pz []float64, res float64) float64 {
+// rlsUpdate applies one recursive-least-squares step to the coefficient row
+// coef = [y, b_X, b_Θ] and its inverse covariance p, for the regressor
+// z = [1, x − x_k, θ − θ_k] — laid out like coef — and residual
+// res = y − f_k(x, θ), using pz as len(z)-sized scratch (the writer's, so
+// the training hot path does not allocate). It returns the Γ^H contribution
+// of the step (the norm of the slope change plus the absolute intercept
+// change). The prototype itself is not moved here.
+func rlsUpdate(p, coef, z, pz []float64, res float64) float64 {
 	n := len(z)
-	if l.p == nil {
-		l.initRLS(1e-3)
-	}
 	// pz = P·z and the scalar s = 1 + zᵀ·P·z.
 	for i := 0; i < n; i++ {
-		row := l.p[i*n : (i+1)*n]
+		row := p[i*n : (i+1)*n]
 		var acc float64
 		for j := 0; j < n; j++ {
 			acc += row[j] * z[j]
@@ -138,26 +109,18 @@ func (l *LLM) rlsUpdate(z, pz []float64, res float64) float64 {
 		s += z[i] * pz[i]
 	}
 	// Gain k = P·z / s; parameter update Δ = k·res.
-	var dy float64
+	dy := pz[0] / s * res
+	coef[0] += dy
 	var db float64
-	for i := 0; i < n; i++ {
+	for i := 1; i < n; i++ {
 		delta := pz[i] / s * res
-		switch {
-		case i == 0:
-			l.Intercept += delta
-			dy = delta
-		case i == n-1:
-			l.SlopeTheta += delta
-			db += delta * delta
-		default:
-			l.SlopeX[i-1] += delta
-			db += delta * delta
-		}
+		coef[i] += delta
+		db += delta * delta
 	}
 	// P ← P − (P·z)(P·z)ᵀ / s.
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			l.p[i*n+j] -= pz[i] * pz[j] / s
+			p[i*n+j] -= pz[i] * pz[j] / s
 		}
 	}
 	return math.Sqrt(db) + math.Abs(dy)

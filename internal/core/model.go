@@ -181,14 +181,16 @@ type Model struct {
 	capCfg atomic.Pointer[capacityConfig]
 
 	mu         sync.Mutex  // guards everything below (the writer state)
-	llms       []*LLM      // authoritative training state (solver matrices)
-	store      *protoStore // contiguous [x_k, θ_k] + coefficient mirrors
+	store      *protoStore // the parameter set: rows, coefficients, clocks, solver state
 	steps      int         // training pairs consumed
 	converged  bool        // termination criterion reached
 	lastGamma  float64     // most recent Γ value
 	quietSteps int         // consecutive steps with Γ ≤ γ
-	zbuf       []float64   // RLS regressor scratch (writer-locked)
-	pzbuf      []float64   // RLS gain scratch (writer-locked)
+
+	// The training step's scratch, sized once so a step allocates nothing:
+	// the regressor z = [1, q − w_j] and the RLS gain P·z (d+2 each), and
+	// the winner's moved row [x_j, θ_j] (d+1).
+	z, pz, moved []float64
 }
 
 // TrainingPair is one observed (query, answer) pair from the stream T.
@@ -235,7 +237,8 @@ func NewModel(cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{cfg: c, store: newProtoStore(c.Dim, c.Vigilance)}
+	m := &Model{cfg: c, store: newProtoStore(c.Dim, c.Vigilance),
+		z: make([]float64, c.Dim+2), pz: make([]float64, c.Dim+2), moved: make([]float64, c.Dim+1)}
 	m.capCfg.Store(&capacityConfig{max: c.MaxPrototypes, policy: c.Eviction, merge: c.MergeOnEvict})
 	m.publishLocked() // the empty version, so reads never see a nil snapshot
 	return m, nil
@@ -278,36 +281,35 @@ func (m *Model) Converged() bool { return m.View().Converged() }
 // LastGamma returns the most recent value of the termination criterion Γ.
 func (m *Model) LastGamma() float64 { return m.View().LastGamma() }
 
-// LLM returns a deep copy of the live local linear mapping in slot k —
-// the id Winner and StepInfo.Winner report — or nil when the slot is
-// tombstoned or out of range. For bounded models this is the correct way
-// to correlate a winner id with its mapping: LLMs() compacts tombstoned
-// slots away, so its indices do not line up with slot ids once eviction
-// has run.
+// LLM returns the live local linear mapping in slot k — the id Winner and
+// StepInfo.Winner report — as a value of its own (a deep copy of the slot's
+// rows and solver state), or nil when the slot is tombstoned or out of
+// range. For bounded models this is the correct way to correlate a winner id
+// with its mapping: LLMs() compacts tombstoned slots away, so its indices do
+// not line up with slot ids once eviction has run.
 func (m *Model) LLM(k int) *LLM {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if k < 0 || k >= len(m.llms) || m.llms[k] == nil {
+	if k < 0 || k >= m.store.rows || m.store.isTombstone(k) {
 		return nil
 	}
-	return m.llms[k].clone()
+	return m.store.at(k).llm()
 }
 
-// LLMs returns deep copies of the live trained local linear mappings,
-// including their solver state, in slot order (tombstoned slots of a
-// bounded model are skipped, so for an unbounded model index i is
-// prototype i — for a bounded model use LLM(slot) to resolve a winner id).
-// Unlike the prediction methods it reads the authoritative training
-// objects, so it serializes with the writer.
+// LLMs returns the live trained local linear mappings, including their
+// solver state, as values of their own in slot order (tombstoned slots of a
+// bounded model are skipped, so for an unbounded model index i is prototype
+// i — for a bounded model use LLM(slot) to resolve a winner id). Unlike the
+// prediction methods it reads the writer's state, solver matrices included,
+// so it serializes with the writer.
 func (m *Model) LLMs() []*LLM {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]*LLM, 0, m.store.live)
-	for _, l := range m.llms {
-		if l == nil {
-			continue
+	for k := 0; k < m.store.rows; k++ {
+		if !m.store.isTombstone(k) {
+			out = append(out, m.store.at(k).llm())
 		}
-		out = append(out, l.clone())
 	}
 	return out
 }
@@ -343,57 +345,30 @@ func (m *Model) observeLocked(q Query, answer float64) StepInfo {
 		}
 	}
 	m.steps++
-	m.store.step = m.steps // every row this step writes is stamped with it
-	info := StepInfo{Step: m.steps, K: m.store.live}
+	s := m.store
+	s.step = m.steps // every row this step writes is stamped with it
+	info := StepInfo{Step: m.steps, K: s.live}
 
-	// Cold start: the first pair becomes prototype w_1.
-	if m.store.live == 0 {
-		m.llms = append(m.llms, newLLM(q, m.initIntercept(answer)))
-		m.store.add(q.Center, q.Theta)
-		m.store.syncCoef(0, m.llms[0])
-		m.store.setStamp(0, m.steps)
-		info.Created = true
-		info.Winner = 0
-		info.K = 1
-		info.Gamma = math.Inf(1)
-		info.GammaJ = math.Inf(1)
-		info.GammaH = math.Inf(1)
-		m.lastGamma = info.Gamma
-		m.quietSteps = 0
-		return info
+	// Find the winning prototype under the query-space L2 distance; the
+	// first pair of a cold start has none.
+	winner, dist := -1, math.Inf(1)
+	if s.live > 0 {
+		winner, dist = s.winnerQuery(q)
 	}
-
-	// Find the winning prototype under the query-space L2 distance.
-	winner, dist := m.store.winnerQuery(q)
-	rateStep := m.steps
-	if m.cfg.RateByPrototype {
-		rateStep = m.llms[winner].Wins
-	}
-	eta := m.cfg.Schedule.Rate(rateStep)
-
 	if dist > m.cfg.Vigilance {
 		// Spawn a new prototype at the query (Algorithm 1, else branch). The
 		// store picks the slot: a reused tombstone when one is free, the
 		// appended tail otherwise.
-		l := newLLM(q, m.initIntercept(answer))
-		slot := m.store.spawn(q.Center, q.Theta)
-		if slot == len(m.llms) {
-			m.llms = append(m.llms, l)
-		} else {
-			m.llms[slot] = l
-		}
-		m.store.syncCoef(slot, l)
-		m.store.setStamp(slot, m.steps)
+		info.Winner = s.spawn(q, m.initIntercept(answer))
 		info.Created = true
-		info.Winner = slot
 		// Bounded capacity: a spawn that pushes the live count past the cap
 		// evicts (or merges) the lowest-scoring prototypes, protecting the
 		// slot that just spawned. The cap lives in the capCfg mirror
 		// (runtime-mutable via SetCapacity); m.cfg stays immutable.
-		if cc := m.capCfg.Load(); cc.max > 0 && m.store.live > cc.max {
-			info.Evicted = m.evictLocked(slot)
+		if cc := m.capCfg.Load(); cc.max > 0 && s.live > cc.max {
+			info.Evicted = m.evictLocked(info.Winner)
 		}
-		info.K = m.store.live
+		info.K = s.live
 		// A growth step changes the parameter-set cardinality; Γ is reported
 		// as +Inf so the criterion cannot fire while K is still growing.
 		info.Gamma = math.Inf(1)
@@ -404,65 +379,64 @@ func (m *Model) observeLocked(q Query, answer float64) StepInfo {
 		return info
 	}
 
-	// Joint SGD update of the winner (Theorem 4). All three update rules use
-	// the displacement (q − w_j) of the pre-update prototype.
-	l := m.llms[winner]
-	residual := l.Residual(q.Center, q.Theta, answer)
-	diffX := q.Center.Sub(l.CenterPrototype)
-	diffTheta := q.Theta - l.ThetaPrototype
-
-	var gammaJ, gammaH float64
-	// Δw_j = η (q − w_j): move the prototype toward the query.
-	for i := range l.CenterPrototype {
-		d := eta * diffX[i]
-		l.CenterPrototype[i] += d
-		gammaJ += d * d
+	// Joint update of the winner (Theorem 4). The residual and all three
+	// update rules use the displacement (q − w_j) of the pre-update
+	// prototype, so both are taken from the rows before the first write:
+	// z = [1, q − w_j] is the regressor, laid out like the coefficient row.
+	rateStep := m.steps
+	if m.cfg.RateByPrototype {
+		rateStep = s.win(winner)
 	}
-	dTheta := eta * diffTheta
-	l.ThetaPrototype += dTheta
-	gammaJ += dTheta * dTheta
-	gammaJ = math.Sqrt(gammaJ)
-	// The prototype drifted: sync its row in the flat store (and its grid
-	// cell, when the move crossed a cell boundary).
-	m.store.update(winner, l.CenterPrototype, l.ThetaPrototype)
+	eta := m.cfg.Schedule.Rate(rateStep)
+	row := s.row(winner)
+	residual := answer - proto{row, s.coefRow(winner)}.eval(q.Center, q.Theta)
+	z := m.z
+	z[0] = 1
+	for i, x := range q.Center {
+		z[1+i] = x - row[i]
+	}
+	z[len(z)-1] = q.Theta - row[len(row)-1]
 
+	// Δw_j = η (q − w_j): move the prototype toward the query.
+	var gammaJ float64
+	for i := range m.moved {
+		dw := eta * z[1+i]
+		m.moved[i] = row[i] + dw
+		gammaJ += dw * dw
+	}
+	gammaJ = math.Sqrt(gammaJ)
+	// The write order is row → (maybe an epoch rebuild, when the move spent
+	// the drift budget) → coefficients → wins → stamp; readEpoch's staleness
+	// rule depends on it.
+	s.update(winner, m.moved)
+	coef := s.coefForWrite(winner)
+
+	var gammaH float64
 	switch m.cfg.CoefficientSolver {
 	case SolverSGD:
-		// Δb_j = η·residual·(q − w_j).
+		// Δy_j = η·residual; Δb_j = η·residual·(q − w_j).
+		dy := eta * residual
+		coef[0] += dy
 		var db float64
-		for i := range l.SlopeX {
-			d := eta * residual * diffX[i]
-			l.SlopeX[i] += d
+		for i := 1; i < len(z); i++ {
+			d := eta * residual * z[i]
+			coef[i] += d
 			db += d * d
 		}
-		dbTheta := eta * residual * diffTheta
-		l.SlopeTheta += dbTheta
-		db += dbTheta * dbTheta
-		// Δy_j = η·residual.
-		dy := eta * residual
-		l.Intercept += dy
 		gammaH = math.Sqrt(db) + math.Abs(dy)
 	default: // SolverRLS
-		n := q.Dim() + 2
-		if cap(m.zbuf) < n {
-			m.zbuf = make([]float64, n)
-			m.pzbuf = make([]float64, n)
+		if s.rls[winner] == nil {
+			s.rls[winner] = newRLS(len(z), 1e-3)
 		}
-		z := m.zbuf[:n]
-		z[0] = 1
-		copy(z[1:], diffX)
-		z[len(z)-1] = diffTheta
-		gammaH = l.rlsUpdate(z, m.pzbuf[:n], residual)
+		gammaH = rlsUpdate(s.rls[winner], coef, z, m.pz, residual)
 	}
-
-	l.Wins++
-	m.store.syncCoef(winner, l)
-	m.store.setStamp(winner, m.steps)
+	s.setWin(winner, s.win(winner)+1)
+	s.setStamp(winner, m.steps)
 	info.Winner = winner
 	info.GammaJ = gammaJ
 	info.GammaH = gammaH
 	info.Gamma = math.Max(gammaJ, gammaH)
-	info.K = m.store.live
+	info.K = s.live
 	m.lastGamma = info.Gamma
 
 	if info.Gamma <= m.cfg.Gamma {

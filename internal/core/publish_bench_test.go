@@ -33,16 +33,15 @@ func buildPublishBenchModel(tb testing.TB, dim, protos int, vigilance, thetaLo, 
 			c[j] = rng.Float64()
 		}
 		q := Query{Center: c, Theta: thetaLo + (thetaHi-thetaLo)*rng.Float64()}
-		l := newLLM(q, rng.NormFloat64())
+		coef := make([]float64, dim+2)
+		coef[0] = rng.NormFloat64()
 		// A converged serving model has absorbed many pairs per prototype;
 		// the per-prototype learning-rate schedule then takes small steps, so
 		// the benchmark measures steady-state updates, not cold-start lurches
 		// (whose full-distance prototype moves would trigger drift rebuilds
 		// every few pairs, which no converged stream exhibits).
-		l.Wins = 200
-		m.llms = append(m.llms, l)
-		m.store.add(q.Center, q.Theta)
-		m.store.syncCoef(i, l)
+		insertProto(m, q, coef, 200)
+		m.store.maybeRebuildEpoch()
 	}
 	m.steps = protos
 	// Index everything: a converged serving model has no stale un-indexed

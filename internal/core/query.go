@@ -13,8 +13,8 @@
 //
 // Architecturally the package is a small serving system around that model.
 // The write side (Model.Observe/Train/TrainBatch, model.go) serializes on
-// one writer mutex, updates the authoritative per-LLM solver state, mirrors
-// it into a chunked struct-of-arrays store (store.go) and publishes an
+// one writer mutex, updates the winner's rows in a chunked struct-of-arrays
+// store (store.go) — the parameter set's only copy — and publishes an
 // immutable copy-on-write snapshot through one atomic pointer. The read
 // side (snapshot.go) is lock-free: every prediction answers from one
 // published storeSnapshot, searching it through an immutable grid or k-d

@@ -180,9 +180,9 @@ func (m *Model) header(steps int, converged bool, lastGamma float64, quietSteps 
 // the file holds the live prototypes in slot order, with their win counts
 // and last-win stamps, so a Save/Load round trip preserves the eviction
 // clock (only the tombstone slot numbering is rebuilt). The RLS solver state
-// is NOT included — it lives in the writer-locked training objects, which a
-// lock-free reader cannot serialize consistently; use Checkpoint when the
-// file must support bit-identical training resumption.
+// is NOT included — it is writer-locked state outside the published chunks,
+// which a lock-free reader cannot serialize consistently; use Checkpoint
+// when the file must support bit-identical training resumption.
 func (m *Model) Save(w io.Writer) error {
 	// Pair the capacity mirror with the snapshot consistently: read the
 	// mirror on both sides of the snapshot load and retry until it was
@@ -266,8 +266,15 @@ func appendFloats(b []byte, vs []float64) []byte {
 	return b
 }
 
-// capture encodes the authoritative writer state into c under the writer
-// lock — everything training touches, including each prototype's RLS
+// decodeFloats fills dst from the front of b, undoing appendFloats.
+func decodeFloats(dst []float64, b []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+// capture encodes the writer state into c under the writer lock —
+// everything training touches, including each prototype's RLS
 // inverse-covariance — straight from the store's flat rows.
 func (m *Model) capture(c *checkpointBuf) {
 	m.mu.Lock()
@@ -311,7 +318,7 @@ func (m *Model) capture(c *checkpointBuf) {
 		b = appendFloats(b, s.coefRow(i))
 		b = binary.LittleEndian.AppendUint64(b, uint64(s.win(i)))
 		b = binary.LittleEndian.AppendUint64(b, uint64(s.stamp(i)))
-		if p := m.llms[i].p; p != nil && solver == SolverRLS {
+		if p := s.rls[i]; p != nil && solver == SolverRLS {
 			b = appendFloats(append(b, 1), p)
 		} else {
 			b = append(b, make([]byte, start+c.stride-len(b))...)
@@ -345,7 +352,7 @@ func (c *checkpointBuf) hash() string {
 }
 
 // Checkpoint writes the model in the binary checkpoint format, serializing
-// the authoritative writer state under the writer lock, including each
+// the writer state under the writer lock, including each
 // prototype's RLS inverse-covariance — everything training touches. A model
 // loaded from a Checkpoint and fed the remainder of a training stream is
 // bit-identical to one that consumed the whole stream without stopping,
@@ -408,11 +415,17 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	d := doc.Dim
+	vals := make([]float64, 2*d+3) // one prototype's row, then its coefficient row
 	for i := range doc.LLMs {
 		lj := &doc.LLMs[i]
-		l := &LLM{CenterPrototype: lj.Center, ThetaPrototype: lj.Theta, Intercept: lj.Intercept,
-			SlopeX: lj.SlopeX, SlopeTheta: lj.SlopeTheta, Wins: lj.Wins, p: lj.RLS}
-		if err := m.addLoaded(l, lj.LastWin); err != nil {
+		if len(lj.Center) != d || len(lj.SlopeX) != d {
+			return nil, fmt.Errorf("%w: LLM %d has wrong dimensionality", ErrBadModelFile, i)
+		}
+		copy(vals, lj.Center)
+		vals[d], vals[d+1], vals[2*d+2] = lj.Theta, lj.Intercept, lj.SlopeTheta
+		copy(vals[d+2:], lj.SlopeX)
+		if err := m.addLoaded(vals, lj.Wins, lj.LastWin, lj.RLS); err != nil {
 			return nil, err
 		}
 	}
@@ -458,6 +471,7 @@ func loadCheckpoint(b []byte) (*Model, error) {
 		return nil, fmt.Errorf("%w: header frame claims %d rows of %d bytes (want %d for dim %d), %d bytes follow it",
 			ErrBadModelFile, f[10], f[11], rowW, d, len(rows))
 	}
+	vals := make([]float64, 2*d+3)
 	for i := 0; len(rows) > 0; i++ {
 		if p, rows, err = wal.ReadFrame(rows); err == nil && len(p) != rowW {
 			err = fmt.Errorf("%d-byte payload, want %d", len(p), rowW)
@@ -465,23 +479,21 @@ func loadCheckpoint(b []byte) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: row frame %d: %v", ErrBadModelFile, i, err)
 		}
-		// The floats of one prototype share an allocation: the 2d+3 centre,
-		// θ and coefficient values, then the solver state when present.
+		// The payload's first 2d+3 floats are the row and the coefficient row
+		// as the store lays them out; only the solver state, which the model
+		// keeps, gets an allocation of its own.
 		wins, rls := p[8*(2*d+3):], p[8*(2*d+5)+1:]
 		present := p[8*(2*d+5)]
 		if present > 1 || (present == 1 && solver != SolverRLS) {
 			return nil, fmt.Errorf("%w: LLM %d has a bad RLS-present byte %d", ErrBadModelFile, i, present)
 		}
-		vals := make([]float64, 2*d+3+int(present)*len(rls)/8)
-		for j := range vals[:2*d+3] {
-			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*j:]))
+		decodeFloats(vals, p)
+		var state []float64
+		if present == 1 {
+			state = make([]float64, len(rls)/8)
+			decodeFloats(state, rls)
 		}
-		for j := range vals[2*d+3:] {
-			vals[2*d+3+j] = math.Float64frombits(binary.LittleEndian.Uint64(rls[8*j:]))
-		}
-		l := &LLM{CenterPrototype: vals[:d:d], ThetaPrototype: vals[d], Intercept: vals[d+1],
-			SlopeX: vals[d+2 : 2*d+2 : 2*d+2], SlopeTheta: vals[2*d+2], Wins: int(binary.LittleEndian.Uint64(wins)), p: vals[2*d+3:]}
-		if err := m.addLoaded(l, int(binary.LittleEndian.Uint64(wins[8:]))); err != nil {
+		if err := m.addLoaded(vals, int(binary.LittleEndian.Uint64(wins)), int(binary.LittleEndian.Uint64(wins[8:])), state); err != nil {
 			return nil, err
 		}
 	}
@@ -549,21 +561,19 @@ func newLoading(doc *modelJSON) (*Model, error) {
 	return m, nil
 }
 
-// addLoaded validates one decoded prototype — taking ownership of its
-// slices — and appends it to the model under construction.
-func (m *Model) addLoaded(l *LLM, lastWin int) error {
-	i, d := len(m.llms), m.cfg.Dim
-	if len(l.CenterPrototype) != d || len(l.SlopeX) != d {
-		return fmt.Errorf("%w: LLM %d has wrong dimensionality", ErrBadModelFile, i)
-	}
+// addLoaded validates one decoded prototype — vals is its row [x, θ] then
+// its coefficient row [y, b_X, b_Θ], copied; p its solver state, kept — and
+// inserts it into the model under construction.
+func (m *Model) addLoaded(vals []float64, wins, lastWin int, p []float64) error {
+	i, d := m.store.rows, m.cfg.Dim
 	// A negative radius is invalid (NewQuery enforces θ ≥ 0) and would
 	// collide with the store's tombstone sentinel (θ < 0 marks an evicted
 	// slot), splitting the prototype's liveness between the indexed and
 	// linear search paths.
-	if l.ThetaPrototype < 0 {
-		return fmt.Errorf("%w: LLM %d has negative radius %v", ErrBadModelFile, i, l.ThetaPrototype)
+	if vals[d] < 0 {
+		return fmt.Errorf("%w: LLM %d has negative radius %v", ErrBadModelFile, i, vals[d])
 	}
-	finite := func(vs ...float64) bool {
+	finite := func(vs []float64) bool {
 		for _, v := range vs {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return false
@@ -571,30 +581,24 @@ func (m *Model) addLoaded(l *LLM, lastWin int) error {
 		}
 		return true
 	}
-	if !finite(l.ThetaPrototype, l.Intercept, l.SlopeTheta) || !finite(l.CenterPrototype...) || !finite(l.SlopeX...) {
+	if !finite(vals) {
 		return fmt.Errorf("%w: LLM %d contains non-finite values", ErrBadModelFile, i)
 	}
-	if !exactInt(l.Wins) || lastWin < 0 || lastWin > m.steps {
-		return fmt.Errorf("%w: LLM %d has win count %d, last-win stamp %d outside [0, %d]", ErrBadModelFile, i, l.Wins, lastWin, m.steps)
+	if !exactInt(wins) || lastWin < 0 || lastWin > m.steps {
+		return fmt.Errorf("%w: LLM %d has win count %d, last-win stamp %d outside [0, %d]", ErrBadModelFile, i, wins, lastWin, m.steps)
 	}
-	if len(l.p) == 0 {
-		l.p = nil // re-initialized lazily on the next RLS update
-	} else if n := (d + 2) * (d + 2); len(l.p) != n {
-		return fmt.Errorf("%w: LLM %d RLS state has %d values, want %d", ErrBadModelFile, i, len(l.p), n)
-	} else if !finite(l.p...) {
+	if len(p) == 0 {
+		p = nil // re-initialized lazily on the next RLS update
+	} else if n := (d + 2) * (d + 2); len(p) != n {
+		return fmt.Errorf("%w: LLM %d RLS state has %d values, want %d", ErrBadModelFile, i, len(p), n)
+	} else if !finite(p) {
 		return fmt.Errorf("%w: LLM %d RLS state contains non-finite values", ErrBadModelFile, i)
 	}
-	m.llms = append(m.llms, l)
-	// addRow, not add: one explicit epoch build in finishLoad replaces the
-	// O(log K) intermediate builds the per-append trigger would construct
-	// and discard during a bulk load.
-	m.store.addRow(l.CenterPrototype, l.ThetaPrototype)
-	m.store.syncCoef(i, l)
-	m.store.setStamp(i, lastWin)
+	m.store.insert(slotState{row: vals[:d+1], coef: vals[d+1:], wins: wins, stamp: lastWin, p: p})
 	return nil
 }
 
-// finishLoad turns the loaded prototypes into the first serving version.
+// finishLoad turns the inserted prototypes into the first serving version.
 func (m *Model) finishLoad() {
 	// Enforce the file's capacity before the first publication: a file can
 	// carry more prototypes than its cap (a checkpoint racing a SetCapacity

@@ -69,8 +69,9 @@ type proto struct{ row, coef []float64 }
 // proto returns slot k's live rows.
 func (s *storeSnapshot) proto(k int) proto { return proto{s.row(k), s.coefRow(k)} }
 
-// eval evaluates f_k(x, θ) (Eq. 5 / Eq. 12) from the flat rows, with the
-// same operation order as LLM.Eval so the two paths are bit-identical.
+// eval evaluates f_k(x, θ) (Eq. 5 / Eq. 12) from the flat rows: the one
+// evaluation of the mapping — the training step's residual and LLM.Eval call
+// it too.
 func (p proto) eval(center vector.Vec, theta float64) float64 {
 	d := len(p.row) - 1
 	c := p.coef
@@ -82,7 +83,7 @@ func (p proto) eval(center vector.Vec, theta float64) float64 {
 }
 
 // evalAtPrototypeRadius evaluates f_k(x, θ_k) — the LLM restricted to its
-// own radius (Theorem 3), mirroring LLM.EvalAtPrototypeRadius.
+// own radius, the Eq. 14 term (Theorem 3).
 func (p proto) evalAtPrototypeRadius(x vector.Vec) float64 {
 	d := len(p.row) - 1
 	v := p.coef[0]
@@ -93,7 +94,7 @@ func (p proto) evalAtPrototypeRadius(x vector.Vec) float64 {
 }
 
 // dataModel converts the LLM into the explicit local linear regression of
-// the data function g over D_k (Theorem 3), mirroring LLM.DataModel.
+// the data function g over D_k (Theorem 3).
 func (p proto) dataModel() LocalLinear {
 	d := len(p.row) - 1
 	var dot float64

@@ -15,18 +15,17 @@ const (
 	chunkMask  = vector.ChunkMask
 )
 
-// protoStore is the writer-side serving state of the model: every prototype
-// w_k = [x_k, θ_k] is packed into row-major chunks of chunkRows rows ×
-// (d+1) columns, with parallel coefficient chunks of chunkRows × (d+2)
-// columns mirroring each LLM's [y_k, b_{X,k}, b_{Θ,k}] and per-row win
-// counts — everything a prediction needs, in cache-contiguous memory,
-// without chasing the per-LLM training objects.
-//
-// The store mirrors the authoritative per-LLM parameters: Observe updates
-// the LLM (training math needs its solver state) and then syncs the moved
-// prototype row and coefficient row here. All methods assume the caller
-// holds the model's writer lock; readers never touch the store — they read
-// immutable storeSnapshot values published from it (see snapshot.go).
+// protoStore is the model's parameter set α, and its only copy: every
+// prototype w_k = [x_k, θ_k] is packed into row-major chunks of chunkRows
+// rows × (d+1) columns, with parallel coefficient rows [y_k, b_{X,k},
+// b_{Θ,k}] of d+2 columns and per-row win counts and last-win stamps —
+// everything a prediction needs, in cache-contiguous memory. Training reads
+// the winner's rows, computes the Theorem 4 step and writes the rows back
+// (see Model.observeLocked); the only per-prototype state outside the chunks
+// is rls, the solver's inverse covariances, which no reader touches. All
+// methods assume the caller holds the model's writer lock; readers never
+// touch the store — they read immutable storeSnapshot values published from
+// it (see snapshot.go).
 //
 // # Chunked copy-on-write publication
 //
@@ -117,6 +116,13 @@ type protoStore struct {
 	pubK      int     // rows at the last publication; rows >= pubK are unpublished
 	vigilance float64 // rebuild threshold scale (the prototype spacing)
 
+	// rls[k] is slot k's RLS inverse covariance, row-major over the d+2
+	// local parameters [y, b_X, b_Θ]; nil until the slot's first RLS step,
+	// and always under the SGD solver. It stays out of the copy-on-write
+	// chunks on purpose: a chunk copy is the publish cost, and these are
+	// (d+2)² floats per row that only the writer reads.
+	rls [][]float64
+
 	// free holds tombstoned slots available for reuse; revived holds live
 	// slots below the epoch's builtK that the epoch does not index (reused
 	// after the build), scanned exactly by every search and cleared on
@@ -206,9 +212,9 @@ func (t *chunkTable) stamp(k int) int {
 	return int(t.dataC[k>>chunkShift].Data[chunkRows*(t.width+t.coefW+1)+(k&chunkMask)])
 }
 
-// setStamp stores the k-th prototype's last-win step stamp. The caller must
-// have made the chunk writable (every call site follows a syncCoef or an
-// explicit writableChunk).
+// setStamp stores the k-th prototype's last-win step stamp. Like setWin, it
+// needs the chunk already writable (every call site follows a coefForWrite
+// or an explicit writableChunk).
 func (t *chunkTable) setStamp(k, step int) {
 	t.dataC[k>>chunkShift].Data[chunkRows*(t.width+t.coefW+1)+(k&chunkMask)] = float64(step)
 }
@@ -236,8 +242,8 @@ func (t *chunkTable) isTombstone(k int) bool {
 // step — the training step in progress at the capture. Every training
 // write stamps its row with the step it belongs to, so a row written after
 // the capture carries a stamp ≥ step. The comparison is ≥, not >: a
-// winner's row sync can trigger the rebuild in the middle of its own step,
-// before the same step's coefficient sync, and the block then holds that
+// winner's row write can trigger the rebuild in the middle of its own step,
+// before the same step's coefficient write, and the block then holds that
 // winner's pre-update coefficients under a stamp that is about to become
 // step itself. (The eviction pass writes rows without raising their stamp,
 // and always installs a fresh epoch before it returns.)
@@ -338,56 +344,101 @@ func (s *protoStore) minEpochK() int {
 	return storeTreeMinK
 }
 
-// add appends a prototype row (with a zeroed coefficient row — the caller
-// syncs the LLM's coefficients right after). The new row joins the epoch's
-// tail until the next rebuild, and stays invisible to published snapshots
-// (their k precedes it), so the append costs no chunk copy.
-func (s *protoStore) add(center vector.Vec, theta float64) {
-	s.addRow(center, theta)
-	s.maybeRebuildEpoch()
+// slotState is one prototype's whole writer state: what insert stores, what
+// at reads back, and the form it travels in between stores (Fuse, Split,
+// compaction, Load).
+type slotState struct {
+	row, coef   []float64 // [x_k..., θ_k] and [y_k, b_Xk..., b_Θk]
+	wins, stamp int
+	p           []float64 // see protoStore.rls
 }
 
-// addRow is add without the rebuild check — the bulk-ingestion primitive
-// for callers that install one epoch themselves after many appends
-// (compaction), mirroring the update/updateRow split.
-func (s *protoStore) addRow(center vector.Vec, theta float64) {
+// at returns slot k's state. The slices alias the store's memory: clone
+// before a later write to the slot, or before the writer lock is released.
+func (s *protoStore) at(k int) slotState {
+	return slotState{s.row(k), s.coefRow(k), s.win(k), s.stamp(k), s.rls[k]}
+}
+
+// clone returns a deep copy.
+func (e slotState) clone() slotState {
+	w := len(e.row)
+	vals := append(append(make([]float64, 0, w+len(e.coef)), e.row...), e.coef...)
+	return slotState{vals[:w:w], vals[w:], e.wins, e.stamp, append([]float64(nil), e.p...)}
+}
+
+// llm returns the state as an LLM value that shares no memory with it.
+func (e slotState) llm() *LLM {
+	d := len(e.row) - 1
+	return &LLM{
+		CenterPrototype: vector.Of(e.row[:d]...),
+		ThetaPrototype:  e.row[d],
+		Intercept:       e.coef[0],
+		SlopeX:          vector.Of(e.coef[1 : 1+d]...),
+		SlopeTheta:      e.coef[d+1],
+		Wins:            e.wins,
+		p:               append([]float64(nil), e.p...),
+	}
+}
+
+// appendSlot grows the slot space by one zeroed row — invisible to published
+// snapshots (their k precedes it), so writing it costs no chunk copy — and
+// returns its index.
+func (s *protoStore) appendSlot() int {
 	k := s.rows
 	if k>>chunkShift == len(s.dataC) {
 		s.appendChunk()
 	}
 	s.rows++
+	s.rls = append(s.rls, nil)
+	return k
+}
+
+// insert appends a prototype in full, copying e's rows and taking ownership
+// of e.p. It is the one bulk-insertion primitive — Load, Fuse/Split and
+// compaction all build their stores through it — and runs no rebuild check:
+// those callers install one epoch themselves after many inserts, instead of
+// the O(log K) intermediate builds the per-append trigger would construct
+// and discard.
+func (s *protoStore) insert(e slotState) {
+	k := s.appendSlot()
 	s.live++
-	row := s.row(k)
-	copy(row, center)
-	row[s.width-1] = theta
-	if theta > s.maxTheta {
+	copy(s.row(k), e.row)
+	copy(s.coefRow(k), e.coef)
+	s.setWin(k, e.wins)
+	s.setStamp(k, e.stamp)
+	s.rls[k] = e.p
+	if theta := e.row[s.width-1]; theta > s.maxTheta {
 		s.maxTheta = theta
 	}
 }
 
-// spawn stores a new prototype and returns its slot: a tombstoned slot from
-// the free list when one exists (the write copy-on-writes the chunk like
-// any published-row update, and the slot joins the revived list when the
-// current epoch predates it), the appended tail otherwise. The caller syncs
-// coefficients into the returned slot right after.
-func (s *protoStore) spawn(center vector.Vec, theta float64) int {
-	n := len(s.free)
-	if n == 0 {
-		s.add(center, theta)
-		return s.rows - 1
-	}
-	k := int(s.free[n-1])
-	s.free = s.free[:n-1]
-	s.writableChunk(k)
-	row := s.row(k)
-	copy(row, center)
-	row[s.width-1] = theta
-	if theta > s.maxTheta {
-		s.maxTheta = theta
+// spawn stores the new prototype a training step creates at q — intercept
+// y_K, zero slopes, one win, stamped with the step in progress — and returns
+// its slot: a tombstoned slot from the free list when one exists (the write
+// copy-on-writes the chunk like any published-row update, and the slot joins
+// the revived list when the current epoch predates it), the appended tail
+// otherwise. Either way the slot's coefficient row is zero and its solver
+// state nil when it gets here (see evictSlot).
+func (s *protoStore) spawn(q Query, intercept float64) int {
+	var k int
+	if n := len(s.free); n > 0 {
+		k = int(s.free[n-1])
+		s.free = s.free[:n-1]
+		if s.epoch != nil && k < s.epoch.builtK {
+			s.revived = append(s.revived, int32(k))
+		}
+	} else {
+		k = s.appendSlot()
 	}
 	s.live++
-	if s.epoch != nil && k < s.epoch.builtK {
-		s.revived = append(s.revived, int32(k))
+	s.coefForWrite(k)[0] = intercept // the chunk is writable from here on
+	row := s.row(k)
+	copy(row, q.Center)
+	row[s.width-1] = q.Theta
+	s.setWin(k, 1)
+	s.setStamp(k, s.step)
+	if q.Theta > s.maxTheta {
+		s.maxTheta = q.Theta
 	}
 	s.maybeRebuildEpoch()
 	return k
@@ -395,33 +446,30 @@ func (s *protoStore) spawn(center vector.Vec, theta float64) int {
 
 // evictSlot tombstones slot k in place: the prototype row is masked so
 // every distance kernel excludes it (the θ column keeps the detectable −1
-// sentinel), the coefficient mirror and policy state are zeroed, and the
-// slot joins the free list for reuse. The write copy-on-writes the chunk,
-// so snapshots published before the eviction keep serving the old row. The
-// caller (the model's eviction pass) installs a fresh epoch before
-// releasing the writer lock — the store's own searches never run against an
-// epoch that indexes a tombstoned slot.
+// sentinel), the coefficient row and policy state are zeroed, the solver
+// state is dropped, and the slot joins the free list for reuse. The write
+// copy-on-writes the chunk, so snapshots published before the eviction keep
+// serving the old row. The caller (the model's eviction pass) installs a
+// fresh epoch before releasing the writer lock — the store's own searches
+// never run against an epoch that indexes a tombstoned slot.
 func (s *protoStore) evictSlot(k int) {
-	s.writableChunk(k)
+	clear(s.coefForWrite(k)) // the chunk is writable from here on
 	row := s.row(k)
 	vector.MaskRow(row[:s.width-1])
 	row[s.width-1] = tombstoneTheta
-	coef := s.coefRow(k)
-	for i := range coef {
-		coef[i] = 0
-	}
 	s.setWin(k, 0)
 	s.setStamp(k, 0)
+	s.rls[k] = nil
 	s.live--
 	s.free = append(s.free, int32(k))
 }
 
-// update syncs the k-th prototype row after a drift step, accounting the
-// displacement against the epoch's staleness budget. This is the write that
-// triggers copy-on-write: the winner row usually lives in a chunk shared
-// with the last published version.
-func (s *protoStore) update(k int, center vector.Vec, theta float64) {
-	s.updateRow(k, center, theta)
+// update moves the k-th prototype to to = [x..., θ] after a drift step,
+// accounting the displacement against the epoch's staleness budget. This is
+// the write that triggers copy-on-write: the winner row usually lives in a
+// chunk shared with the last published version.
+func (s *protoStore) update(k int, to []float64) {
+	s.updateRow(k, to)
 	s.maybeRebuildEpoch()
 }
 
@@ -431,8 +479,9 @@ func (s *protoStore) update(k int, center vector.Vec, theta float64) {
 // O(victims) rebuilds — the pass accounts the drift here (exactness between
 // writes is still covered by the widened bounds) and installs one fresh
 // epoch when it finishes.
-func (s *protoStore) updateRow(k int, center vector.Vec, theta float64) {
+func (s *protoStore) updateRow(k int, to []float64) {
 	row := s.row(k)
+	center, theta := to[:s.width-1], to[s.width-1]
 	if e := s.epoch; e != nil && k < e.builtK && (e.inEpoch == nil || e.inEpoch[k]) {
 		move := math.Sqrt(vector.SqDistanceFlat(row[:s.width-1], center) +
 			(row[s.width-1]-theta)*(row[s.width-1]-theta))
@@ -442,23 +491,20 @@ func (s *protoStore) updateRow(k int, center vector.Vec, theta float64) {
 		}
 	}
 	s.writableChunk(k)
-	row = s.row(k)
-	copy(row, center)
-	row[s.width-1] = theta
+	copy(s.row(k), to)
 	if theta > s.maxTheta {
 		s.maxTheta = theta
 	}
 }
 
-// syncCoef mirrors the LLM's current coefficients and win count into the
-// k-th rows of the chunk.
-func (s *protoStore) syncCoef(k int, l *LLM) {
+// coefForWrite returns the k-th coefficient row for writing in place. Every
+// coefficient write to a stored slot outside insert comes through here:
+// writableChunk is what un-shares the chunk and what marks the epoch's copy
+// of the row stale, and it must run after any rebuild the step's row write
+// triggered — a rebuild clears the mark.
+func (s *protoStore) coefForWrite(k int) []float64 {
 	s.writableChunk(k)
-	row := s.coefRow(k)
-	row[0] = l.Intercept
-	copy(row[1:1+len(l.SlopeX)], l.SlopeX)
-	row[s.coefW-1] = l.SlopeTheta
-	s.setWin(k, l.Wins)
+	return s.coefRow(k)
 }
 
 // maybeRebuildEpoch rebuilds once the un-indexed rows — the appended tail

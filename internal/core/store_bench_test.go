@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -44,13 +43,9 @@ func clusteredGen(dim, clusters int, sigma float64, seed int64) queryGen {
 
 // buildBenchModel grows a model to the given prototype count by streaming
 // pairs from gen, then absorbs a few update rounds so every prototype
-// carries trained RLS state — the state of a converged serving model. The
-// resulting m.llms layout is exactly what the pre-change winner search
-// scanned: LLM structs, prototype vectors, solver matrices and per-step
-// scratch slices allocated interleaved on the heap, as normal training
-// produces them. Ingestion goes through TrainBatch — the bulk path that
-// amortizes snapshot publication — so building a 10k-prototype fixture
-// stays cheap.
+// carries trained RLS state — the state of a converged serving model.
+// Ingestion goes through TrainBatch — the bulk path that amortizes snapshot
+// publication — so building a 10k-prototype fixture stays cheap.
 func buildBenchModel(tb testing.TB, dim, protos int, vigilance float64, gen queryGen) *Model {
 	tb.Helper()
 	cfg := DefaultConfig(dim)
@@ -76,10 +71,10 @@ func buildBenchModel(tb testing.TB, dim, protos int, vigilance float64, gen quer
 		tb.Fatalf("expected %d prototypes, got %d", protos, m.K())
 	}
 	for round := 0; round < 3; round++ {
-		ref := make([]TrainingPair, 0, len(m.llms))
-		for _, l := range m.llms {
-			q := Query{Center: l.CenterPrototype.Clone(), Theta: l.ThetaPrototype}
-			ref = append(ref, TrainingPair{Query: q, Answer: rng.NormFloat64()})
+		llms := m.LLMs()
+		ref := make([]TrainingPair, 0, len(llms))
+		for _, l := range llms {
+			ref = append(ref, TrainingPair{Query: l.PrototypeQuery(), Answer: rng.NormFloat64()})
 		}
 		if _, err := m.TrainBatch(ref); err != nil {
 			tb.Fatal(err)
@@ -88,14 +83,11 @@ func buildBenchModel(tb testing.TB, dim, protos int, vigilance float64, gen quer
 	return m
 }
 
-// BenchmarkWinnerSearch compares the store-backed winner search (grid-
-// indexed for d+1 <= 4, k-d tree above) against the pre-change
-// implementation — winnerLinearScan, the verbatim old code — running on the
-// live []*LLM slice it used to run on. This is the apples-to-apples
-// measurement behind the ≥3× acceptance criterion; scripts/bench.sh
-// records it. d=8-uniform is the adversarial shape (little locality for the
-// tree boxes to prune on, the scan-budget bail regime); d=4/d=8-clustered
-// is the paper's query-locality regime across the tree's width range.
+// BenchmarkWinnerSearch measures the store-backed winner search (grid-
+// indexed for d+1 <= 4, k-d tree above); scripts/bench.sh records it.
+// d=8-uniform is the adversarial shape (little locality for the tree boxes
+// to prune on, the scan-budget bail regime); d=4/d=8-clustered is the
+// paper's query-locality regime across the tree's width range.
 func BenchmarkWinnerSearch(b *testing.B) {
 	cases := []struct {
 		name      string
@@ -120,16 +112,6 @@ func BenchmarkWinnerSearch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := m.Winner(queries[i%len(queries)]); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("prechange/"+tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				q := queries[i%len(queries)]
-				idx, dist := winnerLinearScan(m.llms, q)
-				if idx < 0 || math.IsNaN(dist) {
-					b.Fatal("no winner")
 				}
 			}
 		})

@@ -91,14 +91,12 @@ func insertWideModel(tb testing.TB, K int, gen queryGen) *Model {
 	}
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < K; i++ {
-		l := newLLM(gen(rng), rng.NormFloat64())
-		for j := range l.SlopeX {
-			l.SlopeX[j] = rng.NormFloat64()
+		q := gen(rng)
+		coef := make([]float64, cfg.Dim+2) // [y, b_X, b_Θ], drawn in that order
+		for j := range coef {
+			coef[j] = rng.NormFloat64()
 		}
-		l.SlopeTheta = rng.NormFloat64()
-		m.llms = append(m.llms, l)
-		m.store.addRow(l.CenterPrototype, l.ThetaPrototype)
-		m.store.syncCoef(i, l)
+		insertProto(m, q, coef, 1)
 	}
 	m.steps = K
 	m.store.rebuildEpoch()
