@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -165,6 +166,71 @@ func BenchmarkRecovery(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tail), "ns/pair")
+		})
+	}
+}
+
+// driftBatches generates 256-pair batches shaped like the repository
+// benchmark's train_durable stream: d = 2 centres uniform in a 0.3-wide
+// window that crosses the unit square once per 200 000 pairs (and bounces
+// back), θ ~ N(0.1, 0.025). The batch is rebuilt in place, so generating it
+// inside a timed loop costs a few microseconds and no allocation.
+type driftBatches struct {
+	rng   *rand.Rand
+	t     int
+	flat  [2 * 256]float64
+	pairs [256]TrainingPair
+}
+
+func (s *driftBatches) next() []TrainingPair {
+	for k := range s.pairs {
+		phase := math.Mod(float64(s.t)/200_000, 2)
+		lo := 0.7 * (1 - math.Abs(1-phase))
+		c := s.flat[2*k : 2*k+2 : 2*k+2]
+		c[0], c[1] = lo+0.3*s.rng.Float64(), lo+0.3*s.rng.Float64()
+		theta := math.Max(0.1+0.025*s.rng.NormFloat64(), 0.005)
+		s.pairs[k] = TrainingPair{Query: Query{Center: c, Theta: theta}, Answer: c[0] + 2*c[1] + 0.5*theta}
+		s.t++
+	}
+	return s.pairs[:]
+}
+
+// BenchmarkDurableTrainBatch measures one acknowledged 256-pair batch
+// through Durable.TrainBatch — log the batch, fsync per the policy, apply,
+// publish — over a real temporary directory, on train_durable's model shape
+// (vigilance 0.03, a 2 000-prototype cap, no convergence), warmed until the
+// cap is reached so spawns, evictions and epoch rebuilds run as they do in
+// the served stream. It is the in-process companion of the repository
+// benchmark's core.durable_train_us_per_pair, next to BenchmarkWALAppend's
+// per-pair Observe path; µs/batch is the reported unit. Rotation is
+// excluded (BenchmarkRotation measures it).
+func BenchmarkDurableTrainBatch(b *testing.B) {
+	cfg := DefaultConfig(2)
+	cfg.Vigilance = 0.03
+	cfg.Gamma = 1e-12
+	cfg.MinGammaSteps = 1 << 30
+	cfg.MaxPrototypes = 2000
+	for _, mode := range []wal.SyncMode{wal.SyncGroup, wal.SyncAlways, wal.SyncNone} {
+		b.Run(fmt.Sprintf("sync=%s", mode), func(b *testing.B) {
+			d, err := Recover(b.TempDir(), cfg, DurableOptions{WAL: wal.Options{Mode: mode}, SnapshotEvery: 1 << 30})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.log.Close()
+			stream := &driftBatches{rng: rand.New(rand.NewSource(11))}
+			for d.Model().K() < cfg.MaxPrototypes-cfg.MaxPrototypes/16 {
+				if _, err := d.TrainBatch(stream.next()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.TrainBatch(stream.next()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/batch")
 		})
 	}
 }

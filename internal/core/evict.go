@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Bounded-capacity streaming training: when Config.MaxPrototypes caps the
@@ -134,6 +135,14 @@ func (m *Model) SetCapacity(max int, policy EvictionPolicy, merge bool) error {
 	return nil
 }
 
+// scored is one eviction candidate: a live slot, its last-win stamp and its
+// retention score under the policy.
+type scored struct {
+	slot  int
+	stamp int
+	score float64
+}
+
 // evictLocked enforces the capacity: it scores every live slot (except
 // protect, the slot that just spawned — evicting the pair that triggered
 // the pass would just respawn it), sorts ascending, and evicts or merges
@@ -161,18 +170,14 @@ func (m *Model) evictLocked(protect int) int {
 		target = 1
 	}
 	policy := normalizeEviction(cc.policy, max)
-	type scored struct {
-		slot  int
-		stamp int
-		score float64
-	}
-	cands := make([]scored, 0, s.live)
+	cands := m.cands[:0]
 	for k := 0; k < s.rows; k++ {
 		if k == protect || s.isTombstone(k) {
 			continue
 		}
 		cands = append(cands, scored{k, s.stamp(k), policy.Score(s.win(k), m.steps-s.stamp(k))})
 	}
+	m.cands = cands
 	// Ties break on the last-win stamp (older loses), then the slot id.
 	// Exact score ties are real — the policies map small-integer inputs
 	// through float arithmetic — and the stamp is the tie-break that is
@@ -181,14 +186,9 @@ func (m *Model) evictLocked(protect int) int {
 	// while slot ids get permuted whenever a Load or compaction rebuilds
 	// the slot space. Without this, a model recovered from a checkpoint
 	// could evict a different prototype than the uncrashed run.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score < cands[j].score
-		}
-		if cands[i].stamp != cands[j].stamp {
-			return cands[i].stamp < cands[j].stamp
-		}
-		return cands[i].slot < cands[j].slot
+	slices.SortFunc(cands, func(a, b scored) int {
+		return cmp.Or(cmp.Compare(a.score, b.score),
+			cmp.Compare(a.stamp, b.stamp), cmp.Compare(a.slot, b.slot))
 	})
 	n := s.live - target
 	if n > len(cands) {

@@ -191,6 +191,7 @@ type Model struct {
 	// the regressor z = [1, q − w_j] and the RLS gain P·z (d+2 each), and
 	// the winner's moved row [x_j, θ_j] (d+1).
 	z, pz, moved []float64
+	cands        []scored // evictLocked's candidate buffer, reused across passes
 }
 
 // TrainingPair is one observed (query, answer) pair from the stream T.
@@ -520,15 +521,35 @@ func (m *Model) Train(pairs []TrainingPair) (TrainingResult, error) {
 // model afterwards — a zero-downtime retrain. Pairs are validated before
 // any step is applied.
 func (m *Model) TrainBatch(pairs []TrainingPair) (TrainingResult, error) {
-	res := TrainingResult{GammaTrace: make([]float64, 0, len(pairs))}
+	if err := m.validatePairs(pairs); err != nil {
+		return TrainingResult{}, err
+	}
+	return m.trainBatch(pairs, nil)
+}
+
+// validatePairs checks every pair of a batch against the model before any
+// step is applied.
+func (m *Model) validatePairs(pairs []TrainingPair) error {
 	for _, p := range pairs {
 		if p.Query.Dim() != m.cfg.Dim {
-			return res, fmt.Errorf("%w: query dim %d, model dim %d", ErrDimension, p.Query.Dim(), m.cfg.Dim)
+			return fmt.Errorf("%w: query dim %d, model dim %d", ErrDimension, p.Query.Dim(), m.cfg.Dim)
 		}
 		if math.IsNaN(p.Answer) || math.IsInf(p.Answer, 0) {
-			return res, fmt.Errorf("core: non-finite training answer %v", p.Answer)
+			return fmt.Errorf("core: non-finite training answer %v", p.Answer)
 		}
 	}
+	return nil
+}
+
+// trainBatch applies validated pairs under one writer-lock acquisition and
+// publishes once. beforePublish, when non-nil, runs after the last step and
+// before the publication: Durable passes the wait for the batch's fsync, so
+// the update overlaps the disk flush and still nothing unsynced becomes
+// visible. Its error is returned as is and leaves the batch unpublished —
+// the writer state is then ahead of every reader, which is only sound
+// because the Durable that failed refuses all further training.
+func (m *Model) trainBatch(pairs []TrainingPair, beforePublish func() error) (TrainingResult, error) {
+	res := TrainingResult{GammaTrace: make([]float64, 0, len(pairs))}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	before := m.steps
@@ -537,6 +558,11 @@ func (m *Model) TrainBatch(pairs []TrainingPair) (TrainingResult, error) {
 		res.GammaTrace = append(res.GammaTrace, info.Gamma)
 		if info.Converged {
 			break
+		}
+	}
+	if beforePublish != nil {
+		if err := beforePublish(); err != nil {
+			return TrainingResult{}, err
 		}
 	}
 	m.publishLocked()

@@ -25,7 +25,7 @@ import (
 var ErrReadOnly = errors.New("core: durable store is read-only after a WAL failure")
 
 // The durability layer: a Model wrapped so that every training pair is
-// written ahead to a wal.Log before it is applied, periodic Checkpoint
+// written ahead to a wal.Log before it is published, periodic Checkpoint
 // snapshots bound the replay work, and Recover reconstructs the exact
 // model — bit for bit, including the solver state and the eviction clock —
 // from whatever a crash left in the data directory. The contract chain:
@@ -60,13 +60,13 @@ func (o DurableOptions) withDefaults() DurableOptions {
 }
 
 // Durable is a Model whose training stream survives crashes: Observe and
-// TrainBatch append each pair to the write-ahead log under the configured
-// sync policy before applying it, and every SnapshotEvery pairs the model
-// is checkpointed and the log rotated. Obtain one with Recover. Training
-// calls serialize on the Durable (they must — the WAL order is the replay
-// order); the wrapped Model's read side stays lock-free, so serving traffic
-// is unaffected. All training must go through the Durable: a pair applied
-// directly to Model() bypasses the log and is lost on the next crash.
+// TrainBatch append their pairs to the write-ahead log under the configured
+// sync policy before they are published, and every SnapshotEvery pairs the
+// model is checkpointed and the log rotated. Obtain one with Recover.
+// Training calls serialize on the Durable (they must — the WAL order is the
+// replay order); the wrapped Model's read side stays lock-free, so serving
+// traffic is unaffected. All training must go through the Durable: a pair
+// applied directly to Model() bypasses the log and is lost on the next crash.
 //
 // Failure is fail-safe, not fail-stop: the first WAL append, fsync or
 // rotation error flips the store read-only (ErrReadOnly) while queries
@@ -88,6 +88,7 @@ type Durable struct {
 	hashes    map[uint64]BoundaryHash
 	hasSnap   bool          // a snapshot for the current generation exists on disk
 	ckpt      checkpointBuf // the last captured state, reused by every rotation
+	recs      []wal.Record  // TrainBatch's log records, reused by every batch
 }
 
 // BoundaryHash records the model's canonical state at one snapshot
@@ -300,10 +301,11 @@ func (d *Durable) Model() *Model { return d.m }
 
 // failLocked records the first WAL failure — flipping the store read-only
 // for good — and returns it wrapped in ErrReadOnly. Callers hold d.mu.
-// After a mid-batch append failure the log may be ahead of the in-memory
-// model (a prefix of the failed, never-acknowledged batch); that is the
-// safe direction: the next boot replays the orphaned prefix through the
-// normal training path, and no pair that was acknowledged is ever lost.
+// After a failed batch the log may be ahead of the published model (a torn
+// write, or a whole batch whose fsync failed — written, never published,
+// never acknowledged); that is the safe direction: the next boot replays
+// whatever prefix of it reached the disk through the normal training path,
+// and no pair that was acknowledged is ever lost.
 func (d *Durable) failLocked(err error) error {
 	if d.failure == nil {
 		d.failure = err
@@ -353,31 +355,36 @@ func (d *Durable) Observe(q Query, answer float64) (StepInfo, error) {
 	return info, nil
 }
 
-// TrainBatch durably consumes a batch: every pair is validated, appended to
-// the log, and the batch is applied under one writer-lock acquisition (see
-// Model.TrainBatch). Durability follows the sync policy, as with Observe.
+// TrainBatch durably consumes a batch as one unit: every pair is validated,
+// the batch is appended to the log with one write, and the fsync the sync
+// policy says is due (SyncAlways: every call; SyncGroup: once FlushBatch
+// records are pending) runs while the pairs are applied under one
+// writer-lock acquisition (see Model.TrainBatch). Three things wait for that
+// fsync: the publication of the new version, the acknowledgement (this
+// return) and the rotation check — so nothing becomes visible or is
+// acknowledged earlier than if the fsync had run first. If it fails the
+// store flips read-only, the batch is neither published nor acknowledged
+// (readers keep the last durable version), and the next boot decides from
+// what reached the disk whether the batch happened.
 func (d *Durable) TrainBatch(pairs []TrainingPair) (TrainingResult, error) {
-	for _, p := range pairs {
-		if p.Query.Dim() != d.m.cfg.Dim {
-			return TrainingResult{}, fmt.Errorf("%w: query dim %d, model dim %d", ErrDimension, p.Query.Dim(), d.m.cfg.Dim)
-		}
-		if math.IsNaN(p.Answer) || math.IsInf(p.Answer, 0) {
-			return TrainingResult{}, fmt.Errorf("core: non-finite training answer %v", p.Answer)
-		}
+	if err := d.m.validatePairs(pairs); err != nil {
+		return TrainingResult{}, err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.failure != nil {
 		return TrainingResult{}, fmt.Errorf("%w: %w", ErrReadOnly, d.failure)
 	}
+	d.recs = d.recs[:0]
 	for _, p := range pairs {
-		if err := d.log.Append(wal.Record{Center: p.Query.Center, Theta: p.Query.Theta, Answer: p.Answer}); err != nil {
-			return TrainingResult{}, d.failLocked(err)
-		}
+		d.recs = append(d.recs, wal.Record{Center: p.Query.Center, Theta: p.Query.Theta, Answer: p.Answer})
 	}
-	res, err := d.m.TrainBatch(pairs)
+	if err := d.log.AppendStart(d.recs); err != nil {
+		return TrainingResult{}, d.failLocked(err)
+	}
+	res, err := d.m.trainBatch(pairs, d.log.Wait)
 	if err != nil {
-		return res, err
+		return TrainingResult{}, d.failLocked(err)
 	}
 	d.sinceSnap += len(pairs)
 	if err := d.maybeRotateLocked(); err != nil {

@@ -44,8 +44,10 @@
 // for all three:
 //
 //   - local (New, NewDurable): one model in this process. With a durable
-//     store each pair is WAL-logged before it is applied, so ingested
-//     traffic survives a crash; without one, training is volatile.
+//     store each /train batch is WAL-logged — one write, its fsync
+//     overlapped with the model update — before it is published or
+//     acknowledged, so ingested traffic survives a crash; without one,
+//     training is volatile.
 //   - follower (NewFollower): a replica of a remote primary. Reads answer
 //     from the replicated model, /train is refused with 421 naming the
 //     primary, and POST /promote turns it into a durable local backend.
@@ -84,10 +86,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -117,6 +121,10 @@ type Server struct {
 	// coalescer micro-batches single /query statements; nil unless
 	// Limits.BatchWindow is set.
 	coalescer *batcher
+	// declineScan makes ingest decode every body with encoding/json, as if
+	// trainBuf.scan had declined it. Only tests set it: it is how
+	// FuzzTrainBody holds the two decoders to the same responses.
+	declineScan bool
 }
 
 const (
@@ -305,9 +313,9 @@ func New(e *exec.Executor, m *core.Model, opts ...Option) (*Server, error) {
 
 // NewDurable creates a server whose model is backed by a durable store:
 // queries answer from the model's lock-free published versions as usual,
-// while /train routes every pair through the write-ahead log before it is
-// applied, so ingested training traffic survives a crash and is replayed on
-// the next boot. The caller owns the Durable's lifecycle (Close on
+// while /train routes every batch through the write-ahead log before it is
+// published, so ingested training traffic survives a crash and is replayed
+// on the next boot. The caller owns the Durable's lifecycle (Close on
 // shutdown, for the final checkpoint).
 func NewDurable(e *exec.Executor, d *core.Durable, opts ...Option) (*Server, error) {
 	if d == nil {
@@ -443,7 +451,18 @@ func shed(w http.ResponseWriter, status int, retryAfter time.Duration, err error
 // *http.MaxBytesError MaxBytesReader injects), anything else malformed is
 // 400. A zero status means the decode succeeded.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	return decodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+}
+
+// decodeJSON is decodeBody over any reader: ingest runs it over a body it
+// has already buffered.
+func decodeJSON(body io.Reader, v any) (int, error) {
+	return bodyError(json.NewDecoder(body).Decode(v))
+}
+
+// bodyError maps the error of reading or decoding a bounded request body to
+// its status; nil is status 0.
+func bodyError(err error) (int, error) {
 	if err == nil {
 		return 0, nil
 	}
@@ -679,29 +698,42 @@ type TrainResponse struct {
 
 // ingest is the one path training pairs take into the server, shared by
 // /train and /shard/train: the backend's own refusals first (so an instance
-// that cannot train never decodes the body), then decode, validate and
-// admission weighted by the pair count, then the backend's train — one
-// writer-lock acquisition per model while queries keep answering lock-free
-// from the previous published version. On failure the response has been
+// that cannot train never reads the body), then the bounded body is read
+// once into a pooled trainBuf and decoded in one pass (trainBuf.scan; a body
+// outside the canonical grammar is decoded by encoding/json and
+// convertPairs from the same bytes, which decides every reject), admission
+// weighted by the pair count, then the backend's train — one writer-lock
+// acquisition per model while queries keep answering lock-free from the
+// previous published version. The batch stays one unit all the way down: a
+// durable backend logs it with one write and overlaps its fsync with the
+// model update (core.Durable.TrainBatch). On failure the response has been
 // written and ok is false.
 func (s *Server) ingest(w http.ResponseWriter, r *http.Request, b backend) (st shard.TrainStats, durable bool, elapsed time.Duration, ok bool) {
 	var (
 		weight int64 // the admitted pair count; 0 until admission succeeds
 		start  time.Time
 	)
+	tb := trainBufs.Get().(*trainBuf)
 	defer func() {
 		if weight > 0 {
 			s.admitTrain.Release(weight)
 		}
+		trainBufs.Put(tb) // the backend is done with the pairs by now
 	}()
 	st, durable, err := b.train(r.Context(), func() ([]core.TrainingPair, error) {
-		var req TrainRequest
-		if status, err := decodeBody(w, r, &req); status != 0 {
+		body, status, err := tb.read(w, r)
+		if status != 0 {
 			return nil, statusError{status, err}
 		}
-		pairs, err := convertPairs(req.Pairs)
-		if err != nil {
-			return nil, statusError{http.StatusBadRequest, err}
+		pairs, scanned := tb.scan(body)
+		if !scanned || s.declineScan {
+			var req TrainRequest
+			if status, err := decodeJSON(bytes.NewReader(body), &req); status != 0 {
+				return nil, statusError{status, err}
+			}
+			if pairs, err = convertPairs(req.Pairs); err != nil {
+				return nil, statusError{http.StatusBadRequest, err}
+			}
 		}
 		if err := s.admitTrain.Acquire(r.Context(), int64(len(pairs))); err != nil {
 			return nil, err

@@ -36,7 +36,7 @@ func newShardedServer(t *testing.T, shards int, opts ...Option) (*Server, *shard
 	return s, sh
 }
 
-func newShardedExecutor(t *testing.T) *exec.Executor {
+func newShardedExecutor(t testing.TB) *exec.Executor {
 	t.Helper()
 	pts, err := synth.Generate(synth.R1Config(5000, 2, 31))
 	if err != nil {

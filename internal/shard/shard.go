@@ -86,8 +86,8 @@ func (l *Local) Scan(_ context.Context, q core.Query, at []float64, needModels b
 	return l.m.View().ScatterScan(q, at, needModels)
 }
 
-// Train implements Backend; with a durable store every pair is WAL-logged
-// before it is applied.
+// Train implements Backend; with a durable store the batch is WAL-logged
+// before it is published.
 func (l *Local) Train(_ context.Context, pairs []core.TrainingPair) (TrainStats, error) {
 	var (
 		res core.TrainingResult

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -106,5 +107,54 @@ func TestFaultHookOffIsInert(t *testing.T) {
 	hooked := write(t.TempDir(), Options{Mode: SyncNone, Fault: func(string) error { return nil }})
 	if string(plain) != string(hooked) {
 		t.Error("a never-firing fault hook changed the bytes on disk")
+	}
+}
+
+// TestAppendBatchIsOneWriteSameBytes: a multi-record Append is one segment
+// write whose bytes are the records' frames back to back — exactly what the
+// same records appended one call at a time produce — and AppendStart hands
+// the due fsync to the sync goroutine, whose result Wait returns once.
+func TestAppendBatchIsOneWriteSameBytes(t *testing.T) {
+	dir := t.TempDir()
+	var writes, syncs atomic.Int64
+	l, err := Continue(dir, Options{Mode: SyncAlways, Fault: func(op string) error {
+		if op == "write" {
+			writes.Add(1)
+		} else {
+			syncs.Add(1)
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []Record{testRecord(0), testRecord(1), {Kind: KindCapacity, MaxPrototypes: 40, Eviction: "recency", Merge: true}, testRecord(2)}
+	if err := l.Append(recs...); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := writes.Load(), syncs.Load(); w != 1 || s != 1 {
+		t.Fatalf("a %d-record Append made %d writes and %d fsyncs, want 1 and 1", len(recs), w, s)
+	}
+	if err := l.AppendStart(recs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := writes.Load(), syncs.Load(); w != 2 || s != 2 {
+		t.Fatalf("after AppendStart + Wait: %d writes and %d fsyncs, want 2 and 2", w, s)
+	}
+	if err := l.Wait(); err != nil {
+		t.Fatalf("Wait with nothing in flight: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(SegmentPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := encodeSegment(t, append(recs, recs[:2]...)...); !bytes.Equal(got, want) {
+		t.Fatalf("segment holds %d bytes, want the %d of the records' frames back to back", len(got), len(want))
 	}
 }

@@ -278,7 +278,9 @@ func TruncateTorn(path string, size int64) error {
 }
 
 // Log is the append side of a data directory: the open tail segment plus
-// the rotation machinery. It is safe for concurrent use.
+// the rotation machinery. Append and Sync are safe for concurrent use;
+// Rotate, AppendStart/Wait and Close belong to one caller that serializes
+// its log calls (core.Durable's mutex).
 type Log struct {
 	dir  string
 	opts Options
@@ -288,6 +290,11 @@ type Log struct {
 	// Continue found plus what each Rotate created. Rotation deletes from
 	// it, so retiring old generations costs no directory scan.
 	files []genFile
+	// The sync goroutine AppendStart hands a due fsync to, started on first
+	// use and stopped by Close; inFlight marks a result Wait has yet to take.
+	syncReq  chan *writer
+	syncDone chan error
+	inFlight bool
 }
 
 // Continue opens the data directory's newest segment for appending,
@@ -333,11 +340,58 @@ func (l *Log) Dir() string { return l.dir }
 // snapshot's generation once one exists).
 func (l *Log) Gen() uint64 { return l.gen }
 
-// Append logs one record under the configured sync policy. The record is
-// durable once the policy has fsynced it; under SyncGroup that is within
-// FlushInterval/FlushBatch, and a crash before then loses it (recovery
-// truncates the torn tail).
-func (l *Log) Append(r Record) error { return l.w.append(r) }
+// Append logs the records of one call — one pair, an admin record or a whole
+// training batch — with one segment write, then applies the configured sync
+// policy once: when it says an fsync is due (SyncAlways; SyncGroup once
+// FlushBatch records are pending) Append performs it before returning. The
+// records are durable once the policy has fsynced them; under SyncGroup that
+// is within FlushInterval/FlushBatch, and a crash before then loses them
+// (recovery truncates the torn tail).
+func (l *Log) Append(recs ...Record) error {
+	due, err := l.w.append(recs)
+	if err != nil || !due {
+		return err
+	}
+	return l.w.sync()
+}
+
+// AppendStart is Append with the due fsync started instead of awaited: it
+// returns after the write, and an fsync the policy says is due is by then
+// running on the log's sync goroutine, so the caller can do its own work
+// while the disk flushes. The caller must call Wait before it treats the
+// records as durable, and before its next AppendStart, Rotate or Close;
+// like Rotate, the pair is for a caller that serializes its log calls.
+func (l *Log) AppendStart(recs []Record) error {
+	due, err := l.w.append(recs)
+	if err != nil || !due {
+		return err
+	}
+	if l.syncReq == nil {
+		// One fsync is in flight at a time, so one slot each way means
+		// neither side ever blocks on the hand-off.
+		l.syncReq, l.syncDone = make(chan *writer, 1), make(chan error, 1)
+		go func(req <-chan *writer, done chan<- error) {
+			defer close(done)
+			for w := range req {
+				done <- w.sync()
+			}
+		}(l.syncReq, l.syncDone)
+	}
+	l.syncReq <- l.w
+	l.inFlight = true
+	return nil
+}
+
+// Wait returns the result of the fsync AppendStart started, blocking until
+// it finishes; with none in flight it returns nil at once. A failure is the
+// writer's sticky error, as from an inline fsync.
+func (l *Log) Wait() error {
+	if !l.inFlight {
+		return nil
+	}
+	l.inFlight = false
+	return <-l.syncDone
+}
 
 // Sync forces every appended record to stable storage regardless of the
 // sync policy.
@@ -394,4 +448,12 @@ func (l *Log) Rotate(writeSnapshot func(io.Writer) error) error {
 // Close syncs and closes the tail segment. It does not snapshot; callers
 // that want a clean shutdown (so the next boot replays nothing) call
 // Rotate first.
-func (l *Log) Close() error { return l.w.close() }
+func (l *Log) Close() error {
+	if l.syncReq != nil {
+		_ = l.Wait() // a failure is sticky in the writer; close reports it
+		close(l.syncReq)
+		<-l.syncDone // closed by the sync goroutine as it exits
+		l.syncReq = nil
+	}
+	return l.w.close()
+}

@@ -12,14 +12,15 @@ import (
 type SyncMode int
 
 const (
-	// SyncGroup (the default) batches fsyncs: an append is flushed to the
-	// OS immediately but fsynced only when FlushBatch records have
-	// accumulated or FlushInterval has elapsed since the first unsynced
-	// one, whichever comes first. A crash loses at most the unsynced tail,
-	// which recovery truncates at the last intact record.
+	// SyncGroup (the default) batches fsyncs: an append call is flushed to
+	// the OS immediately, in one write, but fsynced only when FlushBatch
+	// records have accumulated or FlushInterval has elapsed since the
+	// first unsynced one, whichever comes first. A crash loses at most the
+	// unsynced tail, which recovery truncates at the last intact record.
 	SyncGroup SyncMode = iota
-	// SyncAlways fsyncs every append before it returns: nothing
-	// acknowledged is ever lost, at the cost of one disk flush per pair.
+	// SyncAlways fsyncs every append call before it is acknowledged:
+	// nothing acknowledged is ever lost, at the cost of one disk flush per
+	// call — per pair for Observe, per batch for TrainBatch.
 	SyncAlways
 	// SyncNone never fsyncs explicitly; durability is whatever the OS page
 	// cache provides. For bulk loads whose source can be replayed anyway.
@@ -60,7 +61,10 @@ type Options struct {
 	// under SyncGroup; ≤ 0 defaults to 10ms.
 	FlushInterval time.Duration
 	// FlushBatch caps how many records may accumulate unsynced under
-	// SyncGroup before an append fsyncs inline; ≤ 0 defaults to 256.
+	// SyncGroup: the append call that reaches it is fsynced before it is
+	// acknowledged. The policy is evaluated once per call, after the
+	// call's one write, so a larger batch still costs one fsync; ≤ 0
+	// defaults to 256.
 	FlushBatch int
 	// Fault, when non-nil, is consulted before every physical segment
 	// write and fsync with the operation name ("write" or "sync"); a
@@ -90,7 +94,7 @@ type writer struct {
 	mu      sync.Mutex
 	f       *os.File
 	opts    Options
-	buf     []byte // encode scratch
+	buf     []byte // one append call's frames, written with one write
 	pending int    // records written since the last fsync
 	timer   *time.Timer
 	err     error
@@ -100,31 +104,43 @@ func newWriter(f *os.File, opts Options) *writer {
 	return &writer{f: f, opts: opts.withDefaults()}
 }
 
-// append encodes and writes one record, applying the sync policy.
-func (w *writer) append(r Record) error {
+// append encodes recs into the writer's one buffer, writes them with one
+// segment write and evaluates the sync policy once for the whole call: the
+// call is the unit, whether it carries one record or a /train batch. It
+// reports whether the policy wants an fsync now — under SyncAlways after
+// every call, under SyncGroup once FlushBatch records are pending — and
+// leaves issuing it (sync) to the caller, who may overlap it with its own
+// work; a group append below the batch arms the interval timer instead.
+func (w *writer) append(recs []Record) (syncDue bool, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
-		return w.err
+		return false, w.err
 	}
-	w.buf = appendRecord(w.buf[:0], r)
+	if len(recs) == 0 {
+		return false, nil
+	}
+	w.buf = w.buf[:0]
+	for _, r := range recs {
+		w.buf = appendRecord(w.buf, r)
+	}
 	if err := w.physWrite(w.buf); err != nil {
 		w.err = fmt.Errorf("wal: append: %w", err)
-		return w.err
+		return false, w.err
 	}
-	w.pending++
+	w.pending += len(recs)
 	switch w.opts.Mode {
 	case SyncAlways:
-		return w.syncLocked()
+		return true, nil
 	case SyncGroup:
 		if w.pending >= w.opts.FlushBatch {
-			return w.syncLocked()
+			return true, nil
 		}
 		if w.timer == nil {
 			w.timer = time.AfterFunc(w.opts.FlushInterval, w.timerSync)
 		}
 	}
-	return nil
+	return false, nil
 }
 
 // timerSync is the deferred group fsync; a failure is recorded sticky and
