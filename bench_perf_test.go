@@ -5,128 +5,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"llmq/internal/core"
 	"llmq/internal/experiments"
 	"llmq/internal/serve"
 )
 
-// Performance benchmarks for the serving hot path: batched prediction over
-// the bounded worker pool and end-to-end HTTP throughput. The winner-search
-// micro-benchmark (store vs the pre-change linear scan on the live []*LLM
-// layout) lives in internal/core/store_bench_test.go, where the old layout
-// is reachable. scripts/bench.sh runs all of them and records the ns/op
-// trajectory in BENCH_<n>.json; see PERFORMANCE.md.
+// The admission and micro-batcher benchmarks: overload at 1×/4×/10× the
+// query capacity, closed and open loop, and hot-spot coalescing off and on.
+// They stay until bench/ has a workload that drives 16 or more connections,
+// which none does yet; that harness change retires them. End-to-end serving
+// throughput is bench/'s point_approx workload (PERFORMANCE.md, "How a
+// number is made").
 
-// buildWideModel trains a model whose prototype set reaches the given size
-// at the given input dimensionality, by streaming random pairs with a
-// vigilance small enough that the query space packs that many prototypes
-// (but of the same order as the prototype spacing, the regime the grid index
-// is designed for).
-func buildWideModel(tb testing.TB, dim, protos int) *core.Model {
-	tb.Helper()
-	cfg := core.DefaultConfig(dim)
-	cfg.Vigilance = 0.03
-	if dim > 3 {
-		// Random points in a high-dimensional unit box are mutually distant,
-		// so a moderate vigilance already spawns on almost every pair.
-		cfg.Vigilance = 0.25
-	}
-	cfg.Gamma = 1e-12
-	cfg.MinGammaSteps = 1 << 30
-	m, err := core.NewModel(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 100*protos && m.K() < protos; i++ {
-		q, err := core.NewQuery(randomCenter(rng, dim), 0.05+0.1*rng.Float64())
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if _, err := m.Observe(q, rng.NormFloat64()); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if m.K() < protos {
-		tb.Fatalf("expected %d prototypes, got %d", protos, m.K())
-	}
-	// Absorb a few update rounds so every prototype carries trained RLS
-	// state, as a converged serving model would (this is what fragments the
-	// pre-change []*LLM layout: each update lazily allocates the per-LLM
-	// inverse-covariance matrix between the prototype vectors).
-	llms := m.LLMs()
-	for round := 0; round < 3; round++ {
-		for _, l := range llms {
-			q := l.PrototypeQuery()
-			if _, err := m.Observe(q, rng.NormFloat64()); err != nil {
-				tb.Fatal(err)
-			}
-		}
-	}
-	return m
-}
-
-func randomCenter(rng *rand.Rand, dim int) []float64 {
-	c := make([]float64, dim)
-	for j := range c {
-		c[j] = rng.Float64()
-	}
-	return c
-}
-
-func benchQueries(dim, n int) []core.Query {
-	rng := rand.New(rand.NewSource(7))
-	qs := make([]core.Query, n)
-	for i := range qs {
-		q, _ := core.NewQuery(randomCenter(rng, dim), 0.05+0.1*rng.Float64())
-		qs[i] = q
-	}
-	return qs
-}
-
-// BenchmarkPredictBatch measures Q1 batch prediction throughput: the
-// sequential loop vs the bounded worker pool on the same 1024 queries over a
-// K≈1000 model. ns/op is per batch; the parallel variant should approach
-// sequential/GOMAXPROCS.
-func BenchmarkPredictBatch(b *testing.B) {
-	const dim = 2
-	m := buildWideModel(b, dim, 1000)
-	queries := benchQueries(dim, 1024)
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				if _, err := m.PredictMean(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.PredictBatch(queries); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Logf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0))
-}
-
-// BenchmarkServeThroughput measures end-to-end HTTP serving of APPROX mean
-// statements — JSON decode, SQL parse, model prediction, JSON encode — with
-// the client side driven from all cores (RunParallel), the regime the
-// concurrent-read model unlocks.
 // BenchmarkServeOverload measures the overload cost model of the admission
 // layer: a closed loop of concurrent clients at 1×, 4× and 10× the query
 // admission capacity drives exact batch sheets end to end. ns/op is the
@@ -560,33 +457,4 @@ func BenchmarkServeBatchingOpenLoop(b *testing.B) {
 			b.ReportMetric(float64(shed.Load())/float64(b.N), "shed/req")
 		})
 	}
-}
-
-func BenchmarkServeThroughput(b *testing.B) {
-	env, m := setupEnv(b, experiments.R1, 20000)
-	s, err := serve.New(env.Harness.Exec, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	body := []byte(`{"sql": "SELECT APPROX AVG(u) FROM r1 WITHIN 0.15 OF (0.5, 0.5)"}`)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var qr serve.QueryResponse
-			if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-				b.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK || qr.Mean == nil {
-				b.Fatalf("status %d, body %+v", resp.StatusCode, qr)
-			}
-		}
-	})
 }

@@ -125,8 +125,11 @@ func remoteBatch(ctx context.Context, out io.Writer, base string, sqls []string)
 	return nil
 }
 
-// printBatchFrame renders one positional /query/batch answer the way the
-// local batch mode prints its statements.
+// printBatchFrame renders one positional /query/batch answer as one line:
+// the statement's position, its aggregate and value, and where the answer
+// came from (exact, model, or model degraded under overload). A frame
+// carries no output column or timing, so the line is terser than what the
+// local batch mode prints.
 func printBatchFrame(out io.Writer, n int, f serve.BatchFrame) {
 	if f.Error != "" {
 		fmt.Fprintf(out, "[%d] error: %s\n", n, f.Error)

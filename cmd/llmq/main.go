@@ -470,11 +470,10 @@ func loadModel(path string, dim int) (*core.Model, error) {
 }
 
 // cmdBatch answers a whole file of analytics statements (one per line; blank
-// lines and #-comments are skipped). When every statement is an APPROX AVG,
-// the answers come from one Model.PredictBatch call — the model's bounded
-// worker pool — otherwise each statement runs on its own pool worker via the
-// same execution path as the query subcommand. Output order always matches
-// input order.
+// lines and #-comments are skipped). Each statement runs on a worker of
+// exec.ForEachParallelCtx's bounded pool through the same execution path as
+// the query subcommand, so an interrupt (Ctrl-C) stops EXACT and APPROX
+// sheets alike. Output order always matches input order.
 func cmdBatch(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("batch", flag.ContinueOnError)
 	data := fs.String("data", "", "dataset CSV backing the relation (required unless -url)")
@@ -519,17 +518,18 @@ func cmdBatch(args []string, out io.Writer) error {
 	if len(sqls) == 0 {
 		return errors.New("batch: no statements in input")
 	}
+	// An interrupt (Ctrl-C) cancels the batch. Remotely it stops between
+	// chunks and mid-retry; locally it cancels the pool and the EXACT scans
+	// in flight, and statements that already finished still print.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	if *url != "" {
 		// Remote mode: the server parses, admits and executes; the client
-		// retries sheds with backoff. Ctrl-C cancels between chunks and
-		// mid-retry alike.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
+		// retries sheds with backoff.
 		return remoteBatch(ctx, out, *url, sqls)
 	}
 	stmts := make([]*sqlfront.Statement, len(sqls))
 	needModel := false
-	allApproxMean := true
 	for i, sql := range sqls {
 		stmt, err := sqlfront.Parse(sql)
 		if err != nil {
@@ -538,9 +538,6 @@ func cmdBatch(args []string, out io.Writer) error {
 		stmts[i] = stmt
 		if stmt.Approx {
 			needModel = true
-		}
-		if !stmt.Approx || stmt.Kind != sqlfront.StmtMean {
-			allApproxMean = false
 		}
 	}
 	e, ds, err := loadExecutor(*data, 0)
@@ -571,49 +568,26 @@ func cmdBatch(args []string, out io.Writer) error {
 		}
 	}
 	start := time.Now()
-	if allApproxMean {
-		queries := make([]core.Query, len(stmts))
-		for i, stmt := range stmts {
-			q, err := core.NewQuery(stmt.Center, stmt.Theta)
-			if err != nil {
-				return err
-			}
-			queries[i] = q
-		}
-		answers, err := model.PredictBatch(queries)
-		if err != nil {
-			return err
-		}
-		for i, y := range answers {
-			fmt.Fprintf(out, "[%d] approx AVG(%s) = %.6g\n", i+1, stmts[i].Output, y)
-		}
-	} else {
-		// An interrupt (Ctrl-C) cancels the pool and the EXACT scans in
-		// flight: statements that already finished print, the rest are
-		// reported as interrupted or skipped.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		bufs := make([]bytes.Buffer, len(stmts))
-		errs := make([]error, len(stmts))
-		ran := make([]bool, len(stmts))
-		if err := exec.ForEachParallelCtx(ctx, len(stmts), func(i int) {
-			errs[i] = executeStatement(ctx, &bufs[i], stmts[i], e, model)
-			ran[i] = true
-		}); err != nil {
-			fmt.Fprintf(out, "batch interrupted: %v\n", err)
-			for i := range errs {
-				if !ran[i] {
-					errs[i] = fmt.Errorf("skipped: %w", err)
-				}
+	bufs := make([]bytes.Buffer, len(stmts))
+	errs := make([]error, len(stmts))
+	ran := make([]bool, len(stmts))
+	if err := exec.ForEachParallelCtx(ctx, len(stmts), func(i int) {
+		errs[i] = executeStatement(ctx, &bufs[i], stmts[i], e, model)
+		ran[i] = true
+	}); err != nil {
+		fmt.Fprintf(out, "batch interrupted: %v\n", err)
+		for i := range errs {
+			if !ran[i] {
+				errs[i] = fmt.Errorf("skipped: %w", err)
 			}
 		}
-		for i := range stmts {
-			if errs[i] != nil {
-				fmt.Fprintf(out, "[%d] error: %v\n", i+1, errs[i])
-				continue
-			}
-			fmt.Fprintf(out, "[%d] %s", i+1, bufs[i].String())
+	}
+	for i := range stmts {
+		if errs[i] != nil {
+			fmt.Fprintf(out, "[%d] error: %v\n", i+1, errs[i])
+			continue
 		}
+		fmt.Fprintf(out, "[%d] %s", i+1, bufs[i].String())
 	}
 	fmt.Fprintf(out, "answered %d statements in %v\n", len(stmts), time.Since(start).Round(time.Microsecond))
 	return nil

@@ -31,13 +31,14 @@
 // unchanged 256-row chunks by pointer and a write copies only the chunk
 // it dirties, so publishing after one training pair costs O(touched rows)
 // rather than O(K) — a live stream publishes every pair even at K=100k
-// while concurrent reads stay at idle latency. PredictBatch and TrainBatch, the
-// executor's MeanBatchCtx, the streaming NDJSON /query/batch
-// endpoint and the llmq batch subcommand fan work out over bounded worker
-// pools; the llmq serve subcommand stands the HTTP service up directly,
-// and its -batch-window flag arms a micro-batcher that coalesces
-// concurrent /query requests into shared sheets with bit-identical
-// duplicate collapse (docs/ARCHITECTURE.md, "The batching lifecycle").
+// while concurrent reads stay at idle latency. The executor's
+// MeanBatchCtx, the streaming NDJSON /query/batch endpoint and the llmq
+// batch subcommand fan work out over one bounded worker pool,
+// exec.ForEachParallelCtx; the llmq serve subcommand stands the HTTP
+// service up directly, and its -batch-window flag arms a micro-batcher
+// that coalesces concurrent /query requests into shared sheets with
+// bit-identical duplicate collapse (docs/ARCHITECTURE.md, "The batching
+// lifecycle").
 //
 // # Streaming training
 //
@@ -53,8 +54,10 @@
 // docs/ARCHITECTURE.md is the guided tour of the read path, the write
 // path and the eviction lifecycle, with file pointers and the exactness
 // invariant each layer maintains. PERFORMANCE.md documents the layout,
-// the exactness arguments and the measured speedups; scripts/bench.sh
-// records the trajectory in BENCH_<n>.json.
+// the exactness arguments and the measured speedups, and says how a number
+// is made: end to end by the bench/ module, stage by stage by in-package
+// benchmarks run on both commits back to back on one machine, and
+// complexity by operation-count tests.
 //
 // The benchmarks in bench_test.go regenerate every figure of the paper's
 // evaluation at a reduced scale; run them with

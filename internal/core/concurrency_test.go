@@ -251,53 +251,6 @@ func TestTrainBatchMatchesTrain(t *testing.T) {
 	}
 }
 
-// TestPredictBatchMatchesSequential verifies positional results and the
-// error paths of the worker-pool batch predictor.
-func TestPredictBatchMatchesSequential(t *testing.T) {
-	const dim = 2
-	rng := rand.New(rand.NewSource(13))
-	cfg := DefaultConfig(dim)
-	m, err := NewModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		if _, err := m.Observe(randQuery(rng, dim), rng.NormFloat64()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	queries := make([]Query, 257) // not a multiple of the worker count
-	for i := range queries {
-		queries[i] = randQuery(rng, dim)
-	}
-	got, err := m.PredictBatch(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		want, err := m.PredictMean(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] != want {
-			t.Fatalf("query %d: batch %v, sequential %v", i, got[i], want)
-		}
-	}
-	if out, err := m.PredictBatch(nil); err != nil || len(out) != 0 {
-		t.Errorf("empty batch: out=%v err=%v", out, err)
-	}
-	if _, err := m.PredictBatch([]Query{{Center: vector.Of(1, 2, 3), Theta: 1}}); err == nil {
-		t.Error("dimension mismatch should fail")
-	}
-	empty, err := NewModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := empty.PredictBatch(queries); err == nil {
-		t.Error("untrained model should fail")
-	}
-}
-
 // TestWinnerAfterReload verifies the flat store (and its index) is rebuilt
 // by Load, so a deserialized model serves the same winners.
 func TestWinnerAfterReload(t *testing.T) {

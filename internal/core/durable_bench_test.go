@@ -42,7 +42,7 @@ func rotationBenchModel(tb testing.TB) *Model {
 // tail, write the snapshot atomically, open the next segment, GC, and hash
 // the captured rows for the boundary record. Steady-state rotation must
 // allocate O(1) objects whatever K is; the benchmark fails above 32
-// allocs/op. scripts/bench.sh records it in BENCH_13.json.
+// allocs/op.
 func BenchmarkRotation(b *testing.B) {
 	b.Run("K=2000", func(b *testing.B) {
 		d := durableOver(b, rotationBenchModel(b), b.TempDir(), wal.SyncGroup)
@@ -73,7 +73,7 @@ func BenchmarkRotation(b *testing.B) {
 // FlushBatch pairs, so durable ingestion must stay within ~2× of the
 // in-memory path. sync=none bounds the pure framing+write cost; sync=always
 // is the one-fsync-per-pair floor for callers that cannot tolerate losing a
-// single acknowledged pair. scripts/bench.sh records it in BENCH_6.json.
+// single acknowledged pair.
 func BenchmarkWALAppend(b *testing.B) {
 	const dim, K, vig = 2, 1_000, 0.03
 	for _, mode := range []wal.SyncMode{wal.SyncGroup, wal.SyncNone, wal.SyncAlways} {

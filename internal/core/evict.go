@@ -207,7 +207,9 @@ func (m *Model) evictLocked(protect int) int {
 	for i := 0; i < n; i++ {
 		v := cands[i].slot
 		if cc.merge {
-			victims = append(victims, s.at(v).clone())
+			victim := s.at(v)
+			victim.p = nil // mergeVictim never reads the solver state
+			victims = append(victims, victim.clone())
 		}
 		s.evictSlot(v)
 	}

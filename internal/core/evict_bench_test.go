@@ -22,9 +22,6 @@ import (
 // one exact O(K·d) nearest-survivor scan per victim to the pass, amortized
 // over the spawns that refill the hysteresis band — the observe numbers
 // carry it).
-//
-// BENCH_5.json records the trajectory; scripts/bench.sh runs this with the
-// other hot-path benchmarks.
 func BenchmarkStreamingEviction(b *testing.B) {
 	const capacity = 512
 	vig := map[int]float64{2: 0.02, 5: 0.06}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -156,7 +155,7 @@ func (c Config) validate() (Config, error) {
 //
 // A Model is safe for concurrent use, and its read side is lock-free: every
 // prediction method (PredictMean, Regression, PredictValue, Winner,
-// Neighborhood, PredictBatch, Save and the accessors) answers from an
+// Neighborhood, Save and the accessors) answers from an
 // immutable storeSnapshot obtained with one atomic pointer load — no mutex,
 // no reader/writer contention, no blocking behind a training stream.
 // Observe/Train/TrainBatch serialize on a writer mutex, build the next
@@ -572,75 +571,6 @@ func (m *Model) trainBatch(pairs []TrainingPair, beforePublish func() error) (Tr
 	res.Converged = m.converged
 	res.FinalGamma = m.lastGamma
 	return res, nil
-}
-
-// PredictBatch answers many Q1 mean-value queries with a bounded worker
-// pool: queries are validated up front, then min(GOMAXPROCS, len(queries))
-// workers drain them over one pinned model version — the whole batch is
-// answered from a single published snapshot, so the results are mutually
-// consistent even while training streams in concurrently. Results are
-// positional. The per-query cost is independent of the data size (the
-// paper's central property), so batching exists purely to saturate cores
-// under heavy query traffic, not to amortize data access.
-func (m *Model) PredictBatch(queries []Query) ([]float64, error) {
-	v := m.View()
-	if v.K() == 0 {
-		return nil, ErrNotTrained
-	}
-	for _, q := range queries {
-		if q.Dim() != m.cfg.Dim {
-			return nil, fmt.Errorf("%w: query dim %d, model dim %d", ErrDimension, q.Dim(), m.cfg.Dim)
-		}
-	}
-
-	out := make([]float64, len(queries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 {
-		for i, q := range queries {
-			y, err := v.PredictMean(q)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = y
-		}
-		return out, nil
-	}
-	var (
-		next     atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				y, err := v.PredictMean(queries[i])
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				out[i] = y
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
 }
 
 // PredictMean answers a Q1 mean-value query (Algorithm 2): the predicted

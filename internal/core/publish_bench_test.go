@@ -77,7 +77,7 @@ func perturbedQuery(rng *rand.Rand, v View, vigilance float64) Query {
 // acceptance criterion: with publication copying only the winner row's chunk
 // and the chunk-pointer tables, ns/op must stay essentially flat from K=1k
 // to K=100k, where the old full-matrix copy grew it linearly.
-// scripts/bench.sh records it in BENCH_3.json.
+// TestPublishCopiesOnlyTouchedChunks pins the property without a clock.
 func BenchmarkObservePublish(b *testing.B) {
 	// The vigilance scales as 1/√K, as a real training stream's would have to
 	// for the workload to pack that many prototypes: constant prototype
@@ -157,7 +157,8 @@ func BenchmarkTrainThroughput(b *testing.B) {
 // updates into a K=10k model. With O(touched-rows) publication the writer
 // generates KB-sized garbage per pair instead of full-matrix copies, so the
 // under-training read latency stays near the idle latency — the ≥3×
-// acceptance criterion against BENCH_2's under-training number.
+// acceptance criterion against the full-copy publication's under-training
+// number.
 func BenchmarkReadDuringTrainingScaled(b *testing.B) {
 	const dim, vig, K = 2, 0.01, 10_000
 	run := func(b *testing.B, training bool) {

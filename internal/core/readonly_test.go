@@ -218,6 +218,10 @@ func TestDurableSyncFaultMidBatch(t *testing.T) {
 			if got := answers(after); fmt.Sprint(got) != fmt.Sprint(before) {
 				t.Fatal("a View taken after the failed batch answers differently from one pinned before it: the unsynced batch was published")
 			}
+			if steps, hash, err := d.StateHash(); !errors.Is(err, ErrReadOnly) || !errors.Is(err, injected) {
+				t.Fatalf("StateHash on the failed store = steps %d, hash %.12s, err %v; want ErrReadOnly wrapping the injected fault (the writer state holds the unacknowledged batch)",
+					steps, hash, err)
+			}
 			if err := d.Close(); !errors.Is(err, ErrReadOnly) || !errors.Is(err, injected) {
 				t.Fatalf("Close on the failed store: err = %v, want ErrReadOnly wrapping the injected fault", err)
 			}

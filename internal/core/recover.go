@@ -449,10 +449,17 @@ func (d *Durable) BoundaryHash(gen uint64) (BoundaryHash, bool) {
 
 // StateHash returns the model's current step count and canonical state
 // hash, atomically with respect to durable training (no pair can land
-// between the two reads).
+// between the two reads). A read-only store refuses with ErrReadOnly
+// wrapping the cause: after a failed fsync the writer state is ahead of the
+// published version, and hashing it would pair the published step count
+// with a batch nobody acknowledged. The boundary hashes (BoundaryHash) were
+// recorded before the failure and stay readable.
 func (d *Durable) StateHash() (steps int, hash string, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.failure != nil {
+		return 0, "", fmt.Errorf("%w: %w", ErrReadOnly, d.failure)
+	}
 	d.m.capture(&d.ckpt)
 	return d.m.Steps(), d.ckpt.hash(), nil
 }

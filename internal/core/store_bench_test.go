@@ -84,7 +84,7 @@ func buildBenchModel(tb testing.TB, dim, protos int, vigilance float64, gen quer
 }
 
 // BenchmarkWinnerSearch measures the store-backed winner search (grid-
-// indexed for d+1 <= 4, k-d tree above); scripts/bench.sh records it.
+// indexed for d+1 <= 4, k-d tree above).
 // d=8-uniform is the adversarial shape (little locality for the tree boxes
 // to prune on, the scan-budget bail regime); d=4/d=8-clustered is the
 // paper's query-locality regime across the tree's width range.
@@ -197,7 +197,8 @@ func buildOverlapBenchCases() []overlapBenchCase {
 // pre-change full scan, on the same published snapshot. Both produce
 // identical indices and weights (TestOverlapSetMatchesLinearScan); only the
 // candidate enumeration differs. This is the measurement behind the ≥3×
-// acceptance criterion at K=10k; scripts/bench.sh records it.
+// acceptance criterion at K=10k; TestOverlapSearchIsIndexed pins the
+// sub-O(K) property without a clock.
 func BenchmarkOverlapSet(b *testing.B) {
 	for _, tc := range overlapBenchCases {
 		m := buildBenchModel(b, tc.dim, tc.K, tc.vig, tc.gen)

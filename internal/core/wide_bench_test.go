@@ -76,13 +76,14 @@ func buildWideModel(tb testing.TB, K int, gen queryGen, reload bool) *Model {
 	return m
 }
 
-// insertWideModel builds a K-prototype model on gen's geometry by direct
-// insertion, the way buildPublishBenchModel does: at σ = 0.04 in eight
-// dimensions nearly every pair of the stream would have spawned anyway, and
-// a 100 000-prototype fixture builds in a second instead of minutes.
-func insertWideModel(tb testing.TB, K int, gen queryGen) *Model {
+// insertWideModel builds a K-prototype model on gen's dim-wide geometry by
+// direct insertion, the way buildPublishBenchModel does: at σ = 0.04 in
+// eight dimensions nearly every pair of the stream would have spawned
+// anyway, and a 100 000-prototype fixture builds in a second instead of
+// minutes.
+func insertWideModel(tb testing.TB, dim, K int, gen queryGen) *Model {
 	tb.Helper()
-	cfg := DefaultConfig(8)
+	cfg := DefaultConfig(dim)
 	cfg.Vigilance = 0.05
 	cfg.Gamma = 1e-12
 	m, err := NewModel(cfg)
@@ -129,7 +130,7 @@ func BenchmarkPredictMeanWide(b *testing.B) {
 			if tc.trained {
 				m = buildWideModel(b, tc.K, gen, true)
 			} else {
-				m = insertWideModel(b, tc.K, gen)
+				m = insertWideModel(b, 8, tc.K, gen)
 			}
 			qrng := rand.New(rand.NewSource(7))
 			queries := make([]Query, 4096)

@@ -11,7 +11,8 @@ import (
 
 // benchOpts is fastOpts with the replica's logger silenced: go test merges
 // the binary's stderr into stdout, and a log line landing between a
-// benchmark's name and its result breaks the one-line format bench.sh parses.
+// benchmark's name and its result breaks the one-line result format that
+// benchstat and other parsers read.
 func benchOpts(dir, url string) replica.Options {
 	opts := fastOpts(dir, url)
 	opts.Logf = func(string, ...any) {}
@@ -23,8 +24,7 @@ func benchOpts(dir, url string) replica.Options {
 // WAL long-poll, lands in the follower's mirror, and is applied to its live
 // model. ns/op is per pair with the shipping pipelined behind training, so
 // it answers "how fast can a follower drain a burst" — the pairs/s metric is
-// the same number inverted. scripts/bench.sh records it in BENCH_8.json and
-// CI gates it against the committed baseline.
+// the same number inverted.
 func BenchmarkReplicationLag(b *testing.B) {
 	const warmup = 64
 	p := newPrimary(b, b.TempDir(), 4096)

@@ -14,6 +14,8 @@ package serve
 //	GET  /replicate/hash[?gen=G]      → the canonical state hash the
 //	                                    primary recorded at boundary G, or
 //	                                    the live state's hash without gen
+//	                                    (503 once a WAL failure made the
+//	                                    store read-only)
 //	POST /promote                     → turn this follower into a writable
 //	                                    primary (refused while diverged)
 //
@@ -203,7 +205,13 @@ func (s *Server) handleReplicateHash(w http.ResponseWriter, r *http.Request) {
 	}
 	steps, hash, err := d.StateHash()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("state hash: %w", err))
+		status := http.StatusInternalServerError
+		if errors.Is(err, core.ErrReadOnly) {
+			// The live state is ahead of what was acknowledged; a follower
+			// must not compare against it.
+			status = http.StatusServiceUnavailable
+		}
+		writeError(w, status, fmt.Errorf("state hash: %w", err))
 		return
 	}
 	writeJSON(w, http.StatusOK, replica.HashResponse{Steps: steps, Hash: hash})

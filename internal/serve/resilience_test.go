@@ -280,6 +280,62 @@ func TestTrainReadOnlyAfterWALFault(t *testing.T) {
 	}
 }
 
+// TestReplicateHashReadOnly503 pins /replicate/hash on a store a failed WAL
+// write made read-only: the live hash answers 503 naming the root cause,
+// because the writer state may hold a batch that was never acknowledged,
+// while a boundary hash recorded before the failure (?gen=) still answers
+// 200 with the same body as before.
+func TestReplicateHashReadOnly503(t *testing.T) {
+	plain := newServer(t, false)
+	var arm atomic.Bool
+	cfg := core.DefaultConfig(2)
+	cfg.ResolutionA = 0.1
+	d, err := core.Recover(t.TempDir(), cfg, core.DurableOptions{
+		SnapshotEvery: 8, // the healthy batch below crosses one boundary
+		WAL: wal.Options{Mode: wal.SyncNone, Fault: func(string) error {
+			if arm.Load() {
+				return errors.New("injected: disk gone")
+			}
+			return nil
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s, err := NewDurable(plain.exec, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+	if rec := postTrain(t, s, TrainRequest{Pairs: trainPairs(10)}); rec.Code != http.StatusOK {
+		t.Fatalf("healthy train: status %d body %s", rec.Code, rec.Body.String())
+	}
+	if rec := get("/replicate/hash"); rec.Code != http.StatusOK {
+		t.Fatalf("healthy /replicate/hash: status %d body %s", rec.Code, rec.Body.String())
+	}
+	boundary := get("/replicate/hash?gen=1")
+	if boundary.Code != http.StatusOK {
+		t.Fatalf("/replicate/hash?gen=1: status %d body %s, want the boundary the healthy batch crossed", boundary.Code, boundary.Body.String())
+	}
+	arm.Store(true)
+	if rec := postTrain(t, s, TrainRequest{Pairs: trainPairs(5)}); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("faulted train: status %d, want 503", rec.Code)
+	}
+	arm.Store(false)
+	rec := get("/replicate/hash")
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "injected: disk gone") {
+		t.Fatalf("/replicate/hash on a read-only store: status %d body %s, want 503 naming the root cause", rec.Code, rec.Body.String())
+	}
+	if rec := get("/replicate/hash?gen=1"); rec.Code != http.StatusOK || rec.Body.String() != boundary.Body.String() {
+		t.Fatalf("/replicate/hash?gen=1 on a read-only store: status %d body %s, want 200 %s", rec.Code, rec.Body.String(), boundary.Body.String())
+	}
+}
+
 // TestFloodKeepsGoroutinesBounded hammers a capacity-2 server with 40×
 // its capacity under -race and pins the resource contract: every response
 // is a 200 or a well-formed shed — the 429 of a full admission queue or,

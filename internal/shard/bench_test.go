@@ -7,51 +7,19 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // Shard-scaling measurements. The write path scales because TrainBatch
 // buckets the pairs and each shard absorbs its bucket under its own writer
 // lock; the read path scales because concurrent queries fan out over
-// per-shard scans. On the 1-core container the numbers collapse to ~1× —
-// the scaling shows on multi-core runners; scripts/bench.sh records both.
+// per-shard scans. On a 1- or 2-core machine the numbers collapse to ~1×,
+// and the scaling shows only on multi-core hosts. TestShardedTrainScaling
+// pins the property itself without a clock. To compare two commits, run
+// these on both, back to back on one machine (PERFORMANCE.md, "How a number
+// is made").
 
-// benchShardCounts is the scaling ladder of BENCH_<n>.json.
+// benchShardCounts is the scaling ladder: 1, 2, 4 and 8 shards.
 var benchShardCounts = []int{1, 2, 4, 8}
-
-// TestShardedTrainScaling asserts the tentpole property on a multi-core
-// runner: partitioned training across 4 shards beats the single writer lock
-// by a clear margin on the identical pair stream. Timing-based, so the
-// bar is deliberately below the ~3× a quiet 4-core machine shows.
-func TestShardedTrainScaling(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("need 4 cores to observe write scaling, have GOMAXPROCS=%d", runtime.GOMAXPROCS(0))
-	}
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	rng := rand.New(rand.NewSource(141))
-	pairs := stream(6000, 2, rng)
-	elapsed := func(shards int) time.Duration {
-		s := newTestSet(t, 2, shards, pairs)
-		ctx := context.Background()
-		start := time.Now()
-		for off := 0; off < len(pairs); off += 500 {
-			if _, err := s.TrainBatch(ctx, pairs[off:off+500]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start)
-	}
-	// Best of two runs each, to shrug off scheduler noise.
-	t1 := min(elapsed(1), elapsed(1))
-	t4 := min(elapsed(4), elapsed(4))
-	speedup := float64(t1) / float64(t4)
-	t.Logf("1 shard %v, 4 shards %v: %.2fx", t1, t4, speedup)
-	if speedup < 1.5 {
-		t.Fatalf("4-shard training only %.2fx faster than 1-shard (%v vs %v)", speedup, t4, t1)
-	}
-}
 
 // BenchmarkShardedTrainThroughput measures partitioned write throughput at
 // each shard count: one op trains a 256-pair batch through the scatter

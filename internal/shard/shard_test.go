@@ -3,10 +3,13 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"llmq/internal/core"
 	"llmq/internal/index"
@@ -347,6 +350,115 @@ func TestShardedTrainRouting(t *testing.T) {
 	}
 	if got := s.Backends()[id].Stats().Steps; got != wantSteps {
 		t.Fatalf("Observe left shard %d at %d steps, want %d", id, got, wantSteps)
+	}
+}
+
+// trainBarrier holds every shard a batch touches inside Train until all of
+// them have entered it.
+type trainBarrier struct {
+	want    int64
+	arrived atomic.Int64
+	all     chan struct{}
+}
+
+func (b *trainBarrier) reset(want int) {
+	b.want = int64(want)
+	b.arrived.Store(0)
+	b.all = make(chan struct{})
+}
+
+// wait blocks until want shards have arrived, or fails when ctx ends first.
+func (b *trainBarrier) wait(ctx context.Context) error {
+	if b.arrived.Add(1) == b.want {
+		close(b.all)
+	}
+	select {
+	case <-b.all:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("%d of %d touched shards entered Train before the deadline: %w", b.arrived.Load(), b.want, ctx.Err())
+	}
+}
+
+// barrierShard is a local shard that records the pairs routed to it and
+// trains them only once every shard its batch touches is inside Train.
+type barrierShard struct {
+	*Local
+	gate *trainBarrier
+	got  []core.TrainingPair
+}
+
+func (s *barrierShard) Train(ctx context.Context, pairs []core.TrainingPair) (TrainStats, error) {
+	s.got = append(s.got, pairs...)
+	if err := s.gate.wait(ctx); err != nil {
+		return TrainStats{}, err
+	}
+	return s.Local.Train(ctx, pairs)
+}
+
+// TestShardedTrainScaling pins why partitioned training scales, by counting
+// instead of timing: every pair of a batch lands on exactly one shard — the
+// one Partition.Locate maps its centre to — and the touched shards train
+// concurrently, which a barrier inside each shard's Train proves: no shard
+// may start training until all of them have entered, so shards trained one
+// after another never get past it. The deadline only turns that deadlock
+// into a failure; nothing is measured, and any GOMAXPROCS passes.
+func TestShardedTrainScaling(t *testing.T) {
+	rng := rand.New(rand.NewSource(141))
+	pairs := stream(6000, 2, rng)
+	base := newTestSet(t, 2, 4, pairs)
+	part := base.Partition()
+	gate := &trainBarrier{}
+	shards := make([]*barrierShard, part.Leaves())
+	backends := make([]Backend, len(shards))
+	for i, b := range base.Backends() {
+		shards[i] = &barrierShard{Local: b.(*Local), gate: gate}
+		backends[i] = shards[i]
+	}
+	s, err := New(part, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(pairs); off += 500 {
+		batch := pairs[off : off+500]
+		want := make([][]core.TrainingPair, len(shards))
+		for _, p := range batch {
+			id := part.Locate(p.Query.Center)
+			want[id] = append(want[id], p)
+		}
+		touched := 0
+		for _, w := range want {
+			if len(w) > 0 {
+				touched++
+			}
+		}
+		if touched < 2 {
+			t.Fatalf("batch at %d touches %d shard(s): nothing to train concurrently", off, touched)
+		}
+		gate.reset(touched)
+		for _, sh := range shards {
+			sh.got = nil
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		st, err := s.TrainBatch(ctx, batch)
+		cancel()
+		if err != nil {
+			t.Fatalf("batch at %d: %v", off, err)
+		}
+		if got := gate.arrived.Load(); got != int64(touched) {
+			t.Fatalf("batch at %d: %d shards entered Train, want the %d it touches", off, got, touched)
+		}
+		received := 0
+		for id, sh := range shards {
+			received += len(sh.got)
+			if !reflect.DeepEqual(sh.got, want[id]) {
+				t.Fatalf("batch at %d: shard %d received %d pairs, want the %d Locate maps to it, in order",
+					off, id, len(sh.got), len(want[id]))
+			}
+		}
+		if received != len(batch) || st.Accepted != len(batch) {
+			t.Fatalf("batch at %d: the shards received %d and accepted %d of %d pairs", off, received, st.Accepted, len(batch))
+		}
 	}
 }
 
