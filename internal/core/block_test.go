@@ -224,8 +224,11 @@ func TestBlockReadersDuringTraining(t *testing.T) {
 }
 
 // fuzzBase returns a fresh copy of a d-dimensional model of a few hundred
-// clustered prototypes — above storeTreeMinK, so its epoch is a k-d tree and
-// its reads go through the block — decoded from a checkpoint built once.
+// clustered prototypes — above the epoch size gates, so its epoch is a k-d
+// tree whose reads go through the block at d = 5 and 8 and a grid at d = 2 —
+// decoded from a checkpoint built once. The d = 2 model packs its clusters
+// at a finer vigilance, so that it too holds more prototypes than the
+// fuzzed capacities.
 var fuzzBase = func() func(tb testing.TB, dim int) *Model {
 	var mu sync.Mutex
 	cache := map[int][]byte{}
@@ -236,6 +239,11 @@ var fuzzBase = func() func(tb testing.TB, dim int) *Model {
 		if cache[dim] == nil {
 			cfg := DefaultConfig(dim)
 			cfg.Vigilance = 0.05
+			pairs := make([]TrainingPair, 480)
+			if dim == 2 {
+				cfg.Vigilance = 0.02
+				pairs = make([]TrainingPair, 960)
+			}
 			cfg.Gamma = 1e-12
 			cfg.MinGammaSteps = 1 << 30
 			m, err := NewModel(cfg)
@@ -244,7 +252,6 @@ var fuzzBase = func() func(tb testing.TB, dim int) *Model {
 			}
 			rng := rand.New(rand.NewSource(int64(dim)))
 			gen := clusteredThetaGen(dim, 3, 0.04, 0.05, 0.15, 21)
-			pairs := make([]TrainingPair, 480)
 			for i := range pairs {
 				pairs[i] = TrainingPair{Query: gen(rng), Answer: rng.NormFloat64()}
 			}
@@ -268,16 +275,17 @@ var fuzzBase = func() func(tb testing.TB, dim int) *Model {
 	}
 }()
 
-// FuzzOverlapRouted turns bytes into a short history on a tree-epoch model —
-// single pairs near and far from existing prototypes, seeded batches, an
-// eviction burst, capacity changes with and without merge-on-evict — and a
-// query after every operation: the routed overlap set and every fused answer
-// must equal the linear reference of the same version bit for bit, and
-// nothing may panic.
+// FuzzOverlapRouted turns bytes into a short history on a tree- or
+// grid-epoch model — single pairs near and far from existing prototypes,
+// seeded batches, an eviction burst, capacity changes with and without
+// merge-on-evict — and a query after every operation: the routed overlap
+// set and every fused answer must equal the linear reference of the same
+// version bit for bit, and nothing may panic.
 func FuzzOverlapRouted(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 3, 7, 40, 128, 128, 128, 128, 128, 128, 128, 128, 20})
 	f.Add([]byte{1, 1, 200, 1, 3, 9, 60, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2, 150, 0, 3, 11, 30, 90, 90, 90, 90, 90, 90, 90, 90, 255})
 	f.Add([]byte{1, 3, 1, 250, 3, 2, 250, 3, 3, 250, 1, 140, 1, 3, 4, 250, 100, 110, 120, 130, 140, 150, 160, 170, 8})
+	f.Add([]byte{2, 1, 200, 1, 3, 9, 60, 2, 150, 0, 3, 11, 30, 90, 90, 90, 6, 40, 1, 3, 4, 250, 100, 110, 120, 8})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		next := func() byte {
 			if len(b) == 0 {
@@ -287,8 +295,9 @@ func FuzzOverlapRouted(f *testing.F) {
 			b = b[1:]
 			return v
 		}
-		dim := 5 + 3*int(next()&1)
+		dim := []int{5, 8, 2}[next()%3]
 		m := fuzzBase(t, dim)
+		near := 0.9 * m.cfg.Vigilance
 		// Coordinates and radii come from bytes: the clusters sit inside
 		// [0, 1]^d, a byte spans a little more than that.
 		coord := func() float64 { return -0.1 + 1.2*float64(next())/255 }
@@ -315,7 +324,7 @@ func FuzzOverlapRouted(f *testing.F) {
 				if q.Theta < 0 {
 					continue // a tombstone
 				}
-				q.Center[int(next())%dim] += 0.045 * float64(next()) / 255
+				q.Center[int(next())%dim] += near * float64(next()) / 255
 				if _, err := m.Observe(q, float64(next())/64); err != nil {
 					t.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"llmq/internal/vector"
 )
@@ -107,4 +108,93 @@ func TestWinnerNoLocalityBailMatchesLinearScan(t *testing.T) {
 				trial, gotIdx, gotDist, wantIdx, wantDist)
 		}
 	}
+}
+
+// TestFarQueryOnGridEpoch sends queries from far outside the prototypes —
+// one coordinate at ±10¹² or ±10³⁰⁰, as a served APPROX statement may — to
+// a d = 2 grid-epoch model. The epoch's ring walk must not step through the
+// empty rings between the query and the grid (10¹³ of them at 10¹², and
+// past any integer at 10³⁰⁰): PredictMean before and after, and Observe
+// between them, each return within 2 s and agree with the linear reference.
+func TestFarQueryOnGridEpoch(t *testing.T) {
+	const vig = 0.05
+	m := buildBenchModel(t, 2, 300, vig, uniformGen(2))
+	if e := m.snap.Load().epoch; e == nil || e.grid == nil {
+		t.Fatal("expected a grid epoch")
+	}
+	var centers [][]float64
+	for _, far := range []float64{1e12, -1e12, 1e300, -1e300} {
+		centers = append(centers, []float64{far, 0.5}, []float64{0.5, far})
+	}
+	for _, c := range centers {
+		q := Query{Center: vector.Of(c...), Theta: 0.1}
+		checkFarPredictMean(t, m.View(), q, "before Observe")
+		v := m.View()
+		want, wantDist := linearWinner(v.s, q)
+		var info StepInfo
+		withinDeadline(t, "Observe", q, func() {
+			var err error
+			if info, err = m.Observe(q, 1); err != nil {
+				t.Error(err)
+			}
+		})
+		if wantDist > vig && !info.Created || wantDist <= vig && info.Winner != want {
+			t.Fatalf("Observe at %v: %+v, linear winner %d at distance %v", c, info, want, wantDist)
+		}
+		checkFarPredictMean(t, m.View(), q, "after Observe")
+	}
+}
+
+// checkFarPredictMean compares v.PredictMean(q), run under the deadline,
+// with the linear reference bit for bit.
+func checkFarPredictMean(t *testing.T, v View, q Query, stage string) {
+	t.Helper()
+	var got float64
+	withinDeadline(t, "PredictMean "+stage, q, func() {
+		var err error
+		if got, err = v.PredictMean(q); err != nil {
+			t.Error(err)
+		}
+	})
+	if want := linearPredictMean(v.s, q); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("PredictMean %s at %v: %v, linear reference %v", stage, q.Center, got, want)
+	}
+}
+
+// withinDeadline runs f and fails the test when it has not returned after
+// 2 s. A call that never returns is left running: nothing can stop it.
+func withinDeadline(t *testing.T, what string, q Query, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s at %v did not return within 2 s", what, q.Center)
+	}
+}
+
+// linearWinner is the winner of Eq. 5 by a scan of every slot.
+func linearWinner(s *storeSnapshot, q Query) (int, float64) {
+	w, sq := vector.ArgminSqDistanceChunked(s.chunked(), append(q.Center.Clone(), q.Theta))
+	return w, math.Sqrt(sq)
+}
+
+// linearPredictMean is PredictMean answered without the epoch: the overlap
+// set of overlapLinearRaw, or the linear winner when it is empty.
+func linearPredictMean(s *storeSnapshot, q Query) float64 {
+	var sc predictScratch
+	idx, weights, total := s.overlapLinearRaw(q, &sc)
+	if len(idx) == 0 {
+		w, _ := linearWinner(s, q)
+		return s.proto(w).eval(q.Center, q.Theta)
+	}
+	var y float64
+	for i, k := range idx {
+		y += weights[i] / total * s.proto(k).eval(q.Center, q.Theta)
+	}
+	return y
 }

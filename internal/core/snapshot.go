@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -116,8 +117,8 @@ func (p proto) query() Query {
 }
 
 // predictScratch carries the per-call scratch buffers of the prediction hot
-// path: the assembled query-space point, the grid's candidate list, the k-d
-// tree's traversal stack and leaf runs, the block pass's hits, the
+// path: the assembled query-space point, the grid's candidate positions, the
+// k-d tree's traversal stack and leaf runs, the block pass's hits, the
 // slot-ordered reduction, and the overlap set's result slices — idx and
 // weights per member, and pos, the block position of each member read from
 // the epoch's block (−1, or past the end of pos, for the live rows).
@@ -126,7 +127,7 @@ func (p proto) query() Query {
 // publication, so a training stream does not cool the serving path down.
 type predictScratch struct {
 	qflat   []float64
-	cand    []int
+	cand    []int32
 	kdstack []int32
 	runs    []index.Span
 	hits    []int32
@@ -180,8 +181,8 @@ func (o *slotOrder) grow(n int) {
 	}
 }
 
-// mark records slot as a member. A slot marked twice (a colliding grid
-// bucket reports an id twice) parks equal entries that drain to one place.
+// mark records slot as a member; a slot is marked at most once per
+// statement.
 func (o *slotOrder) mark(slot int, pos int32, deg float64) {
 	o.members = append(o.members, slotMember{deg: deg, slot: int32(slot), pos: pos})
 	w := slot >> 6
@@ -315,11 +316,11 @@ func (s *storeSnapshot) overlapSet(q Query, sc *predictScratch) (idx []int, weig
 // hence within rq = √(R² + max(θ, maxTheta)²) of [x, θ] in the query space,
 // and within rq + slack of its own stale epoch position. A tree epoch
 // prunes its nodes with that ball and tests the surviving leaf runs of its
-// block in one pass (blockPass); a grid epoch enumerates the cells covering
-// the ball and verifies each candidate on its live row. Either way the
-// members — with the revived slots, which no epoch covers — go through the
-// one slot-ordered reduction, so indices, weights and the running total
-// match overlapLinearRaw bit for bit. Rows appended after the epoch build
+// block in one pass (blockPass); a grid epoch scans the cells covering the
+// ball (Grid.Scan over the stale rows) and verifies each candidate on its
+// live row. Either way the members — with the revived slots, which no epoch
+// covers — go through the one slot-ordered reduction, so indices, weights
+// and the running total match overlapLinearRaw bit for bit. Rows appended after the epoch build
 // (the tail) sit above every epoch slot and are scanned last.
 func (s *storeSnapshot) overlapRaw(q Query, sc *predictScratch) (idx []int, weights []float64, total float64) {
 	e := s.epoch
@@ -339,16 +340,18 @@ func (s *storeSnapshot) overlapRaw(q Query, sc *predictScratch) (idx []int, weig
 	order := &sc.order
 	order.grow(e.builtK)
 	if e.grid != nil {
-		sc.cand = e.grid.Range(qflat, rq, sc.cand[:0])
-		if len(sc.cand)+len(s.revived)+s.k-e.builtK >= s.k/2 {
+		var err error
+		sc.cand, err = e.grid.Scan(context.Background(), sc.cand[:0], qflat, rq, 2)
+		if err != nil || len(sc.cand)+len(s.revived)+s.k-e.builtK >= s.k/2 {
 			// The ball covers most of the prototype set (a broad query, or
 			// cell boxes much wider than the ball): the straight scan is
 			// cheaper than chasing the candidates row by row and returns
 			// the identical result.
 			return s.overlapLinearRaw(q, sc)
 		}
-		for _, id := range sc.cand {
-			s.markLive(q, id, order)
+		ids := e.grid.IDs()
+		for _, p := range sc.cand {
+			s.markLive(q, int(ids[p]), order)
 		}
 	} else {
 		sc.runs, sc.kdstack = e.tree.LeafRuns(qflat, rq, sc.runs[:0], sc.kdstack)

@@ -54,12 +54,13 @@ const (
 // run against a readEpoch: an immutable index over a stale copy of the
 // prototype rows, rebuilt periodically on the write path and shared by
 // pointer between the store and every snapshot published since the rebuild.
-// Width ≤ 4 query spaces get a uniform grid (cell side 2ρ — prototypes are
-// at least ρ apart, so cells hold only a handful and ring expansion stops
-// after one or two rings); wider spaces get a bulk-built implicit-layout
-// k-d tree (median splits, ~32–64-row leaves stored contiguously, exact
-// per-node bounding boxes — see index.BulkKDTree), whose box bounds keep
-// discriminating where 1-D projections concentrate.
+// Width ≤ 4 query spaces get a uniform grid (index.Grid, the exact
+// executor's clustered grid, cell side 2ρ — prototypes are at least ρ apart,
+// so cells hold only a handful and the ring walk stops after one or two
+// rings); wider spaces get a bulk-built implicit-layout k-d tree (median
+// splits, ~32–64-row leaves stored contiguously, exact per-node bounding
+// boxes — see index.BulkKDTree), whose box bounds keep discriminating where
+// 1-D projections concentrate.
 //
 // Between rebuilds the epoch is stale: prototypes drift and new ones are
 // appended. Staleness never breaks exactness. Appended rows live in the
@@ -260,8 +261,10 @@ type readEpoch struct {
 	// trigger spurious rebuilds).
 	inEpoch []bool
 
-	// grid indexes the stale rows for width ≤ storeGridMaxWidth.
-	grid *index.DynamicGrid
+	// grid indexes the stale rows for width ≤ storeGridMaxWidth: the same
+	// clustered index.Grid the exact executor serves from, cell side 2ρ, its
+	// ids the slots.
+	grid *index.Grid
 
 	// tree indexes the stale rows for wider query spaces, where the grid's
 	// ring enumeration outgrows the flat scan: an implicit-layout k-d tree
@@ -282,7 +285,7 @@ const (
 	// instead.
 	storeGridMaxWidth = 4
 	// storeGridMinK is the prototype count below which the flat scan beats
-	// the grid's hashing overhead.
+	// building the grid and walking its cells.
 	storeGridMinK = 64
 	// storeTreeMinK is the prototype count below which the plain flat scan
 	// beats the k-d tree's node bookkeeping.
@@ -531,8 +534,8 @@ func (s *protoStore) maybeRebuildEpoch() {
 // the coefficient rows — see readEpoch), resets the drift budget, the dirty
 // mark and the revived list, and re-tightens the max-θ bound exactly. It
 // reads the live chunks row by row; the epoch's own storage is contiguous
-// (grid rows / leaf-ordered tree matrix), so searches against the stale
-// copy keep their flat-scan cache behaviour. While tombstones exist only the
+// (cell-clustered grid rows / leaf-ordered tree matrix), so searches
+// against the stale copy keep their flat-scan cache behaviour. While tombstones exist only the
 // live slots are indexed, with the grid/tree id-indirection carrying the
 // true slot ids; if the live count has fallen below the index size gate (a
 // deep capacity shrink) the epoch is dropped and searches fall back to the
@@ -552,72 +555,40 @@ func (s *protoStore) rebuildEpoch() {
 	e := &readEpoch{builtK: k, width: w, step: s.step}
 	if s.live != k {
 		e.inEpoch = make([]bool, k)
-		for i := 0; i < k; i++ {
-			e.inEpoch[i] = !s.isTombstone(i)
-		}
 	}
+	// One gather of the live rows and their slots serves either index.
+	stale, ids := s.staleBuf[:0], s.idsBuf[:0]
+	for i := 0; i < k; i++ {
+		if s.isTombstone(i) {
+			continue
+		}
+		if e.inEpoch != nil {
+			e.inEpoch[i] = true
+		}
+		stale = append(stale, s.row(i)...)
+		ids = append(ids, int32(i))
+	}
+	s.staleBuf, s.idsBuf = stale, ids
+	// The constructors cannot fail: the width is positive, the cell size was
+	// validated with the config, and the copy is non-empty (live ≥ minEpochK)
+	// with live×w values by construction. A failure means that invariant
+	// broke — surface it instead of silently serving O(K) scans forever. Both
+	// copy what they index, so the buffers are free for the next rebuild.
+	var err error
 	if w <= storeGridMaxWidth {
-		// Constructor and Insert cannot fail: the width is positive, the
-		// cell size was validated with the config, and every row matches the
-		// grid dimension by construction. A failure means that invariant
-		// broke — surface it instead of silently serving O(K) scans forever.
-		g, err := index.NewDynamicGrid(w, 2*s.vigilance)
-		if err != nil {
-			panic(fmt.Sprintf("core: epoch grid build invariant broken: %v", err))
-		}
-		if s.live == k {
-			for i := 0; i < k; i++ {
-				_, _ = g.Insert(s.row(i))
-			}
-		} else {
-			for i := 0; i < k; i++ {
-				if s.isTombstone(i) {
-					continue
-				}
-				if _, err := g.InsertWithID(s.row(i), int32(i)); err != nil {
-					panic(fmt.Sprintf("core: epoch grid build invariant broken: %v", err))
-				}
-			}
-		}
-		e.grid = g
+		e.grid, err = index.NewGridFlatIDs(stale, w, 2*s.vigilance, ids)
 	} else {
-		if cap(s.staleBuf) < s.live*w {
-			s.staleBuf = make([]float64, s.live*w, 2*s.live*w)
-		}
-		stale := s.staleBuf[:0]
-		var t *index.BulkKDTree
-		var err error
-		if s.live == k {
-			for i := 0; i < k; i++ {
-				stale = append(stale, s.row(i)...)
-			}
-			t, err = index.NewBulkKDTree(stale, w)
-		} else {
-			ids := s.idsBuf[:0]
-			for i := 0; i < k; i++ {
-				if s.isTombstone(i) {
-					continue
-				}
-				stale = append(stale, s.row(i)...)
-				ids = append(ids, int32(i))
-			}
-			s.idsBuf = ids
-			t, err = index.NewBulkKDTreeIDs(stale, w, ids)
-		}
-		s.staleBuf = stale
-		// The constructor cannot fail: the width is positive and the stale
-		// copy is non-empty (live ≥ minEpochK) with live×w values by
-		// construction. A failure means that invariant broke — surface it
-		// instead of silently serving O(K) scans forever.
-		if err != nil {
-			panic(fmt.Sprintf("core: epoch tree build invariant broken: %v", err))
-		}
-		e.tree = t
+		e.tree, err = index.NewBulkKDTreeIDs(stale, w, ids)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("core: epoch index build invariant broken: %v", err))
+	}
+	if e.tree != nil {
 		// The block's other half: each position's coefficient row, beside
 		// the tree's leaf-ordered prototype rows.
 		cw := s.coefW
 		e.coefs = make([]float64, s.live*cw)
-		for p, id := range t.IDs() {
+		for p, id := range e.tree.IDs() {
 			copy(e.coefs[p*cw:(p+1)*cw], s.coefRow(int(id)))
 		}
 	}

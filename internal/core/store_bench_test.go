@@ -249,10 +249,10 @@ func BenchmarkPredictMeanScaling(b *testing.B) {
 }
 
 // BenchmarkEpochRebuild measures the cost of one read-epoch rebuild — the
-// amortized write-path price behind every indexed read: the grid insert
-// loop at d=2, and the k-d tree bulk build (stale-row gather, median-split
-// quickselect, leaf reorder, bottom-up boxes) at d=4 and d=8, each over
-// K=10k live rows. Rebuilds fire on the write path once the un-indexed
+// amortized write-path price behind every indexed read: the clustered grid
+// build (row gather, cell numbering, counting scatter) at d=2, and the k-d
+// tree bulk build (row gather, median-split quickselect, leaf reorder,
+// bottom-up boxes) at d=4 and d=8, each over K=10k live rows. Rebuilds fire on the write path once the un-indexed
 // tail reaches K/8 or the drift budget nears the prototype spacing, so
 // per-pair amortization is this cost divided by at least K/8 pairs.
 func BenchmarkEpochRebuild(b *testing.B) {

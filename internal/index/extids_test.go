@@ -3,7 +3,6 @@ package index
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"llmq/internal/vector"
@@ -43,10 +42,11 @@ func nearestRef(live vector.Chunked, ids []int32, q []float64) (int, float64) {
 	return best, bestSq
 }
 
-// TestDynamicGridExternalIDs verifies that a grid populated with
-// InsertWithID answers NearestStale and Range in the external (slot) id
-// space exactly as a linear scan over the live slots does — including under
-// a forced visited-cell budget fallback.
+// TestDynamicGridExternalIDs verifies NewGridFlatIDs: NearestStale and Scan
+// answer in the caller's (slot) id space exactly as a linear scan over the
+// live slots does — on a grid that walks its rings, and on grids whose
+// cells are so small that every search takes an exact-scan fallback (the
+// ring budget at dim 2, a scan-only grid at dim 3).
 func TestDynamicGridExternalIDs(t *testing.T) {
 	for _, dim := range []int{2, 3} {
 		rng := rand.New(rand.NewSource(int64(900 + dim)))
@@ -54,66 +54,44 @@ func TestDynamicGridExternalIDs(t *testing.T) {
 		if len(ids) < 10 {
 			t.Fatalf("dim %d: degenerate live set", dim)
 		}
-		g, err := NewDynamicGrid(dim, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, id := range ids {
-			if _, err := g.InsertWithID(liveFlat[i*dim:(i+1)*dim], id); err != nil {
+		for _, cell := range []float64{0.1, 1e-9} {
+			g, err := NewGridFlatIDs(liveFlat, dim, cell, ids)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if _, err := g.Insert(liveFlat[:dim]); err == nil {
-			t.Fatal("Insert on an external-id grid should fail")
-		}
-		if err := g.Update(0, liveFlat[:dim]); err == nil {
-			t.Fatal("Update on an external-id grid should fail")
-		}
-		for trial := 0; trial < 300; trial++ {
-			q := make([]float64, dim)
-			for j := range q {
-				q[j] = rng.Float64()*1.2 - 0.1
+			if scanOnly := len(g.cells) == 0; scanOnly != (cell < 1e-3 && dim == 3) {
+				t.Fatalf("dim %d cell %v: scan-only %v", dim, cell, scanOnly)
 			}
-			wantID, wantSq := nearestRef(live, ids, q)
-			// slack 0 (stored rows are the live rows) and a tiny positive
-			// slack (forces the live-row verification path) must agree.
-			for _, slack := range []float64{0, 1e-12} {
-				gotID, gotSq := g.NearestStale(q, slack, live, -1, 0)
-				if gotID != wantID || math.Abs(gotSq-wantSq) > 1e-12*(1+wantSq) {
-					t.Fatalf("dim %d slack %v: NearestStale = (%d, %v), reference = (%d, %v)",
-						dim, slack, gotID, gotSq, wantID, wantSq)
+			for trial := 0; trial < 300; trial++ {
+				q := make([]float64, dim)
+				for j := range q {
+					q[j] = rng.Float64()*1.2 - 0.1
 				}
-			}
-			// Nearest (the no-staleness entry point) must report external
-			// ids too — the stored rows ARE the live rows here.
-			if gotID, gotSq := g.Nearest(q); gotID != wantID || math.Abs(gotSq-wantSq) > 1e-12*(1+wantSq) {
-				t.Fatalf("dim %d: Nearest = (%d, %v), reference = (%d, %v)", dim, gotID, gotSq, wantID, wantSq)
-			}
-			r := 0.05 + 0.3*rng.Float64()
-			got := append([]int(nil), g.Range(q, r, nil)...)
-			sort.Ints(got)
-			uniq := got[:0]
-			for i, id := range got {
-				if i == 0 || id != got[i-1] {
-					uniq = append(uniq, id)
+				wantID, wantSq := nearestRef(live, ids, q)
+				// slack 0 (stored rows are the live rows) and a tiny positive
+				// slack (forces the live-row verification path) must agree.
+				for _, slack := range []float64{0, 1e-12} {
+					gotID, gotSq := g.NearestStale(q, slack, live, -1, 0)
+					if gotID != wantID || !sqClose(gotSq, wantSq) {
+						t.Fatalf("dim %d cell %v slack %v: NearestStale = (%d, %v), reference = (%d, %v)",
+							dim, cell, slack, gotID, gotSq, wantID, wantSq)
+					}
 				}
-			}
-			var want []int
-			for _, id := range ids {
-				if vector.SqDistanceFlat(live.Row(int(id)), q) <= r*r {
-					want = append(want, int(id))
+				// Without a live view the stored rows are searched, and the
+				// answer is still a slot id.
+				if gotID, gotSq := nearest(g, q); gotID != wantID || !sqClose(gotSq, wantSq) {
+					t.Fatalf("dim %d cell %v: nearest = (%d, %v), reference = (%d, %v)", dim, cell, gotID, gotSq, wantID, wantSq)
 				}
-			}
-			if len(uniq) < len(want) {
-				t.Fatalf("dim %d: Range missed ids: got %v want %v", dim, uniq, want)
-			}
-			seen := map[int]bool{}
-			for _, id := range uniq {
-				seen[id] = true
-			}
-			for _, id := range want {
-				if !seen[id] {
-					t.Fatalf("dim %d: Range missing live slot %d", dim, id)
+				r := 0.05 + 0.3*rng.Float64()
+				got := l2IDs(t, g, q, r)
+				var want []int
+				for _, id := range ids {
+					if vector.DistanceLp(live.Row(int(id)), q, 2) <= r {
+						want = append(want, int(id))
+					}
+				}
+				if !sameIDs(got, want) {
+					t.Fatalf("dim %d cell %v: Scan %v, want %v", dim, cell, sortedCopy(got), want)
 				}
 			}
 		}

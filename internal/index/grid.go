@@ -46,6 +46,10 @@ const ScanCheckRows = 4096
 // grid whose cell numbers do not fit 63 bits, or whose points are not all
 // finite, keeps no table and answers every query by the row-order scan. A
 // Grid is immutable after construction and safe for concurrent use.
+//
+// Besides radius queries the grid answers NearestStale, the nearest-point
+// search of the prototype store's read epoch (the winner of Eq. 5), by
+// walking rings of cells outward from the query's cell.
 type Grid struct {
 	dim      int
 	cellSize float64
@@ -54,8 +58,8 @@ type Grid struct {
 	stride   []uint64  // linear cell number = Σ coord[j]·stride[j]
 
 	pts  []float64 // clustered coordinates, row-major: position k is pts[k*dim:(k+1)*dim]
-	ids  []int32   // clustered position → row id
-	rank []int32   // row id → clustered position
+	ids  []int32   // clustered position → row id (the caller's id under NewGridFlatIDs)
+	rank []int32   // input row → clustered position
 
 	cells []gridCell // the directory; len is a power of two, or 0 for a scan-only grid
 	shift uint       // 64 − log2(len(cells))
@@ -90,8 +94,8 @@ func NewGrid(pts [][]float64, cellSize float64) (*Grid, error) {
 
 // NewGridFlat is NewGrid over row-major input: point i is
 // rows[i*dim:(i+1)*dim], dim >= 1. It is how the exact executor indexes a
-// columnar table without materializing one slice per row. The grid may keep
-// rows, which the caller must not write afterwards.
+// columnar table without materializing one slice per row. rows is read, not
+// retained.
 //
 // Construction clusters the points in three passes: one numbers every
 // point's cell, one counts the cells into the directory, and one stable
@@ -113,7 +117,7 @@ func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
 	g := &Grid{dim: dim, cellSize: cellSize, ids: make([]int32, n), rank: make([]int32, n)}
 	keys := g.cellNumbers(rows)
 	if keys == nil {
-		g.pts = rows
+		g.pts = slices.Clone(rows)
 		for i := range g.ids {
 			g.ids[i], g.rank[i] = int32(i), int32(i)
 		}
@@ -158,6 +162,26 @@ func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
 		c.end++
 		g.ids[pos], g.rank[i] = int32(i), pos
 		copy(g.pts[int(pos)*dim:], rows[i*dim:(i+1)*dim])
+	}
+	return g, nil
+}
+
+// NewGridFlatIDs is NewGridFlat for points that live in a caller-defined id
+// space, mirroring NewBulkKDTreeIDs: point i is reported under ids[i]
+// instead of i, and NearestStale's live-row verification reads
+// live.Row(ids[i]). The bounded prototype store uses it to index only the
+// live slots of a tombstoned row space. ids is read, not retained; ascending
+// ids keep the visit order inside a cell ascending in id.
+func NewGridFlatIDs(rows []float64, dim int, cellSize float64, ids []int32) (*Grid, error) {
+	g, err := NewGridFlat(rows, dim, cellSize)
+	if err != nil {
+		return nil, err
+	}
+	if len(ids) != len(g.ids) {
+		return nil, fmt.Errorf("%w: %d ids for %d points", ErrDimension, len(ids), len(g.ids))
+	}
+	for k, i := range g.ids {
+		g.ids[k] = ids[i]
 	}
 	return g, nil
 }
@@ -237,6 +261,9 @@ func (g *Grid) Dim() int { return g.dim }
 // point at position k (as Scan reports it) is Points()[k*Dim():(k+1)*Dim()].
 // The slice is the grid's own and must not be written.
 func (g *Grid) Points() []float64 { return g.pts }
+
+// IDs returns the id of the point stored at each position of Points.
+func (g *Grid) IDs() []int32 { return g.ids }
 
 // Cluster returns col — one value per indexed point, by row id — permuted
 // into clustered order, so out[k] belongs to the point at position k.
@@ -390,6 +417,205 @@ func (g *Grid) filter(dst []int32, from, to int, center []float64, radius, p flo
 		}
 	}
 	return dst[:k]
+}
+
+// NearestStale returns the point nearest to q under the L2 norm, and the
+// squared distance to it, when the grid's points are a stale copy of live
+// rows that may have moved since the build. live is the current point matrix
+// as a chunked view indexed by the grid's ids; it may hold rows the grid
+// does not, and the zero Chunked means the grid's points are the live rows.
+// slack bounds how far any point has moved from its stored position: the
+// search prunes by the stored geometry widened by slack — a point's live
+// distance is at least its stored distance minus slack — and measures every
+// surviving candidate on its live row (with slack 0 the stored distance is
+// the live one). seed, an id at squared live distance seedSq, starts the
+// running best (seed < 0 for none); the caller seeds with the rows the grid
+// does not index. Ties break toward the lowest id. NearestStale allocates
+// nothing for dim ≤ 8.
+//
+// The search walks rings of cells — the cells at Chebyshev distance r from
+// the query's cell — outward from the first ring that meets the grid, and
+// stops past the ring that holds every cell a better point can lie in (see
+// reach). The walk may step through 2n+64 ring cells, counting the ends of
+// rows that fall outside the grid: when the cell size is badly matched to
+// the point spacing, or the query lies farther out than the budget, the
+// search finishes with one exact scan instead — over the live rows when
+// there are any, over the stored points otherwise. The answer is the same
+// either way; the budget bounds the worst case at O(n). A scan-only grid
+// always scans.
+func (g *Grid) NearestStale(q []float64, slack float64, live vector.Chunked, seed int, seedSq float64) (int, float64) {
+	if len(q) != g.dim {
+		panic(fmt.Sprintf("index: NearestStale query dim %d, index dim %d", len(q), g.dim))
+	}
+	s := nearestSearch{q: q, slack: slack, live: live, verify: slack != 0 && !live.IsZero(), best: -1, bestSq: math.Inf(1)}
+	if seed >= 0 {
+		s.best, s.bestSq = seed, seedSq
+	}
+	s.tighten()
+	if len(g.cells) == 0 {
+		return g.nearestScan(&s)
+	}
+	// The first ring that meets the grid is the query cell's largest
+	// per-dimension distance to the occupied extent. It is found in floats,
+	// and a query farther out than the budget is scanned, so no conversion
+	// below can overflow.
+	budget := 2*len(g.ids) + 64
+	first := 0.0
+	for j, v := range q {
+		c := g.cellOf(v, j)
+		first = max(first, -c, c-float64(g.extent[j]-1))
+	}
+	if !(first <= float64(budget)) {
+		return g.nearestScan(&s)
+	}
+	d := g.dim
+	var stack [4 * 8]int
+	box := stack[:]
+	if 4*d > len(box) {
+		box = make([]int, 4*d)
+	}
+	qc, lo, hi, cur := box[:d], box[d:2*d], box[2*d:3*d], box[3*d:4*d]
+	lastRing := 0
+	for j, v := range q {
+		qc[j] = int(g.cellOf(v, j))
+		lastRing = max(lastRing, qc[j], g.extent[j]-1-qc[j])
+	}
+	for r := int(first); r <= lastRing; r++ {
+		if s.best >= 0 && float64(r) > g.reach(&s, qc) {
+			break
+		}
+		// The ring's box, clamped to the grid (non-empty: r ≥ first), is
+		// walked as rows along dimension 0 like Scan's box: a row on the
+		// ring in another dimension lies wholly on the ring, any other row
+		// only at its two ends.
+		var key uint64
+		for j := range qc {
+			lo[j], hi[j] = max(qc[j]-r, 0), min(qc[j]+r, g.extent[j]-1)
+			cur[j] = lo[j]
+			key += uint64(lo[j]) * g.stride[j]
+		}
+		for {
+			from, to, step := lo[0], hi[0], 1
+			if !onRing(cur, qc, r) {
+				from, to, step = qc[0]-r, qc[0]+r, max(2*r, 1)
+			}
+			for c := from; c <= to; c += step {
+				if budget--; budget < 0 {
+					return g.nearestScan(&s)
+				}
+				if c >= lo[0] && c <= hi[0] {
+					g.nearestCell(&s, key+uint64(c-lo[0]))
+				}
+			}
+			j := 1
+			for ; j < d; j++ {
+				cur[j]++
+				key += g.stride[j]
+				if cur[j] <= hi[j] {
+					break
+				}
+				key -= uint64(cur[j]-lo[j]) * g.stride[j]
+				cur[j] = lo[j]
+			}
+			if j >= d {
+				break
+			}
+		}
+	}
+	return s.best, s.bestSq
+}
+
+// reach returns the ring around the query's cell qc beyond which no stored
+// point can pass the search's cutoff: every point within √cutoffSq of the
+// query along each dimension lies in a cell of that ring or a nearer one, or
+// nowhere in the grid (−1). Like Scan's box it rests only on cellOf being
+// monotone, so it holds however coarse the cell numbers' floats are. For a
+// query that lands near its winner (the training regime) it ends the walk
+// after ring 0 instead of enumerating all 3^dim − 1 cells of ring 1.
+func (g *Grid) reach(s *nearestSearch, qc []int) float64 {
+	up, down := math.Inf(1), math.Inf(-1)
+	rad := math.Nextafter(math.Sqrt(s.cutoffSq), up)
+	reach := 0.0
+	for j, v := range s.q {
+		lo := max(g.cellOf(math.Nextafter(v-rad, down), j), 0)
+		hi := min(g.cellOf(math.Nextafter(v+rad, up), j), float64(g.extent[j]-1))
+		if lo > hi {
+			return -1
+		}
+		reach = max(reach, float64(qc[j])-lo, hi-float64(qc[j]))
+	}
+	return reach
+}
+
+// onRing reports whether the row of cells through cur along dimension 0
+// lies on ring r around qc in some other dimension.
+func onRing(cur, qc []int, r int) bool {
+	for j := 1; j < len(cur); j++ {
+		if cur[j] == qc[j]-r || cur[j] == qc[j]+r {
+			return true
+		}
+	}
+	return false
+}
+
+// nearestSearch is NearestStale's running state.
+type nearestSearch struct {
+	q        []float64
+	slack    float64
+	live     vector.Chunked
+	verify   bool // candidates are measured on their live rows
+	best     int
+	bestSq   float64
+	cutoffSq float64 // a stored point farther than this cannot win
+}
+
+// tighten recomputes the cutoff from the best: (√bestSq + slack)², and
+// never below bestSq, so a point that ties the best is still tested.
+func (s *nearestSearch) tighten() {
+	c := math.Sqrt(s.bestSq) + s.slack
+	s.cutoffSq = max(c*c, s.bestSq)
+}
+
+// offer makes id the best when it is nearer than the best, or as near with
+// a lower id.
+func (s *nearestSearch) offer(id int, sq float64) {
+	if sq < s.bestSq || (sq == s.bestSq && (s.best < 0 || id < s.best)) {
+		s.best, s.bestSq = id, sq
+		s.tighten()
+	}
+}
+
+// nearestCell offers the points of the cell with the given linear number.
+func (g *Grid) nearestCell(s *nearestSearch, key uint64) {
+	c := g.find(key)
+	d := g.dim
+	for pos := int(c.start); pos < int(c.end); pos++ {
+		sq, within := vector.SqDistanceWithin(g.pts[pos*d:pos*d+d], s.q, s.cutoffSq)
+		if !within {
+			continue
+		}
+		id := int(g.ids[pos])
+		if s.verify {
+			sq = vector.SqDistanceFlat(s.live.Row(id), s.q)
+		}
+		s.offer(id, sq)
+	}
+}
+
+// nearestScan finishes a search with one exact scan: over the live rows
+// when the caller has them, over the stored points otherwise.
+func (g *Grid) nearestScan(s *nearestSearch) (int, float64) {
+	if !s.live.IsZero() {
+		if i, sq := vector.ArgminSqDistanceChunked(s.live, s.q); i >= 0 {
+			s.offer(i, sq)
+		}
+		return s.best, s.bestSq
+	}
+	d := g.dim
+	for pos, id := range g.ids {
+		s.offer(int(id), vector.SqDistanceFlat(g.pts[pos*d:pos*d+d], s.q))
+	}
+	return s.best, s.bestSq
 }
 
 // scanRows is the full scan in row order.

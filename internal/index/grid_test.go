@@ -10,6 +10,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"llmq/internal/vector"
 )
 
 // referenceRadius is Grid's contract written the slow, obvious way: the ids
@@ -405,7 +407,77 @@ func FuzzGridRadius(f *testing.F) {
 			return
 		}
 		checkGrid(t, g, pts, cell, center, radius, p)
+		if slices.ContainsFunc(vals, isNotFinite) || slices.ContainsFunc(center, isNotFinite) {
+			return
+		}
+		checkNearest(t, g, pts, cell, center, !raw)
 	})
+}
+
+func isNotFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+
+// refNearest is the brute-force nearest row under L2: the first strictly
+// nearer row wins and a row at an infinite distance still counts, so ties
+// break toward the lowest id.
+func refNearest(flat []float64, dim int, q []float64) (int, float64) {
+	best, bestSq := -1, math.Inf(1)
+	for i := 0; i*dim < len(flat); i++ {
+		if sq := vector.SqDistanceFlat(flat[i*dim:(i+1)*dim], q); sq < bestSq || best < 0 {
+			best, bestSq = i, sq
+		}
+	}
+	return best, bestSq
+}
+
+// checkNearest compares NearestStale with refNearest twice: on g itself
+// (its points are the live rows: no slack, no seed), and on the same points
+// as slots 2i+1 of a live view the way the prototype store searches it —
+// slot 0 an un-indexed copy of a point that seeds the search, the other
+// even slots tombstones, and with exact (lattice) input every point moved by
+// up to slack. exact demands the reference's id and distance; raw floats may
+// differ from it by rounding.
+func checkNearest(t *testing.T, g *Grid, pts [][]float64, cell float64, q []float64, exact bool) {
+	t.Helper()
+	n, dim := len(pts), len(q)
+	check := func(what string, got int, gotSq float64, want int, wantSq float64) {
+		t.Helper()
+		if exact && (got != want || gotSq != wantSq) || !exact && gotSq != wantSq && !sqClose(gotSq, wantSq) {
+			t.Fatalf("%s: cell %v q %v: NearestStale (%d, %v), reference (%d, %v)", what, cell, q, got, gotSq, want, wantSq)
+		}
+	}
+	want, wantSq := refNearest(slices.Concat(pts...), dim, q)
+	got, gotSq := g.NearestStale(q, 0, vector.Chunked{}, -1, 0)
+	check("stored rows", got, gotSq, want, wantSq)
+
+	ids := make([]int32, n)
+	live := make([]float64, (2*n+1)*dim)
+	slack := 1.0 // raw input: a slack with nothing moved
+	if exact {
+		slack = float64(dim) / 64
+	}
+	for s := 0; s <= 2*n; s += 2 {
+		vector.MaskRow(live[s*dim : (s+1)*dim])
+	}
+	copy(live, pts[n/2])
+	for i, p := range pts {
+		ids[i] = int32(2*i + 1)
+		row := live[(2*i+1)*dim : (2*i+2)*dim]
+		copy(row, p)
+		if exact {
+			for j := range row {
+				row[j] += float64((i+j)%3-1) / 64 // lattice points stay on the lattice
+			}
+		}
+	}
+	slots, err := NewGridFlatIDs(slices.Concat(pts...), dim, cell, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := vector.ChunkedFromFlat(live, dim)
+	seed, seedSq := refNearest(live[:dim], dim, q) // slot 0; the tombstones are never nearer
+	want, wantSq = refNearest(live, dim, q)
+	got, gotSq = slots.NearestStale(q, slack, view, seed, seedSq)
+	check("slots", got, gotSq, want, wantSq)
 }
 
 func BenchmarkGridBuild200k(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -46,18 +47,12 @@ func TestConstructionErrors(t *testing.T) {
 	if _, err := NewGrid(nil, 1); !errors.Is(err, ErrEmpty) {
 		t.Errorf("grid empty err = %v", err)
 	}
-	if _, err := NewKDTree(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("kdtree empty err = %v", err)
-	}
 	ragged := [][]float64{{1, 2}, {1}}
 	if _, err := NewLinear(ragged); !errors.Is(err, ErrDimension) {
 		t.Errorf("linear ragged err = %v", err)
 	}
 	if _, err := NewGrid(ragged, 1); !errors.Is(err, ErrDimension) {
 		t.Errorf("grid ragged err = %v", err)
-	}
-	if _, err := NewKDTree(ragged); !errors.Is(err, ErrDimension) {
-		t.Errorf("kdtree ragged err = %v", err)
 	}
 	pts := [][]float64{{1, 2}}
 	if _, err := NewGrid(pts, 0); err == nil {
@@ -72,8 +67,7 @@ func TestQueryValidation(t *testing.T) {
 	pts := randomPoints(10, 3, 1)
 	lin, _ := NewLinear(pts)
 	grid, _ := NewGrid(pts, 0.5)
-	kd, _ := NewKDTree(pts)
-	for name, idx := range map[string]SpatialIndex{"linear": lin, "grid": grid, "kd": kd} {
+	for name, idx := range map[string]SpatialIndex{"linear": lin, "grid": grid} {
 		if _, err := idx.Radius([]float64{0, 0}, 1, 2); !errors.Is(err, ErrDimension) {
 			t.Errorf("%s: wrong-dim query err = %v", name, err)
 		}
@@ -92,8 +86,7 @@ func TestRadiusKnownConfiguration(t *testing.T) {
 	want := []int{0, 1, 2, 3}
 	lin, _ := NewLinear(pts)
 	grid, _ := NewGrid(pts, 1)
-	kd, _ := NewKDTree(pts)
-	for name, idx := range map[string]SpatialIndex{"linear": lin, "grid": grid, "kd": kd} {
+	for name, idx := range map[string]SpatialIndex{"linear": lin, "grid": grid} {
 		ids, err := idx.Radius([]float64{0, 0}, 1.5, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -109,7 +102,6 @@ func TestRadiusBoundaryInclusive(t *testing.T) {
 	for name, build := range map[string]func() SpatialIndex{
 		"linear": func() SpatialIndex { i, _ := NewLinear(pts); return i },
 		"grid":   func() SpatialIndex { i, _ := NewGrid(pts, 0.5); return i },
-		"kd":     func() SpatialIndex { i, _ := NewKDTree(pts); return i },
 	} {
 		idx := build()
 		ids, err := idx.Radius([]float64{0, 0}, 1, 2)
@@ -122,6 +114,9 @@ func TestRadiusBoundaryInclusive(t *testing.T) {
 	}
 }
 
+// TestGridAndKDTreeAgreeWithLinear checks both epoch indexes against Linear:
+// the grid's Radius returns Linear's set under every norm, and under L2 the
+// k-d tree's LeafRuns cover it.
 func TestGridAndKDTreeAgreeWithLinear(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 5} {
 		pts := randomPoints(800, dim, int64(dim))
@@ -133,7 +128,7 @@ func TestGridAndKDTreeAgreeWithLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kd, err := NewKDTree(pts)
+		tree, err := NewBulkKDTree(slices.Concat(pts...), dim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,15 +148,18 @@ func TestGridAndKDTreeAgreeWithLinear(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotKD, err := kd.Radius(center, radius, p)
-				if err != nil {
-					t.Fatal(err)
-				}
 				if !sameIDs(want, gotGrid) {
 					t.Fatalf("dim=%d p=%v: grid disagrees with linear (%d vs %d matches)", dim, p, len(gotGrid), len(want))
 				}
-				if !sameIDs(want, gotKD) {
-					t.Fatalf("dim=%d p=%v: kd-tree disagrees with linear (%d vs %d matches)", dim, p, len(gotKD), len(want))
+				if p != 2 {
+					continue
+				}
+				runs, _ := tree.LeafRuns(center, radius, nil, nil)
+				covered := runIDs(t, tree, runs)
+				for _, id := range want {
+					if !covered[id] {
+						t.Fatalf("dim=%d: k-d tree leaf runs miss id %d", dim, id)
+					}
 				}
 			}
 		}
@@ -172,8 +170,7 @@ func TestZeroRadius(t *testing.T) {
 	pts := [][]float64{{0.5, 0.5}, {0.25, 0.25}}
 	lin, _ := NewLinear(pts)
 	grid, _ := NewGrid(pts, 0.1)
-	kd, _ := NewKDTree(pts)
-	for name, idx := range map[string]SpatialIndex{"linear": lin, "grid": grid, "kd": kd} {
+	for name, idx := range map[string]SpatialIndex{"linear": lin, "grid": grid} {
 		ids, err := idx.Radius([]float64{0.5, 0.5}, 0, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -193,7 +190,6 @@ func TestLargeRadiusReturnsAll(t *testing.T) {
 	for name, build := range map[string]func() (SpatialIndex, error){
 		"linear": func() (SpatialIndex, error) { return NewLinear(pts) },
 		"grid":   func() (SpatialIndex, error) { i, err := NewGrid(pts, 0.3); return i, err },
-		"kd":     func() (SpatialIndex, error) { return NewKDTree(pts) },
 	} {
 		idx, err := build()
 		if err != nil {
@@ -209,24 +205,11 @@ func TestLargeRadiusReturnsAll(t *testing.T) {
 	}
 }
 
-func TestCountInRadius(t *testing.T) {
-	pts := [][]float64{{0}, {1}, {2}, {3}}
-	lin, _ := NewLinear(pts)
-	n, err := CountInRadius(lin, []float64{0}, 1.5, 2)
-	if err != nil || n != 2 {
-		t.Errorf("CountInRadius = %d, %v", n, err)
-	}
-	if _, err := CountInRadius(lin, []float64{0, 0}, 1, 2); err == nil {
-		t.Error("dimension error not propagated")
-	}
-}
-
 func TestDuplicatePoints(t *testing.T) {
 	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}, {2, 2}}
 	for name, build := range map[string]func() (SpatialIndex, error){
 		"linear": func() (SpatialIndex, error) { return NewLinear(pts) },
 		"grid":   func() (SpatialIndex, error) { i, err := NewGrid(pts, 0.5); return i, err },
-		"kd":     func() (SpatialIndex, error) { return NewKDTree(pts) },
 	} {
 		idx, err := build()
 		if err != nil {
@@ -244,11 +227,11 @@ func TestDuplicatePoints(t *testing.T) {
 
 func TestSinglePointIndex(t *testing.T) {
 	pts := [][]float64{{0.3, 0.7}}
-	kd, err := NewKDTree(pts)
+	grid, err := NewGrid(pts, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := kd.Radius([]float64{0.3, 0.7}, 0.01, 2)
+	ids, err := grid.Radius([]float64{0.3, 0.7}, 0.01, 2)
 	if err != nil || len(ids) != 1 {
 		t.Errorf("single point query = %v, %v", ids, err)
 	}
@@ -256,7 +239,6 @@ func TestSinglePointIndex(t *testing.T) {
 
 func BenchmarkRadiusLinear10k(b *testing.B) { benchRadius(b, "linear") }
 func BenchmarkRadiusGrid10k(b *testing.B)   { benchRadius(b, "grid") }
-func BenchmarkRadiusKDTree10k(b *testing.B) { benchRadius(b, "kd") }
 
 func benchRadius(b *testing.B, kind string) {
 	pts := randomPoints(10000, 3, 42)
@@ -267,8 +249,6 @@ func benchRadius(b *testing.B, kind string) {
 		idx, err = NewLinear(pts)
 	case "grid":
 		idx, err = NewGrid(pts, 0.2)
-	case "kd":
-		idx, err = NewKDTree(pts)
 	}
 	if err != nil {
 		b.Fatal(err)

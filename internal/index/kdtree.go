@@ -11,7 +11,7 @@ import (
 // the wide-query-space read epoch of the prototype store, where the 1-D
 // projection spine used to live. It is built once over the stale row copy at
 // epoch-rebuild time and never mutated, so the store and every published
-// snapshot share it without synchronization, exactly like the dynamic grid
+// snapshot share it without synchronization, exactly like the Grid epoch
 // on narrow spaces.
 //
 // Layout is implicit and flat: the tree is a perfect binary tree of
@@ -30,7 +30,7 @@ import (
 // full sort), giving an O(n log n) bulk build and leaves balanced to ±1 row.
 //
 // The epoch operations are NearestStale (winner seeding, Eq. 5), mirroring
-// DynamicGrid's, and LeafRuns (overlap radius query, Eq. 10), which only
+// Grid's, and LeafRuns (overlap radius query, Eq. 10), which only
 // prunes: it reports the leaf-order spans the query ball touches, and the
 // caller tests their rows itself through Rows/IDs — the prototype store
 // keeps its coefficient rows in the same position order, so one pass over a
@@ -253,7 +253,7 @@ func (t *BulkKDTree) boxSqDist(node int, q []float64) float64 {
 
 // NearestStale returns the exact nearest point over the live rows when the
 // tree's stored rows are a stale snapshot of them, mirroring
-// DynamicGrid.NearestStale. live is the current point matrix as a chunked
+// Grid.NearestStale. live is the current point matrix as a chunked
 // view indexed by the same ids as the tree (extra tail rows are the
 // caller's to seed); the zero Chunked means the stored rows ARE the live
 // rows. slack bounds how far any point has moved since the build: a subtree
@@ -347,6 +347,13 @@ func (t *BulkKDTree) NearestStale(q []float64, slack float64, live vector.Chunke
 	}
 	return best, bestSq, stack
 }
+
+// rangeBoxEps widens LeafRuns' cutoff by a relative margin so a point
+// sitting exactly on the query ball's boundary can never lose its leaf to
+// floating-point rounding of the box distance. LeafRuns only prunes; callers
+// test the precise predicate they care about, so the margin only ever adds
+// rows to test.
+const rangeBoxEps = 1e-9
 
 // Rows returns the point matrix in leaf order (Len() rows of Dim() values,
 // each leaf's rows contiguous): the tree's own storage, read-only.
