@@ -178,13 +178,14 @@ func TestModelPersistsAcrossTheFullPipeline(t *testing.T) {
 	}
 }
 
-// TestScalabilityInvariant verifies the paper's headline claim end to end:
-// the model's per-query cost does not grow with the dataset while the exact
-// executor's does.
+// TestScalabilityInvariant verifies the paper's headline claim end to end
+// (figure 12) by counting work instead of timing it: over 8× the data, the
+// exact executor selects about 8× the rows per query, while the model's
+// prototype count K and the overlap members it fuses per query stay put.
 func TestScalabilityInvariant(t *testing.T) {
 	type point struct {
-		n            int
-		model, exact float64 // microseconds per query
+		n, k              int
+		selected, members int // summed over the evaluated queries
 	}
 	var pts []point
 	for _, n := range []int{4000, 32000} {
@@ -196,26 +197,33 @@ func TestScalabilityInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eval, err := env.Harness.EvaluateQ1(model, env.Harness.Gen.Queries(200))
-		if err != nil {
-			t.Fatal(err)
+		p := point{n: n, k: model.K()}
+		view := model.View()
+		for _, q := range env.Harness.Gen.Queries(200) {
+			res, err := env.Harness.Exec.MeanCtx(context.Background(), exec.RadiusQuery{Center: q.Center, Theta: q.Theta})
+			if errors.Is(err, exec.ErrEmptySubspace) {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			protos, _, err := view.Neighborhood(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.selected += res.Count
+			p.members += len(protos)
 		}
-		pts = append(pts, point{
-			n:     n,
-			model: float64(eval.ModelTime.Nanoseconds()) / 1e3,
-			exact: float64(eval.ExactTime.Nanoseconds()) / 1e3,
-		})
+		pts = append(pts, p)
 	}
 	small, large := pts[0], pts[1]
-	if large.exact <= small.exact {
-		t.Errorf("exact execution should slow down with data: %.1fµs -> %.1fµs", small.exact, large.exact)
+	t.Logf("n=%d: K=%d, %d rows selected, %d members fused; n=%d: K=%d, %d rows, %d members",
+		small.n, small.k, small.selected, small.members, large.n, large.k, large.selected, large.members)
+	if large.selected < 4*small.selected {
+		t.Errorf("exact execution should select more rows with 8x the data: %d -> %d", small.selected, large.selected)
 	}
-	// The model must not slow down anywhere near proportionally to the 8x
-	// data growth (allow generous jitter for timer noise).
-	if large.model > small.model*4+5 {
-		t.Errorf("model latency grew with the data: %.1fµs -> %.1fµs", small.model, large.model)
-	}
-	if large.model >= large.exact {
-		t.Errorf("model (%.1fµs) should be faster than exact execution (%.1fµs) at the larger size", large.model, large.exact)
+	if large.k > 2*small.k || large.members > 2*small.members {
+		t.Errorf("the model's work grew with the data: K %d -> %d, overlap members %d -> %d",
+			small.k, large.k, small.members, large.members)
 	}
 }

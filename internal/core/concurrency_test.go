@@ -94,27 +94,42 @@ func TestConcurrentReadersDuringTraining(t *testing.T) {
 	}
 }
 
-// winnerLinearScan replicates the pre-store winner search: a scan over the
-// per-LLM structs taking a square root per candidate, first strict minimum
-// wins. It is the reference the indexed/flat search must reproduce.
+// winnerLinearScan is the reference winner: a scan over the LLMs taking
+// the vector kernels' one squared distance over the query-space rows
+// [x..., θ], first strict minimum wins. The indexed/flat search must
+// reproduce its distance to the bit.
 func winnerLinearScan(llms []*LLM, q Query) (int, float64) {
 	best, bestDist := 0, math.Inf(1)
 	for k, l := range llms {
-		d := math.Sqrt(vector.SqDistance(q.Center, l.CenterPrototype) +
-			(q.Theta-l.ThetaPrototype)*(q.Theta-l.ThetaPrototype))
-		if d < bestDist {
+		if d := llmDist(l, q); d < bestDist {
 			best, bestDist = k, d
 		}
 	}
 	return best, bestDist
 }
 
+// llmDist is the query-space distance from q to l's prototype.
+func llmDist(l *LLM, q Query) float64 {
+	return math.Sqrt(vector.SqDistanceFlat(l.PrototypeQuery().Vector(), q.Vector()))
+}
+
+// sameLinearWinner reports whether the store's winner (idx, dist) is the
+// linear scan's (want, wantDist): the distance to the bit, and the same
+// prototype unless idx is at exactly that distance too — an exact tie,
+// which the tree breaks in leaf order.
+func sameLinearWinner(llms []*LLM, q Query, idx int, dist float64, want int, wantDist float64) bool {
+	if math.Float64bits(dist) != math.Float64bits(wantDist) {
+		return false
+	}
+	return idx == want || math.Float64bits(llmDist(llms[idx], q)) == math.Float64bits(wantDist)
+}
+
 // TestWinnerMatchesLinearScan is the exactness property test: on random
 // workloads across dimensionalities (covering the grid-indexed path for
 // d+1 <= 4 and the k-d tree path above — including the tree's scan-budget
 // bail on uniform wide workloads), the store's winner must agree with the
-// linear-scan baseline — same prototype index, or an equal distance when
-// several prototypes tie to within reassociation rounding.
+// linear-scan baseline — the same distance to the bit, and the same
+// prototype unless several tie exactly.
 func TestWinnerMatchesLinearScan(t *testing.T) {
 	// Vigilance per dimensionality, small enough that the random workload
 	// spawns a large prototype set (> storeGridMinK where the grid applies).
@@ -153,7 +168,7 @@ func TestWinnerMatchesLinearScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantIdx, wantDist := winnerLinearScan(llms, q)
-			if gotIdx != wantIdx && math.Abs(gotDist-wantDist) > 1e-9*(1+wantDist) {
+			if !sameLinearWinner(llms, q, gotIdx, gotDist, wantIdx, wantDist) {
 				t.Fatalf("dim %d K=%d: store winner %d (dist %v), linear scan %d (dist %v)",
 					dim, m.K(), gotIdx, gotDist, wantIdx, wantDist)
 			}
@@ -187,7 +202,7 @@ func TestWinnerMatchesLinearScanClustered(t *testing.T) {
 					t.Fatal(err)
 				}
 				wantIdx, wantDist := winnerLinearScan(llms, q)
-				if gotIdx != wantIdx && math.Abs(gotDist-wantDist) > 1e-9*(1+wantDist) {
+				if !sameLinearWinner(llms, q, gotIdx, gotDist, wantIdx, wantDist) {
 					t.Fatalf("dim %d %s K=%d: store winner %d (dist %v), linear scan %d (dist %v)",
 						dim, stage, m.K(), gotIdx, gotDist, wantIdx, wantDist)
 				}

@@ -107,7 +107,7 @@ func probeQueries(dim, n int, seed int64) []Query {
 // assertViewsAgree requires bit-identical answers from every prediction
 // method across the probe set. Winner indices may differ (the capped store
 // numbers by slot, the reference compactly), so winners are compared by
-// distance and the prototype behind them.
+// distance, bit for bit.
 func assertViewsAgree(t *testing.T, tag string, got, want View, probes []Query) {
 	t.Helper()
 	for i, q := range probes {
@@ -137,16 +137,13 @@ func assertViewsAgree(t *testing.T, tag string, got, want View, probes []Query) 
 				t.Fatalf("%s probe %d: Regression model %d diverged: %+v vs %+v", tag, i, j, gr[j], wr[j])
 			}
 		}
-		// Winner distances agree to the last ulp only: which unrolled kernel
-		// computed the winning row's distance (the chunked tail/revived scan
-		// vs the epoch's live verification) depends on rebuild timing, which
-		// legitimately differs between the capped model and the rebuilt
-		// reference, and the kernels associate the partial sums differently.
-		// The prediction values above are the bit-exactness contract; the
-		// distance gets a one-ulp-scale tolerance.
+		// Rebuild timing differs between the capped model and the rebuilt
+		// reference, so the winner is found on different paths (tail,
+		// revived, tree or grid); every path sums a row's distance in one
+		// order, so the distance is the same bits on each.
 		_, gd, err1 := got.Winner(q)
 		_, wd, err2 := want.Winner(q)
-		if err1 != nil || err2 != nil || math.Abs(gd-wd) > 1e-12*(1+wd) {
+		if err1 != nil || err2 != nil || math.Float64bits(gd) != math.Float64bits(wd) {
 			t.Fatalf("%s probe %d: winner distance %v/%v (errs %v/%v)", tag, i, gd, wd, err1, err2)
 		}
 	}

@@ -103,7 +103,7 @@ func TestWinnerNoLocalityBailMatchesLinearScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantIdx, wantDist := winnerLinearScan(llms, q)
-		if gotIdx != wantIdx && math.Abs(gotDist-wantDist) > 1e-9*(1+wantDist) {
+		if !sameLinearWinner(llms, q, gotIdx, gotDist, wantIdx, wantDist) {
 			t.Fatalf("trial %d: store winner %d (dist %v), linear scan %d (dist %v)",
 				trial, gotIdx, gotDist, wantIdx, wantDist)
 		}
@@ -177,9 +177,15 @@ func withinDeadline(t *testing.T, what string, q Query, f func()) {
 	}
 }
 
-// linearWinner is the winner of Eq. 5 by a scan of every slot.
+// linearWinner is the winner of Eq. 5 by a scan of every slot, and the
+// lowest live slot when none is at a finite distance (winnerOn's rule).
 func linearWinner(s *storeSnapshot, q Query) (int, float64) {
-	w, sq := vector.ArgminSqDistanceChunked(s.chunked(), append(q.Center.Clone(), q.Theta))
+	w, sq := vector.ArgminSqDistanceChunkedRange(s.chunked(), append(q.Center.Clone(), q.Theta), 0, -1, math.Inf(1))
+	for k := 0; w < 0; k++ {
+		if !s.isTombstone(k) {
+			w, sq = k, math.Inf(1)
+		}
+	}
 	return w, math.Sqrt(sq)
 }
 

@@ -281,7 +281,9 @@ func (r *goldenRecorder) pin(name string, m *Model) {
 	r.views = append(r.views, m.View())
 }
 
-func (r *goldenRecorder) answer(t *testing.T, shape string, g *goldenStream) approxShape {
+// answer queries every pinned View; visit, when non-nil, sees each View,
+// query and recorded case as it is answered.
+func (r *goldenRecorder) answer(t *testing.T, shape string, g *goldenStream, visit func(View, goldenQuery, approxCase)) approxShape {
 	t.Helper()
 	out := approxShape{Name: shape}
 	for i, v := range r.views {
@@ -290,6 +292,9 @@ func (r *goldenRecorder) answer(t *testing.T, shape string, g *goldenStream) app
 		for _, gq := range g.queries() {
 			c := approxAnswer(t, v, gq, i == 0 && gq.kind == "clustered" && kinds[gq.kind] < approxDetailCases)
 			kinds[gq.kind]++
+			if visit != nil {
+				visit(v, gq, c)
+			}
 			switch {
 			case gq.kind == "broad" && 2*c.Members <= av.K:
 				t.Fatalf("%s/%s: broad query overlaps %d of %d prototypes, want more than half", shape, av.Name, c.Members, av.K)
@@ -328,8 +333,9 @@ func goldenReload(t *testing.T, m *Model) *Model {
 var goldenVigilance = map[int]float64{2: 0.025, 5: 0.07, 8: 0.09}
 
 // approxGoldenShapes builds, per dimensionality, the four model histories
-// the file pins and answers the query set on every View pinned along them.
-func approxGoldenShapes(t *testing.T) []approxShape {
+// the file pins and answers the query set on every View pinned along them,
+// passing visit (may be nil) to goldenRecorder.answer.
+func approxGoldenShapes(t *testing.T, visit func(View, goldenQuery, approxCase)) []approxShape {
 	t.Helper()
 	var out []approxShape
 	for _, dim := range []int{2, 5, 8} {
@@ -350,7 +356,7 @@ func approxGoldenShapes(t *testing.T) []approxShape {
 		}
 		var rec goldenRecorder
 		rec.pin("trained", m)
-		out = append(out, rec.answer(t, name("static"), g))
+		out = append(out, rec.answer(t, name("static"), g, visit))
 
 		// stream: Views pinned between small batches of one continuing
 		// stream — appended tails, drifted and re-trained rows under one
@@ -362,7 +368,7 @@ func approxGoldenShapes(t *testing.T) []approxShape {
 		}
 		goldenTrain(t, m, g.pairs(256))
 		rec.pin("after", m)
-		out = append(out, rec.answer(t, name("stream"), g))
+		out = append(out, rec.answer(t, name("stream"), g, visit))
 
 		// reloaded: the same model through Checkpoint → Load, then trained on.
 		rec = goldenRecorder{}
@@ -370,7 +376,7 @@ func approxGoldenShapes(t *testing.T) []approxShape {
 		rec.pin("loaded", rm)
 		goldenTrain(t, rm, g.pairs(40))
 		rec.pin("loaded+40", rm)
-		out = append(out, rec.answer(t, name("reloaded"), g))
+		out = append(out, rec.answer(t, name("reloaded"), g, visit))
 
 		// bounded: a capped model on a moving stream (eviction bursts,
 		// tombstones, reused slots), shrunk twice at runtime — once
@@ -408,7 +414,7 @@ func approxGoldenShapes(t *testing.T) []approxShape {
 		rec.pin("merged", bm)
 		goldenTrain(t, bm, g.pairs(200))
 		rec.pin("merged+200", bm)
-		out = append(out, rec.answer(t, name("bounded"), g))
+		out = append(out, rec.answer(t, name("bounded"), g, visit))
 	}
 	return out
 }
@@ -452,7 +458,7 @@ func marshalApproxGolden(t *testing.T, shapes []approxShape) []byte {
 // in-process model of the same checkout, so only a file recorded elsewhere
 // can see the fusion path drift.
 func TestApproxGolden(t *testing.T) {
-	got := approxGoldenShapes(t)
+	got := approxGoldenShapes(t, nil)
 	if *updateApproxGolden {
 		if err := os.WriteFile(approxGoldenPath, marshalApproxGolden(t, got), 0o644); err != nil {
 			t.Fatal(err)

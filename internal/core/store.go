@@ -626,28 +626,38 @@ func (s *protoStore) retightenMaxTheta() {
 // rows are masked to infinite distance, so every scan skips them without a
 // branch. stack carries the k-d tree traversal scratch (the store's own
 // buffer for the writer, the prediction scratch pool's for readers), so the
-// hot path allocates nothing. All paths verify candidates with the same
-// unrolled kernels and return a true minimum: the grid and chunked scans
-// break ties toward the lowest index, while the tree visits rows in leaf
-// order, so under ties the paths can return different (equidistant) winners
-// — the distance, and hence the vigilance test, is identical either way.
+// hot path allocates nothing. All paths measure a row with the vector
+// kernels' one summation order and return a true minimum, so the distance,
+// and hence the vigilance test, is a function of the rows whichever path
+// found the winner. Only the winner under an exact tie can differ: the grid
+// and chunked scans break ties toward the lowest index, while the tree
+// visits rows in leaf order. When no live row is at a finite distance (the
+// squared distance overflows for a far query), every live row ties at +Inf
+// and the lowest live slot wins, as on the grid.
 func winnerOn(e *readEpoch, live vector.Chunked, qflat []float64, slack float64, revived []int32, stack *[]int32) (int, float64) {
-	if e == nil {
-		return vector.ArgminSqDistanceChunked(live, qflat)
+	built := 0
+	if e != nil {
+		built = e.builtK
 	}
-	built := e.builtK
 	best, bestSq := vector.ArgminSqDistanceChunkedRange(live, qflat, built, -1, math.Inf(1))
-	for _, id := range revived {
-		if sq := vector.SqDistanceFlat(live.Row(int(id)), qflat); sq < bestSq || (sq == bestSq && int(id) < best) {
-			best, bestSq = int(id), sq
+	if e != nil {
+		for _, id := range revived {
+			if sq := vector.SqDistanceFlat(live.Row(int(id)), qflat); sq < bestSq || (sq == bestSq && int(id) < best) {
+				best, bestSq = int(id), sq
+			}
+		}
+		if e.grid != nil {
+			best, bestSq = e.grid.NearestStale(qflat, slack, live, best, bestSq)
+		} else {
+			best, bestSq, *stack = e.tree.NearestStale(qflat, slack, live, best, bestSq, *stack)
 		}
 	}
-	if e.grid != nil {
-		return e.grid.NearestStale(qflat, slack, live, best, bestSq)
+	for k := 0; best < 0 && k < live.Rows(); k++ {
+		if live.Row(k)[live.Width()-1] != tombstoneTheta {
+			best, bestSq = k, math.Inf(1)
+		}
 	}
-	var sq float64
-	best, sq, *stack = e.tree.NearestStale(qflat, slack, live, best, bestSq, *stack)
-	return best, sq
+	return best, bestSq
 }
 
 // winner returns the winner over the store's live rows.

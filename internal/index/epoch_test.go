@@ -289,7 +289,7 @@ func TestDynamicGridNearestStale(t *testing.T) {
 					q := randPts(rng, 1, dim, 2.5)[0]
 					gotID, gotSq := g.NearestStale(q, slack, view, -1, 0)
 					wantID, wantSq := bruteNearest(live, dim, q)
-					if gotID != wantID || !sqClose(gotSq, wantSq) {
+					if gotID != wantID || gotSq != wantSq {
 						t.Fatalf("dim=%d n=%d slack=%v: NearestStale %d (sq %v), linear %d (sq %v)",
 							dim, n, slack, gotID, gotSq, wantID, wantSq)
 					}

@@ -72,14 +72,14 @@ func TestDynamicGridExternalIDs(t *testing.T) {
 				// slack (forces the live-row verification path) must agree.
 				for _, slack := range []float64{0, 1e-12} {
 					gotID, gotSq := g.NearestStale(q, slack, live, -1, 0)
-					if gotID != wantID || !sqClose(gotSq, wantSq) {
+					if gotID != wantID || gotSq != wantSq {
 						t.Fatalf("dim %d cell %v slack %v: NearestStale = (%d, %v), reference = (%d, %v)",
 							dim, cell, slack, gotID, gotSq, wantID, wantSq)
 					}
 				}
 				// Without a live view the stored rows are searched, and the
 				// answer is still a slot id.
-				if gotID, gotSq := nearest(g, q); gotID != wantID || !sqClose(gotSq, wantSq) {
+				if gotID, gotSq := nearest(g, q); gotID != wantID || gotSq != wantSq {
 					t.Fatalf("dim %d cell %v: nearest = (%d, %v), reference = (%d, %v)", dim, cell, gotID, gotSq, wantID, wantSq)
 				}
 				r := 0.05 + 0.3*rng.Float64()
@@ -123,7 +123,7 @@ func TestBulkKDTreeExternalIDs(t *testing.T) {
 				var gotID int
 				var gotSq float64
 				gotID, gotSq, stack = tr.NearestStale(q, slack, live, -1, 0, stack)
-				if gotSq != wantSq && math.Abs(gotSq-wantSq) > 1e-12*(1+wantSq) {
+				if !sameWinner(live.Row, q, gotID, gotSq, wantID, wantSq) {
 					t.Fatalf("dim %d slack %v: NearestStale = (%d, %v), reference = (%d, %v)",
 						dim, slack, gotID, gotSq, wantID, wantSq)
 				}

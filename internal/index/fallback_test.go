@@ -47,7 +47,7 @@ func TestDynamicGridNearestBudgetFallback(t *testing.T) {
 			t.Fatalf("trial %d: nearest (%d, %v), linear scan (%d, %v)", trial, got, gotSq, want, wantSq)
 		}
 		got, gotSq = g.NearestStale(q, 0.5, live, -1, 0)
-		if got != want || !sqClose(gotSq, wantSq) {
+		if got != want || gotSq != wantSq {
 			t.Fatalf("trial %d: NearestStale (%d, %v), linear scan (%d, %v)", trial, got, gotSq, want, wantSq)
 		}
 	}

@@ -606,7 +606,7 @@ func (g *Grid) nearestCell(s *nearestSearch, key uint64) {
 // when the caller has them, over the stored points otherwise.
 func (g *Grid) nearestScan(s *nearestSearch) (int, float64) {
 	if !s.live.IsZero() {
-		if i, sq := vector.ArgminSqDistanceChunked(s.live, s.q); i >= 0 {
+		if i, sq := vector.ArgminSqDistanceChunkedRange(s.live, s.q, 0, -1, math.Inf(1)); i >= 0 {
 			s.offer(i, sq)
 		}
 		return s.best, s.bestSq

@@ -434,14 +434,13 @@ func refNearest(flat []float64, dim int, q []float64) (int, float64) {
 // as slots 2i+1 of a live view the way the prototype store searches it —
 // slot 0 an un-indexed copy of a point that seeds the search, the other
 // even slots tombstones, and with exact (lattice) input every point moved by
-// up to slack. exact demands the reference's id and distance; raw floats may
-// differ from it by rounding.
+// up to slack. Both must return the reference's id and distance.
 func checkNearest(t *testing.T, g *Grid, pts [][]float64, cell float64, q []float64, exact bool) {
 	t.Helper()
 	n, dim := len(pts), len(q)
 	check := func(what string, got int, gotSq float64, want int, wantSq float64) {
 		t.Helper()
-		if exact && (got != want || gotSq != wantSq) || !exact && gotSq != wantSq && !sqClose(gotSq, wantSq) {
+		if got != want || gotSq != wantSq {
 			t.Fatalf("%s: cell %v q %v: NearestStale (%d, %v), reference (%d, %v)", what, cell, q, got, gotSq, want, wantSq)
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // children are 2i+1 and 2i+2 — no per-node pointers), each node covering a
 // contiguous row span of the reordered point matrix. Leaves hold
 // ~kdLeafRowsMax/2..kdLeafRowsMax rows stored contiguously in build order,
-// so a leaf scan is one pass of the unrolled vector kernels with the
+// so a leaf scan is one pass of the vector kernels with the
 // partial-distance cutoff over flat memory. Every node carries its exact
 // bounding box (computed bottom-up at build time); the traversal lower-
 // bounds a subtree by the squared distance from the query to that box,
@@ -51,9 +51,11 @@ type BulkKDTree struct {
 	// verified this many leaf rows the tree is evidently not pruning (a
 	// workload without locality — e.g. near-equidistant points in a wide
 	// space), and the search finishes with one seeded flat scan over the
-	// live rows instead. The answer is identical either way; the budget only
-	// bounds the worst case at ~1.5× the scan it falls back to. Tests force
-	// the bail by shrinking it.
+	// live rows instead. The distance is identical either way, bit for bit:
+	// the leaf verification and the flat scan sum a row in the vector
+	// kernels' one order (only an exact tie may go to another row). The
+	// budget only bounds the worst case at ~1.5× the scan it falls back to.
+	// Tests force the bail by shrinking it.
 	bailRows int
 }
 
@@ -68,7 +70,7 @@ const (
 	// kdLeafRowsMax bounds the rows per leaf; the leaf count is the smallest
 	// power of two that respects it, which (with balanced median splits)
 	// keeps every leaf in the 32..64 band for trees of more than one leaf —
-	// large enough that the unrolled kernels amortize the per-node box
+	// large enough that the row kernels amortize the per-node box
 	// arithmetic, small enough that a leaf stays within a few cache lines.
 	kdLeafRowsMax = 64
 )
@@ -313,7 +315,7 @@ func (t *BulkKDTree) NearestStale(q []float64, slack float64, live vector.Chunke
 		budget -= int(sp.end - sp.start)
 		if staleIsLive {
 			// The stored rows are the live rows: the leaf scan is the whole
-			// verification, one unrolled argmin pass over the span.
+			// verification, one argmin pass over the span.
 			if li, lsq := vector.ArgminSqDistanceSeeded(span, d, q, -1, bestSq); li >= 0 {
 				best, bestSq = int(t.ids[int(sp.start)+li]), lsq
 				cutoff = math.Sqrt(bestSq) + slack
@@ -341,7 +343,7 @@ func (t *BulkKDTree) NearestStale(q []float64, slack float64, live vector.Chunke
 				}
 				return best, bestSq, stack
 			}
-			best, bestSq = vector.ArgminSqDistanceChunkedSeeded(live, q, best, bestSq)
+			best, bestSq = vector.ArgminSqDistanceChunkedRange(live, q, 0, best, bestSq)
 			return best, bestSq, stack
 		}
 	}

@@ -189,13 +189,20 @@ func TestBulkKDTreeRangeMatchesLinear(t *testing.T) {
 	}
 }
 
-// sqClose reports whether two squared distances agree to within kernel
-// reassociation rounding — the repo-wide winner tolerance: the unrolled
-// argmin specializations and SqDistanceFlat group their partial sums
-// differently, so equidistant (or duplicated) rows can differ in the final
-// ulps between the two paths.
-func sqClose(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*(1+math.Abs(b))
+// sameWinner reports whether (got, gotSq) is the brute-force winner (want,
+// wantSq): the squared distance to the bit, and the same row unless row got
+// is at exactly that distance too — an exact tie, which the tree breaks in
+// leaf order and the scans toward the lowest id.
+func sameWinner(row func(int) []float64, q []float64, got int, gotSq float64, want int, wantSq float64) bool {
+	if math.Float64bits(gotSq) != math.Float64bits(wantSq) {
+		return false
+	}
+	return got == want || got >= 0 && math.Float64bits(vector.SqDistanceFlat(row(got), q)) == math.Float64bits(wantSq)
+}
+
+// flatRow is the row accessor of a flat matrix, for sameWinner.
+func flatRow(flat []float64, dim int) func(int) []float64 {
+	return func(i int) []float64 { return flat[i*dim : (i+1)*dim] }
 }
 
 // bruteNearest returns the linear-scan argmin (lowest id on ties) and the
@@ -214,7 +221,7 @@ func bruteNearest(flat []float64, dim int, q []float64) (int, float64) {
 // regimes of NearestStale: stored rows are the live rows (zero Chunked, no
 // slack), live rows drifted within a slack budget, and a seeded search
 // (the caller's un-indexed tail candidate). In every case the returned
-// distance must equal the brute-force scan's over the live rows.
+// distance must have the bits of the brute-force scan's over the live rows.
 func TestBulkKDTreeNearestStaleMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, dim := range []int{5, 9} {
@@ -248,20 +255,20 @@ func TestBulkKDTreeNearestStaleMatchesLinear(t *testing.T) {
 			var got int
 			got, gotSq, stack = tree.NearestStale(q, 0, vector.Chunked{}, -1, 0, stack)
 			want, wantSq := bruteNearest(src, dim, q)
-			if got != want && !sqClose(gotSq, wantSq) {
+			if !sameWinner(flatRow(src, dim), q, got, gotSq, want, wantSq) {
 				t.Fatalf("dim %d trial %d stale==live: got (%d, %v), want (%d, %v)", dim, trial, got, gotSq, want, wantSq)
 			}
 			// Drifted live rows under the slack budget.
 			got, gotSq, stack = tree.NearestStale(q, slack, live, -1, 0, stack)
 			want, wantSq = bruteNearest(drifted, dim, q)
-			if got != want && !sqClose(gotSq, wantSq) {
+			if !sameWinner(live.Row, q, got, gotSq, want, wantSq) {
 				t.Fatalf("dim %d trial %d drifted: got (%d, %v), want (%d, %v)", dim, trial, got, gotSq, want, wantSq)
 			}
 			// Seeded with a random live candidate (the tail-scan contract).
 			seed := rng.Intn(n)
 			seedSq := vector.SqDistanceFlat(live.Row(seed), q)
 			got, gotSq, stack = tree.NearestStale(q, slack, live, seed, seedSq, stack)
-			if got != want && !sqClose(gotSq, wantSq) {
+			if !sameWinner(live.Row, q, got, gotSq, want, wantSq) {
 				t.Fatalf("dim %d trial %d seeded: got (%d, %v), want (%d, %v)", dim, trial, got, gotSq, want, wantSq)
 			}
 		}
@@ -291,11 +298,11 @@ func TestBulkKDTreeBailMatchesLinear(t *testing.T) {
 		var got int
 		var gotSq float64
 		got, gotSq, stack = forced.NearestStale(q, 0, vector.Chunked{}, -1, 0, stack)
-		if got != want && !sqClose(gotSq, wantSq) {
+		if !sameWinner(flatRow(src, dim), q, got, gotSq, want, wantSq) {
 			t.Fatalf("trial %d forced bail (stale==live): got (%d, %v), want (%d, %v)", trial, got, gotSq, want, wantSq)
 		}
 		got, gotSq, stack = forced.NearestStale(q, 0.01, live, -1, 0, stack)
-		if got != want && !sqClose(gotSq, wantSq) {
+		if !sameWinner(live.Row, q, got, gotSq, want, wantSq) {
 			t.Fatalf("trial %d forced bail (live): got (%d, %v), want (%d, %v)", trial, got, gotSq, want, wantSq)
 		}
 	}
@@ -324,7 +331,7 @@ func TestBulkKDTreeBailMatchesLinear(t *testing.T) {
 	}
 	want, wantSq := bruteNearest(sphere, dim, q)
 	got, gotSq, _ := natural.NearestStale(q, 0, vector.Chunked{}, -1, 0, stack)
-	if got != want && !sqClose(gotSq, wantSq) {
+	if !sameWinner(flatRow(sphere, dim), q, got, gotSq, want, wantSq) {
 		t.Fatalf("natural bail: got (%d, %v), want (%d, %v)", got, gotSq, want, wantSq)
 	}
 }
@@ -375,7 +382,7 @@ func FuzzBulkKDTree(f *testing.F) {
 		}
 		wantIdx, wantSq := bruteNearest(src, dim, q)
 		gotIdx, gotSq, _ := tree.NearestStale(q, 0, vector.Chunked{}, -1, 0, stack)
-		if gotIdx != wantIdx && !sqClose(gotSq, wantSq) {
+		if !sameWinner(flatRow(src, dim), q, gotIdx, gotSq, wantIdx, wantSq) {
 			t.Fatalf("NearestStale (%d, %v), linear scan (%d, %v)", gotIdx, gotSq, wantIdx, wantSq)
 		}
 	})

@@ -98,29 +98,14 @@ func (m Chunked) chunkSpan(c int) []float64 {
 	return m.data[c].Data[:rows*m.width]
 }
 
-// ArgminSqDistanceChunked returns the index of the row closest to q and the
-// squared L2 distance to it, scanning chunk by chunk with the same unrolled
-// kernels (and partial-distance pruning) as ArgminSqDistance. Ties break
-// toward the lowest row index. Returns (-1, 0) when the matrix has no rows.
-func ArgminSqDistanceChunked(m Chunked, q []float64) (int, float64) {
-	if m.rows == 0 {
-		return -1, 0
-	}
-	return ArgminSqDistanceChunkedRange(m, q, 0, 0, SqDistanceFlat(m.Row(0), q))
-}
-
-// ArgminSqDistanceChunkedSeeded is ArgminSqDistanceChunked initialized with a
-// known candidate (row seedIdx at squared distance seedSq; seedIdx < 0 turns
-// seedSq into a pure cutoff — only rows strictly below it are reported). On
-// ties with the seed the seed wins.
-func ArgminSqDistanceChunkedSeeded(m Chunked, q []float64, seedIdx int, seedSq float64) (int, float64) {
-	return ArgminSqDistanceChunkedRange(m, q, 0, seedIdx, seedSq)
-}
-
-// ArgminSqDistanceChunkedRange scans only rows [lo, Rows()), carrying a
-// running best (best < 0 with bestSq = +Inf for none). It is the tail-scan
-// primitive of the winner search: rows appended since an index epoch was
-// built live in the trailing chunks and are verified here.
+// ArgminSqDistanceChunkedRange returns the row of [lo, Rows()) closest to q
+// and its squared L2 distance, scanning chunk by chunk with ArgminSqDistance's
+// kernels, so a row's distance has the same bits as on the flat matrix. It
+// carries a running best: a row replaces (best, bestSq) only when strictly
+// nearer, so ties go to the seed, then to the lowest row. best < 0 with
+// bestSq = +Inf means none; best < 0 with a finite bestSq is a pure cutoff.
+// lo = 0 is the whole-matrix scan; lo > 0 is the tail scan of the winner
+// search, over the rows appended since an index epoch was built.
 func ArgminSqDistanceChunkedRange(m Chunked, q []float64, lo int, best int, bestSq float64) (int, float64) {
 	if len(q) != m.width {
 		panic(dimError("ArgminSqDistanceChunkedRange", len(q), m.width))

@@ -33,8 +33,9 @@ func TestChunkedRoundTrip(t *testing.T) {
 }
 
 // TestArgminSqDistanceChunkedMatchesFlat is the exactness property of the
-// chunked kernels: same winner index and bit-identical squared distance as
-// the flat scan, for every unrolled width and across chunk boundaries.
+// chunked kernel: same winner index and bit-identical squared distance as
+// the flat scan, for both unrolled widths, the generic loop and across chunk
+// boundaries.
 func TestArgminSqDistanceChunkedMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13} {
@@ -53,7 +54,7 @@ func TestArgminSqDistanceChunkedMatchesFlat(t *testing.T) {
 					copy(q, flat[(rows-1)*d:rows*d]) // exact hit in the last row
 				}
 				wantIdx, wantSq := ArgminSqDistance(flat, d, q)
-				gotIdx, gotSq := ArgminSqDistanceChunked(m, q)
+				gotIdx, gotSq := ArgminSqDistanceChunkedRange(m, q, 0, -1, math.Inf(1))
 				if gotIdx != wantIdx || (wantIdx >= 0 && gotSq != wantSq) {
 					t.Fatalf("d=%d rows=%d: chunked argmin (%d, %v), flat (%d, %v)",
 						d, rows, gotIdx, gotSq, wantIdx, wantSq)
@@ -103,10 +104,10 @@ func TestArgminSqDistanceChunkedSeededCutoff(t *testing.T) {
 	flat := []float64{0, 0, 1, 1, 2, 2}
 	m := ChunkedFromFlat(flat, 2)
 	q := []float64{0, 0}
-	if idx, _ := ArgminSqDistanceChunkedSeeded(m, q, -1, 0); idx != -1 {
+	if idx, _ := ArgminSqDistanceChunkedRange(m, q, 0, -1, 0); idx != -1 {
 		t.Fatalf("cutoff 0: got index %d, want -1", idx)
 	}
-	if idx, sq := ArgminSqDistanceChunkedSeeded(m, q, -1, 0.5); idx != 0 || sq != 0 {
+	if idx, sq := ArgminSqDistanceChunkedRange(m, q, 0, -1, 0.5); idx != 0 || sq != 0 {
 		t.Fatalf("cutoff 0.5: got (%d, %v), want (0, 0)", idx, sq)
 	}
 }

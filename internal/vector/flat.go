@@ -1,6 +1,9 @@
 package vector
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // Flat (struct-of-arrays) kernels over row-major matrices. The prototype
 // store in internal/core packs all K prototypes into one contiguous
@@ -8,33 +11,39 @@ import "slices"
 // allocating, without pointer chasing, and without taking a square root per
 // candidate — the winner search of Eq. (5) only needs the argmin of the
 // squared L2 distance, which is monotone in the true distance.
+//
+// Every kernel here that measures a row against a query sums its squares in
+// one order: a single accumulator, the components in groups of four added as
+// s += (d0²+d1²)+(d2²+d3²), then the remainder one term at a time. So one
+// pair of rows has one squared distance, bit for bit, whichever kernel,
+// width specialization or search path computed it, and a winner's distance
+// is a function of the rows alone. (SqDistance, the exact path's sequential
+// kernel, is not one of them.)
 
 // SqDistanceFlat returns the squared L2 distance between two equal-length
-// slices. It is the 4-way unrolled counterpart of SqDistance for the flat
-// prototype store hot path. The four partial sums reassociate the
-// accumulation, so the result may differ from SqDistance in the final ulps
-// (callers comparing against the sequential kernel must use a tolerance).
+// slices, summed in the package's one order. It is the per-row kernel of the
+// prototype store and its epoch indexes, so it repeats SqDistanceWithin's
+// loop without the cutoff test instead of calling it: the call and the test
+// would cost it about 30 % at width 8. The sequential SqDistance may differ
+// from it in the final ulps.
 func SqDistanceFlat(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(dimError("SqDistanceFlat", len(a), len(b)))
 	}
-	var s0, s1, s2, s3 float64
+	var s float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
 		d0 := a[i] - b[i]
 		d1 := a[i+1] - b[i+1]
 		d2 := a[i+2] - b[i+2]
 		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s += (d0*d0 + d1*d1) + (d2*d2 + d3*d3)
 	}
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
-		s0 += d * d
+		s += d * d
 	}
-	return (s0 + s1) + (s2 + s3)
+	return s
 }
 
 // SqDistanceWithin computes the squared L2 distance between a and b with an
@@ -64,52 +73,6 @@ func SqDistanceWithin(a, b []float64, cutoffSq float64) (float64, bool) {
 		s += d * d
 	}
 	return s, s <= cutoffSq
-}
-
-// AppendWithin appends base+k to out for every row k of the flat row-major
-// matrix whose squared L2 distance to q is at most cutoffSq, and returns the
-// extended slice. It is the range-scan primitive of the grid's budget
-// fallback; AppendWithinIDs is its variant for a grid over external ids.
-// Each row runs through the unrolled partial-distance
-// kernel (SqDistanceWithin), so a row whose leading components already
-// exceed the cutoff is abandoned mid-row.
-func AppendWithin(flat []float64, d int, q []float64, cutoffSq float64, base int, out []int) []int {
-	if d <= 0 {
-		panic("vector: AppendWithin requires positive dimension")
-	}
-	if len(q) != d {
-		panic(dimError("AppendWithin", len(q), d))
-	}
-	rows := len(flat) / d
-	for k := 0; k < rows; k++ {
-		if _, within := SqDistanceWithin(flat[k*d:(k+1)*d], q, cutoffSq); within {
-			out = append(out, base+k)
-		}
-	}
-	return out
-}
-
-// AppendWithinIDs is AppendWithin for matrices whose rows live in a
-// caller-defined id space: row k's reported index is ids[k] instead of
-// base+k. The grid over a tombstoned slot space maps its hits back to
-// prototype slots through this variant.
-func AppendWithinIDs(flat []float64, d int, q []float64, cutoffSq float64, ids []int32, out []int) []int {
-	if d <= 0 {
-		panic("vector: AppendWithinIDs requires positive dimension")
-	}
-	if len(q) != d {
-		panic(dimError("AppendWithinIDs", len(q), d))
-	}
-	rows := len(flat) / d
-	if len(ids) < rows {
-		panic("vector: AppendWithinIDs id table shorter than the matrix")
-	}
-	for k := 0; k < rows; k++ {
-		if _, within := SqDistanceWithin(flat[k*d:(k+1)*d], q, cutoffSq); within {
-			out = append(out, int(ids[k]))
-		}
-	}
-	return out
 }
 
 // AppendBallsTouching scans a row-major matrix of balls — rows [x_k..., r_k]
@@ -180,31 +143,19 @@ func SqDistanceToBox(q, lo, hi []float64) float64 {
 
 // ArgminSqDistance scans the row-major flat matrix (len(flat)/d rows of
 // dimension d) and returns the index of the row closest to q together with
-// the squared L2 distance to it. Ties are broken toward the lowest row
-// index, matching a first-strictly-smaller linear scan. It returns (-1, +Inf
-// equivalent) semantics as (-1, 0) when the matrix is empty.
+// the squared L2 distance to it, summed as SqDistanceFlat sums it. Ties are
+// broken toward the lowest row index, matching a first-strictly-smaller
+// linear scan. It returns (-1, 0) when the matrix is empty and (-1, +Inf)
+// when no row is at a finite distance.
 //
-// Common widths dispatch to fully unrolled kernels (constant loop bounds let
-// the compiler eliminate every bounds check and keep q in registers) that
-// also abandon a row once its partial sum already exceeds the best: the
-// partial sum of squares is a lower bound on the full squared distance, so a
-// pruned row can never have won, and a row tying the best is skipped by the
-// strict comparison either way — the result is identical to the plain scan.
+// Widths 3 and 9 (the d = 2 and d = 8 query spaces) dispatch to unrolled
+// kernels; the rest take one generic loop. Both abandon a row once its
+// partial sum already reaches the best: the partial sum of squares is a
+// lower bound on the full squared distance, so a pruned row can never have
+// won, and a row tying the best is skipped by the strict comparison either
+// way — the result is identical to the plain scan.
 func ArgminSqDistance(flat []float64, d int, q []float64) (int, float64) {
-	if d <= 0 {
-		panic("vector: ArgminSqDistance requires positive dimension")
-	}
-	if len(q) != d {
-		panic(dimError("ArgminSqDistance", len(q), d))
-	}
-	if len(flat)%d != 0 {
-		panic("vector: ArgminSqDistance flat length not a multiple of dimension")
-	}
-	rows := len(flat) / d
-	if rows == 0 {
-		return -1, 0
-	}
-	return argminSeeded(flat, d, q, 0, SqDistanceFlat(flat[:d], q))
+	return ArgminSqDistanceSeeded(flat, d, q, -1, math.Inf(1))
 }
 
 // ArgminSqDistanceSeeded is ArgminSqDistance initialized with a known
@@ -231,20 +182,12 @@ func ArgminSqDistanceSeeded(flat []float64, d int, q []float64, seedIdx int, see
 
 // argminSeeded scans every row with the running best initialized to
 // (best, bestSq), dispatching to the unrolled width specializations.
+// The generic loop sums as SqDistanceWithin does, pruning at the running
+// best instead of a cutoff.
 func argminSeeded(flat []float64, d int, q []float64, best int, bestSq float64) (int, float64) {
 	switch d {
 	case 3:
 		return argmin3(flat, q, best, bestSq)
-	case 4:
-		return argmin4(flat, q, best, bestSq)
-	case 5:
-		return argmin5(flat, q, best, bestSq)
-	case 6:
-		return argmin6(flat, q, best, bestSq)
-	case 7:
-		return argmin7(flat, q, best, bestSq)
-	case 8:
-		return argmin8(flat, q, best, bestSq)
 	case 9:
 		return argmin9(flat, q, best, bestSq)
 	}
@@ -280,7 +223,8 @@ func argminSeeded(flat []float64, d int, q []float64, best int, bestSq float64) 
 }
 
 // argmin3 is the width-3 specialization ([x1, x2, θ] query spaces, the
-// paper's d=2 workloads).
+// paper's d=2 workloads). With no group of four, the one order is
+// (d0² + d1²) + d2².
 func argmin3(flat, q []float64, best int, bestSq float64) (int, float64) {
 	q0, q1, q2 := q[0], q[1], q[2]
 	for k, base := 0, 0; base+3 <= len(flat); k, base = k+1, base+3 {
@@ -295,108 +239,10 @@ func argmin3(flat, q []float64, best int, bestSq float64) (int, float64) {
 	return best, bestSq
 }
 
-// argmin4 is the width-4 specialization (d=3 query spaces).
-func argmin4(flat, q []float64, best int, bestSq float64) (int, float64) {
-	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-	for k, base := 0, 0; base+4 <= len(flat); k, base = k+1, base+4 {
-		row := flat[base : base+4 : base+4]
-		d0 := row[0] - q0
-		d1 := row[1] - q1
-		d2 := row[2] - q2
-		d3 := row[3] - q3
-		if sq := (d0*d0 + d1*d1) + (d2*d2 + d3*d3); sq < bestSq {
-			best, bestSq = k, sq
-		}
-	}
-	return best, bestSq
-}
-
-// argmin5 is the width-5 specialization (d=4 query spaces).
-func argmin5(flat, q []float64, best int, bestSq float64) (int, float64) {
-	q0, q1, q2, q3, q4 := q[0], q[1], q[2], q[3], q[4]
-	for k, base := 0, 0; base+5 <= len(flat); k, base = k+1, base+5 {
-		row := flat[base : base+5 : base+5]
-		d0 := row[0] - q0
-		d1 := row[1] - q1
-		d2 := row[2] - q2
-		d3 := row[3] - q3
-		d4 := row[4] - q4
-		if sq := (d0*d0 + d1*d1) + (d2*d2 + d3*d3) + d4*d4; sq < bestSq {
-			best, bestSq = k, sq
-		}
-	}
-	return best, bestSq
-}
-
-// argmin6 is the width-6 specialization (d=5 query spaces).
-func argmin6(flat, q []float64, best int, bestSq float64) (int, float64) {
-	q0, q1, q2, q3, q4, q5 := q[0], q[1], q[2], q[3], q[4], q[5]
-	for k, base := 0, 0; base+6 <= len(flat); k, base = k+1, base+6 {
-		row := flat[base : base+6 : base+6]
-		d0 := row[0] - q0
-		d1 := row[1] - q1
-		d2 := row[2] - q2
-		d3 := row[3] - q3
-		d4 := row[4] - q4
-		d5 := row[5] - q5
-		if sq := (d0*d0 + d1*d1) + (d2*d2 + d3*d3) + (d4*d4 + d5*d5); sq < bestSq {
-			best, bestSq = k, sq
-		}
-	}
-	return best, bestSq
-}
-
-// argmin7 is the width-7 specialization (d=6 query spaces) with a partial-
-// distance cutoff after the first four components.
-func argmin7(flat, q []float64, best int, bestSq float64) (int, float64) {
-	q0, q1, q2, q3, q4, q5, q6 := q[0], q[1], q[2], q[3], q[4], q[5], q[6]
-	for k, base := 0, 0; base+7 <= len(flat); k, base = k+1, base+7 {
-		row := flat[base : base+7 : base+7]
-		d0 := row[0] - q0
-		d1 := row[1] - q1
-		d2 := row[2] - q2
-		d3 := row[3] - q3
-		s := (d0*d0 + d1*d1) + (d2*d2 + d3*d3)
-		if s >= bestSq {
-			continue
-		}
-		d4 := row[4] - q4
-		d5 := row[5] - q5
-		d6 := row[6] - q6
-		if sq := s + (d4*d4 + d5*d5) + d6*d6; sq < bestSq {
-			best, bestSq = k, sq
-		}
-	}
-	return best, bestSq
-}
-
-// argmin8 is the width-8 specialization (d=7 query spaces) with a partial-
-// distance cutoff after the first four components.
-func argmin8(flat, q []float64, best int, bestSq float64) (int, float64) {
-	q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
-	for k, base := 0, 0; base+8 <= len(flat); k, base = k+1, base+8 {
-		row := flat[base : base+8 : base+8]
-		d0 := row[0] - q0
-		d1 := row[1] - q1
-		d2 := row[2] - q2
-		d3 := row[3] - q3
-		s := (d0*d0 + d1*d1) + (d2*d2 + d3*d3)
-		if s >= bestSq {
-			continue
-		}
-		d4 := row[4] - q4
-		d5 := row[5] - q5
-		d6 := row[6] - q6
-		d7 := row[7] - q7
-		if sq := s + (d4*d4 + d5*d5) + (d6*d6 + d7*d7); sq < bestSq {
-			best, bestSq = k, sq
-		}
-	}
-	return best, bestSq
-}
-
 // argmin9 is the width-9 specialization (d=8 query spaces) with a partial-
-// distance cutoff after the first four components.
+// distance cutoff after the first group of four. The one order adds the
+// second group as a whole before the last term: s + (B + C) + d8², never
+// (s + B) + C.
 func argmin9(flat, q []float64, best int, bestSq float64) (int, float64) {
 	q0, q1, q2, q3, q4, q5, q6, q7, q8 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7], q[8]
 	for k, base := 0, 0; base+9 <= len(flat); k, base = k+1, base+9 {
@@ -414,7 +260,7 @@ func argmin9(flat, q []float64, best int, bestSq float64) (int, float64) {
 		d6 := row[6] - q6
 		d7 := row[7] - q7
 		d8 := row[8] - q8
-		if sq := s + (d4*d4 + d5*d5) + (d6*d6 + d7*d7) + d8*d8; sq < bestSq {
+		if sq := s + ((d4*d4 + d5*d5) + (d6*d6 + d7*d7)) + d8*d8; sq < bestSq {
 			best, bestSq = k, sq
 		}
 	}

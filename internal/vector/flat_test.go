@@ -1,11 +1,15 @@
 package vector
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
+// TestSqDistanceFlatMatchesSqDistance compares the prototype kernel with the
+// exact path's sequential SqDistance, which sums in another order: the two
+// agree to rounding, not to the bit.
 func TestSqDistanceFlatMatchesSqDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 64} {
@@ -45,59 +49,167 @@ func TestArgminSqDistance(t *testing.T) {
 				q[i] = rng.NormFloat64()
 			}
 			got, gotSq := ArgminSqDistance(flat, d, q)
-			// Brute force with the sequential kernel.
-			want, wantSq := 0, math.Inf(1)
-			for k := 0; k < rows; k++ {
-				if sq := SqDistance(flat[k*d:(k+1)*d], q); sq < wantSq {
-					want, wantSq = k, sq
-				}
-			}
-			if got != want && math.Abs(gotSq-wantSq) > 1e-12*(1+wantSq) {
+			want, wantSq := bruteArgmin(flat, d, q, 0)
+			if got != want || math.Float64bits(gotSq) != math.Float64bits(wantSq) {
 				t.Errorf("d=%d rows=%d: argmin %d (sq %v), want %d (sq %v)", d, rows, got, gotSq, want, wantSq)
 			}
 		}
 	}
 }
 
-func TestAppendWithinMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, d := range []int{1, 3, 5, 9} {
-		for _, rows := range []int{0, 1, 7, 200} {
-			flat := make([]float64, rows*d)
-			for i := range flat {
-				flat[i] = rng.NormFloat64()
-			}
-			ids := make([]int32, rows)
-			for i := range ids {
-				ids[i] = int32(1000 + i)
-			}
-			q := make([]float64, d)
+// canonicalSq is the package's one squared distance from row to q:
+// SqDistanceWithin without a cutoff, which every kernel must reproduce bit
+// for bit.
+func canonicalSq(row, q []float64) float64 {
+	s, _ := SqDistanceWithin(row, q, math.Inf(1))
+	return s
+}
+
+// bruteArgmin is the reference winner over rows [lo, len(flat)/d): the
+// first row strictly nearer than every earlier one under canonicalSq, or
+// (-1, +Inf) when no row is at a finite distance.
+func bruteArgmin(flat []float64, d int, q []float64, lo int) (int, float64) {
+	best, bestSq := -1, math.Inf(1)
+	for k := lo; k < len(flat)/d; k++ {
+		if sq := canonicalSq(flat[k*d:(k+1)*d], q); sq < bestSq {
+			best, bestSq = k, sq
+		}
+	}
+	return best, bestSq
+}
+
+// FuzzDistanceKernels holds every prototype-search entry point of the
+// package to one squared distance per pair of rows. On widths 1–13 (both
+// unrolled kernels, and the generic loop on either side of each) and three
+// kinds of rows — random; q plus permutations of one offset vector, which
+// are equidistant in exact arithmetic, so a kernel summing in another order
+// reports another distance or picks another winner; and random rows of
+// which some are masked, whole or on the leading columns the way the
+// prototype store tombstones a slot — each entry point must return the
+// Float64bits of a brute-force scan over canonicalSq, ties to the lowest
+// row.
+func FuzzDistanceKernels(f *testing.F) {
+	for _, w := range []uint8{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13} {
+		for kind := uint8(0); kind < 3; kind++ {
+			f.Add(int64(10*w)+int64(kind), w, uint16(300), kind)
+		}
+	}
+	f.Add(int64(1), uint8(9), uint16(0), uint8(0))
+	f.Add(int64(2), uint8(6), uint16(1), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, width uint8, rows uint16, kind uint8) {
+		w, n, kind := 1+int(width)%13, int(rows)%(2*ChunkRows+50), kind%3
+		rng := rand.New(rand.NewSource(seed))
+		q := make([]float64, w)
+		flat := make([]float64, n*w)
+		switch kind {
+		case 0:
 			for i := range q {
 				q[i] = rng.NormFloat64()
 			}
-			cutoffSq := 2 * rng.Float64() * float64(d)
-			got := AppendWithin(flat, d, q, cutoffSq, 10, []int{-1})
-			gotIDs := AppendWithinIDs(flat, d, q, cutoffSq, ids, nil)
-			want := []int{-1} // AppendWithin extends, never resets
-			for k := 0; k < rows; k++ {
-				if SqDistanceFlat(flat[k*d:(k+1)*d], q) <= cutoffSq {
-					want = append(want, 10+k)
+			for i := range flat {
+				flat[i] = rng.NormFloat64()
+			}
+		case 1:
+			// q is integral and the offsets are 40-bit fractions, so every
+			// row − q is exactly a permutation of off.
+			off := make([]float64, w)
+			for i := range q {
+				q[i] = float64(rng.Intn(9) - 4)
+				off[i] = float64(rng.Int63n(1<<40)-1<<39) / (1 << 40)
+			}
+			for k := 0; k < n; k++ {
+				for i, j := range rng.Perm(w) {
+					flat[k*w+i] = q[i] + off[j]
 				}
 			}
-			if len(got) != len(want) || len(gotIDs) != len(want)-1 {
-				t.Fatalf("d=%d rows=%d: AppendWithin %d hits, AppendWithinIDs %d, want %d",
-					d, rows, len(got)-1, len(gotIDs), len(want)-1)
+		case 2:
+			for i := range q {
+				q[i] = rng.NormFloat64()
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("d=%d rows=%d: AppendWithin[%d]=%d, want %d", d, rows, i, got[i], want[i])
+			for k := 0; k < n; k++ {
+				row := flat[k*w : (k+1)*w]
+				for i := range row {
+					row[i] = rng.NormFloat64()
 				}
-				if i > 0 && gotIDs[i-1] != want[i]+990 {
-					t.Fatalf("d=%d rows=%d: AppendWithinIDs[%d]=%d, want %d", d, rows, i-1, gotIDs[i-1], want[i]+990)
+				switch rng.Intn(4) {
+				case 0:
+					MaskRow(row)
+				case 1:
+					if w > 1 {
+						MaskRow(row[:w-1])
+						row[w-1] = -1
+					}
 				}
 			}
 		}
-	}
+		check := func(what string, got int, gotSq float64, want int, wantSq float64) {
+			t.Helper()
+			if got != want || math.Float64bits(gotSq) != math.Float64bits(wantSq) {
+				t.Fatalf("width %d, %d rows, kind %d: %s = (%d, %v), brute force (%d, %v)", w, n, kind, what, got, gotSq, want, wantSq)
+			}
+		}
+
+		want, wantSq := bruteArgmin(flat, w, q, 0)
+		flatSq := wantSq
+		if n == 0 {
+			flatSq = 0 // the flat entry points' empty-matrix result
+		}
+		got, gotSq := ArgminSqDistance(flat, w, q)
+		check("ArgminSqDistance", got, gotSq, want, flatSq)
+		got, gotSq = ArgminSqDistanceSeeded(flat, w, q, -1, math.Inf(1))
+		check("ArgminSqDistanceSeeded", got, gotSq, want, flatSq)
+		if n > 0 {
+			// A seed row keeps its ties.
+			s := rng.Intn(n)
+			sSq := canonicalSq(flat[s*w:(s+1)*w], q)
+			wantS, wantSSq := s, sSq
+			if wantSq < sSq {
+				wantS, wantSSq = want, wantSq
+			}
+			got, gotSq = ArgminSqDistanceSeeded(flat, w, q, s, sSq)
+			check(fmt.Sprintf("ArgminSqDistanceSeeded from row %d", s), got, gotSq, wantS, wantSSq)
+		}
+		m := ChunkedFromFlat(flat, w)
+		for _, lo := range []int{0, 1, n / 2, ChunkRows - 1, ChunkRows + 1, n} {
+			if lo <= n {
+				wantR, wantRSq := bruteArgmin(flat, w, q, lo)
+				got, gotSq = ArgminSqDistanceChunkedRange(m, q, lo, -1, math.Inf(1))
+				check(fmt.Sprintf("ArgminSqDistanceChunkedRange from row %d", lo), got, gotSq, wantR, wantRSq)
+			}
+		}
+
+		cutoff := wantSq * (1 + rng.Float64())
+		if math.IsInf(cutoff, 0) {
+			cutoff = float64(w) * rng.Float64()
+		}
+		r := rng.Float64()
+		balls := make([]float64, 0, n*(w+1))
+		for k := 0; k < n; k++ {
+			row := flat[k*w : (k+1)*w]
+			sq := canonicalSq(row, q)
+			if got := SqDistanceFlat(row, q); math.Float64bits(got) != math.Float64bits(sq) {
+				t.Fatalf("width %d, kind %d, row %d: SqDistanceFlat = %v, brute force %v", w, kind, k, got, sq)
+			}
+			if got, within := SqDistanceWithin(row, q, cutoff); within != (sq <= cutoff) || within && math.Float64bits(got) != math.Float64bits(sq) {
+				t.Fatalf("width %d, kind %d, row %d: SqDistanceWithin(cutoff %v) = (%v, %v), brute force %v", w, kind, k, cutoff, got, within, sq)
+			}
+			balls = append(append(balls, row...), rng.Float64())
+		}
+		pos, sqs := AppendBallsTouching(balls, q, r, 0, nil, nil)
+		at := 0
+		for k := 0; k < n; k++ {
+			rr := r + balls[k*(w+1)+w]
+			if sq := canonicalSq(flat[k*w:(k+1)*w], q); sq <= rr*rr {
+				if at >= len(pos) || pos[at] != int32(k) || math.Float64bits(sqs[at]) != math.Float64bits(sq) {
+					t.Fatalf("width %d, kind %d: row %d touches at sq %v, AppendBallsTouching reported %v / %v", w, kind, k, sq, pos[at:], sqs[at:])
+				}
+				at++
+			}
+		}
+		if at != len(pos) {
+			t.Fatalf("width %d, kind %d: AppendBallsTouching reported rows %v that do not touch", w, kind, pos[at:])
+		}
+	})
 }
 
 // TestAppendBallsTouchingMatchesSqDistanceWithin pins the run kernel to the

@@ -36,10 +36,3 @@ func MaskRow(row []float64) {
 		row[i] = math.Inf(1)
 	}
 }
-
-// RowMasked reports whether row was masked by MaskRow (or otherwise carries
-// a +Inf leading component, which is equally transparent to the kernels).
-// The empty row is not masked.
-func RowMasked(row []float64) bool {
-	return len(row) > 0 && math.IsInf(row[0], 1)
-}

@@ -9,7 +9,7 @@ import (
 // TestMaskedRowsTransparent is the sentinel exactness property: for random
 // matrices with a random subset of rows masked, every search kernel must
 // return exactly what a reference scan over the unmasked rows returns — a
-// masked row never wins an argmin, never appears in a range result, and
+// masked row never wins an argmin, never passes a finite within-cutoff, and
 // never perturbs a running best.
 func TestMaskedRowsTransparent(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -64,62 +64,44 @@ func TestMaskedRowsTransparent(t *testing.T) {
 
 			// Chunked variant must agree on the same data.
 			cm := ChunkedFromFlat(flat, d)
-			cIdx, cSq := ArgminSqDistanceChunkedSeeded(cm, q, -1, math.Inf(1))
+			cIdx, cSq := ArgminSqDistanceChunkedRange(cm, q, 0, -1, math.Inf(1))
 			if anyLive && (cIdx != wantIdx || cSq != wantSq) {
 				t.Fatalf("d=%d rows=%d: chunked argmin = (%d, %v), reference = (%d, %v)", d, rows, cIdx, cSq, wantIdx, wantSq)
 			}
 
-			// Range: masked rows must be absent for any finite radius.
+			// Range: masked rows must be absent for any finite radius, and
+			// a live row's within-test is its full distance's.
 			r := 0.5 + 2*rng.Float64()
-			got := AppendWithin(flat, d, q, r*r, 0, nil)
-			seen := map[int]bool{}
-			for _, id := range got {
-				if masked[id] {
-					t.Fatalf("d=%d: masked row %d reported within radius %v", d, id, r)
-				}
-				seen[id] = true
-			}
 			for k := 0; k < rows; k++ {
-				if !masked[k] && SqDistanceFlat(flat[k*d:(k+1)*d], q) <= r*r && !seen[k] {
-					t.Fatalf("d=%d: live row %d within radius %v missing from range result", d, k, r)
+				row := flat[k*d : (k+1)*d]
+				_, within := SqDistanceWithin(row, q, r*r)
+				if masked[k] && within {
+					t.Fatalf("d=%d: masked row %d reported within radius %v", d, k, r)
 				}
-			}
-
-			// SqDistanceWithin on a masked row with a finite cutoff.
-			if k := rng.Intn(rows); masked[k] {
-				if _, within := SqDistanceWithin(flat[k*d:(k+1)*d], q, 1e300); within {
-					t.Fatalf("d=%d: masked row passed a finite within-cutoff", d)
+				if !masked[k] && within != (SqDistanceFlat(row, q) <= r*r) {
+					t.Fatalf("d=%d: live row %d within radius %v: within-test %v disagrees with its distance", d, k, r, within)
+				}
+				if _, within := SqDistanceWithin(row, q, 1e300); masked[k] && within {
+					t.Fatalf("d=%d: masked row %d passed a finite within-cutoff", d, k)
 				}
 			}
 		}
 	}
 }
 
-// TestRowMasked covers the sentinel predicate itself.
+// TestRowMasked covers the sentinel itself: MaskRow sets every component to
+// +Inf, and masking only the leading columns still puts the row at infinite
+// distance.
 func TestRowMasked(t *testing.T) {
 	row := []float64{1, 2, 3}
-	if RowMasked(row) {
-		t.Fatal("finite row reported masked")
-	}
 	MaskRow(row)
-	if !RowMasked(row) {
-		t.Fatal("masked row not detected")
-	}
 	for _, v := range row {
 		if !math.IsInf(v, 1) {
 			t.Fatalf("MaskRow left component %v", v)
 		}
 	}
-	if RowMasked(nil) {
-		t.Fatal("empty row reported masked")
-	}
-	// Partial masking (leading columns only) still trips the predicate and
-	// still puts the row at infinite distance.
 	part := []float64{1, 2, -1}
 	MaskRow(part[:2])
-	if !RowMasked(part) {
-		t.Fatal("partially masked row not detected")
-	}
 	if sq := SqDistanceFlat(part, []float64{0, 0, 0}); !math.IsInf(sq, 1) {
 		t.Fatalf("partially masked row at finite distance %v", sq)
 	}

@@ -348,18 +348,6 @@ func DistanceLp(v, w Vec, p float64) float64 {
 	}
 }
 
-// Lerp returns (1-t)*v + t*w as a new vector.
-func Lerp(v, w Vec, t float64) Vec {
-	if len(v) != len(w) {
-		panic(dimError("Lerp", len(v), len(w)))
-	}
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = (1-t)*v[i] + t*w[i]
-	}
-	return out
-}
-
 // Parse parses a vector from a string of comma- or space-separated floats,
 // optionally wrapped in square brackets or parentheses, e.g. "[0.1, 0.2]" or
 // "0.1 0.2".

@@ -222,7 +222,6 @@ func TestDimensionMismatchPanics(t *testing.T) {
 		"Copy":       func() { Of(1).Copy(Of(1, 2)) },
 		"SqDistance": func() { SqDistance(Of(1), Of(1, 2)) },
 		"DistanceLp": func() { DistanceLp(Of(1), Of(1, 2), 2) },
-		"Lerp":       func() { Lerp(Of(1), Of(1, 2), 0.5) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -233,18 +232,6 @@ func TestDimensionMismatchPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestLerp(t *testing.T) {
-	v := Of(0, 0)
-	w := Of(2, 4)
-	mid := Lerp(v, w, 0.5)
-	if !mid.Equal(Of(1, 2)) {
-		t.Errorf("Lerp = %v", mid)
-	}
-	if !Lerp(v, w, 0).Equal(v) || !Lerp(v, w, 1).Equal(w) {
-		t.Error("Lerp endpoints incorrect")
 	}
 }
 
