@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -138,7 +139,7 @@ func TestBlockInvariantAcrossHistory(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			train(m, 37, name+"/bounded stream") // crosses the cap: eviction bursts, reused slots
 		}
-		if len(m.store.free) == 0 && len(m.store.revived) == 0 && m.snap.Load().epoch.inEpoch == nil {
+		if len(m.store.free) == 0 && len(m.store.revived) == 0 && !slices.Contains(m.snap.Load().epoch.slotPos, -1) {
 			t.Fatalf("%s: the bounded stream left no tombstone, revived slot or partial epoch", name)
 		}
 		if err := m.SetCapacity(300, nil, merge); err != nil {

@@ -122,7 +122,8 @@ func TestOverlapSearchIsIndexed(t *testing.T) {
 // that leaves it above the size gates, the rows a winner search scans
 // exactly — the appended tail plus the revived slots — stay under the K/8
 // rebuild rule of maybeRebuildEpoch, and the drift slack every indexed
-// search widens by stays under its rebuild threshold.
+// search widens by stays under its rebuild threshold and bounds every
+// indexed row's distance from the epoch's copy.
 func TestWriterSearchStaysIndexed(t *testing.T) {
 	for _, tc := range []struct {
 		dim int
@@ -155,6 +156,7 @@ func TestWriterSearchStaysIndexed(t *testing.T) {
 				if res.K < k {
 					evicted++
 				}
+				checkSlackInvariant(t, m.View().s, fmt.Sprintf("batch %d", b))
 				s := m.store
 				if s.live < s.minEpochK() {
 					continue

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"llmq/internal/vector"
 )
 
 // checkOverlapAgainstLinear compares the routed overlap set (radius query
@@ -47,6 +49,7 @@ func checkAnswersAgainstLinear(t *testing.T, v View, q Query, stage string) {
 	t.Helper()
 	if invariantChecked.Swap(v.s) != v.s {
 		checkBlockInvariant(t, v.s, stage) // O(K): once per published version
+		checkSlackInvariant(t, v.s, stage)
 	}
 	if err := diffAnswersFromLinear(v, q); err != nil {
 		t.Fatalf("%s K=%d: %v", stage, v.s.k, err)
@@ -199,6 +202,26 @@ func checkBlockInvariant(t *testing.T, s *storeSnapshot, stage string) {
 				t.Fatalf("%s: slot %d (stamp %d, epoch step %d, clean %v): block coef[%d] = %v, live %v",
 					stage, k, s.stamp(k), e.step, s.clean, j, blockCoef[j], v)
 			}
+		}
+	}
+}
+
+// checkSlackInvariant asserts the bound every pruning search widens by: for
+// every slot the epoch indexes, the live row lies within the snapshot's
+// slack of the epoch's copy of it.
+func checkSlackInvariant(t *testing.T, s *storeSnapshot, stage string) {
+	t.Helper()
+	e := s.epoch
+	if e == nil {
+		return
+	}
+	for k := range e.slotPos {
+		stale := e.stale(k)
+		if stale == nil {
+			continue
+		}
+		if d := math.Sqrt(vector.SqDistanceFlat(stale, s.row(k))); !(d <= s.slack) {
+			t.Fatalf("%s: slot %d lies %v from the epoch's copy, past the slack %v", stage, k, d, s.slack)
 		}
 	}
 }

@@ -56,25 +56,27 @@ const (
 // pointer between the store and every snapshot published since the rebuild.
 // Width ≤ 4 query spaces get a uniform grid (index.Grid, the exact
 // executor's clustered grid, cell side 2ρ — prototypes are at least ρ apart,
-// so cells hold only a handful and the ring walk stops after one or two
-// rings); wider spaces get a bulk-built implicit-layout k-d tree (median
-// splits, ~32–64-row leaves stored contiguously, exact per-node bounding
-// boxes — see index.BulkKDTree), whose box bounds keep discriminating where
-// 1-D projections concentrate.
+// so cells hold only a handful and the ring walk visits only the few cells
+// the winner's cutoff box reaches); wider spaces get a bulk-built
+// implicit-layout k-d tree (median splits, ~32–64-row leaves stored
+// contiguously, exact per-node bounding boxes — see index.BulkKDTree),
+// whose box bounds keep discriminating where 1-D projections concentrate.
 //
 // Between rebuilds the epoch is stale: prototypes drift and new ones are
 // appended. Staleness never breaks exactness. Appended rows live in the
 // trailing chunks of the live matrix and are scanned separately, and every
-// pruning bound is widened by the worst per-prototype displacement since the
-// epoch was built (maxDrift): a row's live distance is at least its stale
-// distance minus its drift, so a row pruned under the widened bound cannot
-// have won, and what survives is verified against the live rows — or, on the
+// pruning bound is widened by maxDrift, a bound on every indexed row's
+// displacement from the epoch's copy — not on the length of the path it
+// took, so a prototype that jitters about its stored position does not use
+// up the budget. A row's live distance is at least its stale distance minus
+// its displacement, so a row pruned under the widened bound cannot have
+// won, and what survives is verified against the live rows — or, on the
 // overlap path of a tree epoch, against the epoch's own copy when the
 // reader can prove the copy current (see readEpoch). Rebuilds happen on the
-// write path once the tail or the drift grows past its threshold, amortizing
-// to O(log K) per step. Because an epoch is never mutated after it is built,
-// snapshots share it without copying, exactly as they share unchanged row
-// chunks.
+// write path once the tail or the displacement grows past its threshold,
+// amortizing to O(log K) per step. Because an epoch is never mutated after
+// it is built, snapshots share it without copying, exactly as they share
+// unchanged row chunks.
 //
 // # The max-θ invariant
 //
@@ -137,8 +139,7 @@ type protoStore struct {
 	shared []bool
 
 	epoch    *readEpoch // immutable, shared with published snapshots
-	drift    []float64  // per-built-row displacement since the epoch build
-	maxDrift float64    // max over drift
+	maxDrift float64    // monotone upper bound on a row's distance from its epoch copy
 	maxTheta float64    // monotone upper bound on θ_k, tightened per rebuild
 
 	// step is the training step in progress (the last completed one between
@@ -253,13 +254,14 @@ type readEpoch struct {
 	width  int
 	step   int // the store's step at the build; see above
 
-	// inEpoch marks which slots below builtK the epoch indexes; nil means
-	// all of them (no tombstones existed at build time). Only indexed
-	// slots pay into the drift budget — a slot the epoch does not cover is
-	// scanned exactly against its live row anyway, so its moves cannot
-	// invalidate any pruning bound (and must not inflate the slack or
-	// trigger spurious rebuilds).
-	inEpoch []bool
+	// slotPos maps each slot below builtK to the position of its copy in
+	// the index's rows (grid.Points or tree.Rows), −1 for a slot the epoch
+	// does not index (a tombstone at build time). Only indexed slots pay
+	// into the drift budget, by their distance from that copy — a slot the
+	// epoch does not cover is scanned exactly against its live row anyway,
+	// so its moves cannot invalidate any pruning bound (and must not
+	// inflate the slack or trigger spurious rebuilds).
+	slotPos []int32
 
 	// grid indexes the stale rows for width ≤ storeGridMaxWidth: the same
 	// clustered index.Grid the exact executor serves from, cell side 2ρ, its
@@ -276,6 +278,22 @@ type readEpoch struct {
 	// coefs holds the coefficient row of the slot at each position of
 	// tree.Rows(), coefW values each (tree epochs only).
 	coefs []float64
+}
+
+// stale returns the epoch's copy of slot k's row, or nil when the epoch
+// does not index slot k.
+func (e *readEpoch) stale(k int) []float64 {
+	if k >= len(e.slotPos) || e.slotPos[k] < 0 {
+		return nil
+	}
+	var rows []float64
+	if e.grid != nil {
+		rows = e.grid.Points()
+	} else {
+		rows = e.tree.Rows()
+	}
+	p := int(e.slotPos[k]) * e.width
+	return rows[p : p+e.width]
 }
 
 const (
@@ -482,20 +500,20 @@ func (s *protoStore) update(k int, to []float64) {
 // O(victims) rebuilds — the pass accounts the drift here (exactness between
 // writes is still covered by the widened bounds) and installs one fresh
 // epoch when it finishes.
+//
+// The drift a row pays is its current distance from the epoch's copy —
+// displacement, not the length of the path it took — rounded up an ulp;
+// maxDrift keeps the largest, a monotone upper bound like maxTheta.
 func (s *protoStore) updateRow(k int, to []float64) {
-	row := s.row(k)
-	center, theta := to[:s.width-1], to[s.width-1]
-	if e := s.epoch; e != nil && k < e.builtK && (e.inEpoch == nil || e.inEpoch[k]) {
-		move := math.Sqrt(vector.SqDistanceFlat(row[:s.width-1], center) +
-			(row[s.width-1]-theta)*(row[s.width-1]-theta))
-		s.drift[k] += move
-		if s.drift[k] > s.maxDrift {
-			s.maxDrift = s.drift[k]
+	if e := s.epoch; e != nil {
+		if stale := e.stale(k); stale != nil {
+			move := math.Nextafter(math.Sqrt(vector.SqDistanceFlat(stale, to)), math.Inf(1))
+			s.maxDrift = max(s.maxDrift, move)
 		}
 	}
 	s.writableChunk(k)
 	copy(s.row(k), to)
-	if theta > s.maxTheta {
+	if theta := to[s.width-1]; theta > s.maxTheta {
 		s.maxTheta = theta
 	}
 }
@@ -511,10 +529,11 @@ func (s *protoStore) coefForWrite(k int) []float64 {
 }
 
 // maybeRebuildEpoch rebuilds once the un-indexed rows — the appended tail
-// plus any revived slots — reach an eighth of the prototype set or the
-// accumulated drift becomes comparable to the prototype spacing. Called on
-// the write path only; a rebuild installs a fresh immutable epoch and
-// leaves every previously published one untouched.
+// plus any revived slots — reach an eighth of the prototype set or some
+// row's displacement from the epoch's copy passes a quarter of the
+// prototype spacing. Called on the write path only; a rebuild installs a
+// fresh immutable epoch and leaves every previously published one
+// untouched.
 func (s *protoStore) maybeRebuildEpoch() {
 	k := s.rows
 	if s.live < s.minEpochK() {
@@ -531,11 +550,12 @@ func (s *protoStore) maybeRebuildEpoch() {
 
 // rebuildEpoch snapshots the current live prototype rows into a fresh
 // immutable index (grid or k-d tree by width; a tree epoch also captures
-// the coefficient rows — see readEpoch), resets the drift budget, the dirty
-// mark and the revived list, and re-tightens the max-θ bound exactly. It
-// reads the live chunks row by row; the epoch's own storage is contiguous
-// (cell-clustered grid rows / leaf-ordered tree matrix), so searches
-// against the stale copy keep their flat-scan cache behaviour. While tombstones exist only the
+// the coefficient rows — see readEpoch), maps every slot to its copy's
+// position (slotPos), resets the drift budget, the dirty mark and the
+// revived list, and re-tightens the max-θ bound exactly. It reads the live
+// chunks row by row; the epoch's own storage is contiguous (cell-clustered
+// grid rows / leaf-ordered tree matrix), so searches against the stale copy
+// keep their flat-scan cache behaviour. While tombstones exist only the
 // live slots are indexed, with the grid/tree id-indirection carrying the
 // true slot ids; if the live count has fallen below the index size gate (a
 // deep capacity shrink) the epoch is dropped and searches fall back to the
@@ -545,25 +565,18 @@ func (s *protoStore) rebuildEpoch() {
 	w := s.width
 	s.revived = s.revived[:0]
 	s.dirty = false
+	s.maxDrift = 0
 	if s.live < s.minEpochK() {
 		s.epoch = nil
-		s.drift = s.drift[:0]
-		s.maxDrift = 0
 		s.retightenMaxTheta()
 		return
 	}
 	e := &readEpoch{builtK: k, width: w, step: s.step}
-	if s.live != k {
-		e.inEpoch = make([]bool, k)
-	}
 	// One gather of the live rows and their slots serves either index.
 	stale, ids := s.staleBuf[:0], s.idsBuf[:0]
 	for i := 0; i < k; i++ {
 		if s.isTombstone(i) {
 			continue
-		}
-		if e.inEpoch != nil {
-			e.inEpoch[i] = true
 		}
 		stale = append(stale, s.row(i)...)
 		ids = append(ids, int32(i))
@@ -583,24 +596,27 @@ func (s *protoStore) rebuildEpoch() {
 	if err != nil {
 		panic(fmt.Sprintf("core: epoch index build invariant broken: %v", err))
 	}
-	if e.tree != nil {
+	var slotAt []int32 // position → slot, in the index's own order
+	if e.grid != nil {
+		slotAt = e.grid.IDs()
+	} else {
+		slotAt = e.tree.IDs()
 		// The block's other half: each position's coefficient row, beside
 		// the tree's leaf-ordered prototype rows.
 		cw := s.coefW
 		e.coefs = make([]float64, s.live*cw)
-		for p, id := range e.tree.IDs() {
+		for p, id := range slotAt {
 			copy(e.coefs[p*cw:(p+1)*cw], s.coefRow(int(id)))
 		}
 	}
+	e.slotPos = make([]int32, k)
+	for i := range e.slotPos {
+		e.slotPos[i] = -1
+	}
+	for p, id := range slotAt {
+		e.slotPos[id] = int32(p)
+	}
 	s.epoch = e
-	if cap(s.drift) < k {
-		s.drift = make([]float64, k, 2*k)
-	}
-	s.drift = s.drift[:k]
-	for i := range s.drift {
-		s.drift[i] = 0
-	}
-	s.maxDrift = 0
 	s.retightenMaxTheta()
 }
 

@@ -252,9 +252,11 @@ func BenchmarkPredictMeanScaling(b *testing.B) {
 // amortized write-path price behind every indexed read: the clustered grid
 // build (row gather, cell numbering, counting scatter) at d=2, and the k-d
 // tree bulk build (row gather, median-split quickselect, leaf reorder,
-// bottom-up boxes) at d=4 and d=8, each over K=10k live rows. Rebuilds fire on the write path once the un-indexed
-// tail reaches K/8 or the drift budget nears the prototype spacing, so
-// per-pair amortization is this cost divided by at least K/8 pairs.
+// bottom-up boxes) at d=4 and d=8, each over K=10k live rows. Rebuilds fire
+// on the write path once the un-indexed tail reaches K/8 or one indexed
+// row's displacement passes a quarter of the prototype spacing; on a
+// training stream the second rule fires far more often than every K/8
+// pairs (PERFORMANCE.md has the measured rate).
 func BenchmarkEpochRebuild(b *testing.B) {
 	for _, tc := range overlapBenchCases {
 		if tc.K < 10000 {

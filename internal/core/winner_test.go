@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -121,5 +123,106 @@ func TestWinnerDistanceIsCanonical(t *testing.T) {
 		if paths[path] == 0 {
 			t.Errorf("no Case-3 query reached its winner by the %s path", path)
 		}
+	}
+}
+
+// TestJitterKeepsEpoch pins what the drift slack measures: a prototype's
+// displacement from the epoch's copy, not the length of the path it took
+// there. At d = 2 (grid epoch) and d = 8 (tree epoch), pairs alternate on
+// either side of one indexed prototype, so its path passes the ρ/4 rebuild
+// threshold several times over while it never strays ρ/8 from the copy. The
+// epoch must survive every step, and every winner — the step's own and
+// those of probes around the prototype — must be the linear scan's.
+func TestJitterKeepsEpoch(t *testing.T) {
+	for _, tc := range []struct {
+		dim int
+		vig float64
+	}{{2, 0.03}, {8, 0.15}} {
+		t.Run(fmt.Sprintf("d=%d", tc.dim), func(t *testing.T) {
+			const K, steps = 300, 24
+			dim, rho := tc.dim, tc.vig
+			cfg := DefaultConfig(dim)
+			cfg.Vigilance = rho
+			cfg.Gamma = 1e-12
+			cfg.MinGammaSteps = 1 << 30
+			cfg.Schedule = Constant{Eta: 0.5}
+			m, err := NewModel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Prototypes at least ρ apart in the query space, as training
+			// leaves them, all indexed by one fresh epoch.
+			rng := rand.New(rand.NewSource(int64(dim)))
+			var rows [][]float64
+			for len(rows) < K {
+				p := make([]float64, dim+1)
+				for j := range dim {
+					p[j] = rng.Float64()
+				}
+				p[dim] = 0.05 + 0.1*rng.Float64()
+				if !slices.ContainsFunc(rows, func(r []float64) bool { return vector.SqDistanceFlat(r, p) < rho*rho }) {
+					rows = append(rows, p)
+				}
+			}
+			for _, p := range rows {
+				insertProto(m, Query{Center: vector.Of(p[:dim]...), Theta: p[dim]}, make([]float64, dim+2), 1)
+			}
+			m.store.rebuildEpoch()
+			m.publishLocked()
+			e := m.store.epoch
+			if e == nil || (e.grid != nil) != (dim == 2) {
+				t.Fatalf("want a grid epoch at d = 2 and a tree epoch at d = 8")
+			}
+
+			const k = K / 2
+			home := slices.Clone(m.store.row(k))
+			at := func(offset float64) Query {
+				q := Query{Center: vector.Of(home[:dim]...), Theta: home[dim]}
+				q.Center[0] += offset
+				return q
+			}
+			path := 0.0
+			for i := range steps {
+				stage := fmt.Sprintf("step %d", i)
+				q := at(rho / 5)
+				if i%2 == 1 {
+					q = at(-rho / 5)
+				}
+				want, _ := winnerLinearScan(m.LLMs(), q)
+				before := slices.Clone(m.store.row(k))
+				info, err := m.Observe(q, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Created || info.Winner != want || want != k {
+					t.Fatalf("%s: winner %d (spawned %v), linear scan %d, want an update of slot %d", stage, info.Winner, info.Created, want, k)
+				}
+				path += math.Sqrt(vector.SqDistanceFlat(before, m.store.row(k)))
+				displacement := math.Sqrt(vector.SqDistanceFlat(home, m.store.row(k)))
+				if displacement >= rho/8 {
+					t.Fatalf("%s: the prototype strayed %v from its copy, want under ρ/8 = %v", stage, displacement, rho/8)
+				}
+				if m.store.epoch != e {
+					t.Fatalf("%s: the epoch was rebuilt at path length %v, displacement %v (ρ/4 = %v)", stage, path, displacement, rho/4)
+				}
+				s := m.View().s
+				checkSlackInvariant(t, s, stage)
+				llms := m.LLMs()
+				for _, offset := range []float64{-rho, -rho / 2, 0, rho / 3, rho} {
+					p := at(offset)
+					want, wantDist := winnerLinearScan(llms, p)
+					got, dist, err := View{s}.Winner(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameLinearWinner(llms, p, got, dist, want, wantDist) {
+						t.Fatalf("%s: probe at %+v: winner (%d, %v), linear scan (%d, %v)", stage, offset, got, dist, want, wantDist)
+					}
+				}
+			}
+			if path <= rho/4 {
+				t.Fatalf("the prototype's path was %v, want past ρ/4 = %v", path, rho/4)
+			}
+		})
 	}
 }

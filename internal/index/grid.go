@@ -49,7 +49,8 @@ const ScanCheckRows = 4096
 //
 // Besides radius queries the grid answers NearestStale, the nearest-point
 // search of the prototype store's read epoch (the winner of Eq. 5), by
-// walking rings of cells outward from the query's cell.
+// walking rings of cells outward from the query's cell, each clipped to the
+// cells a better point can lie in.
 type Grid struct {
 	dim      int
 	cellSize float64
@@ -435,25 +436,26 @@ func (g *Grid) filter(dst []int32, from, to int, center []float64, radius, p flo
 //
 // The search walks rings of cells — the cells at Chebyshev distance r from
 // the query's cell — outward from the first ring that meets the grid, and
-// stops past the ring that holds every cell a better point can lie in (see
-// reach). The walk may step through 2n+64 ring cells, counting the ends of
-// rows that fall outside the grid: when the cell size is badly matched to
-// the point spacing, or the query lies farther out than the budget, the
-// search finishes with one exact scan instead — over the live rows when
-// there are any, over the stored points otherwise. The answer is the same
-// either way; the budget bounds the worst case at O(n). A scan-only grid
-// always scans.
+// visits of each ring only the cells inside the box a better point can lie
+// in (see reach); it stops at the first ring that box does not reach. The
+// walk may step through 2n+64 ring cells, counting the ends of rows that
+// fall outside the box: when the cell size is badly matched to the point
+// spacing, or the query lies farther out than the budget, the search
+// finishes with one exact scan instead — over the live rows when there are
+// any, over the stored points otherwise. The answer is the same either way;
+// the budget bounds the worst case at O(n). A scan-only grid always scans.
 func (g *Grid) NearestStale(q []float64, slack float64, live vector.Chunked, seed int, seedSq float64) (int, float64) {
 	if len(q) != g.dim {
 		panic(fmt.Sprintf("index: NearestStale query dim %d, index dim %d", len(q), g.dim))
 	}
-	s := nearestSearch{q: q, slack: slack, live: live, verify: slack != 0 && !live.IsZero(), best: -1, bestSq: math.Inf(1)}
-	if seed >= 0 {
-		s.best, s.bestSq = seed, seedSq
-	}
-	s.tighten()
+	s := newNearestSearch(q, slack, live, seed, seedSq)
+	return g.nearest(&s)
+}
+
+// nearest runs the search NearestStale set up.
+func (g *Grid) nearest(s *nearestSearch) (int, float64) {
 	if len(g.cells) == 0 {
-		return g.nearestScan(&s)
+		return g.nearestScan(s)
 	}
 	// The first ring that meets the grid is the query cell's largest
 	// per-dimension distance to the occupied extent. It is found in floats,
@@ -461,12 +463,12 @@ func (g *Grid) NearestStale(q []float64, slack float64, live vector.Chunked, see
 	// below can overflow.
 	budget := 2*len(g.ids) + 64
 	first := 0.0
-	for j, v := range q {
+	for j, v := range s.q {
 		c := g.cellOf(v, j)
 		first = max(first, -c, c-float64(g.extent[j]-1))
 	}
 	if !(first <= float64(budget)) {
-		return g.nearestScan(&s)
+		return g.nearestScan(s)
 	}
 	d := g.dim
 	var stack [4 * 8]int
@@ -475,22 +477,15 @@ func (g *Grid) NearestStale(q []float64, slack float64, live vector.Chunked, see
 		box = make([]int, 4*d)
 	}
 	qc, lo, hi, cur := box[:d], box[d:2*d], box[2*d:3*d], box[3*d:4*d]
-	lastRing := 0
-	for j, v := range q {
+	for j, v := range s.q {
 		qc[j] = int(g.cellOf(v, j))
-		lastRing = max(lastRing, qc[j], g.extent[j]-1-qc[j])
 	}
-	for r := int(first); r <= lastRing; r++ {
-		if s.best >= 0 && float64(r) > g.reach(&s, qc) {
-			break
-		}
-		// The ring's box, clamped to the grid (non-empty: r ≥ first), is
-		// walked as rows along dimension 0 like Scan's box: a row on the
-		// ring in another dimension lies wholly on the ring, any other row
-		// only at its two ends.
+	for r := int(first); g.reach(s, qc, r, lo, hi); r++ {
+		// The ring's part of the box is walked as rows along dimension 0
+		// like Scan's box: a row on the ring in another dimension lies
+		// wholly on the ring, any other row only at its two ends.
 		var key uint64
 		for j := range qc {
-			lo[j], hi[j] = max(qc[j]-r, 0), min(qc[j]+r, g.extent[j]-1)
 			cur[j] = lo[j]
 			key += uint64(lo[j]) * g.stride[j]
 		}
@@ -501,10 +496,10 @@ func (g *Grid) NearestStale(q []float64, slack float64, live vector.Chunked, see
 			}
 			for c := from; c <= to; c += step {
 				if budget--; budget < 0 {
-					return g.nearestScan(&s)
+					return g.nearestScan(s)
 				}
 				if c >= lo[0] && c <= hi[0] {
-					g.nearestCell(&s, key+uint64(c-lo[0]))
+					g.nearestCell(s, key+uint64(c-lo[0]))
 				}
 			}
 			j := 1
@@ -525,26 +520,33 @@ func (g *Grid) NearestStale(q []float64, slack float64, live vector.Chunked, see
 	return s.best, s.bestSq
 }
 
-// reach returns the ring around the query's cell qc beyond which no stored
-// point can pass the search's cutoff: every point within √cutoffSq of the
-// query along each dimension lies in a cell of that ring or a nearer one, or
-// nowhere in the grid (−1). Like Scan's box it rests only on cellOf being
-// monotone, so it holds however coarse the cell numbers' floats are. For a
-// query that lands near its winner (the training regime) it ends the walk
-// after ring 0 instead of enumerating all 3^dim − 1 cells of ring 1.
-func (g *Grid) reach(s *nearestSearch, qc []int) float64 {
+// reach stores in lo and hi the cells of ring r around the query's cell qc
+// that can hold a point passing the search's cutoff, as a box, and reports
+// whether the ring has any. Every point within √cutoffSq of the query along
+// each dimension lies in the cutoff's cell box, clamped to the grid; the
+// ring's box [qc−r, qc+r] meets it in every dimension once r ≥ the first
+// ring, and the intersection holds cells of the ring itself only while a
+// face of the ring lies inside the cutoff box. The cutoff only shrinks, so a
+// box taken at the ring's start stays conservative for the whole ring, and
+// the first ring it does not reach ends the walk. Like Scan's box it rests
+// only on cellOf being monotone, so it holds however coarse the cell
+// numbers' floats are. For a query that lands near its winner (the training
+// regime) it ends the walk after ring 0 or visits the few ring-1 cells on
+// the winner's side instead of all 3^dim − 1.
+func (g *Grid) reach(s *nearestSearch, qc []int, r int, lo, hi []int) bool {
 	up, down := math.Inf(1), math.Inf(-1)
 	rad := math.Nextafter(math.Sqrt(s.cutoffSq), up)
-	reach := 0.0
+	face := false
 	for j, v := range s.q {
-		lo := max(g.cellOf(math.Nextafter(v-rad, down), j), 0)
-		hi := min(g.cellOf(math.Nextafter(v+rad, up), j), float64(g.extent[j]-1))
-		if lo > hi {
-			return -1
+		l := max(g.cellOf(math.Nextafter(v-rad, down), j), 0)
+		h := min(g.cellOf(math.Nextafter(v+rad, up), j), float64(g.extent[j]-1))
+		if !(l <= h) {
+			return false // the cutoff ball misses the grid
 		}
-		reach = max(reach, float64(qc[j])-lo, hi-float64(qc[j]))
+		lo[j], hi[j] = max(qc[j]-r, int(l)), min(qc[j]+r, int(h))
+		face = face || lo[j] == qc[j]-r || hi[j] == qc[j]+r
 	}
-	return reach
+	return face
 }
 
 // onRing reports whether the row of cells through cur along dimension 0
@@ -567,6 +569,17 @@ type nearestSearch struct {
 	best     int
 	bestSq   float64
 	cutoffSq float64 // a stored point farther than this cannot win
+	tested   int     // points measured, for the complexity guard
+}
+
+// newNearestSearch starts a search with NearestStale's arguments.
+func newNearestSearch(q []float64, slack float64, live vector.Chunked, seed int, seedSq float64) nearestSearch {
+	s := nearestSearch{q: q, slack: slack, live: live, verify: slack != 0 && !live.IsZero(), best: -1, bestSq: math.Inf(1)}
+	if seed >= 0 {
+		s.best, s.bestSq = seed, seedSq
+	}
+	s.tighten()
+	return s
 }
 
 // tighten recomputes the cutoff from the best: (√bestSq + slack)², and
@@ -589,6 +602,7 @@ func (s *nearestSearch) offer(id int, sq float64) {
 func (g *Grid) nearestCell(s *nearestSearch, key uint64) {
 	c := g.find(key)
 	d := g.dim
+	s.tested += int(c.end - c.start)
 	for pos := int(c.start); pos < int(c.end); pos++ {
 		sq, within := vector.SqDistanceWithin(g.pts[pos*d:pos*d+d], s.q, s.cutoffSq)
 		if !within {
@@ -605,6 +619,7 @@ func (g *Grid) nearestCell(s *nearestSearch, key uint64) {
 // nearestScan finishes a search with one exact scan: over the live rows
 // when the caller has them, over the stored points otherwise.
 func (g *Grid) nearestScan(s *nearestSearch) (int, float64) {
+	s.tested += len(g.ids)
 	if !s.live.IsZero() {
 		if i, sq := vector.ArgminSqDistanceChunkedRange(s.live, s.q, 0, -1, math.Inf(1)); i >= 0 {
 			s.offer(i, sq)

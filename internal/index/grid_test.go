@@ -360,6 +360,13 @@ func FuzzGridRadius(f *testing.F) {
 	f.Add(lattice(header(2, 0, 3, 1e-300, 2), 1, 2, 3, 4, 5, 6, 7, 8, 9))
 	f.Add(lattice(header(1, 0, 2, 1e300, math.Inf(1)), 1, 2, 3, 4, 5, 6))
 	f.Add(raw(header(0, 1, 1, 1, 3), 0, math.NaN(), 2, math.Inf(1), -1e300))
+	// The training regime: the seeded winner (the copy of the middle point)
+	// lies within one cell of the query and the slack is under a cell, so
+	// the walk clips its rings to a box of a few cells.
+	f.Add(lattice(header(1, 0, 0, 0.25, 0.1), 14, 10,
+		0, 0, 40, 40, -30, 20, 20, -30, 15, 13, 60, -10, -50, -50, 30, 5, 5, 30))
+	f.Add(lattice(header(2, 0, 0, 0.15, 0.1), 0, 0, 0,
+		9, 9, 9, -9, 0, 9, 0, -9, -9, 3, -2, 1, 12, 12, -3, -12, 6, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 19 {
 			return
