@@ -21,6 +21,10 @@ type backend interface {
 	// publishes concurrently. Nil when there are no prototypes to answer
 	// from (the 409 gate of APPROX statements).
 	reader(ctx context.Context) modelReader
+	// readerUsesContext reports whether reader binds ctx to what it answers
+	// — a sharded scatter does — so a request deadline must be armed before
+	// the pin. A reader over a model in this process never looks at ctx.
+	readerUsesContext() bool
 	// train ingests one /train body. The backend refuses first if it cannot
 	// train at all (so a misdirected or read-only instance never decodes
 	// the body), then calls pairs exactly once — decode, validate, admit —
@@ -75,6 +79,8 @@ func (l local) reader(context.Context) modelReader {
 	}
 	return nil
 }
+
+func (local) readerUsesContext() bool { return false }
 
 func (l local) train(ctx context.Context, pairs func() ([]core.TrainingPair, error)) (shard.TrainStats, bool, error) {
 	switch {
@@ -159,6 +165,8 @@ func (f *follower) pair() local {
 
 func (f *follower) reader(ctx context.Context) modelReader { return f.pair().reader(ctx) }
 
+func (*follower) readerUsesContext() bool { return false }
+
 func (f *follower) train(ctx context.Context, pairs func() ([]core.TrainingPair, error)) (shard.TrainStats, bool, error) {
 	return f.pair().train(ctx, pairs)
 }
@@ -201,6 +209,8 @@ func (s sharded) reader(ctx context.Context) modelReader {
 	}
 	return s.Reader(ctx)
 }
+
+func (sharded) readerUsesContext() bool { return true }
 
 func (s sharded) train(ctx context.Context, pairs func() ([]core.TrainingPair, error)) (shard.TrainStats, bool, error) {
 	pp, err := pairs()

@@ -10,6 +10,54 @@ import (
 	"llmq/internal/vector"
 )
 
+// A /train or /query body is read once into a pooled buffer and scanned in
+// one pass when it is written in its canonical form. Anything else is
+// decoded by encoding/json from the same bytes, so encoding/json decides
+// every reject and its text.
+
+// readBody buffers a request body into buf, bounded by maxBodyBytes. A zero
+// status means success; the error statuses and texts are decodeBody's.
+func readBody(buf *bytes.Buffer, w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	status, err := bodyError(err)
+	return buf.Bytes(), status, err
+}
+
+// queryBuf is the memory one /query request reads its body into and
+// encodes its answer in, pooled like trainBuf: a warm server reads and
+// answers a statement without allocating for either.
+type queryBuf struct {
+	body bytes.Buffer
+	out  []byte
+}
+
+var queryBufs = sync.Pool{New: func() any { return new(queryBuf) }}
+
+// scanQuery reads a /query body written in the canonical form
+//
+//	{"sql":"…"}
+//
+// with JSON whitespace anywhere between tokens and a statement of printable
+// ASCII without escapes, and declines (ok false) on anything else: an
+// escape, a byte past ASCII or a control byte in the string, another,
+// duplicate or differently cased key, null, bytes after the closing brace.
+// The statement is copied out of body, which returns to the pool.
+func scanQuery(body []byte) (sql string, ok bool) {
+	s := bodyScanner{b: body}
+	if !s.eat('{') || !s.lit(`"sql"`) || !s.eat(':') {
+		return "", false
+	}
+	text, ok := s.str()
+	if !ok || !s.eat('}') {
+		return "", false
+	}
+	if s.ws(); s.i != len(s.b) {
+		return "", false
+	}
+	return string(text), true
+}
+
 // trainBuf is the memory one /train request decodes into: the body bytes,
 // the pairs and one flat array holding every centre back to back. It is
 // pooled, so a warm server decodes a batch in O(1) allocations however many
@@ -22,15 +70,6 @@ type trainBuf struct {
 }
 
 var trainBufs = sync.Pool{New: func() any { return new(trainBuf) }}
-
-// read buffers the request body, bounded by maxBodyBytes. A zero status
-// means success; the error statuses and texts are decodeBody's.
-func (tb *trainBuf) read(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
-	tb.body.Reset()
-	_, err := tb.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	status, err := bodyError(err)
-	return tb.body.Bytes(), status, err
-}
 
 // scan decodes a /train body in one pass when it is written in the
 // canonical grammar, and declines (ok false) on anything else:
@@ -48,7 +87,7 @@ func (tb *trainBuf) read(w http.ResponseWriter, r *http.Request) ([]byte, int, e
 // fast a plainly valid one is read. The returned pairs alias tb and are
 // valid until it returns to the pool.
 func (tb *trainBuf) scan(body []byte) ([]core.TrainingPair, bool) {
-	s := trainScanner{b: body}
+	s := bodyScanner{b: body}
 	if !s.eat('{') || !s.lit(`"pairs"`) || !s.eat(':') || !s.eat('[') {
 		return nil, false
 	}
@@ -132,14 +171,14 @@ func (tb *trainBuf) scan(body []byte) ([]core.TrainingPair, bool) {
 	return tb.pairs, true
 }
 
-// trainScanner is a cursor over a /train body.
-type trainScanner struct {
+// bodyScanner is a cursor over a request body.
+type bodyScanner struct {
 	b []byte
 	i int
 }
 
 // ws skips JSON whitespace.
-func (s *trainScanner) ws() {
+func (s *bodyScanner) ws() {
 	for s.i < len(s.b) {
 		switch s.b[s.i] {
 		case ' ', '\t', '\r', '\n':
@@ -151,7 +190,7 @@ func (s *trainScanner) ws() {
 }
 
 // eat skips whitespace and consumes c if it is next.
-func (s *trainScanner) eat(c byte) bool {
+func (s *bodyScanner) eat(c byte) bool {
 	s.ws()
 	if s.i < len(s.b) && s.b[s.i] == c {
 		s.i++
@@ -161,7 +200,7 @@ func (s *trainScanner) eat(c byte) bool {
 }
 
 // lit skips whitespace and consumes tok if it is next.
-func (s *trainScanner) lit(tok string) bool {
+func (s *bodyScanner) lit(tok string) bool {
 	s.ws()
 	if len(s.b)-s.i >= len(tok) && string(s.b[s.i:s.i+len(tok)]) == tok {
 		s.i += len(tok)
@@ -170,11 +209,31 @@ func (s *trainScanner) lit(tok string) bool {
 	return false
 }
 
+// str skips whitespace and consumes a string of printable ASCII with no
+// escapes, returning its contents — the bytes encoding/json would decode it
+// to. A backslash, a control byte, DEL or a byte past ASCII declines.
+func (s *bodyScanner) str() ([]byte, bool) {
+	if !s.eat('"') {
+		return nil, false
+	}
+	for j := s.i; j < len(s.b); j++ {
+		switch c := s.b[j]; {
+		case c == '"':
+			text := s.b[s.i:j]
+			s.i = j + 1
+			return text, true
+		case c < ' ' || c > '~' || c == '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
 // number skips whitespace and consumes one number of the JSON grammar —
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — declining what
 // ParseFloat alone would let through ("+1", ".5", "1.", "0x1p-2", "Inf")
 // and what it reports out of range (1e309).
-func (s *trainScanner) number() (float64, bool) {
+func (s *bodyScanner) number() (float64, bool) {
 	s.ws()
 	b, i := s.b, s.i
 	digits := func() bool {

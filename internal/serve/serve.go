@@ -70,9 +70,12 @@
 //     (/query and /query/batch share it, a batch sheet costing its
 //     statement count) and train (costing the pair count). A request that
 //     cannot be admitted within the wait budget gets 429 + Retry-After.
-//   - Deadlines: every query request's context carries QueryTimeout; the
-//     exact executors and batch pools observe it (exec.*Ctx), so an
-//     admitted request completes or dies by its deadline — never later.
+//   - Deadlines: a query request's QueryTimeout runs from its entry and is
+//     armed where it can be observed — on a sheet's context at once, on a
+//     single statement's before a context-bound reader, a queued admission,
+//     the coalescer or an EXACT scan; the exact executors and batch pools
+//     observe it (exec.*Ctx), so an admitted request completes or dies by
+//     its deadline — never later.
 //   - Brownout: while the admission queue is saturated, EXACT statements —
 //     the expensive relation scans — are shed first (503) while APPROX
 //     statements keep answering from the model's lock-free read path. With
@@ -121,9 +124,10 @@ type Server struct {
 	// coalescer micro-batches single /query statements; nil unless
 	// Limits.BatchWindow is set.
 	coalescer *batcher
-	// declineScan makes ingest decode every body with encoding/json, as if
-	// trainBuf.scan had declined it. Only tests set it: it is how
-	// FuzzTrainBody holds the two decoders to the same responses.
+	// declineScan makes ingest and handleQuery decode every body with
+	// encoding/json, as if trainBuf.scan or scanQuery had declined it. Only
+	// tests set it: it is how FuzzTrainBody and FuzzQueryBody hold the two
+	// decoders to the same responses.
 	declineScan bool
 }
 
@@ -156,8 +160,8 @@ type Limits struct {
 	// for admission before it is shed with 429. Default 100ms; negative
 	// sheds immediately when full.
 	AdmitWait time.Duration
-	// QueryTimeout is the per-request deadline attached to the context of
-	// /query and /query/batch. Default 30s; negative disables it.
+	// QueryTimeout is the per-request deadline of /query and /query/batch,
+	// counted from the request's entry. Default 30s; negative disables it.
 	QueryTimeout time.Duration
 	// DegradeExact answers EXACT-eligible statements from the model
 	// (marked "degraded": true) during brownout instead of shedding them.
@@ -257,17 +261,15 @@ func build(e *exec.Executor, b backend, opts ...Option) (*Server, error) {
 	if s.limits.BatchWindow > 0 {
 		s.coalescer = newBatcher(s)
 	}
-	// Every route declares its method once; the two query routes also carry
-	// the per-request deadline.
-	deadline := func(h http.HandlerFunc) http.HandlerFunc {
-		return resilience.WithTimeout(h, s.limits.QueryTimeout).ServeHTTP
-	}
+	// Every route declares its method once. A sheet carries its deadline
+	// from entry; /query arms its own where it can be observed
+	// (queryDeadline).
 	for _, rt := range []struct {
 		path, method string
 		handler      http.HandlerFunc
 	}{
-		{"/query", http.MethodPost, deadline(s.handleQuery)},
-		{"/query/batch", http.MethodPost, deadline(s.handleBatch)},
+		{"/query", http.MethodPost, s.handleQuery},
+		{"/query/batch", http.MethodPost, resilience.WithTimeout(http.HandlerFunc(s.handleBatch), s.limits.QueryTimeout).ServeHTTP},
 		{"/train", http.MethodPost, s.handleTrain},
 		{"/model", http.MethodGet, s.handleModel},
 		{"/healthz", http.MethodGet, handleHealth},
@@ -564,18 +566,40 @@ type modelReader interface {
 	PredictValue(core.Query, []float64) (float64, error)
 }
 
+// handleQuery answers one statement. The body is read once into a pooled
+// queryBuf and scanned in one pass (scanQuery; a body outside the canonical
+// form is decoded by encoding/json from the same bytes, which decides every
+// reject), and the answer is appended into the same buffer and written
+// once. The request's QueryTimeout is counted from entry but armed only
+// where something can observe it (queryDeadline).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if status, err := decodeBody(w, r, &req); status != 0 {
+	dl := s.queryDeadline(r)
+	defer dl.stop()
+	qb := queryBufs.Get().(*queryBuf)
+	defer queryBufs.Put(qb)
+	body, status, err := readBody(&qb.body, w, r)
+	if status != 0 {
 		writeError(w, status, err)
 		return
 	}
-	if req.SQL == "" {
+	sql, scanned := scanQuery(body)
+	if !scanned || s.declineScan {
+		var req QueryRequest
+		if status, err := decodeJSON(bytes.NewReader(body), &req); status != 0 {
+			writeError(w, status, err)
+			return
+		}
+		sql = req.SQL
+	}
+	if sql == "" {
 		writeError(w, http.StatusBadRequest, errors.New("missing sql"))
 		return
 	}
-	reader := s.backend.reader(r.Context())
-	stmt, status, err := s.parseStatement(req.SQL, reader)
+	if s.backend.readerUsesContext() {
+		dl.arm()
+	}
+	reader := s.backend.reader(dl.ctx)
+	stmt, status, err := s.parseStatement(sql, reader)
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -592,26 +616,72 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		degraded = true
 	}
-	if err := s.admitQuery.Acquire(r.Context(), 1); err != nil {
-		s.shedQuery(w, r, err)
-		return
+	if !s.admitQuery.TryAcquire(1) {
+		if err := s.admitQuery.Acquire(dl.arm(), 1); err != nil {
+			s.shedQuery(w, r, err)
+			return
+		}
 	}
 	defer s.admitQuery.Release(1)
 	// With the micro-batcher armed, the admitted statement joins the open
 	// coalescing sheet instead of executing alone — the shed/brownout
 	// decisions above already happened per-request, so only work the server
 	// agreed to do ever reaches a sheet.
+	if s.coalescer != nil || !(stmt.Approx || degraded) {
+		dl.arm() // the sheet or the EXACT scan observes it
+	}
 	var resp *QueryResponse
 	if s.coalescer != nil {
-		resp, err = s.coalescer.do(r.Context(), stmt, degraded)
+		resp, err = s.coalescer.do(dl.ctx, stmt, degraded)
 	} else {
-		resp, err = s.answer(r.Context(), stmt, reader, degraded)
+		resp, err = s.answer(dl.ctx, stmt, reader, degraded)
 	}
 	if err != nil {
 		s.writeAnswerError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if qb.out, err = appendAnswer(qb.out[:0], -1, resp); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(qb.out) // a failed write is a client that hung up
+}
+
+// queryDeadline notes a /query request's entry: its deadline is entry +
+// QueryTimeout, as the wrapper /query/batch keeps would set it.
+func (s *Server) queryDeadline(r *http.Request) lazyDeadline {
+	d := lazyDeadline{ctx: r.Context()}
+	if t := s.limits.QueryTimeout; t > 0 {
+		d.at = time.Now().Add(t)
+	}
+	return d
+}
+
+// lazyDeadline is a request deadline armed only by the first step that can
+// observe it: pinning a reader that uses the request context, a queued
+// admission, the coalescer, an EXACT scan. An APPROX statement answered
+// from an in-process model and admitted without queueing creates no timer.
+type lazyDeadline struct {
+	ctx    context.Context
+	at     time.Time // zero: QueryTimeout is disabled
+	cancel context.CancelFunc
+}
+
+// arm attaches the deadline to ctx, once, and returns ctx.
+func (d *lazyDeadline) arm() context.Context {
+	if d.cancel == nil && !d.at.IsZero() {
+		d.ctx, d.cancel = context.WithDeadline(d.ctx, d.at)
+	}
+	return d.ctx
+}
+
+// stop releases the deadline's timer, if arm created one.
+func (d *lazyDeadline) stop() {
+	if d.cancel != nil {
+		d.cancel()
+	}
 }
 
 // shedQuery maps an admission failure: overload is 429 + Retry-After; a
@@ -721,7 +791,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, b backend) (st s
 		trainBufs.Put(tb) // the backend is done with the pairs by now
 	}()
 	st, durable, err := b.train(r.Context(), func() ([]core.TrainingPair, error) {
-		body, status, err := tb.read(w, r)
+		body, status, err := readBody(&tb.body, w, r)
 		if status != 0 {
 			return nil, statusError{status, err}
 		}
@@ -897,7 +967,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The pool is done (completed is closed). Statements it never claimed —
 	// the sheet's deadline or the server's shutdown got there first — still
 	// owe their positional frame.
-	enc := json.NewEncoder(w)
+	fw := frameWriter{w: w}
 	for ; wrote < n; wrote++ {
 		f := frames[wrote]
 		if !ran[wrote] {
@@ -910,12 +980,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			f = errorFrame(wrote, msg)
 		}
-		if err := enc.Encode(f); err != nil {
+		if err := fw.write(f); err != nil {
 			clientGone()
 			return
 		}
 	}
-	if err := enc.Encode(BatchFrame{Done: true, Results: n, TotalElapsed: time.Since(start).String()}); err != nil {
+	if err := fw.write(BatchFrame{Done: true, Results: n, TotalElapsed: time.Since(start).String()}); err != nil {
 		clientGone()
 	}
 }
@@ -1011,7 +1081,7 @@ func (s *Server) answer(ctx context.Context, stmt *sqlfront.Statement, model mod
 			Weight:    1,
 		}}
 		resp.Tuples = res.Count
-		resp.FVU, resp.R2 = &res.FVU, &res.CoD
+		resp.fit(&res)
 		return finish(), nil
 
 	case sqlfront.StmtValue:
@@ -1037,8 +1107,19 @@ func (s *Server) answer(ctx context.Context, stmt *sqlfront.Statement, model mod
 		u := res.Predict(stmt.At)
 		resp.Value = &u
 		resp.Tuples = res.Count
-		resp.FVU, resp.R2 = &res.FVU, &res.CoD
+		resp.fit(&res)
 		return finish(), nil
 	}
 	return nil, fmt.Errorf("unsupported statement kind %v", stmt.Kind)
+}
+
+// fit sets the goodness-of-fit fields of an exact Q2 answer. R2 is always
+// finite; FVU is +Inf by contract when the subspace's response is constant
+// and the fit is not exact (linalg.OLSModel.FVU), and JSON has no infinity,
+// so it is then left out, as the schema allows.
+func (resp *QueryResponse) fit(res *exec.RegressionResult) {
+	resp.R2 = &res.CoD
+	if !math.IsInf(res.FVU, 0) && !math.IsNaN(res.FVU) {
+		resp.FVU = &res.FVU
+	}
 }

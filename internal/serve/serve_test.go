@@ -16,15 +16,11 @@ import (
 	"llmq/internal/workload"
 )
 
-// newServer builds a server over a small synthetic relation, optionally with
-// a trained model.
-func newServer(t *testing.T, withModel bool, opts ...Option) *Server {
+// newExecutorOver builds the executor of a relation r1 holding the given
+// points.
+func newExecutorOver(t testing.TB, xs [][]float64, us []float64) *exec.Executor {
 	t.Helper()
-	pts, err := synth.Generate(synth.R1Config(5000, 2, 31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := dataset.FromPoints("r1", pts.Xs, pts.Us)
+	ds, err := dataset.FromPoints("r1", xs, us)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +33,18 @@ func newServer(t *testing.T, withModel bool, opts ...Option) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return e
+}
+
+// newServer builds a server over a small synthetic relation, optionally with
+// a trained model.
+func newServer(t testing.TB, withModel bool, opts ...Option) *Server {
+	t.Helper()
+	pts, err := synth.Generate(synth.R1Config(5000, 2, 31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newExecutorOver(t, pts.Xs, pts.Us)
 	var m *core.Model
 	if withModel {
 		gen, err := workload.NewGenerator(workload.GenConfig{

@@ -148,13 +148,13 @@ func ReadBatchStream(r io.Reader, visit func(BatchFrame) error) (BatchFrame, err
 // the contiguous prefix [0, wrote) of frames has been written on return.
 func streamFrames(w http.ResponseWriter, n int, completed <-chan int, frame func(i int) BatchFrame) (wrote int, err error) {
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	fw := frameWriter{w: w}
 	ready := make([]bool, n)
 	next := 0
 	for i := range completed {
 		ready[i] = true
 		for next < n && ready[next] {
-			if err := enc.Encode(frame(next)); err != nil {
+			if err := fw.write(frame(next)); err != nil {
 				return next, err
 			}
 			next++
@@ -164,4 +164,31 @@ func streamFrames(w http.ResponseWriter, n int, completed <-chan int, frame func
 		}
 	}
 	return next, nil
+}
+
+// frameWriter writes the frames of one /query/batch stream, each as one
+// NDJSON line: a result frame carrying an answer through appendAnswer, any
+// other frame through encoding/json. An answer appendAnswer cannot encode
+// becomes that statement's error frame, so the sheet keeps streaming. The
+// only error returned is the writer's.
+type frameWriter struct {
+	w   io.Writer
+	enc *json.Encoder // made on the first frame that is not an answer
+	buf []byte
+}
+
+func (fw *frameWriter) write(f BatchFrame) error {
+	if f.Index != nil && f.QueryResponse != nil {
+		b, err := appendAnswer(fw.buf[:0], *f.Index, f.QueryResponse)
+		fw.buf = b
+		if err == nil {
+			_, err = fw.w.Write(b)
+			return err
+		}
+		f = errorFrame(*f.Index, err.Error())
+	}
+	if fw.enc == nil {
+		fw.enc = json.NewEncoder(fw.w)
+	}
+	return fw.enc.Encode(f)
 }

@@ -3,7 +3,9 @@ package sqlfront
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"unicode"
 )
 
 // FuzzParse feeds the parser arbitrary text — it is the one parser in the
@@ -11,6 +13,9 @@ import (
 // panic; a statement it accepts must carry numbers the executors and the
 // model can take at face value (a finite non-negative radius, finite
 // coordinates, a norm p ≥ 1), and parsing is a pure function of the text.
+// And every identifier Lex reads is classified as strings.ToUpper decides:
+// a keyword, spelled strings.ToUpper(text), exactly when
+// keywords[strings.ToUpper(text)], whatever bytes past ASCII it holds.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT AVG(u) FROM seismic WITHIN 0.2 OF (0.5, 0.25);",
@@ -34,8 +39,16 @@ func FuzzParse(f *testing.F) {
 		"SELECT AVG(u) FROM t WITHIN 1 OF (0) NORM 0.5",
 		"SELECT AVG(u) FROM t WITHIN 1 OF (0) ; extra",
 		"SELECT VALUE(u) FROM t WITHIN 1 OF (0)",
+		"Select Approx Value(u) From t At (0) Within 1 Of (0) Norm l1",
+		"sElEcT eXaCt ReGrEsSiOn(u oN x) fRoM t wItHiN 1 oF (0) ; predict",
+		"SELECT AVG(u) FROM regressions WITHIN 1 OF (0)",
+		"SELECT AVG(\xc3\xa9t\xc3\xa9) FROM \xb5\xaa\xba WITHIN 1 OF (0)",
+		"select avg(u) from t within 1 of (0) norm Linf",
 	} {
 		f.Add(seed)
+	}
+	for kw := range keywords {
+		f.Add(strings.ToLower(kw) + " " + kw + " " + kw[:1] + strings.ToLower(kw[1:]) + " " + kw + "S")
 	}
 	finite := func(xs []float64) bool {
 		for _, x := range xs {
@@ -45,7 +58,28 @@ func FuzzParse(f *testing.F) {
 		}
 		return true
 	}
+	isIdent := func(c byte) bool {
+		return unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c)) || c == '_'
+	}
 	f.Fuzz(func(t *testing.T, sql string) {
+		if tokens, err := Lex(sql); err == nil {
+			for _, tok := range tokens {
+				if tok.Kind != TokenIdent && tok.Kind != TokenKeyword {
+					continue
+				}
+				end := tok.Pos - 1
+				for end < len(sql) && isIdent(sql[end]) {
+					end++
+				}
+				text := sql[tok.Pos-1 : end]
+				up := strings.ToUpper(text)
+				if want := keywords[up]; (tok.Kind == TokenKeyword) != want ||
+					(want && tok.Text != up) || (!want && tok.Text != text) {
+					t.Fatalf("Lex(%q) read %q as %v %q; strings.ToUpper gives %q, a keyword: %v",
+						sql, text, tok.Kind, tok.Text, up, want)
+				}
+			}
+		}
 		stmt, err := Parse(sql)
 		if err != nil {
 			if stmt != nil {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies a lexical token.
@@ -75,6 +76,10 @@ var keywords = map[string]bool{
 	"AT": true,
 }
 
+// maxKeywordLen is the length of the longest keyword, REGRESSION: an ASCII
+// identifier longer than this is not one.
+const maxKeywordLen = 10
+
 // SyntaxError describes a lexing or parsing failure with its position.
 type SyntaxError struct {
 	Pos     int
@@ -91,7 +96,14 @@ func errf(pos int, format string, args ...any) error {
 
 // Lex tokenizes the input statement.
 func Lex(input string) ([]Token, error) {
-	var tokens []Token
+	// A token and the separator after it take two bytes or more in any
+	// statement written with spaces or multi-digit numbers, so one
+	// allocation holds them; denser input grows the slice.
+	return lex(input, make([]Token, 0, len(input)/2+2))
+}
+
+// lex appends the tokens of input to tokens.
+func lex(input string, tokens []Token) ([]Token, error) {
 	i := 0
 	n := len(input)
 	for i < n {
@@ -142,12 +154,7 @@ func Lex(input string) ([]Token, error) {
 				}
 				break
 			}
-			text := input[start:i]
-			kind := TokenIdent
-			if keywords[strings.ToUpper(text)] {
-				kind = TokenKeyword
-				text = strings.ToUpper(text)
-			}
+			kind, text := classify(input[start:i])
 			tokens = append(tokens, Token{Kind: kind, Text: text, Pos: start + 1})
 		default:
 			return nil, errf(i+1, "unexpected character %q", string(c))
@@ -155,4 +162,37 @@ func Lex(input string) ([]Token, error) {
 	}
 	tokens = append(tokens, Token{Kind: TokenEOF, Pos: n + 1})
 	return tokens, nil
+}
+
+// classify decides whether an identifier is a keyword, returning the kind
+// and the token text: strings.ToUpper(text) for a keyword, text otherwise.
+// An ASCII identifier is upper-cased on the stack, so only a keyword not
+// written in upper case allocates its text. One with a byte past ASCII
+// keeps strings.ToUpper, whose Unicode case mapping may change its length.
+func classify(text string) (TokenKind, string) {
+	var up [maxKeywordLen]byte
+	lower := false
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			if u := strings.ToUpper(text); keywords[u] {
+				return TokenKeyword, u
+			}
+			return TokenIdent, text
+		case 'a' <= c && c <= 'z':
+			c -= 'a' - 'A'
+			lower = true
+		}
+		if i < len(up) {
+			up[i] = c
+		}
+	}
+	switch {
+	case len(text) > len(up) || !keywords[string(up[:len(text)])]:
+		return TokenIdent, text
+	case lower:
+		return TokenKeyword, string(up[:len(text)])
+	}
+	return TokenKeyword, text
 }

@@ -66,7 +66,11 @@ type parser struct {
 
 // Parse parses a single statement of the analytics dialect.
 func Parse(input string) (*Statement, error) {
-	tokens, err := Lex(input)
+	// The tokens of a statement over up to 8 dimensions without an AT
+	// point fit in buf, which stays on the stack: nothing the parser
+	// returns holds a Token.
+	var buf [32]Token
+	tokens, err := lex(input, buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +265,16 @@ func (p *parser) parseVector() ([]float64, error) {
 	if _, err := p.expectKind(TokenLParen); err != nil {
 		return nil, err
 	}
-	var out []float64
+	n := 1 // one coordinate per comma before the closing parenthesis, plus one
+	for _, t := range p.tokens[p.pos:] {
+		if t.Kind == TokenRParen || t.Kind == TokenEOF {
+			break
+		}
+		if t.Kind == TokenComma {
+			n++
+		}
+	}
+	out := make([]float64, 0, n)
 	for {
 		v, err := p.parseNumber()
 		if err != nil {
