@@ -6,16 +6,16 @@ import (
 	"slices"
 )
 
-// Shard lifecycle primitives: Split carves one model's prototype set into N
+// Sharding primitives: Split carves one model's prototype set into N
 // disjoint models and Fuse concatenates models back into one. Both copy the
 // full writer state — prototypes, coefficients, win counts, eviction-clock
 // stamps and the RLS solver matrices — so the children (or the fused whole)
-// continue training exactly where the inputs left off. They are the
-// shard-split and shard-merge building blocks of the sharded serving tier:
-// the prototypes a shard trains stay inside its region (every drift, spawn
-// and merge-on-evict step is a convex combination of region points), so a
-// region split induces a clean prototype split, and a region merge is a
-// concatenation.
+// continue training exactly where the inputs left off. Split is the boot
+// split of the sharded serving tier (a -shards boot carves the loaded model
+// along the partition); Fuse builds the union model a sharded set is held
+// to. The prototypes a shard trains stay inside its region (every drift,
+// spawn and merge-on-evict step is a convex combination of region points),
+// so a region split induces a clean prototype split.
 
 // assembleModel builds a model that starts from a prepared prototype set,
 // finishing the way Load does. The result is unconverged (its criterion

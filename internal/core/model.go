@@ -281,27 +281,11 @@ func (m *Model) Converged() bool { return m.View().Converged() }
 // LastGamma returns the most recent value of the termination criterion Γ.
 func (m *Model) LastGamma() float64 { return m.View().LastGamma() }
 
-// LLM returns the live local linear mapping in slot k — the id Winner and
-// StepInfo.Winner report — as a value of its own (a deep copy of the slot's
-// rows and solver state), or nil when the slot is tombstoned or out of
-// range. For bounded models this is the correct way to correlate a winner id
-// with its mapping: LLMs() compacts tombstoned slots away, so its indices do
-// not line up with slot ids once eviction has run.
-func (m *Model) LLM(k int) *LLM {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if k < 0 || k >= m.store.rows || m.store.isTombstone(k) {
-		return nil
-	}
-	return m.store.at(k).llm()
-}
-
 // LLMs returns the live trained local linear mappings, including their
 // solver state, as values of their own in slot order (tombstoned slots of a
 // bounded model are skipped, so for an unbounded model index i is prototype
-// i — for a bounded model use LLM(slot) to resolve a winner id). Unlike the
-// prediction methods it reads the writer's state, solver matrices included,
-// so it serializes with the writer.
+// i). Unlike the prediction methods it reads the writer's state, solver
+// matrices included, so it serializes with the writer.
 func (m *Model) LLMs() []*LLM {
 	m.mu.Lock()
 	defer m.mu.Unlock()

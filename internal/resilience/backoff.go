@@ -73,10 +73,10 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	return d
 }
 
-// ParseRetryAfter parses a Retry-After header value: either delay-seconds
+// parseRetryAfter parses a Retry-After header value: either delay-seconds
 // or an HTTP-date. The ok result is false when the header is absent or
 // unparseable (the client then falls back to its computed backoff).
-func ParseRetryAfter(h string) (time.Duration, bool) {
+func parseRetryAfter(h string) (time.Duration, bool) {
 	if h == "" {
 		return 0, false
 	}
@@ -158,7 +158,7 @@ func (e *shedError) Error() string {
 func (b Backoff) retryDelay(attempt int, lastErr error) time.Duration {
 	d := b.Delay(attempt)
 	if shed, ok := lastErr.(*shedError); ok {
-		if hint, ok := ParseRetryAfter(shed.retryAfter); ok && hint > d {
+		if hint, ok := parseRetryAfter(shed.retryAfter); ok && hint > d {
 			d = hint
 		}
 	}

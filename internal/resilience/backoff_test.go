@@ -35,17 +35,17 @@ func TestBackoffDelayGrowthAndJitter(t *testing.T) {
 }
 
 func TestParseRetryAfter(t *testing.T) {
-	if d, ok := ParseRetryAfter("7"); !ok || d != 7*time.Second {
+	if d, ok := parseRetryAfter("7"); !ok || d != 7*time.Second {
 		t.Errorf("seconds form: %v %v", d, ok)
 	}
-	if _, ok := ParseRetryAfter(""); ok {
+	if _, ok := parseRetryAfter(""); ok {
 		t.Error("empty header parsed")
 	}
-	if _, ok := ParseRetryAfter("soon"); ok {
+	if _, ok := parseRetryAfter("soon"); ok {
 		t.Error("garbage header parsed")
 	}
 	future := time.Now().Add(3 * time.Second).UTC().Format(http.TimeFormat)
-	if d, ok := ParseRetryAfter(future); !ok || d <= 0 || d > 3*time.Second {
+	if d, ok := parseRetryAfter(future); !ok || d <= 0 || d > 3*time.Second {
 		t.Errorf("http-date form: %v %v", d, ok)
 	}
 }

@@ -16,8 +16,8 @@ import (
 // model stands behind it is decided once, by the constructor.
 type backend interface {
 	// reader pins the prediction surface for one request or one sheet — a
-	// published model version, or a sharded routing epoch bound to ctx — so
-	// everything answered through it is mutually consistent while training
+	// published model version, or the sharded scatter bound to ctx — so a
+	// model version's answers are mutually consistent while training
 	// publishes concurrently. Nil when there are no prototypes to answer
 	// from (the 409 gate of APPROX statements).
 	reader(ctx context.Context) modelReader

@@ -159,8 +159,9 @@ func (b *batcher) cutLocked() []*pendingStmt {
 }
 
 // run executes one sheet: pin a prediction surface once (a model View, or
-// a sharded route epoch), group duplicate statements, evaluate each group
-// once over the shared pool, and fan the outcomes out. The sheet runs
+// the sharded scatter bound to the sheet's context), group duplicate
+// statements, evaluate each group once over the shared pool, and fan the
+// outcomes out. The sheet runs
 // under its own QueryTimeout-bounded context — not any one member's — so
 // one member's disconnect cannot kill a shared evaluation; a singleton
 // group still runs under its own request context, so a lone statement's

@@ -106,8 +106,8 @@ func TestReadyzStates(t *testing.T) {
 
 // TestShedWith429AndRetryAfter fills the query admission class and requires
 // the next request to shed as 429 with a Retry-After header holding integer
-// seconds ≥ 1 — the exact format resilience.ParseRetryAfter (and any
-// standard client) consumes.
+// seconds ≥ 1 — the exact format resilience.Do's retry (and any standard
+// client) consumes.
 func TestShedWith429AndRetryAfter(t *testing.T) {
 	s := newServer(t, false, WithLimits(Limits{QueryConcurrency: 1, AdmitWait: -1}))
 	// Hold the only admission slot so the HTTP request cannot be admitted.

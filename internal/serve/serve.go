@@ -554,11 +554,10 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 }
 
 // modelReader is the prediction surface the statement evaluator needs: a
-// core.View (one published model version) or a shard.Reader (one routing
-// epoch — every statement routes through the same partition and backend
-// set even across a concurrent shard split or merge, while per-shard
-// versions still advance). backend.reader pins one per request, sheet or
-// coalesced sheet, so all of its statements are answered consistently even
+// core.View (one published model version) or a shard.Reader (the sharded
+// set's scatter bound to the request context; per-shard versions still
+// advance). backend.reader takes one per request, sheet or coalesced sheet,
+// so a model-backed request's statements are answered from one version even
 // while training or a model swap runs concurrently.
 type modelReader interface {
 	PredictMean(core.Query) (float64, error)

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"llmq/internal/core"
 	"llmq/internal/dataset"
@@ -156,7 +158,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
 		t.Fatal(err)
 	}
-	want, err := sh.PredictMean(core.Query{Center: []float64{0.5, 0.5}, Theta: 0.2})
+	want, err := sh.Reader(context.Background()).PredictMean(core.Query{Center: []float64{0.5, 0.5}, Theta: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +182,67 @@ func TestShardedServerEndToEnd(t *testing.T) {
 		if sr.Status != "ready" {
 			t.Fatalf("healthy shard reported %+v", sr)
 		}
+	}
+}
+
+// TestShardedQueryDeadline504 pins that a sharded reader binds the request
+// deadline (sharded.readerUsesContext): over a remote shard whose scan never
+// answers on its own, an APPROX statement must end as a 504 naming the
+// deadline once QueryTimeout passes, not wait on the shard.
+func TestShardedQueryDeadline504(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc(shard.PathMeta, func(w http.ResponseWriter, _ *http.Request) {
+		_ = json.NewEncoder(w).Encode(shard.Meta{Dim: 2, Live: 1, Steps: 1, MaxTheta: 0.1})
+	})
+	mux.HandleFunc(shard.PathScan, func(_ http.ResponseWriter, r *http.Request) {
+		// Reading the body to EOF lets the server notice the router hang up;
+		// until then the scan blocks.
+		_, _ = io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	remote := shard.NewRemote(ts.URL, nil, nil)
+	if err := remote.Prime(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	part, err := index.NewPartition(2, 1, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := shard.New(part, []shard.Backend{remote})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSharded(newShardedExecutor(t), sh, WithLimits(Limits{QueryTimeout: 50 * time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The request's own context ends only when the test does, so a handler
+	// that never armed the deadline stays blocked on the scan.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	body := `{"sql":"SELECT APPROX AVG(u) FROM r1 WITHIN 0.1 OF (0.5, 0.5)"}`
+	req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.ServeHTTP(rec, req)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		cancel()
+		<-done
+		t.Fatal("APPROX over a stalled shard still running 1s after a 50ms QueryTimeout")
+	}
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d body %s, want 504", rec.Code, rec.Body.String())
+	}
+	if !strings.Contains(rec.Body.String(), "deadline") {
+		t.Errorf("504 body %q should name the deadline", rec.Body.String())
 	}
 }
 

@@ -63,13 +63,14 @@ func BenchmarkShardedQPS(b *testing.B) {
 				b.Fatal(err)
 			}
 			queries := queryMix(2, 1024, rng)
+			r := s.Reader(context.Background())
 			var cursor atomic.Int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					q := queries[int(cursor.Add(1))%len(queries)]
-					if _, err := s.PredictMean(q); err != nil {
+					if _, err := r.PredictMean(q); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -104,12 +105,13 @@ func TestRemoteShardBitIdentity(t *testing.T) {
 
 	ref := unionOf(t, local)
 	v := ref.View()
+	r := router.Reader(ctx)
 	for _, q := range queryMix(2, 200, rng) {
 		want, err := v.PredictMean(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := router.PredictMean(q)
+		got, err := r.PredictMean(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +123,7 @@ func TestRemoteShardBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotVal, err := router.PredictValue(q, at)
+		gotVal, err := r.PredictValue(q, at)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +134,7 @@ func TestRemoteShardBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotModels, err := router.Regression(q)
+		gotModels, err := r.Regression(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,6 +146,43 @@ func TestRemoteShardBitIdentity(t *testing.T) {
 				t.Fatalf("query %+v model %d: remote %+v, union %+v", q, j, gotModels[j], wantModels[j])
 			}
 		}
+	}
+}
+
+// TestReaderCarriesContext checks the Reader's one contract: the context it
+// is bound to reaches the shard scans, so a cancelled request stops the
+// scatter with context.Canceled instead of answering.
+func TestReaderCarriesContext(t *testing.T) {
+	rng := rand.New(rand.NewSource(113))
+	m, err := core.NewModel(testConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.TrainBatch(stream(200, 2, rng)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(shardHandler(NewLocal(m)))
+	defer ts.Close()
+	remote := NewRemote(ts.URL, nil, nil)
+	if err := remote.Prime(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	part, err := index.NewPartition(2, 1, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(part, []Backend{remote})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := core.Query{Center: []float64{0.5, 0.5}, Theta: 0.1}
+	if _, err := s.Reader(context.Background()).PredictMean(q); err != nil {
+		t.Fatalf("live context: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Reader(ctx).PredictMean(q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"llmq/internal/core"
 	"llmq/internal/index"
@@ -131,22 +130,18 @@ func (l *Local) Health(context.Context) Health {
 	return Health{Status: "ready"}
 }
 
-// routeState is the immutable routing epoch: the space partition and the
-// shard backends, indexed by leaf id. Split and merge swap in a fresh
-// state atomically; readers pin the state they loaded, so in-flight
-// queries keep a consistent partition/backend pairing throughout.
-type routeState struct {
+// Sharded is the scatter/gather front-end over a set of shards. Its
+// partition and backends are fixed when New returns — the layout is chosen
+// at boot, and re-sharding is an offline rebuild — so reads need no lock;
+// training serializes on one writer lock.
+type Sharded struct {
+	dim      int
 	part     *index.Partition
 	backends []Backend
-}
-
-// Sharded is the scatter/gather front-end over a set of shards. Reads are
-// lock-free (they pin the current route state); training, splitting and
-// merging serialize on one writer lock.
-type Sharded struct {
-	dim   int
-	mu    sync.Mutex
-	route atomic.Pointer[routeState]
+	// mu serializes whole TrainBatch calls, so concurrent batches reach
+	// every shard in the same order and each batch's aggregate TrainStats
+	// describes one state of the set.
+	mu sync.Mutex
 }
 
 // New assembles a sharded set: one backend per partition leaf, in leaf-id
@@ -169,31 +164,27 @@ func New(part *index.Partition, backends []Backend) (*Sharded, error) {
 			}
 		}
 	}
-	s := &Sharded{dim: part.Dim()}
-	s.route.Store(&routeState{part: part, backends: slices.Clone(backends)})
-	return s, nil
+	return &Sharded{dim: part.Dim(), part: part, backends: slices.Clone(backends)}, nil
 }
 
 // Dim returns the input dimensionality the set serves.
 func (s *Sharded) Dim() int { return s.dim }
 
-// Shards returns the current shard count.
-func (s *Sharded) Shards() int { return len(s.route.Load().backends) }
+// Shards returns the shard count.
+func (s *Sharded) Shards() int { return len(s.backends) }
 
-// Partition returns the current space partition (immutable; split/merge
-// install new ones).
-func (s *Sharded) Partition() *index.Partition { return s.route.Load().part }
+// Partition returns the space partition.
+func (s *Sharded) Partition() *index.Partition { return s.part }
 
-// Backends returns the current backends in shard order.
-func (s *Sharded) Backends() []Backend { return slices.Clone(s.route.Load().backends) }
+// Backends returns the backends in shard order.
+func (s *Sharded) Backends() []Backend { return slices.Clone(s.backends) }
 
 // Stats aggregates the backends' cheap state views: total live prototypes
 // and steps, convergence of the whole set, and whether every shard trains
 // durably.
 func (s *Sharded) Stats() Meta {
-	rt := s.route.Load()
 	agg := Meta{Dim: s.dim, Converged: true, Durable: true}
-	for _, b := range rt.backends {
+	for _, b := range s.backends {
 		m := b.Stats()
 		agg.Live += m.Live
 		agg.Steps += m.Steps
@@ -208,10 +199,9 @@ func (s *Sharded) Stats() Meta {
 
 // Health probes every shard, in shard order.
 func (s *Sharded) Health(ctx context.Context) []Health {
-	rt := s.route.Load()
-	out := make([]Health, len(rt.backends))
+	out := make([]Health, len(s.backends))
 	var wg sync.WaitGroup
-	for i, b := range rt.backends {
+	for i, b := range s.backends {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -225,11 +215,11 @@ func (s *Sharded) Health(ctx context.Context) []Health {
 // scanInto runs the query against the given shards concurrently, filling
 // results[id] and scanned[id]. Any shard failure fails the whole scatter —
 // a partial gather would silently break the union-model contract.
-func (rt *routeState) scanInto(ctx context.Context, ids []int, q core.Query, at []float64, needModels bool,
+func (s *Sharded) scanInto(ctx context.Context, ids []int, q core.Query, at []float64, needModels bool,
 	results []core.ScatterResult, scanned []bool) error {
 	if len(ids) == 1 {
 		id := ids[0]
-		res, err := rt.backends[id].Scan(ctx, q, at, needModels)
+		res, err := s.backends[id].Scan(ctx, q, at, needModels)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", id, err)
 		}
@@ -242,7 +232,7 @@ func (rt *routeState) scanInto(ctx context.Context, ids []int, q core.Query, at 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := rt.backends[id].Scan(ctx, q, at, needModels)
+			res, err := s.backends[id].Scan(ctx, q, at, needModels)
 			if err != nil {
 				errs[n] = fmt.Errorf("shard %d: %w", id, err)
 				return
@@ -261,29 +251,29 @@ func (rt *routeState) scanInto(ctx context.Context, ids []int, q core.Query, at 
 // whose overlap sets are provably empty too, so they answer with their
 // winner terms and the gather keeps the globally closest. The gather runs
 // in ascending shard order throughout — the union model's slot order.
-func (rt *routeState) scatter(ctx context.Context, q core.Query, at []float64, needModels bool) (gathered, error) {
-	extra := make([]float64, len(rt.backends))
-	for i, b := range rt.backends {
+func (s *Sharded) scatter(ctx context.Context, q core.Query, at []float64, needModels bool) (gathered, error) {
+	extra := make([]float64, len(s.backends))
+	for i, b := range s.backends {
 		extra[i] = b.MaxTheta()
 	}
-	cand := rt.part.Touching(q.Center, q.Theta, extra, nil)
+	cand := s.part.Touching(q.Center, q.Theta, extra, nil)
 	slices.Sort(cand)
-	results := make([]core.ScatterResult, len(rt.backends))
-	scanned := make([]bool, len(rt.backends))
-	if err := rt.scanInto(ctx, cand, q, at, needModels, results, scanned); err != nil {
+	results := make([]core.ScatterResult, len(s.backends))
+	scanned := make([]bool, len(s.backends))
+	if err := s.scanInto(ctx, cand, q, at, needModels, results, scanned); err != nil {
 		return gathered{}, err
 	}
 	g := gather(ordered(results, scanned))
-	if len(g.contribs) == 0 && len(cand) < len(rt.backends) {
+	if len(g.contribs) == 0 && len(cand) < len(s.backends) {
 		// Winner fallback: the union model extrapolates from its globally
 		// closest prototype, which can live in any shard.
-		rest := make([]int, 0, len(rt.backends)-len(cand))
-		for id := range rt.backends {
+		rest := make([]int, 0, len(s.backends)-len(cand))
+		for id := range s.backends {
 			if !scanned[id] {
 				rest = append(rest, id)
 			}
 		}
-		if err := rt.scanInto(ctx, rest, q, at, needModels, results, scanned); err != nil {
+		if err := s.scanInto(ctx, rest, q, at, needModels, results, scanned); err != nil {
 			return gathered{}, err
 		}
 		g = gather(ordered(results, scanned))
@@ -303,28 +293,24 @@ func ordered(results []core.ScatterResult, scanned []bool) []core.ScatterResult 
 	return out
 }
 
-// Reader is a prediction surface pinned to one routing epoch and bound to
-// one request context — the sharded counterpart of pinning a core.View for
-// a batch: statements answered through one Reader all route through the
-// same partition and backend set, even while a split or merge swaps the
-// route concurrently.
+// Reader is the set's prediction surface bound to one request context:
+// every scatter it runs carries ctx, so a request deadline or disconnect
+// cancels the shard scans in flight.
 type Reader struct {
-	rt  *routeState
-	dim int
+	s   *Sharded
 	ctx context.Context
 }
 
-// Reader pins the current route state under ctx.
-func (s *Sharded) Reader(ctx context.Context) Reader {
-	return Reader{rt: s.route.Load(), dim: s.dim, ctx: ctx}
-}
+// Reader binds the set's reads to ctx.
+func (s *Sharded) Reader(ctx context.Context) Reader { return Reader{s: s, ctx: ctx} }
 
 func (r Reader) check(q core.Query, at []float64) error {
-	if q.Dim() != r.dim {
-		return fmt.Errorf("%w: query dim %d, sharded set dim %d", core.ErrDimension, q.Dim(), r.dim)
+	dim := r.s.dim
+	if q.Dim() != dim {
+		return fmt.Errorf("%w: query dim %d, sharded set dim %d", core.ErrDimension, q.Dim(), dim)
 	}
-	if at != nil && len(at) != r.dim {
-		return fmt.Errorf("%w: point dim %d, sharded set dim %d", core.ErrDimension, len(at), r.dim)
+	if at != nil && len(at) != dim {
+		return fmt.Errorf("%w: point dim %d, sharded set dim %d", core.ErrDimension, len(at), dim)
 	}
 	return nil
 }
@@ -334,7 +320,7 @@ func (r Reader) PredictMean(q core.Query) (float64, error) {
 	if err := r.check(q, nil); err != nil {
 		return 0, err
 	}
-	g, err := r.rt.scatter(r.ctx, q, nil, false)
+	g, err := r.s.scatter(r.ctx, q, nil, false)
 	if err != nil {
 		return 0, err
 	}
@@ -349,7 +335,7 @@ func (r Reader) Regression(q core.Query) ([]core.LocalLinear, error) {
 	if err := r.check(q, nil); err != nil {
 		return nil, err
 	}
-	g, err := r.rt.scatter(r.ctx, q, nil, true)
+	g, err := r.s.scatter(r.ctx, q, nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +353,7 @@ func (r Reader) PredictValue(q core.Query, x []float64) (float64, error) {
 	if x == nil {
 		return 0, fmt.Errorf("%w: value prediction needs a data point", core.ErrDimension)
 	}
-	g, err := r.rt.scatter(r.ctx, q, x, false)
+	g, err := r.s.scatter(r.ctx, q, x, false)
 	if err != nil {
 		return 0, err
 	}
@@ -377,27 +363,11 @@ func (r Reader) PredictValue(q core.Query, x []float64) (float64, error) {
 	return g.value(), nil
 }
 
-// PredictMean answers on the current route state.
-func (s *Sharded) PredictMean(q core.Query) (float64, error) {
-	return s.Reader(context.Background()).PredictMean(q)
-}
-
-// Regression answers on the current route state.
-func (s *Sharded) Regression(q core.Query) ([]core.LocalLinear, error) {
-	return s.Reader(context.Background()).Regression(q)
-}
-
-// PredictValue answers on the current route state.
-func (s *Sharded) PredictValue(q core.Query, x []float64) (float64, error) {
-	return s.Reader(context.Background()).PredictValue(q, x)
-}
-
 // TrainBatch partitions the pairs by the query centre's leaf and trains
 // the touched shards concurrently — the write path scales with the shard
 // count because each shard takes its own writer lock and (when durable)
-// fsyncs its own WAL. The whole batch runs under the sharded writer lock,
-// serializing with split/merge; queries keep answering from the pinned
-// route state throughout.
+// fsyncs its own WAL. The whole batch runs under the sharded writer lock;
+// queries keep answering throughout.
 func (s *Sharded) TrainBatch(ctx context.Context, pairs []core.TrainingPair) (TrainStats, error) {
 	for i, p := range pairs {
 		if p.Query.Dim() != s.dim {
@@ -407,14 +377,13 @@ func (s *Sharded) TrainBatch(ctx context.Context, pairs []core.TrainingPair) (Tr
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rt := s.route.Load()
-	buckets := make([][]core.TrainingPair, len(rt.backends))
+	buckets := make([][]core.TrainingPair, len(s.backends))
 	for _, p := range pairs {
-		id := rt.part.Locate(p.Query.Center)
+		id := s.part.Locate(p.Query.Center)
 		buckets[id] = append(buckets[id], p)
 	}
-	stats := make([]TrainStats, len(rt.backends))
-	errs := make([]error, len(rt.backends))
+	stats := make([]TrainStats, len(s.backends))
+	errs := make([]error, len(s.backends))
 	var wg sync.WaitGroup
 	for id, bucket := range buckets {
 		if len(bucket) == 0 {
@@ -423,7 +392,7 @@ func (s *Sharded) TrainBatch(ctx context.Context, pairs []core.TrainingPair) (Tr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := rt.backends[id].Train(ctx, bucket)
+			res, err := s.backends[id].Train(ctx, bucket)
 			if err != nil {
 				errs[id] = fmt.Errorf("shard %d: %w", id, err)
 				return
@@ -436,12 +405,12 @@ func (s *Sharded) TrainBatch(ctx context.Context, pairs []core.TrainingPair) (Tr
 		return TrainStats{}, err
 	}
 	agg := TrainStats{Converged: true}
-	for id := range rt.backends {
+	for id := range s.backends {
 		st := stats[id]
 		if len(buckets[id]) == 0 {
 			// Untouched shard: fold in its cheap state view so Steps and K
 			// describe the whole set.
-			m := rt.backends[id].Stats()
+			m := s.backends[id].Stats()
 			st = TrainStats{Steps: m.Steps, K: m.Live, Converged: m.Converged}
 		}
 		agg.Accepted += st.Accepted
@@ -450,100 +419,4 @@ func (s *Sharded) TrainBatch(ctx context.Context, pairs []core.TrainingPair) (Tr
 		agg.Converged = agg.Converged && st.Converged
 	}
 	return agg, nil
-}
-
-// Observe routes one training pair to its shard.
-func (s *Sharded) Observe(ctx context.Context, q core.Query, answer float64) (TrainStats, error) {
-	return s.TrainBatch(ctx, []core.TrainingPair{{Query: q, Answer: answer}})
-}
-
-// localShard resolves a shard for split/merge: the lifecycle operations
-// move prototype state between models in this process, so the shard must
-// be a Local over a plain model (durable shards re-shard offline — their
-// WAL directories cannot be re-partitioned under load).
-func (rt *routeState) localShard(id int) (*Local, error) {
-	if id < 0 || id >= len(rt.backends) {
-		return nil, fmt.Errorf("shard: no shard %d (have %d)", id, len(rt.backends))
-	}
-	l, ok := rt.backends[id].(*Local)
-	if !ok {
-		return nil, fmt.Errorf("shard: shard %d is remote; split and merge run where the models live", id)
-	}
-	if l.d != nil {
-		return nil, fmt.Errorf("shard: shard %d is durable; re-shard offline (split would strand its WAL)", id)
-	}
-	return l, nil
-}
-
-// SplitShard splits one shard's region at cut on axis and partitions its
-// prototypes between the two halves — zero-downtime: queries in flight
-// keep the pinned route state (whose model remains fully answerable), and
-// the new state swaps in atomically. The left half keeps the shard id, the
-// right half becomes the new highest id. Training pauses for the duration
-// of the prototype copy (the writer lock).
-func (s *Sharded) SplitShard(id, axis int, cut float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rt := s.route.Load()
-	l, err := rt.localShard(id)
-	if err != nil {
-		return err
-	}
-	np, err := rt.part.SplitLeaf(id, axis, cut)
-	if err != nil {
-		return err
-	}
-	kids, err := core.Split(l.m, 2, func(center []float64, _ float64) int {
-		if np.Locate(center) == id {
-			return 0
-		}
-		return 1
-	})
-	if err != nil {
-		return err
-	}
-	backends := slices.Clone(rt.backends)
-	backends[id] = NewLocal(kids[0])
-	backends = append(backends, NewLocal(kids[1]))
-	s.route.Store(&routeState{part: np, backends: backends})
-	return nil
-}
-
-// MergeShards merges two sibling shards into one holding both prototype
-// sets, concatenated in ascending shard order (core.Fuse) — the merged
-// shard answers its region exactly as the pair did. The lower id survives;
-// the highest shard id is renumbered into the freed one, mirroring the
-// partition's leaf renumbering. Zero-downtime like SplitShard.
-func (s *Sharded) MergeShards(a, b int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rt := s.route.Load()
-	la, err := rt.localShard(a)
-	if err != nil {
-		return err
-	}
-	lb, err := rt.localShard(b)
-	if err != nil {
-		return err
-	}
-	np, moved, err := rt.part.MergeLeaves(a, b)
-	if err != nil {
-		return err
-	}
-	if a > b {
-		la, lb = lb, la
-		a, b = b, a
-	}
-	fused, err := core.Fuse(la.m.Config(), la.m, lb.m)
-	if err != nil {
-		return err
-	}
-	backends := slices.Clone(rt.backends)
-	backends[a] = NewLocal(fused)
-	if moved >= 0 {
-		backends[b] = backends[moved]
-	}
-	backends = backends[:len(backends)-1]
-	s.route.Store(&routeState{part: np, backends: backends})
-	return nil
 }

@@ -19,8 +19,9 @@ import (
 // query with exactly the floats of its union model — the single core.Model
 // holding every shard's live prototypes, concatenated in ascending shard
 // order (core.Fuse). The reference is rebuilt from the live shard models at
-// every checkpoint, so it tracks the set through training, splits and
-// merges.
+// every checkpoint, so it tracks the set through training — whether the
+// shards started empty or were carved from one trained model by core.Split,
+// as a boot with -shards does.
 
 // testConfig keeps the models unconvergeable (a converged model freezes and
 // would stop tracking the interleaved stream) at a vigilance that spawns a
@@ -60,18 +61,7 @@ func stream(n, dim int, rng *rand.Rand) []core.TrainingPair {
 // derived from the given sample pairs.
 func newTestSet(t testing.TB, dim, shards int, sample []core.TrainingPair) *Sharded {
 	t.Helper()
-	flat := make([]float64, 0, len(sample)*dim)
-	for _, p := range sample {
-		flat = append(flat, p.Query.Center...)
-	}
-	cell := 0.0
-	if dim <= 3 {
-		cell = 1.0 / 64
-	}
-	part, err := index.NewPartition(dim, shards, flat, cell)
-	if err != nil {
-		t.Fatal(err)
-	}
+	part := testPartition(t, dim, shards, sample)
 	backends := make([]Backend, shards)
 	for i := range backends {
 		m, err := core.NewModel(testConfig(dim))
@@ -85,6 +75,25 @@ func newTestSet(t testing.TB, dim, shards int, sample []core.TrainingPair) *Shar
 		t.Fatal(err)
 	}
 	return s
+}
+
+// testPartition carves [0,1]^dim into shards leaves from the sample pairs'
+// centres, grid-snapped at d ≤ 3 like a -shards boot.
+func testPartition(t testing.TB, dim, shards int, sample []core.TrainingPair) *index.Partition {
+	t.Helper()
+	flat := make([]float64, 0, len(sample)*dim)
+	for _, p := range sample {
+		flat = append(flat, p.Query.Center...)
+	}
+	cell := 0.0
+	if dim <= 3 {
+		cell = 1.0 / 64
+	}
+	part, err := index.NewPartition(dim, shards, flat, cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return part
 }
 
 // unionOf fuses the set's current shard models, in ascending shard order,
@@ -140,6 +149,7 @@ func compareToUnion(t *testing.T, s *Sharded, ref *core.Model, queries []core.Qu
 	t.Helper()
 	var pc pathCounts
 	v := ref.View()
+	r := s.Reader(context.Background())
 	part := s.Partition()
 	backends := s.Backends()
 	extra := make([]float64, len(backends))
@@ -162,7 +172,7 @@ func compareToUnion(t *testing.T, s *Sharded, ref *core.Model, queries []core.Qu
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotMean, err := s.PredictMean(q)
+		gotMean, err := r.PredictMean(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +188,7 @@ func compareToUnion(t *testing.T, s *Sharded, ref *core.Model, queries []core.Qu
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotVal, err := s.PredictValue(q, at)
+		gotVal, err := r.PredictValue(q, at)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +200,7 @@ func compareToUnion(t *testing.T, s *Sharded, ref *core.Model, queries []core.Qu
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotModels, err := s.Regression(q)
+		gotModels, err := r.Regression(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,12 +211,11 @@ func compareToUnion(t *testing.T, s *Sharded, ref *core.Model, queries []core.Qu
 	return pc
 }
 
-// TestShardedBitIdentityInterleaved drives the full lifecycle on a 4-shard
-// d=2 set: rounds of partitioned training interleaved with query
-// checkpoints, a zero-downtime shard split mid-stream, more training on the
-// split layout, then a merge back — with every checkpoint property-testing
-// the scatter/gather answers bit-identical to the fused union model,
-// boundary-straddling and winner-fallback queries included.
+// TestShardedBitIdentityInterleaved drives a 4-shard d=2 set through rounds
+// of partitioned training interleaved with query checkpoints, every
+// checkpoint property-testing the scatter/gather answers bit-identical to
+// the fused union model, boundary-straddling and winner-fallback queries
+// included.
 func TestShardedBitIdentityInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	seed := stream(400, 2, rng)
@@ -228,60 +237,68 @@ func TestShardedBitIdentityInterleaved(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkpoint("seeded")
-	if _, err := s.TrainBatch(ctx, stream(300, 2, rng)); err != nil {
-		t.Fatal(err)
-	}
-	checkpoint("trained")
-
-	// Split the busiest shard down the middle of its region.
-	busiest, bestK := 0, -1
-	for i, b := range s.Backends() {
-		if k := b.Stats().Live; k > bestK {
-			busiest, bestK = i, k
+	for round := 1; round <= 5; round++ {
+		if _, err := s.TrainBatch(ctx, stream(300, 2, rng)); err != nil {
+			t.Fatal(err)
 		}
+		checkpoint(fmt.Sprintf("trained round %d", round))
 	}
-	lo, hi, err := s.Partition().Region(busiest)
+
+	if extrapolated == 0 {
+		t.Fatal("no winner-fallback queries; the two-phase scatter is untested")
+	}
+	t.Logf("straddled %d, extrapolated %d", straddled, extrapolated)
+}
+
+// TestShardedBootSplit checks the layout a boot with -shards serves: one
+// model trained on the seed stream, carved by core.Split along
+// Partition.Locate exactly as the serve command does, answers through the
+// router bit-identically to the union of its children — before and after
+// more training through the router.
+func TestShardedBootSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	seed := stream(400, 2, rng)
+	part := testPartition(t, 2, 4, seed)
+	m, err := core.NewModel(testConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	axis := 0
-	a0, b0 := math.Max(lo[0], 0), math.Min(hi[0], 1)
-	a1, b1 := math.Max(lo[1], 0), math.Min(hi[1], 1)
-	cut := (a0 + b0) / 2
-	if b1-a1 > b0-a0 {
-		axis, cut = 1, (a1+b1)/2
-	}
-	before := s.Stats()
-	if err := s.SplitShard(busiest, axis, cut); err != nil {
+	if _, err := m.TrainBatch(seed); err != nil {
 		t.Fatal(err)
 	}
-	if s.Shards() != 5 {
-		t.Fatalf("split left %d shards, want 5", s.Shards())
-	}
-	// Prototypes are conserved (both children inherit the step clock, so the
-	// aggregate step count intentionally re-counts the split shard's).
-	if after := s.Stats(); after.Live != before.Live {
-		t.Fatalf("split changed the prototype set: live %d→%d", before.Live, after.Live)
-	}
-	checkpoint("split")
-	if _, err := s.TrainBatch(ctx, stream(300, 2, rng)); err != nil {
+	kids, err := core.Split(m, part.Leaves(), func(center []float64, _ float64) int {
+		return part.Locate(center)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	checkpoint("split+trained")
+	backends := make([]Backend, len(kids))
+	for i, k := range kids {
+		backends[i] = NewLocal(k)
+	}
+	s, err := New(part, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Live; got != m.K() {
+		t.Fatalf("boot split holds %d prototypes, the model %d", got, m.K())
+	}
 
-	// Merge the split pair back (the right half got the highest id).
-	if err := s.MergeShards(busiest, s.Shards()-1); err != nil {
+	var straddled, extrapolated int
+	checkpoint := func(stage string) {
+		t.Helper()
+		pc := compareToUnion(t, s, unionOf(t, s), queryMix(2, 250, rng), rng)
+		straddled += pc.straddled
+		extrapolated += pc.extrapolated
+		if pc.straddled == 0 {
+			t.Fatalf("%s: no boundary-straddling queries; the merge path is untested", stage)
+		}
+	}
+	checkpoint("boot-split")
+	if _, err := s.TrainBatch(context.Background(), stream(300, 2, rng)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Shards() != 4 {
-		t.Fatalf("merge left %d shards, want 4", s.Shards())
-	}
-	checkpoint("merged")
-	if _, err := s.TrainBatch(ctx, stream(200, 2, rng)); err != nil {
-		t.Fatal(err)
-	}
-	checkpoint("merged+trained")
-
+	checkpoint("boot-split+trained")
 	if extrapolated == 0 {
 		t.Fatal("no winner-fallback queries; the two-phase scatter is untested")
 	}
@@ -341,15 +358,15 @@ func TestShardedTrainRouting(t *testing.T) {
 			t.Errorf("shard %d absorbed nothing; the partition is degenerate", id)
 		}
 	}
-	// Observe routes a single pair the same way.
+	// A one-pair batch routes the same way.
 	q := core.Query{Center: []float64{0.5, 0.5}, Theta: 0.05}
 	id := part.Locate(q.Center)
 	wantSteps := s.Backends()[id].Stats().Steps + 1
-	if _, err := s.Observe(context.Background(), q, 1.0); err != nil {
+	if _, err := s.TrainBatch(context.Background(), []core.TrainingPair{{Query: q, Answer: 1.0}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Backends()[id].Stats().Steps; got != wantSteps {
-		t.Fatalf("Observe left shard %d at %d steps, want %d", id, got, wantSteps)
+		t.Fatalf("one-pair batch left shard %d at %d steps, want %d", id, got, wantSteps)
 	}
 }
 
@@ -468,19 +485,20 @@ func TestShardedValidation(t *testing.T) {
 	seed := stream(100, 2, rng)
 	s := newTestSet(t, 2, 2, seed)
 	ctx := context.Background()
+	r := s.Reader(ctx)
 
 	// Empty set: scatter finds nothing, ErrNotTrained like a fresh model.
-	if _, err := s.PredictMean(core.Query{Center: []float64{0.5, 0.5}, Theta: 0.1}); !errors.Is(err, core.ErrNotTrained) {
+	if _, err := r.PredictMean(core.Query{Center: []float64{0.5, 0.5}, Theta: 0.1}); !errors.Is(err, core.ErrNotTrained) {
 		t.Fatalf("empty set PredictMean: %v", err)
 	}
 	// Dimension mismatches.
-	if _, err := s.PredictMean(core.Query{Center: []float64{0.5}, Theta: 0.1}); !errors.Is(err, core.ErrDimension) {
+	if _, err := r.PredictMean(core.Query{Center: []float64{0.5}, Theta: 0.1}); !errors.Is(err, core.ErrDimension) {
 		t.Fatalf("bad query dim: %v", err)
 	}
-	if _, err := s.PredictValue(core.Query{Center: []float64{0.5, 0.5}, Theta: 0.1}, []float64{1}); !errors.Is(err, core.ErrDimension) {
+	if _, err := r.PredictValue(core.Query{Center: []float64{0.5, 0.5}, Theta: 0.1}, []float64{1}); !errors.Is(err, core.ErrDimension) {
 		t.Fatalf("bad at dim: %v", err)
 	}
-	if _, err := s.PredictValue(core.Query{Center: []float64{0.5, 0.5}, Theta: 0.1}, nil); !errors.Is(err, core.ErrDimension) {
+	if _, err := r.PredictValue(core.Query{Center: []float64{0.5, 0.5}, Theta: 0.1}, nil); !errors.Is(err, core.ErrDimension) {
 		t.Fatalf("nil at point: %v", err)
 	}
 	if _, err := s.TrainBatch(ctx, []core.TrainingPair{{Query: core.Query{Center: []float64{1}, Theta: 0.1}}}); !errors.Is(err, core.ErrDimension) {
@@ -505,39 +523,11 @@ func TestShardedValidation(t *testing.T) {
 	if _, err := New(part, []Backend{NewLocal(wrong), NewLocal(wrong)}); err == nil {
 		t.Fatal("dim-mismatched local backend accepted")
 	}
-
-	// Lifecycle validation.
-	if err := s.SplitShard(9, 0, 0.5); err == nil {
-		t.Fatal("split of a missing shard accepted")
-	}
-	if err := s.MergeShards(0, 0); err == nil {
-		t.Fatal("self-merge accepted")
-	}
-	remote := NewRemote("http://127.0.0.1:0", nil, nil)
-	sr, err := New(part, []Backend{remote, NewLocal(wrongDim(t, 2))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sr.SplitShard(0, 0, 0.5); err == nil {
-		t.Fatal("split of a remote shard accepted")
-	}
-	if err := sr.MergeShards(0, 1); err == nil {
-		t.Fatal("merge involving a remote shard accepted")
-	}
 }
 
-func wrongDim(t *testing.T, dim int) *core.Model {
-	t.Helper()
-	m, err := core.NewModel(testConfig(dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// TestShardedDurableLifecycle checks the durable-shard guardrails: training
-// through a durable backend WAL-logs, and split/merge refuse to touch it (a
-// durable shard re-shards offline, or its WAL would be stranded).
+// TestShardedDurableLifecycle checks durable shards behind the router:
+// training through a durable backend WAL-logs, every shard reports ready,
+// and the set still answers bit-identically to its union.
 func TestShardedDurableLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	seed := stream(120, 2, rng)
@@ -577,12 +567,6 @@ func TestShardedDurableLifecycle(t *testing.T) {
 			t.Fatalf("healthy durable shard reports %+v", h)
 		}
 	}
-	if err := s.SplitShard(0, 0, 0.5); err == nil {
-		t.Fatal("split of a durable shard accepted")
-	}
-	if err := s.MergeShards(0, 1); err == nil {
-		t.Fatal("merge of durable shards accepted")
-	}
 	// The union still answers bit-identically through durable backends.
 	var models []*core.Model
 	for _, b := range s.Backends() {
@@ -597,72 +581,11 @@ func TestShardedDurableLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.PredictMean(q)
+	got, err := s.Reader(context.Background()).PredictMean(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("durable sharded mean %v, union %v", got, want)
-	}
-}
-
-// TestReaderPinsRouteEpoch checks the zero-downtime contract: a Reader
-// pinned before a split keeps answering on the old route state — same
-// partition, same backends — while the set already routes with the new one.
-func TestReaderPinsRouteEpoch(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	seed := stream(300, 2, rng)
-	s := newTestSet(t, 2, 2, seed)
-	if _, err := s.TrainBatch(context.Background(), seed); err != nil {
-		t.Fatal(err)
-	}
-	pinned := s.Reader(context.Background())
-	queries := queryMix(2, 100, rng)
-	wants := make([]float64, len(queries))
-	for i, q := range queries {
-		w, err := pinned.PredictMean(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants[i] = w
-	}
-	lo, hi, err := s.Partition().Region(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := (math.Max(lo[0], 0) + math.Min(hi[0], 1)) / 2
-	axis := 0
-	if !(cut > lo[0] && cut < hi[0]) {
-		axis, cut = 1, (math.Max(lo[1], 0)+math.Min(hi[1], 1))/2
-	}
-	if err := s.SplitShard(0, axis, cut); err != nil {
-		t.Fatal(err)
-	}
-	if s.Shards() != 3 || len(pinned.rt.backends) != 2 {
-		t.Fatalf("split not isolated: set has %d shards, pinned reader %d", s.Shards(), len(pinned.rt.backends))
-	}
-	// The new route is bit-identical to ITS union (the split reorders the
-	// shard-major concatenation, so pre- and post-split answers may differ
-	// in the last ulps — each epoch matches its own union model).
-	ref := unionOf(t, s).View()
-	for i, q := range queries {
-		got, err := pinned.PredictMean(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != wants[i] {
-			t.Fatalf("pinned reader answer changed across a split: %v vs %v", got, wants[i])
-		}
-		fresh, err := s.PredictMean(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.PredictMean(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fresh != want {
-			t.Fatalf("post-split answer %v, its union %v", fresh, want)
-		}
 	}
 }
