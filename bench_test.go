@@ -159,7 +159,7 @@ func BenchmarkTraining1kPairs(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.Train(pairs); err != nil {
+		if _, err := m.TrainBatch(pairs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -393,7 +393,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if res, err := conv.Train(planeStream(8000, 2, 0.3, []float64{0.5, -0.2}, 1.0, 3)); err != nil || !res.Converged {
+	if res, err := conv.TrainBatch(planeStream(8000, 2, 0.3, []float64{0.5, -0.2}, 1.0, 3)); err != nil || !res.Converged {
 		f.Fatalf("converged seed: %+v, %v", res, err)
 	}
 	f.Add(checkpointBytes(f, conv))

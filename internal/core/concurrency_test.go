@@ -227,42 +227,77 @@ func TestWinnerMatchesLinearScanClustered(t *testing.T) {
 	}
 }
 
-// TestTrainBatchMatchesTrain verifies that the single-lock bulk ingestion
-// path applies exactly the same sequential updates as per-step Train.
-func TestTrainBatchMatchesTrain(t *testing.T) {
+// TestBatchSplitDoesNotChangeTraining pins what every durable path leans
+// on — the crash and replication harnesses' children, /train and Recover's
+// chunked replay all cut one stream into batches of their own sizes: one
+// stream trained as a single batch, as one-pair batches and as seeded
+// random-size batches ends in the same state (StateHash) and answers every
+// probe with the same bits. The bounded case covers spawn, eviction and
+// merge, whose order a batch boundary must not move.
+func TestBatchSplitDoesNotChangeTraining(t *testing.T) {
 	const dim = 2
-	rng := rand.New(rand.NewSource(77))
-	pairs := make([]TrainingPair, 600)
-	for i := range pairs {
-		pairs[i] = TrainingPair{Query: randQuery(rng, dim), Answer: rng.NormFloat64()}
-	}
-	cfg := DefaultConfig(dim)
-	a, err := NewModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resA, err := a.Train(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := b.TrainBatch(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resA.Steps != resB.Steps || resA.K != resB.K || resA.Converged != resB.Converged {
-		t.Fatalf("Train %+v vs TrainBatch %+v diverged", resA, resB)
-	}
-	la, lb := a.LLMs(), b.LLMs()
-	for k := range la {
-		if !la[k].CenterPrototype.Equal(lb[k].CenterPrototype) ||
-			la[k].ThetaPrototype != lb[k].ThetaPrototype ||
-			la[k].Intercept != lb[k].Intercept {
-			t.Fatalf("prototype %d diverged between Train and TrainBatch", k)
-		}
+	bounded := DefaultConfig(dim)
+	bounded.Vigilance = 0.2
+	bounded.Gamma = 1e-12
+	bounded.MinGammaSteps = 1 << 30
+	bounded.MaxPrototypes = 12
+	bounded.Eviction = WinDecay{HalfLife: 64}
+	bounded.MergeOnEvict = true
+	for name, cfg := range map[string]Config{"default": DefaultConfig(dim), "bounded": bounded} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(77))
+			pairs := make([]TrainingPair, 600)
+			for i := range pairs {
+				pairs[i] = TrainingPair{Query: randQuery(rng, dim), Answer: rng.NormFloat64()}
+			}
+			probes := make([]Query, 100)
+			for i := range probes {
+				probes[i] = randQuery(rng, dim)
+			}
+			// train feeds pairs in batches whose sizes next draws.
+			train := func(next func(left int) int) *Model {
+				m, err := NewModel(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < len(pairs); {
+					n := next(len(pairs) - i)
+					if _, err := m.TrainBatch(pairs[i : i+n]); err != nil {
+						t.Fatal(err)
+					}
+					i += n
+				}
+				return m
+			}
+			sizes := rand.New(rand.NewSource(5))
+			ref := train(func(left int) int { return left })
+			if cfg.MaxPrototypes > 0 {
+				uncapped := cfg
+				uncapped.MaxPrototypes = 0
+				free, err := NewModel(uncapped)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := free.TrainBatch(pairs); err != nil || free.K() <= cfg.MaxPrototypes {
+					t.Fatalf("uncapped K = %d (%v): the cap %d never evicted", free.K(), err, cfg.MaxPrototypes)
+				}
+			}
+			for split, m := range map[string]*Model{
+				"one-pair":    train(func(int) int { return 1 }),
+				"random-size": train(func(left int) int { return min(left, 1+sizes.Intn(64)) }),
+			} {
+				if got, want := mustStateHash(t, m), mustStateHash(t, ref); got != want {
+					t.Fatalf("%s batches: StateHash %s, one batch %s", split, got, want)
+				}
+				for _, q := range probes {
+					a, errA := ref.PredictMean(q)
+					b, errB := m.PredictMean(q)
+					if errA != nil || errB != nil || math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("%s batches: PredictMean(%v) = %v (%v), one batch %v (%v)", split, q, b, errB, a, errA)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -76,7 +76,7 @@ func TestLoadTornPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Train(planeStream(500, 3, 0.3, []float64{0.5, -0.2, 1.1}, 1.0, 7)); err != nil {
+	if _, err := m.TrainBatch(planeStream(500, 3, 0.3, []float64{0.5, -0.2, 1.1}, 1.0, 7)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -114,7 +114,7 @@ func TestSaveLoadSaveByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Train(planeStream(2000, 3, 0.3, []float64{0.5, -0.2, 1.1}, 1.0, 13)); err != nil {
+	if _, err := m.TrainBatch(planeStream(2000, 3, 0.3, []float64{0.5, -0.2, 1.1}, 1.0, 13)); err != nil {
 		t.Fatal(err)
 	}
 	var first bytes.Buffer
@@ -181,8 +181,8 @@ func TestRecoverDurableRoundTrip(t *testing.T) {
 	if _, err := d.TrainBatch(pairs[:700]); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pairs[700:] {
-		if _, err := d.Observe(p.Query, p.Answer); err != nil {
+	for i := 700; i < len(pairs); i++ { // one-pair batches: the per-pair cadence
+		if _, err := d.TrainBatch(pairs[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,10 +285,8 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 		t.Errorf("torn-tail truncation was silent; logs: %q", logs)
 	}
 	// Appending must resume cleanly at the cut.
-	for _, p := range pairs[150:] {
-		if _, err := d2.Observe(p.Query, p.Answer); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := d2.TrainBatch(pairs[150:]); err != nil {
+		t.Fatal(err)
 	}
 	if d2.Model().Steps() != len(pairs) {
 		t.Fatalf("steps after resume = %d, want %d", d2.Model().Steps(), len(pairs))
@@ -306,8 +304,8 @@ func TestRecoverFallsBackToPreviousSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pairs {
-		if _, err := d.Observe(p.Query, p.Answer); err != nil {
+	for i := range pairs { // one-pair batches: a rotation every 100 pairs
+		if _, err := d.TrainBatch(pairs[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -443,8 +441,8 @@ func TestDurableConcurrentSnapshotObserve(t *testing.T) {
 			}
 		}
 	}()
-	for _, p := range pairs {
-		if _, err := d.Observe(p.Query, p.Answer); err != nil {
+	for i := range pairs { // one-pair batches: the most interleaving points
+		if _, err := d.TrainBatch(pairs[i : i+1]); err != nil {
 			t.Error(err)
 			break
 		}

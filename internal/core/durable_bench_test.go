@@ -65,38 +65,6 @@ func BenchmarkRotation(b *testing.B) {
 	})
 }
 
-// BenchmarkWALAppend measures the durable per-pair write path — WAL append
-// under each sync policy, then the same winner-update Observe that
-// BenchmarkObservePublish measures bare — on the K=1k fixture. The durability
-// acceptance criterion compares sync=group here against
-// BenchmarkObservePublish/K=1k: group fsync amortizes the flush over
-// FlushBatch pairs, so durable ingestion must stay within ~2× of the
-// in-memory path. sync=none bounds the pure framing+write cost; sync=always
-// is the one-fsync-per-pair floor for callers that cannot tolerate losing a
-// single acknowledged pair.
-func BenchmarkWALAppend(b *testing.B) {
-	const dim, K, vig = 2, 1_000, 0.03
-	for _, mode := range []wal.SyncMode{wal.SyncGroup, wal.SyncNone, wal.SyncAlways} {
-		b.Run(fmt.Sprintf("sync=%s", mode), func(b *testing.B) {
-			m := buildPublishBenchModel(b, dim, K, vig, 0.05, 0.15)
-			d := durableOver(b, m, b.TempDir(), mode)
-			defer d.log.Close()
-			rng := rand.New(rand.NewSource(9))
-			queries := make([]Query, 4096)
-			for i := range queries {
-				queries[i] = perturbedQuery(rng, m.View(), vig)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.Observe(queries[i%len(queries)], 0.5); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkRecovery measures replay-on-boot: Recover over a directory whose
 // newest snapshot is missing its tail, so every op re-reads and re-applies
 // the whole tail through TrainBatch. ns/pair is the per-record replay cost;
@@ -201,9 +169,10 @@ func (s *driftBatches) next() []TrainingPair {
 // (vigilance 0.03, a 2 000-prototype cap, no convergence), warmed until the
 // cap is reached so spawns, evictions and epoch rebuilds run as they do in
 // the served stream. It is the in-process companion of the repository
-// benchmark's core.durable_train_us_per_pair, next to BenchmarkWALAppend's
-// per-pair Observe path; µs/batch is the reported unit. Rotation is
-// excluded (BenchmarkRotation measures it).
+// benchmark's core.durable_train_us_per_pair; µs/batch is the reported
+// unit, and sync=always is the one-fsync-per-batch floor for callers that
+// cannot tolerate losing a single acknowledged pair. Rotation is excluded
+// (BenchmarkRotation measures it).
 func BenchmarkDurableTrainBatch(b *testing.B) {
 	cfg := DefaultConfig(2)
 	cfg.Vigilance = 0.03

@@ -158,7 +158,7 @@ func (c Config) validate() (Config, error) {
 // Neighborhood, Save and the accessors) answers from an
 // immutable storeSnapshot obtained with one atomic pointer load — no mutex,
 // no reader/writer contention, no blocking behind a training stream.
-// Observe/Train/TrainBatch serialize on a writer mutex, build the next
+// Observe/TrainBatch serialize on a writer mutex, build the next
 // version, and publish it with one atomic store. Versions share their row
 // chunks copy-on-write (see protoStore): publishing after one training pair
 // copies the chunk the winner row lives in and the chunk-pointer tables,
@@ -449,14 +449,13 @@ func (m *Model) Winner(q Query) (int, float64, error) {
 	return m.View().Winner(q)
 }
 
-// TrainingResult summarizes a Train run.
+// TrainingResult summarizes a TrainBatch call.
 type TrainingResult struct {
-	// Steps is the number of pairs consumed.
+	// Steps is the model's step count after the batch.
 	Steps int
-	// Accepted is how many pairs of one TrainBatch call advanced the model:
-	// Steps after minus Steps before, both read under the batch's writer
-	// lock, so it is exact under concurrent trainers (Train, which yields
-	// the lock per step, leaves it 0). A converged model accepts none.
+	// Accepted is how many pairs of the batch advanced the model: Steps
+	// after minus Steps before, both read under the batch's writer lock, so
+	// it is exact under concurrent trainers. A converged model accepts none.
 	Accepted int
 	// K is the final number of prototypes.
 	K int
@@ -469,40 +468,18 @@ type TrainingResult struct {
 	GammaTrace []float64
 }
 
-// Train consumes pairs in order until the termination criterion fires or the
-// stream is exhausted (Algorithm 1). The write lock is taken per step, so
-// concurrent readers interleave with a live training stream; use TrainBatch
-// for bulk ingestion that should not yield between steps.
-func (m *Model) Train(pairs []TrainingPair) (TrainingResult, error) {
-	res := TrainingResult{GammaTrace: make([]float64, 0, len(pairs))}
-	for _, p := range pairs {
-		info, err := m.Observe(p.Query, p.Answer)
-		if err != nil {
-			return res, err
-		}
-		res.GammaTrace = append(res.GammaTrace, info.Gamma)
-		if info.Converged {
-			break
-		}
-	}
-	s := m.snap.Load()
-	res.Steps = s.steps
-	res.K = s.live
-	res.Converged = s.converged
-	res.FinalGamma = s.lastGamma
-	return res, nil
-}
-
-// TrainBatch consumes pairs like Train but under a single writer-lock
+// TrainBatch consumes pairs in order until the termination criterion fires
+// or the batch is exhausted (Algorithm 1), under a single writer-lock
 // acquisition and a single snapshot publication. The paper's joint AVQ/SGD
 // update is inherently sequential — step t+1's winner depends on step t's
-// drift — so batching does not change the math; it amortizes both the
-// synchronization and the copy-on-write publication cost (each chunk is
-// copied at most once for the whole batch, however many of its rows the
-// batch touches), which makes it the preferred bulk-ingestion path. Concurrent readers keep answering from the previous
-// published version for the duration and atomically see the post-batch
-// model afterwards — a zero-downtime retrain. Pairs are validated before
-// any step is applied.
+// drift — so batching does not change the math: a stream trained as one
+// batch, as one-pair batches or in any other split ends in the same state.
+// It amortizes both the synchronization and the copy-on-write publication
+// cost (each chunk is copied at most once for the whole batch, however many
+// of its rows the batch touches). Concurrent readers keep answering from the
+// previous published version for the duration and atomically see the
+// post-batch model afterwards — a zero-downtime retrain. Pairs are validated
+// before any step is applied.
 func (m *Model) TrainBatch(pairs []TrainingPair) (TrainingResult, error) {
 	if err := m.validatePairs(pairs); err != nil {
 		return TrainingResult{}, err

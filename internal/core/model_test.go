@@ -175,7 +175,7 @@ func TestNearbyQueryUpdatesWinner(t *testing.T) {
 func TestTrainConvergesOnStationaryStream(t *testing.T) {
 	pairs := planeStream(20000, 2, 0.3, []float64{0.5, -0.2}, 1.0, 1)
 	m, _ := NewModel(DefaultConfig(2))
-	res, err := m.Train(pairs)
+	res, err := m.TrainBatch(pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestTrainConvergesOnStationaryStream(t *testing.T) {
 func TestObserveAfterConvergenceIsFrozen(t *testing.T) {
 	pairs := planeStream(20000, 2, 0.3, []float64{0.5, -0.2}, 1.0, 2)
 	m, _ := NewModel(DefaultConfig(2))
-	if _, err := m.Train(pairs); err != nil {
+	if _, err := m.TrainBatch(pairs); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Converged() {
@@ -235,7 +235,7 @@ func TestPredictMeanOnLinearSurface(t *testing.T) {
 	b0, bx, btheta := 0.3, []float64{0.5, -0.2}, 1.0
 	pairs := planeStream(8000, 2, b0, bx, btheta, 3)
 	m, _ := NewModel(DefaultConfig(2))
-	if _, err := m.Train(pairs); err != nil {
+	if _, err := m.TrainBatch(pairs); err != nil {
 		t.Fatal(err)
 	}
 	test := planeStream(500, 2, b0, bx, btheta, 99)
@@ -263,7 +263,7 @@ func TestPredictMeanNonLinearSurfaceBeatsGlobalMean(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.ResolutionA = 0.1 // fine enough quantization to resolve the sine period
 	m, _ := NewModel(cfg)
-	if _, err := m.Train(train); err != nil {
+	if _, err := m.TrainBatch(train); err != nil {
 		t.Fatal(err)
 	}
 	test := surfaceStream(1000, 2, f, 77)
@@ -362,7 +362,7 @@ func TestRegressionRecoversLocalSlopes(t *testing.T) {
 	g := func(x []float64, theta float64) float64 { return 2 * x[0] }
 	train := surfaceStream(15000, 1, g, 5)
 	m, _ := NewModel(DefaultConfig(1))
-	if _, err := m.Train(train); err != nil {
+	if _, err := m.TrainBatch(train); err != nil {
 		t.Fatal(err)
 	}
 	q := Query{Center: vector.Of(0.5), Theta: 0.2}
@@ -394,7 +394,7 @@ func TestPredictValueApproximatesDataFunction(t *testing.T) {
 	g := func(x []float64, theta float64) float64 { return 2 * x[0] }
 	train := surfaceStream(15000, 1, g, 6)
 	m, _ := NewModel(DefaultConfig(1))
-	if _, err := m.Train(train); err != nil {
+	if _, err := m.TrainBatch(train); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(8))
@@ -432,7 +432,7 @@ func TestResolutionControlsPrototypeCount(t *testing.T) {
 		cfg := DefaultConfig(2)
 		cfg.ResolutionA = a
 		m, _ := NewModel(cfg)
-		if _, err := m.Train(train); err != nil {
+		if _, err := m.TrainBatch(train); err != nil {
 			t.Fatal(err)
 		}
 		return m.K()
@@ -453,7 +453,7 @@ func TestConstantScheduleDoesNotConverge(t *testing.T) {
 	cfg.Schedule = Constant{Eta: 0.3}
 	pairs := planeStream(3000, 2, 0.3, []float64{0.5, -0.2}, 1.0, 9)
 	m, _ := NewModel(cfg)
-	res, err := m.Train(pairs)
+	res, err := m.TrainBatch(pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestSchedules(t *testing.T) {
 func TestGammaTraceDecreases(t *testing.T) {
 	pairs := planeStream(6000, 2, 0.3, []float64{0.5, -0.2}, 1.0, 10)
 	m, _ := NewModel(DefaultConfig(2))
-	res, err := m.Train(pairs)
+	res, err := m.TrainBatch(pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +550,7 @@ func TestGammaTraceDecreases(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	pairs := planeStream(5000, 2, 0.3, []float64{0.5, -0.2}, 1.0, 11)
 	m, _ := NewModel(DefaultConfig(2))
-	if _, err := m.Train(pairs); err != nil {
+	if _, err := m.TrainBatch(pairs); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -674,7 +674,7 @@ func BenchmarkObserve2D(b *testing.B) {
 func BenchmarkPredictMean2D(b *testing.B) {
 	m, _ := NewModel(DefaultConfig(2))
 	pairs := planeStream(8000, 2, 0.3, []float64{0.5, -0.2}, 1.0, 14)
-	if _, err := m.Train(pairs); err != nil {
+	if _, err := m.TrainBatch(pairs); err != nil {
 		b.Fatal(err)
 	}
 	q := Query{Center: vector.Of(0.4, 0.6), Theta: 0.1}

@@ -12,7 +12,7 @@
 //   - data-value predictions û ≈ g(x) (Eq. 14).
 //
 // Architecturally the package is a small serving system around that model.
-// The write side (Model.Observe/Train/TrainBatch, model.go) serializes on
+// The write side (Model.Observe/TrainBatch, model.go) serializes on
 // one writer mutex, updates the winner's rows in a chunked struct-of-arrays
 // store (store.go) — the parameter set's only copy — and publishes an
 // immutable copy-on-write snapshot through one atomic pointer. The read

@@ -56,8 +56,8 @@ func TestDurableFlipsReadOnlyOnWALFault(t *testing.T) {
 
 	// Sticky: the store stays read-only even after the disk "heals".
 	arm.Store(false)
-	if _, err := d.Observe(pairs[350].Query, pairs[350].Answer); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Observe after fault cleared: err = %v, want ErrReadOnly", err)
+	if err := d.SetCapacity(8, nil, false); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("SetCapacity after fault cleared: err = %v, want ErrReadOnly", err)
 	}
 	if _, err := d.TrainBatch(pairs[350:360]); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("TrainBatch after fault cleared: err = %v, want ErrReadOnly", err)
@@ -99,7 +99,7 @@ func TestDurableFlipsReadOnlyOnWALFault(t *testing.T) {
 		t.Fatal("recovered model differs from the state at the last ack")
 	}
 	// And the recovered store is writable again.
-	if _, err := d2.Observe(pairs[300].Query, pairs[300].Answer); err != nil {
+	if _, err := d2.TrainBatch(pairs[300:301]); err != nil {
 		t.Fatalf("training after recovery: %v", err)
 	}
 }
@@ -135,8 +135,8 @@ func TestDurableReadOnlyOnRotationFault(t *testing.T) {
 		t.Fatalf("faulted Snapshot: err = %v, want ErrReadOnly wrapping the injected fault", err)
 	}
 	arm.Store(false)
-	if _, err := d.Observe(pairs[0].Query, pairs[0].Answer); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Observe after rotation fault: err = %v, want ErrReadOnly", err)
+	if _, err := d.TrainBatch(pairs[:1]); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("TrainBatch after rotation fault: err = %v, want ErrReadOnly", err)
 	}
 	_ = d.Close()
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"os"
 	"sync"
 
@@ -296,7 +295,7 @@ func replaySegment(m *Model, dir string, gen uint64, newest bool, logf func(stri
 
 // Model returns the wrapped model for querying (and for read-only
 // inspection). Training through it directly bypasses the log; use the
-// Durable's Observe/TrainBatch.
+// Durable's TrainBatch.
 func (d *Durable) Model() *Model { return d.m }
 
 // failLocked records the first WAL failure — flipping the store read-only
@@ -324,36 +323,6 @@ func (d *Durable) Failure() error {
 
 // View pins the current published model version; see Model.View.
 func (d *Durable) View() View { return d.m.View() }
-
-// Observe durably consumes one training pair: the pair is appended to the
-// write-ahead log (fsynced per the configured sync policy) and then applied
-// to the model. The append happens first — a crash after the append replays
-// the pair; a crash before it loses a pair the caller never saw applied.
-func (d *Durable) Observe(q Query, answer float64) (StepInfo, error) {
-	if q.Dim() != d.m.cfg.Dim {
-		return StepInfo{}, fmt.Errorf("%w: query dim %d, model dim %d", ErrDimension, q.Dim(), d.m.cfg.Dim)
-	}
-	if math.IsNaN(answer) || math.IsInf(answer, 0) {
-		return StepInfo{}, fmt.Errorf("core: non-finite training answer %v", answer)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.failure != nil {
-		return StepInfo{}, fmt.Errorf("%w: %w", ErrReadOnly, d.failure)
-	}
-	if err := d.log.Append(wal.Record{Center: q.Center, Theta: q.Theta, Answer: answer}); err != nil {
-		return StepInfo{}, d.failLocked(err)
-	}
-	info, err := d.m.Observe(q, answer)
-	if err != nil {
-		return info, err
-	}
-	d.sinceSnap++
-	if err := d.maybeRotateLocked(); err != nil {
-		return info, d.failLocked(err)
-	}
-	return info, nil
-}
 
 // TrainBatch durably consumes a batch as one unit: every pair is validated,
 // the batch is appended to the log with one write, and the fsync the sync

@@ -41,7 +41,7 @@ func TestSGDSolverLearnsUsably(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Train(train); err != nil {
+	if _, err := m.TrainBatch(train); err != nil {
 		t.Fatal(err)
 	}
 	var mean float64
@@ -75,7 +75,7 @@ func TestRLSSolverOutperformsSGDOnLinearSurface(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Train(train); err != nil {
+		if _, err := m.TrainBatch(train); err != nil {
 			t.Fatal(err)
 		}
 		results[solver] = rmseOn(t, m, test)
@@ -100,7 +100,7 @@ func TestRLSRecoversExactLocalCoefficients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Train(train); err != nil {
+	if _, err := m.TrainBatch(train); err != nil {
 		t.Fatal(err)
 	}
 	if m.K() != 1 {

@@ -18,12 +18,10 @@ import (
 // (dim ≤ 3) the epoch grid serves — so shard boundaries line up with the
 // index machinery's own geometry.
 //
-// Leaves are numbered 0..Leaves()-1 and the numbering is stable under
-// SplitLeaf (the split leaf keeps its id, the new half gets the next free
-// id), which is what lets a sharded serving tier split a region without
-// renumbering the shards that did not move. A Partition is immutable; the
-// split/merge operations return a modified copy. The zero value is not
-// valid — build one with NewPartition or decode one from JSON.
+// Leaves are numbered 0..Leaves()-1 once, when the partition is built, and
+// the numbering never changes: a sharded tier's layout is fixed at boot. A
+// Partition is immutable. The zero value is not valid — build one with
+// NewPartition or decode one from JSON.
 type Partition struct {
 	dim    int
 	nodes  []partNode // nodes[0] is the root; internal nodes reference children by index
@@ -323,124 +321,6 @@ func (p *Partition) leafUnder(node, leaf int) bool {
 		return nd.left == leaf
 	}
 	return p.leafUnder(nd.left, leaf) || p.leafUnder(nd.right, leaf)
-}
-
-// findLeafNode returns the node index of the given leaf and its parent node
-// index (-1 for the root).
-func (p *Partition) findLeafNode(leaf int) (node, parent int) {
-	node, parent = -1, -1
-	for i, nd := range p.nodes {
-		if nd.axis < 0 && nd.left == leaf {
-			node = i
-			break
-		}
-	}
-	for i, nd := range p.nodes {
-		if nd.axis >= 0 && (nd.left == node || nd.right == node) {
-			parent = i
-			break
-		}
-	}
-	return node, parent
-}
-
-// SplitLeaf returns a copy of the partition with the given leaf cut in two
-// on axis at cut: the half below the cut keeps the leaf's id, the other
-// half becomes leaf Leaves() (so existing ids are untouched — a sharded
-// tier can install the new partition without renumbering unmoved shards).
-// The cut must fall strictly inside the leaf's region.
-func (p *Partition) SplitLeaf(leaf, axis int, cut float64) (*Partition, error) {
-	if axis < 0 || axis >= p.dim {
-		return nil, fmt.Errorf("index: split axis %d out of range [0, %d)", axis, p.dim)
-	}
-	if math.IsNaN(cut) || math.IsInf(cut, 0) {
-		return nil, fmt.Errorf("index: split cut must be finite, got %v", cut)
-	}
-	lo, hi, err := p.Region(leaf)
-	if err != nil {
-		return nil, err
-	}
-	if !(cut > lo[axis] && cut < hi[axis]) {
-		return nil, fmt.Errorf("index: cut %v on axis %d outside leaf %d's open region (%v, %v)", cut, axis, leaf, lo[axis], hi[axis])
-	}
-	node, _ := p.findLeafNode(leaf)
-	np := &Partition{dim: p.dim, leaves: p.leaves + 1, nodes: append([]partNode(nil), p.nodes...)}
-	l, r := len(np.nodes), len(np.nodes)+1
-	np.nodes = append(np.nodes,
-		partNode{axis: -1, left: leaf},
-		partNode{axis: -1, left: p.leaves})
-	np.nodes[node] = partNode{axis: axis, cut: cut, left: l, right: r}
-	return np, nil
-}
-
-// MergeLeaves returns a copy of the partition with sibling leaves a and b
-// fused back into one region, which keeps the smaller of the two ids. The
-// freed id is filled by renumbering the partition's last leaf (Leaves()-1)
-// into it; moved reports that renumbered old id, or -1 when no leaf moved —
-// the caller relocates its per-leaf state the same way. Only siblings (two
-// leaves sharing a parent cut) can merge; anything else would not form a
-// box.
-func (p *Partition) MergeLeaves(a, b int) (np *Partition, moved int, err error) {
-	if a == b || a < 0 || b < 0 || a >= p.leaves || b >= p.leaves {
-		return nil, -1, fmt.Errorf("index: cannot merge leaves %d and %d of %d", a, b, p.leaves)
-	}
-	na, _ := p.findLeafNode(a)
-	nb, parent := p.findLeafNode(b)
-	if parent == -1 || !(p.nodes[parent].left == na && p.nodes[parent].right == nb ||
-		p.nodes[parent].left == nb && p.nodes[parent].right == na) {
-		return nil, -1, fmt.Errorf("index: leaves %d and %d are not siblings", a, b)
-	}
-	keep, freed := a, b
-	if b < a {
-		keep, freed = b, a
-	}
-	np = &Partition{dim: p.dim, leaves: p.leaves - 1, nodes: append([]partNode(nil), p.nodes...)}
-	np.nodes[parent] = partNode{axis: -1, left: keep}
-	// The two merged leaf nodes are now unreachable; compact them away so
-	// repeated split/merge cycles do not grow the node array forever.
-	np.compact()
-	moved = -1
-	last := p.leaves - 1
-	if freed != last {
-		for i := range np.nodes {
-			if np.nodes[i].axis < 0 && np.nodes[i].left == last {
-				np.nodes[i].left = freed
-				moved = last
-				break
-			}
-		}
-	}
-	return np, moved, nil
-}
-
-// compact drops unreachable nodes and renumbers child references.
-func (p *Partition) compact() {
-	reach := make([]bool, len(p.nodes))
-	var mark func(int)
-	mark = func(n int) {
-		reach[n] = true
-		if p.nodes[n].axis >= 0 {
-			mark(p.nodes[n].left)
-			mark(p.nodes[n].right)
-		}
-	}
-	mark(0)
-	remap := make([]int, len(p.nodes))
-	out := p.nodes[:0]
-	for i, nd := range p.nodes {
-		if !reach[i] {
-			continue
-		}
-		remap[i] = len(out)
-		out = append(out, nd)
-	}
-	for i := range out {
-		if out[i].axis >= 0 {
-			out[i].left = remap[out[i].left]
-			out[i].right = remap[out[i].right]
-		}
-	}
-	p.nodes = out
 }
 
 // partitionJSON is the wire form of a Partition: the node array with

@@ -198,94 +198,6 @@ func TestPartitionJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPartitionSplitAndMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := samplePoints(t, rng, 2, 300)
-	p, err := NewPartition(2, 3, pts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Split leaf 1 at the midpoint of its box's widest finite axis.
-	lo, hi, err := p.Region(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	axis, cut := -1, 0.0
-	for a := 0; a < 2; a++ {
-		if !math.IsInf(lo[a], 0) && !math.IsInf(hi[a], 0) {
-			axis, cut = a, (lo[a]+hi[a])/2
-			break
-		}
-	}
-	if axis < 0 {
-		axis, cut = 0, clampMid(lo[0], hi[0])
-	}
-	sp, err := p.SplitLeaf(1, axis, cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Leaves() != 4 {
-		t.Fatalf("split produced %d leaves, want 4", sp.Leaves())
-	}
-	// Ids 0 and 2 are untouched: every point that located there still does.
-	for i := 0; i < 300; i++ {
-		x := []float64{rng.Float64(), rng.Float64()}
-		old := p.Locate(x)
-		now := sp.Locate(x)
-		if old != 1 && now != old {
-			t.Fatalf("split moved point %v from leaf %d to %d", x, old, now)
-		}
-		if old == 1 && now != 1 && now != 3 {
-			t.Fatalf("split sent point %v of old leaf 1 to %d", x, now)
-		}
-	}
-	// Merge the halves back: Locate must match the original partition.
-	mp, moved, err := sp.MergeLeaves(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != -1 {
-		t.Fatalf("merging the last leaf id should move nothing, moved=%d", moved)
-	}
-	for i := 0; i < 300; i++ {
-		x := []float64{rng.Float64(), rng.Float64()}
-		if mp.Locate(x) != p.Locate(x) {
-			t.Fatalf("merge did not restore leaf of %v", x)
-		}
-	}
-	// Merging non-siblings must fail.
-	if _, _, err := sp.MergeLeaves(0, 3); err == nil {
-		t.Fatal("non-sibling merge accepted")
-	}
-	// A merge that frees a non-last id renumbers the last leaf into it.
-	sp2, err := p.SplitLeaf(0, 1, clampMid(0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp2, moved2, err := sp2.MergeLeaves(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = mp2
-	if moved2 != -1 && moved2 != sp2.Leaves()-1 {
-		t.Fatalf("moved=%d, want the old last id %d", moved2, sp2.Leaves()-1)
-	}
-	// Out-of-region cut must fail.
-	if _, err := p.SplitLeaf(1, axis, math.Inf(1)); err == nil {
-		t.Fatal("non-finite cut accepted")
-	}
-}
-
-func clampMid(lo, hi float64) float64 {
-	if math.IsInf(lo, 0) {
-		lo = 0
-	}
-	if math.IsInf(hi, 0) {
-		hi = 1
-	}
-	return (lo + hi) / 2
-}
-
 func TestPartitionDegenerateSample(t *testing.T) {
 	// An all-duplicate sample cannot balance, but must not panic and must
 	// still produce the requested leaf count with disjoint covering regions.

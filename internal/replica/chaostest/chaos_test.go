@@ -103,10 +103,11 @@ func stateHash(t *testing.T, m *core.Model) string {
 // TestReplChaosChild is the primary the harness SIGKILLs: it recovers the
 // shared data directory, serves the replication endpoints on an ephemeral
 // port (published through the addr file), trains the deterministic stream
-// from the recovered step count at a pace that keeps kills landing
-// mid-stream, drops the done marker once the stream is complete — and then
-// keeps serving, so the follower can finish catching up from a live
-// primary.
+// from the recovered step count through Durable.TrainBatch — the path /train
+// runs — in batches of seeded random size 1..64, paced per pair so kills
+// keep landing mid-stream, drops the done marker once the stream is
+// complete — and then keeps serving, so the follower can finish catching up
+// from a live primary.
 func TestReplChaosChild(t *testing.T) {
 	dir := os.Getenv("LLMQ_REPLCHAOS_DIR")
 	if dir == "" {
@@ -149,11 +150,14 @@ func TestReplChaosChild(t *testing.T) {
 
 	pairs := genPairs(seed, n)
 	start := d.Model().Steps()
-	for _, p := range pairs[start:] {
-		if _, err := d.Observe(p.Query, p.Answer); err != nil {
-			t.Fatalf("child observe: %v", err)
+	sizes := rand.New(rand.NewSource(seed + int64(start)))
+	for i := start; i < len(pairs); {
+		b := min(len(pairs)-i, 1+sizes.Intn(64))
+		if _, err := d.TrainBatch(pairs[i : i+b]); err != nil {
+			t.Fatalf("child train: %v", err)
 		}
-		time.Sleep(time.Duration(paceUS) * time.Microsecond)
+		i += b
+		time.Sleep(time.Duration(b*paceUS) * time.Microsecond)
 	}
 	if err := os.WriteFile(done, []byte("ok"), 0o644); err != nil {
 		t.Fatalf("child done marker: %v", err)
@@ -211,7 +215,7 @@ func TestReplicationChaos(t *testing.T) {
 	const (
 		seed      = 42
 		snapEvery = 97
-		paceUS    = 150
+		paceUS    = 1200
 	)
 	base := t.TempDir()
 	primaryDir := filepath.Join(base, "primary")

@@ -512,7 +512,7 @@ func TestChaosWALFaultReadOnlyAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d2.Observe(q, 1.0); err != nil {
+	if _, err := d2.TrainBatch([]core.TrainingPair{{Query: q, Answer: 1.0}}); err != nil {
 		t.Fatalf("training after recovery: %v", err)
 	}
 }

@@ -75,9 +75,11 @@ func stateHash(t *testing.T, m *core.Model) string {
 // TestCrashChild is the child trainer the harness SIGKILLs; it only runs
 // when the harness re-executes the test binary with the environment set, and
 // skips otherwise. It recovers whatever state the previous incarnation left,
-// continues the deterministic stream from the recovered step count, paced so
-// kills land mid-stream, and drops a completion marker once the whole stream
-// has been consumed and closed cleanly.
+// continues the deterministic stream from the recovered step count through
+// Durable.TrainBatch — the path /train runs — in batches of seeded random
+// size 1..64, paced per pair so kills land mid-stream (a kill can land
+// inside a batch, its overlapped fsync included), and drops a completion
+// marker once the whole stream has been consumed and closed cleanly.
 func TestCrashChild(t *testing.T) {
 	dir := os.Getenv("LLMQ_CRASHTEST_DIR")
 	if dir == "" {
@@ -99,11 +101,14 @@ func TestCrashChild(t *testing.T) {
 	}
 	pairs := genPairs(seed, n)
 	start := d.Model().Steps()
-	for _, p := range pairs[start:] {
-		if _, err := d.Observe(p.Query, p.Answer); err != nil {
-			t.Fatalf("child observe: %v", err)
+	sizes := rand.New(rand.NewSource(seed + int64(start)))
+	for i := start; i < len(pairs); {
+		b := min(len(pairs)-i, 1+sizes.Intn(64))
+		if _, err := d.TrainBatch(pairs[i : i+b]); err != nil {
+			t.Fatalf("child train: %v", err)
 		}
-		time.Sleep(time.Duration(paceUS) * time.Microsecond)
+		i += b
+		time.Sleep(time.Duration(b*paceUS) * time.Microsecond)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatalf("child close: %v", err)
@@ -194,7 +199,7 @@ func TestCrashRecovery(t *testing.T) {
 				n         = 3000
 				seed      = 42
 				snapEvery = 73
-				paceUS    = 100
+				paceUS    = 1400
 				maxRounds = 80
 			)
 			base := t.TempDir()
@@ -246,6 +251,7 @@ func TestCrashRecovery(t *testing.T) {
 			if _, err := os.Stat(doneMarker); err != nil {
 				t.Fatalf("child never completed the stream in %d rounds", rounds)
 			}
+			t.Logf("stream complete after %d rounds, %d kills", rounds, killed)
 			if killed == 0 {
 				t.Logf("warning: no child was killed mid-stream; kills=%d rounds=%d", killed, rounds)
 			}

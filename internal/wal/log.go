@@ -340,10 +340,11 @@ func (l *Log) Dir() string { return l.dir }
 // snapshot's generation once one exists).
 func (l *Log) Gen() uint64 { return l.gen }
 
-// Append logs the records of one call — one pair, an admin record or a whole
-// training batch — with one segment write, then applies the configured sync
-// policy once: when it says an fsync is due (SyncAlways; SyncGroup once
-// FlushBatch records are pending) Append performs it before returning. The
+// Append logs the records of one call with one segment write, then applies
+// the configured sync policy once: when it says an fsync is due (SyncAlways;
+// SyncGroup once FlushBatch records are pending) Append performs it before
+// returning. The store's admin path (a capacity change) writes through it;
+// training batches use AppendStart, which overlaps the fsync. The
 // records are durable once the policy has fsynced them; under SyncGroup that
 // is within FlushInterval/FlushBatch, and a crash before then loses them
 // (recovery truncates the torn tail).

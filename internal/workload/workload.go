@@ -285,8 +285,8 @@ func (h *Harness) TrainModel(cfg core.Config, maxPairs int) (*core.Model, core.T
 		return nil, core.TrainingResult{}, nil, err
 	}
 	// Bulk ingestion of a fresh model: TrainBatch applies the identical
-	// sequential updates as Train but publishes one serving snapshot for
-	// the whole stream instead of one per pair.
+	// sequential updates as per-pair Observe calls but publishes one serving
+	// snapshot for the whole stream instead of one per pair.
 	res, err := m.TrainBatch(pairs)
 	if err != nil {
 		return nil, core.TrainingResult{}, nil, err
