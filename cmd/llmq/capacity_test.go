@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -26,24 +25,20 @@ func TestTrainWithCapacityFlags(t *testing.T) {
 		"-max-prototypes", "40", "-evict", "recency", "-merge", "-o", model}, &out); err != nil {
 		t.Fatalf("train: %v", err)
 	}
-	raw, err := os.ReadFile(model)
+	f, err := os.Open(model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		MaxPrototypes int               `json:"max_prototypes"`
-		Eviction      string            `json:"eviction"`
-		MergeOnEvict  bool              `json:"merge_on_evict"`
-		LLMs          []json.RawMessage `json:"llms"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	m, err := core.Load(f)
+	f.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.MaxPrototypes != 40 || doc.Eviction != "recency" || !doc.MergeOnEvict {
-		t.Fatalf("capacity config not persisted: %+v", doc)
+	if c := m.Config(); c.MaxPrototypes != 40 || c.Eviction == nil || c.Eviction.Name() != "recency" || !c.MergeOnEvict {
+		t.Fatalf("capacity config not persisted: %+v", c)
 	}
-	if len(doc.LLMs) == 0 || len(doc.LLMs) > 40 {
-		t.Fatalf("trained model has %d prototypes, want (0, 40]", len(doc.LLMs))
+	if k := m.K(); k == 0 || k > 40 {
+		t.Fatalf("trained model has %d prototypes, want (0, 40]", k)
 	}
 	if err := run([]string{"train", "-data", data, "-pairs", "50", "-max-prototypes", "10", "-evict", "bogus", "-o", model}, &out); err == nil {
 		t.Fatal("unknown -evict policy should fail")

@@ -392,7 +392,7 @@ func cmdTrain(args []string, out io.Writer) error {
 		}
 	}
 	// The model file appears atomically (temp + fsync + rename): a crash or
-	// ENOSPC mid-write leaves the previous file, never a torn JSON prefix a
+	// ENOSPC mid-write leaves the previous file, never a torn frame prefix a
 	// query-processing node would fail to load.
 	if err := wal.WriteFileAtomic(*output, m.Save); err != nil {
 		return err
@@ -414,7 +414,7 @@ func sqrtDim(d int) float64 {
 func cmdQuery(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("query", flag.ContinueOnError)
 	data := fs.String("data", "", "dataset CSV backing the relation (required)")
-	modelPath := fs.String("model", "", "trained model JSON (required for APPROX statements)")
+	modelPath := fs.String("model", "", "trained model file (required for APPROX statements)")
 	sql := fs.String("sql", "", "analytics statement to execute (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -477,7 +477,7 @@ func loadModel(path string, dim int) (*core.Model, error) {
 func cmdBatch(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("batch", flag.ContinueOnError)
 	data := fs.String("data", "", "dataset CSV backing the relation (required unless -url)")
-	modelPath := fs.String("model", "", "trained model JSON (required for APPROX statements)")
+	modelPath := fs.String("model", "", "trained model file (required for APPROX statements)")
 	file := fs.String("file", "", "statement file, one per line (required; '-' reads stdin)")
 	url := fs.String("url", "", "ship the statements to a running `llmq serve` instance (e.g. http://localhost:8080) instead of executing locally")
 	getCap := capacityFlags(fs)

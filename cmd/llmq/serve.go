@@ -48,7 +48,7 @@ func parseServeFlags(args []string) (*serveConfig, error) {
 	c := &serveConfig{}
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.StringVar(&c.data, "data", "", "dataset CSV backing the relation (required)")
-	fs.StringVar(&c.model, "model", "", "trained model JSON (optional; required for APPROX statements)")
+	fs.StringVar(&c.model, "model", "", "trained model file (optional; required for APPROX statements)")
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address, host:port")
 	fs.Float64Var(&c.cell, "cell", 0, "spatial-index cell size (default: auto from the data bounds)")
 	fs.StringVar(&c.dataDir, "data-dir", "", "durable model directory: recover the model from its snapshots+WAL on boot and WAL-log /train traffic (mutually exclusive with -model)")

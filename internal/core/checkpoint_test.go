@@ -152,12 +152,24 @@ func joinFrames(payloads [][]byte) []byte {
 	return b
 }
 
-// TestLoadCheckpointRejects corrupts a real checkpoint one field at a time.
-// Every case must fail with ErrBadModelFile and say where.
+// saveBytes is the model file Save writes.
+func saveBytes(t testing.TB, m *Model) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadCheckpointRejects corrupts a real checkpoint (or, where the case
+// says so, a real Save file) one field at a time. Every case must fail with
+// ErrBadModelFile and say where.
 func TestLoadCheckpointRejects(t *testing.T) {
 	m := checkpointShapes(t, 2, SolverRLS)["bounded"]
-	cp := checkpointBytes(t, m)
+	cp, saved := checkpointBytes(t, m), saveBytes(t, m)
 	const d = 2
+	flagsAt := len(checkpointMagic) + 1
 	// Header payload offsets: the twelve uint64 fields follow magic+version+flags.
 	field := func(i int) int { return len(checkpointMagic) + 2 + 8*i }
 	// Row payload offsets.
@@ -179,6 +191,7 @@ func TestLoadCheckpointRejects(t *testing.T) {
 	}
 	cases := []struct {
 		name, want string
+		from       []byte                         // the file to corrupt; nil: cp
 		mutate     func(frames [][]byte) [][]byte // nil: raw is used instead
 		raw        func(b []byte) []byte
 	}{
@@ -215,10 +228,19 @@ func TestLoadCheckpointRejects(t *testing.T) {
 		{name: "last-win past steps", want: "LLM 2 has win count", mutate: row(func(r []byte) { putU(r, rowLastWin, uint64(m.Steps()+1)) })},
 		{name: "bad RLS-present byte", want: "LLM 2 has a bad RLS-present byte", mutate: row(func(r []byte) { r[rowFlag] = 2 })},
 		{name: "non-finite RLS", want: "LLM 2 RLS state contains non-finite", mutate: row(func(r []byte) { putF(r, rowRLS+16, math.Inf(-1)) })},
+		{name: "RLS-present byte under the no-solver-state flag", from: saved, want: "LLM 2 has a bad RLS-present byte 1",
+			mutate: row(func(r []byte) { r[rowFlag] = 1 })},
+		{name: "RLS-width rows under the no-solver-state flag", want: "header frame claims",
+			mutate: header(func(h []byte) { h[flagsAt] |= flagNoSolverState })},
+		{name: "no-solver-state rows without the flag", from: saved, want: "header frame claims",
+			mutate: header(func(h []byte) { h[flagsAt] &^= flagNoSolverState })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := append([]byte(nil), cp...)
+			if tc.from != nil {
+				b = append([]byte(nil), tc.from...)
+			}
 			if tc.mutate != nil {
 				b = joinFrames(tc.mutate(splitFrames(t, b)))
 			} else {
@@ -367,16 +389,143 @@ func TestRecoverLegacyDirectory(t *testing.T) {
 	}
 }
 
-// FuzzLoadSnapshot feeds Load arbitrary bytes, seeded with real checkpoints
-// of every shape the format has. Any input either fails cleanly or loads to
-// a model whose own Checkpoint reloads to the same StateHash; nothing
-// panics, and nothing is sized by a number the input merely claims. The
-// seeds are d=1 models of a dozen prototypes: the engine minimizes every
-// interesting input, and spends its whole budget there on a 100 KB one.
+// legacyModelExpect is testdata/legacy/model-v2.expect.json: what the
+// commit that recorded model-v2.json saw when it loaded the file back.
+type legacyModelExpect struct {
+	Steps     int    `json:"steps"`
+	K         int    `json:"k"`
+	StateHash string `json:"state_hash"`
+	Queries   []struct {
+		Center []float64 `json:"center"`
+		Theta  float64   `json:"theta"`
+		Mean   string    `json:"mean_bits"`
+	} `json:"queries"`
+}
+
+// TestLoadLegacyJSONModel pins the JSON reader on a JSON model file
+// (testdata/legacy/README.md: a bounded d=2 model with
+// last-win stamps, saved the step after a spawn, so Γ = +Inf). It must load
+// to the recorded state hash and answers, and its frame rewrite — Save, then
+// Load — must hash and answer identically.
+func TestLoadLegacyJSONModel(t *testing.T) {
+	raw, err := os.ReadFile("testdata/legacy/model-v2.expect.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exp legacyModelExpect
+	if err := json.Unmarshal(raw, &exp); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("testdata/legacy/model-v2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := Load(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy.Steps() != exp.Steps || legacy.K() != exp.K || !math.IsInf(legacy.lastGamma, 1) {
+		t.Fatalf("loaded steps=%d K=%d Γ=%v, recorded steps=%d K=%d Γ=+Inf", legacy.Steps(), legacy.K(), legacy.lastGamma, exp.Steps, exp.K)
+	}
+	if got := stateHash(t, legacy); got != exp.StateHash {
+		t.Fatalf("StateHash %s, the recording commit loaded %s", got, exp.StateHash)
+	}
+	frames := saveBytes(t, legacy)
+	if string(frames[wal.FrameHeaderLen:][:len(checkpointMagic)]) != checkpointMagic {
+		t.Fatal("Save of a JSON-loaded model did not write the frame format")
+	}
+	rewrite, err := Load(bytes.NewReader(frames))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stateHash(t, rewrite); got != exp.StateHash {
+		t.Fatalf("frame rewrite hashes %s, the JSON file %s", got, exp.StateHash)
+	}
+	for i, q := range exp.Queries {
+		for name, m := range map[string]*Model{"legacy": legacy, "rewrite": rewrite} {
+			y, err := m.PredictMean(Query{Center: q.Center, Theta: q.Theta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strconv.FormatUint(math.Float64bits(y), 16); got != q.Mean {
+				t.Errorf("%s query %d: PredictMean bits %s, recorded %s", name, i, got, q.Mean)
+			}
+		}
+	}
+}
+
+// TestRecoverRefusesSaveSnapshot plants a Save file as the newest snapshot
+// of a data directory. Under the RLS solver it carries no solver state, so
+// no WAL tail replays onto it bit-identically: Recover must log it as
+// unreadable and fall back a generation. Under SGD there is no solver state
+// to miss, and a Save taken at the boundary recovers like the checkpoint it
+// replaces. Either way the recovered model equals one that never stopped.
+func TestRecoverRefusesSaveSnapshot(t *testing.T) {
+	for _, solver := range []Solver{SolverRLS, SolverSGD} {
+		t.Run(solver.String(), func(t *testing.T) {
+			cfg := durableConfig()
+			cfg.CoefficientSolver = solver
+			pairs := planeStream(450, 3, 0.3, []float64{0.5, -0.2, 1.1}, 1.0, 17)
+			ref, err := NewModel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.TrainBatch(pairs); err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			var logs []string
+			opts := DurableOptions{SnapshotEvery: 200, WAL: wal.Options{Mode: wal.SyncNone},
+				Logf: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }}
+			d, err := Recover(dir, cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var saved []byte
+			for lo := 0; lo < len(pairs); lo += 50 {
+				if _, err := d.TrainBatch(pairs[lo : lo+50]); err != nil {
+					t.Fatal(err)
+				}
+				if d.Gen() == 2 && saved == nil {
+					saved = saveBytes(t, d.Model()) // the state snapshot 2 holds
+				}
+			}
+			// Crash: the log closes without Close's rotation, leaving 50 pairs
+			// in segment 2 on top of snapshot 2, which the Save file replaces.
+			if err := d.log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(wal.SnapshotPath(dir, 2), saved, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Recover(dir, cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if got, want := stateHash(t, r.Model()), stateHash(t, ref); got != want {
+				t.Fatalf("recovered state %s, never-stopped reference %s", got, want)
+			}
+			refused := strings.Contains(strings.Join(logs, "\n"), "snap-000002.bin unreadable")
+			if refused != (solver == SolverRLS) {
+				t.Fatalf("snapshot 2 refused=%v under %s; recovery logged:\n%s", refused, solver, strings.Join(logs, "\n"))
+			}
+		})
+	}
+}
+
+// FuzzLoadSnapshot feeds Load arbitrary bytes, seeded with real model files
+// of every shape the format has — Checkpoint and Save output. Any input
+// either fails cleanly or loads to a model whose own Checkpoint reloads to
+// the same StateHash; nothing panics, and nothing is sized by a number the
+// input merely claims. The seeds are d=1 models of a dozen prototypes: the
+// engine minimizes every interesting input, and spends its whole budget
+// there on a 100 KB one.
 func FuzzLoadSnapshot(f *testing.F) {
 	for _, solver := range []Solver{SolverRLS, SolverSGD} {
 		for _, m := range checkpointShapes(f, 1, solver) {
 			f.Add(checkpointBytes(f, m))
+			f.Add(saveBytes(f, m))
 		}
 	}
 	// Γ = +Inf: the step after a spawn.

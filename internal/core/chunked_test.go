@@ -2,8 +2,9 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -65,8 +66,8 @@ func checkSnapshotAgainstRef(t *testing.T, v View, ref refVersion, stage string)
 // authoritative training state, and (b) never mutate an already-published
 // version — every pinned View is re-verified against its recorded full copy
 // after all subsequent training, which fails if a writer ever writes into a
-// chunk a published snapshot shares. Save is checked by decoding the JSON
-// (Go's float64 encoding round-trips exactly) against the same reference.
+// chunk a published snapshot shares. Save is checked by decoding its row
+// frames (raw IEEE-754 bits) against the same reference.
 func TestChunkedPublicationMatchesFullCopy(t *testing.T) {
 	for _, dim := range []int{1, 2, 5} {
 		rng := rand.New(rand.NewSource(int64(1000 + dim)))
@@ -114,36 +115,38 @@ func TestChunkedPublicationMatchesFullCopy(t *testing.T) {
 				}
 			case 8: // pin the current version with its reference copy
 				pins = append(pins, pinned{m.View(), captureRef(m), fmt.Sprintf("dim=%d op=%d", dim, op)})
-			case 9: // Save the live model; its JSON must match the reference
+			case 9: // Save the live model; its row frames must match the reference
 				var buf bytes.Buffer
 				if err := m.Save(&buf); err != nil {
 					t.Fatal(err)
 				}
 				ref := captureRef(m)
-				var doc modelJSON
-				if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-					t.Fatal(err)
-				}
-				if len(doc.LLMs) != ref.k || doc.Steps != ref.steps {
+				frames := splitFrames(t, buf.Bytes())
+				head, rows := frames[0], frames[1:]
+				steps := int(binary.LittleEndian.Uint64(head[len(checkpointMagic)+2+8*3:]))
+				if len(rows) != ref.k || steps != ref.steps {
 					t.Fatalf("dim=%d op=%d: Save K=%d steps=%d, reference K=%d steps=%d",
-						dim, op, len(doc.LLMs), doc.Steps, ref.k, ref.steps)
+						dim, op, len(rows), steps, ref.k, ref.steps)
 				}
-				for i, lj := range doc.LLMs {
-					got := append(append([]float64(nil), lj.Center...), lj.Theta)
-					coef := append([]float64{lj.Intercept}, lj.SlopeX...)
-					coef = append(coef, lj.SlopeTheta)
+				if head[len(checkpointMagic)+1]&flagNoSolverState == 0 {
+					t.Fatalf("dim=%d op=%d: Save's header does not say the rows carry no solver state", dim, op)
+				}
+				vals := make([]float64, 2*dim+3)
+				for i, p := range rows {
+					decodeFloats(vals, p)
+					got, coef := vals[:dim+1], vals[dim+1:]
 					for j, want := range ref.rows[i] {
-						if got[j] != want {
+						if math.Float64bits(got[j]) != math.Float64bits(want) {
 							t.Fatalf("dim=%d op=%d: Save row %d[%d] = %v, reference %v", dim, op, i, j, got[j], want)
 						}
 					}
 					for j, want := range ref.coefs[i] {
-						if coef[j] != want {
+						if math.Float64bits(coef[j]) != math.Float64bits(want) {
 							t.Fatalf("dim=%d op=%d: Save coef %d[%d] = %v, reference %v", dim, op, i, j, coef[j], want)
 						}
 					}
-					if lj.Wins != ref.wins[i] {
-						t.Fatalf("dim=%d op=%d: Save wins %d = %d, reference %d", dim, op, i, lj.Wins, ref.wins[i])
+					if wins := int(binary.LittleEndian.Uint64(p[8*(2*dim+3):])); wins != ref.wins[i] {
+						t.Fatalf("dim=%d op=%d: Save wins %d = %d, reference %d", dim, op, i, wins, ref.wins[i])
 					}
 				}
 			}

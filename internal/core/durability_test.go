@@ -70,7 +70,8 @@ func canonicalState(t testing.TB, m *Model) string {
 // TestLoadTornPrefix cuts a saved model at arbitrary byte offsets — the torn
 // file a non-atomic writer leaves after a crash — and requires Load to fail
 // with ErrBadModelFile and a message locating the damage, never to succeed on
-// or panic over a prefix.
+// or panic over a prefix: a frame-format file names the frame, a legacy JSON
+// document the byte offset.
 func TestLoadTornPrefix(t *testing.T) {
 	m, err := NewModel(durableConfig())
 	if err != nil {
@@ -83,26 +84,38 @@ func TestLoadTornPrefix(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	legacy, err := os.ReadFile("testdata/legacy/model-v2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(full []byte, cuts []int, where string) {
+		t.Helper()
+		for _, cut := range cuts {
+			_, err := Load(bytes.NewReader(full[:cut]))
+			if !errors.Is(err, ErrBadModelFile) {
+				t.Errorf("prefix of %d/%d bytes: err = %v, want ErrBadModelFile", cut, len(full), err)
+				continue
+			}
+			if !strings.Contains(err.Error(), where) {
+				t.Errorf("prefix of %d bytes: error %q does not locate the damage (want %q)", cut, err, where)
+			}
+		}
+		// Corruption mid-file (a flipped byte) must also be located.
+		corrupt := append([]byte(nil), full...)
+		corrupt[len(corrupt)/2] = '}'
+		if _, err := Load(bytes.NewReader(corrupt)); !errors.Is(err, ErrBadModelFile) || !strings.Contains(err.Error(), where) {
+			t.Errorf("mid-file corruption: err = %v, want ErrBadModelFile mentioning %q", err, where)
+		}
+	}
+	// Frame cuts keep at least the frame header and the magic (a shorter
+	// prefix is not recognisably a frame file and reads as bad JSON); they
+	// fall inside the header frame, on its end, and inside the rows.
 	full := buf.Bytes()
+	head := wal.FrameHeaderLen + len(splitFrames(t, full)[0])
+	check(full, []int{wal.FrameHeaderLen + len(checkpointMagic), head - 1, head, len(full) / 4, len(full) / 2, len(full) - 1}, "frame")
 	// len-1 is excluded: the document ends "}\n", so cutting only the final
 	// newline still leaves complete JSON, which Load rightly accepts.
-	cuts := []int{0, 1, 10, len(full) / 4, len(full) / 2, len(full) - 2}
-	for _, cut := range cuts {
-		_, err := Load(bytes.NewReader(full[:cut]))
-		if !errors.Is(err, ErrBadModelFile) {
-			t.Errorf("prefix of %d/%d bytes: err = %v, want ErrBadModelFile", cut, len(full), err)
-			continue
-		}
-		if !strings.Contains(err.Error(), "byte offset") {
-			t.Errorf("prefix of %d bytes: error %q does not locate the damage", cut, err)
-		}
-	}
-	// Corruption mid-file (a flipped structural byte) must also be located.
-	corrupt := append([]byte(nil), full...)
-	corrupt[len(corrupt)/2] = '}'
-	if _, err := Load(bytes.NewReader(corrupt)); !errors.Is(err, ErrBadModelFile) {
-		t.Errorf("mid-file corruption: err = %v, want ErrBadModelFile", err)
-	}
+	check(legacy, []int{0, 1, 10, len(legacy) / 4, len(legacy) / 2, len(legacy) - 2}, "byte offset")
 }
 
 // TestSaveLoadSaveByteIdentical is the persistence contract for the win-decay

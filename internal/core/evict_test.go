@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"strings"
@@ -504,15 +505,17 @@ func TestLoadEnforcesCapacity(t *testing.T) {
 	if m.K() <= 50 {
 		t.Fatalf("fixture too small: K=%d", m.K())
 	}
-	// Forge the over-cap file: an unbounded checkpoint with a cap patched
-	// in, exactly what a Save racing a shrink can produce.
+	// Forge the over-cap file: an unbounded model file with a cap patched
+	// into header field 8 and a policy name after the fields, exactly what a
+	// Save racing a shrink can produce.
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	forged := bytes.Replace(buf.Bytes(), []byte(`"steps":`),
-		[]byte(`"max_prototypes": 50, "eviction": "recency", "steps":`), 1)
-	loaded, err := Load(bytes.NewReader(forged))
+	f := splitFrames(t, buf.Bytes())
+	binary.LittleEndian.PutUint64(f[0][len(checkpointMagic)+2+8*8:], 50)
+	f[0] = append(f[0], "recency"...)
+	loaded, err := Load(bytes.NewReader(joinFrames(f)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,14 +243,16 @@ func fileExists(path string) bool {
 	return err == nil
 }
 
-// loadSnapshot loads one snapshot from disk through the hardened Load.
+// loadSnapshot loads one snapshot from disk through the hardened Load. A
+// Save file planted as a snapshot is unreadable here under the RLS solver:
+// it carries no solver state, so no WAL tail replays onto it bit-identically.
 func loadSnapshot(dir string, gen uint64) (*Model, error) {
 	f, err := wal.OpenSnapshot(dir, gen)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	return load(f, true)
 }
 
 // replayChunk bounds the pairs buffered per TrainBatch call during replay,

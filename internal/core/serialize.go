@@ -17,37 +17,43 @@ import (
 	"llmq/internal/wal"
 )
 
-// A model has two serialized forms, and Load reads both.
+// A model has one frame format with two writers, which share one encoder
+// (encode) and differ only in where the rows come from:
 //
-// Save writes a stable JSON document (version 2), so a trained model can be
-// persisted next to the DBMS, inspected, and reloaded by query-processing
-// nodes without retraining. Beyond the prototypes and their coefficients it
-// carries the full training clock — the step counter, per-prototype win
-// counts and last-win step stamps (so a bounded model's eviction clock
-// survives a restart), and the convergence window state.
+//   - Checkpoint encodes the writer state under the writer lock, each
+//     prototype's RLS solver state included: that makes "load a snapshot,
+//     replay the WAL tail" bit-identical to a run that never stopped. The
+//     durability snapshots and the replication bootstrap are its output.
+//   - Save encodes one published snapshot, lock-free: the model file
+//     query-processing nodes load without retraining. A reader cannot see
+//     the solver state, so the rows carry none and the header says so.
 //
-// Checkpoint writes the binary form the durability layer's snapshots and
-// the replication bootstrap use: the same header fields plus every
-// prototype's RLS solver state, which is what makes "load a snapshot,
-// replay the WAL tail" bit-identical to a training run that never stopped.
-// It is a sequence of internal/wal frames (uint32 length, uint32 CRC-32C,
-// payload), built in one pass from the store's flat rows:
+// A file carries the full training clock — steps, per-prototype win counts
+// and last-win stamps, the convergence window state — as a sequence of
+// internal/wal frames (uint32 length, uint32 CRC-32C, payload), built in one
+// pass from the flat rows:
 //
 //	header frame   "LLMQ", format version, flag bits (converged, the two
-//	               update-rule switches, merge-on-evict, SGD solver), then
-//	               twelve little-endian uint64: dim, vigilance bits, γ bits,
-//	               steps, quiet steps, last-Γ bits, min-γ steps, convergence
-//	               window, capacity, eviction half-life, live K, row width;
-//	               the eviction policy name fills the rest
+//	               update-rule switches, merge-on-evict, SGD solver, no
+//	               solver state), then twelve little-endian uint64: dim,
+//	               vigilance bits, γ bits, steps, quiet steps, last-Γ bits,
+//	               min-γ steps, convergence window, capacity, eviction
+//	               half-life, live K, row width; the eviction policy name
+//	               fills the rest
 //	K row frames   centre (d) and θ, intercept, slopes (d) and θ-slope as
 //	               IEEE-754 bits, wins and last-win as uint64, one
-//	               RLS-present byte and — for the RLS solver — the (d+2)²
+//	               RLS-present byte and — for the RLS solver, unless the
+//	               header says no solver state — the (d+2)²
 //	               inverse-covariance floats (zero when absent)
 //
 // Every row frame of one file has the same width, so the header's K is
 // checked against the bytes actually present before anything is sized by it.
 // StateHash digests the same bytes with the row frames sorted.
 
+// modelJSON is the JSON document (version 2) Save wrote before the frame
+// format: nothing writes it any more, but Load reads it for old model files
+// and data directories. The frame header decodes into it too, so both
+// formats share newLoading's validation.
 type modelJSON struct {
 	Version   int     `json:"version"`
 	Dim       int     `json:"dim"`
@@ -57,23 +63,21 @@ type modelJSON struct {
 	Converged bool    `json:"converged"`
 	// The training-relevant configuration: the coefficient solver and
 	// update-rule switches, and the termination-criterion windows.
-	Solver                  string `json:"solver,omitempty"`
-	InitInterceptWithAnswer bool   `json:"init_intercept_with_answer,omitempty"`
-	RateByPrototype         bool   `json:"rate_by_prototype,omitempty"`
-	MinGammaSteps           int    `json:"min_gamma_steps,omitempty"`
-	ConvergenceWindow       int    `json:"convergence_window,omitempty"`
-	// The convergence-criterion state, so a reloaded model mid-quiet-window
-	// needs exactly as many further quiet steps as the original would have.
-	// Γ can be +Inf (the step after a spawn), which JSON cannot encode — the
-	// _inf flag carries that case.
-	QuietSteps   int     `json:"quiet_steps,omitempty"`
-	LastGamma    float64 `json:"last_gamma,omitempty"`
-	LastGammaInf bool    `json:"last_gamma_inf,omitempty"`
+	Solver                  string `json:"solver"`
+	InitInterceptWithAnswer bool   `json:"init_intercept_with_answer"`
+	RateByPrototype         bool   `json:"rate_by_prototype"`
+	MinGammaSteps           int    `json:"min_gamma_steps"`
+	ConvergenceWindow       int    `json:"convergence_window"`
+	// The convergence-criterion state. Γ can be +Inf (the step after a
+	// spawn), which JSON cannot encode — the _inf flag carries that case.
+	QuietSteps   int     `json:"quiet_steps"`
+	LastGamma    float64 `json:"last_gamma"`
+	LastGammaInf bool    `json:"last_gamma_inf"`
 	// Bounded-capacity configuration (absent for unbounded models).
-	MaxPrototypes    int       `json:"max_prototypes,omitempty"`
-	Eviction         string    `json:"eviction,omitempty"`
-	EvictionHalfLife int       `json:"eviction_half_life,omitempty"`
-	MergeOnEvict     bool      `json:"merge_on_evict,omitempty"`
+	MaxPrototypes    int       `json:"max_prototypes"`
+	Eviction         string    `json:"eviction"`
+	EvictionHalfLife int       `json:"eviction_half_life"`
+	MergeOnEvict     bool      `json:"merge_on_evict"`
 	LLMs             []llmJSON `json:"llms"`
 }
 
@@ -86,12 +90,11 @@ type llmJSON struct {
 	Wins       int       `json:"wins"`
 	// LastWin is the training step at which the prototype last absorbed a
 	// pair — the eviction policies' recency input.
-	LastWin int `json:"last_win,omitempty"`
+	LastWin int `json:"last_win"`
 	// RLS is the row-major (d+2)² inverse-covariance state of the
-	// recursive-least-squares solver. Nothing writes it any more — the
-	// snapshots that carried it are binary now — but Load still reads it, so
-	// a data directory with a JSON snapshot keeps recovering bit-identically.
-	RLS []float64 `json:"rls,omitempty"`
+	// recursive-least-squares solver, present in the JSON snapshots of data
+	// directories written before the binary format.
+	RLS []float64 `json:"rls"`
 }
 
 const (
@@ -111,6 +114,7 @@ const (
 	flagRateByPrototype
 	flagMergeOnEvict
 	flagSGD
+	flagNoSolverState // Save: the rows carry no RLS solver state
 	flagsEnd
 )
 
@@ -131,58 +135,19 @@ func parseSolver(name string) (Solver, error) {
 	}
 }
 
-// header builds the serialized document, minus the prototypes, from the
-// given training clock and one capacity mirror.
-func (m *Model) header(steps int, converged bool, lastGamma float64, quietSteps int, cc *capacityConfig) modelJSON {
-	doc := modelJSON{
-		Version:                 serializationVersion,
-		Dim:                     m.cfg.Dim,
-		Vigilance:               m.cfg.Vigilance,
-		Gamma:                   m.cfg.Gamma,
-		Steps:                   steps,
-		Converged:               converged,
-		Solver:                  m.cfg.CoefficientSolver.String(),
-		InitInterceptWithAnswer: m.cfg.InitInterceptWithAnswer,
-		RateByPrototype:         m.cfg.RateByPrototype,
-		MinGammaSteps:           m.cfg.MinGammaSteps,
-		ConvergenceWindow:       m.cfg.ConvergenceWindow,
-		QuietSteps:              quietSteps,
-	}
-	if math.IsInf(lastGamma, 1) {
-		doc.LastGammaInf = true
-	} else {
-		doc.LastGamma = lastGamma
-	}
-	// The capacity fields are runtime-mutable (SetCapacity); read them
-	// through the lock-free mirror, never from m.cfg directly.
-	if cc.max > 0 {
-		doc.MaxPrototypes = cc.max
-		doc.MergeOnEvict = cc.merge
-		if p := cc.policy; p != nil {
-			// Only names Load can resolve are persisted; a custom policy
-			// implementation degrades to the default on reload rather than
-			// producing a checkpoint Load rejects wholesale.
-			if _, err := ParseEvictionPolicy(p.Name()); err == nil {
-				doc.Eviction = p.Name()
-			}
-			if wd, ok := p.(WinDecay); ok {
-				doc.EvictionHalfLife = wd.HalfLife
-			}
-		}
-	}
-	return doc
-}
-
-// Save writes the model as JSON. It serializes one published snapshot —
-// obtained with a single atomic load, no locking — so a model can be
-// saved at a consistent version while serving queries and absorbing a
-// training stream. Tombstoned slots of a bounded model are compacted away:
-// the file holds the live prototypes in slot order, with their win counts
-// and last-win stamps, so a Save/Load round trip preserves the eviction
-// clock (only the tombstone slot numbering is rebuilt). The RLS solver state
-// is NOT included — it is writer-locked state outside the published chunks,
-// which a lock-free reader cannot serialize consistently; use Checkpoint
-// when the file must support bit-identical training resumption.
+// Save writes the model file query-processing nodes load: the frame format,
+// encoded from one published snapshot — obtained with a single atomic load,
+// no locking — so a model can be saved at a consistent version while
+// serving queries and absorbing a training stream. Tombstoned slots of a
+// bounded model are compacted away: the file holds the live prototypes in
+// slot order, with their win counts and last-win stamps, so a Save/Load
+// round trip preserves the eviction clock (only the tombstone slot numbering
+// is rebuilt). The RLS solver state is NOT included — it is writer-locked
+// state outside the published chunks, which a lock-free reader cannot
+// serialize consistently — and the header records that: training on the
+// loaded model restarts each prototype's solver, and Recover will not replay
+// a WAL tail onto the file. Use Checkpoint when training must resume
+// bit-identically.
 func (m *Model) Save(w io.Writer) error {
 	// Pair the capacity mirror with the snapshot consistently: read the
 	// mirror on both sides of the snapshot load and retry until it was
@@ -203,33 +168,16 @@ func (m *Model) Save(w io.Writer) error {
 		cc = cc2
 		s = m.snap.Load()
 	}
-	doc := m.header(s.steps, s.converged, s.lastGamma, s.quietSteps, cc)
-	doc.LLMs = make([]llmJSON, 0, s.live)
-	for i := 0; i < s.k; i++ {
-		row := s.row(i)
-		if row[s.dim] < 0 {
-			continue // tombstoned slot
-		}
-		c := s.coefRow(i)
-		doc.LLMs = append(doc.LLMs, llmJSON{
-			Center:     row[:s.dim],
-			Theta:      row[s.dim],
-			Intercept:  c[0],
-			SlopeX:     c[1 : 1+s.dim],
-			SlopeTheta: c[s.coefW-1],
-			Wins:       s.win(i),
-			LastWin:    s.stamp(i),
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("core: encode model: %w", err)
+	var c checkpointBuf
+	m.encode(&c, frameSource{table: &s.chunkTable, slots: s.k, live: s.live,
+		steps: s.steps, quietSteps: s.quietSteps, converged: s.converged, lastGamma: s.lastGamma}, cc)
+	if _, err := w.Write(c.b); err != nil {
+		return fmt.Errorf("core: write model: %w", err)
 	}
 	return nil
 }
 
-// checkpointBuf holds one binary checkpoint — the header frame, then one
+// checkpointBuf holds one encoded model file — the header frame, then one
 // frame per live prototype — and the scratch its canonical hash sorts in.
 // Capturing into the same buffer again reuses its memory, which is how
 // Durable rotates without allocating per prototype.
@@ -248,12 +196,12 @@ type rowKey struct {
 	idx int
 }
 
-// rowLen is the payload length of one checkpoint row: centre and θ, the d+2
-// coefficients, wins and last-win, the RLS-present byte and (RLS solver
-// only) the (d+2)² solver state.
-func rowLen(dim int, solver Solver) int {
+// rowLen is the payload length of one row frame: centre and θ, the d+2
+// coefficients, wins and last-win, the RLS-present byte and, when the rows
+// carry the RLS solver state, its (d+2)² floats.
+func rowLen(dim int, state bool) int {
 	n := 8*(2*dim+5) + 1
-	if solver == SolverRLS {
+	if state {
 		n += 8 * (dim + 2) * (dim + 2)
 	}
 	return n
@@ -273,17 +221,57 @@ func decodeFloats(dst []float64, b []byte) {
 	}
 }
 
+// frameSource is what one model file is encoded from: the writer's store
+// and training clock (capture, under the writer lock, with the solver
+// state) or one published snapshot (Save, lock-free, without it).
+type frameSource struct {
+	table             *chunkTable
+	slots, live       int         // the slot scan bound, and the live slots among them
+	rls               [][]float64 // per-slot RLS solver state, read when withState
+	withState         bool
+	steps, quietSteps int
+	converged         bool
+	lastGamma         float64
+}
+
 // capture encodes the writer state into c under the writer lock —
 // everything training touches, including each prototype's RLS
 // inverse-covariance — straight from the store's flat rows.
 func (m *Model) capture(c *checkpointBuf) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	h := m.header(m.steps, m.converged, m.lastGamma, m.quietSteps, m.capCfg.Load())
-	s, solver := m.store, m.cfg.CoefficientSolver
-	rowW := rowLen(h.Dim, solver)
+	s := m.store
+	m.encode(c, frameSource{table: &s.chunkTable, slots: s.rows, live: s.live, rls: s.rls, withState: true,
+		steps: m.steps, quietSteps: m.quietSteps, converged: m.converged, lastGamma: m.lastGamma}, m.capCfg.Load())
+}
+
+// encode writes src into c as one model file: the header frame from the
+// training clock, the configuration and one capacity mirror, then one row
+// frame per live slot in slot order.
+func (m *Model) encode(c *checkpointBuf, src frameSource, cc *capacityConfig) {
+	// The capacity fields are runtime-mutable (SetCapacity); read them
+	// through the lock-free mirror, never from m.cfg directly.
+	var maxK, halfLife int
+	var eviction string
+	if cc.max > 0 {
+		maxK = cc.max
+		if p := cc.policy; p != nil {
+			// Only names Load can resolve are persisted; a custom policy
+			// implementation degrades to the default on reload rather than
+			// producing a file Load rejects wholesale.
+			if _, err := ParseEvictionPolicy(p.Name()); err == nil {
+				eviction = p.Name()
+			}
+			if wd, ok := p.(WinDecay); ok {
+				halfLife = wd.HalfLife
+			}
+		}
+	}
+	cfg := &m.cfg
+	state := src.withState && cfg.CoefficientSolver == SolverRLS
+	rowW := rowLen(cfg.Dim, state)
 	c.stride = wal.FrameHeaderLen + rowW
-	b := slices.Grow(c.b[:0], wal.FrameHeaderLen+checkpointHeaderLen+len(h.Eviction)+s.live*c.stride)
+	b := slices.Grow(c.b[:0], wal.FrameHeaderLen+checkpointHeaderLen+len(eviction)+src.live*c.stride)
 
 	b = wal.OpenFrame(b)
 	b = append(b, checkpointMagic...)
@@ -293,33 +281,35 @@ func (m *Model) capture(c *checkpointBuf) {
 			flags |= bit
 		}
 	}
-	set(h.Converged, flagConverged)
-	set(h.InitInterceptWithAnswer, flagInitIntercept)
-	set(h.RateByPrototype, flagRateByPrototype)
-	set(h.MergeOnEvict, flagMergeOnEvict)
-	set(solver == SolverSGD, flagSGD)
+	set(src.converged, flagConverged)
+	set(cfg.InitInterceptWithAnswer, flagInitIntercept)
+	set(cfg.RateByPrototype, flagRateByPrototype)
+	set(maxK > 0 && cc.merge, flagMergeOnEvict)
+	set(cfg.CoefficientSolver == SolverSGD, flagSGD)
+	set(!src.withState, flagNoSolverState)
 	b = append(b, checkpointVersion, flags)
-	for _, v := range [12]uint64{uint64(h.Dim), math.Float64bits(h.Vigilance), math.Float64bits(h.Gamma),
-		uint64(h.Steps), uint64(h.QuietSteps), math.Float64bits(m.lastGamma), uint64(h.MinGammaSteps),
-		uint64(h.ConvergenceWindow), uint64(h.MaxPrototypes), uint64(h.EvictionHalfLife), uint64(s.live), uint64(rowW)} {
+	for _, v := range [12]uint64{uint64(cfg.Dim), math.Float64bits(cfg.Vigilance), math.Float64bits(cfg.Gamma),
+		uint64(src.steps), uint64(src.quietSteps), math.Float64bits(src.lastGamma), uint64(cfg.MinGammaSteps),
+		uint64(cfg.ConvergenceWindow), uint64(maxK), uint64(halfLife), uint64(src.live), uint64(rowW)} {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-	b = append(b, h.Eviction...)
+	b = append(b, eviction...)
 	wal.SealFrame(b, 0)
 	c.head = len(b)
 
-	for i := 0; i < s.rows; i++ {
-		if s.isTombstone(i) {
+	t := src.table
+	for i := 0; i < src.slots; i++ {
+		if t.isTombstone(i) {
 			continue
 		}
 		start := len(b)
 		b = wal.OpenFrame(b)
-		b = appendFloats(b, s.row(i))
-		b = appendFloats(b, s.coefRow(i))
-		b = binary.LittleEndian.AppendUint64(b, uint64(s.win(i)))
-		b = binary.LittleEndian.AppendUint64(b, uint64(s.stamp(i)))
-		if p := s.rls[i]; p != nil && solver == SolverRLS {
-			b = appendFloats(append(b, 1), p)
+		b = appendFloats(b, t.row(i))
+		b = appendFloats(b, t.coefRow(i))
+		b = binary.LittleEndian.AppendUint64(b, uint64(t.win(i)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(t.stamp(i)))
+		if state && src.rls[i] != nil {
+			b = appendFloats(append(b, 1), src.rls[i])
 		} else {
 			b = append(b, make([]byte, start+c.stride-len(b))...)
 		}
@@ -384,21 +374,26 @@ func (m *Model) StateHash() (string, error) {
 	return c.hash(), nil
 }
 
-// Load reads a model previously written by Save or Checkpoint, telling the
-// two formats apart by the checkpoint magic. The loaded model can answer
-// queries; it can also continue training with the embedded configuration,
-// resuming the eviction clock (and, for checkpoints, the exact solver
-// state) where the file left off. Decode and validation failures return a
-// descriptive ErrBadModelFile naming the byte offset, frame or prototype
-// that failed, so a truncated or corrupt file diagnoses itself.
-func Load(r io.Reader) (*Model, error) {
+// Load reads a model file written by Save or Checkpoint, or a legacy JSON
+// document, telling the formats apart by the frame magic. The loaded model
+// can answer queries; it can also continue training with the embedded
+// configuration, resuming the eviction clock (and, for Checkpoint files, the
+// exact solver state) where the file left off. Decode and validation
+// failures return a descriptive ErrBadModelFile naming the frame, byte
+// offset or prototype that failed, so a truncated or corrupt file diagnoses
+// itself.
+func Load(r io.Reader) (*Model, error) { return load(r, false) }
+
+// load is Load; resume additionally refuses an RLS-solver file without
+// solver state, which a WAL tail cannot replay onto bit-identically.
+func load(r io.Reader, resume bool) (*Model, error) {
 	br := bufio.NewReader(r)
 	if head, _ := br.Peek(wal.FrameHeaderLen + len(checkpointMagic)); string(head[min(len(head), wal.FrameHeaderLen):]) == checkpointMagic {
 		b, err := io.ReadAll(br)
 		if err != nil {
-			return nil, fmt.Errorf("%w: read checkpoint: %v", ErrBadModelFile, err)
+			return nil, fmt.Errorf("%w: read model frames: %v", ErrBadModelFile, err)
 		}
-		return loadCheckpoint(b)
+		return loadCheckpoint(b, resume)
 	}
 	var doc modelJSON
 	dec := json.NewDecoder(br)
@@ -433,10 +428,10 @@ func Load(r io.Reader) (*Model, error) {
 	return m, nil
 }
 
-// loadCheckpoint decodes the binary checkpoint format. Nothing is sized by
-// a number the file merely claims: frames are subslices of b, and the
-// header's K and row width must account for exactly the bytes present.
-func loadCheckpoint(b []byte) (*Model, error) {
+// loadCheckpoint decodes the frame format. Nothing is sized by a number the
+// file merely claims: frames are subslices of b, and the header's K and row
+// width must account for exactly the bytes present.
+func loadCheckpoint(b []byte, resume bool) (*Model, error) {
 	p, rows, err := wal.ReadFrame(b)
 	if err != nil {
 		return nil, fmt.Errorf("%w: header frame: %v", ErrBadModelFile, err)
@@ -464,8 +459,12 @@ func loadCheckpoint(b []byte) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, solver := doc.Dim, m.cfg.CoefficientSolver
-	rowW := rowLen(d, solver)
+	d, rls := doc.Dim, m.cfg.CoefficientSolver == SolverRLS
+	state := rls && flags&flagNoSolverState == 0
+	if resume && rls && !state {
+		return nil, fmt.Errorf("%w: header frame: written by Save without the RLS solver state a WAL tail resumes from", ErrBadModelFile)
+	}
+	rowW := rowLen(d, state)
 	stride := wal.FrameHeaderLen + rowW
 	if f[11] != uint64(rowW) || len(rows)%stride != 0 || uint64(len(rows)/stride) != f[10] {
 		return nil, fmt.Errorf("%w: header frame claims %d rows of %d bytes (want %d for dim %d), %d bytes follow it",
@@ -484,7 +483,7 @@ func loadCheckpoint(b []byte) (*Model, error) {
 		// keeps, gets an allocation of its own.
 		wins, rls := p[8*(2*d+3):], p[8*(2*d+5)+1:]
 		present := p[8*(2*d+5)]
-		if present > 1 || (present == 1 && solver != SolverRLS) {
+		if present > 1 || (present == 1 && !state) {
 			return nil, fmt.Errorf("%w: LLM %d has a bad RLS-present byte %d", ErrBadModelFile, i, present)
 		}
 		decodeFloats(vals, p)

@@ -105,6 +105,36 @@ func insertWideModel(tb testing.TB, dim, K int, gen queryGen) *Model {
 	return m
 }
 
+// BenchmarkModelFileWide writes and reads the model file a sheet_wide server
+// boots from (bench/'s fixture shape, K = 10 000 at d = 8): save is Save from
+// the published snapshot, load is Load of those bytes. B/file is the file's
+// size.
+func BenchmarkModelFileWide(b *testing.B) {
+	m := buildWideModel(b, 10000, wideGen(32, 41), false)
+	var file bytes.Buffer
+	if err := m.Save(&file); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := m.Save(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(file.Len()), "B/file")
+	})
+	b.Run("load", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Load(bytes.NewReader(file.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(file.Len()), "B/file")
+	})
+}
+
 // BenchmarkPredictMeanWide is one sheet_wide statement in-process. trained
 // is bench/'s own fixture — 32 clusters, K = 10 000 grown by TrainBatch and
 // reloaded, an overlap set of a few hundred prototypes per query — the
