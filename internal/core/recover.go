@@ -145,7 +145,7 @@ func Recover(dir string, cfg Config, opts DurableOptions) (*Durable, error) {
 	)
 	for i := len(man.Snapshots) - 1; i >= 0; i-- {
 		gen := man.Snapshots[i]
-		lm, lerr := loadSnapshot(dir, gen)
+		lm, lerr := readSnapshot(dir, gen)
 		if lerr != nil {
 			opts.Logf("core: recovery: snapshot %s unreadable (%v); falling back to previous generation", wal.SnapshotPath(dir, gen), lerr)
 			continue
@@ -243,16 +243,15 @@ func fileExists(path string) bool {
 	return err == nil
 }
 
-// loadSnapshot loads one snapshot from disk through the hardened Load. A
-// Save file planted as a snapshot is unreadable here under the RLS solver:
-// it carries no solver state, so no WAL tail replays onto it bit-identically.
-func loadSnapshot(dir string, gen uint64) (*Model, error) {
+// readSnapshot loads one snapshot from disk through LoadSnapshot, so a Save
+// file planted as a snapshot is unreadable here under the RLS solver.
+func readSnapshot(dir string, gen uint64) (*Model, error) {
 	f, err := wal.OpenSnapshot(dir, gen)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return load(f, true)
+	return LoadSnapshot(f)
 }
 
 // replayChunk bounds the pairs buffered per TrainBatch call during replay,

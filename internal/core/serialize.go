@@ -384,8 +384,13 @@ func (m *Model) StateHash() (string, error) {
 // itself.
 func Load(r io.Reader) (*Model, error) { return load(r, false) }
 
-// load is Load; resume additionally refuses an RLS-solver file without
-// solver state, which a WAL tail cannot replay onto bit-identically.
+// LoadSnapshot is Load for a snapshot a WAL tail will be replayed onto — a
+// durable directory's on recovery, a replica's mirrored or shipped one. It
+// also refuses an RLS-solver file written by Save: that file carries no
+// solver state, so no tail replays onto it bit-identically.
+func LoadSnapshot(r io.Reader) (*Model, error) { return load(r, true) }
+
+// load is Load; resume makes it LoadSnapshot.
 func load(r io.Reader, resume bool) (*Model, error) {
 	br := bufio.NewReader(r)
 	if head, _ := br.Peek(wal.FrameHeaderLen + len(checkpointMagic)); string(head[min(len(head), wal.FrameHeaderLen):]) == checkpointMagic {

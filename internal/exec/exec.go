@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -223,12 +222,10 @@ func (e *Executor) Select(q RadiusQuery) ([]int, error) {
 const ctxCheckRows = index.ScanCheckRows
 
 // scratch is the per-call working memory of the exact executors: the
-// selection and the regression's gathered observations. Recycled, so a
-// steady stream of queries allocates nothing for them.
+// selection, as positions into Executor.pts and out. Recycled, so a steady
+// stream of queries allocates nothing for it.
 type scratch struct {
-	pos []int32   // the selection, as positions into Executor.pts and out
-	xs  []float64 // row-major, one row per selected position
-	us  []float64
+	pos []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -289,9 +286,10 @@ func (e *Executor) MeanCtx(ctx context.Context, q RadiusQuery) (MeanResult, erro
 
 // RegressionCtx executes the exact Q2 query: a single multivariate OLS fit
 // of the output on the input attributes over D(x, θ) — the REG baseline.
-// Cancellation is observed before the selection, during it as in MeanCtx,
-// between the selection and the gather, and before the OLS fit — the three
-// cost cliffs of the exact Q2 path.
+// The fit reads the selected rows where the selection found them — in
+// Executor.pts and out, by position — so nothing is gathered. Cancellation
+// is observed before the selection, during it as in MeanCtx, and between the
+// selection and the OLS fit — the two cost cliffs of the exact Q2 path.
 func (e *Executor) RegressionCtx(ctx context.Context, q RadiusQuery) (RegressionResult, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -302,27 +300,14 @@ func (e *Executor) RegressionCtx(ctx context.Context, q RadiusQuery) (Regression
 	if err := e.selectInto(ctx, sc, q); err != nil {
 		return RegressionResult{}, err
 	}
-	n, d := len(sc.pos), len(e.inCols)
+	n := len(sc.pos)
 	if n == 0 {
 		return RegressionResult{}, ErrEmptySubspace
 	}
 	if err := ctx.Err(); err != nil {
 		return RegressionResult{}, err
 	}
-	// Gather the observations, in selection order, into one flat buffer.
-	sc.xs = slices.Grow(sc.xs[:0], n*d)[:n*d]
-	sc.us = slices.Grow(sc.us[:0], n)[:n]
-	for k, at := range sc.pos {
-		x := sc.xs[k*d : (k+1)*d]
-		for j, v := range e.pts[int(at)*d : (int(at)+1)*d] { // d is small: cheaper than a copy call
-			x[j] = v
-		}
-		sc.us[k] = e.out[at]
-	}
-	if err := ctx.Err(); err != nil {
-		return RegressionResult{}, err
-	}
-	model, err := linalg.FitOLSFlat(sc.xs, d, sc.us)
+	model, err := linalg.FitOLSAt(e.pts, len(e.inCols), e.out, sc.pos)
 	if err != nil {
 		return RegressionResult{}, fmt.Errorf("exec: regression over %d tuples: %w", n, err)
 	}

@@ -77,7 +77,7 @@ var goldenSpecs = []goldenSpec{
 
 // goldenExecutor builds the relation the way cmd/llmq's loadExecutor does:
 // LoadDataset, then a grid whose cell is a tenth of the mean attribute span.
-func goldenExecutor(t *testing.T, cfg synth.Config) *Executor {
+func goldenExecutor(t testing.TB, cfg synth.Config) *Executor {
 	t.Helper()
 	pts, err := synth.Generate(cfg)
 	if err != nil {

@@ -170,13 +170,13 @@ func SolveLeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return solveNormal(Gram(a), aty, b, func() *Matrix { return a })
+	return solveNormal(Gram(a), aty, func() (*Matrix, []float64) { return a, b })
 }
 
 // solveNormal is SolveLeastSquares given the normal equations g = AᵀA and
-// aty = Aᵀb; design supplies A itself, and is called only if both Cholesky
-// attempts fail.
-func solveNormal(g *Matrix, aty, b []float64, design func() *Matrix) ([]float64, error) {
+// aty = Aᵀb; design supplies A and b themselves, and is called only if both
+// Cholesky attempts fail.
+func solveNormal(g *Matrix, aty []float64, design func() (*Matrix, []float64)) ([]float64, error) {
 	if chol, err := NewCholesky(g); err == nil {
 		if x, err := chol.Solve(aty); err == nil && allFinite(x) {
 			return x, nil
@@ -198,7 +198,8 @@ func solveNormal(g *Matrix, aty, b []float64, design func() *Matrix) ([]float64,
 			return x, nil
 		}
 	}
-	qr, err := NewQR(design())
+	a, b := design()
+	qr, err := NewQR(a)
 	if err != nil {
 		return nil, err
 	}

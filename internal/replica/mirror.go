@@ -27,8 +27,9 @@ var errNoLocalState = errors.New("replica: no local mirror")
 // behind: load the newest local snapshot, replay the contiguous segments
 // above it (truncating a torn tail on the newest — the chunk the follower
 // crashed in the middle of will be re-fetched), and park the cursor at the
-// end of the valid bytes. Any inconsistency is reported; the caller falls
-// back to a fresh bootstrap.
+// end of the valid bytes. The snapshot loads as Recover loads one
+// (core.LoadSnapshot), so a Save file planted in its place is refused. Any
+// inconsistency is reported; the caller falls back to a fresh bootstrap.
 func (r *Replica) openLocal() error {
 	dir := r.opts.Dir
 	man, err := wal.List(dir)
@@ -51,7 +52,7 @@ func (r *Replica) openLocal() error {
 	if err != nil {
 		return err
 	}
-	m, err := core.Load(f)
+	m, err := core.LoadSnapshot(f)
 	f.Close()
 	if err != nil {
 		return fmt.Errorf("local snapshot %d: %w", base, err)
@@ -138,7 +139,8 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	}
 	boot := resp.Header.Get(HeaderBoot)
 	// Mirror first, load second: the local file must hold exactly the bytes
-	// the primary served, and a model that loads from it proves the
+	// the primary served, and a model that loads from it — through the
+	// check Recover applies, so a Save file is refused — proves the
 	// directory will recover after a follower crash.
 	path := wal.SnapshotPath(r.opts.Dir, gen)
 	if err := wal.WriteFileAtomic(path, func(w io.Writer) error {
@@ -151,7 +153,7 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	m, err := core.Load(f)
+	m, err := core.LoadSnapshot(f)
 	f.Close()
 	if err != nil {
 		return fmt.Errorf("shipped snapshot %d does not load: %w", gen, err)

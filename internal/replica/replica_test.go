@@ -9,7 +9,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -563,5 +565,112 @@ func getJSON(t *testing.T, url string, wantStatus int, v any) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFollowerRefusesPlantedSaveSnapshot: a Save file in place of the
+// follower's newest mirrored snapshot carries no RLS solver state, so the
+// local WAL tail cannot be replayed onto it bit-identically. openLocal loads
+// the snapshot as Recover does and refuses the file, and the follower
+// re-bootstraps from the primary instead of resuming on it.
+func TestFollowerRefusesPlantedSaveSnapshot(t *testing.T) {
+	pairs := genPairs(89, 600)
+	p := newPrimary(t, t.TempDir(), 100)
+	if _, err := p.d.TrainBatch(pairs[:300]); err != nil {
+		t.Fatal(err)
+	}
+	fdir := t.TempDir()
+	rep, cancel := startReplica(t, fastOpts(fdir, p.ts.URL))
+	waitSteps(t, rep, 300)
+	cancel()
+	if err := rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	man, err := wal.List(fdir)
+	if err != nil || len(man.Snapshots) == 0 {
+		t.Fatalf("follower mirror holds no snapshot (%v)", err)
+	}
+	var saved bytes.Buffer
+	if err := rep.Model().Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wal.SnapshotPath(fdir, man.Snapshots[len(man.Snapshots)-1]), saved.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := p.d.TrainBatch(pairs[300:]); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logs []string
+	opts := fastOpts(fdir, p.ts.URL)
+	opts.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
+	rep2, _ := startReplica(t, opts)
+	waitSteps(t, rep2, len(pairs))
+	if st := rep2.Status(); st.Bootstraps != 1 {
+		t.Fatalf("bootstraps = %d, want 1: the planted Save file was resumed on", st.Bootstraps)
+	}
+	if got, want := hashOf(t, rep2.Model()), hashOf(t, p.d.Model()); got != want {
+		t.Fatalf("follower hash %s, primary %s", got, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if all := strings.Join(logs, "\n"); !strings.Contains(all, "local mirror unusable") || !strings.Contains(all, "without the RLS solver state") {
+		t.Fatalf("the follower did not log refusing its local snapshot:\n%s", all)
+	}
+}
+
+// TestFollowerRefusesShippedSaveSnapshot: a primary that ships a Save file
+// as its snapshot gets it refused — the follower mirrors the bytes, fails to
+// load them as a snapshot, and serves nothing rather than a model its WAL
+// stream cannot be replayed onto.
+func TestFollowerRefusesShippedSaveSnapshot(t *testing.T) {
+	m, err := core.NewModel(trainConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.TrainBatch(genPairs(97, 200)); err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != replica.PathSnapshot {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set(replica.HeaderGen, "1")
+		w.Header().Set(replica.HeaderBoot, "planted")
+		_, _ = w.Write(saved.Bytes())
+	}))
+	defer fake.Close()
+
+	refused := make(chan string, 1)
+	opts := fastOpts(t.TempDir(), fake.URL)
+	opts.Logf = func(format string, args ...any) {
+		if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "does not load") {
+			select {
+			case refused <- msg:
+			default:
+			}
+		}
+	}
+	rep, _ := startReplica(t, opts)
+	select {
+	case msg := <-refused:
+		if !strings.Contains(msg, "without the RLS solver state") {
+			t.Fatalf("shipped Save file refused for another reason: %s", msg)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("the shipped Save file was not refused; status %+v", rep.Status())
+	}
+	if st := rep.Status(); st.Bootstrapped || st.Bootstraps != 0 {
+		t.Fatalf("status after the refusal = %+v, want no model and no bootstrap", st)
 	}
 }
