@@ -1,8 +1,8 @@
 // Package engine implements the in-memory DBMS substrate that exact queries
-// run against: a catalog of relations, columnar storage for float64
-// attributes, bulk loading from datasets, scans and simple predicate
-// filtering. It stands in for the PostgreSQL server the paper uses to serve
-// the exact Q1/Q2 answers during training and as the REG baseline.
+// run against: a catalog of relations with columnar storage for float64
+// attributes, each loaded once from a dataset and read by column. It stands
+// in for the PostgreSQL server the paper uses to serve the exact Q1/Q2
+// answers during training and as the REG baseline.
 package engine
 
 import (
@@ -19,7 +19,6 @@ var (
 	ErrTableExists    = errors.New("engine: table already exists")
 	ErrTableNotFound  = errors.New("engine: table not found")
 	ErrColumnNotFound = errors.New("engine: column not found")
-	ErrArity          = errors.New("engine: wrong number of values")
 )
 
 // Schema describes the columns of a relation. All attributes are float64;
@@ -88,43 +87,8 @@ func (t *Table) Len() int {
 	return len(t.cols[0])
 }
 
-// Insert appends one row. The number of values must match the schema arity.
-func (t *Table) Insert(values ...float64) error {
-	if len(values) != t.schema.Arity() {
-		return fmt.Errorf("%w: got %d, want %d", ErrArity, len(values), t.schema.Arity())
-	}
-	for i, v := range values {
-		t.cols[i] = append(t.cols[i], v)
-	}
-	return nil
-}
-
-// BulkInsert appends many rows at once; each row must match the schema arity.
-func (t *Table) BulkInsert(rows [][]float64) error {
-	for i, r := range rows {
-		if len(r) != t.schema.Arity() {
-			return fmt.Errorf("%w: row %d has %d values, want %d", ErrArity, i, len(r), t.schema.Arity())
-		}
-	}
-	for _, r := range rows {
-		for i, v := range r {
-			t.cols[i] = append(t.cols[i], v)
-		}
-	}
-	return nil
-}
-
-// Column returns the backing slice of the named column. The slice must be
-// treated as read-only by callers.
-func (t *Table) Column(name string) ([]float64, error) {
-	i, err := t.schema.ColumnIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	return t.cols[i], nil
-}
-
-// ColumnAt returns the backing slice of the i-th column.
+// ColumnAt returns the backing slice of the i-th column, which callers must
+// not write.
 func (t *Table) ColumnAt(i int) []float64 {
 	if i < 0 || i >= len(t.cols) {
 		panic(fmt.Sprintf("engine: column index %d out of range [0,%d)", i, len(t.cols)))
@@ -153,48 +117,6 @@ func (t *Table) Scan(fn func(rowID int) bool) {
 			return
 		}
 	}
-}
-
-// Project returns, for the given row ids, the values of the named columns as
-// row-major slices. It is the engine's projection operator.
-func (t *Table) Project(rowIDs []int, columns ...string) ([][]float64, error) {
-	idx := make([]int, len(columns))
-	for j, c := range columns {
-		i, err := t.schema.ColumnIndex(c)
-		if err != nil {
-			return nil, err
-		}
-		idx[j] = i
-	}
-	out := make([][]float64, len(rowIDs))
-	for k, r := range rowIDs {
-		if r < 0 || r >= t.Len() {
-			return nil, fmt.Errorf("engine: row id %d out of range [0,%d)", r, t.Len())
-		}
-		row := make([]float64, len(idx))
-		for j, i := range idx {
-			row[j] = t.cols[i][r]
-		}
-		out[k] = row
-	}
-	return out, nil
-}
-
-// Filter returns the ids of the rows for which pred returns true. pred
-// receives the materialized row.
-func (t *Table) Filter(pred func(row []float64) bool) []int {
-	var ids []int
-	row := make([]float64, t.schema.Arity())
-	n := t.Len()
-	for i := 0; i < n; i++ {
-		for j := range t.cols {
-			row[j] = t.cols[j][i]
-		}
-		if pred(row) {
-			ids = append(ids, i)
-		}
-	}
-	return ids
 }
 
 // Catalog is a thread-safe registry of tables — the "database".
@@ -229,17 +151,6 @@ func (c *Catalog) Get(name string) (*Table, error) {
 		return nil, fmt.Errorf("%w: %q", ErrTableNotFound, name)
 	}
 	return t, nil
-}
-
-// Drop removes the named table.
-func (c *Catalog) Drop(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrTableNotFound, name)
-	}
-	delete(c.tables, name)
-	return nil
 }
 
 // List returns the table names in sorted order.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"llmq/internal/dataset"
@@ -38,28 +39,36 @@ func TestNewSchema(t *testing.T) {
 	}
 }
 
+// load loads a fixture relation into c: the rows xs with outputs us, under
+// the given input names and the output name "u".
+func load(t *testing.T, c *Catalog, name string, xs [][]float64, us []float64, inputs ...string) *Table {
+	t.Helper()
+	ds, err := dataset.FromPoints(name, xs, us)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.InputNames, ds.OutputName = inputs, "u"
+	tab, err := c.LoadDataset("", ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
 func TestTableInsertAndAccess(t *testing.T) {
-	tab := NewTable("points", mustSchema(t, "x", "y", "u"))
-	if tab.Name() != "points" || tab.Len() != 0 {
-		t.Fatalf("fresh table: %q len %d", tab.Name(), tab.Len())
+	c := NewCatalog()
+	fresh, err := c.Create("empty", mustSchema(t, "x", "y", "u"))
+	if err != nil || fresh.Len() != 0 {
+		t.Fatalf("fresh table: len %d, %v", fresh.Len(), err)
 	}
-	if err := tab.Insert(1, 2, 3); err != nil {
-		t.Fatal(err)
+	tab := load(t, c, "points", [][]float64{{1, 2}, {4, 5}}, []float64{3, 6}, "x", "y")
+	if tab.Name() != "points" || tab.Len() != 2 {
+		t.Fatalf("loaded table: %q len %d", tab.Name(), tab.Len())
 	}
-	if err := tab.Insert(4, 5, 6); err != nil {
-		t.Fatal(err)
+	if got := tab.ColumnAt(1); got[1] != 5 {
+		t.Errorf("ColumnAt(1) = %v", got)
 	}
-	if err := tab.Insert(1, 2); !errors.Is(err, ErrArity) {
-		t.Errorf("arity err = %v", err)
-	}
-	if tab.Len() != 2 {
-		t.Errorf("len = %d", tab.Len())
-	}
-	col, err := tab.Column("y")
-	if err != nil || col[1] != 5 {
-		t.Errorf("Column = %v, %v", col, err)
-	}
-	if _, err := tab.Column("zz"); !errors.Is(err, ErrColumnNotFound) {
+	if _, err := tab.Schema().ColumnIndex("zz"); !errors.Is(err, ErrColumnNotFound) {
 		t.Errorf("missing column err = %v", err)
 	}
 	if got := tab.ColumnAt(2); got[0] != 3 {
@@ -75,8 +84,7 @@ func TestTableInsertAndAccess(t *testing.T) {
 }
 
 func TestTablePanics(t *testing.T) {
-	tab := NewTable("p", mustSchema(t, "a"))
-	_ = tab.Insert(1)
+	tab := load(t, NewCatalog(), "p", [][]float64{{1}}, []float64{2}, "a")
 	cases := []func(){
 		func() { tab.Row(5) },
 		func() { tab.Row(-1) },
@@ -94,30 +102,12 @@ func TestTablePanics(t *testing.T) {
 	}
 }
 
-func TestBulkInsert(t *testing.T) {
-	tab := NewTable("p", mustSchema(t, "a", "b"))
-	rows := [][]float64{{1, 2}, {3, 4}, {5, 6}}
-	if err := tab.BulkInsert(rows); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Len() != 3 {
-		t.Errorf("len = %d", tab.Len())
-	}
-	// A bad row anywhere must reject the whole batch before inserting.
-	bad := [][]float64{{1, 2}, {3}}
-	if err := tab.BulkInsert(bad); !errors.Is(err, ErrArity) {
-		t.Errorf("bad batch err = %v", err)
-	}
-	if tab.Len() != 3 {
-		t.Errorf("failed batch must not partially insert; len = %d", tab.Len())
-	}
-}
-
 func TestScanAndFilterAndProject(t *testing.T) {
-	tab := NewTable("p", mustSchema(t, "x", "u"))
-	for i := 0; i < 10; i++ {
-		_ = tab.Insert(float64(i), float64(i*i))
+	xs, us := make([][]float64, 10), make([]float64, 10)
+	for i := range xs {
+		xs[i], us[i] = []float64{float64(i)}, float64(i*i)
 	}
+	tab := load(t, NewCatalog(), "p", xs, us, "x")
 	var visited int
 	tab.Scan(func(rowID int) bool {
 		visited++
@@ -126,22 +116,10 @@ func TestScanAndFilterAndProject(t *testing.T) {
 	if visited != 5 {
 		t.Errorf("early-stop scan visited %d rows", visited)
 	}
-	ids := tab.Filter(func(row []float64) bool { return row[0] >= 7 })
-	if len(ids) != 3 || ids[0] != 7 {
-		t.Errorf("Filter = %v", ids)
-	}
-	proj, err := tab.Project(ids, "u")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(proj) != 3 || proj[0][0] != 49 {
-		t.Errorf("Project = %v", proj)
-	}
-	if _, err := tab.Project(ids, "nope"); !errors.Is(err, ErrColumnNotFound) {
-		t.Errorf("project missing column err = %v", err)
-	}
-	if _, err := tab.Project([]int{99}, "x"); err == nil {
-		t.Error("out-of-range row id accepted")
+	visited = 0
+	tab.Scan(func(int) bool { visited++; return true })
+	if visited != 10 {
+		t.Errorf("full scan visited %d rows", visited)
 	}
 }
 
@@ -169,12 +147,6 @@ func TestCatalog(t *testing.T) {
 	if len(names) != 2 || names[0] != "more" || names[1] != "pts" {
 		t.Errorf("List = %v", names)
 	}
-	if err := c.Drop("pts"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Drop("pts"); !errors.Is(err, ErrTableNotFound) {
-		t.Errorf("double drop err = %v", err)
-	}
 }
 
 func TestLoadDataset(t *testing.T) {
@@ -192,12 +164,13 @@ func TestLoadDataset(t *testing.T) {
 	if tab.Name() != "seis" || tab.Len() != 2 {
 		t.Errorf("loaded table %q with %d rows", tab.Name(), tab.Len())
 	}
-	u, err := tab.Column("pwave")
-	if err != nil || u[1] != 20 {
-		t.Errorf("output column = %v, %v", u, err)
+	if got := tab.Schema().Columns; len(got) != 3 || got[0] != "lon" || got[1] != "lat" || got[2] != "pwave" {
+		t.Errorf("columns = %v", got)
 	}
-	lat, _ := tab.Column("lat")
-	if lat[0] != 2 {
+	if u := tab.ColumnAt(2); u[1] != 20 {
+		t.Errorf("output column = %v", u)
+	}
+	if lat := tab.ColumnAt(1); lat[0] != 2 {
 		t.Errorf("lat = %v", lat)
 	}
 	// Named load and duplicate detection.
@@ -222,35 +195,17 @@ func TestConcurrentCatalogAccess(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			_, _ = c.Create("t", s)
-			_ = c.Drop("t")
+			if _, err := c.Create(fmt.Sprintf("t%d", i), s); err != nil {
+				t.Error(err)
+			}
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		_, _ = c.Get("t")
+		_, _ = c.Get(fmt.Sprintf("t%d", i))
 		_ = c.List()
 	}
 	<-done
-}
-
-func BenchmarkInsert(b *testing.B) {
-	s, _ := NewSchema("x1", "x2", "x3", "u")
-	tab := NewTable("bench", s)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = tab.Insert(1, 2, 3, 4)
-	}
-}
-
-func BenchmarkFilter10k(b *testing.B) {
-	s, _ := NewSchema("x", "u")
-	tab := NewTable("bench", s)
-	for i := 0; i < 10000; i++ {
-		_ = tab.Insert(float64(i), float64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tab.Filter(func(row []float64) bool { return row[0] > 5000 })
+	if n := len(c.List()); n != 100 {
+		t.Errorf("List has %d tables, want 100", n)
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// Batched exact execution. The Executor never mutates the table or the
-// spatial index, so independent queries can be evaluated concurrently as
-// long as no other goroutine inserts into the table; the batch entry points
-// below drain a query list with a bounded worker pool. Results and errors
+// Batched exact execution. The Executor never mutates the table or its
+// grid, and a table does not change once it is loaded, so independent
+// queries can be evaluated concurrently; the batch entry points below drain
+// a query list with a bounded worker pool. Results and errors
 // are positional: errs[i] is non-nil (typically ErrEmptySubspace) exactly
 // when the i-th query produced no result.
 

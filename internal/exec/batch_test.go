@@ -14,7 +14,7 @@ import (
 
 func TestMeanBatchMatchesSequential(t *testing.T) {
 	tab, _ := loadTable(t, 5000, 2, synth.SensorSurrogate, 0.01, 21)
-	e, err := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
+	e, err := NewExecutorWithGrid(tab, []string{"x1", "x2"}, "u", 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestForEachParallelCtxComplete(t *testing.T) {
 // skipped queries (context error) from executed ones.
 func TestMeanBatchCtxMarksSkipped(t *testing.T) {
 	tab, _ := loadTable(t, 2000, 2, synth.SensorSurrogate, 0.01, 22)
-	e, err := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
+	e, err := NewExecutorWithGrid(tab, []string{"x1", "x2"}, "u", 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // live context changes nothing versus the plain entry points.
 func TestMeanRegressionCtxCancelled(t *testing.T) {
 	tab, ds := loadTable(t, 5000, 2, synth.Paraboloid, 0.1, 5)
-	e, err := NewExecutor(tab, ds.InputNames, ds.OutputName, nil)
+	e, err := NewExecutorWithGrid(tab, ds.InputNames, ds.OutputName, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestMeanRegressionCtxCancelled(t *testing.T) {
 // context error in every errs slot (claimed or skipped alike).
 func TestBatchCtxThreadsIntoQueries(t *testing.T) {
 	tab, ds := loadTable(t, 2000, 2, synth.Paraboloid, 0.1, 7)
-	e, err := NewExecutor(tab, ds.InputNames, ds.OutputName, nil)
+	e, err := NewExecutorWithGrid(tab, ds.InputNames, ds.OutputName, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -71,77 +70,37 @@ type RegressionResult struct {
 }
 
 // Executor evaluates exact Q1/Q2 queries against one relation. The relation's
-// input attributes and output attribute are fixed at construction; the
-// spatial index accelerates the selection. A selection is a list of
-// positions into pts and out: over an index.Grid these are the grid's own
-// clustered coordinates and a clustered copy of the output column, so the
-// grid's scan, the mean and the regression read the same few runs of memory
-// and no row id is ever materialized; any other index hands back row ids,
-// which are positions into row-ordered copies.
+// input attributes and output attribute are fixed at construction, and every
+// selection is served by an index.Grid built over the input attributes. A
+// selection is a list of positions into the grid's clustered coordinates
+// (pts) and a clustered copy of the output column (out), so the grid's scan,
+// the mean and the regression read the same few runs of memory and no row id
+// is materialized.
 type Executor struct {
 	table   *engine.Table
-	idx     index.SpatialIndex
-	grid    *index.Grid // idx, when it is a Grid
-	pts     []float64   // input attributes, row-major: grid.Points(), or in row order
-	out     []float64   // output attribute in the same order
-	inCols  []int
-	outCol  int
+	grid    *index.Grid
+	pts     []float64 // grid.Points(): the input attributes, clustered, row-major
+	out     []float64 // the output attribute in the same order
 	inNames []string
 	outName string
 }
 
-// NewExecutor builds an executor over table using the named input attributes
-// and output attribute. If idx is nil a linear-scan index is built over the
-// input attributes.
-func NewExecutor(table *engine.Table, inputs []string, output string, idx index.SpatialIndex) (*Executor, error) {
-	e, err := resolve(table, inputs, output)
-	if err != nil {
-		return nil, err
-	}
-	if idx == nil {
-		// The linear index scans views into the executor's own flat copy.
-		e.pts = e.flatInputs()
-		d := len(e.inCols)
-		rows := make([][]float64, table.Len())
-		for i := range rows {
-			rows[i] = e.pts[i*d : (i+1)*d : (i+1)*d]
-		}
-		if idx, err = index.NewLinear(rows); err != nil {
-			return nil, err
-		}
-	}
-	return e.attach(idx)
-}
-
-// NewExecutorWithGrid is a convenience constructor that builds a grid index
-// with the given cell size over the input attributes, straight from the
-// table's columns.
+// NewExecutorWithGrid builds an executor over table, which must hold at least
+// one row, using the named input attributes and output attribute. Its grid
+// index, with the given cell size, is built straight from the table's
+// columns.
 func NewExecutorWithGrid(table *engine.Table, inputs []string, output string, cellSize float64) (*Executor, error) {
-	e, err := resolve(table, inputs, output)
-	if err != nil {
-		return nil, err
-	}
-	grid, err := index.NewGridFlat(e.flatInputs(), len(e.inCols), cellSize)
-	if err != nil {
-		return nil, err
-	}
-	return e.attach(grid)
-}
-
-// resolve looks the attribute names up in the schema of table, which must
-// hold at least one row.
-func resolve(table *engine.Table, inputs []string, output string) (*Executor, error) {
 	if len(inputs) == 0 {
 		return nil, ErrNoInputs
 	}
 	schema := table.Schema()
 	inCols := make([]int, len(inputs))
-	for i, name := range inputs {
+	for j, name := range inputs {
 		c, err := schema.ColumnIndex(name)
 		if err != nil {
 			return nil, err
 		}
-		inCols[i] = c
+		inCols[j] = c
 	}
 	outCol, err := schema.ColumnIndex(output)
 	if err != nil {
@@ -150,36 +109,26 @@ func resolve(table *engine.Table, inputs []string, output string) (*Executor, er
 	if table.Len() == 0 {
 		return nil, fmt.Errorf("exec: table %q is empty", table.Name())
 	}
+	// The grid clusters a row-major copy of the input attributes.
+	d := len(inCols)
+	rows := make([]float64, table.Len()*d)
+	for j, c := range inCols {
+		for i, v := range table.ColumnAt(c) {
+			rows[i*d+j] = v
+		}
+	}
+	grid, err := index.NewGridFlat(rows, d, cellSize)
+	if err != nil {
+		return nil, err
+	}
 	return &Executor{
 		table:   table,
-		inCols:  inCols,
-		outCol:  outCol,
+		grid:    grid,
+		pts:     grid.Points(),
+		out:     grid.Cluster(table.ColumnAt(outCol)),
 		inNames: append([]string(nil), inputs...),
 		outName: output,
 	}, nil
-}
-
-// attach checks idx against the relation and makes it the executor's index.
-func (e *Executor) attach(idx index.SpatialIndex) (*Executor, error) {
-	if idx.Dim() != len(e.inCols) {
-		return nil, fmt.Errorf("exec: index dimension %d does not match %d input attributes", idx.Dim(), len(e.inCols))
-	}
-	if idx.Len() != e.table.Len() {
-		return nil, fmt.Errorf("exec: index covers %d points but table has %d rows", idx.Len(), e.table.Len())
-	}
-	if idx.Len() > math.MaxInt32 {
-		return nil, fmt.Errorf("exec: %d rows exceed the executor's 2^31-1 positions", idx.Len())
-	}
-	e.idx = idx
-	if g, ok := idx.(*index.Grid); ok {
-		e.grid, e.pts, e.out = g, g.Points(), g.Cluster(e.table.ColumnAt(e.outCol))
-		return e, nil
-	}
-	if e.pts == nil {
-		e.pts = e.flatInputs()
-	}
-	e.out = e.table.ColumnAt(e.outCol)
-	return e, nil
 }
 
 // InputNames returns the input attribute names.
@@ -191,30 +140,10 @@ func (e *Executor) OutputName() string { return e.outName }
 // Table returns the underlying relation.
 func (e *Executor) Table() *engine.Table { return e.table }
 
-// inputColumns returns the table's backing slices of the input attributes.
-func (e *Executor) inputColumns() [][]float64 {
-	cols := make([][]float64, len(e.inCols))
-	for j, c := range e.inCols {
-		cols[j] = e.table.ColumnAt(c)
-	}
-	return cols
-}
-
-// flatInputs copies the input attributes row-major, in row order.
-func (e *Executor) flatInputs() []float64 {
-	cols := e.inputColumns()
-	pts := make([]float64, e.table.Len()*len(cols))
-	for j, col := range cols {
-		for i, v := range col {
-			pts[i*len(cols)+j] = v
-		}
-	}
-	return pts
-}
-
-// Select returns the row ids of the subspace D(x, θ).
+// Select returns the row ids of the subspace D(x, θ), in the grid's visit
+// order.
 func (e *Executor) Select(q RadiusQuery) ([]int, error) {
-	return e.idx.Radius(q.Center, q.Theta, q.norm())
+	return e.grid.Radius(q.Center, q.Theta, q.norm())
 }
 
 // ctxCheckRows is how many rows the context-aware executors scan or reduce
@@ -230,28 +159,18 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// selectInto runs q's selection into sc.pos. A Grid scans straight into it
-// and observes ctx as it goes; any other index returns its id list in one
-// uninterrupted call, bracketed only by the callers' checks.
+// selectInto runs q's selection into sc.pos, observing ctx as it scans.
 func (e *Executor) selectInto(ctx context.Context, sc *scratch, q RadiusQuery) (err error) {
-	if e.grid != nil {
-		sc.pos, err = e.grid.Scan(ctx, sc.pos[:0], q.Center, q.Theta, q.norm())
-		return err
-	}
-	ids, err := e.Select(q)
-	sc.pos = sc.pos[:0]
-	for _, id := range ids {
-		sc.pos = append(sc.pos, int32(id))
-	}
+	sc.pos, err = e.grid.Scan(ctx, sc.pos[:0], q.Center, q.Theta, q.norm())
 	return err
 }
 
 // MeanCtx executes the exact Q1 query: the average of the output attribute
 // over D(x, θ). It returns ErrEmptySubspace when no tuple qualifies. ctx is
 // observed before the scan, at least once per ctxCheckRows candidate rows
-// during it (over a Grid; see selectInto), after it, and every ctxCheckRows
-// rows of the reduction — so a disconnected client or an expired deadline
-// stops the relation scan instead of leaving it running for nobody.
+// during it, after it, and every ctxCheckRows rows of the reduction — so a
+// disconnected client or an expired deadline stops the relation scan instead
+// of leaving it running for nobody.
 func (e *Executor) MeanCtx(ctx context.Context, q RadiusQuery) (MeanResult, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -307,7 +226,7 @@ func (e *Executor) RegressionCtx(ctx context.Context, q RadiusQuery) (Regression
 	if err := ctx.Err(); err != nil {
 		return RegressionResult{}, err
 	}
-	model, err := linalg.FitOLSAt(e.pts, len(e.inCols), e.out, sc.pos)
+	model, err := linalg.FitOLSAt(e.pts, e.grid.Dim(), e.out, sc.pos)
 	if err != nil {
 		return RegressionResult{}, fmt.Errorf("exec: regression over %d tuples: %w", n, err)
 	}
@@ -340,41 +259,46 @@ func (r RegressionResult) Predict(x []float64) float64 {
 // reports for its REG baseline.
 func (e *Executor) GlobalRegression() (RegressionResult, error) {
 	start := time.Now()
-	n := e.table.Len()
-	if n == 0 {
-		return RegressionResult{}, ErrEmptySubspace
+	// Every row, in row order: row i lies at the position IDs maps to i.
+	pos := make([]int32, len(e.out))
+	for at, id := range e.grid.IDs() {
+		pos[id] = int32(at)
 	}
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	xs, us := e.gather(ids)
-	model, err := linalg.FitOLS(xs, us)
+	model, err := linalg.FitOLSAt(e.pts, e.grid.Dim(), e.out, pos)
 	if err != nil {
 		return RegressionResult{}, fmt.Errorf("exec: global regression: %w", err)
 	}
 	return RegressionResult{
 		Intercept: model.Intercept,
 		Slope:     model.Slope,
-		Count:     n,
+		Count:     len(pos),
 		FVU:       model.FVU(),
 		CoD:       model.R2(),
 		Elapsed:   time.Since(start),
 	}, nil
 }
 
-// SubspaceValues returns the raw (x, u) observations inside D(x, θ); the
-// evaluation harness uses them to score any model's goodness of fit over the
-// same subspace the paper scores REG, PLR and LLM on.
+// SubspaceValues returns the raw (x, u) observations inside D(x, θ), in the
+// order Select returns their row ids; the evaluation harness uses them to
+// score any model's goodness of fit over the same subspace the paper scores
+// REG, PLR and LLM on.
 func (e *Executor) SubspaceValues(q RadiusQuery) (xs [][]float64, us []float64, err error) {
-	ids, err := e.Select(q)
-	if err != nil {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	if err := e.selectInto(context.Background(), sc, q); err != nil {
 		return nil, nil, err
 	}
-	if len(ids) == 0 {
+	if len(sc.pos) == 0 {
 		return nil, nil, ErrEmptySubspace
 	}
-	xs, us = e.gather(ids)
+	d := e.grid.Dim()
+	rows := make([]float64, len(sc.pos)*d)
+	xs, us = make([][]float64, len(sc.pos)), make([]float64, len(sc.pos))
+	for k, at := range sc.pos {
+		xs[k] = rows[k*d : (k+1)*d : (k+1)*d]
+		copy(xs[k], e.pts[int(at)*d:])
+		us[k] = e.out[at]
+	}
 	return xs, us, nil
 }
 
@@ -391,19 +315,4 @@ func (e *Executor) GoodnessOverSubspace(q RadiusQuery, predict func(x []float64)
 		preds[i] = predict(x)
 	}
 	return stats.Fit(us, preds)
-}
-
-func (e *Executor) gather(ids []int) ([][]float64, []float64) {
-	cols, out := e.inputColumns(), e.table.ColumnAt(e.outCol)
-	xs := make([][]float64, len(ids))
-	us := make([]float64, len(ids))
-	for k, id := range ids {
-		x := make([]float64, len(cols))
-		for j := range cols {
-			x[j] = cols[j][id]
-		}
-		xs[k] = x
-		us[k] = out[id]
-	}
-	return xs, us
 }

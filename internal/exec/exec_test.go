@@ -9,7 +9,7 @@ import (
 
 	"llmq/internal/dataset"
 	"llmq/internal/engine"
-	"llmq/internal/index"
+	"llmq/internal/linalg"
 	"llmq/internal/synth"
 )
 
@@ -37,26 +37,16 @@ func loadTable(t testing.TB, n, dim int, fn synth.DataFunc, noise float64, seed 
 
 func TestNewExecutorValidation(t *testing.T) {
 	tab, _ := loadTable(t, 100, 2, synth.Paraboloid, 0, 1)
-	if _, err := NewExecutor(tab, nil, "u", nil); !errors.Is(err, ErrNoInputs) {
+	if _, err := NewExecutorWithGrid(tab, nil, "u", 0.1); !errors.Is(err, ErrNoInputs) {
 		t.Errorf("no inputs err = %v", err)
 	}
-	if _, err := NewExecutor(tab, []string{"zz"}, "u", nil); err == nil {
+	if _, err := NewExecutorWithGrid(tab, []string{"zz"}, "u", 0.1); err == nil {
 		t.Error("unknown input column accepted")
 	}
-	if _, err := NewExecutor(tab, []string{"x1", "x2"}, "zz", nil); err == nil {
+	if _, err := NewExecutorWithGrid(tab, []string{"x1", "x2"}, "zz", 0.1); err == nil {
 		t.Error("unknown output column accepted")
 	}
-	// Index dimension mismatch.
-	badIdx, _ := index.NewLinear([][]float64{{1}, {2}})
-	if _, err := NewExecutor(tab, []string{"x1", "x2"}, "u", badIdx); err == nil {
-		t.Error("index dimension mismatch accepted")
-	}
-	// Index size mismatch.
-	smallIdx, _ := index.NewLinear([][]float64{{1, 2}})
-	if _, err := NewExecutor(tab, []string{"x1", "x2"}, "u", smallIdx); err == nil {
-		t.Error("index size mismatch accepted")
-	}
-	e, err := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
+	e, err := NewExecutorWithGrid(tab, []string{"x1", "x2"}, "u", 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +57,7 @@ func TestNewExecutorValidation(t *testing.T) {
 
 func TestMeanMatchesBruteForce(t *testing.T) {
 	tab, ds := loadTable(t, 2000, 2, synth.SensorSurrogate, 0.01, 2)
-	e, err := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
+	e, err := NewExecutorWithGrid(tab, []string{"x1", "x2"}, "u", 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +96,7 @@ func TestMeanMatchesBruteForce(t *testing.T) {
 
 func TestMeanEmptySubspace(t *testing.T) {
 	tab, _ := loadTable(t, 100, 2, synth.Paraboloid, 0, 4)
-	e, _ := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
+	e, _ := NewExecutorWithGrid(tab, []string{"x1", "x2"}, "u", 0.1)
 	_, err := e.MeanCtx(context.Background(), RadiusQuery{Center: []float64{50, 50}, Theta: 0.1})
 	if !errors.Is(err, ErrEmptySubspace) {
 		t.Errorf("err = %v, want ErrEmptySubspace", err)
@@ -125,7 +115,7 @@ func TestRegressionRecoversLinearFunction(t *testing.T) {
 	// report FVU ~ 0, CoD ~ 1.
 	plane := synth.Plane(0.5, []float64{2, -1})
 	tab, _ := loadTable(t, 3000, 2, plane, 0, 5)
-	e, err := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
+	e, err := NewExecutorWithGrid(tab, []string{"x1", "x2"}, "u", 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +138,7 @@ func TestRegressionOnNonLinearDataHasHighFVU(t *testing.T) {
 	// Over a wide subspace of a strongly non-linear function the global
 	// linear fit should leave substantial unexplained variance.
 	tab, _ := loadTable(t, 5000, 2, synth.SensorSurrogate, 0, 6)
-	e, _ := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
+	e, _ := NewExecutorWithGrid(tab, []string{"x1", "x2"}, "u", 0.1)
 	res, err := e.RegressionCtx(context.Background(), RadiusQuery{Center: []float64{0.5, 0.5}, Theta: 0.7})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +151,7 @@ func TestRegressionOnNonLinearDataHasHighFVU(t *testing.T) {
 func TestGoodnessOverSubspace(t *testing.T) {
 	plane := synth.Plane(1, []float64{3})
 	tab, _ := loadTable(t, 500, 1, plane, 0, 7)
-	e, _ := NewExecutor(tab, []string{"x1"}, "u", nil)
+	e, _ := NewExecutorWithGrid(tab, []string{"x1"}, "u", 0.1)
 	q := RadiusQuery{Center: []float64{0.5}, Theta: 0.4}
 	// Perfect predictor.
 	g, err := e.GoodnessOverSubspace(q, func(x []float64) float64 { return 1 + 3*x[0] })
@@ -184,13 +174,11 @@ func TestGoodnessOverSubspace(t *testing.T) {
 	}
 }
 
+// TestGridExecutorAgreesWithLinear checks the grid executor's means at d = 3
+// against a brute-force linear scan of the dataset.
 func TestGridExecutorAgreesWithLinear(t *testing.T) {
-	tab, _ := loadTable(t, 3000, 3, synth.SensorSurrogate, 0, 8)
-	linE, err := NewExecutor(tab, []string{"x1", "x2", "x3"}, "u", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gridE, err := NewExecutorWithGrid(tab, []string{"x1", "x2", "x3"}, "u", 0.1)
+	tab, ds := loadTable(t, 3000, 3, synth.SensorSurrogate, 0, 8)
+	e, err := NewExecutorWithGrid(tab, []string{"x1", "x2", "x3"}, "u", 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,23 +188,58 @@ func TestGridExecutorAgreesWithLinear(t *testing.T) {
 			Center: []float64{rng.Float64(), rng.Float64(), rng.Float64()},
 			Theta:  0.1 + 0.1*rng.Float64(),
 		}
-		a, errA := linE.MeanCtx(context.Background(), q)
-		b, errB := gridE.MeanCtx(context.Background(), q)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("trial %d: error mismatch %v vs %v", trial, errA, errB)
+		var sum float64
+		var count int
+		for i, x := range ds.Xs {
+			dx, dy, dz := x[0]-q.Center[0], x[1]-q.Center[1], x[2]-q.Center[2]
+			if math.Sqrt(dx*dx+dy*dy+dz*dz) <= q.Theta {
+				sum += ds.Us[i]
+				count++
+			}
 		}
-		if errA != nil {
+		res, err := e.MeanCtx(context.Background(), q)
+		if count == 0 {
+			if !errors.Is(err, ErrEmptySubspace) {
+				t.Fatalf("trial %d: brute force selects nothing, grid err = %v", trial, err)
+			}
 			continue
 		}
-		if a.Count != b.Count || math.Abs(a.Mean-b.Mean) > 1e-10 {
-			t.Fatalf("trial %d: linear (%d, %v) vs grid (%d, %v)", trial, a.Count, a.Mean, b.Count, b.Mean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != count || math.Abs(res.Mean-sum/float64(count)) > 1e-10 {
+			t.Fatalf("trial %d: grid (%d, %v) vs brute force (%d, %v)", trial, res.Count, res.Mean, count, sum/float64(count))
+		}
+	}
+}
+
+// TestGlobalRegressionIsTheRowOrderFit pins GlobalRegression to one OLS fit
+// over the whole dataset in row order, to the bit.
+func TestGlobalRegressionIsTheRowOrderFit(t *testing.T) {
+	for _, dim := range []int{2, 5} {
+		tab, ds := loadTable(t, 3000, dim, synth.SensorSurrogate, 0.05, int64(40+dim))
+		e, err := NewExecutorWithGrid(tab, ds.InputNames, ds.OutputName, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.GlobalRegression()
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := linalg.FitOLS(ds.Xs, ds.Us)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := RegressionResult{Intercept: model.Intercept, Slope: model.Slope, Count: len(ds.Us), FVU: model.FVU(), CoD: model.R2()}
+		if !sameRegression(got, want) {
+			t.Errorf("d=%d: GlobalRegression %+v, the row-order fit %+v", dim, got, want)
 		}
 	}
 }
 
 func TestSelectWithDifferentNorms(t *testing.T) {
 	tab, _ := loadTable(t, 1000, 2, synth.Paraboloid, 0, 10)
-	e, _ := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
+	e, _ := NewExecutorWithGrid(tab, []string{"x1", "x2"}, "u", 0.1)
 	center := []float64{0.5, 0.5}
 	l2, err := e.Select(RadiusQuery{Center: center, Theta: 0.2})
 	if err != nil {
@@ -240,7 +263,7 @@ func TestRegressionErrorOnTinySubspace(t *testing.T) {
 	// A subspace with fewer points than coefficients must surface an error,
 	// not a bogus fit.
 	tab, _ := loadTable(t, 3, 2, synth.Paraboloid, 0, 11)
-	e, _ := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
+	e, _ := NewExecutorWithGrid(tab, []string{"x1", "x2"}, "u", 0.1)
 	// Radius large enough to select exactly the 3 points is fine (3 = d+1);
 	// shrink until fewer than 3 are selected to trigger the error.
 	_, err := e.RegressionCtx(context.Background(), RadiusQuery{Center: []float64{0, 0}, Theta: 1e-9})
@@ -251,7 +274,7 @@ func TestRegressionErrorOnTinySubspace(t *testing.T) {
 
 func BenchmarkExactMean10k(b *testing.B) {
 	tab, _ := loadTable(b, 10000, 2, synth.SensorSurrogate, 0.01, 12)
-	e, err := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
+	e, err := NewExecutorWithGrid(tab, []string{"x1", "x2"}, "u", 0.1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -267,7 +290,7 @@ func BenchmarkExactMean10k(b *testing.B) {
 
 func BenchmarkExactRegression10k(b *testing.B) {
 	tab, _ := loadTable(b, 10000, 2, synth.SensorSurrogate, 0.01, 13)
-	e, err := NewExecutor(tab, []string{"x1", "x2"}, "u", nil)
+	e, err := NewExecutorWithGrid(tab, []string{"x1", "x2"}, "u", 0.1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,8 +3,10 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -52,30 +54,110 @@ func TestHugeRadiusStatement(t *testing.T) {
 	}
 }
 
-// TestSuppliedGridTakesTheClusteredPath checks NewExecutor recognizes a
-// caller's Grid: same answers, bit for bit, as NewExecutorWithGrid.
+// TestSuppliedGridTakesTheClusteredPath checks the grid the executor builds
+// from the table's columns is the one index.NewGrid builds from the
+// dataset's rows at the same cell size: the same clustered points, bit for
+// bit, the same ids at every position, and the output column clustered to
+// match.
 func TestSuppliedGridTakesTheClusteredPath(t *testing.T) {
 	tab, ds := loadTable(t, 3000, 3, synth.SensorSurrogate, 0.05, 6)
-	built, err := NewExecutorWithGrid(tab, ds.InputNames, ds.OutputName, 0.1)
+	e, err := NewExecutorWithGrid(tab, ds.InputNames, ds.OutputName, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := index.NewGrid(ds.Xs, 0.1)
+	want, err := index.NewGrid(ds.Xs, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	supplied, err := NewExecutor(tab, ds.InputNames, ds.OutputName, grid)
+	if !slices.Equal(e.grid.IDs(), want.IDs()) {
+		t.Fatal("the executor's grid stores its rows at other positions than index.NewGrid's")
+	}
+	got, wantPts := e.grid.Points(), want.Points()
+	if len(got) != len(wantPts) {
+		t.Fatalf("%d coordinates, index.NewGrid has %d", len(got), len(wantPts))
+	}
+	for k := range got {
+		if math.Float64bits(got[k]) != math.Float64bits(wantPts[k]) {
+			t.Fatalf("coordinate %d: %v, index.NewGrid has %v", k, got[k], wantPts[k])
+		}
+	}
+	for k, id := range want.IDs() {
+		if math.Float64bits(e.out[k]) != math.Float64bits(ds.Us[id]) {
+			t.Fatalf("position %d: output %v, row %d has %v", k, e.out[k], id, ds.Us[id])
+		}
+	}
+}
+
+// TestInvalidNormIsAnError runs every entry point of the executor with a
+// norm below 1 or NaN, on the cell walk and on the row-order scan: each
+// returns index.ErrNorm, and none panics.
+func TestInvalidNormIsAnError(t *testing.T) {
+	tab, ds := loadTable(t, 2000, 2, synth.Paraboloid, 0, 15)
+	e, err := NewExecutorWithGrid(tab, ds.InputNames, ds.OutputName, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if supplied.grid == nil {
-		t.Fatal("a supplied Grid was not recognized")
+	ctx := context.Background()
+	for _, p := range []float64{0.5, -1, math.NaN()} {
+		for _, theta := range []float64{0.2, 1e3} {
+			q := RadiusQuery{Center: []float64{0.5, 0.5}, Theta: theta, P: p}
+			for name, call := range map[string]func() error{
+				"MeanCtx":        func() error { _, err := e.MeanCtx(ctx, q); return err },
+				"RegressionCtx":  func() error { _, err := e.RegressionCtx(ctx, q); return err },
+				"Select":         func() error { _, err := e.Select(q); return err },
+				"SubspaceValues": func() error { _, _, err := e.SubspaceValues(q); return err },
+			} {
+				err := func() (err error) {
+					defer func() {
+						if r := recover(); r != nil {
+							err = fmt.Errorf("panic: %v", r)
+						}
+					}()
+					return call()
+				}()
+				if !errors.Is(err, index.ErrNorm) {
+					t.Errorf("%s with P = %v, θ = %v: err = %v, want index.ErrNorm", name, p, theta, err)
+				}
+			}
+		}
 	}
-	for _, q := range mixedQueries(3, 40, 9) {
-		a, errA := built.RegressionCtx(context.Background(), q)
-		b, errB := supplied.RegressionCtx(context.Background(), q)
-		if (errA == nil) != (errB == nil) || !sameRegression(a, b) {
-			t.Fatalf("%+v: built (%+v, %v) vs supplied (%+v, %v)", q, a, errA, b, errB)
+}
+
+// TestSubspaceValuesFollowsSelect pins the rows SubspaceValues hands the
+// evaluation harness to Select's ids: ds.Xs[id] and ds.Us[id] for each id,
+// in Select's order, to the bit. The figures of package experiments are
+// computed from these rows.
+func TestSubspaceValuesFollowsSelect(t *testing.T) {
+	for _, dim := range []int{1, 2, 3} {
+		tab, ds := loadTable(t, 3000, dim, synth.SensorSurrogate, 0.05, int64(20+dim))
+		e, err := NewExecutorWithGrid(tab, ds.InputNames, ds.OutputName, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range mixedQueries(dim, 40, int64(30+dim)) {
+			ids, err := e.Select(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xs, us, err := e.SubspaceValues(q)
+			if len(ids) == 0 {
+				if !errors.Is(err, ErrEmptySubspace) {
+					t.Fatalf("d=%d %+v: empty selection, SubspaceValues err = %v", dim, q, err)
+				}
+				continue
+			}
+			if err != nil || len(xs) != len(ids) || len(us) != len(ids) {
+				t.Fatalf("d=%d %+v: %d rows, %d values, err %v for %d ids", dim, q, len(xs), len(us), err, len(ids))
+			}
+			for k, id := range ids {
+				same := len(xs[k]) == dim && math.Float64bits(us[k]) == math.Float64bits(ds.Us[id])
+				for j := 0; same && j < dim; j++ {
+					same = math.Float64bits(xs[k][j]) == math.Float64bits(ds.Xs[id][j])
+				}
+				if !same {
+					t.Fatalf("d=%d %+v: row %d is (%v, %v), Select's id %d is (%v, %v)", dim, q, k, xs[k], us[k], id, ds.Xs[id], ds.Us[id])
+				}
+			}
 		}
 	}
 }
@@ -180,11 +262,10 @@ func (c *cancelAfter) Err() error {
 	return nil
 }
 
-// TestGridScanStopsOnCancel runs the context checks of the exact path on a
-// grid-backed executor over 200 000 rows (ctx_test.go only reaches the
-// Linear path): a context cancelled before, or in the middle of, a scan of
-// the whole relation comes back as ctx.Err(), on the cell walk and on the
-// row-order scan alike.
+// TestGridScanStopsOnCancel runs the context checks of the exact path on an
+// executor over 200 000 rows: a context cancelled before, or in the middle
+// of, a scan of the whole relation comes back as ctx.Err(), on the cell walk
+// and on the row-order scan alike.
 func TestGridScanStopsOnCancel(t *testing.T) {
 	tab, ds := loadTable(t, 200000, 2, synth.Paraboloid, 0, 14)
 	e, err := NewExecutorWithGrid(tab, ds.InputNames, ds.OutputName, 0.1)

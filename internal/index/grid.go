@@ -38,7 +38,8 @@ const ScanCheckRows = 4096
 // smaller than its distance along any one axis. vector.DistanceLp keeps that
 // for p = 1, 2 and ∞ unless a power underflows to zero; for other p its
 // math.Pow round trip can come out an ulp short, so a point that far outside
-// a box-aligned ball may be one Linear reports and the grid does not.
+// a box-aligned ball may be one a brute-force scan reports and the grid does
+// not.
 //
 // Cells are found through an open-addressing table keyed by the linear cell
 // number Σ coord[j]·stride[j], which works however sparse the grid is (d = 8
@@ -252,10 +253,10 @@ func (g *Grid) find(key uint64) *gridCell {
 	}
 }
 
-// Len implements SpatialIndex.
+// Len returns the number of indexed points.
 func (g *Grid) Len() int { return len(g.ids) }
 
-// Dim implements SpatialIndex.
+// Dim returns the dimensionality of the indexed points.
 func (g *Grid) Dim() int { return g.dim }
 
 // Points returns the indexed coordinates in clustered order, row-major: the
@@ -280,8 +281,8 @@ func (g *Grid) Cluster(col []float64) []float64 {
 // positions back to row ids.
 var positions = sync.Pool{New: func() any { return new([]int32) }}
 
-// Radius implements SpatialIndex. The ids come back in the grid's visit
-// order (see Grid).
+// Radius returns the row ids of all points x with ||x - center||_p <= radius,
+// in the grid's visit order (see Grid). p must be at least 1 (+Inf is L∞).
 func (g *Grid) Radius(center []float64, radius float64, p float64) ([]int, error) {
 	buf := positions.Get().(*[]int32)
 	defer positions.Put(buf)
@@ -302,9 +303,11 @@ func (g *Grid) Radius(center []float64, radius float64, p float64) ([]int, error
 // extended slice; a position indexes Points and any Cluster-ed column. It
 // allocates only to grow dst. ctx is observed before the first point and at
 // least once every ScanCheckRows candidates; a cancelled scan returns
-// ctx.Err() and whatever it had appended.
+// ctx.Err() and whatever it had appended. A centre of the wrong dimension, a
+// negative or NaN radius, and a p below 1 or NaN are refused before any
+// point is tested (ErrDimension, ErrRadius, ErrNorm).
 func (g *Grid) Scan(ctx context.Context, dst []int32, center []float64, radius, p float64) ([]int32, error) {
-	if err := checkQuery(g.dim, center, radius); err != nil {
+	if err := checkQuery(g.dim, center, radius, p); err != nil {
 		return dst, err
 	}
 	if err := ctx.Err(); err != nil {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -67,15 +68,28 @@ func TestQueryValidation(t *testing.T) {
 	pts := randomPoints(10, 3, 1)
 	lin, _ := NewLinear(pts)
 	grid, _ := NewGrid(pts, 0.5)
-	for name, idx := range map[string]SpatialIndex{"linear": lin, "grid": grid} {
+	for name, idx := range map[string]radiusIndex{"linear": lin, "grid": grid} {
 		if _, err := idx.Radius([]float64{0, 0}, 1, 2); !errors.Is(err, ErrDimension) {
 			t.Errorf("%s: wrong-dim query err = %v", name, err)
 		}
 		if _, err := idx.Radius([]float64{0, 0, 0}, -1, 2); !errors.Is(err, ErrRadius) {
 			t.Errorf("%s: negative radius err = %v", name, err)
 		}
+		for _, p := range []float64{0, 0.5, -1, math.Inf(-1), math.NaN()} {
+			if _, err := idx.Radius([]float64{0, 0, 0}, 1, p); !errors.Is(err, ErrNorm) {
+				t.Errorf("%s: norm p = %v: err = %v", name, p, err)
+			}
+		}
 		if idx.Len() != 10 || idx.Dim() != 3 {
 			t.Errorf("%s: Len/Dim = %d/%d", name, idx.Len(), idx.Dim())
+		}
+	}
+	// Scan refuses a bad norm before testing any point, on the cell walk and
+	// on the row-order scan alike.
+	for _, radius := range []float64{0.5, 1e300} {
+		pos, err := grid.Scan(context.Background(), nil, []float64{0, 0, 0}, radius, 0.5)
+		if !errors.Is(err, ErrNorm) || len(pos) != 0 {
+			t.Errorf("Scan radius %v, p = 0.5: %d positions, err = %v", radius, len(pos), err)
 		}
 	}
 }
@@ -86,7 +100,7 @@ func TestRadiusKnownConfiguration(t *testing.T) {
 	want := []int{0, 1, 2, 3}
 	lin, _ := NewLinear(pts)
 	grid, _ := NewGrid(pts, 1)
-	for name, idx := range map[string]SpatialIndex{"linear": lin, "grid": grid} {
+	for name, idx := range map[string]radiusIndex{"linear": lin, "grid": grid} {
 		ids, err := idx.Radius([]float64{0, 0}, 1.5, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -99,9 +113,9 @@ func TestRadiusKnownConfiguration(t *testing.T) {
 
 func TestRadiusBoundaryInclusive(t *testing.T) {
 	pts := [][]float64{{1, 0}, {0, 1}, {2, 0}}
-	for name, build := range map[string]func() SpatialIndex{
-		"linear": func() SpatialIndex { i, _ := NewLinear(pts); return i },
-		"grid":   func() SpatialIndex { i, _ := NewGrid(pts, 0.5); return i },
+	for name, build := range map[string]func() radiusIndex{
+		"linear": func() radiusIndex { i, _ := NewLinear(pts); return i },
+		"grid":   func() radiusIndex { i, _ := NewGrid(pts, 0.5); return i },
 	} {
 		idx := build()
 		ids, err := idx.Radius([]float64{0, 0}, 1, 2)
@@ -170,7 +184,7 @@ func TestZeroRadius(t *testing.T) {
 	pts := [][]float64{{0.5, 0.5}, {0.25, 0.25}}
 	lin, _ := NewLinear(pts)
 	grid, _ := NewGrid(pts, 0.1)
-	for name, idx := range map[string]SpatialIndex{"linear": lin, "grid": grid} {
+	for name, idx := range map[string]radiusIndex{"linear": lin, "grid": grid} {
 		ids, err := idx.Radius([]float64{0.5, 0.5}, 0, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -187,9 +201,9 @@ func TestZeroRadius(t *testing.T) {
 
 func TestLargeRadiusReturnsAll(t *testing.T) {
 	pts := randomPoints(200, 3, 9)
-	for name, build := range map[string]func() (SpatialIndex, error){
-		"linear": func() (SpatialIndex, error) { return NewLinear(pts) },
-		"grid":   func() (SpatialIndex, error) { i, err := NewGrid(pts, 0.3); return i, err },
+	for name, build := range map[string]func() (radiusIndex, error){
+		"linear": func() (radiusIndex, error) { return NewLinear(pts) },
+		"grid":   func() (radiusIndex, error) { i, err := NewGrid(pts, 0.3); return i, err },
 	} {
 		idx, err := build()
 		if err != nil {
@@ -207,9 +221,9 @@ func TestLargeRadiusReturnsAll(t *testing.T) {
 
 func TestDuplicatePoints(t *testing.T) {
 	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}, {2, 2}}
-	for name, build := range map[string]func() (SpatialIndex, error){
-		"linear": func() (SpatialIndex, error) { return NewLinear(pts) },
-		"grid":   func() (SpatialIndex, error) { i, err := NewGrid(pts, 0.5); return i, err },
+	for name, build := range map[string]func() (radiusIndex, error){
+		"linear": func() (radiusIndex, error) { return NewLinear(pts) },
+		"grid":   func() (radiusIndex, error) { i, err := NewGrid(pts, 0.5); return i, err },
 	} {
 		idx, err := build()
 		if err != nil {
@@ -242,7 +256,7 @@ func BenchmarkRadiusGrid10k(b *testing.B)   { benchRadius(b, "grid") }
 
 func benchRadius(b *testing.B, kind string) {
 	pts := randomPoints(10000, 3, 42)
-	var idx SpatialIndex
+	var idx radiusIndex
 	var err error
 	switch kind {
 	case "linear":
