@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -328,7 +329,7 @@ func cmdTrain(args []string, out io.Writer) error {
 	cfg := core.DefaultConfig(ds.Dim())
 	cfg.ResolutionA = *a
 	cfg.Gamma = *gamma
-	cfg.Vigilance = *a * (span*sqrtDim(ds.Dim()) + theta)
+	cfg.Vigilance = vigilance(*a, span, theta, ds.Dim())
 	if cp := getCap(); cp.maxProto > 0 {
 		policy, err := core.ParseEvictionPolicy(cp.evict)
 		if err != nil {
@@ -403,12 +404,12 @@ func cmdTrain(args []string, out io.Writer) error {
 	return nil
 }
 
-func sqrtDim(d int) float64 {
-	s := 1.0
-	for i := 0; i < 20; i++ {
-		s = 0.5 * (s + float64(d)/s)
-	}
-	return s
+// vigilance is the ρ the CLI trains with: the paper's a(√d + 1) for the
+// unit cube, rescaled to the data, so the mean attribute span multiplies √d
+// and the mean query radius θ takes the place of the 1. train and a fresh
+// serve -data-dir both derive ρ here.
+func vigilance(a, span, theta float64, d int) float64 {
+	return a * (span*math.Sqrt(float64(d)) + theta)
 }
 
 func cmdQuery(args []string, out io.Writer) error {

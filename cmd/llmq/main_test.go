@@ -212,8 +212,46 @@ func TestGenerateToStdout(t *testing.T) {
 	}
 }
 
-func TestSqrtDim(t *testing.T) {
-	if got := sqrtDim(4); got < 1.999 || got > 2.001 {
-		t.Errorf("sqrtDim(4) = %v", got)
+func TestVigilance(t *testing.T) {
+	// √d is math.Sqrt's, correctly rounded: exact at d = 4, and at d = 8 the
+	// double nearest 2√2.
+	if got := vigilance(1, 1, 0, 4); math.Float64bits(got) != math.Float64bits(2) {
+		t.Errorf("vigilance at d=4 = %v, want 2", got)
+	}
+	if got := vigilance(1, 1, 0, 8); math.Float64bits(got) != 0x4006a09e667f3bcd {
+		t.Errorf("vigilance at d=8 = %v (%#x), want 2.8284271247461903", got, math.Float64bits(got))
+	}
+
+	// train at its default -a and -theta trains with the ρ a fresh
+	// serve -data-dir derives for the same relation.
+	dir := t.TempDir()
+	data := filepath.Join(dir, "r1.csv")
+	model := filepath.Join(dir, "model.json")
+	var out bytes.Buffer
+	if err := run([]string{"generate", "-dataset", "R1", "-n", "3000", "-dim", "3", "-seed", "5", "-o", data}, &out); err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	if err := run([]string{"train", "-data", data, "-pairs", "100", "-o", model}, &out); err != nil {
+		t.Fatalf("train: %v", err)
+	}
+	f, err := os.Open(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.Load(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ds, err := loadExecutor(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := defaultModelConfig(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Config().Vigilance, cfg.Vigilance; math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("train derived ρ = %v, serve derives %v", got, want)
 	}
 }

@@ -507,6 +507,6 @@ func defaultModelConfig(ds *dataset.Dataset) (core.Config, error) {
 	span /= float64(ds.Dim())
 	theta := span / 10
 	cfg := core.DefaultConfig(ds.Dim())
-	cfg.Vigilance = 0.25 * (span*sqrtDim(ds.Dim()) + theta)
+	cfg.Vigilance = vigilance(0.25, span, theta, ds.Dim())
 	return cfg, nil
 }

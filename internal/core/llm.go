@@ -13,8 +13,8 @@ import (
 //
 //	f_k(x, θ) ≈ y_k + b_{X,k}(x − x_k)ᵀ + b_{Θ,k}(θ − θ_k).
 //
-// It is a value: Model.LLM and Model.LLMs build one per prototype from the
-// model's flat rows, and nothing in the model refers to it afterwards.
+// It is a value: Model.LLMs builds one per live prototype from the model's
+// flat rows, and nothing in the model refers to it afterwards.
 type LLM struct {
 	// CenterPrototype is x_k, the input-space part of the prototype.
 	CenterPrototype vector.Vec

@@ -124,8 +124,11 @@ func (c Config) validate() (Config, error) {
 	if c.Dim <= 0 {
 		return c, fmt.Errorf("%w: Dim must be positive, got %d", ErrBadConfig, c.Dim)
 	}
+	if math.IsNaN(c.Vigilance) || math.IsInf(c.Vigilance, 0) {
+		return c, fmt.Errorf("%w: Vigilance must be finite, got %v", ErrBadConfig, c.Vigilance)
+	}
 	if c.Vigilance <= 0 {
-		if c.ResolutionA <= 0 || c.ResolutionA > 1 {
+		if !(c.ResolutionA > 0 && c.ResolutionA <= 1) {
 			return c, fmt.Errorf("%w: ResolutionA %v outside (0,1]", ErrBadConfig, c.ResolutionA)
 		}
 		c.Vigilance = c.ResolutionA * (math.Sqrt(float64(c.Dim)) + 1)
@@ -555,16 +558,6 @@ func (m *Model) Regression(q Query) ([]LocalLinear, error) {
 // fusion of the neighbouring LLMs evaluated at their own prototype radii.
 func (m *Model) PredictValue(q Query, x []float64) (float64, error) {
 	return m.View().PredictValue(q, x)
-}
-
-// PredictValueAt is a convenience wrapper for predicting g(x) with the query
-// centred at x itself and the given radius.
-func (m *Model) PredictValueAt(x []float64, theta float64) (float64, error) {
-	q, err := NewQuery(x, theta)
-	if err != nil {
-		return 0, err
-	}
-	return m.PredictValue(q, x)
 }
 
 // Neighborhood exposes the overlap set W(q) for diagnostics: the prototype

@@ -402,7 +402,11 @@ func TestPredictValueApproximatesDataFunction(t *testing.T) {
 	const n = 200
 	for i := 0; i < n; i++ {
 		x := 0.1 + 0.8*rng.Float64()
-		uhat, err := m.PredictValueAt([]float64{x}, 0.1)
+		q, err := NewQuery([]float64{x}, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uhat, err := m.PredictValue(q, []float64{x})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,14 +418,24 @@ func TestPredictValueApproximatesDataFunction(t *testing.T) {
 	}
 }
 
-func TestPredictValueAtValidation(t *testing.T) {
+func TestPredictValueValidation(t *testing.T) {
 	m, _ := NewModel(DefaultConfig(1))
 	_, _ = m.Observe(Query{Center: vector.Of(0.5), Theta: 0.1}, 1)
-	if _, err := m.PredictValueAt([]float64{0.5}, -1); err == nil {
+	if _, err := NewQuery([]float64{0.5}, -1); err == nil {
 		t.Error("negative radius accepted")
 	}
-	if _, err := m.PredictValueAt(nil, 0.1); err == nil {
+	if _, err := NewQuery(nil, 0.1); err == nil {
 		t.Error("empty point accepted")
+	}
+	q, err := NewQuery([]float64{0.5}, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.PredictValue(q, nil); err == nil {
+		t.Error("empty point accepted")
+	}
+	if _, err := m.PredictValue(q, []float64{0.5}); err != nil {
+		t.Errorf("valid point refused: %v", err)
 	}
 }
 
@@ -445,6 +459,40 @@ func TestResolutionControlsPrototypeCount(t *testing.T) {
 	}
 	if !(fine > medium && medium > coarse) {
 		t.Errorf("K not monotone in resolution: fine=%d medium=%d coarse=%d", fine, medium, coarse)
+	}
+}
+
+// TestQuantizationErrorShrinksWithResolution checks the AVQ objective J of
+// Eq. 7, the mean squared query-space distance from each training query to
+// its winning prototype: on one seeded stream, a finer resolution a (a
+// smaller vigilance ρ) must quantize the queries more closely.
+func TestQuantizationErrorShrinksWithResolution(t *testing.T) {
+	f := func(x []float64, theta float64) float64 { return x[0] + x[1] }
+	train := surfaceStream(5000, 2, f, 11)
+	errorFor := func(a float64) float64 {
+		cfg := DefaultConfig(2)
+		cfg.ResolutionA = a
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.TrainBatch(train); err != nil {
+			t.Fatal(err)
+		}
+		v := m.View()
+		var j float64
+		for _, p := range train {
+			_, d, err := v.Winner(p.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j += d * d
+		}
+		return j / float64(len(train))
+	}
+	fine, medium, coarse := errorFor(0.08), errorFor(0.25), errorFor(1.0)
+	if !(fine < medium && medium < coarse) {
+		t.Errorf("J not monotone in resolution: fine=%v medium=%v coarse=%v", fine, medium, coarse)
 	}
 }
 

@@ -226,7 +226,14 @@ func TestGlobalRegressionIsTheRowOrderFit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model, err := linalg.FitOLS(ds.Xs, ds.Us)
+		// A row-major copy of the dataset, read in row order.
+		flat := make([]float64, 0, len(ds.Xs)*dim)
+		pos := make([]int32, len(ds.Xs))
+		for i, x := range ds.Xs {
+			flat = append(flat, x...)
+			pos[i] = int32(i)
+		}
+		model, err := linalg.FitOLSAt(flat, dim, ds.Us, pos)
 		if err != nil {
 			t.Fatal(err)
 		}

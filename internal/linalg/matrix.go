@@ -19,7 +19,6 @@ import (
 var (
 	ErrShape         = errors.New("linalg: incompatible matrix shapes")
 	ErrNotSPD        = errors.New("linalg: matrix is not symmetric positive definite")
-	ErrSingular      = errors.New("linalg: matrix is singular to working precision")
 	ErrRankDeficient = errors.New("linalg: rank-deficient system")
 )
 

@@ -310,6 +310,24 @@ func TestSolveLeastSquaresNearCollinear(t *testing.T) {
 	}
 }
 
+// rowMajor copies xs into row-major order and returns it with the identity
+// positions, so FitOLSAt reads the rows in order.
+func rowMajor(xs [][]float64) ([]float64, []int32) {
+	var flat []float64
+	pos := make([]int32, len(xs))
+	for i, x := range xs {
+		flat = append(flat, x...)
+		pos[i] = int32(i)
+	}
+	return flat, pos
+}
+
+// fitRows fits the rows of xs in order.
+func fitRows(xs [][]float64, us []float64) (*OLSModel, error) {
+	flat, pos := rowMajor(xs)
+	return FitOLSAt(flat, len(xs[0]), us, pos)
+}
+
 func TestFitOLSExactPlane(t *testing.T) {
 	// u = 1 + 2*x1 - 3*x2 recovered exactly from noiseless data.
 	rng := rand.New(rand.NewSource(11))
@@ -320,7 +338,7 @@ func TestFitOLSExactPlane(t *testing.T) {
 		xs = append(xs, []float64{x1, x2})
 		us = append(us, 1+2*x1-3*x2)
 	}
-	m, err := FitOLS(xs, us)
+	m, err := fitRows(xs, us)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,17 +356,19 @@ func TestFitOLSExactPlane(t *testing.T) {
 	}
 }
 
+// TestFitOLSErrors feeds FitOLSAt the shapes a caller can get wrong when it
+// lays its rows out in row-major order.
 func TestFitOLSErrors(t *testing.T) {
-	if _, err := FitOLS([][]float64{{1, 2}}, []float64{1, 2}); !errors.Is(err, ErrShape) {
+	if _, err := fitRows([][]float64{{1, 2}}, []float64{1, 2}); !errors.Is(err, ErrShape) {
 		t.Errorf("length mismatch err = %v", err)
 	}
-	if _, err := FitOLS(nil, nil); !errors.Is(err, ErrTooFewObservations) {
+	if _, err := FitOLSAt(nil, 2, nil, nil); !errors.Is(err, ErrTooFewObservations) {
 		t.Errorf("empty err = %v", err)
 	}
-	if _, err := FitOLS([][]float64{{1, 2}, {3, 4}}, []float64{1, 2}); !errors.Is(err, ErrTooFewObservations) {
+	if _, err := fitRows([][]float64{{1, 2}, {3, 4}}, []float64{1, 2}); !errors.Is(err, ErrTooFewObservations) {
 		t.Errorf("too few err = %v", err)
 	}
-	if _, err := FitOLS([][]float64{{1, 2}, {3}, {4, 5}}, []float64{1, 2, 3}); !errors.Is(err, ErrShape) {
+	if _, err := fitRows([][]float64{{1, 2}, {3}, {4, 5}}, []float64{1, 2, 3}); !errors.Is(err, ErrShape) {
 		t.Errorf("ragged err = %v", err)
 	}
 }
@@ -356,7 +376,7 @@ func TestFitOLSErrors(t *testing.T) {
 func TestOLSConstantResponse(t *testing.T) {
 	xs := [][]float64{{0}, {1}, {2}, {3}}
 	us := []float64{5, 5, 5, 5}
-	m, err := FitOLS(xs, us)
+	m, err := fitRows(xs, us)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +441,7 @@ func TestPropertyOLSResidualOrthogonality(t *testing.T) {
 			xs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 			us[i] = rng.NormFloat64()
 		}
-		m, err := FitOLS(xs, us)
+		m, err := fitRows(xs, us)
 		if err != nil {
 			return false
 		}
@@ -469,10 +489,11 @@ func BenchmarkOLSFit100x5(b *testing.B) {
 		}
 		us[i] = rng.Float64()
 	}
+	flat, pos := rowMajor(xs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FitOLS(xs, us); err != nil {
+		if _, err := FitOLSAt(flat, d, us, pos); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,34 +26,6 @@ type OLSModel struct {
 // fewer observations than coefficients to fit.
 var ErrTooFewObservations = errors.New("linalg: too few observations for regression")
 
-// FitOLS fits u ≈ b0 + b·x by least squares over the given observations.
-// xs[i] is the i-th input vector (all must share the same dimension d) and
-// us[i] the corresponding response. At least d+1 observations are required.
-// It is FitOLSAt over a row-major copy of xs, read in order.
-func FitOLS(xs [][]float64, us []float64) (*OLSModel, error) {
-	if len(xs) != len(us) {
-		return nil, fmt.Errorf("%w: %d inputs vs %d responses", ErrShape, len(xs), len(us))
-	}
-	n := len(xs)
-	if n == 0 {
-		return nil, ErrTooFewObservations
-	}
-	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: %d observations exceed 2^31-1 positions", ErrShape, n)
-	}
-	d := len(xs[0])
-	flat := make([]float64, 0, n*d)
-	pos := make([]int32, n)
-	for i, x := range xs {
-		if len(x) != d {
-			return nil, fmt.Errorf("%w: observation %d has dimension %d, want %d", ErrShape, i, len(x), d)
-		}
-		flat = append(flat, x...)
-		pos[i] = int32(i)
-	}
-	return FitOLSAt(flat, d, us, pos)
-}
-
 // FitOLSAt fits u ≈ b0 + b·x by least squares over the observations at the
 // given positions, read where they lie: observation at has input
 // pts[at*d:(at+1)*d] and response out[at], so a caller with a selection of

@@ -109,10 +109,6 @@ type Model struct {
 	N int
 }
 
-// NumBasis returns the number of retained basis functions (excluding the
-// intercept).
-func (m *Model) NumBasis() int { return len(m.Basis) }
-
 // Predict evaluates the model at x.
 func (m *Model) Predict(x []float64) float64 {
 	s := m.Intercept

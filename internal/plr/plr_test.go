@@ -87,7 +87,7 @@ func TestFitPiecewiseLinearFunction(t *testing.T) {
 	if m.FVU() > 1e-3 {
 		t.Errorf("piecewise-linear target: FVU = %v", m.FVU())
 	}
-	if m.NumBasis() == 0 {
+	if len(m.Basis) == 0 {
 		t.Error("expected at least one hinge to be retained")
 	}
 	// Check accuracy on both sides of the kink.
@@ -141,8 +141,8 @@ func TestMaxBasisCapRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumBasis() > 4 {
-		t.Errorf("NumBasis = %d, cap was 4", m.NumBasis())
+	if len(m.Basis) > 4 {
+		t.Errorf("len(Basis) = %d, cap was 4", len(m.Basis))
 	}
 	// With a higher cap the fit must not get worse.
 	big, err := Fit(xs, us, Options{MaxBasis: 16})
@@ -166,8 +166,8 @@ func TestConstantResponse(t *testing.T) {
 	if m.FVU() != 0 || m.R2() != 1 {
 		t.Errorf("constant response: FVU=%v R2=%v", m.FVU(), m.R2())
 	}
-	if m.NumBasis() != 0 {
-		t.Errorf("constant response should not retain hinges, got %d", m.NumBasis())
+	if len(m.Basis) != 0 {
+		t.Errorf("constant response should not retain hinges, got %d", len(m.Basis))
 	}
 }
 

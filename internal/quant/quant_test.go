@@ -1,3 +1,11 @@
+// Package quant holds the contract tests of the conditionally growing
+// Adaptive Vector Quantization (AVQ) of Section IV of the paper: prototypes
+// over the query space move toward incoming queries by stochastic gradient
+// descent, and a query farther than the vigilance ρ = a(√d + 1) from every
+// prototype spawns a new one. The AVQ itself is implemented once, in
+// internal/core; these tests drive core.Model through its public API and
+// check the quantizer's behaviour alone, with the query radius θ held at 0
+// so the query space is the input space.
 package quant
 
 import (
@@ -6,133 +14,167 @@ import (
 	"math/rand"
 	"testing"
 
-	"llmq/internal/vector"
+	"llmq/internal/core"
 )
 
-func TestVigilance(t *testing.T) {
-	if got := Vigilance(0.25, 4); math.Abs(got-0.25*3) > 1e-12 {
-		t.Errorf("Vigilance(0.25, 4) = %v", got)
+// newModel builds a model with an explicit vigilance, a schedule of the
+// caller's choosing and a termination threshold small enough that training
+// never freezes the prototypes.
+func newModel(t *testing.T, dim int, vigilance float64, s core.Schedule) *core.Model {
+	t.Helper()
+	m, err := core.NewModel(core.Config{Dim: dim, Vigilance: vigilance, Gamma: 1e-300, Schedule: s})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := Vigilance(1, 1); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Vigilance(1, 1) = %v", got)
+	return m
+}
+
+func query(t *testing.T, center ...float64) core.Query {
+	t.Helper()
+	q, err := core.NewQuery(center, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+func observe(t *testing.T, m *core.Model, q core.Query) core.StepInfo {
+	t.Helper()
+	info, err := m.Observe(q, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
+func vigilance(t *testing.T, a float64, d int) float64 {
+	t.Helper()
+	m, err := core.NewModel(core.Config{Dim: d, ResolutionA: a, Gamma: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Config().Vigilance
+}
+
+func TestVigilance(t *testing.T) {
+	if got := vigilance(t, 0.25, 4); math.Abs(got-0.25*3) > 1e-12 {
+		t.Errorf("vigilance(0.25, 4) = %v", got)
+	}
+	if got := vigilance(t, 1, 1); math.Abs(got-2) > 1e-12 {
+		t.Errorf("vigilance(1, 1) = %v", got)
 	}
 	// Higher a gives a larger threshold (coarser quantization).
-	if Vigilance(0.1, 3) >= Vigilance(0.5, 3) {
+	if vigilance(t, 0.1, 3) >= vigilance(t, 0.5, 3) {
 		t.Error("vigilance must grow with a")
 	}
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 1); err == nil {
-		t.Error("zero dimension accepted")
+	bad := []core.Config{
+		{Dim: 0, Vigilance: 1, Gamma: 0.01},
+		{Dim: 2, Vigilance: 0, Gamma: 0.01},
+		{Dim: 2, Vigilance: math.NaN(), Gamma: 0.01},
+		{Dim: 2, Vigilance: math.Inf(1), Gamma: 0.01},
+		{Dim: 2, ResolutionA: math.NaN(), Gamma: 0.01},
 	}
-	if _, err := New(2, 0); err == nil {
-		t.Error("zero vigilance accepted")
+	for i, cfg := range bad {
+		if _, err := core.NewModel(cfg); !errors.Is(err, core.ErrBadConfig) {
+			t.Errorf("case %d (%+v): err = %v, want ErrBadConfig", i, cfg, err)
+		}
 	}
-	if _, err := New(2, math.NaN()); err == nil {
-		t.Error("NaN vigilance accepted")
-	}
-	q, err := New(3, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Dim() != 3 || q.Vigilance() != 0.5 || q.K() != 0 {
-		t.Errorf("fresh quantizer: dim=%d ρ=%v K=%d", q.Dim(), q.Vigilance(), q.K())
+	m := newModel(t, 3, 0.5, nil)
+	if cfg := m.Config(); cfg.Dim != 3 || cfg.Vigilance != 0.5 || m.K() != 0 {
+		t.Errorf("fresh model: dim=%d ρ=%v K=%d", cfg.Dim, cfg.Vigilance, m.K())
 	}
 }
 
 func TestFirstObservationCreatesPrototype(t *testing.T) {
-	q, _ := New(2, 0.5)
-	obs, err := q.Observe(vector.Of(0.1, 0.2), 0.5)
-	if err != nil {
-		t.Fatal(err)
+	m := newModel(t, 2, 0.5, core.Constant{Eta: 0.5})
+	info := observe(t, m, query(t, 0.1, 0.2))
+	if !info.Created || info.Winner != 0 || m.K() != 1 {
+		t.Errorf("info = %+v, K = %d", info, m.K())
 	}
-	if !obs.Created || obs.Winner != 0 || q.K() != 1 {
-		t.Errorf("obs = %+v, K = %d", obs, q.K())
+	llm := m.LLMs()[0]
+	if !llm.CenterPrototype.Equal(query(t, 0.1, 0.2).Center) || llm.ThetaPrototype != 0 {
+		t.Errorf("prototype = %v, θ = %v", llm.CenterPrototype, llm.ThetaPrototype)
 	}
-	if !q.Prototype(0).Equal(vector.Of(0.1, 0.2)) {
-		t.Errorf("prototype = %v", q.Prototype(0))
-	}
-	if q.Count(0) != 1 {
-		t.Errorf("count = %d", q.Count(0))
+	if llm.Wins != 1 {
+		t.Errorf("wins = %d", llm.Wins)
 	}
 }
 
 func TestObserveWithinVigilanceMovesWinner(t *testing.T) {
-	q, _ := New(1, 1.0)
-	_, _ = q.Observe(vector.Of(0.0), 0.5)
-	obs, err := q.Observe(vector.Of(0.4), 0.5)
-	if err != nil {
-		t.Fatal(err)
+	m := newModel(t, 1, 1.0, core.Constant{Eta: 0.5})
+	observe(t, m, query(t, 0.0))
+	q := query(t, 0.4)
+	if _, dist, err := m.Winner(q); err != nil || math.Abs(dist-0.4) > 1e-12 {
+		t.Errorf("distance = %v (err %v)", dist, err)
 	}
-	if obs.Created {
+	info := observe(t, m, q)
+	if info.Created {
 		t.Fatal("observation within vigilance must not create a prototype")
 	}
 	// w moved from 0 toward 0.4 by eta=0.5: w = 0.2.
-	if math.Abs(q.Prototype(0)[0]-0.2) > 1e-12 {
-		t.Errorf("prototype after update = %v", q.Prototype(0))
+	llm := m.LLMs()[0]
+	if math.Abs(llm.CenterPrototype[0]-0.2) > 1e-12 {
+		t.Errorf("prototype after update = %v", llm.CenterPrototype)
 	}
-	if math.Abs(obs.Drift-0.2) > 1e-12 || math.Abs(q.LastDrift()-0.2) > 1e-12 {
-		t.Errorf("drift = %v / %v", obs.Drift, q.LastDrift())
+	if math.Abs(info.GammaJ-0.2) > 1e-12 {
+		t.Errorf("drift = %v", info.GammaJ)
 	}
-	if math.Abs(obs.Distance-0.4) > 1e-12 {
-		t.Errorf("distance = %v", obs.Distance)
-	}
-	if q.Count(0) != 2 {
-		t.Errorf("count = %d", q.Count(0))
+	if llm.Wins != 2 {
+		t.Errorf("wins = %d", llm.Wins)
 	}
 }
 
 func TestObserveBeyondVigilanceCreatesPrototype(t *testing.T) {
-	q, _ := New(1, 0.5)
-	_, _ = q.Observe(vector.Of(0.0), 0.5)
-	obs, err := q.Observe(vector.Of(2.0), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !obs.Created || q.K() != 2 {
-		t.Errorf("obs = %+v, K = %d", obs, q.K())
+	m := newModel(t, 1, 0.5, core.Constant{Eta: 0.5})
+	observe(t, m, query(t, 0.0))
+	info := observe(t, m, query(t, 2.0))
+	if !info.Created || m.K() != 2 {
+		t.Errorf("info = %+v, K = %d", info, m.K())
 	}
 	// The original prototype must be untouched.
-	if q.Prototype(0)[0] != 0 {
-		t.Errorf("non-winner moved: %v", q.Prototype(0))
+	if got := m.LLMs()[0].CenterPrototype[0]; got != 0 {
+		t.Errorf("non-winner moved: %v", got)
 	}
-	if obs.Drift != 0 {
-		t.Errorf("creation should report zero drift, got %v", obs.Drift)
+	// A growth step changes K, so it reports Γ^J = +Inf: the termination
+	// criterion cannot fire while the prototype set is still growing.
+	if !math.IsInf(info.GammaJ, 1) {
+		t.Errorf("creation should report Γ^J = +Inf, got %v", info.GammaJ)
 	}
 }
 
 func TestObserveValidation(t *testing.T) {
-	q, _ := New(2, 0.5)
-	if _, err := q.Observe(vector.Of(1), 0.5); !errors.Is(err, ErrDimension) {
+	m := newModel(t, 2, 0.5, nil)
+	if _, err := m.Observe(query(t, 1), 0.5); !errors.Is(err, core.ErrDimension) {
 		t.Errorf("dim err = %v", err)
 	}
-	if _, err := q.Observe(vector.Of(1, 2), -0.1); err == nil {
-		t.Error("negative learning rate accepted")
+	if _, err := core.NewQuery([]float64{1, 2}, -0.1); err == nil {
+		t.Error("negative radius accepted")
 	}
-	if _, err := q.Observe(vector.Of(1, 2), 1.5); err == nil {
-		t.Error("learning rate > 1 accepted")
+	if _, err := core.NewQuery([]float64{1, 2}, math.NaN()); err == nil {
+		t.Error("NaN radius accepted")
 	}
-	if _, err := q.Observe(vector.Of(1, 2), math.NaN()); err == nil {
-		t.Error("NaN learning rate accepted")
+	if _, err := core.NewQuery(nil, 0); !errors.Is(err, core.ErrDimension) {
+		t.Errorf("empty centre err = %v", err)
+	}
+	if m.K() != 0 {
+		t.Errorf("rejected observations changed the model: K = %d", m.K())
 	}
 }
 
 func TestWinner(t *testing.T) {
-	q, _ := New(2, 10)
-	if _, _, err := q.Winner(vector.Of(0, 0)); !errors.Is(err, ErrNoData) {
+	m := newModel(t, 2, 1, core.Constant{Eta: 0.5})
+	if _, _, err := m.Winner(query(t, 0, 0)); !errors.Is(err, core.ErrNotTrained) {
 		t.Errorf("empty winner err = %v", err)
 	}
-	if _, _, err := q.Winner(vector.Of(0)); !errors.Is(err, ErrDimension) {
+	observe(t, m, query(t, 0, 0))
+	if _, _, err := m.Winner(query(t, 0)); !errors.Is(err, core.ErrDimension) {
 		t.Errorf("dim err = %v", err)
 	}
-	_, _ = q.Observe(vector.Of(0, 0), 0)
-	_, _ = q.Observe(vector.Of(5, 5), 0) // within vigilance 10 → moves winner? eta=0, no move; same prototype
-	// Force a second prototype by shrinking vigilance conceptually: rebuild.
-	q2, _ := New(2, 1)
-	_, _ = q2.Observe(vector.Of(0, 0), 0)
-	_, _ = q2.Observe(vector.Of(5, 5), 0)
-	k, d, err := q2.Winner(vector.Of(4.5, 5))
+	observe(t, m, query(t, 5, 5))
+	k, d, err := m.Winner(query(t, 4.5, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,21 +183,24 @@ func TestWinner(t *testing.T) {
 	}
 }
 
-func TestVigilanceControlsPrototypeCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	sample := make([]vector.Vec, 2000)
-	for i := range sample {
-		sample[i] = vector.Of(rng.Float64(), rng.Float64())
+// uniformSquare draws n queries with centres uniform on [0,1]² and θ = 0.
+func uniformSquare(t *testing.T, seed int64, n int) []core.Query {
+	rng := rand.New(rand.NewSource(seed))
+	qs := make([]core.Query, n)
+	for i := range qs {
+		qs[i] = query(t, rng.Float64(), rng.Float64())
 	}
+	return qs
+}
+
+func TestVigilanceControlsPrototypeCount(t *testing.T) {
+	sample := uniformSquare(t, 7, 2000)
 	countFor := func(vig float64) int {
-		q, _ := New(2, vig)
-		for t, x := range sample {
-			eta := 1.0 / float64(t+2)
-			if _, err := q.Observe(x, eta); err != nil {
-				panic(err)
-			}
+		m := newModel(t, 2, vig, core.Hyperbolic{})
+		for _, q := range sample {
+			observe(t, m, q)
 		}
-		return q.K()
+		return m.K()
 	}
 	coarse := countFor(1.5) // larger than the diameter of [0,1]² → one prototype
 	medium := countFor(0.4)
@@ -168,94 +213,33 @@ func TestVigilanceControlsPrototypeCount(t *testing.T) {
 	}
 }
 
-func TestQuantizationErrorDecreasesWithResolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	sample := make([]vector.Vec, 3000)
-	for i := range sample {
-		sample[i] = vector.Of(rng.Float64(), rng.Float64())
-	}
-	eqeFor := func(vig float64) float64 {
-		q, _ := New(2, vig)
-		for t, x := range sample {
-			_, _ = q.Observe(x, 1.0/float64(t+2))
-		}
-		e, err := q.QuantizationError(sample)
-		if err != nil {
-			panic(err)
-		}
-		return e
-	}
-	if fine, coarse := eqeFor(0.1), eqeFor(1.5); fine >= coarse {
-		t.Errorf("EQE should shrink with finer quantization: fine=%v coarse=%v", fine, coarse)
-	}
-}
-
-func TestQuantizationErrorValidation(t *testing.T) {
-	q, _ := New(2, 0.5)
-	if _, err := q.QuantizationError([]vector.Vec{vector.Of(0, 0)}); !errors.Is(err, ErrNoData) {
-		t.Errorf("empty quantizer err = %v", err)
-	}
-	_, _ = q.Observe(vector.Of(0, 0), 0.5)
-	if _, err := q.QuantizationError(nil); err == nil {
-		t.Error("empty sample accepted")
-	}
-	if _, err := q.QuantizationError([]vector.Vec{vector.Of(0)}); err == nil {
-		t.Error("wrong-dim sample accepted")
-	}
-}
-
 func TestPrototypesReturnsCopies(t *testing.T) {
-	q, _ := New(2, 0.5)
-	_, _ = q.Observe(vector.Of(1, 2), 0.5)
-	ps := q.Prototypes()
-	ps[0][0] = 99
-	if q.Prototype(0)[0] == 99 {
-		t.Error("Prototypes must return copies")
-	}
-	p := q.Prototype(0)
-	p[1] = 99
-	if q.Prototype(0)[1] == 99 {
-		t.Error("Prototype must return a copy")
+	m := newModel(t, 2, 0.5, core.Constant{Eta: 0.5})
+	observe(t, m, query(t, 1, 2))
+	llms := m.LLMs()
+	llms[0].CenterPrototype[0] = 99
+	llms[0].ThetaPrototype = 99
+	if got := m.LLMs()[0]; got.CenterPrototype[0] == 99 || got.ThetaPrototype == 99 {
+		t.Error("LLMs must return copies")
 	}
 }
 
 func TestDriftShrinksWithLearningRateSchedule(t *testing.T) {
-	// With a hyperbolic schedule and a stationary input distribution, the
-	// per-step drift must eventually become small (convergence of Γ^J).
-	rng := rand.New(rand.NewSource(3))
-	q, _ := New(2, 0.6)
-	var lastDrifts []float64
-	for step := 0; step < 5000; step++ {
-		x := vector.Of(rng.Float64(), rng.Float64())
-		obs, err := q.Observe(x, 1.0/float64(step+2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if step >= 4900 {
-			lastDrifts = append(lastDrifts, obs.Drift)
-		}
-	}
+	// With the hyperbolic schedule η_t = 1/(t+1) over the global step count
+	// and a stationary input distribution, the per-step prototype drift Γ^J
+	// must eventually become small (convergence of Γ^J).
+	m := newModel(t, 2, 0.6, core.Hyperbolic{})
 	var max float64
-	for _, d := range lastDrifts {
-		if d > max {
-			max = d
+	for step, q := range uniformSquare(t, 3, 5000) {
+		info := observe(t, m, q)
+		if info.Converged {
+			t.Fatal("the model froze; the drift would read zero")
+		}
+		if step >= 4900 && !info.Created && info.GammaJ > max {
+			max = info.GammaJ
 		}
 	}
 	if max > 0.01 {
 		t.Errorf("late-stage drift too large: %v", max)
-	}
-}
-
-func BenchmarkObserve(b *testing.B) {
-	q, _ := New(3, 0.4)
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]vector.Vec, 1024)
-	for i := range xs {
-		xs[i] = vector.Of(rng.Float64(), rng.Float64(), rng.Float64())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = q.Observe(xs[i%len(xs)], 0.01)
 	}
 }

@@ -22,8 +22,9 @@ import (
 )
 
 // newShardedServer builds a sharded server over the synthetic relation:
-// `shards` fresh local models behind a partition of [0,1]^2.
-func newShardedServer(t *testing.T, shards int, opts ...Option) (*Server, *shard.Sharded) {
+// `shards` fresh local models behind a partition of [0,1]^2, returned in
+// shard order beside the set that fronts them.
+func newShardedServer(t *testing.T, shards int, opts ...Option) (*Server, *shard.Sharded, []shard.Backend) {
 	t.Helper()
 	e := newShardedExecutor(t)
 	part, backends := newShardParts(t, shards)
@@ -35,7 +36,7 @@ func newShardedServer(t *testing.T, shards int, opts ...Option) (*Server, *shard
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, sh
+	return s, sh, backends
 }
 
 func newShardedExecutor(t testing.TB) *exec.Executor {
@@ -107,7 +108,7 @@ func shardedTrainBody(t *testing.T, n int, seed int64) []byte {
 // statements answer bit-identically to the sharded reader, and /readyz
 // reports every shard.
 func TestShardedServerEndToEnd(t *testing.T) {
-	s, sh := newShardedServer(t, 2)
+	s, sh, backends := newShardedServer(t, 2)
 
 	// APPROX before any training is refused like a model-less server.
 	rec := postQuery(t, s, "SELECT APPROX AVG(u) FROM r1 WITHIN 0.15 OF (0.5, 0.5)")
@@ -134,7 +135,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	if tr.Accepted != pairs || tr.Steps != pairs {
 		t.Fatalf("train response %+v, want %d accepted and steps", tr, pairs)
 	}
-	for id, b := range sh.Backends() {
+	for id, b := range backends {
 		if b.Stats().Live == 0 {
 			t.Fatalf("shard %d got no prototypes; /train did not partition", id)
 		}

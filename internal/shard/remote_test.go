@@ -73,7 +73,7 @@ func TestRemoteShardBitIdentity(t *testing.T) {
 	ctx := context.Background()
 
 	remotes := make([]Backend, local.Shards())
-	for i, b := range local.Backends() {
+	for i, b := range local.backends {
 		ts := httptest.NewServer(shardHandler(b.(*Local)))
 		defer ts.Close()
 		r := NewRemote(ts.URL, nil, nil)
@@ -98,7 +98,7 @@ func TestRemoteShardBitIdentity(t *testing.T) {
 		t.Fatalf("remote train left Stats %+v", st)
 	}
 	for i, b := range remotes {
-		if got, want := b.MaxTheta(), local.Backends()[i].MaxTheta(); got < want {
+		if got, want := b.MaxTheta(), local.backends[i].MaxTheta(); got < want {
 			t.Fatalf("shard %d cached bound %v below the true bound %v", i, got, want)
 		}
 	}

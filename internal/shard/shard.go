@@ -176,9 +176,6 @@ func (s *Sharded) Shards() int { return len(s.backends) }
 // Partition returns the space partition.
 func (s *Sharded) Partition() *index.Partition { return s.part }
 
-// Backends returns the backends in shard order.
-func (s *Sharded) Backends() []Backend { return slices.Clone(s.backends) }
-
 // Stats aggregates the backends' cheap state views: total live prototypes
 // and steps, convergence of the whole set, and whether every shard trains
 // durably.

@@ -101,7 +101,7 @@ func testPartition(t testing.TB, dim, shards int, sample []core.TrainingPair) *i
 func unionOf(t testing.TB, s *Sharded) *core.Model {
 	t.Helper()
 	var models []*core.Model
-	for _, b := range s.Backends() {
+	for _, b := range s.backends {
 		models = append(models, b.(*Local).Model())
 	}
 	ref, err := core.Fuse(models[0].Config(), models...)
@@ -151,7 +151,7 @@ func compareToUnion(t *testing.T, s *Sharded, ref *core.Model, queries []core.Qu
 	v := ref.View()
 	r := s.Reader(context.Background())
 	part := s.Partition()
-	backends := s.Backends()
+	backends := s.backends
 	extra := make([]float64, len(backends))
 	for i, b := range backends {
 		extra[i] = b.MaxTheta()
@@ -342,7 +342,7 @@ func TestShardedTrainRouting(t *testing.T) {
 		t.Fatalf("TrainStats %+v, want %d accepted and steps", st, len(seed))
 	}
 	part := s.Partition()
-	for id, b := range s.Backends() {
+	for id, b := range s.backends {
 		lo, hi, err := part.Region(id)
 		if err != nil {
 			t.Fatal(err)
@@ -361,11 +361,11 @@ func TestShardedTrainRouting(t *testing.T) {
 	// A one-pair batch routes the same way.
 	q := core.Query{Center: []float64{0.5, 0.5}, Theta: 0.05}
 	id := part.Locate(q.Center)
-	wantSteps := s.Backends()[id].Stats().Steps + 1
+	wantSteps := s.backends[id].Stats().Steps + 1
 	if _, err := s.TrainBatch(context.Background(), []core.TrainingPair{{Query: q, Answer: 1.0}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Backends()[id].Stats().Steps; got != wantSteps {
+	if got := s.backends[id].Stats().Steps; got != wantSteps {
 		t.Fatalf("one-pair batch left shard %d at %d steps, want %d", id, got, wantSteps)
 	}
 }
@@ -428,7 +428,7 @@ func TestShardedTrainScaling(t *testing.T) {
 	gate := &trainBarrier{}
 	shards := make([]*barrierShard, part.Leaves())
 	backends := make([]Backend, len(shards))
-	for i, b := range base.Backends() {
+	for i, b := range base.backends {
 		shards[i] = &barrierShard{Local: b.(*Local), gate: gate}
 		backends[i] = shards[i]
 	}
@@ -569,7 +569,7 @@ func TestShardedDurableLifecycle(t *testing.T) {
 	}
 	// The union still answers bit-identically through durable backends.
 	var models []*core.Model
-	for _, b := range s.Backends() {
+	for _, b := range s.backends {
 		models = append(models, b.(*Local).Model())
 	}
 	ref, err := core.Fuse(models[0].Config(), models...)

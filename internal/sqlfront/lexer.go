@@ -36,6 +36,7 @@ const (
 	TokenStar
 )
 
+// String names the token kind as syntax errors print it.
 func (k TokenKind) String() string {
 	switch k {
 	case TokenEOF:
@@ -86,6 +87,7 @@ type SyntaxError struct {
 	Message string
 }
 
+// Error formats the error with the byte position it occurred at.
 func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("sql: syntax error at position %d: %s", e.Pos, e.Message)
 }

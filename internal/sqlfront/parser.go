@@ -20,6 +20,7 @@ const (
 	StmtValue
 )
 
+// String names the statement kind in lower case.
 func (k StatementKind) String() string {
 	switch k {
 	case StmtMean:

@@ -5,7 +5,7 @@
 // The package is deliberately allocation-conscious: the hot-path functions
 // (Dot, SqDistance, DistanceLp) operate on raw []float64 without copying,
 // and the mutating variants (AddScaled, Scale) work in place so the SGD
-// update loops in internal/core and internal/quant do not allocate.
+// update loops in internal/core do not allocate.
 package vector
 
 import (
