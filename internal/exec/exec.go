@@ -77,12 +77,10 @@ type RegressionResult struct {
 // the mean and the regression read the same few runs of memory and no row id
 // is materialized.
 type Executor struct {
-	table   *engine.Table
-	grid    *index.Grid
-	pts     []float64 // grid.Points(): the input attributes, clustered, row-major
-	out     []float64 // the output attribute in the same order
-	inNames []string
-	outName string
+	table *engine.Table
+	grid  *index.Grid
+	pts   []float64 // grid.Points(): the input attributes, clustered, row-major
+	out   []float64 // the output attribute in the same order
 }
 
 // NewExecutorWithGrid builds an executor over table, which must hold at least
@@ -122,20 +120,16 @@ func NewExecutorWithGrid(table *engine.Table, inputs []string, output string, ce
 		return nil, err
 	}
 	return &Executor{
-		table:   table,
-		grid:    grid,
-		pts:     grid.Points(),
-		out:     grid.Cluster(table.ColumnAt(outCol)),
-		inNames: append([]string(nil), inputs...),
-		outName: output,
+		table: table,
+		grid:  grid,
+		pts:   grid.Points(),
+		out:   grid.Cluster(table.ColumnAt(outCol)),
 	}, nil
 }
 
-// InputNames returns the input attribute names.
-func (e *Executor) InputNames() []string { return append([]string(nil), e.inNames...) }
-
-// OutputName returns the output attribute name.
-func (e *Executor) OutputName() string { return e.outName }
+// Dim returns the number of input attributes: the dimensionality every
+// query centre must have.
+func (e *Executor) Dim() int { return e.grid.Dim() }
 
 // Table returns the underlying relation.
 func (e *Executor) Table() *engine.Table { return e.table }

@@ -50,7 +50,7 @@ func TestNewExecutorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.OutputName() != "u" || len(e.InputNames()) != 2 || e.Table() != tab {
+	if e.Dim() != 2 || e.Table() != tab {
 		t.Error("accessors broken")
 	}
 }

@@ -11,10 +11,12 @@ import (
 	"llmq/internal/vector"
 )
 
-// ScanCheckRows bounds how many candidate points Grid.Scan tests between
-// two looks at its context: often enough that an abandoned scan over a large
-// subspace stops within microseconds, rarely enough that the check is
-// invisible in the per-point cost.
+// ScanCheckRows bounds how many candidate points Grid.Scan tests or appends
+// between two looks at its context: often enough that an abandoned scan over
+// a large subspace stops within microseconds, rarely enough that the check
+// is invisible in the per-point cost. The points of a cell decided whole
+// from its bounding box count as they are appended; the points of a cell the
+// box rules out are not looked at and do not count.
 const ScanCheckRows = 4096
 
 // Grid is a uniform grid (cell) index stored clustered: the points are
@@ -41,6 +43,20 @@ const ScanCheckRows = 4096
 // a box-aligned ball may be one a brute-force scan reports and the grid does
 // not.
 //
+// Under L2 the walk decides a point by its squared distance s, summed
+// d₀² + d₁² + … in index order as vector.DistanceLp sums it, against T, the
+// largest float64 whose math.Sqrt is at most the radius (sqThreshold):
+// math.Sqrt is correctly rounded and hence monotone, so on s ≥ 0 the test
+// s ≤ T selects exactly the points math.Sqrt(s) ≤ radius selects. It also
+// decides whole cells: every cell of at least boxMinPoints points keeps the
+// bounding box of its stored points, and the same subtractions, squares and
+// sums taken at the box's faces bound every stored point's s from above and
+// below (each of those rounded operations is monotone, so no epsilon is
+// needed). A cell whose upper bound passes T is appended as one run, a cell
+// whose lower bound fails it is skipped, and only the rest — and the cells
+// too small to keep a box — are tested point by point. The selected
+// positions and their order are those of the per-point test.
+//
 // Cells are found through an open-addressing table keyed by the linear cell
 // number Σ coord[j]·stride[j], which works however sparse the grid is (d = 8
 // at a tenth of the span is 10⁸ cells for a few thousand occupied ones). A
@@ -65,13 +81,23 @@ type Grid struct {
 
 	cells []gridCell // the directory; len is a power of two, or 0 for a scan-only grid
 	shift uint       // 64 − log2(len(cells))
+	boxes []float64  // per boxed cell, in linear-number order: its points' per-dimension minima, then maxima
 }
 
-// gridCell is one directory slot: the occupied cell's linear number and its
-// run of clustered positions [start, end).
+// boxMinPoints is the fewest points a cell must hold to keep a bounding box.
+// Bounding a smaller cell costs about as much as testing its points, and the
+// boxes of the read epoch's sparse cells (two or three prototypes each) would
+// add a third to every rebuild's allocation.
+const boxMinPoints = 8
+
+// gridCell is one directory slot: the occupied cell's linear number, its
+// run of clustered positions [start, end), and the index of its bounding box
+// in boxes, or -1 when it holds fewer than boxMinPoints points (an empty
+// slot holds none).
 type gridCell struct {
 	key        uint64
 	start, end int32
+	box        int32
 }
 
 // noCell marks an empty directory slot; linear cell numbers stay below 2⁶³.
@@ -101,7 +127,9 @@ func NewGrid(pts [][]float64, cellSize float64) (*Grid, error) {
 //
 // Construction clusters the points in three passes: one numbers every
 // point's cell, one counts the cells into the directory, and one stable
-// counting pass copies the points into cell order.
+// counting pass copies the points into cell order. A fourth reads the
+// clustered points once to record the bounding box of every cell of at
+// least boxMinPoints points.
 func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
 	if len(rows) == 0 {
 		return nil, ErrEmpty
@@ -135,7 +163,7 @@ func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
 	g.shift = uint(bits.LeadingZeros64(2*size - 1))
 	g.cells = make([]gridCell, uint64(1)<<(64-g.shift))
 	for i := range g.cells {
-		g.cells[i].key = noCell
+		g.cells[i] = gridCell{key: noCell, box: -1}
 	}
 	occupied := make([]uint64, 0, size)
 	for _, key := range keys {
@@ -150,10 +178,14 @@ func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
 	// dimension 0 — consecutive stops of a query's walk — are neighbours in
 	// memory.
 	slices.Sort(occupied)
-	var at int32
-	for _, key := range occupied {
+	var at, boxed int32
+	for i, key := range occupied {
 		c := g.find(key)
+		if c.end >= boxMinPoints {
+			c.box, boxed = boxed, boxed+1
+		}
 		c.start, c.end, at = at, at, at+c.end
+		occupied[i] = uint64(at) // from here on, the end of cell i's run
 	}
 	// Scatter in ascending row id; c.end is the cell's fill cursor and ends
 	// where the count put it.
@@ -165,7 +197,35 @@ func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
 		g.ids[pos], g.rank[i] = int32(i), pos
 		copy(g.pts[int(pos)*dim:], rows[i*dim:(i+1)*dim])
 	}
+	g.boxCells(occupied, int(boxed))
 	return g, nil
+}
+
+// boxCells records the bounding box of each of the boxed cells — its
+// points' per-dimension minima, then maxima. ends holds, in rank order,
+// where each occupied cell's run of clustered positions ends; the runs tile
+// the points, so the boxes fill front to back in one pass over both arrays.
+func (g *Grid) boxCells(ends []uint64, boxed int) {
+	d := g.dim
+	g.boxes = make([]float64, 2*d*boxed)
+	box, pts := g.boxes, g.pts
+	start := 0
+	for _, end := range ends {
+		run := pts[start*d : int(end)*d]
+		start = int(end)
+		if len(run) < boxMinPoints*d {
+			continue
+		}
+		lo, hi := box[:d], box[d:2*d]
+		copy(lo, run)
+		copy(hi, run)
+		for k := d; k < len(run); k += d {
+			for j, v := range run[k : k+d] {
+				lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
+			}
+		}
+		box = box[2*d:]
+	}
 }
 
 // NewGridFlatIDs is NewGridFlat for points that live in a caller-defined id
@@ -307,11 +367,18 @@ func (g *Grid) Radius(center []float64, radius float64, p float64) ([]int, error
 // negative or NaN radius, and a p below 1 or NaN are refused before any
 // point is tested (ErrDimension, ErrRadius, ErrNorm).
 func (g *Grid) Scan(ctx context.Context, dst []int32, center []float64, radius, p float64) ([]int32, error) {
+	dst, _, err := g.scan(ctx, dst, center, radius, p)
+	return dst, err
+}
+
+// scan is Scan, and also returns how many points of the cell walk went
+// through filter — the complexity guard's count; 0 for the row-order scan.
+func (g *Grid) scan(ctx context.Context, dst []int32, center []float64, radius, p float64) ([]int32, int, error) {
 	if err := checkQuery(g.dim, center, radius, p); err != nil {
-		return dst, err
+		return dst, 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return dst, err
+		return dst, 0, err
 	}
 	// The L1/L2/… ball of radius r lies inside the L∞ box of radius r, so
 	// the cells overlapping that box always suffice. When the box — counted
@@ -323,7 +390,8 @@ func (g *Grid) Scan(ctx context.Context, dst []int32, center []float64, radius, 
 		boxCells *= g.cellOf(c+radius, j) - g.cellOf(c-radius, j) + 1
 	}
 	if len(g.cells) == 0 || !(boxCells <= float64(len(g.ids))) {
-		return g.scanRows(ctx, dst, center, radius, p)
+		dst, err := g.scanRows(ctx, dst, center, radius, p)
+		return dst, 0, err
 	}
 
 	// Clamp the box to the grid while it is still in floats, then walk it.
@@ -338,22 +406,42 @@ func (g *Grid) Scan(ctx context.Context, dst []int32, center []float64, radius, 
 		l := math.Max(g.cellOf(c-radius, j), 0)
 		h := math.Min(g.cellOf(c+radius, j), float64(g.extent[j]-1))
 		if l > h {
-			return dst, nil // the box misses the data
+			return dst, 0, nil // the box misses the data
 		}
 		lo[j], hi[j], cur[j] = int(l), int(h), int(l)
 		key += uint64(lo[j]) * g.stride[j]
 	}
-	tested := 0
+	var sq float64
+	if p == 2 {
+		sq = sqThreshold(radius)
+	}
+	tested, filtered := 0, 0
 	for {
 		for k := uint64(0); k <= uint64(hi[0]-lo[0]); k++ {
 			c := g.find(key + k)
+			if c.start == c.end {
+				continue
+			}
+			whole := false
+			if p == 2 && c.box >= 0 {
+				smin, smax := g.cellBounds(c.box, center)
+				if smin > sq {
+					continue
+				}
+				whole = smax <= sq
+			}
 			for from, to := int(c.start), int(c.end); from < to; {
 				n := min(to-from, ScanCheckRows-tested)
-				dst = g.filter(dst, from, from+n, center, radius, p)
+				if whole {
+					dst = appendRun(dst, from, from+n)
+				} else {
+					dst = g.filter(dst, from, from+n, center, radius, p, sq)
+					filtered += n
+				}
 				from += n
 				if tested += n; tested == ScanCheckRows {
 					if err := ctx.Err(); err != nil {
-						return dst, err
+						return dst, filtered, err
 					}
 					tested = 0
 				}
@@ -371,20 +459,75 @@ func (g *Grid) Scan(ctx context.Context, dst []int32, center []float64, radius, 
 			cur[j] = lo[j]
 		}
 		if j >= g.dim {
-			return dst, nil
+			return dst, filtered, nil
 		}
 	}
+}
+
+// sqThreshold returns T(r), the largest float64 whose math.Sqrt is at most
+// r ≥ 0, so that on s ≥ 0 the test s ≤ T(r) is math.Sqrt(s) ≤ r: the square
+// root is correctly rounded, hence monotone, and {s : √s ≤ r} is [0, T(r)].
+// A NaN s fails both forms. It starts from r·r (+Inf when that overflows)
+// and steps an ulp at a time, which settles within a few steps; T(0) = 0,
+// and a finite r never yields +Inf.
+func sqThreshold(r float64) float64 {
+	t := r * r
+	for math.Sqrt(t) > r {
+		t = math.Nextafter(t, 0)
+	}
+	for !math.IsInf(t, 1) {
+		next := math.Nextafter(t, math.Inf(1))
+		if math.Sqrt(next) > r {
+			break
+		}
+		t = next
+	}
+	return t
+}
+
+// cellBounds returns bounds on the squared L2 distance from center of every
+// point stored in the cell whose bounding box is boxes' entry i: smin sums
+// the squared gap from each coordinate of center to the box's extent along
+// that dimension (0 inside it), smax the square of the larger distance to
+// its two faces. Both sum in filter's order with filter's operations on the
+// face coordinates; every one of those rounded operations is monotone, so a
+// stored point's computed s lies in [smin, smax].
+func (g *Grid) cellBounds(i int32, center []float64) (smin, smax float64) {
+	d := len(center)
+	box := g.boxes[2*d*int(i):][:2*d]
+	lo, hi := box[:d], box[d:]
+	for j, c := range center {
+		dl, dh := lo[j]-c, hi[j]-c // dl ≤ dh, and every point's x−c lies between
+		gap, far := max(dl, -dh, 0), max(-dl, dh)
+		smin += gap * gap
+		smax += far * far
+	}
+	return smin, smax
+}
+
+// appendRun appends the positions [from, to) to dst.
+func appendRun(dst []int32, from, to int) []int32 {
+	k := len(dst)
+	dst = slices.Grow(dst, to-from)[:k+to-from]
+	run := dst[k:]
+	for i := range run {
+		run[i] = int32(from + i)
+	}
+	return dst
 }
 
 // filter appends the positions in [from, to) whose points lie within the
 // ball. Every candidate's position is stored unconditionally and the length
 // advances only past the ones that qualify, which keeps the loop free of an
-// unpredictable branch. The L2 test accumulates d₀², d₁², … in index order
-// and compares the square root, exactly as vector.DistanceLp does.
-func (g *Grid) filter(dst []int32, from, to int, center []float64, radius, p float64) []int32 {
+// unpredictable branch. The L2 test accumulates d₀², d₁², … in index order,
+// exactly as vector.DistanceLp does, and compares the sum with sq, the
+// radius's sqThreshold; both L2 loops reslice the points as they advance,
+// so the compiler proves every coordinate load in bounds.
+func (g *Grid) filter(dst []int32, from, to int, center []float64, radius, p, sq float64) []int32 {
 	k, n, d := len(dst), to-from, g.dim
 	dst = slices.Grow(dst, n)[:k+n]
 	pts := g.pts[from*d : to*d]
+	pos := int32(from)
 	switch {
 	case p != 2:
 		for i := 0; i < n; i++ {
@@ -394,33 +537,50 @@ func (g *Grid) filter(dst []int32, from, to int, center []float64, radius, p flo
 			}
 		}
 	case d == 2:
-		// The default case unrolled for the paper's plane queries: 0 + d₀²
-		// is d₀² exactly. Worth 80 → 49 µs per mean on bench's exact_mixed.
+		// The default case unrolled for the paper's plane queries. The loop
+		// stops one point short: while more than one point is left, the
+		// advance cannot empty pts, so the compiler proves the loads in
+		// bounds and advances the pointer unmasked. The last point follows.
 		c0, c1 := center[0], center[1]
-		for i := 0; i < n; i++ {
-			d0, d1 := pts[2*i]-c0, pts[2*i+1]-c1
-			s := d0 * d0
-			s += d1 * d1
-			dst[k] = int32(from + i)
-			if math.Sqrt(s) <= radius {
+		for len(pts) > 2 {
+			dst[k] = pos
+			if sqDist2(pts[0], pts[1], c0, c1) <= sq {
+				k++
+			}
+			pos++
+			pts = pts[2:]
+		}
+		if len(pts) == 2 {
+			dst[k] = pos
+			if sqDist2(pts[0], pts[1], c0, c1) <= sq {
 				k++
 			}
 		}
 	default:
 		center = center[:d]
-		for i := 0; i < n; i++ {
+		for ; len(pts) >= d; pts = pts[d:] {
 			var s float64
-			for j, v := range pts[i*d : i*d+d] {
+			for j, v := range pts[:len(center)] {
 				diff := v - center[j]
 				s += diff * diff
 			}
-			dst[k] = int32(from + i)
-			if math.Sqrt(s) <= radius {
+			dst[k] = pos
+			if s <= sq {
 				k++
 			}
+			pos++
 		}
 	}
 	return dst[:k]
+}
+
+// sqDist2 is filter's squared L2 distance at d = 2: 0 + d₀² is d₀² exactly,
+// so it is the general loop's sum.
+func sqDist2(x0, x1, c0, c1 float64) float64 {
+	d0, d1 := x0-c0, x1-c1
+	s := d0 * d0
+	s += d1 * d1
+	return s
 }
 
 // NearestStale returns the point nearest to q under the L2 norm, and the

@@ -329,6 +329,156 @@ func TestGridScanObservesContext(t *testing.T) {
 	}
 }
 
+// TestSqThreshold proves sqThreshold's contract radius by radius: T(r) is
+// the largest float64 whose square root is at most r — math.Sqrt(T) <= r
+// and math.Sqrt of the next float64 above T is not — on zero, subnormals, a
+// radius whose square is subnormal, every power of two from 2⁻²⁰ to 2²⁰ and
+// its neighbours an ulp away, radii whose squares overflow, and 10⁵ seeded
+// radii. Then, for 10⁶ seeded s around T (within a few ulps, or anywhere in
+// [0, 2T]), s <= T must agree with math.Sqrt(s) <= r.
+func TestSqThreshold(t *testing.T) {
+	up := math.Inf(1)
+	radii := []float64{0, math.SmallestNonzeroFloat64, 1e-310, 0x1p-1022, 1e-160,
+		1e154, math.Sqrt(math.MaxFloat64), 1e155, 1e200, 1e300, math.MaxFloat64}
+	for k := -20; k <= 20; k++ {
+		r := math.Ldexp(1, k)
+		radii = append(radii, math.Nextafter(r, 0), r, math.Nextafter(r, up))
+	}
+	rng := rand.New(rand.NewSource(41))
+	for len(radii) < 100_000 {
+		var r float64
+		switch len(radii) % 3 {
+		case 0: // any finite bit pattern
+			r = math.Float64frombits(rng.Uint64() >> 1)
+		case 1: // exact_mixed's radii
+			r = 0.03 + 0.17*rng.Float64()
+		default: // around the cell sizes of the served grids
+			r = math.Ldexp(rng.Float64(), rng.Intn(40)-20)
+		}
+		if !math.IsInf(r, 0) && !math.IsNaN(r) {
+			radii = append(radii, r)
+		}
+	}
+	agree := func(r, T, s float64) {
+		if (s <= T) != (math.Sqrt(s) <= r) {
+			t.Fatalf("r = %v, T = %v: s = %v gives s <= T %v but sqrt(s) <= r %v", r, T, s, s <= T, math.Sqrt(s) <= r)
+		}
+	}
+	for i, r := range radii {
+		T := sqThreshold(r)
+		if !(math.Sqrt(T) <= r) || !(math.Sqrt(math.Nextafter(T, up)) > r) {
+			t.Fatalf("r = %v: T = %v, sqrt(T) = %v, sqrt(next) = %v", r, T, math.Sqrt(T), math.Sqrt(math.Nextafter(T, up)))
+		}
+		if i%10 != 0 {
+			continue
+		}
+		for range 100 {
+			s := T
+			if rng.Intn(2) == 0 {
+				for n := rng.Intn(5); n > 0; n-- {
+					s = math.Nextafter(s, 0)
+				}
+				for n := rng.Intn(5); n > 0; n-- {
+					s = math.Nextafter(s, up)
+				}
+			} else {
+				s = 2 * T * rng.Float64()
+			}
+			agree(r, T, s)
+		}
+	}
+	if T := sqThreshold(0); T != 0 || math.Signbit(T) {
+		t.Errorf("T(0) = %v, want +0", T)
+	}
+	if T := sqThreshold(math.MaxFloat64); T != math.MaxFloat64 {
+		t.Errorf("T(MaxFloat64) = %v, want MaxFloat64: the square overflows, the threshold must not", T)
+	}
+	agree(1, sqThreshold(1), math.NaN())
+}
+
+// TestGridScanTestsOnlyUndecidedCells is the complexity guard of the cell
+// walk's box decisions. At exact_mixed's geometry — 200 000 uniform points
+// in the unit square, cells of 0.1, centres in [0.05, 0.95]², θ ~ N(0.1,
+// 0.025) clipped to [0.03, 0.2] — the points Scan puts through the per-point
+// test must be exactly the clamped box's points minus those of the cells
+// whose bounding box alone decides them (wholly inside the ball or wholly
+// outside, by the bounds recomputed here from each cell's own points), and
+// the boxes must decide a real share. When the guard was written they
+// decided ≈ 15 % of the box's points.
+func TestGridScanTestsOnlyUndecidedCells(t *testing.T) {
+	const n, queries, minShare = 200_000, 2000, 0.08
+	rng := rand.New(rand.NewSource(43))
+	flat := make([]float64, 2*n)
+	for i := range flat {
+		flat[i] = rng.Float64()
+	}
+	g, err := NewGridFlat(flat, 2, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boxRows, decided := 0, 0
+	for range queries {
+		center := []float64{0.05 + 0.9*rng.Float64(), 0.05 + 0.9*rng.Float64()}
+		radius := math.Min(math.Max(0.1+0.025*rng.NormFloat64(), 0.03), 0.2)
+		T := sqThreshold(radius)
+		wantTested := 0
+		var lo, hi [2]int
+		for j, c := range center {
+			lo[j] = int(math.Max(g.cellOf(c-radius, j), 0))
+			hi[j] = int(math.Min(g.cellOf(c+radius, j), float64(g.extent[j]-1)))
+		}
+		var want []int32
+		for c1 := lo[1]; c1 <= hi[1]; c1++ {
+			for c0 := lo[0]; c0 <= hi[0]; c0++ {
+				cell := g.find(uint64(c0)*g.stride[0] + uint64(c1)*g.stride[1])
+				var smin, smax float64
+				for j, c := range center {
+					l, h := math.Inf(1), math.Inf(-1)
+					for pos := cell.start; pos < cell.end; pos++ {
+						l, h = math.Min(l, g.pts[2*pos+int32(j)]), math.Max(h, g.pts[2*pos+int32(j)])
+					}
+					gap := 0.0
+					if c < l {
+						gap = l - c
+					} else if c > h {
+						gap = c - h
+					}
+					far := math.Max(math.Abs(l-c), math.Abs(h-c))
+					smin += gap * gap
+					smax += far * far
+				}
+				rows := int(cell.end - cell.start)
+				boxRows += rows
+				if rows >= boxMinPoints && (smin > T || smax <= T) {
+					decided += rows
+				} else {
+					wantTested += rows
+				}
+				for pos := cell.start; pos < cell.end; pos++ {
+					if vector.DistanceLp(g.pts[2*pos:2*pos+2], center, 2) <= radius {
+						want = append(want, pos)
+					}
+				}
+			}
+		}
+		got, tested, err := g.scan(context.Background(), nil, center, radius, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tested != wantTested {
+			t.Fatalf("centre %v radius %v: %d points went through the per-point test, want %d", center, radius, tested, wantTested)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("centre %v radius %v: Scan selected %d positions, the per-point test %d, or in another order", center, radius, len(got), len(want))
+		}
+	}
+	share := float64(decided) / float64(boxRows)
+	t.Logf("%.0f of %.0f box points per query decided by their cell's box (%.1f %%)", float64(decided)/queries, float64(boxRows)/queries, 100*share)
+	if share < minShare {
+		t.Errorf("the cell boxes decide %.1f %% of the box's points, want at least %.0f %%", 100*share, 100*minShare)
+	}
+}
+
 // FuzzGridRadius decodes arbitrary bytes into a point set, a cell size and a
 // query — coordinates on a coarse lattice (duplicates, cell boundaries) or,
 // when the input asks, raw float64 bit patterns (NaN, ±Inf, 1e300) — and
@@ -367,6 +517,35 @@ func FuzzGridRadius(f *testing.F) {
 		0, 0, 40, 40, -30, 20, 20, -30, 15, 13, 60, -10, -50, -50, 30, 5, 5, 30))
 	f.Add(lattice(header(2, 0, 0, 0.15, 0.1), 0, 0, 0,
 		9, 9, 9, -9, 0, 9, 0, -9, -9, 3, -2, 1, 12, 12, -3, -12, 6, 0))
+	// Points exactly on the sphere (lattice units of 1/64, so every square
+	// and sum is exact): the twelve of radius 5 at d = 2 (the unrolled
+	// loop) and twelve of radius 3 at d = 3 (the general loop), beside a
+	// few just inside and just outside.
+	f.Add(lattice(header(1, 0, 0, 4.0/64, 5.0/64), 0, 0,
+		3, 4, 4, 3, -3, 4, -4, 3, 3, -4, 4, -3, -3, -4, -4, -3, 0, 5, 5, 0, 0, -5, -5, 0,
+		1, 1, 4, 4, 6, 0, -2, 5))
+	f.Add(lattice(header(2, 0, 0, 4.0/64, 3.0/64), 0, 0, 0,
+		1, 2, 2, 2, 1, 2, 2, 2, 1, -1, -2, -2, -2, -1, -2, -2, -2, -1,
+		3, 0, 0, 0, 3, 0, 0, 0, 3, -3, 0, 0, 0, -3, 0, 0, 0, -3,
+		1, 1, 1, 2, 2, 2, 1, -2, 3))
+	// Cell boxes tangent to the ball (centre (16, 16[, 16]), cells of 16,
+	// boxMinPoints points a box, two of them its corners, and a radius
+	// whose square is its own threshold): one from inside — its far corner
+	// on the sphere, so its upper bound is exactly T and the cell is
+	// appended whole; one from outside — its near face on the sphere with a
+	// point there, so its lower bound is exactly T and the cell is still
+	// tested point by point; and cells a unit or more beyond, which are
+	// skipped.
+	f.Add(lattice(header(1, 0, 0, 16.0/64, 13.0/64), 16, 16,
+		11, 4, 15, 15, 12, 5, 13, 6, 14, 7, 12, 10, 13, 12, 14, 14, // inside: far corner (11, 4)
+		29, 16, 31, 20, 30, 17, 29, 18, 30, 19, 31, 16, 29, 20, 30, 16, // outside: (29, 16) on the sphere
+		0, 20, 2, 16, 1, 17, 0, 18, 2, 19, 1, 21, 0, 16, 2, 22, // a unit beyond
+		20, 0, 31, 1, 21, 1, 25, 0, 30, 1, 22, 0, 24, 1, 28, 0)) // far beyond
+	f.Add(lattice(header(2, 0, 0, 16.0/64, 12.0/64), 16, 16, 16,
+		12, 8, 8, 15, 15, 15, 13, 9, 9, 14, 10, 10, 12, 12, 12, 15, 8, 14, 13, 14, 9, 14, 11, 13, // inside: far corner (12, 8, 8)
+		28, 16, 16, 31, 20, 20, 29, 17, 17, 30, 18, 18, 28, 19, 20, 31, 16, 17, 29, 20, 16, 30, 17, 19, // outside: (28, 16, 16) on the sphere
+		8, 8, 20, 14, 14, 16, 9, 9, 19, 10, 10, 18, 11, 12, 17, 13, 9, 20, 8, 14, 16, 12, 11, 18, // inside: far corner (8, 8, 20)
+		0, 20, 20, 20, 0, 20, 20, 20, 0)) // beyond, one point a cell
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 19 {
 			return

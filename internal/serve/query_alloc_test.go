@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"llmq/internal/sqlfront"
 )
 
 // rewindBody is a request body that can be read again, so one request
@@ -50,7 +52,8 @@ func (w *reusedWriter) reset() {
 // on this path can observe one) and the answer is appended into the pooled
 // buffer and written once. 31 allocations per request through
 // encoding/json, a deadline armed at entry and a lexer growing its token
-// slice; 10 now. The bound sits halfway.
+// slice; 10 with the statement's dimension checked against a copy of the
+// attribute names, 9 now. The bound sits halfway.
 func TestQueryHandlerAllocs(t *testing.T) {
 	s := newServer(t, true)
 	body := []byte(`{"sql":"SELECT APPROX AVG(u) FROM r1 WITHIN 0.15 OF (0.5, 0.5)"}`)
@@ -71,5 +74,27 @@ func TestQueryHandlerAllocs(t *testing.T) {
 		t.Fatalf("a warm APPROX /query allocates %.1f objects, bound %d", got, bound)
 	} else {
 		t.Logf("%.1f allocations per warm APPROX /query", got)
+	}
+}
+
+// TestParseStatementAllocs pins that checking a statement against the
+// served relation allocates nothing beyond parsing it: every /query and
+// every sheet statement passes through parseStatement, whose dimension
+// check reads Executor.Dim rather than a copy of the attribute names.
+func TestParseStatementAllocs(t *testing.T) {
+	s := newServer(t, true)
+	const sql = "SELECT AVG(u) FROM r1 WITHIN 0.15 OF (0.5, 0.5)"
+	parse := testing.AllocsPerRun(200, func() {
+		if _, err := sqlfront.Parse(sql); err != nil {
+			t.Fatal(err)
+		}
+	})
+	check := testing.AllocsPerRun(200, func() {
+		if _, _, err := s.parseStatement(sql, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if check != parse {
+		t.Fatalf("parseStatement allocates %.1f objects, sqlfront.Parse alone %.1f", check, parse)
 	}
 }

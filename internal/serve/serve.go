@@ -304,9 +304,9 @@ func only(method string, h http.HandlerFunc) http.HandlerFunc {
 func New(e *exec.Executor, m *core.Model, opts ...Option) (*Server, error) {
 	var l local
 	if m != nil {
-		if e != nil && m.K() > 0 && m.Config().Dim != len(e.InputNames()) {
+		if e != nil && m.K() > 0 && m.Config().Dim != e.Dim() {
 			return nil, fmt.Errorf("serve: model dim %d does not match the relation's %d input attributes",
-				m.Config().Dim, len(e.InputNames()))
+				m.Config().Dim, e.Dim())
 		}
 		l.Local = shard.NewLocal(m)
 	}
@@ -323,12 +323,12 @@ func NewDurable(e *exec.Executor, d *core.Durable, opts ...Option) (*Server, err
 	if d == nil {
 		return nil, errors.New("serve: durable store is required")
 	}
-	if e != nil && d.Model().Config().Dim != len(e.InputNames()) {
+	if e != nil && d.Model().Config().Dim != e.Dim() {
 		// Unlike a plain model (checked only once trained), a durable model
 		// always has a definite dimensionality — an empty one still replays
 		// and ingests pairs of exactly its configured dim.
 		return nil, fmt.Errorf("serve: durable model dim %d does not match the relation's %d input attributes",
-			d.Model().Config().Dim, len(e.InputNames()))
+			d.Model().Config().Dim, e.Dim())
 	}
 	return build(e, local{Local: shard.NewLocalDurable(d)}, opts...)
 }
@@ -362,9 +362,9 @@ func NewSharded(e *exec.Executor, sh *shard.Sharded, opts ...Option) (*Server, e
 	if sh == nil {
 		return nil, errors.New("serve: sharded set is required")
 	}
-	if e != nil && sh.Dim() != len(e.InputNames()) {
+	if e != nil && sh.Dim() != e.Dim() {
 		return nil, fmt.Errorf("serve: sharded set dim %d does not match the relation's %d input attributes",
-			sh.Dim(), len(e.InputNames()))
+			sh.Dim(), e.Dim())
 	}
 	return build(e, sharded{sh}, opts...)
 }
@@ -729,10 +729,10 @@ func (s *Server) parseStatement(sql string, reader modelReader) (*sqlfront.State
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	if len(stmt.Center) != len(s.exec.InputNames()) {
+	if len(stmt.Center) != s.exec.Dim() {
 		return nil, http.StatusBadRequest,
 			fmt.Errorf("query centre has %d coordinates, relation has %d input attributes",
-				len(stmt.Center), len(s.exec.InputNames()))
+				len(stmt.Center), s.exec.Dim())
 	}
 	if stmt.Approx && reader == nil {
 		return nil, http.StatusConflict, errors.New("no trained model loaded for APPROX statements")

@@ -214,9 +214,9 @@ func NewHarness(e *exec.Executor, g QuerySource) (*Harness, error) {
 	if e == nil || g == nil {
 		return nil, errors.New("workload: executor and query source are required")
 	}
-	if len(e.InputNames()) != g.Config().Dim {
+	if e.Dim() != g.Config().Dim {
 		return nil, fmt.Errorf("workload: executor has %d input attributes, generator dim is %d",
-			len(e.InputNames()), g.Config().Dim)
+			e.Dim(), g.Config().Dim)
 	}
 	return &Harness{Exec: e, Gen: g}, nil
 }
@@ -387,7 +387,7 @@ type Q2Options struct {
 
 // EvaluateQ2 scores the three methods over the same data subspaces.
 func (h *Harness) EvaluateQ2(m *core.Model, queries []core.Query, opts Q2Options) (Q2Eval, error) {
-	dim := len(h.Exec.InputNames())
+	dim := h.Exec.Dim()
 	minSub := opts.MinSubspace
 	if minSub <= 0 {
 		minSub = 2 * (dim + 2)
@@ -565,7 +565,7 @@ func (h *Harness) EvaluateDataValue(m *core.Model, queries []core.Query, opts Q2
 	if pointsPerQuery <= 0 {
 		pointsPerQuery = 5
 	}
-	dim := len(h.Exec.InputNames())
+	dim := h.Exec.Dim()
 	minSub := opts.MinSubspace
 	if minSub <= 0 {
 		minSub = 2 * (dim + 2)
