@@ -81,7 +81,11 @@ type Grid struct {
 
 	cells []gridCell // the directory; len is a power of two, or 0 for a scan-only grid
 	shift uint       // 64 − log2(len(cells))
-	boxes []float64  // per boxed cell, in linear-number order: its points' per-dimension minima, then maxima
+	// The cells of at least boxMinPoints points are boxed: boxStarts holds
+	// their first positions, ascending, and boxes, in the same order, their
+	// points' per-dimension minima, then maxima.
+	boxStarts []int32
+	boxes     []float64
 }
 
 // boxMinPoints is the fewest points a cell must hold to keep a bounding box.
@@ -90,14 +94,11 @@ type Grid struct {
 // add a third to every rebuild's allocation.
 const boxMinPoints = 8
 
-// gridCell is one directory slot: the occupied cell's linear number, its
-// run of clustered positions [start, end), and the index of its bounding box
-// in boxes, or -1 when it holds fewer than boxMinPoints points (an empty
-// slot holds none).
+// gridCell is one directory slot: the occupied cell's linear number and its
+// run of clustered positions [start, end).
 type gridCell struct {
 	key        uint64
 	start, end int32
-	box        int32
 }
 
 // noCell marks an empty directory slot; linear cell numbers stay below 2⁶³.
@@ -163,7 +164,7 @@ func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
 	g.shift = uint(bits.LeadingZeros64(2*size - 1))
 	g.cells = make([]gridCell, uint64(1)<<(64-g.shift))
 	for i := range g.cells {
-		g.cells[i] = gridCell{key: noCell, box: -1}
+		g.cells[i].key = noCell
 	}
 	occupied := make([]uint64, 0, size)
 	for _, key := range keys {
@@ -178,12 +179,9 @@ func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
 	// dimension 0 — consecutive stops of a query's walk — are neighbours in
 	// memory.
 	slices.Sort(occupied)
-	var at, boxed int32
+	var at int32
 	for i, key := range occupied {
 		c := g.find(key)
-		if c.end >= boxMinPoints {
-			c.box, boxed = boxed, boxed+1
-		}
 		c.start, c.end, at = at, at, at+c.end
 		occupied[i] = uint64(at) // from here on, the end of cell i's run
 	}
@@ -197,34 +195,40 @@ func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
 		g.ids[pos], g.rank[i] = int32(i), pos
 		copy(g.pts[int(pos)*dim:], rows[i*dim:(i+1)*dim])
 	}
-	g.boxCells(occupied, int(boxed))
+	g.boxCells(occupied)
 	return g, nil
 }
 
-// boxCells records the bounding box of each of the boxed cells — its
-// points' per-dimension minima, then maxima. ends holds, in rank order,
-// where each occupied cell's run of clustered positions ends; the runs tile
-// the points, so the boxes fill front to back in one pass over both arrays.
-func (g *Grid) boxCells(ends []uint64, boxed int) {
-	d := g.dim
-	g.boxes = make([]float64, 2*d*boxed)
-	box, pts := g.boxes, g.pts
-	start := 0
+// boxCells records the start and the bounding box of every cell of at least
+// boxMinPoints points. ends holds, in rank order, where each occupied cell's
+// run of clustered positions ends; the runs tile the points, so the boxes
+// fill front to back in one pass over both arrays.
+func (g *Grid) boxCells(ends []uint64) {
+	boxed, start := 0, uint64(0)
 	for _, end := range ends {
-		run := pts[start*d : int(end)*d]
-		start = int(end)
-		if len(run) < boxMinPoints*d {
-			continue
+		if end-start >= boxMinPoints {
+			boxed++
 		}
-		lo, hi := box[:d], box[d:2*d]
-		copy(lo, run)
-		copy(hi, run)
-		for k := d; k < len(run); k += d {
-			for j, v := range run[k : k+d] {
-				lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
+		start = end
+	}
+	d := g.dim
+	g.boxStarts = make([]int32, 0, boxed)
+	g.boxes = make([]float64, 2*d*boxed)
+	box, at := g.boxes, 0
+	for _, end := range ends {
+		if run := g.pts[at*d : int(end)*d]; len(run) >= boxMinPoints*d {
+			g.boxStarts = append(g.boxStarts, int32(at))
+			lo, hi := box[:d], box[d:2*d]
+			copy(lo, run)
+			copy(hi, run)
+			for k := d; k < len(run); k += d {
+				for j, v := range run[k : k+d] {
+					lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
+				}
 			}
+			box = box[2*d:]
 		}
-		box = box[2*d:]
+		at = int(end)
 	}
 }
 
@@ -423,8 +427,9 @@ func (g *Grid) scan(ctx context.Context, dst []int32, center []float64, radius, 
 				continue
 			}
 			whole := false
-			if p == 2 && c.box >= 0 {
-				smin, smax := g.cellBounds(c.box, center)
+			if p == 2 && c.end-c.start >= boxMinPoints {
+				i, _ := slices.BinarySearch(g.boxStarts, c.start)
+				smin, smax := g.cellBounds(i, center)
 				if smin > sq {
 					continue
 				}
@@ -492,9 +497,9 @@ func sqThreshold(r float64) float64 {
 // its two faces. Both sum in filter's order with filter's operations on the
 // face coordinates; every one of those rounded operations is monotone, so a
 // stored point's computed s lies in [smin, smax].
-func (g *Grid) cellBounds(i int32, center []float64) (smin, smax float64) {
+func (g *Grid) cellBounds(i int, center []float64) (smin, smax float64) {
 	d := len(center)
-	box := g.boxes[2*d*int(i):][:2*d]
+	box := g.boxes[2*d*i:][:2*d]
 	lo, hi := box[:d], box[d:]
 	for j, c := range center {
 		dl, dh := lo[j]-c, hi[j]-c // dl ≤ dh, and every point's x−c lies between
