@@ -33,6 +33,7 @@ import (
 	"llmq/internal/exec"
 	"llmq/internal/sqlfront"
 	"llmq/internal/synth"
+	"llmq/internal/vector"
 	"llmq/internal/wal"
 	"llmq/internal/workload"
 )
@@ -632,7 +633,7 @@ func executeStatement(ctx context.Context, out io.Writer, stmt *sqlfront.Stateme
 			fmt.Fprintf(out, "approx REGRESSION(%s): %d local linear model(s) [model, %v, no data access]\n",
 				stmt.Output, len(locals), time.Since(start).Round(time.Microsecond))
 			for i, lm := range locals {
-				fmt.Fprintf(out, "  S[%d] (weight %.3f, around %s, θ=%.3g): %s\n", i, lm.Weight, lm.Center, lm.Theta, lm)
+				fmt.Fprintf(out, "  S[%d] (weight %.3f, around %s, θ=%.3g): %s\n", i, lm.Weight, vector.Format(lm.Center), lm.Theta, lm)
 			}
 			return nil
 		}

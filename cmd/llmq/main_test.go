@@ -177,6 +177,37 @@ func TestQueryLegacyModelFile(t *testing.T) {
 	}
 }
 
+// TestApproxRegressionLines pins the bytes of every S[i] line an APPROX
+// REGRESSION prints for the legacy model file: the centre each local model is
+// around renders as "[x1, x2]" with 6 significant digits.
+func TestApproxRegressionLines(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "r1.csv")
+	var out bytes.Buffer
+	if err := run([]string{"generate", "-n", "500", "-dim", "2", "-o", data}, &out); err != nil {
+		t.Fatal(err)
+	}
+	model := filepath.Join("..", "..", "internal", "core", "testdata", "legacy", "model-v2.json")
+	out.Reset()
+	if err := run([]string{"query", "-data", data, "-model", model, "-sql", "SELECT APPROX REGRESSION(u) FROM r1 WITHIN 0.3 OF (0.3, 0.6)"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	want := `  S[0] (weight 0.085, around [0.17032, 0.285387], θ=0.0991): u ≈ 0.6696 +0·x1 +0·x2
+  S[1] (weight 0.020, around [0.474671, 0.253433], θ=0.102): u ≈ 0.8171 +0.4594·x1 +0.4028·x2
+  S[2] (weight 0.283, around [0.25439, 0.752027], θ=0.0969): u ≈ -0.2882 +2.051·x1 +1.457·x2
+  S[3] (weight 0.113, around [0.629788, 0.606485], θ=0.11): u ≈ 1.085 -0.5929·x1 +1.137·x2
+  S[4] (weight 0.222, around [0.465295, 0.786695], θ=0.105): u ≈ 0.5916 +0.2505·x1 +1.259·x2
+  S[5] (weight 0.276, around [0.264733, 0.446801], θ=0.0939): u ≈ 0.118 +1.938·x1 +0.8092·x2
+`
+	head, lines, _ := strings.Cut(out.String(), "\n")
+	if !strings.HasPrefix(head, "approx REGRESSION(u): 6 local linear model(s) [model, ") {
+		t.Errorf("header %q", head)
+	}
+	if lines != want {
+		t.Errorf("local model lines\n%s\nwant\n%s", lines, want)
+	}
+}
+
 func TestQueryErrors(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "r1.csv")

@@ -15,7 +15,7 @@ func randQuery(rng *rand.Rand, dim int) Query {
 	for j := range c {
 		c[j] = rng.Float64()
 	}
-	return Query{Center: vector.Of(c...), Theta: 0.02 + 0.1*rng.Float64()}
+	return Query{Center: c, Theta: 0.02 + 0.1*rng.Float64()}
 }
 
 // TestConcurrentReadersDuringTraining hammers every read API from multiple

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -59,8 +60,8 @@ func canonicalState(t testing.TB, m *Model) string {
 		if l == nil {
 			continue
 		}
-		rows = append(rows, fmt.Sprintf("%x %x %x %x %x wins=%d stamp=%d rls=%x", []float64(l.CenterPrototype),
-			l.ThetaPrototype, l.Intercept, []float64(l.SlopeX), l.SlopeTheta, l.Wins, m.store.stamp(k), l.p))
+		rows = append(rows, fmt.Sprintf("%x %x %x %x %x wins=%d stamp=%d rls=%x", l.CenterPrototype,
+			l.ThetaPrototype, l.Intercept, l.SlopeX, l.SlopeTheta, l.Wins, m.store.stamp(k), l.p))
 	}
 	sort.Strings(rows)
 	return fmt.Sprintf("%+v steps=%d converged=%v quiet=%d gamma=%x\n%s",
@@ -232,6 +233,100 @@ func TestRecoverDurableRoundTrip(t *testing.T) {
 	if got := mustStateHash(t, ref); got != wantHash {
 		t.Fatalf("reference StateHash %s, want %s", got, wantHash)
 	}
+}
+
+// TestUnpersistableQueryIsRefused feeds the library's training entry points
+// queries that no checkpoint could carry — a non-finite centre coordinate, a
+// negative or non-finite radius — each as the second pair of a batch. Every
+// one must be refused before it is applied or logged: the StateHash and the
+// bytes of the data directory stay as they were, the Durable stays writable,
+// and its checkpoint still loads.
+func TestUnpersistableQueryIsRefused(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []Query{
+		{Center: []float64{0.5, nan, 0.5}, Theta: 0.1},
+		{Center: []float64{inf, 0.5, 0.5}, Theta: 0.1},
+		{Center: []float64{0.5, 0.5, -inf}, Theta: 0.1},
+		{Center: []float64{0.5, 0.5, 0.5}, Theta: -0.1},
+		{Center: []float64{0.5, 0.5, 0.5}, Theta: nan},
+		{Center: []float64{0.5, 0.5, 0.5}, Theta: inf},
+	}
+	for _, q := range bad[:3] {
+		if _, err := NewQuery(q.Center, q.Theta); err == nil {
+			t.Errorf("NewQuery accepted %v", q.Center)
+		}
+	}
+	pairs := planeStream(200, 3, 0.3, []float64{0.5, -0.2, 1.1}, 1.0, 23)
+	good := pairs[len(pairs)-1]
+
+	m, err := NewModel(durableConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.TrainBatch(pairs); err != nil {
+		t.Fatal(err)
+	}
+	want := mustStateHash(t, m)
+	for _, q := range bad {
+		if _, err := m.Observe(q, 1); err == nil {
+			t.Errorf("Observe accepted %v θ=%v", q.Center, q.Theta)
+		}
+		if _, err := m.TrainBatch([]TrainingPair{good, {Query: q, Answer: 1}}); err == nil {
+			t.Errorf("TrainBatch accepted %v θ=%v", q.Center, q.Theta)
+		}
+	}
+	if got := mustStateHash(t, m); got != want {
+		t.Fatalf("StateHash %s after refused pairs, want %s", got, want)
+	}
+
+	dir := t.TempDir()
+	opts := DurableOptions{WAL: wal.Options{Mode: wal.SyncNone}}
+	d, err := Recover(dir, durableConfig(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.TrainBatch(pairs); err != nil {
+		t.Fatal(err)
+	}
+	want, size := mustStateHash(t, d.Model()), dirBytes(t, dir)
+	for _, q := range bad {
+		if _, err := d.TrainBatch([]TrainingPair{good, {Query: q, Answer: 1}}); err == nil {
+			t.Errorf("Durable.TrainBatch accepted %v θ=%v", q.Center, q.Theta)
+		}
+	}
+	if got := mustStateHash(t, d.Model()); got != want {
+		t.Fatalf("Durable StateHash %s after refused pairs, want %s", got, want)
+	}
+	if got := dirBytes(t, dir); got != size {
+		t.Fatalf("data directory holds %d bytes after refused pairs, want %d", got, size)
+	}
+	if err := d.Failure(); err != nil {
+		t.Fatalf("refused pairs failed the store: %v", err)
+	}
+	if _, err := Load(bytes.NewReader(checkpointBytes(t, d.Model()))); err != nil {
+		t.Fatalf("checkpoint after refused pairs does not load: %v", err)
+	}
+}
+
+// dirBytes sums the sizes of the regular files in dir.
+func dirBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Mode().IsRegular() {
+			n += info.Size()
+		}
+	}
+	return n
 }
 
 // mustStateHash wraps Model.StateHash for test assertions.

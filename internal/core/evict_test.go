@@ -5,11 +5,10 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
-
-	"llmq/internal/vector"
 )
 
 // driftStream is the non-stationary workload of the streaming-training
@@ -48,7 +47,7 @@ func (g *driftStream) next() Query {
 	for j := range x {
 		x[j] = pos*(1-g.window) + g.window*g.rng.Float64()
 	}
-	return Query{Center: vector.Of(x...), Theta: 0.03 + 0.04*g.rng.Float64()}
+	return Query{Center: x, Theta: 0.03 + 0.04*g.rng.Float64()}
 }
 
 // answer is a smooth deterministic data function so RLS states evolve
@@ -100,7 +99,7 @@ func probeQueries(dim, n int, seed int64) []Query {
 		for j := range x {
 			x[j] = rng.Float64()
 		}
-		out[i] = Query{Center: vector.Of(x...), Theta: 0.02 + 0.2*rng.Float64()}
+		out[i] = Query{Center: x, Theta: 0.02 + 0.2*rng.Float64()}
 	}
 	return out
 }
@@ -133,8 +132,8 @@ func assertViewsAgree(t *testing.T, tag string, got, want View, probes []Query) 
 		}
 		for j := range gr {
 			if gr[j].Intercept != wr[j].Intercept || gr[j].Theta != wr[j].Theta ||
-				gr[j].Weight != wr[j].Weight || !gr[j].Slope.Equal(wr[j].Slope) ||
-				!gr[j].Center.Equal(wr[j].Center) {
+				gr[j].Weight != wr[j].Weight || !slices.Equal(gr[j].Slope, wr[j].Slope) ||
+				!slices.Equal(gr[j].Center, wr[j].Center) {
 				t.Fatalf("%s probe %d: Regression model %d diverged: %+v vs %+v", tag, i, j, gr[j], wr[j])
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,7 +40,7 @@ func TestOverlapBroadQueryFallsBackToLinear(t *testing.T) {
 				c[j] = rng.Float64()
 			}
 			// θ of several space diameters: every prototype overlaps.
-			q := Query{Center: vector.Of(c...), Theta: 3 + 2*rng.Float64()}
+			q := Query{Center: c, Theta: 3 + 2*rng.Float64()}
 			checkOverlapAgainstLinear(t, m, q, "broad-query")
 		}
 	}
@@ -127,7 +128,7 @@ func TestFarQueryOnGridEpoch(t *testing.T) {
 		centers = append(centers, []float64{far, 0.5}, []float64{0.5, far})
 	}
 	for _, c := range centers {
-		q := Query{Center: vector.Of(c...), Theta: 0.1}
+		q := Query{Center: c, Theta: 0.1}
 		checkFarPredictMean(t, m.View(), q, "before Observe")
 		v := m.View()
 		want, wantDist := linearWinner(v.s, q)
@@ -180,7 +181,7 @@ func withinDeadline(t *testing.T, what string, q Query, f func()) {
 // linearWinner is the winner of Eq. 5 by a scan of every slot, and the
 // lowest live slot when none is at a finite distance (winnerOn's rule).
 func linearWinner(s *storeSnapshot, q Query) (int, float64) {
-	w, sq := vector.ArgminSqDistanceChunkedRange(s.chunked(), append(q.Center.Clone(), q.Theta), 0, -1, math.Inf(1))
+	w, sq := vector.ArgminSqDistanceChunkedRange(s.chunked(), append(slices.Clone(q.Center), q.Theta), 0, -1, math.Inf(1))
 	for k := 0; w < 0; k++ {
 		if !s.isTombstone(k) {
 			w, sq = k, math.Inf(1)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"llmq/internal/index"
-	"llmq/internal/vector"
 )
 
 // scatterConfig is the shared configuration of the scatter/fuse tests: a
@@ -72,7 +71,7 @@ func TestScatterScanReconstructsPredictions(t *testing.T) {
 	overlapped, extrapolated := 0, 0
 	for i := 0; i < 400; i++ {
 		q := Query{
-			Center: vector.Of(rng.Float64()*1.6-0.3, rng.Float64()*1.6-0.3),
+			Center: []float64{rng.Float64()*1.6 - 0.3, rng.Float64()*1.6 - 0.3},
 			Theta:  rng.Float64() * 0.2,
 		}
 		at := []float64{rng.Float64(), rng.Float64()}
@@ -144,7 +143,7 @@ func TestScatterScanReconstructsPredictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := empty.View().ScatterScan(Query{Center: vector.Of(0, 0), Theta: 0.1}, nil, false)
+	res, err := empty.View().ScatterScan(Query{Center: []float64{0, 0}, Theta: 0.1}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +152,10 @@ func TestScatterScanReconstructsPredictions(t *testing.T) {
 	}
 
 	// Dimension mismatches are rejected.
-	if _, err := v.ScatterScan(Query{Center: vector.Of(0.5), Theta: 0.1}, nil, false); !errors.Is(err, ErrDimension) {
+	if _, err := v.ScatterScan(Query{Center: []float64{0.5}, Theta: 0.1}, nil, false); !errors.Is(err, ErrDimension) {
 		t.Fatalf("bad query dim: %v", err)
 	}
-	if _, err := v.ScatterScan(Query{Center: vector.Of(0.5, 0.5), Theta: 0.1}, []float64{1}, false); !errors.Is(err, ErrDimension) {
+	if _, err := v.ScatterScan(Query{Center: []float64{0.5, 0.5}, Theta: 0.1}, []float64{1}, false); !errors.Is(err, ErrDimension) {
 		t.Fatalf("bad at dim: %v", err)
 	}
 }
@@ -196,7 +195,7 @@ func TestSplitFuseRoundTrip(t *testing.T) {
 		t.Helper()
 		rng := rand.New(rand.NewSource(22))
 		for i := 0; i < 200; i++ {
-			q := Query{Center: vector.Of(rng.Float64(), rng.Float64()), Theta: rng.Float64() * 0.2}
+			q := Query{Center: []float64{rng.Float64(), rng.Float64()}, Theta: rng.Float64() * 0.2}
 			at := []float64{rng.Float64(), rng.Float64()}
 			for name, other := range map[string]*Model{"split": child, "fuse": fused} {
 				pm, err1 := m.View().PredictMean(q)
@@ -286,7 +285,7 @@ func TestSplitByPartitionRegions(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	matched := 0
 	for i := 0; i < 600; i++ {
-		q := Query{Center: vector.Of(rng.Float64(), rng.Float64()), Theta: rng.Float64() * 0.05}
+		q := Query{Center: []float64{rng.Float64(), rng.Float64()}, Theta: rng.Float64() * 0.05}
 		leaves := part.Touching(q.Center, q.Theta, extra, nil)
 		if len(leaves) != 1 || kids[leaves[0]].K() == 0 {
 			continue
@@ -403,7 +402,7 @@ func TestSplitAssignCannotMutateParent(t *testing.T) {
 	if _, err := parent.TrainBatch(surfaceStream(600, 2, bumpySurface, 41)); err != nil {
 		t.Fatal(err)
 	}
-	probe := Query{Center: vector.Of(0.4, 0.6), Theta: 0.3}
+	probe := Query{Center: []float64{0.4, 0.6}, Theta: 0.3}
 	llms := parent.LLMs()
 	hash, _ := parent.StateHash()
 	mean, err := parent.PredictMean(probe)

@@ -3,8 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"llmq/internal/vector"
+	"slices"
 )
 
 // LLM is one Local Linear Mapping f_k: Q_k → R, the first-order Taylor
@@ -17,13 +16,13 @@ import (
 // flat rows, and nothing in the model refers to it afterwards.
 type LLM struct {
 	// CenterPrototype is x_k, the input-space part of the prototype.
-	CenterPrototype vector.Vec
+	CenterPrototype []float64
 	// ThetaPrototype is θ_k, the radius part of the prototype.
 	ThetaPrototype float64
 	// Intercept is y_k, the local expectation of the answer at the prototype.
 	Intercept float64
 	// SlopeX is b_{X,k}, the gradient with respect to the query centre.
-	SlopeX vector.Vec
+	SlopeX []float64
 	// SlopeTheta is b_{Θ,k}, the gradient with respect to the radius.
 	SlopeTheta float64
 	// Wins counts how many training pairs this LLM has absorbed.
@@ -50,24 +49,24 @@ func (l *LLM) proto() proto {
 
 // PrototypeQuery returns the prototype as a Query value w_k = [x_k, θ_k].
 func (l *LLM) PrototypeQuery() Query {
-	return Query{Center: l.CenterPrototype.Clone(), Theta: l.ThetaPrototype}
+	return Query{Center: slices.Clone(l.CenterPrototype), Theta: l.ThetaPrototype}
 }
 
 // Eval evaluates f_k(x, θ) (Eq. 5 / Eq. 12).
-func (l *LLM) Eval(center vector.Vec, theta float64) float64 {
+func (l *LLM) Eval(center []float64, theta float64) float64 {
 	return l.proto().eval(center, theta)
 }
 
 // EvalAtPrototypeRadius evaluates f_k(x, θ_k), i.e. the LLM restricted to its
 // own radius. By Theorem 3 this is the local linear approximation of the data
 // function g over the data subspace D_k.
-func (l *LLM) EvalAtPrototypeRadius(x vector.Vec) float64 {
+func (l *LLM) EvalAtPrototypeRadius(x []float64) float64 {
 	return l.proto().evalAtPrototypeRadius(x)
 }
 
 // Residual returns the prediction error y − f_k(x, θ) for a training pair;
 // it is the common factor of the SGD updates of Theorem 4.
-func (l *LLM) Residual(center vector.Vec, theta, y float64) float64 {
+func (l *LLM) Residual(center []float64, theta, y float64) float64 {
 	return y - l.Eval(center, theta)
 }
 
@@ -133,9 +132,9 @@ type LocalLinear struct {
 	// Intercept is the u-intercept of the local plane.
 	Intercept float64
 	// Slope is the coefficient vector over the input attributes.
-	Slope vector.Vec
+	Slope []float64
 	// Center and Theta describe the data subspace the model is local to.
-	Center vector.Vec
+	Center []float64
 	Theta  float64
 	// Weight is the normalized overlap degree δ̃ of the prototype with the
 	// issued query (0 when the model was obtained by extrapolation).

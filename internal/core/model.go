@@ -305,11 +305,8 @@ func (m *Model) LLMs() []*LLM {
 // Theorem 4, and reports the step outcome. After the model has converged
 // further observations are ignored (Algorithm 1 freezes the parameter set α).
 func (m *Model) Observe(q Query, answer float64) (StepInfo, error) {
-	if q.Dim() != m.cfg.Dim {
-		return StepInfo{}, fmt.Errorf("%w: query dim %d, model dim %d", ErrDimension, q.Dim(), m.cfg.Dim)
-	}
-	if math.IsNaN(answer) || math.IsInf(answer, 0) {
-		return StepInfo{}, fmt.Errorf("core: non-finite training answer %v", answer)
+	if err := m.checkPair(q, answer); err != nil {
+		return StepInfo{}, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -491,15 +488,27 @@ func (m *Model) TrainBatch(pairs []TrainingPair) (TrainingResult, error) {
 }
 
 // validatePairs checks every pair of a batch against the model before any
-// step is applied.
+// step is applied (and, on a Durable, before the batch is logged).
 func (m *Model) validatePairs(pairs []TrainingPair) error {
 	for _, p := range pairs {
-		if p.Query.Dim() != m.cfg.Dim {
-			return fmt.Errorf("%w: query dim %d, model dim %d", ErrDimension, p.Query.Dim(), m.cfg.Dim)
+		if err := m.checkPair(p.Query, p.Answer); err != nil {
+			return err
 		}
-		if math.IsNaN(p.Answer) || math.IsInf(p.Answer, 0) {
-			return fmt.Errorf("core: non-finite training answer %v", p.Answer)
-		}
+	}
+	return nil
+}
+
+// checkPair checks one training pair against the model: a query of the
+// model's dimension that Query.validate accepts, and a finite answer.
+func (m *Model) checkPair(q Query, answer float64) error {
+	if q.Dim() != m.cfg.Dim {
+		return fmt.Errorf("%w: query dim %d, model dim %d", ErrDimension, q.Dim(), m.cfg.Dim)
+	}
+	if err := q.validate(); err != nil {
+		return err
+	}
+	if math.IsNaN(answer) || math.IsInf(answer, 0) {
+		return fmt.Errorf("core: non-finite training answer %v", answer)
 	}
 	return nil
 }

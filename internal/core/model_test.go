@@ -5,10 +5,9 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
-
-	"llmq/internal/vector"
 )
 
 // planeStream generates training pairs whose answers come from a linear
@@ -27,7 +26,7 @@ func planeStream(n, dim int, b0 float64, bx []float64, btheta float64, seed int6
 		for j := range center {
 			y += bx[j] * center[j]
 		}
-		pairs[i] = TrainingPair{Query: Query{Center: vector.Of(center...), Theta: theta}, Answer: y}
+		pairs[i] = TrainingPair{Query: Query{Center: center, Theta: theta}, Answer: y}
 	}
 	return pairs
 }
@@ -44,7 +43,7 @@ func surfaceStream(n, dim int, f func(x []float64, theta float64) float64, seed 
 		}
 		theta := 0.05 + 0.1*rng.Float64()
 		pairs[i] = TrainingPair{
-			Query:  Query{Center: vector.Of(center...), Theta: theta},
+			Query:  Query{Center: center, Theta: theta},
 			Answer: f(center, theta),
 		}
 	}
@@ -89,20 +88,20 @@ func TestNewModelValidation(t *testing.T) {
 
 func TestObserveValidation(t *testing.T) {
 	m, _ := NewModel(DefaultConfig(2))
-	if _, err := m.Observe(Query{Center: vector.Of(1), Theta: 0.1}, 1); !errors.Is(err, ErrDimension) {
+	if _, err := m.Observe(Query{Center: []float64{1}, Theta: 0.1}, 1); !errors.Is(err, ErrDimension) {
 		t.Errorf("dim err = %v", err)
 	}
-	if _, err := m.Observe(Query{Center: vector.Of(1, 2), Theta: 0.1}, math.NaN()); err == nil {
+	if _, err := m.Observe(Query{Center: []float64{1, 2}, Theta: 0.1}, math.NaN()); err == nil {
 		t.Error("NaN answer accepted")
 	}
-	if _, err := m.Observe(Query{Center: vector.Of(1, 2), Theta: 0.1}, math.Inf(1)); err == nil {
+	if _, err := m.Observe(Query{Center: []float64{1, 2}, Theta: 0.1}, math.Inf(1)); err == nil {
 		t.Error("Inf answer accepted")
 	}
 }
 
 func TestFirstObservationCreatesPrototype(t *testing.T) {
 	m, _ := NewModel(DefaultConfig(2))
-	info, err := m.Observe(Query{Center: vector.Of(0.5, 0.5), Theta: 0.1}, 3)
+	info, err := m.Observe(Query{Center: []float64{0.5, 0.5}, Theta: 0.1}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func TestFirstObservationCreatesPrototype(t *testing.T) {
 	if llm.Intercept != 3 {
 		t.Errorf("intercept initialized to %v, want the observed answer 3", llm.Intercept)
 	}
-	if !llm.CenterPrototype.Equal(vector.Of(0.5, 0.5)) || llm.ThetaPrototype != 0.1 {
+	if !slices.Equal(llm.CenterPrototype, []float64{0.5, 0.5}) || llm.ThetaPrototype != 0.1 {
 		t.Errorf("prototype = %v θ=%v", llm.CenterPrototype, llm.ThetaPrototype)
 	}
 }
@@ -122,7 +121,7 @@ func TestPaperInterceptInitialization(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.InitInterceptWithAnswer = false
 	m, _ := NewModel(cfg)
-	_, _ = m.Observe(Query{Center: vector.Of(0.5), Theta: 0.1}, 3)
+	_, _ = m.Observe(Query{Center: []float64{0.5}, Theta: 0.1}, 3)
 	if m.LLMs()[0].Intercept != 0 {
 		t.Errorf("paper-mode intercept = %v, want 0", m.LLMs()[0].Intercept)
 	}
@@ -132,8 +131,8 @@ func TestDistantQuerySpawnsPrototype(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.ResolutionA = 0.1 // vigilance ≈ 0.24
 	m, _ := NewModel(cfg)
-	_, _ = m.Observe(Query{Center: vector.Of(0.1, 0.1), Theta: 0.1}, 1)
-	info, err := m.Observe(Query{Center: vector.Of(0.9, 0.9), Theta: 0.1}, 2)
+	_, _ = m.Observe(Query{Center: []float64{0.1, 0.1}, Theta: 0.1}, 1)
+	info, err := m.Observe(Query{Center: []float64{0.9, 0.9}, Theta: 0.1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +147,9 @@ func TestDistantQuerySpawnsPrototype(t *testing.T) {
 func TestNearbyQueryUpdatesWinner(t *testing.T) {
 	cfg := DefaultConfig(2)
 	m, _ := NewModel(cfg)
-	_, _ = m.Observe(Query{Center: vector.Of(0.5, 0.5), Theta: 0.1}, 1)
+	_, _ = m.Observe(Query{Center: []float64{0.5, 0.5}, Theta: 0.1}, 1)
 	before := m.LLMs()[0]
-	info, err := m.Observe(Query{Center: vector.Of(0.52, 0.5), Theta: 0.1}, 2)
+	info, err := m.Observe(Query{Center: []float64{0.52, 0.5}, Theta: 0.1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +157,7 @@ func TestNearbyQueryUpdatesWinner(t *testing.T) {
 		t.Fatal("nearby query must not spawn a prototype")
 	}
 	after := m.LLMs()[0]
-	if after.CenterPrototype.Equal(before.CenterPrototype) {
+	if slices.Equal(after.CenterPrototype, before.CenterPrototype) {
 		t.Error("prototype did not move toward the query")
 	}
 	if after.Intercept == before.Intercept {
@@ -210,7 +209,7 @@ func TestObserveAfterConvergenceIsFrozen(t *testing.T) {
 	}
 	llmsBefore := m.LLMs()
 	stepsBefore := m.Steps()
-	info, err := m.Observe(Query{Center: vector.Of(0.5, 0.5), Theta: 0.1}, 42)
+	info, err := m.Observe(Query{Center: []float64{0.5, 0.5}, Theta: 0.1}, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +221,7 @@ func TestObserveAfterConvergenceIsFrozen(t *testing.T) {
 	}
 	llmsAfter := m.LLMs()
 	for i := range llmsBefore {
-		if !llmsBefore[i].CenterPrototype.Equal(llmsAfter[i].CenterPrototype) ||
+		if !slices.Equal(llmsBefore[i].CenterPrototype, llmsAfter[i].CenterPrototype) ||
 			llmsBefore[i].Intercept != llmsAfter[i].Intercept {
 			t.Fatal("parameters changed after convergence")
 		}
@@ -288,7 +287,7 @@ func TestPredictMeanNonLinearSurfaceBeatsGlobalMean(t *testing.T) {
 
 func TestPredictBeforeTraining(t *testing.T) {
 	m, _ := NewModel(DefaultConfig(2))
-	q := Query{Center: vector.Of(0.5, 0.5), Theta: 0.1}
+	q := Query{Center: []float64{0.5, 0.5}, Theta: 0.1}
 	if _, err := m.PredictMean(q); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("PredictMean err = %v", err)
 	}
@@ -305,15 +304,15 @@ func TestPredictBeforeTraining(t *testing.T) {
 
 func TestPredictDimensionErrors(t *testing.T) {
 	m, _ := NewModel(DefaultConfig(2))
-	_, _ = m.Observe(Query{Center: vector.Of(0.5, 0.5), Theta: 0.1}, 1)
-	bad := Query{Center: vector.Of(0.5), Theta: 0.1}
+	_, _ = m.Observe(Query{Center: []float64{0.5, 0.5}, Theta: 0.1}, 1)
+	bad := Query{Center: []float64{0.5}, Theta: 0.1}
 	if _, err := m.PredictMean(bad); !errors.Is(err, ErrDimension) {
 		t.Errorf("PredictMean err = %v", err)
 	}
 	if _, err := m.Regression(bad); !errors.Is(err, ErrDimension) {
 		t.Errorf("Regression err = %v", err)
 	}
-	good := Query{Center: vector.Of(0.5, 0.5), Theta: 0.1}
+	good := Query{Center: []float64{0.5, 0.5}, Theta: 0.1}
 	if _, err := m.PredictValue(good, []float64{0.1}); !errors.Is(err, ErrDimension) {
 		t.Errorf("PredictValue err = %v", err)
 	}
@@ -328,11 +327,11 @@ func TestPredictMeanExtrapolatesWhenNoOverlap(t *testing.T) {
 	m, _ := NewModel(cfg)
 	// Single prototype near 0.2.
 	for i := 0; i < 50; i++ {
-		_, _ = m.Observe(Query{Center: vector.Of(0.2), Theta: 0.05}, 1.0)
+		_, _ = m.Observe(Query{Center: []float64{0.2}, Theta: 0.05}, 1.0)
 	}
 	// A far-away query that overlaps nothing still gets an answer from the
 	// closest prototype (Case 3 of Algorithm 3).
-	far := Query{Center: vector.Of(0.9), Theta: 0.01}
+	far := Query{Center: []float64{0.9}, Theta: 0.01}
 	qs, _, err := m.Neighborhood(far)
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +364,7 @@ func TestRegressionRecoversLocalSlopes(t *testing.T) {
 	if _, err := m.TrainBatch(train); err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Center: vector.Of(0.5), Theta: 0.2}
+	q := Query{Center: []float64{0.5}, Theta: 0.2}
 	models, err := m.Regression(q)
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +419,7 @@ func TestPredictValueApproximatesDataFunction(t *testing.T) {
 
 func TestPredictValueValidation(t *testing.T) {
 	m, _ := NewModel(DefaultConfig(1))
-	_, _ = m.Observe(Query{Center: vector.Of(0.5), Theta: 0.1}, 1)
+	_, _ = m.Observe(Query{Center: []float64{0.5}, Theta: 0.1}, 1)
 	if _, err := NewQuery([]float64{0.5}, -1); err == nil {
 		t.Error("negative radius accepted")
 	}
@@ -643,10 +642,10 @@ func TestLLMDataModelTheorem3(t *testing.T) {
 	// Theorem 3: over D_k, g(x) ≈ y_k + b_{X,k}(x − x_k) with intercept
 	// y_k − b_{X,k}·x_k and slope b_{X,k}.
 	l := &LLM{
-		CenterPrototype: vector.Of(0.5, 1.0),
+		CenterPrototype: []float64{0.5, 1.0},
 		ThetaPrototype:  0.2,
 		Intercept:       3,
-		SlopeX:          vector.Of(2, -1),
+		SlopeX:          []float64{2, -1},
 		SlopeTheta:      0.7,
 	}
 	dm := l.DataModel()
@@ -654,13 +653,13 @@ func TestLLMDataModelTheorem3(t *testing.T) {
 	if math.Abs(dm.Intercept-wantIntercept) > 1e-12 {
 		t.Errorf("intercept = %v, want %v", dm.Intercept, wantIntercept)
 	}
-	if !dm.Slope.Equal(vector.Of(2, -1)) {
+	if !slices.Equal(dm.Slope, []float64{2, -1}) {
 		t.Errorf("slope = %v", dm.Slope)
 	}
 	// DataModel.Predict must agree with EvalAtPrototypeRadius everywhere.
 	for _, x := range [][]float64{{0, 0}, {0.5, 1}, {1, 2}, {-3, 4}} {
 		a := dm.Predict(x)
-		b := l.EvalAtPrototypeRadius(vector.Of(x...))
+		b := l.EvalAtPrototypeRadius(x)
 		if math.Abs(a-b) > 1e-12 {
 			t.Errorf("DataModel.Predict(%v) = %v, EvalAtPrototypeRadius = %v", x, a, b)
 		}
@@ -672,32 +671,32 @@ func TestLLMDataModelTheorem3(t *testing.T) {
 
 func TestLLMEval(t *testing.T) {
 	l := &LLM{
-		CenterPrototype: vector.Of(1),
+		CenterPrototype: []float64{1},
 		ThetaPrototype:  0.5,
 		Intercept:       2,
-		SlopeX:          vector.Of(3),
+		SlopeX:          []float64{3},
 		SlopeTheta:      4,
 	}
 	// f(x, θ) = 2 + 3(x−1) + 4(θ−0.5).
-	got := l.Eval(vector.Of(2), 1)
+	got := l.Eval([]float64{2}, 1)
 	if math.Abs(got-(2+3+2)) > 1e-12 {
 		t.Errorf("Eval = %v", got)
 	}
-	if l.Residual(vector.Of(2), 1, 10) != 10-got {
+	if l.Residual([]float64{2}, 1, 10) != 10-got {
 		t.Error("Residual inconsistent with Eval")
 	}
 	if l.Dim() != 1 {
 		t.Errorf("Dim = %d", l.Dim())
 	}
 	pq := l.PrototypeQuery()
-	if pq.Theta != 0.5 || !pq.Center.Equal(vector.Of(1)) {
+	if pq.Theta != 0.5 || !slices.Equal(pq.Center, []float64{1}) {
 		t.Errorf("PrototypeQuery = %+v", pq)
 	}
 }
 
 func TestLLMsReturnsDeepCopies(t *testing.T) {
 	m, _ := NewModel(DefaultConfig(1))
-	_, _ = m.Observe(Query{Center: vector.Of(0.5), Theta: 0.1}, 1)
+	_, _ = m.Observe(Query{Center: []float64{0.5}, Theta: 0.1}, 1)
 	copies := m.LLMs()
 	copies[0].Intercept = 999
 	copies[0].CenterPrototype[0] = 999
@@ -725,7 +724,7 @@ func BenchmarkPredictMean2D(b *testing.B) {
 	if _, err := m.TrainBatch(pairs); err != nil {
 		b.Fatal(err)
 	}
-	q := Query{Center: vector.Of(0.4, 0.6), Theta: 0.1}
+	q := Query{Center: []float64{0.4, 0.6}, Theta: 0.1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

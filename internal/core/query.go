@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"llmq/internal/vector"
 )
@@ -46,20 +47,39 @@ var (
 // within distance θ of the centre x (Definition 3/4 of the paper).
 type Query struct {
 	// Center is the query centre x ∈ R^d.
-	Center vector.Vec
+	Center []float64
 	// Theta is the radius θ >= 0.
 	Theta float64
 }
 
-// NewQuery builds a query, validating its shape.
+// NewQuery builds a query from a copy of center. It refuses an empty centre,
+// a non-finite coordinate and a radius that is negative or non-finite.
 func NewQuery(center []float64, theta float64) (Query, error) {
-	if len(center) == 0 {
-		return Query{}, fmt.Errorf("%w: empty query centre", ErrDimension)
+	q := Query{Center: center, Theta: theta}
+	if err := q.validate(); err != nil {
+		return Query{}, err
 	}
-	if theta < 0 || math.IsNaN(theta) || math.IsInf(theta, 0) {
-		return Query{}, fmt.Errorf("core: invalid radius %v", theta)
+	q.Center = slices.Clone(center)
+	return q, nil
+}
+
+// validate checks that q is a query the model can train on and persist: a
+// non-empty centre of finite coordinates and a finite radius θ >= 0. A
+// non-finite coordinate would spawn a prototype that every later checkpoint
+// carries and Load refuses.
+func (q Query) validate() error {
+	if len(q.Center) == 0 {
+		return fmt.Errorf("%w: empty query centre", ErrDimension)
 	}
-	return Query{Center: vector.Of(center...), Theta: theta}, nil
+	for _, x := range q.Center {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("core: non-finite query centre %s", vector.Format(q.Center))
+		}
+	}
+	if q.Theta < 0 || math.IsNaN(q.Theta) || math.IsInf(q.Theta, 0) {
+		return fmt.Errorf("core: invalid radius %v", q.Theta)
+	}
+	return nil
 }
 
 // Dim returns the dimensionality d of the query centre.
@@ -67,8 +87,8 @@ func (q Query) Dim() int { return len(q.Center) }
 
 // Vector returns the query as the (d+1)-dimensional vector [x, θ] of the
 // query space Q (Definition 4).
-func (q Query) Vector() vector.Vec {
-	return q.Center.Append(q.Theta)
+func (q Query) Vector() []float64 {
+	return append(slices.Clip(q.Center), q.Theta)
 }
 
 // Distance returns the query-space L2 distance between two queries
@@ -121,10 +141,10 @@ func (q Query) Contains(x []float64) bool {
 	if len(x) != q.Dim() {
 		return false
 	}
-	return vector.Distance(vector.Vec(x), q.Center) <= q.Theta
+	return vector.Distance(x, q.Center) <= q.Theta
 }
 
 // String renders the query compactly.
 func (q Query) String() string {
-	return fmt.Sprintf("D(x=%s, θ=%.4g)", q.Center.String(), q.Theta)
+	return fmt.Sprintf("D(x=%s, θ=%.4g)", vector.Format(q.Center), q.Theta)
 }

@@ -2,10 +2,9 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
-
-	"llmq/internal/vector"
 )
 
 func mustQuery(t *testing.T, center []float64, theta float64) Query {
@@ -39,7 +38,7 @@ func TestNewQueryValidation(t *testing.T) {
 func TestQueryVectorAndDistance(t *testing.T) {
 	q := mustQuery(t, []float64{1, 2}, 0.5)
 	v := q.Vector()
-	if !v.Equal(vector.Of(1, 2, 0.5)) {
+	if !slices.Equal(v, []float64{1, 2, 0.5}) {
 		t.Errorf("Vector = %v", v)
 	}
 	o := mustQuery(t, []float64{1, 2}, 0.9)
@@ -134,8 +133,8 @@ func TestContains(t *testing.T) {
 
 func TestQueryString(t *testing.T) {
 	q := mustQuery(t, []float64{0.5, 0.25}, 0.1)
-	if s := q.String(); s == "" {
-		t.Error("String should not be empty")
+	if got, want := q.String(), "D(x=[0.5, 0.25], θ=0.1)"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
 }
 
@@ -148,8 +147,8 @@ func TestPropertyOverlapDegreeBoundedSymmetric(t *testing.T) {
 			}
 			return math.Mod(v, lim)
 		}
-		a := Query{Center: vector.Of(clamp(ax, 10), clamp(ay, 10)), Theta: math.Abs(clamp(ra, 5))}
-		b := Query{Center: vector.Of(clamp(bx, 10), clamp(by, 10)), Theta: math.Abs(clamp(rb, 5))}
+		a := Query{Center: []float64{clamp(ax, 10), clamp(ay, 10)}, Theta: math.Abs(clamp(ra, 5))}
+		b := Query{Center: []float64{clamp(bx, 10), clamp(by, 10)}, Theta: math.Abs(clamp(rb, 5))}
 		dab := a.OverlapDegree(b)
 		dba := b.OverlapDegree(a)
 		if dab < 0 || dab > 1 {
@@ -171,8 +170,8 @@ func TestPropertyOverlapDegreeConsistentWithPredicate(t *testing.T) {
 			}
 			return math.Mod(v, lim)
 		}
-		a := Query{Center: vector.Of(clamp(ax, 10)), Theta: math.Abs(clamp(ra, 5))}
-		b := Query{Center: vector.Of(clamp(bx, 10)), Theta: math.Abs(clamp(rb, 5))}
+		a := Query{Center: []float64{clamp(ax, 10)}, Theta: math.Abs(clamp(ra, 5))}
+		b := Query{Center: []float64{clamp(bx, 10)}, Theta: math.Abs(clamp(rb, 5))}
 		if a.OverlapDegree(b) > 0 && !a.Overlaps(b) {
 			return false
 		}

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-
-	"llmq/internal/vector"
 )
 
 // The scatter surface: what a sharded deployment needs from one shard so a
@@ -159,7 +157,7 @@ func (v View) ScatterScan(q Query, at []float64, needModels bool) (ScatterResult
 		res.WinnerDist = dist
 		res.WinnerMean = p.eval(q.Center, q.Theta)
 		if at != nil {
-			res.WinnerValue = p.evalAtPrototypeRadius(vector.Vec(at))
+			res.WinnerValue = p.evalAtPrototypeRadius(at)
 		}
 		if needModels {
 			m := p.dataModel()
@@ -172,7 +170,7 @@ func (v View) ScatterScan(q Query, at []float64, needModels bool) (ScatterResult
 		p := s.member(sc, i)
 		c := ScatterContribution{Degree: degrees[i], Mean: p.eval(q.Center, q.Theta)}
 		if at != nil {
-			c.Value = p.evalAtPrototypeRadius(vector.Vec(at))
+			c.Value = p.evalAtPrototypeRadius(at)
 		}
 		if needModels {
 			m := p.dataModel()

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // slotLLMs returns the writer's prototypes as LLM values indexed by slot id,
 // nil for a tombstoned slot — the view of the training state the tests below
 // the public API compare against. The caller holds m.mu or owns m.
@@ -16,5 +18,5 @@ func slotLLMs(m *Model) []*LLM {
 // insertProto appends a prototype at q, with coefficient row coef =
 // [y, b_X, b_Θ] and wins absorbed pairs, to a fixture under construction.
 func insertProto(m *Model, q Query, coef []float64, wins int) {
-	m.store.insert(slotState{row: append(q.Center.Clone(), q.Theta), coef: coef, wins: wins})
+	m.store.insert(slotState{row: append(slices.Clone(q.Center), q.Theta), coef: coef, wins: wins})
 }

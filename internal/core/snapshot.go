@@ -73,7 +73,7 @@ func (s *storeSnapshot) proto(k int) proto { return proto{s.row(k), s.coefRow(k)
 // eval evaluates f_k(x, θ) (Eq. 5 / Eq. 12) from the flat rows: the one
 // evaluation of the mapping — the training step's residual and LLM.Eval call
 // it too.
-func (p proto) eval(center vector.Vec, theta float64) float64 {
+func (p proto) eval(center []float64, theta float64) float64 {
 	d := len(p.row) - 1
 	c := p.coef
 	v := c[0] + c[d+1]*(theta-p.row[d])
@@ -85,7 +85,7 @@ func (p proto) eval(center vector.Vec, theta float64) float64 {
 
 // evalAtPrototypeRadius evaluates f_k(x, θ_k) — the LLM restricted to its
 // own radius, the Eq. 14 term (Theorem 3).
-func (p proto) evalAtPrototypeRadius(x vector.Vec) float64 {
+func (p proto) evalAtPrototypeRadius(x []float64) float64 {
 	d := len(p.row) - 1
 	v := p.coef[0]
 	for i := 0; i < d; i++ {
@@ -104,8 +104,8 @@ func (p proto) dataModel() LocalLinear {
 	}
 	return LocalLinear{
 		Intercept: p.coef[0] - dot,
-		Slope:     vector.Of(p.coef[1 : 1+d]...),
-		Center:    vector.Of(p.row[:d]...),
+		Slope:     slices.Clone(p.coef[1 : 1+d]),
+		Center:    slices.Clone(p.row[:d]),
 		Theta:     p.row[d],
 	}
 }
@@ -113,7 +113,7 @@ func (p proto) dataModel() LocalLinear {
 // query returns the prototype as a Query value w_k = [x_k, θ_k].
 func (p proto) query() Query {
 	d := len(p.row) - 1
-	return Query{Center: vector.Of(p.row[:d]...), Theta: p.row[d]}
+	return Query{Center: slices.Clone(p.row[:d]), Theta: p.row[d]}
 }
 
 // predictScratch carries the per-call scratch buffers of the prediction hot
@@ -530,15 +530,14 @@ func (v View) PredictValue(q Query, x []float64) (float64, error) {
 	s := v.s
 	sc := scratchPool.Get().(*predictScratch)
 	defer scratchPool.Put(sc)
-	xv := vector.Vec(x)
 	idx, weights := s.overlapSet(q, sc)
 	if len(idx) == 0 {
 		w, _ := s.winnerQuery(q, sc)
-		return s.proto(w).evalAtPrototypeRadius(xv), nil
+		return s.proto(w).evalAtPrototypeRadius(x), nil
 	}
 	var uhat float64
 	for i := range idx {
-		uhat += weights[i] * s.member(sc, i).evalAtPrototypeRadius(xv)
+		uhat += weights[i] * s.member(sc, i).evalAtPrototypeRadius(x)
 	}
 	return uhat, nil
 }

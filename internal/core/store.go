@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"llmq/internal/index"
 	"llmq/internal/vector"
@@ -391,10 +392,10 @@ func (e slotState) clone() slotState {
 func (e slotState) llm() *LLM {
 	d := len(e.row) - 1
 	return &LLM{
-		CenterPrototype: vector.Of(e.row[:d]...),
+		CenterPrototype: slices.Clone(e.row[:d]),
 		ThetaPrototype:  e.row[d],
 		Intercept:       e.coef[0],
-		SlopeX:          vector.Of(e.coef[1 : 1+d]...),
+		SlopeX:          slices.Clone(e.coef[1 : 1+d]),
 		SlopeTheta:      e.coef[d+1],
 		Wins:            e.wins,
 		p:               append([]float64(nil), e.p...),

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"llmq/internal/vector"
 )
 
 // queryGen produces the benchmark query stream; the model's prototype set is
@@ -37,7 +35,7 @@ func clusteredGen(dim, clusters int, sigma float64, seed int64) queryGen {
 		for j := range x {
 			x[j] = c[j] + sigma*rng.NormFloat64()
 		}
-		return Query{Center: vector.Of(x...), Theta: 0.05 + 0.05*rng.Float64()}
+		return Query{Center: x, Theta: 0.05 + 0.05*rng.Float64()}
 	}
 }
 

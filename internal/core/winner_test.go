@@ -165,7 +165,7 @@ func TestJitterKeepsEpoch(t *testing.T) {
 				}
 			}
 			for _, p := range rows {
-				insertProto(m, Query{Center: vector.Of(p[:dim]...), Theta: p[dim]}, make([]float64, dim+2), 1)
+				insertProto(m, Query{Center: slices.Clone(p[:dim]), Theta: p[dim]}, make([]float64, dim+2), 1)
 			}
 			m.store.rebuildEpoch()
 			m.publishLocked()
@@ -177,7 +177,7 @@ func TestJitterKeepsEpoch(t *testing.T) {
 			const k = K / 2
 			home := slices.Clone(m.store.row(k))
 			at := func(offset float64) Query {
-				q := Query{Center: vector.Of(home[:dim]...), Theta: home[dim]}
+				q := Query{Center: slices.Clone(home[:dim]), Theta: home[dim]}
 				q.Center[0] += offset
 				return q
 			}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"llmq/internal/core"
@@ -95,7 +96,7 @@ func TestFirstObservationCreatesPrototype(t *testing.T) {
 		t.Errorf("info = %+v, K = %d", info, m.K())
 	}
 	llm := m.LLMs()[0]
-	if !llm.CenterPrototype.Equal(query(t, 0.1, 0.2).Center) || llm.ThetaPrototype != 0 {
+	if !slices.Equal(llm.CenterPrototype, query(t, 0.1, 0.2).Center) || llm.ThetaPrototype != 0 {
 		t.Errorf("prototype = %v, θ = %v", llm.CenterPrototype, llm.ThetaPrototype)
 	}
 	if llm.Wins != 1 {

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"llmq/internal/core"
-	"llmq/internal/vector"
 )
 
 // A /train or /query body is read once into a pooled buffer and scanned in
@@ -138,7 +137,7 @@ func (tb *trainBuf) scan(body []byte) ([]core.TrainingPair, bool) {
 				// When flat grows, the centres cut so far keep the array
 				// they were cut from, values intact; a warm buffer never
 				// grows.
-				p.Query.Center = vector.Vec(tb.flat[start:len(tb.flat):len(tb.flat)])
+				p.Query.Center = tb.flat[start:len(tb.flat):len(tb.flat)]
 			case 1:
 				var ok bool
 				if p.Query.Theta, ok = s.number(); !ok || p.Query.Theta < 0 {

@@ -18,7 +18,6 @@ import (
 	"llmq/internal/exec"
 	"llmq/internal/plr"
 	"llmq/internal/stats"
-	"llmq/internal/vector"
 )
 
 // ErrNoUsableQueries is returned when every generated query selected an
@@ -91,7 +90,7 @@ func (g *Generator) Next() core.Query {
 	for j := range center {
 		center[j] = g.cfg.CenterLo + span*g.rng.Float64()
 	}
-	return core.Query{Center: vector.Of(center...), Theta: g.cfg.sampleTheta(g.rng)}
+	return core.Query{Center: center, Theta: g.cfg.sampleTheta(g.rng)}
 }
 
 // Queries returns n random queries.
@@ -188,7 +187,7 @@ func (g *DriftingGenerator) Next() core.Query {
 	for j := range center {
 		center[j] = lo + w*g.rng.Float64()
 	}
-	return core.Query{Center: vector.Of(center...), Theta: g.cfg.sampleTheta(g.rng)}
+	return core.Query{Center: center, Theta: g.cfg.sampleTheta(g.rng)}
 }
 
 // Queries returns the next n queries of the drifting stream.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"llmq/internal/core"
@@ -12,7 +13,6 @@ import (
 	"llmq/internal/exec"
 	"llmq/internal/plr"
 	"llmq/internal/synth"
-	"llmq/internal/vector"
 )
 
 // newHarness builds a harness over a synthetic dataset.
@@ -73,7 +73,7 @@ func TestGeneratorDeterministicAndInRange(t *testing.T) {
 	g2, _ := NewGenerator(cfg)
 	for i := 0; i < 500; i++ {
 		a, b := g1.Next(), g2.Next()
-		if !a.Center.Equal(b.Center) || a.Theta != b.Theta {
+		if !slices.Equal(a.Center, b.Center) || a.Theta != b.Theta {
 			t.Fatal("generator is not deterministic")
 		}
 		for _, v := range a.Center {
@@ -313,7 +313,7 @@ func TestEvaluateErrorsWithUnusableQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Queries far outside the data range never select tuples.
-	far := []core.Query{{Center: vector.Of(50.0, 50.0), Theta: 0.1}}
+	far := []core.Query{{Center: []float64{50.0, 50.0}, Theta: 0.1}}
 	if _, err := h.EvaluateQ1(m, far); !errors.Is(err, ErrNoUsableQueries) {
 		t.Errorf("EvaluateQ1 err = %v", err)
 	}
@@ -326,20 +326,20 @@ func TestEvaluateErrorsWithUnusableQueries(t *testing.T) {
 }
 
 func TestPredictWithLocals(t *testing.T) {
-	a := core.LocalLinear{Intercept: 1, Slope: vector.Of(0), Weight: 0.25}
-	b := core.LocalLinear{Intercept: 3, Slope: vector.Of(0), Weight: 0.75}
+	a := core.LocalLinear{Intercept: 1, Slope: []float64{0}, Weight: 0.25}
+	b := core.LocalLinear{Intercept: 3, Slope: []float64{0}, Weight: 0.75}
 	got := predictWithLocals([]core.LocalLinear{a, b}, []float64{0})
 	if math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("weighted fusion = %v", got)
 	}
 	// Extrapolated single model (weight 0).
-	ex := core.LocalLinear{Intercept: 7, Slope: vector.Of(2), Weight: 0}
+	ex := core.LocalLinear{Intercept: 7, Slope: []float64{2}, Weight: 0}
 	if got := predictWithLocals([]core.LocalLinear{ex}, []float64{1}); got != 9 {
 		t.Errorf("extrapolated = %v", got)
 	}
 	// All-zero weights with several models: plain average.
-	z1 := core.LocalLinear{Intercept: 2, Slope: vector.Of(0)}
-	z2 := core.LocalLinear{Intercept: 4, Slope: vector.Of(0)}
+	z1 := core.LocalLinear{Intercept: 2, Slope: []float64{0}}
+	z2 := core.LocalLinear{Intercept: 4, Slope: []float64{0}}
 	if got := predictWithLocals([]core.LocalLinear{z1, z2}, []float64{0}); got != 3 {
 		t.Errorf("zero-weight average = %v", got)
 	}
@@ -365,7 +365,7 @@ func TestDriftingGenerator(t *testing.T) {
 	again := g2.Queries(300)
 	var minC, maxC = math.Inf(1), math.Inf(-1)
 	for i, q := range first {
-		if !q.Center.Equal(again[i].Center) || q.Theta != again[i].Theta {
+		if !slices.Equal(q.Center, again[i].Center) || q.Theta != again[i].Theta {
 			t.Fatalf("query %d not deterministic", i)
 		}
 		if q.Theta <= 0 {
