@@ -23,13 +23,10 @@ type refVersion struct {
 
 func captureRef(m *Model) refVersion {
 	ref := refVersion{k: m.store.rows, steps: m.steps}
-	for _, l := range slotLLMs(m) {
-		row := append(append([]float64(nil), l.CenterPrototype...), l.ThetaPrototype)
-		coef := append([]float64{l.Intercept}, l.SlopeX...)
-		coef = append(coef, l.SlopeTheta)
-		ref.rows = append(ref.rows, row)
-		ref.coefs = append(ref.coefs, coef)
-		ref.wins = append(ref.wins, l.Wins)
+	for _, e := range writerSlots(m) {
+		ref.rows = append(ref.rows, e.row)
+		ref.coefs = append(ref.coefs, e.coef)
+		ref.wins = append(ref.wins, e.wins)
 	}
 	return ref
 }

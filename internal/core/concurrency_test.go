@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -64,13 +65,12 @@ func TestConcurrentReadersDuringTraining(t *testing.T) {
 					t.Errorf("PredictValue: %v", err)
 					return
 				}
-				if _, _, err := m.Winner(q); err != nil {
+				if _, _, err := m.View().Winner(q); err != nil {
 					t.Errorf("Winner: %v", err)
 					return
 				}
 				_ = m.K()
-				_ = m.Converged()
-				_ = m.LLMs()
+				_ = m.View().Converged()
 				var buf bytes.Buffer
 				if err := m.Save(&buf); err != nil {
 					t.Errorf("Save: %v", err)
@@ -94,62 +94,91 @@ func TestConcurrentReadersDuringTraining(t *testing.T) {
 	}
 }
 
-// winnerLinearScan is the reference winner: a scan over the LLMs taking
-// the vector kernels' one squared distance over the query-space rows
-// [x..., θ], first strict minimum wins. The indexed/flat search must
-// reproduce its distance to the bit.
-func winnerLinearScan(llms []*LLM, q Query) (int, float64) {
-	best, bestDist := 0, math.Inf(1)
-	for k, l := range llms {
-		if d := llmDist(l, q); d < bestDist {
+// winnerLinearScan is the reference winner over writerSlots(m): a scan of
+// the live slots taking the vector kernels' one squared distance over the
+// query-space rows [x..., θ], first strict minimum wins, tombstones skipped
+// and the answer a slot id. The indexed/flat search must reproduce its
+// distance to the bit.
+func winnerLinearScan(slots []slotState, q Query) (int, float64) {
+	best, bestDist := -1, math.Inf(1)
+	for k, e := range slots {
+		if e.row == nil {
+			continue
+		}
+		if d := slotDist(e, q); d < bestDist || best < 0 {
 			best, bestDist = k, d
 		}
 	}
 	return best, bestDist
 }
 
-// llmDist is the query-space distance from q to l's prototype.
-func llmDist(l *LLM, q Query) float64 {
-	return math.Sqrt(vector.SqDistanceFlat(l.PrototypeQuery().Vector(), q.Vector()))
+// slotDist is the query-space distance from q to e's prototype.
+func slotDist(e slotState, q Query) float64 {
+	return math.Sqrt(vector.SqDistanceFlat(e.row, append(slices.Clone(q.Center), q.Theta)))
 }
 
 // sameLinearWinner reports whether the store's winner (idx, dist) is the
 // linear scan's (want, wantDist): the distance to the bit, and the same
-// prototype unless idx is at exactly that distance too — an exact tie,
+// live slot unless idx is at exactly that distance too — an exact tie,
 // which the tree breaks in leaf order.
-func sameLinearWinner(llms []*LLM, q Query, idx int, dist float64, want int, wantDist float64) bool {
-	if math.Float64bits(dist) != math.Float64bits(wantDist) {
+func sameLinearWinner(slots []slotState, q Query, idx int, dist float64, want int, wantDist float64) bool {
+	if math.Float64bits(dist) != math.Float64bits(wantDist) || idx < 0 || idx >= len(slots) || slots[idx].row == nil {
 		return false
 	}
-	return idx == want || math.Float64bits(llmDist(llms[idx], q)) == math.Float64bits(wantDist)
+	return idx == want || math.Float64bits(slotDist(slots[idx], q)) == math.Float64bits(wantDist)
 }
 
 // TestWinnerMatchesLinearScan is the exactness property test: on random
 // workloads across dimensionalities (covering the grid-indexed path for
 // d+1 <= 4 and the k-d tree path above — including the tree's scan-budget
-// bail on uniform wide workloads), the store's winner must agree with the
-// linear-scan baseline — the same distance to the bit, and the same
-// prototype unless several tie exactly.
+// bail on uniform wide workloads), and on a bounded model whose evictions
+// leave tombstoned slots behind, the store's winner must agree with the
+// linear-scan baseline — the same slot id and the same distance to the bit,
+// a different live slot only where several tie exactly.
 func TestWinnerMatchesLinearScan(t *testing.T) {
 	// Vigilance per dimensionality, small enough that the random workload
 	// spawns a large prototype set (> storeGridMinK where the grid applies).
 	vigilance := map[int]float64{1: 0.02, 2: 0.05, 3: 0.07, 5: 0.2, 8: 0.3}
-	for _, dim := range []int{1, 2, 3, 5, 8} {
-		rng := rand.New(rand.NewSource(int64(40 + dim)))
+	type input struct {
+		dim, max int // max > 0 bounds the model at max prototypes
+	}
+	inputs := []input{{1, 0}, {2, 0}, {3, 0}, {5, 0}, {8, 0}, {2, 100}}
+	for _, in := range inputs {
+		dim := in.dim
+		rng := rand.New(rand.NewSource(int64(40 + dim + in.max)))
 		cfg := DefaultConfig(dim)
 		cfg.Vigilance = vigilance[dim]
 		cfg.Gamma = 1e-12
 		cfg.MinGammaSteps = 1 << 30
+		if in.max > 0 {
+			cfg.MaxPrototypes = in.max
+			cfg.Eviction = WinDecay{HalfLife: 200}
+		}
 		m, err := NewModel(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 1200; i++ {
-			if _, err := m.Observe(randQuery(rng, dim), rng.NormFloat64()); err != nil {
+		observe := func() StepInfo {
+			info, err := m.Observe(randQuery(rng, dim), rng.NormFloat64())
+			if err != nil {
 				t.Fatal(err)
 			}
+			return info
 		}
-		llms := m.LLMs()
+		for i := 0; i < 1200; i++ {
+			observe()
+		}
+		// A bounded model trains on until an eviction pass, and stops while
+		// the pass's tombstones are still in the slot space.
+		for in.max > 0 && observe().Evicted == 0 {
+		}
+		slots := writerSlots(m)
+		if in.max > 0 {
+			tombs := slices.IndexFunc(slots, func(e slotState) bool { return e.row == nil })
+			if tombs < 0 || m.K() > in.max {
+				t.Fatalf("bounded model: K=%d over %d slots, want tombstones and K <= %d", m.K(), len(slots), in.max)
+			}
+		}
 		if dim+1 <= storeGridMaxWidth && m.K() < storeGridMinK {
 			t.Fatalf("dim %d: K=%d too small to exercise the grid path", dim, m.K())
 		}
@@ -161,16 +190,17 @@ func TestWinnerMatchesLinearScan(t *testing.T) {
 				t.Fatalf("dim %d: epoch should route to the k-d tree", dim)
 			}
 		}
+		v := m.View()
 		for trial := 0; trial < 300; trial++ {
 			q := randQuery(rng, dim)
-			gotIdx, gotDist, err := m.Winner(q)
+			gotIdx, gotDist, err := v.Winner(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantIdx, wantDist := winnerLinearScan(llms, q)
-			if !sameLinearWinner(llms, q, gotIdx, gotDist, wantIdx, wantDist) {
-				t.Fatalf("dim %d K=%d: store winner %d (dist %v), linear scan %d (dist %v)",
-					dim, m.K(), gotIdx, gotDist, wantIdx, wantDist)
+			wantIdx, wantDist := winnerLinearScan(slots, q)
+			if !sameLinearWinner(slots, q, gotIdx, gotDist, wantIdx, wantDist) {
+				t.Fatalf("dim %d max %d K=%d: store winner %d (dist %v), linear scan %d (dist %v)",
+					dim, in.max, m.K(), gotIdx, gotDist, wantIdx, wantDist)
 			}
 		}
 	}
@@ -194,15 +224,15 @@ func TestWinnerMatchesLinearScanClustered(t *testing.T) {
 			t.Fatal(err)
 		}
 		check := func(stage string) {
-			llms := m.LLMs()
+			slots := writerSlots(m)
 			for trial := 0; trial < 120; trial++ {
 				q := gen(rng)
-				gotIdx, gotDist, err := m.Winner(q)
+				gotIdx, gotDist, err := m.View().Winner(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantIdx, wantDist := winnerLinearScan(llms, q)
-				if !sameLinearWinner(llms, q, gotIdx, gotDist, wantIdx, wantDist) {
+				wantIdx, wantDist := winnerLinearScan(slots, q)
+				if !sameLinearWinner(slots, q, gotIdx, gotDist, wantIdx, wantDist) {
 					t.Fatalf("dim %d %s K=%d: store winner %d (dist %v), linear scan %d (dist %v)",
 						dim, stage, m.K(), gotIdx, gotDist, wantIdx, wantDist)
 				}
@@ -327,11 +357,11 @@ func TestWinnerAfterReload(t *testing.T) {
 	}
 	for trial := 0; trial < 100; trial++ {
 		q := randQuery(rng, dim)
-		i1, d1, err := m.Winner(q)
+		i1, d1, err := m.View().Winner(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		i2, d2, err := loaded.Winner(q)
+		i2, d2, err := loaded.View().Winner(q)
 		if err != nil {
 			t.Fatal(err)
 		}

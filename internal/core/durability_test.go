@@ -53,16 +53,12 @@ func canonicalState(t testing.TB, m *Model) string {
 	t.Helper()
 	cfg := m.Config()
 	cfg.ResolutionA = 0 // only ever an input to Vigilance; not part of the state
+	var rows []string
+	for _, e := range liveSlots(m) {
+		rows = append(rows, fmt.Sprintf("%x %x wins=%d stamp=%d rls=%x", e.row, e.coef, e.wins, e.stamp, e.p))
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var rows []string
-	for k, l := range slotLLMs(m) {
-		if l == nil {
-			continue
-		}
-		rows = append(rows, fmt.Sprintf("%x %x %x %x %x wins=%d stamp=%d rls=%x", l.CenterPrototype,
-			l.ThetaPrototype, l.Intercept, l.SlopeX, l.SlopeTheta, l.Wins, m.store.stamp(k), l.p))
-	}
 	sort.Strings(rows)
 	return fmt.Sprintf("%+v steps=%d converged=%v quiet=%d gamma=%x\n%s",
 		cfg, m.steps, m.converged, m.quietSteps, m.lastGamma, strings.Join(rows, "\n"))
@@ -535,7 +531,7 @@ func TestDurableConcurrentSnapshotObserve(t *testing.T) {
 				return
 			default:
 			}
-			v := d.View()
+			v := d.Model().View()
 			if v.K() > 0 {
 				q := pairs[rng.Intn(len(pairs))].Query
 				if _, err := v.PredictMean(q); err != nil {

@@ -86,7 +86,7 @@ func TestWinnerNoLocalityBailMatchesLinearScan(t *testing.T) {
 	if e := m.snap.Load().epoch; e == nil || e.tree == nil {
 		t.Fatal("expected a k-d tree epoch")
 	}
-	llms := m.LLMs()
+	slots := writerSlots(m)
 	centre := make([]float64, dim)
 	for j := range centre {
 		centre[j] = 0.5
@@ -99,12 +99,12 @@ func TestWinnerNoLocalityBailMatchesLinearScan(t *testing.T) {
 			x[j] += 1e-3 * rng.NormFloat64()
 		}
 		q := Query{Center: x, Theta: 0.1}
-		gotIdx, gotDist, err := m.Winner(q)
+		gotIdx, gotDist, err := m.View().Winner(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantIdx, wantDist := winnerLinearScan(llms, q)
-		if !sameLinearWinner(llms, q, gotIdx, gotDist, wantIdx, wantDist) {
+		wantIdx, wantDist := winnerLinearScan(slots, q)
+		if !sameLinearWinner(slots, q, gotIdx, gotDist, wantIdx, wantDist) {
 			t.Fatalf("trial %d: store winner %d (dist %v), linear scan %d (dist %v)",
 				trial, gotIdx, gotDist, wantIdx, wantDist)
 		}

@@ -181,7 +181,7 @@ func TestSplitFuseRoundTrip(t *testing.T) {
 	if child.K() != m.K() || child.Steps() != m.Steps() {
 		t.Fatalf("split child K/steps %d/%d, parent %d/%d", child.K(), child.Steps(), m.K(), m.Steps())
 	}
-	if child.Converged() {
+	if child.View().Converged() {
 		t.Fatal("split child must start unconverged")
 	}
 	fused, err := Fuse(m.Config(), child)
@@ -224,7 +224,7 @@ func TestSplitFuseRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Converged() {
+	if m.View().Converged() {
 		t.Fatal("parent converged mid-test; the continue-training comparison needs an unconverged stream")
 	}
 	compare("continued")
@@ -266,18 +266,16 @@ func TestSplitByPartitionRegions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		child.mu.Lock()
-		for slot, l := range slotLLMs(child) {
-			if l == nil {
+		for slot, e := range writerSlots(child) {
+			if e.row == nil {
 				continue
 			}
-			for a, x := range l.CenterPrototype {
+			for a, x := range e.center() {
 				if x < lo[a] || x >= hi[a] {
-					t.Errorf("leaf %d slot %d: centre %v outside region [%v, %v)", leaf, slot, l.CenterPrototype, lo, hi)
+					t.Errorf("leaf %d slot %d: centre %v outside region [%v, %v)", leaf, slot, e.center(), lo, hi)
 				}
 			}
 		}
-		child.mu.Unlock()
 	}
 	if sum != m.K() {
 		t.Fatalf("children hold %d prototypes, parent %d", sum, m.K())
@@ -347,21 +345,19 @@ func TestFuseStampsAndValidation(t *testing.T) {
 		t.Fatalf("fused steps = %d, want %d", fused.Steps(), a.Steps()+b.Steps())
 	}
 	seen := map[int]bool{}
-	fused.mu.Lock()
-	for slot, l := range slotLLMs(fused) {
-		if l == nil {
+	for slot, e := range writerSlots(fused) {
+		if e.row == nil {
 			continue
 		}
-		st := fused.store.stamp(slot)
-		if st <= 0 || st > fused.steps {
-			t.Errorf("slot %d stamp %d outside (0, %d]", slot, st, fused.steps)
+		st := e.stamp
+		if st <= 0 || st > fused.Steps() {
+			t.Errorf("slot %d stamp %d outside (0, %d]", slot, st, fused.Steps())
 		}
 		if seen[st] {
 			t.Errorf("duplicate stamp %d", st)
 		}
 		seen[st] = true
 	}
-	fused.mu.Unlock()
 
 	// A capacity below the combined prototype count is enforced immediately.
 	capCfg := a.Config()
@@ -403,7 +399,7 @@ func TestSplitAssignCannotMutateParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := Query{Center: []float64{0.4, 0.6}, Theta: 0.3}
-	llms := parent.LLMs()
+	protos := liveSlots(parent)
 	hash, _ := parent.StateHash()
 	mean, err := parent.PredictMean(probe)
 	if err != nil {
@@ -421,13 +417,13 @@ func TestSplitAssignCannotMutateParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	changed := 0
-	for i, l := range parent.LLMs() {
-		if !reflect.DeepEqual(l, llms[i]) {
+	for i, e := range liveSlots(parent) {
+		if !reflect.DeepEqual(e, protos[i]) {
 			changed++
 		}
 	}
 	if changed > 0 {
-		t.Errorf("assign changed %d of %d parent prototypes", changed, len(llms))
+		t.Errorf("assign changed %d of %d parent prototypes", changed, len(protos))
 	}
 	if h, _ := parent.StateHash(); h != hash {
 		t.Errorf("parent StateHash changed: %s, was %s", h, hash)
@@ -438,13 +434,13 @@ func TestSplitAssignCannotMutateParent(t *testing.T) {
 	// The children hold the parent's prototypes, not what assign left behind.
 	held := 0
 	for _, kid := range kids {
-		for _, l := range kid.LLMs() {
-			if slices.ContainsFunc(llms, func(p *LLM) bool { return reflect.DeepEqual(p, l) }) {
+		for _, e := range liveSlots(kid) {
+			if slices.ContainsFunc(protos, func(p slotState) bool { return reflect.DeepEqual(p, e) }) {
 				held++
 			}
 		}
 	}
-	if held != len(llms) {
-		t.Errorf("children hold %d of the parent's %d prototypes unchanged", held, len(llms))
+	if held != len(protos) {
+		t.Errorf("children hold %d of the parent's %d prototypes unchanged", held, len(protos))
 	}
 }

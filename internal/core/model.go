@@ -57,8 +57,8 @@ type Config struct {
 	// intercept y_K is initialized. The paper's Algorithm 1 initializes it to
 	// zero; initializing with the observed answer (the default here) is a
 	// conservative refinement that speeds convergence with a decaying global
-	// learning rate and is recorded as a substitution in DESIGN.md. Set to
-	// false for strict paper behaviour.
+	// learning rate, and a departure from the paper. Set to false for strict
+	// paper behaviour.
 	InitInterceptWithAnswer bool
 	// RateByPrototype applies the learning-rate schedule to each prototype's
 	// own win count instead of the global step counter. The paper states a
@@ -156,11 +156,12 @@ func (c Config) validate() (Config, error) {
 
 // Model is the trained (or in-training) query-driven LLM model.
 //
-// A Model is safe for concurrent use, and its read side is lock-free: every
-// prediction method (PredictMean, Regression, PredictValue, Winner,
-// Neighborhood, Save and the accessors) answers from an
-// immutable storeSnapshot obtained with one atomic pointer load — no mutex,
-// no reader/writer contention, no blocking behind a training stream.
+// A Model is written through its own methods and read through View. It is
+// safe for concurrent use, and its read side is lock-free: View and the
+// reading methods (PredictMean, Regression, PredictValue, Save and the
+// accessors) answer from an immutable storeSnapshot obtained with one atomic
+// pointer load — no mutex, no reader/writer contention, no blocking behind a
+// training stream.
 // Observe/TrainBatch serialize on a writer mutex, build the next
 // version, and publish it with one atomic store. Versions share their row
 // chunks copy-on-write (see protoStore): publishing after one training pair
@@ -277,29 +278,6 @@ func (m *Model) K() int { return m.View().K() }
 
 // Steps returns how many training pairs the model has consumed.
 func (m *Model) Steps() int { return m.View().Steps() }
-
-// Converged reports whether the termination criterion has fired.
-func (m *Model) Converged() bool { return m.View().Converged() }
-
-// LastGamma returns the most recent value of the termination criterion Γ.
-func (m *Model) LastGamma() float64 { return m.View().LastGamma() }
-
-// LLMs returns the live trained local linear mappings, including their
-// solver state, as values of their own in slot order (tombstoned slots of a
-// bounded model are skipped, so for an unbounded model index i is prototype
-// i). Unlike the prediction methods it reads the writer's state, solver
-// matrices included, so it serializes with the writer.
-func (m *Model) LLMs() []*LLM {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*LLM, 0, m.store.live)
-	for k := 0; k < m.store.rows; k++ {
-		if !m.store.isTombstone(k) {
-			out = append(out, m.store.at(k).llm())
-		}
-	}
-	return out
-}
 
 // Observe consumes one training pair, applying the joint AVQ/SGD update of
 // Theorem 4, and reports the step outcome. After the model has converged
@@ -442,13 +420,6 @@ func (m *Model) initIntercept(answer float64) float64 {
 	return 0
 }
 
-// Winner returns the index of the prototype closest to q in the query space
-// (the winner of Eq. 5, i.e. the LLM whose Voronoi cell q falls in) and the
-// query-space distance to it.
-func (m *Model) Winner(q Query) (int, float64, error) {
-	return m.View().Winner(q)
-}
-
 // TrainingResult summarizes a TrainBatch call.
 type TrainingResult struct {
 	// Steps is the model's step count after the batch.
@@ -567,10 +538,4 @@ func (m *Model) Regression(q Query) ([]LocalLinear, error) {
 // fusion of the neighbouring LLMs evaluated at their own prototype radii.
 func (m *Model) PredictValue(q Query, x []float64) (float64, error) {
 	return m.View().PredictValue(q, x)
-}
-
-// Neighborhood exposes the overlap set W(q) for diagnostics: the prototype
-// queries that overlap q and their normalized weights.
-func (m *Model) Neighborhood(q Query) ([]Query, []float64, error) {
-	return m.View().Neighborhood(q)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -108,12 +109,12 @@ func TestFirstObservationCreatesPrototype(t *testing.T) {
 	if !info.Created || info.Winner != 0 || m.K() != 1 || m.Steps() != 1 {
 		t.Errorf("info = %+v, K=%d", info, m.K())
 	}
-	llm := m.LLMs()[0]
-	if llm.Intercept != 3 {
-		t.Errorf("intercept initialized to %v, want the observed answer 3", llm.Intercept)
+	slot := liveSlots(m)[0]
+	if slot.coef[0] != 3 {
+		t.Errorf("intercept initialized to %v, want the observed answer 3", slot.coef[0])
 	}
-	if !slices.Equal(llm.CenterPrototype, []float64{0.5, 0.5}) || llm.ThetaPrototype != 0.1 {
-		t.Errorf("prototype = %v θ=%v", llm.CenterPrototype, llm.ThetaPrototype)
+	if !slices.Equal(slot.row, []float64{0.5, 0.5, 0.1}) || slot.wins != 1 {
+		t.Errorf("prototype = %v with %d wins, want [0.5 0.5 0.1] with 1", slot.row, slot.wins)
 	}
 }
 
@@ -122,8 +123,8 @@ func TestPaperInterceptInitialization(t *testing.T) {
 	cfg.InitInterceptWithAnswer = false
 	m, _ := NewModel(cfg)
 	_, _ = m.Observe(Query{Center: []float64{0.5}, Theta: 0.1}, 3)
-	if m.LLMs()[0].Intercept != 0 {
-		t.Errorf("paper-mode intercept = %v, want 0", m.LLMs()[0].Intercept)
+	if y := liveSlots(m)[0].coef[0]; y != 0 {
+		t.Errorf("paper-mode intercept = %v, want 0", y)
 	}
 }
 
@@ -148,7 +149,7 @@ func TestNearbyQueryUpdatesWinner(t *testing.T) {
 	cfg := DefaultConfig(2)
 	m, _ := NewModel(cfg)
 	_, _ = m.Observe(Query{Center: []float64{0.5, 0.5}, Theta: 0.1}, 1)
-	before := m.LLMs()[0]
+	before := liveSlots(m)[0]
 	info, err := m.Observe(Query{Center: []float64{0.52, 0.5}, Theta: 0.1}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -156,15 +157,15 @@ func TestNearbyQueryUpdatesWinner(t *testing.T) {
 	if info.Created {
 		t.Fatal("nearby query must not spawn a prototype")
 	}
-	after := m.LLMs()[0]
-	if slices.Equal(after.CenterPrototype, before.CenterPrototype) {
+	after := liveSlots(m)[0]
+	if slices.Equal(after.center(), before.center()) {
 		t.Error("prototype did not move toward the query")
 	}
-	if after.Intercept == before.Intercept {
+	if after.coef[0] == before.coef[0] {
 		t.Error("intercept did not update")
 	}
-	if after.Wins != 2 {
-		t.Errorf("wins = %d", after.Wins)
+	if after.wins != 2 {
+		t.Errorf("wins = %d", after.wins)
 	}
 	if info.GammaJ <= 0 || info.GammaH <= 0 || info.Gamma != math.Max(info.GammaJ, info.GammaH) {
 		t.Errorf("step drifts = %+v", info)
@@ -193,7 +194,7 @@ func TestTrainConvergesOnStationaryStream(t *testing.T) {
 	if len(res.GammaTrace) != res.Steps {
 		t.Errorf("trace length %d != steps %d", len(res.GammaTrace), res.Steps)
 	}
-	if !m.Converged() {
+	if !m.View().Converged() {
 		t.Error("model must report convergence")
 	}
 }
@@ -204,10 +205,10 @@ func TestObserveAfterConvergenceIsFrozen(t *testing.T) {
 	if _, err := m.TrainBatch(pairs); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Converged() {
+	if !m.View().Converged() {
 		t.Skip("stream did not converge; freezing behaviour untestable here")
 	}
-	llmsBefore := m.LLMs()
+	before := liveSlots(m)
 	stepsBefore := m.Steps()
 	info, err := m.Observe(Query{Center: []float64{0.5, 0.5}, Theta: 0.1}, 42)
 	if err != nil {
@@ -219,10 +220,9 @@ func TestObserveAfterConvergenceIsFrozen(t *testing.T) {
 	if m.Steps() != stepsBefore {
 		t.Error("post-convergence observation must not consume steps")
 	}
-	llmsAfter := m.LLMs()
-	for i := range llmsBefore {
-		if !slices.Equal(llmsBefore[i].CenterPrototype, llmsAfter[i].CenterPrototype) ||
-			llmsBefore[i].Intercept != llmsAfter[i].Intercept {
+	after := liveSlots(m)
+	for i := range before {
+		if !slices.Equal(before[i].center(), after[i].center()) || before[i].coef[0] != after[i].coef[0] {
 			t.Fatal("parameters changed after convergence")
 		}
 	}
@@ -297,7 +297,7 @@ func TestPredictBeforeTraining(t *testing.T) {
 	if _, err := m.PredictValue(q, []float64{0.5, 0.5}); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("PredictValue err = %v", err)
 	}
-	if _, _, err := m.Neighborhood(q); !errors.Is(err, ErrNotTrained) {
+	if _, _, err := m.View().Neighborhood(q); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("Neighborhood err = %v", err)
 	}
 }
@@ -316,7 +316,7 @@ func TestPredictDimensionErrors(t *testing.T) {
 	if _, err := m.PredictValue(good, []float64{0.1}); !errors.Is(err, ErrDimension) {
 		t.Errorf("PredictValue err = %v", err)
 	}
-	if _, _, err := m.Neighborhood(bad); !errors.Is(err, ErrDimension) {
+	if _, _, err := m.View().Neighborhood(bad); !errors.Is(err, ErrDimension) {
 		t.Errorf("Neighborhood err = %v", err)
 	}
 }
@@ -332,7 +332,7 @@ func TestPredictMeanExtrapolatesWhenNoOverlap(t *testing.T) {
 	// A far-away query that overlaps nothing still gets an answer from the
 	// closest prototype (Case 3 of Algorithm 3).
 	far := Query{Center: []float64{0.9}, Theta: 0.01}
-	qs, _, err := m.Neighborhood(far)
+	qs, _, err := m.View().Neighborhood(far)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +608,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.K() != m.K() || loaded.Steps() != m.Steps() || loaded.Converged() != m.Converged() {
+	if loaded.K() != m.K() || loaded.Steps() != m.Steps() || loaded.View().Converged() != m.View().Converged() {
 		t.Errorf("loaded model differs: K %d/%d steps %d/%d", loaded.K(), m.K(), loaded.Steps(), m.Steps())
 	}
 	// Predictions must be identical.
@@ -640,15 +640,10 @@ func TestLoadRejectsInvalidDocuments(t *testing.T) {
 
 func TestLLMDataModelTheorem3(t *testing.T) {
 	// Theorem 3: over D_k, g(x) ≈ y_k + b_{X,k}(x − x_k) with intercept
-	// y_k − b_{X,k}·x_k and slope b_{X,k}.
-	l := &LLM{
-		CenterPrototype: []float64{0.5, 1.0},
-		ThetaPrototype:  0.2,
-		Intercept:       3,
-		SlopeX:          []float64{2, -1},
-		SlopeTheta:      0.7,
-	}
-	dm := l.DataModel()
+	// y_k − b_{X,k}·x_k and slope b_{X,k}. The prototype is [x_k, θ_k] =
+	// [0.5, 1.0, 0.2] and its coefficients [y_k, b_X, b_Θ] = [3, 2, −1, 0.7].
+	l := proto{row: []float64{0.5, 1.0, 0.2}, coef: []float64{3, 2, -1, 0.7}}
+	dm := l.dataModel()
 	wantIntercept := 3.0 - (2*0.5 + (-1)*1.0)
 	if math.Abs(dm.Intercept-wantIntercept) > 1e-12 {
 		t.Errorf("intercept = %v, want %v", dm.Intercept, wantIntercept)
@@ -656,12 +651,15 @@ func TestLLMDataModelTheorem3(t *testing.T) {
 	if !slices.Equal(dm.Slope, []float64{2, -1}) {
 		t.Errorf("slope = %v", dm.Slope)
 	}
-	// DataModel.Predict must agree with EvalAtPrototypeRadius everywhere.
+	if !slices.Equal(dm.Center, []float64{0.5, 1.0}) || dm.Theta != 0.2 {
+		t.Errorf("subspace = %v θ=%v", dm.Center, dm.Theta)
+	}
+	// The data model's Predict must agree with evalAtPrototypeRadius everywhere.
 	for _, x := range [][]float64{{0, 0}, {0.5, 1}, {1, 2}, {-3, 4}} {
 		a := dm.Predict(x)
-		b := l.EvalAtPrototypeRadius(x)
+		b := l.evalAtPrototypeRadius(x)
 		if math.Abs(a-b) > 1e-12 {
-			t.Errorf("DataModel.Predict(%v) = %v, EvalAtPrototypeRadius = %v", x, a, b)
+			t.Errorf("dataModel.Predict(%v) = %v, evalAtPrototypeRadius = %v", x, a, b)
 		}
 	}
 	if dm.String() == "" || (LocalLinear{}).String() == "" {
@@ -670,38 +668,51 @@ func TestLLMDataModelTheorem3(t *testing.T) {
 }
 
 func TestLLMEval(t *testing.T) {
-	l := &LLM{
-		CenterPrototype: []float64{1},
-		ThetaPrototype:  0.5,
-		Intercept:       2,
-		SlopeX:          []float64{3},
-		SlopeTheta:      4,
-	}
+	// x_k = 1, θ_k = 0.5; y_k = 2, b_X = 3, b_Θ = 4.
+	l := proto{row: []float64{1, 0.5}, coef: []float64{2, 3, 4}}
 	// f(x, θ) = 2 + 3(x−1) + 4(θ−0.5).
-	got := l.Eval([]float64{2}, 1)
+	got := l.eval([]float64{2}, 1)
 	if math.Abs(got-(2+3+2)) > 1e-12 {
-		t.Errorf("Eval = %v", got)
+		t.Errorf("eval = %v", got)
 	}
-	if l.Residual([]float64{2}, 1, 10) != 10-got {
-		t.Error("Residual inconsistent with Eval")
+	// At its own radius the θ term vanishes: f(x, θ_k) = 2 + 3(x−1).
+	if got := l.evalAtPrototypeRadius([]float64{2}); math.Abs(got-5) > 1e-12 {
+		t.Errorf("evalAtPrototypeRadius = %v", got)
 	}
-	if l.Dim() != 1 {
-		t.Errorf("Dim = %d", l.Dim())
-	}
-	pq := l.PrototypeQuery()
+	pq := l.query()
 	if pq.Theta != 0.5 || !slices.Equal(pq.Center, []float64{1}) {
-		t.Errorf("PrototypeQuery = %+v", pq)
+		t.Errorf("query = %+v", pq)
+	}
+	pq.Center[0] = 99
+	if l.row[0] != 1 {
+		t.Error("query must copy the prototype's centre")
 	}
 }
 
+// TestLLMsReturnsDeepCopies: what the read surface hands out — Regression's
+// local models and Neighborhood's prototype queries — shares no memory with
+// the published rows, so a caller that edits an answer cannot edit the model.
 func TestLLMsReturnsDeepCopies(t *testing.T) {
 	m, _ := NewModel(DefaultConfig(1))
 	_, _ = m.Observe(Query{Center: []float64{0.5}, Theta: 0.1}, 1)
-	copies := m.LLMs()
-	copies[0].Intercept = 999
-	copies[0].CenterPrototype[0] = 999
-	if m.LLMs()[0].Intercept == 999 || m.LLMs()[0].CenterPrototype[0] == 999 {
-		t.Error("LLMs must return deep copies")
+	want := liveSlots(m)
+	v := m.View()
+	q := Query{Center: []float64{0.5}, Theta: 0.1}
+	models, err := v.Regression(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models[0].Slope[0], models[0].Center[0] = 999, 999
+	protos, _, err := v.Neighborhood(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protos[0].Center[0] = 999
+	if got := liveSlots(m); !reflect.DeepEqual(got, want) {
+		t.Errorf("writer state after editing answers = %+v, want %+v", got, want)
+	}
+	if again, _ := m.View().Regression(q); again[0].Center[0] != 0.5 || again[0].Slope[0] != 0 {
+		t.Errorf("served model after editing answers = %+v", again[0])
 	}
 }
 

@@ -75,7 +75,7 @@ func assertHotPathAllocationFree(t *testing.T, m *Model, gen queryGen, dim int) 
 		if _, err := m.PredictMean(q); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := m.Winner(q); err != nil {
+		if _, _, err := m.View().Winner(q); err != nil {
 			t.Fatal(err)
 		}
 		copy(x, q.Center)

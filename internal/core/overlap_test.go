@@ -296,7 +296,7 @@ func TestOverlapSetMatchesQueryAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	llms := m.LLMs()
+	slots := writerSlots(m)
 	s := m.snap.Load()
 	for trial := 0; trial < 200; trial++ {
 		q := randQuery(rng, dim)
@@ -305,8 +305,11 @@ func TestOverlapSetMatchesQueryAPI(t *testing.T) {
 		var wantIdx []int
 		var wantDeg []float64
 		var total float64
-		for k, l := range llms {
-			if deg := q.OverlapDegree(l.PrototypeQuery()); deg > 0 {
+		for k, e := range slots {
+			if e.row == nil {
+				continue
+			}
+			if deg := q.OverlapDegree(e.proto().query()); deg > 0 {
 				wantIdx = append(wantIdx, k)
 				wantDeg = append(wantDeg, deg)
 				total += deg

@@ -85,22 +85,10 @@ func (q Query) validate() error {
 // Dim returns the dimensionality d of the query centre.
 func (q Query) Dim() int { return len(q.Center) }
 
-// Vector returns the query as the (d+1)-dimensional vector [x, θ] of the
-// query space Q (Definition 4).
-func (q Query) Vector() []float64 {
-	return append(slices.Clip(q.Center), q.Theta)
-}
-
 // Distance returns the query-space L2 distance between two queries
 // (Definition 5): sqrt(||x − x'||² + (θ − θ')²).
 func (q Query) Distance(o Query) float64 {
 	return math.Sqrt(vector.SqDistance(q.Center, o.Center) + (q.Theta-o.Theta)*(q.Theta-o.Theta))
-}
-
-// Overlaps reports whether the data subspaces of q and o overlap
-// (Definition 6): ||x − x'||₂ <= θ + θ'.
-func (q Query) Overlaps(o Query) bool {
-	return vector.Distance(q.Center, o.Center) <= q.Theta+o.Theta
 }
 
 // OverlapDegree returns the normalized degree of overlap δ(q, o) ∈ [0, 1]

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"llmq/internal/vector"
 )
 
 func mustQuery(t *testing.T, center []float64, theta float64) Query {
@@ -37,10 +39,6 @@ func TestNewQueryValidation(t *testing.T) {
 
 func TestQueryVectorAndDistance(t *testing.T) {
 	q := mustQuery(t, []float64{1, 2}, 0.5)
-	v := q.Vector()
-	if !slices.Equal(v, []float64{1, 2, 0.5}) {
-		t.Errorf("Vector = %v", v)
-	}
 	o := mustQuery(t, []float64{1, 2}, 0.9)
 	// Definition 5: sqrt(||x-x'||² + (θ-θ')²).
 	if got := q.Distance(o); math.Abs(got-0.4) > 1e-12 {
@@ -50,22 +48,13 @@ func TestQueryVectorAndDistance(t *testing.T) {
 	if got := q.Distance(o2); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Distance = %v, want 5", got)
 	}
-}
-
-func TestOverlapPredicate(t *testing.T) {
-	a := mustQuery(t, []float64{0, 0}, 1)
-	b := mustQuery(t, []float64{1.5, 0}, 1)
-	c := mustQuery(t, []float64{3, 0}, 1)
-	if !a.Overlaps(b) {
-		t.Error("a and b should overlap")
-	}
-	if a.Overlaps(c) {
-		t.Error("a and c should not overlap")
-	}
-	// Just touching (distance == θ+θ') counts as overlapping (Definition 6).
-	d := mustQuery(t, []float64{2, 0}, 1)
-	if !a.Overlaps(d) {
-		t.Error("touching balls should satisfy the overlap predicate")
+	// The distance is the L2 distance of the query-space vectors [x, θ]
+	// (Definition 4), bit for bit the row kernel the model searches with.
+	for _, p := range []Query{o, o2} {
+		a, b := append(slices.Clone(q.Center), q.Theta), append(slices.Clone(p.Center), p.Theta)
+		if got, want := q.Distance(p), vector.Distance(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("Distance(%v, %v) = %v, query-space vector distance %v", q, p, got, want)
+		}
 	}
 }
 
@@ -155,27 +144,6 @@ func TestPropertyOverlapDegreeBoundedSymmetric(t *testing.T) {
 			return false
 		}
 		return math.Abs(dab-dba) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: positive overlap degree implies the overlap predicate holds.
-func TestPropertyOverlapDegreeConsistentWithPredicate(t *testing.T) {
-	f := func(ax, bx, ra, rb float64) bool {
-		clamp := func(v, lim float64) float64 {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0
-			}
-			return math.Mod(v, lim)
-		}
-		a := Query{Center: []float64{clamp(ax, 10)}, Theta: math.Abs(clamp(ra, 5))}
-		b := Query{Center: []float64{clamp(bx, 10)}, Theta: math.Abs(clamp(rb, 5))}
-		if a.OverlapDegree(b) > 0 && !a.Overlaps(b) {
-			return false
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

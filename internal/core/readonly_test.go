@@ -198,7 +198,7 @@ func TestDurableSyncFaultMidBatch(t *testing.T) {
 				}
 				return bits
 			}
-			before := answers(d.View())
+			before := answers(d.Model().View())
 
 			arm.Store(true)
 			if _, err := d.TrainBatch(batch); !errors.Is(err, ErrReadOnly) || !errors.Is(err, injected) {
@@ -211,7 +211,7 @@ func TestDurableSyncFaultMidBatch(t *testing.T) {
 			if _, err := d.TrainBatch(batch); !errors.Is(err, ErrReadOnly) {
 				t.Fatalf("TrainBatch after the fault cleared: err = %v, want ErrReadOnly", err)
 			}
-			after := d.View()
+			after := d.Model().View()
 			if after.Steps() != len(acked) {
 				t.Fatalf("the published version has %d steps, want the %d acknowledged", after.Steps(), len(acked))
 			}

@@ -322,9 +322,6 @@ func (d *Durable) Failure() error {
 	return d.failure
 }
 
-// View pins the current published model version; see Model.View.
-func (d *Durable) View() View { return d.m.View() }
-
 // TrainBatch durably consumes a batch as one unit: every pair is validated,
 // the batch is appended to the log with one write, and the fsync the sync
 // policy says is due (SyncAlways: every call; SyncGroup: once FlushBatch

@@ -2,18 +2,36 @@ package core
 
 import "slices"
 
-// slotLLMs returns the writer's prototypes as LLM values indexed by slot id,
-// nil for a tombstoned slot — the view of the training state the tests below
-// the public API compare against. The caller holds m.mu or owns m.
-func slotLLMs(m *Model) []*LLM {
-	out := make([]*LLM, m.store.rows)
+// writerSlots returns a deep copy of the writer's state of every slot,
+// indexed by slot id, with a tombstoned slot left as the zero slotState (nil
+// row) — the view of the training state the tests below the public API
+// compare against. It takes the writer lock, so the caller must not hold it.
+func writerSlots(m *Model) []slotState {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]slotState, m.store.rows)
 	for k := range out {
 		if !m.store.isTombstone(k) {
-			out[k] = m.store.at(k).llm()
+			out[k] = m.store.at(k).clone()
 		}
 	}
 	return out
 }
+
+// liveSlots returns writerSlots(m) without the tombstones: the live
+// prototypes in slot order, so for an unbounded model index i is slot i.
+func liveSlots(m *Model) []slotState {
+	return slices.DeleteFunc(writerSlots(m), func(e slotState) bool { return e.row == nil })
+}
+
+// proto returns the state's rows as the fusion reads them.
+func (e slotState) proto() proto { return proto{e.row, e.coef} }
+
+// center returns x_k, the input-space part of the prototype.
+func (e slotState) center() []float64 { return e.row[:len(e.row)-1] }
+
+// theta returns θ_k, the radius part of the prototype.
+func (e slotState) theta() float64 { return e.row[len(e.row)-1] }
 
 // insertProto appends a prototype at q, with coefficient row coef =
 // [y, b_X, b_Θ] and wins absorbed pairs, to a fixture under construction.

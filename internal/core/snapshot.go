@@ -71,8 +71,7 @@ type proto struct{ row, coef []float64 }
 func (s *storeSnapshot) proto(k int) proto { return proto{s.row(k), s.coefRow(k)} }
 
 // eval evaluates f_k(x, θ) (Eq. 5 / Eq. 12) from the flat rows: the one
-// evaluation of the mapping — the training step's residual and LLM.Eval call
-// it too.
+// evaluation of the mapping — the training step's residual calls it too.
 func (p proto) eval(center []float64, theta float64) float64 {
 	d := len(p.row) - 1
 	c := p.coef
@@ -441,9 +440,6 @@ func (v View) Steps() int { return v.s.steps }
 // Converged reports whether the termination criterion had fired.
 func (v View) Converged() bool { return v.s.converged }
 
-// LastGamma returns the version's most recent termination criterion Γ.
-func (v View) LastGamma() float64 { return v.s.lastGamma }
-
 func (v View) checkQuery(q Query) error {
 	if v.s.live == 0 {
 		return ErrNotTrained
@@ -454,8 +450,10 @@ func (v View) checkQuery(q Query) error {
 	return nil
 }
 
-// Winner returns the index of the prototype closest to q in the query space
-// (the winner of Eq. 5) and the query-space distance to it.
+// Winner returns the slot id of the prototype closest to q in the query
+// space (the winner of Eq. 5) and the query-space distance to it. A bounded
+// model's tombstoned slots keep their numbers, so a live prototype's id can
+// exceed K−1.
 func (v View) Winner(q Query) (int, float64, error) {
 	if err := v.checkQuery(q); err != nil {
 		return 0, 0, err

@@ -106,12 +106,12 @@ func TestRLSRecoversExactLocalCoefficients(t *testing.T) {
 	if m.K() != 1 {
 		t.Fatalf("expected a single prototype, got %d", m.K())
 	}
-	l := m.LLMs()[0]
-	if math.Abs(l.SlopeX[0]-bx[0]) > 0.02 || math.Abs(l.SlopeX[1]-bx[1]) > 0.02 {
-		t.Errorf("slopes = %v, want %v", l.SlopeX, bx)
+	coef := liveSlots(m)[0].coef // [y, b_X1, b_X2, b_Θ]
+	if math.Abs(coef[1]-bx[0]) > 0.02 || math.Abs(coef[2]-bx[1]) > 0.02 {
+		t.Errorf("slopes = %v, want %v", coef[1:3], bx)
 	}
-	if math.Abs(l.SlopeTheta-btheta) > 0.1 {
-		t.Errorf("θ-slope = %v, want %v", l.SlopeTheta, btheta)
+	if math.Abs(coef[3]-btheta) > 0.1 {
+		t.Errorf("θ-slope = %v, want %v", coef[3], btheta)
 	}
 	// The full linear map must reproduce answers everywhere, which pins the
 	// intercept at the prototype.

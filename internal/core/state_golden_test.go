@@ -133,14 +133,15 @@ func stateGoldenHistory(t *testing.T, name string, cfg Config, seed int64) state
 	goldenTrain(t, m, g.pairs(200))
 	point("save-load-train")
 
-	for i, l := range m.LLMs() {
+	for i, e := range liveSlots(m) {
 		if i == stateGoldenLLMs {
 			break
 		}
+		d := len(e.row) - 1
 		h.LLMs = append(h.LLMs, stateLLM{
-			Center: stateBitsList(l.CenterPrototype), Theta: approxBits(l.ThetaPrototype),
-			Intercept: approxBits(l.Intercept), SlopeX: stateBitsList(l.SlopeX),
-			SlopeTheta: approxBits(l.SlopeTheta), Wins: l.Wins,
+			Center: stateBitsList(e.center()), Theta: approxBits(e.theta()),
+			Intercept: approxBits(e.coef[0]), SlopeX: stateBitsList(e.coef[1 : 1+d]),
+			SlopeTheta: approxBits(e.coef[1+d]), Wins: e.wins,
 		})
 	}
 	return h

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"llmq/internal/index"
 	"llmq/internal/vector"
@@ -318,9 +317,6 @@ func newProtoStore(dim int, vigilance float64) *protoStore {
 	}
 }
 
-// k returns the number of stored prototype slots (live + tombstoned).
-func (s *protoStore) k() int { return s.rows }
-
 // liveView wraps the live chunk table for the chunk-iterating kernels (the
 // prototype rows are each chunk's prefix). The view is three words —
 // building one allocates nothing.
@@ -386,20 +382,6 @@ func (e slotState) clone() slotState {
 	w := len(e.row)
 	vals := append(append(make([]float64, 0, w+len(e.coef)), e.row...), e.coef...)
 	return slotState{vals[:w:w], vals[w:], e.wins, e.stamp, append([]float64(nil), e.p...)}
-}
-
-// llm returns the state as an LLM value that shares no memory with it.
-func (e slotState) llm() *LLM {
-	d := len(e.row) - 1
-	return &LLM{
-		CenterPrototype: slices.Clone(e.row[:d]),
-		ThetaPrototype:  e.row[d],
-		Intercept:       e.coef[0],
-		SlopeX:          slices.Clone(e.coef[1 : 1+d]),
-		SlopeTheta:      e.coef[d+1],
-		Wins:            e.wins,
-		p:               append([]float64(nil), e.p...),
-	}
 }
 
 // appendSlot grows the slot space by one zeroed row — invisible to published

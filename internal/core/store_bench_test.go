@@ -69,10 +69,10 @@ func buildBenchModel(tb testing.TB, dim, protos int, vigilance float64, gen quer
 		tb.Fatalf("expected %d prototypes, got %d", protos, m.K())
 	}
 	for round := 0; round < 3; round++ {
-		llms := m.LLMs()
-		ref := make([]TrainingPair, 0, len(llms))
-		for _, l := range llms {
-			ref = append(ref, TrainingPair{Query: l.PrototypeQuery(), Answer: rng.NormFloat64()})
+		protos := liveSlots(m)
+		ref := make([]TrainingPair, 0, len(protos))
+		for _, e := range protos {
+			ref = append(ref, TrainingPair{Query: e.proto().query(), Answer: rng.NormFloat64()})
 		}
 		if _, err := m.TrainBatch(ref); err != nil {
 			tb.Fatal(err)
@@ -108,7 +108,7 @@ func BenchmarkWinnerSearch(b *testing.B) {
 		b.Run("store/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := m.Winner(queries[i%len(queries)]); err != nil {
+				if _, _, err := m.View().Winner(queries[i%len(queries)]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -44,10 +44,10 @@ func TestTrainingStepAllocationFree(t *testing.T) {
 			// onPrototypes spreads n pairs evenly over the slots, one on each
 			// chosen prototype's current position.
 			onPrototypes := func(n int) []TrainingPair {
-				llms := m.LLMs()
+				protos := liveSlots(m)
 				pairs := make([]TrainingPair, n)
 				for i := range pairs {
-					pairs[i] = TrainingPair{Query: llms[i*len(llms)/n].PrototypeQuery(), Answer: rng.NormFloat64()}
+					pairs[i] = TrainingPair{Query: protos[i*len(protos)/n].proto().query(), Answer: rng.NormFloat64()}
 				}
 				return pairs
 			}

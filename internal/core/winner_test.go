@@ -46,7 +46,7 @@ func TestWinnerDistanceIsCanonical(t *testing.T) {
 	paths := map[string]int{}
 	check := func(v View, q Query, what string) {
 		t.Helper()
-		s, qflat := v.s, q.Vector()
+		s, qflat := v.s, append(slices.Clone(q.Center), q.Theta)
 		want, wantSq := canonicalWinner(s, qflat)
 		wantDist := math.Sqrt(wantSq)
 		got, dist, err := v.Winner(q)
@@ -188,7 +188,7 @@ func TestJitterKeepsEpoch(t *testing.T) {
 				if i%2 == 1 {
 					q = at(-rho / 5)
 				}
-				want, _ := winnerLinearScan(m.LLMs(), q)
+				want, _ := winnerLinearScan(writerSlots(m), q)
 				before := slices.Clone(m.store.row(k))
 				info, err := m.Observe(q, 1)
 				if err != nil {
@@ -207,15 +207,15 @@ func TestJitterKeepsEpoch(t *testing.T) {
 				}
 				s := m.View().s
 				checkSlackInvariant(t, s, stage)
-				llms := m.LLMs()
+				slots := writerSlots(m)
 				for _, offset := range []float64{-rho, -rho / 2, 0, rho / 3, rho} {
 					p := at(offset)
-					want, wantDist := winnerLinearScan(llms, p)
+					want, wantDist := winnerLinearScan(slots, p)
 					got, dist, err := View{s}.Winner(p)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !sameLinearWinner(llms, p, got, dist, want, wantDist) {
+					if !sameLinearWinner(slots, p, got, dist, want, wantDist) {
 						t.Fatalf("%s: probe at %+v: winner (%d, %v), linear scan (%d, %v)", stage, offset, got, dist, want, wantDist)
 					}
 				}

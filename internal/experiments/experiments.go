@@ -174,7 +174,7 @@ func NewEnv(kind DatasetKind, dim, n int, seed int64, thetaMeanOverride float64)
 		// over 15·10⁶ tuples. At this library's in-memory scales a radius-0.1
 		// L2 ball in d > 2 dimensions selects almost no tuples, so the mean
 		// radius grows with the dimension to keep subspaces populated (the
-		// substitution is recorded in DESIGN.md / EXPERIMENTS.md).
+		// substitution is recorded in EXPERIMENTS.md).
 		thetaMean = 0.1 * math.Pow(1.9, float64(dim-2))
 		if thetaMean > 0.4 {
 			thetaMean = 0.4

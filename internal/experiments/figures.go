@@ -389,9 +389,10 @@ func Fig14RadiusTrajectory(s Scale) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// AblationLearning compares the solver and learning-rate choices called out
-// in DESIGN.md: RLS vs. the paper's SGD rule, and hyperbolic vs. constant
-// learning rates for the prototype updates.
+// AblationLearning compares the solver and learning-rate choices where the
+// implementation departs from the paper: RLS (core.SolverRLS, the default)
+// vs. the paper's SGD rule, and hyperbolic vs. constant learning rates for
+// the prototype updates.
 func AblationLearning(s Scale) ([]*Table, error) {
 	t := &Table{
 		Title:   "Ablation (R1, d=2): coefficient solver and learning-rate schedule",

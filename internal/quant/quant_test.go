@@ -48,6 +48,18 @@ func observe(t *testing.T, m *core.Model, q core.Query) core.StepInfo {
 	return info
 }
 
+// winner returns the slot and the query-space distance of the prototype
+// nearest q, read through the served View: a distance of 0 means a prototype
+// sits exactly at q.
+func winner(t *testing.T, m *core.Model, q core.Query) (int, float64) {
+	t.Helper()
+	k, d, err := m.View().Winner(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, d
+}
+
 func vigilance(t *testing.T, a float64, d int) float64 {
 	t.Helper()
 	m, err := core.NewModel(core.Config{Dim: d, ResolutionA: a, Gamma: 0.01})
@@ -95,12 +107,8 @@ func TestFirstObservationCreatesPrototype(t *testing.T) {
 	if !info.Created || info.Winner != 0 || m.K() != 1 {
 		t.Errorf("info = %+v, K = %d", info, m.K())
 	}
-	llm := m.LLMs()[0]
-	if !slices.Equal(llm.CenterPrototype, query(t, 0.1, 0.2).Center) || llm.ThetaPrototype != 0 {
-		t.Errorf("prototype = %v, θ = %v", llm.CenterPrototype, llm.ThetaPrototype)
-	}
-	if llm.Wins != 1 {
-		t.Errorf("wins = %d", llm.Wins)
+	if k, d := winner(t, m, query(t, 0.1, 0.2)); k != 0 || d != 0 {
+		t.Errorf("nearest prototype to the observed query: slot %d at %v, want slot 0 at 0", k, d)
 	}
 }
 
@@ -108,23 +116,19 @@ func TestObserveWithinVigilanceMovesWinner(t *testing.T) {
 	m := newModel(t, 1, 1.0, core.Constant{Eta: 0.5})
 	observe(t, m, query(t, 0.0))
 	q := query(t, 0.4)
-	if _, dist, err := m.Winner(q); err != nil || math.Abs(dist-0.4) > 1e-12 {
-		t.Errorf("distance = %v (err %v)", dist, err)
+	if _, dist := winner(t, m, q); math.Abs(dist-0.4) > 1e-12 {
+		t.Errorf("distance = %v", dist)
 	}
 	info := observe(t, m, q)
 	if info.Created {
 		t.Fatal("observation within vigilance must not create a prototype")
 	}
 	// w moved from 0 toward 0.4 by eta=0.5: w = 0.2.
-	llm := m.LLMs()[0]
-	if math.Abs(llm.CenterPrototype[0]-0.2) > 1e-12 {
-		t.Errorf("prototype after update = %v", llm.CenterPrototype)
+	if _, d := winner(t, m, query(t, 0.2)); d > 1e-12 {
+		t.Errorf("prototype after update is %v from 0.2", d)
 	}
 	if math.Abs(info.GammaJ-0.2) > 1e-12 {
 		t.Errorf("drift = %v", info.GammaJ)
-	}
-	if llm.Wins != 2 {
-		t.Errorf("wins = %d", llm.Wins)
 	}
 }
 
@@ -136,8 +140,8 @@ func TestObserveBeyondVigilanceCreatesPrototype(t *testing.T) {
 		t.Errorf("info = %+v, K = %d", info, m.K())
 	}
 	// The original prototype must be untouched.
-	if got := m.LLMs()[0].CenterPrototype[0]; got != 0 {
-		t.Errorf("non-winner moved: %v", got)
+	if k, d := winner(t, m, query(t, 0.0)); k != 0 || d != 0 {
+		t.Errorf("non-winner moved: nearest to 0 is slot %d at %v", k, d)
 	}
 	// A growth step changes K, so it reports Γ^J = +Inf: the termination
 	// criterion cannot fire while the prototype set is still growing.
@@ -167,19 +171,15 @@ func TestObserveValidation(t *testing.T) {
 
 func TestWinner(t *testing.T) {
 	m := newModel(t, 2, 1, core.Constant{Eta: 0.5})
-	if _, _, err := m.Winner(query(t, 0, 0)); !errors.Is(err, core.ErrNotTrained) {
+	if _, _, err := m.View().Winner(query(t, 0, 0)); !errors.Is(err, core.ErrNotTrained) {
 		t.Errorf("empty winner err = %v", err)
 	}
 	observe(t, m, query(t, 0, 0))
-	if _, _, err := m.Winner(query(t, 0)); !errors.Is(err, core.ErrDimension) {
+	if _, _, err := m.View().Winner(query(t, 0)); !errors.Is(err, core.ErrDimension) {
 		t.Errorf("dim err = %v", err)
 	}
 	observe(t, m, query(t, 5, 5))
-	k, d, err := m.Winner(query(t, 4.5, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 1 || math.Abs(d-0.5) > 1e-12 {
+	if k, d := winner(t, m, query(t, 4.5, 5)); k != 1 || math.Abs(d-0.5) > 1e-12 {
 		t.Errorf("winner = %d at %v", k, d)
 	}
 }
@@ -217,11 +217,17 @@ func TestVigilanceControlsPrototypeCount(t *testing.T) {
 func TestPrototypesReturnsCopies(t *testing.T) {
 	m := newModel(t, 2, 0.5, core.Constant{Eta: 0.5})
 	observe(t, m, query(t, 1, 2))
-	llms := m.LLMs()
-	llms[0].CenterPrototype[0] = 99
-	llms[0].ThetaPrototype = 99
-	if got := m.LLMs()[0]; got.CenterPrototype[0] == 99 || got.ThetaPrototype == 99 {
-		t.Error("LLMs must return copies")
+	q := query(t, 1, 2)
+	models, err := m.View().Regression(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(models) != 1 || !slices.Equal(models[0].Center, q.Center) || models[0].Theta != 0 {
+		t.Fatalf("Regression at the prototype = %+v, want its centre %v", models, q.Center)
+	}
+	models[0].Center[0] = 99
+	if k, d := winner(t, m, q); k != 0 || d != 0 {
+		t.Errorf("editing the answer moved the prototype: nearest to %v is slot %d at %v", q.Center, k, d)
 	}
 }
 

@@ -426,10 +426,19 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// writeJSON answers status with v as one line of JSON. v is encoded before
+// the header goes out, so a value JSON cannot carry (a ±Inf or NaN term)
+// turns into a 500 that names it instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		body.Reset()
+		_ = json.NewEncoder(&body).Encode(errorBody{Error: "the response cannot be encoded as JSON: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body.Bytes())
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -326,6 +326,20 @@ func TestShardWireEndpoints(t *testing.T) {
 		t.Fatalf("scan result = %+v", res)
 	}
 
+	// A value-prediction term that overflows at a far data point (to ±Inf,
+	// or to NaN where the terms' signs differ) cannot travel as JSON: the scan answers 500 and names the cause, never 200
+	// with an empty body.
+	for _, at := range [][]float64{{1e308, 1e308}, {1e308, -1e308}, {-1e308, 1e308}, {-1e308, -1e308}} {
+		body, _ := json.Marshal(shard.ScanRequest{Center: []float64{0.5, 0.5}, Theta: 0.2, At: at})
+		rec = httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, shard.PathScan, bytes.NewReader(body)))
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); rec.Code != http.StatusInternalServerError || err != nil ||
+			!strings.Contains(eb.Error, "unsupported value") {
+			t.Fatalf("scan at %v: status %d, body %q, want 500 naming the non-finite value", at, rec.Code, rec.Body)
+		}
+	}
+
 	trainBody, _ := json.Marshal(shard.TrainShardRequest{Pairs: []shard.WirePair{
 		{Center: []float64{0.3, 0.7}, Theta: 0.1, Answer: 1.5},
 	}})

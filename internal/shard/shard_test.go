@@ -347,15 +347,26 @@ func TestShardedTrainRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range b.(*Local).Model().LLMs() {
-			for a, x := range l.CenterPrototype {
+		// Every prototype has θ > 0 and lies in the unit square, so a query
+		// of radius 10 at the square's centre overlaps all of them.
+		v := b.(*Local).Model().View()
+		if v.K() == 0 {
+			t.Errorf("shard %d absorbed nothing; the partition is degenerate", id)
+			continue
+		}
+		protos, _, err := v.Neighborhood(core.Query{Center: []float64{0.5, 0.5}, Theta: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(protos) != v.K() {
+			t.Fatalf("shard %d: the covering query overlaps %d of %d prototypes", id, len(protos), v.K())
+		}
+		for _, p := range protos {
+			for a, x := range p.Center {
 				if x < lo[a] || x >= hi[a] {
-					t.Fatalf("shard %d prototype centre %v escaped region [%v, %v)", id, l.CenterPrototype, lo, hi)
+					t.Fatalf("shard %d prototype centre %v escaped region [%v, %v)", id, p.Center, lo, hi)
 				}
 			}
-		}
-		if b.Stats().Live == 0 {
-			t.Errorf("shard %d absorbed nothing; the partition is degenerate", id)
 		}
 	}
 	// A one-pair batch routes the same way.
