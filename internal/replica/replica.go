@@ -274,7 +274,7 @@ func (r *Replica) Run(ctx context.Context) error {
 		if attempt > 6 {
 			attempt = 6
 		}
-		if serr := sleepCtx(ctx, r.opts.Backoff.Delay(attempt)); serr != nil {
+		if serr := resilience.Sleep(ctx, r.opts.Backoff.Delay(attempt)); serr != nil {
 			break
 		}
 	}
@@ -503,16 +503,4 @@ func (r *Replica) Close() error {
 	}
 	r.seg = nil
 	return err
-}
-
-// sleepCtx sleeps for d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

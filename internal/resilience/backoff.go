@@ -114,7 +114,7 @@ func Do(ctx context.Context, c *http.Client, newReq func() (*http.Request, error
 	var lastErr error
 	for attempt := 0; attempt < b.Tries; attempt++ {
 		if attempt > 0 {
-			if err := sleepCtx(ctx, b.retryDelay(attempt-1, lastErr)); err != nil {
+			if err := Sleep(ctx, b.retryDelay(attempt-1, lastErr)); err != nil {
 				return nil, err
 			}
 		}
@@ -168,8 +168,9 @@ func (b Backoff) retryDelay(attempt int, lastErr error) time.Duration {
 	return d
 }
 
-// sleepCtx sleeps for d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
+// Sleep sleeps for d or until ctx is done, whichever comes first, and
+// returns ctx's error in the second case.
+func Sleep(ctx context.Context, d time.Duration) error {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {

@@ -90,9 +90,6 @@ func NewRemote(primary string, followers []string, client *http.Client) *Remote 
 	return &Remote{urls: append([]string{primary}, followers...), client: client}
 }
 
-// Primary returns the shard's primary base URL.
-func (r *Remote) Primary() string { return r.urls[0] }
-
 // Prime fetches the shard's meta from its primary and seeds the routing
 // bound. wantDim guards against wiring a shard of the wrong
 // dimensionality into a router; pass 0 to accept any (an empty durable
@@ -133,7 +130,8 @@ func (r *Remote) MaxTheta() float64 { return math.Float64frombits(r.maxTheta.Loa
 
 // Scan implements Backend: the request is spread round-robin across the
 // primary and its followers, falling over to the next replica on a
-// transport failure. Every response refreshes the routing bound.
+// transport failure or on a result no shard produces (see checkScan).
+// Every accepted response refreshes the routing bound.
 func (r *Remote) Scan(ctx context.Context, q core.Query, at []float64, needModels bool) (core.ScatterResult, error) {
 	req := ScanRequest{Center: q.Center, Theta: q.Theta, At: at, Models: needModels}
 	var res core.ScatterResult
@@ -142,6 +140,9 @@ func (r *Remote) Scan(ctx context.Context, q core.Query, at []float64, needModel
 	for i := 0; i < len(r.urls); i++ {
 		url := r.urls[(start+uint64(i))%uint64(len(r.urls))]
 		err := r.do(ctx, url, http.MethodPost, PathScan, req, &res)
+		if err == nil {
+			err = checkScan(res, q.Dim(), needModels)
+		}
 		if err == nil {
 			r.live.Store(int64(res.Live))
 			r.growTheta(res.MaxTheta)
@@ -153,6 +154,41 @@ func (r *Remote) Scan(ctx context.Context, q core.Query, at []float64, needModel
 		}
 	}
 	return core.ScatterResult{}, errors.Join(errs...)
+}
+
+// checkScan refuses a decoded scan result that a shard cannot produce for
+// a query of dimension dim, so a malformed body fails the scatter instead
+// of the gather: contributions from a shard with no live prototypes, a
+// degree that is not positive (the fusion weights divide by their sum), a
+// missing model that was asked for, or a model of the wrong dimension.
+func checkScan(res core.ScatterResult, dim int, needModels bool) error {
+	if len(res.Contribs) > 0 && res.Live <= 0 {
+		return fmt.Errorf("shard: scan result has %d contributions and %d live prototypes", len(res.Contribs), res.Live)
+	}
+	for i, c := range res.Contribs {
+		if !(c.Degree > 0) {
+			return fmt.Errorf("shard: scan contribution %d has degree %v", i, c.Degree)
+		}
+		if err := checkModel(c.Model, dim, needModels); err != nil {
+			return fmt.Errorf("shard: scan contribution %d: %w", i, err)
+		}
+	}
+	if err := checkModel(res.WinnerModel, dim, needModels && !math.IsInf(res.WinnerDist, 1)); err != nil {
+		return fmt.Errorf("shard: scan winner: %w", err)
+	}
+	return nil
+}
+
+// checkModel refuses a missing model when one is required and a present
+// one whose slope or centre does not have dim entries.
+func checkModel(m *core.LocalLinear, dim int, required bool) error {
+	switch {
+	case m == nil && required:
+		return errors.New("model missing")
+	case m != nil && (len(m.Slope) != dim || len(m.Center) != dim):
+		return fmt.Errorf("model has %d slopes and %d centre coordinates, want %d", len(m.Slope), len(m.Center), dim)
+	}
+	return nil
 }
 
 // Train implements Backend against the primary only — follower state is

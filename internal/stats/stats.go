@@ -1,101 +1,33 @@
-// Package stats implements the statistical kernels used by the model and the
-// evaluation harness: streaming mean/variance accumulation, prediction error
-// metrics (RMSE), and goodness-of-fit metrics (SSR, TSS, FVU, CoD/R²) exactly
-// as defined in Section VI of the paper.
+// Package stats implements the evaluation harness's metrics exactly as
+// defined in Section VI of the paper: a streaming mean, the prediction error
+// RMSE (metrics A1/A2), and the goodness-of-fit metrics SSR, TSS, FVU and
+// CoD/R² over a data subspace.
 package stats
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by metrics that require at least one observation.
 var ErrEmpty = errors.New("stats: no observations")
 
-// Running accumulates count, mean and variance of a stream of observations
-// using Welford's algorithm. The zero value is ready to use.
+// Running accumulates the mean of a stream of observations using Welford's
+// update. The zero value is ready to use.
 type Running struct {
 	n    int
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds a new observation into the accumulator.
 func (r *Running) Add(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	r.n++
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
+	r.mean += (x - r.mean) / float64(r.n)
 }
-
-// N returns the number of observations added.
-func (r *Running) N() int { return r.n }
 
 // Mean returns the running mean (0 when empty).
 func (r *Running) Mean() float64 { return r.mean }
-
-// Variance returns the population variance (0 when fewer than 2 samples).
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// SampleVariance returns the unbiased sample variance (0 when fewer than 2).
-func (r *Running) SampleVariance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// StdDev returns the population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Min returns the smallest observation (0 when empty).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation (0 when empty).
-func (r *Running) Max() float64 { return r.max }
-
-// Merge folds another accumulator into r (parallel Welford merge).
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	delta := o.mean - r.mean
-	mean := r.mean + delta*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + delta*delta*float64(r.n)*float64(o.n)/float64(n)
-	min := r.min
-	if o.min < min {
-		min = o.min
-	}
-	max := r.max
-	if o.max > max {
-		max = o.max
-	}
-	*r = Running{n: n, mean: mean, m2: m2, min: min, max: max}
-}
 
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) (float64, error) {
@@ -109,56 +41,23 @@ func Mean(xs []float64) (float64, error) {
 	return s / float64(len(xs)), nil
 }
 
-// Variance returns the population variance of xs.
-func Variance(xs []float64) (float64, error) {
-	m, err := Mean(xs)
+// RMSE returns the root mean squared error between actual and predicted
+// values (metrics A1/A2 of the paper): the root of SSR over the count.
+func RMSE(actual, predicted []float64) (float64, error) {
+	ssr, err := SSR(actual, predicted)
+	if err == nil && len(actual) == 0 {
+		err = ErrEmpty
+	}
 	if err != nil {
 		return 0, err
 	}
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)), nil
-}
-
-// RMSE returns the root mean squared error between actual and predicted
-// values (metrics A1/A2 of the paper).
-func RMSE(actual, predicted []float64) (float64, error) {
-	if len(actual) != len(predicted) {
-		return 0, fmt.Errorf("stats: RMSE length mismatch %d vs %d", len(actual), len(predicted))
-	}
-	if len(actual) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for i := range actual {
-		d := actual[i] - predicted[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(actual))), nil
-}
-
-// MAE returns the mean absolute error between actual and predicted values.
-func MAE(actual, predicted []float64) (float64, error) {
-	if len(actual) != len(predicted) {
-		return 0, fmt.Errorf("stats: MAE length mismatch %d vs %d", len(actual), len(predicted))
-	}
-	if len(actual) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for i := range actual {
-		s += math.Abs(actual[i] - predicted[i])
-	}
-	return s / float64(len(actual)), nil
+	return math.Sqrt(ssr / float64(len(actual))), nil
 }
 
 // SSR returns the sum of squared residuals Σ(u_i - û_i)².
 func SSR(actual, predicted []float64) (float64, error) {
 	if len(actual) != len(predicted) {
-		return 0, fmt.Errorf("stats: SSR length mismatch %d vs %d", len(actual), len(predicted))
+		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(actual), len(predicted))
 	}
 	var s float64
 	for i := range actual {
@@ -198,12 +97,6 @@ type GoodnessOfFit struct {
 // (TSS == 0), FVU is reported as 0 for a perfect approximation and +Inf
 // otherwise, mirroring the convention in internal/linalg.
 func Fit(actual, predicted []float64) (GoodnessOfFit, error) {
-	if len(actual) != len(predicted) {
-		return GoodnessOfFit{}, fmt.Errorf("stats: Fit length mismatch %d vs %d", len(actual), len(predicted))
-	}
-	if len(actual) == 0 {
-		return GoodnessOfFit{}, ErrEmpty
-	}
 	ssr, err := SSR(actual, predicted)
 	if err != nil {
 		return GoodnessOfFit{}, err
@@ -226,97 +119,4 @@ func Fit(actual, predicted []float64) (GoodnessOfFit, error) {
 	g.FVU = ssr / tss
 	g.CoD = 1 - g.FVU
 	return g, nil
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. xs is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the median of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
-// Summary describes a slice of observations; it is used by the experiment
-// harness to report series statistics.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	var r Running
-	for _, x := range xs {
-		r.Add(x)
-	}
-	med, err := Median(xs)
-	if err != nil {
-		return Summary{}, err
-	}
-	return Summary{
-		N:      r.N(),
-		Mean:   r.Mean(),
-		StdDev: r.StdDev(),
-		Min:    r.Min(),
-		Max:    r.Max(),
-		Median: med,
-	}, nil
-}
-
-// Covariance returns the population covariance between xs and ys.
-func Covariance(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: covariance length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	mx, _ := Mean(xs)
-	my, _ := Mean(ys)
-	var s float64
-	for i := range xs {
-		s += (xs[i] - mx) * (ys[i] - my)
-	}
-	return s / float64(len(xs)), nil
-}
-
-// Pearson returns the Pearson correlation coefficient between xs and ys.
-// It returns 0 when either series has zero variance.
-func Pearson(xs, ys []float64) (float64, error) {
-	cov, err := Covariance(xs, ys)
-	if err != nil {
-		return 0, err
-	}
-	vx, _ := Variance(xs)
-	vy, _ := Variance(ys)
-	if vx == 0 || vy == 0 {
-		return 0, nil
-	}
-	return cov / math.Sqrt(vx*vy), nil
 }

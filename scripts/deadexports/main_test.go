@@ -39,9 +39,14 @@ func unpack(t *testing.T, archive string) string {
 }
 
 // TestCheckFixture runs the gate over testdata/tree.txt, a module with one
-// instance of each finding: it must report exactly these. The name only
-// bench/ calls, the allowlisted name, the package that exports nothing and
-// the reference from a file under testdata/ must not change that.
+// instance of each finding: it must report exactly these. A dead method
+// that shares its name with a live func, a func only dead code calls, a type
+// only its own methods name, unexported names and a method of a reached
+// type that implements no reached interface are findings too. The name
+// only bench/ calls, the names only a blank declaration or init calls, the
+// allowlisted name, the io.Writer method fmt calls, the Unwrap errors.Is
+// calls and the reference from a file under testdata/ must not change
+// that.
 func TestCheckFixture(t *testing.T) {
 	root := unpack(t, filepath.Join("testdata", "tree.txt"))
 	got, err := check(root, filepath.Join(root, "allow.txt"))
@@ -54,10 +59,17 @@ func TestCheckFixture(t *testing.T) {
 	want := []string{
 		"allow.txt:3: allowlist entry live.Used is not a finding: delete the entry",
 		"allow.txt:4: allowlist entry live.Gone is not a finding: delete the entry",
-		"internal/live/live.go:13: live.T.Uncalled has no non-test reference",
-		"internal/live/live.go:5: live.Dead has no non-test reference",
-		"internal/live/live.go:6: live.TestOnly has no non-test reference",
-		"internal/orphan: package orphan is imported by no non-test file",
+		"internal/live/live.go:12: live.hidden is reached by no main",
+		"internal/live/live.go:14: live.unusedVar is reached by no main",
+		"internal/live/live.go:16: live.unusedConst is reached by no main",
+		"internal/live/live.go:21: live.T.Uncalled is reached by no main",
+		"internal/live/live.go:22: live.T.Used is reached by no main",
+		"internal/live/live.go:50: live.Square.Area is reached by no main",
+		"internal/live/live.go:7: live.Dead is reached by no main",
+		"internal/live/live.go:8: live.Helper is reached by no main",
+		"internal/live/live.go:9: live.TestOnly is reached by no main",
+		"internal/orphan/orphan.go:3: orphan.Node is reached by no main",
+		"internal/orphan/orphan.go:5: orphan.Node.self is reached by no main",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("check reported\n%q\nwant\n%q", got, want)
