@@ -8,7 +8,6 @@ import (
 	"llmq/internal/core"
 	"llmq/internal/exec"
 	"llmq/internal/experiments"
-	"llmq/internal/plr"
 	"llmq/internal/workload"
 )
 
@@ -127,23 +126,6 @@ func BenchmarkQ2ExactRegression20k(b *testing.B) {
 	}
 }
 
-func BenchmarkQ2PLRBaseline20k(b *testing.B) {
-	env, _ := setupEnv(b, experiments.R1, 20000)
-	q := env.Harness.Gen.Queries(1)[0]
-	rq := exec.RadiusQuery{Center: q.Center, Theta: q.Theta}
-	xs, us, err := env.Harness.Exec.SubspaceValues(rq)
-	if err != nil {
-		b.Skip("query subspace empty; skipping PLR micro-benchmark")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plr.Fit(xs, us, plr.Options{MaxBasis: 10}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTraining1kPairs(b *testing.B) {
 	env, err := experiments.NewEnv(experiments.R1, 2, 10000, 5, 0)
 	if err != nil {
@@ -219,7 +201,7 @@ func BenchmarkWorkloadTrainAndEvaluate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := env.Harness.EvaluateQ1(m, env.Harness.Gen.Queries(100)); err != nil && err != workload.ErrNoUsableQueries {
+		if _, err := experiments.EvaluateQ1(env.Harness, m, env.Harness.Gen.Queries(100)); err != nil && err != workload.ErrNoUsableQueries {
 			b.Fatal(err)
 		}
 	}

@@ -7,11 +7,15 @@
 //
 // The implementation lives under internal/: the core model in internal/core,
 // the in-memory DBMS substrate in internal/engine + internal/index +
-// internal/exec, the SQL-like front-end in internal/sqlfront, the REG/PLR
-// baselines in internal/linalg and internal/plr, the workload and evaluation
-// harness in internal/workload, and the paper's figures in
-// internal/experiments. The runnable entry points are cmd/llmq,
-// cmd/llmq-experiments and the programs under examples/.
+// internal/exec, the SQL-like front-end in internal/sqlfront, and the
+// workload generators and training harness in internal/workload. The
+// paper's figures live in internal/experiments, with everything only they
+// need: the scoring of a trained model against the exact answers and the
+// REG/PLR baselines, and, below it, internal/experiments/internal/plr and
+// internal/experiments/internal/stats, which the compiler keeps out of every
+// serving package. The runnable entry points are cmd/llmq and
+// cmd/llmq-experiments; Example_quickstart and Example_seismic (run by
+// go test) show the library end to end.
 //
 // # Serving performance
 //

@@ -102,7 +102,7 @@ func TestEndToEndSQLPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	globalFit, err := ex.GoodnessOverSubspace(rq, global.Predict)
+	globalFit, err := experiments.GoodnessOverSubspace(ex, rq, global.Predict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestEndToEndSQLPipeline(t *testing.T) {
 		t.Fatal("no local models returned")
 	}
 	// Piecewise prediction with the local models.
-	llmFit, err := ex.GoodnessOverSubspace(rq, func(x []float64) float64 {
+	llmFit, err := experiments.GoodnessOverSubspace(ex, rq, func(x []float64) float64 {
 		best, bestDist := 0, math.Inf(1)
 		for k, lm := range locals {
 			var s float64
@@ -169,7 +169,7 @@ func TestModelPersistsAcrossTheFullPipeline(t *testing.T) {
 		}
 	}
 	// And it still evaluates acceptably against the exact executor.
-	eval, err := env.Harness.EvaluateQ1(reloaded, queries)
+	eval, err := experiments.EvaluateQ1(env.Harness, reloaded, queries)
 	if err != nil && !errors.Is(err, workload.ErrNoUsableQueries) {
 		t.Fatal(err)
 	}

@@ -51,7 +51,8 @@ type Config struct {
 	// criterion Γ = max(Γ^J, Γ^H) ≤ γ. The paper's default is 0.01.
 	Gamma float64
 	// Schedule is the SGD learning-rate schedule; nil selects the paper's
-	// hyperbolic schedule η_t = 1/(t+1).
+	// hyperbolic schedule η_t = 1/(t+1). Model files record no schedule, so
+	// Save, Checkpoint, Recover and Resume refuse any other one.
 	Schedule Schedule
 	// InitInterceptWithAnswer controls how a newly spawned prototype's local
 	// intercept y_K is initialized. The paper's Algorithm 1 initializes it to
@@ -139,6 +140,9 @@ func (c Config) validate() (Config, error) {
 	if c.Schedule == nil {
 		c.Schedule = Hyperbolic{}
 	}
+	if r, ok := c.Schedule.(Constant); ok && !(r.Eta > 0 && r.Eta <= 1) {
+		return c, fmt.Errorf("%w: Constant rate %v outside (0,1]", ErrBadConfig, r.Eta)
+	}
 	if c.MinGammaSteps <= 0 {
 		c.MinGammaSteps = 100
 	}
@@ -152,6 +156,19 @@ func (c Config) validate() (Config, error) {
 		c.Eviction = normalizeEviction(c.Eviction, c.MaxPrototypes)
 	}
 	return c, nil
+}
+
+// checkPersistable refuses a configuration no model file can carry. A file
+// records no learning-rate schedule, and Load restores the paper's
+// hyperbolic one, so a model on any other schedule would come back from its
+// file training differently.
+func (c Config) checkPersistable() error {
+	switch c.Schedule.(type) {
+	case nil, Hyperbolic:
+		return nil
+	}
+	return fmt.Errorf("%w: a model file cannot carry the %s learning-rate schedule, only hyperbolic",
+		ErrBadConfig, c.Schedule.Name())
 }
 
 // Model is the trained (or in-training) query-driven LLM model.

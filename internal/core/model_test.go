@@ -533,21 +533,6 @@ func TestSchedules(t *testing.T) {
 	if !strings.Contains(c.Name(), "0.2") {
 		t.Errorf("constant name = %q", c.Name())
 	}
-	p := PolynomialDecay{Eta0: 1, Power: 1}
-	if math.Abs(p.Rate(9)-h.Rate(9)) > 1e-12 {
-		t.Error("poly(1,1) must equal hyperbolic")
-	}
-	pd := PolynomialDecay{} // defaults
-	if pd.Rate(0) <= 0 || pd.Rate(10) >= 1 {
-		t.Errorf("default poly rates = %v, %v", pd.Rate(0), pd.Rate(10))
-	}
-	if pd.Name() == "" {
-		t.Error("poly name empty")
-	}
-	big := PolynomialDecay{Eta0: 100, Power: 0.6}
-	if big.Rate(1) > 1 {
-		t.Error("rates must be clamped to 1")
-	}
 	// Rates decrease with t for decaying schedules.
 	for tstep := 1; tstep < 100; tstep++ {
 		if h.Rate(tstep+1) > h.Rate(tstep) {

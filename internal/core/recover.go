@@ -58,9 +58,9 @@ func (o DurableOptions) withDefaults() DurableOptions {
 	return o
 }
 
-// Durable is a Model whose training stream survives crashes: Observe and
-// TrainBatch append their pairs to the write-ahead log under the configured
-// sync policy before they are published, and every SnapshotEvery pairs the
+// Durable is a Model whose training stream survives crashes: TrainBatch
+// appends its pairs to the write-ahead log under the configured sync policy
+// before they are published, and every SnapshotEvery pairs the
 // model is checkpointed and the log rotated. Obtain one with Recover.
 // Training calls serialize on the Durable (they must — the WAL order is the
 // replay order); the wrapped Model's read side stays lock-free, so serving
@@ -129,8 +129,14 @@ func newBootID() string {
 // missing generation — is data loss, not a crash artifact, and fails
 // recovery with a descriptive error. A fresh or empty directory starts an
 // empty model with the given configuration; cfg is only used in that case
-// (an existing snapshot carries its own configuration).
+// (an existing snapshot carries its own configuration). A cfg whose
+// learning-rate schedule no snapshot can carry (anything but Hyperbolic) is
+// refused with ErrBadConfig: its model would come back on the hyperbolic
+// schedule after the first restart.
 func Recover(dir string, cfg Config, opts DurableOptions) (*Durable, error) {
+	if err := cfg.checkPersistable(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	man, err := wal.List(dir)
 	if err != nil {
@@ -222,6 +228,9 @@ func Recover(dir string, cfg Config, opts DurableOptions) (*Durable, error) {
 // follower — which mirrored the log bytes and applied them as they arrived
 // — seals its copy and becomes a writable primary on promotion.
 func Resume(m *Model, dir string, sinceSnap int, opts DurableOptions) (*Durable, error) {
+	if err := m.cfg.checkPersistable(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	l, err := wal.Continue(dir, opts.WAL)
 	if err != nil {

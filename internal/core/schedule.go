@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Schedule produces the SGD learning rate η_t for training step t (t >= 1).
 // The paper (Section II-B) requires a slowly decreasing sequence with
@@ -42,36 +39,3 @@ func (c Constant) Rate(int) float64 { return c.Eta }
 
 // Name implements Schedule.
 func (c Constant) Name() string { return fmt.Sprintf("constant(%g)", c.Eta) }
-
-// PolynomialDecay is η_t = η0 / (1 + t)^power, a generalization of the
-// hyperbolic schedule (power = 1, η0 = 1 reproduces it). Powers in (0.5, 1]
-// satisfy the Robbins–Monro conditions.
-type PolynomialDecay struct {
-	Eta0  float64
-	Power float64
-}
-
-// Rate implements Schedule.
-func (p PolynomialDecay) Rate(t int) float64 {
-	if t < 1 {
-		t = 1
-	}
-	pow := p.Power
-	if pow <= 0 {
-		pow = 1
-	}
-	eta0 := p.Eta0
-	if eta0 <= 0 {
-		eta0 = 1
-	}
-	rate := eta0 / math.Pow(float64(t+1), pow)
-	if rate > 1 {
-		rate = 1
-	}
-	return rate
-}
-
-// Name implements Schedule.
-func (p PolynomialDecay) Name() string {
-	return fmt.Sprintf("poly(η0=%g, p=%g)", p.Eta0, p.Power)
-}

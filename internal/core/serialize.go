@@ -149,6 +149,9 @@ func parseSolver(name string) (Solver, error) {
 // a WAL tail onto the file. Use Checkpoint when training must resume
 // bit-identically.
 func (m *Model) Save(w io.Writer) error {
+	if err := m.cfg.checkPersistable(); err != nil {
+		return err
+	}
 	// Pair the capacity mirror with the snapshot consistently: read the
 	// mirror on both sides of the snapshot load and retry until it was
 	// stable across it. A concurrent SetCapacity in either direction (a
@@ -351,6 +354,9 @@ func (c *checkpointBuf) hash() string {
 // Checkpoint briefly serializes with training writers — the lock covers the
 // encoding, not the I/O behind w; readers stay lock-free throughout.
 func (m *Model) Checkpoint(w io.Writer) error {
+	if err := m.cfg.checkPersistable(); err != nil {
+		return err
+	}
 	var c checkpointBuf
 	m.capture(&c)
 	if _, err := w.Write(c.b); err != nil {

@@ -17,7 +17,6 @@ import (
 	"llmq/internal/engine"
 	"llmq/internal/index"
 	"llmq/internal/linalg"
-	"llmq/internal/stats"
 )
 
 // Errors returned by the executor.
@@ -294,19 +293,4 @@ func (e *Executor) SubspaceValues(q RadiusQuery) (xs [][]float64, us []float64, 
 		us[k] = e.out[at]
 	}
 	return xs, us, nil
-}
-
-// GoodnessOverSubspace scores arbitrary predictions against the actual output
-// values of the subspace selected by q. The predict callback receives each
-// input vector in the subspace.
-func (e *Executor) GoodnessOverSubspace(q RadiusQuery, predict func(x []float64) float64) (stats.GoodnessOfFit, error) {
-	xs, us, err := e.SubspaceValues(q)
-	if err != nil {
-		return stats.GoodnessOfFit{}, err
-	}
-	preds := make([]float64, len(xs))
-	for i, x := range xs {
-		preds[i] = predict(x)
-	}
-	return stats.Fit(us, preds)
 }

@@ -148,32 +148,6 @@ func TestRegressionOnNonLinearDataHasHighFVU(t *testing.T) {
 	}
 }
 
-func TestGoodnessOverSubspace(t *testing.T) {
-	plane := synth.Plane(1, []float64{3})
-	tab, _ := loadTable(t, 500, 1, plane, 0, 7)
-	e, _ := NewExecutorWithGrid(tab, []string{"x1"}, "u", 0.1)
-	q := RadiusQuery{Center: []float64{0.5}, Theta: 0.4}
-	// Perfect predictor.
-	g, err := e.GoodnessOverSubspace(q, func(x []float64) float64 { return 1 + 3*x[0] })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.FVU > 1e-12 || g.CoD < 1-1e-12 {
-		t.Errorf("perfect predictor: %+v", g)
-	}
-	// Constant predictor explains nothing: FVU ~ 1.
-	g, err = e.GoodnessOverSubspace(q, func(x []float64) float64 { return 2.5 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.FVU < 0.5 {
-		t.Errorf("constant predictor should have high FVU, got %+v", g)
-	}
-	if _, err := e.GoodnessOverSubspace(RadiusQuery{Center: []float64{99}, Theta: 0.01}, func([]float64) float64 { return 0 }); !errors.Is(err, ErrEmptySubspace) {
-		t.Errorf("empty subspace err = %v", err)
-	}
-}
-
 // TestGridExecutorAgreesWithLinear checks the grid executor's means at d = 3
 // against a brute-force linear scan of the dataset.
 func TestGridExecutorAgreesWithLinear(t *testing.T) {

@@ -5,6 +5,12 @@
 // whose rows correspond to the series plotted in the paper, so the command
 // `llmq-experiments` (and the root benchmarks) can regenerate the paper's
 // results at a configurable scale.
+//
+// The package also owns the scoring the server never runs: EvaluateQ1,
+// EvaluateQ2 and EvaluateDataValue compare a trained model with a
+// workload.Harness's exact answers and with the REG and PLR baselines. The
+// baselines' plr and stats packages sit under internal/experiments/internal/,
+// so the compiler keeps them out of every serving package.
 package experiments
 
 import (

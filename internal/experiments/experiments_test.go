@@ -98,7 +98,7 @@ func TestRegistryAndFind(t *testing.T) {
 		}
 		ids[e.ID] = true
 	}
-	for _, want := range []string{"fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14"} {
+	for _, want := range []string{"fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14", "drift"} {
 		if _, ok := Find(want); !ok {
 			t.Errorf("experiment %q not registered", want)
 		}
@@ -294,6 +294,29 @@ func TestAblationAndGlobalFit(t *testing.T) {
 		if parse(t, row[4]) <= 0 {
 			t.Errorf("in-sample global FVU should be positive: %v", row)
 		}
+	}
+}
+
+// TestDriftCapacityShape checks the drift experiment at the tiny scale: the
+// capped model never holds more than its cap after a leg, and its unbounded
+// twin ends with more prototypes.
+func TestDriftCapacityShape(t *testing.T) {
+	tables, err := DriftCapacity(tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tables[0].Rows
+	if len(rows) != len(tiny.Dims)*driftLegs {
+		t.Fatalf("drift rows = %d", len(rows))
+	}
+	for _, row := range rows {
+		if k := parse(t, row[3]); k > driftCapacity {
+			t.Errorf("leg %s: capped K = %v exceeds the cap %d", row[1], k, driftCapacity)
+		}
+	}
+	last := rows[len(rows)-1]
+	if capped, free := parse(t, last[3]), parse(t, last[5]); free <= capped {
+		t.Errorf("unbounded K = %v should end above the capped K = %v", free, capped)
 	}
 }
 

@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"llmq/internal/core"
-	"llmq/internal/exec"
-	"llmq/internal/plr"
-	"llmq/internal/stats"
-	"llmq/internal/workload"
+	"llmq/internal/experiments/internal/plr"
+	"llmq/internal/experiments/internal/stats"
 )
 
 // defaultA is the operating resolution used by the figures that keep a
@@ -88,7 +86,7 @@ func Fig07RMSEvsA(s Scale) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				eval, err := env.Harness.EvaluateQ1(m, test)
+				eval, err := EvaluateQ1(env.Harness, m, test)
 				if err != nil {
 					return nil, err
 				}
@@ -123,7 +121,7 @@ func Fig08RMSEvsTestSize(s Scale) ([]*Table, error) {
 			}
 			row := []string{fmt.Sprintf("%d", dim)}
 			for _, n := range sizes {
-				eval, err := env.Harness.EvaluateQ1(m, env.Harness.Gen.Queries(n))
+				eval, err := EvaluateQ1(env.Harness, m, env.Harness.Gen.Queries(n))
 				if err != nil {
 					return nil, err
 				}
@@ -163,7 +161,7 @@ func Fig09FVU(s Scale) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				eval, err := env.Harness.EvaluateQ2(m, test, workload.Q2Options{
+				eval, err := EvaluateQ2(env.Harness, m, test, Q2Options{
 					PLR: plr.Options{MaxBasis: maxBasisFor(m.K())},
 				})
 				if err != nil {
@@ -208,7 +206,7 @@ func Fig10CoD(s Scale) ([]*Table, error) {
 				return nil, err
 			}
 			kRow = append(kRow, fmt.Sprintf("%d", m.K()))
-			eval, err := env.Harness.EvaluateQ2(m, test, workload.Q2Options{
+			eval, err := EvaluateQ2(env.Harness, m, test, Q2Options{
 				PLR: plr.Options{MaxBasis: maxBasisFor(m.K())},
 			})
 			if err != nil {
@@ -245,7 +243,7 @@ func Fig11DataValue(s Scale) ([]*Table, error) {
 				return nil, err
 			}
 			for _, n := range sizes {
-				eval, err := env.Harness.EvaluateDataValue(m, env.Harness.Gen.Queries(n), workload.Q2Options{
+				eval, err := EvaluateDataValue(env.Harness, m, env.Harness.Gen.Queries(n), Q2Options{
 					PLR: plr.Options{MaxBasis: maxBasisFor(m.K())},
 				}, 5, s.Seed+101)
 				if err != nil {
@@ -289,14 +287,14 @@ func Fig12Scalability(s Scale) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			evalQ1, err := env.Harness.EvaluateQ1(m, env.Harness.Gen.Queries(s.TestQueries/2))
+			evalQ1, err := EvaluateQ1(env.Harness, m, env.Harness.Gen.Queries(s.TestQueries/2))
 			if err != nil {
 				return nil, err
 			}
 			speedup := float64(evalQ1.ExactTime) / float64(evalQ1.ModelTime)
 			q1.AddRow(fmt.Sprintf("%d", dim), fmt.Sprintf("%d", n),
 				dur(evalQ1.ModelTime), dur(evalQ1.ExactTime), f(speedup))
-			evalQ2, err := env.Harness.EvaluateQ2(m, env.Harness.Gen.Queries(s.Q2Queries), workload.Q2Options{
+			evalQ2, err := EvaluateQ2(env.Harness, m, env.Harness.Gen.Queries(s.Q2Queries), Q2Options{
 				PLR:         plr.Options{MaxBasis: maxBasisFor(m.K())},
 				MinSubspace: dim + 2,
 			})
@@ -336,12 +334,12 @@ func Fig13RadiusImpact(s Scale) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			evalQ1, err := env.Harness.EvaluateQ1(m, env.Harness.Gen.Queries(s.TestQueries/2))
+			evalQ1, err := EvaluateQ1(env.Harness, m, env.Harness.Gen.Queries(s.TestQueries/2))
 			if err != nil {
 				return nil, err
 			}
 			rmseRow = append(rmseRow, f(evalQ1.RMSE))
-			evalQ2, err := env.Harness.EvaluateQ2(m, env.Harness.Gen.Queries(s.Q2Queries/2+1), workload.Q2Options{SkipPLR: true})
+			evalQ2, err := EvaluateQ2(env.Harness, m, env.Harness.Gen.Queries(s.Q2Queries/2+1), Q2Options{SkipPLR: true})
 			if err != nil {
 				return nil, err
 			}
@@ -375,11 +373,11 @@ func Fig14RadiusTrajectory(s Scale) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			evalQ1, err := env.Harness.EvaluateQ1(m, env.Harness.Gen.Queries(s.TestQueries/2))
+			evalQ1, err := EvaluateQ1(env.Harness, m, env.Harness.Gen.Queries(s.TestQueries/2))
 			if err != nil {
 				return nil, err
 			}
-			evalQ2, err := env.Harness.EvaluateQ2(m, env.Harness.Gen.Queries(s.Q2Queries/2+1), workload.Q2Options{SkipPLR: true})
+			evalQ2, err := EvaluateQ2(env.Harness, m, env.Harness.Gen.Queries(s.Q2Queries/2+1), Q2Options{SkipPLR: true})
 			if err != nil {
 				return nil, err
 			}
@@ -429,11 +427,11 @@ func AblationLearning(s Scale) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		evalQ1, err := env.Harness.EvaluateQ1(m, test)
+		evalQ1, err := EvaluateQ1(env.Harness, m, test)
 		if err != nil {
 			return nil, err
 		}
-		evalQ2, err := env.Harness.EvaluateQ2(m, q2test, workload.Q2Options{SkipPLR: true})
+		evalQ2, err := EvaluateQ2(env.Harness, m, q2test, Q2Options{SkipPLR: true})
 		if err != nil {
 			return nil, err
 		}
@@ -464,12 +462,11 @@ func GlobalFitBaseline(s Scale) ([]*Table, error) {
 			// Average the global model's FVU over random subspaces.
 			var acc stats.Running
 			for _, q := range env.Harness.Gen.Queries(s.Q2Queries) {
-				g, err := env.Harness.Exec.GoodnessOverSubspace(
-					toRadiusQuery(q), global.Predict)
+				g, err := GoodnessOverSubspace(env.Harness.Exec, toRadius(q), global.Predict)
 				if err != nil {
 					continue
 				}
-				if !math.IsInf(g.FVU, 0) && !math.IsNaN(g.FVU) {
+				if finite(g.FVU) {
 					acc.Add(g.FVU)
 				}
 			}
@@ -496,8 +493,4 @@ func maxBasisFor(k int) int {
 		return 20
 	}
 	return k
-}
-
-func toRadiusQuery(q core.Query) exec.RadiusQuery {
-	return exec.RadiusQuery{Center: q.Center, Theta: q.Theta}
 }

@@ -29,6 +29,7 @@ func Registry() []Experiment {
 		{ID: "fig12", Description: "Q1/Q2 execution time vs. dataset size (R2)", Run: Fig12Scalability},
 		{ID: "fig13", Description: "impact of mean radius µθ on RMSE, |T| and CoD (R1)", Run: Fig13RadiusImpact},
 		{ID: "fig14", Description: "trajectory of (|T|, RMSE, CoD) over µθ (R1)", Run: Fig14RadiusTrajectory},
+		{ID: "drift", Description: "capped vs. unbounded model on a drifting query window (R1)", Run: DriftCapacity},
 		{ID: "ablation", Description: "solver and learning-rate ablation (R1)", Run: AblationLearning},
 		{ID: "globalfit", Description: "global linear fit motivation numbers (R1, R2)", Run: GlobalFitBaseline},
 	}

@@ -37,8 +37,6 @@ func TestIndexOutOfRangePanics(t *testing.T) {
 		func() { m.At(2, 0) },
 		func() { m.At(0, -1) },
 		func() { m.Set(5, 0, 1) },
-		func() { m.Row(2) },
-		func() { m.Col(-1) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -52,37 +50,8 @@ func TestIndexOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestNewMatrixFromRows(t *testing.T) {
-	m, err := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 0) != 3 {
-		t.Errorf("At(1,0) = %v", m.At(1, 0))
-	}
-	if _, err := NewMatrixFromRows([][]float64{{1, 2}, {3}}); !errors.Is(err, ErrShape) {
-		t.Errorf("ragged rows: err = %v, want ErrShape", err)
-	}
-	empty, err := NewMatrixFromRows(nil)
-	if err != nil || empty.Rows() != 0 {
-		t.Errorf("empty input: %v %v", empty, err)
-	}
-}
-
 func TestRowColClone(t *testing.T) {
-	m, _ := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	row := m.Row(1)
-	if row[2] != 6 {
-		t.Errorf("Row = %v", row)
-	}
-	row[0] = 99
-	if m.At(1, 0) == 99 {
-		t.Error("Row must return a copy")
-	}
-	col := m.Col(1)
-	if col[0] != 2 || col[1] != 5 {
-		t.Errorf("Col = %v", col)
-	}
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	c := m.Clone()
 	c.Set(0, 0, -1)
 	if m.At(0, 0) == -1 {
@@ -90,68 +59,11 @@ func TestRowColClone(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	m, _ := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
-	if tr.Rows() != 3 || tr.Cols() != 2 {
-		t.Fatalf("transpose shape %dx%d", tr.Rows(), tr.Cols())
-	}
-	if tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Errorf("transpose values wrong:\n%v", tr)
-	}
-	if !m.T().T().ApproxEqual(m, 0) {
-		t.Error("double transpose should be identity")
-	}
-}
-
-func TestMul(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := NewMatrixFromRows([][]float64{{5, 6}, {7, 8}})
-	c, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := NewMatrixFromRows([][]float64{{19, 22}, {43, 50}})
-	if !c.ApproxEqual(want, 1e-12) {
-		t.Errorf("Mul =\n%v", c)
-	}
-	if _, err := a.Mul(NewMatrix(3, 2)); !errors.Is(err, ErrShape) {
-		t.Errorf("shape mismatch error = %v", err)
-	}
-	id := Identity(2)
-	ai, _ := a.Mul(id)
-	if !ai.ApproxEqual(a, 0) {
-		t.Error("A*I != A")
-	}
-}
-
-func TestMulVecAddScale(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	y, err := a.MulVec([]float64{1, 1})
-	if err != nil || y[0] != 3 || y[1] != 7 {
-		t.Errorf("MulVec = %v, %v", y, err)
-	}
-	if _, err := a.MulVec([]float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("MulVec shape error = %v", err)
-	}
-	sum, err := a.Add(a)
-	if err != nil || sum.At(1, 1) != 8 {
-		t.Errorf("Add = %v, %v", sum, err)
-	}
-	if _, err := a.Add(NewMatrix(1, 1)); !errors.Is(err, ErrShape) {
-		t.Errorf("Add shape error = %v", err)
-	}
-	sc := a.Scale(2)
-	if sc.At(0, 1) != 4 || a.At(0, 1) != 2 {
-		t.Errorf("Scale wrong or mutated receiver")
-	}
-}
-
 func TestGramAndMulTVec(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	g := Gram(a)
-	want, _ := a.T().Mul(a)
-	if !g.ApproxEqual(want, 1e-12) {
+	want := fromRows([][]float64{{35, 44}, {44, 56}})
+	if !approxEqual(g, want, 1e-12) {
 		t.Errorf("Gram =\n%v\nwant\n%v", g, want)
 	}
 	aty, err := MulTVec(a, []float64{1, 1, 1})
@@ -168,7 +80,7 @@ func TestGramAndMulTVec(t *testing.T) {
 
 func TestCholeskySolve(t *testing.T) {
 	// SPD matrix.
-	a, _ := NewMatrixFromRows([][]float64{
+	a := fromRows([][]float64{
 		{4, 2, 0},
 		{2, 5, 1},
 		{0, 1, 3},
@@ -177,13 +89,12 @@ func TestCholeskySolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := chol.L()
-	llt, _ := l.Mul(l.T())
-	if !llt.ApproxEqual(a, 1e-10) {
+	llt := mulT(chol.l, chol.l)
+	if !approxEqual(llt, a, 1e-10) {
 		t.Errorf("L*Lt =\n%v", llt)
 	}
 	xTrue := []float64{1, -2, 3}
-	b, _ := a.MulVec(xTrue)
+	b := mulVec(a, xTrue)
 	x, err := chol.Solve(b)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +111,7 @@ func TestCholeskySolve(t *testing.T) {
 }
 
 func TestCholeskyRejectsNonSPD(t *testing.T) {
-	notSPD, _ := NewMatrixFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	notSPD := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := NewCholesky(notSPD); !errors.Is(err, ErrNotSPD) {
 		t.Errorf("err = %v, want ErrNotSPD", err)
 	}
@@ -211,13 +122,13 @@ func TestCholeskyRejectsNonSPD(t *testing.T) {
 
 func TestQRSolve(t *testing.T) {
 	// Overdetermined consistent system.
-	a, _ := NewMatrixFromRows([][]float64{
+	a := fromRows([][]float64{
 		{1, 0},
 		{0, 1},
 		{1, 1},
 	})
 	xTrue := []float64{2, -1}
-	b, _ := a.MulVec(xTrue)
+	b := mulVec(a, xTrue)
 	qr, err := NewQR(a)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +151,7 @@ func TestQRSolve(t *testing.T) {
 }
 
 func TestQRRankDeficient(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{
+	a := fromRows([][]float64{
 		{1, 2},
 		{2, 4},
 		{3, 6},
@@ -404,7 +315,7 @@ func TestPropertyCholeskyRoundTrip(t *testing.T) {
 				b.Set(i, j, rng.NormFloat64())
 			}
 		}
-		spd, _ := b.Mul(b.T())
+		spd := mulT(b, b)
 		for i := 0; i < n; i++ {
 			spd.Set(i, i, spd.At(i, i)+float64(n))
 		}
@@ -412,7 +323,7 @@ func TestPropertyCholeskyRoundTrip(t *testing.T) {
 		for i := range xTrue {
 			xTrue[i] = rng.NormFloat64()
 		}
-		rhs, _ := spd.MulVec(xTrue)
+		rhs := mulVec(spd, xTrue)
 		chol, err := NewCholesky(spd)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -471,7 +382,7 @@ func TestPropertyOLSResidualOrthogonality(t *testing.T) {
 }
 
 func TestMatrixString(t *testing.T) {
-	m, _ := NewMatrixFromRows([][]float64{{1, 2}})
+	m := fromRows([][]float64{{1, 2}})
 	if s := m.String(); s == "" {
 		t.Error("String should not be empty")
 	}
@@ -497,4 +408,57 @@ func BenchmarkOLSFit100x5(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// fromRows builds a matrix from equal-length rows.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		for j, v := range r {
+			m.Set(i, j, v)
+		}
+	}
+	return m
+}
+
+// mulVec returns a·x.
+func mulVec(a *Matrix, x []float64) []float64 {
+	out := make([]float64, a.Rows())
+	for i := range out {
+		for j, v := range x {
+			out[i] += a.At(i, j) * v
+		}
+	}
+	return out
+}
+
+// mulT returns a·bᵀ.
+func mulT(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows(), b.Rows())
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < b.Rows(); j++ {
+			var s float64
+			for k := 0; k < a.Cols(); k++ {
+				s += a.At(i, k) * b.At(j, k)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// approxEqual reports whether a and b have the same shape and every element
+// within tol.
+func approxEqual(a, b *Matrix, tol float64) bool {
+	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+		return false
+	}
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < a.Cols(); j++ {
+			if math.Abs(a.At(i, j)-b.At(i, j)) > tol {
+				return false
+			}
+		}
+	}
+	return true
 }

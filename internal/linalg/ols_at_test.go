@@ -235,7 +235,8 @@ func FuzzFitOLSAt(f *testing.F) {
 		mean /= float64(n)
 		var rss, tss float64
 		for i, u := range us {
-			r := u - m.Predict(a.Row(i)[1:])
+			at := int(pos[i])
+			r := u - m.Predict(pts[at*d:at*d+d])
 			rss += r * r
 			c := u - mean
 			tss += c * c

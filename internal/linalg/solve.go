@@ -42,9 +42,6 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 	return &Cholesky{l: l, n: n}, nil
 }
 
-// L returns a copy of the lower-triangular factor.
-func (c *Cholesky) L() *Matrix { return c.l.Clone() }
-
 // Solve solves A·x = b where A = L·Lᵀ.
 func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 	if len(b) != c.n {

@@ -175,7 +175,8 @@ func (s *Semaphore) Saturated() bool {
 }
 
 // Stats returns the instantaneous admitted weight, waiting weight and the
-// cumulative shed count, for /readyz and metrics.
+// cumulative shed count. No endpoint reports them yet; tests read them to
+// check that every admitted request gave its weight back.
 func (s *Semaphore) Stats() (inflight, waiting, shed int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
