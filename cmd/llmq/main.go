@@ -24,12 +24,12 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
 	"llmq/internal/core"
 	"llmq/internal/dataset"
-	"llmq/internal/engine"
 	"llmq/internal/exec"
 	"llmq/internal/sqlfront"
 	"llmq/internal/synth"
@@ -127,9 +127,13 @@ func cmdGenerate(args []string, out io.Writer) error {
 	return nil
 }
 
-// loadExecutor loads a CSV dataset into the in-memory engine and builds a
-// grid-indexed executor over it.
-func loadExecutor(path string, cellSize float64) (*exec.Executor, *dataset.Dataset, error) {
+// loadExecutor parses a CSV relation straight into the flat arrays the exact
+// executor indexes and builds its grid, whose cell is a tenth of the mean
+// attribute span unless cellSize > 0. The relation is returned for the
+// caller's boot decisions (dimension, bounds, the shard partition); once the
+// caller drops it, the process holds the relation only as the grid's
+// clustered copy.
+func loadExecutor(path string, cellSize float64) (*exec.Executor, *dataset.Relation, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -139,34 +143,29 @@ func loadExecutor(path string, cellSize float64) (*exec.Executor, *dataset.Datas
 	if i := strings.LastIndexByte(name, '/'); i >= 0 {
 		name = name[i+1:]
 	}
-	ds, err := dataset.ReadCSV(name, f)
-	if err != nil {
-		return nil, nil, err
-	}
-	cat := engine.NewCatalog()
-	tab, err := cat.LoadDataset(name, ds)
+	rel, err := dataset.ParseCSV(name, f)
 	if err != nil {
 		return nil, nil, err
 	}
 	if cellSize <= 0 {
-		b, err := ds.Bounds()
-		if err != nil {
-			return nil, nil, err
-		}
-		span := 0.0
-		for j := range b.InputMax {
-			span += b.InputMax[j] - b.InputMin[j]
-		}
-		cellSize = span / float64(ds.Dim()) / 10
-		if cellSize <= 0 {
+		if cellSize = meanSpan(rel.Bounds) / 10; cellSize <= 0 {
 			cellSize = 1
 		}
 	}
-	e, err := exec.NewExecutorWithGrid(tab, ds.InputNames, ds.OutputName, cellSize)
+	e, err := exec.NewExecutor(rel.X, rel.U, rel.Dim(), cellSize)
 	if err != nil {
 		return nil, nil, err
 	}
-	return e, ds, nil
+	return e, rel, nil
+}
+
+// meanSpan is the mean over the input attributes of max − min.
+func meanSpan(b dataset.Bounds) float64 {
+	span := 0.0
+	for j := range b.InputMax {
+		span += b.InputMax[j] - b.InputMin[j]
+	}
+	return span / float64(len(b.InputMax))
 }
 
 // capacity carries the bounded-capacity flag values (and which were
@@ -276,31 +275,18 @@ func cmdTrain(args []string, out io.Writer) error {
 	if *data == "" {
 		return errors.New("train: -data is required")
 	}
-	e, ds, err := loadExecutor(*data, 0)
+	e, rel, err := loadExecutor(*data, 0)
 	if err != nil {
 		return err
 	}
-	b, err := ds.Bounds()
-	if err != nil {
-		return err
-	}
-	lo, hi, span := b.InputMin[0], b.InputMax[0], 0.0
-	for j := range b.InputMax {
-		if b.InputMin[j] < lo {
-			lo = b.InputMin[j]
-		}
-		if b.InputMax[j] > hi {
-			hi = b.InputMax[j]
-		}
-		span += b.InputMax[j] - b.InputMin[j]
-	}
-	span /= float64(ds.Dim())
+	b := rel.Bounds
+	lo, hi, span := slices.Min(b.InputMin), slices.Max(b.InputMax), meanSpan(b)
 	theta := *thetaMean
 	if theta <= 0 {
 		theta = span / 10
 	}
 	gen, err := workload.NewGenerator(workload.GenConfig{
-		Dim:         ds.Dim(),
+		Dim:         rel.Dim(),
 		CenterLo:    lo,
 		CenterHi:    hi,
 		ThetaMean:   theta,
@@ -327,10 +313,10 @@ func cmdTrain(args []string, out io.Writer) error {
 		defer stop()
 		return remoteTrain(ctx, out, *url, pp)
 	}
-	cfg := core.DefaultConfig(ds.Dim())
+	cfg := core.DefaultConfig(rel.Dim())
 	cfg.ResolutionA = *a
 	cfg.Gamma = *gamma
-	cfg.Vigilance = vigilance(*a, span, theta, ds.Dim())
+	cfg.Vigilance = vigilance(*a, span, theta, rel.Dim())
 	if cp := getCap(); cp.maxProto > 0 {
 		policy, err := core.ParseEvictionPolicy(cp.evict)
 		if err != nil {
@@ -428,19 +414,19 @@ func cmdQuery(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	e, ds, err := loadExecutor(*data, 0)
+	e, rel, err := loadExecutor(*data, 0)
 	if err != nil {
 		return err
 	}
-	if len(stmt.Center) != ds.Dim() {
-		return fmt.Errorf("query centre has %d coordinates, relation has %d input attributes", len(stmt.Center), ds.Dim())
+	if len(stmt.Center) != rel.Dim() {
+		return fmt.Errorf("query centre has %d coordinates, relation has %d input attributes", len(stmt.Center), rel.Dim())
 	}
 	var model *core.Model
 	if stmt.Approx {
 		if *modelPath == "" {
 			return errors.New("query: APPROX statements need -model")
 		}
-		model, err = loadModel(*modelPath, ds.Dim())
+		model, err = loadModel(*modelPath, rel.Dim())
 		if err != nil {
 			return fmt.Errorf("query: %w", err)
 		}
@@ -542,7 +528,7 @@ func cmdBatch(args []string, out io.Writer) error {
 			needModel = true
 		}
 	}
-	e, ds, err := loadExecutor(*data, 0)
+	e, rel, err := loadExecutor(*data, 0)
 	if err != nil {
 		return err
 	}
@@ -551,7 +537,7 @@ func cmdBatch(args []string, out io.Writer) error {
 		if *modelPath == "" {
 			return errors.New("batch: APPROX statements need -model")
 		}
-		model, err = loadModel(*modelPath, ds.Dim())
+		model, err = loadModel(*modelPath, rel.Dim())
 		if err != nil {
 			return fmt.Errorf("batch: %w", err)
 		}
@@ -564,9 +550,9 @@ func cmdBatch(args []string, out io.Writer) error {
 		return errors.New("batch: -max-prototypes/-evict/-merge need APPROX statements (a loaded model)")
 	}
 	for i, stmt := range stmts {
-		if len(stmt.Center) != ds.Dim() {
+		if len(stmt.Center) != rel.Dim() {
 			return fmt.Errorf("batch: statement %d centre has %d coordinates, relation has %d input attributes",
-				i+1, len(stmt.Center), ds.Dim())
+				i+1, len(stmt.Center), rel.Dim())
 		}
 	}
 	start := time.Now()

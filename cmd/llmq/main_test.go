@@ -274,15 +274,11 @@ func TestVigilance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ds, err := loadExecutor(data, 0)
+	_, rel, err := loadExecutor(data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := defaultModelConfig(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := m.Config().Vigilance, cfg.Vigilance; math.Float64bits(got) != math.Float64bits(want) {
+	if got, want := m.Config().Vigilance, defaultModelConfig(rel).Vigilance; math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("train derived ρ = %v, serve derives %v", got, want)
 	}
 }

@@ -191,7 +191,7 @@ func (f closerFunc) Close() error { return f() }
 // into; info describes what is being served. Split from cmdServe so tests
 // drive every construction path without binding a port.
 func (c *serveConfig) open(ctx context.Context) (*serve.Server, io.Closer, string, error) {
-	e, ds, err := loadExecutor(c.data, c.cell)
+	e, rel, err := loadExecutor(c.data, c.cell)
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -203,28 +203,28 @@ func (c *serveConfig) open(ctx context.Context) (*serve.Server, io.Closer, strin
 	opt := serve.WithLimits(c.limits)
 	switch {
 	case c.route != "":
-		s, shape, err = c.openRouter(ctx, e, ds, opt)
+		s, shape, err = c.openRouter(ctx, e, rel, opt)
 	case c.follow != "":
 		s, closer, shape, err = c.openFollower(ctx, e, opt)
 	case c.dataDir != "":
-		s, closer, shape, err = c.openDurable(e, ds, opt)
+		s, closer, shape, err = c.openDurable(e, rel, opt)
 	default:
-		s, shape, err = c.openMemory(e, ds, opt)
+		s, shape, err = c.openMemory(e, rel, opt)
 	}
 	if err != nil {
 		return nil, nil, "", err
 	}
-	return s, closer, fmt.Sprintf("%q (%d tuples, %d input attributes) %s", ds.Name, ds.Len(), ds.Dim(), shape), nil
+	return s, closer, fmt.Sprintf("%q (%d tuples, %d input attributes) %s", rel.Name, rel.Len(), rel.Dim(), shape), nil
 }
 
 // openMemory serves in-memory models: the -model file (or none, for exact
 // statements only), or with -shards that model split along the partition —
 // fresh empty shards when there is no file. Capacity flags re-cap each
 // model immediately and arm bounded eviction for further online training.
-func (c *serveConfig) openMemory(e *exec.Executor, ds *dataset.Dataset, opt serve.Option) (*serve.Server, string, error) {
+func (c *serveConfig) openMemory(e *exec.Executor, rel *dataset.Relation, opt serve.Option) (*serve.Server, string, error) {
 	var models []*core.Model
 	if c.model != "" {
-		m, err := loadModel(c.model, ds.Dim())
+		m, err := loadModel(c.model, rel.Dim())
 		if err != nil {
 			return nil, "", err
 		}
@@ -246,7 +246,7 @@ func (c *serveConfig) openMemory(e *exec.Executor, ds *dataset.Dataset, opt serv
 		s, err := serve.New(e, models[0], opt)
 		return s, fmt.Sprintf("with a K=%d model", models[0].K()), err
 	}
-	part, err := buildPartition(ds, c.shards)
+	part, err := buildPartition(rel, c.shards)
 	if err != nil {
 		return nil, "", err
 	}
@@ -258,10 +258,7 @@ func (c *serveConfig) openMemory(e *exec.Executor, ds *dataset.Dataset, opt serv
 			return nil, "", err
 		}
 	} else {
-		cfg, err := defaultModelConfig(ds)
-		if err != nil {
-			return nil, "", err
-		}
+		cfg := defaultModelConfig(rel)
 		models = make([]*core.Model, c.shards)
 		for i := range models {
 			if models[i], err = core.NewModel(cfg); err != nil {
@@ -304,11 +301,9 @@ func newShardedServer(e *exec.Executor, part *index.Partition, backends []shard.
 // admin record in the training order, so a crash replays it at exactly
 // this point — and a follower replica re-caps at the same point of the
 // stream.
-func (c *serveConfig) openDurable(e *exec.Executor, ds *dataset.Dataset, opt serve.Option) (*serve.Server, io.Closer, string, error) {
-	cfg, err := defaultModelConfig(ds)
-	if err != nil {
-		return nil, nil, "", err
-	}
+func (c *serveConfig) openDurable(e *exec.Executor, rel *dataset.Relation, opt serve.Option) (*serve.Server, io.Closer, string, error) {
+	cfg := defaultModelConfig(rel)
+	var err error
 	if c.capacity.maxProto > 0 {
 		// Bake the capacity into the fresh-directory config too, so the very
 		// first checkpoint already carries it.
@@ -320,7 +315,7 @@ func (c *serveConfig) openDurable(e *exec.Executor, ds *dataset.Dataset, opt ser
 	dirs := []string{c.dataDir}
 	var part *index.Partition
 	if c.shards > 0 || hasShardManifest(c.dataDir) {
-		if part, err = c.shardLayout(ds); err != nil {
+		if part, err = c.shardLayout(rel); err != nil {
 			return nil, nil, "", err
 		}
 		dirs = make([]string, part.Leaves())
@@ -493,20 +488,11 @@ func serveUntil(ctx context.Context, h http.Handler, ln net.Listener, out io.Wri
 }
 
 // defaultModelConfig derives the fresh-directory training configuration from
-// the dataset: the paper's defaults with the vigilance formula the train
+// the relation: the paper's defaults with the vigilance formula the train
 // subcommand uses at its default resolution a and mean radius.
-func defaultModelConfig(ds *dataset.Dataset) (core.Config, error) {
-	b, err := ds.Bounds()
-	if err != nil {
-		return core.Config{}, err
-	}
-	span := 0.0
-	for j := range b.InputMax {
-		span += b.InputMax[j] - b.InputMin[j]
-	}
-	span /= float64(ds.Dim())
-	theta := span / 10
-	cfg := core.DefaultConfig(ds.Dim())
-	cfg.Vigilance = vigilance(0.25, span, theta, ds.Dim())
-	return cfg, nil
+func defaultModelConfig(rel *dataset.Relation) core.Config {
+	span := meanSpan(rel.Bounds)
+	cfg := core.DefaultConfig(rel.Dim())
+	cfg.Vigilance = vigilance(0.25, span, span/10, rel.Dim())
+	return cfg
 }

@@ -37,24 +37,11 @@ import (
 
 // buildPartition derives the space partition from the relation itself: the
 // input vectors are the best available sample of where queries will land.
-// Cuts are balanced count quantiles, grid-snapped for d ≤ 3 (cell from the
-// data bounds) like the read-epoch grids.
-func buildPartition(ds *dataset.Dataset, shards int) (*index.Partition, error) {
-	flat := make([]float64, 0, len(ds.Xs)*ds.Dim())
-	for _, x := range ds.Xs {
-		flat = append(flat, x...)
-	}
-	cell := 0.0
-	if ds.Dim() <= 3 {
-		if b, err := ds.Bounds(); err == nil {
-			span := 0.0
-			for j := range b.InputMax {
-				span += b.InputMax[j] - b.InputMin[j]
-			}
-			cell = span / float64(ds.Dim()) / 64
-		}
-	}
-	return index.NewPartition(ds.Dim(), shards, flat, cell)
+// Cuts are balanced count quantiles, grid-snapped like the read-epoch grids
+// to a cell of a 64th of the mean attribute span (NewPartition snaps only
+// for d ≤ 3).
+func buildPartition(rel *dataset.Relation, shards int) (*index.Partition, error) {
+	return index.NewPartition(rel.Dim(), shards, rel.X, meanSpan(rel.Bounds)/64)
 }
 
 // shardLayout returns the partition of a sharded durable directory. An
@@ -62,29 +49,29 @@ func buildPartition(ds *dataset.Dataset, shards int) (*index.Partition, error) {
 // fresh directory builds the partition from the dataset and writes the
 // manifest before any shard store exists, so a crash between shard
 // creations recovers cleanly.
-func (c *serveConfig) shardLayout(ds *dataset.Dataset) (*index.Partition, error) {
+func (c *serveConfig) shardLayout(rel *dataset.Relation) (*index.Partition, error) {
 	manifestPath := filepath.Join(c.dataDir, shard.ManifestName)
 	if hasShardManifest(c.dataDir) {
 		man, err := shard.ReadManifest(manifestPath)
 		switch {
 		case err != nil:
 			return nil, err
-		case man.Dim != ds.Dim():
-			return nil, fmt.Errorf("sharded directory %s has dim %d, relation has %d", c.dataDir, man.Dim, ds.Dim())
+		case man.Dim != rel.Dim():
+			return nil, fmt.Errorf("sharded directory %s has dim %d, relation has %d", c.dataDir, man.Dim, rel.Dim())
 		case c.shards != 0 && c.shards != man.Shards:
 			return nil, fmt.Errorf("-shards %d conflicts with the %d shards recorded in %s (re-sharding a durable directory is an offline operation)",
 				c.shards, man.Shards, manifestPath)
 		}
 		return man.Part, nil
 	}
-	part, err := buildPartition(ds, c.shards)
+	part, err := buildPartition(rel, c.shards)
 	if err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(c.dataDir, 0o755); err != nil {
 		return nil, err
 	}
-	return part, shard.WriteManifest(manifestPath, shard.Manifest{Dim: ds.Dim(), Shards: c.shards, Part: part})
+	return part, shard.WriteManifest(manifestPath, shard.Manifest{Dim: rel.Dim(), Shards: c.shards, Part: part})
 }
 
 // parseRouteSpec parses `-route shard0=URL[|followerURL...],shard1=...`:
@@ -128,7 +115,7 @@ func parseRouteSpec(spec string) ([][]string, error) {
 // sole trainer — the prototypes were then placed by this very partitioning
 // of /train traffic). EXACT statements answer from this process's relation
 // copy; the relation itself is not sharded.
-func (c *serveConfig) openRouter(ctx context.Context, e *exec.Executor, ds *dataset.Dataset, opt serve.Option) (*serve.Server, string, error) {
+func (c *serveConfig) openRouter(ctx context.Context, e *exec.Executor, rel *dataset.Relation, opt serve.Option) (*serve.Server, string, error) {
 	urls, err := parseRouteSpec(c.route)
 	if err != nil {
 		return nil, "", fmt.Errorf("-route: %w", err)
@@ -141,18 +128,18 @@ func (c *serveConfig) openRouter(ctx context.Context, e *exec.Executor, ds *data
 			return nil, "", err
 		case man.Shards != len(urls):
 			return nil, "", fmt.Errorf("-partition records %d shards, -route names %d", man.Shards, len(urls))
-		case man.Dim != ds.Dim():
-			return nil, "", fmt.Errorf("-partition has dim %d, relation has %d", man.Dim, ds.Dim())
+		case man.Dim != rel.Dim():
+			return nil, "", fmt.Errorf("-partition has dim %d, relation has %d", man.Dim, rel.Dim())
 		}
 		part = man.Part
-	} else if part, err = buildPartition(ds, len(urls)); err != nil {
+	} else if part, err = buildPartition(rel, len(urls)); err != nil {
 		return nil, "", err
 	}
 	backends := make([]shard.Backend, len(urls))
 	followers := 0
 	for i, reps := range urls {
 		r := shard.NewRemote(reps[0], reps[1:], http.DefaultClient)
-		if err := primeRemote(ctx, r, ds.Dim()); err != nil {
+		if err := primeRemote(ctx, r, rel.Dim()); err != nil {
 			return nil, "", fmt.Errorf("shard %d: %w", i, err)
 		}
 		backends[i] = r

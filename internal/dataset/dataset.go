@@ -1,8 +1,7 @@
-// Package dataset provides the in-memory dataset abstraction shared by the
-// DBMS substrate, the workload generator and the experiment harness: a set of
-// (x, u) observations with named attributes, CSV import/export, min–max
-// scaling to the unit cube (the paper scales all real attributes to [0,1]),
-// and deterministic splitting.
+// Package dataset provides the relation the exact engine answers over: a set
+// of (x, u) observations with named attributes, CSV export, and one CSV
+// parser that fills the flat arrays the executor indexes (Relation), seen as
+// row slices by ReadCSV (Dataset).
 package dataset
 
 import (
@@ -10,8 +9,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -75,16 +76,6 @@ func (d *Dataset) Dim() int { return len(d.InputNames) }
 // Len returns the number of observations.
 func (d *Dataset) Len() int { return len(d.Xs) }
 
-// Append adds a single observation. The input vector is used directly.
-func (d *Dataset) Append(x []float64, u float64) error {
-	if len(x) != d.Dim() {
-		return fmt.Errorf("%w: got %d, want %d", ErrDimension, len(x), d.Dim())
-	}
-	d.Xs = append(d.Xs, x)
-	d.Us = append(d.Us, u)
-	return nil
-}
-
 // Clone returns a deep copy of the dataset.
 func (d *Dataset) Clone() *Dataset {
 	c := &Dataset{
@@ -136,114 +127,39 @@ func (d *Dataset) Bounds() (Bounds, error) {
 	if d.Len() == 0 {
 		return Bounds{}, ErrEmpty
 	}
-	dim := d.Dim()
-	b := Bounds{
-		InputMin:  make([]float64, dim),
-		InputMax:  make([]float64, dim),
-		OutputMin: d.Us[0],
-		OutputMax: d.Us[0],
-	}
-	copy(b.InputMin, d.Xs[0])
-	copy(b.InputMax, d.Xs[0])
+	b := firstBounds(d.Xs[0], d.Us[0])
 	for i := 1; i < d.Len(); i++ {
-		for j, v := range d.Xs[i] {
-			if v < b.InputMin[j] {
-				b.InputMin[j] = v
-			}
-			if v > b.InputMax[j] {
-				b.InputMax[j] = v
-			}
-		}
-		if d.Us[i] < b.OutputMin {
-			b.OutputMin = d.Us[i]
-		}
-		if d.Us[i] > b.OutputMax {
-			b.OutputMax = d.Us[i]
-		}
+		b.widen(d.Xs[i], d.Us[i])
 	}
 	return b, nil
 }
 
-// Scaler min–max scales inputs (and optionally the output) into [0,1],
-// remembering the original bounds so queries and predictions can be mapped
-// both ways.
-type Scaler struct {
-	bounds      Bounds
-	scaleOutput bool
-}
-
-// FitScaler learns a scaler from the dataset. If scaleOutput is true the
-// output attribute is scaled as well.
-func FitScaler(d *Dataset, scaleOutput bool) (*Scaler, error) {
-	b, err := d.Bounds()
-	if err != nil {
-		return nil, err
+// firstBounds is the bounds of the one observation (x, u).
+func firstBounds(x []float64, u float64) Bounds {
+	return Bounds{
+		InputMin:  slices.Clone(x),
+		InputMax:  slices.Clone(x),
+		OutputMin: u,
+		OutputMax: u,
 	}
-	return &Scaler{bounds: b, scaleOutput: scaleOutput}, nil
 }
 
-// Bounds returns the bounds the scaler was fitted on.
-func (s *Scaler) Bounds() Bounds { return s.bounds }
-
-// ScaleX maps an input vector into [0,1]^d (in place on a copy).
-// Attributes with zero range map to 0.5.
-func (s *Scaler) ScaleX(x []float64) []float64 {
-	out := make([]float64, len(x))
+// widen grows b to take in the observation (x, u).
+func (b *Bounds) widen(x []float64, u float64) {
 	for j, v := range x {
-		lo, hi := s.bounds.InputMin[j], s.bounds.InputMax[j]
-		if hi == lo {
-			out[j] = 0.5
-			continue
+		if v < b.InputMin[j] {
+			b.InputMin[j] = v
 		}
-		out[j] = (v - lo) / (hi - lo)
+		if v > b.InputMax[j] {
+			b.InputMax[j] = v
+		}
 	}
-	return out
-}
-
-// UnscaleX maps a scaled input vector back to the original range.
-func (s *Scaler) UnscaleX(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for j, v := range x {
-		lo, hi := s.bounds.InputMin[j], s.bounds.InputMax[j]
-		out[j] = lo + v*(hi-lo)
+	if u < b.OutputMin {
+		b.OutputMin = u
 	}
-	return out
-}
-
-// ScaleU maps an output value into [0,1] when output scaling is enabled;
-// otherwise it returns u unchanged.
-func (s *Scaler) ScaleU(u float64) float64 {
-	if !s.scaleOutput {
-		return u
+	if u > b.OutputMax {
+		b.OutputMax = u
 	}
-	lo, hi := s.bounds.OutputMin, s.bounds.OutputMax
-	if hi == lo {
-		return 0.5
-	}
-	return (u - lo) / (hi - lo)
-}
-
-// UnscaleU inverts ScaleU.
-func (s *Scaler) UnscaleU(u float64) float64 {
-	if !s.scaleOutput {
-		return u
-	}
-	lo, hi := s.bounds.OutputMin, s.bounds.OutputMax
-	return lo + u*(hi-lo)
-}
-
-// Apply returns a new dataset with all observations scaled.
-func (s *Scaler) Apply(d *Dataset) *Dataset {
-	out := New(d.Name+"-scaled", d.Dim())
-	out.InputNames = append([]string(nil), d.InputNames...)
-	out.OutputName = d.OutputName
-	out.Xs = make([][]float64, d.Len())
-	out.Us = make([]float64, d.Len())
-	for i := range d.Xs {
-		out.Xs[i] = s.ScaleX(d.Xs[i])
-		out.Us[i] = s.ScaleU(d.Us[i])
-	}
-	return out
 }
 
 // Split partitions the dataset into two parts, the first containing
@@ -316,10 +232,32 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV reads a dataset written by WriteCSV: a header row of d input names
-// plus one output name, followed by numeric rows.
-func ReadCSV(name string, r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
+// Relation is a relation parsed from CSV and held flat, the layout the
+// exact executor indexes: row i's inputs are X[i*Dim():(i+1)*Dim()] and its
+// output is U[i]. Every value is finite, the attribute names are non-empty
+// and unique, and Bounds covers every row.
+type Relation struct {
+	Name       string
+	InputNames []string
+	OutputName string
+	X          []float64 // row-major inputs, Len()·Dim() values
+	U          []float64 // the output column
+	Bounds     Bounds
+}
+
+// Dim returns the input dimensionality.
+func (r *Relation) Dim() int { return len(r.InputNames) }
+
+// Len returns the number of rows.
+func (r *Relation) Len() int { return len(r.U) }
+
+// ParseCSV reads a relation written by WriteCSV: a header row of d input
+// names plus one output name, followed by numeric rows. It refuses a
+// non-finite value, naming its line and field, and an empty or repeated
+// attribute name. When rd can report its size (an *os.File), X and U are
+// sized once from the length of the first row instead of grown by append.
+func ParseCSV(name string, rd io.Reader) (*Relation, error) {
+	cr := csv.NewReader(rd)
 	cr.ReuseRecord = true // every field is parsed or copied before the next Read
 	header, err := cr.Read()
 	if err != nil {
@@ -329,13 +267,18 @@ func ReadCSV(name string, r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: header must have at least 2 columns, got %d", len(header))
 	}
 	dim := len(header) - 1
-	ds := New(name, dim)
-	ds.InputNames = append([]string(nil), header[:dim]...)
-	ds.OutputName = strings.TrimSpace(header[dim])
-	// Rows are parsed into slabs of slabRows rows, not allocated one by one,
-	// and Xs and Us are sized once at the end instead of grown by append.
-	var xSlabs, uSlabs [][]float64
-	n := 0
+	r := &Relation{Name: name, InputNames: slices.Clone(header[:dim]), OutputName: strings.TrimSpace(header[dim])}
+	seen := make(map[string]bool, dim+1)
+	for j, c := range append(r.InputNames[:dim:dim], r.OutputName) {
+		if c == "" {
+			return nil, fmt.Errorf("dataset: column %d has an empty name", j+1)
+		}
+		if seen[c] {
+			return nil, fmt.Errorf("dataset: duplicate column %q", c)
+		}
+		seen[c] = true
+	}
+	headerEnd := cr.InputOffset()
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if errors.Is(err, io.EOF) {
@@ -347,42 +290,73 @@ func ReadCSV(name string, r io.Reader) (*Dataset, error) {
 		if len(rec) != dim+1 {
 			return nil, fmt.Errorf("dataset: line %d has %d fields, want %d", line, len(rec), dim+1)
 		}
-		k := n % slabRows
-		if k == 0 {
-			xSlabs = append(xSlabs, make([]float64, slabRows*dim))
-			uSlabs = append(uSlabs, make([]float64, slabRows))
+		if line == 2 {
+			if rows := estimateRows(rd, headerEnd, cr.InputOffset()); rows > 0 {
+				r.X, r.U = make([]float64, 0, rows*dim), make([]float64, 0, rows)
+			}
 		}
-		x := xSlabs[len(xSlabs)-1][k*dim : (k+1)*dim]
+		at := len(r.X)
 		for j := 0; j < dim; j++ {
 			v, err := parseField(rec[j])
 			if err != nil {
 				return nil, fmt.Errorf("dataset: line %d field %d: %w", line, j+1, err)
 			}
-			x[j] = v
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("dataset: line %d field %d: value is not finite (%v)", line, j+1, v)
+			}
+			r.X = append(r.X, v)
 		}
 		u, err := parseField(rec[dim])
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d output: %w", line, err)
 		}
-		uSlabs[len(uSlabs)-1][k] = u
-		n++
+		if math.IsNaN(u) || math.IsInf(u, 0) {
+			return nil, fmt.Errorf("dataset: line %d output: value is not finite (%v)", line, u)
+		}
+		r.U = append(r.U, u)
+		if x := r.X[at:]; at == 0 {
+			r.Bounds = firstBounds(x, u)
+		} else {
+			r.Bounds.widen(x, u)
+		}
 	}
-	if n == 0 {
+	if len(r.U) == 0 {
 		return nil, ErrEmpty
 	}
-	ds.Xs = make([][]float64, n)
-	ds.Us = make([]float64, 0, n)
-	for i := range ds.Xs {
-		k := i % slabRows
-		ds.Xs[i] = xSlabs[i/slabRows][k*dim : (k+1)*dim : (k+1)*dim]
+	return r, nil
+}
+
+// estimateRows guesses how many rows a CSV holds from its size, when rd can
+// report one, and the byte offsets where its first data row starts and
+// ends; it returns 0 when it cannot tell. The guess carries 1/16 slack, so
+// rows a little longer than the first do not make X and U grow.
+func estimateRows(rd io.Reader, rowStart, rowEnd int64) int {
+	f, ok := rd.(interface{ Stat() (fs.FileInfo, error) })
+	if !ok || rowEnd <= rowStart {
+		return 0
 	}
-	for _, us := range uSlabs {
-		ds.Us = append(ds.Us, us[:min(slabRows, n-len(ds.Us))]...)
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() {
+		return 0
+	}
+	rows := (fi.Size() - rowStart) / (rowEnd - rowStart)
+	return int(rows + rows/16 + 1)
+}
+
+// ReadCSV is ParseCSV seen as a Dataset: Xs[i] is row i of the parsed flat
+// input array, capped so that appending to one row cannot reach the next.
+func ReadCSV(name string, r io.Reader) (*Dataset, error) {
+	rel, err := ParseCSV(name, r)
+	if err != nil {
+		return nil, err
+	}
+	dim := rel.Dim()
+	ds := &Dataset{Name: name, InputNames: rel.InputNames, OutputName: rel.OutputName, Xs: make([][]float64, rel.Len()), Us: rel.U}
+	for i := range ds.Xs {
+		ds.Xs[i] = rel.X[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return ds, nil
 }
-
-const slabRows = 4096
 
 // parseField parses one CSV field as a float64, ignoring surrounding white
 // space; a field that starts and ends with a printable ASCII byte — every

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func sample(t *testing.T, n, dim int, seed int64) *Dataset {
@@ -37,13 +36,15 @@ func TestNewAndAppend(t *testing.T) {
 	if ds.InputNames[0] != "x1" || ds.InputNames[2] != "x3" || ds.OutputName != "u" {
 		t.Errorf("default names = %v / %q", ds.InputNames, ds.OutputName)
 	}
-	if err := ds.Append([]float64{1, 2, 3}, 4); err != nil {
-		t.Fatal(err)
-	}
+	ds.Xs, ds.Us = append(ds.Xs, []float64{1, 2, 3}), append(ds.Us, 4)
 	if ds.Len() != 1 {
 		t.Errorf("Len = %d", ds.Len())
 	}
-	if err := ds.Append([]float64{1}, 2); !errors.Is(err, ErrDimension) {
+	if err := ds.Validate(); err != nil {
+		t.Errorf("valid row refused: %v", err)
+	}
+	ds.Xs, ds.Us = append(ds.Xs, []float64{1}), append(ds.Us, 2)
+	if err := ds.Validate(); !errors.Is(err, ErrDimension) {
 		t.Errorf("dim mismatch err = %v", err)
 	}
 }
@@ -116,67 +117,6 @@ func TestBounds(t *testing.T) {
 	empty := New("e", 2)
 	if _, err := empty.Bounds(); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty bounds err = %v", err)
-	}
-}
-
-func TestScalerRoundTrip(t *testing.T) {
-	ds := sample(t, 100, 3, 3)
-	s, err := FitScaler(ds, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaled := s.Apply(ds)
-	for i := range scaled.Xs {
-		for j, v := range scaled.Xs[i] {
-			if v < 0 || v > 1 {
-				t.Fatalf("scaled input out of [0,1]: row %d col %d = %v", i, j, v)
-			}
-		}
-		if scaled.Us[i] < 0 || scaled.Us[i] > 1 {
-			t.Fatalf("scaled output out of [0,1]: %v", scaled.Us[i])
-		}
-		back := s.UnscaleX(scaled.Xs[i])
-		for j := range back {
-			if math.Abs(back[j]-ds.Xs[i][j]) > 1e-9 {
-				t.Fatalf("UnscaleX round trip failed at row %d", i)
-			}
-		}
-		if math.Abs(s.UnscaleU(scaled.Us[i])-ds.Us[i]) > 1e-9 {
-			t.Fatalf("UnscaleU round trip failed at row %d", i)
-		}
-	}
-}
-
-func TestScalerWithoutOutputScaling(t *testing.T) {
-	ds := sample(t, 50, 2, 4)
-	s, err := FitScaler(ds, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.ScaleU(3.7) != 3.7 || s.UnscaleU(3.7) != 3.7 {
-		t.Error("output must pass through unchanged when scaleOutput is false")
-	}
-	if s.Bounds().InputMin == nil {
-		t.Error("Bounds should be populated")
-	}
-}
-
-func TestScalerDegenerateAttribute(t *testing.T) {
-	ds, _ := FromPoints("deg", [][]float64{{1, 5}, {2, 5}, {3, 5}}, []float64{7, 7, 7})
-	s, err := FitScaler(ds, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := s.ScaleX([]float64{2, 5})
-	if x[1] != 0.5 {
-		t.Errorf("constant attribute should scale to 0.5, got %v", x[1])
-	}
-	if s.ScaleU(7) != 0.5 {
-		t.Errorf("constant output should scale to 0.5, got %v", s.ScaleU(7))
-	}
-	empty := New("e", 1)
-	if _, err := FitScaler(empty, false); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty scaler err = %v", err)
 	}
 }
 
@@ -264,47 +204,10 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":       "",
-		"one column":  "a\n1\n",
-		"short row":   "a,b,u\n1,2,3\n4,5\n",
-		"bad number":  "a,b,u\n1,zap,3\n",
-		"bad output":  "a,b,u\n1,2,zap\n",
-		"header only": "a,b,u\n",
-	}
-	for name, in := range cases {
-		if _, err := ReadCSV("x", strings.NewReader(in)); err == nil {
-			t.Errorf("%s: expected error", name)
+	for _, c := range csvRefusals {
+		_, err := ReadCSV("x", strings.NewReader(c.in))
+		if err == nil || err.Error() != c.err {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.err)
 		}
-	}
-}
-
-// Property: scaling then unscaling any in-bounds vector is the identity.
-func TestPropertyScalerInverse(t *testing.T) {
-	ds := sample(t, 200, 4, 11)
-	s, err := FitScaler(ds, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := s.Bounds()
-	f := func(raw [4]float64) bool {
-		x := make([]float64, 4)
-		for j := range x {
-			frac := math.Abs(math.Mod(raw[j], 1))
-			if math.IsNaN(frac) {
-				frac = 0.5
-			}
-			x[j] = b.InputMin[j] + frac*(b.InputMax[j]-b.InputMin[j])
-		}
-		back := s.UnscaleX(s.ScaleX(x))
-		for j := range x {
-			if math.Abs(back[j]-x[j]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }

@@ -1,8 +1,8 @@
-// Package engine implements the in-memory DBMS substrate that exact queries
-// run against: a catalog of relations with columnar storage for float64
-// attributes, each loaded once from a dataset and read by column. It stands
-// in for the PostgreSQL server the paper uses to serve the exact Q1/Q2
-// answers during training and as the REG baseline.
+// Package engine is a catalog of relations with columnar storage for float64
+// attributes, each loaded once from a dataset and read by column. It backs
+// only exec.NewExecutorWithGrid, the wrapper the benchmark harness and tests
+// build executors through: llmq and the experiment harness hand their flat
+// arrays to exec.NewExecutor and never hold a table.
 package engine
 
 import (

@@ -74,18 +74,34 @@ type RegressionResult struct {
 // selection is a list of positions into the grid's clustered coordinates
 // (pts) and a clustered copy of the output column (out), so the grid's scan,
 // the mean and the regression read the same few runs of memory and no row id
-// is materialized.
+// is materialized. The executor holds no other copy of the relation.
 type Executor struct {
-	table *engine.Table
-	grid  *index.Grid
-	pts   []float64 // grid.Points(): the input attributes, clustered, row-major
-	out   []float64 // the output attribute in the same order
+	grid *index.Grid
+	pts  []float64 // grid.Points(): the input attributes, clustered, row-major
+	out  []float64 // the output attribute in the same order
 }
 
-// NewExecutorWithGrid builds an executor over table, which must hold at least
-// one row, using the named input attributes and output attribute. Its grid
-// index, with the given cell size, is built straight from the table's
-// columns.
+// NewExecutor builds an executor over a relation of len(u) >= 1 rows held
+// flat: row i's d >= 1 input attributes are x[i*d:(i+1)*d] and its output is
+// u[i]. Its grid index has the given cell size. x and u are read, not
+// retained: the grid clusters its own copy of both.
+func NewExecutor(x, u []float64, d int, cellSize float64) (*Executor, error) {
+	if d < 1 {
+		return nil, ErrNoInputs
+	}
+	if len(u) == 0 || len(x) != len(u)*d {
+		return nil, fmt.Errorf("exec: %d input values are not %d rows of %d attributes", len(x), len(u), d)
+	}
+	grid, err := index.NewGridFlat(x, d, cellSize)
+	if err != nil {
+		return nil, err
+	}
+	return &Executor{grid: grid, pts: grid.Points(), out: grid.Cluster(u)}, nil
+}
+
+// NewExecutorWithGrid is NewExecutor over table, which must hold at least
+// one row, with the named input attributes and output attribute: it stages
+// the input columns row-major and builds from them.
 func NewExecutorWithGrid(table *engine.Table, inputs []string, output string, cellSize float64) (*Executor, error) {
 	if len(inputs) == 0 {
 		return nil, ErrNoInputs
@@ -106,7 +122,6 @@ func NewExecutorWithGrid(table *engine.Table, inputs []string, output string, ce
 	if table.Len() == 0 {
 		return nil, fmt.Errorf("exec: table %q is empty", table.Name())
 	}
-	// The grid clusters a row-major copy of the input attributes.
 	d := len(inCols)
 	rows := make([]float64, table.Len()*d)
 	for j, c := range inCols {
@@ -114,24 +129,12 @@ func NewExecutorWithGrid(table *engine.Table, inputs []string, output string, ce
 			rows[i*d+j] = v
 		}
 	}
-	grid, err := index.NewGridFlat(rows, d, cellSize)
-	if err != nil {
-		return nil, err
-	}
-	return &Executor{
-		table: table,
-		grid:  grid,
-		pts:   grid.Points(),
-		out:   grid.Cluster(table.ColumnAt(outCol)),
-	}, nil
+	return NewExecutor(rows, table.ColumnAt(outCol), d, cellSize)
 }
 
 // Dim returns the number of input attributes: the dimensionality every
 // query centre must have.
 func (e *Executor) Dim() int { return e.grid.Dim() }
-
-// Table returns the underlying relation.
-func (e *Executor) Table() *engine.Table { return e.table }
 
 // Select returns the row ids of the subspace D(x, θ), in the grid's visit
 // order.

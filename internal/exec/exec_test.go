@@ -50,8 +50,16 @@ func TestNewExecutorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Dim() != 2 || e.Table() != tab {
-		t.Error("accessors broken")
+	if e.Dim() != 2 {
+		t.Errorf("Dim = %d, want 2", e.Dim())
+	}
+	if _, err := NewExecutor([]float64{1, 2}, []float64{3}, 0, 0.1); !errors.Is(err, ErrNoInputs) {
+		t.Errorf("d = 0 err = %v", err)
+	}
+	for _, c := range []struct{ x, u []float64 }{{nil, nil}, {[]float64{1, 2, 3}, []float64{4}}, {[]float64{1, 2}, []float64{3, 4}}} {
+		if _, err := NewExecutor(c.x, c.u, 2, 0.1); err == nil {
+			t.Errorf("%d inputs and %d outputs at d = 2 accepted", len(c.x), len(c.u))
+		}
 	}
 }
 

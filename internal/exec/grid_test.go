@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,8 @@ import (
 	"sync"
 	"testing"
 
+	"llmq/internal/dataset"
+	"llmq/internal/engine"
 	"llmq/internal/index"
 	"llmq/internal/sqlfront"
 	"llmq/internal/synth"
@@ -84,6 +87,57 @@ func TestSuppliedGridTakesTheClusteredPath(t *testing.T) {
 	for k, id := range want.IDs() {
 		if math.Float64bits(e.out[k]) != math.Float64bits(ds.Us[id]) {
 			t.Fatalf("position %d: output %v, row %d has %v", k, e.out[k], id, ds.Us[id])
+		}
+	}
+}
+
+// TestFlatConstructorMatchesTheWrapper builds one CSV relation both ways:
+// dataset.ParseCSV straight into NewExecutor, and ReadCSV through an
+// engine table into NewExecutorWithGrid. The grid's row positions, its
+// clustered points and the clustered output must agree bit for bit, so
+// every exact answer does.
+func TestFlatConstructorMatchesTheWrapper(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		_, src := loadTable(t, 5000, dim, synth.SensorSurrogate, 0.05, int64(dim))
+		var buf bytes.Buffer
+		if err := src.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rel, err := dataset.ParseCSV("r", bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, err := NewExecutor(rel.X, rel.U, rel.Dim(), 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := dataset.ReadCSV("r", bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := engine.NewCatalog().LoadDataset("r", ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrapped, err := NewExecutorWithGrid(tab, ds.InputNames, ds.OutputName, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(flat.grid.IDs(), wrapped.grid.IDs()) {
+			t.Fatalf("d=%d: the grids store rows at different positions", dim)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want []float64
+		}{{"point coordinate", flat.grid.Points(), wrapped.grid.Points()}, {"output", flat.out, wrapped.out}} {
+			if len(c.got) != len(c.want) {
+				t.Fatalf("d=%d: %d values of %s, the wrapper has %d", dim, len(c.got), c.name, len(c.want))
+			}
+			for k := range c.got {
+				if math.Float64bits(c.got[k]) != math.Float64bits(c.want[k]) {
+					t.Fatalf("d=%d: %s %d: %v, the wrapper has %v", dim, c.name, k, c.got[k], c.want[k])
+				}
+			}
 		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 
 	"llmq/internal/core"
 	"llmq/internal/dataset"
-	"llmq/internal/engine"
 	"llmq/internal/exec"
 	"llmq/internal/synth"
 	"llmq/internal/workload"
@@ -230,12 +229,11 @@ func NewEnv(kind DatasetKind, dim, n int, seed int64, thetaMeanOverride float64)
 	if err != nil {
 		return nil, err
 	}
-	cat := engine.NewCatalog()
-	tab, err := cat.LoadDataset(string(kind), ds)
-	if err != nil {
-		return nil, err
+	x := make([]float64, 0, n*dim)
+	for _, row := range pts.Xs {
+		x = append(x, row...)
 	}
-	ex, err := exec.NewExecutorWithGrid(tab, ds.InputNames, ds.OutputName, thetaMean)
+	ex, err := exec.NewExecutor(x, pts.Us, dim, thetaMean)
 	if err != nil {
 		return nil, err
 	}
