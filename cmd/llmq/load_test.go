@@ -19,6 +19,7 @@ func TestLoadRefusesMalformedRelations(t *testing.T) {
 	dir := t.TempDir()
 	for _, c := range []struct{ name, csv, err string }{
 		{"NaN field", "x1,x2,u\n0.5,0.5,1\n0.4,NaN,2\n", "dataset: line 3 field 2: value is not finite (NaN)"},
+		{"NaN after blank lines", "x1,x2,u\n\n0.5,0.5,1\n\n0.4,NaN,2\n", "dataset: line 5 field 2: value is not finite (NaN)"},
 		{"Inf field", "x1,x2,u\n+Inf,0.5,1\n", "dataset: line 2 field 1: value is not finite (+Inf)"},
 		{"1e400", "x1,x2,u\n0.5,0.5,1e400\n", `dataset: line 2 output: strconv.ParseFloat: parsing "1e400": value out of range`},
 		{"duplicate name", "x,x,u\n0.5,0.5,1\n", `dataset: duplicate column "x"`},

@@ -2,16 +2,22 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
 )
 
 // TestCSVRoundTripBits writes values that need all 17 significant digits —
@@ -148,6 +154,12 @@ var csvRefusals = []struct{ name, in, err string }{
 	{"one column", "u\n1\n", "dataset: header must have at least 2 columns, got 1"},
 	{"bad number", "x1,x2,u\n0.1,zap,1\n", `dataset: line 2 field 2: strconv.ParseFloat: parsing "zap": invalid syntax`},
 	{"bad output", "x1,x2,u\n0.1,0.2,zap\n", `dataset: line 2 output: strconv.ParseFloat: parsing "zap": invalid syntax`},
+	{"after blank lines", "x1,x2,u\n\n0.5,0.5,1\n\n0.4,NaN,2\n", "dataset: line 5 field 2: value is not finite (NaN)"},
+	{"after a quoted newline", "x1,x2,u\n\"0.5\n\",0.5,1\n0.4,zap,2\n", `dataset: line 4 field 2: strconv.ParseFloat: parsing "zap": invalid syntax`},
+	{"inside a record after a quoted newline", "x1,x2,u\n\"0.5\r\n\",NaN,1\n", "dataset: line 3 field 2: value is not finite (NaN)"},
+	{"bare quote", "x1,x2,u\n0.1,0\"2,1\n", `dataset: read line 2: parse error on line 2, column 6: bare " in non-quoted-field`},
+	{"text after a closing quote", "x1,x2,u\n\"0.1\"x,2,1\n", `dataset: read line 2: parse error on line 2, column 5: extraneous or missing " in quoted-field`},
+	{"unterminated quote", "x1,x2,u\n1,2,\"3\n\n", `dataset: read line 2: record on line 2; parse error on line 3, column 2: extraneous or missing " in quoted-field`},
 }
 
 // FuzzReadCSV feeds the parser arbitrary bytes. It may refuse them, but
@@ -212,4 +224,204 @@ func bitsOf(vs []float64) []uint64 {
 		out[i] = math.Float64bits(v)
 	}
 	return out
+}
+
+// referenceParseCSV is ParseCSV as encoding/csv parses it, one record at a
+// time on the calling goroutine: the parser FuzzParseCSVMatchesReference
+// holds the block tokenizer to. A field's line is csv.Reader.FieldPos's, a
+// malformed record's the line it starts on.
+func referenceParseCSV(name string, rd io.Reader) (*Relation, error) {
+	cr := csv.NewReader(rd)
+	cr.ReuseRecord = true
+	header, err := cr.Read()
+	if err != nil {
+		return nil, fmt.Errorf("dataset: read header: %w", err)
+	}
+	if len(header) < 2 {
+		return nil, fmt.Errorf("dataset: header must have at least 2 columns, got %d", len(header))
+	}
+	dim := len(header) - 1
+	r := &Relation{Name: name, InputNames: slices.Clone(header[:dim]), OutputName: strings.TrimSpace(header[dim])}
+	seen := make(map[string]bool, dim+1)
+	for j, c := range append(r.InputNames[:dim:dim], r.OutputName) {
+		if c == "" {
+			return nil, fmt.Errorf("dataset: column %d has an empty name", j+1)
+		}
+		if seen[c] {
+			return nil, fmt.Errorf("dataset: duplicate column %q", c)
+		}
+		seen[c] = true
+	}
+	for {
+		rec, err := cr.Read()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		var pe *csv.ParseError
+		if errors.As(err, &pe) {
+			return nil, fmt.Errorf("dataset: read line %d: %w", pe.StartLine, err)
+		}
+		if err != nil {
+			return nil, err
+		}
+		at := len(r.X)
+		for j := 0; j < dim; j++ {
+			line, _ := cr.FieldPos(j)
+			v, err := parseField(rec[j])
+			if err != nil {
+				return nil, fmt.Errorf("dataset: line %d field %d: %w", line, j+1, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("dataset: line %d field %d: value is not finite (%v)", line, j+1, v)
+			}
+			r.X = append(r.X, v)
+		}
+		line, _ := cr.FieldPos(dim)
+		u, err := parseField(rec[dim])
+		if err != nil {
+			return nil, fmt.Errorf("dataset: line %d output: %w", line, err)
+		}
+		if math.IsNaN(u) || math.IsInf(u, 0) {
+			return nil, fmt.Errorf("dataset: line %d output: value is not finite (%v)", line, u)
+		}
+		r.U = append(r.U, u)
+		if x := r.X[at:]; at == 0 {
+			r.Bounds = firstBounds(x, u)
+		} else {
+			r.Bounds.widen(x, u)
+		}
+	}
+	if len(r.U) == 0 {
+		return nil, ErrEmpty
+	}
+	return r, nil
+}
+
+// checkMatchesReference parses in with blocks of size bytes and requires
+// the reference's decision, error text, names, and values and Bounds to
+// the bit.
+func checkMatchesReference(t *testing.T, in []byte, size int) {
+	t.Helper()
+	want, wantErr := referenceParseCSV("f", bytes.NewReader(in))
+	got, err := parseCSV("f", bytes.NewReader(in), size)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("block size %d: error %v, the reference's %v", size, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if !slices.Equal(got.InputNames, want.InputNames) || got.OutputName != want.OutputName {
+		t.Fatalf("block size %d: names %q / %q, the reference's %q / %q", size, got.InputNames, got.OutputName, want.InputNames, want.OutputName)
+	}
+	gb, wb := got.Bounds, want.Bounds
+	for _, c := range [][2][]float64{
+		{got.X, want.X}, {got.U, want.U}, {gb.InputMin, wb.InputMin}, {gb.InputMax, wb.InputMax},
+		{{gb.OutputMin, gb.OutputMax}, {wb.OutputMin, wb.OutputMax}},
+	} {
+		if !slices.Equal(bitsOf(c[0]), bitsOf(c[1])) {
+			t.Fatalf("block size %d: %v, the reference's %v", size, c[0], c[1])
+		}
+	}
+}
+
+// csvCuts are inputs whose records, quotes and "\r\n" pairs a cut can
+// split, each with a block size that splits them: they seed
+// FuzzParseCSVMatchesReference, and TestParseCSVMatchesReferenceAtEveryBlockSize
+// runs them at every size.
+var csvCuts = []struct {
+	in   string
+	size uint8
+}{
+	{"x1,x2,u\r\n0.25,0.5,1\r\n0.75,-0.5,2\r\n", 18},         // a "\r\n" split by the cut
+	{"x1,x2,u\n\"0.25\n\",0.5,\"1\"\"\"\n0.75,-0.5,2\n", 11}, // a quoted newline across a cut
+	{"x1,x2,u\n0.25,0.5,1\n0.75,-0.5,2", 9},                  // no final newline
+	{"x1,x2,u\n0.25,0.5,1\n0.75,-0.5,2\n", 31},               // exactly one block
+	{"x1,x2,u\n0.25,zap,1\n0.75,-0.5,2\n0.5,0.5,NaN\n", 9},   // errors in two blocks
+	{"\" a\",b , u\n 1 ,2\t,\"3\"\r\n4,5,6\n", 5},
+	{"x1,x2,u\n\n\n0.25,0.5,1\n\r\n0.75,-0.5,2\r", 10},
+	{"x1,x2,u\n1,2,\"3\n\r", 3},
+	{"x1,x2,u\n1,2,\"3\"\"\r\n", 4},
+	{"x1,x2,u\n1,2,\"3\"\r4\n", 13},
+}
+
+// FuzzParseCSVMatchesReference runs the block tokenizer at block sizes of
+// 1 to 97 bytes, so records, quotes and "\r\n" pairs fall across cuts, and
+// requires encoding/csv's answer (referenceParseCSV) every time.
+func FuzzParseCSVMatchesReference(f *testing.F) {
+	for _, c := range csvRefusals {
+		f.Add([]byte(c.in), uint8(len(c.in)/2))
+	}
+	for _, c := range csvCuts {
+		f.Add([]byte(c.in), c.size)
+	}
+	f.Fuzz(func(t *testing.T, in []byte, size uint8) {
+		checkMatchesReference(t, in, 1+int(size)%97)
+	})
+}
+
+// TestParseCSVMatchesReferenceAtEveryBlockSize runs every refusal and cut
+// at every block size up to 97 bytes and at the default.
+func TestParseCSVMatchesReferenceAtEveryBlockSize(t *testing.T) {
+	var ins []string
+	for _, c := range csvRefusals {
+		ins = append(ins, c.in)
+	}
+	for _, c := range csvCuts {
+		ins = append(ins, c.in)
+	}
+	for _, in := range ins {
+		for size := 1; size <= 97; size++ {
+			checkMatchesReference(t, []byte(in), size)
+		}
+		checkMatchesReference(t, []byte(in), blockSize)
+	}
+}
+
+// TestParseCSVReadError checks that a failing reader is refused with its
+// error, after the header or inside it, naming the line reading stopped at.
+func TestParseCSVReadError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, c := range []struct{ in, err string }{
+		{"x1,x2,u\n0.5,0.5,1\n", "dataset: read line 3: boom"},
+		{"x1,x2,u\n0.5,0.5,1\n0.4,0.", "dataset: read line 3: boom"},
+		{"x1,x2", "dataset: read header: boom"},
+	} {
+		for _, size := range []int{4, blockSize} {
+			_, err := parseCSV("r", io.MultiReader(strings.NewReader(c.in), iotest.ErrReader(boom)), size)
+			if !errors.Is(err, boom) || err.Error() != c.err {
+				t.Errorf("%q, block size %d: error %v, want %q", c.in, size, err, c.err)
+			}
+		}
+	}
+}
+
+// TestParseCSVRefusalStopsEveryGoroutine refuses an input of a few
+// thousand blocks in one of its first, while the reader waits for a free
+// block and the workers have blocks queued, and requires that no parser
+// goroutine is left running.
+func TestParseCSVRefusalStopsEveryGoroutine(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("x1,x2,u\n")
+	for i := 0; i < 20000; i++ {
+		if i == 5 {
+			b.WriteString("0.5,NaN,1\n")
+		}
+		fmt.Fprintf(&b, "0.%d,0.5,1\n", i)
+	}
+	_, err := parseCSV("r", strings.NewReader(b.String()), 64)
+	if err == nil || err.Error() != "dataset: line 7 field 2: value is not finite (NaN)" {
+		t.Fatalf("error %v", err)
+	}
+	// ParseCSV waits for its goroutines, but one may still be returning
+	// from its last call when the wait ends.
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "dataset.(*parser)") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a parser goroutine outlived ParseCSV:\n%s", stacks)
+		}
+	}
 }

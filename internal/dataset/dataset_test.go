@@ -65,40 +65,25 @@ func TestFromPointsValidation(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	ds := sample(t, 10, 2, 1)
-	c := ds.Clone()
-	c.Xs[0][0] = 999
-	c.Us[0] = 999
-	if ds.Xs[0][0] == 999 || ds.Us[0] == 999 {
-		t.Error("Clone must deep-copy")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	ds := sample(t, 5, 2, 2)
 	if err := ds.Validate(); err != nil {
 		t.Errorf("valid dataset rejected: %v", err)
 	}
-	bad := ds.Clone()
-	bad.Us = bad.Us[:len(bad.Us)-1]
-	if err := bad.Validate(); err == nil {
-		t.Error("length mismatch not detected")
-	}
-	bad2 := ds.Clone()
-	bad2.Xs[2] = []float64{1}
-	if err := bad2.Validate(); err == nil {
-		t.Error("ragged row not detected")
-	}
-	bad3 := ds.Clone()
-	bad3.Xs[0][0] = math.NaN()
-	if err := bad3.Validate(); err == nil {
-		t.Error("NaN input not detected")
-	}
-	bad4 := ds.Clone()
-	bad4.Us[0] = math.Inf(1)
-	if err := bad4.Validate(); err == nil {
-		t.Error("Inf output not detected")
+	for _, c := range []struct {
+		name  string
+		spoil func(ds *Dataset)
+	}{
+		{"length mismatch", func(ds *Dataset) { ds.Us = ds.Us[:len(ds.Us)-1] }},
+		{"ragged row", func(ds *Dataset) { ds.Xs[2] = []float64{1} }},
+		{"NaN input", func(ds *Dataset) { ds.Xs[0][0] = math.NaN() }},
+		{"Inf output", func(ds *Dataset) { ds.Us[0] = math.Inf(1) }},
+	} {
+		bad := sample(t, 5, 2, 2)
+		c.spoil(bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s not detected", c.name)
+		}
 	}
 }
 
@@ -117,59 +102,6 @@ func TestBounds(t *testing.T) {
 	empty := New("e", 2)
 	if _, err := empty.Bounds(); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty bounds err = %v", err)
-	}
-}
-
-func TestSplit(t *testing.T) {
-	ds := sample(t, 100, 2, 5)
-	a, b, err := ds.Split(0.7, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len()+b.Len() != 100 {
-		t.Fatalf("split sizes %d + %d != 100", a.Len(), b.Len())
-	}
-	if a.Len() != 70 {
-		t.Errorf("first part = %d, want 70", a.Len())
-	}
-	// Deterministic for the same seed.
-	a2, _, _ := ds.Split(0.7, 9)
-	for i := range a.Us {
-		if a.Us[i] != a2.Us[i] {
-			t.Fatal("split is not deterministic")
-		}
-	}
-	if _, _, err := ds.Split(0, 1); err == nil {
-		t.Error("frac=0 should be rejected")
-	}
-	if _, _, err := ds.Split(1, 1); err == nil {
-		t.Error("frac=1 should be rejected")
-	}
-	empty := New("e", 2)
-	if _, _, err := empty.Split(0.5, 1); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty split err = %v", err)
-	}
-	// Tiny datasets never produce an empty side.
-	tiny, _ := FromPoints("tiny", [][]float64{{1}, {2}}, []float64{1, 2})
-	x, y, err := tiny.Split(0.01, 3)
-	if err != nil || x.Len() == 0 || y.Len() == 0 {
-		t.Errorf("tiny split = %d/%d, %v", x.Len(), y.Len(), err)
-	}
-	x, y, err = tiny.Split(0.99, 3)
-	if err != nil || x.Len() == 0 || y.Len() == 0 {
-		t.Errorf("tiny split hi = %d/%d, %v", x.Len(), y.Len(), err)
-	}
-}
-
-func TestSample(t *testing.T) {
-	ds := sample(t, 50, 2, 6)
-	s := ds.Sample(10, 1)
-	if s.Len() != 10 {
-		t.Errorf("sample size = %d", s.Len())
-	}
-	full := ds.Sample(500, 1)
-	if full.Len() != 50 {
-		t.Errorf("oversampling should return the whole dataset, got %d", full.Len())
 	}
 }
 

@@ -181,9 +181,9 @@ func TestLoadDataset(t *testing.T) {
 		t.Errorf("duplicate load err = %v", err)
 	}
 	// Invalid dataset is rejected.
-	bad := ds.Clone()
+	bad := *ds
 	bad.Us = bad.Us[:1]
-	if _, err := c.LoadDataset("bad", bad); err == nil {
+	if _, err := c.LoadDataset("bad", &bad); err == nil {
 		t.Error("invalid dataset accepted")
 	}
 }
