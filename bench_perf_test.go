@@ -17,12 +17,11 @@ import (
 	"llmq/internal/serve"
 )
 
-// The admission and micro-batcher benchmarks: overload at 1×/4×/10× the
-// query capacity, closed and open loop, and hot-spot coalescing off and on.
-// They stay until bench/ has a workload that drives 16 or more connections,
-// which none does yet; that harness change retires them. End-to-end serving
-// throughput is bench/'s point_approx workload (PERFORMANCE.md, "How a
-// number is made").
+// The admission benchmarks: overload at 1×/4×/10× the query capacity,
+// closed and open loop. They stay until bench/ has a workload that drives
+// 16 or more connections, which none does yet; that harness change retires
+// them. End-to-end serving throughput is bench/'s point_approx workload
+// (PERFORMANCE.md, "How a number is made").
 
 // BenchmarkServeOverload measures the overload cost model of the admission
 // layer: a closed loop of concurrent clients at 1×, 4× and 10× the query
@@ -246,193 +245,6 @@ func BenchmarkServeOverloadOpenLoop(b *testing.B) {
 					defer wg.Done()
 					defer func() { <-inflight }()
 					admitted, d, err := post(client)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if !admitted {
-						shed.Add(1)
-						return
-					}
-					mu.Lock()
-					all = append(all, d)
-					mu.Unlock()
-				}()
-			}
-			tick.Stop()
-			wg.Wait()
-			b.StopTimer()
-			if len(all) > 0 {
-				sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-				b.ReportMetric(float64(all[len(all)*50/100]), "p50-ns")
-				b.ReportMetric(float64(all[min(len(all)-1, len(all)*99/100)]), "p99-ns")
-			}
-			b.ReportMetric(float64(shed.Load())/float64(b.N), "shed/req")
-		})
-	}
-}
-
-// BenchmarkServeBatching measures the /query micro-batcher on hot-spot
-// traffic: a closed loop of 32 clients hammering the same wide EXACT scan,
-// with coalescing off vs a 1ms batching window. This is the workload the
-// batcher is built for — concurrent duplicates collapse to one evaluation
-// per sheet over one pinned read surface, so the batched run pays roughly
-// one relation scan per sheet instead of one per request. ns/op is the cost
-// per request; p50-ns/p99-ns the client-observed latency distribution.
-func BenchmarkServeBatching(b *testing.B) {
-	env, m := setupEnv(b, experiments.R1, 20000)
-	body := []byte(`{"sql": "SELECT AVG(u) FROM r1 WITHIN 0.45 OF (0.5, 0.5)"}`)
-	for _, tc := range []struct {
-		name   string
-		window time.Duration
-	}{{"batch=off", 0}, {"batch=on", time.Millisecond}} {
-		b.Run(tc.name, func(b *testing.B) {
-			s, err := serve.New(env.Harness.Exec, m, serve.WithLimits(serve.Limits{
-				// Wide enough that admission never caps the sheet the
-				// batcher can coalesce; both sides get the same budget.
-				QueryConcurrency: 64,
-				QueryTimeout:     10 * time.Second,
-				BatchWindow:      tc.window,
-			}))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ts := httptest.NewServer(s)
-			defer ts.Close()
-			const workers = 32
-			tr := &http.Transport{MaxIdleConnsPerHost: workers}
-			defer tr.CloseIdleConnections()
-			client := &http.Client{Transport: tr}
-			lat := make([][]time.Duration, workers)
-			var next atomic.Int64
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for next.Add(1) <= int64(b.N) {
-						start := time.Now()
-						resp, err := client.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						_, _ = io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-						if resp.StatusCode != http.StatusOK {
-							b.Errorf("status %d", resp.StatusCode)
-							return
-						}
-						lat[w] = append(lat[w], time.Since(start))
-					}
-				}(w)
-			}
-			wg.Wait()
-			b.StopTimer()
-			var all []time.Duration
-			for _, l := range lat {
-				all = append(all, l...)
-			}
-			if len(all) > 0 {
-				sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-				b.ReportMetric(float64(all[len(all)*50/100]), "p50-ns")
-				b.ReportMetric(float64(all[min(len(all)-1, len(all)*99/100)]), "p99-ns")
-			}
-		})
-	}
-}
-
-// BenchmarkServeBatchingOpenLoop is the headline number of the micro-batcher:
-// open-loop arrivals of the hot statement at 2× the probed unbatched capacity,
-// batched vs unbatched. Unbatched, the server is past saturation — the
-// overflow must go somewhere, so it shows up as shed/req and a queueing tail
-// on the admitted requests. Batched, duplicates collapse and the effective
-// per-request cost drops well below the arrival interval, so the same
-// offered load is comfortably inside capacity: shed/req collapses toward 0
-// and p99-ns lands near the batching window plus one evaluation.
-func BenchmarkServeBatchingOpenLoop(b *testing.B) {
-	env, m := setupEnv(b, experiments.R1, 20000)
-	body := []byte(`{"sql": "SELECT AVG(u) FROM r1 WITHIN 0.45 OF (0.5, 0.5)"}`)
-	mk := func(window time.Duration) *httptest.Server {
-		s, err := serve.New(env.Harness.Exec, m, serve.WithLimits(serve.Limits{
-			QueryConcurrency: 64,
-			AdmitWait:        5 * time.Millisecond,
-			QueryTimeout:     10 * time.Second,
-			BatchWindow:      window,
-		}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return httptest.NewServer(s)
-	}
-	post := func(client *http.Client, url string) (admitted bool, d time.Duration, err error) {
-		start := time.Now()
-		resp, err := client.Post(url+"/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return false, 0, err
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			return true, time.Since(start), nil
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			return false, 0, nil
-		default:
-			return false, 0, fmt.Errorf("status %d", resp.StatusCode)
-		}
-	}
-	// Probe the unloaded, unbatched service time of the hot statement; the
-	// arrival schedule below offers 2× the implied capacity to BOTH variants,
-	// so the only difference between the sub-benchmarks is coalescing.
-	tsProbe := mk(0)
-	probe := &http.Client{}
-	base := time.Duration(1 << 62)
-	for i := 0; i < 5; i++ {
-		admitted, d, err := post(probe, tsProbe.URL)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if admitted && d < base {
-			base = d
-		}
-	}
-	tsProbe.Close()
-	if base == time.Duration(1<<62) {
-		b.Fatal("probe queries were all shed on an idle server")
-	}
-	interval := base / 2 // 2× the probed capacity
-	for _, tc := range []struct {
-		name   string
-		window time.Duration
-	}{{"batch=off", 0}, {"batch=on", time.Millisecond}} {
-		b.Run(tc.name, func(b *testing.B) {
-			ts := mk(tc.window)
-			defer ts.Close()
-			inflight := make(chan struct{}, 512) // see BenchmarkServeOverloadOpenLoop
-			tr := &http.Transport{MaxIdleConnsPerHost: 64}
-			defer tr.CloseIdleConnections()
-			client := &http.Client{Transport: tr}
-			var mu sync.Mutex
-			var all []time.Duration
-			var shed atomic.Int64
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			tick := time.NewTicker(interval)
-			for i := 0; i < b.N; i++ {
-				<-tick.C
-				select {
-				case inflight <- struct{}{}:
-				default:
-					shed.Add(1)
-					continue
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer func() { <-inflight }()
-					admitted, d, err := post(client, ts.URL)
 					if err != nil {
 						b.Error(err)
 						return

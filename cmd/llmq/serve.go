@@ -67,8 +67,6 @@ func parseServeFlags(args []string) (*serveConfig, error) {
 	fs.DurationVar(&l.AdmitWait, "admit-wait", 100*time.Millisecond, "how long a request may wait for admission before a 429 shed")
 	fs.BoolVar(&l.DegradeExact, "degrade-exact", false, "during overload, answer EXACT-eligible statements from the model (marked \"degraded\": true) instead of shedding them")
 	fs.IntVar(&l.MaxReplicationLag, "max-replication-lag", 0, "with -follow: records of replication lag past which /readyz reports not-ready (default 4096; negative disables)")
-	fs.DurationVar(&l.BatchWindow, "batch-window", 0, "coalesce concurrent /query requests arriving within this window into one batch sheet (0.5ms-2ms is the useful range; 0 disables)")
-	fs.IntVar(&l.BatchMaxSheet, "batch-max-sheet", 0, "statements per coalesced sheet before an overflow cut (default 64; only with -batch-window)")
 	getCap := capacityFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err

@@ -187,7 +187,9 @@ func TestServeFlagValidation(t *testing.T) {
 		t.Error("unknown flag should error")
 	}
 	// Every refusal of serveConfig.validate, each recognised by its own
-	// message so a combination cannot pass by tripping a different check.
+	// message so a combination cannot pass by tripping a different check,
+	// and the removed -batch-window/-batch-max-sheet flags, which the flag
+	// package refuses like any unknown flag.
 	for _, tc := range []struct {
 		want string
 		args []string
@@ -207,6 +209,8 @@ func TestServeFlagValidation(t *testing.T) {
 		{"-route is exclusive with -model, -data-dir and -follow", []string{"-data", "r.csv", "-route", "shard0=http://localhost:1", "-data-dir", "d"}},
 		{"-route is exclusive with -model, -data-dir and -follow", []string{"-data", "r.csv", "-route", "shard0=http://localhost:1", "-follow", "http://localhost:1", "-data-dir", "d"}},
 		{"-partition needs -route", []string{"-data", "r.csv", "-partition", "shards.json"}},
+		{"flag provided but not defined: -batch-window", []string{"-data", "r.csv", "-batch-window", "1ms"}},
+		{"flag provided but not defined: -batch-max-sheet", []string{"-data", "r.csv", "-batch-max-sheet", "8"}},
 	} {
 		if _, err := parseServeFlags(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("serve %v: error %v, want one naming %q", tc.args, err, tc.want)

@@ -39,10 +39,7 @@
 // MeanBatchCtx, the streaming NDJSON /query/batch endpoint and the llmq
 // batch subcommand fan work out over one bounded worker pool,
 // exec.ForEachParallelCtx; the llmq serve subcommand stands the HTTP
-// service up directly, and its -batch-window flag arms a micro-batcher
-// that coalesces concurrent /query requests into shared sheets with
-// bit-identical duplicate collapse (docs/ARCHITECTURE.md, "The batching
-// lifecycle").
+// service up directly.
 //
 // # Streaming training
 //

@@ -27,9 +27,6 @@ func (t *Ticket) Release() {
 	t.sem.Release(t.n)
 }
 
-// Weight reports the admitted weight the ticket holds (after clamping).
-func (t *Ticket) Weight() int64 { return t.n }
-
 // AcquireTicket is Acquire returning an idempotently releasable grant; the
 // admission semantics (FIFO queue, wait budget, ErrOverloaded) are exactly
 // Acquire's. On error the ticket is nil and nothing is held.

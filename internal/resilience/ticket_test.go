@@ -13,8 +13,8 @@ func TestTicketReleaseIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tk.Weight(); got != 3 {
-		t.Fatalf("Weight() = %d, want 3", got)
+	if got := tk.n; got != 3 {
+		t.Fatalf("ticket weight = %d, want 3", got)
 	}
 	if inflight, _, _ := s.Stats(); inflight != 3 {
 		t.Fatalf("inflight after acquire = %d, want 3", inflight)
@@ -70,8 +70,8 @@ func TestTicketClampsLikeAcquire(t *testing.T) {
 	// An oversized request is clamped to capacity (same contract as
 	// Acquire); the ticket must remember the clamped weight or its release
 	// would underflow.
-	if got := tk.Weight(); got != 2 {
-		t.Fatalf("clamped Weight() = %d, want 2", got)
+	if got := tk.n; got != 2 {
+		t.Fatalf("clamped ticket weight = %d, want 2", got)
 	}
 	tk.Release()
 	if inflight, _, _ := s.Stats(); inflight != 0 {

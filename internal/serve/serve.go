@@ -30,12 +30,9 @@
 // The handler is a plain http.Handler so it can be mounted into any mux.
 // Individual requests already run on separate goroutines under net/http;
 // the batch endpoint additionally parallelizes within one request, so a
-// single analyst submitting a query sheet saturates the cores too. With
-// Limits.BatchWindow set, concurrent single /query requests are coalesced
-// the other way around: requests arriving within the (adaptive) window form
-// one sheet over a single pinned model version, and identical statements
-// collapse to one evaluation — the micro-batcher that keeps hot-spot
-// traffic from paying per-request execution (see batcher).
+// single analyst submitting a query sheet saturates the cores too. A
+// single /query statement runs alone on the reader it pinned; a client
+// with many statements sends them as one /query/batch sheet.
 //
 // # Backends
 //
@@ -72,10 +69,10 @@
 //     cannot be admitted within the wait budget gets 429 + Retry-After.
 //   - Deadlines: a query request's QueryTimeout runs from its entry and is
 //     armed where it can be observed — on a sheet's context at once, on a
-//     single statement's before a context-bound reader, a queued admission,
-//     the coalescer or an EXACT scan; the exact executors and batch pools
-//     observe it (exec.*Ctx), so an admitted request completes or dies by
-//     its deadline — never later.
+//     single statement's before a context-bound reader, a queued admission
+//     or an EXACT scan; the exact executors and batch pools observe it
+//     (exec.*Ctx), so an admitted request completes or dies by its
+//     deadline — never later.
 //   - Brownout: while the admission queue is saturated, EXACT statements —
 //     the expensive relation scans — are shed first (503) while APPROX
 //     statements keep answering from the model's lock-free read path. With
@@ -121,9 +118,6 @@ type Server struct {
 	admitQuery *resilience.Semaphore
 	admitTrain *resilience.Semaphore
 	lastSat    atomic.Int64 // unixnano of the last observed queue saturation
-	// coalescer micro-batches single /query statements; nil unless
-	// Limits.BatchWindow is set.
-	coalescer *batcher
 	// declineScan makes ingest and handleQuery decode every body with
 	// encoding/json, as if trainBuf.scan or scanQuery had declined it. Only
 	// tests set it: it is how FuzzTrainBody and FuzzQueryBody hold the two
@@ -175,18 +169,6 @@ type Limits struct {
 	// queries — the flag exists so an orchestrator can route staleness-
 	// sensitive traffic away). Default 4096; negative disables the check.
 	MaxReplicationLag int
-	// BatchWindow micro-batches the single-statement /query path:
-	// concurrent requests arriving within the window — after each passed
-	// its own brownout check and admission — coalesce into one sheet
-	// executed over a single pinned model version, with identical
-	// statements collapsed to one evaluation. The window adapts downward
-	// (to BatchWindow/16) while arrivals are sparse. 0, the default,
-	// disables coalescing; 0.5–2ms is the intended range.
-	BatchWindow time.Duration
-	// BatchMaxSheet caps one coalesced sheet's statement count; a full
-	// sheet is cut immediately instead of waiting the window out. Default
-	// 64 when BatchWindow is set.
-	BatchMaxSheet int
 }
 
 // DefaultLimits returns the limits a Server runs with when none are given.
@@ -223,17 +205,6 @@ func (l Limits) withDefaults() Limits {
 	case l.MaxReplicationLag < 0:
 		l.MaxReplicationLag = math.MaxInt
 	}
-	if l.BatchWindow < 0 {
-		l.BatchWindow = 0
-	}
-	if l.BatchWindow > 0 {
-		if l.BatchMaxSheet <= 0 {
-			l.BatchMaxSheet = 64
-		}
-		if l.BatchMaxSheet > maxBatchStatements {
-			l.BatchMaxSheet = maxBatchStatements
-		}
-	}
 	return l
 }
 
@@ -246,8 +217,8 @@ func WithLimits(l Limits) Option {
 }
 
 // build is the one constructor behind New, NewDurable, NewFollower and
-// NewSharded: it resolves the limits, arms admission and the micro-batcher,
-// and mounts the route table.
+// NewSharded: it resolves the limits, arms admission and mounts the route
+// table.
 func build(e *exec.Executor, b backend, opts ...Option) (*Server, error) {
 	if e == nil {
 		return nil, errors.New("serve: executor is required")
@@ -258,9 +229,6 @@ func build(e *exec.Executor, b backend, opts ...Option) (*Server, error) {
 	}
 	s.admitQuery = resilience.NewSemaphore(int64(s.limits.QueryConcurrency), s.limits.AdmitWait)
 	s.admitTrain = resilience.NewSemaphore(int64(s.limits.TrainConcurrency), s.limits.AdmitWait)
-	if s.limits.BatchWindow > 0 {
-		s.coalescer = newBatcher(s)
-	}
 	// Every route declares its method once. A sheet carries its deadline
 	// from entry; /query arms its own where it can be observed
 	// (queryDeadline).
@@ -565,8 +533,8 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 // modelReader is the prediction surface the statement evaluator needs: a
 // core.View (one published model version) or a shard.Reader (the sharded
 // set's scatter bound to the request context; per-shard versions still
-// advance). backend.reader takes one per request, sheet or coalesced sheet,
-// so a model-backed request's statements are answered from one version even
+// advance). backend.reader takes one per request or sheet, so a
+// model-backed request's statements are answered from one version even
 // while training or a model swap runs concurrently.
 type modelReader interface {
 	PredictMean(core.Query) (float64, error)
@@ -577,9 +545,10 @@ type modelReader interface {
 // handleQuery answers one statement. The body is read once into a pooled
 // queryBuf and scanned in one pass (scanQuery; a body outside the canonical
 // form is decoded by encoding/json from the same bytes, which decides every
-// reject), and the answer is appended into the same buffer and written
-// once. The request's QueryTimeout is counted from entry but armed only
-// where something can observe it (queryDeadline).
+// reject), the admitted statement is answered on the one reader the
+// request pinned, and the answer is appended into the same buffer and
+// written once. The request's QueryTimeout is counted from entry but armed
+// only where something can observe it (queryDeadline).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	dl := s.queryDeadline(r)
 	defer dl.stop()
@@ -631,19 +600,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	defer s.admitQuery.Release(1)
-	// With the micro-batcher armed, the admitted statement joins the open
-	// coalescing sheet instead of executing alone — the shed/brownout
-	// decisions above already happened per-request, so only work the server
-	// agreed to do ever reaches a sheet.
-	if s.coalescer != nil || !(stmt.Approx || degraded) {
-		dl.arm() // the sheet or the EXACT scan observes it
+	if !(stmt.Approx || degraded) {
+		dl.arm() // the EXACT scan observes it
 	}
-	var resp *QueryResponse
-	if s.coalescer != nil {
-		resp, err = s.coalescer.do(dl.ctx, stmt, degraded)
-	} else {
-		resp, err = s.answer(dl.ctx, stmt, reader, degraded)
-	}
+	resp, err := s.answer(dl.ctx, stmt, reader, degraded)
 	if err != nil {
 		s.writeAnswerError(w, r, err)
 		return
@@ -669,8 +629,8 @@ func (s *Server) queryDeadline(r *http.Request) lazyDeadline {
 
 // lazyDeadline is a request deadline armed only by the first step that can
 // observe it: pinning a reader that uses the request context, a queued
-// admission, the coalescer, an EXACT scan. An APPROX statement answered
-// from an in-process model and admitted without queueing creates no timer.
+// admission, an EXACT scan. An APPROX statement answered from an
+// in-process model and admitted without queueing creates no timer.
 type lazyDeadline struct {
 	ctx    context.Context
 	at     time.Time // zero: QueryTimeout is disabled
