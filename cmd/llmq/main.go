@@ -130,7 +130,7 @@ func cmdGenerate(args []string, out io.Writer) error {
 // loadExecutor parses a CSV relation straight into the flat arrays the exact
 // executor indexes and builds its grid, whose cell is a tenth of the mean
 // attribute span unless cellSize > 0. The relation is returned for the
-// caller's boot decisions (dimension, bounds, the shard partition); once the
+// caller's boot decisions (dimension, bounds, a router's partition); once the
 // caller drops it, the process holds the relation only as the grid's
 // clustered copy.
 func loadExecutor(path string, cellSize float64) (*exec.Executor, *dataset.Relation, error) {
@@ -345,6 +345,9 @@ func cmdTrain(args []string, out io.Writer) error {
 		// mid-training loses at most the unsynced tail. An existing
 		// directory is recovered first and trained on top — its embedded
 		// configuration wins over the flags.
+		if err := refuseShardedDir(*dataDir); err != nil {
+			return fmt.Errorf("train: %w", err)
+		}
 		mode, err := wal.ParseSyncMode(*walSync)
 		if err != nil {
 			return err

@@ -11,7 +11,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -19,11 +18,9 @@ import (
 	"llmq/internal/core"
 	"llmq/internal/dataset"
 	"llmq/internal/exec"
-	"llmq/internal/index"
 	"llmq/internal/replica"
 	"llmq/internal/resilience"
 	"llmq/internal/serve"
-	"llmq/internal/shard"
 	"llmq/internal/wal"
 )
 
@@ -36,7 +33,6 @@ type serveConfig struct {
 	snapEvery         int
 	follow            string
 	promoteAfter      time.Duration
-	shards            int
 	route, partition  string
 	pprof             string
 	capacity          capacity
@@ -56,7 +52,6 @@ func parseServeFlags(args []string) (*serveConfig, error) {
 	fs.IntVar(&c.snapEvery, "snapshot-every", 4096, "training pairs between WAL snapshot rotations under -data-dir")
 	fs.StringVar(&c.follow, "follow", "", "replicate a primary `llmq serve` instance at this base URL into -data-dir and serve read-only from it (POST /promote, or -promote-after, turns this instance into the primary)")
 	fs.DurationVar(&c.promoteAfter, "promote-after", 0, "with -follow: auto-promote to primary after this long without primary contact; 0 requires an explicit POST /promote")
-	fs.IntVar(&c.shards, "shards", 0, "partition the query space across this many in-process model shards (/train fans out across their writer locks; with -data-dir each shard keeps its own WAL subdirectory)")
 	fs.StringVar(&c.route, "route", "", "router mode: front remote shard servers, `shard0=URL[|followerURL...],shard1=...` (scans spread across a shard's followers; training goes to its primary)")
 	fs.StringVar(&c.partition, "partition", "", "with -route: shards.json manifest pinning the partition the shards were trained under (default: rebuild it from -data, sound when this router is the sole trainer)")
 	fs.StringVar(&c.pprof, "pprof", "", "also serve net/http/pprof profiling endpoints on this host:port (side listener, never on the public address)")
@@ -111,10 +106,6 @@ func (c *serveConfig) validate() error {
 		return errors.New("serve: -wal-sync/-snapshot-every need -data-dir")
 	case c.promoteAfter != 0 && c.follow == "":
 		return errors.New("serve: -promote-after needs -follow")
-	case c.shards < 0:
-		return errors.New("serve: -shards must be positive")
-	case c.shards > 0 && (c.route != "" || c.follow != ""):
-		return errors.New("serve: -shards is exclusive with -route and -follow")
 	case c.route != "" && (c.model != "" || c.dataDir != "" || c.follow != ""):
 		return errors.New("serve: -route is exclusive with -model, -data-dir and -follow (the shards own the models)")
 	case c.partition != "" && c.route == "":
@@ -183,10 +174,10 @@ func (f closerFunc) Close() error { return f() }
 
 // open loads the relation once and stands the server up over whichever
 // backend the flags name — a loaded or absent model, a recovered durable
-// store, in-process shards (in memory or one store each), a replica of a
-// remote primary, or remote shards behind a router. The returned closer
-// takes the final checkpoint of every durable store the server trains
-// into; info describes what is being served. Split from cmdServe so tests
+// store, a replica of a remote primary, or remote shards behind a router.
+// Each process holds at most one store. The returned closer takes the
+// final checkpoint of the durable store the server trains into; info
+// describes what is being served. Split from cmdServe so tests
 // drive every construction path without binding a port.
 func (c *serveConfig) open(ctx context.Context) (*serve.Server, io.Closer, string, error) {
 	e, rel, err := loadExecutor(c.data, c.cell)
@@ -215,91 +206,43 @@ func (c *serveConfig) open(ctx context.Context) (*serve.Server, io.Closer, strin
 	return s, closer, fmt.Sprintf("%q (%d tuples, %d input attributes) %s", rel.Name, rel.Len(), rel.Dim(), shape), nil
 }
 
-// openMemory serves in-memory models: the -model file (or none, for exact
-// statements only), or with -shards that model split along the partition —
-// fresh empty shards when there is no file. Capacity flags re-cap each
-// model immediately and arm bounded eviction for further online training.
+// openMemory serves the in-memory -model file, or no model (exact
+// statements only). Capacity flags re-cap the model immediately and arm
+// bounded eviction for further online training.
 func (c *serveConfig) openMemory(e *exec.Executor, rel *dataset.Relation, opt serve.Option) (*serve.Server, string, error) {
-	var models []*core.Model
-	if c.model != "" {
-		m, err := loadModel(c.model, rel.Dim())
-		if err != nil {
-			return nil, "", err
+	if c.model == "" {
+		if c.capacity.any() {
+			// Silently ignoring the flags would let an operator believe
+			// a serving budget is armed when nothing is bounded.
+			return nil, "", errors.New("-max-prototypes/-evict/-merge need -model")
 		}
-		models = []*core.Model{m}
+		s, err := serve.New(e, nil, opt)
+		return s, "without a model (exact statements only)", err
 	}
-	if c.shards == 0 {
-		if models == nil {
-			if c.capacity.any() {
-				// Silently ignoring the flags would let an operator believe
-				// a serving budget is armed when nothing is bounded.
-				return nil, "", errors.New("-max-prototypes/-evict/-merge need -model")
-			}
-			s, err := serve.New(e, nil, opt)
-			return s, "without a model (exact statements only)", err
-		}
-		if err := applyCapacity(models[0], c.capacity); err != nil {
-			return nil, "", err
-		}
-		s, err := serve.New(e, models[0], opt)
-		return s, fmt.Sprintf("with a K=%d model", models[0].K()), err
-	}
-	part, err := buildPartition(rel, c.shards)
+	m, err := loadModel(c.model, rel.Dim())
 	if err != nil {
 		return nil, "", err
 	}
-	if models != nil {
-		models, err = core.Split(models[0], c.shards, func(center []float64, _ float64) int {
-			return part.Locate(center)
-		})
-		if err != nil {
-			return nil, "", err
-		}
-	} else {
-		cfg := defaultModelConfig(rel)
-		models = make([]*core.Model, c.shards)
-		for i := range models {
-			if models[i], err = core.NewModel(cfg); err != nil {
-				return nil, "", err
-			}
-		}
+	if err := applyCapacity(m, c.capacity); err != nil {
+		return nil, "", err
 	}
-	backends := make([]shard.Backend, len(models))
-	total := 0
-	for i, m := range models {
-		if err := applyCapacity(m, c.capacity); err != nil {
-			return nil, "", err
-		}
-		total += m.K()
-		backends[i] = shard.NewLocal(m)
-	}
-	s, err := newShardedServer(e, part, backends, opt)
-	return s, fmt.Sprintf("across %d in-process shards (K=%d total)", c.shards, total), err
-}
-
-// newShardedServer assembles the scatter/gather front-end over backends.
-func newShardedServer(e *exec.Executor, part *index.Partition, backends []shard.Backend, opt serve.Option) (*serve.Server, error) {
-	sh, err := shard.New(part, backends)
-	if err != nil {
-		return nil, err
-	}
-	return serve.NewSharded(e, sh, opt)
+	s, err := serve.New(e, m, opt)
+	return s, fmt.Sprintf("with a K=%d model", m.K()), err
 }
 
 // openDurable recovers (or freshly creates) the durable model in -data-dir
 // and serves it: statements answer from the recovered state, and /train
-// traffic is write-ahead logged. With -shards — or a shards.json already in
-// the directory, which makes it sharded regardless of flags — there is one
-// store per shard in its own subdirectory, fsyncing in parallel, and the
-// manifest pins the partition so every boot routes exactly as the one that
-// placed the prototypes. A fresh store starts an empty model with the
-// paper's default configuration derived from the dataset; a recovered one
-// keeps the configuration embedded in its snapshot. Capacity flags apply
-// either way, through the store's WAL-logged SetCapacity: the re-cap is an
-// admin record in the training order, so a crash replays it at exactly
-// this point — and a follower replica re-caps at the same point of the
-// stream.
+// traffic is write-ahead logged. A fresh store starts an empty model with
+// the paper's default configuration derived from the dataset; a recovered
+// one keeps the configuration embedded in its snapshot. Capacity flags
+// apply either way, through the store's WAL-logged SetCapacity: the re-cap
+// is an admin record in the training order, so a crash replays it at
+// exactly this point — and a follower replica re-caps at the same point of
+// the stream.
 func (c *serveConfig) openDurable(e *exec.Executor, rel *dataset.Relation, opt serve.Option) (*serve.Server, io.Closer, string, error) {
+	if err := refuseShardedDir(c.dataDir); err != nil {
+		return nil, nil, "", err
+	}
 	cfg := defaultModelConfig(rel)
 	var err error
 	if c.capacity.maxProto > 0 {
@@ -310,73 +253,27 @@ func (c *serveConfig) openDurable(e *exec.Executor, rel *dataset.Relation, opt s
 		}
 		cfg.MaxPrototypes, cfg.MergeOnEvict = c.capacity.maxProto, c.capacity.merge
 	}
-	dirs := []string{c.dataDir}
-	var part *index.Partition
-	if c.shards > 0 || hasShardManifest(c.dataDir) {
-		if part, err = c.shardLayout(rel); err != nil {
-			return nil, nil, "", err
+	d, err := core.Recover(c.dataDir, cfg, core.DurableOptions{WAL: wal.Options{Mode: c.walMode}, SnapshotEvery: c.snapEvery})
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("%s: %w", c.dataDir, err)
+	}
+	if c.capacity.any() {
+		max, policy, merge, err := resolveCapacity(d.Model().Config(), c.capacity)
+		if err == nil {
+			err = d.SetCapacity(max, policy, merge)
 		}
-		dirs = make([]string, part.Leaves())
-		for i := range dirs {
-			dirs[i] = filepath.Join(c.dataDir, fmt.Sprintf("shard-%d", i))
+		if err != nil {
+			_ = d.Close()
+			return nil, nil, "", fmt.Errorf("%s: %w", c.dataDir, err)
 		}
 	}
-	var stores []*core.Durable
-	closer := closerFunc(func() error {
-		errs := make([]error, len(stores))
-		for i, d := range stores {
-			errs[i] = d.Close()
-		}
-		return errors.Join(errs...)
-	})
-	fail := func(err error) (*serve.Server, io.Closer, string, error) {
-		_ = closer.Close()
+	s, err := serve.NewDurable(e, d, opt)
+	if err != nil {
+		_ = d.Close()
 		return nil, nil, "", err
 	}
-	k, steps := 0, 0
-	for _, dir := range dirs {
-		d, err := core.Recover(dir, cfg, core.DurableOptions{WAL: wal.Options{Mode: c.walMode}, SnapshotEvery: c.snapEvery})
-		if err != nil {
-			return fail(fmt.Errorf("%s: %w", dir, err))
-		}
-		stores = append(stores, d)
-		if c.capacity.any() {
-			max, policy, merge, err := resolveCapacity(d.Model().Config(), c.capacity)
-			if err == nil {
-				err = d.SetCapacity(max, policy, merge)
-			}
-			if err != nil {
-				return fail(fmt.Errorf("%s: %w", dir, err))
-			}
-		}
-		k += d.Model().K()
-		steps += d.Model().Steps()
-	}
-	var (
-		s     *serve.Server
-		shape string
-	)
-	if part == nil {
-		s, err = serve.NewDurable(e, stores[0], opt)
-		shape = fmt.Sprintf("with a durable K=%d model (%d steps, %s sync) in %s", k, steps, c.walMode, c.dataDir)
-	} else {
-		backends := make([]shard.Backend, len(stores))
-		for i, d := range stores {
-			backends[i] = shard.NewLocalDurable(d)
-		}
-		s, err = newShardedServer(e, part, backends, opt)
-		shape = fmt.Sprintf("across %d durable shards (K=%d total, %d steps, %s sync) in %s", len(stores), k, steps, c.walMode, c.dataDir)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	return s, closer, shape, nil
-}
-
-// hasShardManifest reports whether dataDir is a sharded durable directory.
-func hasShardManifest(dataDir string) bool {
-	_, err := os.Stat(filepath.Join(dataDir, shard.ManifestName))
-	return err == nil
+	m := d.Model()
+	return s, d, fmt.Sprintf("with a durable K=%d model (%d steps, %s sync) in %s", m.K(), m.Steps(), c.walMode, c.dataDir), nil
 }
 
 // startPprof serves the net/http/pprof endpoints on their own listener, off

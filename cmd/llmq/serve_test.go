@@ -4,15 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"llmq/internal/core"
+	"llmq/internal/index"
 	"llmq/internal/serve"
+	"llmq/internal/shard"
 )
 
 // openServe drives the serve subcommand's construction path — the same
@@ -188,8 +195,8 @@ func TestServeFlagValidation(t *testing.T) {
 	}
 	// Every refusal of serveConfig.validate, each recognised by its own
 	// message so a combination cannot pass by tripping a different check,
-	// and the removed -batch-window/-batch-max-sheet flags, which the flag
-	// package refuses like any unknown flag.
+	// and the removed -batch-window/-batch-max-sheet/-shards flags, which
+	// the flag package refuses like any unknown flag.
 	for _, tc := range []struct {
 		want string
 		args []string
@@ -202,31 +209,28 @@ func TestServeFlagValidation(t *testing.T) {
 		{"-follow and -model are mutually exclusive", []string{"-data", "r.csv", "-follow", "http://localhost:1", "-data-dir", "d", "-model", "m.json"}},
 		{"capacity flags belong to the primary", []string{"-data", "r.csv", "-follow", "http://localhost:1", "-data-dir", "d", "-merge"}},
 		{"-promote-after needs -follow", []string{"-data", "r.csv", "-data-dir", "d", "-promote-after", "5s"}},
-		{"-shards must be positive", []string{"-data", "r.csv", "-shards", "-1"}},
-		{"-shards is exclusive with -route and -follow", []string{"-data", "r.csv", "-shards", "2", "-route", "shard0=http://localhost:1"}},
-		{"-shards is exclusive with -route and -follow", []string{"-data", "r.csv", "-shards", "2", "-follow", "http://localhost:1", "-data-dir", "d"}},
 		{"-route is exclusive with -model, -data-dir and -follow", []string{"-data", "r.csv", "-route", "shard0=http://localhost:1", "-model", "m.json"}},
 		{"-route is exclusive with -model, -data-dir and -follow", []string{"-data", "r.csv", "-route", "shard0=http://localhost:1", "-data-dir", "d"}},
 		{"-route is exclusive with -model, -data-dir and -follow", []string{"-data", "r.csv", "-route", "shard0=http://localhost:1", "-follow", "http://localhost:1", "-data-dir", "d"}},
 		{"-partition needs -route", []string{"-data", "r.csv", "-partition", "shards.json"}},
 		{"flag provided but not defined: -batch-window", []string{"-data", "r.csv", "-batch-window", "1ms"}},
 		{"flag provided but not defined: -batch-max-sheet", []string{"-data", "r.csv", "-batch-max-sheet", "8"}},
+		{"flag provided but not defined: -shards", []string{"-data", "r.csv", "-shards", "2"}},
 	} {
 		if _, err := parseServeFlags(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("serve %v: error %v, want one naming %q", tc.args, err, tc.want)
 		}
 	}
-	if _, err := parseServeFlags([]string{"-data", "r.csv", "-data-dir", "d", "-shards", "2", "-wal-sync", "none", "-max-prototypes", "8"}); err != nil {
+	if _, err := parseServeFlags([]string{"-data", "r.csv", "-data-dir", "d", "-wal-sync", "none", "-max-prototypes", "8"}); err != nil {
 		t.Errorf("a coherent flag set was refused: %v", err)
 	}
 }
 
-// TestServeOpenShapes boots every in-process deployment shape through the
-// one builder and drives the surface they share: /train absorbs a batch, an
-// APPROX statement answers from what was trained, /model and /readyz
-// describe it, and the returned closer checkpoints cleanly. A sharded
-// durable directory must come back sharded without -shards, with its steps,
-// and refuse a conflicting -shards.
+// TestServeOpenShapes boots both single-process model shapes, in memory and
+// durable, through the one builder and drives the surface they share:
+// /train absorbs a batch, an APPROX statement answers from what was
+// trained, /model and /readyz describe it, and the returned closer
+// checkpoints cleanly. A reopened durable directory keeps its steps.
 func TestServeOpenShapes(t *testing.T) {
 	csv := writeTestCSV(t)
 	model := filepath.Join(t.TempDir(), "model.json")
@@ -306,30 +310,95 @@ func TestServeOpenShapes(t *testing.T) {
 			t.Errorf("reopened store has %d steps, want the %d it closed with plus 64", again.Steps, first.Steps)
 		}
 	})
-	t.Run("sharded", func(t *testing.T) {
-		if info := drive(t, parse(t, "-shards", "2"), false); info.Shards != 2 {
-			t.Errorf("/model %+v, want 2 shards", info)
+}
+
+// TestServeShardedDataDirMigration builds the layout the removed
+// in-process -shards mode left on disk — DIR/shards.json beside complete
+// durable directories DIR/shard-0 and DIR/shard-1 — and walks its
+// migration: DIR itself is refused (by serve and by train) with an error
+// that names the way out, each shard-N boots as a plain durable directory
+// with its own steps, and a -route router over those two servers accepts
+// DIR/shards.json as its -partition.
+func TestServeShardedDataDirMigration(t *testing.T) {
+	csv := writeTestCSV(t)
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(7))
+	flat := make([]float64, 400)
+	for i := range flat {
+		flat[i] = rng.Float64()
+	}
+	part, err := index.NewPartition(2, 2, flat, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardPairs := make([][]core.TrainingPair, 2)
+	for i := 0; i < len(flat); i += 2 {
+		x := flat[i : i+2]
+		id := part.Locate(x)
+		shardPairs[id] = append(shardPairs[id], core.TrainingPair{Query: core.Query{Center: x, Theta: 0.1}, Answer: x[0] + x[1]})
+	}
+	cfg := core.DefaultConfig(2)
+	cfg.Vigilance = 0.3
+	for i, pairs := range shardPairs {
+		d, err := core.Recover(filepath.Join(dir, fmt.Sprintf("shard-%d", i)), cfg, core.DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if info := drive(t, parse(t, "-shards", "2", "-model", model), false); info.Shards != 2 {
-			t.Errorf("/model %+v, want the model file split across 2 shards", info)
+		if _, err := d.TrainBatch(pairs); err != nil {
+			t.Fatal(err)
 		}
-	})
-	t.Run("durable sharded", func(t *testing.T) {
-		dir := t.TempDir()
-		first := drive(t, parse(t, "-shards", "2", "-data-dir", dir), true)
-		if first.Shards != 2 {
-			t.Errorf("/model %+v, want 2 shards", first)
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
 		}
-		// shards.json makes the directory sharded whatever the flags say.
-		again := drive(t, parse(t, "-data-dir", dir), true)
-		if again.Shards != 2 || again.Steps != first.Steps+64 {
-			t.Errorf("reopened without -shards: /model %+v, want 2 shards and %d steps", again, first.Steps+64)
+	}
+	manifest, err := json.Marshal(shard.Manifest{Dim: 2, Shards: 2, Part: part})
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifestPath := filepath.Join(dir, shard.ManifestName)
+	if err := os.WriteFile(manifestPath, manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, err := range []error{
+		func() error { _, _, err := openServe(t, "-data", csv, "-data-dir", dir); return err }(),
+		run([]string{"train", "-data", csv, "-pairs", "10", "-data-dir", dir}, io.Discard),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "-route") || !strings.Contains(err.Error(), "shard-0") {
+			t.Errorf("a -data-dir holding shards.json: error %v, want one naming -route and shard-0", err)
 		}
-		_, _, _, err := parse(t, "-shards", "3", "-data-dir", dir).open(context.Background())
-		if err == nil || !strings.Contains(err.Error(), "conflicts") {
-			t.Errorf("-shards 3 over a 2-shard directory: error %v, want a conflict", err)
+	}
+
+	modelInfo := func(t *testing.T, s http.Handler) serve.ModelInfo {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/model", nil))
+		var info serve.ModelInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+			t.Fatalf("/model: status %d: %v", rec.Code, err)
 		}
-	})
+		return info
+	}
+	var route []string
+	for i, pairs := range shardPairs {
+		s, _, err := openServe(t, "-data", csv, "-data-dir", filepath.Join(dir, fmt.Sprintf("shard-%d", i)))
+		if err != nil {
+			t.Fatalf("shard-%d: %v", i, err)
+		}
+		if info := modelInfo(t, s); !info.Durable || info.Steps != len(pairs) {
+			t.Errorf("shard-%d: /model %+v, want a durable model with its %d steps", i, info, len(pairs))
+		}
+		ts := httptest.NewServer(s)
+		defer ts.Close()
+		route = append(route, fmt.Sprintf("shard%d=%s", i, ts.URL))
+	}
+	router, _, err := openServe(t, "-data", csv, "-route", strings.Join(route, ","), "-partition", manifestPath)
+	if err != nil {
+		t.Fatalf("router over the migrated shards: %v", err)
+	}
+	if info := modelInfo(t, router); info.Shards != 2 || info.Steps != len(shardPairs[0])+len(shardPairs[1]) {
+		t.Errorf("router /model %+v, want 2 shards and every step", info)
+	}
 }
 
 // writeTestCSV generates a small real dataset, so a flag combination that

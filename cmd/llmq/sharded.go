@@ -19,21 +19,19 @@ import (
 	"llmq/internal/shard"
 )
 
-// Sharded serving modes of `llmq serve`:
+// Sharding is a deployment of several processes: every plain `llmq serve`
+// instance (one model, in memory or durable) speaks the shard protocol, and
 //
-//	-shards N              run N model shards in this process: /train
-//	                       partitions pairs across them (N writer locks
-//	                       instead of one), queries scatter/gather the
-//	                       union answer; with -data-dir each shard gets
-//	                       its own WAL directory and shards.json pins the
-//	                       partition across restarts
-//	-route shard0=URL,...  front remote shard servers: scans scatter over
-//	                       HTTP (spread across a shard's |-separated
+//	-route shard0=URL,...  fronts such servers as one model: scans scatter
+//	                       over HTTP (spread across a shard's |-separated
 //	                       follower replicas), training goes to each
 //	                       shard's primary
 //
-// Every plain `llmq serve` instance already speaks the shard protocol, so
-// any of them can stand behind a router.
+// A process holds one store. A -data-dir that holds shards.json — the
+// layout the removed in-process -shards mode wrote — is refused at boot
+// with the migration: each of its shard-N subdirectories is a complete
+// durable directory, served by its own `llmq serve -data-dir DIR/shard-N`
+// behind `llmq serve -route … -partition DIR/shards.json`.
 
 // buildPartition derives the space partition from the relation itself: the
 // input vectors are the best available sample of where queries will land.
@@ -44,34 +42,19 @@ func buildPartition(rel *dataset.Relation, shards int) (*index.Partition, error)
 	return index.NewPartition(rel.Dim(), shards, rel.X, meanSpan(rel.Bounds)/64)
 }
 
-// shardLayout returns the partition of a sharded durable directory. An
-// existing shards.json wins (and must agree with -shards, when given); a
-// fresh directory builds the partition from the dataset and writes the
-// manifest before any shard store exists, so a crash between shard
-// creations recovers cleanly.
-func (c *serveConfig) shardLayout(rel *dataset.Relation) (*index.Partition, error) {
-	manifestPath := filepath.Join(c.dataDir, shard.ManifestName)
-	if hasShardManifest(c.dataDir) {
-		man, err := shard.ReadManifest(manifestPath)
-		switch {
-		case err != nil:
-			return nil, err
-		case man.Dim != rel.Dim():
-			return nil, fmt.Errorf("sharded directory %s has dim %d, relation has %d", c.dataDir, man.Dim, rel.Dim())
-		case c.shards != 0 && c.shards != man.Shards:
-			return nil, fmt.Errorf("-shards %d conflicts with the %d shards recorded in %s (re-sharding a durable directory is an offline operation)",
-				c.shards, man.Shards, manifestPath)
-		}
-		return man.Part, nil
+// refuseShardedDir refuses a durable directory laid out by the removed
+// in-process -shards mode. Recovering it as one model would silently start
+// an empty model in the top directory while the trained state sits in its
+// shard-N subdirectories.
+func refuseShardedDir(dataDir string) error {
+	manifest := filepath.Join(dataDir, shard.ManifestName)
+	if _, err := os.Stat(manifest); err != nil {
+		return nil
 	}
-	part, err := buildPartition(rel, c.shards)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(c.dataDir, 0o755); err != nil {
-		return nil, err
-	}
-	return part, shard.WriteManifest(manifestPath, shard.Manifest{Dim: rel.Dim(), Shards: c.shards, Part: part})
+	return fmt.Errorf("%s holds %s, the layout of the removed in-process shards: "+
+		"each shard-N subdirectory is a complete durable directory, so serve each one (`llmq serve -data-dir %s`, and so on) "+
+		"and front them with `llmq serve -route shard0=URL0,shard1=URL1,... -partition %s`",
+		dataDir, shard.ManifestName, filepath.Join(dataDir, "shard-0"), manifest)
 }
 
 // parseRouteSpec parses `-route shard0=URL[|followerURL...],shard1=...`:
@@ -145,7 +128,11 @@ func (c *serveConfig) openRouter(ctx context.Context, e *exec.Executor, rel *dat
 		backends[i] = r
 		followers += len(reps) - 1
 	}
-	s, err := newShardedServer(e, part, backends, opt)
+	sh, err := shard.New(part, backends)
+	if err != nil {
+		return nil, "", err
+	}
+	s, err := serve.NewSharded(e, sh, opt)
 	return s, fmt.Sprintf("routing %d remote shards (+%d followers)", len(urls), followers), err
 }
 

@@ -10,10 +10,10 @@ import (
 // disjoint models and Fuse concatenates models back into one. Both copy the
 // full writer state — prototypes, coefficients, win counts, eviction-clock
 // stamps and the RLS solver matrices — so the children (or the fused whole)
-// continue training exactly where the inputs left off. Split is the boot
-// split of the sharded serving tier (a -shards boot carves the loaded model
-// along the partition); Fuse builds the union model a sharded set is held
-// to. The prototypes a shard trains stay inside its region (every drift,
+// continue training exactly where the inputs left off. Neither is on a
+// serving path: Fuse builds the union model a sharded set is held to, and
+// Split carves a trained model into a set for the state golden's
+// split-train-fuse history and the shard tests. The prototypes a shard trains stay inside its region (every drift,
 // spawn and merge-on-evict step is a convex combination of region points),
 // so a region split induces a clean prototype split.
 

@@ -153,8 +153,8 @@ func (sc *predictScratch) qvec(w int) []float64 {
 // word plus a popcount inside it — so drain is a scatter, not a sort: O(1)
 // per mark, O(members + slots/4096) per drain, nothing per slot larger
 // than a bit. This is the one place the accumulation order is decided: a
-// canonical order that is a function of model state (ROADMAP item 1) swaps
-// the key and nothing else.
+// canonical order that is a function of model state (the ROADMAP item
+// "make answers a function of state") swaps the key and nothing else.
 type slotOrder struct {
 	words   []uint64 // bit k&63 of words[k>>6]: slot k is a member
 	summary []uint64 // bit w&63 of summary[w>>6]: words[w] is non-zero

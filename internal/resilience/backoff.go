@@ -6,8 +6,10 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptrace"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -98,14 +100,18 @@ func retryStatus(code int) bool {
 	return code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable
 }
 
-// Do runs an HTTP request with retries: transport errors and 429/503
-// responses are retried up to Tries attempts, sleeping the larger of the
+// Do runs an HTTP request with retries: 429/503 responses and transport
+// errors are retried up to Tries attempts, sleeping the larger of the
 // jittered exponential delay and the response's Retry-After hint (both
-// capped at Max) between attempts. newReq must produce a fresh request per
-// attempt (bodies are consumed); each request is bound to ctx. The final
-// response — success, non-retryable error status, or the last shed — is
-// returned to the caller to interpret, with its body intact; retried
-// responses are drained and closed here.
+// capped at Max) between attempts. A transport error is retried only when
+// the request never reached the server whole, or its method is GET or
+// HEAD: a POST the server may have applied before the connection dropped
+// (a /train chunk) is not sent twice, and its error is returned at once.
+// newReq must produce a fresh request per attempt (bodies are consumed);
+// each request is bound to ctx. The final response — success,
+// non-retryable error status, or the last shed — is returned to the caller
+// to interpret, with its body intact; retried responses are drained and
+// closed here.
 func Do(ctx context.Context, c *http.Client, newReq func() (*http.Request, error), b Backoff) (*http.Response, error) {
 	b = b.withDefaults()
 	if c == nil {
@@ -122,10 +128,19 @@ func Do(ctx context.Context, c *http.Client, newReq func() (*http.Request, error
 		if err != nil {
 			return nil, err
 		}
-		resp, err := c.Do(req.WithContext(ctx))
+		var wrote atomic.Bool
+		trace := &httptrace.ClientTrace{WroteRequest: func(info httptrace.WroteRequestInfo) {
+			if info.Err == nil {
+				wrote.Store(true)
+			}
+		}}
+		resp, err := c.Do(req.WithContext(httptrace.WithClientTrace(ctx, trace)))
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
+			}
+			if wrote.Load() && req.Method != http.MethodGet && req.Method != http.MethodHead {
+				return nil, fmt.Errorf("resilience: %s %s was sent and may have been applied, so it is not retried: %w", req.Method, req.URL, err)
 			}
 			lastErr = err
 			continue

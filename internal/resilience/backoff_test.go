@@ -2,8 +2,11 @@ package resilience
 
 import (
 	"context"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,6 +80,67 @@ func TestDoRetriesUntilAdmitted(t *testing.T) {
 	}
 	if n := calls.Load(); n != 3 {
 		t.Fatalf("server saw %d attempts, want 3", n)
+	}
+}
+
+// TestDoSendsAWrittenPostOnce drops the connection after the server has read
+// a whole POST body — the server may have applied it, as /train applies a
+// chunk before it answers — and checks that Do returns the transport error
+// instead of sending the body again, while a GET that meets the same drop
+// is still retried.
+func TestDoSendsAWrittenPostOnce(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		calls.Add(1)
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn.Close()
+	}))
+	defer ts.Close()
+	b := Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Tries: 3}
+	_, err := Do(context.Background(), ts.Client(), func() (*http.Request, error) {
+		return http.NewRequest(http.MethodPost, ts.URL, strings.NewReader(`{"pairs":[]}`))
+	}, b)
+	if err == nil {
+		t.Fatal("a dropped POST returned no error")
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("server received the POST %d times, want once", n)
+	}
+	calls.Store(0)
+	if _, err := Do(context.Background(), ts.Client(), func() (*http.Request, error) {
+		return http.NewRequest(http.MethodGet, ts.URL, nil)
+	}, b); err == nil {
+		t.Fatal("a dropped GET returned no error")
+	}
+	if n := calls.Load(); n != 3 {
+		t.Fatalf("server received the GET %d times, want all 3 tries", n)
+	}
+}
+
+// TestDoRetriesARefusedPost checks that a POST that never reached a server
+// (connection refused) is still retried: nothing can have been applied.
+func TestDoRetriesARefusedPost(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + ln.Addr().String()
+	ln.Close()
+	var tries atomic.Int64
+	b := Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Tries: 3}
+	if _, err := Do(context.Background(), http.DefaultClient, func() (*http.Request, error) {
+		tries.Add(1)
+		return http.NewRequest(http.MethodPost, url, strings.NewReader(`{"pairs":[]}`))
+	}, b); err == nil {
+		t.Fatal("a refused POST returned no error")
+	}
+	if n := tries.Load(); n != 3 {
+		t.Fatalf("Do made %d attempts at a refused POST, want 3", n)
 	}
 }
 

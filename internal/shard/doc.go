@@ -3,6 +3,13 @@
 // while answering exactly what one model holding every shard's prototypes
 // would answer — bit for bit.
 //
+// # Deployment
+//
+// A sharded deployment is several processes: each shard is a plain
+// `llmq serve` holding one model (its backend is a Local), and one
+// `llmq serve -route` router fronts them through Remote backends. One
+// process never holds more than one store.
+//
 // # Partitioning
 //
 // An index.Partition carves the input space into axis-aligned half-open

@@ -3,41 +3,25 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 
 	"llmq/internal/index"
-	"llmq/internal/wal"
 )
 
-// ManifestName is the file a sharded data directory keeps its layout in,
-// next to the per-shard subdirectories.
+// ManifestName is the file the removed in-process sharded mode kept its
+// layout in, next to its shard-N subdirectories. `llmq serve` refuses a
+// data directory that holds one.
 const ManifestName = "shards.json"
 
 // Manifest pins a sharded deployment's layout: the partition that decides
-// which shard owns which region, and the shard count. A sharded data
-// directory writes it once at creation and every boot re-routes by exactly
-// this partition — prototypes were placed by it, so routing by any other
-// partition would silently miss them. A remote router can load the same
-// file to front the shards.
+// which shard owns which region, and the shard count. A router given the
+// file (`llmq serve -route … -partition shards.json`) routes by exactly
+// this partition — the shards' prototypes were placed by it, so routing by
+// any other partition would silently miss them.
 type Manifest struct {
 	Dim    int              `json:"dim"`
 	Shards int              `json:"shards"`
 	Part   *index.Partition `json:"partition"`
-}
-
-// WriteManifest persists the manifest atomically (temp file + rename +
-// directory fsync), so a crash mid-write never leaves a torn layout.
-func WriteManifest(path string, m Manifest) error {
-	if m.Part == nil || m.Part.Leaves() != m.Shards || m.Part.Dim() != m.Dim {
-		return fmt.Errorf("shard: manifest does not describe its partition (dim %d/%d, shards %d/%d)",
-			m.Dim, m.Part.Dim(), m.Shards, m.Part.Leaves())
-	}
-	return wal.WriteFileAtomic(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(m)
-	})
 }
 
 // ReadManifest loads and validates a manifest.

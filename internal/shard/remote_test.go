@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 
 	"llmq/internal/core"
@@ -261,8 +262,9 @@ func TestRemoteFollowerSpreadAndFailover(t *testing.T) {
 	}
 }
 
-// TestManifestRoundTrip checks the shards.json layout file: write, read,
-// routing equivalence, and validation of torn documents.
+// TestManifestRoundTrip checks the shards.json layout file a router reads
+// with -partition: a marshalled manifest reads back routing exactly as its
+// partition does, and inconsistent or missing documents are refused.
 func TestManifestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	flat := make([]float64, 0, 600)
@@ -274,10 +276,17 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/" + ManifestName
-	man := Manifest{Dim: 2, Shards: 4, Part: part}
-	if err := WriteManifest(path, man); err != nil {
-		t.Fatal(err)
+	write := func(m Manifest) {
+		t.Helper()
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	write(Manifest{Dim: 2, Shards: 4, Part: part})
 	got, err := ReadManifest(path)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +301,8 @@ func TestManifestRoundTrip(t *testing.T) {
 		}
 	}
 	// Inconsistent documents are rejected.
-	if err := WriteManifest(path, Manifest{Dim: 2, Shards: 5, Part: part}); err == nil {
+	write(Manifest{Dim: 2, Shards: 5, Part: part})
+	if _, err := ReadManifest(path); err == nil {
 		t.Fatal("manifest with wrong shard count accepted")
 	}
 	if _, err := ReadManifest(t.TempDir() + "/missing.json"); err == nil {

@@ -61,7 +61,10 @@ type Backend interface {
 }
 
 // Local is a shard living in this process: a model, optionally wrapped in
-// a durable store so training is write-ahead logged.
+// a durable store so training is write-ahead logged. It is the backend of
+// every single-model `llmq serve` process — the very thing a router's
+// Remote talks to — and the in-process stand-in for such a server when
+// tests hold a Sharded set to its union model without HTTP.
 type Local struct {
 	m *core.Model
 	d *core.Durable

@@ -20,8 +20,7 @@ import (
 // holding every shard's live prototypes, concatenated in ascending shard
 // order (core.Fuse). The reference is rebuilt from the live shard models at
 // every checkpoint, so it tracks the set through training — whether the
-// shards started empty or were carved from one trained model by core.Split,
-// as a boot with -shards does.
+// shards started empty or were carved from one trained model by core.Split.
 
 // testConfig keeps the models unconvergeable (a converged model freezes and
 // would stop tracking the interleaved stream) at a vigilance that spawns a
@@ -78,7 +77,8 @@ func newTestSet(t testing.TB, dim, shards int, sample []core.TrainingPair) *Shar
 }
 
 // testPartition carves [0,1]^dim into shards leaves from the sample pairs'
-// centres, grid-snapped at d ≤ 3 like a -shards boot.
+// centres, grid-snapped at d ≤ 3 like the partition a router rebuilds
+// from its relation.
 func testPartition(t testing.TB, dim, shards int, sample []core.TrainingPair) *index.Partition {
 	t.Helper()
 	flat := make([]float64, 0, len(sample)*dim)
@@ -250,11 +250,11 @@ func TestShardedBitIdentityInterleaved(t *testing.T) {
 	t.Logf("straddled %d, extrapolated %d", straddled, extrapolated)
 }
 
-// TestShardedBootSplit checks the layout a boot with -shards serves: one
-// model trained on the seed stream, carved by core.Split along
-// Partition.Locate exactly as the serve command does, answers through the
-// router bit-identically to the union of its children — before and after
-// more training through the router.
+// TestShardedBootSplit checks a set carved from one trained model: the
+// model, trained on the seed stream and split by core.Split along
+// Partition.Locate, answers through the router bit-identically to the
+// union of its children — before and after more training through the
+// router.
 func TestShardedBootSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	seed := stream(400, 2, rng)
@@ -536,9 +536,11 @@ func TestShardedValidation(t *testing.T) {
 	}
 }
 
-// TestShardedDurableLifecycle checks durable shards behind the router:
-// training through a durable backend WAL-logs, every shard reports ready,
-// and the set still answers bit-identically to its union.
+// TestShardedDurableLifecycle checks durable stores behind the router, the
+// backend each `llmq serve -data-dir` shard runs (here in process, through
+// Local, instead of over HTTP): training through a durable backend
+// WAL-logs, every shard reports ready, and the set still answers
+// bit-identically to its union.
 func TestShardedDurableLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	seed := stream(120, 2, rng)
