@@ -80,20 +80,52 @@ func TestBatchMixedStatements(t *testing.T) {
 
 func TestBatchErrors(t *testing.T) {
 	data, _ := setupBatchEnv(t)
-	okFile := writeStatements(t, "SELECT APPROX AVG(u) FROM r1 WITHIN 0.2 OF (0.5, 0.5)")
 	var out bytes.Buffer
 	cases := [][]string{
 		{"batch"},                // missing flags
 		{"batch", "-data", data}, // missing file
 		{"batch", "-data", data, "-file", "/nope.sql"}, // unreadable file
-		{"batch", "-data", data, "-file", okFile},      // approx without model
 		{"batch", "-data", data, "-file", writeStatements(t, "# only comments")},
-		{"batch", "-data", data, "-file", writeStatements(t, "NOT SQL")},
-		{"batch", "-data", data, "-file", writeStatements(t, "SELECT AVG(u) FROM r1 WITHIN 0.1 OF (0.5)")}, // wrong dim
 	}
 	for _, args := range cases {
 		if err := run(args, &out); err == nil {
 			t.Errorf("args %v should fail", args)
+		}
+	}
+	// A statement the server refuses is its positional error line; the
+	// rest of the sheet still answers.
+	out.Reset()
+	file := writeStatements(t,
+		"SELECT APPROX AVG(u) FROM r1 WITHIN 0.2 OF (0.5, 0.5)", // approx without model
+		"NOT SQL",
+		"SELECT AVG(u) FROM r1 WITHIN 0.1 OF (0.5)", // wrong dim
+		"SELECT AVG(u) FROM r1 WITHIN 0.2 OF (0.5, 0.5)",
+	)
+	if err := run([]string{"batch", "-data", data, "-file", file}, &out); err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"[1] error: no trained model loaded for APPROX statements\n",
+		"[2] error: sql: syntax error at position 1: expected SELECT, got \"NOT\"\n",
+		"[3] error: query centre has 1 coordinates, relation has 2 input attributes\n",
+		"[4] AVG(u) = ",
+		"answered 4 statements",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q:\n%s", want, got)
+		}
+	}
+}
+
+// TestBatchTakesNoCapacityFlags: a batch only reads the model, so it has
+// no capacity flags; the flag package refuses them.
+func TestBatchTakesNoCapacityFlags(t *testing.T) {
+	var out bytes.Buffer
+	for _, f := range []string{"-max-prototypes", "-evict", "-merge"} {
+		err := run([]string{"batch", "-data", "r1.csv", "-file", "s.sql", f, "1"}, &out)
+		if want := "flag provided but not defined: " + f; err == nil || err.Error() != want {
+			t.Errorf("batch %s: error %v, want %q", f, err, want)
 		}
 	}
 }

@@ -10,20 +10,23 @@ import (
 	"net/http"
 	"strings"
 	"time"
+	"unicode"
 
 	"llmq/internal/core"
 	"llmq/internal/resilience"
 	"llmq/internal/serve"
+	"llmq/internal/vector"
 )
 
-// Remote client mode: `llmq batch -url` and `llmq train -url` speak to a
-// running `llmq serve` instance instead of loading the relation locally.
-// Both ride resilience.Do, so a server that sheds under overload (429 with
-// Retry-After, 503 during brownout or read-only) is retried with jittered
-// exponential backoff that honors the server's hint — the client half of
-// the admission-control contract.
+// Client mode: `llmq batch -url` and `llmq train -url` speak to a running
+// `llmq serve` instance instead of loading the relation locally, and `llmq
+// query` and `llmq batch -data` speak to the same server booted in process
+// (localClient). Every request rides resilience.Do, so a server that sheds
+// under overload (429 with Retry-After, 503 during brownout or read-only) is
+// retried with jittered exponential backoff that honors the server's hint —
+// the client half of the admission-control contract.
 
-// clientBackoff is the retry policy of the remote subcommands: up to 6
+// clientBackoff is the retry policy of the client subcommands: up to 6
 // attempts over roughly 10 seconds of worst-case waiting.
 var clientBackoff = resilience.Backoff{
 	Base:  200 * time.Millisecond,
@@ -37,10 +40,11 @@ var clientBackoff = resilience.Backoff{
 // oversized POST the server must reject.
 const chunkLimit = 4096
 
-// postJSON POSTs body as JSON to url with retries and returns the response
-// on a 200; any terminal non-200 status is turned into an error carrying
-// the server's error body. The caller owns closing the response body.
-func postJSON(ctx context.Context, url string, body any) (*http.Response, error) {
+// postJSON POSTs body as JSON to url on c with retries and returns the
+// response on a 200; any terminal non-200 status is turned into an error
+// carrying the server's error body. The caller owns closing the response
+// body.
+func postJSON(ctx context.Context, c *http.Client, url string, body any) (*http.Response, error) {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return nil, err
@@ -53,7 +57,7 @@ func postJSON(ctx context.Context, url string, body any) (*http.Response, error)
 		req.Header.Set("Content-Type", "application/json")
 		return req, nil
 	}
-	resp, err := resilience.Do(ctx, http.DefaultClient, newReq, clientBackoff)
+	resp, err := resilience.Do(ctx, c, newReq, clientBackoff)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +78,7 @@ func postJSON(ctx context.Context, url string, body any) (*http.Response, error)
 // postRetry POSTs body as JSON to url with retries and decodes a 200
 // response into result.
 func postRetry(ctx context.Context, url string, body, result any) error {
-	resp, err := postJSON(ctx, url, body)
+	resp, err := postJSON(ctx, http.DefaultClient, url, body)
 	if err != nil {
 		return err
 	}
@@ -87,30 +91,26 @@ func joinURL(base, path string) string {
 	return strings.TrimRight(base, "/") + path
 }
 
-// remoteBatch ships a statement sheet to a running server's /query/batch in
-// admission-sized chunks and prints the positional answers in input order.
-// The server streams NDJSON, and the client consumes it incrementally: each
-// answer is printed the moment its frame arrives, while later statements in
-// the sheet are still executing. Retries cover only the pre-stream phase (a
-// 429/503 shed before the server committed to the sheet); once frames flow,
-// a broken stream is terminal — re-sending could re-execute statements the
-// server already answered.
-func remoteBatch(ctx context.Context, out io.Writer, base string, sqls []string) error {
-	start := time.Now()
+// sendSheet sends a statement sheet to the /query/batch of the server at
+// base through c, in admission-sized chunks, and calls visit with each
+// statement's position and result frame in input order. The server streams
+// NDJSON, and the frames are consumed incrementally: each is visited the
+// moment it arrives, while later statements in the sheet are still
+// executing. Retries cover only the pre-stream phase (a 429/503 shed before
+// the server committed to the sheet); once frames flow, a broken stream is
+// terminal — re-sending could re-execute statements the server already
+// answered.
+func sendSheet(ctx context.Context, c *http.Client, base string, sqls []string, visit func(i int, f serve.BatchFrame)) error {
 	n := 0
-	for len(sqls) > 0 {
-		chunk := sqls
-		if len(chunk) > chunkLimit {
-			chunk = chunk[:chunkLimit]
-		}
-		sqls = sqls[len(chunk):]
-		resp, err := postJSON(ctx, joinURL(base, "/query/batch"), serve.BatchRequest{SQL: chunk})
+	for n < len(sqls) {
+		chunk := sqls[n:min(n+chunkLimit, len(sqls))]
+		resp, err := postJSON(ctx, c, joinURL(base, "/query/batch"), serve.BatchRequest{SQL: chunk})
 		if err != nil {
 			return err
 		}
 		trailer, err := serve.ReadBatchStream(resp.Body, func(f serve.BatchFrame) error {
+			visit(n, f)
 			n++
-			printBatchFrame(out, n, f)
 			return nil
 		})
 		resp.Body.Close()
@@ -121,40 +121,58 @@ func remoteBatch(ctx context.Context, out io.Writer, base string, sqls []string)
 			return fmt.Errorf("server answered %d results for %d statements", trailer.Results, len(chunk))
 		}
 	}
-	fmt.Fprintf(out, "answered %d statements in %v\n", n, time.Since(start).Round(time.Microsecond))
 	return nil
 }
 
-// printBatchFrame renders one positional /query/batch answer as one line:
-// the statement's position, its aggregate and value, and where the answer
-// came from (exact, model, or model degraded under overload). A frame
-// carries no output column or timing, so the line is terser than what the
-// local batch mode prints.
-func printBatchFrame(out io.Writer, n int, f serve.BatchFrame) {
-	if f.Error != "" {
-		fmt.Fprintf(out, "[%d] error: %s\n", n, f.Error)
-		return
-	}
-	r := f.QueryResponse
-	mode := "exact"
-	if r.Approx {
-		mode = "model"
-	}
-	if r.Degraded {
-		mode = "model, degraded under overload"
-	}
+// printAnswer renders one answered statement, the QueryResponse of its
+// result frame, the one way `llmq query` and `llmq batch` print it, local or
+// remote: the aggregate over the output attribute the statement names, its
+// value or count of local linear models, where the answer came from (exact
+// over N tuples, or the model, degraded under overload if so) and its
+// elapsed time, an exact fit's FVU and R², and one S[i] line per local
+// linear model.
+func printAnswer(out io.Writer, sql string, r *serve.QueryResponse) {
+	name := outputName(sql)
+	head := fmt.Sprintf("REGRESSION(%s): %d local linear model(s) [", name, len(r.Models))
 	switch {
 	case r.Mean != nil:
-		fmt.Fprintf(out, "[%d] AVG = %.6g   [%s]\n", n, *r.Mean, mode)
+		head = fmt.Sprintf("AVG(%s) = %.6g   [", name, *r.Mean)
 	case r.Value != nil:
-		fmt.Fprintf(out, "[%d] VALUE = %.6g   [%s]\n", n, *r.Value, mode)
-	case len(r.Models) > 0 && r.R2 != nil:
-		fmt.Fprintf(out, "[%d] REGRESSION: %d local linear model(s), R² = %.4g   [%s]\n", n, len(r.Models), *r.R2, mode)
-	case len(r.Models) > 0:
-		fmt.Fprintf(out, "[%d] REGRESSION: %d local linear model(s)   [%s]\n", n, len(r.Models), mode)
-	default:
-		fmt.Fprintf(out, "[%d] %s answered   [%s]\n", n, r.Kind, mode)
+		head = fmt.Sprintf("VALUE(%s) = %.6g   [", name, *r.Value)
 	}
+	source := fmt.Sprintf("exact over %d tuples, %s]", r.Tuples, r.Elapsed)
+	if r.Approx {
+		model := "model"
+		if r.Degraded {
+			model = "model, degraded under overload"
+		}
+		head, source = "approx "+head, fmt.Sprintf("%s, %s, no data access]", model, r.Elapsed)
+	}
+	fit := ""
+	switch {
+	case r.FVU != nil && r.R2 != nil:
+		fit = fmt.Sprintf("  (FVU=%.4g, R²=%.4g)", *r.FVU, *r.R2)
+	case r.R2 != nil:
+		fit = fmt.Sprintf("  (R²=%.4g)", *r.R2)
+	}
+	fmt.Fprintf(out, "%s%s%s\n", head, source, fit)
+	for i, m := range r.Models {
+		lm := core.LocalLinear{Intercept: m.Intercept, Slope: m.Slope}
+		fmt.Fprintf(out, "  S[%d] (weight %.3f, around %s, θ=%.3g): %s\n", i, m.Weight, vector.Format(m.Center), m.Theta, lm)
+	}
+}
+
+// outputName is the output attribute sql names: the identifier after its
+// first parenthesis, where the grammar puts it. A result frame names no
+// attribute, and the server answers only a statement that names the
+// relation's own.
+func outputName(sql string) string {
+	_, rest, _ := strings.Cut(sql, "(")
+	rest = strings.TrimLeftFunc(rest, unicode.IsSpace)
+	if i := strings.IndexFunc(rest, func(r rune) bool { return r == ')' || unicode.IsSpace(r) }); i >= 0 {
+		rest = rest[:i]
+	}
+	return rest
 }
 
 // remoteTrain ships training pairs to a running server's /train in

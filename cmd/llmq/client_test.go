@@ -55,7 +55,7 @@ func TestRemoteBatchAndTrain(t *testing.T) {
 		t.Fatalf("remote batch: %v\n%s", err, out.String())
 	}
 	got := out.String()
-	if !strings.Contains(got, "[1] AVG =") || !strings.Contains(got, "[2] VALUE =") || !strings.Contains(got, "answered 2 statements") {
+	if !strings.Contains(got, "[1] AVG(u) =") || !strings.Contains(got, "[2] VALUE(u) =") || !strings.Contains(got, "answered 2 statements") {
 		t.Errorf("remote batch output:\n%s", got)
 	}
 

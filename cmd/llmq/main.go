@@ -15,13 +15,13 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"os"
 	"os/signal"
 	"slices"
@@ -31,9 +31,8 @@ import (
 	"llmq/internal/core"
 	"llmq/internal/dataset"
 	"llmq/internal/exec"
-	"llmq/internal/sqlfront"
+	"llmq/internal/serve"
 	"llmq/internal/synth"
-	"llmq/internal/vector"
 	"llmq/internal/wal"
 	"llmq/internal/workload"
 )
@@ -77,7 +76,7 @@ subcommands:
   generate  generate a synthetic dataset (R1 sensor surrogate or R2 Rosenbrock) as CSV
   train     execute a random query workload against the dataset and train an LLM model
   query     answer a SQL-like analytics statement exactly or with a trained model
-  batch     answer a file of statements (one per line) in parallel over a worker pool
+  batch     answer a file of statements (one per line) as one sheet, locally or on a running server
   serve     expose the relation (and optional model) as the HTTP analytics service
 `)
 }
@@ -152,7 +151,7 @@ func loadExecutor(path string, cellSize float64) (*exec.Executor, *dataset.Relat
 			cellSize = 1
 		}
 	}
-	e, err := exec.NewExecutor(rel.X, rel.U, rel.Dim(), cellSize)
+	e, err := exec.NewExecutor(rel.X, rel.U, rel.InputNames, rel.OutputName, cellSize)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -181,7 +180,7 @@ type capacity struct {
 func (cp capacity) any() bool { return cp.maxSet || cp.evict != "" || cp.mergeSet }
 
 // capacityFlags registers the bounded-capacity streaming-training flags
-// shared by the train, serve and batch subcommands; call the returned
+// shared by the train and serve subcommands; call the returned
 // function after fs.Parse to collect the values plus set-ness.
 func capacityFlags(fs *flag.FlagSet) func() capacity {
 	maxProto := fs.Int("max-prototypes", 0, "cap the live prototype count K; 0 = unbounded")
@@ -326,7 +325,7 @@ func cmdTrain(args []string, out io.Writer) error {
 		cfg.Eviction = policy
 		cfg.MergeOnEvict = cp.merge
 	} else if cp.evict != "" || cp.mergeSet {
-		// Unlike serve/batch — where a bare -evict/-merge rewrites the
+		// Unlike serve — where a bare -evict/-merge rewrites the
 		// policy of a model file's persisted cap — train has no persisted
 		// cap to modify: a policy with no capacity would silently train an
 		// unbounded model.
@@ -402,6 +401,9 @@ func vigilance(a, span, theta float64, d int) float64 {
 	return a * (span*math.Sqrt(float64(d)) + theta)
 }
 
+// cmdQuery answers one statement through the in-process server (see
+// localClient) and prints its answer; a statement the server refuses or
+// cannot answer is the command's error.
 func cmdQuery(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("query", flag.ContinueOnError)
 	data := fs.String("data", "", "dataset CSV backing the relation (required)")
@@ -413,29 +415,47 @@ func cmdQuery(args []string, out io.Writer) error {
 	if *data == "" || *sql == "" {
 		return errors.New("query: -data and -sql are required")
 	}
-	stmt, err := sqlfront.Parse(*sql)
+	c, err := localClient(*data, *modelPath)
 	if err != nil {
 		return err
 	}
-	e, rel, err := loadExecutor(*data, 0)
-	if err != nil {
+	var f serve.BatchFrame
+	if err := sendSheet(context.Background(), c, inProcessURL, []string{*sql}, func(_ int, fr serve.BatchFrame) { f = fr }); err != nil {
 		return err
 	}
-	if len(stmt.Center) != rel.Dim() {
-		return fmt.Errorf("query centre has %d coordinates, relation has %d input attributes", len(stmt.Center), rel.Dim())
+	if f.Error != "" {
+		return errors.New(f.Error)
 	}
-	var model *core.Model
-	if stmt.Approx {
-		if *modelPath == "" {
-			return errors.New("query: APPROX statements need -model")
-		}
-		model, err = loadModel(*modelPath, rel.Dim())
-		if err != nil {
-			return fmt.Errorf("query: %w", err)
-		}
-	}
-	return executeStatement(context.Background(), out, stmt, e, model)
+	printAnswer(out, *sql, f.QueryResponse)
+	return nil
 }
+
+// localClient boots the relation in the CSV file data, and the model file
+// modelPath unless it is empty, into the handler `llmq serve` runs, without
+// a query deadline, and returns a client that reaches it in process: `llmq
+// query` and `llmq batch -data` answer through the server's own /query/batch
+// path, with no second evaluator beside it.
+func localClient(data, modelPath string) (*http.Client, error) {
+	e, rel, err := loadExecutor(data, 0)
+	if err != nil {
+		return nil, err
+	}
+	var m *core.Model
+	if modelPath != "" {
+		if m, err = loadModel(modelPath, rel.Dim()); err != nil {
+			return nil, fmt.Errorf("%s: %w", modelPath, err)
+		}
+	}
+	s, err := serve.New(e, m, serve.WithLimits(serve.Limits{QueryTimeout: -1}))
+	if err != nil {
+		return nil, err
+	}
+	return &http.Client{Transport: inProcess{s}}, nil
+}
+
+// inProcessURL is the base URL localClient's requests carry; the in-process
+// transport never resolves it.
+const inProcessURL = "http://in-process"
 
 // loadModel loads a trained model and validates it against the relation's
 // dimensionality up front, so APPROX statements cannot fail one by one with
@@ -461,23 +481,24 @@ func loadModel(path string, dim int) (*core.Model, error) {
 }
 
 // cmdBatch answers a whole file of analytics statements (one per line; blank
-// lines and #-comments are skipped). Each statement runs on a worker of
-// exec.ForEachParallelCtx's bounded pool through the same execution path as
-// the query subcommand, so an interrupt (Ctrl-C) stops EXACT and APPROX
-// sheets alike. Output order always matches input order.
+// lines and #-comments are skipped) as /query/batch sheets: with -url on a
+// running `llmq serve`, with -data on the same server booted in process (see
+// localClient). Either way the server evaluates the statements over its
+// worker pool and the answers print in input order as they stream in, each
+// refused statement as its positional error line. An interrupt (Ctrl-C)
+// cancels the sheet.
 func cmdBatch(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("batch", flag.ContinueOnError)
 	data := fs.String("data", "", "dataset CSV backing the relation (required unless -url)")
 	modelPath := fs.String("model", "", "trained model file (required for APPROX statements)")
 	file := fs.String("file", "", "statement file, one per line (required; '-' reads stdin)")
 	url := fs.String("url", "", "ship the statements to a running `llmq serve` instance (e.g. http://localhost:8080) instead of executing locally")
-	getCap := capacityFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *url != "" {
-		if *data != "" || *modelPath != "" || getCap().any() {
-			return errors.New("batch: -url is remote execution; -data/-model/-max-prototypes belong to the server")
+		if *data != "" || *modelPath != "" {
+			return errors.New("batch: -url is remote execution; -data/-model belong to the server")
 		}
 		if *file == "" {
 			return errors.New("batch: -file is required")
@@ -509,154 +530,27 @@ func cmdBatch(args []string, out io.Writer) error {
 	if len(sqls) == 0 {
 		return errors.New("batch: no statements in input")
 	}
-	// An interrupt (Ctrl-C) cancels the batch. Remotely it stops between
-	// chunks and mid-retry; locally it cancels the pool and the EXACT scans
-	// in flight, and statements that already finished still print.
+	c, base := http.DefaultClient, *url
+	if *url == "" {
+		var err error
+		if c, err = localClient(*data, *modelPath); err != nil {
+			return err
+		}
+		base = inProcessURL
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if *url != "" {
-		// Remote mode: the server parses, admits and executes; the client
-		// retries sheds with backoff.
-		return remoteBatch(ctx, out, *url, sqls)
-	}
-	stmts := make([]*sqlfront.Statement, len(sqls))
-	needModel := false
-	for i, sql := range sqls {
-		stmt, err := sqlfront.Parse(sql)
-		if err != nil {
-			return fmt.Errorf("batch: statement %d: %w", i+1, err)
+	start := time.Now()
+	if err := sendSheet(ctx, c, base, sqls, func(i int, f serve.BatchFrame) {
+		fmt.Fprintf(out, "[%d] ", i+1)
+		if f.Error != "" {
+			fmt.Fprintf(out, "error: %s\n", f.Error)
+			return
 		}
-		stmts[i] = stmt
-		if stmt.Approx {
-			needModel = true
-		}
-	}
-	e, rel, err := loadExecutor(*data, 0)
-	if err != nil {
+		printAnswer(out, sqls[i], f.QueryResponse)
+	}); err != nil {
 		return err
 	}
-	var model *core.Model
-	if needModel {
-		if *modelPath == "" {
-			return errors.New("batch: APPROX statements need -model")
-		}
-		model, err = loadModel(*modelPath, rel.Dim())
-		if err != nil {
-			return fmt.Errorf("batch: %w", err)
-		}
-		if err := applyCapacity(model, getCap()); err != nil {
-			return fmt.Errorf("batch: %w", err)
-		}
-	} else if getCap().any() {
-		// No APPROX statement loads a model, so the flags would silently
-		// do nothing.
-		return errors.New("batch: -max-prototypes/-evict/-merge need APPROX statements (a loaded model)")
-	}
-	for i, stmt := range stmts {
-		if len(stmt.Center) != rel.Dim() {
-			return fmt.Errorf("batch: statement %d centre has %d coordinates, relation has %d input attributes",
-				i+1, len(stmt.Center), rel.Dim())
-		}
-	}
-	start := time.Now()
-	bufs := make([]bytes.Buffer, len(stmts))
-	errs := make([]error, len(stmts))
-	ran := make([]bool, len(stmts))
-	if err := exec.ForEachParallelCtx(ctx, len(stmts), func(i int) {
-		errs[i] = executeStatement(ctx, &bufs[i], stmts[i], e, model)
-		ran[i] = true
-	}); err != nil {
-		fmt.Fprintf(out, "batch interrupted: %v\n", err)
-		for i := range errs {
-			if !ran[i] {
-				errs[i] = fmt.Errorf("skipped: %w", err)
-			}
-		}
-	}
-	for i := range stmts {
-		if errs[i] != nil {
-			fmt.Fprintf(out, "[%d] error: %v\n", i+1, errs[i])
-			continue
-		}
-		fmt.Fprintf(out, "[%d] %s", i+1, bufs[i].String())
-	}
-	fmt.Fprintf(out, "answered %d statements in %v\n", len(stmts), time.Since(start).Round(time.Microsecond))
+	fmt.Fprintf(out, "answered %d statements in %v\n", len(sqls), time.Since(start).Round(time.Microsecond))
 	return nil
-}
-
-func executeStatement(ctx context.Context, out io.Writer, stmt *sqlfront.Statement, e *exec.Executor, model *core.Model) error {
-	rq := exec.RadiusQuery{Center: stmt.Center, Theta: stmt.Theta, P: stmt.Norm}
-	switch stmt.Kind {
-	case sqlfront.StmtMean:
-		if stmt.Approx {
-			q, err := core.NewQuery(stmt.Center, stmt.Theta)
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			yhat, err := model.PredictMean(q)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "approx AVG(%s) = %.6g   [model, %v, no data access]\n",
-				stmt.Output, yhat, time.Since(start).Round(time.Microsecond))
-			return nil
-		}
-		res, err := e.MeanCtx(ctx, rq)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "AVG(%s) = %.6g   [exact over %d tuples, %v]\n", stmt.Output, res.Mean, res.Count, res.Elapsed.Round(time.Microsecond))
-		return nil
-	case sqlfront.StmtRegression:
-		if stmt.Approx {
-			q, err := core.NewQuery(stmt.Center, stmt.Theta)
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			locals, err := model.Regression(q)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "approx REGRESSION(%s): %d local linear model(s) [model, %v, no data access]\n",
-				stmt.Output, len(locals), time.Since(start).Round(time.Microsecond))
-			for i, lm := range locals {
-				fmt.Fprintf(out, "  S[%d] (weight %.3f, around %s, θ=%.3g): %s\n", i, lm.Weight, vector.Format(lm.Center), lm.Theta, lm)
-			}
-			return nil
-		}
-		res, err := e.RegressionCtx(ctx, rq)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "REGRESSION(%s) over %d tuples [%v]: intercept=%.6g slope=%v  (FVU=%.4g, R²=%.4g)\n",
-			stmt.Output, res.Count, res.Elapsed.Round(time.Microsecond), res.Intercept, res.Slope, res.FVU, res.CoD)
-		return nil
-	case sqlfront.StmtValue:
-		if len(stmt.At) != len(stmt.Center) {
-			return fmt.Errorf("AT point has %d coordinates, centre has %d", len(stmt.At), len(stmt.Center))
-		}
-		if stmt.Approx {
-			q, err := core.NewQuery(stmt.Center, stmt.Theta)
-			if err != nil {
-				return err
-			}
-			uhat, err := model.PredictValue(q, stmt.At)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "approx VALUE(%s) at %v = %.6g   [model, no data access]\n", stmt.Output, stmt.At, uhat)
-			return nil
-		}
-		res, err := e.RegressionCtx(ctx, rq)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "VALUE(%s) at %v ≈ %.6g   [exact local regression over %d tuples]\n",
-			stmt.Output, stmt.At, res.Predict(stmt.At), res.Count)
-		return nil
-	default:
-		return fmt.Errorf("unsupported statement kind %v", stmt.Kind)
-	}
 }

@@ -80,7 +80,7 @@ func TestGenerateTrainQueryEndToEnd(t *testing.T) {
 	if err := run([]string{"query", "-data", data, "-sql", "SELECT REGRESSION(u ON x1, x2) FROM r1 WITHIN 0.2 OF (0.5, 0.5)"}, &out); err != nil {
 		t.Fatalf("exact regression: %v", err)
 	}
-	if !strings.Contains(out.String(), "intercept=") {
+	if !strings.Contains(out.String(), "REGRESSION(u): 1 local linear model(s) [exact over ") {
 		t.Errorf("regression output: %q", out.String())
 	}
 	out.Reset()

@@ -36,10 +36,12 @@
 // it dirties, so publishing after one training pair costs O(touched rows)
 // rather than O(K) — a live stream publishes every pair even at K=100k
 // while concurrent reads stay at idle latency. The executor's
-// MeanBatchCtx, the streaming NDJSON /query/batch endpoint and the llmq
-// batch subcommand fan work out over one bounded worker pool,
-// exec.ForEachParallelCtx; the llmq serve subcommand stands the HTTP
-// service up directly.
+// MeanBatchCtx and the streaming NDJSON /query/batch endpoint fan work out
+// over exec's one bounded worker pool. There is one statement path: the
+// llmq serve subcommand stands the HTTP service up, and the llmq query and
+// batch subcommands boot the same server in process and send their
+// statements through its /query/batch handler, as batch -url does over the
+// network.
 //
 // # Streaming training
 //

@@ -14,21 +14,21 @@ import (
 // are positional: errs[i] is non-nil (typically ErrEmptySubspace) exactly
 // when the i-th query produced no result.
 
-// ForEachParallelCtx runs fn(0..n-1) over min(GOMAXPROCS, n) workers. Work
+// forEachParallelCtx runs fn(0..n-1) over min(GOMAXPROCS, n) workers. Work
 // is handed out by an atomic cursor, so long-running queries do not stall
-// the rest of the batch. It is exported because the serve and cmd layers
-// drain their per-statement batches with the same pool shape. Once ctx is
-// cancelled, workers stop claiming new indices and the call returns
-// ctx.Err() after the in-flight fn calls finish — an abandoned HTTP batch
-// request stops burning the pool mid-sheet instead of completing the whole
-// sheet for nobody. Indices claimed before the cancellation run to
+// the rest of the batch. It is the one pool shape of the module: MeanBatchCtx
+// drains its queries with it, and ForEachParallelStream wraps it for the
+// serve layer's /query/batch sheets. Once ctx is cancelled, workers stop
+// claiming new indices and the call returns ctx.Err() after the in-flight fn
+// calls finish — an abandoned HTTP batch request stops burning the pool
+// mid-sheet instead of completing the whole sheet for nobody. Indices claimed before the cancellation run to
 // completion (fn is never interrupted mid-call), so on a nil error every
 // index was processed, and on ctx.Err() a prefix-dense subset was.
 //
 // The cancellation check costs one atomic load per claimed index; callers
 // whose fn blocks for long stretches should additionally check ctx inside
 // fn if they need sub-item latency.
-func ForEachParallelCtx(ctx context.Context, n int, fn func(i int)) error {
+func forEachParallelCtx(ctx context.Context, n int, fn func(i int)) error {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
@@ -69,7 +69,7 @@ func ForEachParallelCtx(ctx context.Context, n int, fn func(i int)) error {
 	return ctx.Err()
 }
 
-// ForEachParallelStream is ForEachParallelCtx with a completion feed: after
+// ForEachParallelStream is forEachParallelCtx with a completion feed: after
 // each fn(i) returns, i is sent on completed, so a consumer can act on
 // finished items (flush an HTTP response frame, update a progress bar)
 // while the rest of the batch is still running. Completion order is the
@@ -79,10 +79,10 @@ func ForEachParallelCtx(ctx context.Context, n int, fn func(i int)) error {
 // The caller owns the channel: it must either keep receiving or size the
 // buffer at n, or the workers block on the send; and it closes the channel
 // (after this call returns) if the consumer ranges over it. The error
-// contract is ForEachParallelCtx's: nil means every index completed (and
+// contract is forEachParallelCtx's: nil means every index completed (and
 // was sent), ctx.Err() means a prefix-dense subset was.
 func ForEachParallelStream(ctx context.Context, n int, fn func(i int), completed chan<- int) error {
-	return ForEachParallelCtx(ctx, n, func(i int) {
+	return forEachParallelCtx(ctx, n, func(i int) {
 		fn(i)
 		completed <- i
 	})
@@ -94,7 +94,7 @@ func (e *Executor) MeanBatchCtx(ctx context.Context, qs []RadiusQuery) ([]MeanRe
 	results := make([]MeanResult, len(qs))
 	errs := make([]error, len(qs))
 	ran := make([]bool, len(qs))
-	if err := ForEachParallelCtx(ctx, len(qs), func(i int) {
+	if err := forEachParallelCtx(ctx, len(qs), func(i int) {
 		results[i], errs[i] = e.MeanCtx(ctx, qs[i])
 		ran[i] = true
 	}); err != nil {

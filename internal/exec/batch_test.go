@@ -69,7 +69,7 @@ func TestForEachParallelCtxCancellation(t *testing.T) {
 	var executed atomic.Int64
 	release := make(chan struct{})
 	var once sync.Once
-	err := ForEachParallelCtx(ctx, n, func(i int) {
+	err := forEachParallelCtx(ctx, n, func(i int) {
 		executed.Add(1)
 		// The first claimed indices cancel the context and stall until the
 		// cancellation has propagated, so no worker can outrun it.
@@ -99,7 +99,7 @@ func TestForEachParallelCtxCancellation(t *testing.T) {
 func TestForEachParallelCtxComplete(t *testing.T) {
 	const n = 777
 	seen := make([]int32, n)
-	if err := ForEachParallelCtx(context.Background(), n, func(i int) {
+	if err := forEachParallelCtx(context.Background(), n, func(i int) {
 		atomic.AddInt32(&seen[i], 1)
 	}); err != nil {
 		t.Fatalf("uncancelled pool returned %v", err)

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -76,16 +77,20 @@ type RegressionResult struct {
 // the mean and the regression read the same few runs of memory and no row id
 // is materialized. The executor holds no other copy of the relation.
 type Executor struct {
-	grid *index.Grid
-	pts  []float64 // grid.Points(): the input attributes, clustered, row-major
-	out  []float64 // the output attribute in the same order
+	grid   *index.Grid
+	pts    []float64 // grid.Points(): the input attributes, clustered, row-major
+	out    []float64 // the output attribute in the same order
+	inputs []string  // the input attribute names, in column order
+	output string    // the output attribute name
 }
 
 // NewExecutor builds an executor over a relation of len(u) >= 1 rows held
-// flat: row i's d >= 1 input attributes are x[i*d:(i+1)*d] and its output is
+// flat, with d = len(inputs) >= 1 input attributes named inputs and an output
+// attribute named output: row i's inputs are x[i*d:(i+1)*d] and its output is
 // u[i]. Its grid index has the given cell size. x and u are read, not
 // retained: the grid clusters its own copy of both.
-func NewExecutor(x, u []float64, d int, cellSize float64) (*Executor, error) {
+func NewExecutor(x, u []float64, inputs []string, output string, cellSize float64) (*Executor, error) {
+	d := len(inputs)
 	if d < 1 {
 		return nil, ErrNoInputs
 	}
@@ -96,7 +101,8 @@ func NewExecutor(x, u []float64, d int, cellSize float64) (*Executor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Executor{grid: grid, pts: grid.Points(), out: grid.Cluster(u)}, nil
+	return &Executor{grid: grid, pts: grid.Points(), out: grid.Cluster(u),
+		inputs: slices.Clone(inputs), output: output}, nil
 }
 
 // NewExecutorWithGrid is NewExecutor over table, which must hold at least
@@ -129,12 +135,17 @@ func NewExecutorWithGrid(table *engine.Table, inputs []string, output string, ce
 			rows[i*d+j] = v
 		}
 	}
-	return NewExecutor(rows, table.ColumnAt(outCol), d, cellSize)
+	return NewExecutor(rows, table.ColumnAt(outCol), inputs, output, cellSize)
 }
 
 // Dim returns the number of input attributes: the dimensionality every
 // query centre must have.
 func (e *Executor) Dim() int { return e.grid.Dim() }
+
+// Columns returns the relation's input attribute names, in column order, and
+// its output attribute name. The slice is the executor's own: read it, do not
+// modify it.
+func (e *Executor) Columns() (inputs []string, output string) { return e.inputs, e.output }
 
 // Select returns the row ids of the subspace D(x, θ), in the grid's visit
 // order.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"llmq/internal/dataset"
@@ -53,11 +54,14 @@ func TestNewExecutorValidation(t *testing.T) {
 	if e.Dim() != 2 {
 		t.Errorf("Dim = %d, want 2", e.Dim())
 	}
-	if _, err := NewExecutor([]float64{1, 2}, []float64{3}, 0, 0.1); !errors.Is(err, ErrNoInputs) {
+	if _, err := NewExecutor([]float64{1, 2}, []float64{3}, nil, "u", 0.1); !errors.Is(err, ErrNoInputs) {
 		t.Errorf("d = 0 err = %v", err)
 	}
+	if in, out := e.Columns(); !slices.Equal(in, []string{"x1", "x2"}) || out != "u" {
+		t.Errorf("Columns = %v, %q, want [x1 x2], \"u\"", in, out)
+	}
 	for _, c := range []struct{ x, u []float64 }{{nil, nil}, {[]float64{1, 2, 3}, []float64{4}}, {[]float64{1, 2}, []float64{3, 4}}} {
-		if _, err := NewExecutor(c.x, c.u, 2, 0.1); err == nil {
+		if _, err := NewExecutor(c.x, c.u, []string{"x1", "x2"}, "u", 0.1); err == nil {
 			t.Errorf("%d inputs and %d outputs at d = 2 accepted", len(c.x), len(c.u))
 		}
 	}

@@ -107,7 +107,7 @@ func TestFlatConstructorMatchesTheWrapper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := NewExecutor(rel.X, rel.U, rel.Dim(), 0.1)
+		flat, err := NewExecutor(rel.X, rel.U, rel.InputNames, rel.OutputName, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -233,7 +233,7 @@ func NewEnv(kind DatasetKind, dim, n int, seed int64, thetaMeanOverride float64)
 	for _, row := range pts.Xs {
 		x = append(x, row...)
 	}
-	ex, err := exec.NewExecutor(x, pts.Us, dim, thetaMean)
+	ex, err := exec.NewExecutor(x, pts.Us, ds.InputNames, ds.OutputName, thetaMean)
 	if err != nil {
 		return nil, err
 	}

@@ -95,7 +95,9 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -692,11 +694,24 @@ func (s *Server) degradable(reader modelReader) bool {
 
 // parseStatement parses and validates one SQL statement against the served
 // relation and the pinned reader (nil when the backend has no prototypes),
-// returning the HTTP status to use on error.
+// returning the HTTP status to use on error. The statement must name the
+// relation's output attribute, and a REGRESSION that lists its inputs must
+// list the relation's input attributes in column order; FROM is not checked,
+// since a server holds one relation.
 func (s *Server) parseStatement(sql string, reader modelReader) (*sqlfront.Statement, int, error) {
 	stmt, err := sqlfront.Parse(sql)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
+	}
+	inputs, output := s.exec.Columns()
+	if stmt.Output != output {
+		return nil, http.StatusBadRequest,
+			fmt.Errorf("unknown output attribute %q: the relation's output attribute is %q", stmt.Output, output)
+	}
+	if len(stmt.Inputs) > 0 && !slices.Equal(stmt.Inputs, inputs) {
+		return nil, http.StatusBadRequest,
+			fmt.Errorf("regression inputs (%s) are not the relation's input attributes (%s) in order",
+				strings.Join(stmt.Inputs, ", "), strings.Join(inputs, ", "))
 	}
 	if len(stmt.Center) != s.exec.Dim() {
 		return nil, http.StatusBadRequest,

@@ -227,3 +227,51 @@ func TestQueryErrorPaths(t *testing.T) {
 		t.Errorf("empty subspace status = %d", rec.Code)
 	}
 }
+
+// TestStatementColumnNames: a statement must name the relation's output
+// attribute, and a REGRESSION that lists its inputs must list the relation's
+// input attributes in column order. /query refuses any other names with 400
+// and a sheet with a positional error frame, EXACT and APPROX alike, while
+// an omitted ON list and any FROM name still answer.
+func TestStatementColumnNames(t *testing.T) {
+	s := newServer(t, true)
+	refused := []string{
+		"SELECT REGRESSION(x1 ON foo, bar, baz) FROM nowhere WITHIN 0.15 OF (0.5, 0.5)",
+		"SELECT REGRESSION(u ON x2) FROM r1 WITHIN 0.15 OF (0.5, 0.5)",
+		"SELECT REGRESSION(u ON x2, x1) FROM r1 WITHIN 0.15 OF (0.5, 0.5)",
+		"SELECT REGRESSION(u ON x1, x2, x1) FROM r1 WITHIN 0.15 OF (0.5, 0.5)",
+		"SELECT APPROX REGRESSION(u ON x2, x1) FROM r1 WITHIN 0.15 OF (0.5, 0.5)",
+		"SELECT AVG(x1) FROM r1 WITHIN 0.15 OF (0.5, 0.5)",
+		"SELECT APPROX AVG(U) FROM r1 WITHIN 0.15 OF (0.5, 0.5)",
+		"SELECT VALUE(x2) FROM r1 AT (0.5, 0.5) WITHIN 0.15 OF (0.5, 0.5)",
+	}
+	for _, sql := range refused {
+		rec := postQuery(t, s, sql)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d body %s, want 400", sql, rec.Code, rec.Body.String())
+		}
+	}
+	answered := []string{
+		"SELECT REGRESSION(u ON x1, x2) FROM nowhere WITHIN 0.15 OF (0.5, 0.5)",
+		"SELECT REGRESSION(u ON *) FROM r1 WITHIN 0.15 OF (0.5, 0.5)",
+		"SELECT APPROX REGRESSION(u) FROM r1 WITHIN 0.15 OF (0.5, 0.5)",
+		"SELECT AVG(u) FROM elsewhere WITHIN 0.15 OF (0.5, 0.5)",
+	}
+	for _, sql := range answered {
+		if rec := postQuery(t, s, sql); rec.Code != http.StatusOK {
+			t.Errorf("%s: status %d body %s, want 200", sql, rec.Code, rec.Body.String())
+		}
+	}
+	frames, _ := decodeStream(t, postBatch(t, s, BatchRequest{SQL: append(append([]string(nil), refused...), answered...)}))
+	for i, f := range frames {
+		if want := i >= len(refused); (f.Error == "") != want {
+			t.Errorf("sheet statement %d: error %q, want answered %v", i, f.Error, want)
+		}
+	}
+	if got := frames[0].Error; got != `unknown output attribute "x1": the relation's output attribute is "u"` {
+		t.Errorf("output refusal %q", got)
+	}
+	if got := frames[2].Error; got != "regression inputs (x2, x1) are not the relation's input attributes (x1, x2) in order" {
+		t.Errorf("inputs refusal %q", got)
+	}
+}

@@ -41,9 +41,12 @@ type Statement struct {
 	// Output is the output attribute name inside AVG(...)/REGRESSION(...)/VALUE(...).
 	Output string
 	// Inputs holds the explanatory attribute names of a REGRESSION(u ON ...)
-	// query; empty means "all non-output attributes" (resolved by the caller).
+	// query; empty (no ON list, or ON *) means all non-output attributes. A
+	// server answers only the relation's input attributes in column order,
+	// which is also what the empty list stands for.
 	Inputs []string
-	// Table is the relation name after FROM.
+	// Table is the relation name after FROM. A server holds one relation,
+	// so it does not check the name.
 	Table string
 	// Theta is the selection radius after WITHIN.
 	Theta float64
