@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,7 +13,7 @@ import (
 
 // setupBatchEnv generates a dataset and trains a model once for the batch
 // subcommand tests.
-func setupBatchEnv(t *testing.T) (data, model string) {
+func setupBatchEnv(t testing.TB) (data, model string) {
 	t.Helper()
 	dir := t.TempDir()
 	data = filepath.Join(dir, "r1.csv")
@@ -25,7 +28,7 @@ func setupBatchEnv(t *testing.T) (data, model string) {
 	return data, model
 }
 
-func writeStatements(t *testing.T, lines ...string) string {
+func writeStatements(t testing.TB, lines ...string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "statements.sql")
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
@@ -127,5 +130,39 @@ func TestBatchTakesNoCapacityFlags(t *testing.T) {
 		if want := "flag provided but not defined: " + f; err == nil || err.Error() != want {
 			t.Errorf("batch %s: error %v, want %q", f, err, want)
 		}
+	}
+}
+
+// BenchmarkBatchLocal times `llmq batch -data` from the command line to the
+// last printed line (load, boot, answer, print to io.Discard) over a sheet
+// of 4096 APPROX or EXACT statements, AVG, REGRESSION and VALUE in turn at
+// scattered centres; ns/stmt is the time per statement.
+func BenchmarkBatchLocal(b *testing.B) {
+	data, model := setupBatchEnv(b)
+	for _, mode := range []string{"APPROX", "EXACT"} {
+		b.Run(mode, func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(1, 2))
+			sqls := make([]string, 4096)
+			for i := range sqls {
+				x, y, theta := rng.Float64(), rng.Float64(), 0.05+0.1*rng.Float64()
+				switch i % 3 {
+				case 0:
+					sqls[i] = fmt.Sprintf("SELECT %s AVG(u) FROM r1 WITHIN %.4f OF (%.4f, %.4f)", mode, theta, x, y)
+				case 1:
+					sqls[i] = fmt.Sprintf("SELECT %s REGRESSION(u) FROM r1 WITHIN %.4f OF (%.4f, %.4f)", mode, theta, x, y)
+				default:
+					sqls[i] = fmt.Sprintf("SELECT %s VALUE(u) FROM r1 AT (%.4f, %.4f) WITHIN %.4f OF (%.4f, %.4f)", mode, x, y, theta, x, y)
+				}
+			}
+			file := writeStatements(b, sqls...)
+			args := []string{"batch", "-data", data, "-model", model, "-file", file}
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := run(args, io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sqls)), "ns/stmt")
+		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"strings"
 	"time"
-	"unicode"
 
 	"llmq/internal/core"
 	"llmq/internal/resilience"
@@ -75,17 +74,6 @@ func postJSON(ctx context.Context, c *http.Client, url string, body any) (*http.
 	return resp, nil
 }
 
-// postRetry POSTs body as JSON to url with retries and decodes a 200
-// response into result.
-func postRetry(ctx context.Context, url string, body, result any) error {
-	resp, err := postJSON(ctx, http.DefaultClient, url, body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(result)
-}
-
 // joinURL glues a base server URL and an endpoint path.
 func joinURL(base, path string) string {
 	return strings.TrimRight(base, "/") + path
@@ -126,19 +114,19 @@ func sendSheet(ctx context.Context, c *http.Client, base string, sqls []string, 
 
 // printAnswer renders one answered statement, the QueryResponse of its
 // result frame, the one way `llmq query` and `llmq batch` print it, local or
-// remote: the aggregate over the output attribute the statement names, its
-// value or count of local linear models, where the answer came from (exact
-// over N tuples, or the model, degraded under overload if so) and its
-// elapsed time, an exact fit's FVU and R², and one S[i] line per local
-// linear model.
-func printAnswer(out io.Writer, sql string, r *serve.QueryResponse) {
-	name := outputName(sql)
-	head := fmt.Sprintf("REGRESSION(%s): %d local linear model(s) [", name, len(r.Models))
+// remote: the aggregate, its value or count of local linear models, where
+// the answer came from (exact over N tuples, or the model, degraded under
+// overload if so) and its elapsed time, an exact fit's FVU and R², and one
+// S[i] line per local linear model. The output attribute is written u and
+// the inputs x1…xd, as core.LocalLinear writes them: a result frame names no
+// attribute.
+func printAnswer(out io.Writer, r *serve.QueryResponse) {
+	head := fmt.Sprintf("REGRESSION(u): %d local linear model(s) [", len(r.Models))
 	switch {
 	case r.Mean != nil:
-		head = fmt.Sprintf("AVG(%s) = %.6g   [", name, *r.Mean)
+		head = fmt.Sprintf("AVG(u) = %.6g   [", *r.Mean)
 	case r.Value != nil:
-		head = fmt.Sprintf("VALUE(%s) = %.6g   [", name, *r.Value)
+		head = fmt.Sprintf("VALUE(u) = %.6g   [", *r.Value)
 	}
 	source := fmt.Sprintf("exact over %d tuples, %s]", r.Tuples, r.Elapsed)
 	if r.Approx {
@@ -162,19 +150,6 @@ func printAnswer(out io.Writer, sql string, r *serve.QueryResponse) {
 	}
 }
 
-// outputName is the output attribute sql names: the identifier after its
-// first parenthesis, where the grammar puts it. A result frame names no
-// attribute, and the server answers only a statement that names the
-// relation's own.
-func outputName(sql string) string {
-	_, rest, _ := strings.Cut(sql, "(")
-	rest = strings.TrimLeftFunc(rest, unicode.IsSpace)
-	if i := strings.IndexFunc(rest, func(r rune) bool { return r == ')' || unicode.IsSpace(r) }); i >= 0 {
-		rest = rest[:i]
-	}
-	return rest
-}
-
 // remoteTrain ships training pairs to a running server's /train in
 // admission-sized chunks: the local engine node computes the exact answers,
 // the serving node absorbs them into its (durable) model. Chunks are sent
@@ -185,16 +160,18 @@ func remoteTrain(ctx context.Context, out io.Writer, base string, pairs []core.T
 	sent := 0
 	var last serve.TrainResponse
 	for len(pairs) > 0 {
-		chunk := pairs
-		if len(chunk) > chunkLimit {
-			chunk = chunk[:chunkLimit]
-		}
+		chunk := pairs[:min(len(pairs), chunkLimit)]
 		pairs = pairs[len(chunk):]
 		req := serve.TrainRequest{Pairs: make([]serve.TrainPair, len(chunk))}
 		for i, p := range chunk {
 			req.Pairs[i] = serve.TrainPair{Center: p.Query.Center, Theta: p.Query.Theta, Answer: p.Answer}
 		}
-		if err := postRetry(ctx, joinURL(base, "/train"), req, &last); err != nil {
+		resp, err := postJSON(ctx, http.DefaultClient, joinURL(base, "/train"), req)
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&last)
+			resp.Body.Close()
+		}
+		if err != nil {
 			return fmt.Errorf("after %d pairs: %w", sent, err)
 		}
 		sent += len(chunk)

@@ -426,7 +426,7 @@ func cmdQuery(args []string, out io.Writer) error {
 	if f.Error != "" {
 		return errors.New(f.Error)
 	}
-	printAnswer(out, *sql, f.QueryResponse)
+	printAnswer(out, f.QueryResponse)
 	return nil
 }
 
@@ -496,15 +496,11 @@ func cmdBatch(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *url != "" {
-		if *data != "" || *modelPath != "" {
-			return errors.New("batch: -url is remote execution; -data/-model belong to the server")
-		}
-		if *file == "" {
-			return errors.New("batch: -file is required")
-		}
-	} else if *data == "" || *file == "" {
-		return errors.New("batch: -data and -file are required")
+	switch {
+	case *url != "" && (*data != "" || *modelPath != ""):
+		return errors.New("batch: -url is remote execution; -data/-model belong to the server")
+	case *file == "" || (*url == "" && *data == ""):
+		return errors.New("batch: -file and one of -data or -url are required")
 	}
 	var src io.Reader = os.Stdin
 	if *file != "-" {
@@ -541,16 +537,17 @@ func cmdBatch(args []string, out io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	start := time.Now()
-	if err := sendSheet(ctx, c, base, sqls, func(i int, f serve.BatchFrame) {
-		fmt.Fprintf(out, "[%d] ", i+1)
+	w := bufio.NewWriter(out)
+	err := sendSheet(ctx, c, base, sqls, func(i int, f serve.BatchFrame) {
+		fmt.Fprintf(w, "[%d] ", i+1)
 		if f.Error != "" {
-			fmt.Fprintf(out, "error: %s\n", f.Error)
+			fmt.Fprintf(w, "error: %s\n", f.Error)
 			return
 		}
-		printAnswer(out, sqls[i], f.QueryResponse)
-	}); err != nil {
-		return err
+		printAnswer(w, f.QueryResponse)
+	})
+	if err == nil {
+		fmt.Fprintf(w, "answered %d statements in %v\n", len(sqls), time.Since(start).Round(time.Microsecond))
 	}
-	fmt.Fprintf(out, "answered %d statements in %v\n", len(sqls), time.Since(start).Round(time.Microsecond))
-	return nil
+	return errors.Join(err, w.Flush())
 }

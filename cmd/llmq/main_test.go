@@ -232,6 +232,27 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestQueryColumnNames: `llmq query` answers a statement naming the
+// relation's columns even when its header puts spaces after the commas, and
+// one on a relation whose output name no statement can spell, as it did
+// before statements named their columns.
+func TestQueryColumnNames(t *testing.T) {
+	dir := t.TempDir()
+	for header, sql := range map[string]string{
+		"x1, x2, u":    "SELECT REGRESSION(u ON x1, x2) FROM r1 WITHIN 1 OF (0.2, 0.2)",
+		"x1,x2,p-wave": "SELECT AVG(u) FROM r1 WITHIN 1 OF (0.2, 0.2)",
+	} {
+		data := filepath.Join(dir, "r.csv")
+		if err := os.WriteFile(data, []byte(header+"\n0.1,0.1,1\n0.2,0.3,2\n0.3,0.2,3\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run([]string{"query", "-data", data, "-sql", sql}, &out); err != nil {
+			t.Errorf("header %q: %s: %v", header, sql, err)
+		}
+	}
+}
+
 func TestGenerateToStdout(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"generate", "-dataset", "R2", "-n", "50", "-dim", "2"}, &out); err != nil {

@@ -44,7 +44,8 @@ func (r *Relation) Len() int { return len(r.U) }
 // with "" escapes that may span lines, \r\n line ends, blank lines skipped)
 // and refuses what it refuses, with csv.ParseError's text. It refuses a
 // non-finite value, naming its physical line and field, and an empty or
-// repeated attribute name.
+// repeated attribute name. Attribute names are trimmed of surrounding
+// white space.
 //
 // One goroutine reads rd into at most 2·GOMAXPROCS+1 blocks of blockSize
 // bytes, each cut after its last newline outside quotes; GOMAXPROCS workers
@@ -68,8 +69,11 @@ func parseCSV(name string, rd io.Reader, size int) (*Relation, error) {
 	if len(header) < 2 {
 		return nil, fmt.Errorf("dataset: header must have at least 2 columns, got %d", len(header))
 	}
+	for j, c := range header {
+		header[j] = strings.TrimSpace(c)
+	}
 	dim := len(header) - 1
-	r := &Relation{Name: name, InputNames: header[:dim:dim], OutputName: strings.TrimSpace(header[dim])}
+	r := &Relation{Name: name, InputNames: header[:dim:dim], OutputName: header[dim]}
 	seen := make(map[string]bool, dim+1)
 	for j, c := range append(r.InputNames, r.OutputName) {
 		if c == "" {

@@ -107,6 +107,19 @@ func BenchmarkReadCSV(b *testing.B) {
 	}
 }
 
+// TestParseCSVTrimsNames checks every attribute name loses its surrounding
+// white space, inputs as well as the output, so a header written with
+// spaces after its commas names the columns a statement spells.
+func TestParseCSVTrimsNames(t *testing.T) {
+	r, err := ParseCSV("r", strings.NewReader("x1, x2,\" x3\", u\n0.1,0.2,0.3,1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"x1", "x2", "x3"}; !slices.Equal(r.InputNames, want) || r.OutputName != "u" {
+		t.Errorf("names %q / %q, want %q / \"u\"", r.InputNames, r.OutputName, want)
+	}
+}
+
 // TestParseCSVSizesFromFile checks that a parse from a file sizes X and U
 // once from the first row: rows of one length fill exactly the estimate,
 // its 1/16 slack included, with no growth.
@@ -148,6 +161,8 @@ var csvRefusals = []struct{ name, in, err string }{
 	{"duplicate name", "x,x,u\n0.1,0.2,1\n", `dataset: duplicate column "x"`},
 	{"output repeats an input", "x,y, x \n0.1,0.2,1\n", `dataset: duplicate column "x"`},
 	{"empty name", "x1,,u\n0.1,0.2,1\n", "dataset: column 2 has an empty name"},
+	{"blank name", "x1, ,u\n0.1,0.2,1\n", "dataset: column 2 has an empty name"},
+	{"input repeats an input", "x, y, x \n0.1,0.2,1\n", `dataset: duplicate column "x"`},
 	{"short row", "x1,x2,u\n0.1,0.2,1\n0.3,0.4\n", "dataset: read line 3: record on line 3: wrong number of fields"},
 	{"header only", "x1,x2,u\n", "dataset: empty dataset"},
 	{"empty file", "", "dataset: read header: EOF"},
@@ -240,8 +255,12 @@ func referenceParseCSV(name string, rd io.Reader) (*Relation, error) {
 	if len(header) < 2 {
 		return nil, fmt.Errorf("dataset: header must have at least 2 columns, got %d", len(header))
 	}
+	header = slices.Clone(header)
+	for j, c := range header {
+		header[j] = strings.TrimSpace(c)
+	}
 	dim := len(header) - 1
-	r := &Relation{Name: name, InputNames: slices.Clone(header[:dim]), OutputName: strings.TrimSpace(header[dim])}
+	r := &Relation{Name: name, InputNames: header[:dim], OutputName: header[dim]}
 	seen := make(map[string]bool, dim+1)
 	for j, c := range append(r.InputNames[:dim:dim], r.OutputName) {
 		if c == "" {

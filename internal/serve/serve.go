@@ -115,6 +115,11 @@ type Server struct {
 	exec    *exec.Executor
 	backend backend
 	mux     *http.ServeMux
+	// output and inputs are the relation's attribute names a statement must
+	// name. A name the dialect cannot spell (sqlfront.IsIdentifier) is not
+	// checked: output is then "", and inputs nil if any input is such.
+	output string
+	inputs []string
 
 	limits     Limits
 	admitQuery *resilience.Semaphore
@@ -226,6 +231,13 @@ func build(e *exec.Executor, b backend, opts ...Option) (*Server, error) {
 		return nil, errors.New("serve: executor is required")
 	}
 	s := &Server{exec: e, backend: b, mux: http.NewServeMux(), limits: DefaultLimits()}
+	inputs, output := e.Columns()
+	if sqlfront.IsIdentifier(output) {
+		s.output = output
+	}
+	if !slices.ContainsFunc(inputs, func(name string) bool { return !sqlfront.IsIdentifier(name) }) {
+		s.inputs = inputs
+	}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -696,22 +708,22 @@ func (s *Server) degradable(reader modelReader) bool {
 // relation and the pinned reader (nil when the backend has no prototypes),
 // returning the HTTP status to use on error. The statement must name the
 // relation's output attribute, and a REGRESSION that lists its inputs must
-// list the relation's input attributes in column order; FROM is not checked,
-// since a server holds one relation.
+// list the relation's input attributes in column order, as far as the
+// dialect can spell them (s.output, s.inputs); FROM is not checked, since a
+// server holds one relation.
 func (s *Server) parseStatement(sql string, reader modelReader) (*sqlfront.Statement, int, error) {
 	stmt, err := sqlfront.Parse(sql)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	inputs, output := s.exec.Columns()
-	if stmt.Output != output {
+	if s.output != "" && stmt.Output != s.output {
 		return nil, http.StatusBadRequest,
-			fmt.Errorf("unknown output attribute %q: the relation's output attribute is %q", stmt.Output, output)
+			fmt.Errorf("unknown output attribute %q: the relation's output attribute is %q", stmt.Output, s.output)
 	}
-	if len(stmt.Inputs) > 0 && !slices.Equal(stmt.Inputs, inputs) {
+	if len(stmt.Inputs) > 0 && s.inputs != nil && !slices.Equal(stmt.Inputs, s.inputs) {
 		return nil, http.StatusBadRequest,
 			fmt.Errorf("regression inputs (%s) are not the relation's input attributes (%s) in order",
-				strings.Join(stmt.Inputs, ", "), strings.Join(inputs, ", "))
+				strings.Join(stmt.Inputs, ", "), strings.Join(s.inputs, ", "))
 	}
 	if len(stmt.Center) != s.exec.Dim() {
 		return nil, http.StatusBadRequest,

@@ -275,3 +275,51 @@ func TestStatementColumnNames(t *testing.T) {
 		t.Errorf("inputs refusal %q", got)
 	}
 }
+
+// TestStatementColumnNamesTheDialectCannotSpell: a relation's attribute name
+// that no statement can spell (a keyword, a name with a symbol or a space)
+// is not checked, so such a relation still answers every statement it
+// answered before names were checked; the names it can spell still are.
+func TestStatementColumnNamesTheDialectCannotSpell(t *testing.T) {
+	x, u := []float64{0.1, 0.1, 0.2, 0.3, 0.3, 0.2}, []float64{1, 2, 3}
+	for _, c := range []struct {
+		inputs            []string
+		output            string
+		answered, refused []string
+	}{
+		{[]string{"x1", "x 2"}, "value", []string{
+			"SELECT AVG(u) FROM r WITHIN 1 OF (0.2, 0.2)",
+			"SELECT REGRESSION(u ON x2) FROM r WITHIN 1 OF (0.2, 0.2)",
+		}, nil},
+		{[]string{"x1", "x2"}, "p-wave", []string{
+			"SELECT AVG(u) FROM r WITHIN 1 OF (0.2, 0.2)",
+			"SELECT REGRESSION(pwave ON x1, x2) FROM r WITHIN 1 OF (0.2, 0.2)",
+		}, []string{
+			"SELECT REGRESSION(u ON x2, x1) FROM r WITHIN 1 OF (0.2, 0.2)",
+		}},
+		{[]string{"at", "x2"}, "u", []string{
+			"SELECT REGRESSION(u ON x2) FROM r WITHIN 1 OF (0.2, 0.2)",
+		}, []string{
+			"SELECT AVG(y) FROM r WITHIN 1 OF (0.2, 0.2)",
+		}},
+	} {
+		e, err := exec.NewExecutor(x, u, c.inputs, c.output, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(e, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range c.answered {
+			if rec := postQuery(t, s, sql); rec.Code != http.StatusOK {
+				t.Errorf("%q / %q: %s: status %d body %s, want 200", c.inputs, c.output, sql, rec.Code, rec.Body.String())
+			}
+		}
+		for _, sql := range c.refused {
+			if rec := postQuery(t, s, sql); rec.Code != http.StatusBadRequest {
+				t.Errorf("%q / %q: %s: status %d body %s, want 400", c.inputs, c.output, sql, rec.Code, rec.Body.String())
+			}
+		}
+	}
+}

@@ -104,6 +104,13 @@ func Lex(input string) ([]Token, error) {
 	return lex(input, make([]Token, 0, len(input)/2+2))
 }
 
+// IsIdentifier reports whether a statement can spell name: whether name
+// lexes as exactly one identifier, not a keyword, that reads back as name.
+func IsIdentifier(name string) bool {
+	tokens, err := Lex(name)
+	return err == nil && len(tokens) == 2 && tokens[0].Kind == TokenIdent && tokens[0].Text == name
+}
+
 // lex appends the tokens of input to tokens.
 func lex(input string, tokens []Token) ([]Token, error) {
 	i := 0

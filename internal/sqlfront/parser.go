@@ -39,11 +39,14 @@ type Statement struct {
 	// Kind selects between Q1, Q2 and data-value prediction.
 	Kind StatementKind
 	// Output is the output attribute name inside AVG(...)/REGRESSION(...)/VALUE(...).
+	// A server answers only the relation's output attribute, when that is an
+	// identifier (IsIdentifier).
 	Output string
 	// Inputs holds the explanatory attribute names of a REGRESSION(u ON ...)
 	// query; empty (no ON list, or ON *) means all non-output attributes. A
 	// server answers only the relation's input attributes in column order,
-	// which is also what the empty list stands for.
+	// which is also what the empty list stands for, when every one of them
+	// is an identifier (IsIdentifier).
 	Inputs []string
 	// Table is the relation name after FROM. A server holds one relation,
 	// so it does not check the name.

@@ -71,6 +71,20 @@ func TestLexErrors(t *testing.T) {
 	}
 }
 
+// TestIsIdentifier: a name is an identifier when a statement can spell it
+// as one non-keyword token that reads back unchanged.
+func TestIsIdentifier(t *testing.T) {
+	for name, want := range map[string]bool{
+		"u": true, "x1": true, "_p_wave": true, "Zeit": true,
+		"": false, "p-wave": false, "x 1": false, " x1": false, "1x": false,
+		"value": false, "AT": false, "On": false, "x1;": false,
+	} {
+		if got := IsIdentifier(name); got != want {
+			t.Errorf("IsIdentifier(%q) = %v, want %v", name, got, want)
+		}
+	}
+}
+
 func TestTokenKindString(t *testing.T) {
 	for _, k := range []TokenKind{TokenEOF, TokenIdent, TokenNumber, TokenKeyword, TokenComma, TokenLParen, TokenRParen, TokenSemicolon, TokenStar} {
 		if k.String() == "unknown" {
