@@ -167,7 +167,9 @@ func TestChunkedPublicationMatchesFullCopy(t *testing.T) {
 // updates and epoch rebuilds all straddle chunk edges. The invariants are
 // the same as the property test's: the live snapshot matches a full copy of
 // the training state, and a version pinned mid-sequence survives later
-// training bit for bit. CI's -race run executes the corpus seeds.
+// training bit for bit. The model is one-dimensional, so its epochs are
+// grids, each merged from the last. CI's -race run executes the corpus
+// seeds, and its fuzz step runs the target.
 func FuzzChunkBoundaryTransitions(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 250, 17, 99, 200, 5, 5, 5, 128})
 	f.Add(bytes.Repeat([]byte{0}, 80))          // all spawns: straight through the boundary

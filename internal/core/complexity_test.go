@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"llmq/internal/index"
+	"llmq/internal/vector"
 )
 
 // The complexity guards: the sub-O(K) searches and the O(touched chunks)
@@ -244,5 +245,52 @@ func TestPublishCopiesOnlyTouchedChunks(t *testing.T) {
 		if copies != len(touched) {
 			t.Fatalf("K=%d: a batch writing %d chunks copied chunks %d times, want once each", tc.K, len(touched), copies)
 		}
+	}
+}
+
+// TestServedWinnerSearchVisits reports, on train_durable's stream at its
+// served size (BenchmarkDurableTrainBatch's model warmed to K ≈ 1 900), the
+// mean number of stored points the grid epoch's winner search measures per
+// training pair, and bounds it. Each pair is searched on the writer's state
+// just before it trains, seeded as winnerOn seeds it (the appended tail and
+// the revived slots, scanned exactly), and must find the writer's winner.
+// TestGridNearestVisitsOnlyItsCutoff's fixture (uniform points, every row
+// moved by up to the slack) measures 15.2 since its rings were clipped;
+// this guard records the count on the stream itself, 27.7 when it was
+// written (PERFORMANCE.md, "The writer's epoch merge"), and bounds it at
+// 1.3 times that.
+func TestServedWinnerSearchVisits(t *testing.T) {
+	const batches, maxMean = 100, 36.0
+	m, stream := warmModel(t)
+	searches, measured := 0, 0
+	for range batches {
+		for _, p := range stream.next() {
+			s := m.store
+			e := s.epoch
+			if e == nil || e.grid == nil {
+				t.Fatalf("K=%d: the writer has no grid epoch", s.live)
+			}
+			q := append(slices.Clone(p.Query.Center), p.Query.Theta)
+			live := s.liveView()
+			seed, seedSq := vector.ArgminSqDistanceChunkedRange(live, q, e.builtK, -1, math.Inf(1))
+			for _, id := range s.revived {
+				if sq := vector.SqDistanceFlat(live.Row(int(id)), q); sq < seedSq || (sq == seedSq && int(id) < seed) {
+					seed, seedSq = int(id), sq
+				}
+			}
+			got, gotSq, n := e.grid.NearestStaleMeasured(q, s.maxDrift, live, seed, seedSq)
+			if want, wantSq := s.winner(q); got != want || gotSq != wantSq {
+				t.Fatalf("pair %d: measured search (%d, %v), the writer's (%d, %v)", searches, got, gotSq, want, wantSq)
+			}
+			searches, measured = searches+1, measured+n
+			if _, err := m.TrainBatch([]TrainingPair{p}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mean := float64(measured) / float64(searches)
+	t.Logf("K=%d: %.1f stored points measured per winner search over %d pairs (bound %.0f)", m.K(), mean, searches, maxMean)
+	if mean > maxMean {
+		t.Errorf("a served winner search measures %.1f stored points on average, want at most %.0f", mean, maxMean)
 	}
 }

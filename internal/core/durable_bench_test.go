@@ -163,6 +163,53 @@ func (s *driftBatches) next() []TrainingPair {
 	return s.pairs[:]
 }
 
+// durableShape is train_durable's model shape: d = 2, vigilance 0.03, a
+// 2 000-prototype cap, no convergence.
+func durableShape() Config {
+	cfg := DefaultConfig(2)
+	cfg.Vigilance = 0.03
+	cfg.Gamma = 1e-12
+	cfg.MinGammaSteps = 1 << 30
+	cfg.MaxPrototypes = 2000
+	return cfg
+}
+
+// warmDurable recovers a durableShape model in a temporary directory and
+// trains it on the drift stream until it nears its cap, where spawns,
+// evictions and epoch rebuilds all run as they do in the served stream.
+func warmDurable(tb testing.TB, mode wal.SyncMode) (*Durable, *driftBatches) {
+	tb.Helper()
+	cfg := durableShape()
+	d, err := Recover(tb.TempDir(), cfg, DurableOptions{WAL: wal.Options{Mode: mode}, SnapshotEvery: 1 << 30})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stream := &driftBatches{rng: rand.New(rand.NewSource(11))}
+	for d.Model().K() < cfg.MaxPrototypes-cfg.MaxPrototypes/16 {
+		if _, err := d.TrainBatch(stream.next()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return d, stream
+}
+
+// warmModel is warmDurable without the log: a durableShape model in memory.
+func warmModel(tb testing.TB) (*Model, *driftBatches) {
+	tb.Helper()
+	cfg := durableShape()
+	m, err := NewModel(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stream := &driftBatches{rng: rand.New(rand.NewSource(11))}
+	for m.K() < cfg.MaxPrototypes-cfg.MaxPrototypes/16 {
+		if _, err := m.TrainBatch(stream.next()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return m, stream
+}
+
 // BenchmarkDurableTrainBatch measures one acknowledged 256-pair batch
 // through Durable.TrainBatch — log the batch, fsync per the policy, apply,
 // publish — over a real temporary directory, on train_durable's model shape
@@ -174,24 +221,10 @@ func (s *driftBatches) next() []TrainingPair {
 // cannot tolerate losing a single acknowledged pair. Rotation is excluded
 // (BenchmarkRotation measures it).
 func BenchmarkDurableTrainBatch(b *testing.B) {
-	cfg := DefaultConfig(2)
-	cfg.Vigilance = 0.03
-	cfg.Gamma = 1e-12
-	cfg.MinGammaSteps = 1 << 30
-	cfg.MaxPrototypes = 2000
 	for _, mode := range []wal.SyncMode{wal.SyncGroup, wal.SyncAlways, wal.SyncNone} {
 		b.Run(fmt.Sprintf("sync=%s", mode), func(b *testing.B) {
-			d, err := Recover(b.TempDir(), cfg, DurableOptions{WAL: wal.Options{Mode: mode}, SnapshotEvery: 1 << 30})
-			if err != nil {
-				b.Fatal(err)
-			}
+			d, stream := warmDurable(b, mode)
 			defer d.log.Close()
-			stream := &driftBatches{rng: rand.New(rand.NewSource(11))}
-			for d.Model().K() < cfg.MaxPrototypes-cfg.MaxPrototypes/16 {
-				if _, err := d.TrainBatch(stream.next()); err != nil {
-					b.Fatal(err)
-				}
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -147,7 +147,7 @@ type scored struct {
 // protect, the slot that just spawned — evicting the pair that triggered
 // the pass would just respawn it), sorts ascending, and evicts or merges
 // victims until the live count reaches the hysteresis target below the cap,
-// then installs a fresh epoch over the survivors. Returns the number of
+// then installs a new epoch over the survivors. Returns the number of
 // prototypes removed. The caller holds the writer lock and publishes
 // afterwards.
 func (m *Model) evictLocked(protect int) int {
@@ -227,7 +227,7 @@ func (m *Model) evictLocked(protect int) int {
 		m.compactLocked() // installs its own fresh epoch
 	} else if s.epoch != nil {
 		// The old epoch indexes the victims' stale positions; install a
-		// fresh one over the survivors before the lock is released so no
+		// new one over the survivors before the lock is released so no
 		// search ever prunes against a tombstoned row's stale geometry.
 		s.rebuildEpoch()
 	}
@@ -293,7 +293,7 @@ func (m *Model) mergeVictim(v slotState) {
 	}
 	// updateRow, not update: the survivor's move is accounted against the
 	// drift budget but must not trigger a rebuild per victim — evictLocked
-	// installs the pass's single fresh epoch when all victims are done.
+	// installs the pass's last epoch when all victims are done.
 	blend(m.moved, s.row(n), v.row)
 	s.updateRow(n, m.moved)
 	coef := s.coefForWrite(n)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"llmq/internal/index"
 	"llmq/internal/vector"
@@ -74,9 +75,12 @@ const (
 // overlap path of a tree epoch, against the epoch's own copy when the
 // reader can prove the copy current (see readEpoch). Rebuilds happen on the
 // write path once the tail or the displacement grows past its threshold,
-// amortizing to O(log K) per step. Because an epoch is never mutated after
-// it is built, snapshots share it without copying, exactly as they share
-// unchanged row chunks.
+// amortizing to O(log K) per step. A grid epoch is rebuilt by merging the
+// last one: the rows written since its build (touched), the tail and the
+// revived slots are re-celled into a copy of its clustered arrays, and only
+// a row leaving its extent forces a build from scratch. Because an epoch is
+// never mutated after it is built, snapshots share it without copying,
+// exactly as they share unchanged row chunks.
 //
 // # The max-θ invariant
 //
@@ -99,7 +103,7 @@ const (
 // free list; the next spawn reuses the slot instead of appending, so the row
 // space stays bounded by the capacity plus the eviction hysteresis no matter
 // how long the stream runs. Eviction rewrites only the victims' chunks
-// (copy-on-write, like any other write) and installs one fresh epoch, so a
+// (copy-on-write, like any other write) and installs a new epoch, so a
 // snapshot pinned before the eviction keeps serving its own version of every
 // row.
 //
@@ -132,6 +136,10 @@ type protoStore struct {
 	// rebuild.
 	free    []int32
 	revived []int32
+	// touched lists the slots a grid epoch indexes whose rows were written
+	// since its build (repeats allowed), so the next epoch re-cells only
+	// them; cleared on rebuild.
+	touched []int32
 
 	// shared[c] records whether any published snapshot references chunk c —
 	// a write to a published row of a shared chunk must copy the chunk
@@ -248,7 +256,7 @@ func (t *chunkTable) isTombstone(k int) bool {
 // before the same step's coefficient write, and the block then holds that
 // winner's pre-update coefficients under a stamp that is about to become
 // step itself. (The eviction pass writes rows without raising their stamp,
-// and always installs a fresh epoch before it returns.)
+// and always installs a new epoch before it returns.)
 type readEpoch struct {
 	builtK int
 	width  int
@@ -256,7 +264,9 @@ type readEpoch struct {
 
 	// slotPos maps each slot below builtK to the position of its copy in
 	// the index's rows (grid.Points or tree.Rows), −1 for a slot the epoch
-	// does not index (a tombstone at build time). Only indexed slots pay
+	// does not index (a tombstone at build time); a slot past its end is
+	// not indexed either. A grid epoch's is the grid's own Positions, filled
+	// by the merge or the build that made it. Only indexed slots pay
 	// into the drift budget, by their distance from that copy — a slot the
 	// epoch does not cover is scanned exactly against its live row anyway,
 	// so its moves cannot invalidate any pruning bound (and must not
@@ -454,7 +464,7 @@ func (s *protoStore) spawn(q Query, intercept float64) int {
 // state is dropped, and the slot joins the free list for reuse. The write
 // copy-on-writes the chunk, so snapshots published before the eviction keep
 // serving the old row. The caller (the model's eviction pass) installs a
-// fresh epoch before releasing the writer lock — the store's own searches
+// new epoch before releasing the writer lock — the store's own searches
 // never run against an epoch that indexes a tombstoned slot.
 func (s *protoStore) evictSlot(k int) {
 	clear(s.coefForWrite(k)) // the chunk is writable from here on
@@ -492,12 +502,27 @@ func (s *protoStore) updateRow(k int, to []float64) {
 		if stale := e.stale(k); stale != nil {
 			move := math.Nextafter(math.Sqrt(vector.SqDistanceFlat(stale, to)), math.Inf(1))
 			s.maxDrift = max(s.maxDrift, move)
+			if e.grid != nil {
+				s.touch(k, e.builtK)
+			}
 		}
 	}
 	s.writableChunk(k)
 	copy(s.row(k), to)
 	if theta := to[s.width-1]; theta > s.maxTheta {
 		s.maxTheta = theta
+	}
+}
+
+// touch records that indexed slot k's row was written. A winner written
+// over and over between rebuilds is listed each time; once the list
+// outgrows twice the epoch's slots it is sorted and its repeats dropped, so
+// it stays O(builtK) however long the epoch lives.
+func (s *protoStore) touch(k, builtK int) {
+	s.touched = append(s.touched, int32(k))
+	if len(s.touched) > 2*builtK {
+		slices.Sort(s.touched)
+		s.touched = slices.Compact(s.touched)
 	}
 }
 
@@ -515,8 +540,7 @@ func (s *protoStore) coefForWrite(k int) []float64 {
 // plus any revived slots — reach an eighth of the prototype set or some
 // row's displacement from the epoch's copy passes a quarter of the
 // prototype spacing. Called on the write path only; a rebuild installs a
-// fresh immutable epoch and leaves every previously published one
-// untouched.
+// new immutable epoch and leaves every previously published one untouched.
 func (s *protoStore) maybeRebuildEpoch() {
 	k := s.rows
 	if s.live < s.minEpochK() {
@@ -531,33 +555,104 @@ func (s *protoStore) maybeRebuildEpoch() {
 	}
 }
 
-// rebuildEpoch snapshots the current live prototype rows into a fresh
-// immutable index (grid or k-d tree by width; a tree epoch also captures
-// the coefficient rows — see readEpoch), maps every slot to its copy's
-// position (slotPos), resets the drift budget, the dirty mark and the
-// revived list, and re-tightens the max-θ bound exactly. It reads the live
-// chunks row by row; the epoch's own storage is contiguous (cell-clustered
-// grid rows / leaf-ordered tree matrix), so searches against the stale copy
-// keep their flat-scan cache behaviour. While tombstones exist only the
-// live slots are indexed, with the grid/tree id-indirection carrying the
-// true slot ids; if the live count has fallen below the index size gate (a
-// deep capacity shrink) the epoch is dropped and searches fall back to the
+// rebuildEpoch installs a new immutable index over the current live
+// prototype rows (grid or k-d tree by width; a tree epoch also captures the
+// coefficient rows — see readEpoch), maps every slot to its copy's position
+// (slotPos), resets the drift budget, the dirty mark and the revived and
+// touched lists, and re-tightens the max-θ bound exactly. A grid epoch is
+// built from the last one when there is one (mergeGrid): one pass over its
+// clustered rows that re-cells only the rows that changed cell, spawned or
+// were revived, drops the tombstoned ones, and keeps slotPos and the max-θ
+// bound as it goes. Otherwise, and when a row has left the last grid's
+// extent, the live rows are gathered and indexed from scratch. Either way
+// the epoch's own storage is contiguous (cell-clustered grid rows /
+// leaf-ordered tree matrix), so searches against the stale copy keep their
+// flat-scan cache behaviour, and it is new memory: snapshots still holding
+// the last epoch keep it whole. While tombstones exist only the live slots
+// are indexed, with the grid/tree id-indirection carrying the true slot
+// ids; if the live count has fallen below the index size gate (a deep
+// capacity shrink) the epoch is dropped and searches fall back to the
 // exact flat scan, for which tombstones are transparent.
 func (s *protoStore) rebuildEpoch() {
 	k := s.rows
 	w := s.width
-	s.revived = s.revived[:0]
+	prev := s.epoch
 	s.dirty = false
 	s.maxDrift = 0
 	if s.live < s.minEpochK() {
+		s.revived, s.touched = s.revived[:0], s.touched[:0]
 		s.epoch = nil
 		s.retightenMaxTheta()
 		return
 	}
 	e := &readEpoch{builtK: k, width: w, step: s.step}
-	// One gather of the live rows and their slots serves either index.
+	if w <= storeGridMaxWidth && prev != nil && prev.grid != nil {
+		e.grid = s.mergeGrid(prev)
+	}
+	s.revived, s.touched = s.revived[:0], s.touched[:0]
+	if e.grid == nil {
+		s.buildEpoch(e)
+	}
+	if e.grid != nil {
+		// The grid keeps its id → position map and its per-dimension maxima;
+		// the θ column's is the max-θ bound (radii are non-negative).
+		e.slotPos = e.grid.Positions()
+		s.maxTheta = max(0, e.grid.Max()[w-1])
+	} else {
+		e.slotPos = make([]int32, k)
+		for i := range e.slotPos {
+			e.slotPos[i] = -1
+		}
+		for p, id := range e.tree.IDs() {
+			e.slotPos[id] = int32(p)
+		}
+		s.retightenMaxTheta()
+	}
+	s.epoch = e
+}
+
+// mergeGrid builds the next grid epoch from prev's grid (index.Grid.Merge):
+// the rows written since prev's build, the appended tail and the revived
+// slots are placed at their live rows, and the slots prev indexes that the
+// eviction pass has tombstoned since leave it; every other row is still
+// prev's copy. It returns nil when a placed row lies outside prev's extent.
+func (s *protoStore) mergeGrid(prev *readEpoch) *index.Grid {
+	moved := s.idsBuf[:0]
+	for _, id := range s.touched {
+		if !s.isTombstone(int(id)) {
+			moved = append(moved, id)
+		}
+	}
+	rewritten := len(moved)
+	for _, id := range s.revived {
+		if !s.isTombstone(int(id)) {
+			moved = append(moved, id)
+		}
+	}
+	for id := prev.builtK; id < s.rows; id++ {
+		if !s.isTombstone(id) {
+			moved = append(moved, int32(id))
+		}
+	}
+	s.idsBuf = moved
+	// prev indexes every live slot but the new ones, and any tombstone.
+	var gone []int32
+	if prev.grid.Len() > s.live-(len(moved)-rewritten) {
+		for _, id := range prev.grid.IDs() {
+			if s.isTombstone(int(id)) {
+				gone = append(gone, id)
+			}
+		}
+	}
+	return prev.grid.Merge(s.liveView(), gone, moved)
+}
+
+// buildEpoch indexes the live rows from scratch into e: one gather of the
+// rows and their slots serves either index.
+func (s *protoStore) buildEpoch(e *readEpoch) {
+	w := s.width
 	stale, ids := s.staleBuf[:0], s.idsBuf[:0]
-	for i := 0; i < k; i++ {
+	for i := 0; i < s.rows; i++ {
 		if s.isTombstone(i) {
 			continue
 		}
@@ -579,28 +674,15 @@ func (s *protoStore) rebuildEpoch() {
 	if err != nil {
 		panic(fmt.Sprintf("core: epoch index build invariant broken: %v", err))
 	}
-	var slotAt []int32 // position → slot, in the index's own order
-	if e.grid != nil {
-		slotAt = e.grid.IDs()
-	} else {
-		slotAt = e.tree.IDs()
+	if e.tree != nil {
 		// The block's other half: each position's coefficient row, beside
 		// the tree's leaf-ordered prototype rows.
 		cw := s.coefW
 		e.coefs = make([]float64, s.live*cw)
-		for p, id := range slotAt {
+		for p, id := range e.tree.IDs() {
 			copy(e.coefs[p*cw:(p+1)*cw], s.coefRow(int(id)))
 		}
 	}
-	e.slotPos = make([]int32, k)
-	for i := range e.slotPos {
-		e.slotPos[i] = -1
-	}
-	for p, id := range slotAt {
-		e.slotPos[id] = int32(p)
-	}
-	s.epoch = e
-	s.retightenMaxTheta()
 }
 
 // retightenMaxTheta recomputes the exact max over the live prototype radii

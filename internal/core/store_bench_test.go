@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -247,14 +248,17 @@ func BenchmarkPredictMeanScaling(b *testing.B) {
 }
 
 // BenchmarkEpochRebuild measures the cost of one read-epoch rebuild — the
-// amortized write-path price behind every indexed read: the clustered grid
-// build (row gather, cell numbering, counting scatter) at d=2, and the k-d
-// tree bulk build (row gather, median-split quickselect, leaf reorder,
-// bottom-up boxes) at d=4 and d=8, each over K=10k live rows. Rebuilds fire
-// on the write path once the un-indexed tail reaches K/8 or one indexed
-// row's displacement passes a quarter of the prototype spacing; on a
-// training stream the second rule fires far more often than every K/8
-// pairs (PERFORMANCE.md has the measured rate).
+// amortized write-path price behind every indexed read. The K=10k cases
+// build from scratch: the clustered grid build (row gather, cell numbering,
+// counting scatter) at d=2, and the k-d tree bulk build (row gather,
+// median-split quickselect, leaf reorder, bottom-up boxes) at d=4 and d=8.
+// Rebuilds fire on the write path once the un-indexed tail reaches K/8 or
+// one indexed row's displacement passes a quarter of the prototype spacing;
+// on a training stream the second rule fires far more often than every K/8
+// pairs (PERFORMANCE.md has the measured rate). d=2-durable is that stream:
+// train_durable's shape warmed to its cap, then one 256-pair batch of drift;
+// "merge" builds the next grid epoch from the one before the batch, the way
+// the writer does, and "fresh" builds it from scratch.
 func BenchmarkEpochRebuild(b *testing.B) {
 	for _, tc := range overlapBenchCases {
 		if tc.K < 10000 {
@@ -264,10 +268,55 @@ func BenchmarkEpochRebuild(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				m.store.epoch = nil
 				m.store.rebuildEpoch()
 			}
 		})
 	}
+	m, stream := warmModel(b)
+	s := m.store
+	prev := s.epoch
+	if _, err := m.TrainBatch(stream.next()); err != nil {
+		b.Fatal(err)
+	}
+	s = m.store
+	// What the writer would hold had no epoch been installed since prev,
+	// whatever epochs the batch installed meanwhile: the live slots below
+	// prev's builtK that prev does not index are revived, and those whose
+	// rows moved from prev's copy are touched.
+	var revived, touched []int32
+	for id := range prev.builtK {
+		switch stale := prev.stale(id); {
+		case s.isTombstone(id):
+		case stale == nil:
+			revived = append(revived, int32(id))
+		case !slices.Equal(stale, s.row(id)):
+			touched = append(touched, int32(id))
+		}
+	}
+	restore := func() {
+		s.epoch = prev
+		s.revived, s.touched = append(s.revived[:0], revived...), append(s.touched[:0], touched...)
+	}
+	restore()
+	if s.mergeGrid(prev) == nil {
+		b.Fatal("the batch moved a row out of the last epoch's extent: nothing to merge")
+	}
+	b.Logf("since the last epoch: %d rows moved, %d revived, %d appended", len(touched), len(revived), s.rows-prev.builtK)
+	b.Run("d=2-durable/K≈1900/merge", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			restore()
+			s.rebuildEpoch()
+		}
+	})
+	b.Run("d=2-durable/K≈1900/fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.epoch = nil
+			s.rebuildEpoch()
+		}
+	})
 }
 
 // BenchmarkReadDuringTraining measures prediction latency while a writer

@@ -8,7 +8,10 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"llmq/internal/wal"
 )
 
 // TestTrainingStepAllocationFree asserts a winner update allocates nothing:
@@ -71,5 +74,31 @@ func TestTrainingStepAllocationFree(t *testing.T) {
 					dim, solver, K, small, large, (large-small)/192)
 			}
 		}
+	}
+}
+
+// TestDurableBatchAllocBytes bounds the bytes one acknowledged 256-pair
+// Durable.TrainBatch allocates on train_durable's shape, warmed to its cap
+// as BenchmarkDurableTrainBatch warms it: the chunks the batch copies on
+// write, its publication, and the read epochs it rebuilds (0.68 a batch),
+// which merge the last epoch's grid instead of building afresh. The mean
+// over 400 batches was 212.8 kB a batch with every epoch built afresh and
+// 169.4 kB with the merge; the bound leaves 10 % above the latter.
+func TestDurableBatchAllocBytes(t *testing.T) {
+	const batches, maxBytes = 400, 186_000
+	d, stream := warmDurable(t, wal.SyncGroup)
+	defer d.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range batches {
+		if _, err := d.TrainBatch(stream.next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perBatch := float64(after.TotalAlloc-before.TotalAlloc) / batches
+	t.Logf("%.0f bytes allocated per 256-pair batch (bound %d)", perBatch, maxBytes)
+	if perBatch > maxBytes {
+		t.Errorf("a durable batch allocates %.0f bytes, want at most %d", perBatch, maxBytes)
 	}
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -62,7 +63,8 @@ const ScanCheckRows = 4096
 // at a tenth of the span is 10⁸ cells for a few thousand occupied ones). A
 // grid whose cell numbers do not fit 63 bits, or whose points are not all
 // finite, keeps no table and answers every query by the row-order scan. A
-// Grid is immutable after construction and safe for concurrent use.
+// Grid is immutable after construction and safe for concurrent use; Merge
+// builds the next one from it without writing it.
 //
 // Besides radius queries the grid answers NearestStale, the nearest-point
 // search of the prototype store's read epoch (the winner of Eq. 5), by
@@ -71,16 +73,21 @@ const ScanCheckRows = 4096
 type Grid struct {
 	dim      int
 	cellSize float64
-	origin   []float64 // per-dimension minimum of the points
+	origin   []float64 // per-dimension minimum of the points the geometry was fixed from
 	extent   []int     // cells per dimension: cell coordinates lie in [0, extent[j])
 	stride   []uint64  // linear cell number = Σ coord[j]·stride[j]
+	hi       []float64 // per-dimension maximum of the stored points
 
 	pts  []float64 // clustered coordinates, row-major: position k is pts[k*dim:(k+1)*dim]
 	ids  []int32   // clustered position → row id (the caller's id under NewGridFlatIDs)
-	rank []int32   // input row → clustered position
+	rank []int32   // row id → clustered position, −1 for an id the grid does not hold
 
 	cells []gridCell // the directory; len is a power of two, or 0 for a scan-only grid
 	shift uint       // 64 − log2(len(cells))
+	// The occupied cells in linear-number order — the order of their runs —
+	// and where each run ends: the directory in the order Merge walks it.
+	runKeys []uint64
+	runEnds []int32
 	// The cells of at least boxMinPoints points are boxed: boxStarts holds
 	// their first positions, ascending, and boxes, in the same order, their
 	// points' per-dimension minima, then maxima.
@@ -126,12 +133,38 @@ func NewGrid(pts [][]float64, cellSize float64) (*Grid, error) {
 // columnar table without materializing one slice per row. rows is read, not
 // retained.
 //
-// Construction clusters the points in three passes: one numbers every
-// point's cell, one counts the cells into the directory, and one stable
-// counting pass copies the points into cell order. A fourth reads the
-// clustered points once to record the bounding box of every cell of at
-// least boxMinPoints points.
+// Construction fixes the geometry from the points' extent, then clusters
+// them in three passes: one numbers every point's cell, one counts the cells
+// into the directory, and one stable counting pass copies the points into
+// cell order. A fourth reads the clustered points once to record the
+// bounding box of every cell of at least boxMinPoints points. Merge is the
+// other way to a grid: from the last one, at its geometry.
 func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
+	return newGridFlat(rows, dim, cellSize, nil)
+}
+
+// NewGridFlatIDs is NewGridFlat for points that live in a caller-defined id
+// space, mirroring NewBulkKDTreeIDs: point i is reported under ids[i]
+// instead of i, and NearestStale's live-row verification reads
+// live.Row(ids[i]). The bounded prototype store uses it to index only the
+// live slots of a tombstoned row space. ids is read, not retained; they must
+// be distinct and non-negative, and Positions keeps one entry per id up to
+// the largest. Ascending ids keep the visit order inside a cell, and the
+// row-order scan, ascending in id.
+func NewGridFlatIDs(rows []float64, dim int, cellSize float64, ids []int32) (*Grid, error) {
+	if dim >= 1 && len(ids) != len(rows)/dim {
+		return nil, fmt.Errorf("%w: %d ids for %d points", ErrDimension, len(ids), len(rows)/dim)
+	}
+	for _, id := range ids {
+		if id < 0 {
+			return nil, fmt.Errorf("%w: negative id %d", ErrDimension, id)
+		}
+	}
+	return newGridFlat(rows, dim, cellSize, ids)
+}
+
+// newGridFlat is both constructors; nil ids number the points 0..n−1.
+func newGridFlat(rows []float64, dim int, cellSize float64, ids []int32) (*Grid, error) {
 	if len(rows) == 0 {
 		return nil, ErrEmpty
 	}
@@ -141,31 +174,116 @@ func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
 	if cellSize <= 0 || math.IsNaN(cellSize) || math.IsInf(cellSize, 0) {
 		return nil, fmt.Errorf("index: invalid cell size %v", cellSize)
 	}
-	n := len(rows) / dim
-	if n > math.MaxInt32 {
+	if n := len(rows) / dim; n > math.MaxInt32 {
 		return nil, fmt.Errorf("index: %d points exceed the grid's 2^31-1 positions", n)
 	}
-	g := &Grid{dim: dim, cellSize: cellSize, ids: make([]int32, n), rank: make([]int32, n)}
-	keys := g.cellNumbers(rows)
-	if keys == nil {
-		g.pts = slices.Clone(rows)
+	g := &Grid{dim: dim, cellSize: cellSize}
+	if !g.fixGeometry(rows) || !g.cluster(rows, ids) {
+		// Scan-only: the points in input order, no directory.
+		n := len(rows) / dim
+		g.pts, g.ids, g.rank = slices.Clone(rows), make([]int32, n), make([]int32, n)
 		for i := range g.ids {
 			g.ids[i], g.rank[i] = int32(i), int32(i)
 		}
-		return g, nil
+		if ids != nil {
+			g.renumber(ids)
+		}
+		g.cells, g.shift = nil, 0
 	}
+	return g, nil
+}
 
+// newRank allocates the id → position map of a grid of n points numbered
+// by ids (0..n−1 when nil): one entry per id up to the largest, each −1
+// (absent) until a position is stored, when ids leave holes.
+func newRank(n int, ids []int32) []int32 {
+	if ids == nil {
+		return make([]int32, n)
+	}
+	rank := make([]int32, slices.Max(ids)+1)
+	if len(rank) > n {
+		for i := range rank {
+			rank[i] = -1
+		}
+	}
+	return rank
+}
+
+// fixGeometry fixes the grid's origin, extent and stride from the points'
+// per-dimension minima and maxima, and records the maxima. It reports false
+// when the grid cannot be numbered: a bound that is not finite, or more
+// than 2⁶³ cells.
+func (g *Grid) fixGeometry(rows []float64) bool {
+	dim := g.dim
+	g.origin = slices.Clone(rows[:dim])
+	g.hi = slices.Clone(rows[:dim])
+	for i := dim; i < len(rows); i += dim {
+		for j, v := range rows[i : i+dim] {
+			if v < g.origin[j] {
+				g.origin[j] = v
+			}
+			if v > g.hi[j] {
+				g.hi[j] = v
+			}
+		}
+	}
+	g.extent = make([]int, dim)
+	g.stride = make([]uint64, dim)
+	total := uint64(1)
+	for j, top := range g.hi {
+		last := g.cellOf(top, j)
+		if !(last >= 0 && last < 1<<62) {
+			return false
+		}
+		g.extent[j], g.stride[j] = int(last)+1, total
+		hi, lo := bits.Mul64(total, uint64(last)+1)
+		if hi != 0 || lo > math.MaxInt64 {
+			return false
+		}
+		total = lo
+	}
+	return true
+}
+
+// cellKey returns the linear number of the cell holding point p under the
+// grid's geometry, and false when p lies in no cell of the extent (a
+// coordinate that is NaN, ±Inf beside finite points, or outside the extent
+// a merge keeps).
+func (g *Grid) cellKey(p []float64) (uint64, bool) {
+	var key uint64
+	for j, v := range p[:g.dim] {
+		c := g.cellOf(v, j)
+		if !(c >= 0 && c < float64(g.extent[j])) {
+			return 0, false
+		}
+		key += uint64(c) * g.stride[j]
+	}
+	return key, true
+}
+
+// cluster copies the points into cell order under the grid's geometry —
+// the stable counting pass of NewGridFlat — and builds the directory and the
+// boxes. It reports false, leaving the grid for the caller to discard, when
+// some point lies in no cell.
+func (g *Grid) cluster(rows []float64, ids []int32) bool {
+	dim := g.dim
+	n := len(rows) / dim
+	g.ids, g.rank = make([]int32, n), make([]int32, n)
+	keys := make([]uint64, n)
+	for i := range keys {
+		key, ok := g.cellKey(rows[i*dim : (i+1)*dim])
+		if !ok {
+			return false
+		}
+		keys[i] = key
+	}
 	// Count the points of every occupied cell. At most min(n, ∏extent) cells
-	// are occupied; twice that many slots keep probe chains short.
+	// are occupied.
 	size := uint64(n)
 	if total := g.stride[dim-1] * uint64(g.extent[dim-1]); total < size {
 		size = total
 	}
-	g.shift = uint(bits.LeadingZeros64(2*size - 1))
-	g.cells = make([]gridCell, uint64(1)<<(64-g.shift))
-	for i := range g.cells {
-		g.cells[i].key = noCell
-	}
+	g.directory(size)
 	occupied := make([]uint64, 0, size)
 	for _, key := range keys {
 		c := g.find(key)
@@ -179,14 +297,15 @@ func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
 	// dimension 0 — consecutive stops of a query's walk — are neighbours in
 	// memory.
 	slices.Sort(occupied)
+	g.runKeys, g.runEnds = slices.Clone(occupied), make([]int32, len(occupied))
 	var at int32
-	for i, key := range occupied {
+	for i, key := range g.runKeys {
 		c := g.find(key)
 		c.start, c.end, at = at, at, at+c.end
-		occupied[i] = uint64(at) // from here on, the end of cell i's run
+		g.runEnds[i] = at
 	}
-	// Scatter in ascending row id; c.end is the cell's fill cursor and ends
-	// where the count put it.
+	// Scatter in input order; c.end is the cell's fill cursor and ends where
+	// the count put it.
 	g.pts = make([]float64, len(rows))
 	for i, key := range keys {
 		c := g.find(key)
@@ -195,17 +314,281 @@ func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
 		g.ids[pos], g.rank[i] = int32(i), pos
 		copy(g.pts[int(pos)*dim:], rows[i*dim:(i+1)*dim])
 	}
-	g.boxCells(occupied)
-	return g, nil
+	if ids != nil {
+		g.renumber(ids)
+	}
+	g.boxCells()
+	return true
+}
+
+// renumber moves a grid whose points are numbered 0..n−1 in input order to
+// the caller's ids.
+func (g *Grid) renumber(ids []int32) {
+	rank := newRank(len(ids), ids)
+	for i, pos := range g.rank {
+		rank[ids[i]] = pos
+	}
+	for k, i := range g.ids {
+		g.ids[k] = ids[i]
+	}
+	g.rank = rank
+}
+
+// Merge returns the grid of the next read epoch, built from g in one pass
+// over its clustered arrays instead of from scratch. The ids in gone leave
+// the grid, and those in moved — ids of g whose rows may have changed, and
+// new ids — take the rows live holds for them now; every other id keeps the
+// row g stores for it, which must still be its live row. Merge keeps g's
+// geometry (origin, extent, stride, cell size). A row whose cell did not
+// change keeps its place in its cell's order and is copied with its
+// neighbours, in stretches; only the rows that changed cell and the new ones
+// are merged into their cells, in ascending id. When g's runs ascend in id —
+// as every grid NewGridFlatIDs builds from ascending ids, and every merge of
+// one, does — the result is, position for position, the grid that
+// construction would cluster from the same rows at g's geometry. The
+// directory and the boxes are rebuilt from the merged runs, and Max is kept
+// up to date from the rows that left, moved and came.
+//
+// gone must hold ids of g. An id may be listed more than once, and an id in
+// both lists is moved. Merge returns nil, and the caller builds afresh, when
+// g is scan-only, when no row would remain, or when a moved row's cell lies
+// outside g's extent. It writes only new arrays and shares only the
+// immutable geometry with g, so readers holding g keep their copy.
+func (g *Grid) Merge(live vector.Chunked, gone, moved []int32) *Grid {
+	if len(g.cells) == 0 {
+		return nil
+	}
+	sc := mergeScratch.Get().(*mergeBufs)
+	defer mergeScratch.Put(sc)
+	d, n := g.dim, len(g.ids)
+	// state tells what becomes of each stored row: kept, gone, moved (its
+	// position vacated, its id placed anew) or refreshed (kept in place at
+	// its live row). vac lists the vacated positions, and lost marks the
+	// dimensions whose maximum a row that left, moved or changed held.
+	const (
+		kept uint8 = iota
+		dropped
+		placed
+		refreshed
+	)
+	state := slices.Grow(sc.state[:0], n)[:n]
+	lost := slices.Grow(sc.lost[:0], d)[:d]
+	clear(state)
+	clear(lost)
+	vac, rows, stay := sc.vac[:0], sc.rows[:0], sc.stay[:0]
+	defer func() { sc.state, sc.lost, sc.vac, sc.rows, sc.stay = state, lost, vac, rows, stay }()
+	leaving := func(p int32) { // the stored row at p leaves or changes
+		for j, v := range g.pts[int(p)*d : int(p)*d+d] {
+			lost[j] = lost[j] || v == g.hi[j]
+		}
+	}
+	for _, id := range gone {
+		p := g.position(id)
+		if p < 0 {
+			panic(fmt.Sprintf("index: Merge drops id %d, which the grid does not hold", id))
+		}
+		if state[p] == kept {
+			state[p], vac = dropped, append(vac, p)
+			leaving(p)
+		}
+	}
+	top := int32(len(g.rank) - 1)
+	for _, id := range moved {
+		key, ok := g.cellKey(live.Row(int(id)))
+		if !ok {
+			return nil
+		}
+		if p := g.position(id); p >= 0 {
+			switch state[p] {
+			case placed, refreshed:
+				continue // listed before
+			case kept:
+				leaving(p)
+				if was, _ := g.cellKey(g.pts[int(p)*d : int(p)*d+d]); was == key {
+					state[p], stay = refreshed, append(stay, id)
+					continue
+				}
+				vac = append(vac, p)
+			}
+			state[p] = placed
+		}
+		rows, top = append(rows, cellRow{key, id}), max(top, id)
+	}
+	slices.Sort(vac)
+	slices.SortFunc(rows, func(a, b cellRow) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	rows = slices.CompactFunc(rows, func(a, b cellRow) bool { return a.id == b.id })
+	m := n - len(vac) + len(rows)
+	if m == 0 {
+		return nil
+	}
+
+	// Where each placed row goes: before the first stored row after it in
+	// (cell, id) order. And the merged runs: g's, their ends shifted by the
+	// rows that left and came before them, less the emptied ones, with the
+	// placed rows' new cells between them.
+	nr := len(g.runKeys) + len(rows)
+	out := &Grid{dim: d, cellSize: g.cellSize, origin: g.origin, extent: g.extent, stride: g.stride,
+		hi: slices.Clone(g.hi), runKeys: make([]uint64, 0, nr), runEnds: make([]int32, 0, nr)}
+	ins := slices.Grow(sc.ins[:0], len(rows))[:len(rows)]
+	defer func() { sc.ins = ins }()
+	mi, vi := 0, 0
+	left := func(p int) int { // rows vacated below position p, p ascending
+		for vi < len(vac) && int(vac[vi]) < p {
+			vi++
+		}
+		return vi
+	}
+	last, start := 0, 0
+	run := func(key uint64, end int) { // an emptied run ends where the last one does
+		if end > last {
+			out.runKeys, out.runEnds, last = append(out.runKeys, key), append(out.runEnds, int32(end)), end
+		}
+	}
+	for r := 0; r <= len(g.runKeys); r++ {
+		end, key := n, uint64(math.MaxUint64)
+		if r < len(g.runKeys) {
+			end, key = int(g.runEnds[r]), g.runKeys[r]
+		}
+		for mi < len(rows) && rows[mi].key < key {
+			k := rows[mi].key
+			for ; mi < len(rows) && rows[mi].key == k; mi++ {
+				ins[mi] = start
+			}
+			run(k, start-left(start)+mi)
+		}
+		if r == len(g.runKeys) {
+			break
+		}
+		for p := start; mi < len(rows) && rows[mi].key == key; mi++ {
+			for p < end && g.ids[p] < rows[mi].id {
+				p++
+			}
+			ins[mi] = p
+		}
+		run(key, end-left(end)+mi)
+		start = end
+	}
+
+	// Copy the stored rows in stretches between the vacated positions and
+	// the insertion points, placing the moved rows at those points.
+	out.pts, out.ids, out.rank = make([]float64, m*d), make([]int32, m), make([]int32, top+1)
+	for i := range out.rank {
+		out.rank[i] = -1
+	}
+	at, p := 0, 0
+	stretch := func(to int) {
+		copy(out.pts[at*d:], g.pts[p*d:to*d])
+		copy(out.ids[at:], g.ids[p:to])
+		for _, id := range g.ids[p:to] {
+			out.rank[id] = int32(at)
+			at++
+		}
+		p = to
+	}
+	// put writes id's live row at position at; the maxima rise to it.
+	put := func(at int, id int32) {
+		row := out.pts[at*d : at*d+d]
+		copy(row, live.Row(int(id)))
+		for j, v := range row {
+			if v > out.hi[j] {
+				out.hi[j] = v
+			}
+		}
+	}
+	mi, vi = 0, 0
+	for {
+		next := n
+		if vi < len(vac) {
+			next = int(vac[vi])
+		}
+		if mi < len(rows) && ins[mi] <= next {
+			stretch(ins[mi])
+			id := rows[mi].id
+			put(at, id)
+			out.ids[at], out.rank[id] = id, int32(at)
+			at, mi = at+1, mi+1
+			continue
+		}
+		stretch(next)
+		if vi == len(vac) {
+			break
+		}
+		p, vi = p+1, vi+1
+	}
+	for _, id := range stay {
+		put(int(out.rank[id]), id)
+	}
+	// A maximum a row that left or moved held is taken afresh.
+	for j, l := range lost {
+		if l {
+			h := out.pts[j]
+			for k := j + d; k < len(out.pts); k += d {
+				if v := out.pts[k]; v > h {
+					h = v
+				}
+			}
+			out.hi[j] = h
+		}
+	}
+
+	out.directory(uint64(len(out.runKeys)))
+	var from int32
+	for i, key := range out.runKeys {
+		c := out.find(key)
+		c.key, c.start, c.end = key, from, out.runEnds[i]
+		from = c.end
+	}
+	out.boxCells()
+	return out
+}
+
+// position returns id's position in the grid, or −1 when it holds no row
+// under id.
+func (g *Grid) position(id int32) int32 {
+	if id < 0 || int(id) >= len(g.rank) {
+		return -1
+	}
+	return g.rank[id]
+}
+
+// cellRow is a row Merge places by cell: its cell's linear number and id.
+type cellRow struct {
+	key uint64
+	id  int32
+}
+
+// mergeBufs is Merge's scratch, recycled between merges.
+type mergeBufs struct {
+	state     []uint8
+	lost      []bool
+	vac, stay []int32
+	rows      []cellRow
+	ins       []int
+}
+
+var mergeScratch = sync.Pool{New: func() any { return new(mergeBufs) }}
+
+// directory allocates an empty directory for up to size occupied cells:
+// twice that many slots keep probe chains short.
+func (g *Grid) directory(size uint64) {
+	g.shift = uint(bits.LeadingZeros64(2*size - 1))
+	g.cells = make([]gridCell, uint64(1)<<(64-g.shift))
+	for i := range g.cells {
+		g.cells[i].key = noCell
+	}
 }
 
 // boxCells records the start and the bounding box of every cell of at least
-// boxMinPoints points. ends holds, in rank order, where each occupied cell's
-// run of clustered positions ends; the runs tile the points, so the boxes
-// fill front to back in one pass over both arrays.
-func (g *Grid) boxCells(ends []uint64) {
-	boxed, start := 0, uint64(0)
-	for _, end := range ends {
+// boxMinPoints points. The runs tile the points in runEnds' order, so the
+// boxes fill front to back in one pass over both arrays.
+func (g *Grid) boxCells() {
+	boxed, start := 0, int32(0)
+	for _, end := range g.runEnds {
 		if end-start >= boxMinPoints {
 			boxed++
 		}
@@ -215,7 +598,7 @@ func (g *Grid) boxCells(ends []uint64) {
 	g.boxStarts = make([]int32, 0, boxed)
 	g.boxes = make([]float64, 2*d*boxed)
 	box, at := g.boxes, 0
-	for _, end := range ends {
+	for _, end := range g.runEnds {
 		if run := g.pts[at*d : int(end)*d]; len(run) >= boxMinPoints*d {
 			g.boxStarts = append(g.boxStarts, int32(at))
 			lo, hi := box[:d], box[d:2*d]
@@ -230,73 +613,6 @@ func (g *Grid) boxCells(ends []uint64) {
 		}
 		at = int(end)
 	}
-}
-
-// NewGridFlatIDs is NewGridFlat for points that live in a caller-defined id
-// space, mirroring NewBulkKDTreeIDs: point i is reported under ids[i]
-// instead of i, and NearestStale's live-row verification reads
-// live.Row(ids[i]). The bounded prototype store uses it to index only the
-// live slots of a tombstoned row space. ids is read, not retained; ascending
-// ids keep the visit order inside a cell ascending in id.
-func NewGridFlatIDs(rows []float64, dim int, cellSize float64, ids []int32) (*Grid, error) {
-	g, err := NewGridFlat(rows, dim, cellSize)
-	if err != nil {
-		return nil, err
-	}
-	if len(ids) != len(g.ids) {
-		return nil, fmt.Errorf("%w: %d ids for %d points", ErrDimension, len(ids), len(g.ids))
-	}
-	for k, i := range g.ids {
-		g.ids[k] = ids[i]
-	}
-	return g, nil
-}
-
-// cellNumbers fixes the grid's geometry (origin, extent, stride) and returns
-// every point's linear cell number, or nil when the grid cannot be numbered:
-// a coordinate that is not finite, or more than 2⁶³ cells.
-func (g *Grid) cellNumbers(rows []float64) []uint64 {
-	dim := g.dim
-	g.origin = slices.Clone(rows[:dim])
-	top := slices.Clone(rows[:dim])
-	for i := dim; i < len(rows); i += dim {
-		for j, v := range rows[i : i+dim] {
-			if v < g.origin[j] {
-				g.origin[j] = v
-			}
-			if v > top[j] {
-				top[j] = v
-			}
-		}
-	}
-	g.extent = make([]int, dim)
-	g.stride = make([]uint64, dim)
-	total := uint64(1)
-	for j := range top {
-		last := g.cellOf(top[j], j)
-		if !(last >= 0 && last < 1<<62) {
-			return nil
-		}
-		g.extent[j], g.stride[j] = int(last)+1, total
-		hi, lo := bits.Mul64(total, uint64(last)+1)
-		if hi != 0 || lo > math.MaxInt64 {
-			return nil
-		}
-		total = lo
-	}
-	keys := make([]uint64, len(rows)/dim)
-	for i := range keys {
-		var key uint64
-		for j, v := range rows[i*dim : (i+1)*dim] {
-			c := g.cellOf(v, j)
-			if !(c >= 0 && c < float64(g.extent[j])) { // NaN, or ±Inf beside finite points
-				return nil
-			}
-			key += uint64(c) * g.stride[j]
-		}
-		keys[i] = key
-	}
-	return keys
 }
 
 // cellOf returns the cell coordinate of value v along dimension j, as a
@@ -330,6 +646,15 @@ func (g *Grid) Points() []float64 { return g.pts }
 
 // IDs returns the id of the point stored at each position of Points.
 func (g *Grid) IDs() []int32 { return g.ids }
+
+// Positions is the inverse of IDs: the position of every id up to the
+// largest the grid holds, −1 for an id it does not. The slice is the grid's
+// own and must not be written.
+func (g *Grid) Positions() []int32 { return g.rank }
+
+// Max returns the largest coordinate of the stored points along each
+// dimension. The slice is the grid's own and must not be written.
+func (g *Grid) Max() []float64 { return g.hi }
 
 // Cluster returns col — one value per indexed point, by row id — permuted
 // into clustered order, so out[k] belongs to the point at position k.
@@ -613,11 +938,20 @@ func sqDist2(x0, x1, c0, c1 float64) float64 {
 // any, over the stored points otherwise. The answer is the same either way;
 // the budget bounds the worst case at O(n). A scan-only grid always scans.
 func (g *Grid) NearestStale(q []float64, slack float64, live vector.Chunked, seed int, seedSq float64) (int, float64) {
+	best, bestSq, _ := g.NearestStaleMeasured(q, slack, live, seed, seedSq)
+	return best, bestSq
+}
+
+// NearestStaleMeasured is NearestStale, and also returns how many stored
+// points the search measured: the count the winner search's complexity
+// guards bound.
+func (g *Grid) NearestStaleMeasured(q []float64, slack float64, live vector.Chunked, seed int, seedSq float64) (int, float64, int) {
 	if len(q) != g.dim {
 		panic(fmt.Sprintf("index: NearestStale query dim %d, index dim %d", len(q), g.dim))
 	}
 	s := newNearestSearch(q, slack, live, seed, seedSq)
-	return g.nearest(&s)
+	best, bestSq := g.nearest(&s)
+	return best, bestSq, s.tested
 }
 
 // nearest runs the search NearestStale set up.
@@ -801,7 +1135,7 @@ func (g *Grid) nearestScan(s *nearestSearch) (int, float64) {
 	return s.best, s.bestSq
 }
 
-// scanRows is the full scan in row order.
+// scanRows is the full scan in row order: ascending id.
 func (g *Grid) scanRows(ctx context.Context, dst []int32, center []float64, radius, p float64) ([]int32, error) {
 	d := g.dim
 	for i, pos := range g.rank {
@@ -810,7 +1144,7 @@ func (g *Grid) scanRows(ctx context.Context, dst []int32, center []float64, radi
 				return dst, err
 			}
 		}
-		if vector.DistanceLp(g.pts[int(pos)*d:int(pos)*d+d], center, p) <= radius {
+		if pos >= 0 && vector.DistanceLp(g.pts[int(pos)*d:int(pos)*d+d], center, p) <= radius {
 			dst = append(dst, pos)
 		}
 	}

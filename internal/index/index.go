@@ -24,7 +24,8 @@
 // slack and what survives is verified by the caller — and both can index a
 // sparse slot space through caller ids (NewGridFlatIDs / NewBulkKDTreeIDs),
 // which is how the bounded prototype store indexes only the live slots of a
-// tombstoned row space. Partition splits a query space into the sharding
+// tombstoned row space. A grid epoch's successor is merged from it
+// (Grid.Merge) rather than built from scratch. Partition splits a query space into the sharding
 // layer's regions. See docs/ARCHITECTURE.md for where each structure sits in
 // the read path.
 package index
