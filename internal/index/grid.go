@@ -152,13 +152,8 @@ func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
 // the largest. Ascending ids keep the visit order inside a cell, and the
 // row-order scan, ascending in id.
 func NewGridFlatIDs(rows []float64, dim int, cellSize float64, ids []int32) (*Grid, error) {
-	if dim >= 1 && len(ids) != len(rows)/dim {
-		return nil, fmt.Errorf("%w: %d ids for %d points", ErrDimension, len(ids), len(rows)/dim)
-	}
-	for _, id := range ids {
-		if id < 0 {
-			return nil, fmt.Errorf("%w: negative id %d", ErrDimension, id)
-		}
+	if ids == nil {
+		ids = []int32{} // numbered by the caller, not 0..n−1
 	}
 	return newGridFlat(rows, dim, cellSize, ids)
 }
@@ -174,13 +169,21 @@ func newGridFlat(rows []float64, dim int, cellSize float64, ids []int32) (*Grid,
 	if cellSize <= 0 || math.IsNaN(cellSize) || math.IsInf(cellSize, 0) {
 		return nil, fmt.Errorf("index: invalid cell size %v", cellSize)
 	}
-	if n := len(rows) / dim; n > math.MaxInt32 {
+	n := len(rows) / dim
+	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("index: %d points exceed the grid's 2^31-1 positions", n)
+	}
+	if ids != nil && len(ids) != n {
+		return nil, fmt.Errorf("%w: %d ids for %d points", ErrDimension, len(ids), n)
+	}
+	for _, id := range ids {
+		if id < 0 {
+			return nil, fmt.Errorf("%w: negative id %d", ErrDimension, id)
+		}
 	}
 	g := &Grid{dim: dim, cellSize: cellSize}
 	if !g.fixGeometry(rows) || !g.cluster(rows, ids) {
 		// Scan-only: the points in input order, no directory.
-		n := len(rows) / dim
 		g.pts, g.ids, g.rank = slices.Clone(rows), make([]int32, n), make([]int32, n)
 		for i := range g.ids {
 			g.ids[i], g.rank[i] = int32(i), int32(i)
