@@ -236,8 +236,9 @@ func (t *chunkTable) isTombstone(k int) bool {
 
 // readEpoch is one immutable generation of the search index: either a
 // uniform grid or a bulk-built k-d tree over a stale copy of the first
-// builtK prototype rows. It is built on the write path and never mutated,
-// so the store and any number of published snapshots reference it
+// builtK prototype rows. It is built on the write path — a grid usually
+// merged from the last epoch's, into new memory — and never mutated, so
+// the store and any number of published snapshots reference it
 // concurrently without synchronization; each referencer pairs it with its
 // own live chunk table and its own drift slack.
 //
