@@ -25,9 +25,9 @@
 // sparse slot space through caller ids (NewGridFlatIDs / NewBulkKDTreeIDs),
 // which is how the bounded prototype store indexes only the live slots of a
 // tombstoned row space. A grid epoch's successor is merged from it
-// (Grid.Merge) rather than built from scratch. Partition splits a query space into the sharding
-// layer's regions. See docs/ARCHITECTURE.md for where each structure sits in
-// the read path.
+// (Grid.Merge) rather than built from scratch. Partition splits a query
+// space into the sharding layer's regions. See docs/ARCHITECTURE.md for
+// where each structure sits in the read path.
 package index
 
 import (
