@@ -34,7 +34,7 @@ func TestTrainWithCapacityFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := m.Config(); c.MaxPrototypes != 40 || c.Eviction == nil || c.Eviction.Name() != "recency" || !c.MergeOnEvict {
+	if c := m.Config(); c.MaxPrototypes != 40 || !c.Eviction.Recency || !c.MergeOnEvict {
 		t.Fatalf("capacity config not persisted: %+v", c)
 	}
 	if k := m.K(); k == 0 || k > 40 {
@@ -99,41 +99,42 @@ func TestServeCapacityRecap(t *testing.T) {
 func TestApplyCapacityPreservesPersistedCap(t *testing.T) {
 	cfg := core.DefaultConfig(2)
 	cfg.MaxPrototypes = 77
-	cfg.Eviction = core.WinDecay{}
+	cfg.Eviction = core.Eviction{} // win decay
 	cfg.MergeOnEvict = true
 	m, err := core.NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := applyCapacity(m, capacity{evict: "recency"}); err != nil {
+	apply := func(cp capacity) error { return applyCapacity(m.Config(), cp, m.SetCapacity) }
+	if err := apply(capacity{evict: "recency"}); err != nil {
 		t.Fatal(err)
 	}
 	got := m.Config()
 	if got.MaxPrototypes != 77 {
 		t.Fatalf("-evict alone removed the persisted cap: MaxPrototypes=%d", got.MaxPrototypes)
 	}
-	if _, ok := got.Eviction.(core.Recency); !ok {
+	if !got.Eviction.Recency {
 		t.Fatalf("-evict recency not applied: %#v", got.Eviction)
 	}
 	if !got.MergeOnEvict {
 		t.Fatal("-evict alone clobbered the persisted merge setting")
 	}
 	// An explicit -max-prototypes 0 does remove the cap.
-	if err := applyCapacity(m, capacity{maxProto: 0, maxSet: true}); err != nil {
+	if err := apply(capacity{maxProto: 0, maxSet: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Config(); got.MaxPrototypes != 0 {
 		t.Fatalf("explicit -max-prototypes 0 should uncap, got %d", got.MaxPrototypes)
 	}
 	// No capacity flags at all: a pure no-op.
-	if err := applyCapacity(m, capacity{}); err != nil {
+	if err := apply(capacity{}); err != nil {
 		t.Fatal(err)
 	}
 	// -evict/-merge on a model that now has no cap would arm nothing.
-	if err := applyCapacity(m, capacity{evict: "recency"}); err == nil {
+	if err := apply(capacity{evict: "recency"}); err == nil {
 		t.Fatal("-evict on an uncapped model should fail")
 	}
-	if err := applyCapacity(m, capacity{merge: true, mergeSet: true}); err == nil {
+	if err := apply(capacity{merge: true, mergeSet: true}); err == nil {
 		t.Fatal("-merge on an uncapped model should fail")
 	}
 }

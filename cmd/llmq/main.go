@@ -200,50 +200,54 @@ func capacityFlags(fs *flag.FlagSet) func() capacity {
 	}
 }
 
-// applyCapacity re-caps a loaded model: with a positive cap the
-// lowest-scoring prototypes are evicted (or merged) immediately, so a large
-// trained model can be shrunk to a serving budget at startup; it also arms
-// bounded eviction for any further online training. Flags the user did not
-// pass keep the model file's persisted capacity configuration — in
-// particular, -evict or -merge alone never removes a persisted cap
-// (`-max-prototypes 0` removes it explicitly).
-func applyCapacity(m *core.Model, cp capacity) error {
+// applyCapacity re-caps a model whose configuration is cfg through set
+// (Model.SetCapacity, or the WAL-logged Durable.SetCapacity) when the user
+// passed any capacity flag: with a positive cap the lowest-scoring
+// prototypes are evicted (or merged) immediately, so a large trained model
+// can be shrunk to a serving budget at startup; it also arms bounded
+// eviction for any further online training.
+func applyCapacity(cfg core.Config, cp capacity, set func(max int, policy core.Eviction, merge bool) error) error {
 	if !cp.any() {
 		return nil
 	}
-	max, policy, merge, err := resolveCapacity(m.Config(), cp)
+	c, err := resolveCapacity(cfg, cp)
 	if err != nil {
 		return err
 	}
-	return m.SetCapacity(max, policy, merge)
+	return set(c.MaxPrototypes, c.Eviction, c.MergeOnEvict)
 }
 
-// resolveCapacity turns the flag values into concrete SetCapacity
-// arguments against the model's persisted configuration: unset flags keep
-// what the model carries, and a nil policy means "keep the current one".
-func resolveCapacity(cfg core.Config, cp capacity) (int, core.EvictionPolicy, bool, error) {
-	if !cp.maxSet {
-		cp.maxProto = cfg.MaxPrototypes
+// resolveCapacity is the one reading of the capacity flags: it returns cfg
+// with MaxPrototypes, Eviction and MergeOnEvict set from the flags the user
+// passed, keeping cfg's value for every flag they did not. cfg is the
+// configuration a fresh model is built with (train) or a loaded model's
+// Config() (serve), so -evict or -merge alone never removes a persisted cap
+// (`-max-prototypes 0` removes it explicitly) and -evict alone keeps a
+// persisted merge setting.
+func resolveCapacity(cfg core.Config, cp capacity) (core.Config, error) {
+	if !cp.any() {
+		return cfg, nil
 	}
-	if cp.maxProto <= 0 && (cp.evict != "" || cp.mergeSet) {
+	if cp.maxSet {
+		cfg.MaxPrototypes = cp.maxProto
+	}
+	if cfg.MaxPrototypes <= 0 && (cp.evict != "" || cp.mergeSet) {
 		// -evict/-merge on a model with no cap (persisted or given) would
 		// arm nothing: SetCapacity(0, …) means "uncapped". An explicit
 		// `-max-prototypes 0` alone still removes a persisted cap.
-		return 0, nil, false, errors.New("-evict/-merge need a capacity: pass -max-prototypes or load a model with a persisted cap")
+		return cfg, errors.New("-evict/-merge need a capacity: pass -max-prototypes or load a model with a persisted cap")
 	}
-	if !cp.mergeSet {
-		cp.merge = cfg.MergeOnEvict
+	if cp.mergeSet {
+		cfg.MergeOnEvict = cp.merge
 	}
-	var policy core.EvictionPolicy
 	if cp.evict != "" {
-		// An explicit -evict replaces the persisted policy; otherwise nil
-		// keeps whatever the model file carries.
+		// An explicit -evict replaces the persisted policy and its half-life.
 		var err error
-		if policy, err = core.ParseEvictionPolicy(cp.evict); err != nil {
-			return 0, nil, false, err
+		if cfg.Eviction, err = core.ParseEviction(cp.evict); err != nil {
+			return cfg, err
 		}
 	}
-	return cp.maxProto, policy, cp.merge, nil
+	return cfg, nil
 }
 
 func cmdTrain(args []string, out io.Writer) error {
@@ -316,20 +320,16 @@ func cmdTrain(args []string, out io.Writer) error {
 	cfg.ResolutionA = *a
 	cfg.Gamma = *gamma
 	cfg.Vigilance = vigilance(*a, span, theta, rel.Dim())
-	if cp := getCap(); cp.maxProto > 0 {
-		policy, err := core.ParseEvictionPolicy(cp.evict)
-		if err != nil {
-			return err
-		}
-		cfg.MaxPrototypes = cp.maxProto
-		cfg.Eviction = policy
-		cfg.MergeOnEvict = cp.merge
-	} else if cp.evict != "" || cp.mergeSet {
+	cp := getCap()
+	if cp.maxProto <= 0 && (cp.evict != "" || cp.mergeSet) {
 		// Unlike serve — where a bare -evict/-merge rewrites the
 		// policy of a model file's persisted cap — train has no persisted
 		// cap to modify: a policy with no capacity would silently train an
 		// unbounded model.
 		return errors.New("train: -evict/-merge require -max-prototypes")
+	}
+	if cfg, err = resolveCapacity(cfg, cp); err != nil {
+		return err
 	}
 	start := time.Now()
 	var (

@@ -223,7 +223,7 @@ func (c *serveConfig) openMemory(e *exec.Executor, rel *dataset.Relation, opt se
 	if err != nil {
 		return nil, "", err
 	}
-	if err := applyCapacity(m, c.capacity); err != nil {
+	if err := applyCapacity(m.Config(), c.capacity, m.SetCapacity); err != nil {
 		return nil, "", err
 	}
 	s, err := serve.New(e, m, opt)
@@ -243,29 +243,13 @@ func (c *serveConfig) openDurable(e *exec.Executor, rel *dataset.Relation, opt s
 	if err := refuseShardedDir(c.dataDir); err != nil {
 		return nil, nil, "", err
 	}
-	cfg := defaultModelConfig(rel)
-	var err error
-	if c.capacity.maxProto > 0 {
-		// Bake the capacity into the fresh-directory config too, so the very
-		// first checkpoint already carries it.
-		if cfg.Eviction, err = core.ParseEvictionPolicy(c.capacity.evict); err != nil {
-			return nil, nil, "", err
-		}
-		cfg.MaxPrototypes, cfg.MergeOnEvict = c.capacity.maxProto, c.capacity.merge
-	}
-	d, err := core.Recover(c.dataDir, cfg, core.DurableOptions{WAL: wal.Options{Mode: c.walMode}, SnapshotEvery: c.snapEvery})
+	d, err := core.Recover(c.dataDir, defaultModelConfig(rel), core.DurableOptions{WAL: wal.Options{Mode: c.walMode}, SnapshotEvery: c.snapEvery})
 	if err != nil {
 		return nil, nil, "", fmt.Errorf("%s: %w", c.dataDir, err)
 	}
-	if c.capacity.any() {
-		max, policy, merge, err := resolveCapacity(d.Model().Config(), c.capacity)
-		if err == nil {
-			err = d.SetCapacity(max, policy, merge)
-		}
-		if err != nil {
-			_ = d.Close()
-			return nil, nil, "", fmt.Errorf("%s: %w", c.dataDir, err)
-		}
+	if err := applyCapacity(d.Model().Config(), c.capacity, d.SetCapacity); err != nil {
+		_ = d.Close()
+		return nil, nil, "", fmt.Errorf("%s: %w", c.dataDir, err)
 	}
 	s, err := serve.NewDurable(e, d, opt)
 	if err != nil {

@@ -47,7 +47,7 @@
 //
 // Production deployments serving non-stationary workloads cap the model
 // with Config.MaxPrototypes: when a spawn exceeds the capacity, the
-// lowest-scoring prototypes under a pluggable eviction policy (win-count
+// lowest-scoring prototypes under the configured eviction policy (win-count
 // decay or recency) are tombstoned in place — or merged into their nearest
 // survivor — and their slots reused, so serving cost stays flat no matter
 // how far past the capacity the training stream runs. Eviction is

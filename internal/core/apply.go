@@ -36,9 +36,14 @@ func (a *ReplayApplier) Apply(r wal.Record) error {
 		if err := a.Flush(); err != nil {
 			return err
 		}
-		policy, err := capacityRecordPolicy(r)
-		if err != nil {
-			return err
+		// A record that names no policy keeps the current one: logs written
+		// before records carried the policy say "keep" that way.
+		policy := a.m.Config().Eviction
+		if r.Eviction != "" {
+			var err error
+			if policy, err = decodeEviction(r.Eviction, r.EvictionHalfLife); err != nil {
+				return fmt.Errorf("core: replay: capacity record: %w", err)
+			}
 		}
 		return a.m.SetCapacity(r.MaxPrototypes, policy, r.Merge)
 	default: // KindPair, and the zero value of pre-kind constructors
@@ -66,23 +71,4 @@ func (a *ReplayApplier) Flush() error {
 	_, err := a.m.TrainBatch(a.pairs)
 	a.pairs = a.pairs[:0]
 	return err
-}
-
-// capacityRecordPolicy resolves a capacity record's eviction policy: the
-// empty name keeps the model's current policy (nil for SetCapacity), and a
-// WinDecay name with a logged half-life restores that half-life, so replay
-// reproduces the exact runtime call.
-func capacityRecordPolicy(r wal.Record) (EvictionPolicy, error) {
-	if r.Eviction == "" {
-		return nil, nil
-	}
-	policy, err := ParseEvictionPolicy(r.Eviction)
-	if err != nil {
-		return nil, fmt.Errorf("core: replay: capacity record: %w", err)
-	}
-	if wd, ok := policy.(WinDecay); ok && r.EvictionHalfLife > 0 {
-		wd.HalfLife = r.EvictionHalfLife
-		policy = wd
-	}
-	return policy, nil
 }

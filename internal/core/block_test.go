@@ -142,7 +142,7 @@ func TestBlockInvariantAcrossHistory(t *testing.T) {
 		if len(m.store.free) == 0 && len(m.store.revived) == 0 && !slices.Contains(m.snap.Load().epoch.slotPos, -1) {
 			t.Fatalf("%s: the bounded stream left no tombstone, revived slot or partial epoch", name)
 		}
-		if err := m.SetCapacity(300, nil, merge); err != nil {
+		if err := m.SetCapacity(300, m.Config().Eviction, merge); err != nil {
 			t.Fatal(err)
 		}
 		checkViewAgainstLinear(t, m.View(), gen, rng, name+"/SetCapacity")
@@ -331,7 +331,7 @@ func FuzzOverlapRouted(f *testing.F) {
 				}
 			case 2: // eviction burst or capacity change
 				max := 140 + int(next())
-				if err := m.SetCapacity(max, nil, op&4 != 0); err != nil {
+				if err := m.SetCapacity(max, m.Config().Eviction, op&4 != 0); err != nil {
 					t.Fatal(err)
 				}
 			case 3: // a seeded batch

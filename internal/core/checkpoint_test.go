@@ -53,7 +53,7 @@ func checkpointShapes(t testing.TB, dim int, solver Solver) map[string]*Model {
 		t.Fatalf("d=%d bounded fixture never evicted", dim)
 	}
 	recapped := build(0)
-	if err := recapped.SetCapacity(k/3, Recency{}, false); err != nil {
+	if err := recapped.SetCapacity(k/3, Eviction{Recency: true}, false); err != nil {
 		t.Fatal(err)
 	}
 	return map[string]*Model{"unbounded": unbounded, "bounded": bounded, "setcapacity": recapped}

@@ -152,7 +152,7 @@ func TestWinnerMatchesLinearScan(t *testing.T) {
 		cfg.MinGammaSteps = 1 << 30
 		if in.max > 0 {
 			cfg.MaxPrototypes = in.max
-			cfg.Eviction = WinDecay{HalfLife: 200}
+			cfg.Eviction = Eviction{HalfLife: 200}
 		}
 		m, err := NewModel(cfg)
 		if err != nil {
@@ -271,7 +271,7 @@ func TestBatchSplitDoesNotChangeTraining(t *testing.T) {
 	bounded.Gamma = 1e-12
 	bounded.MinGammaSteps = 1 << 30
 	bounded.MaxPrototypes = 12
-	bounded.Eviction = WinDecay{HalfLife: 64}
+	bounded.Eviction = Eviction{HalfLife: 64}
 	bounded.MergeOnEvict = true
 	for name, cfg := range map[string]Config{"default": DefaultConfig(dim), "bounded": bounded} {
 		t.Run(name, func(t *testing.T) {

@@ -25,7 +25,7 @@ func durableConfig() Config {
 	cfg := DefaultConfig(3)
 	cfg.Vigilance = 0.5
 	cfg.MaxPrototypes = 16
-	cfg.Eviction = WinDecay{HalfLife: 64}
+	cfg.Eviction = Eviction{HalfLife: 64}
 	// Unreachable convergence: a converged model freezes and stops counting
 	// steps, which would make step-count assertions depend on where the
 	// stream happens to converge.
@@ -302,62 +302,6 @@ func TestUnpersistableQueryIsRefused(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(checkpointBytes(t, d.Model()))); err != nil {
 		t.Fatalf("checkpoint after refused pairs does not load: %v", err)
-	}
-}
-
-// TestUnpersistableScheduleIsRefused pins the schedule contract: a model
-// file records no learning-rate schedule and Load restores the hyperbolic
-// one, so a Durable on a Constant rate would train differently after its
-// first Close→Recover. Recover, Resume, Save and Checkpoint refuse such a
-// model with ErrBadConfig naming the schedule; NewModel refuses a Constant
-// rate outside (0, 1].
-func TestUnpersistableScheduleIsRefused(t *testing.T) {
-	cfg := durableConfig()
-	cfg.Schedule = Constant{Eta: 0.05}
-	opts := DurableOptions{WAL: wal.Options{Mode: wal.SyncNone}}
-	_, err := Recover(t.TempDir(), cfg, opts)
-	if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "constant(0.05)") {
-		t.Fatalf("Recover with a Constant schedule: err = %v, want ErrBadConfig naming it", err)
-	}
-	m, err := NewModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.TrainBatch(planeStream(50, 3, 0.3, []float64{0.5, -0.2, 1.1}, 1.0, 29)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("Save with a Constant schedule: err = %v, want ErrBadConfig", err)
-	}
-	if err := m.Checkpoint(&buf); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("Checkpoint with a Constant schedule: err = %v, want ErrBadConfig", err)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("refused writes wrote %d bytes", buf.Len())
-	}
-	if _, err := Resume(m, t.TempDir(), 0, opts); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("Resume with a Constant schedule: err = %v, want ErrBadConfig", err)
-	}
-	for _, eta := range []float64{0, -0.1, 1.5, math.NaN(), math.Inf(1)} {
-		cfg.Schedule = Constant{Eta: eta}
-		if _, err := NewModel(cfg); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("NewModel with Constant{%v}: err = %v, want ErrBadConfig", eta, err)
-		}
-	}
-	cfg.Schedule = Constant{Eta: 1}
-	if _, err := NewModel(cfg); err != nil {
-		t.Errorf("NewModel with Constant{1}: %v", err)
-	}
-	for _, s := range []Schedule{nil, Hyperbolic{}} {
-		cfg.Schedule = s
-		d, err := Recover(t.TempDir(), cfg, opts)
-		if err != nil {
-			t.Fatalf("Recover with schedule %v: %v", s, err)
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

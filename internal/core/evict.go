@@ -5,129 +5,147 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"llmq/internal/wal"
 )
 
 // Bounded-capacity streaming training: when Config.MaxPrototypes caps the
 // live prototype count, a spawn that exceeds the cap triggers an eviction
-// pass. The pass scores every live prototype with the configured
-// EvictionPolicy, tombstones (or merges away) the lowest-scoring ones until
-// the count is back inside a hysteresis band below the cap, and installs a
+// pass. The pass scores every live prototype under the configured Eviction
+// policy, tombstones (or merges away) the lowest-scoring ones until the
+// count is back inside a hysteresis band below the cap, and installs a
 // fresh read epoch over the survivors — all under the writer lock, published
 // like any other training step. On the chunked copy-on-write store the whole
 // pass costs a handful of chunk copies plus one epoch rebuild; snapshots
 // pinned before the pass keep serving their own version of every evicted
 // row.
 
-// EvictionPolicy ranks prototypes for eviction when a bounded model exceeds
-// its capacity: the lowest-scoring prototypes are evicted first. Scores are
-// computed at the start of an eviction pass from each prototype's absorbed
-// pair count and the number of training steps since it last absorbed one —
-// the two signals the store maintains per slot (copy-on-write versioned with
-// the rows, so a policy never reads another version's clock).
-type EvictionPolicy interface {
-	// Score returns the retention score of a prototype that has absorbed
-	// wins pairs, the last one sinceWin training steps ago. Higher means
-	// keep.
-	Score(wins, sinceWin int) float64
-	// Name identifies the policy in command-line flags and serialized
-	// models.
-	Name() string
-}
-
-// WinDecay scores a prototype by its win count decayed by the time since
-// its last win: wins · 2^(−sinceWin/HalfLife). A prototype that absorbed
-// many pairs survives a dry spell proportional to its mass, so the policy
-// retires regions the stream has left while keeping long-lived heavy
-// prototypes through short workload excursions — the usual default for
-// drifting workloads. HalfLife is in training steps; values ≤ 0 use 1024
-// (Config validation derives a capacity-scaled default instead).
-type WinDecay struct {
-	// HalfLife is the number of training steps over which an idle
-	// prototype's score halves.
+// Eviction ranks prototypes for eviction when a bounded model exceeds its
+// capacity: the lowest-scoring prototypes are evicted first. It is one of
+// the two policies below, plus win decay's half-life — exactly what a model
+// file header and a WAL capacity record carry, so every policy a model runs
+// under comes back from its files. Scores are computed at the start of an
+// eviction pass from each prototype's absorbed pair count and the number of
+// training steps since it last absorbed one — the two signals the store
+// maintains per slot (copy-on-write versioned with the rows, so a pass never
+// reads another version's clock).
+//
+// The zero value is win decay: wins · 2^(−sinceWin/HalfLife). A prototype
+// that absorbed many pairs survives a dry spell proportional to its mass, so
+// it keeps heavy prototypes through a short excursion of the workload but
+// lags a workload that keeps moving. Recency scores a prototype by how
+// recently it absorbed a pair alone (least recently won evicted first). On
+// the drift experiment's sliding window (`llmq-experiments -experiment
+// drift`, cap 40, full scale) neither wins everywhere: recency's capped Q1
+// RMSE was the lower at d = 2 and d = 5, win decay's at d = 3.
+type Eviction struct {
+	// Recency selects the recency policy; false selects win decay.
+	Recency bool
+	// HalfLife is win decay's half-life in training steps: the number of
+	// steps over which an idle prototype's score halves, at most
+	// wal.MaxHalfLife. A value ≤ 0 derives one from the cap (8·cap,
+	// floored at 1024). Recency has none: a model under Recency keeps 0.
 	HalfLife int
 }
 
-// Score implements EvictionPolicy.
-func (p WinDecay) Score(wins, sinceWin int) float64 {
-	hl := p.HalfLife
-	if hl <= 0 {
-		hl = 1024
-	}
-	return float64(wins) * math.Exp2(-float64(sinceWin)/float64(hl))
-}
-
-// Name implements EvictionPolicy.
-func (p WinDecay) Name() string { return "windecay" }
-
-// Recency scores a prototype purely by how recently it absorbed a pair
-// (least-recently-won evicted first), ignoring win counts entirely: the
-// aggressive tracker for fast-moving workloads, where a once-heavy
-// prototype the stream has abandoned is exactly what should go first.
-type Recency struct{}
-
-// Score implements EvictionPolicy.
-func (Recency) Score(wins, sinceWin int) float64 { return -float64(sinceWin) }
-
-// Name implements EvictionPolicy.
-func (Recency) Name() string { return "recency" }
-
-// ParseEvictionPolicy resolves a policy by its flag name ("windecay" or
-// "recency"); the empty string selects the default (WinDecay).
-func ParseEvictionPolicy(name string) (EvictionPolicy, error) {
+// ParseEviction resolves a policy by its flag name ("windecay" or
+// "recency"); the empty string selects the default, win decay. The half-life
+// is left to be derived from the cap.
+func ParseEviction(name string) (Eviction, error) {
 	switch name {
 	case "", "windecay":
-		return WinDecay{}, nil
+		return Eviction{}, nil
 	case "recency":
-		return Recency{}, nil
+		return Eviction{Recency: true}, nil
 	default:
-		return nil, fmt.Errorf("%w: unknown eviction policy %q (want windecay or recency)", ErrBadConfig, name)
+		return Eviction{}, fmt.Errorf("%w: unknown eviction policy %q (want windecay or recency)", ErrBadConfig, name)
 	}
 }
 
-// normalizeEviction fills policy defaults for a capacity of max: a nil
-// policy becomes WinDecay, and a WinDecay without a half-life gets one
-// scaled to the capacity (8·max steps, floored at 1024) — roughly the
+// Name is the policy's flag name, the one model files and WAL capacity
+// records carry: "windecay" or "recency".
+func (e Eviction) Name() string {
+	if e.Recency {
+		return "recency"
+	}
+	return "windecay"
+}
+
+// decodeEviction is the policy a model file header or a WAL capacity record
+// names, with win decay's recorded half-life (0 when none was recorded).
+func decodeEviction(name string, halfLife int) (Eviction, error) {
+	e, err := ParseEviction(name)
+	if !e.Recency {
+		e.HalfLife = halfLife
+	}
+	return e, err
+}
+
+// score is the retention score of a prototype that has absorbed wins pairs,
+// the last one sinceWin training steps ago. Higher means keep. The policy is
+// a capped model's, so win decay's half-life is positive (newCapacity).
+func (e Eviction) score(wins, sinceWin int) float64 {
+	if e.Recency {
+		return -float64(sinceWin)
+	}
+	return float64(wins) * math.Exp2(-float64(sinceWin)/float64(e.HalfLife))
+}
+
+// newCapacity normalizes the three capacity fields for a cap of max: an
+// uncapped model keeps no policy and no merge (a model file records neither
+// without a cap), Recency drops any half-life, and win decay without one
+// gets one scaled to the cap (8·max steps, floored at 1024) — roughly the
 // stream length over which a full prototype generation turns over.
-func normalizeEviction(p EvictionPolicy, max int) EvictionPolicy {
-	if p == nil {
-		p = WinDecay{}
+func newCapacity(max int, e Eviction, merge bool) *capacityConfig {
+	if max <= 0 {
+		return &capacityConfig{}
 	}
-	if wd, ok := p.(WinDecay); ok && wd.HalfLife <= 0 {
-		hl := 8 * max
-		if hl < 1024 {
-			hl = 1024
+	switch {
+	case e.Recency:
+		e.HalfLife = 0
+	case e.HalfLife <= 0:
+		e.HalfLife = 8 * max
+		if e.HalfLife < 1024 {
+			e.HalfLife = 1024
 		}
-		return WinDecay{HalfLife: hl}
 	}
-	return p
+	return &capacityConfig{max: max, policy: e, merge: merge}
+}
+
+// checkCapacity refuses a cap or a half-life no WAL capacity record can
+// carry (see wal.MaxCapacity): a model running under one could not log its
+// capacity, and a recovery would read the record as a corrupt tail.
+func checkCapacity(max int, e Eviction) error {
+	if max < 0 || max > wal.MaxCapacity {
+		return fmt.Errorf("%w: MaxPrototypes must be in [0, %d], got %d", ErrBadConfig, wal.MaxCapacity, max)
+	}
+	if max > 0 && !e.Recency && e.HalfLife > wal.MaxHalfLife {
+		return fmt.Errorf("%w: eviction half-life must be at most %d, got %d", ErrBadConfig, wal.MaxHalfLife, e.HalfLife)
+	}
+	return nil
 }
 
 // SetCapacity installs or changes the bounded-capacity configuration at
-// runtime: the live-prototype cap, the eviction policy (nil keeps the
-// current one, defaulting if none is set) and the merge-on-evict behaviour.
-// If the live count already exceeds the new cap, the lowest-scoring
-// prototypes are evicted (or merged) immediately and a new version is
-// published — re-capping a large trained model at load time is the
-// intended use. max = 0 removes the cap. SetCapacity operates even on a
-// converged (frozen) model: capacity is an operational property, not a
-// training step.
-func (m *Model) SetCapacity(max int, policy EvictionPolicy, merge bool) error {
-	if max < 0 {
-		return fmt.Errorf("%w: MaxPrototypes must be non-negative, got %d", ErrBadConfig, max)
+// runtime: the live-prototype cap, the eviction policy and the
+// merge-on-evict behaviour, normalized as NewModel normalizes them (pass
+// Config().Eviction to keep the current policy and its half-life). If the
+// live count already exceeds the new cap, the lowest-scoring prototypes are
+// evicted (or merged) immediately and a new version is published —
+// re-capping a large trained model at load time is the intended use. max = 0
+// removes the cap, and with it the policy and the merge setting. SetCapacity
+// operates even on a converged (frozen) model: capacity is an operational
+// property, not a training step.
+func (m *Model) SetCapacity(max int, policy Eviction, merge bool) error {
+	if err := checkCapacity(max, policy); err != nil {
+		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if policy == nil {
-		policy = m.capCfg.Load().policy
-	}
-	if max > 0 {
-		policy = normalizeEviction(policy, max)
-	}
 	// capCfg is the single source of truth for the capacity fields (m.cfg
 	// stays immutable after NewModel, so lock-free readers can copy it);
 	// store the new value before any eviction, so a concurrent Save never
 	// pairs the old capacity block with the new prototype set.
-	m.capCfg.Store(&capacityConfig{max: max, policy: policy, merge: merge})
+	m.capCfg.Store(newCapacity(max, policy, merge))
 	if max > 0 && m.store.live > max {
 		m.evictLocked(-1)
 		m.publishLocked()
@@ -169,13 +187,12 @@ func (m *Model) evictLocked(protect int) int {
 	if target < 1 {
 		target = 1
 	}
-	policy := normalizeEviction(cc.policy, max)
 	cands := m.cands[:0]
 	for k := 0; k < s.rows; k++ {
 		if k == protect || s.isTombstone(k) {
 			continue
 		}
-		cands = append(cands, scored{k, s.stamp(k), policy.Score(s.win(k), m.steps-s.stamp(k))})
+		cands = append(cands, scored{k, s.stamp(k), cc.policy.score(s.win(k), m.steps-s.stamp(k))})
 	}
 	m.cands = cands
 	// Ties break on the last-win stamp (older loses), then the slot id.

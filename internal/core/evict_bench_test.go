@@ -41,7 +41,7 @@ func BenchmarkStreamingEviction(b *testing.B) {
 			cfg.Gamma = 1e-12
 			cfg.MinGammaSteps = 1 << 30
 			cfg.MaxPrototypes = capacity
-			cfg.Eviction = WinDecay{}
+			cfg.Eviction = Eviction{}
 			cfg.MergeOnEvict = tc.merge
 			m, err := NewModel(cfg)
 			if err != nil {

@@ -70,7 +70,7 @@ func compactReference(tb testing.TB, m *Model) *Model {
 	tb.Helper()
 	cfg := m.cfg
 	cfg.MaxPrototypes = 0
-	cfg.Eviction = nil
+	cfg.Eviction = Eviction{}
 	ref, err := NewModel(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -162,13 +162,13 @@ func TestCappedStoreMatchesCompactedReference(t *testing.T) {
 		dim    int
 		vig    float64
 		max    int
-		policy EvictionPolicy
+		policy Eviction
 		merge  bool
 	}{
-		{"d2-windecay", 2, 0.03, 200, WinDecay{}, false},
-		{"d2-recency-merge", 2, 0.03, 200, Recency{}, true},
-		{"d5-windecay-merge", 5, 0.07, 200, WinDecay{}, true},
-		{"d5-recency", 5, 0.07, 200, Recency{}, false},
+		{"d2-windecay", 2, 0.03, 200, Eviction{}, false},
+		{"d2-recency-merge", 2, 0.03, 200, Eviction{Recency: true}, true},
+		{"d5-windecay-merge", 5, 0.07, 200, Eviction{}, true},
+		{"d5-recency", 5, 0.07, 200, Eviction{Recency: true}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -266,7 +266,7 @@ func TestPinnedViewSurvivesEvictionBursts(t *testing.T) {
 	cfg.Gamma = 1e-12
 	cfg.MinGammaSteps = 1 << 30
 	cfg.MaxPrototypes = 150
-	cfg.Eviction = Recency{}
+	cfg.Eviction = Eviction{Recency: true}
 	m, err := NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +342,7 @@ func TestPinnedViewSurvivesEvictionBursts(t *testing.T) {
 		}
 		evicted += info.Evicted
 		if i == 1500 {
-			if err := m.SetCapacity(60, WinDecay{}, true); err != nil {
+			if err := m.SetCapacity(60, Eviction{}, true); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -393,10 +393,10 @@ func TestSetCapacityShrink(t *testing.T) {
 	if before <= 100 {
 		t.Fatalf("fixture too small: K=%d", before)
 	}
-	if err := m.SetCapacity(-1, nil, false); err == nil {
+	if err := m.SetCapacity(-1, m.Config().Eviction, false); err == nil {
 		t.Fatal("negative capacity should fail")
 	}
-	if err := m.SetCapacity(100, WinDecay{}, false); err != nil {
+	if err := m.SetCapacity(100, Eviction{}, false); err != nil {
 		t.Fatal(err)
 	}
 	if k := m.K(); k > 100 {
@@ -413,7 +413,7 @@ func TestSetCapacityShrink(t *testing.T) {
 	probes := probeQueries(dim, 120, 11)
 	assertViewsAgree(t, "shrunk", m.View(), compactReference(t, m).View(), probes)
 	// Removing the cap lets K grow again.
-	if err := m.SetCapacity(0, nil, false); err != nil {
+	if err := m.SetCapacity(0, m.Config().Eviction, false); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
@@ -435,7 +435,7 @@ func TestCappedSaveLoadRoundTrip(t *testing.T) {
 	cfg.Gamma = 1e-12
 	cfg.MinGammaSteps = 1 << 30
 	cfg.MaxPrototypes = 120
-	cfg.Eviction = WinDecay{HalfLife: 500}
+	cfg.Eviction = Eviction{HalfLife: 500}
 	cfg.MergeOnEvict = true
 	m, err := NewModel(cfg)
 	if err != nil {
@@ -463,7 +463,7 @@ func TestCappedSaveLoadRoundTrip(t *testing.T) {
 	if lc.MaxPrototypes != 120 || !lc.MergeOnEvict {
 		t.Fatalf("capacity config lost in round trip: %+v", lc)
 	}
-	if wd, ok := lc.Eviction.(WinDecay); !ok || wd.HalfLife != 500 {
+	if lc.Eviction != (Eviction{HalfLife: 500}) {
 		t.Fatalf("eviction policy lost in round trip: %#v", lc.Eviction)
 	}
 	for _, q := range probeQueries(dim, 150, 31) {
@@ -567,8 +567,8 @@ func TestSaveConfigRaceWithSetCapacity(t *testing.T) {
 					return
 				}
 				c := m.Config()
-				if c.MaxPrototypes > 0 && c.Eviction == nil {
-					t.Error("Config returned a cap with no policy")
+				if (c.MaxPrototypes > 0) != c.Eviction.Recency {
+					t.Error("Config paired a cap with another call's policy")
 					return
 				}
 			}
@@ -576,10 +576,10 @@ func TestSaveConfigRaceWithSetCapacity(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		max := 50 + i%3*25
-		if err := m.SetCapacity(max, Recency{}, i%2 == 0); err != nil {
+		if err := m.SetCapacity(max, Eviction{Recency: true}, i%2 == 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.SetCapacity(0, nil, false); err != nil {
+		if err := m.SetCapacity(0, m.Config().Eviction, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -598,68 +598,29 @@ func TestLoadRejectsNegativeRadius(t *testing.T) {
 	}
 }
 
-// TestSaveSkipsUnknownPolicyName: a custom EvictionPolicy whose Name()
-// Load cannot resolve must degrade to the default on a save/load round
-// trip, not poison the checkpoint.
-type exoticPolicy struct{}
-
-// Score implements EvictionPolicy.
-func (exoticPolicy) Score(wins, sinceWin int) float64 { return float64(wins) }
-
-// Name implements EvictionPolicy.
-func (exoticPolicy) Name() string { return "exotic" }
-
-func TestSaveSkipsUnknownPolicyName(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.MaxPrototypes = 50
-	cfg.Eviction = exoticPolicy{}
-	m, err := NewModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 50; i++ {
-		if _, err := m.Observe(randQuery(rng, 2), rng.NormFloat64()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("checkpoint with a custom policy must stay loadable: %v", err)
-	}
-	lc := loaded.Config()
-	if lc.MaxPrototypes != 50 || lc.Eviction == nil {
-		t.Fatalf("cap or default policy lost: %+v", lc)
-	}
-}
-
 // TestEvictionPolicyScores pins the policy semantics the docs promise.
 func TestEvictionPolicyScores(t *testing.T) {
-	wd := WinDecay{HalfLife: 100}
-	if a, b := wd.Score(10, 0), wd.Score(10, 100); b != a/2 {
+	wd := Eviction{HalfLife: 100}
+	if a, b := wd.score(10, 0), wd.score(10, 100); b != a/2 {
 		t.Fatalf("WinDecay half-life broken: %v then %v", a, b)
 	}
-	if wd.Score(100, 0) <= wd.Score(10, 0) {
+	if wd.score(100, 0) <= wd.score(10, 0) {
 		t.Fatal("WinDecay must rank heavier prototypes above lighter ones")
 	}
-	r := Recency{}
-	if r.Score(1000, 50) >= r.Score(1, 10) {
+	r := Eviction{Recency: true}
+	if r.score(1000, 50) >= r.score(1, 10) {
 		t.Fatal("Recency must ignore wins and rank by last-win time")
 	}
-	if _, err := ParseEvictionPolicy("windecay"); err != nil {
+	if _, err := ParseEviction("windecay"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseEvictionPolicy("recency"); err != nil {
-		t.Fatal(err)
+	if p, err := ParseEviction("recency"); err != nil || !p.Recency || p.Name() != "recency" {
+		t.Fatalf("recency parsed as %+v/%v", p, err)
 	}
-	if p, err := ParseEvictionPolicy(""); err != nil || p.Name() != "windecay" {
+	if p, err := ParseEviction(""); err != nil || p.Name() != "windecay" {
 		t.Fatalf("empty policy name should default to windecay, got %v/%v", p, err)
 	}
-	if _, err := ParseEvictionPolicy("nope"); err == nil {
+	if _, err := ParseEviction("nope"); err == nil {
 		t.Fatal("unknown policy name should fail")
 	}
 }

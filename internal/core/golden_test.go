@@ -399,7 +399,7 @@ func approxGoldenShapes(t *testing.T, visit func(View, goldenQuery, approxCase))
 		}
 		goldenTrain(t, bm, g.pairs(17))
 		rec.pin("reused", bm)
-		if err := bm.SetCapacity(180, nil, false); err != nil {
+		if err := bm.SetCapacity(180, bm.Config().Eviction, false); err != nil {
 			t.Fatal(err)
 		}
 		rec.pin("shrunk", bm)
@@ -408,7 +408,7 @@ func approxGoldenShapes(t *testing.T, visit func(View, goldenQuery, approxCase))
 		lm := goldenReload(t, bm)
 		goldenTrain(t, lm, g.pairs(60))
 		rec.pin("shrunk-loaded+60", lm)
-		if err := bm.SetCapacity(70, nil, true); err != nil {
+		if err := bm.SetCapacity(70, bm.Config().Eviction, true); err != nil {
 			t.Fatal(err)
 		}
 		rec.pin("merged", bm)

@@ -20,7 +20,7 @@ const (
 	// stream provides before the local slopes converge.
 	SolverRLS Solver = iota
 	// SolverSGD applies the paper's Theorem 4 update rule verbatim
-	// (first-order SGD with the configured learning-rate schedule).
+	// (first-order SGD at the hyperbolic learning rate).
 	SolverSGD
 )
 
@@ -36,13 +36,21 @@ func (s Solver) String() string {
 	}
 }
 
-// Config configures an LLM model.
+// Config configures an LLM model. Every field is one a model file carries:
+// a Config that NewModel accepts comes back from Save→Load (solver state
+// aside), Checkpoint→LoadSnapshot and a WAL replay as the Config the model
+// reports, so a model trains the same way after every restart.
+//
+// The learning rate is the paper's hyperbolic η_t = 1/(t+1) (Section II-B:
+// slowly decreasing, Ση_t = ∞ and Ση_t² < ∞), with t the winner's win count
+// (RateByPrototype) or the global step count.
 type Config struct {
 	// Dim is the input dimensionality d (query vectors live in R^(d+1)).
 	Dim int
 	// ResolutionA is the quantization coefficient a ∈ (0, 1] from which the
 	// vigilance ρ = a(√d + 1) is derived (Section IV). The paper's default
-	// is 0.25.
+	// is 0.25. NewModel folds it into Vigilance, and the model's Config
+	// reports it as 0: a model file records ρ alone.
 	ResolutionA float64
 	// Vigilance overrides the derived ρ when positive; leave at 0 to use
 	// ResolutionA.
@@ -50,10 +58,6 @@ type Config struct {
 	// Gamma is the convergence threshold γ for the training termination
 	// criterion Γ = max(Γ^J, Γ^H) ≤ γ. The paper's default is 0.01.
 	Gamma float64
-	// Schedule is the SGD learning-rate schedule; nil selects the paper's
-	// hyperbolic schedule η_t = 1/(t+1). Model files record no schedule, so
-	// Save, Checkpoint, Recover and Resume refuse any other one.
-	Schedule Schedule
 	// InitInterceptWithAnswer controls how a newly spawned prototype's local
 	// intercept y_K is initialized. The paper's Algorithm 1 initializes it to
 	// zero; initializing with the observed answer (the default here) is a
@@ -61,13 +65,13 @@ type Config struct {
 	// learning rate, and a departure from the paper. Set to false for strict
 	// paper behaviour.
 	InitInterceptWithAnswer bool
-	// RateByPrototype applies the learning-rate schedule to each prototype's
-	// own win count instead of the global step counter. The paper states a
-	// single global schedule η_t = 1/(t+1); with a growing prototype set that
-	// starves prototypes spawned late in the stream, so the default here
-	// (set by DefaultConfig) is the standard per-prototype AVQ schedule.
-	// Both satisfy the Robbins–Monro conditions; the difference is measured
-	// by the learning-rate ablation benchmark.
+	// RateByPrototype takes the learning rate's t from the winner's own win
+	// count instead of the global step counter. The paper states a single
+	// global rate η_t = 1/(t+1); with a growing prototype set that starves
+	// prototypes spawned late in the stream, so the default here (set by
+	// DefaultConfig) is the standard per-prototype AVQ rate. Both satisfy
+	// the Robbins–Monro conditions; the difference is measured by the
+	// learning-rate ablation experiment.
 	RateByPrototype bool
 	// CoefficientSolver selects how the LLM coefficients are learned; see
 	// Solver. The zero value is SolverRLS.
@@ -93,17 +97,19 @@ type Config struct {
 	// unbounded (the paper's setting). A model that intends to track drift
 	// indefinitely should also keep the termination criterion from freezing
 	// it (e.g. a very small Gamma or a large MinGammaSteps), since a
-	// converged model ignores further observations.
+	// converged model ignores further observations. The cap is at most
+	// wal.MaxCapacity, the largest a WAL capacity record carries.
 	MaxPrototypes int
 	// Eviction ranks prototypes for eviction when MaxPrototypes is
-	// exceeded; lowest score goes first. nil defaults to WinDecay with a
-	// half-life derived from the capacity. See EvictionPolicy.
-	Eviction EvictionPolicy
+	// exceeded; lowest score goes first. The zero value is win decay with a
+	// half-life derived from the capacity. See Eviction. An uncapped model
+	// keeps the zero value.
+	Eviction Eviction
 	// MergeOnEvict folds each victim into its nearest surviving prototype
 	// (win-weighted centroid in the query space, win-weighted blend of the
 	// local linear coefficients) instead of discarding it — the gentler
 	// alternative that keeps the victim's learned mass in the model at the
-	// cost of smearing its neighbour.
+	// cost of smearing its neighbour. An uncapped model keeps it false.
 	MergeOnEvict bool
 }
 
@@ -114,7 +120,6 @@ func DefaultConfig(dim int) Config {
 		Dim:                     dim,
 		ResolutionA:             0.25,
 		Gamma:                   0.01,
-		Schedule:                Hyperbolic{},
 		InitInterceptWithAnswer: true,
 		RateByPrototype:         true,
 	}
@@ -134,14 +139,9 @@ func (c Config) validate() (Config, error) {
 		}
 		c.Vigilance = c.ResolutionA * (math.Sqrt(float64(c.Dim)) + 1)
 	}
+	c.ResolutionA = 0
 	if c.Gamma <= 0 {
 		return c, fmt.Errorf("%w: Gamma must be positive, got %v", ErrBadConfig, c.Gamma)
-	}
-	if c.Schedule == nil {
-		c.Schedule = Hyperbolic{}
-	}
-	if r, ok := c.Schedule.(Constant); ok && !(r.Eta > 0 && r.Eta <= 1) {
-		return c, fmt.Errorf("%w: Constant rate %v outside (0,1]", ErrBadConfig, r.Eta)
 	}
 	if c.MinGammaSteps <= 0 {
 		c.MinGammaSteps = 100
@@ -149,26 +149,12 @@ func (c Config) validate() (Config, error) {
 	if c.ConvergenceWindow <= 0 {
 		c.ConvergenceWindow = 25
 	}
-	if c.MaxPrototypes < 0 {
-		return c, fmt.Errorf("%w: MaxPrototypes must be non-negative, got %d", ErrBadConfig, c.MaxPrototypes)
+	if err := checkCapacity(c.MaxPrototypes, c.Eviction); err != nil {
+		return c, err
 	}
-	if c.MaxPrototypes > 0 {
-		c.Eviction = normalizeEviction(c.Eviction, c.MaxPrototypes)
-	}
+	cc := newCapacity(c.MaxPrototypes, c.Eviction, c.MergeOnEvict)
+	c.Eviction, c.MergeOnEvict = cc.policy, cc.merge
 	return c, nil
-}
-
-// checkPersistable refuses a configuration no model file can carry. A file
-// records no learning-rate schedule, and Load restores the paper's
-// hyperbolic one, so a model on any other schedule would come back from its
-// file training differently.
-func (c Config) checkPersistable() error {
-	switch c.Schedule.(type) {
-	case nil, Hyperbolic:
-		return nil
-	}
-	return fmt.Errorf("%w: a model file cannot carry the %s learning-rate schedule, only hyperbolic",
-		ErrBadConfig, c.Schedule.Name())
 }
 
 // Model is the trained (or in-training) query-driven LLM model.
@@ -220,8 +206,7 @@ type TrainingPair struct {
 	Answer float64
 }
 
-// StepInfo reports what one training step did; the experiment harness uses
-// the Γ trace to reproduce Figure 6.
+// StepInfo reports what one training step did.
 type StepInfo struct {
 	// Step is the 1-based index of the consumed pair.
 	Step int
@@ -248,7 +233,7 @@ type StepInfo struct {
 // capacity fields of Config; see Model.capCfg.
 type capacityConfig struct {
 	max    int
-	policy EvictionPolicy
+	policy Eviction
 	merge  bool
 }
 
@@ -260,7 +245,7 @@ func NewModel(cfg Config) (*Model, error) {
 	}
 	m := &Model{cfg: c, store: newProtoStore(c.Dim, c.Vigilance),
 		z: make([]float64, c.Dim+2), pz: make([]float64, c.Dim+2), moved: make([]float64, c.Dim+1)}
-	m.capCfg.Store(&capacityConfig{max: c.MaxPrototypes, policy: c.Eviction, merge: c.MergeOnEvict})
+	m.capCfg.Store(newCapacity(c.MaxPrototypes, c.Eviction, c.MergeOnEvict))
 	m.publishLocked() // the empty version, so reads never see a nil snapshot
 	return m, nil
 }
@@ -362,11 +347,13 @@ func (m *Model) observeLocked(q Query, answer float64) StepInfo {
 	// update rules use the displacement (q − w_j) of the pre-update
 	// prototype, so both are taken from the rows before the first write:
 	// z = [1, q − w_j] is the regressor, laid out like the coefficient row.
-	rateStep := m.steps
+	// η_t = 1/(t+1), the paper's hyperbolic rate; a loaded prototype may
+	// carry no wins yet and counts as t = 1.
+	t := m.steps
 	if m.cfg.RateByPrototype {
-		rateStep = s.win(winner)
+		t = max(s.win(winner), 1)
 	}
-	eta := m.cfg.Schedule.Rate(rateStep)
+	eta := 1 / float64(t+1)
 	row := s.row(winner)
 	residual := answer - proto{row, s.coefRow(winner)}.eval(q.Center, q.Theta)
 	z := m.z
@@ -452,8 +439,6 @@ type TrainingResult struct {
 	Converged bool
 	// FinalGamma is the last Γ value observed.
 	FinalGamma float64
-	// GammaTrace holds Γ after every step (Figure 6's y-axis).
-	GammaTrace []float64
 }
 
 // TrainBatch consumes pairs in order until the termination criterion fires
@@ -509,14 +494,11 @@ func (m *Model) checkPair(q Query, answer float64) error {
 // the writer state is then ahead of every reader, which is only sound
 // because the Durable that failed refuses all further training.
 func (m *Model) trainBatch(pairs []TrainingPair, beforePublish func() error) (TrainingResult, error) {
-	res := TrainingResult{GammaTrace: make([]float64, 0, len(pairs))}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	before := m.steps
 	for _, p := range pairs {
-		info := m.observeLocked(p.Query, p.Answer)
-		res.GammaTrace = append(res.GammaTrace, info.Gamma)
-		if info.Converged {
+		if m.observeLocked(p.Query, p.Answer).Converged {
 			break
 		}
 	}
@@ -526,12 +508,8 @@ func (m *Model) trainBatch(pairs []TrainingPair, beforePublish func() error) (Tr
 		}
 	}
 	m.publishLocked()
-	res.Steps = m.steps
-	res.Accepted = m.steps - before
-	res.K = m.store.live
-	res.Converged = m.converged
-	res.FinalGamma = m.lastGamma
-	return res, nil
+	return TrainingResult{Steps: m.steps, Accepted: m.steps - before, K: m.store.live,
+		Converged: m.converged, FinalGamma: m.lastGamma}, nil
 }
 
 // PredictMean answers a Q1 mean-value query (Algorithm 2): the predicted

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"llmq/internal/wal"
 )
 
 // planeStream generates training pairs whose answers come from a linear
@@ -64,7 +66,7 @@ func TestDefaultConfig(t *testing.T) {
 	if math.Abs(m.Config().Vigilance-wantVig) > 1e-12 {
 		t.Errorf("derived vigilance = %v, want %v", m.Config().Vigilance, wantVig)
 	}
-	if m.Config().Schedule == nil || m.Config().MinGammaSteps != 100 {
+	if m.Config().MinGammaSteps != 100 {
 		t.Errorf("normalized config = %+v", m.Config())
 	}
 }
@@ -75,6 +77,10 @@ func TestNewModelValidation(t *testing.T) {
 		{Dim: 2, ResolutionA: 0, Gamma: 0.01},
 		{Dim: 2, ResolutionA: 1.5, Gamma: 0.01},
 		{Dim: 2, ResolutionA: 0.25, Gamma: 0},
+		// A cap or half-life no WAL capacity record can carry.
+		{Dim: 2, ResolutionA: 0.25, Gamma: 0.01, MaxPrototypes: -1},
+		{Dim: 2, ResolutionA: 0.25, Gamma: 0.01, MaxPrototypes: wal.MaxCapacity + 1},
+		{Dim: 2, ResolutionA: 0.25, Gamma: 0.01, MaxPrototypes: 10, Eviction: Eviction{HalfLife: wal.MaxHalfLife + 1}},
 	}
 	for i, cfg := range cases {
 		if _, err := NewModel(cfg); !errors.Is(err, ErrBadConfig) {
@@ -191,8 +197,8 @@ func TestTrainConvergesOnStationaryStream(t *testing.T) {
 	if res.K < 1 || res.K != m.K() {
 		t.Errorf("K = %d vs %d", res.K, m.K())
 	}
-	if len(res.GammaTrace) != res.Steps {
-		t.Errorf("trace length %d != steps %d", len(res.GammaTrace), res.Steps)
+	if res.Accepted != res.Steps {
+		t.Errorf("a fresh model accepted %d pairs in %d steps", res.Accepted, res.Steps)
 	}
 	if !m.View().Converged() {
 		t.Error("model must report convergence")
@@ -495,75 +501,78 @@ func TestQuantizationErrorShrinksWithResolution(t *testing.T) {
 	}
 }
 
-func TestConstantScheduleDoesNotConverge(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.Schedule = Constant{Eta: 0.3}
-	pairs := planeStream(3000, 2, 0.3, []float64{0.5, -0.2}, 1.0, 9)
-	m, _ := NewModel(cfg)
-	res, err := m.TrainBatch(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With a non-decaying rate on a noisy stream the Γ criterion generally
-	// keeps firing above γ; the training must still terminate by exhausting
-	// the stream and remain usable.
-	if res.Steps == 0 || m.K() == 0 {
-		t.Errorf("training result = %+v", res)
-	}
-	if _, err := m.PredictMean(pairs[0].Query); err != nil {
-		t.Errorf("prediction after constant-rate training failed: %v", err)
-	}
-}
-
+// TestSchedules pins the paper's learning rate η_t = 1/(t+1): t is the
+// winner's win count under the per-prototype rate (a spawn is one win, and a
+// loaded prototype without wins counts as one) and the step count under the
+// global rate. With θ = 0 a move is w ← w + η_t·(q − w) on the centre alone.
 func TestSchedules(t *testing.T) {
-	h := Hyperbolic{}
-	if math.Abs(h.Rate(1)-0.5) > 1e-12 || math.Abs(h.Rate(9)-0.1) > 1e-12 {
-		t.Errorf("hyperbolic rates = %v, %v", h.Rate(1), h.Rate(9))
-	}
-	if h.Rate(0) != h.Rate(1) {
-		t.Error("out-of-range step should clamp")
-	}
-	if h.Name() == "" {
-		t.Error("empty name")
-	}
-	c := Constant{Eta: 0.2}
-	if c.Rate(1) != 0.2 || c.Rate(1000) != 0.2 {
-		t.Error("constant schedule must be constant")
-	}
-	if !strings.Contains(c.Name(), "0.2") {
-		t.Errorf("constant name = %q", c.Name())
-	}
-	// Rates decrease with t for decaying schedules.
-	for tstep := 1; tstep < 100; tstep++ {
-		if h.Rate(tstep+1) > h.Rate(tstep) {
-			t.Fatal("hyperbolic schedule must be non-increasing")
+	for _, byProto := range []bool{true, false} {
+		m, err := NewModel(Config{Dim: 1, Vigilance: 10, Gamma: 1e-300, RateByPrototype: byProto})
+		if err != nil {
+			t.Fatal(err)
 		}
+		insertProto(m, Query{Center: []float64{100}}, make([]float64, 3), 0) // slot 0, no wins
+		m.publishLocked()
+		if info, err := m.Observe(Query{Center: []float64{0}}, 0); err != nil || !info.Created || info.Winner != 1 {
+			t.Fatalf("spawn: %+v, %v", info, err)
+		}
+		move := func(slot int, q float64, tt int) {
+			t.Helper()
+			w := liveSlots(m)[slot].row[0]
+			if _, err := m.Observe(Query{Center: []float64{q}}, 0); err != nil {
+				t.Fatal(err)
+			}
+			eta := 1 / float64(tt+1)
+			if got, want := liveSlots(m)[slot].row[0], w+eta*(q-w); got != want {
+				t.Errorf("byPrototype=%v: slot %d moved to %v, want %v (η = 1/%d)", byProto, slot, got, want, tt+1)
+			}
+		}
+		for i := range 3 { // steps 2..4, the spawned slot's wins 1..3
+			tt := i + 2
+			if byProto {
+				tt = i + 1
+			}
+			move(1, 1, tt)
+		}
+		tt := 5 // step 5; slot 0 has no wins yet
+		if byProto {
+			tt = 1
+		}
+		move(0, 101, tt)
 	}
 }
 
 func TestGammaTraceDecreases(t *testing.T) {
 	pairs := planeStream(6000, 2, 0.3, []float64{0.5, -0.2}, 1.0, 10)
 	m, _ := NewModel(DefaultConfig(2))
-	res, err := m.TrainBatch(pairs)
-	if err != nil {
-		t.Fatal(err)
+	// Γ after every step: one pair per batch, until the criterion fires.
+	var trace []float64
+	for i := range pairs {
+		res, err := m.TrainBatch(pairs[i : i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace = append(trace, res.FinalGamma)
+		if res.Converged {
+			break
+		}
 	}
 	// Compare the median Γ of an early window with a late window (ignoring
 	// +Inf growth steps).
 	finite := func(lo, hi int) []float64 {
 		var out []float64
-		for _, g := range res.GammaTrace[lo:hi] {
+		for _, g := range trace[lo:hi] {
 			if !math.IsInf(g, 1) {
 				out = append(out, g)
 			}
 		}
 		return out
 	}
-	if len(res.GammaTrace) < 400 {
+	if len(trace) < 400 {
 		t.Skip("trace too short to compare windows")
 	}
 	early := finite(100, 200)
-	late := finite(len(res.GammaTrace)-100, len(res.GammaTrace))
+	late := finite(len(trace)-100, len(trace))
 	avg := func(xs []float64) float64 {
 		var s float64
 		for _, x := range xs {

@@ -56,7 +56,7 @@ func TestDurableFlipsReadOnlyOnWALFault(t *testing.T) {
 
 	// Sticky: the store stays read-only even after the disk "heals".
 	arm.Store(false)
-	if err := d.SetCapacity(8, nil, false); !errors.Is(err, ErrReadOnly) {
+	if err := d.SetCapacity(8, Eviction{}, false); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("SetCapacity after fault cleared: err = %v, want ErrReadOnly", err)
 	}
 	if _, err := d.TrainBatch(pairs[350:360]); !errors.Is(err, ErrReadOnly) {

@@ -129,14 +129,8 @@ func newBootID() string {
 // missing generation — is data loss, not a crash artifact, and fails
 // recovery with a descriptive error. A fresh or empty directory starts an
 // empty model with the given configuration; cfg is only used in that case
-// (an existing snapshot carries its own configuration). A cfg whose
-// learning-rate schedule no snapshot can carry (anything but Hyperbolic) is
-// refused with ErrBadConfig: its model would come back on the hyperbolic
-// schedule after the first restart.
+// (an existing snapshot carries its own configuration).
 func Recover(dir string, cfg Config, opts DurableOptions) (*Durable, error) {
-	if err := cfg.checkPersistable(); err != nil {
-		return nil, err
-	}
 	opts = opts.withDefaults()
 	man, err := wal.List(dir)
 	if err != nil {
@@ -228,9 +222,6 @@ func Recover(dir string, cfg Config, opts DurableOptions) (*Durable, error) {
 // follower — which mirrored the log bytes and applied them as they arrived
 // — seals its copy and becomes a writable primary on promotion.
 func Resume(m *Model, dir string, sinceSnap int, opts DurableOptions) (*Durable, error) {
-	if err := m.cfg.checkPersistable(); err != nil {
-		return nil, err
-	}
 	opts = opts.withDefaults()
 	l, err := wal.Continue(dir, opts.WAL)
 	if err != nil {
@@ -469,23 +460,17 @@ func (d *Durable) EnsureSnapshot() (uint64, error) {
 // SetCapacity durably changes the model's capacity bound at runtime: the
 // command is appended to the write-ahead log as an admin record — so
 // recovery and replication followers re-apply it at exactly this point in
-// the training order — and then applied to the model. A nil policy keeps
-// the current one. Policies other than the built-in WinDecay/Recency cannot
-// be encoded into the log and are rejected.
-func (d *Durable) SetCapacity(max int, policy EvictionPolicy, merge bool) error {
-	if max < 0 {
-		return fmt.Errorf("%w: MaxPrototypes must be non-negative, got %d", ErrBadConfig, max)
+// the training order — and then applied to the model. The record carries
+// the capacity the model will run under, normalized as Model.SetCapacity
+// normalizes it (policy name, half-life and merge), so its replay does not
+// depend on the model's state.
+func (d *Durable) SetCapacity(max int, policy Eviction, merge bool) error {
+	if err := checkCapacity(max, policy); err != nil {
+		return err
 	}
-	rec := wal.Record{Kind: wal.KindCapacity, MaxPrototypes: max, Merge: merge}
-	if policy != nil {
-		if _, err := ParseEvictionPolicy(policy.Name()); err != nil {
-			return fmt.Errorf("core: cannot WAL-log eviction policy %q: only built-in policies replay", policy.Name())
-		}
-		rec.Eviction = policy.Name()
-		if wd, ok := policy.(WinDecay); ok {
-			rec.EvictionHalfLife = wd.HalfLife
-		}
-	}
+	cc := newCapacity(max, policy, merge)
+	rec := wal.Record{Kind: wal.KindCapacity, MaxPrototypes: max, Merge: cc.merge,
+		Eviction: cc.policy.Name(), EvictionHalfLife: cc.policy.HalfLife}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.failure != nil {

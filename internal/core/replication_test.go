@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"strings"
+	"errors"
 	"testing"
 
 	"llmq/internal/wal"
@@ -59,7 +59,7 @@ func TestDurableSetCapacityReplay(t *testing.T) {
 	pairs := planeStream(900, 3, 0.3, []float64{0.5, -0.2, 1.1}, 1.0, 47)
 	cfg := durableConfig()
 	cfg.MaxPrototypes = 0 // start unbounded; the runtime call installs the cap
-	cfg.Eviction = nil
+	cfg.Eviction = Eviction{}
 
 	run := func(t *testing.T, snapEvery int) {
 		dir := t.TempDir()
@@ -71,7 +71,7 @@ func TestDurableSetCapacityReplay(t *testing.T) {
 		if _, err := d.TrainBatch(pairs[:400]); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.SetCapacity(12, WinDecay{HalfLife: 64}, true); err != nil {
+		if err := d.SetCapacity(12, Eviction{HalfLife: 64}, true); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := d.TrainBatch(pairs[400:]); err != nil {
@@ -103,7 +103,7 @@ func TestDurableSetCapacityReplay(t *testing.T) {
 		if _, err := ref.TrainBatch(pairs[:400]); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.SetCapacity(12, WinDecay{HalfLife: 64}, true); err != nil {
+		if err := ref.SetCapacity(12, Eviction{HalfLife: 64}, true); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ref.TrainBatch(pairs[400:]); err != nil {
@@ -119,28 +119,60 @@ func TestDurableSetCapacityReplay(t *testing.T) {
 	t.Run("checkpointed", func(t *testing.T) { run(t, 250) })
 }
 
-// TestDurableSetCapacityRejectsCustomPolicy: a policy the WAL cannot encode
-// must be refused before anything is logged.
-func TestDurableSetCapacityRejectsCustomPolicy(t *testing.T) {
-	dir := t.TempDir()
-	d, err := Recover(dir, durableConfig(), DurableOptions{WAL: wal.Options{Mode: wal.SyncNone}})
+// TestReplayCapacityRecordKeepsUnnamedPolicy: a capacity record that names
+// no policy — what Durable.SetCapacity logged for "keep the current policy"
+// before records carried the policy — replays with the model's current
+// policy and half-life.
+func TestReplayCapacityRecordKeepsUnnamedPolicy(t *testing.T) {
+	m, err := NewModel(durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	err = d.SetCapacity(8, customPolicy{}, false)
-	if err == nil || !strings.Contains(err.Error(), "WAL-log") {
-		t.Fatalf("custom policy error = %v", err)
+	a := NewReplayApplier(m)
+	if err := a.Apply(wal.Record{Kind: wal.KindCapacity, MaxPrototypes: 12, Merge: true}); err != nil {
+		t.Fatal(err)
 	}
-	if err := d.SetCapacity(-1, nil, false); err == nil {
-		t.Fatal("negative capacity accepted")
+	if c := m.Config(); c.MaxPrototypes != 12 || c.Eviction != (Eviction{HalfLife: 64}) || !c.MergeOnEvict {
+		t.Fatalf("replayed capacity %d %+v merge=%v, want 12 {HalfLife:64} merge=true", c.MaxPrototypes, c.Eviction, c.MergeOnEvict)
 	}
 }
 
-type customPolicy struct{}
-
-func (customPolicy) Score(wins, sinceWin int) float64 { return float64(wins - sinceWin) }
-func (customPolicy) Name() string                     { return "bespoke" }
+// TestDurableSetCapacityRejectsUnloggableCap: a cap or half-life no WAL
+// capacity record can carry — a negative cap, one above wal.MaxCapacity, a
+// half-life above wal.MaxHalfLife — is refused before anything is logged,
+// while the largest loggable ones replay: recovery reproduces the live
+// Config exactly.
+func TestDurableSetCapacityRejectsUnloggableCap(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{WAL: wal.Options{Mode: wal.SyncNone}}
+	d, err := Recover(dir, durableConfig(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		max    int
+		policy Eviction
+	}{{-1, Eviction{}}, {wal.MaxCapacity + 1, Eviction{}}, {10, Eviction{HalfLife: wal.MaxHalfLife + 1}}} {
+		if err := d.SetCapacity(c.max, c.policy, false); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("SetCapacity(%d, %+v): err = %v, want ErrBadConfig", c.max, c.policy, err)
+		}
+	}
+	if err := d.SetCapacity(wal.MaxCapacity, Eviction{HalfLife: wal.MaxHalfLife}, true); err != nil {
+		t.Fatal(err)
+	}
+	want := d.Model().Config()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Recover(dir, durableConfig(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.Model().Config(); got != want {
+		t.Fatalf("recovered config %+v, want %+v", got, want)
+	}
+}
 
 // TestDurableBoundaryHashes: rotations record a boundary hash a follower
 // can compare against, and the recorded history is pruned.

@@ -149,9 +149,6 @@ func parseSolver(name string) (Solver, error) {
 // a WAL tail onto the file. Use Checkpoint when training must resume
 // bit-identically.
 func (m *Model) Save(w io.Writer) error {
-	if err := m.cfg.checkPersistable(); err != nil {
-		return err
-	}
 	// Pair the capacity mirror with the snapshot consistently: read the
 	// mirror on both sides of the snapshot load and retry until it was
 	// stable across it. A concurrent SetCapacity in either direction (a
@@ -254,21 +251,11 @@ func (m *Model) capture(c *checkpointBuf) {
 func (m *Model) encode(c *checkpointBuf, src frameSource, cc *capacityConfig) {
 	// The capacity fields are runtime-mutable (SetCapacity); read them
 	// through the lock-free mirror, never from m.cfg directly.
-	var maxK, halfLife int
+	// An uncapped model records no policy (newCapacity keeps none).
+	maxK, halfLife := cc.max, cc.policy.HalfLife
 	var eviction string
-	if cc.max > 0 {
-		maxK = cc.max
-		if p := cc.policy; p != nil {
-			// Only names Load can resolve are persisted; a custom policy
-			// implementation degrades to the default on reload rather than
-			// producing a file Load rejects wholesale.
-			if _, err := ParseEvictionPolicy(p.Name()); err == nil {
-				eviction = p.Name()
-			}
-			if wd, ok := p.(WinDecay); ok {
-				halfLife = wd.HalfLife
-			}
-		}
+	if maxK > 0 {
+		eviction = cc.policy.Name()
 	}
 	cfg := &m.cfg
 	state := src.withState && cfg.CoefficientSolver == SolverRLS
@@ -354,9 +341,6 @@ func (c *checkpointBuf) hash() string {
 // Checkpoint briefly serializes with training writers — the lock covers the
 // encoding, not the I/O behind w; readers stay lock-free throughout.
 func (m *Model) Checkpoint(w io.Writer) error {
-	if err := m.cfg.checkPersistable(); err != nil {
-		return err
-	}
 	var c checkpointBuf
 	m.capture(&c)
 	if _, err := w.Write(c.b); err != nil {
@@ -537,7 +521,6 @@ func newLoading(doc *modelJSON) (*Model, error) {
 		Dim:                     doc.Dim,
 		Vigilance:               doc.Vigilance,
 		Gamma:                   doc.Gamma,
-		Schedule:                Hyperbolic{},
 		CoefficientSolver:       solver,
 		InitInterceptWithAnswer: doc.InitInterceptWithAnswer,
 		RateByPrototype:         doc.RateByPrototype,
@@ -547,15 +530,9 @@ func newLoading(doc *modelJSON) (*Model, error) {
 	if doc.MaxPrototypes > 0 {
 		cfg.MaxPrototypes = doc.MaxPrototypes
 		cfg.MergeOnEvict = doc.MergeOnEvict
-		policy, err := ParseEvictionPolicy(doc.Eviction)
-		if err != nil {
+		if cfg.Eviction, err = decodeEviction(doc.Eviction, doc.EvictionHalfLife); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
 		}
-		if wd, ok := policy.(WinDecay); ok && doc.EvictionHalfLife > 0 {
-			wd.HalfLife = doc.EvictionHalfLife
-			policy = wd
-		}
-		cfg.Eviction = policy
 	}
 	m, err := NewModel(cfg)
 	if err != nil {

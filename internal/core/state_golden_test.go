@@ -98,11 +98,11 @@ func stateGoldenHistory(t *testing.T, name string, cfg Config, seed int64) state
 
 	// 2: a runtime shrink with merge-on-evict, deep enough to compact; the
 	// history's own capacity comes back afterwards.
-	if err := m.SetCapacity(m.K()*2/5, nil, true); err != nil {
+	if err := m.SetCapacity(m.K()*2/5, m.Config().Eviction, true); err != nil {
 		t.Fatal(err)
 	}
 	point("shrink-merge")
-	if err := m.SetCapacity(cfg.MaxPrototypes, nil, cfg.MergeOnEvict); err != nil {
+	if err := m.SetCapacity(cfg.MaxPrototypes, m.Config().Eviction, cfg.MergeOnEvict); err != nil {
 		t.Fatal(err)
 	}
 

@@ -145,7 +145,6 @@ func TestJitterKeepsEpoch(t *testing.T) {
 			cfg.Vigilance = rho
 			cfg.Gamma = 1e-12
 			cfg.MinGammaSteps = 1 << 30
-			cfg.Schedule = Constant{Eta: 0.5}
 			m, err := NewModel(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -188,6 +187,10 @@ func TestJitterKeepsEpoch(t *testing.T) {
 				if i%2 == 1 {
 					q = at(-rho / 5)
 				}
+				// η = 1/2 every step: the per-prototype rate 1/(wins+1)
+				// reads the win count, held at one.
+				m.store.writableChunk(k)
+				m.store.setWin(k, 1)
 				want, _ := winnerLinearScan(writerSlots(m), q)
 				before := slices.Clone(m.store.row(k))
 				info, err := m.Observe(q, 1)

@@ -57,7 +57,7 @@ func DriftCapacity(s Scale) ([]*Table, error) {
 		cfg.MinGammaSteps = 1 << 30
 		capped := cfg
 		capped.MaxPrototypes = driftCapacity
-		capped.Eviction = core.WinDecay{}
+		capped.Eviction = core.Eviction{} // win decay
 		capped.MergeOnEvict = true
 		mCapped, err := core.NewModel(capped)
 		if err != nil {

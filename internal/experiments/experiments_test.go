@@ -277,7 +277,7 @@ func TestAblationAndGlobalFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables[0].Rows) != 4 {
+	if len(tables[0].Rows) != 3 {
 		t.Fatalf("ablation rows = %d", len(tables[0].Rows))
 	}
 	// The default (RLS) must not be less accurate than the paper's SGD rule.

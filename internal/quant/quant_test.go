@@ -18,12 +18,13 @@ import (
 	"llmq/internal/core"
 )
 
-// newModel builds a model with an explicit vigilance, a schedule of the
-// caller's choosing and a termination threshold small enough that training
-// never freezes the prototypes.
-func newModel(t *testing.T, dim int, vigilance float64, s core.Schedule) *core.Model {
+// newModel builds a model with an explicit vigilance, the hyperbolic
+// learning rate η_t = 1/(t+1) over each prototype's win count (byPrototype)
+// or over the global step count, and a termination threshold small enough
+// that training never freezes the prototypes.
+func newModel(t *testing.T, dim int, vigilance float64, byPrototype bool) *core.Model {
 	t.Helper()
-	m, err := core.NewModel(core.Config{Dim: dim, Vigilance: vigilance, Gamma: 1e-300, Schedule: s})
+	m, err := core.NewModel(core.Config{Dim: dim, Vigilance: vigilance, Gamma: 1e-300, RateByPrototype: byPrototype})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +96,14 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("case %d (%+v): err = %v, want ErrBadConfig", i, cfg, err)
 		}
 	}
-	m := newModel(t, 3, 0.5, nil)
+	m := newModel(t, 3, 0.5, false)
 	if cfg := m.Config(); cfg.Dim != 3 || cfg.Vigilance != 0.5 || m.K() != 0 {
 		t.Errorf("fresh model: dim=%d ρ=%v K=%d", cfg.Dim, cfg.Vigilance, m.K())
 	}
 }
 
 func TestFirstObservationCreatesPrototype(t *testing.T) {
-	m := newModel(t, 2, 0.5, core.Constant{Eta: 0.5})
+	m := newModel(t, 2, 0.5, true)
 	info := observe(t, m, query(t, 0.1, 0.2))
 	if !info.Created || info.Winner != 0 || m.K() != 1 {
 		t.Errorf("info = %+v, K = %d", info, m.K())
@@ -113,7 +114,7 @@ func TestFirstObservationCreatesPrototype(t *testing.T) {
 }
 
 func TestObserveWithinVigilanceMovesWinner(t *testing.T) {
-	m := newModel(t, 1, 1.0, core.Constant{Eta: 0.5})
+	m := newModel(t, 1, 1.0, true)
 	observe(t, m, query(t, 0.0))
 	q := query(t, 0.4)
 	if _, dist := winner(t, m, q); math.Abs(dist-0.4) > 1e-12 {
@@ -123,7 +124,8 @@ func TestObserveWithinVigilanceMovesWinner(t *testing.T) {
 	if info.Created {
 		t.Fatal("observation within vigilance must not create a prototype")
 	}
-	// w moved from 0 toward 0.4 by eta=0.5: w = 0.2.
+	// The spawn counted one win, so η = 1/(1+1): w moved from 0 toward 0.4
+	// by half, to 0.2.
 	if _, d := winner(t, m, query(t, 0.2)); d > 1e-12 {
 		t.Errorf("prototype after update is %v from 0.2", d)
 	}
@@ -133,7 +135,7 @@ func TestObserveWithinVigilanceMovesWinner(t *testing.T) {
 }
 
 func TestObserveBeyondVigilanceCreatesPrototype(t *testing.T) {
-	m := newModel(t, 1, 0.5, core.Constant{Eta: 0.5})
+	m := newModel(t, 1, 0.5, true)
 	observe(t, m, query(t, 0.0))
 	info := observe(t, m, query(t, 2.0))
 	if !info.Created || m.K() != 2 {
@@ -151,7 +153,7 @@ func TestObserveBeyondVigilanceCreatesPrototype(t *testing.T) {
 }
 
 func TestObserveValidation(t *testing.T) {
-	m := newModel(t, 2, 0.5, nil)
+	m := newModel(t, 2, 0.5, false)
 	if _, err := m.Observe(query(t, 1), 0.5); !errors.Is(err, core.ErrDimension) {
 		t.Errorf("dim err = %v", err)
 	}
@@ -170,7 +172,7 @@ func TestObserveValidation(t *testing.T) {
 }
 
 func TestWinner(t *testing.T) {
-	m := newModel(t, 2, 1, core.Constant{Eta: 0.5})
+	m := newModel(t, 2, 1, true)
 	if _, _, err := m.View().Winner(query(t, 0, 0)); !errors.Is(err, core.ErrNotTrained) {
 		t.Errorf("empty winner err = %v", err)
 	}
@@ -197,7 +199,7 @@ func uniformSquare(t *testing.T, seed int64, n int) []core.Query {
 func TestVigilanceControlsPrototypeCount(t *testing.T) {
 	sample := uniformSquare(t, 7, 2000)
 	countFor := func(vig float64) int {
-		m := newModel(t, 2, vig, core.Hyperbolic{})
+		m := newModel(t, 2, vig, false)
 		for _, q := range sample {
 			observe(t, m, q)
 		}
@@ -215,7 +217,7 @@ func TestVigilanceControlsPrototypeCount(t *testing.T) {
 }
 
 func TestPrototypesReturnsCopies(t *testing.T) {
-	m := newModel(t, 2, 0.5, core.Constant{Eta: 0.5})
+	m := newModel(t, 2, 0.5, true)
 	observe(t, m, query(t, 1, 2))
 	q := query(t, 1, 2)
 	models, err := m.View().Regression(q)
@@ -235,7 +237,7 @@ func TestDriftShrinksWithLearningRateSchedule(t *testing.T) {
 	// With the hyperbolic schedule η_t = 1/(t+1) over the global step count
 	// and a stationary input distribution, the per-step prototype drift Γ^J
 	// must eventually become small (convergence of Γ^J).
-	m := newModel(t, 2, 0.6, core.Hyperbolic{})
+	m := newModel(t, 2, 0.6, false)
 	var max float64
 	for step, q := range uniformSquare(t, 3, 5000) {
 		info := observe(t, m, q)

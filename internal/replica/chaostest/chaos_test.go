@@ -51,7 +51,7 @@ func trainConfig() core.Config {
 		InitInterceptWithAnswer: true,
 		RateByPrototype:         true,
 		MaxPrototypes:           16,
-		Eviction:                core.WinDecay{HalfLife: 64},
+		Eviction:                core.Eviction{HalfLife: 64},
 		MergeOnEvict:            true,
 	}
 }

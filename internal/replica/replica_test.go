@@ -39,7 +39,7 @@ func trainConfig() core.Config {
 		InitInterceptWithAnswer: true,
 		RateByPrototype:         true,
 		MaxPrototypes:           16,
-		Eviction:                core.WinDecay{HalfLife: 64},
+		Eviction:                core.Eviction{HalfLife: 64},
 		MergeOnEvict:            true,
 	}
 }
@@ -294,7 +294,7 @@ func TestCapacityChangeReplicates(t *testing.T) {
 	if _, err := p.d.TrainBatch(pairs[:200]); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.d.SetCapacity(8, core.WinDecay{HalfLife: 32}, true); err != nil {
+	if err := p.d.SetCapacity(8, core.Eviction{HalfLife: 32}, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.d.TrainBatch(pairs[200:]); err != nil {

@@ -32,7 +32,7 @@ func trainConfig(merge bool) core.Config {
 		InitInterceptWithAnswer: true,
 		RateByPrototype:         true,
 		MaxPrototypes:           24,
-		Eviction:                core.WinDecay{HalfLife: 64},
+		Eviction:                core.Eviction{HalfLife: 64},
 		MergeOnEvict:            merge,
 	}
 }

@@ -94,6 +94,14 @@ func (k Kind) effective() Kind {
 // this is certainly corruption and must not drive a giant allocation.
 const maxRecordLen = 1 << 20
 
+// MaxCapacity and MaxHalfLife bound the cap and the eviction half-life a
+// capacity record carries: a larger value does not decode (it reads as
+// corruption), so a model must refuse to run under one.
+const (
+	MaxCapacity = maxRecordLen
+	MaxHalfLife = 8 * maxRecordLen
+)
+
 // FrameHeaderLen is the fixed framing overhead per frame: the payload
 // length and its CRC-32C.
 const FrameHeaderLen = 8
@@ -267,7 +275,7 @@ func decodeCapacity(p []byte) (Record, error) {
 	}
 	// Capacities live in memory as ints; a value that does not round-trip is
 	// corruption, not a configuration.
-	if max > uint64(maxRecordLen) || half > uint64(maxRecordLen)*8 {
+	if max > MaxCapacity || half > MaxHalfLife {
 		return Record{}, fmt.Errorf("implausible capacity %d / half-life %d", max, half)
 	}
 	r.MaxPrototypes = int(max)
