@@ -23,7 +23,11 @@
 // Bounded-capacity streaming deployments (Config.MaxPrototypes, evict.go)
 // tombstone and reuse prototype slots so the model tracks non-stationary
 // workloads at a fixed budget, with eviction published like any other
-// version. docs/ARCHITECTURE.md is the guided tour of these paths and the
+// version. The durability layer (recover.go) wraps the model in a Durable:
+// a write-ahead log, checkpoint rotation and crash recovery over one data
+// directory. A replication follower's mirror is the same Durable, opened by
+// the same Recover, fed its primary's log bytes (Durable.Mirror) until it is
+// promoted. docs/ARCHITECTURE.md is the guided tour of these paths and the
 // invariants each layer maintains.
 package core
 

@@ -70,11 +70,15 @@ func (o DurableOptions) withDefaults() DurableOptions {
 // Failure is fail-safe, not fail-stop: the first WAL append, fsync or
 // rotation error flips the store read-only (ErrReadOnly) while queries
 // keep serving the in-memory model — see Failure.
+//
+// A replication follower's mirror is a Durable too, opened by the same
+// Recover: between Follow and Promote it takes the primary's shipped log
+// bytes through Mirror instead of TrainBatch.
 type Durable struct {
 	m    *Model
 	opts DurableOptions
 
-	// bootID is a random token minted per Recover/Resume. Replication
+	// bootID is a random token minted per Recover. Replication
 	// followers pin it: a change means the primary restarted — and may have
 	// truncated and rewritten log bytes the follower already consumed — so
 	// the follower must re-bootstrap rather than trust its cursor.
@@ -88,6 +92,11 @@ type Durable struct {
 	hasSnap   bool          // a snapshot for the current generation exists on disk
 	ckpt      checkpointBuf // the last captured state, reused by every rotation
 	recs      []wal.Record  // TrainBatch's log records, reused by every batch
+	// follow is non-nil while the store mirrors a primary's log (Follow
+	// until Promote): Mirror applies shipped records through it, nothing
+	// rotates but the follower's explicit Snapshot, and Close does not
+	// checkpoint — a generation the primary does not have.
+	follow *ReplayApplier
 }
 
 // BoundaryHash records the model's canonical state at one snapshot
@@ -129,7 +138,9 @@ func newBootID() string {
 // missing generation — is data loss, not a crash artifact, and fails
 // recovery with a descriptive error. A fresh or empty directory starts an
 // empty model with the given configuration; cfg is only used in that case
-// (an existing snapshot carries its own configuration).
+// (an existing snapshot carries its own configuration). A directory whose
+// snapshots all fail to load replays from segment 0 if it still holds it,
+// and fails recovery otherwise.
 func Recover(dir string, cfg Config, opts DurableOptions) (*Durable, error) {
 	opts = opts.withDefaults()
 	man, err := wal.List(dir)
@@ -142,12 +153,16 @@ func Recover(dir string, cfg Config, opts DurableOptions) (*Durable, error) {
 	var (
 		m       *Model
 		baseGen uint64
+		newest  error // why the newest snapshot did not load
 	)
 	for i := len(man.Snapshots) - 1; i >= 0; i-- {
 		gen := man.Snapshots[i]
 		lm, lerr := readSnapshot(dir, gen)
 		if lerr != nil {
 			opts.Logf("core: recovery: snapshot %s unreadable (%v); falling back to previous generation", wal.SnapshotPath(dir, gen), lerr)
+			if newest == nil {
+				newest = fmt.Errorf("snapshot %s: %w", wal.SnapshotPath(dir, gen), lerr)
+			}
 			continue
 		}
 		m, baseGen = lm, gen
@@ -155,6 +170,12 @@ func Recover(dir string, cfg Config, opts DurableOptions) (*Durable, error) {
 	}
 	if m == nil {
 		if len(man.Snapshots) > 0 {
+			if len(man.Segments) == 0 || man.Segments[0] != 0 {
+				// Nothing to replay from scratch: a fresh model here would
+				// silently drop every generation the snapshots covered.
+				return nil, fmt.Errorf("core: recovery: no loadable snapshot in %s, and segment %s, which a replay from scratch needs, is missing: %w",
+					dir, wal.SegmentPath(dir, 0), newest)
+			}
 			opts.Logf("core: recovery: no loadable snapshot in %s; replaying the full log from segment 0", dir)
 		}
 		m, err = NewModel(cfg)
@@ -207,30 +228,6 @@ func Recover(dir string, cfg Config, opts DurableOptions) (*Durable, error) {
 	if replayed == 0 && d.hasSnap && l.Gen() == baseGen {
 		// The model sits exactly at a snapshot boundary; record its hash so
 		// a follower bootstrapping from this snapshot can verify its copy.
-		d.m.capture(&d.ckpt)
-		d.recordBoundaryLocked(l.Gen())
-	}
-	return d, nil
-}
-
-// Resume wraps an already-recovered model over its data directory for
-// durable training, without replaying anything: the caller guarantees m is
-// exactly the state the directory's snapshot + full segment replay
-// produces, and that any torn tail is already truncated. sinceSnap is the
-// number of records the newest segment holds (the pending replay debt a
-// clean Close should fold into a snapshot). This is how a replication
-// follower — which mirrored the log bytes and applied them as they arrived
-// — seals its copy and becomes a writable primary on promotion.
-func Resume(m *Model, dir string, sinceSnap int, opts DurableOptions) (*Durable, error) {
-	opts = opts.withDefaults()
-	l, err := wal.Continue(dir, opts.WAL)
-	if err != nil {
-		return nil, err
-	}
-	d := &Durable{m: m, opts: opts, bootID: newBootID(), log: l, sinceSnap: sinceSnap,
-		hashes: make(map[uint64]BoundaryHash)}
-	d.hasSnap = fileExists(wal.SnapshotPath(dir, l.Gen()))
-	if sinceSnap == 0 && d.hasSnap {
 		d.m.capture(&d.ckpt)
 		d.recordBoundaryLocked(l.Gen())
 	}
@@ -519,7 +516,64 @@ func (d *Durable) Sync() error {
 	return nil
 }
 
-// Gen returns the current snapshot/segment generation (diagnostics).
+// Follow marks the store a replication follower's mirror of a primary's
+// log, right after Recover opened the mirror directory: from here Mirror is
+// its writer, it rotates only when the follower calls Snapshot at the
+// primary's rotation, and Close does not checkpoint. Promote ends it.
+func (d *Durable) Follow() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.follow = NewReplayApplier(d.m)
+}
+
+// Mirror appends a chunk of the primary's log to the follower's: chunk is
+// written verbatim, with one write through the log's writer — so the sync
+// policy, fault hook and sticky errors are a primary's — and then recs,
+// which the caller decoded from chunk and verified, are applied to the
+// model through the ReplayApplier, as recovery applies them. A failure
+// flips the store read-only (ErrReadOnly): the mirror's tail is undefined
+// and only a fresh bootstrap repairs it. Mirror never rotates; it is for
+// a store between Follow and Promote.
+func (d *Durable) Mirror(chunk []byte, recs []wal.Record) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.failure != nil {
+		return fmt.Errorf("%w: %w", ErrReadOnly, d.failure)
+	}
+	if err := d.log.AppendFramed(chunk, len(recs)); err != nil {
+		return d.failLocked(err)
+	}
+	for _, rec := range recs {
+		if err := d.follow.Apply(rec); err != nil {
+			return d.failLocked(err)
+		}
+	}
+	if err := d.follow.Flush(); err != nil {
+		return d.failLocked(err)
+	}
+	d.sinceSnap += len(recs)
+	return nil
+}
+
+// Promote turns a follower's mirror into a primary's store: the mirrored
+// tail is synced, and from here the store rotates every SnapshotEvery pairs
+// and checkpoints on Close, as one Recover opened. A read-only mirror
+// refuses.
+func (d *Durable) Promote() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.failure != nil {
+		return fmt.Errorf("%w: %w", ErrReadOnly, d.failure)
+	}
+	if err := d.log.Sync(); err != nil {
+		return d.failLocked(err)
+	}
+	d.follow = nil
+	return nil
+}
+
+// Gen returns the current snapshot/segment generation: a follower's cursor
+// starts in it.
 func (d *Durable) Gen() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -530,8 +584,10 @@ func (d *Durable) Gen() uint64 {
 // last snapshot are checkpointed (so the next Recover replays nothing) and
 // the log is closed. Close with pending pairs pays one snapshot write; a
 // process killed instead of closed just pays that replay at the next boot.
-// A read-only store skips the checkpoint — its log must not grow past the
-// failure — closes what it can, and reports the root cause.
+// A follower's mirror is closed without the checkpoint, which would be a
+// generation its primary does not have. A read-only store skips the
+// checkpoint — its log must not grow past the failure — closes what it
+// can, and reports the root cause.
 func (d *Durable) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -540,7 +596,7 @@ func (d *Durable) Close() error {
 		return fmt.Errorf("%w: %w", ErrReadOnly, d.failure)
 	}
 	var rerr error
-	if d.sinceSnap > 0 {
+	if d.sinceSnap > 0 && d.follow == nil {
 		rerr = d.rotateLocked()
 	}
 	if cerr := d.log.Close(); rerr == nil {

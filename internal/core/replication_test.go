@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
 	"testing"
 
 	"llmq/internal/wal"
@@ -211,49 +212,119 @@ func TestDurableBoundaryHashes(t *testing.T) {
 	}
 }
 
-// TestResumeContinuesDurably: core.Resume wraps an in-memory model over a
-// directory whose bytes it already equals (the promotion path) and training
-// continues durably — a subsequent Recover sees the full stream.
-func TestResumeContinuesDurably(t *testing.T) {
-	dir := t.TempDir()
-	pairs := planeStream(400, 3, 0.3, []float64{0.5, -0.2, 1.1}, 1.0, 59)
-	opts := DurableOptions{WAL: wal.Options{Mode: wal.SyncNone}, SnapshotEvery: 1 << 30}
-	d, err := Recover(dir, durableConfig(), opts)
+// mirrorTail ships the primary's log past cur into a following store the
+// way a replication follower does — chunks through Mirror, a generation
+// bump through Snapshot — until it has consumed everything, and returns the
+// cursor it stopped at.
+func mirrorTail(t *testing.T, f *Durable, pdir string, cur wal.Cursor) wal.Cursor {
+	t.Helper()
+	for {
+		c, err := wal.TailRead(pdir, cur, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case len(c.Data) > 0:
+			sc := wal.NewScanner(bytes.NewReader(c.Data))
+			var recs []wal.Record
+			for sc.Next() {
+				recs = append(recs, sc.Record())
+			}
+			if err := sc.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Mirror(c.Data, recs); err != nil {
+				t.Fatal(err)
+			}
+		case c.Next.Gen == cur.Gen+1:
+			if err := f.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			return cur
+		}
+		cur = c.Next
+	}
+}
+
+// TestPromotedMirrorContinuesDurably: a store that follows a primary's log
+// through Mirror and Snapshot matches the primary bit for bit, closes
+// without a checkpoint of its own while it follows, and once promoted takes
+// a fresh boot ID, continues durably, and recovers the full stream.
+func TestPromotedMirrorContinuesDurably(t *testing.T) {
+	pdir, fdir := t.TempDir(), t.TempDir()
+	pairs := planeStream(600, 3, 0.3, []float64{0.5, -0.2, 1.1}, 1.0, 59)
+	opts := DurableOptions{WAL: wal.Options{Mode: wal.SyncNone}, SnapshotEvery: 100}
+	p, err := Recover(pdir, durableConfig(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.TrainBatch(pairs[:200]); err != nil {
+	defer p.Close()
+	if _, err := p.TrainBatch(pairs[:100]); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	m := d.Model()
-	// Simulate the follower's hand-off: the log handle is abandoned (the
-	// follower never had one) and the model continues over the same bytes.
-	r, err := Resume(m, dir, 200, opts)
+	// Bootstrap: the primary's snapshot is the mirror's first file.
+	gen := p.Gen()
+	snap, err := os.ReadFile(wal.SnapshotPath(pdir, gen))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.BootID() == d.BootID() {
-		t.Fatal("Resume reused the boot id")
-	}
-	if _, err := r.TrainBatch(pairs[200:]); err != nil {
+	if err := os.WriteFile(wal.SnapshotPath(fdir, gen), snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want := mustStateHash(t, r.Model())
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Recover(dir, durableConfig(), opts)
+	f, err := Recover(fdir, Config{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Close()
-	if d2.Model().Steps() != len(pairs) {
-		t.Fatalf("recovered %d steps, want %d", d2.Model().Steps(), len(pairs))
+	f.Follow()
+	cur := wal.Cursor{Gen: gen}
+	for i := 100; i < 450; i += 50 {
+		if _, err := p.TrainBatch(pairs[i : i+50]); err != nil {
+			t.Fatal(err)
+		}
+		cur = mirrorTail(t, f, pdir, cur)
 	}
-	if got := mustStateHash(t, d2.Model()); got != want {
+	if got, want := mustStateHash(t, f.Model()), mustStateHash(t, p.Model()); got != want {
+		t.Fatalf("mirror hash %s, primary %s", got, want)
+	}
+	if f.Gen() != p.Gen() || f.Gen() <= gen {
+		t.Fatalf("mirror at generation %d, primary at %d (bootstrapped at %d)", f.Gen(), p.Gen(), gen)
+	}
+	// A following store's Close writes no generation the primary lacks.
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if man, err := wal.List(fdir); err != nil || man.Snapshots[len(man.Snapshots)-1] != p.Gen() {
+		t.Fatalf("mirror snapshots after Close = %v (%v), primary at generation %d", man.Snapshots, err, p.Gen())
+	}
+
+	f, err = Recover(fdir, Config{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Follow()
+	if err := f.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if f.BootID() == p.BootID() {
+		t.Fatal("the promoted mirror reused the primary's boot id")
+	}
+	if _, err := f.TrainBatch(pairs[450:]); err != nil {
+		t.Fatal(err)
+	}
+	want := mustStateHash(t, f.Model())
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Recover(fdir, durableConfig(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if d.Model().Steps() != len(pairs) {
+		t.Fatalf("recovered %d steps, want %d", d.Model().Steps(), len(pairs))
+	}
+	if got := mustStateHash(t, d.Model()); got != want {
 		t.Fatalf("recovered StateHash %s, want %s", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"llmq/internal/replica"
+	"llmq/internal/wal"
 )
 
 // benchOpts is fastOpts with the replica's logger silenced: go test merges
@@ -24,30 +25,38 @@ func benchOpts(dir, url string) replica.Options {
 // WAL long-poll, lands in the follower's mirror, and is applied to its live
 // model. ns/op is per pair with the shipping pipelined behind training, so
 // it answers "how fast can a follower drain a burst" — the pairs/s metric is
-// the same number inverted.
+// the same number inverted. The sub-benchmarks set the follower's sync
+// policy (replica.Options.WAL), which governs its mirror writes: group is
+// the serving default, none fsyncs only at rotation.
 func BenchmarkReplicationLag(b *testing.B) {
-	const warmup = 64
-	p := newPrimary(b, b.TempDir(), 4096)
-	pairs := genPairs(17, warmup+b.N)
-	if _, err := p.d.TrainBatch(pairs[:warmup]); err != nil {
-		b.Fatal(err)
-	}
-	rep, _ := startReplica(b, benchOpts(b.TempDir(), p.ts.URL))
-	waitSteps(b, rep, warmup)
+	for _, mode := range []wal.SyncMode{wal.SyncGroup, wal.SyncNone} {
+		b.Run("sync="+mode.String(), func(b *testing.B) {
+			const warmup = 64
+			p := newPrimary(b, b.TempDir(), 4096)
+			pairs := genPairs(17, warmup+b.N)
+			if _, err := p.d.TrainBatch(pairs[:warmup]); err != nil {
+				b.Fatal(err)
+			}
+			opts := benchOpts(b.TempDir(), p.ts.URL)
+			opts.WAL.Mode = mode
+			rep, _ := startReplica(b, opts)
+			waitSteps(b, rep, warmup)
 
-	b.ResetTimer()
-	if _, err := p.d.TrainBatch(pairs[warmup:]); err != nil {
-		b.Fatal(err)
+			b.ResetTimer()
+			if _, err := p.d.TrainBatch(pairs[warmup:]); err != nil {
+				b.Fatal(err)
+			}
+			deadline := time.Now().Add(2 * time.Minute)
+			for rep.Status().Steps < warmup+b.N {
+				if time.Now().After(deadline) {
+					b.Fatalf("follower stuck at %d steps, want %d", rep.Status().Steps, warmup+b.N)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
+		})
 	}
-	deadline := time.Now().Add(2 * time.Minute)
-	for rep.Status().Steps < warmup+b.N {
-		if time.Now().After(deadline) {
-			b.Fatalf("follower stuck at %d steps, want %d", rep.Status().Steps, warmup+b.N)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
 }
 
 // BenchmarkReplicationBootstrap measures cold follower start against a
@@ -71,16 +80,7 @@ func BenchmarkReplicationBootstrap(b *testing.B) {
 				ctx, cancel := context.WithCancel(context.Background())
 				done := make(chan struct{})
 				go func() { defer close(done); _ = rep.Run(ctx) }()
-				if err := rep.WaitReady(ctx); err != nil {
-					b.Fatal(err)
-				}
-				deadline := time.Now().Add(time.Minute)
-				for rep.Status().Steps < steps {
-					if time.Now().After(deadline) {
-						b.Fatalf("bootstrap stuck at %d steps, want %d", rep.Status().Steps, steps)
-					}
-					time.Sleep(time.Millisecond)
-				}
+				waitSteps(b, rep, steps)
 				cancel()
 				<-done
 				if err := rep.Close(); err != nil {

@@ -19,107 +19,74 @@ import (
 	"llmq/internal/wal"
 )
 
-// errNoLocalState means the local directory holds no usable mirror (fresh
-// follower) — bootstrap from a snapshot instead. Not an error condition.
+// errNoLocalState means the local directory holds no snapshot to recover
+// from (a fresh follower) — bootstrap from the primary's instead. Not an
+// error condition.
 var errNoLocalState = errors.New("replica: no local mirror")
 
-// openLocal resumes replication from a mirror a previous incarnation left
-// behind: load the newest local snapshot, replay the contiguous segments
-// above it (truncating a torn tail on the newest — the chunk the follower
-// crashed in the middle of will be re-fetched), and park the cursor at the
-// end of the valid bytes. The snapshot loads as Recover loads one
-// (core.LoadSnapshot), so a Save file planted in its place is refused. Any
-// inconsistency is reported; the caller falls back to a fresh bootstrap.
-func (r *Replica) openLocal() error {
-	dir := r.opts.Dir
-	man, err := wal.List(dir)
+// recoverMirror resumes replication from a mirror a previous incarnation
+// left behind. A directory with a snapshot opens through core.Recover, as a
+// primary's directory does after a crash: the newest loadable snapshot, the
+// contiguous segments above it, a torn tail truncated (the chunk the
+// follower crashed in the middle of is re-fetched). A snapshot that does
+// not load falls back to the previous generation; a mirror never holds
+// segment 0, so with none loadable Recover fails and the caller
+// re-bootstraps.
+func (r *Replica) recoverMirror() error {
+	man, err := wal.List(r.opts.Dir)
 	if err != nil {
-		return err
-	}
-	// This boot path owns the directory exclusively, so litter from a
-	// checkpoint write the previous incarnation crashed in is safe to clear.
-	if err := wal.RemoveTemp(dir); err != nil {
 		return err
 	}
 	if len(man.Snapshots) == 0 {
 		return errNoLocalState
 	}
-	// Newest snapshot only: unlike primary recovery there is no reason to
-	// limp along on a fallback generation when a fresh snapshot is one
-	// request away.
-	base := man.Snapshots[len(man.Snapshots)-1]
-	f, err := wal.OpenSnapshot(dir, base)
-	if err != nil {
-		return err
-	}
-	m, err := core.LoadSnapshot(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("local snapshot %d: %w", base, err)
-	}
-	applier := core.NewReplayApplier(m)
-	cur := wal.Cursor{Gen: base}
-	sinceSnap := 0
-	var segs []uint64
-	for _, g := range man.Segments {
-		if g >= base {
-			segs = append(segs, g)
-		}
-	}
-	for i, g := range segs {
-		if g != base+uint64(i) {
-			return fmt.Errorf("segment gap: generation %d missing", base+uint64(i))
-		}
-		path := wal.SegmentPath(dir, g)
-		n, corrupt, err := wal.Replay(path, applier.Apply)
-		if err != nil {
-			return fmt.Errorf("replay local segment %d: %w", g, err)
-		}
-		last := i == len(segs)-1
-		if corrupt != nil {
-			if !last {
-				// A sealed mirror segment can only be torn by storage loss;
-				// the primary still has the bytes, so re-bootstrap.
-				return fmt.Errorf("sealed local segment %d: %s", g, corrupt)
-			}
-			if err := wal.TruncateTorn(path, corrupt.Offset); err != nil {
-				return err
-			}
-		}
-		if last {
-			fi, err := os.Stat(path)
-			if err != nil {
-				return err
-			}
-			cur = wal.Cursor{Gen: g, Off: fi.Size()}
-			sinceSnap = n
-		}
-	}
-	if err := applier.Flush(); err != nil {
-		return fmt.Errorf("replay local mirror: %w", err)
-	}
-	seg, err := openSegment(dir, cur.Gen)
+	d, cur, err := r.open()
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
-	r.model = m
-	r.applier = applier
+	r.d = d
 	r.cur = cur
-	r.seg = seg
-	r.sinceSnap = sinceSnap
 	r.bootID = "" // pinned from the next primary response
 	r.mu.Unlock()
-	r.opts.Logf("replica: resumed local mirror of %s at %v (%d steps)", r.base, cur, m.Steps())
+	r.opts.Logf("replica: resumed local mirror of %s at %v (%d steps)", r.base, cur, d.Model().Steps())
 	return nil
 }
 
+// open recovers the mirror directory as a follower's store and returns it
+// with the cursor at the end of its newest segment.
+func (r *Replica) open() (*core.Durable, wal.Cursor, error) {
+	// The config is unused: a mirror always holds a snapshot, which carries
+	// its own.
+	d, err := core.Recover(r.opts.Dir, core.Config{}, core.DurableOptions{
+		WAL:           r.opts.WAL,
+		SnapshotEvery: r.opts.SnapshotEvery,
+		Logf:          r.opts.Logf,
+	})
+	if err != nil {
+		return nil, wal.Cursor{}, err
+	}
+	d.Follow()
+	gen := d.Gen()
+	fi, err := os.Stat(wal.SegmentPath(r.opts.Dir, gen))
+	if err != nil {
+		_ = d.Close()
+		return nil, wal.Cursor{}, err
+	}
+	return d, wal.Cursor{Gen: gen, Off: fi.Size()}, nil
+}
+
 // bootstrap wipes the local mirror and rebuilds it from the primary's
-// newest checkpoint snapshot. The in-memory model (if any) keeps serving
-// stale reads until the new one is ready — only the swap at the end is
-// visible to readers.
+// newest checkpoint snapshot. The old store is closed first, but its model
+// keeps serving stale reads until the new one is ready — only the swap at
+// the end is visible to readers.
 func (r *Replica) bootstrap(ctx context.Context) error {
-	r.closeSeg()
+	r.mu.Lock()
+	old := r.d
+	r.mu.Unlock()
+	if old != nil {
+		_ = old.Close() // a mirror closes without a checkpoint; its files go next
+	}
 	if err := r.wipe(); err != nil {
 		return err
 	}
@@ -138,43 +105,30 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 		return fmt.Errorf("snapshot: bad %s header %q", HeaderGen, resp.Header.Get(HeaderGen))
 	}
 	boot := resp.Header.Get(HeaderBoot)
-	// Mirror first, load second: the local file must hold exactly the bytes
-	// the primary served, and a model that loads from it — through the
-	// check Recover applies, so a Save file is refused — proves the
-	// directory will recover after a follower crash.
-	path := wal.SnapshotPath(r.opts.Dir, gen)
-	if err := wal.WriteFileAtomic(path, func(w io.Writer) error {
+	// Mirror first, recover second: the local file must hold exactly the
+	// bytes the primary served, and a store that Recover opens from it —
+	// loading it as every recovery does, so a Save file is refused — proves
+	// the directory will recover after a follower crash.
+	if err := wal.WriteFileAtomic(wal.SnapshotPath(r.opts.Dir, gen), func(w io.Writer) error {
 		_, err := io.Copy(w, resp.Body)
 		return err
 	}); err != nil {
 		return err
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	m, err := core.LoadSnapshot(f)
-	f.Close()
+	d, cur, err := r.open()
 	if err != nil {
 		return fmt.Errorf("shipped snapshot %d does not load: %w", gen, err)
 	}
-	seg, err := openSegment(r.opts.Dir, gen)
-	if err != nil {
-		return err
-	}
 	r.mu.Lock()
-	r.model = m
-	r.applier = core.NewReplayApplier(m)
-	r.cur = wal.Cursor{Gen: gen}
-	r.seg = seg
-	r.sinceSnap = 0
+	r.d = d
+	r.cur = cur
 	r.bootID = boot
 	r.needBoot = false
 	r.diverged = nil
 	r.bootstraps++
 	r.mu.Unlock()
 	r.touch(resp)
-	r.opts.Logf("replica: bootstrapped from %s at generation %d (%d steps)", r.base, gen, m.Steps())
+	r.opts.Logf("replica: bootstrapped from %s at generation %d (%d steps)", r.base, gen, d.Model().Steps())
 	// Opportunistic divergence check right at the boundary the snapshot
 	// defines; a mismatch here means the snapshot itself is suspect.
 	return r.verifyBoundary(ctx, gen)
@@ -245,11 +199,11 @@ func (r *Replica) fetchChunk(ctx context.Context) error {
 	return r.applyChunk(data, next)
 }
 
-// applyChunk validates, mirrors and applies one shipped chunk, in that
-// order: no byte reaches the local segment before the whole chunk scans as
-// complete CRC-clean records (a mid-chunk disconnect therefore leaves no
-// trace), and no record trains the model before it is in the mirror (a
-// crash between the two replays it from disk).
+// applyChunk validates one shipped chunk and hands it to the store's
+// Mirror, which writes it to the local segment before its records train the
+// model (a crash between the two replays them from disk). No byte reaches
+// the segment before the whole chunk scans as complete CRC-clean records, so
+// a mid-chunk disconnect leaves no trace.
 func (r *Replica) applyChunk(data []byte, next wal.Cursor) error {
 	sc := wal.NewScanner(bytes.NewReader(data))
 	var recs []wal.Record
@@ -263,67 +217,35 @@ func (r *Replica) applyChunk(data []byte, next wal.Cursor) error {
 		return fmt.Errorf("shipped chunk is torn: %d of %d bytes scan", sc.ValidSize(), len(data))
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.seg == nil {
-		return errors.New("replica: no open mirror segment")
-	}
-	if _, err := r.seg.Write(data); err != nil {
+	d := r.d
+	r.mu.Unlock()
+	if err := d.Mirror(data, recs); err != nil {
 		return fmt.Errorf("mirror chunk: %w", err)
 	}
-	for _, rec := range recs {
-		if err := r.applier.Apply(rec); err != nil {
-			return fmt.Errorf("apply shipped record: %w", err)
-		}
-	}
-	if err := r.applier.Flush(); err != nil {
-		return fmt.Errorf("apply shipped chunk: %w", err)
-	}
+	r.mu.Lock()
 	r.cur = next
-	r.sinceSnap += len(recs)
+	r.mu.Unlock()
 	return nil
 }
 
-// rotateLocal mirrors the primary's rotation: seal the local tail segment
-// (fsync + close — the mirror's durability point), verify the state hash
-// against the boundary hash the primary recorded, publish the follower's
-// own checkpoint snapshot, open the next segment, and GC old generations.
+// rotateLocal follows the primary's rotation: verify the state hash against
+// the boundary hash the primary recorded, then rotate the mirror onto its
+// own checkpoint of the same generation, as the primary's store did.
 func (r *Replica) rotateLocal(ctx context.Context, newGen uint64) error {
-	r.mu.Lock()
-	if err := r.applier.Flush(); err != nil {
-		r.mu.Unlock()
-		return err
-	}
-	if r.seg != nil {
-		if err := r.seg.Sync(); err != nil {
-			r.mu.Unlock()
-			return fmt.Errorf("seal mirror segment: %w", err)
-		}
-		if err := r.seg.Close(); err != nil {
-			r.mu.Unlock()
-			return fmt.Errorf("seal mirror segment: %w", err)
-		}
-		r.seg = nil
-	}
-	m := r.model
-	r.mu.Unlock()
 	// Verify before checkpointing: a diverged state must not become the
 	// snapshot a restart would silently resume from.
 	if err := r.verifyBoundary(ctx, newGen); err != nil {
 		return err
 	}
-	if err := wal.WriteFileAtomic(wal.SnapshotPath(r.opts.Dir, newGen), m.Checkpoint); err != nil {
+	r.mu.Lock()
+	d := r.d
+	r.mu.Unlock()
+	if err := d.Snapshot(); err != nil {
 		return fmt.Errorf("mirror snapshot %d: %w", newGen, err)
 	}
-	seg, err := openSegment(r.opts.Dir, newGen)
-	if err != nil {
-		return err
-	}
 	r.mu.Lock()
-	r.seg = seg
 	r.cur = wal.Cursor{Gen: newGen}
-	r.sinceSnap = 0
 	r.mu.Unlock()
-	r.gc(newGen)
 	return nil
 }
 
@@ -356,7 +278,7 @@ func (r *Replica) verifyBoundary(ctx context.Context, gen uint64) error {
 		return nil
 	}
 	r.mu.Lock()
-	m := r.model
+	m := r.d.Model()
 	r.mu.Unlock()
 	steps := m.Steps()
 	hash, err := m.StateHash()
@@ -376,14 +298,6 @@ func (r *Replica) verifyBoundary(ctx context.Context, gen uint64) error {
 	r.diverged = div
 	r.mu.Unlock()
 	return fmt.Errorf("%w: %w", errRebootstrap, div)
-}
-
-// gc removes mirror generations at least two behind, matching the
-// primary's retention.
-func (r *Replica) gc(newGen uint64) {
-	if newGen >= 2 {
-		wal.RemoveThrough(r.opts.Dir, newGen-2)
-	}
 }
 
 // wipe clears the mirror's files (and stale temp files) ahead of a fresh
@@ -407,15 +321,6 @@ func (r *Replica) wipe() error {
 	return nil
 }
 
-func (r *Replica) closeSeg() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.seg != nil {
-		_ = r.seg.Close()
-		r.seg = nil
-	}
-}
-
 // touch records a successful primary contact and its step count.
 func (r *Replica) touch(resp *http.Response) {
 	r.mu.Lock()
@@ -426,14 +331,6 @@ func (r *Replica) touch(resp *http.Response) {
 			r.primarySteps = n
 		}
 	}
-}
-
-func openSegment(dir string, gen uint64) (*os.File, error) {
-	f, err := os.OpenFile(wal.SegmentPath(dir, gen), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("open mirror segment: %w", err)
-	}
-	return f, nil
 }
 
 func parseNextCursor(resp *http.Response) (wal.Cursor, error) {

@@ -2,12 +2,15 @@
 // replication: it bootstraps a model from the primary's newest checkpoint
 // snapshot, then byte-mirrors the primary's write-ahead log into a local
 // data directory — same generation numbering, same offsets — applying every
-// shipped record through the live training path as it lands. Because the
-// WAL totally orders training and replay is deterministic, a caught-up
-// follower is bit-identical to the primary (verified with canonical state
-// hashes at every snapshot boundary), and promotion is nothing more than
-// sealing the local log and wrapping the in-memory model into a
-// core.Durable over the mirrored directory.
+// shipped record through the live training path as it lands. The mirror is
+// a core.Durable from boot, opened by the same core.Recover as a primary's
+// directory, and its Mirror, Snapshot and Close do the file work; this
+// package keeps only the protocol: fetch, verify the chunk, check the
+// boundary hash, re-bootstrap, promote. Because the WAL totally orders
+// training and replay is deterministic, a caught-up follower is
+// bit-identical to the primary (verified with canonical state hashes at
+// every snapshot boundary), and promotion hands the same store over as a
+// writable primary.
 //
 // # Cursor invariants
 //
@@ -38,7 +41,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
@@ -104,11 +106,14 @@ type Options struct {
 	PromoteAfter time.Duration
 	// Backoff paces catch-up retries after primary failures.
 	Backoff resilience.Backoff
-	// WAL is the promoted Durable's sync policy (the mirror itself syncs at
-	// rotation boundaries; a follower crash re-fetches its unsynced tail).
+	// WAL is the mirror's sync policy, before and after promotion: shipped
+	// chunks reach the local segment through it as a primary's batches do
+	// (wal.SyncNone fsyncs only at rotation; a follower crash re-fetches
+	// its unsynced tail).
 	WAL wal.Options
-	// SnapshotEvery is the promoted Durable's rotation cadence; ≤ 0
-	// defaults as core.DurableOptions does.
+	// SnapshotEvery is the rotation cadence after promotion; ≤ 0 defaults
+	// as core.DurableOptions does. Until then the mirror rotates when the
+	// primary does.
 	SnapshotEvery int
 	// Logf receives replication diagnostics; nil uses the standard logger.
 	Logf func(format string, args ...any)
@@ -161,7 +166,8 @@ type Status struct {
 
 // errRebootstrap tags failures that invalidate the local mirror: the
 // cursor's generation is gone, the primary restarted, or the mirrored
-// state failed verification. Run reacts by wiping and re-bootstrapping.
+// state failed verification. Run reacts by wiping and re-bootstrapping, as
+// it does to a store that a failed write turned read-only (core.ErrReadOnly).
 var errRebootstrap = errors.New("replica: local mirror is invalid")
 
 // errDiverged tags a failed boundary hash comparison; it implies
@@ -174,23 +180,18 @@ type Replica struct {
 	opts Options
 	base string // Primary, normalized
 
-	ready     chan struct{} // closed once a model is first available
-	readyOnce sync.Once
-	stopped   chan struct{} // closed when Run returns
+	stopped chan struct{} // closed when Run returns
 
 	mu           sync.Mutex
 	runStarted   bool
 	cancelRun    context.CancelFunc
-	model        *core.Model
-	applier      *core.ReplayApplier
+	d            *core.Durable // the mirror's store; nil before the first boot
 	cur          wal.Cursor
-	seg          *os.File // open local tail segment (generation cur.Gen)
-	sinceSnap    int      // records in the local tail segment
-	bootID       string   // primary boot ID pinned at bootstrap ("" = unpinned)
-	needBoot     bool     // wipe + re-bootstrap before the next fetch
+	bootID       string // primary boot ID pinned at bootstrap ("" = unpinned)
+	needBoot     bool   // wipe + re-bootstrap before the next fetch
 	diverged     error
 	promoting    bool
-	durable      *core.Durable
+	promoted     bool // d is a primary's store now
 	bootstraps   int
 	lastContact  time.Time
 	primarySteps int
@@ -213,7 +214,6 @@ func Open(opts Options) (*Replica, error) {
 	return &Replica{
 		opts:    opts,
 		base:    base,
-		ready:   make(chan struct{}),
 		stopped: make(chan struct{}),
 	}, nil
 }
@@ -252,7 +252,7 @@ func (r *Replica) Run(ctx context.Context) error {
 		} else {
 			r.opts.Logf("replica: %v", err)
 		}
-		if errors.Is(err, errRebootstrap) {
+		if errors.Is(err, errRebootstrap) || errors.Is(err, core.ErrReadOnly) {
 			r.mu.Lock()
 			r.needBoot = true
 			r.mu.Unlock()
@@ -285,21 +285,15 @@ func (r *Replica) Run(ctx context.Context) error {
 // bootstrap, or fetch-and-apply one WAL chunk.
 func (r *Replica) step(ctx context.Context) error {
 	r.mu.Lock()
-	model, needBoot := r.model, r.needBoot
+	d, needBoot := r.d, r.needBoot
 	r.mu.Unlock()
-	if model == nil && !needBoot {
+	if d == nil && !needBoot {
 		// First run over this directory: a previous incarnation's mirror
 		// resumes without re-shipping the snapshot.
-		switch err := r.openLocal(); {
-		case err == nil:
-			r.markReady()
-			return nil
-		case errors.Is(err, errNoLocalState):
-			r.mu.Lock()
-			r.needBoot = true
-			r.mu.Unlock()
-		default:
-			r.opts.Logf("replica: local mirror unusable (%v); re-bootstrapping", err)
+		if err := r.recoverMirror(); err != nil {
+			if !errors.Is(err, errNoLocalState) {
+				r.opts.Logf("replica: local mirror unusable (%v); re-bootstrapping", err)
+			}
 			r.mu.Lock()
 			r.needBoot = true
 			r.mu.Unlock()
@@ -310,27 +304,9 @@ func (r *Replica) step(ctx context.Context) error {
 		if err := r.bootstrap(ctx); err != nil {
 			return fmt.Errorf("bootstrap from %s: %w", r.base, err)
 		}
-		r.markReady()
 		return nil
 	}
 	return r.fetchChunk(ctx)
-}
-
-func (r *Replica) markReady() {
-	r.readyOnce.Do(func() { close(r.ready) })
-}
-
-// WaitReady blocks until the replica has a model to serve (bootstrap or
-// local recovery finished) or ctx is done.
-func (r *Replica) WaitReady(ctx context.Context) error {
-	select {
-	case <-r.ready:
-		return nil
-	case <-r.stopped:
-		return errors.New("replica: stopped before a model was available")
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // Model returns the follower's live model, or nil before the first
@@ -339,7 +315,10 @@ func (r *Replica) WaitReady(ctx context.Context) error {
 func (r *Replica) Model() *core.Model {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.model
+	if r.d == nil {
+		return nil
+	}
+	return r.d.Model()
 }
 
 // Primary returns the primary's base URL this replica follows.
@@ -349,7 +328,10 @@ func (r *Replica) Primary() string { return r.base }
 func (r *Replica) Durable() *core.Durable {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.durable
+	if !r.promoted {
+		return nil
+	}
+	return r.d
 }
 
 // Status returns the current replication status.
@@ -358,21 +340,21 @@ func (r *Replica) Status() Status {
 	defer r.mu.Unlock()
 	st := Status{
 		Role:         "follower",
-		Bootstrapped: r.model != nil,
+		Bootstrapped: r.d != nil,
 		Bootstraps:   r.bootstraps,
 		PrimarySteps: r.primarySteps,
 		LastContact:  r.lastContact,
 		Diverged:     r.diverged,
 		Cursor:       r.cur,
 	}
-	if r.model != nil {
-		st.Steps = r.model.Steps()
+	if r.d != nil {
+		st.Steps = r.d.Model().Steps()
 	}
 	if st.Lag = st.PrimarySteps - st.Steps; st.Lag < 0 {
 		st.Lag = 0
 	}
 	switch {
-	case r.durable != nil:
+	case r.promoted:
 		st.Role = "primary"
 	case r.promoting:
 		st.Role = "promoting"
@@ -392,7 +374,7 @@ func (r *Replica) shouldAutoPromote() bool {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.model != nil && r.diverged == nil && !r.lastContact.IsZero() &&
+	return r.d != nil && r.diverged == nil && !r.lastContact.IsZero() &&
 		time.Since(r.lastContact) > r.opts.PromoteAfter
 }
 
@@ -405,15 +387,15 @@ func (r *Replica) autoPromote() (*core.Durable, error) {
 	return r.finalizePromotion()
 }
 
-// Promote seals the follower's log and turns its model into a writable
-// primary over the mirrored directory, returning the core.Durable to train
-// through. A diverged follower refuses, descriptively; so does one that
+// Promote syncs the follower's mirror and hands its store over as a
+// writable primary over the mirrored directory, returning the core.Durable
+// to train through. A diverged follower refuses, descriptively; so does one that
 // has not bootstrapped. Promote stops the replication loop first, so no
 // shipped record can interleave with the hand-off.
 func (r *Replica) Promote() (*core.Durable, error) {
 	r.mu.Lock()
-	if r.durable != nil {
-		d := r.durable
+	if r.promoted {
+		d := r.d
 		r.mu.Unlock()
 		return d, nil
 	}
@@ -439,48 +421,34 @@ func (r *Replica) promotableLocked() error {
 	if r.diverged != nil {
 		return fmt.Errorf("replica: refusing promotion: %w (a re-bootstrap must complete first)", r.diverged)
 	}
-	if r.model == nil {
+	if r.d == nil {
 		return errors.New("replica: refusing promotion: no model yet (bootstrap has not completed)")
 	}
 	return nil
 }
 
-// finalizePromotion seals the mirror and resumes it as a Durable. The
-// replication loop must be stopped (or be the caller).
+// finalizePromotion promotes the mirror's store in place. The replication
+// loop must be stopped (or be the caller).
 func (r *Replica) finalizePromotion() (*core.Durable, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.durable != nil {
-		return r.durable, nil
+	if r.promoted {
+		return r.d, nil
 	}
 	if err := r.promotableLocked(); err != nil {
 		r.promoting = false
 		return nil, err
 	}
-	if r.seg != nil {
-		if err := r.seg.Sync(); err != nil {
-			return nil, fmt.Errorf("replica: seal mirror segment: %w", err)
-		}
-		if err := r.seg.Close(); err != nil {
-			return nil, fmt.Errorf("replica: seal mirror segment: %w", err)
-		}
-		r.seg = nil
+	if err := r.d.Promote(); err != nil {
+		return nil, fmt.Errorf("replica: promote mirror: %w", err)
 	}
-	d, err := core.Resume(r.model, r.opts.Dir, r.sinceSnap, core.DurableOptions{
-		WAL:           r.opts.WAL,
-		SnapshotEvery: r.opts.SnapshotEvery,
-		Logf:          r.opts.Logf,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("replica: resume mirrored log: %w", err)
-	}
-	r.durable = d
-	return d, nil
+	r.promoted = true
+	return r.d, nil
 }
 
 // Close shuts a non-promoted replica down: the loop is stopped and the
-// local segment synced and closed, so a restart resumes from the mirror.
-// After promotion, close the Durable instead.
+// mirror's store closed without a checkpoint, so a restart resumes from the
+// mirror. After promotion, close the Durable instead.
 func (r *Replica) Close() error {
 	r.mu.Lock()
 	cancel := r.cancelRun
@@ -494,13 +462,8 @@ func (r *Replica) Close() error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.seg == nil {
+	if r.d == nil || r.promoted {
 		return nil
 	}
-	err := r.seg.Sync()
-	if cerr := r.seg.Close(); err == nil {
-		err = cerr
-	}
-	r.seg = nil
-	return err
+	return r.d.Close()
 }

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -162,9 +165,7 @@ func TestFollowerCatchUpAndPromote(t *testing.T) {
 
 	fdir := t.TempDir()
 	rep, _ := startReplica(t, fastOpts(fdir, p.ts.URL))
-	if err := rep.WaitReady(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	waitSteps(t, rep, 400)
 	// Keep training while the follower streams — records must flow through
 	// the live tail, not just the bootstrap snapshot.
 	if _, err := p.d.TrainBatch(pairs[400:800]); err != nil {
@@ -570,8 +571,8 @@ func getJSON(t *testing.T, url string, wantStatus int, v any) {
 
 // TestFollowerRefusesPlantedSaveSnapshot: a Save file in place of the
 // follower's newest mirrored snapshot carries no RLS solver state, so the
-// local WAL tail cannot be replayed onto it bit-identically. openLocal loads
-// the snapshot as Recover does and refuses the file, and the follower
+// local WAL tail cannot be replayed onto it bit-identically. The follower
+// opens its mirror through core.Recover, which refuses the file, and it
 // re-bootstraps from the primary instead of resuming on it.
 func TestFollowerRefusesPlantedSaveSnapshot(t *testing.T) {
 	pairs := genPairs(89, 600)
@@ -672,5 +673,218 @@ func TestFollowerRefusesShippedSaveSnapshot(t *testing.T) {
 	}
 	if st := rep.Status(); st.Bootstrapped || st.Bootstraps != 0 {
 		t.Fatalf("status after the refusal = %+v, want no model and no bootstrap", st)
+	}
+}
+
+// copyDir copies the data directory src into a fresh temporary directory
+// file by file, the way a crash image of a live process is taken: whatever
+// the open store has written so far, nothing it has not.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// waitCursorGen waits until the follower's cursor reaches generation gen,
+// i.e. it has followed the primary's rotation into it.
+func waitCursorGen(t *testing.T, rep *replica.Replica, gen uint64) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for rep.Status().Cursor.Gen < gen {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower cursor stuck at %v, want generation %d", rep.Status().Cursor, gen)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFollowerMirrorIsByteIdentical: the mirror is the primary's directory,
+// byte for byte. After catch-up across rotations, every follower segment
+// equals the primary's segment of the same generation up to the cursor, and
+// every snapshot the follower holds — shipped or written by its own
+// rotation — equals the primary's.
+func TestFollowerMirrorIsByteIdentical(t *testing.T) {
+	pairs := genPairs(107, 700)
+	pdir, fdir := t.TempDir(), t.TempDir()
+	p := newPrimary(t, pdir, 100)
+	if _, err := p.d.TrainBatch(pairs[:150]); err != nil {
+		t.Fatal(err)
+	}
+	rep, _ := startReplica(t, fastOpts(fdir, p.ts.URL))
+	waitSteps(t, rep, 150)
+	for i := 150; i < len(pairs); i += 50 {
+		if _, err := p.d.TrainBatch(pairs[i : i+50]); err != nil {
+			t.Fatal(err)
+		}
+		waitSteps(t, rep, i+50)
+		waitCursorGen(t, rep, p.d.Gen())
+	}
+	cur := rep.Status().Cursor
+	if st := rep.Status(); st.Bootstraps != 1 || cur.Gen < 3 {
+		t.Fatalf("status %+v: want one bootstrap and rotations after it", st)
+	}
+	man, err := wal.List(fdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range man.Segments {
+		fb, err := os.ReadFile(wal.SegmentPath(fdir, g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := os.ReadFile(wal.SegmentPath(pdir, g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g == cur.Gen && int64(len(fb)) != cur.Off {
+			t.Fatalf("mirror segment %d holds %d bytes, cursor at %v", g, len(fb), cur)
+		}
+		if g < cur.Gen && len(fb) != len(pb) || len(fb) > len(pb) || !bytes.Equal(fb, pb[:len(fb)]) {
+			t.Fatalf("mirror segment %d (%d bytes) differs from the primary's (%d bytes)", g, len(fb), len(pb))
+		}
+	}
+	if len(man.Snapshots) < 2 {
+		t.Fatalf("mirror holds snapshots %v, want the rotated ones", man.Snapshots)
+	}
+	for _, g := range man.Snapshots {
+		fb, err := os.ReadFile(wal.SnapshotPath(fdir, g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := os.ReadFile(wal.SnapshotPath(pdir, g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fb, pb) {
+			t.Fatalf("mirror snapshot %d (%d bytes) differs from the primary's (%d bytes)", g, len(fb), len(pb))
+		}
+	}
+}
+
+// TestFollowerWriteFaultRebootstraps: a failed write to the mirror turns the
+// follower's store read-only, and the follower re-bootstraps instead of
+// appending the chunk again behind whatever the failed write left. The
+// rebuilt mirror catches up, and once promoted its directory recovers every
+// pair.
+func TestFollowerWriteFaultRebootstraps(t *testing.T) {
+	pairs := genPairs(109, 600)
+	p := newPrimary(t, t.TempDir(), 100)
+	if _, err := p.d.TrainBatch(pairs[:100]); err != nil {
+		t.Fatal(err)
+	}
+	fdir := t.TempDir()
+	opts := fastOpts(fdir, p.ts.URL)
+	var writes atomic.Int32
+	injected := errors.New("injected: no space left on device")
+	opts.WAL = wal.Options{Mode: wal.SyncNone, Fault: func(op string) error {
+		if op == "write" && writes.Add(1) == 2 {
+			return injected
+		}
+		return nil
+	}}
+	rep, _ := startReplica(t, opts)
+	waitSteps(t, rep, 100)
+	for i := 100; i < 400; i += 50 {
+		if _, err := p.d.TrainBatch(pairs[i : i+50]); err != nil {
+			t.Fatal(err)
+		}
+		waitSteps(t, rep, i+50)
+	}
+	if st := rep.Status(); st.Bootstraps != 2 {
+		t.Fatalf("status %+v: want the write fault to cost exactly one re-bootstrap", st)
+	}
+	if got, want := hashOf(t, rep.Model()), hashOf(t, p.d.Model()); got != want {
+		t.Fatalf("follower hash %s, primary %s", got, want)
+	}
+	d, err := rep.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.TrainBatch(pairs[400:]); err != nil {
+		t.Fatal(err)
+	}
+	want := hashOf(t, d.Model())
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := core.Recover(fdir, trainConfig(), core.DurableOptions{WAL: wal.Options{Mode: wal.SyncNone}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if d2.Model().Steps() != len(pairs) {
+		t.Fatalf("recovered %d steps from the promoted mirror, want %d", d2.Model().Steps(), len(pairs))
+	}
+	if got := hashOf(t, d2.Model()); got != want {
+		t.Fatalf("recovered mirror hash %s, want %s", got, want)
+	}
+}
+
+// TestFollowerResumesCrashImage: a copy of a live follower's directory is
+// what a crash leaves, and a replica opened on it resumes through
+// core.Recover, as a primary's directory does, instead of re-bootstrapping
+// — with a torn record at the end of its newest segment, and with its
+// newest snapshot unreadable but the previous generation intact.
+func TestFollowerResumesCrashImage(t *testing.T) {
+	pairs := genPairs(113, 700)
+	p := newPrimary(t, t.TempDir(), 100)
+	if _, err := p.d.TrainBatch(pairs[:100]); err != nil {
+		t.Fatal(err)
+	}
+	fdir := t.TempDir()
+	rep, _ := startReplica(t, fastOpts(fdir, p.ts.URL))
+	waitSteps(t, rep, 100)
+	for i := 100; i < 330; i += 10 {
+		if _, err := p.d.TrainBatch(pairs[i : i+10]); err != nil {
+			t.Fatal(err)
+		}
+		waitSteps(t, rep, i+10)
+		waitCursorGen(t, rep, p.d.Gen())
+	}
+	cur := rep.Status().Cursor
+	if cur.Off == 0 {
+		t.Fatalf("cursor %v: the newest segment holds no record to tear", cur)
+	}
+	torn := copyDir(t, fdir)
+	stale := copyDir(t, fdir)
+	if err := os.Truncate(wal.SegmentPath(torn, cur.Gen), cur.Off-3); err != nil {
+		t.Fatal(err)
+	}
+	man, err := wal.List(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Snapshots) < 2 || man.Snapshots[len(man.Snapshots)-1] != cur.Gen {
+		t.Fatalf("mirror snapshots %v at cursor %v: want the previous generation kept", man.Snapshots, cur)
+	}
+	if err := os.WriteFile(wal.SnapshotPath(stale, cur.Gen), []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := p.d.TrainBatch(pairs[330:]); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{torn, stale} {
+		rep2, _ := startReplica(t, fastOpts(dir, p.ts.URL))
+		waitSteps(t, rep2, len(pairs))
+		if st := rep2.Status(); st.Bootstraps != 0 {
+			t.Fatalf("crash image %s re-bootstrapped (%d times) instead of recovering", dir, st.Bootstraps)
+		}
+		if got, want := hashOf(t, rep2.Model()), hashOf(t, p.d.Model()); got != want {
+			t.Fatalf("crash image %s: follower hash %s, primary %s", dir, got, want)
+		}
 	}
 }

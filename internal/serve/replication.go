@@ -218,7 +218,7 @@ func (s *Server) handleReplicateHash(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePromote turns a follower into a writable primary in place: the
-// replication loop is stopped, the mirrored log sealed and resumed as this
+// replication loop is stopped and the mirror's store, synced, becomes this
 // instance's durable store. Idempotent once promoted. A primary that was
 // never a follower answers 409; a diverged or not-yet-bootstrapped
 // follower refuses with the replica's descriptive error.

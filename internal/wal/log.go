@@ -146,19 +146,6 @@ func List(dir string) (Manifest, error) {
 	return m, nil
 }
 
-// RemoveThrough deletes every snapshot (under either name) and segment of
-// generation ≤ cutoff — the retention rule for a directory no Log manages
-// (a replication follower's mirror). It is best-effort: the files are only
-// garbage.
-func RemoveThrough(dir string, cutoff uint64) {
-	files, _ := scan(dir)
-	for _, f := range files {
-		if f.gen <= cutoff {
-			_ = os.Remove(f.path)
-		}
-	}
-}
-
 // RemoveTemp deletes leftover temporary files from snapshot writes a crash
 // interrupted — they were never published, so they are garbage. Only a
 // caller that owns the directory exclusively (a boot path, before any
@@ -356,6 +343,19 @@ func (l *Log) Append(recs ...Record) error {
 	return l.w.sync()
 }
 
+// AppendFramed is Append for n records that are already framed: frames is
+// written verbatim, with one segment write, under the same sync policy,
+// fault hook and sticky errors. A replication follower mirrors the bytes its
+// primary shipped through it, so its segment equals the primary's byte for
+// byte.
+func (l *Log) AppendFramed(frames []byte, n int) error {
+	due, err := l.w.appendFramed(frames, n)
+	if err != nil || !due {
+		return err
+	}
+	return l.w.sync()
+}
+
 // AppendStart is Append with the due fsync started instead of awaited: it
 // returns after the write, and an fsync the policy says is due is by then
 // running on the log's sync goroutine, so the caller can do its own work
@@ -446,9 +446,9 @@ func (l *Log) Rotate(writeSnapshot func(io.Writer) error) error {
 	return nil
 }
 
-// Close syncs and closes the tail segment. It does not snapshot; callers
-// that want a clean shutdown (so the next boot replays nothing) call
-// Rotate first.
+// Close syncs and closes the tail segment; closing a closed log is a
+// no-op. It does not snapshot; callers that want a clean shutdown (so the
+// next boot replays nothing) call Rotate first.
 func (l *Log) Close() error {
 	if l.syncReq != nil {
 		_ = l.Wait() // a failure is sticky in the writer; close reports it

@@ -251,6 +251,9 @@ func TestLogRotateAndReplay(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("closing a closed log: %v", err)
+	}
 
 	m, err := List(dir)
 	if err != nil {

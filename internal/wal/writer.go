@@ -124,11 +124,28 @@ func (w *writer) append(recs []Record) (syncDue bool, err error) {
 	for _, r := range recs {
 		w.buf = appendRecord(w.buf, r)
 	}
-	if err := w.physWrite(w.buf); err != nil {
+	return w.writeLocked(w.buf, len(recs))
+}
+
+// appendFramed is append for n records already framed into frames, which
+// are written verbatim: a follower mirroring a primary's segment bytes.
+func (w *writer) appendFramed(frames []byte, n int) (syncDue bool, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return false, w.err
+	}
+	return w.writeLocked(frames, n)
+}
+
+// writeLocked writes one call's frames (n records) with one segment write
+// and evaluates the sync policy once for the call.
+func (w *writer) writeLocked(frames []byte, n int) (syncDue bool, err error) {
+	if err := w.physWrite(frames); err != nil {
 		w.err = fmt.Errorf("wal: append: %w", err)
 		return false, w.err
 	}
-	w.pending += len(recs)
+	w.pending += n
 	switch w.opts.Mode {
 	case SyncAlways:
 		return true, nil
@@ -206,10 +223,13 @@ func (w *writer) sync() error {
 	return w.syncLocked()
 }
 
-// close syncs and closes the segment file.
+// close syncs and closes the segment file; closing it again is a no-op.
 func (w *writer) close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.err == errClosed {
+		return nil
+	}
 	if w.timer != nil {
 		w.timer.Stop()
 		w.timer = nil
