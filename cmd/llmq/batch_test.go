@@ -17,7 +17,7 @@ func setupBatchEnv(t testing.TB) (data, model string) {
 	t.Helper()
 	dir := t.TempDir()
 	data = filepath.Join(dir, "r1.csv")
-	model = filepath.Join(dir, "model.json")
+	model = filepath.Join(dir, "model.bin")
 	var out bytes.Buffer
 	if err := run([]string{"generate", "-dataset", "R1", "-n", "4000", "-dim", "2", "-seed", "3", "-o", data}, &out); err != nil {
 		t.Fatalf("generate: %v", err)

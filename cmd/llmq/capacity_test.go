@@ -16,7 +16,7 @@ import (
 func TestTrainWithCapacityFlags(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "r1.csv")
-	model := filepath.Join(dir, "model.json")
+	model := filepath.Join(dir, "model.bin")
 	var out bytes.Buffer
 	if err := run([]string{"generate", "-dataset", "R1", "-n", "4000", "-dim", "2", "-seed", "4", "-o", data}, &out); err != nil {
 		t.Fatalf("generate: %v", err)
@@ -57,7 +57,7 @@ func TestTrainWithCapacityFlags(t *testing.T) {
 func TestServeCapacityRecap(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "r1.csv")
-	model := filepath.Join(dir, "model.json")
+	model := filepath.Join(dir, "model.bin")
 	var out bytes.Buffer
 	if err := run([]string{"generate", "-dataset", "R1", "-n", "4000", "-dim", "2", "-seed", "6", "-o", data}, &out); err != nil {
 		t.Fatalf("generate: %v", err)

@@ -23,7 +23,7 @@ func TestRemoteBatchAndTrain(t *testing.T) {
 	if err := run([]string{"generate", "-dataset", "R1", "-n", "3000", "-dim", "2", "-seed", "9", "-o", data}, &out); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	model := filepath.Join(dir, "model.json")
+	model := filepath.Join(dir, "model.bin")
 	if err := run([]string{"train", "-data", data, "-a", "0.2", "-pairs", "300", "-o", model}, &out); err != nil {
 		t.Fatalf("train: %v", err)
 	}

@@ -6,8 +6,8 @@
 // Typical session:
 //
 //	llmq generate -dataset R1 -n 20000 -dim 2 -o r1.csv
-//	llmq train -data r1.csv -a 0.25 -pairs 4000 -o model.json
-//	llmq query -data r1.csv -model model.json \
+//	llmq train -data r1.csv -a 0.25 -pairs 4000 -o model.bin
+//	llmq query -data r1.csv -model model.bin \
 //	    -sql "SELECT APPROX AVG(u) FROM r1 WITHIN 0.1 OF (0.5, 0.5)"
 //	llmq query -data r1.csv \
 //	    -sql "SELECT REGRESSION(u ON x1, x2) FROM r1 WITHIN 0.1 OF (0.5, 0.5)"
@@ -258,7 +258,7 @@ func cmdTrain(args []string, out io.Writer) error {
 	pairs := fs.Int("pairs", 5000, "maximum number of training query/answer pairs")
 	thetaMean := fs.Float64("theta", 0, "mean query radius µθ (default: 10% of the average attribute range)")
 	seed := fs.Int64("seed", 1, "random seed for the query workload")
-	output := fs.String("o", "model.json", "output model path")
+	output := fs.String("o", "model.bin", "output model path")
 	dataDir := fs.String("data-dir", "", "durable model directory: WAL-log every training pair and checkpoint the result, resumable by serve -data-dir")
 	walSync := fs.String("wal-sync", "group", "WAL fsync policy under -data-dir: group, always or none")
 	snapEvery := fs.Int("snapshot-every", 4096, "training pairs between WAL snapshot rotations under -data-dir")

@@ -2,17 +2,13 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
 	"llmq/internal/core"
-	"llmq/internal/wal"
 )
 
 func TestUsageAndUnknownSubcommand(t *testing.T) {
@@ -34,7 +30,7 @@ func TestUsageAndUnknownSubcommand(t *testing.T) {
 func TestGenerateTrainQueryEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "r1.csv")
-	model := filepath.Join(dir, "model.json")
+	model := filepath.Join(dir, "model.bin")
 	var out bytes.Buffer
 
 	// Generate a small R1 dataset.
@@ -102,83 +98,8 @@ func TestGenerateTrainQueryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestQueryLegacyModelFile: a JSON model file written before the frame
-// format (internal/core/testdata/legacy) still answers `query -model`, and
-// its rewrite — loaded and written the way `train -o` writes — answers with
-// the same bits: the recorded PredictMean bits through the loader `query`
-// uses, and the same printed answers for every APPROX statement kind.
-func TestQueryLegacyModelFile(t *testing.T) {
-	dir := t.TempDir()
-	data := filepath.Join(dir, "r1.csv")
-	var out bytes.Buffer
-	if err := run([]string{"generate", "-n", "500", "-dim", "2", "-o", data}, &out); err != nil {
-		t.Fatal(err)
-	}
-	legacyDir := filepath.Join("..", "..", "internal", "core", "testdata", "legacy")
-	legacy := filepath.Join(legacyDir, "model-v2.json")
-	m, err := loadModel(legacy, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rewrite := filepath.Join(dir, "model.json")
-	if err := wal.WriteFileAtomic(rewrite, m.Save); err != nil {
-		t.Fatal(err)
-	}
-	if raw, err := os.ReadFile(rewrite); err != nil || json.Valid(raw) {
-		t.Fatalf("the rewrite must be the frame format, not JSON (read error %v)", err)
-	}
-
-	var exp struct {
-		Queries []struct {
-			Center []float64 `json:"center"`
-			Theta  float64   `json:"theta"`
-			Mean   string    `json:"mean_bits"`
-		} `json:"queries"`
-	}
-	raw, err := os.ReadFile(filepath.Join(legacyDir, "model-v2.expect.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &exp); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := regexp.MustCompile(`\[model, [^,\]]+,`)
-	for _, path := range []string{legacy, rewrite} {
-		m, err := loadModel(path, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, q := range exp.Queries {
-			y, err := m.PredictMean(core.Query{Center: q.Center, Theta: q.Theta})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := strconv.FormatUint(math.Float64bits(y), 16); got != q.Mean {
-				t.Errorf("%s query %d: PredictMean bits %s, recorded %s", path, i, got, q.Mean)
-			}
-		}
-	}
-	for _, sql := range []string{
-		"SELECT APPROX AVG(u) FROM r1 WITHIN 0.2 OF (0.5, 0.5)",
-		"SELECT APPROX REGRESSION(u) FROM r1 WITHIN 0.3 OF (0.3, 0.6)",
-		"SELECT APPROX VALUE(u) FROM r1 AT (0.4, 0.5) WITHIN 0.2 OF (0.5, 0.5)",
-	} {
-		var answers [2]string
-		for i, path := range []string{legacy, rewrite} {
-			out.Reset()
-			if err := run([]string{"query", "-data", data, "-model", path, "-sql", sql}, &out); err != nil {
-				t.Fatalf("%s on %s: %v", sql, path, err)
-			}
-			answers[i] = elapsed.ReplaceAllString(out.String(), "[model, _,")
-		}
-		if answers[0] != answers[1] {
-			t.Errorf("%s: the legacy file answers\n%s\nits rewrite\n%s", sql, answers[0], answers[1])
-		}
-	}
-}
-
 // TestApproxRegressionLines pins the bytes of every S[i] line an APPROX
-// REGRESSION prints for the legacy model file: the centre each local model is
+// REGRESSION prints for the checked-in model file: the centre each local model is
 // around renders as "[x1, x2]" with 6 significant digits.
 func TestApproxRegressionLines(t *testing.T) {
 	dir := t.TempDir()
@@ -187,7 +108,7 @@ func TestApproxRegressionLines(t *testing.T) {
 	if err := run([]string{"generate", "-n", "500", "-dim", "2", "-o", data}, &out); err != nil {
 		t.Fatal(err)
 	}
-	model := filepath.Join("..", "..", "internal", "core", "testdata", "legacy", "model-v2.json")
+	model := filepath.Join("..", "..", "internal", "core", "testdata", "model.bin")
 	out.Reset()
 	if err := run([]string{"query", "-data", data, "-model", model, "-sql", "SELECT APPROX REGRESSION(u) FROM r1 WITHIN 0.3 OF (0.3, 0.6)"}, &out); err != nil {
 		t.Fatal(err)
@@ -278,7 +199,7 @@ func TestVigilance(t *testing.T) {
 	// serve -data-dir derives for the same relation.
 	dir := t.TempDir()
 	data := filepath.Join(dir, "r1.csv")
-	model := filepath.Join(dir, "model.json")
+	model := filepath.Join(dir, "model.bin")
 	var out bytes.Buffer
 	if err := run([]string{"generate", "-dataset", "R1", "-n", "3000", "-dim", "3", "-seed", "5", "-o", data}, &out); err != nil {
 		t.Fatalf("generate: %v", err)

@@ -49,7 +49,7 @@ func openServe(t *testing.T, args ...string) (*serve.Server, string, error) {
 func TestServeSmoke(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "r1.csv")
-	model := filepath.Join(dir, "model.json")
+	model := filepath.Join(dir, "model.bin")
 	var out bytes.Buffer
 	if err := run([]string{"generate", "-dataset", "R1", "-n", "4000", "-dim", "2", "-seed", "3", "-o", data}, &out); err != nil {
 		t.Fatalf("generate: %v", err)
@@ -233,7 +233,7 @@ func TestServeFlagValidation(t *testing.T) {
 // checkpoints cleanly. A reopened durable directory keeps its steps.
 func TestServeOpenShapes(t *testing.T) {
 	csv := writeTestCSV(t)
-	model := filepath.Join(t.TempDir(), "model.json")
+	model := filepath.Join(t.TempDir(), "model.bin")
 	var out bytes.Buffer
 	if err := run([]string{"train", "-data", csv, "-pairs", "300", "-o", model}, &out); err != nil {
 		t.Fatalf("train: %v", err)

@@ -32,7 +32,7 @@ var elapsedTimes = regexp.MustCompile(`\b[0-9][0-9.]*(ns|µs|ms|s)\b`)
 
 // TestBatchTranscriptGolden runs transcriptSheet through `llmq batch -data`
 // and through `llmq batch -url` against a server over the same files, once
-// with the legacy model file and once without a model (every APPROX
+// with the checked-in model file and once without a model (every APPROX
 // statement refused). Both modes must print testdata/batch_transcript.golden
 // byte for byte once elapsed times are masked: one statement path, one
 // printer.
@@ -47,7 +47,7 @@ func TestBatchTranscriptGolden(t *testing.T) {
 	if err := os.WriteFile(sheet, []byte(transcriptSheet), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	model := filepath.Join("..", "..", "internal", "core", "testdata", "legacy", "model-v2.json")
+	model := filepath.Join("..", "..", "internal", "core", "testdata", "model.bin")
 	want, err := os.ReadFile(filepath.Join("testdata", "batch_transcript.golden"))
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestBatchTranscriptGolden(t *testing.T) {
 		head  string
 		model []string
 	}{
-		{"$ llmq batch -data r1.csv -model model-v2.json -file sheet.sql\n", []string{"-model", model}},
+		{"$ llmq batch -data r1.csv -model model.bin -file sheet.sql\n", []string{"-model", model}},
 		{"$ llmq batch -data r1.csv -file sheet.sql\n", nil},
 	} {
 		local.WriteString(c.head)

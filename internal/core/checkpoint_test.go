@@ -3,13 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -195,7 +192,10 @@ func TestLoadCheckpointRejects(t *testing.T) {
 		mutate     func(frames [][]byte) [][]byte // nil: raw is used instead
 		raw        func(b []byte) []byte
 	}{
-		{name: "bad magic", want: "byte offset", raw: func(b []byte) []byte { b[wal.FrameHeaderLen] ^= 0xff; return b }},
+		{name: "bad magic", want: "not a frame-format model file", raw: func(b []byte) []byte { b[wal.FrameHeaderLen] ^= 0xff; return b }},
+		{name: "JSON v2 document", want: "not a frame-format model file", raw: func([]byte) []byte {
+			return []byte(`{"version":2,"dim":1,"vigilance":0.1,"gamma":0.01,"steps":1,"llms":[]}`)
+		}},
 		{name: "unsupported version", want: "header frame", mutate: header(func(h []byte) { h[len(checkpointMagic)]++ })},
 		{name: "unknown flag bit", want: "header frame", mutate: header(func(h []byte) { h[len(checkpointMagic)+1] |= 0x80 })},
 		{name: "short header", want: "header frame", mutate: func(f [][]byte) [][]byte { f[0] = f[0][:20]; return f }},
@@ -272,186 +272,6 @@ func TestLoadCheckpointRejects(t *testing.T) {
 			t.Fatalf("RLS-present byte in an SGD checkpoint: err = %v", err)
 		}
 	})
-}
-
-// TestRecoverLegacyDirectory boots the data directory checked in under
-// testdata/legacy — written by the commit before the binary checkpoint
-// format: one JSON snapshot (K=20, with RLS state) and a 100-record tail —
-// and requires the upgrade to be invisible: the recovered model has the
-// recorded step count and answers the recorded queries bit for bit, keeps
-// training equal to a never-crashed in-memory model, and its rotations
-// replace the .json snapshot with .bin ones and garbage-collect it.
-// (testdata/legacy/README.md says how the directory was produced.)
-func TestRecoverLegacyDirectory(t *testing.T) {
-	var exp struct {
-		Steps   int `json:"steps"`
-		K       int `json:"k"`
-		Queries []struct {
-			Center []float64 `json:"center"`
-			Theta  float64   `json:"theta"`
-			Mean   string    `json:"mean_bits"`
-		} `json:"queries"`
-	}
-	raw, err := os.ReadFile("testdata/legacy/expect.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &exp); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	for _, name := range []string{"snap-000001.json", "wal-000001.log"} {
-		b, err := os.ReadFile(filepath.Join("testdata/legacy/dir", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	man, err := wal.List(dir)
-	if err != nil || len(man.Snapshots) != 1 || man.Snapshots[0] != 1 {
-		t.Fatalf("wal.List must see the legacy snapshot: %+v, %v", man, err)
-	}
-
-	opts := DurableOptions{SnapshotEvery: 400, WAL: wal.Options{Mode: wal.SyncNone}, Logf: t.Logf}
-	d, err := Recover(dir, Config{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Model().Steps() != exp.Steps || d.Model().K() != exp.K {
-		t.Fatalf("recovered steps=%d K=%d, the writing commit recorded steps=%d K=%d", d.Model().Steps(), d.Model().K(), exp.Steps, exp.K)
-	}
-	for i, q := range exp.Queries {
-		y, err := d.Model().PredictMean(Query{Center: q.Center, Theta: q.Theta})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := strconv.FormatUint(math.Float64bits(y), 16); got != q.Mean {
-			t.Errorf("query %d: PredictMean bits %s, the writing commit answered %s", i, got, q.Mean)
-		}
-	}
-
-	// The stream the directory was written under, continued: the reference
-	// consumes all of it in memory and never crashes.
-	cfg := DefaultConfig(2)
-	cfg.Vigilance = 0.17
-	cfg.MaxPrototypes = 20
-	cfg.Gamma = 1e-12
-	cfg.MinGammaSteps = 1 << 30
-	surface := func(x []float64, theta float64) float64 { return math.Sin(3*x[0]) + x[1]*x[1] + theta }
-	pairs := surfaceStream(1000, 2, surface, 131)
-	ref, err := NewModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.TrainBatch(pairs); err != nil {
-		t.Fatal(err)
-	}
-	// 100 replayed + 300 new pairs reach the 400-pair cadence: one rotation.
-	for _, batch := range [][]TrainingPair{pairs[exp.Steps:800], pairs[800:]} {
-		if _, err := d.TrainBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := stateHash(t, d.Model()), stateHash(t, ref); got != want {
-		t.Fatalf("legacy directory + continuation hashes %s, never-crashed reference %s", got, want)
-	}
-	if d.Gen() != 2 {
-		t.Fatalf("generation %d after the continuation, want one rotation (2)", d.Gen())
-	}
-	if _, err := os.Stat(wal.SnapshotPath(dir, 2)); err != nil || filepath.Ext(wal.SnapshotPath(dir, 2)) != ".bin" {
-		t.Fatalf("the rotation must have written a .bin snapshot: %v", err)
-	}
-	// Close rotates once more (the pairs since the boundary), which puts the
-	// legacy generation two behind: it must be gone, under its own name.
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	if got, want := strings.Join(names, " "), "snap-000002.bin snap-000003.bin wal-000002.log wal-000003.log"; got != want {
-		t.Fatalf("directory holds %q, want %q", got, want)
-	}
-	d2, err := Recover(dir, Config{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if got, want := stateHash(t, d2.Model()), stateHash(t, ref); got != want {
-		t.Fatalf("re-recovery from the .bin snapshot hashes %s, want %s", got, want)
-	}
-}
-
-// legacyModelExpect is testdata/legacy/model-v2.expect.json: what the
-// commit that recorded model-v2.json saw when it loaded the file back.
-type legacyModelExpect struct {
-	Steps     int    `json:"steps"`
-	K         int    `json:"k"`
-	StateHash string `json:"state_hash"`
-	Queries   []struct {
-		Center []float64 `json:"center"`
-		Theta  float64   `json:"theta"`
-		Mean   string    `json:"mean_bits"`
-	} `json:"queries"`
-}
-
-// TestLoadLegacyJSONModel pins the JSON reader on a JSON model file
-// (testdata/legacy/README.md: a bounded d=2 model with
-// last-win stamps, saved the step after a spawn, so Γ = +Inf). It must load
-// to the recorded state hash and answers, and its frame rewrite — Save, then
-// Load — must hash and answer identically.
-func TestLoadLegacyJSONModel(t *testing.T) {
-	raw, err := os.ReadFile("testdata/legacy/model-v2.expect.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var exp legacyModelExpect
-	if err := json.Unmarshal(raw, &exp); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := os.ReadFile("testdata/legacy/model-v2.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Load(bytes.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Steps() != exp.Steps || legacy.K() != exp.K || !math.IsInf(legacy.lastGamma, 1) {
-		t.Fatalf("loaded steps=%d K=%d Γ=%v, recorded steps=%d K=%d Γ=+Inf", legacy.Steps(), legacy.K(), legacy.lastGamma, exp.Steps, exp.K)
-	}
-	if got := stateHash(t, legacy); got != exp.StateHash {
-		t.Fatalf("StateHash %s, the recording commit loaded %s", got, exp.StateHash)
-	}
-	frames := saveBytes(t, legacy)
-	if string(frames[wal.FrameHeaderLen:][:len(checkpointMagic)]) != checkpointMagic {
-		t.Fatal("Save of a JSON-loaded model did not write the frame format")
-	}
-	rewrite, err := Load(bytes.NewReader(frames))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stateHash(t, rewrite); got != exp.StateHash {
-		t.Fatalf("frame rewrite hashes %s, the JSON file %s", got, exp.StateHash)
-	}
-	for i, q := range exp.Queries {
-		for name, m := range map[string]*Model{"legacy": legacy, "rewrite": rewrite} {
-			y, err := m.PredictMean(Query{Center: q.Center, Theta: q.Theta})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := strconv.FormatUint(math.Float64bits(y), 16); got != q.Mean {
-				t.Errorf("%s query %d: PredictMean bits %s, recorded %s", name, i, got, q.Mean)
-			}
-		}
-	}
 }
 
 // TestRecoverRefusesSaveSnapshot plants a Save file as the newest snapshot

@@ -66,9 +66,9 @@ func canonicalState(t testing.TB, m *Model) string {
 
 // TestLoadTornPrefix cuts a saved model at arbitrary byte offsets — the torn
 // file a non-atomic writer leaves after a crash — and requires Load to fail
-// with ErrBadModelFile and a message locating the damage, never to succeed on
-// or panic over a prefix: a frame-format file names the frame, a legacy JSON
-// document the byte offset.
+// with ErrBadModelFile and a message naming the frame, never to succeed on or
+// panic over a prefix. The cuts fall before the magic (not a frame-format
+// file), inside the header frame, on its end, and inside the rows.
 func TestLoadTornPrefix(t *testing.T) {
 	m, err := NewModel(durableConfig())
 	if err != nil {
@@ -81,38 +81,25 @@ func TestLoadTornPrefix(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := os.ReadFile("testdata/legacy/model-v2.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(full []byte, cuts []int, where string) {
-		t.Helper()
-		for _, cut := range cuts {
-			_, err := Load(bytes.NewReader(full[:cut]))
-			if !errors.Is(err, ErrBadModelFile) {
-				t.Errorf("prefix of %d/%d bytes: err = %v, want ErrBadModelFile", cut, len(full), err)
-				continue
-			}
-			if !strings.Contains(err.Error(), where) {
-				t.Errorf("prefix of %d bytes: error %q does not locate the damage (want %q)", cut, err, where)
-			}
-		}
-		// Corruption mid-file (a flipped byte) must also be located.
-		corrupt := append([]byte(nil), full...)
-		corrupt[len(corrupt)/2] = '}'
-		if _, err := Load(bytes.NewReader(corrupt)); !errors.Is(err, ErrBadModelFile) || !strings.Contains(err.Error(), where) {
-			t.Errorf("mid-file corruption: err = %v, want ErrBadModelFile mentioning %q", err, where)
-		}
-	}
-	// Frame cuts keep at least the frame header and the magic (a shorter
-	// prefix is not recognisably a frame file and reads as bad JSON); they
-	// fall inside the header frame, on its end, and inside the rows.
 	full := buf.Bytes()
 	head := wal.FrameHeaderLen + len(splitFrames(t, full)[0])
-	check(full, []int{wal.FrameHeaderLen + len(checkpointMagic), head - 1, head, len(full) / 4, len(full) / 2, len(full) - 1}, "frame")
-	// len-1 is excluded: the document ends "}\n", so cutting only the final
-	// newline still leaves complete JSON, which Load rightly accepts.
-	check(legacy, []int{0, 1, 10, len(legacy) / 4, len(legacy) / 2, len(legacy) - 2}, "byte offset")
+	for _, cut := range []int{0, 1, wal.FrameHeaderLen + len(checkpointMagic) - 1, wal.FrameHeaderLen + len(checkpointMagic),
+		head - 1, head, len(full) / 4, len(full) / 2, len(full) - 1} {
+		_, err := Load(bytes.NewReader(full[:cut]))
+		if !errors.Is(err, ErrBadModelFile) {
+			t.Errorf("prefix of %d/%d bytes: err = %v, want ErrBadModelFile", cut, len(full), err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "frame") {
+			t.Errorf("prefix of %d bytes: error %q does not locate the damage", cut, err)
+		}
+	}
+	// Corruption mid-file (a flipped byte) must also be located.
+	corrupt := append([]byte(nil), full...)
+	corrupt[len(corrupt)/2] = '}'
+	if _, err := Load(bytes.NewReader(corrupt)); !errors.Is(err, ErrBadModelFile) || !strings.Contains(err.Error(), "frame") {
+		t.Errorf("mid-file corruption: err = %v, want ErrBadModelFile mentioning the frame", err)
+	}
 }
 
 // TestSaveLoadSaveByteIdentical is the persistence contract for the win-decay
@@ -141,6 +128,22 @@ func TestSaveLoadSaveByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Error("Save∘Load∘Save is not the identity: win/stamp/step state was dropped or defaulted")
+	}
+
+	// The checked-in model file (testdata/README.md) was saved the step
+	// after a spawn, so its Γ is +Inf; that and its stamps must survive too.
+	fixture, err := os.ReadFile("testdata/model.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err = Load(bytes.NewReader(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Steps() != 403 || loaded.K() != 12 || !math.IsInf(loaded.lastGamma, 1) {
+		t.Fatalf("fixture loaded steps=%d K=%d Γ=%v, recorded steps=403 K=12 Γ=+Inf", loaded.Steps(), loaded.K(), loaded.lastGamma)
+	}
+	if got := saveBytes(t, loaded); !bytes.Equal(got, fixture) {
+		t.Error("Save∘Load of testdata/model.bin is not the identity")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -585,17 +584,6 @@ func TestSaveConfigRaceWithSetCapacity(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-}
-
-// TestLoadRejectsNegativeRadius: θ < 0 is both invalid (NewQuery enforces
-// θ ≥ 0) and the tombstone sentinel — a file carrying one must be rejected,
-// not half-loaded as a slot the indexed and linear paths disagree about.
-func TestLoadRejectsNegativeRadius(t *testing.T) {
-	doc := `{"version":2,"dim":1,"vigilance":0.1,"gamma":0.01,"steps":1,
-		"llms":[{"center":[0.5],"theta":-0.5,"intercept":1,"slope_x":[0],"slope_theta":0,"wins":1,"last_win":1}]}`
-	if _, err := Load(bytes.NewReader([]byte(doc))); err == nil || !strings.Contains(err.Error(), "negative radius") {
-		t.Fatalf("negative-radius prototype should be rejected as such, got %v", err)
-	}
 }
 
 // TestEvictionPolicyScores pins the policy semantics the docs promise.

@@ -243,7 +243,7 @@ func fileExists(path string) bool {
 // readSnapshot loads one snapshot from disk through LoadSnapshot, so a Save
 // file planted as a snapshot is unreadable here under the RLS solver.
 func readSnapshot(dir string, gen uint64) (*Model, error) {
-	f, err := wal.OpenSnapshot(dir, gen)
+	f, err := os.Open(wal.SnapshotPath(dir, gen))
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -50,56 +48,7 @@ import (
 // checked against the bytes actually present before anything is sized by it.
 // StateHash digests the same bytes with the row frames sorted.
 
-// modelJSON is the JSON document (version 2) Save wrote before the frame
-// format: nothing writes it any more, but Load reads it for old model files
-// and data directories. The frame header decodes into it too, so both
-// formats share newLoading's validation.
-type modelJSON struct {
-	Version   int     `json:"version"`
-	Dim       int     `json:"dim"`
-	Vigilance float64 `json:"vigilance"`
-	Gamma     float64 `json:"gamma"`
-	Steps     int     `json:"steps"`
-	Converged bool    `json:"converged"`
-	// The training-relevant configuration: the coefficient solver and
-	// update-rule switches, and the termination-criterion windows.
-	Solver                  string `json:"solver"`
-	InitInterceptWithAnswer bool   `json:"init_intercept_with_answer"`
-	RateByPrototype         bool   `json:"rate_by_prototype"`
-	MinGammaSteps           int    `json:"min_gamma_steps"`
-	ConvergenceWindow       int    `json:"convergence_window"`
-	// The convergence-criterion state. Γ can be +Inf (the step after a
-	// spawn), which JSON cannot encode — the _inf flag carries that case.
-	QuietSteps   int     `json:"quiet_steps"`
-	LastGamma    float64 `json:"last_gamma"`
-	LastGammaInf bool    `json:"last_gamma_inf"`
-	// Bounded-capacity configuration (absent for unbounded models).
-	MaxPrototypes    int       `json:"max_prototypes"`
-	Eviction         string    `json:"eviction"`
-	EvictionHalfLife int       `json:"eviction_half_life"`
-	MergeOnEvict     bool      `json:"merge_on_evict"`
-	LLMs             []llmJSON `json:"llms"`
-}
-
-type llmJSON struct {
-	Center     []float64 `json:"center"`
-	Theta      float64   `json:"theta"`
-	Intercept  float64   `json:"intercept"`
-	SlopeX     []float64 `json:"slope_x"`
-	SlopeTheta float64   `json:"slope_theta"`
-	Wins       int       `json:"wins"`
-	// LastWin is the training step at which the prototype last absorbed a
-	// pair — the eviction policies' recency input.
-	LastWin int `json:"last_win"`
-	// RLS is the row-major (d+2)² inverse-covariance state of the
-	// recursive-least-squares solver, present in the JSON snapshots of data
-	// directories written before the binary format.
-	RLS []float64 `json:"rls"`
-}
-
 const (
-	serializationVersion = 2
-
 	checkpointMagic   = "LLMQ"
 	checkpointVersion = 1
 	// checkpointHeaderLen is the fixed part of the header payload: magic,
@@ -121,19 +70,6 @@ const (
 // ErrBadModelFile is returned when a serialized model cannot be decoded or
 // fails validation.
 var ErrBadModelFile = errors.New("core: invalid model file")
-
-// parseSolver resolves the persisted solver name; the empty string is the
-// default (RLS).
-func parseSolver(name string) (Solver, error) {
-	switch name {
-	case "", SolverRLS.String():
-		return SolverRLS, nil
-	case SolverSGD.String():
-		return SolverSGD, nil
-	default:
-		return 0, fmt.Errorf("unknown solver %q", name)
-	}
-}
 
 // Save writes the model file query-processing nodes load: the frame format,
 // encoded from one published snapshot — obtained with a single atomic load,
@@ -364,14 +300,12 @@ func (m *Model) StateHash() (string, error) {
 	return c.hash(), nil
 }
 
-// Load reads a model file written by Save or Checkpoint, or a legacy JSON
-// document, telling the formats apart by the frame magic. The loaded model
+// Load reads a model file written by Save or Checkpoint. The loaded model
 // can answer queries; it can also continue training with the embedded
 // configuration, resuming the eviction clock (and, for Checkpoint files, the
 // exact solver state) where the file left off. Decode and validation
-// failures return a descriptive ErrBadModelFile naming the frame, byte
-// offset or prototype that failed, so a truncated or corrupt file diagnoses
-// itself.
+// failures return a descriptive ErrBadModelFile naming the frame or
+// prototype that failed, so a truncated or corrupt file diagnoses itself.
 func Load(r io.Reader) (*Model, error) { return load(r, false) }
 
 // LoadSnapshot is Load for a snapshot a WAL tail will be replayed onto — a
@@ -380,53 +314,17 @@ func Load(r io.Reader) (*Model, error) { return load(r, false) }
 // solver state, so no tail replays onto it bit-identically.
 func LoadSnapshot(r io.Reader) (*Model, error) { return load(r, true) }
 
-// load is Load; resume makes it LoadSnapshot.
+// load is Load; resume makes it LoadSnapshot. Nothing is sized by a number
+// the file merely claims: frames are subslices of the bytes read, and the
+// header's K and row width must account for exactly the bytes present.
 func load(r io.Reader, resume bool) (*Model, error) {
-	br := bufio.NewReader(r)
-	if head, _ := br.Peek(wal.FrameHeaderLen + len(checkpointMagic)); string(head[min(len(head), wal.FrameHeaderLen):]) == checkpointMagic {
-		b, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: read model frames: %v", ErrBadModelFile, err)
-		}
-		return loadCheckpoint(b, resume)
-	}
-	var doc modelJSON
-	dec := json.NewDecoder(br)
-	if err := dec.Decode(&doc); err != nil {
-		// InputOffset points at where decoding stopped — for the torn
-		// prefix a crashed non-atomic write leaves behind, that is the
-		// truncation point.
-		return nil, fmt.Errorf("%w: decode failed at byte offset %d: %v", ErrBadModelFile, dec.InputOffset(), err)
-	}
-	if doc.Version != serializationVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d (this build reads %d)", ErrBadModelFile, doc.Version, serializationVersion)
-	}
-	m, err := newLoading(&doc)
+	b, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: read model frames: %v", ErrBadModelFile, err)
 	}
-	d := doc.Dim
-	vals := make([]float64, 2*d+3) // one prototype's row, then its coefficient row
-	for i := range doc.LLMs {
-		lj := &doc.LLMs[i]
-		if len(lj.Center) != d || len(lj.SlopeX) != d {
-			return nil, fmt.Errorf("%w: LLM %d has wrong dimensionality", ErrBadModelFile, i)
-		}
-		copy(vals, lj.Center)
-		vals[d], vals[d+1], vals[2*d+2] = lj.Theta, lj.Intercept, lj.SlopeTheta
-		copy(vals[d+2:], lj.SlopeX)
-		if err := m.addLoaded(vals, lj.Wins, lj.LastWin, lj.RLS); err != nil {
-			return nil, err
-		}
+	if len(b) < wal.FrameHeaderLen+len(checkpointMagic) || string(b[wal.FrameHeaderLen:][:len(checkpointMagic)]) != checkpointMagic {
+		return nil, fmt.Errorf("%w: not a frame-format model file (no %q header frame)", ErrBadModelFile, checkpointMagic)
 	}
-	m.finishLoad()
-	return m, nil
-}
-
-// loadCheckpoint decodes the frame format. Nothing is sized by a number the
-// file merely claims: frames are subslices of b, and the header's K and row
-// width must account for exactly the bytes present.
-func loadCheckpoint(b []byte, resume bool) (*Model, error) {
 	p, rows, err := wal.ReadFrame(b)
 	if err != nil {
 		return nil, fmt.Errorf("%w: header frame: %v", ErrBadModelFile, err)
@@ -434,36 +332,24 @@ func loadCheckpoint(b []byte, resume bool) (*Model, error) {
 	if len(p) < checkpointHeaderLen || p[len(checkpointMagic)] != checkpointVersion || p[len(checkpointMagic)+1] >= flagsEnd {
 		return nil, fmt.Errorf("%w: header frame: unsupported version, unknown flags or short header", ErrBadModelFile)
 	}
-	flags := p[len(checkpointMagic)+1]
-	var f [12]uint64
-	for i := range f {
-		f[i] = binary.LittleEndian.Uint64(p[len(checkpointMagic)+2+8*i:])
+	h := fileHeader{flags: p[len(checkpointMagic)+1], eviction: string(p[checkpointHeaderLen:])}
+	for i := range h.f {
+		h.f[i] = binary.LittleEndian.Uint64(p[len(checkpointMagic)+2+8*i:])
 	}
-	doc := modelJSON{
-		Dim: int(f[0]), Vigilance: math.Float64frombits(f[1]), Gamma: math.Float64frombits(f[2]),
-		Steps: int(f[3]), QuietSteps: int(f[4]), LastGamma: math.Float64frombits(f[5]),
-		MinGammaSteps: int(f[6]), ConvergenceWindow: int(f[7]), MaxPrototypes: int(f[8]), EvictionHalfLife: int(f[9]),
-		Converged: flags&flagConverged != 0, InitInterceptWithAnswer: flags&flagInitIntercept != 0,
-		RateByPrototype: flags&flagRateByPrototype != 0, MergeOnEvict: flags&flagMergeOnEvict != 0,
-		Solver: SolverRLS.String(), Eviction: string(p[checkpointHeaderLen:]),
-	}
-	if flags&flagSGD != 0 {
-		doc.Solver = SolverSGD.String()
-	}
-	m, err := newLoading(&doc)
+	m, err := newLoading(&h)
 	if err != nil {
 		return nil, err
 	}
-	d, rls := doc.Dim, m.cfg.CoefficientSolver == SolverRLS
-	state := rls && flags&flagNoSolverState == 0
+	d, rls := m.cfg.Dim, m.cfg.CoefficientSolver == SolverRLS
+	state := rls && h.flags&flagNoSolverState == 0
 	if resume && rls && !state {
 		return nil, fmt.Errorf("%w: header frame: written by Save without the RLS solver state a WAL tail resumes from", ErrBadModelFile)
 	}
 	rowW := rowLen(d, state)
 	stride := wal.FrameHeaderLen + rowW
-	if f[11] != uint64(rowW) || len(rows)%stride != 0 || uint64(len(rows)/stride) != f[10] {
+	if h.f[11] != uint64(rowW) || len(rows)%stride != 0 || uint64(len(rows)/stride) != h.f[10] {
 		return nil, fmt.Errorf("%w: header frame claims %d rows of %d bytes (want %d for dim %d), %d bytes follow it",
-			ErrBadModelFile, f[10], f[11], rowW, d, len(rows))
+			ErrBadModelFile, h.f[10], h.f[11], rowW, d, len(rows))
 	}
 	vals := make([]float64, 2*d+3)
 	for i := 0; len(rows) > 0; i++ {
@@ -495,6 +381,14 @@ func loadCheckpoint(b []byte, resume bool) (*Model, error) {
 	return m, nil
 }
 
+// fileHeader is a decoded header frame: its flag bits, its twelve fields in
+// the order encode writes them, and the eviction policy name.
+type fileHeader struct {
+	flags    byte
+	f        [12]uint64
+	eviction string
+}
+
 // maxLoadDim bounds the dimensionality a file may claim, keeping the row
 // width arithmetic far from overflow.
 const maxLoadDim = 1 << 20
@@ -503,34 +397,36 @@ const maxLoadDim = 1 << 20
 // store's float64 columns unchanged.
 func exactInt(v int) bool { return v >= 0 && int(float64(v)) == v }
 
-// newLoading validates a decoded header and returns the empty model the
-// file's prototypes are then added to.
-func newLoading(doc *modelJSON) (*Model, error) {
-	if doc.Dim <= 0 || doc.Dim > maxLoadDim || !(doc.Vigilance > 0) || !(doc.Gamma > 0) ||
-		math.IsInf(doc.Vigilance, 0) || math.IsInf(doc.Gamma, 0) || math.IsNaN(doc.LastGamma) {
+// newLoading validates a decoded header and returns the empty model, at the
+// file's configuration and training clock, that its prototypes are then
+// added to.
+func newLoading(h *fileHeader) (*Model, error) {
+	f := &h.f
+	dim, rho, gamma, lastGamma := int(f[0]), math.Float64frombits(f[1]), math.Float64frombits(f[2]), math.Float64frombits(f[5])
+	if dim <= 0 || dim > maxLoadDim || !(rho > 0) || !(gamma > 0) || math.IsInf(rho, 0) || math.IsInf(gamma, 0) || math.IsNaN(lastGamma) {
 		return nil, fmt.Errorf("%w: non-positive or non-finite dim/vigilance/gamma", ErrBadModelFile)
 	}
-	if !exactInt(doc.Steps) || !exactInt(doc.QuietSteps) {
-		return nil, fmt.Errorf("%w: negative step counters (steps %d, quiet %d)", ErrBadModelFile, doc.Steps, doc.QuietSteps)
-	}
-	solver, err := parseSolver(doc.Solver)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
+	steps, quietSteps := int(f[3]), int(f[4])
+	if !exactInt(steps) || !exactInt(quietSteps) {
+		return nil, fmt.Errorf("%w: negative step counters (steps %d, quiet %d)", ErrBadModelFile, steps, quietSteps)
 	}
 	cfg := Config{
-		Dim:                     doc.Dim,
-		Vigilance:               doc.Vigilance,
-		Gamma:                   doc.Gamma,
-		CoefficientSolver:       solver,
-		InitInterceptWithAnswer: doc.InitInterceptWithAnswer,
-		RateByPrototype:         doc.RateByPrototype,
-		MinGammaSteps:           doc.MinGammaSteps,
-		ConvergenceWindow:       doc.ConvergenceWindow,
+		Dim:                     dim,
+		Vigilance:               rho,
+		Gamma:                   gamma,
+		InitInterceptWithAnswer: h.flags&flagInitIntercept != 0,
+		RateByPrototype:         h.flags&flagRateByPrototype != 0,
+		MinGammaSteps:           int(f[6]),
+		ConvergenceWindow:       int(f[7]),
 	}
-	if doc.MaxPrototypes > 0 {
-		cfg.MaxPrototypes = doc.MaxPrototypes
-		cfg.MergeOnEvict = doc.MergeOnEvict
-		if cfg.Eviction, err = decodeEviction(doc.Eviction, doc.EvictionHalfLife); err != nil {
+	if h.flags&flagSGD != 0 {
+		cfg.CoefficientSolver = SolverSGD
+	}
+	if maxK := int(f[8]); maxK > 0 {
+		cfg.MaxPrototypes = maxK
+		cfg.MergeOnEvict = h.flags&flagMergeOnEvict != 0
+		var err error
+		if cfg.Eviction, err = decodeEviction(h.eviction, int(f[9])); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
 		}
 	}
@@ -538,13 +434,10 @@ func newLoading(doc *modelJSON) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.steps, m.store.step = doc.Steps, doc.Steps
-	m.converged = doc.Converged
-	m.quietSteps = doc.QuietSteps
-	m.lastGamma = doc.LastGamma
-	if doc.LastGammaInf {
-		m.lastGamma = math.Inf(1)
-	}
+	m.steps, m.store.step = steps, steps
+	m.converged = h.flags&flagConverged != 0
+	m.quietSteps = quietSteps
+	m.lastGamma = lastGamma
 	return m, nil
 }
 

@@ -430,26 +430,21 @@ func AblationLearning(s Scale) ([]*Table, error) {
 	}
 	test := env.Harness.Gen.Queries(s.TestQueries)
 	q2test := env.Harness.Gen.Queries(s.Q2Queries)
+	// Every variant trains on the same stream, so a row's difference from
+	// the default is the variant's alone.
+	pairs, err := env.Harness.TrainingPairs(s.TrainPairs)
+	if err != nil {
+		return nil, err
+	}
 	variants := []struct {
 		name string
 		mut  func(*core.Config)
 	}{
 		{"rls + hyperbolic (default)", func(c *core.Config) {}},
 		{"sgd (paper Theorem 4)", func(c *core.Config) { c.CoefficientSolver = core.SolverSGD }},
-		// Each variant trains on its own draw of the workload, in this
-		// order. The third draw is unused: it keeps the last row on the
-		// stream its recorded figures were measured on.
-		{"", nil},
 		{"rls + global-step rate", func(c *core.Config) { c.RateByPrototype = false }},
 	}
 	for _, v := range variants {
-		pairs, err := env.Harness.TrainingPairs(s.TrainPairs)
-		if err != nil {
-			return nil, err
-		}
-		if v.mut == nil {
-			continue
-		}
 		cfg := env.ModelConfig(0.1)
 		v.mut(&cfg)
 		m, err := core.NewModel(cfg)

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -87,7 +86,7 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	if old != nil {
 		_ = old.Close() // a mirror closes without a checkpoint; its files go next
 	}
-	if err := r.wipe(); err != nil {
+	if err := wal.Wipe(r.opts.Dir); err != nil {
 		return err
 	}
 	resp, err := resilience.Do(ctx, r.opts.Client, func() (*http.Request, error) {
@@ -298,27 +297,6 @@ func (r *Replica) verifyBoundary(ctx context.Context, gen uint64) error {
 	r.diverged = div
 	r.mu.Unlock()
 	return fmt.Errorf("%w: %w", errRebootstrap, div)
-}
-
-// wipe clears the mirror's files (and stale temp files) ahead of a fresh
-// bootstrap. Only WAL-owned names are touched.
-func (r *Replica) wipe() error {
-	ents, err := os.ReadDir(r.opts.Dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return os.MkdirAll(r.opts.Dir, 0o755)
-		}
-		return err
-	}
-	for _, ent := range ents {
-		name := ent.Name()
-		if strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "snap-") || strings.HasSuffix(name, ".tmp") {
-			if err := os.Remove(filepath.Join(r.opts.Dir, name)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // touch records a successful primary contact and its step count.

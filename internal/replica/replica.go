@@ -259,16 +259,17 @@ func (r *Replica) Run(ctx context.Context) error {
 		}
 		failures++
 		if r.shouldAutoPromote() {
+			// A failed promotion leaves a follower: it backs off and keeps
+			// replicating, so the primary's return still re-bootstraps it.
 			d, perr := r.autoPromote()
-			if perr != nil {
-				r.opts.Logf("replica: auto-promotion failed: %v", perr)
-				return perr
+			if perr == nil {
+				r.opts.Logf("replica: auto-promoted to primary after %v without contact with %s", r.opts.PromoteAfter, r.base)
+				if r.opts.OnPromote != nil {
+					r.opts.OnPromote(d)
+				}
+				return nil
 			}
-			r.opts.Logf("replica: auto-promoted to primary after %v without contact with %s", r.opts.PromoteAfter, r.base)
-			if r.opts.OnPromote != nil {
-				r.opts.OnPromote(d)
-			}
-			return nil
+			r.opts.Logf("replica: auto-promotion failed: %v; still following %s", perr, r.base)
 		}
 		attempt := failures - 1
 		if attempt > 6 {
@@ -428,19 +429,23 @@ func (r *Replica) promotableLocked() error {
 }
 
 // finalizePromotion promotes the mirror's store in place. The replication
-// loop must be stopped (or be the caller).
+// loop must be stopped (or be the caller). A refusal or a failed promotion
+// leaves the replica a follower.
 func (r *Replica) finalizePromotion() (*core.Durable, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.promoted {
 		return r.d, nil
 	}
-	if err := r.promotableLocked(); err != nil {
+	err := r.promotableLocked()
+	if err == nil {
+		if err = r.d.Promote(); err != nil {
+			err = fmt.Errorf("replica: promote mirror: %w", err)
+		}
+	}
+	if err != nil {
 		r.promoting = false
 		return nil, err
-	}
-	if err := r.d.Promote(); err != nil {
-		return nil, fmt.Errorf("replica: promote mirror: %w", err)
 	}
 	r.promoted = true
 	return r.d, nil

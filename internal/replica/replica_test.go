@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -886,5 +888,71 @@ func TestFollowerResumesCrashImage(t *testing.T) {
 		if got, want := hashOf(t, rep2.Model()), hashOf(t, p.d.Model()); got != want {
 			t.Fatalf("crash image %s: follower hash %s, primary %s", dir, got, want)
 		}
+	}
+}
+
+// TestFailedAutoPromotionKeepsFollowing: a proxy in front of the primary
+// answers 410 on the WAL stream, so the follower re-bootstraps, and 503 on
+// everything else, so the bootstrap cannot fetch a snapshot after closing
+// the old store. Past PromoteAfter the automatic promotion of that closed
+// store fails; the follower must stay a follower and keep retrying, so once
+// the proxy passes traffic again it bootstraps a second time and catches up
+// with the primary.
+func TestFailedAutoPromotionKeepsFollowing(t *testing.T) {
+	pairs := genPairs(127, 400)
+	p := newPrimary(t, t.TempDir(), 100)
+	if _, err := p.d.TrainBatch(pairs[:200]); err != nil {
+		t.Fatal(err)
+	}
+	var blocked atomic.Bool
+	target, err := url.Parse(p.ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forward := httputil.NewSingleHostReverseProxy(target)
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case !blocked.Load():
+			forward.ServeHTTP(w, r)
+		case r.URL.Path == replica.PathWAL:
+			http.Error(w, "cursor gone", http.StatusGone)
+		default:
+			http.Error(w, "unavailable", http.StatusServiceUnavailable)
+		}
+	}))
+	t.Cleanup(proxy.Close)
+
+	opts := fastOpts(t.TempDir(), proxy.URL)
+	opts.PromoteAfter = 200 * time.Millisecond
+	failed := make(chan struct{})
+	var once sync.Once
+	opts.Logf = func(format string, args ...any) {
+		msg := fmt.Sprintf(format, args...)
+		t.Log(msg)
+		if strings.Contains(msg, "auto-promotion failed") {
+			once.Do(func() { close(failed) })
+		}
+	}
+	opts.OnPromote = func(*core.Durable) { t.Error("the closed mirror was promoted") }
+	rep, _ := startReplica(t, opts)
+	waitSteps(t, rep, 200)
+
+	blocked.Store(true)
+	select {
+	case <-failed:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("no automatic promotion was attempted; status %+v", rep.Status())
+	}
+	if _, err := p.d.TrainBatch(pairs[200:]); err != nil {
+		t.Fatal(err)
+	}
+	blocked.Store(false)
+	waitSteps(t, rep, len(pairs))
+	st := rep.Status()
+	if st.Role != "follower" || st.Bootstraps != 2 {
+		t.Fatalf("status %+v: want a follower bootstrapped twice", st)
+	}
+	if got, want := hashOf(t, rep.Model()), hashOf(t, p.d.Model()); got != want {
+		t.Fatalf("follower hash %s, primary %s", got, want)
 	}
 }

@@ -17,10 +17,10 @@ import (
 //	wal-000003.log     records appended after snapshot 3 was taken
 //
 // A snapshot's bytes are the caller's (internal/core writes its binary
-// checkpoint: frames of the same kind the segments hold). Directories
-// written before the binary format hold snap-NNNNNN.json instead; List and
-// OpenSnapshot still read those, nothing writes them, and rotation retires
-// them like any other old generation.
+// checkpoint: frames of the same kind the segments hold). A snapshot is
+// first written to a temporary sibling (WriteFileAtomic) and renamed into
+// place. These names are this package's alone: callers build paths with
+// SnapshotPath and SegmentPath, and clear a directory with Wipe.
 //
 // Generation g of the snapshot captures the model state after every record
 // in segments 0..g-1; segment g holds the records observed since. Rotation
@@ -32,7 +32,6 @@ import (
 
 const (
 	snapPrefix, snapSuffix = "snap-", ".bin"
-	legacySnapSuffix       = ".json"
 	segPrefix, segSuffix   = "wal-", ".log"
 	tmpSuffix              = ".tmp"
 )
@@ -68,18 +67,6 @@ func SegmentPath(dir string, gen uint64) string {
 	return genPath(dir, segPrefix, gen, segSuffix)
 }
 
-// OpenSnapshot opens the generation-gen snapshot for reading, falling back
-// to the legacy .json name a pre-binary-format directory holds.
-func OpenSnapshot(dir string, gen uint64) (*os.File, error) {
-	f, err := os.Open(SnapshotPath(dir, gen))
-	if errors.Is(err, os.ErrNotExist) {
-		if lf, lerr := os.Open(genPath(dir, snapPrefix, gen, legacySnapSuffix)); lerr == nil {
-			return lf, nil
-		}
-	}
-	return f, err
-}
-
 // Manifest lists what a data directory holds, as generation numbers.
 type Manifest struct {
 	// Snapshots holds the snapshot generations present, ascending.
@@ -92,7 +79,7 @@ type Manifest struct {
 type genFile struct {
 	gen  uint64
 	path string
-	snap bool // a snapshot (under either name), else a segment
+	snap bool // a snapshot, else a segment
 }
 
 // scan lists the generation-numbered files of a data directory, creating it
@@ -110,7 +97,7 @@ func scan(dir string) ([]genFile, error) {
 		for _, kind := range [...]struct {
 			prefix, suffix string
 			snap           bool
-		}{{snapPrefix, snapSuffix, true}, {snapPrefix, legacySnapSuffix, true}, {segPrefix, segSuffix, false}} {
+		}{{snapPrefix, snapSuffix, true}, {segPrefix, segSuffix, false}} {
 			if gen, ok := parseGen(e.Name(), kind.prefix, kind.suffix); ok {
 				files = append(files, genFile{gen, filepath.Join(dir, e.Name()), kind.snap})
 				break
@@ -141,7 +128,6 @@ func List(dir string) (Manifest, error) {
 		}
 	}
 	slices.Sort(m.Snapshots)
-	m.Snapshots = slices.Compact(m.Snapshots) // a generation present under both names
 	slices.Sort(m.Segments)
 	return m, nil
 }
@@ -167,6 +153,23 @@ func RemoveTemp(dir string) error {
 		}
 	}
 	return nil
+}
+
+// Wipe deletes every file of a data directory that this package names — the
+// snapshots, the log segments and leftover temporary files — creating the
+// directory if absent; any other file is left alone. Like RemoveTemp, only
+// a caller that owns the directory exclusively may call it.
+func Wipe(dir string) error {
+	files, err := scan(dir)
+	if err != nil {
+		return err
+	}
+	for _, f := range files {
+		if err := os.Remove(f.path); err != nil {
+			return fmt.Errorf("wal: wipe: %w", err)
+		}
+	}
+	return RemoveTemp(dir)
 }
 
 // WriteFileAtomic writes a file so that a crash at any point leaves either

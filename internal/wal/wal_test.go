@@ -183,7 +183,7 @@ func TestWriteFileAtomic(t *testing.T) {
 // clears the crash litter.
 func TestListIgnoresTempFilesRemoveTempCleans(t *testing.T) {
 	dir := t.TempDir()
-	stray := filepath.Join(dir, "snap-000001.json.123.tmp")
+	stray := filepath.Join(dir, "snap-000001.bin.123.tmp")
 	if err := os.WriteFile(stray, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -420,25 +420,22 @@ func TestGroupSyncFlushBatch(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotNames: a directory written before the binary snapshot
-// format holds snap-NNNNNN.json. List reports it as a snapshot generation
-// (once, even beside a .bin of the same generation), OpenSnapshot prefers
-// the .bin and falls back to the .json, non-canonical spellings are not
-// generations at all, and rotation retires the legacy file like any other.
-func TestLegacySnapshotNames(t *testing.T) {
+// TestWipeRemovesOnlyWALNames: List counts only the canonical spellings as
+// generations, and Wipe removes exactly what this package names — every
+// snapshot, every segment and the temporary files of interrupted snapshot
+// writes — leaving any other file in the directory alone.
+func TestWipeRemovesOnlyWALNames(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name, content string) {
+	write := func(name string) {
 		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	write("snap-000001.json", "legacy 1")
-	write("snap-000002.json", "legacy 2")
-	write("snap-000002.bin", "binary 2")
-	write("wal-000002.log", "")
-	for _, stray := range []string{"snap-2.bin", "snap-0000003.bin", "snap-000003.bin.tmp", "snap-000003.txt", "wal-+00003.log"} {
-		write(stray, "x")
+	owned := []string{"snap-000001.bin", "snap-000002.bin", "wal-000002.log", "snap-000003.bin.123.tmp"}
+	others := []string{"snap-2.bin", "snap-0000003.bin", "snap-000001.json", "snap-000003.txt", "wal-+00003.log", "shards.json"}
+	for _, name := range append(owned, others...) {
+		write(name)
 	}
 	m, err := List(dir)
 	if err != nil {
@@ -447,37 +444,27 @@ func TestLegacySnapshotNames(t *testing.T) {
 	if !reflect.DeepEqual(m, Manifest{Snapshots: []uint64{1, 2}, Segments: []uint64{2}}) {
 		t.Fatalf("manifest %+v", m)
 	}
-	for gen, want := range map[uint64]string{1: "legacy 1", 2: "binary 2"} {
-		f, err := OpenSnapshot(dir, gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(f)
-		f.Close()
-		if string(b) != want {
-			t.Errorf("OpenSnapshot(%d) read %q, want %q", gen, b, want)
-		}
-	}
-	if _, err := OpenSnapshot(dir, 3); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("OpenSnapshot of a missing generation: %v", err)
-	}
-
-	l, err := Continue(dir, Options{Mode: SyncNone})
-	if err != nil {
+	if err := Wipe(dir); err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	for i := 0; i < 2; i++ {
-		if err := l.Rotate(func(w io.Writer) error { _, err := io.WriteString(w, "snap"); return err }); err != nil {
-			t.Fatal(err)
+	for _, name := range owned {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s survived Wipe", name)
 		}
 	}
-	if m, err = List(dir); err != nil || !reflect.DeepEqual(m, Manifest{Snapshots: []uint64{3, 4}, Segments: []uint64{3, 4}}) {
-		t.Fatalf("after two rotations: %+v, %v", m, err)
-	}
-	for _, gone := range []string{"snap-000001.json", "snap-000002.json", "snap-000002.bin"} {
-		if _, err := os.Stat(filepath.Join(dir, gone)); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("%s survived rotation GC", gone)
+	for _, name := range others {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("Wipe removed %s, which is not a WAL name: %v", name, err)
 		}
+	}
+	if m, err := List(dir); err != nil || len(m.Snapshots)+len(m.Segments) != 0 {
+		t.Fatalf("after Wipe: %+v, %v", m, err)
+	}
+	fresh := filepath.Join(dir, "absent")
+	if err := Wipe(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(fresh); err != nil || !fi.IsDir() {
+		t.Fatalf("Wipe of an absent directory must create it: %v", err)
 	}
 }
