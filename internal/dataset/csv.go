@@ -9,10 +9,11 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"unicode/utf8"
+
+	"llmq/internal/decimal"
 )
 
 // blockSize is how many bytes of the input one block holds before it is cut
@@ -619,12 +620,13 @@ func ReadCSV(name string, r io.Reader) (*Dataset, error) {
 	return ds, nil
 }
 
-// parseField parses one CSV field as a float64, ignoring surrounding white
-// space; a field that starts and ends with a printable ASCII byte — every
-// field WriteCSV emits — has none and skips the trim.
+// parseField parses one CSV field as a float64 with decimal.Parse (the bits
+// and error text of strconv.ParseFloat), ignoring surrounding white space; a
+// field that starts and ends with a printable ASCII byte — every field
+// WriteCSV emits — has none and skips the trim.
 func parseField(s string) (float64, error) {
 	if n := len(s); n == 0 || s[0] <= ' ' || s[0] >= utf8.RuneSelf || s[n-1] <= ' ' || s[n-1] >= utf8.RuneSelf {
 		s = strings.TrimSpace(s)
 	}
-	return strconv.ParseFloat(s, 64)
+	return decimal.Parse(s)
 }

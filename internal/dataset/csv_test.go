@@ -73,6 +73,11 @@ func TestParseFieldTrimsLikeTrimSpace(t *testing.T) {
 	for _, s := range []string{
 		"1.5", "-2e-3", " 1.5", "1.5 ", "\t1.5\r", " 1.5 ", "1.5", "1.5 ",
 		"", " ", "abc", " abc ", "1.5x", "é", "+Inf", "NaN", "0x1p-2", "1_000",
+		// both paths of decimal.Parse: plain decimals it converts, and the
+		// shapes it hands to strconv
+		"0.6046602879796196", "-0.000123", "0.500000", "9007199254740993", "2.2250738585072011e-308",
+		"4.9e-324", "1e-400", "1e23", "-0", "0e999", "12345678901234567890", "1234567890123456789012345",
+		"1e65", "1e-65", " 1e400", ".5", "+1", "1.", "Inf", "0x1p-2", "1_0",
 	} {
 		got, gotErr := parseField(s)
 		want, wantErr := strconv.ParseFloat(strings.TrimSpace(s), 64)

@@ -3,10 +3,10 @@ package serve
 import (
 	"bytes"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"llmq/internal/core"
+	"llmq/internal/decimal"
 )
 
 // A /train or /query body is read once into a pooled buffer and scanned in
@@ -77,7 +77,7 @@ var trainBufs = sync.Pool{New: func() any { return new(trainBuf) }}
 //
 // with JSON whitespace anywhere between tokens, the three pair keys in any
 // order but each exactly once, and strict JSON numbers converted by
-// strconv.ParseFloat exactly as encoding/json converts them. Unknown,
+// decimal.Parse, bit for bit as encoding/json converts them. Unknown,
 // duplicate, escaped or differently cased keys, null, a missing field,
 // bytes after the closing brace, an out-of-range number, a pair
 // core.NewQuery would reject and more than maxTrainPairs pairs all decline.
@@ -230,8 +230,9 @@ func (s *bodyScanner) str() ([]byte, bool) {
 
 // number skips whitespace and consumes one number of the JSON grammar —
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — declining what
-// ParseFloat alone would let through ("+1", ".5", "1.", "0x1p-2", "Inf")
-// and what it reports out of range (1e309).
+// strconv.ParseFloat alone would let through ("+1", ".5", "1.", "0x1p-2",
+// "Inf") and what it reports out of range (1e309). The grammar decides;
+// decimal.Parse converts the bytes it accepted in place.
 func (s *bodyScanner) number() (float64, bool) {
 	s.ws()
 	b, i := s.b, s.i
@@ -263,7 +264,7 @@ func (s *bodyScanner) number() (float64, bool) {
 			return 0, false
 		}
 	}
-	x, err := strconv.ParseFloat(string(b[s.i:i]), 64)
+	x, err := decimal.Parse(b[s.i:i])
 	if err != nil {
 		return 0, false
 	}

@@ -80,6 +80,10 @@ func FuzzTrainBody(f *testing.F) {
 		" {\t\"pairs\"\n:\r[ { \"center\" : [ 0.25 , 0.75 ] , \"theta\" : 0.1 , \"answer\" : 1.5 } , " + pair + " ] } \n",
 		wrap(`{"answer":-0,"theta":1e-400,"center":[1E+2,-0.0e-0]}`),
 		wrap(`{"center":[1e309,0],"theta":0.1,"answer":1}`),
+		// decimal.Parse's fallback shapes the JSON grammar admits
+		wrap(`{"center":[9007199254740993,2.2250738585072011e-308],"theta":4.9e-324,"answer":1e23}`),
+		wrap(`{"center":[-0,0e999],"theta":12345678901234567890,"answer":1234567890123456789012345}`),
+		wrap(`{"center":[1e65,1e-65],"theta":0.500000,"answer":-0.000123}`),
 		wrap(`{"center":[01,0],"theta":0.1,"answer":1}`),
 		wrap(`{"center":[+1,0],"theta":0.1,"answer":1}`),
 		wrap(`{"center":[.5,0],"theta":0.1,"answer":1}`),

@@ -3,6 +3,7 @@ package sqlfront
 import (
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -16,6 +17,8 @@ import (
 // And every identifier Lex reads is classified as strings.ToUpper decides:
 // a keyword, spelled strings.ToUpper(text), exactly when
 // keywords[strings.ToUpper(text)], whatever bytes past ASCII it holds.
+// Every number an accepted statement carries has the bits
+// strconv.ParseFloat gives its literal.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT AVG(u) FROM seismic WITHIN 0.2 OF (0.5, 0.25);",
@@ -44,6 +47,12 @@ func FuzzParse(f *testing.F) {
 		"SELECT AVG(u) FROM regressions WITHIN 1 OF (0)",
 		"SELECT AVG(\xc3\xa9t\xc3\xa9) FROM \xb5\xaa\xba WITHIN 1 OF (0)",
 		"select avg(u) from t within 1 of (0) norm Linf",
+		// decimal.Parse's fallback shapes, beside the 'f', 6 literals it converts
+		"SELECT AVG(u) FROM t WITHIN 0.100000 OF (0.500000, -0.250000) NORM 3.000000",
+		"SELECT AVG(u) FROM t WITHIN 4.9e-324 OF (9007199254740993, 2.2250738585072011e-308, 1e23, -0, 0e999)",
+		"SELECT AVG(u) FROM t WITHIN 12345678901234567890 OF (1234567890123456789012345, 1e65, 1e-65, 1e-400)",
+		"SELECT VALUE(u) FROM t AT (.5, +1) WITHIN 1. OF (1.) NORM 1e1",
+		"SELECT AVG(u) FROM t WITHIN Inf OF (0x1p-2, 1_0)",
 	} {
 		f.Add(seed)
 	}
@@ -96,9 +105,47 @@ func FuzzParse(f *testing.F) {
 		if !(stmt.Norm >= 1) {
 			t.Fatalf("Parse(%q) accepted norm %v", sql, stmt.Norm)
 		}
+		tokens, _ := Lex(sql)
+		want := literals(tokens)
+		if _, named := want["NORM"]; !named {
+			want["NORM"] = []float64{stmt.Norm}
+		}
+		for kw, got := range map[string][]float64{"WITHIN": {stmt.Theta}, "OF": stmt.Center, "AT": stmt.At, "NORM": {stmt.Norm}} {
+			if len(got) != len(want[kw]) {
+				t.Fatalf("Parse(%q) read %d numbers after %s, strconv %d", sql, len(got), kw, len(want[kw]))
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[kw][i]) {
+					t.Fatalf("Parse(%q) read %v after %s, strconv %v", sql, got, kw, want[kw])
+				}
+			}
+		}
 		again, err := Parse(sql)
 		if err != nil || !reflect.DeepEqual(stmt, again) {
 			t.Fatalf("Parse(%q) is not deterministic: %+v, then %+v (%v)", sql, stmt, again, err)
 		}
 	})
+}
+
+// literals reads, beside the parser, the numbers that follow each keyword
+// of a statement — WITHIN θ, OF (…), AT (…), NORM p — through
+// strconv.ParseFloat, the reference of the parser's number reader.
+func literals(tokens []Token) map[string][]float64 {
+	out := map[string][]float64{}
+	for i, tok := range tokens {
+		if tok.Kind != TokenKeyword {
+			continue
+		}
+		for _, next := range tokens[i+1:] {
+			if next.Kind == TokenLParen || next.Kind == TokenComma {
+				continue
+			}
+			if next.Kind != TokenNumber {
+				break
+			}
+			v, _ := strconv.ParseFloat(next.Text, 64)
+			out[tok.Text] = append(out[tok.Text], v)
+		}
+	}
+	return out
 }

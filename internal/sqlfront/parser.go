@@ -2,7 +2,8 @@ package sqlfront
 
 import (
 	"math"
-	"strconv"
+
+	"llmq/internal/decimal"
 )
 
 // StatementKind distinguishes the three analytics statements of the dialect.
@@ -304,7 +305,7 @@ func (p *parser) parseNumber() (float64, error) {
 	if t.Kind != TokenNumber {
 		return 0, errf(t.Pos, "expected a number, got %q", t.Text)
 	}
-	v, err := strconv.ParseFloat(t.Text, 64)
+	v, err := decimal.Parse(t.Text)
 	if err != nil {
 		return 0, errf(t.Pos, "invalid number %q", t.Text)
 	}
@@ -327,7 +328,7 @@ func (p *parser) parseNorm() (float64, error) {
 		}
 		return 0, errf(t.Pos, "unknown norm %q (want L1, L2 or LINF)", t.Text)
 	case TokenNumber:
-		v, err := strconv.ParseFloat(t.Text, 64)
+		v, err := decimal.Parse(t.Text)
 		if err != nil || v < 1 {
 			return 0, errf(t.Pos, "invalid norm %q", t.Text)
 		}
