@@ -14,8 +14,9 @@ import (
 // benchScale keeps the per-figure benchmarks fast enough to run as part of
 // `go test -bench=.` while still exercising the full pipeline of every
 // experiment (dataset generation, exact execution, training, prediction,
-// baselines). The EXPERIMENTS.md numbers come from the `full` scale via
-// cmd/llmq-experiments.
+// baselines). The `full` scale of cmd/llmq-experiments is the one a
+// written reproduction (EXPERIMENTS.md, pending under ROADMAP item 1) is to
+// record.
 var benchScale = experiments.Scale{
 	Name:        "bench",
 	DatasetN:    3000,

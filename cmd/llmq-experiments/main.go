@@ -6,8 +6,9 @@
 //	llmq-experiments [-scale quick|full] [-experiment fig09] [-list]
 //
 // Without -experiment every registered experiment runs in order. The quick
-// scale finishes in well under a minute; the full scale reproduces the
-// numbers recorded in EXPERIMENTS.md.
+// scale finishes in well under a minute; the full scale runs the sizes a
+// written reproduction (EXPERIMENTS.md, pending under ROADMAP item 1) is to
+// record.
 package main
 
 import (

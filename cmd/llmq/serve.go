@@ -304,15 +304,7 @@ func (c *serveConfig) openFollower(ctx context.Context, e *exec.Executor, opt se
 		return nil, nil, "", err
 	}
 	go func() { _ = rep.Run(ctx) }()
-	closer := closerFunc(func() error {
-		// A promoted follower owns a real durable store by now; a plain
-		// follower just seals its mirror so the next boot resumes it.
-		if d := rep.Durable(); d != nil {
-			return d.Close()
-		}
-		return rep.Close()
-	})
-	return s, closer, fmt.Sprintf("as a follower of %s (mirror in %s, %s sync)", c.follow, c.dataDir, c.walMode), nil
+	return s, rep, fmt.Sprintf("as a follower of %s (mirror in %s, %s sync)", c.follow, c.dataDir, c.walMode), nil
 }
 
 // handlerSwitch is an atomically swappable http.Handler: the listener

@@ -306,7 +306,7 @@ func TestRecoverRefusesSaveSnapshot(t *testing.T) {
 				if _, err := d.TrainBatch(pairs[lo : lo+50]); err != nil {
 					t.Fatal(err)
 				}
-				if d.Gen() == 2 && saved == nil {
+				if d.Tail().Gen == 2 && saved == nil {
 					saved = saveBytes(t, d.Model()) // the state snapshot 2 holds
 				}
 			}

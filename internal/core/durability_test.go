@@ -356,7 +356,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	seg := wal.SegmentPath(dir, d.Gen())
+	seg := wal.SegmentPath(dir, d.Tail().Gen)
 	// Abandon d without Close — the crash — and tear the tail by hand.
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {

@@ -71,9 +71,10 @@ func (o DurableOptions) withDefaults() DurableOptions {
 // rotation error flips the store read-only (ErrReadOnly) while queries
 // keep serving the in-memory model — see Failure.
 //
-// A replication follower's mirror is a Durable too, opened by the same
-// Recover: between Follow and Promote it takes the primary's shipped log
-// bytes through Mirror instead of TrainBatch.
+// A replication follower's mirror is a Durable too, recovered by the same
+// code: OpenMirror or InstallSnapshot returns it in the follower role, in
+// which it takes the primary's shipped log bytes through Mirror instead of
+// TrainBatch until Promote.
 type Durable struct {
 	m    *Model
 	opts DurableOptions
@@ -92,10 +93,11 @@ type Durable struct {
 	hasSnap   bool          // a snapshot for the current generation exists on disk
 	ckpt      checkpointBuf // the last captured state, reused by every rotation
 	recs      []wal.Record  // TrainBatch's log records, reused by every batch
-	// follow is non-nil while the store mirrors a primary's log (Follow
-	// until Promote): Mirror applies shipped records through it, nothing
-	// rotates but the follower's explicit Snapshot, and Close does not
-	// checkpoint — a generation the primary does not have.
+	// follow is non-nil while the store mirrors a primary's log (from
+	// OpenMirror or InstallSnapshot until Promote): Mirror applies shipped
+	// records through it, nothing rotates but the follower's explicit
+	// Snapshot, and Close does not checkpoint — a generation the primary
+	// does not have.
 	follow *ReplayApplier
 }
 
@@ -142,11 +144,82 @@ func newBootID() string {
 // snapshots all fail to load replays from segment 0 if it still holds it,
 // and fails recovery otherwise.
 func Recover(dir string, cfg Config, opts DurableOptions) (*Durable, error) {
-	opts = opts.withDefaults()
 	man, err := wal.List(dir)
 	if err != nil {
 		return nil, err
 	}
+	return recoverFrom(dir, man, cfg, opts)
+}
+
+// ErrNoSnapshot is OpenMirror's answer for a directory that holds no
+// snapshot to follow from: a fresh follower, which installs its primary's.
+var ErrNoSnapshot = errors.New("core: no snapshot to follow from")
+
+// OpenMirror opens dir as a replication follower's mirror, in the follower
+// role: from here Mirror is its writer, it rotates only when the follower
+// calls Snapshot at the primary's rotation, and Close does not checkpoint —
+// that would be a generation the primary does not have. Promote ends the
+// role. The directory recovers as Recover recovers a primary's: the newest
+// loadable snapshot, the contiguous segments above it, a torn tail
+// truncated. A directory with no snapshot returns ErrNoSnapshot; a mirror
+// never holds segment 0, so one whose snapshots all fail to load fails.
+func OpenMirror(dir string, opts DurableOptions) (*Durable, error) {
+	man, err := wal.List(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(man.Snapshots) == 0 {
+		return nil, ErrNoSnapshot
+	}
+	// The config is unused: the snapshot carries its own.
+	d, err := recoverFrom(dir, man, Config{}, opts)
+	if err != nil {
+		return nil, err
+	}
+	d.follow = NewReplayApplier(d.m)
+	return d, nil
+}
+
+// InstallSnapshot replaces a follower's mirror in dir with the snapshot of
+// generation gen its primary shipped, and returns the new mirror as
+// OpenMirror does. The order never gives up a good mirror (Raft's
+// InstallSnapshot rule: discard the old log only once the new snapshot is
+// whole): the shipped bytes stream into a temporary file of dir, are
+// decoded as LoadSnapshot decodes them and are fsynced; only then is old
+// closed, every generation dir holds retired and the staged file renamed
+// into place. Until the rename old stays open — serving, mirroring and
+// promotable — and a failure before it leaves old and dir as they were. A
+// failure after old is closed (a disk error while retiring or renaming)
+// leaves its model answering reads, and its writes and Promote failing with
+// ErrReadOnly. old is nil when dir holds no mirror yet.
+func InstallSnapshot(dir string, old *Durable, gen uint64, snapshot io.Reader, opts DurableOptions) (*Durable, error) {
+	var loadErr error
+	staged, err := wal.Stage(dir, gen, func(w io.Writer) error {
+		b, err := io.ReadAll(io.TeeReader(snapshot, w))
+		if err == nil {
+			_, loadErr = decodeModel(b, true)
+			err = loadErr
+		}
+		return err
+	})
+	switch {
+	case loadErr != nil:
+		return nil, fmt.Errorf("shipped snapshot %d does not load: %w", gen, loadErr)
+	case err != nil:
+		return nil, fmt.Errorf("stage shipped snapshot %d: %w", gen, err)
+	}
+	if old != nil {
+		_ = old.Close() // a follower's store closes without a checkpoint
+	}
+	if err := staged.Install(); err != nil {
+		return nil, err
+	}
+	return OpenMirror(dir, opts)
+}
+
+// recoverFrom is Recover over the manifest man of dir.
+func recoverFrom(dir string, man wal.Manifest, cfg Config, opts DurableOptions) (*Durable, error) {
+	opts = opts.withDefaults()
 
 	// Choose the recovery base: the newest snapshot that actually loads,
 	// else a fresh model replaying from segment 0.
@@ -168,6 +241,7 @@ func Recover(dir string, cfg Config, opts DurableOptions) (*Durable, error) {
 		m, baseGen = lm, gen
 		break
 	}
+	var err error
 	if m == nil {
 		if len(man.Snapshots) > 0 {
 			if len(man.Segments) == 0 || man.Segments[0] != 0 {
@@ -516,16 +590,6 @@ func (d *Durable) Sync() error {
 	return nil
 }
 
-// Follow marks the store a replication follower's mirror of a primary's
-// log, right after Recover opened the mirror directory: from here Mirror is
-// its writer, it rotates only when the follower calls Snapshot at the
-// primary's rotation, and Close does not checkpoint. Promote ends it.
-func (d *Durable) Follow() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.follow = NewReplayApplier(d.m)
-}
-
 // Mirror appends a chunk of the primary's log to the follower's: chunk is
 // written verbatim, with one write through the log's writer — so the sync
 // policy, fault hook and sticky errors are a primary's — and then recs,
@@ -533,7 +597,8 @@ func (d *Durable) Follow() {
 // model through the ReplayApplier, as recovery applies them. A failure
 // flips the store read-only (ErrReadOnly): the mirror's tail is undefined
 // and only a fresh bootstrap repairs it. Mirror never rotates; it is for
-// a store between Follow and Promote.
+// a store in the follower role (OpenMirror or InstallSnapshot until
+// Promote).
 func (d *Durable) Mirror(chunk []byte, recs []wal.Record) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -572,12 +637,12 @@ func (d *Durable) Promote() error {
 	return nil
 }
 
-// Gen returns the current snapshot/segment generation: a follower's cursor
-// starts in it.
-func (d *Durable) Gen() uint64 {
+// Tail returns the cursor at the end of the store's log, where the next
+// record lands: a follower resumes fetching its primary's log there.
+func (d *Durable) Tail() wal.Cursor {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.log.Gen()
+	return d.log.Tail()
 }
 
 // Close shuts the durability layer down cleanly: pairs consumed since the

@@ -3,8 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"llmq/internal/wal"
 )
@@ -188,7 +193,7 @@ func TestDurableBoundaryHashes(t *testing.T) {
 	if _, err := d.TrainBatch(pairs); err != nil {
 		t.Fatal(err)
 	}
-	gen := d.Gen()
+	gen := d.Tail().Gen
 	if gen == 0 {
 		t.Fatal("no rotation happened")
 	}
@@ -236,9 +241,15 @@ func mirrorTail(t *testing.T, f *Durable, pdir string, cur wal.Cursor) wal.Curso
 			if err := f.Mirror(c.Data, recs); err != nil {
 				t.Fatal(err)
 			}
+			if got := f.Tail(); got != c.Next {
+				t.Fatalf("mirror tail %v after a chunk, want %v", got, c.Next)
+			}
 		case c.Next.Gen == cur.Gen+1:
 			if err := f.Snapshot(); err != nil {
 				t.Fatal(err)
+			}
+			if got := f.Tail(); got != c.Next {
+				t.Fatalf("mirror tail %v after a rotation, want %v", got, c.Next)
 			}
 		default:
 			return cur
@@ -264,19 +275,15 @@ func TestPromotedMirrorContinuesDurably(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bootstrap: the primary's snapshot is the mirror's first file.
-	gen := p.Gen()
+	gen := p.Tail().Gen
 	snap, err := os.ReadFile(wal.SnapshotPath(pdir, gen))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(wal.SnapshotPath(fdir, gen), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := Recover(fdir, Config{}, opts)
+	f, err := InstallSnapshot(fdir, nil, gen, bytes.NewReader(snap), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Follow()
 	cur := wal.Cursor{Gen: gen}
 	for i := 100; i < 450; i += 50 {
 		if _, err := p.TrainBatch(pairs[i : i+50]); err != nil {
@@ -287,22 +294,21 @@ func TestPromotedMirrorContinuesDurably(t *testing.T) {
 	if got, want := mustStateHash(t, f.Model()), mustStateHash(t, p.Model()); got != want {
 		t.Fatalf("mirror hash %s, primary %s", got, want)
 	}
-	if f.Gen() != p.Gen() || f.Gen() <= gen {
-		t.Fatalf("mirror at generation %d, primary at %d (bootstrapped at %d)", f.Gen(), p.Gen(), gen)
+	if f.Tail().Gen != p.Tail().Gen || f.Tail().Gen <= gen {
+		t.Fatalf("mirror at generation %d, primary at %d (bootstrapped at %d)", f.Tail().Gen, p.Tail().Gen, gen)
 	}
 	// A following store's Close writes no generation the primary lacks.
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if man, err := wal.List(fdir); err != nil || man.Snapshots[len(man.Snapshots)-1] != p.Gen() {
-		t.Fatalf("mirror snapshots after Close = %v (%v), primary at generation %d", man.Snapshots, err, p.Gen())
+	if man, err := wal.List(fdir); err != nil || man.Snapshots[len(man.Snapshots)-1] != p.Tail().Gen {
+		t.Fatalf("mirror snapshots after Close = %v (%v), primary at generation %d", man.Snapshots, err, p.Tail().Gen)
 	}
 
-	f, err = Recover(fdir, Config{}, opts)
+	f, err = OpenMirror(fdir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Follow()
 	if err := f.Promote(); err != nil {
 		t.Fatal(err)
 	}
@@ -326,5 +332,180 @@ func TestPromotedMirrorContinuesDurably(t *testing.T) {
 	}
 	if got := mustStateHash(t, d.Model()); got != want {
 		t.Fatalf("recovered StateHash %s, want %s", got, want)
+	}
+}
+
+// dirFiles reads every file of dir into a name → content map.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// TestInstallSnapshotRefusesBadBodies: a shipped body that does not load
+// as a snapshot — or that stops mid-transfer — is refused before the old
+// mirror is touched. The old store stays open: its directory is byte for
+// byte what it was, with no staged file left behind, it keeps mirroring
+// the primary's log to the primary's hash, and it can still be promoted.
+func TestInstallSnapshotRefusesBadBodies(t *testing.T) {
+	cut := errors.New("connection reset by peer")
+	for _, tc := range []struct {
+		name string
+		body func(snap, saved []byte) io.Reader
+		want string
+	}{
+		{"truncated checkpoint", func(snap, _ []byte) io.Reader { return bytes.NewReader(snap[:len(snap)-7]) }, "does not load"},
+		{"garbage", func(_, _ []byte) io.Reader { return strings.NewReader("<html>502 Bad Gateway</html>") }, "does not load"},
+		{"Save file", func(_, saved []byte) io.Reader { return bytes.NewReader(saved) }, "without the RLS solver state"},
+		{"cut short", func(snap, _ []byte) io.Reader {
+			return io.MultiReader(bytes.NewReader(snap[:len(snap)/2]), iotest.ErrReader(cut))
+		}, cut.Error()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pdir, fdir := t.TempDir(), t.TempDir()
+			pairs := planeStream(500, 3, 0.3, []float64{0.5, -0.2, 1.1}, 1.0, 61)
+			opts := DurableOptions{WAL: wal.Options{Mode: wal.SyncNone}, SnapshotEvery: 100, Logf: t.Logf}
+			p, err := Recover(pdir, durableConfig(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if _, err := p.TrainBatch(pairs[:100]); err != nil {
+				t.Fatal(err)
+			}
+			gen := p.Tail().Gen
+			snap, err := os.ReadFile(wal.SnapshotPath(pdir, gen))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := InstallSnapshot(fdir, nil, gen, bytes.NewReader(snap), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := f.Tail(); got != (wal.Cursor{Gen: gen}) {
+				t.Fatalf("installed mirror tail %v, want the start of generation %d", got, gen)
+			}
+			if _, err := p.TrainBatch(pairs[100:250]); err != nil {
+				t.Fatal(err)
+			}
+			cur := mirrorTail(t, f, pdir, wal.Cursor{Gen: gen})
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			before := dirFiles(t, fdir)
+			var saved bytes.Buffer
+			if err := p.Model().Save(&saved); err != nil {
+				t.Fatal(err)
+			}
+			snap, err = os.ReadFile(wal.SnapshotPath(pdir, p.Tail().Gen))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if _, err := InstallSnapshot(fdir, f, p.Tail().Gen, tc.body(snap, saved.Bytes()), opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("InstallSnapshot = %v, want a refusal naming %q", err, tc.want)
+			}
+			if after := dirFiles(t, fdir); !reflect.DeepEqual(after, before) {
+				names := make([]string, 0, len(after))
+				for name := range after {
+					names = append(names, name)
+				}
+				t.Fatalf("a refused install changed the mirror directory: it holds %v", names)
+			}
+			if _, err := p.TrainBatch(pairs[250:400]); err != nil {
+				t.Fatal(err)
+			}
+			mirrorTail(t, f, pdir, cur)
+			if got, want := mustStateHash(t, f.Model()), mustStateHash(t, p.Model()); got != want {
+				t.Fatalf("old mirror hash %s after the refusal, primary %s", got, want)
+			}
+			if err := f.Promote(); err != nil {
+				t.Fatalf("old mirror refused promotion after the refusal: %v", err)
+			}
+			if _, err := f.TrainBatch(pairs[400:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestInstallSnapshotRetiresTheOldMirror: an installed snapshot replaces
+// every generation of the old mirror, also ones newer than its own (a
+// follower re-pointed at a primary with a shorter history), and the new
+// mirror opens at its start with the primary's state.
+func TestInstallSnapshotRetiresTheOldMirror(t *testing.T) {
+	pdir, fdir := t.TempDir(), t.TempDir()
+	pairs := planeStream(300, 3, 0.3, []float64{0.5, -0.2, 1.1}, 1.0, 67)
+	opts := DurableOptions{WAL: wal.Options{Mode: wal.SyncNone}, SnapshotEvery: 50, Logf: t.Logf}
+	old, err := Recover(fdir, durableConfig(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.TrainBatch(pairs); err != nil { // one rotation per batch
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := old.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := Recover(pdir, durableConfig(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.TrainBatch(pairs[:100]); err != nil {
+		t.Fatal(err)
+	}
+	if old.Tail().Gen <= p.Tail().Gen {
+		t.Fatalf("old mirror at generation %d, primary at %d: want the mirror ahead", old.Tail().Gen, p.Tail().Gen)
+	}
+	snap, err := os.ReadFile(wal.SnapshotPath(pdir, p.Tail().Gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := InstallSnapshot(fdir, old, p.Tail().Gen, bytes.NewReader(snap), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	seg := filepath.Base(wal.SegmentPath(fdir, p.Tail().Gen))
+	if files := dirFiles(t, fdir); len(files) != 2 || files[filepath.Base(wal.SnapshotPath(fdir, p.Tail().Gen))] != string(snap) || files[seg] != "" {
+		t.Fatalf("installed mirror holds %d files, want the shipped snapshot and its empty segment %s", len(files), seg)
+	}
+	if got, want := mustStateHash(t, f.Model()), mustStateHash(t, p.Model()); got != want {
+		t.Fatalf("installed mirror hash %s, primary %s", got, want)
+	}
+	if _, err := old.TrainBatch(pairs[:1]); err == nil {
+		t.Fatal("the replaced mirror's store still takes writes")
+	}
+}
+
+// TestOpenMirrorNeedsASnapshot: a directory without a snapshot is no
+// mirror, whatever segments it holds.
+func TestOpenMirrorNeedsASnapshot(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := OpenMirror(dir, DurableOptions{}); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("OpenMirror of an empty directory = %v, want ErrNoSnapshot", err)
+	}
+	if err := os.WriteFile(wal.SegmentPath(dir, 0), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenMirror(dir, DurableOptions{}); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("OpenMirror of a segment-only directory = %v, want ErrNoSnapshot", err)
 	}
 }

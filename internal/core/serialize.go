@@ -322,6 +322,11 @@ func load(r io.Reader, resume bool) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: read model frames: %v", ErrBadModelFile, err)
 	}
+	return decodeModel(b, resume)
+}
+
+// decodeModel is load over the bytes read.
+func decodeModel(b []byte, resume bool) (*Model, error) {
 	if len(b) < wal.FrameHeaderLen+len(checkpointMagic) || string(b[wal.FrameHeaderLen:][:len(checkpointMagic)]) != checkpointMagic {
 		return nil, fmt.Errorf("%w: not a frame-format model file (no %q header frame)", ErrBadModelFile, checkpointMagic)
 	}

@@ -57,8 +57,8 @@ var Quick = Scale{
 	Seed:        1,
 }
 
-// Full is the reproduction scale used for EXPERIMENTS.md: minutes per
-// experiment on a laptop.
+// Full is the reproduction scale, the one EXPERIMENTS.md (pending under
+// ROADMAP item 1) is to record: minutes per experiment on a laptop.
 var Full = Scale{
 	Name:        "full",
 	DatasetN:    40000,
@@ -179,7 +179,7 @@ func NewEnv(kind DatasetKind, dim, n int, seed int64, thetaMeanOverride float64)
 		// over 15·10⁶ tuples. At this library's in-memory scales a radius-0.1
 		// L2 ball in d > 2 dimensions selects almost no tuples, so the mean
 		// radius grows with the dimension to keep subspaces populated (the
-		// substitution is recorded in EXPERIMENTS.md).
+		// substitution is for EXPERIMENTS.md to record, once written).
 		thetaMean = 0.1 * math.Pow(1.9, float64(dim-2))
 		if thetaMean > 0.4 {
 			thetaMean = 0.4

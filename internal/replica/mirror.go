@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -18,31 +16,21 @@ import (
 	"llmq/internal/wal"
 )
 
-// errNoLocalState means the local directory holds no snapshot to recover
-// from (a fresh follower) — bootstrap from the primary's instead. Not an
-// error condition.
-var errNoLocalState = errors.New("replica: no local mirror")
+// The mirror's data directory belongs to its store: core.OpenMirror resumes
+// it, core.InstallSnapshot replaces it, and the store's Mirror, Snapshot
+// and Close write it. What follows is the protocol around those calls.
 
-// recoverMirror resumes replication from a mirror a previous incarnation
-// left behind. A directory with a snapshot opens through core.Recover, as a
-// primary's directory does after a crash: the newest loadable snapshot, the
-// contiguous segments above it, a torn tail truncated (the chunk the
-// follower crashed in the middle of is re-fetched). A snapshot that does
-// not load falls back to the previous generation; a mirror never holds
-// segment 0, so with none loadable Recover fails and the caller
-// re-bootstraps.
-func (r *Replica) recoverMirror() error {
-	man, err := wal.List(r.opts.Dir)
+// resume reopens the mirror a previous incarnation left behind, without
+// re-shipping the snapshot: core.OpenMirror recovers it as a primary's
+// directory recovers after a crash, and the cursor resumes at its tail (the
+// chunk the follower crashed in the middle of is truncated and re-fetched).
+// A directory with no snapshot returns core.ErrNoSnapshot.
+func (r *Replica) resume() error {
+	d, err := core.OpenMirror(r.opts.Dir, r.store)
 	if err != nil {
 		return err
 	}
-	if len(man.Snapshots) == 0 {
-		return errNoLocalState
-	}
-	d, cur, err := r.open()
-	if err != nil {
-		return err
-	}
+	cur := d.Tail()
 	r.mu.Lock()
 	r.d = d
 	r.cur = cur
@@ -52,43 +40,13 @@ func (r *Replica) recoverMirror() error {
 	return nil
 }
 
-// open recovers the mirror directory as a follower's store and returns it
-// with the cursor at the end of its newest segment.
-func (r *Replica) open() (*core.Durable, wal.Cursor, error) {
-	// The config is unused: a mirror always holds a snapshot, which carries
-	// its own.
-	d, err := core.Recover(r.opts.Dir, core.Config{}, core.DurableOptions{
-		WAL:           r.opts.WAL,
-		SnapshotEvery: r.opts.SnapshotEvery,
-		Logf:          r.opts.Logf,
-	})
-	if err != nil {
-		return nil, wal.Cursor{}, err
-	}
-	d.Follow()
-	gen := d.Gen()
-	fi, err := os.Stat(wal.SegmentPath(r.opts.Dir, gen))
-	if err != nil {
-		_ = d.Close()
-		return nil, wal.Cursor{}, err
-	}
-	return d, wal.Cursor{Gen: gen, Off: fi.Size()}, nil
-}
-
-// bootstrap wipes the local mirror and rebuilds it from the primary's
-// newest checkpoint snapshot. The old store is closed first, but its model
-// keeps serving stale reads until the new one is ready — only the swap at
-// the end is visible to readers.
+// bootstrap replaces the local mirror with the primary's newest checkpoint
+// snapshot. core.InstallSnapshot stages and verifies the shipped bytes
+// before it retires the old mirror, so until the swap the old store keeps
+// serving and stays promotable, and a bootstrap that fails — the primary
+// unreachable, the body cut short, a snapshot that does not load — leaves
+// it as it was.
 func (r *Replica) bootstrap(ctx context.Context) error {
-	r.mu.Lock()
-	old := r.d
-	r.mu.Unlock()
-	if old != nil {
-		_ = old.Close() // a mirror closes without a checkpoint; its files go next
-	}
-	if err := wal.Wipe(r.opts.Dir); err != nil {
-		return err
-	}
 	resp, err := resilience.Do(ctx, r.opts.Client, func() (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, r.base+PathSnapshot, nil)
 	}, r.opts.Backoff)
@@ -103,25 +61,17 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("snapshot: bad %s header %q", HeaderGen, resp.Header.Get(HeaderGen))
 	}
-	boot := resp.Header.Get(HeaderBoot)
-	// Mirror first, recover second: the local file must hold exactly the
-	// bytes the primary served, and a store that Recover opens from it —
-	// loading it as every recovery does, so a Save file is refused — proves
-	// the directory will recover after a follower crash.
-	if err := wal.WriteFileAtomic(wal.SnapshotPath(r.opts.Dir, gen), func(w io.Writer) error {
-		_, err := io.Copy(w, resp.Body)
-		return err
-	}); err != nil {
-		return err
-	}
-	d, cur, err := r.open()
+	r.mu.Lock()
+	old := r.d
+	r.mu.Unlock()
+	d, err := core.InstallSnapshot(r.opts.Dir, old, gen, resp.Body, r.store)
 	if err != nil {
-		return fmt.Errorf("shipped snapshot %d does not load: %w", gen, err)
+		return err
 	}
 	r.mu.Lock()
 	r.d = d
-	r.cur = cur
-	r.bootID = boot
+	r.cur = d.Tail()
+	r.bootID = resp.Header.Get(HeaderBoot)
 	r.needBoot = false
 	r.diverged = nil
 	r.bootstraps++

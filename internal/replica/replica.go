@@ -2,11 +2,14 @@
 // replication: it bootstraps a model from the primary's newest checkpoint
 // snapshot, then byte-mirrors the primary's write-ahead log into a local
 // data directory — same generation numbering, same offsets — applying every
-// shipped record through the live training path as it lands. The mirror is
-// a core.Durable from boot, opened by the same core.Recover as a primary's
-// directory, and its Mirror, Snapshot and Close do the file work; this
-// package keeps only the protocol: fetch, verify the chunk, check the
-// boundary hash, re-bootstrap, promote. Because the WAL totally orders
+// shipped record through the live training path as it lands. The mirror's
+// directory belongs to its core.Durable: core.OpenMirror resumes it after a
+// restart, recovering it as a primary's directory recovers;
+// core.InstallSnapshot replaces it with a shipped snapshot, staged and
+// verified before the old mirror is retired; and the store's Mirror,
+// Snapshot, Promote and Close do the rest of the file work. This package
+// keeps only the protocol: fetch, verify the chunk, check the boundary
+// hash, re-bootstrap, promote. Because the WAL totally orders
 // training and replay is deterministic, a caught-up follower is
 // bit-identical to the primary (verified with canonical state hashes at
 // every snapshot boundary), and promotion hands the same store over as a
@@ -164,10 +167,11 @@ type Status struct {
 	Cursor wal.Cursor
 }
 
-// errRebootstrap tags failures that invalidate the local mirror: the
+// errRebootstrap tags failures that end the local mirror's stream: the
 // cursor's generation is gone, the primary restarted, or the mirrored
-// state failed verification. Run reacts by wiping and re-bootstrapping, as
-// it does to a store that a failed write turned read-only (core.ErrReadOnly).
+// state failed verification. Run reacts by re-bootstrapping, as it does to
+// a store that a failed write turned read-only (core.ErrReadOnly); the old
+// mirror keeps serving until a new snapshot replaces it.
 var errRebootstrap = errors.New("replica: local mirror is invalid")
 
 // errDiverged tags a failed boundary hash comparison; it implies
@@ -177,8 +181,9 @@ var errDiverged = errors.New("replica: state diverged from primary")
 // Replica mirrors one primary. Create with Open, drive with Run (one
 // goroutine), inspect with Status/Model, and promote with Promote.
 type Replica struct {
-	opts Options
-	base string // Primary, normalized
+	opts  Options
+	base  string              // Primary, normalized
+	store core.DurableOptions // the mirror's store, before and after promotion
 
 	stopped chan struct{} // closed when Run returns
 
@@ -188,7 +193,7 @@ type Replica struct {
 	d            *core.Durable // the mirror's store; nil before the first boot
 	cur          wal.Cursor
 	bootID       string // primary boot ID pinned at bootstrap ("" = unpinned)
-	needBoot     bool   // wipe + re-bootstrap before the next fetch
+	needBoot     bool   // re-bootstrap before the next fetch
 	diverged     error
 	promoting    bool
 	promoted     bool // d is a primary's store now
@@ -214,6 +219,7 @@ func Open(opts Options) (*Replica, error) {
 	return &Replica{
 		opts:    opts,
 		base:    base,
+		store:   core.DurableOptions{WAL: opts.WAL, SnapshotEvery: opts.SnapshotEvery, Logf: opts.Logf},
 		stopped: make(chan struct{}),
 	}, nil
 }
@@ -291,8 +297,8 @@ func (r *Replica) step(ctx context.Context) error {
 	if d == nil && !needBoot {
 		// First run over this directory: a previous incarnation's mirror
 		// resumes without re-shipping the snapshot.
-		if err := r.recoverMirror(); err != nil {
-			if !errors.Is(err, errNoLocalState) {
+		if err := r.resume(); err != nil {
+			if !errors.Is(err, core.ErrNoSnapshot) {
 				r.opts.Logf("replica: local mirror unusable (%v); re-bootstrapping", err)
 			}
 			r.mu.Lock()
@@ -451,9 +457,9 @@ func (r *Replica) finalizePromotion() (*core.Durable, error) {
 	return r.d, nil
 }
 
-// Close shuts a non-promoted replica down: the loop is stopped and the
-// mirror's store closed without a checkpoint, so a restart resumes from the
-// mirror. After promotion, close the Durable instead.
+// Close shuts the replica down: the loop is stopped and the store closed —
+// a follower's mirror without a checkpoint, so a restart resumes from it,
+// and a promoted store as a primary's, with one.
 func (r *Replica) Close() error {
 	r.mu.Lock()
 	cancel := r.cancelRun
@@ -467,7 +473,7 @@ func (r *Replica) Close() error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.d == nil || r.promoted {
+	if r.d == nil {
 		return nil
 	}
 	return r.d.Close()

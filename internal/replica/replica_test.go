@@ -732,7 +732,7 @@ func TestFollowerMirrorIsByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitSteps(t, rep, i+50)
-		waitCursorGen(t, rep, p.d.Gen())
+		waitCursorGen(t, rep, p.d.Tail().Gen)
 	}
 	cur := rep.Status().Cursor
 	if st := rep.Status(); st.Bootstraps != 1 || cur.Gen < 3 {
@@ -854,7 +854,7 @@ func TestFollowerResumesCrashImage(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitSteps(t, rep, i+10)
-		waitCursorGen(t, rep, p.d.Gen())
+		waitCursorGen(t, rep, p.d.Tail().Gen)
 	}
 	cur := rep.Status().Cursor
 	if cur.Off == 0 {
@@ -891,12 +891,248 @@ func TestFollowerResumesCrashImage(t *testing.T) {
 	}
 }
 
-// TestFailedAutoPromotionKeepsFollowing: a proxy in front of the primary
-// answers 410 on the WAL stream, so the follower re-bootstraps, and 503 on
-// everything else, so the bootstrap cannot fetch a snapshot after closing
-// the old store. Past PromoteAfter the automatic promotion of that closed
-// store fails; the follower must stay a follower and keep retrying, so once
-// the proxy passes traffic again it bootstraps a second time and catches up
+// gateProxy fronts a primary. Open, it passes every request through.
+// Closed, it answers 410 to the WAL stream — the follower's cursor is gone
+// — and to a snapshot request either 503, as a primary that is down, or,
+// with stall set, the first half of the primary's snapshot and then
+// nothing until the request ends: a bootstrap caught mid-transfer.
+type gateProxy struct {
+	URL            string
+	closed, stall  atomic.Bool
+	snapshotsAsked atomic.Int32
+}
+
+func newGateProxy(t *testing.T, primaryURL string) *gateProxy {
+	t.Helper()
+	target, err := url.Parse(primaryURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forward := httputil.NewSingleHostReverseProxy(target)
+	release := make(chan struct{})
+	g := &gateProxy{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case !g.closed.Load():
+			forward.ServeHTTP(w, r)
+		case r.URL.Path == replica.PathWAL:
+			http.Error(w, "cursor gone", http.StatusGone)
+		case r.URL.Path == replica.PathSnapshot && g.stall.Load():
+			g.snapshotsAsked.Add(1)
+			resp, err := http.Get(primaryURL + replica.PathSnapshot)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadGateway)
+				return
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			for _, h := range []string{replica.HeaderGen, replica.HeaderBoot, replica.HeaderSteps} {
+				w.Header().Set(h, resp.Header.Get(h))
+			}
+			_, _ = w.Write(body[:len(body)/2])
+			w.(http.Flusher).Flush()
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+		default:
+			if r.URL.Path == replica.PathSnapshot {
+				g.snapshotsAsked.Add(1)
+			}
+			http.Error(w, "unavailable", http.StatusServiceUnavailable)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { close(release) }) // runs first: no handler outlives the test
+	g.URL = ts.URL
+	return g
+}
+
+// waitSnapshotsAsked waits until the follower has asked the proxy for at
+// least n snapshots.
+func waitSnapshotsAsked(t *testing.T, g *gateProxy, n int32) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for g.snapshotsAsked.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("the follower asked for %d snapshots, want %d", g.snapshotsAsked.Load(), n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// tempFiles lists the temporary files in dir.
+func tempFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tmps
+}
+
+// cursorGone is a follower of a primary with 300 steps, caught up behind a
+// gate proxy that has since closed: the follower's cursor is gone (410), so
+// it must re-bootstrap, and the primary cannot be reached for a snapshot.
+type cursorGone struct {
+	p    *primary
+	g    *gateProxy
+	rep  *replica.Replica
+	dir  string // the follower's mirror
+	hash string // the primary's state hash at 300 steps
+}
+
+func newCursorGone(t *testing.T, opts func(*replica.Options)) cursorGone {
+	t.Helper()
+	pairs := genPairs(131, 300)
+	c := cursorGone{p: newPrimary(t, t.TempDir(), 100), dir: t.TempDir()}
+	if _, err := c.p.d.TrainBatch(pairs); err != nil {
+		t.Fatal(err)
+	}
+	c.g = newGateProxy(t, c.p.ts.URL)
+	o := fastOpts(c.dir, c.g.URL)
+	o.Logf = t.Logf
+	if opts != nil {
+		opts(&o)
+	}
+	c.rep, _ = startReplica(t, o)
+	waitSteps(t, c.rep, len(pairs))
+	c.hash = hashOf(t, c.p.d.Model())
+	c.g.closed.Store(true)
+	return c
+}
+
+// promoted checks that d is the old mirror promoted — 300 steps at the
+// primary's hash — and that it trains.
+func (c cursorGone) promoted(t *testing.T, d *core.Durable) {
+	t.Helper()
+	if got := hashOf(t, d.Model()); d.Model().Steps() != 300 || got != c.hash {
+		t.Fatalf("promoted %d steps at hash %s, want 300 at %s", d.Model().Steps(), got, c.hash)
+	}
+	if _, err := d.TrainBatch(genPairs(137, 10)); err != nil {
+		t.Fatalf("the promoted mirror does not train: %v", err)
+	}
+	if st := c.rep.Status(); st.Role != "primary" {
+		t.Fatalf("status %+v after promotion", st)
+	}
+	if err := c.rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFollowerWithCursorGoneAutoPromotes: a follower whose cursor is gone
+// while its primary is down still holds its verified prefix, and past
+// PromoteAfter it promotes that prefix — here all 300 steps, at the
+// primary's hash.
+func TestFollowerWithCursorGoneAutoPromotes(t *testing.T) {
+	promoted := make(chan *core.Durable, 1)
+	c := newCursorGone(t, func(o *replica.Options) {
+		o.PromoteAfter = 300 * time.Millisecond
+		o.OnPromote = func(d *core.Durable) { promoted <- d }
+	})
+	select {
+	case d := <-promoted:
+		if c.g.snapshotsAsked.Load() == 0 {
+			t.Fatal("the follower promoted without trying to re-bootstrap first")
+		}
+		c.promoted(t, d)
+	case <-time.After(20 * time.Second):
+		t.Fatalf("the follower never auto-promoted; status %+v", c.rep.Status())
+	}
+}
+
+// TestFollowerWithCursorGonePromotes: an explicit Promote while the
+// follower's re-bootstraps fail promotes the old mirror at the primary's
+// hash.
+func TestFollowerWithCursorGonePromotes(t *testing.T) {
+	c := newCursorGone(t, nil)
+	waitSnapshotsAsked(t, c.g, 2)
+	d, err := c.rep.Promote()
+	if err != nil {
+		t.Fatalf("Promote with the cursor gone: %v", err)
+	}
+	c.promoted(t, d)
+}
+
+// TestFollowerWithCursorGoneRebootstraps: without PromoteAfter, the old
+// mirror serves through the window, and once the primary answers again the
+// follower re-bootstraps (its second bootstrap) and reaches the primary's
+// hash.
+func TestFollowerWithCursorGoneRebootstraps(t *testing.T) {
+	c := newCursorGone(t, nil)
+	waitSnapshotsAsked(t, c.g, 2)
+	if st := c.rep.Status(); !st.Bootstrapped || st.Steps != 300 || c.rep.Model() == nil {
+		t.Fatalf("status %+v in the window: want the old mirror serving 300 steps", st)
+	}
+	if _, err := c.p.d.TrainBatch(genPairs(139, 200)); err != nil {
+		t.Fatal(err)
+	}
+	c.g.closed.Store(false)
+	waitSteps(t, c.rep, 500)
+	if st := c.rep.Status(); st.Role != "follower" || st.Bootstraps != 2 {
+		t.Fatalf("status %+v: want a follower bootstrapped twice", st)
+	}
+	if got, want := hashOf(t, c.rep.Model()), hashOf(t, c.p.d.Model()); got != want {
+		t.Fatalf("follower hash %s, primary %s", got, want)
+	}
+}
+
+// TestFollowerPromotesWhileStaging: a Promote issued while a re-bootstrap is
+// staging the shipped snapshot stops the transfer and promotes the old
+// mirror, leaving no staged file. A crash image taken during the staging
+// holds the old generations plus the staged temporary file, and a follower
+// booted over it resumes the old mirror — no bootstrap — and catches up.
+func TestFollowerPromotesWhileStaging(t *testing.T) {
+	c := newCursorGone(t, nil)
+	c.g.stall.Store(true)
+	deadline := time.Now().Add(20 * time.Second)
+	for len(tempFiles(t, c.dir)) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no staged snapshot appeared in the mirror directory")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	image := copyDir(t, c.dir)
+	d, err := c.rep.Promote()
+	if err != nil {
+		t.Fatalf("Promote while staging: %v", err)
+	}
+	if tmps := tempFiles(t, c.dir); len(tmps) != 0 {
+		t.Fatalf("the stopped bootstrap left %v", tmps)
+	}
+	c.promoted(t, d)
+
+	man, err := wal.List(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Snapshots) == 0 || len(tempFiles(t, image)) != 1 {
+		t.Fatalf("crash image holds snapshots %v and temp files %v: want the old generations and the staged file",
+			man.Snapshots, tempFiles(t, image))
+	}
+	pairs := genPairs(139, 200)
+	if _, err := c.p.d.TrainBatch(pairs); err != nil {
+		t.Fatal(err)
+	}
+	rep2, _ := startReplica(t, fastOpts(image, c.p.ts.URL))
+	waitSteps(t, rep2, 300+len(pairs))
+	if st := rep2.Status(); st.Bootstraps != 0 {
+		t.Fatalf("the crash image re-bootstrapped (%d times) instead of resuming the old mirror", st.Bootstraps)
+	}
+	if got, want := hashOf(t, rep2.Model()), hashOf(t, c.p.d.Model()); got != want {
+		t.Fatalf("resumed follower hash %s, primary %s", got, want)
+	}
+	if tmps := tempFiles(t, image); len(tmps) != 0 {
+		t.Fatalf("boot left the staged file %v", tmps)
+	}
+}
+
+// TestFailedAutoPromotionKeepsFollowing: a write fault turns the mirror's
+// store read-only, and a proxy in front of the primary then answers 503 to
+// everything but the WAL stream, so the re-bootstrap cannot fetch a
+// snapshot. Past PromoteAfter the automatic promotion of the read-only store
+// fails; the follower must stay a follower and keep retrying, so once the
+// proxy passes traffic again it bootstraps a second time and catches up
 // with the primary.
 func TestFailedAutoPromotionKeepsFollowing(t *testing.T) {
 	pairs := genPairs(127, 400)
@@ -904,26 +1140,29 @@ func TestFailedAutoPromotionKeepsFollowing(t *testing.T) {
 	if _, err := p.d.TrainBatch(pairs[:200]); err != nil {
 		t.Fatal(err)
 	}
-	var blocked atomic.Bool
+	var blocked, failWrites atomic.Bool
 	target, err := url.Parse(p.ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	forward := httputil.NewSingleHostReverseProxy(target)
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case !blocked.Load():
-			forward.ServeHTTP(w, r)
-		case r.URL.Path == replica.PathWAL:
-			http.Error(w, "cursor gone", http.StatusGone)
-		default:
+		if blocked.Load() && r.URL.Path != replica.PathWAL {
 			http.Error(w, "unavailable", http.StatusServiceUnavailable)
+			return
 		}
+		forward.ServeHTTP(w, r)
 	}))
 	t.Cleanup(proxy.Close)
 
 	opts := fastOpts(t.TempDir(), proxy.URL)
 	opts.PromoteAfter = 200 * time.Millisecond
+	opts.WAL.Fault = func(op string) error {
+		if op == "write" && failWrites.Load() {
+			return errors.New("injected: input/output error")
+		}
+		return nil
+	}
 	failed := make(chan struct{})
 	var once sync.Once
 	opts.Logf = func(format string, args ...any) {
@@ -933,17 +1172,22 @@ func TestFailedAutoPromotionKeepsFollowing(t *testing.T) {
 			once.Do(func() { close(failed) })
 		}
 	}
-	opts.OnPromote = func(*core.Durable) { t.Error("the closed mirror was promoted") }
+	opts.OnPromote = func(*core.Durable) { t.Error("the read-only mirror was promoted") }
 	rep, _ := startReplica(t, opts)
 	waitSteps(t, rep, 200)
 
 	blocked.Store(true)
+	failWrites.Store(true)
+	if _, err := p.d.TrainBatch(pairs[200:250]); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case <-failed:
 	case <-time.After(20 * time.Second):
 		t.Fatalf("no automatic promotion was attempted; status %+v", rep.Status())
 	}
-	if _, err := p.d.TrainBatch(pairs[200:]); err != nil {
+	failWrites.Store(false)
+	if _, err := p.d.TrainBatch(pairs[250:]); err != nil {
 		t.Fatal(err)
 	}
 	blocked.Store(false)

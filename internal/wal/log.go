@@ -18,9 +18,9 @@ import (
 //
 // A snapshot's bytes are the caller's (internal/core writes its binary
 // checkpoint: frames of the same kind the segments hold). A snapshot is
-// first written to a temporary sibling (WriteFileAtomic) and renamed into
-// place. These names are this package's alone: callers build paths with
-// SnapshotPath and SegmentPath, and clear a directory with Wipe.
+// first written to a temporary sibling (WriteFileAtomic, or Stage for one
+// shipped from elsewhere) and renamed into place. These names are this
+// package's alone: callers build paths with SnapshotPath and SegmentPath.
 //
 // Generation g of the snapshot captures the model state after every record
 // in segments 0..g-1; segment g holds the records observed since. Rotation
@@ -155,56 +155,103 @@ func RemoveTemp(dir string) error {
 	return nil
 }
 
-// Wipe deletes every file of a data directory that this package names — the
-// snapshots, the log segments and leftover temporary files — creating the
-// directory if absent; any other file is left alone. Like RemoveTemp, only
-// a caller that owns the directory exclusively may call it.
-func Wipe(dir string) error {
-	files, err := scan(dir)
-	if err != nil {
-		return err
-	}
-	for _, f := range files {
-		if err := os.Remove(f.path); err != nil {
-			return fmt.Errorf("wal: wipe: %w", err)
-		}
-	}
-	return RemoveTemp(dir)
-}
-
 // WriteFileAtomic writes a file so that a crash at any point leaves either
 // the previous file (or no file) or the complete new one, never a torn
 // prefix: the content goes to a temporary sibling, is fsynced, renamed over
 // the target, and the directory entry is fsynced. The write callback
 // produces the content.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".*"+tmpSuffix)
+	tmp, err := writeTemp(path, write)
 	if err != nil {
-		return fmt.Errorf("wal: create temp file: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := write(tmp); err != nil {
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync %s: %w", tmp.Name(), err)
+	return publish(tmp, path)
+}
+
+// writeTemp writes a temporary sibling of path through write and fsyncs
+// it, returning its name; on failure nothing is left behind.
+func writeTemp(path string, write func(io.Writer) error) (string, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*"+tmpSuffix)
+	if err != nil {
+		return "", fmt.Errorf("wal: create temp file: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("wal: close %s: %w", tmp.Name(), err)
+	err = write(f)
+	if err == nil {
+		if err = f.Sync(); err != nil {
+			err = fmt.Errorf("wal: fsync %s: %w", f.Name(), err)
+		}
 	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("wal: close %s: %w", f.Name(), cerr)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
+}
+
+// publish renames the temporary file tmp over path and fsyncs the
+// directory entry.
+func publish(tmp, path string) error {
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("wal: rename into place: %w", err)
 	}
-	return syncDir(dir)
+	return syncDir(filepath.Dir(path))
+}
+
+// Staged is a snapshot written into a temporary file of a data directory
+// and not yet part of it: a crash leaves only litter that boot clears
+// (RemoveTemp), and the directory's generations are untouched until
+// Install. A replication follower stages the snapshot its primary ships
+// while its old mirror keeps running.
+type Staged struct {
+	tmp, path string
+}
+
+// Stage writes the content write produces into a temporary file of dir
+// (creating dir if absent), fsynced, destined to become snapshot
+// generation gen. A failure, write's included, leaves no file.
+func Stage(dir string, gen uint64, write func(io.Writer) error) (*Staged, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("wal: create data dir: %w", err)
+	}
+	path := SnapshotPath(dir, gen)
+	tmp, err := writeTemp(path, write)
+	if err != nil {
+		return nil, err
+	}
+	return &Staged{tmp: tmp, path: path}, nil
+}
+
+// Install makes the staged snapshot the directory's only generation: every
+// snapshot and segment is removed and the removal fsynced, and only then is
+// the staged file renamed into place, so old generations never outlive the
+// rename to be replayed onto the new snapshot. A crash in between leaves
+// the staged temporary file alone, which boot clears (RemoveTemp, as it
+// clears any other temporary file): a directory with no snapshot. Only a
+// caller that owns the directory exclusively (no Log open on it) may call
+// it. On failure the staged file is removed.
+func (s *Staged) Install() (err error) {
+	defer func() {
+		if err != nil {
+			os.Remove(s.tmp)
+		}
+	}()
+	files, err := scan(filepath.Dir(s.path))
+	if err != nil {
+		return err
+	}
+	for _, f := range files {
+		if err := os.Remove(f.path); err != nil {
+			return fmt.Errorf("wal: retire generation: %w", err)
+		}
+	}
+	if err := syncDir(filepath.Dir(s.path)); err != nil {
+		return err
+	}
+	return publish(s.tmp, s.path)
 }
 
 // syncDir fsyncs a directory so a just-created or just-renamed entry
@@ -317,10 +364,15 @@ func Continue(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open segment: %w", err)
 	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: stat segment: %w", err)
+	}
 	if !slices.Contains(files, genFile{gen, seg, false}) {
 		files = append(files, genFile{gen, seg, false})
 	}
-	return &Log{dir: dir, opts: opts.withDefaults(), gen: gen, w: newWriter(f, opts), files: files}, nil
+	return &Log{dir: dir, opts: opts.withDefaults(), gen: gen, w: newWriter(f, fi.Size(), opts), files: files}, nil
 }
 
 // Dir returns the data directory.
@@ -329,6 +381,14 @@ func (l *Log) Dir() string { return l.dir }
 // Gen returns the generation of the open tail segment (equal to the newest
 // snapshot's generation once one exists).
 func (l *Log) Gen() uint64 { return l.gen }
+
+// Tail returns the cursor at the end of the open tail segment: where the
+// next append lands.
+func (l *Log) Tail() Cursor {
+	l.w.mu.Lock()
+	defer l.w.mu.Unlock()
+	return Cursor{Gen: l.gen, Off: l.w.size}
+}
 
 // Append logs the records of one call with one segment write, then applies
 // the configured sync policy once: when it says an fsync is due (SyncAlways;
@@ -430,7 +490,7 @@ func (l *Log) Rotate(writeSnapshot func(io.Writer) error) error {
 		f.Close()
 		return err
 	}
-	l.w = newWriter(f, l.opts)
+	l.w = newWriter(f, 0, l.opts)
 	l.gen = next
 	// Only after the new generation is fully in place are the old ones
 	// expendable; a crash anywhere above leaves extra files, never missing

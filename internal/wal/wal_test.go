@@ -420,11 +420,13 @@ func TestGroupSyncFlushBatch(t *testing.T) {
 	}
 }
 
-// TestWipeRemovesOnlyWALNames: List counts only the canonical spellings as
-// generations, and Wipe removes exactly what this package names — every
-// snapshot, every segment and the temporary files of interrupted snapshot
-// writes — leaving any other file in the directory alone.
-func TestWipeRemovesOnlyWALNames(t *testing.T) {
+// TestInstallRemovesOnlyWALNames: List counts only the canonical spellings
+// as generations and skips a staged snapshot, and Install retires exactly
+// the generations — every snapshot and every segment — leaving any other
+// file in the directory alone, before the staged snapshot becomes the only
+// generation. A temporary file of an interrupted snapshot write stays for
+// boot's RemoveTemp.
+func TestInstallRemovesOnlyWALNames(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string) {
 		t.Helper()
@@ -432,39 +434,61 @@ func TestWipeRemovesOnlyWALNames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	owned := []string{"snap-000001.bin", "snap-000002.bin", "wal-000002.log", "snap-000003.bin.123.tmp"}
-	others := []string{"snap-2.bin", "snap-0000003.bin", "snap-000001.json", "snap-000003.txt", "wal-+00003.log", "shards.json"}
+	owned := []string{"snap-000001.bin", "snap-000002.bin", "wal-000002.log", "wal-000009.log"}
+	others := []string{"snap-2.bin", "snap-0000003.bin", "snap-000001.json", "snap-000003.txt", "wal-+00003.log", "shards.json", "snap-000003.bin.123.tmp"}
 	for _, name := range append(owned, others...) {
 		write(name)
 	}
-	m, err := List(dir)
+	want := Manifest{Snapshots: []uint64{1, 2}, Segments: []uint64{2, 9}}
+	if m, err := List(dir); err != nil || !reflect.DeepEqual(m, want) {
+		t.Fatalf("manifest %+v, %v", m, err)
+	}
+	staged, err := Stage(dir, 5, func(w io.Writer) error {
+		_, err := w.Write([]byte("shipped"))
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m, Manifest{Snapshots: []uint64{1, 2}, Segments: []uint64{2}}) {
-		t.Fatalf("manifest %+v", m)
+	// Staged, the directory's generations are untouched.
+	if m, err := List(dir); err != nil || !reflect.DeepEqual(m, want) {
+		t.Fatalf("manifest with a staged snapshot %+v, %v", m, err)
 	}
-	if err := Wipe(dir); err != nil {
+	if err := staged.Install(); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range owned {
 		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("%s survived Wipe", name)
+			t.Errorf("%s survived Install", name)
 		}
 	}
 	for _, name := range others {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Errorf("Wipe removed %s, which is not a WAL name: %v", name, err)
+			t.Errorf("Install removed %s, which is no generation: %v", name, err)
 		}
 	}
-	if m, err := List(dir); err != nil || len(m.Snapshots)+len(m.Segments) != 0 {
-		t.Fatalf("after Wipe: %+v, %v", m, err)
+	if m, err := List(dir); err != nil || !reflect.DeepEqual(m, Manifest{Snapshots: []uint64{5}}) {
+		t.Fatalf("after Install: %+v, %v", m, err)
 	}
+	if b, err := os.ReadFile(SnapshotPath(dir, 5)); err != nil || string(b) != "shipped" {
+		t.Fatalf("installed snapshot %q, %v", b, err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != len(others)+1 {
+		t.Fatalf("after Install the directory holds %d entries (%v), want %d", len(ents), err, len(others)+1)
+	}
+
 	fresh := filepath.Join(dir, "absent")
-	if err := Wipe(fresh); err != nil {
+	if _, err := Stage(fresh, 1, func(io.Writer) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(fresh); err != nil || !fi.IsDir() {
-		t.Fatalf("Wipe of an absent directory must create it: %v", err)
+		t.Fatalf("Stage into an absent directory must create it: %v", err)
+	}
+	boom := errors.New("boom")
+	if _, err := Stage(dir, 6, func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("Stage = %v, want the write error", err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != len(others)+2 {
+		t.Fatalf("a failed Stage left litter: %d entries (%v)", len(ents), err)
 	}
 }

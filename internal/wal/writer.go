@@ -96,12 +96,13 @@ type writer struct {
 	opts    Options
 	buf     []byte // one append call's frames, written with one write
 	pending int    // records written since the last fsync
+	size    int64  // the segment's length: what it held at open plus every write
 	timer   *time.Timer
 	err     error
 }
 
-func newWriter(f *os.File, opts Options) *writer {
-	return &writer{f: f, opts: opts.withDefaults()}
+func newWriter(f *os.File, size int64, opts Options) *writer {
+	return &writer{f: f, size: size, opts: opts.withDefaults()}
 }
 
 // append encodes recs into the writer's one buffer, writes them with one
@@ -145,6 +146,7 @@ func (w *writer) writeLocked(frames []byte, n int) (syncDue bool, err error) {
 		w.err = fmt.Errorf("wal: append: %w", err)
 		return false, w.err
 	}
+	w.size += int64(len(frames))
 	w.pending += n
 	switch w.opts.Mode {
 	case SyncAlways:
