@@ -148,7 +148,7 @@ func Recover(dir string, cfg Config, opts DurableOptions) (*Durable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return recoverFrom(dir, man, cfg, opts)
+	return recoverFrom(dir, man, cfg, opts, nil)
 }
 
 // ErrNoSnapshot is OpenMirror's answer for a directory that holds no
@@ -164,6 +164,12 @@ var ErrNoSnapshot = errors.New("core: no snapshot to follow from")
 // truncated. A directory with no snapshot returns ErrNoSnapshot; a mirror
 // never holds segment 0, so one whose snapshots all fail to load fails.
 func OpenMirror(dir string, opts DurableOptions) (*Durable, error) {
+	return openMirror(dir, opts, nil)
+}
+
+// openMirror is OpenMirror; newest, when not nil, is the model dir's newest
+// snapshot decodes to, which the caller has decoded already.
+func openMirror(dir string, opts DurableOptions, newest *Model) (*Durable, error) {
 	man, err := wal.List(dir)
 	if err != nil {
 		return nil, err
@@ -172,7 +178,7 @@ func OpenMirror(dir string, opts DurableOptions) (*Durable, error) {
 		return nil, ErrNoSnapshot
 	}
 	// The config is unused: the snapshot carries its own.
-	d, err := recoverFrom(dir, man, Config{}, opts)
+	d, err := recoverFrom(dir, man, Config{}, opts, newest)
 	if err != nil {
 		return nil, err
 	}
@@ -191,13 +197,18 @@ func OpenMirror(dir string, opts DurableOptions) (*Durable, error) {
 // promotable — and a failure before it leaves old and dir as they were. A
 // failure after old is closed (a disk error while retiring or renaming)
 // leaves its model answering reads, and its writes and Promote failing with
-// ErrReadOnly. old is nil when dir holds no mirror yet.
+// ErrReadOnly. old is nil when dir holds no mirror yet. The model decoded
+// to verify the bytes is the new mirror's base: the installed file is not
+// decoded again.
 func InstallSnapshot(dir string, old *Durable, gen uint64, snapshot io.Reader, opts DurableOptions) (*Durable, error) {
-	var loadErr error
+	var (
+		m       *Model
+		loadErr error
+	)
 	staged, err := wal.Stage(dir, gen, func(w io.Writer) error {
 		b, err := io.ReadAll(io.TeeReader(snapshot, w))
 		if err == nil {
-			_, loadErr = decodeModel(b, true)
+			m, loadErr = decodeModel(b, true)
 			err = loadErr
 		}
 		return err
@@ -214,11 +225,13 @@ func InstallSnapshot(dir string, old *Durable, gen uint64, snapshot io.Reader, o
 	if err := staged.Install(); err != nil {
 		return nil, err
 	}
-	return OpenMirror(dir, opts)
+	return openMirror(dir, opts, m)
 }
 
-// recoverFrom is Recover over the manifest man of dir.
-func recoverFrom(dir string, man wal.Manifest, cfg Config, opts DurableOptions) (*Durable, error) {
+// recoverFrom is Recover over the manifest man of dir. newestModel, when not
+// nil, is the model man's newest snapshot decodes to, and stands in for
+// reading that file.
+func recoverFrom(dir string, man wal.Manifest, cfg Config, opts DurableOptions, newestModel *Model) (*Durable, error) {
 	opts = opts.withDefaults()
 
 	// Choose the recovery base: the newest snapshot that actually loads,
@@ -230,7 +243,10 @@ func recoverFrom(dir string, man wal.Manifest, cfg Config, opts DurableOptions) 
 	)
 	for i := len(man.Snapshots) - 1; i >= 0; i-- {
 		gen := man.Snapshots[i]
-		lm, lerr := readSnapshot(dir, gen)
+		lm, lerr := newestModel, error(nil)
+		if lm == nil || i < len(man.Snapshots)-1 {
+			lm, lerr = readSnapshot(dir, gen)
+		}
 		if lerr != nil {
 			opts.Logf("core: recovery: snapshot %s unreadable (%v); falling back to previous generation", wal.SnapshotPath(dir, gen), lerr)
 			if newest == nil {

@@ -51,7 +51,12 @@ func (r *Relation) Len() int { return len(r.U) }
 // One goroutine reads rd into at most 2·GOMAXPROCS+1 blocks of blockSize
 // bytes, each cut after its last newline outside quotes; GOMAXPROCS workers
 // tokenize the blocks and parse their fields; the caller copies the blocks
-// into X and U in file order and returns the first error in file order.
+// into X and U in file order and returns the first error in file order, so
+// the rows and the refusal do not depend on how many workers ran. A worker
+// reads a plain number ended by a comma or a newline where it lies in the
+// block (decimal.Prefix), in one pass with no copy; any other field goes to
+// the block scanner from the same byte, which keeps every refusal's text,
+// line and column.
 // When rd can report its size (an *os.File), X and U are sized once from
 // the length of the first row instead of grown by append.
 func ParseCSV(name string, rd io.Reader) (*Relation, error) {
@@ -368,6 +373,24 @@ func (p *parser) parse(b *block) error {
 		var bad error
 		n := 0
 		for last := false; !last; n++ {
+			if n <= dim && bad == nil {
+				// A plain number ended by a comma or a newline is read where
+				// it lies; anything else goes to the scanner from here.
+				if v, m, ok := decimal.Prefix(s.data[s.pos:]); ok {
+					if end := s.pos + m; end < len(s.data) && (s.data[end] == ',' || s.data[end] == '\n') {
+						if s.pos = end + 1; s.data[end] == '\n' {
+							s.newline(end + 1)
+							last = true
+						}
+						if n < dim {
+							b.x = append(b.x, v)
+						} else {
+							b.u = append(b.u, v)
+						}
+						continue
+					}
+				}
+			}
 			f, line, l, err := s.field()
 			if err != nil {
 				return fmt.Errorf("dataset: read line %d: %w", s.recLine, err)

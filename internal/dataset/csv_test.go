@@ -180,6 +180,17 @@ var csvRefusals = []struct{ name, in, err string }{
 	{"bare quote", "x1,x2,u\n0.1,0\"2,1\n", `dataset: read line 2: parse error on line 2, column 6: bare " in non-quoted-field`},
 	{"text after a closing quote", "x1,x2,u\n\"0.1\"x,2,1\n", `dataset: read line 2: parse error on line 2, column 5: extraneous or missing " in quoted-field`},
 	{"unterminated quote", "x1,x2,u\n1,2,\"3\n\n", `dataset: read line 2: record on line 2; parse error on line 3, column 2: extraneous or missing " in quoted-field`},
+	// the edges of the in-place number reader: each falls back to the
+	// scanner, which gives the refusal
+	{"bare exponent", "x1,x2,u\n0.1,1e,1\n", `dataset: line 2 field 2: strconv.ParseFloat: parsing "1e": invalid syntax`},
+	{"bare exponent output", "x1,x2,u\n0.1,0.2,1e\n", `dataset: line 2 output: strconv.ParseFloat: parsing "1e": invalid syntax`},
+	{"five exponent digits out of range", "x1,x2,u\n0.1,0.2,1e00400\n", `dataset: line 2 output: strconv.ParseFloat: parsing "1e00400": value out of range`},
+	{"20 digits out of range", "x1,x2,u\n0.1,12345678901234567890e400,1\n", `dataset: line 2 field 2: strconv.ParseFloat: parsing "12345678901234567890e400": value out of range`},
+	{"quote after a number", "x1,x2,u\n0.5\",1,2\n", `dataset: read line 2: parse error on line 2, column 4: bare " in non-quoted-field`},
+	{"quote after a space", "x1,x2,u\n0.5,1,2 \"\n", `dataset: read line 2: parse error on line 2, column 9: bare " in non-quoted-field`},
+	{"long row", "x1,x2,u\n0.1,0.2,3,4\n", "dataset: read line 2: record on line 2: wrong number of fields"},
+	{"short unterminated last line", "x1,x2,u\n0.1,0.2,3\n0.4,0.5,6\n7,8", "dataset: read line 4: record on line 4: wrong number of fields"},
+	{"text after a number on the last line", "x1,x2,u\n0.1,0.2,3\n4,5,1.5x", `dataset: line 3 output: strconv.ParseFloat: parsing "1.5x": invalid syntax`},
 }
 
 // FuzzReadCSV feeds the parser arbitrary bytes. It may refuse them, but
@@ -366,6 +377,14 @@ var csvCuts = []struct {
 	{"x1,x2,u\n1,2,\"3\n\r", 3},
 	{"x1,x2,u\n1,2,\"3\"\"\r\n", 4},
 	{"x1,x2,u\n1,2,\"3\"\r4\n", 13},
+	// the edges of the in-place number reader: 19 and 20 significant
+	// digits, exponents of 4 and 5 digits, the grammar it leaves to
+	// strconv, and numbers ended by "\r\n", a space or the input's end
+	{"x1,x2,u\n1234567890123456789,0.1234567890123456789,-12345678901234567890\n0.000000000012345678901234567899,9999999999999999999.5,1e19\n", 23},
+	{"x1,x2,u\n1.5e0300,2e-0300,1e00300\n-1e+00005,0e99999,3E-0007\n", 19},
+	{"x1,x2,u\n-0,1.,.5\n+1,-0.0,00012\n", 7},
+	{"x1,x2,u\n0.25,0.5,1\r\n0.75 ,-0.5, 2\n1,\t2,3 \n4,5,6", 11},
+	{"x1,x2,u\n0.25,0.5,1\n0.75,-0.5,12345678", 17},
 }
 
 // FuzzParseCSVMatchesReference runs the block tokenizer at block sizes of

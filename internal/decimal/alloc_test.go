@@ -9,7 +9,7 @@ import "testing"
 
 // TestDecimalParseAllocs checks Parse allocates nothing, on the one-pass
 // path or on a fallback strconv converts, whether it reads a string or
-// bytes.
+// bytes; nor does Prefix, which reads bytes in place.
 func TestDecimalParseAllocs(t *testing.T) {
 	for _, s := range []string{"0.6046602879796196", "12345678901234567890"} {
 		b := []byte(s)
@@ -20,8 +20,9 @@ func TestDecimalParseAllocs(t *testing.T) {
 			if _, err := Parse(b); err != nil {
 				t.Fatal(err)
 			}
+			Prefix(b)
 		}); n != 0 {
-			t.Errorf("Parse(%q) makes %v allocations, want 0", s, n)
+			t.Errorf("Parse and Prefix on %q make %v allocations, want 0", s, n)
 		}
 	}
 }

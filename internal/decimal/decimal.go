@@ -60,7 +60,7 @@ func init() {
 // or any other grammar: "+1", ".5", "1.", "Inf", "0x1p-2", "1_0") is
 // converted to a string.
 func Parse[T string | []byte](s T) (float64, error) {
-	if man, exp, neg, ok := read(s); ok {
+	if man, exp, neg, n, ok := read(s); ok && n == len(s) {
 		if f, ok := convert(man, exp, neg); ok {
 			return f, nil
 		}
@@ -68,58 +68,101 @@ func Parse[T string | []byte](s T) (float64, error) {
 	return strconv.ParseFloat(string(s), 64)
 }
 
-// read scans -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)? as man·10^exp; ok is
-// false on any other text, on a 20th significant digit (man has wrapped)
-// and on a fifth exponent digit.
-func read[T string | []byte](s T) (man uint64, exp int, neg, ok bool) {
+// Prefix reads the number b starts with, in place: n is where the grammar
+// -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)? stops matching b (the longest
+// prefix it matches), and v is that prefix's value. ok is true exactly when
+// Parse(b[:n]) converts the prefix itself rather than handing it to strconv,
+// so v then has the bits of strconv.ParseFloat(string(b[:n]), 64) and is
+// finite. A caller that needs the number to end at a delimiter checks b[n].
+func Prefix(b []byte) (v float64, n int, ok bool) {
+	man, exp, neg, n, ok := read(b)
+	if ok {
+		v, ok = convert(man, exp, neg)
+	}
+	return v, n, ok
+}
+
+// read scans the longest prefix of s that -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?
+// matches as man·10^exp and returns its length n; ok is false when no
+// prefix matches, on a 20th significant digit (man has wrapped) and on a
+// fifth exponent digit.
+func read[T string | []byte](s T) (man uint64, exp int, neg bool, n int, ok bool) {
 	i := 0
 	if len(s) > 0 && s[0] == '-' {
 		neg, i = true, 1
 	}
 	from := i
-	for i < len(s) && s[i] == '0' {
-		i++ // a leading zero is not significant
+	if i+8 <= len(s) && s[i+1]-'0' <= 9 { // not for the common one-digit integer part
+		man, i = eight(s, i, 0)
 	}
-	sig := i
-	man, i = digits(s, i, 0)
-	nd := i - sig
+	man, i = digits(s, i, man)
 	if i == from {
-		return 0, 0, false, false
+		return 0, 0, false, 0, false
 	}
-	if i < len(s) && s[i] == '.' {
+	// nd counts the digits read. A leading zero is not significant, but it
+	// adds nothing to man either, so it is counted out only when it matters.
+	nd := i - from
+	if i+1 < len(s) && s[i] == '.' && s[i+1]-'0' <= 9 {
 		dot := i + 1
-		for i = dot; nd == 0 && i < len(s) && s[i] == '0'; i++ {
-		} // nor is a zero after the point ahead of every other digit
-		sig = i
-		if man, i = digits(s, i, man); i == dot {
-			return 0, 0, false, false
+		if i = dot; i+8 <= len(s) {
+			man, i = eight(s, i, man)
 		}
-		nd, exp = nd+i-sig, dot-i
+		man, i = digits(s, i, man)
+		nd, exp = nd+i-dot, dot-i
 	}
-	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
-		i++
-		eneg := i < len(s) && s[i] == '-'
-		if i < len(s) && (s[i] == '-' || s[i] == '+') {
-			i++
-		}
-		e, efrom := uint64(0), i
-		if e, i = digits(s, i, 0); i == efrom || i-efrom > 4 {
-			return 0, 0, false, false
-		}
-		if eneg {
-			exp -= int(e)
-		} else {
-			exp += int(e)
+	for j := from; nd > 19 && j < i && (s[j] == '0' || s[j] == '.'); j++ {
+		if s[j] == '0' {
+			nd-- // nor is a zero after the point ahead of every other digit
 		}
 	}
-	return man, exp, neg, nd <= 19 && i == len(s)
+	if i+1 < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		j := i + 1
+		eneg := s[j] == '-'
+		if s[j] == '-' || s[j] == '+' {
+			j++
+		}
+		if e, end := digits(s, j, 0); end > j { // else the exponent is not part of the number
+			if end-j > 4 {
+				return 0, 0, false, end, false
+			}
+			if eneg {
+				exp -= int(e)
+			} else {
+				exp += int(e)
+			}
+			i = end
+		}
+	}
+	return man, exp, neg, i, nd <= 19
 }
 
 // digits adds the run of decimal digits of s from i on to acc and returns
-// where the run ends.
+// where the run ends. The sum wraps, which only a run past 19 significant
+// digits reaches.
 func digits[T string | []byte](s T, i int, acc uint64) (uint64, int) {
 	for ; i < len(s) && s[i]-'0' <= 9; i++ {
 		acc = acc*10 + uint64(s[i]-'0')
+	}
+	return acc, i
+}
+
+// eight is digits eight bytes at a time, while eight bytes remain, and
+// returns where the run ends; it leaves only a run that reaches the last
+// seven bytes of s to digits. Each step is Lemire's SWAR conversion — one
+// 64-bit load, a digit mask and three multiplies — of the step's leading
+// digits, which the mask counts. It wraps as digits does.
+func eight[T string | []byte](s T, i int, acc uint64) (uint64, int) {
+	for ; i+8 <= len(s); i += 8 {
+		b := s[i : i+8]
+		w := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+		if w&0xF0F0F0F0F0F0F0F0|(w+0x0606060606060606)&0xF0F0F0F0F0F0F0F0>>4 != 0x3333333333333333 {
+			break
+		}
+		w -= 0x3030303030303030
+		w = w*10 + w>>8 // each even byte holds two digits' value
+		w = (w&0x000000FF000000FF*(100+1000000<<32) + w>>16&0x000000FF000000FF*(1+10000<<32)) >> 32
+		acc = acc*100000000 + uint64(uint32(w))
 	}
 	return acc, i
 }

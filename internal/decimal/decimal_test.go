@@ -3,7 +3,9 @@ package decimal
 import (
 	"math"
 	"math/rand"
+	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -35,6 +37,9 @@ var edges = []string{
 	".5", "+1", "1.", "1.e5", "-", "", ".", "e5", "1e", "1e+", "1e-", "1.2.3", "Inf", "-Inf", "NaN",
 	"0x1p-2", "1_0", "1e1_0", "00", "007.5", "1E5", " 1", "1 ", "-.5", "--1",
 	"0.1", "0.2", "0.3", "3.14159", "-123.456e-7", "2.5e-1", "5e-324", "1e-22", "1e22", "1e37", "1e38",
+	// where the prefix reader stops short of the input, and eight-digit runs
+	"1.5x", "1.,", "1e+,", "1e5\r\n", "0.6046602879796196,1\n", "12345678", "123456789", "1234567812345678",
+	"0.00000000123456781", "1e00001", "-00000000000000000001.5",
 }
 
 // TestParseEveryTableRow parses 1 000 random mantissas of 1 to 19 digits at
@@ -65,21 +70,68 @@ func TestParseEveryTableRow(t *testing.T) {
 	}
 }
 
-// FuzzDecimal holds Parse to strconv.ParseFloat for any bytes. The seeds are
-// the workloads' shapes — 'g', -1 shortest round trips (CSV fields, /train
-// numbers) and 'f', 6 SQL literals — and the edges above.
+// grammar is the text the reader takes; leftmost-longest, so FindIndex
+// gives the longest prefix it matches.
+var grammar = func() *regexp.Regexp {
+	re := regexp.MustCompile(`^-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?`)
+	re.Longest()
+	return re
+}()
+
+// agreePrefix fails t unless Prefix(b) stops where the grammar stops, is
+// refused exactly past the digit limits or where convert gives up, and
+// returns strconv's bits for the prefix it reads; and unless Parse takes
+// the prefix's value exactly when the prefix is all of b.
+func agreePrefix(t *testing.T, b []byte) {
+	t.Helper()
+	v, n, ok := Prefix(b)
+	m := -1
+	if loc := grammar.FindIndex(b); loc != nil {
+		m = loc[1]
+	}
+	if m < 0 && (ok || n != 0) || m >= 0 && n != m {
+		t.Fatalf("Prefix(%q) = (%v, %d, %v), the grammar matches %d bytes", b, v, n, ok, m)
+	}
+	if ok {
+		want, err := strconv.ParseFloat(string(b[:n]), 64)
+		if err != nil || math.Float64bits(v) != math.Float64bits(want) || math.IsInf(v, 0) {
+			t.Fatalf("Prefix(%q) = %v [%#x] over %d bytes, strconv gives (%v [%#x], %v)", b, v, math.Float64bits(v), n, want, math.Float64bits(want), err)
+		}
+	} else if m > 0 {
+		// The grammar matched: only the limits or convert may refuse it.
+		num := string(b[:m])
+		mant, e, _ := strings.Cut(strings.ToLower(strings.TrimPrefix(num, "-")), "e")
+		sig := strings.TrimLeft(strings.Replace(mant, ".", "", 1), "0")
+		e = strings.TrimLeft(e, "+-")
+		man, exp, neg, _, _ := read(num)
+		if _, ok := convert(man, exp, neg); ok && len(sig) <= 19 && len(e) <= 4 {
+			t.Fatalf("Prefix(%q) refused %q, which is within the limits and converts", b, num)
+		}
+	}
+	if got, err := Parse(b); ok && n == len(b) && (err != nil || math.Float64bits(got) != math.Float64bits(v)) {
+		t.Fatalf("Parse(%q) = (%v, %v), the prefix reader's %v", b, got, err, v)
+	}
+}
+
+// FuzzDecimal holds Parse to strconv.ParseFloat for any bytes, and the
+// prefix reader to the grammar and to strconv on the prefix it reads. The
+// seeds are the workloads' shapes — 'g', -1 shortest round trips (CSV
+// fields, /train numbers) and 'f', 6 SQL literals, also as CSV fields ended
+// by a comma — and the edges above.
 func FuzzDecimal(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	for range 16 {
 		x := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
 		f.Add([]byte(strconv.FormatFloat(x, 'g', -1, 64)))
 		f.Add([]byte(strconv.FormatFloat(x, 'f', 6, 64)))
+		f.Add([]byte(strconv.FormatFloat(x, 'g', -1, 64) + ",1\n"))
 	}
 	for _, s := range edges {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		agree(t, string(b))
+		agreePrefix(t, b)
 	})
 }
 

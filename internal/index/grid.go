@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -82,8 +83,7 @@ type Grid struct {
 	ids  []int32   // clustered position → row id (the caller's id under NewGridFlatIDs)
 	rank []int32   // row id → clustered position, −1 for an id the grid does not hold
 
-	cells []gridCell // the directory; len is a power of two, or 0 for a scan-only grid
-	shift uint       // 64 − log2(len(cells))
+	directory // the occupied cells; none for a scan-only grid
 	// The occupied cells in linear-number order — the order of their runs —
 	// and where each run ends: the directory in the order Merge walks it.
 	runKeys []uint64
@@ -106,6 +106,49 @@ const boxMinPoints = 8
 type gridCell struct {
 	key        uint64
 	start, end int32
+}
+
+// directory is an open-addressing table of occupied cells keyed by linear
+// cell number: a grid's directory, and a build chunk's count of its points
+// per cell.
+type directory struct {
+	cells []gridCell // len is a power of two
+	shift uint       // 64 − log2(len(cells))
+}
+
+// minParallelPoints is the fewest points a grid build splits across cores:
+// below it the goroutines cost more than the passes they would share.
+const minParallelPoints = 1 << 15
+
+// buildProcs returns how many chunks a build over n points splits into.
+func buildProcs(n int) int {
+	if n < minParallelPoints {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// chunks runs f(s, c, lo, hi) over k = min(procs, n) contiguous chunks of
+// [0, n), chunk c being [n·c/k, n·(c+1)/k), each but the first on a
+// goroutine of its own, and returns once all of them have. s carries what
+// the chunks share and f is a method expression, so a build that runs as
+// one chunk allocates nothing for it.
+func chunks[S any](s S, n, procs int, f func(s S, c, lo, hi int)) {
+	k := min(procs, n)
+	if k <= 1 {
+		f(s, 0, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(k - 1)
+	for c := 1; c < k; c++ {
+		go func() {
+			defer wg.Done()
+			f(s, c, n*c/k, n*(c+1)/k)
+		}()
+	}
+	f(s, 0, 0, n/k)
+	wg.Wait()
 }
 
 // noCell marks an empty directory slot; linear cell numbers stay below 2⁶³.
@@ -134,13 +177,19 @@ func NewGrid(pts [][]float64, cellSize float64) (*Grid, error) {
 // retained.
 //
 // Construction fixes the geometry from the points' extent, then clusters
-// them in three passes: one numbers every point's cell, one counts the cells
-// into the directory, and one stable counting pass copies the points into
-// cell order. A fourth reads the clustered points once to record the
-// bounding box of every cell of at least boxMinPoints points. Merge is the
-// other way to a grid: from the last one, at its geometry.
+// them: one pass numbers every point's cell and counts the cells, and one
+// stable counting pass copies the points into cell order. A last pass reads
+// the clustered points once to record the bounding box of every cell of at
+// least boxMinPoints points. From 2¹⁵ points on, each pass runs on
+// GOMAXPROCS contiguous chunks of the rows (the boxes on chunks of the
+// runs), and the result is the one-core build's bit for bit: the chunks'
+// extents merge in row order under the same strict comparisons, each chunk
+// counts its cells apart, and a prefix sum over (cell, chunk) gives every
+// chunk its own stretch of each cell, in row order, so a cell still lists
+// its points in ascending row id. Merge is the other way to a grid: from
+// the last one, at its geometry.
 func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
-	return newGridFlat(rows, dim, cellSize, nil)
+	return newGridFlat(rows, dim, cellSize, nil, buildProcs(len(rows)/max(dim, 1)))
 }
 
 // NewGridFlatIDs is NewGridFlat for points that live in a caller-defined id
@@ -155,11 +204,12 @@ func NewGridFlatIDs(rows []float64, dim int, cellSize float64, ids []int32) (*Gr
 	if ids == nil {
 		ids = []int32{} // numbered by the caller, not 0..n−1
 	}
-	return newGridFlat(rows, dim, cellSize, ids)
+	return newGridFlat(rows, dim, cellSize, ids, buildProcs(len(rows)/max(dim, 1)))
 }
 
-// newGridFlat is both constructors; nil ids number the points 0..n−1.
-func newGridFlat(rows []float64, dim int, cellSize float64, ids []int32) (*Grid, error) {
+// newGridFlat is both constructors, split into procs chunks; nil ids number
+// the points 0..n−1.
+func newGridFlat(rows []float64, dim int, cellSize float64, ids []int32, procs int) (*Grid, error) {
 	if len(rows) == 0 {
 		return nil, ErrEmpty
 	}
@@ -182,7 +232,7 @@ func newGridFlat(rows []float64, dim int, cellSize float64, ids []int32) (*Grid,
 		}
 	}
 	g := &Grid{dim: dim, cellSize: cellSize}
-	if !g.fixGeometry(rows) || !g.cluster(rows, ids) {
+	if b := newGridBuild(g, rows, procs); !b.fixGeometry() || !b.cluster(ids) {
 		// Scan-only: the points in input order, no directory.
 		g.pts, g.ids, g.rank = slices.Clone(rows), make([]int32, n), make([]int32, n)
 		for i := range g.ids {
@@ -191,7 +241,7 @@ func newGridFlat(rows []float64, dim int, cellSize float64, ids []int32) (*Grid,
 		if ids != nil {
 			g.renumber(ids)
 		}
-		g.cells, g.shift = nil, 0
+		g.directory = directory{}
 	}
 	return g, nil
 }
@@ -212,21 +262,58 @@ func newRank(n int, ids []int32) []int32 {
 	return rank
 }
 
+// gridBuild is what the chunks of one build share: chunk c writes only
+// parts[c], its own rows' slots and rank entries, and the positions the
+// prefix sum gives it in ids and pts.
+type gridBuild struct {
+	g     *Grid
+	rows  []float64
+	slots []uint64 // each row's cell: its slot in its chunk's directory
+	size  uint64   // the most cells the rows can occupy
+	parts []buildPart
+}
+
+// buildPart is one chunk's share of a build.
+type buildPart struct {
+	lo, hi   []float64 // the extent of its rows; chunk 0's is the grid's origin and hi
+	dir      directory // its points per cell, then its fill cursor in each; chunk 0 uses the grid's
+	occupied []uint64  // its cells, in the order it first meets them
+	outside  bool      // one of its rows lies in no cell
+}
+
+// newGridBuild splits a build of g over rows into procs chunks, at most one
+// per row.
+func newGridBuild(g *Grid, rows []float64, procs int) gridBuild {
+	return gridBuild{g: g, rows: rows, parts: make([]buildPart, max(1, min(procs, len(rows)/g.dim)))}
+}
+
 // fixGeometry fixes the grid's origin, extent and stride from the points'
 // per-dimension minima and maxima, and records the maxima. It reports false
 // when the grid cannot be numbered: a bound that is not finite, or more
-// than 2⁶³ cells.
-func (g *Grid) fixGeometry(rows []float64) bool {
-	dim := g.dim
-	g.origin = slices.Clone(rows[:dim])
-	g.hi = slices.Clone(rows[:dim])
-	for i := dim; i < len(rows); i += dim {
-		for j, v := range rows[i : i+dim] {
-			if v < g.origin[j] {
-				g.origin[j] = v
+// than 2⁶³ cells. Each chunk folds its rows from its first row on, and the
+// chunks merge in row order: as one pass keeps the first of equal values
+// (−0 before +0 or after) and skips a NaN after the first row, so do they —
+// unless a chunk after the first starts on a NaN, which would hide its other
+// rows, and then one pass decides.
+func (b gridBuild) fixGeometry() bool {
+	g, dim := b.g, b.g.dim
+	n := len(b.rows) / dim
+	g.origin, g.hi = make([]float64, dim), make([]float64, dim)
+	chunks(b, n, len(b.parts), gridBuild.extent)
+	rest := b.parts[1:]
+	if slices.ContainsFunc(rest, func(p buildPart) bool {
+		return slices.ContainsFunc(p.lo, math.IsNaN) || slices.ContainsFunc(p.hi, math.IsNaN)
+	}) {
+		b.extent(0, 0, n)
+		rest = nil
+	}
+	for _, p := range rest {
+		for j := range dim {
+			if p.lo[j] < g.origin[j] {
+				g.origin[j] = p.lo[j]
 			}
-			if v > g.hi[j] {
-				g.hi[j] = v
+			if p.hi[j] > g.hi[j] {
+				g.hi[j] = p.hi[j]
 			}
 		}
 	}
@@ -246,6 +333,31 @@ func (g *Grid) fixGeometry(rows []float64) bool {
 		total = lo
 	}
 	return true
+}
+
+// extent folds the per-dimension minima and maxima of rows [from, to) into
+// chunk c's extent, starting from row from.
+func (b gridBuild) extent(c, from, to int) {
+	p, dim := &b.parts[c], b.g.dim
+	if c == 0 {
+		p.lo, p.hi = b.g.origin, b.g.hi
+	} else {
+		both := make([]float64, 2*dim)
+		p.lo, p.hi = both[:dim], both[dim:]
+	}
+	lo, hi := p.lo, p.hi
+	copy(lo, b.rows[from*dim:])
+	copy(hi, b.rows[from*dim:])
+	for i := (from + 1) * dim; i < to*dim; i += dim {
+		for j, v := range b.rows[i : i+dim] {
+			if v < lo[j] {
+				lo[j] = v
+			}
+			if v > hi[j] {
+				hi[j] = v
+			}
+		}
+	}
 }
 
 // cellKey returns the linear number of the cell holding point p under the
@@ -268,60 +380,121 @@ func (g *Grid) cellKey(p []float64) (uint64, bool) {
 // the stable counting pass of NewGridFlat — and builds the directory and the
 // boxes. It reports false, leaving the grid for the caller to discard, when
 // some point lies in no cell.
-func (g *Grid) cluster(rows []float64, ids []int32) bool {
-	dim := g.dim
-	n := len(rows) / dim
+//
+// Each chunk numbers its rows' cells and counts them (count); the other
+// chunks' cells then enter the grid's directory, which chunk 0 counted in,
+// in chunk order, so every cell takes the slot one pass over the rows gives
+// it. A prefix sum over the cells in linear order, and within a cell over
+// the chunks in row order, turns each chunk's counts into fill cursors, and
+// the chunks scatter their rows into disjoint positions (scatter).
+func (b gridBuild) cluster(ids []int32) bool {
+	g, dim := b.g, b.g.dim
+	n := len(b.rows) / dim
 	g.ids, g.rank = make([]int32, n), make([]int32, n)
-	keys := make([]uint64, n)
-	for i := range keys {
-		key, ok := g.cellKey(rows[i*dim : (i+1)*dim])
-		if !ok {
+	b.slots = make([]uint64, n)
+	// At most min(n, ∏extent) cells are occupied.
+	b.size = uint64(n)
+	if total := g.stride[dim-1] * uint64(g.extent[dim-1]); total < b.size {
+		b.size = total
+	}
+	g.directory = newDirectory(b.size)
+	chunks(b, n, len(b.parts), gridBuild.count)
+	all := b.parts[0].occupied
+	for _, p := range b.parts {
+		if p.outside {
 			return false
 		}
-		keys[i] = key
 	}
-	// Count the points of every occupied cell. At most min(n, ∏extent) cells
-	// are occupied.
-	size := uint64(n)
-	if total := g.stride[dim-1] * uint64(g.extent[dim-1]); total < size {
-		size = total
-	}
-	g.directory(size)
-	occupied := make([]uint64, 0, size)
-	for _, key := range keys {
-		c := g.find(key)
-		if c.key == noCell {
-			c.key = key
-			occupied = append(occupied, key)
+	for _, p := range b.parts[1:] {
+		for _, key := range p.occupied {
+			if cell := g.find(key); cell.key == noCell {
+				cell.key = key
+				all = append(all, key)
+			}
 		}
-		c.end++
 	}
 	// Lay the cells out in linear-number order, so neighbours along
 	// dimension 0 — consecutive stops of a query's walk — are neighbours in
 	// memory.
-	slices.Sort(occupied)
-	g.runKeys, g.runEnds = slices.Clone(occupied), make([]int32, len(occupied))
+	slices.Sort(all)
+	g.runKeys, g.runEnds = slices.Clone(all), make([]int32, len(all))
 	var at int32
 	for i, key := range g.runKeys {
-		c := g.find(key)
-		c.start, c.end, at = at, at, at+c.end
+		cell := g.find(key)
+		cell.start, cell.end, at = at, at, at+cell.end
+		for _, p := range b.parts[1:] {
+			if c := p.dir.find(key); c.key == key {
+				c.end, at = at, at+c.end
+			}
+		}
 		g.runEnds[i] = at
 	}
-	// Scatter in input order; c.end is the cell's fill cursor and ends where
-	// the count put it.
-	g.pts = make([]float64, len(rows))
-	for i, key := range keys {
-		c := g.find(key)
-		pos := c.end
-		c.end++
-		g.ids[pos], g.rank[i] = int32(i), pos
-		copy(g.pts[int(pos)*dim:], rows[i*dim:(i+1)*dim])
+	g.pts = make([]float64, len(b.rows))
+	chunks(b, n, len(b.parts), gridBuild.scatter)
+	if len(b.parts) > 1 { // chunk 0's cursors stopped where chunk 1's started
+		for i, key := range g.runKeys {
+			g.find(key).end = g.runEnds[i]
+		}
 	}
 	if ids != nil {
 		g.renumber(ids)
 	}
-	g.boxCells()
+	g.boxCells(len(b.parts))
 	return true
+}
+
+// dir returns chunk c's directory: the grid's for chunk 0.
+func (b gridBuild) dir(c int) *directory {
+	if c == 0 {
+		return &b.g.directory
+	}
+	return &b.parts[c].dir
+}
+
+// count numbers the cells of rows [from, to) and counts them in chunk c's
+// directory, noting each row's slot there and listing each cell the first
+// time it meets it; it stops at a row that lies in no cell. A slot stays
+// put: the directory only gains cells.
+func (b gridBuild) count(c, from, to int) {
+	p, dim := &b.parts[c], b.g.dim
+	room := b.size
+	if c > 0 {
+		room = min(room, uint64(to-from))
+		p.dir = newDirectory(room)
+	}
+	dir, occupied := b.dir(c), make([]uint64, 0, room)
+	for i := from; i < to; i++ {
+		key, ok := b.g.cellKey(b.rows[i*dim : (i+1)*dim])
+		if !ok {
+			p.outside = true
+			return
+		}
+		at := dir.slot(key)
+		cell := &dir.cells[at]
+		b.slots[i] = at
+		if cell.key == noCell {
+			cell.key = key
+			occupied = append(occupied, key)
+		}
+		cell.end++
+	}
+	p.occupied = occupied
+}
+
+// scatter copies rows [from, to) to their positions, in row order, each at
+// its cell's fill cursor in chunk c's directory.
+func (b gridBuild) scatter(c, from, to int) {
+	g, dim, cells := b.g, b.g.dim, b.dir(c).cells
+	for i := from; i < to; i++ {
+		cell := &cells[b.slots[i]]
+		pos := cell.end
+		cell.end++
+		g.ids[pos], g.rank[i] = int32(i), pos
+		dst, src := g.pts[int(pos)*dim:][:dim], b.rows[i*dim:][:dim]
+		for j := range dst {
+			dst[j] = src[j] // a copy call costs more than a point's few values
+		}
+	}
 }
 
 // renumber moves a grid whose points are numbered 0..n−1 in input order to
@@ -539,14 +712,14 @@ func (g *Grid) Merge(live vector.Chunked, gone, moved []int32) *Grid {
 		}
 	}
 
-	out.directory(uint64(len(out.runKeys)))
+	out.directory = newDirectory(uint64(len(out.runKeys)))
 	var from int32
 	for i, key := range out.runKeys {
 		c := out.find(key)
 		c.key, c.start, c.end = key, from, out.runEnds[i]
 		from = c.end
 	}
-	out.boxCells()
+	out.boxCells(1)
 	return out
 }
 
@@ -576,20 +749,22 @@ type mergeBufs struct {
 
 var mergeScratch = sync.Pool{New: func() any { return new(mergeBufs) }}
 
-// directory allocates an empty directory for up to size occupied cells:
+// newDirectory allocates an empty directory for up to size occupied cells:
 // twice that many slots keep probe chains short.
-func (g *Grid) directory(size uint64) {
-	g.shift = uint(bits.LeadingZeros64(2*size - 1))
-	g.cells = make([]gridCell, uint64(1)<<(64-g.shift))
-	for i := range g.cells {
-		g.cells[i].key = noCell
+func newDirectory(size uint64) directory {
+	shift := uint(bits.LeadingZeros64(2*size - 1))
+	cells := make([]gridCell, uint64(1)<<(64-shift))
+	for i := range cells {
+		cells[i].key = noCell
 	}
+	return directory{cells, shift}
 }
 
 // boxCells records the start and the bounding box of every cell of at least
 // boxMinPoints points. The runs tile the points in runEnds' order, so the
-// boxes fill front to back in one pass over both arrays.
-func (g *Grid) boxCells() {
+// boxes fill front to back in one pass over both arrays; procs chunks of
+// the runs fill theirs in parallel, each from the first box its runs hold.
+func (g *Grid) boxCells(procs int) {
 	boxed, start := 0, int32(0)
 	for _, end := range g.runEnds {
 		if end-start >= boxMinPoints {
@@ -597,13 +772,27 @@ func (g *Grid) boxCells() {
 		}
 		start = end
 	}
-	d := g.dim
-	g.boxStarts = make([]int32, 0, boxed)
-	g.boxes = make([]float64, 2*d*boxed)
-	box, at := g.boxes, 0
+	g.boxStarts, start = make([]int32, 0, boxed), 0
 	for _, end := range g.runEnds {
+		if end-start >= boxMinPoints {
+			g.boxStarts = append(g.boxStarts, start)
+		}
+		start = end
+	}
+	g.boxes = make([]float64, 2*g.dim*boxed)
+	chunks(g, len(g.runEnds), procs, (*Grid).boxRuns)
+}
+
+// boxRuns records the boxes of runs [from, to).
+func (g *Grid) boxRuns(_, from, to int) {
+	d, at := g.dim, 0
+	if from > 0 {
+		at = int(g.runEnds[from-1])
+	}
+	first, _ := slices.BinarySearch(g.boxStarts, int32(at))
+	box := g.boxes[2*d*first:]
+	for _, end := range g.runEnds[from:to] {
 		if run := g.pts[at*d : int(end)*d]; len(run) >= boxMinPoints*d {
-			g.boxStarts = append(g.boxStarts, int32(at))
 			lo, hi := box[:d], box[d:2*d]
 			copy(lo, run)
 			copy(hi, run)
@@ -627,11 +816,14 @@ func (g *Grid) cellOf(v float64, j int) float64 {
 
 // find returns the directory slot of the cell with the given linear number,
 // or the empty slot (start = end = 0) where it would be inserted.
-func (g *Grid) find(key uint64) *gridCell {
-	mask := uint64(len(g.cells) - 1)
-	for h := key * 0x9E3779B97F4A7C15 >> g.shift; ; h = (h + 1) & mask {
-		if c := &g.cells[h]; c.key == key || c.key == noCell {
-			return c
+func (t *directory) find(key uint64) *gridCell { return &t.cells[t.slot(key)] }
+
+// slot is find's index into cells.
+func (t *directory) slot(key uint64) uint64 {
+	mask := uint64(len(t.cells) - 1)
+	for h := key * 0x9E3779B97F4A7C15 >> t.shift; ; h = (h + 1) & mask {
+		if c := &t.cells[h]; c.key == key || c.key == noCell {
+			return h
 		}
 	}
 }
@@ -660,13 +852,30 @@ func (g *Grid) Positions() []int32 { return g.rank }
 func (g *Grid) Max() []float64 { return g.hi }
 
 // Cluster returns col — one value per indexed point, by row id — permuted
-// into clustered order, so out[k] belongs to the point at position k.
+// into clustered order, so out[k] belongs to the point at position k. From
+// 2¹⁵ points on, GOMAXPROCS chunks of the positions fill it in parallel.
 func (g *Grid) Cluster(col []float64) []float64 {
-	out := make([]float64, len(g.ids))
-	for k, id := range g.ids {
-		out[k] = col[id]
+	return g.gather(col, buildProcs(len(g.ids)))
+}
+
+// gather is Cluster over procs chunks of the positions.
+func (g *Grid) gather(col []float64, procs int) []float64 {
+	t := gathering{g.ids, col, make([]float64, len(g.ids))}
+	chunks(t, len(t.out), procs, gathering.positions)
+	return t.out
+}
+
+// gathering is one gather: out[k] = col[ids[k]].
+type gathering struct {
+	ids      []int32
+	col, out []float64
+}
+
+// positions gathers positions [from, to).
+func (t gathering) positions(_, from, to int) {
+	for k, id := range t.ids[from:to] {
+		t.out[from+k] = t.col[id]
 	}
-	return out
 }
 
 // positions recycles the scratch Radius scans into before it maps the

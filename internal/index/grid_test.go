@@ -665,12 +665,15 @@ func checkNearest(t *testing.T, g *Grid, pts [][]float64, cell float64, q []floa
 	check("slots", got, gotSq, want, wantSq)
 }
 
+// BenchmarkGridBuild200k times NewGridFlat over 200 000 flat d = 2 rows,
+// the exact executor's boot build: run it at -cpu 1,2 to see the clustering
+// split across cores.
 func BenchmarkGridBuild200k(b *testing.B) {
-	pts := randomPoints(200000, 2, 42)
+	rows := slices.Concat(randomPoints(200000, 2, 42)...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewGrid(pts, 0.2); err != nil {
+		if _, err := NewGridFlat(rows, 2, 0.2); err != nil {
 			b.Fatal(err)
 		}
 	}

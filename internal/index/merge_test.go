@@ -45,7 +45,7 @@ func freshGrid(live []float64, d int, in []bool, cell float64) (*Grid, error) {
 // that geometry.
 func atGeometry(g *Grid, rows []float64, ids []int32) (*Grid, bool) {
 	fresh := &Grid{dim: g.dim, cellSize: g.cellSize, origin: g.origin, extent: g.extent, stride: g.stride}
-	return fresh, fresh.cluster(rows, ids)
+	return fresh, newGridBuild(fresh, rows, 1).cluster(ids)
 }
 
 // checkMerged compares a merged grid with the from-scratch build at its
