@@ -32,7 +32,7 @@ func TestLoadRefusesMalformedRelations(t *testing.T) {
 		if err := os.WriteFile(path, []byte(c.csv), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := loadExecutor(path, 0); err == nil || err.Error() != c.err {
+		if _, _, err := loadExecutor(path); err == nil || err.Error() != c.err {
 			t.Errorf("%s: loadExecutor error %v, want %q", c.name, err, c.err)
 		}
 		var out bytes.Buffer
@@ -84,7 +84,7 @@ func TestLoadedExecutorHoldsTheRelationOnce(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	e, _, err := loadExecutor(path, 0)
+	e, _, err := loadExecutor(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func BenchmarkLoadExecutor(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := loadExecutor(path, 0); err != nil {
+		if _, _, err := loadExecutor(path); err != nil {
 			b.Fatal(err)
 		}
 	}

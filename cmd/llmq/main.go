@@ -128,11 +128,11 @@ func cmdGenerate(args []string, out io.Writer) error {
 
 // loadExecutor parses a CSV relation straight into the flat arrays the exact
 // executor indexes and builds its grid, whose cell is a tenth of the mean
-// attribute span unless cellSize > 0. The relation is returned for the
+// attribute span (1 for a relation of zero span). The relation is returned for the
 // caller's boot decisions (dimension, bounds, a router's partition); once the
 // caller drops it, the process holds the relation only as the grid's
 // clustered copy.
-func loadExecutor(path string, cellSize float64) (*exec.Executor, *dataset.Relation, error) {
+func loadExecutor(path string) (*exec.Executor, *dataset.Relation, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -146,10 +146,9 @@ func loadExecutor(path string, cellSize float64) (*exec.Executor, *dataset.Relat
 	if err != nil {
 		return nil, nil, err
 	}
+	cellSize := meanSpan(rel.Bounds) / 10
 	if cellSize <= 0 {
-		if cellSize = meanSpan(rel.Bounds) / 10; cellSize <= 0 {
-			cellSize = 1
-		}
+		cellSize = 1
 	}
 	e, err := exec.NewExecutor(rel.X, rel.U, rel.InputNames, rel.OutputName, cellSize)
 	if err != nil {
@@ -278,7 +277,7 @@ func cmdTrain(args []string, out io.Writer) error {
 	if *data == "" {
 		return errors.New("train: -data is required")
 	}
-	e, rel, err := loadExecutor(*data, 0)
+	e, rel, err := loadExecutor(*data)
 	if err != nil {
 		return err
 	}
@@ -436,7 +435,7 @@ func cmdQuery(args []string, out io.Writer) error {
 // query` and `llmq batch -data` answer through the server's own /query/batch
 // path, with no second evaluator beside it.
 func localClient(data, modelPath string) (*http.Client, error) {
-	e, rel, err := loadExecutor(data, 0)
+	e, rel, err := loadExecutor(data)
 	if err != nil {
 		return nil, err
 	}

@@ -216,7 +216,7 @@ func TestVigilance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rel, err := loadExecutor(data, 0)
+	_, rel, err := loadExecutor(data)
 	if err != nil {
 		t.Fatal(err)
 	}

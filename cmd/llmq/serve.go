@@ -27,7 +27,6 @@ import (
 // serveConfig is the parsed flag set of the serve subcommand.
 type serveConfig struct {
 	data, model, addr string
-	cell              float64
 	dataDir, walSync  string
 	walMode           wal.SyncMode // walSync, parsed
 	snapEvery         int
@@ -46,7 +45,6 @@ func parseServeFlags(args []string) (*serveConfig, error) {
 	fs.StringVar(&c.data, "data", "", "dataset CSV backing the relation (required)")
 	fs.StringVar(&c.model, "model", "", "trained model file (optional; required for APPROX statements)")
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address, host:port")
-	fs.Float64Var(&c.cell, "cell", 0, "spatial-index cell size (default: auto from the data bounds)")
 	fs.StringVar(&c.dataDir, "data-dir", "", "durable model directory: recover the model from its snapshots+WAL on boot and WAL-log /train traffic (mutually exclusive with -model)")
 	fs.StringVar(&c.walSync, "wal-sync", "group", "WAL fsync policy under -data-dir: group, always or none")
 	fs.IntVar(&c.snapEvery, "snapshot-every", 4096, "training pairs between WAL snapshot rotations under -data-dir")
@@ -180,7 +178,7 @@ func (f closerFunc) Close() error { return f() }
 // describes what is being served. Split from cmdServe so tests
 // drive every construction path without binding a port.
 func (c *serveConfig) open(ctx context.Context) (*serve.Server, io.Closer, string, error) {
-	e, rel, err := loadExecutor(c.data, c.cell)
+	e, rel, err := loadExecutor(c.data)
 	if err != nil {
 		return nil, nil, "", err
 	}

@@ -195,7 +195,7 @@ func TestServeFlagValidation(t *testing.T) {
 	}
 	// Every refusal of serveConfig.validate, each recognised by its own
 	// message so a combination cannot pass by tripping a different check,
-	// and the removed -batch-window/-batch-max-sheet/-shards flags, which
+	// and the removed -batch-window/-batch-max-sheet/-shards/-cell flags, which
 	// the flag package refuses like any unknown flag.
 	for _, tc := range []struct {
 		want string
@@ -216,6 +216,7 @@ func TestServeFlagValidation(t *testing.T) {
 		{"flag provided but not defined: -batch-window", []string{"-data", "r.csv", "-batch-window", "1ms"}},
 		{"flag provided but not defined: -batch-max-sheet", []string{"-data", "r.csv", "-batch-max-sheet", "8"}},
 		{"flag provided but not defined: -shards", []string{"-data", "r.csv", "-shards", "2"}},
+		{"flag provided but not defined: -cell", []string{"-data", "r.csv", "-cell", "0.1"}},
 	} {
 		if _, err := parseServeFlags(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("serve %v: error %v, want one naming %q", tc.args, err, tc.want)

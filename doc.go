@@ -48,9 +48,9 @@
 // Production deployments serving non-stationary workloads cap the model
 // with Config.MaxPrototypes: when a spawn exceeds the capacity, the
 // lowest-scoring prototypes under the configured eviction policy (win-count
-// decay or recency) are tombstoned in place — or merged into their nearest
-// survivor — and their slots reused, so serving cost stays flat no matter
-// how far past the capacity the training stream runs. Eviction is
+// decay or recency) are dropped — or merged into their nearest survivor —
+// in a pass that compacts the store over the survivors, so serving cost
+// stays flat no matter how far past the capacity the training stream runs. Eviction is
 // published like any other version: snapshots pinned before it keep
 // serving their own rows exactly.
 //

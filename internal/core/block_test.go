@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 )
@@ -137,10 +136,7 @@ func TestBlockInvariantAcrossHistory(t *testing.T) {
 		name := fmt.Sprintf("merge=%v", merge)
 		m := blockTestModel(t, gen, 300, func(c *Config) { c.MaxPrototypes, c.MergeOnEvict = 400, merge })
 		for i := 0; i < 12; i++ {
-			train(m, 37, name+"/bounded stream") // crosses the cap: eviction bursts, reused slots
-		}
-		if len(m.store.free) == 0 && len(m.store.revived) == 0 && !slices.Contains(m.snap.Load().epoch.slotPos, -1) {
-			t.Fatalf("%s: the bounded stream left no tombstone, revived slot or partial epoch", name)
+			train(m, 37, name+"/bounded stream") // crosses the cap: eviction bursts
 		}
 		if err := m.SetCapacity(300, m.Config().Eviction, merge); err != nil {
 			t.Fatal(err)
@@ -322,9 +318,6 @@ func FuzzOverlapRouted(f *testing.F) {
 			case 1: // one pair a fraction of the vigilance from a prototype
 				s := m.snap.Load()
 				q := s.proto(int(next()) % s.k).query()
-				if q.Theta < 0 {
-					continue // a tombstone
-				}
 				q.Center[int(next())%dim] += near * float64(next()) / 255
 				if _, err := m.Observe(q, float64(next())/64); err != nil {
 					t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 
 // checkpointShapes builds the models the binary-checkpoint tests share: for
 // one dimensionality and solver, an unbounded model, a bounded one that has
-// just been through an eviction burst (tombstones in the slot space), and
-// one re-capped at runtime with SetCapacity (compacted slot space).
+// been through eviction bursts while it trained, and one re-capped at
+// runtime with SetCapacity.
 func checkpointShapes(t testing.TB, dim int, solver Solver) map[string]*Model {
 	t.Helper()
 	bx := make([]float64, dim)
@@ -46,7 +46,7 @@ func checkpointShapes(t testing.TB, dim int, solver Solver) map[string]*Model {
 		t.Fatalf("d=%d fixture grew only %d prototypes", dim, k)
 	}
 	bounded := build(k / 2)
-	if bounded.store.rows == bounded.store.live && len(bounded.store.free) == 0 && bounded.K() == k {
+	if bounded.K() == k {
 		t.Fatalf("d=%d bounded fixture never evicted", dim)
 	}
 	recapped := build(0)
@@ -94,17 +94,13 @@ func TestCheckpointRoundTripTable(t *testing.T) {
 					if got, want := stateHash(t, loaded), stateHash(t, m); got != want {
 						t.Fatalf("hashes diverged after identical continuation: %s vs %s", got, want)
 					}
-					// Answers accumulate per-prototype terms in slot order. A
-					// reload keeps that order unless the checkpointed model held
-					// tombstones, which Load compacts away (StateHash is
-					// canonical over exactly that renumbering) — then the sums
-					// may differ in the last place, and only then.
-					sameSlots := name != "bounded"
+					// Answers accumulate per-prototype terms in slot order, and
+					// a reload keeps that order in every shape: slot order is
+					// birth order.
 					for _, p := range planeStream(50, dim, 0, bx, 0, 9) {
 						a, err1 := m.PredictMean(p.Query)
 						b, err2 := loaded.PredictMean(p.Query)
-						if err1 != nil || err2 != nil || (sameSlots && math.Float64bits(a) != math.Float64bits(b)) ||
-							math.Abs(a-b) > 1e-12*math.Max(1, math.Abs(a)) {
+						if err1 != nil || err2 != nil || math.Float64bits(a) != math.Float64bits(b) {
 							t.Fatalf("PredictMean differs: %v vs %v (%v, %v)", a, b, err1, err2)
 						}
 						ra, err1 := m.Regression(p.Query)
@@ -112,7 +108,7 @@ func TestCheckpointRoundTripTable(t *testing.T) {
 						if err1 != nil || err2 != nil || len(ra) != len(rb) {
 							t.Fatalf("Regression differs: %d vs %d models (%v, %v)", len(ra), len(rb), err1, err2)
 						}
-						if sameSlots && fmt.Sprintf("%x", ra) != fmt.Sprintf("%x", rb) {
+						if fmt.Sprintf("%x", ra) != fmt.Sprintf("%x", rb) {
 							t.Fatalf("Regression differs:\n%v\n%v", ra, rb)
 						}
 					}

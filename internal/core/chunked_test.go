@@ -22,7 +22,7 @@ type refVersion struct {
 }
 
 func captureRef(m *Model) refVersion {
-	ref := refVersion{k: m.store.rows, steps: m.steps}
+	ref := refVersion{k: m.store.k, steps: m.steps}
 	for _, e := range writerSlots(m) {
 		ref.rows = append(ref.rows, e.row)
 		ref.coefs = append(ref.coefs, e.coef)

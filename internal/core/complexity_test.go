@@ -46,8 +46,7 @@ func densityGen(dim, clusters int, seed int64) queryGen {
 
 // overlapRows runs overlapRaw on q and returns the prototype rows it
 // examined: the grid's candidates or the rows of the tree's leaf runs, plus
-// the revived slots and the appended tail, which every indexed search scans
-// exactly. A search that ends in overlapLinearRaw examined all k rows. That
+// the appended tail, which every indexed search scans exactly. A search that ends in overlapLinearRaw examined all k rows. That
 // is recognised by the sentinels planted in the scratch — overlapLinearRaw
 // touches neither the candidate list nor the leaf runs — or, for the grid's
 // own bail-out after its range query, by the rule that takes it.
@@ -59,7 +58,7 @@ func overlapRows(s *storeSnapshot, q Query, sc *predictScratch) int {
 	if e == nil {
 		return s.k
 	}
-	rows := len(s.revived) + s.k - e.builtK
+	rows := s.k - e.builtK
 	if e.grid != nil {
 		if len(sc.cand) == 1 && sc.cand[0] == -1 {
 			return s.k
@@ -121,7 +120,7 @@ func TestOverlapSearchIsIndexed(t *testing.T) {
 // drifting TrainBatch stream at d = 2 (grid) and d = 8 (tree), unbounded and
 // capped with eviction, the writer's store has an epoch after every batch
 // that leaves it above the size gates, the rows a winner search scans
-// exactly — the appended tail plus the revived slots — stay under the K/8
+// exactly — the appended tail — stay under the K/8
 // rebuild rule of maybeRebuildEpoch, and the drift slack every indexed
 // search widens by stays under its rebuild threshold and bounds every
 // indexed row's distance from the epoch's copy.
@@ -159,16 +158,15 @@ func TestWriterSearchStaysIndexed(t *testing.T) {
 				}
 				checkSlackInvariant(t, m.View().s, fmt.Sprintf("batch %d", b))
 				s := m.store
-				if s.live < s.minEpochK() {
+				if s.k < s.minEpochK() {
 					continue
 				}
 				indexed++
 				if s.epoch == nil {
-					t.Fatalf("batch %d: K=%d is above the size gate and the writer has no epoch", b, s.live)
+					t.Fatalf("batch %d: K=%d is above the size gate and the writer has no epoch", b, s.k)
 				}
-				if exact := s.rows - s.epoch.builtK + len(s.revived); exact*8 >= s.rows {
-					t.Fatalf("batch %d: a winner search scans %d of %d rows exactly (tail %d, revived %d), want under K/8",
-						b, exact, s.rows, s.rows-s.epoch.builtK, len(s.revived))
+				if exact := s.k - s.epoch.builtK; exact*8 >= s.k {
+					t.Fatalf("batch %d: a winner search scans %d of %d rows exactly (the tail), want under K/8", b, exact, s.k)
 				}
 				if s.maxDrift > s.vigilance/4 {
 					t.Fatalf("batch %d: drift slack %g past the rebuild threshold %g", b, s.maxDrift, s.vigilance/4)
@@ -252,8 +250,8 @@ func TestPublishCopiesOnlyTouchedChunks(t *testing.T) {
 // served size (BenchmarkDurableTrainBatch's model warmed to K ≈ 1 900), the
 // mean number of stored points the grid epoch's winner search measures per
 // training pair, and bounds it. Each pair is searched on the writer's state
-// just before it trains, seeded as winnerOn seeds it (the appended tail and
-// the revived slots, scanned exactly), and must find the writer's winner.
+// just before it trains, seeded as winnerOn seeds it (the appended tail,
+// scanned exactly), and must find the writer's winner.
 // TestGridNearestVisitsOnlyItsCutoff's fixture (uniform points, every row
 // moved by up to the slack) measures 15.2 since its rings were clipped;
 // this guard records the count on the stream itself, 27.7 when it was
@@ -268,16 +266,11 @@ func TestServedWinnerSearchVisits(t *testing.T) {
 			s := m.store
 			e := s.epoch
 			if e == nil || e.grid == nil {
-				t.Fatalf("K=%d: the writer has no grid epoch", s.live)
+				t.Fatalf("K=%d: the writer has no grid epoch", s.k)
 			}
 			q := append(slices.Clone(p.Query.Center), p.Query.Theta)
 			live := s.liveView()
 			seed, seedSq := vector.ArgminSqDistanceChunkedRange(live, q, e.builtK, -1, math.Inf(1))
-			for _, id := range s.revived {
-				if sq := vector.SqDistanceFlat(live.Row(int(id)), q); sq < seedSq || (sq == seedSq && int(id) < seed) {
-					seed, seedSq = int(id), sq
-				}
-			}
 			got, gotSq, n := e.grid.NearestStaleMeasured(q, s.maxDrift, live, seed, seedSq)
 			if want, wantSq := s.winner(q); got != want || gotSq != wantSq {
 				t.Fatalf("pair %d: measured search (%d, %v), the writer's (%d, %v)", searches, got, gotSq, want, wantSq)

@@ -95,16 +95,13 @@ func TestConcurrentReadersDuringTraining(t *testing.T) {
 }
 
 // winnerLinearScan is the reference winner over writerSlots(m): a scan of
-// the live slots taking the vector kernels' one squared distance over the
-// query-space rows [x..., θ], first strict minimum wins, tombstones skipped
-// and the answer a slot id. The indexed/flat search must reproduce its
+// the slots taking the vector kernels' one squared distance over the
+// query-space rows [x..., θ], first strict minimum wins, and the answer a
+// slot id. The indexed/flat search must reproduce its
 // distance to the bit.
 func winnerLinearScan(slots []slotState, q Query) (int, float64) {
 	best, bestDist := -1, math.Inf(1)
 	for k, e := range slots {
-		if e.row == nil {
-			continue
-		}
 		if d := slotDist(e, q); d < bestDist || best < 0 {
 			best, bestDist = k, d
 		}
@@ -119,10 +116,10 @@ func slotDist(e slotState, q Query) float64 {
 
 // sameLinearWinner reports whether the store's winner (idx, dist) is the
 // linear scan's (want, wantDist): the distance to the bit, and the same
-// live slot unless idx is at exactly that distance too — an exact tie,
-// which the tree breaks in leaf order.
+// slot unless idx is at exactly that distance too — an exact tie, which the
+// tree breaks in leaf order.
 func sameLinearWinner(slots []slotState, q Query, idx int, dist float64, want int, wantDist float64) bool {
-	if math.Float64bits(dist) != math.Float64bits(wantDist) || idx < 0 || idx >= len(slots) || slots[idx].row == nil {
+	if math.Float64bits(dist) != math.Float64bits(wantDist) || idx < 0 || idx >= len(slots) {
 		return false
 	}
 	return idx == want || math.Float64bits(slotDist(slots[idx], q)) == math.Float64bits(wantDist)
@@ -131,10 +128,10 @@ func sameLinearWinner(slots []slotState, q Query, idx int, dist float64, want in
 // TestWinnerMatchesLinearScan is the exactness property test: on random
 // workloads across dimensionalities (covering the grid-indexed path for
 // d+1 <= 4 and the k-d tree path above — including the tree's scan-budget
-// bail on uniform wide workloads), and on a bounded model whose evictions
-// leave tombstoned slots behind, the store's winner must agree with the
-// linear-scan baseline — the same slot id and the same distance to the bit,
-// a different live slot only where several tie exactly.
+// bail on uniform wide workloads), and on a bounded model just after an
+// eviction pass, the store's winner must agree with the linear-scan
+// baseline — the same slot id and the same distance to the bit, a
+// different slot only where several tie exactly.
 func TestWinnerMatchesLinearScan(t *testing.T) {
 	// Vigilance per dimensionality, small enough that the random workload
 	// spawns a large prototype set (> storeGridMinK where the grid applies).
@@ -168,16 +165,13 @@ func TestWinnerMatchesLinearScan(t *testing.T) {
 		for i := 0; i < 1200; i++ {
 			observe()
 		}
-		// A bounded model trains on until an eviction pass, and stops while
-		// the pass's tombstones are still in the slot space.
+		// A bounded model trains on until an eviction pass, and stops right
+		// after it.
 		for in.max > 0 && observe().Evicted == 0 {
 		}
 		slots := writerSlots(m)
-		if in.max > 0 {
-			tombs := slices.IndexFunc(slots, func(e slotState) bool { return e.row == nil })
-			if tombs < 0 || m.K() > in.max {
-				t.Fatalf("bounded model: K=%d over %d slots, want tombstones and K <= %d", m.K(), len(slots), in.max)
-			}
+		if in.max > 0 && m.K() > in.max {
+			t.Fatalf("bounded model: K=%d over %d slots, want K <= %d", m.K(), len(slots), in.max)
 		}
 		if dim+1 <= storeGridMaxWidth && m.K() < storeGridMinK {
 			t.Fatalf("dim %d: K=%d too small to exercise the grid path", dim, m.K())

@@ -45,16 +45,15 @@ func checkpointBytes(t testing.TB, m *Model) []byte {
 }
 
 // canonicalState renders the full training state slot-order independently,
-// reading the writer's own objects rather than any serialized form: recovery
-// compacts tombstoned slots away, so two models can hold identical prototypes
-// under permuted slot ids. Sorting the per-prototype lines compares the
-// state, not the numbering. Floats print as exact hex.
+// reading the writer's own objects rather than any serialized form, as
+// StateHash hashes it: sorting the per-prototype lines compares the state,
+// not the numbering. Floats print as exact hex.
 func canonicalState(t testing.TB, m *Model) string {
 	t.Helper()
 	cfg := m.Config()
 	cfg.ResolutionA = 0 // only ever an input to Vigilance; not part of the state
 	var rows []string
-	for _, e := range liveSlots(m) {
+	for _, e := range writerSlots(m) {
 		rows = append(rows, fmt.Sprintf("%x %x wins=%d stamp=%d rls=%x", e.row, e.coef, e.wins, e.stamp, e.p))
 	}
 	m.mu.Lock()

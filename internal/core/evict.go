@@ -11,14 +11,14 @@ import (
 
 // Bounded-capacity streaming training: when Config.MaxPrototypes caps the
 // live prototype count, a spawn that exceeds the cap triggers an eviction
-// pass. The pass scores every live prototype under the configured Eviction
-// policy, tombstones (or merges away) the lowest-scoring ones until the
-// count is back inside a hysteresis band below the cap, and installs a
-// fresh read epoch over the survivors — all under the writer lock, published
-// like any other training step. On the chunked copy-on-write store the whole
-// pass costs a handful of chunk copies plus one epoch rebuild; snapshots
-// pinned before the pass keep serving their own version of every evicted
-// row.
+// pass. The pass scores every prototype under the configured Eviction
+// policy, drops (or merges away) the lowest-scoring ones until the count is
+// back inside a hysteresis band below the cap, and builds the next store
+// from the survivors in slot order, with a fresh read epoch — all under the
+// writer lock, published like any other training step. The slot space is
+// never sparse, so slot order stays birth order. The pass writes only new
+// chunks, so snapshots pinned before it keep serving their own version of
+// every evicted row.
 
 // Eviction ranks prototypes for eviction when a bounded model exceeds its
 // capacity: the lowest-scoring prototypes are evicted first. It is one of
@@ -146,14 +146,14 @@ func (m *Model) SetCapacity(max int, policy Eviction, merge bool) error {
 	// store the new value before any eviction, so a concurrent Save never
 	// pairs the old capacity block with the new prototype set.
 	m.capCfg.Store(newCapacity(max, policy, merge))
-	if max > 0 && m.store.live > max {
+	if max > 0 && m.store.k > max {
 		m.evictLocked(-1)
 		m.publishLocked()
 	}
 	return nil
 }
 
-// scored is one eviction candidate: a live slot, its last-win stamp and its
+// scored is one eviction candidate: a slot, its last-win stamp and its
 // retention score under the policy.
 type scored struct {
 	slot  int
@@ -161,24 +161,24 @@ type scored struct {
 	score float64
 }
 
-// evictLocked enforces the capacity: it scores every live slot (except
-// protect, the slot that just spawned — evicting the pair that triggered
-// the pass would just respawn it), sorts ascending, and evicts or merges
-// victims until the live count reaches the hysteresis target below the cap,
-// then installs a new epoch over the survivors. Returns the number of
-// prototypes removed. The caller holds the writer lock and publishes
-// afterwards.
+// evictLocked enforces the capacity: it scores every slot (except protect,
+// the slot that just spawned — evicting the pair that triggered the pass
+// would just respawn it), sorts ascending, and drops or merges victims until
+// the count reaches the hysteresis target below the cap. The survivors keep
+// their slot order in the store the pass builds, so a protected spawn, the
+// last slot, stays the last. Returns the number of prototypes removed. The
+// caller holds the writer lock and publishes afterwards.
 func (m *Model) evictLocked(protect int) int {
 	cc := m.capCfg.Load()
 	max := cc.max
 	s := m.store
-	if max <= 0 || s.live <= max {
+	if max <= 0 || s.k <= max {
 		return 0
 	}
 	// Hysteresis: evict down to max − max/16 (band floored at 1 so small
 	// caps still batch) so capacity enforcement runs in batches and its
-	// epoch rebuild amortizes over the spawns that refill the band,
-	// instead of once per spawn at the cap.
+	// rebuild amortizes over the spawns that refill the band, instead of
+	// once per spawn at the cap.
 	band := max / 16
 	if band < 1 {
 		band = 1
@@ -188,112 +188,73 @@ func (m *Model) evictLocked(protect int) int {
 		target = 1
 	}
 	cands := m.cands[:0]
-	for k := 0; k < s.rows; k++ {
-		if k == protect || s.isTombstone(k) {
-			continue
+	for k := 0; k < s.k; k++ {
+		if k != protect {
+			cands = append(cands, scored{k, s.stamp(k), cc.policy.score(s.win(k), m.steps-s.stamp(k))})
 		}
-		cands = append(cands, scored{k, s.stamp(k), cc.policy.score(s.win(k), m.steps-s.stamp(k))})
 	}
 	m.cands = cands
 	// Ties break on the last-win stamp (older loses), then the slot id.
 	// Exact score ties are real — the policies map small-integer inputs
-	// through float arithmetic — and the stamp is the tie-break that is
-	// stable across slot renumbering: stamps are unique among live
-	// prototypes (one winner per step; a merge inherits the later stamp),
-	// while slot ids get permuted whenever a Load or compaction rebuilds
-	// the slot space. Without this, a model recovered from a checkpoint
-	// could evict a different prototype than the uncrashed run.
+	// through float arithmetic — and stamps are unique among prototypes (one
+	// winner per step; a merge inherits the later stamp).
 	slices.SortFunc(cands, func(a, b scored) int {
 		return cmp.Or(cmp.Compare(a.score, b.score),
 			cmp.Compare(a.stamp, b.stamp), cmp.Compare(a.slot, b.slot))
 	})
-	n := s.live - target
-	if n > len(cands) {
-		n = len(cands)
-	}
-	// Tombstone every victim first (saving the merge inputs), THEN install
-	// the pass's single fresh index, THEN merge. Interleaving a per-victim
-	// nearest-survivor scan with the tombstoning would cost O(victims ·
-	// rows · d) — quadratic on a deep shrink of a large model — while this
-	// order pays one rebuild (or compaction) and routes every merge query
-	// through the epoch index over the survivors.
-	var victims []slotState
+	n := min(s.k-target, len(cands))
+	victims := cands[:n]
+	// The merge inputs alias the old store, which nothing writes once the
+	// next store replaces it. They merge in score order.
+	var merges []slotState
 	if cc.merge {
-		victims = make([]slotState, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		v := cands[i].slot
-		if cc.merge {
-			victim := s.at(v)
-			victim.p = nil // mergeVictim never reads the solver state
-			victims = append(victims, victim.clone())
+		merges = make([]slotState, n)
+		for i, c := range victims {
+			merges[i] = s.at(c.slot)
 		}
-		s.evictSlot(v)
 	}
-	// Steady-state eviction keeps tombstones bounded by the hysteresis
-	// band, but a deep shrink (SetCapacity, or loading an over-cap file)
-	// can leave the slot space dominated by tombstones — and row scans,
-	// scoring passes and Save all walk every slot. Once tombstones
-	// outnumber the survivors, rebuild the slot space outright. Only the
-	// deep-shrink callers (protect < 0) compact: compaction renumbers
-	// slots, and the spawn-driven path has already recorded the new
-	// prototype's slot id in its StepInfo — that path also cannot reach a
-	// majority-tombstone store, since spawning reuses free slots long
-	// before tombstones outnumber the live set.
-	if protect < 0 && s.rows > 2*s.live {
-		m.compactLocked() // installs its own fresh epoch
-	} else if s.epoch != nil {
-		// The old epoch indexes the victims' stale positions; install a
-		// new one over the survivors before the lock is released so no
-		// search ever prunes against a tombstoned row's stale geometry.
-		s.rebuildEpoch()
+	// Build the next store from the survivors in slot order, THEN merge.
+	// Merging first would cost a nearest-survivor scan per victim over a
+	// store that still holds the victims; this order pays one epoch build
+	// and routes every merge query through it.
+	slices.SortFunc(victims, func(a, b scored) int { return cmp.Compare(a.slot, b.slot) })
+	ns := newProtoStore(m.cfg.Dim, m.cfg.Vigilance)
+	ns.step = s.step
+	ns.qbuf, ns.kdstack, ns.staleBuf, ns.idsBuf, ns.touched = s.qbuf, s.kdstack, s.staleBuf, s.idsBuf, s.touched[:0]
+	for k, next := 0, 0; k < s.k; k++ {
+		if next < n && victims[next].slot == k {
+			next++
+			continue
+		}
+		ns.insert(s.at(k))
 	}
-	for _, v := range victims {
+	ns.rebuildEpoch() // drops to the flat scan below the size gate
+	m.store = ns
+	for _, v := range merges {
 		m.mergeVictim(v)
 	}
-	if len(victims) > 0 && m.store.epoch != nil {
+	if len(merges) > 0 && ns.epoch != nil {
 		// The merges moved survivors; re-tighten the epoch they drifted
 		// from (the searches above stayed exact through the drift slack).
-		m.store.rebuildEpoch()
+		ns.rebuildEpoch()
 	}
 	return n
 }
 
-// compactLocked renumbers the store to exactly its live prototypes: a
-// fresh chunk table holding the survivors in slot order, no tombstones, no
-// free list, no revived slots, and a fresh epoch. Published snapshots are
-// untouched — they hold their own chunk tables and epochs, and slot ids
-// are only ever meaningful within one version (slot reuse already recycles
-// them between versions). The caller holds the writer lock and publishes
-// afterwards.
-func (m *Model) compactLocked() {
-	s := m.store
-	ns := newProtoStore(m.cfg.Dim, m.cfg.Vigilance)
-	ns.step = s.step
-	for k := 0; k < s.rows; k++ {
-		if !s.isTombstone(k) {
-			ns.insert(s.at(k))
-		}
-	}
-	ns.rebuildEpoch() // drops to the flat scan below the size gate
-	m.store = ns
-}
-
-// mergeVictim folds an already-tombstoned victim into its nearest
-// surviving prototype: the survivor's prototype moves to the win-weighted
-// centroid of the two (in the query space, radius included) and its local
-// linear coefficients become the win-weighted blend — the victim's learned
-// mass stays in the model instead of being discarded. The survivor keeps
+// mergeVictim folds an evicted victim into its nearest surviving prototype:
+// the survivor's prototype moves to the win-weighted centroid of the two (in
+// the query space, radius included) and its local linear coefficients
+// become the win-weighted blend — the victim's learned mass stays in the
+// model instead of being discarded. The survivor keeps
 // its own RLS solver state (the blend adjusts the coefficients; the
 // inverse-covariance continues from the survivor's history) and inherits
 // the later of the two win stamps. The nearest survivor comes from the
-// store's epoch-accelerated winner search over the live rows — exact
-// through the drift slack as earlier merges move survivors, with masked
-// tombstones transparent to every path.
+// store's epoch-accelerated winner search over the survivors — exact
+// through the drift slack as earlier merges move survivors.
 func (m *Model) mergeVictim(v slotState) {
 	s := m.store
 	n, _ := s.winner(v.row)
-	if n < 0 || s.isTombstone(n) {
+	if n < 0 {
 		// No survivor (cannot happen while the hysteresis target is ≥ 1);
 		// degrade to a plain eviction.
 		return

@@ -12,10 +12,12 @@ import (
 // then three costs are sampled in that steady state:
 //
 //   - read: PredictMean latency over probes around the stream's current
-//     window — must not grow with the stream length (the tombstone/slot-
-//     reuse machinery keeps the row space, and hence every scan and epoch,
-//     bounded by the capacity);
-//   - observe: one more streaming pair, spawn/evict churn amortized in;
+//     window — must not grow with the stream length (every eviction pass
+//     compacts the store over its survivors, so the slot space, and hence
+//     every scan and epoch, stays bounded by the capacity);
+//   - observe: one more streaming pair, spawn/evict churn amortized in
+//     (each pass copies the survivors into a fresh store and builds its
+//     epoch from scratch);
 //   - rebuild: one forced epoch rebuild over the bounded survivor set.
 //
 // The d=2 workload runs both hard eviction and merge-on-evict (merge adds

@@ -60,11 +60,10 @@ func (g *driftStream) pair() (Query, float64) {
 	return q, math.Sin(3*s) + 0.5*q.Theta
 }
 
-// compactReference rebuilds the model from scratch out of its live
-// prototypes: a fresh unbounded model whose store holds exactly the
-// surviving LLMs in slot order, with no tombstones, no free list and no
-// revived slots. It is the reference the tombstone machinery must be
-// bit-identical to.
+// compactReference rebuilds the model from scratch out of its prototypes: a
+// fresh unbounded model whose store holds exactly the surviving LLMs in slot
+// order, inserted one by one with its own epoch rebuilds. It is the
+// reference the eviction pass must be bit-identical to.
 func compactReference(tb testing.TB, m *Model) *Model {
 	tb.Helper()
 	cfg := m.cfg
@@ -75,10 +74,7 @@ func compactReference(tb testing.TB, m *Model) *Model {
 		tb.Fatal(err)
 	}
 	m.mu.Lock()
-	for k := 0; k < m.store.rows; k++ {
-		if m.store.isTombstone(k) {
-			continue
-		}
+	for k := 0; k < m.store.k; k++ {
 		ref.store.insert(m.store.at(k).clone())
 		ref.store.maybeRebuildEpoch()
 	}
@@ -137,8 +133,8 @@ func assertViewsAgree(t *testing.T, tag string, got, want View, probes []Query) 
 			}
 		}
 		// Rebuild timing differs between the capped model and the rebuilt
-		// reference, so the winner is found on different paths (tail,
-		// revived, tree or grid); every path sums a row's distance in one
+		// reference, so the winner is found on different paths (tail, tree
+		// or grid); every path sums a row's distance in one
 		// order, so the distance is the same bits on each.
 		_, gd, err1 := got.Winner(q)
 		_, wd, err2 := want.Winner(q)
@@ -150,9 +146,10 @@ func assertViewsAgree(t *testing.T, tag string, got, want View, probes []Query) 
 
 // TestCappedStoreMatchesCompactedReference is the streaming-training
 // exactness property: a bounded model trained on a drifting stream — with
-// tombstoned slots, slot reuse, id-indirected epochs and revived-slot scans
-// all in play — must answer every prediction bit-identically to a model
-// rebuilt from scratch out of its surviving prototypes. Covers the grid
+// eviction passes, merges and the epochs they build in play — must answer
+// every prediction bit-identically to a model rebuilt from scratch out of
+// its surviving prototypes. After every step the writer holds exactly K
+// slots, and a spawn reports the last of them. Covers the grid
 // (d=2) and k-d tree (d=5) epoch paths, both eviction policies, and both
 // hard eviction and merge.
 func TestCappedStoreMatchesCompactedReference(t *testing.T) {
@@ -198,6 +195,12 @@ func TestCappedStoreMatchesCompactedReference(t *testing.T) {
 				if info.K > tc.max {
 					t.Fatalf("step %d: live K=%d exceeds cap %d", step, info.K, tc.max)
 				}
+				if slots := len(writerSlots(m)); slots != info.K || m.K() != info.K {
+					t.Fatalf("step %d: %d slots, K=%d, View K=%d: the slot space is not exactly the prototypes", step, slots, info.K, m.K())
+				}
+				if info.Created && info.Winner != info.K-1 {
+					t.Fatalf("step %d: the spawn reported slot %d of %d, want the last", step, info.Winner, info.K)
+				}
 				if step == 1500 || step == 3999 {
 					assertViewsAgree(t, tc.name, m.View(), compactReference(t, m).View(), probes)
 				}
@@ -205,37 +208,28 @@ func TestCappedStoreMatchesCompactedReference(t *testing.T) {
 			if evicted == 0 {
 				t.Fatalf("drifting stream caused no evictions (K=%d, spawned=%d) — the test exercised nothing", m.K(), spawned)
 			}
-			m.mu.Lock()
-			rows, live := m.store.rows, m.store.live
-			m.mu.Unlock()
-			if live > tc.max {
-				t.Fatalf("live=%d exceeds cap %d", live, tc.max)
-			}
-			if rows >= spawned {
-				t.Fatalf("rows=%d, spawned=%d: tombstoned slots were never reused", rows, spawned)
-			}
-			if rows > tc.max+tc.max/4+8 {
-				t.Fatalf("rows=%d grew far past the cap %d: slot reuse is not bounding the store", rows, tc.max)
+			if k := m.K(); k > tc.max {
+				t.Fatalf("K=%d exceeds cap %d", k, tc.max)
 			}
 			if m.snap.Load().epoch == nil {
-				t.Fatalf("no read epoch active at K=%d — the indexed paths were not exercised", live)
+				t.Fatalf("no read epoch active at K=%d — the indexed paths were not exercised", m.K())
 			}
-			// Force the revived-slot path: stream until a reused slot is
-			// pending between epoch rebuilds (live but not indexed), then
-			// re-verify exactness in exactly that state.
-			revivedPending := false
-			for i := 0; i < 6000 && !revivedPending; i++ {
+			// Stream until spawns are pending between epoch rebuilds (stored
+			// but not indexed), then re-verify exactness in that state.
+			tailPending := false
+			for i := 0; i < 6000 && !tailPending; i++ {
 				q, y := stream.pair()
 				if _, err := m.Observe(q, y); err != nil {
 					t.Fatal(err)
 				}
-				revivedPending = len(m.snap.Load().revived) > 0
+				s := m.snap.Load()
+				tailPending = s.epoch != nil && s.k > s.epoch.builtK
 			}
-			if !revivedPending {
-				t.Fatal("never caught a revived slot pending between rebuilds")
+			if !tailPending {
+				t.Fatal("never caught an appended tail pending between rebuilds")
 			}
-			assertViewsAgree(t, tc.name+"-revived", m.View(), compactReference(t, m).View(), probes)
-			// No tombstone may ever surface through the public API.
+			assertViewsAgree(t, tc.name+"-tail", m.View(), compactReference(t, m).View(), probes)
+			// No negative radius may ever surface through the public API.
 			v := m.View()
 			for _, q := range probes {
 				qs, _, err := v.Neighborhood(q)
@@ -244,7 +238,7 @@ func TestCappedStoreMatchesCompactedReference(t *testing.T) {
 				}
 				for _, pq := range qs {
 					if pq.Theta < 0 {
-						t.Fatalf("tombstone leaked into Neighborhood: %+v", pq)
+						t.Fatalf("negative radius in Neighborhood: %+v", pq)
 					}
 				}
 			}
@@ -254,8 +248,8 @@ func TestCappedStoreMatchesCompactedReference(t *testing.T) {
 
 // TestPinnedViewSurvivesEvictionBursts is the pinned-View safety property:
 // a View pinned before an eviction burst keeps answering from its own
-// version — same predictions bit for bit, same K, no tombstone sentinels —
-// while the writer evicts, merges, reuses slots and rebuilds epochs
+// version — same predictions bit for bit, same K, no negative radius —
+// while the writer evicts, merges and rebuilds its store and epochs
 // underneath it. Run with -race (CI does) alongside the interleaved-ops
 // tests.
 func TestPinnedViewSurvivesEvictionBursts(t *testing.T) {
@@ -325,7 +319,7 @@ func TestPinnedViewSurvivesEvictionBursts(t *testing.T) {
 				}
 				for _, pq := range qs {
 					if pq.Theta < 0 {
-						t.Errorf("tombstone leaked into pinned Neighborhood: %+v", pq)
+						t.Errorf("negative radius in pinned Neighborhood: %+v", pq)
 						return
 					}
 				}
@@ -401,14 +395,6 @@ func TestSetCapacityShrink(t *testing.T) {
 	if k := m.K(); k > 100 {
 		t.Fatalf("SetCapacity(100) left K=%d", k)
 	}
-	// A deep shrink must compact the slot space, not leave O(peak-K)
-	// tombstones for every future scan and scoring pass to walk.
-	m.mu.Lock()
-	rows, live := m.store.rows, m.store.live
-	m.mu.Unlock()
-	if rows != live {
-		t.Fatalf("deep shrink left %d slots for %d live prototypes — slot space not compacted", rows, live)
-	}
 	probes := probeQueries(dim, 120, 11)
 	assertViewsAgree(t, "shrunk", m.View(), compactReference(t, m).View(), probes)
 	// Removing the cap lets K grow again.
@@ -425,7 +411,7 @@ func TestSetCapacityShrink(t *testing.T) {
 	}
 }
 
-// TestCappedSaveLoadRoundTrip: Save compacts tombstones away; the loaded
+// TestCappedSaveLoadRoundTrip: Save writes the prototypes in slot order; the loaded
 // model serves identical predictions and keeps the capacity configuration.
 func TestCappedSaveLoadRoundTrip(t *testing.T) {
 	const dim = 2

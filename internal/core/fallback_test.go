@@ -178,14 +178,12 @@ func withinDeadline(t *testing.T, what string, q Query, f func()) {
 	}
 }
 
-// linearWinner is the winner of Eq. 5 by a scan of every slot, and the
-// lowest live slot when none is at a finite distance (winnerOn's rule).
+// linearWinner is the winner of Eq. 5 by a scan of every slot, and slot 0
+// when none is at a finite distance (winnerOn's rule).
 func linearWinner(s *storeSnapshot, q Query) (int, float64) {
 	w, sq := vector.ArgminSqDistanceChunkedRange(s.chunked(), append(slices.Clone(q.Center), q.Theta), 0, -1, math.Inf(1))
-	for k := 0; w < 0; k++ {
-		if !s.isTombstone(k) {
-			w, sq = k, math.Inf(1)
-		}
+	if w < 0 {
+		w, sq = 0, math.Inf(1)
 	}
 	return w, math.Sqrt(sq)
 }

@@ -62,10 +62,8 @@ func Fuse(cfg Config, ms ...*Model) (*Model, error) {
 		}
 		src.mu.Lock()
 		steps += src.steps
-		for slot := 0; slot < src.store.rows; slot++ {
-			if !src.store.isTombstone(slot) {
-				entries = append(entries, src.store.at(slot).clone())
-			}
+		for slot := 0; slot < src.store.k; slot++ {
+			entries = append(entries, src.store.at(slot).clone())
 		}
 		src.mu.Unlock()
 	}
@@ -106,10 +104,7 @@ func Split(m *Model, n int, assign func(center []float64, theta float64) int) ([
 	arg := make([]float64, cfg.Dim+1)
 	m.mu.Lock()
 	steps := m.steps
-	for slot := 0; slot < m.store.rows; slot++ {
-		if m.store.isTombstone(slot) {
-			continue
-		}
+	for slot := 0; slot < m.store.k; slot++ {
 		copy(arg, m.store.row(slot))
 		g := assign(arg[:cfg.Dim], arg[cfg.Dim])
 		if g < 0 || g >= n {

@@ -399,7 +399,7 @@ func TestSplitAssignCannotMutateParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := Query{Center: []float64{0.4, 0.6}, Theta: 0.3}
-	protos := liveSlots(parent)
+	protos := writerSlots(parent)
 	hash, _ := parent.StateHash()
 	mean, err := parent.PredictMean(probe)
 	if err != nil {
@@ -417,7 +417,7 @@ func TestSplitAssignCannotMutateParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	changed := 0
-	for i, e := range liveSlots(parent) {
+	for i, e := range writerSlots(parent) {
 		if !reflect.DeepEqual(e, protos[i]) {
 			changed++
 		}
@@ -434,7 +434,7 @@ func TestSplitAssignCannotMutateParent(t *testing.T) {
 	// The children hold the parent's prototypes, not what assign left behind.
 	held := 0
 	for _, kid := range kids {
-		for _, e := range liveSlots(kid) {
+		for _, e := range writerSlots(kid) {
 			if slices.ContainsFunc(protos, func(p slotState) bool { return reflect.DeepEqual(p, e) }) {
 				held++
 			}

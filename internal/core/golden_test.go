@@ -378,10 +378,10 @@ func approxGoldenShapes(t *testing.T, visit func(View, goldenQuery, approxCase))
 		rec.pin("loaded+40", rm)
 		out = append(out, rec.answer(t, name("reloaded"), g, visit))
 
-		// bounded: a capped model on a moving stream (eviction bursts,
-		// tombstones, reused slots), shrunk twice at runtime — once
-		// shallow, once with merge-on-evict past the compaction threshold —
-		// and reloaded with tombstones in place.
+		// bounded: a capped model on a moving stream (eviction bursts; the
+		// view named "reused" predates the compacting pass and keeps its
+		// name), shrunk twice at runtime — once shallow, once deep with
+		// merge-on-evict — and reloaded between the shrinks.
 		g = newGoldenStream(dim, 4, 10, int64(2000+dim))
 		bcfg := cfg
 		bcfg.MaxPrototypes = 240

@@ -305,34 +305,35 @@ func (m *Model) observeLocked(q Query, answer float64) StepInfo {
 	if m.converged {
 		return StepInfo{
 			Step: m.steps, Gamma: m.lastGamma, GammaJ: 0, GammaH: 0,
-			K: m.store.live, Converged: true,
+			K: m.store.k, Converged: true,
 		}
 	}
 	m.steps++
 	s := m.store
 	s.step = m.steps // every row this step writes is stamped with it
-	info := StepInfo{Step: m.steps, K: s.live}
+	info := StepInfo{Step: m.steps, K: s.k}
 
 	// Find the winning prototype under the query-space L2 distance; the
 	// first pair of a cold start has none.
 	winner, dist := -1, math.Inf(1)
-	if s.live > 0 {
+	if s.k > 0 {
 		winner, dist = s.winnerQuery(q)
 	}
 	if dist > m.cfg.Vigilance {
-		// Spawn a new prototype at the query (Algorithm 1, else branch). The
-		// store picks the slot: a reused tombstone when one is free, the
-		// appended tail otherwise.
+		// Spawn a new prototype at the query (Algorithm 1, else branch),
+		// appended as the last slot.
 		info.Winner = s.spawn(q, m.initIntercept(answer))
 		info.Created = true
-		// Bounded capacity: a spawn that pushes the live count past the cap
+		// Bounded capacity: a spawn that pushes the count past the cap
 		// evicts (or merges) the lowest-scoring prototypes, protecting the
-		// slot that just spawned. The cap lives in the capCfg mirror
+		// slot that just spawned, which stays the last slot of the store
+		// the pass builds. The cap lives in the capCfg mirror
 		// (runtime-mutable via SetCapacity); m.cfg stays immutable.
-		if cc := m.capCfg.Load(); cc.max > 0 && s.live > cc.max {
+		if cc := m.capCfg.Load(); cc.max > 0 && s.k > cc.max {
 			info.Evicted = m.evictLocked(info.Winner)
+			info.Winner = m.store.k - 1
 		}
-		info.K = s.live
+		info.K = m.store.k
 		// A growth step changes the parameter-set cardinality; Γ is reported
 		// as +Inf so the criterion cannot fire while K is still growing.
 		info.Gamma = math.Inf(1)
@@ -402,7 +403,7 @@ func (m *Model) observeLocked(q Query, answer float64) StepInfo {
 	info.GammaJ = gammaJ
 	info.GammaH = gammaH
 	info.Gamma = math.Max(gammaJ, gammaH)
-	info.K = s.live
+	info.K = s.k
 	m.lastGamma = info.Gamma
 
 	if info.Gamma <= m.cfg.Gamma {
@@ -508,7 +509,7 @@ func (m *Model) trainBatch(pairs []TrainingPair, beforePublish func() error) (Tr
 		}
 	}
 	m.publishLocked()
-	return TrainingResult{Steps: m.steps, Accepted: m.steps - before, K: m.store.live,
+	return TrainingResult{Steps: m.steps, Accepted: m.steps - before, K: m.store.k,
 		Converged: m.converged, FinalGamma: m.lastGamma}, nil
 }
 

@@ -115,7 +115,7 @@ func TestFirstObservationCreatesPrototype(t *testing.T) {
 	if !info.Created || info.Winner != 0 || m.K() != 1 || m.Steps() != 1 {
 		t.Errorf("info = %+v, K=%d", info, m.K())
 	}
-	slot := liveSlots(m)[0]
+	slot := writerSlots(m)[0]
 	if slot.coef[0] != 3 {
 		t.Errorf("intercept initialized to %v, want the observed answer 3", slot.coef[0])
 	}
@@ -129,7 +129,7 @@ func TestPaperInterceptInitialization(t *testing.T) {
 	cfg.InitInterceptWithAnswer = false
 	m, _ := NewModel(cfg)
 	_, _ = m.Observe(Query{Center: []float64{0.5}, Theta: 0.1}, 3)
-	if y := liveSlots(m)[0].coef[0]; y != 0 {
+	if y := writerSlots(m)[0].coef[0]; y != 0 {
 		t.Errorf("paper-mode intercept = %v, want 0", y)
 	}
 }
@@ -155,7 +155,7 @@ func TestNearbyQueryUpdatesWinner(t *testing.T) {
 	cfg := DefaultConfig(2)
 	m, _ := NewModel(cfg)
 	_, _ = m.Observe(Query{Center: []float64{0.5, 0.5}, Theta: 0.1}, 1)
-	before := liveSlots(m)[0]
+	before := writerSlots(m)[0]
 	info, err := m.Observe(Query{Center: []float64{0.52, 0.5}, Theta: 0.1}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestNearbyQueryUpdatesWinner(t *testing.T) {
 	if info.Created {
 		t.Fatal("nearby query must not spawn a prototype")
 	}
-	after := liveSlots(m)[0]
+	after := writerSlots(m)[0]
 	if slices.Equal(after.center(), before.center()) {
 		t.Error("prototype did not move toward the query")
 	}
@@ -214,7 +214,7 @@ func TestObserveAfterConvergenceIsFrozen(t *testing.T) {
 	if !m.View().Converged() {
 		t.Skip("stream did not converge; freezing behaviour untestable here")
 	}
-	before := liveSlots(m)
+	before := writerSlots(m)
 	stepsBefore := m.Steps()
 	info, err := m.Observe(Query{Center: []float64{0.5, 0.5}, Theta: 0.1}, 42)
 	if err != nil {
@@ -226,7 +226,7 @@ func TestObserveAfterConvergenceIsFrozen(t *testing.T) {
 	if m.Steps() != stepsBefore {
 		t.Error("post-convergence observation must not consume steps")
 	}
-	after := liveSlots(m)
+	after := writerSlots(m)
 	for i := range before {
 		if !slices.Equal(before[i].center(), after[i].center()) || before[i].coef[0] != after[i].coef[0] {
 			t.Fatal("parameters changed after convergence")
@@ -518,12 +518,12 @@ func TestSchedules(t *testing.T) {
 		}
 		move := func(slot int, q float64, tt int) {
 			t.Helper()
-			w := liveSlots(m)[slot].row[0]
+			w := writerSlots(m)[slot].row[0]
 			if _, err := m.Observe(Query{Center: []float64{q}}, 0); err != nil {
 				t.Fatal(err)
 			}
 			eta := 1 / float64(tt+1)
-			if got, want := liveSlots(m)[slot].row[0], w+eta*(q-w); got != want {
+			if got, want := writerSlots(m)[slot].row[0], w+eta*(q-w); got != want {
 				t.Errorf("byPrototype=%v: slot %d moved to %v, want %v (η = 1/%d)", byProto, slot, got, want, tt+1)
 			}
 		}
@@ -689,7 +689,7 @@ func TestLLMEval(t *testing.T) {
 func TestLLMsReturnsDeepCopies(t *testing.T) {
 	m, _ := NewModel(DefaultConfig(1))
 	_, _ = m.Observe(Query{Center: []float64{0.5}, Theta: 0.1}, 1)
-	want := liveSlots(m)
+	want := writerSlots(m)
 	v := m.View()
 	q := Query{Center: []float64{0.5}, Theta: 0.1}
 	models, err := v.Regression(q)
@@ -702,7 +702,7 @@ func TestLLMsReturnsDeepCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	protos[0].Center[0] = 999
-	if got := liveSlots(m); !reflect.DeepEqual(got, want) {
+	if got := writerSlots(m); !reflect.DeepEqual(got, want) {
 		t.Errorf("writer state after editing answers = %+v, want %+v", got, want)
 	}
 	if again, _ := m.View().Regression(q); again[0].Center[0] != 0.5 || again[0].Slope[0] != 0 {

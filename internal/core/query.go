@@ -21,9 +21,9 @@
 // tree "read epoch" with exactness preserved across index staleness by a
 // verified drift-slack budget, and Model.View pins a version across calls.
 // Bounded-capacity streaming deployments (Config.MaxPrototypes, evict.go)
-// tombstone and reuse prototype slots so the model tracks non-stationary
-// workloads at a fixed budget, with eviction published like any other
-// version. The durability layer (recover.go) wraps the model in a Durable:
+// evict prototypes in passes that compact the store over its survivors, so
+// the model tracks non-stationary workloads at a fixed budget, with
+// eviction published like any other version. The durability layer (recover.go) wraps the model in a Durable:
 // a write-ahead log, checkpoint rotation and crash recovery over one data
 // directory. A replication follower's mirror is the same Durable, opened by
 // the same Recover, fed its primary's log bytes (Durable.Mirror) until it is

@@ -15,8 +15,8 @@ import (
 )
 
 // TestStateHashCanonical: the hash must be invariant under slot
-// renumbering (a Checkpoint→Load round trip compacts tombstones and
-// permutes slots) and must change when the state changes.
+// renumbering and a Checkpoint→Load round trip, and must change when the
+// state changes.
 func TestStateHashCanonical(t *testing.T) {
 	m, err := NewModel(durableConfig())
 	if err != nil {

@@ -138,8 +138,8 @@ func (v View) MaxTheta() float64 { return v.s.maxTheta }
 // union may still answer from its siblings.
 func (v View) ScatterScan(q Query, at []float64, needModels bool) (ScatterResult, error) {
 	s := v.s
-	res := ScatterResult{Live: s.live, WinnerDist: math.Inf(1), MaxTheta: s.maxTheta}
-	if s.live == 0 {
+	res := ScatterResult{Live: s.k, WinnerDist: math.Inf(1), MaxTheta: s.maxTheta}
+	if s.k == 0 {
 		return res, nil
 	}
 	if q.Dim() != s.dim {

@@ -74,11 +74,10 @@ var ErrBadModelFile = errors.New("core: invalid model file")
 // Save writes the model file query-processing nodes load: the frame format,
 // encoded from one published snapshot — obtained with a single atomic load,
 // no locking — so a model can be saved at a consistent version while
-// serving queries and absorbing a training stream. Tombstoned slots of a
-// bounded model are compacted away: the file holds the live prototypes in
-// slot order, with their win counts and last-win stamps, so a Save/Load
-// round trip preserves the eviction clock (only the tombstone slot numbering
-// is rebuilt). The RLS solver state is NOT included — it is writer-locked
+// serving queries and absorbing a training stream. The file holds the
+// prototypes in slot order — birth order, since an eviction pass compacts
+// the store — with their win counts and last-win stamps, so a Save/Load
+// round trip keeps both the slot order and the eviction clock. The RLS solver state is NOT included — it is writer-locked
 // state outside the published chunks, which a lock-free reader cannot
 // serialize consistently — and the header records that: training on the
 // loaded model restarts each prototype's solver, and Recover will not replay
@@ -105,7 +104,7 @@ func (m *Model) Save(w io.Writer) error {
 		s = m.snap.Load()
 	}
 	var c checkpointBuf
-	m.encode(&c, frameSource{table: &s.chunkTable, slots: s.k, live: s.live,
+	m.encode(&c, frameSource{table: &s.chunkTable, k: s.k,
 		steps: s.steps, quietSteps: s.quietSteps, converged: s.converged, lastGamma: s.lastGamma}, cc)
 	if _, err := w.Write(c.b); err != nil {
 		return fmt.Errorf("core: write model: %w", err)
@@ -114,7 +113,7 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // checkpointBuf holds one encoded model file — the header frame, then one
-// frame per live prototype — and the scratch its canonical hash sorts in.
+// frame per prototype — and the scratch its canonical hash sorts in.
 // Capturing into the same buffer again reuses its memory, which is how
 // Durable rotates without allocating per prototype.
 type checkpointBuf struct {
@@ -162,7 +161,7 @@ func decodeFloats(dst []float64, b []byte) {
 // state) or one published snapshot (Save, lock-free, without it).
 type frameSource struct {
 	table             *chunkTable
-	slots, live       int         // the slot scan bound, and the live slots among them
+	k                 int         // prototypes, in slots 0..k−1
 	rls               [][]float64 // per-slot RLS solver state, read when withState
 	withState         bool
 	steps, quietSteps int
@@ -177,13 +176,13 @@ func (m *Model) capture(c *checkpointBuf) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.store
-	m.encode(c, frameSource{table: &s.chunkTable, slots: s.rows, live: s.live, rls: s.rls, withState: true,
+	m.encode(c, frameSource{table: &s.chunkTable, k: s.k, rls: s.rls, withState: true,
 		steps: m.steps, quietSteps: m.quietSteps, converged: m.converged, lastGamma: m.lastGamma}, m.capCfg.Load())
 }
 
 // encode writes src into c as one model file: the header frame from the
 // training clock, the configuration and one capacity mirror, then one row
-// frame per live slot in slot order.
+// frame per slot in slot order.
 func (m *Model) encode(c *checkpointBuf, src frameSource, cc *capacityConfig) {
 	// The capacity fields are runtime-mutable (SetCapacity); read them
 	// through the lock-free mirror, never from m.cfg directly.
@@ -197,7 +196,7 @@ func (m *Model) encode(c *checkpointBuf, src frameSource, cc *capacityConfig) {
 	state := src.withState && cfg.CoefficientSolver == SolverRLS
 	rowW := rowLen(cfg.Dim, state)
 	c.stride = wal.FrameHeaderLen + rowW
-	b := slices.Grow(c.b[:0], wal.FrameHeaderLen+checkpointHeaderLen+len(eviction)+src.live*c.stride)
+	b := slices.Grow(c.b[:0], wal.FrameHeaderLen+checkpointHeaderLen+len(eviction)+src.k*c.stride)
 
 	b = wal.OpenFrame(b)
 	b = append(b, checkpointMagic...)
@@ -216,7 +215,7 @@ func (m *Model) encode(c *checkpointBuf, src frameSource, cc *capacityConfig) {
 	b = append(b, checkpointVersion, flags)
 	for _, v := range [12]uint64{uint64(cfg.Dim), math.Float64bits(cfg.Vigilance), math.Float64bits(cfg.Gamma),
 		uint64(src.steps), uint64(src.quietSteps), math.Float64bits(src.lastGamma), uint64(cfg.MinGammaSteps),
-		uint64(cfg.ConvergenceWindow), uint64(maxK), uint64(halfLife), uint64(src.live), uint64(rowW)} {
+		uint64(cfg.ConvergenceWindow), uint64(maxK), uint64(halfLife), uint64(src.k), uint64(rowW)} {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
 	b = append(b, eviction...)
@@ -224,10 +223,7 @@ func (m *Model) encode(c *checkpointBuf, src frameSource, cc *capacityConfig) {
 	c.head = len(b)
 
 	t := src.table
-	for i := 0; i < src.slots; i++ {
-		if t.isTombstone(i) {
-			continue
-		}
+	for i := 0; i < src.k; i++ {
 		start := len(b)
 		b = wal.OpenFrame(b)
 		b = appendFloats(b, t.row(i))
@@ -288,12 +284,14 @@ func (m *Model) Checkpoint(w io.Writer) error {
 // StateHash returns a SHA-256 hex digest of the model's canonical
 // serialized state — everything Checkpoint persists, including the solver
 // state and the eviction clock. It is canonical over slot numbering: the
-// prototype rows are hashed in sorted order of their encoding, so a model
-// and its Checkpoint→Load round trip (which compacts tombstones and
-// permutes slots) hash identically. Two models with equal hashes are
-// behaviorally identical — same answers, same future under the same
-// training stream — which is what replication's divergence checks and the
-// crash harness's bit-identity assertions compare. The error is always nil.
+// prototype rows are hashed in sorted order of their encoding, so models
+// holding the same prototypes in another order (a Fuse of the same shards
+// in another order) hash identically. Slot order is birth order, so two
+// models that reached equal hashes by the same history — a model and its
+// Checkpoint→Load round trip, a recovered or replicated one — answer bit
+// for bit and share their future under the same training stream, which is
+// what replication's divergence checks and the crash harness's
+// bit-identity assertions compare. The error is always nil.
 func (m *Model) StateHash() (string, error) {
 	var c checkpointBuf
 	m.capture(&c)
@@ -450,11 +448,8 @@ func newLoading(h *fileHeader) (*Model, error) {
 // its coefficient row [y, b_X, b_Θ], copied; p its solver state, kept — and
 // inserts it into the model under construction.
 func (m *Model) addLoaded(vals []float64, wins, lastWin int, p []float64) error {
-	i, d := m.store.rows, m.cfg.Dim
-	// A negative radius is invalid (NewQuery enforces θ ≥ 0) and would
-	// collide with the store's tombstone sentinel (θ < 0 marks an evicted
-	// slot), splitting the prototype's liveness between the indexed and
-	// linear search paths.
+	i, d := m.store.k, m.cfg.Dim
+	// A negative radius is invalid (NewQuery enforces θ ≥ 0).
 	if vals[d] < 0 {
 		return fmt.Errorf("%w: LLM %d has negative radius %v", ErrBadModelFile, i, vals[d])
 	}
@@ -490,12 +485,12 @@ func (m *Model) finishLoad() {
 	// shrink, or a hand-edited document), and a pure-serving process would
 	// otherwise stay over-cap forever — no spawn ever runs to trigger the
 	// eviction pass.
-	if cc := m.capCfg.Load(); cc.max > 0 && m.store.live > cc.max {
+	if cc := m.capCfg.Load(); cc.max > 0 && m.store.k > cc.max {
 		m.evictLocked(-1)
 	}
 	// The bulk load deferred the per-append epoch checks; build the one
 	// epoch the loaded set needs (a no-op drop below the size gates, and a
-	// cheap redundant build in the rare compacted-on-load case).
+	// cheap redundant build in the rare evicted-on-load case).
 	m.store.rebuildEpoch()
 	m.publishLocked()
 }

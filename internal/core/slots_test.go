@@ -3,25 +3,17 @@ package core
 import "slices"
 
 // writerSlots returns a deep copy of the writer's state of every slot,
-// indexed by slot id, with a tombstoned slot left as the zero slotState (nil
-// row) — the view of the training state the tests below the public API
-// compare against. It takes the writer lock, so the caller must not hold it.
+// indexed by slot id — the view of the training state the tests below the
+// public API compare against. It takes the writer lock, so the caller must
+// not hold it.
 func writerSlots(m *Model) []slotState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]slotState, m.store.rows)
+	out := make([]slotState, m.store.k)
 	for k := range out {
-		if !m.store.isTombstone(k) {
-			out[k] = m.store.at(k).clone()
-		}
+		out[k] = m.store.at(k).clone()
 	}
 	return out
-}
-
-// liveSlots returns writerSlots(m) without the tombstones: the live
-// prototypes in slot order, so for an unbounded model index i is slot i.
-func liveSlots(m *Model) []slotState {
-	return slices.DeleteFunc(writerSlots(m), func(e slotState) bool { return e.row == nil })
 }
 
 // proto returns the state's rows as the fusion reads them.

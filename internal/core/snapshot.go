@@ -30,16 +30,8 @@ import (
 type storeSnapshot struct {
 	chunkTable // the chunk-pointer table and its layout decoders
 
-	dim  int // input dimensionality d
-	k    int // prototype slot count (live + tombstoned), the row-scan bound
-	live int // live prototypes (the K users see)
-
-	// revived lists the live slots below the epoch's builtK that the epoch
-	// does not index (tombstones reused after the build); every search scans
-	// them exactly, like the appended tail. Tombstoned slots themselves need
-	// no bookkeeping — their rows are masked to infinite distance, so the
-	// row scans skip them without a branch.
-	revived []int32
+	dim int // input dimensionality d
+	k   int // prototypes K, in slots 0..k−1
 
 	epoch *readEpoch // shared immutable index (nil below the size gates)
 	// clean: no slot below the epoch's builtK was written between the
@@ -229,7 +221,7 @@ func (s *storeSnapshot) winnerQuery(q Query, sc *predictScratch) (int, float64) 
 	qflat := sc.qvec(s.width)
 	copy(qflat, q.Center)
 	qflat[s.width-1] = q.Theta
-	k, sq := winnerOn(s.epoch, s.chunked(), qflat, s.slack, s.revived, &sc.kdstack)
+	k, sq := winnerOn(s.epoch, s.chunked(), qflat, s.slack, &sc.kdstack)
 	return k, math.Sqrt(sq)
 }
 
@@ -268,9 +260,7 @@ func (s *storeSnapshot) overlapAccumulate(q Query, id int, idx []int, weights []
 
 // overlapLinearRaw builds the overlap set W(q) (Eq. 10) with one scan over
 // all prototype slots: the exact reference path, used below the index size
-// gates and whenever the radius query cannot prune. Tombstoned slots sit at
-// infinite distance and fail the membership test without a branch. The
-// weights are the raw (pre-normalization) overlap degrees, accumulated in
+// gates and whenever the radius query cannot prune. The weights are the raw (pre-normalization) overlap degrees, accumulated in
 // ascending slot order into total — the caller normalizes (overlapSet), or
 // ships the raw degrees to a scatter/gather merger that re-runs the same
 // accumulation across shards (View.ScatterScan). The returned slices live
@@ -317,10 +307,10 @@ func (s *storeSnapshot) overlapSet(q Query, sc *predictScratch) (idx []int, weig
 // prunes its nodes with that ball and tests the surviving leaf runs of its
 // block in one pass (blockPass); a grid epoch scans the cells covering the
 // ball (Grid.Scan over the stale rows) and verifies each candidate on its
-// live row. Either way the members — with the revived slots, which no epoch
-// covers — go through the one slot-ordered reduction, so indices, weights
-// and the running total match overlapLinearRaw bit for bit. Rows appended after the epoch build
-// (the tail) sit above every epoch slot and are scanned last.
+// live row. Either way the members go through the one slot-ordered
+// reduction, so indices, weights and the running total match
+// overlapLinearRaw bit for bit. Rows appended after the epoch build (the
+// tail) sit above every epoch slot and are scanned last.
 func (s *storeSnapshot) overlapRaw(q Query, sc *predictScratch) (idx []int, weights []float64, total float64) {
 	e := s.epoch
 	if e == nil {
@@ -341,7 +331,7 @@ func (s *storeSnapshot) overlapRaw(q Query, sc *predictScratch) (idx []int, weig
 	if e.grid != nil {
 		var err error
 		sc.cand, err = e.grid.Scan(context.Background(), sc.cand[:0], qflat, rq, 2)
-		if err != nil || len(sc.cand)+len(s.revived)+s.k-e.builtK >= s.k/2 {
+		if err != nil || len(sc.cand)+s.k-e.builtK >= s.k/2 {
 			// The ball covers most of the prototype set (a broad query, or
 			// cell boxes much wider than the ball): the straight scan is
 			// cheaper than chasing the candidates row by row and returns
@@ -355,9 +345,6 @@ func (s *storeSnapshot) overlapRaw(q Query, sc *predictScratch) (idx []int, weig
 	} else {
 		sc.runs, sc.kdstack = e.tree.LeafRuns(qflat, rq, sc.runs[:0], sc.kdstack)
 		s.blockPass(q, sc)
-	}
-	for _, id := range s.revived {
-		s.markLive(q, int(id), order)
 	}
 	idx, weights, sc.pos, total = order.drain(sc.idx[:0], sc.weights[:0], sc.pos[:0])
 	for id := e.builtK; id < s.k; id++ {
@@ -430,9 +417,8 @@ type View struct {
 	s *storeSnapshot
 }
 
-// K returns the number of live prototypes/LLMs in this version (slots
-// tombstoned by eviction are not counted).
-func (v View) K() int { return v.s.live }
+// K returns the number of prototypes/LLMs in this version.
+func (v View) K() int { return v.s.k }
 
 // Steps returns how many training pairs this version had consumed.
 func (v View) Steps() int { return v.s.steps }
@@ -441,7 +427,7 @@ func (v View) Steps() int { return v.s.steps }
 func (v View) Converged() bool { return v.s.converged }
 
 func (v View) checkQuery(q Query) error {
-	if v.s.live == 0 {
+	if v.s.k == 0 {
 		return ErrNotTrained
 	}
 	if q.Dim() != v.s.dim {
@@ -451,9 +437,8 @@ func (v View) checkQuery(q Query) error {
 }
 
 // Winner returns the slot id of the prototype closest to q in the query
-// space (the winner of Eq. 5) and the query-space distance to it. A bounded
-// model's tombstoned slots keep their numbers, so a live prototype's id can
-// exceed K−1.
+// space (the winner of Eq. 5) and the query-space distance to it, a slot in
+// [0, K).
 func (v View) Winner(q Query) (int, float64, error) {
 	if err := v.checkQuery(q); err != nil {
 		return 0, 0, err
@@ -519,7 +504,7 @@ func (v View) Regression(q Query) ([]LocalLinear, error) {
 // subspace addressed by the query q = [x0, θ] (Eq. 14): the overlap-weighted
 // fusion of the neighbouring LLMs evaluated at their own prototype radii.
 func (v View) PredictValue(q Query, x []float64) (float64, error) {
-	if v.s.live == 0 {
+	if v.s.k == 0 {
 		return 0, ErrNotTrained
 	}
 	if q.Dim() != v.s.dim || len(x) != v.s.dim {

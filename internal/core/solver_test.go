@@ -106,7 +106,7 @@ func TestRLSRecoversExactLocalCoefficients(t *testing.T) {
 	if m.K() != 1 {
 		t.Fatalf("expected a single prototype, got %d", m.K())
 	}
-	coef := liveSlots(m)[0].coef // [y, b_X1, b_X2, b_Θ]
+	coef := writerSlots(m)[0].coef // [y, b_X1, b_X2, b_Θ]
 	if math.Abs(coef[1]-bx[0]) > 0.02 || math.Abs(coef[2]-bx[1]) > 0.02 {
 		t.Errorf("slopes = %v, want %v", coef[1:3], bx)
 	}

@@ -83,8 +83,7 @@ func stateGoldenHistory(t *testing.T, name string, cfg Config, seed int64) state
 	}
 
 	// 1: a stream observed pair by pair, its clusters moving between
-	// phases (a bounded model evicts in bursts and reuses slots), then a
-	// batch.
+	// phases (a bounded model evicts in bursts), then a batch.
 	for phase := 0; phase < 3; phase++ {
 		for _, p := range g.pairs(500) {
 			if _, err := m.Observe(p.Query, p.Answer); err != nil {
@@ -96,8 +95,8 @@ func stateGoldenHistory(t *testing.T, name string, cfg Config, seed int64) state
 	goldenTrain(t, m, g.pairs(300))
 	point("observe+batch")
 
-	// 2: a runtime shrink with merge-on-evict, deep enough to compact; the
-	// history's own capacity comes back afterwards.
+	// 2: a deep runtime shrink with merge-on-evict; the history's own
+	// capacity comes back afterwards.
 	if err := m.SetCapacity(m.K()*2/5, m.Config().Eviction, true); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func stateGoldenHistory(t *testing.T, name string, cfg Config, seed int64) state
 	goldenTrain(t, m, g.pairs(200))
 	point("save-load-train")
 
-	for i, e := range liveSlots(m) {
+	for i, e := range writerSlots(m) {
 		if i == stateGoldenLLMs {
 			break
 		}

@@ -76,9 +76,9 @@ const (
 // reader can prove the copy current (see readEpoch). Rebuilds happen on the
 // write path once the tail or the displacement grows past its threshold,
 // amortizing to O(log K) per step. A grid epoch is rebuilt by merging the
-// last one: the rows written since its build (touched), the tail and the
-// revived slots are re-celled into a copy of its clustered arrays, and only
-// a row leaving its extent forces a build from scratch. Because an epoch is
+// last one: the rows written since its build (touched) and the tail are
+// re-celled into a copy of its clustered arrays, and only a row leaving its
+// extent forces a build from scratch. Because an epoch is
 // never mutated after it is built, snapshots share it without copying,
 // exactly as they share unchanged row chunks.
 //
@@ -92,35 +92,23 @@ const (
 // ‖x − x_k‖ ≤ θ + θ_k into a radius query: every overlapping prototype lies
 // within θ + maxTheta of the query centre, hence within
 // √((θ+maxTheta)² + max(θ, maxTheta)²) of [x, θ] in the query space.
-// # Tombstones and slot reuse
 //
-// Bounded-capacity training (Config.MaxPrototypes) evicts prototypes, but a
-// slot's index must stay valid forever: published snapshots share the chunk
-// tables by pointer and identify prototypes by row index. An evicted slot is
-// therefore tombstoned in place — its prototype row is masked to +Inf
-// (vector.MaskRow, transparent to every distance kernel) with the θ column
-// set to the −1 sentinel so tombstones are detectable — and pushed onto a
-// free list; the next spawn reuses the slot instead of appending, so the row
-// space stays bounded by the capacity plus the eviction hysteresis no matter
-// how long the stream runs. Eviction rewrites only the victims' chunks
-// (copy-on-write, like any other write) and installs a new epoch, so a
-// snapshot pinned before the eviction keeps serving its own version of every
-// row.
+// # An eviction pass compacts
 //
-// Epochs built while tombstones exist index only the live slots, carrying
-// the true slot ids through the grid/tree id-indirection; a freed slot
-// reused before the next rebuild is missing from the epoch and is recorded
-// in revived, which every search scans exactly — the same pattern as the
-// appended tail. The liveness invariant: every slot an epoch indexes is live
-// for that epoch's entire lifetime, because the only way a slot dies is an
-// eviction, and eviction installs a new epoch before the writer lock is
-// released.
+// Slots 0..k−1 all hold live prototypes: the slot space is never sparse. A
+// spawn appends, and bounded-capacity training (Config.MaxPrototypes)
+// removes prototypes only in an eviction pass, which builds the next store
+// from the survivors in slot order (see Model.evictLocked). Slot order is
+// therefore birth order, a function of the training history alone, and a
+// model reloaded from its own file holds the same slots in the same order
+// and answers bit for bit. The pass writes fresh chunks and a fresh epoch,
+// so a snapshot pinned before it keeps serving its own version of every
+// row, and every slot an epoch indexes is live for the epoch's lifetime.
 type protoStore struct {
 	chunkTable
 
-	rows      int     // number of stored prototype slots (live + tombstoned)
-	live      int     // live (non-tombstoned) prototypes K
-	pubK      int     // rows at the last publication; rows >= pubK are unpublished
+	k         int     // prototypes K, in slots 0..k−1
+	pubK      int     // k at the last publication; slots >= pubK are unpublished
 	vigilance float64 // rebuild threshold scale (the prototype spacing)
 
 	// rls[k] is slot k's RLS inverse covariance, row-major over the d+2
@@ -130,12 +118,6 @@ type protoStore struct {
 	// (d+2)² floats per row that only the writer reads.
 	rls [][]float64
 
-	// free holds tombstoned slots available for reuse; revived holds live
-	// slots below the epoch's builtK that the epoch does not index (reused
-	// after the build), scanned exactly by every search and cleared on
-	// rebuild.
-	free    []int32
-	revived []int32
 	// touched lists the slots a grid epoch indexes whose rows were written
 	// since its build (repeats allowed), so the next epoch re-cells only
 	// them; cleared on rebuild.
@@ -160,7 +142,7 @@ type protoStore struct {
 	qbuf     []float64 // winnerQuery scratch (single writer)
 	kdstack  []int32   // k-d tree traversal scratch (single writer)
 	staleBuf []float64 // rebuildEpoch stale-row gather scratch (single writer)
-	idsBuf   []int32   // rebuildEpoch live-slot id gather scratch (single writer)
+	idsBuf   []int32   // mergeGrid moved-slot gather scratch (single writer)
 }
 
 // chunkTable is the chunk-layout decoder shared by the writer-side store
@@ -182,12 +164,6 @@ type chunkTable struct {
 	coefW int             // d+2: [y, b_X..., b_Θ]
 	dataC []*vector.Chunk // the chunk pointers
 }
-
-// tombstoneTheta is the θ-column sentinel of a tombstoned slot. Real radii
-// are non-negative (NewQuery validates θ ≥ 0), so θ < 0 identifies a
-// tombstone; the slot's input coordinates are masked to +Inf so the
-// distance kernels exclude it without any branch (see vector.MaskRow).
-const tombstoneTheta = -1
 
 // chunkFloats is the size of one chunk allocation: prototype rows,
 // coefficient rows, win counts and win stamps for chunkRows rows.
@@ -229,11 +205,6 @@ func (t *chunkTable) setStamp(k, step int) {
 	t.dataC[k>>chunkShift].Data[chunkRows*(t.width+t.coefW+1)+(k&chunkMask)] = float64(step)
 }
 
-// isTombstone reports whether slot k has been evicted (θ sentinel < 0).
-func (t *chunkTable) isTombstone(k int) bool {
-	return t.row(k)[t.width-1] < 0
-}
-
 // readEpoch is one immutable generation of the search index: either a
 // uniform grid or a bulk-built k-d tree over a stale copy of the first
 // builtK prototype rows. It is built on the write path — a grid usually
@@ -263,15 +234,14 @@ type readEpoch struct {
 	width  int
 	step   int // the store's step at the build; see above
 
-	// slotPos maps each slot below builtK to the position of its copy in
-	// the index's rows (grid.Points or tree.Rows), −1 for a slot the epoch
-	// does not index (a tombstone at build time); a slot past its end is
-	// not indexed either. A grid epoch's is the grid's own Positions, filled
-	// by the merge or the build that made it. Only indexed slots pay
-	// into the drift budget, by their distance from that copy — a slot the
-	// epoch does not cover is scanned exactly against its live row anyway,
-	// so its moves cannot invalidate any pruning bound (and must not
-	// inflate the slack or trigger spurious rebuilds).
+	// slotPos maps each slot below builtK — every one of them is indexed —
+	// to the position of its copy in the index's rows (grid.Points or
+	// tree.Rows). A grid epoch's is the grid's own Positions, filled by the
+	// merge or the build that made it. Only indexed slots pay into the
+	// drift budget, by their distance from that copy — a slot of the tail is
+	// scanned exactly against its live row anyway, so its moves cannot
+	// invalidate any pruning bound (and must not inflate the slack or
+	// trigger spurious rebuilds).
 	slotPos []int32
 
 	// grid indexes the stale rows for width ≤ storeGridMaxWidth: the same
@@ -294,7 +264,7 @@ type readEpoch struct {
 // stale returns the epoch's copy of slot k's row, or nil when the epoch
 // does not index slot k.
 func (e *readEpoch) stale(k int) []float64 {
-	if k >= len(e.slotPos) || e.slotPos[k] < 0 {
+	if k >= e.builtK {
 		return nil
 	}
 	var rows []float64
@@ -332,7 +302,7 @@ func newProtoStore(dim int, vigilance float64) *protoStore {
 // prototype rows are each chunk's prefix). The view is three words —
 // building one allocates nothing.
 func (s *protoStore) liveView() vector.Chunked {
-	return vector.NewChunked(s.width, s.rows, s.dataC)
+	return vector.NewChunked(s.width, s.k, s.dataC)
 }
 
 // writableChunk makes the chunk holding row k writable, restoring the
@@ -375,7 +345,7 @@ func (s *protoStore) minEpochK() int {
 
 // slotState is one prototype's whole writer state: what insert stores, what
 // at reads back, and the form it travels in between stores (Fuse, Split,
-// compaction, Load).
+// the eviction pass, Load).
 type slotState struct {
 	row, coef   []float64 // [x_k..., θ_k] and [y_k, b_Xk..., b_Θk]
 	wins, stamp int
@@ -399,24 +369,23 @@ func (e slotState) clone() slotState {
 // snapshots (their k precedes it), so writing it costs no chunk copy — and
 // returns its index.
 func (s *protoStore) appendSlot() int {
-	k := s.rows
+	k := s.k
 	if k>>chunkShift == len(s.dataC) {
 		s.appendChunk()
 	}
-	s.rows++
+	s.k++
 	s.rls = append(s.rls, nil)
 	return k
 }
 
 // insert appends a prototype in full, copying e's rows and taking ownership
 // of e.p. It is the one bulk-insertion primitive — Load, Fuse/Split and
-// compaction all build their stores through it — and runs no rebuild check:
-// those callers install one epoch themselves after many inserts, instead of
-// the O(log K) intermediate builds the per-append trigger would construct
-// and discard.
+// the eviction pass all build their stores through it — and runs no rebuild
+// check: those callers install one epoch themselves after many inserts,
+// instead of the O(log K) intermediate builds the per-append trigger would
+// construct and discard.
 func (s *protoStore) insert(e slotState) {
 	k := s.appendSlot()
-	s.live++
 	copy(s.row(k), e.row)
 	copy(s.coefRow(k), e.coef)
 	s.setWin(k, e.wins)
@@ -427,25 +396,11 @@ func (s *protoStore) insert(e slotState) {
 	}
 }
 
-// spawn stores the new prototype a training step creates at q — intercept
+// spawn appends the new prototype a training step creates at q — intercept
 // y_K, zero slopes, one win, stamped with the step in progress — and returns
-// its slot: a tombstoned slot from the free list when one exists (the write
-// copy-on-writes the chunk like any published-row update, and the slot joins
-// the revived list when the current epoch predates it), the appended tail
-// otherwise. Either way the slot's coefficient row is zero and its solver
-// state nil when it gets here (see evictSlot).
+// its slot, the last one.
 func (s *protoStore) spawn(q Query, intercept float64) int {
-	var k int
-	if n := len(s.free); n > 0 {
-		k = int(s.free[n-1])
-		s.free = s.free[:n-1]
-		if s.epoch != nil && k < s.epoch.builtK {
-			s.revived = append(s.revived, int32(k))
-		}
-	} else {
-		k = s.appendSlot()
-	}
-	s.live++
+	k := s.appendSlot()
 	s.coefForWrite(k)[0] = intercept // the chunk is writable from here on
 	row := s.row(k)
 	copy(row, q.Center)
@@ -457,26 +412,6 @@ func (s *protoStore) spawn(q Query, intercept float64) int {
 	}
 	s.maybeRebuildEpoch()
 	return k
-}
-
-// evictSlot tombstones slot k in place: the prototype row is masked so
-// every distance kernel excludes it (the θ column keeps the detectable −1
-// sentinel), the coefficient row and policy state are zeroed, the solver
-// state is dropped, and the slot joins the free list for reuse. The write
-// copy-on-writes the chunk, so snapshots published before the eviction keep
-// serving the old row. The caller (the model's eviction pass) installs a
-// new epoch before releasing the writer lock — the store's own searches
-// never run against an epoch that indexes a tombstoned slot.
-func (s *protoStore) evictSlot(k int) {
-	clear(s.coefForWrite(k)) // the chunk is writable from here on
-	row := s.row(k)
-	vector.MaskRow(row[:s.width-1])
-	row[s.width-1] = tombstoneTheta
-	s.setWin(k, 0)
-	s.setStamp(k, 0)
-	s.rls[k] = nil
-	s.live--
-	s.free = append(s.free, int32(k))
 }
 
 // update moves the k-th prototype to to = [x..., θ] after a drift step,
@@ -537,51 +472,48 @@ func (s *protoStore) coefForWrite(k int) []float64 {
 	return s.coefRow(k)
 }
 
-// maybeRebuildEpoch rebuilds once the un-indexed rows — the appended tail
-// plus any revived slots — reach an eighth of the prototype set or some
-// row's displacement from the epoch's copy passes a quarter of the
-// prototype spacing. Called on the write path only; a rebuild installs a
-// new immutable epoch and leaves every previously published one untouched.
+// maybeRebuildEpoch rebuilds once the un-indexed rows — the appended tail —
+// reach an eighth of the prototype set or some row's displacement from the
+// epoch's copy passes a quarter of the prototype spacing. Called on the
+// write path only; a rebuild installs a new immutable epoch and leaves every
+// previously published one untouched.
 func (s *protoStore) maybeRebuildEpoch() {
-	k := s.rows
-	if s.live < s.minEpochK() {
+	k := s.k
+	if k < s.minEpochK() {
 		return
 	}
 	built := 0
 	if s.epoch != nil {
 		built = s.epoch.builtK
 	}
-	if (k-built+len(s.revived))*8 >= k || s.maxDrift > s.vigilance/4 {
+	if (k-built)*8 >= k || s.maxDrift > s.vigilance/4 {
 		s.rebuildEpoch()
 	}
 }
 
-// rebuildEpoch installs a new immutable index over the current live
-// prototype rows (grid or k-d tree by width; a tree epoch also captures the
+// rebuildEpoch installs a new immutable index over the current prototype
+// rows (grid or k-d tree by width; a tree epoch also captures the
 // coefficient rows — see readEpoch), maps every slot to its copy's position
-// (slotPos), resets the drift budget, the dirty mark and the revived and
-// touched lists, and re-tightens the max-θ bound exactly. A grid epoch is
-// built from the last one when there is one (mergeGrid): one pass over its
-// clustered rows that re-cells only the rows that changed cell, spawned or
-// were revived, drops the tombstoned ones, and keeps slotPos and the max-θ
-// bound as it goes. Otherwise, and when a row has left the last grid's
-// extent, the live rows are gathered and indexed from scratch. Either way
-// the epoch's own storage is contiguous (cell-clustered grid rows /
-// leaf-ordered tree matrix), so searches against the stale copy keep their
+// (slotPos), resets the drift budget, the dirty mark and the touched list,
+// and re-tightens the max-θ bound exactly. A grid epoch is built from the
+// last one when there is one (mergeGrid): one pass over its clustered rows
+// that re-cells only the rows that changed cell or spawned, and keeps
+// slotPos and the max-θ bound as it goes. Otherwise, and when a row has left
+// the last grid's extent, the rows are gathered and indexed from scratch.
+// Either way the epoch's own storage is contiguous (cell-clustered grid rows
+// / leaf-ordered tree matrix), so searches against the stale copy keep their
 // flat-scan cache behaviour, and it is new memory: snapshots still holding
-// the last epoch keep it whole. While tombstones exist only the live slots
-// are indexed, with the grid/tree id-indirection carrying the true slot
-// ids; if the live count has fallen below the index size gate (a deep
-// capacity shrink) the epoch is dropped and searches fall back to the
-// exact flat scan, for which tombstones are transparent.
+// the last epoch keep it whole. Below the index size gate (a small model, or
+// one a capacity shrink left small) the epoch is dropped and searches fall
+// back to the exact flat scan.
 func (s *protoStore) rebuildEpoch() {
-	k := s.rows
+	k := s.k
 	w := s.width
 	prev := s.epoch
 	s.dirty = false
 	s.maxDrift = 0
-	if s.live < s.minEpochK() {
-		s.revived, s.touched = s.revived[:0], s.touched[:0]
+	if k < s.minEpochK() {
+		s.touched = s.touched[:0]
 		s.epoch = nil
 		s.retightenMaxTheta()
 		return
@@ -590,7 +522,7 @@ func (s *protoStore) rebuildEpoch() {
 	if w <= storeGridMaxWidth && prev != nil && prev.grid != nil {
 		e.grid = s.mergeGrid(prev)
 	}
-	s.revived, s.touched = s.revived[:0], s.touched[:0]
+	s.touched = s.touched[:0]
 	if e.grid == nil {
 		s.buildEpoch(e)
 	}
@@ -601,9 +533,6 @@ func (s *protoStore) rebuildEpoch() {
 		s.maxTheta = max(0, e.grid.Max()[w-1])
 	} else {
 		e.slotPos = make([]int32, k)
-		for i := range e.slotPos {
-			e.slotPos[i] = -1
-		}
 		for p, id := range e.tree.IDs() {
 			e.slotPos[id] = int32(p)
 		}
@@ -613,64 +542,37 @@ func (s *protoStore) rebuildEpoch() {
 }
 
 // mergeGrid builds the next grid epoch from prev's grid (index.Grid.Merge):
-// the rows written since prev's build, the appended tail and the revived
-// slots are placed at their live rows, and the slots prev indexes that the
-// eviction pass has tombstoned since leave it; every other row is still
-// prev's copy. It returns nil when a placed row lies outside prev's extent.
+// the rows written since prev's build and the appended tail are placed at
+// their live rows; every other row is still prev's copy. It returns nil when
+// a placed row lies outside prev's extent.
 func (s *protoStore) mergeGrid(prev *readEpoch) *index.Grid {
-	moved := s.idsBuf[:0]
-	for _, id := range s.touched {
-		if !s.isTombstone(int(id)) {
-			moved = append(moved, id)
-		}
-	}
-	rewritten := len(moved)
-	for _, id := range s.revived {
-		if !s.isTombstone(int(id)) {
-			moved = append(moved, id)
-		}
-	}
-	for id := prev.builtK; id < s.rows; id++ {
-		if !s.isTombstone(id) {
-			moved = append(moved, int32(id))
-		}
+	moved := append(s.idsBuf[:0], s.touched...)
+	for id := prev.builtK; id < s.k; id++ {
+		moved = append(moved, int32(id))
 	}
 	s.idsBuf = moved
-	// prev indexes every live slot but the new ones, and any tombstone.
-	var gone []int32
-	if prev.grid.Len() > s.live-(len(moved)-rewritten) {
-		for _, id := range prev.grid.IDs() {
-			if s.isTombstone(int(id)) {
-				gone = append(gone, id)
-			}
-		}
-	}
-	return prev.grid.Merge(s.liveView(), gone, moved)
+	return prev.grid.Merge(s.liveView(), nil, moved)
 }
 
-// buildEpoch indexes the live rows from scratch into e: one gather of the
-// rows and their slots serves either index.
+// buildEpoch indexes the rows from scratch into e: one gather of the rows,
+// whose positions are the slots, serves either index.
 func (s *protoStore) buildEpoch(e *readEpoch) {
 	w := s.width
-	stale, ids := s.staleBuf[:0], s.idsBuf[:0]
-	for i := 0; i < s.rows; i++ {
-		if s.isTombstone(i) {
-			continue
-		}
+	stale := s.staleBuf[:0]
+	for i := 0; i < s.k; i++ {
 		stale = append(stale, s.row(i)...)
-		ids = append(ids, int32(i))
 	}
-	s.staleBuf, s.idsBuf = stale, ids
+	s.staleBuf = stale
 	// The constructors cannot fail: the width is positive, the cell size was
-	// validated with the config, and the copy is non-empty (live ≥ minEpochK)
-	// with live×w values by construction. A failure means that invariant
-	// broke — surface it instead of silently serving O(K) scans forever. Both
-	// copy what they index, so the buffers are free for the next rebuild.
+	// validated with the config, and the copy is non-empty (k ≥ minEpochK)
+	// with k×w values by construction. A failure means that invariant broke
+	// — surface it instead of silently serving O(K) scans forever. Both copy
+	// what they index, so the buffer is free for the next rebuild.
 	var err error
 	if w <= storeGridMaxWidth {
-		e.grid, err = index.NewGridFlatIDs(stale, w, 2*s.vigilance, ids)
+		e.grid, err = index.NewGridFlat(stale, w, 2*s.vigilance)
 	} else {
-		e.tree, err = index.NewBulkKDTreeIDs(stale, w, ids)
+		e.tree, err = index.NewBulkKDTree(stale, w)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("core: epoch index build invariant broken: %v", err))
@@ -679,19 +581,18 @@ func (s *protoStore) buildEpoch(e *readEpoch) {
 		// The block's other half: each position's coefficient row, beside
 		// the tree's leaf-ordered prototype rows.
 		cw := s.coefW
-		e.coefs = make([]float64, s.live*cw)
+		e.coefs = make([]float64, s.k*cw)
 		for p, id := range e.tree.IDs() {
 			copy(e.coefs[p*cw:(p+1)*cw], s.coefRow(int(id)))
 		}
 	}
 }
 
-// retightenMaxTheta recomputes the exact max over the live prototype radii
-// (the tombstone sentinel is negative and never raises it).
+// retightenMaxTheta recomputes the exact max over the prototype radii.
 func (s *protoStore) retightenMaxTheta() {
 	mt := 0.0
 	w := s.width
-	for i := 0; i < s.rows; i++ {
+	for i := 0; i < s.k; i++ {
 		if t := s.row(i)[w-1]; t > mt {
 			mt = t
 		}
@@ -701,50 +602,41 @@ func (s *protoStore) retightenMaxTheta() {
 
 // winnerOn returns the index of the prototype closest to the query-space
 // point qflat = [x..., θ] among the live rows of the chunk table, and the
-// squared L2 distance to it, using the epoch's index when one exists. Rows
-// the epoch does not cover are scanned exactly first and seed the indexed
-// search: the appended tail (the trailing chunks of the live matrix) and
-// the revived slots (tombstones reused since the epoch build). Tombstoned
-// rows are masked to infinite distance, so every scan skips them without a
-// branch. stack carries the k-d tree traversal scratch (the store's own
+// squared L2 distance to it, using the epoch's index when one exists. The
+// rows the epoch does not cover — the appended tail, the trailing chunks of
+// the live matrix — are scanned exactly first and seed the indexed search.
+// stack carries the k-d tree traversal scratch (the store's own
 // buffer for the writer, the prediction scratch pool's for readers), so the
 // hot path allocates nothing. All paths measure a row with the vector
 // kernels' one summation order and return a true minimum, so the distance,
 // and hence the vigilance test, is a function of the rows whichever path
 // found the winner. Only the winner under an exact tie can differ: the grid
 // and chunked scans break ties toward the lowest index, while the tree
-// visits rows in leaf order. When no live row is at a finite distance (the
-// squared distance overflows for a far query), every live row ties at +Inf
-// and the lowest live slot wins, as on the grid.
-func winnerOn(e *readEpoch, live vector.Chunked, qflat []float64, slack float64, revived []int32, stack *[]int32) (int, float64) {
+// visits rows in leaf order. When no row is at a finite distance (the
+// squared distance overflows for a far query), every row ties at +Inf and
+// slot 0 wins, as on the grid.
+func winnerOn(e *readEpoch, live vector.Chunked, qflat []float64, slack float64, stack *[]int32) (int, float64) {
 	built := 0
 	if e != nil {
 		built = e.builtK
 	}
 	best, bestSq := vector.ArgminSqDistanceChunkedRange(live, qflat, built, -1, math.Inf(1))
 	if e != nil {
-		for _, id := range revived {
-			if sq := vector.SqDistanceFlat(live.Row(int(id)), qflat); sq < bestSq || (sq == bestSq && int(id) < best) {
-				best, bestSq = int(id), sq
-			}
-		}
 		if e.grid != nil {
 			best, bestSq = e.grid.NearestStale(qflat, slack, live, best, bestSq)
 		} else {
 			best, bestSq, *stack = e.tree.NearestStale(qflat, slack, live, best, bestSq, *stack)
 		}
 	}
-	for k := 0; best < 0 && k < live.Rows(); k++ {
-		if live.Row(k)[live.Width()-1] != tombstoneTheta {
-			best, bestSq = k, math.Inf(1)
-		}
+	if best < 0 && live.Rows() > 0 {
+		best, bestSq = 0, math.Inf(1)
 	}
 	return best, bestSq
 }
 
 // winner returns the winner over the store's live rows.
 func (s *protoStore) winner(qflat []float64) (int, float64) {
-	return winnerOn(s.epoch, s.liveView(), qflat, s.maxDrift, s.revived, &s.kdstack)
+	return winnerOn(s.epoch, s.liveView(), qflat, s.maxDrift, &s.kdstack)
 }
 
 // winnerQuery is the Query-typed entry point: it assembles the query-space
@@ -774,18 +666,11 @@ func (s *protoStore) publish(dim, steps int, converged bool, lastGamma float64, 
 	for i := range s.shared {
 		s.shared[i] = true
 	}
-	s.pubK = s.rows
-	var revived []int32
-	if len(s.revived) > 0 {
-		// Copied, not shared: the writer appends to its own list in place.
-		revived = append(revived, s.revived...)
-	}
+	s.pubK = s.k
 	return &storeSnapshot{
 		dim:        dim,
 		chunkTable: chunkTable{width: s.width, coefW: s.coefW, dataC: dataC},
-		k:          s.rows,
-		live:       s.live,
-		revived:    revived,
+		k:          s.k,
 		epoch:      s.epoch,
 		clean:      !s.dirty,
 		slack:      s.maxDrift,

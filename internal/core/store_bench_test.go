@@ -70,7 +70,7 @@ func buildBenchModel(tb testing.TB, dim, protos int, vigilance float64, gen quer
 		tb.Fatalf("expected %d prototypes, got %d", protos, m.K())
 	}
 	for round := 0; round < 3; round++ {
-		protos := liveSlots(m)
+		protos := writerSlots(m)
 		ref := make([]TrainingPair, 0, len(protos))
 		for _, e := range protos {
 			ref = append(ref, TrainingPair{Query: e.proto().query(), Answer: rng.NormFloat64()})
@@ -281,28 +281,23 @@ func BenchmarkEpochRebuild(b *testing.B) {
 	}
 	s = m.store
 	// What the writer would hold had no epoch been installed since prev,
-	// whatever epochs the batch installed meanwhile: the live slots below
-	// prev's builtK that prev does not index are revived, and those whose
-	// rows moved from prev's copy are touched.
-	var revived, touched []int32
+	// whatever epochs the batch installed meanwhile: the slots below prev's
+	// builtK whose rows moved from prev's copy are touched.
+	var touched []int32
 	for id := range prev.builtK {
-		switch stale := prev.stale(id); {
-		case s.isTombstone(id):
-		case stale == nil:
-			revived = append(revived, int32(id))
-		case !slices.Equal(stale, s.row(id)):
+		if !slices.Equal(prev.stale(id), s.row(id)) {
 			touched = append(touched, int32(id))
 		}
 	}
 	restore := func() {
 		s.epoch = prev
-		s.revived, s.touched = append(s.revived[:0], revived...), append(s.touched[:0], touched...)
+		s.touched = append(s.touched[:0], touched...)
 	}
 	restore()
 	if s.mergeGrid(prev) == nil {
 		b.Fatal("the batch moved a row out of the last epoch's extent: nothing to merge")
 	}
-	b.Logf("since the last epoch: %d rows moved, %d revived, %d appended", len(touched), len(revived), s.rows-prev.builtK)
+	b.Logf("since the last epoch: %d rows moved, %d appended", len(touched), s.k-prev.builtK)
 	b.Run("d=2-durable/K≈1900/merge", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

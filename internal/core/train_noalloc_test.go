@@ -47,7 +47,7 @@ func TestTrainingStepAllocationFree(t *testing.T) {
 			// onPrototypes spreads n pairs evenly over the slots, one on each
 			// chosen prototype's current position.
 			onPrototypes := func(n int) []TrainingPair {
-				protos := liveSlots(m)
+				protos := writerSlots(m)
 				pairs := make([]TrainingPair, n)
 				for i := range pairs {
 					pairs[i] = TrainingPair{Query: protos[i*len(protos)/n].proto().query(), Answer: rng.NormFloat64()}

@@ -10,16 +10,13 @@ import (
 	"llmq/internal/vector"
 )
 
-// canonicalWinner is the brute-force winner of Eq. 5 over a version's live
-// slots: the first live slot strictly nearer than every earlier one under
-// the vector kernels' one squared distance (SqDistanceWithin without a
-// cutoff), and the lowest live slot when none is at a finite distance.
+// canonicalWinner is the brute-force winner of Eq. 5 over a version's
+// slots: the first slot strictly nearer than every earlier one under the
+// vector kernels' one squared distance (SqDistanceWithin without a cutoff),
+// and slot 0 when none is at a finite distance.
 func canonicalWinner(s *storeSnapshot, qflat []float64) (int, float64) {
 	best, bestSq := -1, math.Inf(1)
 	for k := 0; k < s.k; k++ {
-		if s.isTombstone(k) {
-			continue
-		}
 		if sq, _ := vector.SqDistanceWithin(s.row(k), qflat, math.Inf(1)); sq < bestSq || best < 0 {
 			best, bestSq = k, sq
 		}
@@ -35,13 +32,13 @@ func canonicalWinner(s *storeSnapshot, qflat []float64) (int, float64) {
 // different slot is allowed only at exactly that distance.
 //
 // The golden queries reach the winner without an epoch (the bounded
-// history's merged views), in revived slots, through the grid, and through
+// history's merged views), through the grid, and through
 // the k-d tree's verified traversal and its bail scan (many far queries at
 // d = 5 and 8 bail). Per View, queries are added beyond each appended-tail
 // prototype, pointing away from the prototypes' mean, so the tail scan finds
 // some winners; and one query whose squared distance to every prototype
 // overflows, on which every tree traversal bails (every box is at +Inf) and
-// which the lowest live slot wins at +Inf.
+// which slot 0 wins at +Inf.
 func TestWinnerDistanceIsCanonical(t *testing.T) {
 	paths := map[string]int{}
 	check := func(v View, q Query, what string) {
@@ -53,7 +50,7 @@ func TestWinnerDistanceIsCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		if got < 0 || s.isTombstone(got) || math.Float64bits(dist) != math.Float64bits(wantDist) {
+		if got < 0 || got >= s.k || math.Float64bits(dist) != math.Float64bits(wantDist) {
 			t.Fatalf("%s: Winner = (%d, %v), brute force (%d, %v)", what, got, dist, want, wantDist)
 		}
 		if gotSq, _ := vector.SqDistanceWithin(s.row(got), qflat, math.Inf(1)); math.Float64bits(gotSq) != math.Float64bits(wantSq) {
@@ -75,8 +72,6 @@ func TestWinnerDistanceIsCanonical(t *testing.T) {
 			paths["no epoch"]++
 		case got >= e.builtK:
 			paths["tail"]++
-		case slices.Contains(s.revived, int32(got)):
-			paths["revived"]++
 		case e.grid != nil:
 			paths["grid"]++
 		case math.IsInf(wantSq, 1):
@@ -101,16 +96,11 @@ func TestWinnerDistanceIsCanonical(t *testing.T) {
 		}
 		mean := make([]float64, s.dim)
 		for k := 0; k < s.k; k++ {
-			if !s.isTombstone(k) {
-				for j := range mean {
-					mean[j] += s.row(k)[j] / float64(s.live)
-				}
+			for j := range mean {
+				mean[j] += s.row(k)[j] / float64(s.k)
 			}
 		}
 		for k := s.epoch.builtK; k < s.k; k++ {
-			if s.isTombstone(k) {
-				continue
-			}
 			p := s.proto(k).query()
 			for j := range p.Center {
 				p.Center[j] += 2 * (p.Center[j] - mean[j])
@@ -119,7 +109,7 @@ func TestWinnerDistanceIsCanonical(t *testing.T) {
 		}
 	})
 	t.Logf("Case-3 winners by path: %v", paths)
-	for _, path := range []string{"no epoch", "tail", "revived", "grid", "tree", "tree bail"} {
+	for _, path := range []string{"no epoch", "tail", "grid", "tree", "tree bail"} {
 		if paths[path] == 0 {
 			t.Errorf("no Case-3 query reached its winner by the %s path", path)
 		}

@@ -39,8 +39,8 @@ func sameBuild(t *testing.T, procs int, got, want *Grid) {
 // become a dimension (1-3), a cell size (one so fine the cells overflow,
 // for the scan-only grid), up to 64 rows on a lattice with NaN, ±Inf, ±0,
 // ±1e300 and repeated rows mixed in, and ids: none, ascending with holes,
-// or shuffled. The grid built in 2, 3 and 7 chunks, and Cluster's gather
-// over as many, must equal the one-chunk build array for array — the
+// or shuffled. The grid built in 2, 3 and 7 chunks must equal the one-chunk
+// build array for array, and cluster a column to the same bits — the
 // extent merged from the chunks, the directory's slots, the runs, the
 // scatter's order and the boxes alike.
 func FuzzGridBuild(f *testing.F) {
@@ -113,8 +113,8 @@ func FuzzGridBuild(f *testing.F) {
 				continue
 			}
 			sameBuild(t, procs, got, want)
-			if !slices.EqualFunc(got.gather(col, procs), want.gather(col, 1), sameBits) {
-				t.Fatalf("procs %d: Cluster differs from the one-chunk gather", procs)
+			if !slices.EqualFunc(got.Cluster(col), want.Cluster(col), sameBits) {
+				t.Fatalf("procs %d: Cluster differs from the one-chunk build's", procs)
 			}
 		}
 	})

@@ -195,8 +195,7 @@ func NewGridFlat(rows []float64, dim int, cellSize float64) (*Grid, error) {
 // NewGridFlatIDs is NewGridFlat for points that live in a caller-defined id
 // space, mirroring NewBulkKDTreeIDs: point i is reported under ids[i]
 // instead of i, and NearestStale's live-row verification reads
-// live.Row(ids[i]). The bounded prototype store uses it to index only the
-// live slots of a tombstoned row space. ids is read, not retained; they must
+// live.Row(ids[i]). Only tests use it. ids is read, not retained; they must
 // be distinct and non-negative, and Positions keeps one entry per id up to
 // the largest. Ascending ids keep the visit order inside a cell, and the
 // row-order scan, ascending in id.
@@ -852,30 +851,13 @@ func (g *Grid) Positions() []int32 { return g.rank }
 func (g *Grid) Max() []float64 { return g.hi }
 
 // Cluster returns col — one value per indexed point, by row id — permuted
-// into clustered order, so out[k] belongs to the point at position k. From
-// 2¹⁵ points on, GOMAXPROCS chunks of the positions fill it in parallel.
+// into clustered order, so out[k] belongs to the point at position k.
 func (g *Grid) Cluster(col []float64) []float64 {
-	return g.gather(col, buildProcs(len(g.ids)))
-}
-
-// gather is Cluster over procs chunks of the positions.
-func (g *Grid) gather(col []float64, procs int) []float64 {
-	t := gathering{g.ids, col, make([]float64, len(g.ids))}
-	chunks(t, len(t.out), procs, gathering.positions)
-	return t.out
-}
-
-// gathering is one gather: out[k] = col[ids[k]].
-type gathering struct {
-	ids      []int32
-	col, out []float64
-}
-
-// positions gathers positions [from, to).
-func (t gathering) positions(_, from, to int) {
-	for k, id := range t.ids[from:to] {
-		t.out[from+k] = t.col[id]
+	out := make([]float64, len(g.ids))
+	for k, id := range g.ids {
+		out[k] = col[id]
 	}
+	return out
 }
 
 // positions recycles the scratch Radius scans into before it maps the

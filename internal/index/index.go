@@ -22,9 +22,9 @@
 // for the caller to test) that stay exact while the live rows drift from
 // the indexed copy — every pruning bound is widened by the caller's drift
 // slack and what survives is verified by the caller — and both can index a
-// sparse slot space through caller ids (NewGridFlatIDs / NewBulkKDTreeIDs),
-// which is how the bounded prototype store indexes only the live slots of a
-// tombstoned row space. A grid epoch's successor is merged from it
+// sparse slot space through caller ids (NewGridFlatIDs / NewBulkKDTreeIDs,
+// which only tests use since the prototype store's slot space became
+// dense). A grid epoch's successor is merged from it
 // (Grid.Merge) rather than built from scratch. Partition splits a query
 // space into the sharding layer's regions. See docs/ARCHITECTURE.md for
 // where each structure sits in the read path.

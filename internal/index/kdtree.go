@@ -78,9 +78,7 @@ const (
 // NewBulkKDTreeIDs is NewBulkKDTree for a matrix whose rows live in a
 // caller-defined id space: searches report row i of flat under ids[i]
 // instead of i, and NearestStale's live-row verification reads
-// live.Row(ids[i]). The bounded prototype store uses this to index only the
-// live slots of a tombstoned row space — the stale copy is compact, the ids
-// point back at the true chunk-table slots. ids is read, not retained.
+// live.Row(ids[i]). Only tests use it. ids is read, not retained.
 func NewBulkKDTreeIDs(flat []float64, dim int, ids []int32) (*BulkKDTree, error) {
 	t, err := NewBulkKDTree(flat, dim)
 	if err != nil {

@@ -2,10 +2,9 @@ package vector
 
 import "math"
 
-// Masked sentinel rows: the bounded-capacity prototype store tombstones an
-// evicted row in place (row indices must stay stable for pinned snapshot
-// views), and the kernels in this package must never return a tombstoned row
-// from a search. Rather than threading a skip-list or a per-row branch
+// Masked sentinel rows: a row written with MaskRow is excluded from every
+// search in this package (the prototype store no longer masks rows; only
+// tests do). Rather than threading a skip-list or a per-row branch
 // through every unrolled scan, a masked row is written so the existing
 // arithmetic excludes it naturally: every component is +Inf, so its distance
 // to any finite query is +Inf, which
@@ -19,9 +18,8 @@ import "math"
 // extra load — and is exact by the same argument as the partial-distance
 // cutoff: a row at infinite distance cannot be a member of any finite-radius
 // result set. Callers that need a finite-valued sentinel in a trailing
-// column (the prototype store keeps θ = −1 there so tombstones are
-// detectable without an Inf comparison) mask only the leading columns;
-// masking any single column already puts the row at infinite distance.
+// column mask only the leading columns; masking any single column already
+// puts the row at infinite distance.
 //
 // The one cutoff that admits a masked row is +Inf itself (Inf ≤ Inf):
 // callers that pass an unbounded cutoff to SqDistanceWithin must not treat

@@ -8,7 +8,7 @@
 // filter and the Query geometry in internal/core call, and Format, the one
 // rendering of a point in text. flat.go and chunked.go hold the unrolled
 // kernels the prototype searches run over row-major matrices; sentinel.go
-// the masking of tombstoned rows.
+// the masking of excluded rows.
 package vector
 
 import (
