@@ -221,6 +221,9 @@ func (m *Model) evictLocked(protect int) int {
 	ns := newProtoStore(m.cfg.Dim, m.cfg.Vigilance)
 	ns.step = s.step
 	ns.qbuf, ns.kdstack, ns.staleBuf, ns.idsBuf, ns.touched = s.qbuf, s.kdstack, s.staleBuf, s.idsBuf, s.touched[:0]
+	// The solver states are the writer's alone (no snapshot reads them), so
+	// the survivors' compact in place: slot k moves to a slot ≤ k.
+	ns.rls = s.rls[:0]
 	for k, next := 0, 0; k < s.k; k++ {
 		if next < n && victims[next].slot == k {
 			next++
@@ -228,7 +231,8 @@ func (m *Model) evictLocked(protect int) int {
 		}
 		ns.insert(s.at(k))
 	}
-	ns.rebuildEpoch() // drops to the flat scan below the size gate
+	clear(s.rls[ns.k:]) // the victims' states and the moved survivors' old copies
+	ns.rebuildEpoch()
 	m.store = ns
 	for _, v := range merges {
 		m.mergeVictim(v)

@@ -77,9 +77,10 @@ var ErrBadModelFile = errors.New("core: invalid model file")
 // serving queries and absorbing a training stream. The file holds the
 // prototypes in slot order — birth order, since an eviction pass compacts
 // the store — with their win counts and last-win stamps, so a Save/Load
-// round trip keeps both the slot order and the eviction clock. The RLS solver state is NOT included — it is writer-locked
-// state outside the published chunks, which a lock-free reader cannot
-// serialize consistently — and the header records that: training on the
+// round trip keeps both the slot order and the eviction clock. The RLS
+// solver state is NOT included — it is writer-locked state outside the
+// published chunks, which a lock-free reader cannot serialize
+// consistently — and the header records that: training on the
 // loaded model restarts each prototype's solver, and Recover will not replay
 // a WAL tail onto the file. Use Checkpoint when training must resume
 // bit-identically.
@@ -484,13 +485,11 @@ func (m *Model) finishLoad() {
 	// carry more prototypes than its cap (a checkpoint racing a SetCapacity
 	// shrink, or a hand-edited document), and a pure-serving process would
 	// otherwise stay over-cap forever — no spawn ever runs to trigger the
-	// eviction pass.
-	if cc := m.capCfg.Load(); cc.max > 0 && m.store.k > cc.max {
-		m.evictLocked(-1)
+	// eviction pass. The pass builds the survivors' epoch itself; otherwise
+	// build the one epoch the bulk load deferred (a no-op drop below the
+	// size gates).
+	if m.evictLocked(-1) == 0 {
+		m.store.rebuildEpoch()
 	}
-	// The bulk load deferred the per-append epoch checks; build the one
-	// epoch the loaded set needs (a no-op drop below the size gates, and a
-	// cheap redundant build in the rare evicted-on-load case).
-	m.store.rebuildEpoch()
 	m.publishLocked()
 }

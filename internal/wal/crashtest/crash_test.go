@@ -57,12 +57,10 @@ func genPairs(seed int64, n int) []core.TrainingPair {
 	return pairs
 }
 
-// stateHash wraps core.Model.StateHash — the canonical slot-order-
-// independent digest of the full training state (RLS solver matrices
-// included) — for the bit-identity assertions: recovery compacts tombstoned
-// slots away, so the recovered and uncrashed models hold the same
-// prototypes under permuted slot ids, and a byte-level file comparison
-// would false-alarm on the permutation.
+// stateHash wraps core.Model.StateHash — the canonical digest of the full
+// training state (RLS solver matrices included), independent of slot order
+// — for the bit-identity assertions. Recovery keeps the slot order too, but
+// the hash compares state without depending on it.
 func stateHash(t *testing.T, m *core.Model) string {
 	t.Helper()
 	h, err := m.StateHash()
